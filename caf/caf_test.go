@@ -293,6 +293,10 @@ func TestReportStats(t *testing.T) {
 	if rep.Stats.TotalMsgs() == 0 {
 		t.Fatal("no messages recorded for a barrier")
 	}
+	if rep.Stats.FlagBytes == 0 || rep.Stats.CoarrayBytes != 0 {
+		t.Fatalf("a barrier materialises flag rows and no coarray slab, got %d and %d bytes",
+			rep.Stats.FlagBytes, rep.Stats.CoarrayBytes)
+	}
 	if rep.Elapsed <= 0 {
 		t.Fatal("no simulated time elapsed")
 	}

@@ -163,11 +163,9 @@ type CoarrayT[T any] struct {
 // with two element types yields two distinct coarrays.
 func NewCoarrayT[T any](im *Image, name string, n int) *CoarrayT[T] {
 	v := im.view()
-	members := make([]int, v.T.Size())
-	copy(members, v.T.Members())
 	key := fmt.Sprintf("caf:%d:%s:%s", v.T.ID(), pgas.TypeName[T](), name)
 	return &CoarrayT[T]{
-		co: pgas.NewTeamCoarray[T](im.w, key, n, members),
+		co: pgas.NewTeamCoarray[T](im.w, key, n, v.T.Members()),
 		v:  v,
 	}
 }

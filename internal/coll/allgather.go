@@ -32,7 +32,7 @@ func AllgatherRing[T any](v *team.View, mine, out []T, via pgas.Via) {
 	steps := sz - 1
 	st := getState(v, "ag.ring."+via.String()+"."+tag[T](), steps)
 	ep := st.next(v.Rank)
-	co, cap_ := scratch[T](v, "ag.ring", n, 2*steps)
+	co, cap_ := Scratch[T](v, "ag.ring", "", n, 2*steps)
 	parity := int(ep % 2)
 	region := func(s int) int { return (parity*steps + s) * cap_ }
 	me := v.Img
@@ -72,17 +72,20 @@ func AllgatherBruck[T any](v *team.View, mine, out []T, via pgas.Via) {
 	nr := rounds(sz)
 	st := getState(v, "ag.bruck."+via.String()+"."+tag[T](), nr)
 	ep := st.next(v.Rank)
-	// Region k holds up to 2^k blocks; lay rounds out back to back per
-	// parity. Total per parity: (2^nr - 1) block-sized regions... bounded
-	// by 2*sz, so allocate 2*sz regions per parity.
-	co, cap_ := scratch[T](v, "ag.bruck", n, 2*2*sz)
+	// Round k lands min(2^k, sz−2^k) blocks; lay rounds out back to back
+	// per parity: round k starts 2^k−1 blocks in, and the last one ends
+	// sz−1 blocks in — every block but my own.
+	co, cap_ := Scratch[T](v, "ag.bruck", "", n, 2*(sz-1))
 	parity := int(ep % 2)
-	base := func(k int) int { return (parity*2*sz + (1<<k - 1)) * cap_ }
+	base := func(k int) int { return (parity*(sz-1) + (1<<k - 1)) * cap_ }
 	me := v.Img
 	r := v.Rank
 	// have counts the contiguous (cyclic, starting at my own rank) blocks
 	// assembled so far.
 	have := 1
+	// One staging buffer serves every round: a put captures its payload at
+	// issue, and no round ships more than half the team's blocks.
+	staging := make([]T, sz/2*n)
 	for k := 0; 1<<k < sz; k++ {
 		dst := ((r-1<<k)%sz + sz) % sz
 		send := have
@@ -91,7 +94,7 @@ func AllgatherBruck[T any](v *team.View, mine, out []T, via pgas.Via) {
 		}
 		// Pack my first `send` blocks (cyclic from my rank) into the
 		// round-k region at dst.
-		pack := make([]T, send*n)
+		pack := staging[:send*n]
 		for i := 0; i < send; i++ {
 			b := (r + i) % sz
 			copy(pack[i*n:(i+1)*n], out[b*n:b*n+n])

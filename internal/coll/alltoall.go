@@ -48,7 +48,7 @@ func AlltoallPairwise[T any](v *team.View, send, recv []T, via pgas.Via) {
 	steps := sz - 1
 	st := getState(v, "a2a.pw."+via.String()+"."+tag[T](), steps)
 	ep := st.next(v.Rank)
-	co, cap_ := scratch[T](v, "a2a.pw", n, 2*steps)
+	co, cap_ := Scratch[T](v, "a2a.pw", "", n, 2*steps)
 	parity := int(ep % 2)
 	region := func(s int) int { return (parity*steps + s) * cap_ }
 	me := v.Img
@@ -107,11 +107,12 @@ func AlltoallBruck[T any](v *team.View, send, recv []T, via pgas.Via) {
 	}
 	st := getState(v, "a2a.bruck."+via.String()+"."+tag[T](), 3*nr)
 	ep := st.next(v.Rank)
-	co, cap_ := scratch[T](v, "a2a.bruck", n, 2*total)
+	co, cap_ := Scratch[T](v, "a2a.bruck", "", n, 2*total)
 	parity := int(ep % 2)
 	region := func(k int) int { return (parity*total + off[k]) * cap_ }
 	me := v.Img
 	r := v.Rank
+	expect := st.expect(v.Rank)
 
 	// Phase 1: local rotation — tmp block j is my block for rank (r+j).
 	tmp := make([]T, sz*n)
@@ -120,20 +121,23 @@ func AlltoallBruck[T any](v *team.View, send, recv []T, via pgas.Via) {
 		copy(tmp[j*n:(j+1)*n], send[b*n:b*n+n])
 	}
 	me.MemWork(es * sz * n)
-	// Phase 2: doubling rounds.
+	// Phase 2: doubling rounds. One staging buffer serves every round: a
+	// put captures its payload at issue, and no round ships more than half
+	// the team's blocks.
+	pack := make([]T, 0, sz/2*n)
 	for k := 0; k < nr; k++ {
 		dst := (r + 1<<k) % sz
 		src := (r - 1<<k + sz) % sz
 		ackSlot := nr + 2*k + parity
-		pack := make([]T, 0, cnt[k]*n)
+		pack = pack[:0]
 		for j := 1; j < sz; j++ {
 			if j>>k&1 == 1 {
 				pack = append(pack, tmp[j*n:(j+1)*n]...)
 			}
 		}
 		me.MemWork(es * len(pack))
-		st.slotExpect[v.Rank][ackSlot]++
-		if sends := st.slotExpect[v.Rank][ackSlot]; sends > 1 {
+		expect[ackSlot]++
+		if sends := expect[ackSlot]; sends > 1 {
 			me.WaitFlagGE(st.flags, me.Rank(), ackSlot, sends-1)
 		}
 		pgas.PutThenNotify(me, co, v.T.GlobalRank(dst), region(k), pack, st.flags, k, 1, via)

@@ -81,15 +81,25 @@ func BarrierTree(v *team.View, via pgas.Via) {
 // ranks rooted at 0: r + 2^k for each k below the position of r's lowest
 // set bit (all k for the root).
 func binomialChildren(r, n int) []int {
-	var kids []int
+	kids := make([]int, binomialFanout(r, n))
+	for k := range kids {
+		kids[k] = r + 1<<k
+	}
+	return kids
+}
+
+// binomialFanout returns how many children rank r has in that tree; they sit
+// on edges 0..fanout−1, the edge-k child at distance 2^k.
+func binomialFanout(r, n int) int {
 	limit := r & -r
 	if r == 0 {
 		limit = 1 << 30
 	}
-	for k := 0; 1<<k < limit && r+1<<k < n; k++ {
-		kids = append(kids, r+1<<k)
+	k := 0
+	for 1<<k < limit && r+1<<k < n {
+		k++
 	}
-	return kids
+	return k
 }
 
 // BarrierTournament is the tournament barrier of Mellor-Crummey & Scott:

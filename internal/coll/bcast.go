@@ -31,7 +31,7 @@ func SubgroupBcastBinomial[T any](v *team.View, group []int, myIdx, rootIdx int,
 	es := pgas.ElemSize[T]()
 	st := getState(v, alg+".bcast."+tag[T](), 5)
 	ep := st.next(v.Rank)
-	co, cap_ := scratch[T](v, alg+".bcast", n, 2)
+	co, cap_ := Scratch[T](v, alg, "bcast", n, 2)
 	parity := int(ep % 2)
 	reg := parity * cap_
 	paySlot := parity
@@ -86,7 +86,7 @@ func floorPow2OfNonZero(r int) int {
 // whole team (the baseline for co_broadcast). root is a team rank.
 func BcastBinomial[T any](v *team.View, root int, buf []T, via pgas.Via) {
 	v.Img.World().Stats().Count(trace.OpBroadcast)
-	SubgroupBcastBinomial(v, teamRanks(v), v.Rank, root, buf, "bc.flat."+via.String(), via)
+	SubgroupBcastBinomial(v, TeamRanks(v), v.Rank, root, buf, "bc.flat."+via.String(), via)
 }
 
 // BcastLinear has the root put the payload to every member directly —
@@ -104,7 +104,7 @@ func BcastLinear[T any](v *team.View, root int, buf []T, via pgas.Via) {
 	es := pgas.ElemSize[T]()
 	st := getState(v, "bc.lin."+via.String()+"."+tag[T](), 5)
 	ep := st.next(v.Rank)
-	co, cap_ := scratch[T](v, "bc.lin", n, 2)
+	co, cap_ := Scratch[T](v, "bc.lin", "", n, 2)
 	parity := int(ep % 2)
 	reg := parity * cap_
 	paySlot := parity
@@ -148,18 +148,19 @@ func BcastScatterAllgather[T any](v *team.View, root int, buf []T, via pgas.Via)
 		return
 	}
 	if n < sz {
-		SubgroupBcastBinomial(v, teamRanks(v), v.Rank, root, buf, "bc.sagfallback."+via.String(), via)
+		SubgroupBcastBinomial(v, TeamRanks(v), v.Rank, root, buf, "bc.sagfallback."+via.String(), via)
 		return
 	}
 	chunk := (n + sz - 1) / sz
 	steps := sz - 1
 	st := getState(v, "bc.sag."+via.String()+"."+tag[T](), 1+steps)
 	ep := st.next(v.Rank)
-	// Region layout per parity: the full vector (scatter target area)
-	// plus one region per all-gather step.
-	co, cap_ := scratch[T](v, "bc.sag", n, 2*(1+steps))
+	// Per parity: the full vector (scatter target area), and one
+	// chunk-sized region per all-gather step.
+	co, cap_ := Scratch[T](v, "bc.sag", "", n, 2)
+	ring, rcap := Scratch[T](v, "bc.sag", "ring", chunk, 2*steps)
 	parity := int(ep % 2)
-	base := parity * (1 + steps) * cap_
+	base := parity * cap_
 	me := v.Img
 	rel := (v.Rank - root + sz) % sz
 	global := func(relIdx int) int { return v.T.GlobalRank((relIdx + root) % sz) }
@@ -216,16 +217,16 @@ func BcastScatterAllgather[T any](v *team.View, root int, buf []T, via pgas.Via)
 		sendC := ((rel-s)%sz + sz) % sz
 		recvC := ((rel-s-1)%sz + sz) % sz
 		lo, hi := bounds(sendC)
-		reg := base + (1+s)*cap_
+		reg := (parity*steps + s) * rcap
 		if hi > lo {
-			pgas.PutThenNotify(me, co, next, reg, buf[lo:hi], st.flags, 1+s, 1, via)
+			pgas.PutThenNotify(me, ring, next, reg, buf[lo:hi], st.flags, 1+s, 1, via)
 		} else {
 			me.NotifyAdd(st.flags, next, 1+s, 1, via)
 		}
 		me.WaitFlagGE(st.flags, me.Rank(), 1+s, ep)
 		rlo, rhi := bounds(recvC)
 		if rhi > rlo {
-			copy(buf[rlo:rhi], pgas.Local(co, me)[reg:reg+(rhi-rlo)])
+			copy(buf[rlo:rhi], pgas.Local(ring, me)[reg:reg+(rhi-rlo)])
 			me.MemWork(es * (rhi - rlo))
 		}
 	}

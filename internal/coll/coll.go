@@ -108,8 +108,17 @@ type state struct {
 	// slotExpect[r][s] is member r's cumulative expected arrival count on
 	// flag slot s, for algorithms whose communication tree varies with
 	// the root (each member counts exactly the arrivals its role in each
-	// episode entitles it to).
+	// episode entitles it to). Rows are created by their member's first
+	// expect call, so only algorithms and roles that count pay for them.
 	slotExpect [][]int64
+}
+
+// expect returns the caller's own slotExpect row.
+func (s *state) expect(rank int) []int64 {
+	if s.slotExpect[rank] == nil {
+		s.slotExpect[rank] = make([]int64, s.flags.Slots())
+	}
+	return s.slotExpect[rank]
 }
 
 // getState returns the shared state for one algorithm instance on a team.
@@ -136,9 +145,6 @@ func newState(v *team.View, alg string, slots int) *state {
 		s.payExpect[0] = make([]int64, v.T.Size())
 		s.payExpect[1] = make([]int64, v.T.Size())
 		s.slotExpect = make([][]int64, v.T.Size())
-		for i := range s.slotExpect {
-			s.slotExpect[i] = make([]int64, slots)
-		}
 		return s
 	}).(*state)
 }
@@ -178,45 +184,30 @@ func bucket(n int) int {
 	return 1 << bits.Len(uint(n))
 }
 
-// scratch returns a team-wide scratch coarray of T with at least elems
-// elements per region, with regions regions (rounds, parity buffers...),
-// allocated per size class and element type.
-func scratch[T any](v *team.View, alg string, elems, regions int) (*pgas.Coarray[T], int) {
+// Scratch returns the team's scratch coarray for one role of one algorithm:
+// regions regions of at least elems elements each (the returned capacity,
+// elems rounded up to its size class), allocated per size class and element
+// type. It is the one scratch allocator of internal/coll and internal/core.
+//
+// Slabs materialise on first touch (see pgas.Coarray), so a scratch costs an
+// image only what its role touches — provided roles do not share a slab.
+// Algorithms therefore ask once per role ("in", "res", ...; "" when there is
+// only one): the inbox or staging area of a leader, root or parent and the
+// result landing of a member are separate coarrays, and an image only ever
+// materialises the boxes of roles it has played.
+func Scratch[T any](v *team.View, alg, role string, elems, regions int) (*pgas.Coarray[T], int) {
 	cap_ := bucket(elems)
-	x := v.Memo(team.MemoKey{Kind: "coll:scratch", Alg: alg, N: cap_, M: regions}, func() interface{} {
-		return newScratch[T](v, alg, cap_, regions)
-	})
-	if co, ok := x.(*pgas.Coarray[T]); ok {
+	mk := func() interface{} {
+		name := fmt.Sprintf("coll:%s:%s:%s:team%d:cap%d:r%d", alg, role, tag[T](), v.T.ID(), cap_, regions)
+		return pgas.NewTeamCoarray[T](v.Img.World(), name, cap_*regions, v.T.Members())
+	}
+	// The per-view memo keeps repeat calls (one per episode, per image) off
+	// the name formatting and the world registry lock.
+	key := team.MemoKey{Kind: "coll:scratch", Alg: alg, Role: role, N: cap_, M: regions}
+	if co, ok := v.Memo(key, mk).(*pgas.Coarray[T]); ok {
 		return co, cap_
 	}
-	// Memo slot taken by another element type for the same (alg, class):
-	// fall through to the registry, which keys on the type as well.
-	return newScratch[T](v, alg, cap_, regions), cap_
-}
-
-func newScratch[T any](v *team.View, alg string, cap_, regions int) *pgas.Coarray[T] {
-	name := fmt.Sprintf("coll:%s:%s:team%d:cap%d", alg, tag[T](), v.T.ID(), cap_)
-	w := v.Img.World()
-	members := make([]int, v.T.Size())
-	copy(members, v.T.Members())
-	return pgas.NewTeamCoarray[T](w, name, cap_*regions, members)
-}
-
-// rootScratch returns a scratch slab allocated only on the team's root image
-// (for linear gathers: the root needs n regions, nobody else needs any).
-func rootScratch[T any](v *team.View, alg string, elems, regions int) (*pgas.Coarray[T], int) {
-	cap_ := bucket(elems)
-	x := v.Memo(team.MemoKey{Kind: "coll:rootscratch", Alg: alg, N: cap_, M: regions}, func() interface{} {
-		return newRootScratch[T](v, alg, cap_, regions)
-	})
-	if co, ok := x.(*pgas.Coarray[T]); ok {
-		return co, cap_
-	}
-	return newRootScratch[T](v, alg, cap_, regions), cap_
-}
-
-func newRootScratch[T any](v *team.View, alg string, cap_, regions int) *pgas.Coarray[T] {
-	name := fmt.Sprintf("coll:%s:%s:team%d:root:cap%d", alg, tag[T](), v.T.ID(), cap_)
-	w := v.Img.World()
-	return pgas.NewTeamCoarray[T](w, name, cap_*regions, []int{v.T.GlobalRank(0)})
+	// Memo slot taken by another element type for the same (alg, role,
+	// class): the registry keys on the type as well.
+	return mk().(*pgas.Coarray[T]), cap_
 }

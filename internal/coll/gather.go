@@ -2,6 +2,7 @@ package coll
 
 import (
 	"fmt"
+	"math/bits"
 
 	"cafteams/internal/pgas"
 	"cafteams/internal/team"
@@ -35,15 +36,16 @@ func GatherLinear[T any](v *team.View, root int, send, recv []T, via pgas.Via) {
 	}
 	st := getState(v, "ga.lin."+via.String()+"."+tag[T](), 4)
 	ep := st.next(v.Rank)
-	co, cap_ := scratch[T](v, "ga.lin", n, 2*sz)
+	co, cap_ := Scratch[T](v, "ga.lin", "", n, 2*sz)
 	parity := int(ep % 2)
 	arriveSlot := parity
 	creditSlot := 2 + parity
 	me := v.Img
+	expect := st.expect(v.Rank)
 	if v.Rank == root {
 		// Arrival counts are root-dependent, so count exactly.
-		st.slotExpect[v.Rank][arriveSlot] += int64(sz - 1)
-		me.WaitFlagGE(st.flags, me.Rank(), arriveSlot, st.slotExpect[v.Rank][arriveSlot])
+		expect[arriveSlot] += int64(sz - 1)
+		me.WaitFlagGE(st.flags, me.Rank(), arriveSlot, expect[arriveSlot])
 		local := pgas.Local(co, me)
 		for r := 0; r < sz; r++ {
 			if r == root {
@@ -57,8 +59,8 @@ func GatherLinear[T any](v *team.View, root int, send, recv []T, via pgas.Via) {
 		return
 	}
 	// Gate on the credit for my previous same-parity send.
-	st.slotExpect[v.Rank][creditSlot]++
-	if sends := st.slotExpect[v.Rank][creditSlot]; sends > 1 {
+	expect[creditSlot]++
+	if sends := expect[creditSlot]; sends > 1 {
 		me.WaitFlagGE(st.flags, me.Rank(), creditSlot, sends-1)
 	}
 	off := (parity*sz + v.Rank) * cap_
@@ -72,15 +74,21 @@ func GatherLinear[T any](v *team.View, root int, send, recv []T, via pgas.Via) {
 // ships the whole range to its parent, so each block crosses the wire once
 // per tree level it climbs.
 //
-// The protocol keys everything by sender, like SubgroupReduceToRoot: each
-// member owns one arrival flag slot (its absolute team rank) and writes a
-// disjoint slice of its parent's parity landing area; a parent credits each
-// child after consuming (on a slot identifying the parent and parity), and
-// a child may not ship before the credit for its previous same-parity send
-// to that parent arrived.
+// The protocol keys everything by tree edge, like SubgroupReduceToRoot: the
+// child on edge k of a member is the member 2^k above it whatever the root,
+// so a parent owns one arrival flag slot per edge and the edge-k child
+// writes the disjoint slice [2^k, 2^(k+1)) blocks of the parent's parity
+// landing area; a parent credits each child after consuming (on the child's
+// slot for that edge and parity), and a child may not ship before the
+// credit for its previous same-parity send over that edge arrived.
 //
-// Flag layout: slots [0, n) sender arrivals; slot n+2·p+parity the credit
-// from parent p.
+// A landing area is as large as its owner's subtree, so it lives in the
+// scratch of the owner's subtree size class: a leaf ships straight from
+// send and touches no scratch, and only an episode's root stages the whole
+// team.
+//
+// Flag layout, nr = ⌈log2 size⌉: slots [0, nr) edge arrivals; slot
+// nr+2·k+parity the credit from the edge-k parent.
 func GatherBinomial[T any](v *team.View, root int, send, recv []T, via pgas.Via) {
 	sz := v.NumImages()
 	n := len(send)
@@ -96,60 +104,69 @@ func GatherBinomial[T any](v *team.View, root int, send, recv []T, via pgas.Via)
 	if sz == 1 {
 		return
 	}
-	st := getState(v, "ga.binom."+via.String()+"."+tag[T](), 3*sz)
+	nr := rounds(sz)
+	st := getState(v, "ga.binom."+via.String()+"."+tag[T](), 3*nr)
 	ep := st.next(v.Rank)
-	// Landing area: my whole relative subtree packed n-contiguous, per
-	// parity; children write disjoint slices of it.
-	co, cap_ := scratch[T](v, "ga.binom", sz*n, 2)
 	parity := int(ep % 2)
-	base := parity * cap_
 	me := v.Img
 	rel := (v.Rank - root + sz) % sz
 	global := func(relIdx int) int { return v.T.GlobalRank((relIdx + root) % sz) }
-	local := pgas.Local(co, me)
-	span := sz
-	if rel != 0 {
-		span = rel & -rel
-		if rel+span > sz {
-			span = sz - rel
-		}
+	expect := st.expect(v.Rank)
+	nkids := binomialFanout(rel, sz)
+	pack := send // a leaf's packed range is its own block
+	if nkids > 0 {
+		co, base, span := subtreeArea[T](v, "ga.binom", rel, sz, n, parity)
+		local := pgas.Local(co, me)
+		copy(local[base:base+n], send) // my own block leads my packed range
+		pack = local[base : base+span*n]
 	}
-	copy(local[base:base+n], send) // my own block leads my packed range
+	// Leaves are charged for the staging copy too, so that modeled times do
+	// not depend on the scratch layout.
 	me.MemWork(es * n)
 	// Collect the children's packed subtree ranges (child rel+2^k for every
 	// k below lowbit(rel), bounded by sz).
-	for k := rounds(sz) - 1; k >= 0; k-- {
-		if rel%(1<<(k+1)) == 0 && rel+1<<k < sz {
-			childAbs := (rel + 1<<k + root) % sz
-			st.slotExpect[v.Rank][childAbs]++
-			me.WaitFlagGE(st.flags, me.Rank(), childAbs, st.slotExpect[v.Rank][childAbs])
-		}
+	for k := nkids - 1; k >= 0; k-- {
+		expect[k]++
+		me.WaitFlagGE(st.flags, me.Rank(), k, expect[k])
 	}
 	creditKids := func() {
-		for k := rounds(sz) - 1; k >= 0; k-- {
-			if rel%(1<<(k+1)) == 0 && rel+1<<k < sz {
-				me.NotifyAdd(st.flags, global(rel+1<<k), sz+2*v.Rank+parity, 1, via)
-			}
+		for k := nkids - 1; k >= 0; k-- {
+			me.NotifyAdd(st.flags, global(rel+1<<k), nr+2*k+parity, 1, via)
 		}
 	}
 	if rel == 0 {
 		// Root: unpack relative order back to absolute team ranks.
 		for q := 1; q < sz; q++ {
 			b := (q + root) % sz
-			copy(recv[b*n:b*n+n], local[base+q*n:base+(q+1)*n])
+			copy(recv[b*n:b*n+n], pack[q*n:(q+1)*n])
 		}
 		me.MemWork(es * (sz - 1) * n)
 		creditKids()
 		return
 	}
-	parentRel := rel - (rel & -rel)
-	parentAbs := (parentRel + root) % sz
-	creditSlot := sz + 2*parentAbs + parity
-	st.slotExpect[v.Rank][creditSlot]++
-	if sends := st.slotExpect[v.Rank][creditSlot]; sends > 1 {
+	edge := bits.TrailingZeros(uint(rel))
+	parentRel := rel - 1<<edge
+	creditSlot := nr + 2*edge + parity
+	expect[creditSlot]++
+	if sends := expect[creditSlot]; sends > 1 {
 		me.WaitFlagGE(st.flags, me.Rank(), creditSlot, sends-1)
 	}
-	pgas.PutThenNotify(me, co, global(parentRel), base+(rel-parentRel)*n,
-		local[base:base+span*n], st.flags, v.Rank, 1, via)
+	pco, pbase, _ := subtreeArea[T](v, "ga.binom", parentRel, sz, n, parity)
+	pgas.PutThenNotify(me, pco, global(parentRel), pbase+(rel-parentRel)*n, pack, st.flags, edge, 1, via)
 	creditKids()
+}
+
+// subtreeArea returns the landing area of the member at relative rank rel of
+// a "low bits free" binomial tree over sz ranks: its whole subtree — span
+// blocks of n elements, the whole team at the root, otherwise lowbit(rel)
+// ranks clipped at the team's end — packed n-contiguous in relative-rank
+// order at base, this parity's half of the scratch of that subtree's size
+// class. Owner and remote writer derive the same coarray from rel alone.
+func subtreeArea[T any](v *team.View, alg string, rel, sz, n, parity int) (co *pgas.Coarray[T], base, span int) {
+	span = sz
+	if rel != 0 {
+		span = min(rel&-rel, sz-rel)
+	}
+	co, cap_ := Scratch[T](v, alg, "", span*n, 2)
+	return co, parity * cap_, span
 }

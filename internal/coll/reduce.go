@@ -28,12 +28,13 @@ func SubgroupAllreduceRD[T any](v *team.View, group []int, myIdx int, buf []T, o
 	n := len(buf)
 	es := pgas.ElemSize[T]()
 	nr := rounds(floorPow2(g))
-	st := getState(v, alg+".rd."+op.Name+"."+tag[T](), nr+2)
+	alg += ".rd." + op.Name
+	st := getState(v, alg+"."+tag[T](), nr+2)
 	ep := st.next(v.Rank)
-	regions := nr + 2 // rd rounds, extra-contribution, result
-	co, cap_ := scratch[T](v, alg+".rd."+op.Name, n, 2*regions)
+	// Three boxes, per parity: the rd rounds land at every core member, a
+	// folded extra's contribution at its core partner, and the result at
+	// the extra — each role touches only its own.
 	parity := int(ep % 2)
-	region := func(k int) int { return (parity*regions + k) * cap_ }
 	me := v.Img
 	global := func(idx int) int { return v.T.GlobalRank(group[idx]) }
 
@@ -44,17 +45,22 @@ func SubgroupAllreduceRD[T any](v *team.View, group []int, myIdx int, buf []T, o
 	if myIdx >= p2 {
 		// Fold in: ship to the core partner, then wait for the result.
 		partner := myIdx - p2
-		pgas.PutThenNotify(me, co, global(partner), region(slotExtra), buf, st.flags, slotExtra, 1, via)
+		in, icap := Scratch[T](v, alg, "fold", n, 2)
+		pgas.PutThenNotify(me, in, global(partner), parity*icap, buf, st.flags, slotExtra, 1, via)
 		me.WaitFlagGE(st.flags, me.Rank(), slotResult, ep)
-		copy(buf, pgas.Local(co, me)[region(slotResult):region(slotResult)+n])
+		res, rcap := Scratch[T](v, alg, "res", n, 2)
+		copy(buf, pgas.Local(res, me)[parity*rcap:parity*rcap+n])
 		me.MemWork(es * n)
 		return
 	}
 	if myIdx < extras {
 		me.WaitFlagGE(st.flags, me.Rank(), slotExtra, ep)
-		op.Combine(buf, pgas.Local(co, me)[region(slotExtra):region(slotExtra)+n])
+		in, icap := Scratch[T](v, alg, "fold", n, 2)
+		op.Combine(buf, pgas.Local(in, me)[parity*icap:parity*icap+n])
 		me.MemWork(2 * es * n)
 	}
+	co, cap_ := Scratch[T](v, alg, "", n, 2*nr)
+	region := func(k int) int { return (parity*nr + k) * cap_ }
 	for k := 0; 1<<k < p2; k++ {
 		partner := myIdx ^ 1<<k
 		pgas.PutThenNotify(me, co, global(partner), region(k), buf, st.flags, k, 1, via)
@@ -63,7 +69,8 @@ func SubgroupAllreduceRD[T any](v *team.View, group []int, myIdx int, buf []T, o
 		me.MemWork(2 * es * n)
 	}
 	if myIdx < extras {
-		pgas.PutThenNotify(me, co, global(myIdx+p2), region(slotResult), buf, st.flags, slotResult, 1, via)
+		res, rcap := Scratch[T](v, alg, "res", n, 2)
+		pgas.PutThenNotify(me, res, global(myIdx+p2), parity*rcap, buf, st.flags, slotResult, 1, via)
 	}
 }
 
@@ -72,7 +79,7 @@ func SubgroupAllreduceRD[T any](v *team.View, group []int, myIdx int, buf []T, o
 // friends.
 func AllreduceRD[T any](v *team.View, buf []T, op Op[T], via pgas.Via) {
 	v.Img.World().Stats().Count(trace.OpReduce)
-	SubgroupAllreduceRD(v, teamRanks(v), v.Rank, buf, op, "red.flat."+via.String(), via)
+	SubgroupAllreduceRD(v, TeamRanks(v), v.Rank, buf, op, "red.flat."+via.String(), via)
 }
 
 // AllreduceLinear gathers every vector at the team's first member, combines
@@ -88,10 +95,10 @@ func AllreduceLinear[T any](v *team.View, buf []T, op Op[T], via pgas.Via) {
 	}
 	st := getState(v, "red.lin."+op.Name+"."+via.String()+"."+tag[T](), 2)
 	ep := st.next(v.Rank)
-	// Root inbox: one region per member per parity. Result inbox: one
-	// region per member (symmetric).
-	inbox, icap := rootScratch[T](v, "red.lin."+op.Name, n, 2*sz)
-	res, rcap := scratch[T](v, "red.lin.res."+op.Name, n, 2)
+	// Root inbox: one region per member per parity, touched at the root
+	// only. Result landing: one region per parity at every other member.
+	inbox, icap := Scratch[T](v, "red.lin."+op.Name, "in", n, 2*sz)
+	res, rcap := Scratch[T](v, "red.lin."+op.Name, "res", n, 2)
 	parity := int(ep % 2)
 	root := v.T.GlobalRank(0)
 	me := v.Img
@@ -129,10 +136,12 @@ func AllreduceTree[T any](v *team.View, buf []T, op Op[T], via pgas.Via) {
 	nr := rounds(sz)
 	st := getState(v, "red.tree."+op.Name+"."+via.String()+"."+tag[T](), nr+1)
 	ep := st.next(v.Rank)
-	regions := nr + 1
-	co, cap_ := scratch[T](v, "red.tree."+op.Name, n, 2*regions)
+	// Parents land their children per tree level; every member but the
+	// root lands the result, in a box of its own (leaves touch no other).
+	co, cap_ := Scratch[T](v, "red.tree."+op.Name, "in", n, 2*nr)
+	res, rcap := Scratch[T](v, "red.tree."+op.Name, "res", n, 2)
 	parity := int(ep % 2)
-	region := func(k int) int { return (parity*regions + k) * cap_ }
+	region := func(k int) int { return (parity*nr + k) * cap_ }
 	me := v.Img
 	r := v.Rank
 	kids := binomialChildren(r, sz)
@@ -148,11 +157,11 @@ func AllreduceTree[T any](v *team.View, buf []T, op Op[T], via pgas.Via) {
 		slot := childSlot(parent, r)
 		pgas.PutThenNotify(me, co, v.T.GlobalRank(parent), region(slot), buf, st.flags, slot, 1, via)
 		me.WaitFlagGE(st.flags, me.Rank(), nr, ep)
-		copy(buf, pgas.Local(co, me)[region(nr):region(nr)+n])
+		copy(buf, pgas.Local(res, me)[parity*rcap:parity*rcap+n])
 		me.MemWork(es * n)
 	}
 	for _, c := range kids {
-		pgas.PutThenNotify(me, co, v.T.GlobalRank(c), region(nr), buf, st.flags, nr, 1, via)
+		pgas.PutThenNotify(me, res, v.T.GlobalRank(c), parity*rcap, buf, st.flags, nr, 1, via)
 	}
 }
 
@@ -180,7 +189,7 @@ func AllreduceRing[T any](v *team.View, buf []T, op Op[T], via pgas.Via) {
 	}
 	if n < sz {
 		// Tiny vectors degenerate; fall back to recursive doubling.
-		SubgroupAllreduceRD(v, teamRanks(v), v.Rank, buf, op, "red.ringfallback."+via.String(), via)
+		SubgroupAllreduceRD(v, TeamRanks(v), v.Rank, buf, op, "red.ringfallback."+via.String(), via)
 		return
 	}
 	steps := 2 * (sz - 1)
@@ -189,7 +198,7 @@ func AllreduceRing[T any](v *team.View, buf []T, op Op[T], via pgas.Via) {
 	chunk := (n + sz - 1) / sz
 	// One inbox region per step per episode parity: ring skew can reach
 	// sz−1 steps, so regions cannot be shared between nearby steps.
-	co, cap_ := scratch[T](v, "red.ring."+op.Name, chunk, 2*steps)
+	co, cap_ := Scratch[T](v, "red.ring."+op.Name, "", chunk, 2*steps)
 	parity := int(ep % 2)
 	region := func(step int) int { return (parity*steps + step) * cap_ }
 	me := v.Img
@@ -233,11 +242,18 @@ func AllreduceRing[T any](v *team.View, buf []T, op Op[T], via pgas.Via) {
 	}
 }
 
-// teamRanks returns [0..size) for a team view.
-func teamRanks(v *team.View) []int {
-	out := make([]int, v.T.Size())
-	for i := range out {
-		out[i] = i
-	}
-	return out
+// TeamRanks returns [0..size): the whole team as a subgroup. The slice is
+// built once per team and shared by every member; callers must not modify
+// it.
+func TeamRanks(v *team.View) []int {
+	return v.Memo(team.MemoKey{Kind: "coll:ranks"}, func() interface{} {
+		key := fmt.Sprintf("coll:ranks:team%d", v.T.ID())
+		return pgas.LookupOrCreate(v.Img.World(), key, func() interface{} {
+			out := make([]int, v.T.Size())
+			for i := range out {
+				out[i] = i
+			}
+			return out
+		})
+	}).([]int)
 }

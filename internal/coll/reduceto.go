@@ -1,6 +1,8 @@
 package coll
 
 import (
+	"math/bits"
+
 	"cafteams/internal/pgas"
 	"cafteams/internal/team"
 	"cafteams/internal/trace"
@@ -11,20 +13,22 @@ import (
 // holds the result on return (the CAF co_sum(result_image=...) semantics).
 //
 // Unlike all-to-all reductions, a reduce-to-one has no downward data flow
-// to throttle buffer reuse, and the tree shape changes with the root, so
-// the protocol keys everything by *sender*: each member owns one arrival
-// flag slot and one parity-pair of landing regions at every other member
-// (single writer per slot and region; per-pair FIFO delivery makes the
-// counters exact). A parent credits each child after combining — on a slot
-// identifying the parent and parity, because only same-parity sends to the
-// *same* parent reuse a landing region — and a child may not ship a
-// contribution before the credit for its previous same-parity send to that
-// parent arrived. Memory note: the scratch is 2·|group| regions per member,
-// so prefer modest group sizes for large vectors (the two-level runtime
-// only ever passes node-leader groups here).
+// to throttle buffer reuse, and the tree shape changes with the root. What
+// does not change is who sits on a tree *edge*: the tree is binomial over
+// ranks relative to the root, so the child on edge k of member m — distance
+// 2^k — is always member (m+2^k) mod g, and the parent a member reaches over
+// edge k always (m−2^k) mod g, whatever the root. The protocol therefore
+// keys everything by edge: a member owns one arrival flag slot and one
+// parity-pair of landing regions per edge, each with a single writer
+// (per-pair FIFO delivery makes the counters exact), for ⌈log g⌉ edges — not
+// one per possible sender. A parent credits each child after combining, on
+// the child's slot for that edge and parity, because only same-parity sends
+// over the same edge reuse a landing region — and a child may not ship a
+// contribution before the credit for its previous same-parity send over
+// that edge arrived. Leaves touch no scratch at all.
 //
-// Flag layout: slots [0, g) sender arrivals; slot g+2·p+parity the credit
-// from parent p.
+// Flag layout, nr = ⌈log2 g⌉: slots [0, nr) edge arrivals; slot
+// nr+2·k+parity the credit from the edge-k parent.
 func SubgroupReduceToRoot[T any](v *team.View, group []int, myIdx, rootIdx int, buf []T, op Op[T], alg string, via pgas.Via) {
 	g := len(group)
 	if g == 1 {
@@ -32,47 +36,47 @@ func SubgroupReduceToRoot[T any](v *team.View, group []int, myIdx, rootIdx int, 
 	}
 	n := len(buf)
 	es := pgas.ElemSize[T]()
-	st := getState(v, alg+".redto."+tag[T](), 3*g)
+	nr := rounds(g)
+	st := getState(v, alg+".redto."+tag[T](), 3*nr)
 	ep := st.next(v.Rank)
-	co, cap_ := scratch[T](v, alg+".redto", n, 2*g)
+	co, cap_ := Scratch[T](v, alg, "redto", n, 2*nr)
 	parity := int(ep % 2)
-	region := func(senderIdx int) int { return (parity*g + senderIdx) * cap_ }
+	region := func(edge int) int { return (parity*nr + edge) * cap_ }
 	me := v.Img
 	rel := (myIdx - rootIdx + g) % g
 	globalOf := func(idx int) int { return v.T.GlobalRank(group[idx]) }
+	expect := st.expect(v.Rank)
 
 	// Children in the relative binomial tree (same shape as the gather of
 	// AllreduceTree): rel's children are rel+2^k for k below rel's lowest
 	// set bit. Deepest subtree first.
-	kids := binomialChildren(rel, g)
-	for i := len(kids) - 1; i >= 0; i-- {
-		kidIdx := (kids[i] + rootIdx) % g
-		st.slotExpect[v.Rank][kidIdx]++
-		me.WaitFlagGE(st.flags, me.Rank(), kidIdx, st.slotExpect[v.Rank][kidIdx])
-		off := region(kidIdx)
+	for k := binomialFanout(rel, g) - 1; k >= 0; k-- {
+		expect[k]++
+		me.WaitFlagGE(st.flags, me.Rank(), k, expect[k])
+		off := region(k)
 		op.Combine(buf, pgas.Local(co, me)[off:off+n])
 		me.MemWork(2 * es * n)
-		// Credit the child: its parity-e landing region here is free.
-		me.NotifyAdd(st.flags, globalOf(kidIdx), g+2*myIdx+parity, 1, via)
+		// Credit the child: its parity landing region here is free.
+		me.NotifyAdd(st.flags, globalOf((myIdx+1<<k)%g), nr+2*k+parity, 1, via)
 	}
 	if rel == 0 {
 		return
 	}
-	// Gate on the credit for my previous same-parity send to this parent.
-	parentIdx := (rel - (rel & -rel) + rootIdx) % g
-	creditSlot := g + 2*parentIdx + parity
-	st.slotExpect[v.Rank][creditSlot]++
-	if sends := st.slotExpect[v.Rank][creditSlot]; sends > 1 {
+	// Gate on the credit for my previous same-parity send over this edge.
+	edge := bits.TrailingZeros(uint(rel))
+	creditSlot := nr + 2*edge + parity
+	expect[creditSlot]++
+	if sends := expect[creditSlot]; sends > 1 {
 		me.WaitFlagGE(st.flags, me.Rank(), creditSlot, sends-1)
 	}
-	pgas.PutThenNotify(me, co, globalOf(parentIdx), region(myIdx), buf, st.flags, myIdx, 1, via)
+	pgas.PutThenNotify(me, co, globalOf((myIdx-1<<edge+g)%g), region(edge), buf, st.flags, edge, 1, via)
 }
 
 // ReduceToRoot is the flat binomial reduce-to-one over the whole team;
 // root is a team rank.
 func ReduceToRoot[T any](v *team.View, root int, buf []T, op Op[T], via pgas.Via) {
 	v.Img.World().Stats().Count(trace.OpReduce)
-	SubgroupReduceToRoot(v, teamRanks(v), v.Rank, root, buf, op, "redto.flat."+op.Name+"."+via.String(), via)
+	SubgroupReduceToRoot(v, TeamRanks(v), v.Rank, root, buf, op, "redto.flat."+op.Name+"."+via.String(), via)
 }
 
 // ReduceToRootLinear gathers every member's vector at the root directly and
@@ -92,16 +96,17 @@ func ReduceToRootLinear[T any](v *team.View, root int, buf []T, op Op[T], via pg
 	es := pgas.ElemSize[T]()
 	st := getState(v, "redto.lin."+op.Name+"."+via.String()+"."+tag[T](), 4)
 	ep := st.next(v.Rank)
-	co, cap_ := scratch[T](v, "redto.lin."+op.Name, n, 2*sz)
+	co, cap_ := Scratch[T](v, "redto.lin."+op.Name, "", n, 2*sz)
 	parity := int(ep % 2)
 	arriveSlot := parity
 	creditSlot := 2 + parity
 	me := v.Img
+	expect := st.expect(v.Rank)
 	if v.Rank == root {
-		// slotExpect[root][arriveSlot] counts cumulative same-parity
+		// expect[arriveSlot] counts cumulative same-parity
 		// arrivals; the tree shape is root-dependent, so count exactly.
-		st.slotExpect[v.Rank][arriveSlot] += int64(sz - 1)
-		me.WaitFlagGE(st.flags, me.Rank(), arriveSlot, st.slotExpect[v.Rank][arriveSlot])
+		expect[arriveSlot] += int64(sz - 1)
+		me.WaitFlagGE(st.flags, me.Rank(), arriveSlot, expect[arriveSlot])
 		local := pgas.Local(co, me)
 		for r := 0; r < sz; r++ {
 			if r == root {
@@ -115,8 +120,8 @@ func ReduceToRootLinear[T any](v *team.View, root int, buf []T, op Op[T], via pg
 		return
 	}
 	// Gate on the credit for my previous same-parity send.
-	st.slotExpect[v.Rank][creditSlot]++
-	if sends := st.slotExpect[v.Rank][creditSlot]; sends > 1 {
+	expect[creditSlot]++
+	if sends := expect[creditSlot]; sends > 1 {
 		me.WaitFlagGE(st.flags, me.Rank(), creditSlot, sends-1)
 	}
 	off := (parity*sz + v.Rank) * cap_

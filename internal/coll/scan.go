@@ -1,6 +1,8 @@
 package coll
 
 import (
+	"slices"
+
 	"cafteams/internal/pgas"
 	"cafteams/internal/team"
 	"cafteams/internal/trace"
@@ -40,12 +42,13 @@ func ScanLinear[T any](v *team.View, buf []T, op Op[T], exclusive bool, via pgas
 	alg := "scan.lin." + op.Name + "." + scanTag(exclusive) + "." + via.String() + "." + tag[T]()
 	st := getState(v, alg, 4)
 	ep := st.next(v.Rank)
-	co, cap_ := scratch[T](v, "scan.lin."+op.Name+"."+scanTag(exclusive), n, 2)
+	co, cap_ := Scratch[T](v, "scan.lin."+op.Name, scanTag(exclusive), n, 2)
 	parity := int(ep % 2)
 	reg := parity * cap_
 	creditSlot := 2 + parity
 	me := v.Img
 	r := v.Rank
+	expect := st.expect(v.Rank)
 	var fwd []T // the inclusive prefix over [0, r], shipped to r+1
 	if r == 0 {
 		fwd = buf
@@ -54,8 +57,7 @@ func ScanLinear[T any](v *team.View, buf []T, op Op[T], exclusive bool, via pgas
 		in := pgas.Local(co, me)[reg : reg+n] // prefix over [0, r)
 		if exclusive {
 			if r < sz-1 {
-				fwd = make([]T, n)
-				copy(fwd, in)
+				fwd = slices.Clone(in)
 				op.Combine(fwd, buf)
 				me.MemWork(3 * es * n)
 			}
@@ -69,8 +71,8 @@ func ScanLinear[T any](v *team.View, buf []T, op Op[T], exclusive bool, via pgas
 	}
 	if r < sz-1 {
 		// Gate on the credit for my previous same-parity send.
-		st.slotExpect[v.Rank][creditSlot]++
-		if sends := st.slotExpect[v.Rank][creditSlot]; sends > 1 {
+		expect[creditSlot]++
+		if sends := expect[creditSlot]; sends > 1 {
 			me.WaitFlagGE(st.flags, me.Rank(), creditSlot, sends-1)
 		}
 		pgas.PutThenNotify(me, co, v.T.GlobalRank(r+1), reg, fwd, st.flags, 0, 1, via)
@@ -107,20 +109,19 @@ func ScanRD[T any](v *team.View, buf []T, op Op[T], exclusive bool, via pgas.Via
 	alg := "scan.rd." + op.Name + "." + scanTag(exclusive) + "." + via.String() + "." + tag[T]()
 	st := getState(v, alg, 3*nr+3)
 	ep := st.next(v.Rank)
-	regions := nr + 1 // one per round plus the shift
-	co, cap_ := scratch[T](v, "scan.rd."+op.Name+"."+scanTag(exclusive), n, 2*regions)
+	co, cap_ := Scratch[T](v, "scan.rd."+op.Name, scanTag(exclusive), n, 2*nr)
 	parity := int(ep % 2)
-	region := func(k int) int { return (parity*regions + k) * cap_ }
+	region := func(k int) int { return (parity*nr + k) * cap_ }
 	me := v.Img
 	r := v.Rank
-	acc := make([]T, n) // running partial over [max(0, r−2^k+1), r]
-	copy(acc, buf)
+	expect := st.expect(v.Rank)
+	acc := slices.Clone(buf) // running partial over [max(0, r−2^k+1), r]
 	me.MemWork(es * n)
 	for k := 0; 1<<k < sz; k++ {
 		ackSlot := nr + 2*k + parity
 		if r+1<<k < sz {
-			st.slotExpect[v.Rank][ackSlot]++
-			if sends := st.slotExpect[v.Rank][ackSlot]; sends > 1 {
+			expect[ackSlot]++
+			if sends := expect[ackSlot]; sends > 1 {
 				me.WaitFlagGE(st.flags, me.Rank(), ackSlot, sends-1)
 			}
 			pgas.PutThenNotify(me, co, v.T.GlobalRank(r+1<<k), region(k), acc, st.flags, k, 1, via)
@@ -137,19 +138,21 @@ func ScanRD[T any](v *team.View, buf []T, op Op[T], exclusive bool, via pgas.Via
 		me.MemWork(es * n)
 		return
 	}
-	// Shift the inclusive prefixes down by one rank.
+	// Shift the inclusive prefixes down by one rank, through a box of its
+	// own.
+	shift, scap := Scratch[T](v, "scan.rd."+op.Name, "shift", n, 2)
 	shiftSlot := 3 * nr
 	shiftAck := 3*nr + 1 + parity
 	if r+1 < sz {
-		st.slotExpect[v.Rank][shiftAck]++
-		if sends := st.slotExpect[v.Rank][shiftAck]; sends > 1 {
+		expect[shiftAck]++
+		if sends := expect[shiftAck]; sends > 1 {
 			me.WaitFlagGE(st.flags, me.Rank(), shiftAck, sends-1)
 		}
-		pgas.PutThenNotify(me, co, v.T.GlobalRank(r+1), region(nr), acc, st.flags, shiftSlot, 1, via)
+		pgas.PutThenNotify(me, shift, v.T.GlobalRank(r+1), parity*scap, acc, st.flags, shiftSlot, 1, via)
 	}
 	if r > 0 {
 		me.WaitFlagGE(st.flags, me.Rank(), shiftSlot, ep)
-		copy(buf, pgas.Local(co, me)[region(nr):region(nr)+n])
+		copy(buf, pgas.Local(shift, me)[parity*scap:parity*scap+n])
 		me.MemWork(es * n)
 		me.NotifyAdd(st.flags, v.T.GlobalRank(r-1), shiftAck, 1, via)
 	}

@@ -38,7 +38,7 @@ func ScatterLinear[T any](v *team.View, root int, send, recv []T, via pgas.Via) 
 	}
 	st := getState(v, "sc.lin."+via.String()+"."+tag[T](), 5)
 	ep := st.next(v.Rank)
-	co, cap_ := scratch[T](v, "sc.lin", n, 2)
+	co, cap_ := Scratch[T](v, "sc.lin", "", n, 2)
 	parity := int(ep % 2)
 	reg := parity * cap_
 	paySlot := parity
@@ -79,6 +79,11 @@ func ScatterLinear[T any](v *team.View, root int, send, recv []T, via pgas.Via) 
 // Flow control is the SubgroupBcastBinomial credit scheme: parity payload
 // and ack slots, an ack wave climbing back to the episode root, a done
 // stamp, and a root injection gate at done >= e−2.
+//
+// A member's landing area holds its whole subtree, so it lives in the
+// scratch of that subtree's size class (the sender picks the same class from
+// the child's position): leaves land one block, and nobody stages the whole
+// team — the root forwards from a private copy.
 func ScatterBinomial[T any](v *team.View, root int, send, recv []T, via pgas.Via) {
 	sz := v.NumImages()
 	n := len(recv)
@@ -96,11 +101,7 @@ func ScatterBinomial[T any](v *team.View, root int, send, recv []T, via pgas.Via
 	}
 	st := getState(v, "sc.binom."+via.String()+"."+tag[T](), 5)
 	ep := st.next(v.Rank)
-	// Landing region: the caller's whole relative subtree, packed
-	// n-contiguous in relative-rank order, per parity.
-	co, cap_ := scratch[T](v, "sc.binom", sz*n, 2)
 	parity := int(ep % 2)
-	base := parity * cap_
 	paySlot := parity
 	ackSlot := 2 + parity
 	me := v.Img
@@ -120,10 +121,7 @@ func ScatterBinomial[T any](v *team.View, root int, send, recv []T, via pgas.Via
 	} else {
 		st.payExpect[parity][v.Rank]++
 		me.WaitFlagGE(st.flags, me.Rank(), paySlot, st.payExpect[parity][v.Rank])
-		span := rel & -rel // subtree size in the low-bits-free tree
-		if rel+span > sz {
-			span = sz - rel
-		}
+		co, base, span := subtreeArea[T](v, "sc.binom", rel, sz, n, parity)
 		tree = pgas.Local(co, me)[base : base+span*n]
 		copy(recv, tree[:n])
 		me.MemWork(es * n)
@@ -137,6 +135,7 @@ func ScatterBinomial[T any](v *team.View, root int, send, recv []T, via pgas.Via
 			if last > sz {
 				last = sz
 			}
+			co, base, _ := subtreeArea[T](v, "sc.binom", child, sz, n, parity)
 			pgas.PutThenNotify(me, co, global(child), base, tree[(child-rel)*n:(last-rel)*n], st.flags, paySlot, 1, via)
 			nkids++
 		}

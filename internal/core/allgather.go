@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"cafteams/internal/coll"
 	"cafteams/internal/pgas"
 	"cafteams/internal/team"
 	"cafteams/internal/trace"
@@ -32,35 +33,18 @@ func AllgatherTwoLevel[T any](v *team.View, mine, out []T) {
 	alg := "ag2." + pgas.TypeName[T]()
 	nLeaders := len(t.Leaders())
 	steps := nLeaders - 1
-	w := v.Img.World()
-	key := fmt.Sprintf("core:%s:team%d", alg, t.ID())
-	st := pgas.LookupOrCreate(w, key, func() interface{} {
-		s := &redState{
-			flags:   pgas.NewFlags(w, key, 2+steps),
-			ep:      make([]int64, sz),
-			expect0: make([]int64, sz),
-			expect1: make([]int64, sz),
-		}
-		s.ackExpect[0] = make([]int64, sz)
-		s.ackExpect[1] = make([]int64, sz)
-		return s
-	}).(*redState)
+	st := getHierState(v, alg, 2+steps)
 	st.ep[v.Rank]++
 	ep := st.ep[v.Rank]
 	parity := int(ep % 2)
 
-	// Scratch: the full gathered vector per parity (landing area for the
-	// fan-out and the leaders' ring blocks, addressed by team rank), plus
-	// per-ring-step regions sized to the largest node block.
-	maxGroup := maxNodeGroup(v)
-	cap_ := sizeClass(n)
+	// Two boxes, per parity: the full gathered vector on every image (the
+	// leader's assembly area and the members' fan-out landing, one cap-sized
+	// slot per team rank), and a leader's ring-step regions, each sized to
+	// the largest node block.
+	co, cap_ := coll.Scratch[T](v, alg, "", n, 2*sz)
 	full := cap_ * sz
-	stepRegion := cap_ * maxGroup
-	name := fmt.Sprintf("core:%s:team%d:cap%d", alg, t.ID(), cap_)
-	members := make([]int, sz)
-	copy(members, t.Members())
-	co := pgas.NewTeamCoarray[T](w, name, 2*(full+steps*stepRegion), members)
-	base := parity * (full + steps*stepRegion)
+	base := parity * full
 	me := v.Img
 	leader := t.LeaderOf(v.Rank)
 	gi := t.GroupOf(v.Rank)
@@ -88,24 +72,31 @@ func AllgatherTwoLevel[T any](v *team.View, mine, out []T) {
 	leaders := t.Leaders()
 	myPos := t.LeaderPos(v.Rank)
 	if steps > 0 {
+		stepRegion := cap_ * t.MaxNodeGroup()
+		ring, _ := coll.Scratch[T](v, alg, "ring", n, 2*steps*t.MaxNodeGroup())
+		ringBase := parity * steps * stepRegion
 		nextPos := (myPos + 1) % nLeaders
 		next := t.GlobalRank(leaders[nextPos])
+		// One staging buffer serves every step: a put captures its payload
+		// at issue.
+		staging := make([]T, t.MaxNodeGroup()*n)
 		for s := 0; s < steps; s++ {
 			sendPos := ((myPos-s)%nLeaders + nLeaders) % nLeaders
 			recvPos := ((myPos-s-1)%nLeaders + nLeaders) % nLeaders
 			sendGroup := t.NodeGroup(sendPos)
-			reg := base + full + s*stepRegion
+			reg := ringBase + s*stepRegion
 			// Pack the block: contiguous per-member slices.
-			pack := make([]T, len(sendGroup)*n)
+			pack := staging[:len(sendGroup)*n]
 			for i, r := range sendGroup {
 				copy(pack[i*n:], local[base+r*cap_:base+r*cap_+n])
 			}
 			me.MemWork(es * len(pack))
-			pgas.PutThenNotify(me, co, next, reg, pack, st.flags, 2+s, 1, pgas.ViaConduit)
+			pgas.PutThenNotify(me, ring, next, reg, pack, st.flags, 2+s, 1, pgas.ViaConduit)
 			me.WaitFlagGE(st.flags, me.Rank(), 2+s, ep)
 			recvGroup := t.NodeGroup(recvPos)
+			landed := pgas.Local(ring, me)[reg:]
 			for i, r := range recvGroup {
-				copy(local[base+r*cap_:base+r*cap_+n], local[reg+i*n:reg+i*n+n])
+				copy(local[base+r*cap_:base+r*cap_+n], landed[i*n:i*n+n])
 			}
 			me.MemWork(es * len(recvGroup) * n)
 		}

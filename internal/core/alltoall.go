@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"cafteams/internal/coll"
 	"cafteams/internal/pgas"
 	"cafteams/internal/team"
 	"cafteams/internal/trace"
@@ -56,19 +57,21 @@ func AlltoallTwoLevel[T any](v *team.View, send, recv []T) {
 	st.ep[v.Rank]++
 	ep := st.ep[v.Rank]
 	parity := int(ep % 2)
-	mg := maxNodeGroup(v)
+	mg := t.MaxNodeGroup()
 	leaders := t.Leaders()
 	ng := len(leaders)
-	// Per-parity layout (in cap-sized block units): the leader's inbox (one
-	// full send vector per group position), one node-pair pack landing area
-	// per source group, and the member's outbox (one full recv vector).
-	co, cap_ := hierScratch[T](v, alg, n, mg*sz+ng*mg*mg+sz)
-	perPar := (mg*sz + ng*mg*mg + sz) * cap_
-	base := parity * perPar
-	inboxAt := func(pos int) int { return base + pos*sz*cap_ }
-	landAt := func(gi int) int { return base + mg*sz*cap_ + gi*mg*mg*cap_ }
-	outboxOff := base + (mg*sz+ng*mg*mg)*cap_
+	// Three boxes, per parity (in cap-sized block units): a leader's inbox
+	// (one full send vector per group position), a leader's node-pair pack
+	// landing area per source group, and a member's outbox (one full recv
+	// vector).
+	inbox, icap := coll.Scratch[T](v, alg, "in", n, 2*mg*sz)
+	lands, lcap := coll.Scratch[T](v, alg, "land", n, 2*ng*mg*mg)
+	outbox, ocap := coll.Scratch[T](v, alg, "out", n, 2*sz)
+	inboxAt := func(pos int) int { return (parity*mg + pos) * sz * icap }
+	landAt := func(gi int) int { return (parity*ng + gi) * mg * mg * lcap }
+	outboxOff := parity * sz * ocap
 	me := v.Img
+	expect := st.expect(v.Rank)
 	leader := t.LeaderOf(v.Rank)
 	gi := t.GroupOf(v.Rank)
 	group := t.NodeGroup(gi)
@@ -78,48 +81,54 @@ func AlltoallTwoLevel[T any](v *team.View, send, recv []T) {
 		// Ship my send vector to the leader's inbox, gated on the credit
 		// for my previous same-parity shipment; then collect my assembled
 		// receive vector and ack it.
-		st.slotExpect[v.Rank][a2aInboxCredit+parity]++
-		if sends := st.slotExpect[v.Rank][a2aInboxCredit+parity]; sends > 1 {
+		expect[a2aInboxCredit+parity]++
+		if sends := expect[a2aInboxCredit+parity]; sends > 1 {
 			me.WaitFlagGE(st.flags, me.Rank(), a2aInboxCredit+parity, sends-1)
 		}
 		pos := groupPos(group, v.Rank)
-		pgas.PutThenNotify(me, co, t.GlobalRank(leader), inboxAt(pos), send[:sz*n], st.flags, a2aInboxSlot+parity, 1, pgas.ViaShm)
-		st.slotExpect[v.Rank][a2aOutboxSlot+parity]++
-		me.WaitFlagGE(st.flags, me.Rank(), a2aOutboxSlot+parity, st.slotExpect[v.Rank][a2aOutboxSlot+parity])
-		copy(recv, pgas.Local(co, me)[outboxOff:outboxOff+sz*n])
+		pgas.PutThenNotify(me, inbox, t.GlobalRank(leader), inboxAt(pos), send[:sz*n], st.flags, a2aInboxSlot+parity, 1, pgas.ViaShm)
+		expect[a2aOutboxSlot+parity]++
+		me.WaitFlagGE(st.flags, me.Rank(), a2aOutboxSlot+parity, expect[a2aOutboxSlot+parity])
+		copy(recv, pgas.Local(outbox, me)[outboxOff:outboxOff+sz*n])
 		me.MemWork(es * sz * n)
 		me.NotifyAdd(st.flags, t.GlobalRank(leader), a2aOutboxAck+parity, 1, pgas.ViaShm)
 		return
 	}
 
-	// Leader: collect the intranode set's send vectors.
+	// Leader: collect the intranode set's send vectors. staged and landed
+	// stay nil — and their boxes untouched — on a leader with no members or
+	// no peers.
+	var staged, landed []T
 	if gsz > 1 {
-		st.slotExpect[v.Rank][a2aInboxSlot+parity] += int64(gsz - 1)
-		me.WaitFlagGE(st.flags, me.Rank(), a2aInboxSlot+parity, st.slotExpect[v.Rank][a2aInboxSlot+parity])
+		expect[a2aInboxSlot+parity] += int64(gsz - 1)
+		me.WaitFlagGE(st.flags, me.Rank(), a2aInboxSlot+parity, expect[a2aInboxSlot+parity])
+		staged = pgas.Local(inbox, me)
 	}
-	local := pgas.Local(co, me)
 	// vec(i) is group position i's full send vector.
 	vec := func(i int) []T {
 		if group[i] == v.Rank {
 			return send
 		}
-		return local[inboxAt(i) : inboxAt(i)+sz*n]
+		return staged[inboxAt(i) : inboxAt(i)+sz*n]
 	}
 	// Exchange node-pair packs with every peer leader: the pack for group h
 	// holds, for each of my members (group order), its blocks for each of
 	// h's members (group order). Gate this episode's packs on the credits
 	// for every previous same-parity pack.
 	if ng > 1 {
-		if prev := st.slotExpect[v.Rank][a2aPackCredit+parity]; prev > 0 {
+		if prev := expect[a2aPackCredit+parity]; prev > 0 {
 			me.WaitFlagGE(st.flags, me.Rank(), a2aPackCredit+parity, prev)
 		}
-		st.slotExpect[v.Rank][a2aPackCredit+parity] += int64(ng - 1)
+		expect[a2aPackCredit+parity] += int64(ng - 1)
+		// One staging buffer serves every pack: a put captures its payload
+		// at issue.
+		pack := make([]T, 0, gsz*mg*n)
 		for hi, lh := range leaders {
 			if hi == gi {
 				continue
 			}
 			hgrp := t.NodeGroup(hi)
-			pack := make([]T, 0, gsz*len(hgrp)*n)
+			pack = pack[:0]
 			for i := range group {
 				sv := vec(i)
 				for _, d := range hgrp {
@@ -127,10 +136,11 @@ func AlltoallTwoLevel[T any](v *team.View, send, recv []T) {
 				}
 			}
 			me.MemWork(es * len(pack))
-			pgas.PutThenNotify(me, co, t.GlobalRank(lh), landAt(gi), pack, st.flags, a2aPackSlot+parity, 1, pgas.ViaAuto)
+			pgas.PutThenNotify(me, lands, t.GlobalRank(lh), landAt(gi), pack, st.flags, a2aPackSlot+parity, 1, pgas.ViaAuto)
 		}
-		st.slotExpect[v.Rank][a2aPackSlot+parity] += int64(ng - 1)
-		me.WaitFlagGE(st.flags, me.Rank(), a2aPackSlot+parity, st.slotExpect[v.Rank][a2aPackSlot+parity])
+		expect[a2aPackSlot+parity] += int64(ng - 1)
+		me.WaitFlagGE(st.flags, me.Rank(), a2aPackSlot+parity, expect[a2aPackSlot+parity])
+		landed = pgas.Local(lands, me)
 	}
 	// Assemble every member's receive vector, gated on the acks for the
 	// previous same-parity fan-out.
@@ -149,7 +159,7 @@ func AlltoallTwoLevel[T any](v *team.View, send, recv []T) {
 			} else {
 				i := groupPos(t.NodeGroup(hi), s)
 				off := landAt(hi) + (i*gsz+j)*n
-				block = local[off : off+n]
+				block = landed[off : off+n]
 			}
 			copy(out[s*n:s*n+n], block)
 		}
@@ -158,7 +168,7 @@ func AlltoallTwoLevel[T any](v *team.View, send, recv []T) {
 			copy(recv, out)
 			continue
 		}
-		pgas.PutThenNotify(me, co, t.GlobalRank(m), outboxOff, out, st.flags, a2aOutboxSlot+parity, 1, pgas.ViaShm)
+		pgas.PutThenNotify(me, outbox, t.GlobalRank(m), outboxOff, out, st.flags, a2aOutboxSlot+parity, 1, pgas.ViaShm)
 		targets++
 	}
 	st.ackExpect[parity][v.Rank] += int64(targets)

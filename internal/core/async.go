@@ -54,39 +54,31 @@ type nbState struct {
 }
 
 // getNBState returns the shared split-phase state for one algorithm family
-// on a team, with slots protocol slots plus the completion-gate slot.
+// on a team, with slots protocol slots plus the completion-gate slot. The
+// per-view memo keeps repeat calls off the key formatting and the world
+// registry lock.
 func getNBState(v *team.View, alg string, slots int) *nbState {
-	w := v.Img.World()
-	key := fmt.Sprintf("core:nb:%s:team%d", alg, v.T.ID())
-	return pgas.LookupOrCreate(w, key, func() interface{} {
-		sz := v.T.Size()
-		s := &nbState{
-			flags:   pgas.NewFlags(w, key, slots+1),
-			ep:      make([]int64, sz),
-			expect0: make([]int64, sz),
-			expect1: make([]int64, sz),
-			done:    slots,
-		}
-		s.ackExpect[0] = make([]int64, sz)
-		s.ackExpect[1] = make([]int64, sz)
-		s.payExpect[0] = make([]int64, sz)
-		s.payExpect[1] = make([]int64, sz)
-		s.sendExpect[0] = make([]int64, sz)
-		s.sendExpect[1] = make([]int64, sz)
-		return s
+	return v.Memo(team.MemoKey{Kind: "core:nb", Alg: alg}, func() interface{} {
+		w := v.Img.World()
+		key := fmt.Sprintf("core:nb:%s:team%d", alg, v.T.ID())
+		return pgas.LookupOrCreate(w, key, func() interface{} {
+			sz := v.T.Size()
+			s := &nbState{
+				flags:   pgas.NewFlags(w, key, slots+1),
+				ep:      make([]int64, sz),
+				expect0: make([]int64, sz),
+				expect1: make([]int64, sz),
+				done:    slots,
+			}
+			s.ackExpect[0] = make([]int64, sz)
+			s.ackExpect[1] = make([]int64, sz)
+			s.payExpect[0] = make([]int64, sz)
+			s.payExpect[1] = make([]int64, sz)
+			s.sendExpect[0] = make([]int64, sz)
+			s.sendExpect[1] = make([]int64, sz)
+			return s
+		})
 	}).(*nbState)
-}
-
-// nbScratch returns a team-wide scratch coarray with regions regions of at
-// least elems elements each, allocated per size class and element type
-// (mirrors coll's scratch helper).
-func nbScratch[T any](v *team.View, alg string, elems, regions int) (*pgas.Coarray[T], int) {
-	cap_ := sizeClass(elems)
-	name := fmt.Sprintf("core:nb:%s:%s:team%d:cap%d", alg, pgas.TypeName[T](), v.T.ID(), cap_)
-	members := make([]int, v.T.Size())
-	copy(members, v.T.Members())
-	co := pgas.NewTeamCoarray[T](v.Img.World(), name, cap_*regions, members)
-	return co, cap_
 }
 
 // nbFloorPow2 returns the largest power of two <= n (n >= 1).
@@ -143,7 +135,7 @@ func StartAllreduce[T any](name string, v *team.View, buf []T, op coll.Op[T]) *H
 	v.Img.World().Stats().Count(trace.OpReduce)
 	switch name {
 	case "nb-rd":
-		return v.Img.StartOp(newNBAllreduceRD(v, nbTeamRanks(v), v.Rank, buf, op, "rd", pgas.ViaConduit))
+		return v.Img.StartOp(newNBAllreduceRD(v, coll.TeamRanks(v), v.Rank, buf, op, "rd", pgas.ViaConduit))
 	case "nb-2level":
 		return v.Img.StartOp(newNBAllreduce2(v, buf, op))
 	default:
@@ -157,7 +149,7 @@ func StartBroadcast[T any](name string, v *team.View, root int, buf []T) *Handle
 	v.Img.World().Stats().Count(trace.OpBroadcast)
 	switch name {
 	case "nb-binomial":
-		return v.Img.StartOp(newNBBcast(v, nbTeamRanks(v), v.Rank, root, buf, "binomial", pgas.ViaConduit))
+		return v.Img.StartOp(newNBBcast(v, coll.TeamRanks(v), v.Rank, root, buf, "binomial", pgas.ViaConduit))
 	case "nb-2level":
 		return v.Img.StartOp(newNBBcast2(v, root, buf))
 	default:
@@ -263,13 +255,4 @@ func PolicyAllgatherAsync[T any](p Policy, v *team.View, mine, out []T) *Handle 
 	}
 	RunAllgather(name, v, mine, out)
 	return v.Img.CompletedOp()
-}
-
-// nbTeamRanks returns [0..size) — the whole-team subgroup.
-func nbTeamRanks(v *team.View) []int {
-	out := make([]int, v.T.Size())
-	for i := range out {
-		out[i] = i
-	}
-	return out
 }

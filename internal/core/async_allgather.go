@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"cafteams/internal/coll"
 	"cafteams/internal/pgas"
 	"cafteams/internal/team"
 )
@@ -49,7 +50,7 @@ func newNBAgRing[T any](v *team.View, mine, out []T, via pgas.Via) *nbAgRing[T] 
 		slots = 1
 	}
 	m.nbBase = newNBBase(v, getNBState(v, key, slots))
-	m.co, m.cap_ = nbScratch[T](v, key, n, 2*slots)
+	m.co, m.cap_ = coll.Scratch[T](v, key, "nb", n, 2*slots)
 	return m
 }
 
@@ -132,11 +133,12 @@ type nbAg2[T any] struct {
 	nbBase
 	mine       []T
 	out        []T
-	co         *pgas.Coarray[T]
+	co         *pgas.Coarray[T] // every image: the assembled vector
+	ring       *pgas.Coarray[T] // leaders: the ring-step landing regions
 	cap_       int
 	n, es      int
 	full       int // per-parity assembled-vector span (cap_ * team size)
-	stepRegion int // per-parity per-step landing span
+	stepRegion int // per-step landing span
 	steps      int
 	leader     int
 	group      []int
@@ -153,25 +155,29 @@ func newNBAg2[T any](v *team.View, mine, out []T) *nbAg2[T] {
 	}
 	key := "ag2." + pgas.TypeName[T]()
 	steps := len(t.Leaders()) - 1
-	maxGroup := maxNodeGroup(v)
-	cap_ := sizeClass(n)
 	m := &nbAg2[T]{
-		mine: mine, out: out, n: n, es: pgas.ElemSize[T](),
-		cap_: cap_, full: cap_ * sz, stepRegion: cap_ * maxGroup, steps: steps,
+		mine: mine, out: out, n: n, es: pgas.ElemSize[T](), steps: steps,
 		leader: t.LeaderOf(v.Rank),
 		group:  t.NodeGroup(t.GroupOf(v.Rank)),
 	}
 	m.nbBase = newNBBase(v, getNBState(v, key, 2+steps))
-	name := fmt.Sprintf("core:nb:%s:team%d:cap%d", key, t.ID(), cap_)
-	members := make([]int, sz)
-	copy(members, t.Members())
-	m.co = pgas.NewTeamCoarray[T](v.Img.World(), name, 2*(m.full+steps*m.stepRegion), members)
+	// Same layout rule as AllgatherTwoLevel.
+	m.co, m.cap_ = coll.Scratch[T](v, key, "nb", n, 2*sz)
+	m.full = m.cap_ * sz
+	m.stepRegion = m.cap_ * t.MaxNodeGroup()
+	if steps > 0 {
+		m.ring, _ = coll.Scratch[T](v, key, "nb.ring", n, 2*steps*t.MaxNodeGroup())
+	}
 	return m
 }
 
 // base returns the parity base offset of the assembled-vector area.
-func (m *nbAg2[T]) base() int {
-	return int(m.ep%2) * (m.full + m.steps*m.stepRegion)
+func (m *nbAg2[T]) base() int { return int(m.ep%2) * m.full }
+
+// ringRegion returns the offset of ring step s's landing region for this
+// episode's parity.
+func (m *nbAg2[T]) ringRegion(s int) int {
+	return (int(m.ep%2)*m.steps + s) * m.stepRegion
 }
 
 // issueRingStep packs and forwards one whole node block to the next leader.
@@ -185,13 +191,12 @@ func (m *nbAg2[T]) issueRingStep() {
 	sendPos := ((myPos-m.s)%nLeaders + nLeaders) % nLeaders
 	sendGroup := t.NodeGroup(sendPos)
 	local := pgas.Local(m.co, me)
-	reg := m.base() + m.full + m.s*m.stepRegion
 	pack := make([]T, len(sendGroup)*m.n)
 	for i, r := range sendGroup {
 		copy(pack[i*m.n:], local[m.base()+r*m.cap_:m.base()+r*m.cap_+m.n])
 	}
 	me.MemWork(m.es * len(pack))
-	pgas.PutThenNotify(me, m.co, next, reg, pack, m.st.flags, 2+m.s, 1, pgas.ViaConduit)
+	pgas.PutThenNotify(me, m.ring, next, m.ringRegion(m.s), pack, m.st.flags, 2+m.s, 1, pgas.ViaConduit)
 	m.blockOn(2+m.s, m.ep)
 	m.phase = g2RingWait
 }
@@ -286,9 +291,9 @@ func (m *nbAg2[T]) Step() bool {
 			recvPos := ((myPos-m.s-1)%nLeaders + nLeaders) % nLeaders
 			recvGroup := t.NodeGroup(recvPos)
 			local := pgas.Local(m.co, me)
-			reg := m.base() + m.full + m.s*m.stepRegion
+			landed := pgas.Local(m.ring, me)[m.ringRegion(m.s):]
 			for i, r := range recvGroup {
-				copy(local[m.base()+r*m.cap_:m.base()+r*m.cap_+m.n], local[reg+i*m.n:reg+i*m.n+m.n])
+				copy(local[m.base()+r*m.cap_:m.base()+r*m.cap_+m.n], landed[i*m.n:i*m.n+m.n])
 			}
 			me.MemWork(m.es * len(recvGroup) * m.n)
 			m.s++

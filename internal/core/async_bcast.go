@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cafteams/internal/coll"
 	"cafteams/internal/pgas"
 	"cafteams/internal/team"
 )
@@ -48,7 +49,7 @@ func newNBBcast[T any](v *team.View, group []int, myIdx, rootIdx int, buf []T, a
 		buf: buf, via: via, n: n, es: pgas.ElemSize[T](),
 	}
 	m.nbBase = newNBBase(v, getNBState(v, key, 5))
-	m.co, m.cap_ = nbScratch[T](v, key, n, 2)
+	m.co, m.cap_ = coll.Scratch[T](v, key, "nb", n, 2)
 	return m
 }
 
@@ -192,7 +193,6 @@ type nbBcast2[T any] struct {
 	buf        []T
 	co         *pgas.Coarray[T]
 	cap_       int
-	regions    int
 	n, es      int
 	leader     int
 	rootLeader int
@@ -206,18 +206,18 @@ func newNBBcast2[T any](v *team.View, root int, buf []T) *nbBcast2[T] {
 	key := "bc2." + pgas.TypeName[T]()
 	m := &nbBcast2[T]{
 		root: root, buf: buf, n: n, es: pgas.ElemSize[T](),
-		regions:    maxNodeGroup(v) + 1,
 		leader:     v.T.LeaderOf(v.Rank),
 		rootLeader: v.T.LeaderOf(root),
 		group:      v.T.NodeGroup(v.T.GroupOf(v.Rank)),
 	}
 	m.nbBase = newNBBase(v, getNBState(v, key, 7))
-	m.co, m.cap_ = nbScratch[T](v, key, n, 2*m.regions)
+	// Same layout rule as BcastTwoLevel: one landing region per parity.
+	m.co, m.cap_ = coll.Scratch[T](v, key, "nb", n, 2)
 	return m
 }
 
 func (m *nbBcast2[T]) parity() int         { return int(m.ep % 2) }
-func (m *nbBcast2[T]) dataRegion() int     { return (m.parity()*m.regions + m.regions - 1) * m.cap_ }
+func (m *nbBcast2[T]) dataRegion() int     { return m.parity() * m.cap_ }
 func (m *nbBcast2[T]) ackSlot() int        { return 3 + m.parity() }
 func (m *nbBcast2[T]) handoffAckSlot() int { return 5 + m.parity() }
 

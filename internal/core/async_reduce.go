@@ -33,8 +33,12 @@ type nbAllreduceRD[T any] struct {
 	buf    []T
 	op     coll.Op[T]
 	via    pgas.Via
-	co     *pgas.Coarray[T]
+	co     *pgas.Coarray[T] // core members: the rd rounds
 	cap_   int
+	fold   *pgas.Coarray[T] // core partners of extras: the folded-in contribution
+	fcap   int
+	res    *pgas.Coarray[T] // extras: the folded-back result
+	rcap   int
 	n, es  int
 	p2     int
 	extras int
@@ -54,17 +58,26 @@ func newNBAllreduceRD[T any](v *team.View, group []int, myIdx int, buf []T, op c
 		n: n, es: pgas.ElemSize[T](), p2: p2, extras: g - p2, nr: nr,
 	}
 	m.nbBase = newNBBase(v, getNBState(v, key, nr+2))
-	m.co, m.cap_ = nbScratch[T](v, key, n, 2*(nr+2))
+	// Same layout rule as coll.SubgroupAllreduceRD.
+	if nr > 0 {
+		m.co, m.cap_ = coll.Scratch[T](v, key, "nb", n, 2*nr)
+	}
+	m.fold, m.fcap = coll.Scratch[T](v, key, "nb.fold", n, 2)
+	m.res, m.rcap = coll.Scratch[T](v, key, "nb.res", n, 2)
 	return m
 }
 
 func (m *nbAllreduceRD[T]) global(idx int) int { return m.v.T.GlobalRank(m.group[idx]) }
 
-// region returns the scratch offset of slot k for this episode's parity.
+// region returns the scratch offset of round k for this episode's parity.
 func (m *nbAllreduceRD[T]) region(k int) int {
-	regions := m.nr + 2
-	return (int(m.ep%2)*regions + k) * m.cap_
+	return (int(m.ep%2)*m.nr + k) * m.cap_
 }
+
+// foldRegion and resultRegion return the offset of this episode's parity in
+// the fold-in and result boxes.
+func (m *nbAllreduceRD[T]) foldRegion() int   { return int(m.ep%2) * m.fcap }
+func (m *nbAllreduceRD[T]) resultRegion() int { return int(m.ep%2) * m.rcap }
 
 func (m *nbAllreduceRD[T]) slotExtra() int  { return m.nr }
 func (m *nbAllreduceRD[T]) slotResult() int { return m.nr + 1 }
@@ -97,7 +110,7 @@ func (m *nbAllreduceRD[T]) Step() bool {
 			case m.myIdx >= m.p2:
 				// Fold in: ship to the core partner, await the result.
 				partner := m.myIdx - m.p2
-				pgas.PutThenNotify(me, m.co, m.global(partner), m.region(m.slotExtra()), m.buf, m.st.flags, m.slotExtra(), 1, m.via)
+				pgas.PutThenNotify(me, m.fold, m.global(partner), m.foldRegion(), m.buf, m.st.flags, m.slotExtra(), 1, m.via)
 				m.blockOn(m.slotResult(), m.ep)
 				m.phase = rdWaitResult
 			case m.myIdx < m.extras:
@@ -111,8 +124,8 @@ func (m *nbAllreduceRD[T]) Step() bool {
 			if !m.ready() {
 				return false
 			}
-			off := m.region(m.slotExtra())
-			m.op.Combine(m.buf, pgas.Local(m.co, me)[off:off+m.n])
+			off := m.foldRegion()
+			m.op.Combine(m.buf, pgas.Local(m.fold, me)[off:off+m.n])
 			me.MemWork(2 * m.es * m.n)
 			m.phase = rdWaitRound
 			m.issueRound()
@@ -130,7 +143,7 @@ func (m *nbAllreduceRD[T]) Step() bool {
 			}
 			if m.myIdx < m.extras {
 				// Fold out: return the result to my extra partner.
-				pgas.PutThenNotify(me, m.co, m.global(m.myIdx+m.p2), m.region(m.slotResult()), m.buf, m.st.flags, m.slotResult(), 1, m.via)
+				pgas.PutThenNotify(me, m.res, m.global(m.myIdx+m.p2), m.resultRegion(), m.buf, m.st.flags, m.slotResult(), 1, m.via)
 			}
 			m.finish()
 			m.phase = rdDone
@@ -139,8 +152,8 @@ func (m *nbAllreduceRD[T]) Step() bool {
 			if !m.ready() {
 				return false
 			}
-			off := m.region(m.slotResult())
-			copy(m.buf, pgas.Local(m.co, me)[off:off+m.n])
+			off := m.resultRegion()
+			copy(m.buf, pgas.Local(m.res, me)[off:off+m.n])
 			me.MemWork(m.es * m.n)
 			m.finish()
 			m.phase = rdDone
@@ -167,35 +180,32 @@ const (
 // Flag layout: slot 0 intranode arrivals, slot 1 the result release.
 type nbAllreduce2[T any] struct {
 	nbBase
-	buf     []T
-	op      coll.Op[T]
-	co      *pgas.Coarray[T]
-	cap_    int
-	regions int
-	n, es   int
-	leader  int
-	group   []int
-	phase   int
-	sub     *nbAllreduceRD[T]
+	buf   []T
+	op    coll.Op[T]
+	inbox *pgas.Coarray[T] // leaders: one region per intranode position
+	icap  int
+	res   *pgas.Coarray[T] // members: the result landing region
+	rcap  int
+	phase int
+	sub   *nbAllreduceRD[T]
 }
 
 func newNBAllreduce2[T any](v *team.View, buf []T, op coll.Op[T]) *nbAllreduce2[T] {
 	n := len(buf)
 	key := "red2." + op.Name + "." + pgas.TypeName[T]()
-	m := &nbAllreduce2[T]{
-		buf: buf, op: op, n: n, es: pgas.ElemSize[T](),
-		regions: maxNodeGroup(v) + 1,
-		leader:  v.T.LeaderOf(v.Rank),
-		group:   v.T.NodeGroup(v.T.GroupOf(v.Rank)),
-	}
+	m := &nbAllreduce2[T]{buf: buf, op: op}
 	m.nbBase = newNBBase(v, getNBState(v, key, 2))
-	m.co, m.cap_ = nbScratch[T](v, key, n, 2*m.regions)
+	// Same layout rule as AllreduceTwoLevel.
+	m.inbox, m.icap = coll.Scratch[T](v, key, "nb.in", n, 2*v.T.MaxNodeGroup())
+	m.res, m.rcap = coll.Scratch[T](v, key, "nb.res", n, 2)
 	return m
 }
 
 func (m *nbAllreduce2[T]) region(k int) int {
-	return (int(m.ep%2)*m.regions + k) * m.cap_
+	return (int(m.ep%2)*m.v.T.MaxNodeGroup() + k) * m.icap
 }
+
+func (m *nbAllreduce2[T]) resultRegion() int { return int(m.ep%2) * m.rcap }
 
 // Blocked delegates to the leader sub-machine while it is driving.
 func (m *nbAllreduce2[T]) Blocked() (*pgas.Flags, int, int64) {
@@ -215,6 +225,11 @@ func (m *nbAllreduce2[T]) startSub() {
 func (m *nbAllreduce2[T]) Step() bool {
 	me := m.v.Img
 	t := m.v.T
+	// Derived per step rather than stored: one machine is allocated per
+	// image per episode, so its size is per-episode garbage.
+	leader := t.LeaderOf(m.v.Rank)
+	group := t.NodeGroup(t.GroupOf(m.v.Rank))
+	n, es := len(m.buf), pgas.ElemSize[T]()
 	for {
 		switch m.phase {
 		case a2Gate:
@@ -229,16 +244,16 @@ func (m *nbAllreduce2[T]) Step() bool {
 				m.phase = a2Done
 				return true
 			}
-			if m.v.Rank != m.leader {
+			if m.v.Rank != leader {
 				// Slave: contribute to the leader's inbox slot.
-				slot := slotIn(m.group, m.v.Rank)
-				pgas.PutThenNotify(me, m.co, t.GlobalRank(m.leader), m.region(slot), m.buf, m.st.flags, 0, 1, pgas.ViaShm)
+				slot := slotIn(group, m.v.Rank)
+				pgas.PutThenNotify(me, m.inbox, t.GlobalRank(leader), m.region(slot), m.buf, m.st.flags, 0, 1, pgas.ViaShm)
 				m.blockOn(1, m.ep)
 				m.phase = a2SlaveWait
 				continue
 			}
-			if len(m.group) > 1 {
-				m.blockOn(0, m.ep*int64(len(m.group)-1))
+			if len(group) > 1 {
+				m.blockOn(0, m.ep*int64(len(group)-1))
 				m.phase = a2LeaderWait
 				continue
 			}
@@ -247,9 +262,9 @@ func (m *nbAllreduce2[T]) Step() bool {
 			if !m.ready() {
 				return false
 			}
-			off := m.region(m.regions - 1)
-			copy(m.buf, pgas.Local(m.co, me)[off:off+m.n])
-			me.MemWork(m.es * m.n)
+			off := m.resultRegion()
+			copy(m.buf, pgas.Local(m.res, me)[off:off+n])
+			me.MemWork(es * n)
 			m.finish()
 			m.phase = a2Done
 			return true
@@ -257,14 +272,14 @@ func (m *nbAllreduce2[T]) Step() bool {
 			if !m.ready() {
 				return false
 			}
-			local := pgas.Local(m.co, me)
-			for i, r := range m.group {
+			local := pgas.Local(m.inbox, me)
+			for i, r := range group {
 				if r == m.v.Rank {
 					continue
 				}
 				off := m.region(i)
-				m.op.Combine(m.buf, local[off:off+m.n])
-				me.MemWork(2 * m.es * m.n)
+				m.op.Combine(m.buf, local[off:off+n])
+				me.MemWork(2 * es * n)
 			}
 			m.startSub()
 		case a2LeaderRD:
@@ -272,11 +287,11 @@ func (m *nbAllreduce2[T]) Step() bool {
 				return false
 			}
 			// Release the result to the intranode set.
-			for _, r := range m.group {
+			for _, r := range group {
 				if r == m.v.Rank {
 					continue
 				}
-				pgas.PutThenNotify(me, m.co, t.GlobalRank(r), m.region(m.regions-1), m.buf, m.st.flags, 1, 1, pgas.ViaShm)
+				pgas.PutThenNotify(me, m.res, t.GlobalRank(r), m.resultRegion(), m.buf, m.st.flags, 1, 1, pgas.ViaShm)
 			}
 			m.finish()
 			m.phase = a2Done

@@ -51,6 +51,11 @@ type confScenario struct {
 	// builds a simulated world, "native" a real-goroutine world on the
 	// same logical topology (the cross-backend sweep runs both).
 	backend string
+
+	// episodes and rootOf, when set, replace the default episode count
+	// (confEpisodes) and root schedule (confRoot) of runConfEpisodes.
+	episodes int
+	rootOf   func(ep, n int) int
 }
 
 func (s confScenario) String() string {
@@ -157,10 +162,17 @@ func runConfEpisodes(t *testing.T, sc confScenario, k Kind, name string, exclusi
 	n := v.T.Size()
 	elems := sc.elems
 	rng := rand.New(rand.NewSource(sc.seed ^ int64(im.Rank()*2654435761)))
-	for ep := 0; ep < confEpisodes; ep++ {
+	episodes := confEpisodes
+	if sc.episodes > 0 {
+		episodes = sc.episodes
+	}
+	for ep := 0; ep < episodes; ep++ {
 		// Random skew so no algorithm can rely on lockstep entry.
 		im.Sleep(pgas.Time(rng.Intn(20000)))
 		root := confRoot(sc.seed, ep, n)
+		if sc.rootOf != nil {
+			root = sc.rootOf(ep, n)
+		}
 		label := fmt.Sprintf("%s/%s/%s ep%d rank%d", sc, k, name, ep, v.Rank)
 		mine := confInput(sc.seed, 0, v.Rank, ep, elems)
 		switch k {

@@ -10,10 +10,9 @@ import (
 )
 
 // redState carries the two-level reduction plumbing for one (team, op)
-// pair: an inbox on every image (leaders use it to collect their intranode
-// set's vectors; everyone uses region 0/1 for the result), and flags.
-// Flag layout: slot 0 counts intranode arrivals at the leader, slot 1
-// carries the leader's result release.
+// pair: flags and per-member counters (the scratch boxes come from
+// coll.Scratch, one per role). Flag layout: slot 0 counts intranode arrivals
+// at the leader, slot 1 carries the leader's result release.
 type redState struct {
 	flags *pgas.Flags
 	ep    []int64
@@ -56,43 +55,6 @@ func newRedState(v *team.View, alg string) *redState {
 	}).(*redState)
 }
 
-// maxNodeGroup returns the size of the team's largest intranode set — the
-// quantity every two-level inbox layout is sized from. The blocking scratch
-// helpers and the split-phase machine constructors share this scan so their
-// region layouts cannot drift apart (they must match: both address the same
-// per-slot parity regions).
-func maxNodeGroup(v *team.View) int {
-	maxGroup := 1
-	for gi := 0; gi < v.T.NumNodeGroups(); gi++ {
-		if g := len(v.T.NodeGroup(gi)); g > maxGroup {
-			maxGroup = g
-		}
-	}
-	return maxGroup
-}
-
-// redScratch allocates the two-level reduction inbox: every member gets
-// regions for (its largest possible intranode set + result) per parity.
-func redScratch[T any](v *team.View, alg string, elems int) (*pgas.Coarray[T], int, int) {
-	regions := maxNodeGroup(v) + 1 // group slots + result slot
-	c := sizeClass(elems)
-	x := v.Memo(team.MemoKey{Kind: "core:redscratch", Alg: alg, N: c}, func() interface{} {
-		return newRedScratch[T](v, alg, c, regions)
-	})
-	if co, ok := x.(*pgas.Coarray[T]); ok {
-		return co, c, regions
-	}
-	// Memo slot taken by another element type: the registry disambiguates.
-	return newRedScratch[T](v, alg, c, regions), c, regions
-}
-
-func newRedScratch[T any](v *team.View, alg string, c, regions int) *pgas.Coarray[T] {
-	name := fmt.Sprintf("core:%s:team%d:cap%d", alg, v.T.ID(), c)
-	members := make([]int, v.T.Size())
-	copy(members, v.T.Members())
-	return pgas.NewTeamCoarray[T](v.Img.World(), name, c*2*regions, members)
-}
-
 // AllreduceTwoLevel is the memory-hierarchy-aware all-to-all reduction
 // (paper §IV applied to co_sum/co_max/co_min):
 //
@@ -116,13 +78,16 @@ func AllreduceTwoLevel[T any](v *team.View, buf []T, op coll.Op[T]) {
 	st := getRedState(v, alg)
 	st.ep[v.Rank]++
 	ep := st.ep[v.Rank]
-	co, cap_, regions := redScratch[T](v, alg, n)
+	// Two boxes, per parity: a leader's inbox (one region per position in
+	// its intranode set) and a member's result landing region.
+	inbox, icap := coll.Scratch[T](v, alg, "in", n, 2*t.MaxNodeGroup())
+	res, rcap := coll.Scratch[T](v, alg, "res", n, 2)
 	parity := int(ep % 2)
-	region := func(k int) int { return (parity*regions + k) * cap_ }
+	region := func(k int) int { return (parity*t.MaxNodeGroup() + k) * icap }
 	me := v.Img
 	leader := t.LeaderOf(v.Rank)
 	group := t.NodeGroup(t.GroupOf(v.Rank))
-	resultRegion := region(regions - 1)
+	resultRegion := parity * rcap
 
 	if v.Rank != leader {
 		// Step 1 (slave): contribute my vector to the leader's inbox
@@ -134,16 +99,16 @@ func AllreduceTwoLevel[T any](v *team.View, buf []T, op coll.Op[T]) {
 				slot = i
 			}
 		}
-		pgas.PutThenNotify(me, co, t.GlobalRank(leader), region(slot), buf, st.flags, 0, 1, pgas.ViaShm)
+		pgas.PutThenNotify(me, inbox, t.GlobalRank(leader), region(slot), buf, st.flags, 0, 1, pgas.ViaShm)
 		me.WaitFlagGE(st.flags, me.Rank(), 1, ep)
-		copy(buf, pgas.Local(co, me)[resultRegion:resultRegion+n])
+		copy(buf, pgas.Local(res, me)[resultRegion:resultRegion+n])
 		me.MemWork(es * n)
 		return
 	}
 	// Step 1 (leader): combine the intranode set's vectors.
 	if len(group) > 1 {
 		me.WaitFlagGE(st.flags, me.Rank(), 0, ep*int64(len(group)-1))
-		local := pgas.Local(co, me)
+		local := pgas.Local(inbox, me)
 		for i, r := range group {
 			if r == v.Rank {
 				continue
@@ -161,7 +126,7 @@ func AllreduceTwoLevel[T any](v *team.View, buf []T, op coll.Op[T]) {
 		if r == v.Rank {
 			continue
 		}
-		pgas.PutThenNotify(me, co, t.GlobalRank(r), resultRegion, buf, st.flags, 1, 1, pgas.ViaShm)
+		pgas.PutThenNotify(me, res, t.GlobalRank(r), resultRegion, buf, st.flags, 1, 1, pgas.ViaShm)
 	}
 }
 
@@ -181,9 +146,11 @@ func BcastTwoLevel[T any](v *team.View, root int, buf []T) {
 	st := getRedState(v, alg)
 	st.ep[v.Rank]++
 	ep := st.ep[v.Rank]
-	co, cap_, regions := redScratch[T](v, alg, n)
+	// One landing region per parity on every image: the root's leader lands
+	// the handoff in it, everyone else the fan-out.
+	co, cap_ := coll.Scratch[T](v, alg, "", n, 2)
 	parity := int(ep % 2)
-	dataRegion := (parity*regions + regions - 1) * cap_
+	dataRegion := parity * cap_
 	me := v.Img
 	leader := t.LeaderOf(v.Rank)
 	group := t.NodeGroup(t.GroupOf(v.Rank))

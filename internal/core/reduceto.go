@@ -29,10 +29,13 @@ func ReduceToRootTwoLevel[T any](v *team.View, root int, buf []T, op coll.Op[T])
 	st := getRedState(v, alg)
 	st.ep[v.Rank]++
 	ep := st.ep[v.Rank]
-	co, cap_, regions := redScratch[T](v, alg, n)
+	// Two boxes, per parity: a leader's inbox (one region per position in
+	// its intranode set) and the result landing region of a non-leader root.
+	inbox, icap := coll.Scratch[T](v, alg, "in", n, 2*t.MaxNodeGroup())
+	res, rcap := coll.Scratch[T](v, alg, "res", n, 2)
 	parity := int(ep % 2)
-	region := func(k int) int { return (parity*regions + k) * cap_ }
-	resultRegion := region(regions - 1)
+	region := func(k int) int { return (parity*t.MaxNodeGroup() + k) * icap }
+	resultRegion := parity * rcap
 	ackSlot := 3 + parity
 	me := v.Img
 	leader := t.LeaderOf(v.Rank)
@@ -55,13 +58,13 @@ func ReduceToRootTwoLevel[T any](v *team.View, root int, buf []T, op coll.Op[T])
 				slot = i
 			}
 		}
-		pgas.PutThenNotify(me, co, t.GlobalRank(leader), region(slot), buf, st.flags, 5+parity, 1, pgas.ViaShm)
+		pgas.PutThenNotify(me, inbox, t.GlobalRank(leader), region(slot), buf, st.flags, 5+parity, 1, pgas.ViaShm)
 		if v.Rank == root {
 			// A non-leader root receives the final result from its
 			// leader.
 			st.expect1[v.Rank]++
 			me.WaitFlagGE(st.flags, me.Rank(), 1, st.expect1[v.Rank])
-			copy(buf, pgas.Local(co, me)[resultRegion:resultRegion+n])
+			copy(buf, pgas.Local(res, me)[resultRegion:resultRegion+n])
 			me.MemWork(es * n)
 		}
 		return
@@ -70,7 +73,7 @@ func ReduceToRootTwoLevel[T any](v *team.View, root int, buf []T, op coll.Op[T])
 	if len(group) > 1 {
 		st.ackExpect[parity][v.Rank] += int64(len(group) - 1)
 		me.WaitFlagGE(st.flags, me.Rank(), 5+parity, st.ackExpect[parity][v.Rank])
-		local := pgas.Local(co, me)
+		local := pgas.Local(inbox, me)
 		for i, r := range group {
 			if r == v.Rank {
 				continue
@@ -86,6 +89,6 @@ func ReduceToRootTwoLevel[T any](v *team.View, root int, buf []T, op coll.Op[T])
 	coll.SubgroupReduceToRoot(v, leaders, t.LeaderPos(v.Rank), t.LeaderPos(rootLeader), buf, op, "core.redto2lead."+op.Name, pgas.ViaConduit)
 	// Hand the result to a non-leader root.
 	if v.Rank == rootLeader && root != rootLeader {
-		pgas.PutThenNotify(me, co, t.GlobalRank(root), resultRegion, buf, st.flags, 1, 1, pgas.ViaShm)
+		pgas.PutThenNotify(me, res, t.GlobalRank(root), resultRegion, buf, st.flags, 1, 1, pgas.ViaShm)
 	}
 }

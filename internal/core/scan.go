@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"cafteams/internal/coll"
@@ -85,15 +86,16 @@ func ScanTwoLevel[T any](v *team.View, buf []T, op coll.Op[T], exclusive bool) {
 	st.ep[v.Rank]++
 	ep := st.ep[v.Rank]
 	parity := int(ep % 2)
-	mg := maxNodeGroup(v)
-	// Per-parity layout: the leader's inbox (one vector per group position),
-	// the chain landing region, and the member's result landing region.
-	co, cap_ := hierScratch[T](v, alg, n, mg+2)
-	perPar := (mg + 2) * cap_
-	base := parity * perPar
-	chainOff := base + mg*cap_
-	resultOff := base + (mg+1)*cap_
+	mg := t.MaxNodeGroup()
+	// Two boxes, per parity: a leader's inbox (one vector per group position,
+	// then the chain landing region) and a member's result landing region.
+	inbox, icap := coll.Scratch[T](v, alg, "in", n, 2*(mg+1))
+	resBox, rcap := coll.Scratch[T](v, alg, "res", n, 2)
+	base := parity * (mg + 1) * icap
+	chainOff := base + mg*icap
+	resultOff := parity * rcap
 	me := v.Img
+	expect := st.expect(v.Rank)
 	leader := t.LeaderOf(v.Rank)
 	gi := t.GroupOf(v.Rank)
 	group := t.NodeGroup(gi)
@@ -102,15 +104,15 @@ func ScanTwoLevel[T any](v *team.View, buf []T, op coll.Op[T], exclusive bool) {
 	if v.Rank != leader {
 		// Contribute my vector, gated on the credit for my previous
 		// same-parity contribution; then collect my prefix and ack it.
-		st.slotExpect[v.Rank][scan2InboxCredit+parity]++
-		if sends := st.slotExpect[v.Rank][scan2InboxCredit+parity]; sends > 1 {
+		expect[scan2InboxCredit+parity]++
+		if sends := expect[scan2InboxCredit+parity]; sends > 1 {
 			me.WaitFlagGE(st.flags, me.Rank(), scan2InboxCredit+parity, sends-1)
 		}
 		pos := groupPos(group, v.Rank)
-		pgas.PutThenNotify(me, co, t.GlobalRank(leader), base+pos*cap_, buf, st.flags, scan2InboxSlot+parity, 1, pgas.ViaShm)
-		st.slotExpect[v.Rank][scan2ResultSlot+parity]++
-		me.WaitFlagGE(st.flags, me.Rank(), scan2ResultSlot+parity, st.slotExpect[v.Rank][scan2ResultSlot+parity])
-		copy(buf, pgas.Local(co, me)[resultOff:resultOff+n])
+		pgas.PutThenNotify(me, inbox, t.GlobalRank(leader), base+pos*icap, buf, st.flags, scan2InboxSlot+parity, 1, pgas.ViaShm)
+		expect[scan2ResultSlot+parity]++
+		me.WaitFlagGE(st.flags, me.Rank(), scan2ResultSlot+parity, expect[scan2ResultSlot+parity])
+		copy(buf, pgas.Local(resBox, me)[resultOff:resultOff+n])
 		me.MemWork(es * n)
 		me.NotifyAdd(st.flags, t.GlobalRank(leader), scan2ResultAck+parity, 1, pgas.ViaShm)
 		return
@@ -119,19 +121,17 @@ func ScanTwoLevel[T any](v *team.View, buf []T, op coll.Op[T], exclusive bool) {
 	// Leader (= the group's lowest team rank, so under the contiguity
 	// requirement the team's rank 0 is always a leader).
 	if gsz > 1 {
-		st.slotExpect[v.Rank][scan2InboxSlot+parity] += int64(gsz - 1)
-		me.WaitFlagGE(st.flags, me.Rank(), scan2InboxSlot+parity, st.slotExpect[v.Rank][scan2InboxSlot+parity])
+		expect[scan2InboxSlot+parity] += int64(gsz - 1)
+		me.WaitFlagGE(st.flags, me.Rank(), scan2InboxSlot+parity, expect[scan2InboxSlot+parity])
 	}
-	local := pgas.Local(co, me)
 	// Within-node inclusive prefixes, in group (= team rank) order.
 	incl := make([]T, gsz*n)
-	acc := make([]T, n)
-	copy(acc, buf)
+	acc := slices.Clone(buf)
 	copy(incl[:n], acc)
 	me.MemWork(2 * es * n)
 	for j := 1; j < gsz; j++ {
-		off := base + j*cap_
-		op.Combine(acc, local[off:off+n])
+		off := base + j*icap
+		op.Combine(acc, pgas.Local(inbox, me)[off:off+n])
 		copy(incl[j*n:(j+1)*n], acc)
 		me.MemWork(3 * es * n)
 	}
@@ -150,28 +150,26 @@ func ScanTwoLevel[T any](v *team.View, buf []T, op coll.Op[T], exclusive bool) {
 	}
 	var ex []T // reduction over every preceding node's total; nil at the head
 	if chainPos > 0 {
-		st.slotExpect[v.Rank][scan2ChainSlot+parity]++
-		me.WaitFlagGE(st.flags, me.Rank(), scan2ChainSlot+parity, st.slotExpect[v.Rank][scan2ChainSlot+parity])
-		ex = make([]T, n)
-		copy(ex, local[chainOff:chainOff+n])
+		expect[scan2ChainSlot+parity]++
+		me.WaitFlagGE(st.flags, me.Rank(), scan2ChainSlot+parity, expect[scan2ChainSlot+parity])
+		ex = slices.Clone(pgas.Local(inbox, me)[chainOff : chainOff+n])
 		me.MemWork(es * n)
 		me.NotifyAdd(st.flags, t.GlobalRank(t.Leaders()[order[chainPos-1]]), scan2ChainCredit+parity, 1, pgas.ViaAuto)
 	}
 	if chainPos < len(order)-1 {
 		fwd := acc // node total, already the running prefix over my groups
 		if ex != nil {
-			fwd = make([]T, n)
-			copy(fwd, ex)
+			fwd = slices.Clone(ex)
 			op.Combine(fwd, acc)
 			me.MemWork(3 * es * n)
 		}
 		// Gate on the successor's credit for my previous same-parity send.
-		st.slotExpect[v.Rank][scan2ChainCredit+parity]++
-		if sends := st.slotExpect[v.Rank][scan2ChainCredit+parity]; sends > 1 {
+		expect[scan2ChainCredit+parity]++
+		if sends := expect[scan2ChainCredit+parity]; sends > 1 {
 			me.WaitFlagGE(st.flags, me.Rank(), scan2ChainCredit+parity, sends-1)
 		}
 		next := t.Leaders()[order[chainPos+1]]
-		pgas.PutThenNotify(me, co, t.GlobalRank(next), chainOff, fwd, st.flags, scan2ChainSlot+parity, 1, pgas.ViaAuto)
+		pgas.PutThenNotify(me, inbox, t.GlobalRank(next), chainOff, fwd, st.flags, scan2ChainSlot+parity, 1, pgas.ViaAuto)
 	}
 	// Fold the node-exclusive prefix into each member's result and deliver,
 	// gated on the acks for the previous same-parity fan-out.
@@ -182,8 +180,7 @@ func ScanTwoLevel[T any](v *team.View, buf []T, op coll.Op[T], exclusive bool) {
 		if ex == nil {
 			return withinIncl
 		}
-		res := make([]T, n)
-		copy(res, ex)
+		res := slices.Clone(ex)
 		op.Combine(res, withinIncl)
 		me.MemWork(3 * es * n)
 		return res
@@ -206,7 +203,7 @@ func ScanTwoLevel[T any](v *team.View, buf []T, op coll.Op[T], exclusive bool) {
 			}
 			continue
 		}
-		pgas.PutThenNotify(me, co, t.GlobalRank(r), resultOff, res, st.flags, scan2ResultSlot+parity, 1, pgas.ViaShm)
+		pgas.PutThenNotify(me, resBox, t.GlobalRank(r), resultOff, res, st.flags, scan2ResultSlot+parity, 1, pgas.ViaShm)
 		targets++
 	}
 	st.ackExpect[parity][v.Rank] += int64(targets)

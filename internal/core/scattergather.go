@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"cafteams/internal/coll"
 	"cafteams/internal/pgas"
 	"cafteams/internal/team"
 	"cafteams/internal/trace"
@@ -29,46 +30,32 @@ type hierState struct {
 	ackExpect [2][]int64
 }
 
+// getHierState returns the shared state of one hierarchy-aware algorithm on a
+// team. The per-view memo keeps repeat calls (one per episode, per image) off
+// the key formatting and the world registry lock.
 func getHierState(v *team.View, alg string, slots int) *hierState {
-	w := v.Img.World()
-	key := fmt.Sprintf("core:%s:team%d", alg, v.T.ID())
-	return pgas.LookupOrCreate(w, key, func() interface{} {
-		s := &hierState{
-			flags: pgas.NewFlags(w, key, slots),
-			ep:    make([]int64, v.T.Size()),
-		}
-		s.slotExpect = make([][]int64, v.T.Size())
-		for i := range s.slotExpect {
-			s.slotExpect[i] = make([]int64, slots)
-		}
-		s.ackExpect[0] = make([]int64, v.T.Size())
-		s.ackExpect[1] = make([]int64, v.T.Size())
-		return s
+	return v.Memo(team.MemoKey{Kind: "core:hier", Alg: alg}, func() interface{} {
+		w := v.Img.World()
+		key := fmt.Sprintf("core:%s:team%d", alg, v.T.ID())
+		return pgas.LookupOrCreate(w, key, func() interface{} {
+			s := &hierState{
+				flags:      pgas.NewFlags(w, key, slots),
+				ep:         make([]int64, v.T.Size()),
+				slotExpect: make([][]int64, v.T.Size()),
+			}
+			s.ackExpect[0] = make([]int64, v.T.Size())
+			s.ackExpect[1] = make([]int64, v.T.Size())
+			return s
+		})
 	}).(*hierState)
 }
 
-// sizeClass rounds elems up to the power-of-two scratch size class (16
-// minimum, mirroring coll.bucket) — the single bucketing rule every core
-// scratch layout derives region offsets from, so blocking, split-phase and
-// hierarchy-aware layouts cannot drift apart.
-func sizeClass(elems int) int {
-	c := 16
-	for c < elems {
-		c <<= 1
+// expect returns the caller's own slotExpect row, created on first use.
+func (s *hierState) expect(rank int) []int64 {
+	if s.slotExpect[rank] == nil {
+		s.slotExpect[rank] = make([]int64, s.flags.Slots())
 	}
-	return c
-}
-
-// hierScratch allocates a symmetric scratch slab laid out as `regions`
-// cap-sized regions per parity, cap = the size class of elems (so repeated
-// calls with varying vector lengths reuse one allocation per size class).
-func hierScratch[T any](v *team.View, alg string, elems, regions int) (*pgas.Coarray[T], int) {
-	cap_ := sizeClass(elems)
-	name := fmt.Sprintf("core:%s:%s:team%d:cap%d", alg, pgas.TypeName[T](), v.T.ID(), cap_)
-	members := make([]int, v.T.Size())
-	copy(members, v.T.Members())
-	co := pgas.NewTeamCoarray[T](v.Img.World(), name, cap_*2*regions, members)
-	return co, cap_
+	return s.slotExpect[rank]
 }
 
 // groupPos returns rank's index within its (ascending) node group.
@@ -128,15 +115,15 @@ func ScatterTwoLevel[T any](v *team.View, root int, send, recv []T) {
 	st.ep[v.Rank]++
 	ep := st.ep[v.Rank]
 	parity := int(ep % 2)
-	maxGroup := maxNodeGroup(v)
-	// Per-parity layout: a pack landing area (maxGroup blocks, written by the
-	// episode root) then one member block landing region (written by the
-	// image's node leader).
-	co, cap_ := hierScratch[T](v, alg, n, maxGroup+1)
-	perPar := (maxGroup + 1) * cap_
-	packBase := parity * perPar
-	blockOff := packBase + maxGroup*cap_
+	// Two boxes, per parity: a leader's pack landing area (MaxNodeGroup
+	// blocks, written by the episode root) and a member's block landing
+	// region (written by the image's node leader).
+	packs, pcap := coll.Scratch[T](v, alg, "pack", n, 2*t.MaxNodeGroup())
+	blocks, bcap := coll.Scratch[T](v, alg, "blk", n, 2)
+	packBase := parity * t.MaxNodeGroup() * pcap
+	blockOff := parity * bcap
 	me := v.Img
+	expect := st.expect(v.Rank)
 	leader := t.LeaderOf(v.Rank)
 	group := t.NodeGroup(t.GroupOf(v.Rank))
 	leaders := t.Leaders()
@@ -147,27 +134,30 @@ func ScatterTwoLevel[T any](v *team.View, root int, send, recv []T) {
 		// root; only the done stamp proves they were consumed.
 		me.WaitFlagGE(st.flags, me.Rank(), sc2Done, ep-2)
 		sent := 0
+		// One staging buffer serves every pack: a put captures its payload
+		// at issue.
+		staging := make([]T, t.MaxNodeGroup()*n)
 		for gi, l := range leaders {
 			if l == root {
 				continue
 			}
 			grp := t.NodeGroup(gi)
-			pack := make([]T, len(grp)*n)
+			pack := staging[:len(grp)*n]
 			for i, r := range grp {
 				copy(pack[i*n:(i+1)*n], send[r*n:r*n+n])
 			}
 			me.MemWork(es * len(pack))
-			pgas.PutThenNotify(me, co, t.GlobalRank(l), packBase, pack, st.flags, sc2PackSlot+parity, 1, pgas.ViaAuto)
+			pgas.PutThenNotify(me, packs, t.GlobalRank(l), packBase, pack, st.flags, sc2PackSlot+parity, 1, pgas.ViaAuto)
 			sent++
 		}
 		if v.Rank == leader {
 			// A root that leads its node fans out straight from send.
-			scatterFanOut(v, st, co, blockOff, parity, root, group, es, n,
+			scatterFanOut(v, st, blocks, blockOff, parity, root, group, es, n,
 				func(i, r int) []T { return send[r*n : r*n+n] })
 		}
 		if sent > 0 {
-			st.slotExpect[v.Rank][sc2RootAck+parity] += int64(sent)
-			me.WaitFlagGE(st.flags, me.Rank(), sc2RootAck+parity, st.slotExpect[v.Rank][sc2RootAck+parity])
+			expect[sc2RootAck+parity] += int64(sent)
+			me.WaitFlagGE(st.flags, me.Rank(), sc2RootAck+parity, expect[sc2RootAck+parity])
 		}
 		// Publish completion to every potential future root.
 		me.SetLocal(st.flags, sc2Done, ep)
@@ -182,22 +172,22 @@ func ScatterTwoLevel[T any](v *team.View, root int, send, recv []T) {
 		// Receive the root's node block, keep my slice, fan the rest out
 		// over shared memory, then ack the root (my pack region is free the
 		// moment the fan-out puts are issued — puts capture data at issue).
-		st.slotExpect[v.Rank][sc2PackSlot+parity]++
-		me.WaitFlagGE(st.flags, me.Rank(), sc2PackSlot+parity, st.slotExpect[v.Rank][sc2PackSlot+parity])
-		local := pgas.Local(co, me)
+		expect[sc2PackSlot+parity]++
+		me.WaitFlagGE(st.flags, me.Rank(), sc2PackSlot+parity, expect[sc2PackSlot+parity])
+		local := pgas.Local(packs, me)
 		pos := groupPos(group, v.Rank)
 		copy(recv, local[packBase+pos*n:packBase+pos*n+n])
 		me.MemWork(es * n)
-		scatterFanOut(v, st, co, blockOff, parity, root, group, es, n,
+		scatterFanOut(v, st, blocks, blockOff, parity, root, group, es, n,
 			func(i, r int) []T { return local[packBase+i*n : packBase+(i+1)*n] })
 		me.NotifyAdd(st.flags, t.GlobalRank(root), sc2RootAck+parity, 1, pgas.ViaAuto)
 		return
 	}
 	// Member: exactly one block arrives, from my node leader, over shared
 	// memory; ack it so the leader may reuse my landing region.
-	st.slotExpect[v.Rank][sc2BlockSlot+parity]++
-	me.WaitFlagGE(st.flags, me.Rank(), sc2BlockSlot+parity, st.slotExpect[v.Rank][sc2BlockSlot+parity])
-	copy(recv, pgas.Local(co, me)[blockOff:blockOff+n])
+	expect[sc2BlockSlot+parity]++
+	me.WaitFlagGE(st.flags, me.Rank(), sc2BlockSlot+parity, expect[sc2BlockSlot+parity])
+	copy(recv, pgas.Local(blocks, me)[blockOff:blockOff+n])
 	me.MemWork(es * n)
 	me.NotifyAdd(st.flags, t.GlobalRank(leader), sc2MemberAck+parity, 1, pgas.ViaShm)
 }
@@ -267,32 +257,32 @@ func GatherTwoLevel[T any](v *team.View, root int, send, recv []T) {
 	st.ep[v.Rank]++
 	ep := st.ep[v.Rank]
 	parity := int(ep % 2)
-	maxGroup := maxNodeGroup(v)
+	maxGroup := t.MaxNodeGroup()
 	leaders := t.Leaders()
 	ng := len(leaders)
-	// Per-parity layout: the leader's pack assembly area (maxGroup blocks,
-	// written by its intranode set), then one pack landing region per node
-	// group (written by that group's leader, read at the episode root).
-	co, cap_ := hierScratch[T](v, alg, n, maxGroup*(1+ng))
-	perPar := maxGroup * (1 + ng) * cap_
-	packBase := parity * perPar
-	landBase := func(gi int) int { return packBase + maxGroup*cap_ + gi*maxGroup*cap_ }
+	// Two boxes, per parity: a leader's pack assembly area (maxGroup blocks,
+	// written by its intranode set), and an episode root's landing area —
+	// one pack region per node group, written by that group's leader.
+	packs, pcap := coll.Scratch[T](v, alg, "pack", n, 2*maxGroup)
+	lands, lcap := coll.Scratch[T](v, alg, "land", n, 2*ng*maxGroup)
+	packBase := parity * maxGroup * pcap
+	landBase := func(gi int) int { return (parity*ng + gi) * maxGroup * lcap }
 	me := v.Img
+	expect := st.expect(v.Rank)
 	leader := t.LeaderOf(v.Rank)
 	group := t.NodeGroup(t.GroupOf(v.Rank))
 
 	if v.Rank != leader && v.Rank != root {
 		// Contribute my block to the leader's pack at my group position,
 		// gated on the credit for my previous same-parity contribution.
-		st.slotExpect[v.Rank][ga2MemberCredit+parity]++
-		if sends := st.slotExpect[v.Rank][ga2MemberCredit+parity]; sends > 1 {
+		expect[ga2MemberCredit+parity]++
+		if sends := expect[ga2MemberCredit+parity]; sends > 1 {
 			me.WaitFlagGE(st.flags, me.Rank(), ga2MemberCredit+parity, sends-1)
 		}
 		pos := groupPos(group, v.Rank)
-		pgas.PutThenNotify(me, co, t.GlobalRank(leader), packBase+pos*n, send, st.flags, ga2BlockSlot+parity, 1, pgas.ViaShm)
+		pgas.PutThenNotify(me, packs, t.GlobalRank(leader), packBase+pos*n, send, st.flags, ga2BlockSlot+parity, 1, pgas.ViaShm)
 		return
 	}
-	local := pgas.Local(co, me)
 	if v.Rank == leader {
 		// Assemble the node pack: count exactly the contributors (the root
 		// keeps its block local, so it never contributes).
@@ -303,22 +293,23 @@ func GatherTwoLevel[T any](v *team.View, root int, send, recv []T) {
 			}
 		}
 		if contribs > 0 {
-			st.slotExpect[v.Rank][ga2BlockSlot+parity] += int64(contribs)
-			me.WaitFlagGE(st.flags, me.Rank(), ga2BlockSlot+parity, st.slotExpect[v.Rank][ga2BlockSlot+parity])
+			expect[ga2BlockSlot+parity] += int64(contribs)
+			me.WaitFlagGE(st.flags, me.Rank(), ga2BlockSlot+parity, expect[ga2BlockSlot+parity])
 		}
 		if v.Rank != root {
+			local := pgas.Local(packs, me)
 			pos := groupPos(group, v.Rank)
 			copy(local[packBase+pos*n:packBase+pos*n+n], send)
 			me.MemWork(es * n)
 			// Ship the whole pack to the root, gated on the credit for my
 			// previous same-parity pack (a root's slot in the pack is a
 			// hole the unpack skips).
-			st.slotExpect[v.Rank][ga2LeaderCredit+parity]++
-			if sends := st.slotExpect[v.Rank][ga2LeaderCredit+parity]; sends > 1 {
+			expect[ga2LeaderCredit+parity]++
+			if sends := expect[ga2LeaderCredit+parity]; sends > 1 {
 				me.WaitFlagGE(st.flags, me.Rank(), ga2LeaderCredit+parity, sends-1)
 			}
 			gi := t.GroupOf(v.Rank)
-			pgas.PutThenNotify(me, co, t.GlobalRank(root), landBase(gi), local[packBase:packBase+len(group)*n], st.flags, ga2PackSlot+parity, 1, pgas.ViaAuto)
+			pgas.PutThenNotify(me, lands, t.GlobalRank(root), landBase(gi), local[packBase:packBase+len(group)*n], st.flags, ga2PackSlot+parity, 1, pgas.ViaAuto)
 			// The pack area is consumed the moment the put is issued.
 			for _, r := range group {
 				if r != v.Rank && r != root {
@@ -336,20 +327,22 @@ func GatherTwoLevel[T any](v *team.View, root int, send, recv []T) {
 		}
 	}
 	if sendersExpected > 0 {
-		st.slotExpect[v.Rank][ga2PackSlot+parity] += int64(sendersExpected)
-		me.WaitFlagGE(st.flags, me.Rank(), ga2PackSlot+parity, st.slotExpect[v.Rank][ga2PackSlot+parity])
+		expect[ga2PackSlot+parity] += int64(sendersExpected)
+		me.WaitFlagGE(st.flags, me.Rank(), ga2PackSlot+parity, expect[ga2PackSlot+parity])
 	}
 	for gi, l := range leaders {
 		grp := t.NodeGroup(gi)
-		base := landBase(gi)
-		if l == root {
-			base = packBase // my own node assembled in place
+		var local []T
+		if l == root { // my own node, assembled in place
+			local = pgas.Local(packs, me)[packBase:]
+		} else {
+			local = pgas.Local(lands, me)[landBase(gi):]
 		}
 		for i, r := range grp {
 			if r == root {
 				continue
 			}
-			copy(recv[r*n:r*n+n], local[base+i*n:base+i*n+n])
+			copy(recv[r*n:r*n+n], local[i*n:i*n+n])
 			me.MemWork(es * n)
 		}
 		if l != root {

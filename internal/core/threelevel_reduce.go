@@ -32,10 +32,14 @@ func AllreduceThreeLevel[T any](v *team.View, buf []T, op coll.Op[T]) {
 	st := getRedState(v, alg)
 	st.ep[v.Rank]++
 	ep := st.ep[v.Rank]
-	co, cap_, regions, leaderBase := red3Scratch[T](v, alg, n)
+	// Two boxes, per parity: a socket or node leader's inbox, and the result
+	// landing region of everyone the result cascades down to.
+	regions, leaderBase := red3Layout(v)
+	inbox, icap := coll.Scratch[T](v, alg, "in", n, 2*regions)
+	res, rcap := coll.Scratch[T](v, alg, "res", n, 2)
 	parity := int(ep % 2)
-	region := func(k int) int { return (parity*regions + k) * cap_ }
-	resultRegion := region(regions - 1)
+	region := func(k int) int { return (parity*regions + k) * icap }
+	resultRegion := parity * rcap
 	me := v.Img
 
 	gi := t.GroupOf(v.Rank)
@@ -47,16 +51,16 @@ func AllreduceThreeLevel[T any](v *team.View, buf []T, op coll.Op[T]) {
 	if v.Rank != mySocketLeader {
 		// Step 1 (core): contribute to the socket leader, await result.
 		slot := slotIn(mySocketGroup, v.Rank)
-		pgas.PutThenNotify(me, co, t.GlobalRank(mySocketLeader), region(slot), buf, st.flags, 0, 1, pgas.ViaShm)
+		pgas.PutThenNotify(me, inbox, t.GlobalRank(mySocketLeader), region(slot), buf, st.flags, 0, 1, pgas.ViaShm)
 		me.WaitFlagGE(st.flags, me.Rank(), 1, ep)
-		copy(buf, pgas.Local(co, me)[resultRegion:resultRegion+n])
+		copy(buf, pgas.Local(res, me)[resultRegion:resultRegion+n])
 		me.MemWork(es * n)
 		return
 	}
 	// Socket leader: combine the socket group's vectors.
 	if len(mySocketGroup) > 1 {
 		me.WaitFlagGE(st.flags, me.Rank(), 0, ep*int64(len(mySocketGroup)-1))
-		local := pgas.Local(co, me)
+		local := pgas.Local(inbox, me)
 		for i, r := range mySocketGroup {
 			if r == v.Rank {
 				continue
@@ -72,15 +76,15 @@ func AllreduceThreeLevel[T any](v *team.View, buf []T, op coll.Op[T]) {
 		// own region range (leaderBase..) — a socket-group member of the
 		// node leader's socket writes the low regions concurrently.
 		slot := leaderBase + slotIn(sleaders, v.Rank)
-		pgas.PutThenNotify(me, co, t.GlobalRank(nodeLeader), region(slot), buf, st.flags, 2, 1, pgas.ViaShm)
+		pgas.PutThenNotify(me, inbox, t.GlobalRank(nodeLeader), region(slot), buf, st.flags, 2, 1, pgas.ViaShm)
 		me.WaitFlagGE(st.flags, me.Rank(), 3, ep)
-		copy(buf, pgas.Local(co, me)[resultRegion:resultRegion+n])
+		copy(buf, pgas.Local(res, me)[resultRegion:resultRegion+n])
 		me.MemWork(es * n)
 	} else {
 		// Node leader: combine the other socket leaders' partials.
 		if len(sleaders) > 1 {
 			me.WaitFlagGE(st.flags, me.Rank(), 2, ep*int64(len(sleaders)-1))
-			local := pgas.Local(co, me)
+			local := pgas.Local(inbox, me)
 			for i, r := range sleaders {
 				if r == v.Rank {
 					continue
@@ -97,7 +101,7 @@ func AllreduceThreeLevel[T any](v *team.View, buf []T, op coll.Op[T]) {
 			if sl == v.Rank {
 				continue
 			}
-			pgas.PutThenNotify(me, co, t.GlobalRank(sl), resultRegion, buf, st.flags, 3, 1, pgas.ViaShm)
+			pgas.PutThenNotify(me, res, t.GlobalRank(sl), resultRegion, buf, st.flags, 3, 1, pgas.ViaShm)
 		}
 	}
 	// Step 5: release my socket group.
@@ -105,36 +109,33 @@ func AllreduceThreeLevel[T any](v *team.View, buf []T, op coll.Op[T]) {
 		if r == v.Rank {
 			continue
 		}
-		pgas.PutThenNotify(me, co, t.GlobalRank(r), resultRegion, buf, st.flags, 1, 1, pgas.ViaShm)
+		pgas.PutThenNotify(me, res, t.GlobalRank(r), resultRegion, buf, st.flags, 1, 1, pgas.ViaShm)
 	}
 }
 
-// red3Scratch sizes the 3-level inbox: regions for the largest socket
-// group, then (disjoint, at leaderBase) for the largest socket-leader set,
-// then the result, per parity. The socket-member and socket-leader ranges
-// must not overlap: at a node leader both its own socket's members and the
-// other socket leaders deposit concurrently.
-func red3Scratch[T any](v *team.View, alg string, elems int) (co *pgas.Coarray[T], cap_, regions, leaderBase int) {
-	maxGroup := 1
-	maxLead := 1
-	for gi := 0; gi < v.T.NumNodeGroups(); gi++ {
-		for _, sg := range v.T.SocketGroups(gi) {
-			if len(sg) > maxGroup {
-				maxGroup = len(sg)
+// red3Layout sizes the 3-level inbox: regions for the largest socket group,
+// then (disjoint, at leaderBase) for the largest socket-leader set, per
+// parity. The socket-member and socket-leader ranges must not overlap: at a
+// node leader both its own socket's members and the other socket leaders
+// deposit concurrently.
+func red3Layout(v *team.View) (regions, leaderBase int) {
+	l := v.Memo(team.MemoKey{Kind: "core:red3layout"}, func() interface{} {
+		t := v.T
+		maxGroup := 1
+		maxLead := 1
+		for gi := 0; gi < t.NumNodeGroups(); gi++ {
+			for _, sg := range t.SocketGroups(gi) {
+				if len(sg) > maxGroup {
+					maxGroup = len(sg)
+				}
+			}
+			if l := len(t.SocketLeaders(gi)); l > maxLead {
+				maxLead = l
 			}
 		}
-		if l := len(v.T.SocketLeaders(gi)); l > maxLead {
-			maxLead = l
-		}
-	}
-	leaderBase = maxGroup
-	regions = maxGroup + maxLead + 1
-	c := sizeClass(elems)
-	name := fmt.Sprintf("core:%s:team%d:cap%d", alg, v.T.ID(), c)
-	members := make([]int, v.T.Size())
-	copy(members, v.T.Members())
-	co = pgas.NewTeamCoarray[T](v.Img.World(), name, c*2*regions, members)
-	return co, c, regions, leaderBase
+		return [2]int{maxGroup + maxLead, maxGroup}
+	}).([2]int)
+	return l[0], l[1]
 }
 
 // slotIn returns r's index within group.

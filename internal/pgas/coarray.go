@@ -2,6 +2,8 @@ package pgas
 
 import (
 	"fmt"
+	"sync/atomic"
+	"unsafe"
 
 	"cafteams/internal/trace"
 )
@@ -11,6 +13,13 @@ import (
 // CAF "A(i)[k]" access pattern. Remote access goes through Put/Get below;
 // local access through Local is a plain slice.
 //
+// Slabs materialise on first touch: a coarray declares n elements on every
+// owning image, but an image's slab is only allocated (zeroed) by the first
+// Put, Get or Local that names it. Symmetric scratch therefore costs what
+// the images' roles actually touch, not what the most demanding role could
+// touch. Bounds checks use the declared length, and a fresh slab reads as
+// zero, so first touch is unobservable apart from World.Stats.
+//
 // The element size (for transfer-cost accounting) is inferred for the
 // common numeric types and defaults to 8 bytes otherwise.
 type Coarray[T any] struct {
@@ -18,10 +27,14 @@ type Coarray[T any] struct {
 	name     string
 	n        int
 	elemSize int
-	data     [][]T
+	// slabs[r] is image r's slab, nil until first touch. On the native
+	// backend many images may first-touch one target at once; the CAS in
+	// materialize makes exactly one slab win.
+	slabs []atomic.Pointer[[]T]
 	// members restricts which images own a slab (team-scoped coarrays
-	// allocated inside a change-team block). nil means all images.
-	members map[int]bool
+	// allocated inside a change-team block): one bit per image. nil means
+	// all images.
+	members []uint64
 
 	// stageFree pools put-staging records (see putStage). Only the sim
 	// transport stages (Immediate() == false), and its execution is
@@ -87,6 +100,20 @@ func ElemSize[T any]() int { return sizeOf[T]() }
 // (two coarrays that share a name but differ in element type must not alias).
 func TypeName[T any]() string {
 	var z T
+	// Every collective call keys its state by this tag: name the usual
+	// element types without formatting (and allocating) each time.
+	switch any(z).(type) {
+	case float64:
+		return "float64"
+	case float32:
+		return "float32"
+	case int:
+		return "int"
+	case int64:
+		return "int64"
+	case int32:
+		return "int32"
+	}
 	return fmt.Sprintf("%T", z)
 }
 
@@ -99,7 +126,8 @@ func NewCoarray[T any](w *World, name string, n int) *Coarray[T] {
 // NewTeamCoarray collectively allocates a coarray whose slabs exist only on
 // the given member images (global ranks) — the paper's "declare and allocate
 // coarrays within a change team block ... allocated only in the images
-// operating on it".
+// operating on it". members is only read while the coarray is created, so
+// callers may pass a shared slice.
 func NewTeamCoarray[T any](w *World, name string, n int, members []int) *Coarray[T] {
 	return newCoarrayOn[T](w, name, n, members)
 }
@@ -113,16 +141,18 @@ func newCoarrayOn[T any](w *World, name string, n int, members []int) *Coarray[T
 	// crash on second use.
 	return w.lookupOrCreate("coarray:"+TypeName[T]()+":"+name, func() interface{} {
 		c := &Coarray[T]{w: w, name: name, n: n, elemSize: sizeOf[T]()}
-		c.data = make([][]T, w.NumImages())
-		if members == nil {
-			for i := range c.data {
-				c.data[i] = make([]T, n)
-			}
-		} else {
-			c.members = make(map[int]bool, len(members))
+		c.slabs = make([]atomic.Pointer[[]T], w.NumImages())
+		if members != nil {
+			set := make([]uint64, (w.NumImages()+63)/64)
+			owners := 0
 			for _, m := range members {
-				c.members[m] = true
-				c.data[m] = make([]T, n)
+				if set[m/64]>>(m%64)&1 == 0 {
+					set[m/64] |= 1 << (m % 64)
+					owners++
+				}
+			}
+			if owners < w.NumImages() {
+				c.members = set
 			}
 		}
 		return c
@@ -137,14 +167,28 @@ func (c *Coarray[T]) Len() int { return c.n }
 
 // OwnedBy reports whether image rank owns a slab of this coarray.
 func (c *Coarray[T]) OwnedBy(rank int) bool {
-	return c.members == nil || c.members[rank]
+	return c.members == nil || c.members[rank/64]>>(rank%64)&1 == 1
 }
 
+// slab returns image rank's slab, materialising it on first touch. The
+// common case is one atomic load.
 func (c *Coarray[T]) slab(rank int) []T {
-	s := c.data[rank]
-	if s == nil {
+	if p := c.slabs[rank].Load(); p != nil {
+		return *p
+	}
+	return c.materialize(rank)
+}
+
+func (c *Coarray[T]) materialize(rank int) []T {
+	if !c.OwnedBy(rank) {
 		panic(fmt.Sprintf("pgas: image %d does not own coarray %q (team-scoped allocation)", rank, c.name))
 	}
+	s := make([]T, c.n)
+	if !c.slabs[rank].CompareAndSwap(nil, &s) {
+		return *c.slabs[rank].Load() // another image's first touch won
+	}
+	var z T
+	c.w.stats.Materialize(trace.MemCoarray, c.n*int(unsafe.Sizeof(z)))
 	return s
 }
 
@@ -172,10 +216,10 @@ func stageCommit[T any](im *Image, c *Coarray[T], dst []T, off int, src []T) fun
 // later (use Image.Quiet or a flag notification for completion, issued
 // after the Put so delivery order per image pair is preserved).
 func Put[T any](im *Image, c *Coarray[T], target, off int, src []T, via Via) {
-	dst := c.slab(target)
-	if off < 0 || off+len(src) > len(dst) {
-		panic(fmt.Sprintf("pgas: put %q [%d:%d) outside [0:%d)", c.name, off, off+len(src), len(dst)))
+	if off < 0 || off+len(src) > c.n {
+		panic(fmt.Sprintf("pgas: put %q [%d:%d) outside [0:%d)", c.name, off, off+len(src), c.n))
 	}
+	dst := c.slab(target)
 	nbytes := len(src) * c.elemSize
 	im.w.stats.Message(trace.OpPut, im.SameNode(target) && target != im.rank, target == im.rank, nbytes)
 	im.w.tr.Put(im, target, nbytes, im.resolveVia(target, via), stageCommit(im, c, dst, off, src))
@@ -185,10 +229,10 @@ func Put[T any](im *Image, c *Coarray[T], target, off int, src []T, via Via) {
 // CAF read "dst = A(off:...)[target]". It blocks the caller until the data
 // has arrived (CAF gets are blocking).
 func Get[T any](im *Image, c *Coarray[T], target, off int, dst []T) {
-	src := c.slab(target)
-	if off < 0 || off+len(dst) > len(src) {
-		panic(fmt.Sprintf("pgas: get %q [%d:%d) outside [0:%d)", c.name, off, off+len(dst), len(src)))
+	if off < 0 || off+len(dst) > c.n {
+		panic(fmt.Sprintf("pgas: get %q [%d:%d) outside [0:%d)", c.name, off, off+len(dst), c.n))
 	}
+	src := c.slab(target)
 	nbytes := len(dst) * c.elemSize
 	im.w.stats.Message(trace.OpGet, im.SameNode(target) && target != im.rank, target == im.rank, nbytes)
 	im.w.tr.Get(im, target, nbytes, func() { copy(dst, src[off:]) })
@@ -199,10 +243,10 @@ func Get[T any](im *Image, c *Coarray[T], target, off int, dst []T) {
 // one conduit path per image pair — the standard put+flag idiom the
 // hierarchy-aware collectives use).
 func PutThenNotify[T any](im *Image, c *Coarray[T], target, off int, src []T, f *Flags, idx int, delta int64, via Via) {
-	dst := c.slab(target)
-	if off < 0 || off+len(src) > len(dst) {
-		panic(fmt.Sprintf("pgas: put %q [%d:%d) outside [0:%d)", c.name, off, off+len(src), len(dst)))
+	if off < 0 || off+len(src) > c.n {
+		panic(fmt.Sprintf("pgas: put %q [%d:%d) outside [0:%d)", c.name, off, off+len(src), c.n))
 	}
+	dst := c.slab(target)
 	nbytes := len(src) * c.elemSize
 	shm := im.SameNode(target) && target != im.rank
 	im.w.stats.Message(trace.OpPut, shm, target == im.rank, nbytes)

@@ -24,10 +24,15 @@ import (
 // writes to any waiter that observes it (payload memcpy → atomic flag add →
 // waiter's atomic load → payload read), which is also what keeps the race
 // detector quiet about the payload copies themselves.
+//
+// Like coarray slabs, rows materialise on first touch (see Coarray): an image
+// no operation ever names — a non-leader during a leaders-only subgroup
+// algorithm — costs nothing.
 type Flags struct {
-	w    *World
-	name string
-	data [][]int64
+	w     *World
+	name  string
+	slots int
+	rows  []atomic.Pointer[[]int64]
 }
 
 // NewFlags allocates a flags array with slots slots per image. Like a
@@ -41,12 +46,8 @@ func NewFlags(w *World, name string, slots int) *Flags {
 		panic(fmt.Sprintf("pgas: flags %q with %d slots", name, slots))
 	}
 	return w.lookupOrCreate("flags:"+name, func() interface{} {
-		f := &Flags{w: w, name: name}
-		f.data = make([][]int64, w.NumImages())
-		for i := range f.data {
-			f.data[i] = make([]int64, slots)
-		}
-		return f
+		return &Flags{w: w, name: name, slots: slots,
+			rows: make([]atomic.Pointer[[]int64], w.NumImages())}
 	}).(*Flags)
 }
 
@@ -54,7 +55,21 @@ func NewFlags(w *World, name string, slots int) *Flags {
 func (f *Flags) Name() string { return f.name }
 
 // Slots returns the per-image slot count.
-func (f *Flags) Slots() int { return len(f.data[0]) }
+func (f *Flags) Slots() int { return f.slots }
+
+// cell returns the address of owner's slot idx, materialising owner's row on
+// first touch. The common case is one atomic load.
+func (f *Flags) cell(owner, idx int) *int64 {
+	if p := f.rows[owner].Load(); p != nil {
+		return &(*p)[idx]
+	}
+	row := make([]int64, f.slots)
+	if f.rows[owner].CompareAndSwap(nil, &row) {
+		f.w.stats.Materialize(trace.MemFlags, 8*f.slots)
+		return &row[idx]
+	}
+	return &(*f.rows[owner].Load())[idx] // another image's first touch won
+}
 
 // Peek returns the current value of a slot without synchronization or cost;
 // for tests and local fast-path checks.
@@ -64,20 +79,20 @@ func (f *Flags) Peek(owner, idx int) int64 { return f.load(owner, idx) }
 // flag cells; see the type comment for why they are atomic on both backends.
 
 func (f *Flags) load(owner, idx int) int64 {
-	return atomic.LoadInt64(&f.data[owner][idx])
+	return atomic.LoadInt64(f.cell(owner, idx))
 }
 
 func (f *Flags) store(owner, idx int, val int64) {
-	atomic.StoreInt64(&f.data[owner][idx], val)
+	atomic.StoreInt64(f.cell(owner, idx), val)
 }
 
 func (f *Flags) add(owner, idx int, delta int64) {
-	atomic.AddInt64(&f.data[owner][idx], delta)
+	atomic.AddInt64(f.cell(owner, idx), delta)
 }
 
 // storeMax raises the cell to val if it is below (monotonic max).
 func (f *Flags) storeMax(owner, idx int, val int64) {
-	cell := &f.data[owner][idx]
+	cell := f.cell(owner, idx)
 	for {
 		old := atomic.LoadInt64(cell)
 		if old >= val || atomic.CompareAndSwapInt64(cell, old, val) {
@@ -88,7 +103,7 @@ func (f *Flags) storeMax(owner, idx int, val int64) {
 
 // fetchOp applies op atomically and returns the previous value.
 func (f *Flags) fetchOp(owner, idx int, op AtomicOp, operand int64) int64 {
-	cell := &f.data[owner][idx]
+	cell := f.cell(owner, idx)
 	for {
 		old := atomic.LoadInt64(cell)
 		if atomic.CompareAndSwapInt64(cell, old, op.apply(old, operand)) {
@@ -100,7 +115,7 @@ func (f *Flags) fetchOp(owner, idx int, op AtomicOp, operand int64) int64 {
 // compareAndSwap returns the previous value; the swap happened iff it
 // equals expected.
 func (f *Flags) compareAndSwap(owner, idx int, expected, desired int64) int64 {
-	cell := &f.data[owner][idx]
+	cell := f.cell(owner, idx)
 	for {
 		old := atomic.LoadInt64(cell)
 		if old != expected {

@@ -6,6 +6,8 @@ package pgas
 // the race detector checks here.
 
 import (
+	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -170,4 +172,51 @@ func (op *waitForFlag) Step() bool {
 
 func (op *waitForFlag) Blocked() (*Flags, int, int64) {
 	return op.f, 0, op.min
+}
+
+// TestNativeFirstTouchRace: coarray slabs and flag rows materialise on first
+// touch, and on this backend every image can be that first touch at once.
+// All images PutThenNotify into the never-touched slab (and flag row) of
+// image 0 from behind a start gate, on a fresh coarray per round: exactly
+// one slab and one row may come to exist per round, and no write may land in
+// a slab that lost the race. Run with -race.
+func TestNativeFirstTouchRace(t *testing.T) {
+	w := newNativeTestWorld(t, 2, 8)
+	n := w.NumImages()
+	const rounds, elems = 40, 4
+	gates := make([]atomic.Int64, rounds)
+	w.Run(func(im *Image) {
+		for r := 0; r < rounds; r++ {
+			co := NewCoarray[float64](w, fmt.Sprintf("first-touch-%d", r), n*elems)
+			fl := NewFlags(w, fmt.Sprintf("first-touch-fl-%d", r), 3)
+			mine := make([]float64, elems)
+			for i := range mine {
+				mine[i] = float64(1000*r + 10*im.Rank() + i + 1)
+			}
+			gates[r].Add(1)
+			for gates[r].Load() < int64(n) {
+				runtime.Gosched()
+			}
+			PutThenNotify(im, co, 0, im.Rank()*elems, mine, fl, 1, 1, ViaAuto)
+			if im.Rank() != 0 {
+				continue
+			}
+			im.WaitFlagGE(fl, 0, 1, int64(n))
+			got := Local(co, im)
+			for j := range got {
+				// Keep going after a loss: the others wait at the next gate.
+				if want := float64(1000*r + 10*(j/elems) + j%elems + 1); got[j] != want {
+					t.Errorf("round %d: image %d's write lost: elem %d = %v, want %v", r, j/elems, j%elems, got[j], want)
+					break
+				}
+			}
+		}
+	})
+	sn := w.Stats().Snapshot()
+	if want := int64(rounds * n * elems * 8); sn.CoarrayBytes != want {
+		t.Errorf("materialised %d coarray bytes, want %d (one slab per round)", sn.CoarrayBytes, want)
+	}
+	if want := int64(rounds * 3 * 8); sn.FlagBytes != want {
+		t.Errorf("materialised %d flag bytes, want %d (one row per round)", sn.FlagBytes, want)
+	}
 }

@@ -687,3 +687,44 @@ func TestPutThenNotifyUnderLoad(t *testing.T) {
 		}
 	})
 }
+
+// TestCoarrayMaterializesOnFirstTouch: a coarray declares a slab on every
+// image but only the slabs a Put, Get or Local names come to exist; a fresh
+// slab reads as zero and bounds are checked against the declared length
+// whether or not the slab exists.
+func TestCoarrayMaterializesOnFirstTouch(t *testing.T) {
+	w := newTestWorld(t, 2, 2)
+	const elems = 1024
+	w.Run(func(im *Image) {
+		co := NewCoarray[float64](w, "lazy", elems)
+		fl := NewFlags(w, "lazy-fl", 1)
+		switch im.Rank() {
+		case 0:
+			PutThenNotify(im, co, 1, elems-2, []float64{7, 8}, fl, 0, 1, ViaAuto)
+			got := []float64{1, 1}
+			Get(im, co, 2, 0, got) // never written: reads zero
+			if got[0] != 0 || got[1] != 0 {
+				t.Errorf("fresh slab read %v, want zeros", got)
+			}
+		case 1:
+			im.WaitFlagGE(fl, 1, 0, 1)
+			if s := Local(co, im); len(s) != elems || s[elems-2] != 7 || s[elems-1] != 8 || s[0] != 0 {
+				t.Errorf("slab len %d, tail %v", len(s), s[elems-2:])
+			}
+		}
+	})
+	sn := w.Stats().Snapshot()
+	if want := int64(2 * elems * 8); sn.CoarrayBytes != want {
+		t.Errorf("materialised %d coarray bytes, want %d (images 1 and 2 only)", sn.CoarrayBytes, want)
+	}
+	if want := int64(8); sn.FlagBytes != want {
+		t.Errorf("materialised %d flag bytes, want %d (image 1's row only)", sn.FlagBytes, want)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("out-of-bounds put into a never-touched slab did not panic")
+		}
+	}()
+	co := NewCoarray[float64](w, "lazy", elems)
+	Put(w.Image(0), co, 3, elems-1, []float64{1, 2}, ViaAuto)
+}

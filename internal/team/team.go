@@ -37,6 +37,7 @@ type Team struct {
 	leaders    []int       // team rank of each node group's leader
 	leaderOf   []int       // team rank -> its node leader's team rank
 	leaderPos  map[int]int // leader team rank -> index in leaders
+	maxGroup   int         // size of the largest node group
 
 	// Socket-level hierarchy (3-level extension): within each node group,
 	// members split by socket.
@@ -55,12 +56,14 @@ type View struct {
 	memo map[MemoKey]interface{}
 }
 
-// MemoKey keys one view-cached lookup: a kind tag, an algorithm name, and
-// two small integer discriminators (size class, region count...). It is a
-// comparable struct so memo lookups build no strings and box no keys.
+// MemoKey keys one view-cached lookup: a kind tag, an algorithm name, the
+// role within the algorithm, and two small integer discriminators (size
+// class, region count...). It is a comparable struct so memo lookups build
+// no strings and box no keys.
 type MemoKey struct {
 	Kind string
 	Alg  string
+	Role string
 	N, M int
 }
 
@@ -125,6 +128,9 @@ func build(w *pgas.World, id, number int64, parent *Team, members []int) *Team {
 		grp := byNode[n]
 		sort.Ints(grp)
 		t.nodeGroups = append(t.nodeGroups, grp)
+		if len(grp) > t.maxGroup {
+			t.maxGroup = len(grp)
+		}
 		leader := grp[0]
 		t.leaders = append(t.leaders, leader)
 		t.leaderPos[leader] = gi
@@ -205,6 +211,10 @@ func (t *Team) Nodes() []int { return t.nodes }
 
 // NodeGroup returns the team ranks on the gi-th node, ascending.
 func (t *Team) NodeGroup(gi int) []int { return t.nodeGroups[gi] }
+
+// MaxNodeGroup returns the size of the team's largest intranode set — the
+// quantity every two-level inbox layout is sized from.
+func (t *Team) MaxNodeGroup() int { return t.maxGroup }
 
 // NumNodeGroups returns how many nodes host members of this team.
 func (t *Team) NumNodeGroups() int { return len(t.nodes) }

@@ -60,6 +60,18 @@ func opIndex(op Op) int {
 	return -1
 }
 
+// Mem names a kind of symmetric runtime memory. Coarray slabs and flag rows
+// are declared on every image but only created when first touched, so the
+// bytes recorded here are what a run's roles actually cost.
+type Mem int
+
+// Memory kinds recorded by the runtime.
+const (
+	MemCoarray Mem = iota
+	MemFlags
+	numMems
+)
+
 var opNames = [numOps]Op{OpPut, OpGet, OpAtomic, OpNotify, OpWait, OpCompute,
 	OpBarrier, OpReduce, OpBroadcast}
 
@@ -74,6 +86,7 @@ type Stats struct {
 	interBytes int64
 	selfMsgs   int64
 	opCounts   [numOps]int64
+	memBytes   [numMems]int64
 
 	// overflow holds counters for op kinds outside the fixed set; nil until
 	// first touched (never, for the runtime's own ops).
@@ -117,6 +130,11 @@ func (s *Stats) Count(op Op) {
 	s.mu.Unlock()
 }
 
+// Materialize records nbytes of kind memory created by a first touch.
+func (s *Stats) Materialize(kind Mem, nbytes int) {
+	atomic.AddInt64(&s.memBytes[kind], int64(nbytes))
+}
+
 // Snapshot is an immutable copy of the counters.
 type Snapshot struct {
 	IntraMsgs  int64
@@ -124,11 +142,18 @@ type Snapshot struct {
 	IntraBytes int64
 	InterBytes int64
 	SelfMsgs   int64
-	Ops        map[Op]int64
+	// CoarrayBytes and FlagBytes are the coarray slabs and flag rows
+	// materialised by first touch, summed over all images.
+	CoarrayBytes int64
+	FlagBytes    int64
+	Ops          map[Op]int64
 }
 
 // TotalMsgs returns all off-image messages (intra + inter node).
 func (sn Snapshot) TotalMsgs() int64 { return sn.IntraMsgs + sn.InterMsgs }
+
+// MaterializedBytes returns all symmetric memory created by first touch.
+func (sn Snapshot) MaterializedBytes() int64 { return sn.CoarrayBytes + sn.FlagBytes }
 
 // Snapshot returns a copy of the current counters. Only ops with non-zero
 // counts appear in the map, matching the old map-backed behavior.
@@ -145,12 +170,14 @@ func (s *Stats) Snapshot() Snapshot {
 	}
 	s.mu.Unlock()
 	return Snapshot{
-		IntraMsgs:  atomic.LoadInt64(&s.intraMsgs),
-		InterMsgs:  atomic.LoadInt64(&s.interMsgs),
-		IntraBytes: atomic.LoadInt64(&s.intraBytes),
-		InterBytes: atomic.LoadInt64(&s.interBytes),
-		SelfMsgs:   atomic.LoadInt64(&s.selfMsgs),
-		Ops:        ops,
+		IntraMsgs:    atomic.LoadInt64(&s.intraMsgs),
+		InterMsgs:    atomic.LoadInt64(&s.interMsgs),
+		IntraBytes:   atomic.LoadInt64(&s.intraBytes),
+		InterBytes:   atomic.LoadInt64(&s.interBytes),
+		SelfMsgs:     atomic.LoadInt64(&s.selfMsgs),
+		CoarrayBytes: atomic.LoadInt64(&s.memBytes[MemCoarray]),
+		FlagBytes:    atomic.LoadInt64(&s.memBytes[MemFlags]),
+		Ops:          ops,
 	}
 }
 
@@ -163,6 +190,9 @@ func (s *Stats) Reset() {
 	atomic.StoreInt64(&s.selfMsgs, 0)
 	for i := range s.opCounts {
 		atomic.StoreInt64(&s.opCounts[i], 0)
+	}
+	for i := range s.memBytes {
+		atomic.StoreInt64(&s.memBytes[i], 0)
 	}
 	s.mu.Lock()
 	s.overflow = nil
@@ -224,20 +254,22 @@ func (sn Snapshot) Diff(earlier Snapshot) Snapshot {
 		}
 	}
 	return Snapshot{
-		IntraMsgs:  sn.IntraMsgs - earlier.IntraMsgs,
-		InterMsgs:  sn.InterMsgs - earlier.InterMsgs,
-		IntraBytes: sn.IntraBytes - earlier.IntraBytes,
-		InterBytes: sn.InterBytes - earlier.InterBytes,
-		SelfMsgs:   sn.SelfMsgs - earlier.SelfMsgs,
-		Ops:        ops,
+		IntraMsgs:    sn.IntraMsgs - earlier.IntraMsgs,
+		InterMsgs:    sn.InterMsgs - earlier.InterMsgs,
+		IntraBytes:   sn.IntraBytes - earlier.IntraBytes,
+		InterBytes:   sn.InterBytes - earlier.InterBytes,
+		SelfMsgs:     sn.SelfMsgs - earlier.SelfMsgs,
+		CoarrayBytes: sn.CoarrayBytes - earlier.CoarrayBytes,
+		FlagBytes:    sn.FlagBytes - earlier.FlagBytes,
+		Ops:          ops,
 	}
 }
 
 // String renders the snapshot compactly, with op counters sorted by name.
 func (sn Snapshot) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "intra: %d msgs/%d B, inter: %d msgs/%d B, self: %d",
-		sn.IntraMsgs, sn.IntraBytes, sn.InterMsgs, sn.InterBytes, sn.SelfMsgs)
+	fmt.Fprintf(&b, "intra: %d msgs/%d B, inter: %d msgs/%d B, self: %d, materialized: %d B",
+		sn.IntraMsgs, sn.IntraBytes, sn.InterMsgs, sn.InterBytes, sn.SelfMsgs, sn.MaterializedBytes())
 	if len(sn.Ops) > 0 {
 		keys := make([]string, 0, len(sn.Ops))
 		for k := range sn.Ops {

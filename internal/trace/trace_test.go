@@ -79,3 +79,25 @@ func TestStringFormat(t *testing.T) {
 		t.Fatalf("ops missing from %q", out)
 	}
 }
+
+func TestMaterialize(t *testing.T) {
+	s := New()
+	s.Materialize(MemCoarray, 4096)
+	before := s.Snapshot()
+	s.Materialize(MemCoarray, 1024)
+	s.Materialize(MemFlags, 64)
+	sn := s.Snapshot()
+	if sn.CoarrayBytes != 5120 || sn.FlagBytes != 64 || sn.MaterializedBytes() != 5184 {
+		t.Fatalf("snapshot = %+v", sn)
+	}
+	if d := sn.Diff(before); d.CoarrayBytes != 1024 || d.FlagBytes != 64 {
+		t.Fatalf("diff = %+v", d)
+	}
+	if !strings.Contains(sn.String(), "materialized: 5184 B") {
+		t.Fatalf("string = %q", sn.String())
+	}
+	s.Reset()
+	if s.Snapshot().MaterializedBytes() != 0 {
+		t.Fatal("reset failed")
+	}
+}
