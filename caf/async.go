@@ -1,7 +1,10 @@
 // Non-blocking (split-phase) collective intrinsics: initiate with an Async
-// call, overlap local work, complete with Handle.Wait. The returned Handle
-// progresses whenever the image gives the runtime a chance — inside
-// Handle.Wait, during Image.Compute (compute time is interleaved with
+// call, overlap local work, complete with Handle.Wait. A split-phase
+// collective is the same algorithm the blocking call would run — whatever the
+// hierarchy level, Tuning or a custom registration selects — executed on a
+// coroutine whose flag waits yield to the image instead of blocking it. The
+// returned Handle progresses whenever the image gives the runtime a chance —
+// inside Handle.Wait, during Image.Compute (compute time is interleaved with
 // progress polls), or on an explicit Image.Progress — so collective rounds
 // advance behind computation instead of serializing after it.
 //
@@ -11,12 +14,16 @@
 //     Wait returns (Test returning true is equivalent to Wait);
 //   - Async calls are collective: every image of the team must make the
 //     matching call, in the same order relative to its other collectives;
-//   - every handle must be completed (Wait, or Test to completion) before
-//     the image's body returns.
+//   - every handle must be completed with Wait (or Test to completion) before
+//     the image's body returns; a body that returns with one in flight fails
+//     the run. A Wait that reports a failed image (WithStat) completes the
+//     handle too: the operation is abandoned.
 //
 // Operations of different kinds — or different element types/operations —
-// may be in flight together and interleave freely; repeated operations of
-// the same kind are internally serialized per image in initiation order.
+// may be in flight together and interleave freely; operations of the same
+// kind, blocking and Async calls alike, are serialized per image in call
+// order (a blocking call issued while an Async one of its kind is in flight
+// first drives that one to completion).
 package caf
 
 import (

@@ -1,7 +1,9 @@
 package caf
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -150,13 +152,161 @@ func TestAsyncInsideChangeTeam(t *testing.T) {
 	}
 }
 
+// TestAsyncThenBlockingSameKind: a blocking collective issued while a
+// split-phase one of the same kind is in flight shares its algorithm state;
+// the runtime serialises the two per image in call order, so both complete
+// with the right result — on flat (one image per node) and hierarchy-aware
+// placements, on both backends, bitwise against the serial reference, over
+// enough episodes for every parity region to be reused.
+func TestAsyncThenBlockingSameKind(t *testing.T) {
+	for _, backend := range []string{BackendSim, BackendNative} {
+		for _, spec := range []string{"8(8)", "12(3)"} {
+			t.Run(fmt.Sprintf("%s/%s", backend, spec), func(t *testing.T) {
+				before := runtime.NumGoroutine()
+				_, err := Run(Config{Spec: spec, Backend: backend}, func(im *Image) {
+					me, n := im.ThisImage(), im.NumImages()
+					tri := float64(n * (n + 1) / 2)
+					for ep := 1; ep <= 4; ep++ {
+						e := float64(ep)
+						a := []float64{float64(me), e}
+						b := []float64{float64(10 * me), -e}
+						h := im.CoSumAsync(a)
+						im.CoSum(b)
+						h.Wait()
+						if a[0] != tri || a[1] != e*float64(n) || b[0] != 10*tri || b[1] != -e*float64(n) {
+							t.Errorf("image %d ep %d: co_sum async %v, blocking %v", me, ep, a, b)
+						}
+						src1, src2 := 1+ep%n, 1+(ep+3)%n
+						ba, bb := []float64{float64(me)}, []float64{float64(-me)}
+						h = im.CoBroadcastAsync(ba, src1)
+						im.CoBroadcast(bb, src2)
+						h.Wait()
+						if ba[0] != float64(src1) || bb[0] != float64(-src2) {
+							t.Errorf("image %d ep %d: co_broadcast async %v (want %d), blocking %v (want %d)", me, ep, ba, src1, bb, -src2)
+						}
+						ga, gb := make([]float64, n), make([]float64, n)
+						h = im.CoAllgatherAsync([]float64{float64(me) + e}, ga)
+						im.CoAllgather([]float64{float64(100*me) - e}, gb)
+						h.Wait()
+						for r := 1; r <= n; r++ {
+							if ga[r-1] != float64(r)+e || gb[r-1] != float64(100*r)-e {
+								t.Errorf("image %d ep %d: co_allgather[%d] async %v, blocking %v", me, ep, r, ga[r-1], gb[r-1])
+								break
+							}
+						}
+					}
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				awaitGoroutines(t, before) // the images' idle coroutines are gone too
+			})
+		}
+	}
+}
+
+// TestAsyncPileUpSameKind: any number of split-phase operations of one kind
+// may be in flight on an image; their episodes on the shared algorithm state
+// run one at a time in call order, also when a blocking call of the kind
+// joins the queue behind two of them. Five handles deep, every allreduce
+// algorithm family, flat and hierarchy-aware placements, both backends.
+func TestAsyncPileUpSameKind(t *testing.T) {
+	const depth = 5
+	for _, backend := range []string{BackendSim, BackendNative} {
+		for _, spec := range []string{"8(8)", "12(3)"} {
+			for _, alg := range []string{"auto", "2level", "3level", "tree", "linear", "nb-rd"} {
+				t.Run(fmt.Sprintf("%s/%s/%s", backend, spec, alg), func(t *testing.T) {
+					cfg := Config{Spec: spec, Backend: backend}.WithAlgorithm(KindAllreduce, alg)
+					_, err := Run(cfg, func(im *Image) {
+						me, n := im.ThisImage(), im.NumImages()
+						tri := float64(n * (n + 1) / 2)
+						var hs [depth]*Handle
+
+						var sums [depth][]float64
+						for k := range hs {
+							sums[k] = []float64{float64(me * (k + 1)), float64(k)}
+							hs[k] = im.CoSumAsync(sums[k])
+						}
+						for k, h := range hs {
+							h.Wait()
+							if sums[k][0] != tri*float64(k+1) || sums[k][1] != float64(k*n) {
+								t.Errorf("image %d: co_sum handle %d of %d = %v", me, k, depth, sums[k])
+							}
+						}
+
+						var bcs [depth][]float64
+						for k := range hs {
+							bcs[k] = []float64{float64(me + 100*k)}
+							hs[k] = im.CoBroadcastAsync(bcs[k], 1+k%n)
+						}
+						for k, h := range hs {
+							h.Wait()
+							if want := float64(1 + k%n + 100*k); bcs[k][0] != want {
+								t.Errorf("image %d: co_broadcast handle %d = %v, want %v", me, k, bcs[k][0], want)
+							}
+						}
+
+						var gas [depth][]float64
+						for k := range hs {
+							gas[k] = make([]float64, n)
+							hs[k] = im.CoAllgatherAsync([]float64{float64(me + 100*k)}, gas[k])
+						}
+						for k, h := range hs {
+							h.Wait()
+							for r := 1; r <= n; r++ {
+								if gas[k][r-1] != float64(r+100*k) {
+									t.Errorf("image %d: co_allgather handle %d [%d] = %v", me, k, r, gas[k][r-1])
+									break
+								}
+							}
+						}
+
+						// Two in flight, then a blocking call of each kind.
+						a, b, c := []float64{float64(me)}, []float64{float64(2 * me)}, []float64{float64(3 * me)}
+						h1, h2 := im.CoSumAsync(a), im.CoSumAsync(b)
+						im.CoSum(c)
+						h1.Wait()
+						h2.Wait()
+						if a[0] != tri || b[0] != 2*tri || c[0] != 3*tri {
+							t.Errorf("image %d: co_sum async, async, blocking = %v %v %v", me, a, b, c)
+						}
+						a, b, c = []float64{float64(me)}, []float64{float64(2 * me)}, []float64{float64(3 * me)}
+						h1, h2 = im.CoBroadcastAsync(a, 1), im.CoBroadcastAsync(b, 2)
+						im.CoBroadcast(c, 3)
+						h1.Wait()
+						h2.Wait()
+						if a[0] != 1 || b[0] != 4 || c[0] != 9 {
+							t.Errorf("image %d: co_broadcast async, async, blocking = %v %v %v", me, a, b, c)
+						}
+						ga, gb, gc := make([]float64, n), make([]float64, n), make([]float64, n)
+						h1 = im.CoAllgatherAsync([]float64{float64(me)}, ga)
+						h2 = im.CoAllgatherAsync([]float64{float64(2 * me)}, gb)
+						im.CoAllgather([]float64{float64(3 * me)}, gc)
+						h1.Wait()
+						h2.Wait()
+						for r := 1; r <= n; r++ {
+							if ga[r-1] != float64(r) || gb[r-1] != float64(2*r) || gc[r-1] != float64(3*r) {
+								t.Errorf("image %d: co_allgather[%d] async, async, blocking = %v %v %v", me, r, ga[r-1], gb[r-1], gc[r-1])
+								break
+							}
+						}
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+		}
+	}
+}
+
 // TestAsyncTunedAlgorithm: Tuning pins the async path like the blocking
-// path — an nb name selected through WithAlgorithm runs the machine on both.
+// path — an nb alias selected through WithAlgorithm works on both.
 func TestAsyncTunedAlgorithm(t *testing.T) {
 	cfg := Config{Spec: "8(2)"}.WithAlgorithm(KindAllreduce, "nb-rd")
 	_, err := Run(cfg, func(im *Image) {
 		v := []float64{1}
-		im.CoSum(v) // blocking call dispatched to the nb machine
+		im.CoSum(v) // blocking call dispatched through the nb alias
 		if v[0] != 8 {
 			t.Errorf("tuned blocking co_sum = %v, want 8", v[0])
 		}

@@ -75,8 +75,13 @@ func (s Stat) String() string {
 type FailedRunError struct{ Failures []ImageFailure }
 
 func (e *FailedRunError) Error() string {
+	first := e.Failures[0]
+	detail := first.Cause
+	if first.PanicValue != nil {
+		detail = fmt.Sprintf("%s: %v", first.Cause, first.PanicValue)
+	}
 	return fmt.Sprintf("caf: %d image(s) failed during run (first: image %d, %s)",
-		len(e.Failures), e.Failures[0].Rank+1, e.Failures[0].Cause)
+		len(e.Failures), first.Rank+1, detail)
 }
 
 // WithStat runs f and converts an unrecovered failed-image condition inside

@@ -9,6 +9,8 @@ package caf
 
 import (
 	"errors"
+	"regexp"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -94,6 +96,122 @@ func TestNativeNodeCrashMidAllreduceRecovery(t *testing.T) {
 	runNodeCrashRecovery(t, Config{Backend: BackendNative},
 		pgas.Time((2 * time.Millisecond).Nanoseconds()),
 		pgas.Time((20 * time.Millisecond).Nanoseconds()))
+}
+
+// awaitGoroutines waits for the goroutine count to come back down to want:
+// Run returns when every image has reported, a moment before the last image
+// goroutines have finished exiting.
+func awaitGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Run, %d before it: split-phase coroutines leaked", runtime.NumGoroutine(), want)
+		}
+		runtime.Gosched()
+	}
+}
+
+// runCrashDuringAsync kills node 1 of "6(3)" while every image holds two
+// in-flight split-phase handles. The victims are asleep, so their parked
+// coroutines never progress, and the co_sum is tuned to the ring algorithm,
+// whose 2(n-1) steps each need every image to have taken the step before: it
+// cannot complete anywhere on what the victims sent at initiation. The
+// survivors' Wait must report the failure instead of hanging, no coroutine
+// may outlive its image — killed or surviving — and a survivor that completed
+// every handle with Wait (even a failed one) ends cleanly. The second pass
+// tunes the co_sum to an "nb-" alias instead — still one coroutine per call,
+// so an unwinding Wait leaves nothing parked behind the handle it finished;
+// recursive doubling may complete on the survivors that never need a victim's
+// second message.
+func runCrashDuringAsync(t *testing.T, cfg Config, killAt, victimNap pgas.Time) {
+	t.Helper()
+	for _, alg := range []string{"ring", "nb-rd", "nb-2level"} {
+		t.Run(alg, func(t *testing.T) { runCrashDuringAsyncAlg(t, cfg, alg, killAt, victimNap) })
+	}
+}
+
+func runCrashDuringAsyncAlg(t *testing.T, cfg Config, alg string, killAt, victimNap pgas.Time) {
+	cfg = cfg.WithAlgorithm(KindAllreduce, alg)
+	cfg.Spec = "6(3)"
+	cfg.FaultPlan = &FaultPlan{Events: []FaultEvent{
+		{At: killAt, Kind: FaultKillNode, Node: 1},
+	}}
+	before := runtime.NumGoroutine()
+	rep, err := Run(cfg, func(im *Image) {
+		a := make([]float64, 2*im.NumImages()) // a chunk per image: the ring proper
+		b := []float64{float64(im.GlobalImage())}
+		h1 := im.CoSumAsync(a)
+		h2 := im.CoBroadcastAsync(b, 1)
+		if im.Node() == 1 {
+			// Killed mid-nap, handles in flight. Napping in slices keeps a
+			// loaded machine's late kill timer from outliving one nap.
+			for range 500 {
+				im.Sleep(victimNap)
+			}
+			t.Errorf("victim image %d survived the node kill", im.GlobalImage())
+			return
+		}
+		if st := im.WithStat(h1.Wait); st != StatFailedImage && st != StatTimeout && (st != StatOK || alg == "ring") {
+			t.Errorf("image %d: co_sum over a dead node completed with %v", im.GlobalImage(), st)
+		}
+		// The broadcast may have finished on this image before the kill.
+		if st := im.WithStat(h2.Wait); st != StatOK && st != StatFailedImage && st != StatTimeout {
+			t.Errorf("image %d: co_broadcast completed with %v", im.GlobalImage(), st)
+		}
+		if !h1.Done() || !h2.Done() {
+			t.Errorf("image %d: a handle is still in flight after Wait", im.GlobalImage())
+		}
+	})
+	var fre *FailedRunError
+	if !errors.As(err, &fre) {
+		t.Fatalf("Run error = %v, want *FailedRunError", err)
+	}
+	for _, f := range rep.Failures {
+		if f.Cause != pgas.CauseKilled {
+			t.Errorf("failure %+v: only the killed node may be reported", f)
+		}
+	}
+	awaitGoroutines(t, before)
+}
+
+func TestSimNodeCrashDuringAsync(t *testing.T) {
+	runCrashDuringAsync(t, Config{Backend: BackendSim}, 50*pgas.Microsecond, pgas.Second)
+}
+
+func TestNativeNodeCrashDuringAsync(t *testing.T) {
+	runCrashDuringAsync(t, Config{Backend: BackendNative},
+		pgas.Time((2 * time.Millisecond).Nanoseconds()),
+		pgas.Time((20 * time.Millisecond).Nanoseconds()))
+}
+
+var unfinishedMsg = regexp.MustCompile(`image \d+ returned with 1 split-phase operation\(s\) unfinished`)
+
+// runUnfinishedHandle: a body that returns with a split-phase operation in
+// flight broke the contract; Run reports it, naming the image and the count,
+// and the abandoned coroutines are gone.
+func runUnfinishedHandle(t *testing.T, cfg Config) {
+	t.Helper()
+	cfg.Spec = "4(2)"
+	before := runtime.NumGoroutine()
+	// Whichever image initiates first cannot have completed at initiation.
+	_, err := Run(cfg, func(im *Image) { im.CoSumAsync([]float64{1}) })
+	var fre *FailedRunError
+	if !errors.As(err, &fre) {
+		t.Fatalf("Run error = %v, want *FailedRunError", err)
+	}
+	if msg := err.Error(); !unfinishedMsg.MatchString(msg) {
+		t.Errorf("Run error %q does not name the image and the count", msg)
+	}
+	awaitGoroutines(t, before)
+}
+
+func TestSimUnfinishedHandleFailsRun(t *testing.T) {
+	runUnfinishedHandle(t, Config{Backend: BackendSim})
+}
+
+func TestNativeUnfinishedHandleFailsRun(t *testing.T) {
+	runUnfinishedHandle(t, Config{Backend: BackendNative})
 }
 
 // runPanicContainment is the satellite-1 regression body: one image panics;

@@ -220,23 +220,19 @@ func RegistryComparators(k core.Kind) []Comparator {
 //
 // The overlapped side progresses the collective's rounds behind the compute
 // (Image.Compute polls the progress engine), so its episode time approaches
-// max(compute, collective) instead of their sum. alg is a blocking
-// KindAllreduce registry name; the overlapped side runs the split-phase
-// machine core.AsyncCounterpart maps it to.
+// max(compute, collective) instead of their sum. alg is a KindAllreduce
+// registry name; the overlapped side runs the same algorithm split-phase,
+// through the policy's async entry point (its row keeps the "nb-" label).
 func OverlapComparator(alg string, flops float64, overlapped bool) Comparator {
 	name := fmt.Sprintf("%s blocking (compute; co_sum)", alg)
 	if overlapped {
-		nb, ok := core.AsyncCounterpart(core.KindAllreduce, alg)
-		if !ok {
-			panic(fmt.Sprintf("bench: allreduce/%s has no async counterpart", alg))
-		}
-		name = fmt.Sprintf("%s overlapped (init; compute; wait)", nb)
+		pol := core.Policy{Tuning: core.Tuning{Allreduce: alg}}
 		return Comparator{
-			Name:    name,
+			Name:    fmt.Sprintf("nb-%s overlapped (init; compute; wait)", alg),
 			Conduit: machine.ConduitGASNetRDMA,
 			Run: func(v *team.View, buf []float64, iters int) {
 				for i := 0; i < iters; i++ {
-					h := core.StartAllreduce(nb, v, buf, coll.Sum)
+					h := core.PolicyAllreduceAsync(pol, v, buf, coll.Sum)
 					v.Img.Compute(flops)
 					h.Wait()
 				}

@@ -30,8 +30,8 @@ func AllgatherRing[T any](v *team.View, mine, out []T, via pgas.Via) {
 		return
 	}
 	steps := sz - 1
-	st := getState(v, "ag.ring."+via.String()+"."+tag[T](), steps)
-	ep := st.next(v.Rank)
+	st := GetState(v, "ag.ring."+via.String()+"."+tag[T](), steps)
+	ep := st.Next(v)
 	co, cap_ := Scratch[T](v, "ag.ring", "", n, 2*steps)
 	parity := int(ep % 2)
 	region := func(s int) int { return (parity*steps + s) * cap_ }
@@ -42,8 +42,8 @@ func AllgatherRing[T any](v *team.View, mine, out []T, via pgas.Via) {
 		sendB := ((r-s)%sz + sz) % sz
 		recvB := ((r-s-1)%sz + sz) % sz
 		reg := region(s)
-		pgas.PutThenNotify(me, co, next, reg, out[sendB*n:sendB*n+n], st.flags, s, 1, via)
-		me.WaitFlagGE(st.flags, me.Rank(), s, ep)
+		pgas.PutThenNotify(me, co, next, reg, out[sendB*n:sendB*n+n], st.Flags, s, 1, via)
+		me.WaitFlagGE(st.Flags, me.Rank(), s, ep)
 		copy(out[recvB*n:recvB*n+n], pgas.Local(co, me)[reg:reg+n])
 		me.MemWork(es * n)
 	}
@@ -69,9 +69,9 @@ func AllgatherBruck[T any](v *team.View, mine, out []T, via pgas.Via) {
 	if sz == 1 {
 		return
 	}
-	nr := rounds(sz)
-	st := getState(v, "ag.bruck."+via.String()+"."+tag[T](), nr)
-	ep := st.next(v.Rank)
+	nr := Rounds(sz)
+	st := GetState(v, "ag.bruck."+via.String()+"."+tag[T](), nr)
+	ep := st.Next(v)
 	// Round k lands min(2^k, sz−2^k) blocks; lay rounds out back to back
 	// per parity: round k starts 2^k−1 blocks in, and the last one ends
 	// sz−1 blocks in — every block but my own.
@@ -100,8 +100,8 @@ func AllgatherBruck[T any](v *team.View, mine, out []T, via pgas.Via) {
 			copy(pack[i*n:(i+1)*n], out[b*n:b*n+n])
 		}
 		me.MemWork(es * len(pack))
-		pgas.PutThenNotify(me, co, v.T.GlobalRank(dst), base(k), pack, st.flags, k, 1, via)
-		me.WaitFlagGE(st.flags, me.Rank(), k, ep)
+		pgas.PutThenNotify(me, co, v.T.GlobalRank(dst), base(k), pack, st.Flags, k, 1, via)
+		me.WaitFlagGE(st.Flags, me.Rank(), k, ep)
 		// Unpack what arrived: the sender was (r+2^k) mod sz, its blocks
 		// start at its rank.
 		src := (r + 1<<k) % sz

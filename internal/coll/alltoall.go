@@ -46,8 +46,8 @@ func AlltoallPairwise[T any](v *team.View, send, recv []T, via pgas.Via) {
 	}
 	v.Img.MemWork(es * n)
 	steps := sz - 1
-	st := getState(v, "a2a.pw."+via.String()+"."+tag[T](), steps)
-	ep := st.next(v.Rank)
+	st := GetState(v, "a2a.pw."+via.String()+"."+tag[T](), steps)
+	ep := st.Next(v)
 	co, cap_ := Scratch[T](v, "a2a.pw", "", n, 2*steps)
 	parity := int(ep % 2)
 	region := func(s int) int { return (parity*steps + s) * cap_ }
@@ -57,8 +57,8 @@ func AlltoallPairwise[T any](v *team.View, send, recv []T, via pgas.Via) {
 		dst := (r + s) % sz
 		src := (r - s + sz) % sz
 		reg := region(s - 1)
-		pgas.PutThenNotify(me, co, v.T.GlobalRank(dst), reg, send[dst*n:dst*n+n], st.flags, s-1, 1, via)
-		me.WaitFlagGE(st.flags, me.Rank(), s-1, ep)
+		pgas.PutThenNotify(me, co, v.T.GlobalRank(dst), reg, send[dst*n:dst*n+n], st.Flags, s-1, 1, via)
+		me.WaitFlagGE(st.Flags, me.Rank(), s-1, ep)
 		copy(recv[src*n:src*n+n], pgas.Local(co, me)[reg:reg+n])
 		me.MemWork(es * n)
 	}
@@ -90,7 +90,7 @@ func AlltoallBruck[T any](v *team.View, send, recv []T, via pgas.Via) {
 		copy(recv, send[:n])
 		return
 	}
-	nr := rounds(sz)
+	nr := Rounds(sz)
 	// cnt[k] = number of blocks exchanged in round k; regions are laid out
 	// back to back per parity, sized exactly.
 	cnt := make([]int, nr)
@@ -105,14 +105,14 @@ func AlltoallBruck[T any](v *team.View, send, recv []T, via pgas.Via) {
 		}
 		total += cnt[k]
 	}
-	st := getState(v, "a2a.bruck."+via.String()+"."+tag[T](), 3*nr)
-	ep := st.next(v.Rank)
+	st := GetState(v, "a2a.bruck."+via.String()+"."+tag[T](), 3*nr)
+	ep := st.Next(v)
 	co, cap_ := Scratch[T](v, "a2a.bruck", "", n, 2*total)
 	parity := int(ep % 2)
 	region := func(k int) int { return (parity*total + off[k]) * cap_ }
 	me := v.Img
 	r := v.Rank
-	expect := st.expect(v.Rank)
+	expect := st.Expect(v)
 
 	// Phase 1: local rotation — tmp block j is my block for rank (r+j).
 	tmp := make([]T, sz*n)
@@ -138,10 +138,10 @@ func AlltoallBruck[T any](v *team.View, send, recv []T, via pgas.Via) {
 		me.MemWork(es * len(pack))
 		expect[ackSlot]++
 		if sends := expect[ackSlot]; sends > 1 {
-			me.WaitFlagGE(st.flags, me.Rank(), ackSlot, sends-1)
+			me.WaitFlagGE(st.Flags, me.Rank(), ackSlot, sends-1)
 		}
-		pgas.PutThenNotify(me, co, v.T.GlobalRank(dst), region(k), pack, st.flags, k, 1, via)
-		me.WaitFlagGE(st.flags, me.Rank(), k, ep)
+		pgas.PutThenNotify(me, co, v.T.GlobalRank(dst), region(k), pack, st.Flags, k, 1, via)
+		me.WaitFlagGE(st.Flags, me.Rank(), k, ep)
 		local := pgas.Local(co, me)
 		i := 0
 		for j := 1; j < sz; j++ {
@@ -151,7 +151,7 @@ func AlltoallBruck[T any](v *team.View, send, recv []T, via pgas.Via) {
 			}
 		}
 		me.MemWork(es * i * n)
-		me.NotifyAdd(st.flags, v.T.GlobalRank(src), ackSlot, 1, via)
+		me.NotifyAdd(st.Flags, v.T.GlobalRank(src), ackSlot, 1, via)
 	}
 	// Phase 3: final rotation — tmp position j carries the block from
 	// source (r−j).

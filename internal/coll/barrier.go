@@ -17,12 +17,12 @@ func BarrierDissemination(v *team.View, via pgas.Via) {
 	if n == 1 {
 		return
 	}
-	st := getState(v, "bar.diss."+via.String(), rounds(n))
-	ep := st.next(v.Rank)
+	st := GetState(v, "bar.diss."+via.String(), Rounds(n))
+	ep := st.Next(v)
 	for k := 0; 1<<k < n; k++ {
 		partner := (v.Rank + 1<<k) % n
-		v.Img.NotifyAdd(st.flags, v.T.GlobalRank(partner), k, 1, via)
-		v.Img.WaitFlagGE(st.flags, v.Img.Rank(), k, ep)
+		v.Img.NotifyAdd(st.Flags, v.T.GlobalRank(partner), k, 1, via)
+		v.Img.WaitFlagGE(st.Flags, v.Img.Rank(), k, ep)
 	}
 }
 
@@ -36,18 +36,18 @@ func BarrierLinear(v *team.View, via pgas.Via) {
 	if n == 1 {
 		return
 	}
-	st := getState(v, "bar.lin."+via.String(), 2)
-	ep := st.next(v.Rank)
+	st := GetState(v, "bar.lin."+via.String(), 2)
+	ep := st.Next(v)
 	root := v.T.GlobalRank(0)
 	if v.Rank == 0 {
-		v.Img.WaitFlagGE(st.flags, root, 0, ep*int64(n-1))
+		v.Img.WaitFlagGE(st.Flags, root, 0, ep*int64(n-1))
 		for r := 1; r < n; r++ {
-			v.Img.NotifySet(st.flags, v.T.GlobalRank(r), 1, ep, via)
+			v.Img.NotifySet(st.Flags, v.T.GlobalRank(r), 1, ep, via)
 		}
 		return
 	}
-	v.Img.NotifyAdd(st.flags, root, 0, 1, via)
-	v.Img.WaitFlagGE(st.flags, v.Img.Rank(), 1, ep)
+	v.Img.NotifyAdd(st.Flags, root, 0, 1, via)
+	v.Img.WaitFlagGE(st.Flags, v.Img.Rank(), 1, ep)
 }
 
 // BarrierTree is a binomial-tree barrier: gather up the tree (each internal
@@ -60,20 +60,20 @@ func BarrierTree(v *team.View, via pgas.Via) {
 	if n == 1 {
 		return
 	}
-	st := getState(v, "bar.tree."+via.String(), 2)
-	ep := st.next(v.Rank)
+	st := GetState(v, "bar.tree."+via.String(), 2)
+	ep := st.Next(v)
 	r := v.Rank
 	kids := binomialChildren(r, n)
 	if len(kids) > 0 {
-		v.Img.WaitFlagGE(st.flags, v.Img.Rank(), 0, ep*int64(len(kids)))
+		v.Img.WaitFlagGE(st.Flags, v.Img.Rank(), 0, ep*int64(len(kids)))
 	}
 	if r != 0 {
 		parent := r - (r & -r)
-		v.Img.NotifyAdd(st.flags, v.T.GlobalRank(parent), 0, 1, via)
-		v.Img.WaitFlagGE(st.flags, v.Img.Rank(), 1, ep)
+		v.Img.NotifyAdd(st.Flags, v.T.GlobalRank(parent), 0, 1, via)
+		v.Img.WaitFlagGE(st.Flags, v.Img.Rank(), 1, ep)
 	}
 	for _, c := range kids {
-		v.Img.NotifySet(st.flags, v.T.GlobalRank(c), 1, ep, via)
+		v.Img.NotifySet(st.Flags, v.T.GlobalRank(c), 1, ep, via)
 	}
 }
 
@@ -113,26 +113,26 @@ func BarrierTournament(v *team.View, via pgas.Via) {
 	if n == 1 {
 		return
 	}
-	nr := rounds(n)
-	st := getState(v, "bar.tour."+via.String(), 2*nr)
-	ep := st.next(v.Rank)
+	nr := Rounds(n)
+	st := GetState(v, "bar.tour."+via.String(), 2*nr)
+	ep := st.Next(v)
 	r := v.Rank
 	lost := -1
 	for k := 0; 1<<k < n; k++ {
 		if r%(1<<(k+1)) != 0 {
 			// Loser: report to the winner and stop advancing.
 			winner := r - 1<<k
-			v.Img.NotifyAdd(st.flags, v.T.GlobalRank(winner), k, 1, via)
+			v.Img.NotifyAdd(st.Flags, v.T.GlobalRank(winner), k, 1, via)
 			lost = k
 			break
 		}
 		partner := r + 1<<k
 		if partner < n {
-			v.Img.WaitFlagGE(st.flags, v.Img.Rank(), k, ep)
+			v.Img.WaitFlagGE(st.Flags, v.Img.Rank(), k, ep)
 		}
 	}
 	if lost >= 0 {
-		v.Img.WaitFlagGE(st.flags, v.Img.Rank(), nr+lost, ep)
+		v.Img.WaitFlagGE(st.Flags, v.Img.Rank(), nr+lost, ep)
 	}
 	// Wake everyone we beat, in reverse round order.
 	start := nr - 1
@@ -143,7 +143,7 @@ func BarrierTournament(v *team.View, via pgas.Via) {
 		if r%(1<<(k+1)) == 0 {
 			partner := r + 1<<k
 			if partner < n {
-				v.Img.NotifySet(st.flags, v.T.GlobalRank(partner), nr+k, ep, via)
+				v.Img.NotifySet(st.Flags, v.T.GlobalRank(partner), nr+k, ep, via)
 			}
 		}
 	}

@@ -29,8 +29,9 @@ func SubgroupBcastBinomial[T any](v *team.View, group []int, myIdx, rootIdx int,
 	}
 	n := len(buf)
 	es := pgas.ElemSize[T]()
-	st := getState(v, alg+".bcast."+tag[T](), 5)
-	ep := st.next(v.Rank)
+	st := GetState(v, alg+".bcast."+tag[T](), 5)
+	ep := st.Next(v)
+	expect := st.Expect(v)
 	co, cap_ := Scratch[T](v, alg, "bcast", n, 2)
 	parity := int(ep % 2)
 	reg := parity * cap_
@@ -43,43 +44,37 @@ func SubgroupBcastBinomial[T any](v *team.View, group []int, myIdx, rootIdx int,
 	if rel == 0 {
 		// Flow-control gate: landing regions of parity ep are known free
 		// once episode ep−2 has fully completed.
-		me.WaitFlagGE(st.flags, me.Rank(), 4, ep-2)
+		me.WaitFlagGE(st.Flags, me.Rank(), 4, ep-2)
 	} else {
-		st.payExpect[parity][v.Rank]++
-		me.WaitFlagGE(st.flags, me.Rank(), paySlot, st.payExpect[parity][v.Rank])
+		expect[paySlot]++
+		me.WaitFlagGE(st.Flags, me.Rank(), paySlot, expect[paySlot])
 		copy(buf, pgas.Local(co, me)[reg:reg+n])
 		me.MemWork(es * n)
 	}
 	// Forward to subtree children: highest distance first so the far half
 	// of the tree starts as early as possible.
 	nkids := 0
-	for k := rounds(g) - 1; k >= 0; k-- {
+	for k := Rounds(g) - 1; k >= 0; k-- {
 		if rel < 1<<k && rel+1<<k < g {
-			pgas.PutThenNotify(me, co, global(rel+1<<k), reg, buf, st.flags, paySlot, 1, via)
+			pgas.PutThenNotify(me, co, global(rel+1<<k), reg, buf, st.Flags, paySlot, 1, via)
 			nkids++
 		}
 	}
 	// Ack wave: wait for the subtree, then report to the parent (or, at
 	// the root, stamp completion to everyone).
-	st.ackExpect[parity][v.Rank] += int64(nkids)
+	expect[ackSlot] += int64(nkids)
 	if nkids > 0 {
-		me.WaitFlagGE(st.flags, me.Rank(), ackSlot, st.ackExpect[parity][v.Rank])
+		me.WaitFlagGE(st.Flags, me.Rank(), ackSlot, expect[ackSlot])
 	}
 	if rel != 0 {
-		parent := rel - floorPow2(rel)
-		me.NotifyAdd(st.flags, global(parent), ackSlot, 1, via)
+		parent := rel - FloorPow2(rel)
+		me.NotifyAdd(st.Flags, global(parent), ackSlot, 1, via)
 		return
 	}
-	me.SetLocal(st.flags, 4, ep)
+	me.SetLocal(st.Flags, 4, ep)
 	for i := 1; i < g; i++ {
-		me.NotifySet(st.flags, global(i), 4, ep, via)
+		me.NotifySet(st.Flags, global(i), 4, ep, via)
 	}
-}
-
-// floorPow2OfNonZero returns the highest set bit of r (r > 0): the distance
-// to r's parent in the relative binomial tree.
-func floorPow2OfNonZero(r int) int {
-	return floorPow2(r)
 }
 
 // BcastBinomial is the flat binomial-tree one-to-all broadcast over the
@@ -102,8 +97,9 @@ func BcastLinear[T any](v *team.View, root int, buf []T, via pgas.Via) {
 	}
 	n := len(buf)
 	es := pgas.ElemSize[T]()
-	st := getState(v, "bc.lin."+via.String()+"."+tag[T](), 5)
-	ep := st.next(v.Rank)
+	st := GetState(v, "bc.lin."+via.String()+"."+tag[T](), 5)
+	ep := st.Next(v)
+	expect := st.Expect(v)
 	co, cap_ := Scratch[T](v, "bc.lin", "", n, 2)
 	parity := int(ep % 2)
 	reg := parity * cap_
@@ -111,28 +107,28 @@ func BcastLinear[T any](v *team.View, root int, buf []T, via pgas.Via) {
 	ackSlot := 2 + parity
 	me := v.Img
 	if v.Rank == root {
-		me.WaitFlagGE(st.flags, me.Rank(), 4, ep-2)
+		me.WaitFlagGE(st.Flags, me.Rank(), 4, ep-2)
 		for r := 0; r < sz; r++ {
 			if r == root {
 				continue
 			}
-			pgas.PutThenNotify(me, co, v.T.GlobalRank(r), reg, buf, st.flags, paySlot, 1, via)
+			pgas.PutThenNotify(me, co, v.T.GlobalRank(r), reg, buf, st.Flags, paySlot, 1, via)
 		}
-		st.ackExpect[parity][v.Rank] += int64(sz - 1)
-		me.WaitFlagGE(st.flags, me.Rank(), ackSlot, st.ackExpect[parity][v.Rank])
-		me.SetLocal(st.flags, 4, ep)
+		expect[ackSlot] += int64(sz - 1)
+		me.WaitFlagGE(st.Flags, me.Rank(), ackSlot, expect[ackSlot])
+		me.SetLocal(st.Flags, 4, ep)
 		for r := 0; r < sz; r++ {
 			if r != root {
-				me.NotifySet(st.flags, v.T.GlobalRank(r), 4, ep, via)
+				me.NotifySet(st.Flags, v.T.GlobalRank(r), 4, ep, via)
 			}
 		}
 		return
 	}
-	st.payExpect[parity][v.Rank]++
-	me.WaitFlagGE(st.flags, me.Rank(), paySlot, st.payExpect[parity][v.Rank])
+	expect[paySlot]++
+	me.WaitFlagGE(st.Flags, me.Rank(), paySlot, expect[paySlot])
 	copy(buf, pgas.Local(co, me)[reg:reg+n])
 	me.MemWork(es * n)
-	me.NotifyAdd(st.flags, v.T.GlobalRank(root), ackSlot, 1, via)
+	me.NotifyAdd(st.Flags, v.T.GlobalRank(root), ackSlot, 1, via)
 }
 
 // BcastScatterAllgather is the van de Geijn large-message broadcast: the
@@ -153,8 +149,9 @@ func BcastScatterAllgather[T any](v *team.View, root int, buf []T, via pgas.Via)
 	}
 	chunk := (n + sz - 1) / sz
 	steps := sz - 1
-	st := getState(v, "bc.sag."+via.String()+"."+tag[T](), 1+steps)
-	ep := st.next(v.Rank)
+	st := GetState(v, "bc.sag."+via.String()+"."+tag[T](), 1+steps)
+	ep := st.Next(v)
+	expect := st.Expect(v)
 	// Per parity: the full vector (scatter target area), and one
 	// chunk-sized region per all-gather step.
 	co, cap_ := Scratch[T](v, "bc.sag", "", n, 2)
@@ -178,8 +175,8 @@ func BcastScatterAllgather[T any](v *team.View, root int, buf []T, via pgas.Via)
 	// Binomial scatter: each internal node holds the chunks for its
 	// subtree [rel, rel+2^k) and forwards the upper half.
 	if rel != 0 {
-		st.aux[v.Rank]++
-		me.WaitFlagGE(st.flags, me.Rank(), 0, st.aux[v.Rank])
+		expect[0]++
+		me.WaitFlagGE(st.Flags, me.Rank(), 0, expect[0])
 		// Received chunks [rel, rel+span) into the vector area; copy my
 		// own chunk into buf.
 		lo, hi := bounds(rel)
@@ -192,7 +189,7 @@ func BcastScatterAllgather[T any](v *team.View, root int, buf []T, via pgas.Via)
 	// This scatter tree uses the "low bits free" binomial shape (forward
 	// when rel ≡ 0 mod 2^(k+1)) because its subtrees are contiguous chunk
 	// ranges [child, child+2^k), which is what a scatter needs.
-	for k := rounds(sz) - 1; k >= 0; k-- {
+	for k := Rounds(sz) - 1; k >= 0; k-- {
 		if rel%(1<<(k+1)) == 0 && rel+1<<k < sz {
 			child := rel + 1<<k
 			lastRel := child + 1<<k
@@ -203,11 +200,11 @@ func BcastScatterAllgather[T any](v *team.View, root int, buf []T, via pgas.Via)
 			_, hi := bounds(lastRel - 1)
 			if hi > lo {
 				src := pgas.Local(co, me)[base+lo : base+hi]
-				pgas.PutThenNotify(me, co, global(child), base+lo, src, st.flags, 0, 1, via)
+				pgas.PutThenNotify(me, co, global(child), base+lo, src, st.Flags, 0, 1, via)
 			} else {
 				// The child's whole subtree falls past the vector end;
 				// it still needs the release notification.
-				me.NotifyAdd(st.flags, global(child), 0, 1, via)
+				me.NotifyAdd(st.Flags, global(child), 0, 1, via)
 			}
 		}
 	}
@@ -219,11 +216,11 @@ func BcastScatterAllgather[T any](v *team.View, root int, buf []T, via pgas.Via)
 		lo, hi := bounds(sendC)
 		reg := (parity*steps + s) * rcap
 		if hi > lo {
-			pgas.PutThenNotify(me, ring, next, reg, buf[lo:hi], st.flags, 1+s, 1, via)
+			pgas.PutThenNotify(me, ring, next, reg, buf[lo:hi], st.Flags, 1+s, 1, via)
 		} else {
-			me.NotifyAdd(st.flags, next, 1+s, 1, via)
+			me.NotifyAdd(st.Flags, next, 1+s, 1, via)
 		}
-		me.WaitFlagGE(st.flags, me.Rank(), 1+s, ep)
+		me.WaitFlagGE(st.Flags, me.Rank(), 1+s, ep)
 		rlo, rhi := bounds(recvC)
 		if rhi > rlo {
 			copy(buf[rlo:rhi], pgas.Local(ring, me)[reg:reg+(rhi-rlo)])

@@ -88,84 +88,87 @@ var (
 // on the same team must not share flag arrays or landing regions.
 func tag[T any]() string { return pgas.TypeName[T]() }
 
-// state is the per-(team, algorithm) collective state: a flag array and
-// per-member episode counters. Each image only writes its own entries.
-type state struct {
-	flags *pgas.Flags
-	ep    []int64
-	// aux tracks, per member, how many notifications the member should
-	// have received on a role-dependent slot. When an image's role varies
-	// between episodes (it is sometimes the broadcast root), the episode
-	// number over-counts; aux counts exactly.
-	aux []int64
-	// ackExpect[p][r] is member r's cumulative expected ack count on the
-	// parity-p ack slot (credit-based flow control for broadcasts; see
-	// SubgroupBcastBinomial).
-	ackExpect [2][]int64
-	// payExpect[p][r] is member r's cumulative expected payload-arrival
-	// count on the parity-p payload slot.
-	payExpect [2][]int64
-	// slotExpect[r][s] is member r's cumulative expected arrival count on
-	// flag slot s, for algorithms whose communication tree varies with
-	// the root (each member counts exactly the arrivals its role in each
-	// episode entitles it to). Rows are created by their member's first
-	// expect call, so only algorithms and roles that count pay for them.
-	slotExpect [][]int64
+// State is the per-(team, algorithm) collective state — the one such struct
+// of internal/coll and internal/core: a flag array plus, per member, the
+// episode counter, the split-phase operation that claimed the latest episode,
+// and exact per-slot arrival expectations. Each image only writes its own
+// member entry.
+type State struct {
+	Flags   *pgas.Flags
+	members []member
 }
 
-// expect returns the caller's own slotExpect row.
-func (s *state) expect(rank int) []int64 {
-	if s.slotExpect[rank] == nil {
-		s.slotExpect[rank] = make([]int64, s.flags.Slots())
-	}
-	return s.slotExpect[rank]
+type member struct {
+	ep int64
+	// holder is the split-phase operation whose body claimed episode ep, nil
+	// when a blocking call did. The next claim waits for it (see Next).
+	holder *pgas.AsyncOp
+	// expect[s] is this member's cumulative expected count on flag slot s,
+	// for waits the episode number over-counts: arrivals when the member's
+	// role varies with the root (each member counts exactly what its role in
+	// each episode entitles it to), acks on a parity ack slot, and — doubling
+	// as a send counter on credit slots — the member's own same-parity sends
+	// (before its k-th it waits for k-1 credits, which proves every landing
+	// region it wrote before was consumed). Created by the member's first
+	// Expect call, so only algorithms and roles that count pay for it.
+	expect []int64
 }
 
-// getState returns the shared state for one algorithm instance on a team.
-// The per-view memo makes repeat calls (one per episode, per image) free of
-// key formatting and registry traffic; the state itself stays team-shared
-// through the world registry.
-func getState(v *team.View, alg string, slots int) *state {
+// GetState returns the shared state for one algorithm instance on a team,
+// with slots flag slots per member. The per-view memo makes repeat calls (one
+// per episode, per image) free of key formatting and registry traffic; the
+// state itself stays team-shared through the world registry.
+func GetState(v *team.View, alg string, slots int) *State {
 	return v.Memo(team.MemoKey{Kind: "coll:state", Alg: alg}, func() interface{} {
-		return newState(v, alg, slots)
-	}).(*state)
+		w := v.Img.World()
+		key := fmt.Sprintf("coll:%s:team%d", alg, v.T.ID())
+		return pgas.LookupOrCreate(w, key, func() interface{} {
+			return &State{Flags: pgas.NewFlags(w, key, slots), members: make([]member, v.T.Size())}
+		})
+	}).(*State)
 }
 
-func newState(v *team.View, alg string, slots int) *state {
-	w := v.Img.World()
-	key := fmt.Sprintf("coll:%s:team%d", alg, v.T.ID())
-	return pgas.LookupOrCreate(w, key, func() interface{} {
-		s := &state{
-			flags: pgas.NewFlags(w, key, slots),
-			ep:    make([]int64, v.T.Size()),
-			aux:   make([]int64, v.T.Size()),
-		}
-		s.ackExpect[0] = make([]int64, v.T.Size())
-		s.ackExpect[1] = make([]int64, v.T.Size())
-		s.payExpect[0] = make([]int64, v.T.Size())
-		s.payExpect[1] = make([]int64, v.T.Size())
-		s.slotExpect = make([][]int64, v.T.Size())
-		return s
-	}).(*state)
+// Next claims the caller's next episode of the state and returns its number.
+// Episodes of one state on one image run one at a time, in claim order (the
+// parity regions and credit schemes are only safe under that): when the
+// image's previous episode belongs to a split-phase operation still in
+// flight, the claim waits for it — a split-phase body yields, a blocking call
+// drives the progress engine. With nothing in flight it is an increment.
+//
+// Several claims can be queued behind one holder. The engine resumes them in
+// initiation order, so the first to wake claims and becomes the holder the
+// others find when they re-check: a loop, not an if.
+func (s *State) Next(v *team.View) int64 {
+	m := &s.members[v.Rank]
+	cur := v.Img.Running()
+	for m.holder != nil && m.holder != cur && !m.holder.Done() {
+		m.holder.Wait()
+	}
+	m.holder = cur // nil on the blocking path: a finished holder is let go
+	m.ep++
+	return m.ep
 }
 
-// next increments and returns the caller's episode counter.
-func (s *state) next(rank int) int64 {
-	s.ep[rank]++
-	return s.ep[rank]
+// Expect returns the caller's own per-slot expectation counters.
+func (s *State) Expect(v *team.View) []int64 {
+	m := &s.members[v.Rank]
+	if m.expect == nil {
+		m.expect = make([]int64, s.Flags.Slots())
+	}
+	return m.expect
 }
 
-// rounds returns ceil(log2 n): the number of dissemination /
+// Rounds returns ceil(log2 n): the number of dissemination /
 // recursive-doubling rounds for n participants.
-func rounds(n int) int {
+func Rounds(n int) int {
 	if n <= 1 {
 		return 0
 	}
 	return bits.Len(uint(n - 1))
 }
 
-// floorPow2 returns the largest power of two <= n.
-func floorPow2(n int) int {
+// FloorPow2 returns the largest power of two <= n.
+func FloorPow2(n int) int {
 	if n <= 0 {
 		return 0
 	}

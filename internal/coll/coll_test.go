@@ -329,8 +329,8 @@ func TestReduceChargesPayloadTime(t *testing.T) {
 func TestRoundsHelper(t *testing.T) {
 	cases := map[int]int{1: 0, 2: 1, 3: 2, 4: 2, 5: 3, 8: 3, 9: 4, 352: 9}
 	for n, want := range cases {
-		if got := rounds(n); got != want {
-			t.Fatalf("rounds(%d) = %d, want %d", n, got, want)
+		if got := Rounds(n); got != want {
+			t.Fatalf("Rounds(%d) = %d, want %d", n, got, want)
 		}
 	}
 }
@@ -338,8 +338,8 @@ func TestRoundsHelper(t *testing.T) {
 func TestFloorPow2(t *testing.T) {
 	cases := map[int]int{1: 1, 2: 2, 3: 2, 4: 4, 7: 4, 8: 8, 44: 32, 0: 0}
 	for n, want := range cases {
-		if got := floorPow2(n); got != want {
-			t.Fatalf("floorPow2(%d) = %d, want %d", n, got, want)
+		if got := FloorPow2(n); got != want {
+			t.Fatalf("FloorPow2(%d) = %d, want %d", n, got, want)
 		}
 	}
 }

@@ -34,18 +34,18 @@ func GatherLinear[T any](v *team.View, root int, send, recv []T, via pgas.Via) {
 	if sz == 1 {
 		return
 	}
-	st := getState(v, "ga.lin."+via.String()+"."+tag[T](), 4)
-	ep := st.next(v.Rank)
+	st := GetState(v, "ga.lin."+via.String()+"."+tag[T](), 4)
+	ep := st.Next(v)
 	co, cap_ := Scratch[T](v, "ga.lin", "", n, 2*sz)
 	parity := int(ep % 2)
 	arriveSlot := parity
 	creditSlot := 2 + parity
 	me := v.Img
-	expect := st.expect(v.Rank)
+	expect := st.Expect(v)
 	if v.Rank == root {
 		// Arrival counts are root-dependent, so count exactly.
 		expect[arriveSlot] += int64(sz - 1)
-		me.WaitFlagGE(st.flags, me.Rank(), arriveSlot, expect[arriveSlot])
+		me.WaitFlagGE(st.Flags, me.Rank(), arriveSlot, expect[arriveSlot])
 		local := pgas.Local(co, me)
 		for r := 0; r < sz; r++ {
 			if r == root {
@@ -54,17 +54,17 @@ func GatherLinear[T any](v *team.View, root int, send, recv []T, via pgas.Via) {
 			off := (parity*sz + r) * cap_
 			copy(recv[r*n:r*n+n], local[off:off+n])
 			me.MemWork(es * n)
-			me.NotifyAdd(st.flags, v.T.GlobalRank(r), creditSlot, 1, via)
+			me.NotifyAdd(st.Flags, v.T.GlobalRank(r), creditSlot, 1, via)
 		}
 		return
 	}
 	// Gate on the credit for my previous same-parity send.
 	expect[creditSlot]++
 	if sends := expect[creditSlot]; sends > 1 {
-		me.WaitFlagGE(st.flags, me.Rank(), creditSlot, sends-1)
+		me.WaitFlagGE(st.Flags, me.Rank(), creditSlot, sends-1)
 	}
 	off := (parity*sz + v.Rank) * cap_
-	pgas.PutThenNotify(me, co, v.T.GlobalRank(root), off, send, st.flags, arriveSlot, 1, via)
+	pgas.PutThenNotify(me, co, v.T.GlobalRank(root), off, send, st.Flags, arriveSlot, 1, via)
 }
 
 // GatherBinomial collects the per-member blocks up the "low bits free"
@@ -104,14 +104,14 @@ func GatherBinomial[T any](v *team.View, root int, send, recv []T, via pgas.Via)
 	if sz == 1 {
 		return
 	}
-	nr := rounds(sz)
-	st := getState(v, "ga.binom."+via.String()+"."+tag[T](), 3*nr)
-	ep := st.next(v.Rank)
+	nr := Rounds(sz)
+	st := GetState(v, "ga.binom."+via.String()+"."+tag[T](), 3*nr)
+	ep := st.Next(v)
 	parity := int(ep % 2)
 	me := v.Img
 	rel := (v.Rank - root + sz) % sz
 	global := func(relIdx int) int { return v.T.GlobalRank((relIdx + root) % sz) }
-	expect := st.expect(v.Rank)
+	expect := st.Expect(v)
 	nkids := binomialFanout(rel, sz)
 	pack := send // a leaf's packed range is its own block
 	if nkids > 0 {
@@ -127,11 +127,11 @@ func GatherBinomial[T any](v *team.View, root int, send, recv []T, via pgas.Via)
 	// k below lowbit(rel), bounded by sz).
 	for k := nkids - 1; k >= 0; k-- {
 		expect[k]++
-		me.WaitFlagGE(st.flags, me.Rank(), k, expect[k])
+		me.WaitFlagGE(st.Flags, me.Rank(), k, expect[k])
 	}
 	creditKids := func() {
 		for k := nkids - 1; k >= 0; k-- {
-			me.NotifyAdd(st.flags, global(rel+1<<k), nr+2*k+parity, 1, via)
+			me.NotifyAdd(st.Flags, global(rel+1<<k), nr+2*k+parity, 1, via)
 		}
 	}
 	if rel == 0 {
@@ -149,10 +149,10 @@ func GatherBinomial[T any](v *team.View, root int, send, recv []T, via pgas.Via)
 	creditSlot := nr + 2*edge + parity
 	expect[creditSlot]++
 	if sends := expect[creditSlot]; sends > 1 {
-		me.WaitFlagGE(st.flags, me.Rank(), creditSlot, sends-1)
+		me.WaitFlagGE(st.Flags, me.Rank(), creditSlot, sends-1)
 	}
 	pco, pbase, _ := subtreeArea[T](v, "ga.binom", parentRel, sz, n, parity)
-	pgas.PutThenNotify(me, pco, global(parentRel), pbase+(rel-parentRel)*n, pack, st.flags, edge, 1, via)
+	pgas.PutThenNotify(me, pco, global(parentRel), pbase+(rel-parentRel)*n, pack, st.Flags, edge, 1, via)
 	creditKids()
 }
 

@@ -27,10 +27,10 @@ func SubgroupAllreduceRD[T any](v *team.View, group []int, myIdx int, buf []T, o
 	}
 	n := len(buf)
 	es := pgas.ElemSize[T]()
-	nr := rounds(floorPow2(g))
+	nr := Rounds(FloorPow2(g))
 	alg += ".rd." + op.Name
-	st := getState(v, alg+"."+tag[T](), nr+2)
-	ep := st.next(v.Rank)
+	st := GetState(v, alg+"."+tag[T](), nr+2)
+	ep := st.Next(v)
 	// Three boxes, per parity: the rd rounds land at every core member, a
 	// folded extra's contribution at its core partner, and the result at
 	// the extra — each role touches only its own.
@@ -38,7 +38,7 @@ func SubgroupAllreduceRD[T any](v *team.View, group []int, myIdx int, buf []T, o
 	me := v.Img
 	global := func(idx int) int { return v.T.GlobalRank(group[idx]) }
 
-	p2 := floorPow2(g)
+	p2 := FloorPow2(g)
 	extras := g - p2
 	slotExtra, slotResult := nr, nr+1
 
@@ -46,15 +46,15 @@ func SubgroupAllreduceRD[T any](v *team.View, group []int, myIdx int, buf []T, o
 		// Fold in: ship to the core partner, then wait for the result.
 		partner := myIdx - p2
 		in, icap := Scratch[T](v, alg, "fold", n, 2)
-		pgas.PutThenNotify(me, in, global(partner), parity*icap, buf, st.flags, slotExtra, 1, via)
-		me.WaitFlagGE(st.flags, me.Rank(), slotResult, ep)
+		pgas.PutThenNotify(me, in, global(partner), parity*icap, buf, st.Flags, slotExtra, 1, via)
+		me.WaitFlagGE(st.Flags, me.Rank(), slotResult, ep)
 		res, rcap := Scratch[T](v, alg, "res", n, 2)
 		copy(buf, pgas.Local(res, me)[parity*rcap:parity*rcap+n])
 		me.MemWork(es * n)
 		return
 	}
 	if myIdx < extras {
-		me.WaitFlagGE(st.flags, me.Rank(), slotExtra, ep)
+		me.WaitFlagGE(st.Flags, me.Rank(), slotExtra, ep)
 		in, icap := Scratch[T](v, alg, "fold", n, 2)
 		op.Combine(buf, pgas.Local(in, me)[parity*icap:parity*icap+n])
 		me.MemWork(2 * es * n)
@@ -63,14 +63,14 @@ func SubgroupAllreduceRD[T any](v *team.View, group []int, myIdx int, buf []T, o
 	region := func(k int) int { return (parity*nr + k) * cap_ }
 	for k := 0; 1<<k < p2; k++ {
 		partner := myIdx ^ 1<<k
-		pgas.PutThenNotify(me, co, global(partner), region(k), buf, st.flags, k, 1, via)
-		me.WaitFlagGE(st.flags, me.Rank(), k, ep)
+		pgas.PutThenNotify(me, co, global(partner), region(k), buf, st.Flags, k, 1, via)
+		me.WaitFlagGE(st.Flags, me.Rank(), k, ep)
 		op.Combine(buf, pgas.Local(co, me)[region(k):region(k)+n])
 		me.MemWork(2 * es * n)
 	}
 	if myIdx < extras {
 		res, rcap := Scratch[T](v, alg, "res", n, 2)
-		pgas.PutThenNotify(me, res, global(myIdx+p2), parity*rcap, buf, st.flags, slotResult, 1, via)
+		pgas.PutThenNotify(me, res, global(myIdx+p2), parity*rcap, buf, st.Flags, slotResult, 1, via)
 	}
 }
 
@@ -93,8 +93,8 @@ func AllreduceLinear[T any](v *team.View, buf []T, op Op[T], via pgas.Via) {
 	if sz == 1 {
 		return
 	}
-	st := getState(v, "red.lin."+op.Name+"."+via.String()+"."+tag[T](), 2)
-	ep := st.next(v.Rank)
+	st := GetState(v, "red.lin."+op.Name+"."+via.String()+"."+tag[T](), 2)
+	ep := st.Next(v)
 	// Root inbox: one region per member per parity, touched at the root
 	// only. Result landing: one region per parity at every other member.
 	inbox, icap := Scratch[T](v, "red.lin."+op.Name, "in", n, 2*sz)
@@ -103,7 +103,7 @@ func AllreduceLinear[T any](v *team.View, buf []T, op Op[T], via pgas.Via) {
 	root := v.T.GlobalRank(0)
 	me := v.Img
 	if v.Rank == 0 {
-		me.WaitFlagGE(st.flags, root, 0, ep*int64(sz-1))
+		me.WaitFlagGE(st.Flags, root, 0, ep*int64(sz-1))
 		local := pgas.Local(inbox, me)
 		for r := 1; r < sz; r++ {
 			off := (parity*sz + r) * icap
@@ -111,13 +111,13 @@ func AllreduceLinear[T any](v *team.View, buf []T, op Op[T], via pgas.Via) {
 			me.MemWork(2 * es * n)
 		}
 		for r := 1; r < sz; r++ {
-			pgas.PutThenNotify(me, res, v.T.GlobalRank(r), parity*rcap, buf, st.flags, 1, 1, via)
+			pgas.PutThenNotify(me, res, v.T.GlobalRank(r), parity*rcap, buf, st.Flags, 1, 1, via)
 		}
 		return
 	}
 	off := (parity*sz + v.Rank) * icap
-	pgas.PutThenNotify(me, inbox, root, off, buf, st.flags, 0, 1, via)
-	me.WaitFlagGE(st.flags, me.Rank(), 1, ep)
+	pgas.PutThenNotify(me, inbox, root, off, buf, st.Flags, 0, 1, via)
+	me.WaitFlagGE(st.Flags, me.Rank(), 1, ep)
 	copy(buf, pgas.Local(res, me)[parity*rcap:parity*rcap+n])
 	me.MemWork(es * n)
 }
@@ -133,9 +133,9 @@ func AllreduceTree[T any](v *team.View, buf []T, op Op[T], via pgas.Via) {
 	if sz == 1 {
 		return
 	}
-	nr := rounds(sz)
-	st := getState(v, "red.tree."+op.Name+"."+via.String()+"."+tag[T](), nr+1)
-	ep := st.next(v.Rank)
+	nr := Rounds(sz)
+	st := GetState(v, "red.tree."+op.Name+"."+via.String()+"."+tag[T](), nr+1)
+	ep := st.Next(v)
 	// Parents land their children per tree level; every member but the
 	// root lands the result, in a box of its own (leaves touch no other).
 	co, cap_ := Scratch[T](v, "red.tree."+op.Name, "in", n, 2*nr)
@@ -147,7 +147,7 @@ func AllreduceTree[T any](v *team.View, buf []T, op Op[T], via pgas.Via) {
 	kids := binomialChildren(r, sz)
 	// Gather: children arrive on per-level slots, deepest first.
 	for i := len(kids) - 1; i >= 0; i-- {
-		me.WaitFlagGE(st.flags, me.Rank(), i, ep)
+		me.WaitFlagGE(st.Flags, me.Rank(), i, ep)
 		op.Combine(buf, pgas.Local(co, me)[region(i):region(i)+n])
 		me.MemWork(2 * es * n)
 	}
@@ -155,13 +155,13 @@ func AllreduceTree[T any](v *team.View, buf []T, op Op[T], via pgas.Via) {
 		parent := r - (r & -r)
 		// My slot at the parent is my position among its children.
 		slot := childSlot(parent, r)
-		pgas.PutThenNotify(me, co, v.T.GlobalRank(parent), region(slot), buf, st.flags, slot, 1, via)
-		me.WaitFlagGE(st.flags, me.Rank(), nr, ep)
+		pgas.PutThenNotify(me, co, v.T.GlobalRank(parent), region(slot), buf, st.Flags, slot, 1, via)
+		me.WaitFlagGE(st.Flags, me.Rank(), nr, ep)
 		copy(buf, pgas.Local(res, me)[parity*rcap:parity*rcap+n])
 		me.MemWork(es * n)
 	}
 	for _, c := range kids {
-		pgas.PutThenNotify(me, res, v.T.GlobalRank(c), parity*rcap, buf, st.flags, nr, 1, via)
+		pgas.PutThenNotify(me, res, v.T.GlobalRank(c), parity*rcap, buf, st.Flags, nr, 1, via)
 	}
 }
 
@@ -193,8 +193,8 @@ func AllreduceRing[T any](v *team.View, buf []T, op Op[T], via pgas.Via) {
 		return
 	}
 	steps := 2 * (sz - 1)
-	st := getState(v, "red.ring."+op.Name+"."+via.String()+"."+tag[T](), steps)
-	ep := st.next(v.Rank)
+	st := GetState(v, "red.ring."+op.Name+"."+via.String()+"."+tag[T](), steps)
+	ep := st.Next(v)
 	chunk := (n + sz - 1) / sz
 	// One inbox region per step per episode parity: ring skew can reach
 	// sz−1 steps, so regions cannot be shared between nearby steps.
@@ -222,8 +222,8 @@ func AllreduceRing[T any](v *team.View, buf []T, op Op[T], via pgas.Via) {
 		recvC := ((r-s-1)%sz + sz) % sz
 		lo, hi := bounds(sendC)
 		reg := region(s)
-		pgas.PutThenNotify(me, co, next, reg, buf[lo:hi], st.flags, s, 1, via)
-		me.WaitFlagGE(st.flags, me.Rank(), s, ep)
+		pgas.PutThenNotify(me, co, next, reg, buf[lo:hi], st.Flags, s, 1, via)
+		me.WaitFlagGE(st.Flags, me.Rank(), s, ep)
 		rlo, rhi := bounds(recvC)
 		op.Combine(buf[rlo:rhi], pgas.Local(co, me)[reg:reg+(rhi-rlo)])
 		me.MemWork(2 * es * (rhi - rlo))
@@ -234,8 +234,8 @@ func AllreduceRing[T any](v *team.View, buf []T, op Op[T], via pgas.Via) {
 		recvC := ((r-s)%sz + sz) % sz
 		lo, hi := bounds(sendC)
 		reg := region(sz - 1 + s)
-		pgas.PutThenNotify(me, co, next, reg, buf[lo:hi], st.flags, sz-1+s, 1, via)
-		me.WaitFlagGE(st.flags, me.Rank(), sz-1+s, ep)
+		pgas.PutThenNotify(me, co, next, reg, buf[lo:hi], st.Flags, sz-1+s, 1, via)
+		me.WaitFlagGE(st.Flags, me.Rank(), sz-1+s, ep)
 		rlo, rhi := bounds(recvC)
 		copy(buf[rlo:rhi], pgas.Local(co, me)[reg:reg+(rhi-rlo)])
 		me.MemWork(es * (rhi - rlo))

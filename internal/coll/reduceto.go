@@ -36,28 +36,28 @@ func SubgroupReduceToRoot[T any](v *team.View, group []int, myIdx, rootIdx int, 
 	}
 	n := len(buf)
 	es := pgas.ElemSize[T]()
-	nr := rounds(g)
-	st := getState(v, alg+".redto."+tag[T](), 3*nr)
-	ep := st.next(v.Rank)
+	nr := Rounds(g)
+	st := GetState(v, alg+".redto."+tag[T](), 3*nr)
+	ep := st.Next(v)
 	co, cap_ := Scratch[T](v, alg, "redto", n, 2*nr)
 	parity := int(ep % 2)
 	region := func(edge int) int { return (parity*nr + edge) * cap_ }
 	me := v.Img
 	rel := (myIdx - rootIdx + g) % g
 	globalOf := func(idx int) int { return v.T.GlobalRank(group[idx]) }
-	expect := st.expect(v.Rank)
+	expect := st.Expect(v)
 
 	// Children in the relative binomial tree (same shape as the gather of
 	// AllreduceTree): rel's children are rel+2^k for k below rel's lowest
 	// set bit. Deepest subtree first.
 	for k := binomialFanout(rel, g) - 1; k >= 0; k-- {
 		expect[k]++
-		me.WaitFlagGE(st.flags, me.Rank(), k, expect[k])
+		me.WaitFlagGE(st.Flags, me.Rank(), k, expect[k])
 		off := region(k)
 		op.Combine(buf, pgas.Local(co, me)[off:off+n])
 		me.MemWork(2 * es * n)
 		// Credit the child: its parity landing region here is free.
-		me.NotifyAdd(st.flags, globalOf((myIdx+1<<k)%g), nr+2*k+parity, 1, via)
+		me.NotifyAdd(st.Flags, globalOf((myIdx+1<<k)%g), nr+2*k+parity, 1, via)
 	}
 	if rel == 0 {
 		return
@@ -67,9 +67,9 @@ func SubgroupReduceToRoot[T any](v *team.View, group []int, myIdx, rootIdx int, 
 	creditSlot := nr + 2*edge + parity
 	expect[creditSlot]++
 	if sends := expect[creditSlot]; sends > 1 {
-		me.WaitFlagGE(st.flags, me.Rank(), creditSlot, sends-1)
+		me.WaitFlagGE(st.Flags, me.Rank(), creditSlot, sends-1)
 	}
-	pgas.PutThenNotify(me, co, globalOf((myIdx-1<<edge+g)%g), region(edge), buf, st.flags, edge, 1, via)
+	pgas.PutThenNotify(me, co, globalOf((myIdx-1<<edge+g)%g), region(edge), buf, st.Flags, edge, 1, via)
 }
 
 // ReduceToRoot is the flat binomial reduce-to-one over the whole team;
@@ -94,19 +94,19 @@ func ReduceToRootLinear[T any](v *team.View, root int, buf []T, op Op[T], via pg
 	}
 	n := len(buf)
 	es := pgas.ElemSize[T]()
-	st := getState(v, "redto.lin."+op.Name+"."+via.String()+"."+tag[T](), 4)
-	ep := st.next(v.Rank)
+	st := GetState(v, "redto.lin."+op.Name+"."+via.String()+"."+tag[T](), 4)
+	ep := st.Next(v)
 	co, cap_ := Scratch[T](v, "redto.lin."+op.Name, "", n, 2*sz)
 	parity := int(ep % 2)
 	arriveSlot := parity
 	creditSlot := 2 + parity
 	me := v.Img
-	expect := st.expect(v.Rank)
+	expect := st.Expect(v)
 	if v.Rank == root {
 		// expect[arriveSlot] counts cumulative same-parity
 		// arrivals; the tree shape is root-dependent, so count exactly.
 		expect[arriveSlot] += int64(sz - 1)
-		me.WaitFlagGE(st.flags, me.Rank(), arriveSlot, expect[arriveSlot])
+		me.WaitFlagGE(st.Flags, me.Rank(), arriveSlot, expect[arriveSlot])
 		local := pgas.Local(co, me)
 		for r := 0; r < sz; r++ {
 			if r == root {
@@ -115,15 +115,15 @@ func ReduceToRootLinear[T any](v *team.View, root int, buf []T, op Op[T], via pg
 			off := (parity*sz + r) * cap_
 			op.Combine(buf, local[off:off+n])
 			me.MemWork(2 * es * n)
-			me.NotifyAdd(st.flags, v.T.GlobalRank(r), creditSlot, 1, via)
+			me.NotifyAdd(st.Flags, v.T.GlobalRank(r), creditSlot, 1, via)
 		}
 		return
 	}
 	// Gate on the credit for my previous same-parity send.
 	expect[creditSlot]++
 	if sends := expect[creditSlot]; sends > 1 {
-		me.WaitFlagGE(st.flags, me.Rank(), creditSlot, sends-1)
+		me.WaitFlagGE(st.Flags, me.Rank(), creditSlot, sends-1)
 	}
 	off := (parity*sz + v.Rank) * cap_
-	pgas.PutThenNotify(me, co, v.T.GlobalRank(root), off, buf, st.flags, arriveSlot, 1, via)
+	pgas.PutThenNotify(me, co, v.T.GlobalRank(root), off, buf, st.Flags, arriveSlot, 1, via)
 }

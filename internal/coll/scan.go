@@ -40,20 +40,20 @@ func ScanLinear[T any](v *team.View, buf []T, op Op[T], exclusive bool, via pgas
 		return
 	}
 	alg := "scan.lin." + op.Name + "." + scanTag(exclusive) + "." + via.String() + "." + tag[T]()
-	st := getState(v, alg, 4)
-	ep := st.next(v.Rank)
+	st := GetState(v, alg, 4)
+	ep := st.Next(v)
 	co, cap_ := Scratch[T](v, "scan.lin."+op.Name, scanTag(exclusive), n, 2)
 	parity := int(ep % 2)
 	reg := parity * cap_
 	creditSlot := 2 + parity
 	me := v.Img
 	r := v.Rank
-	expect := st.expect(v.Rank)
+	expect := st.Expect(v)
 	var fwd []T // the inclusive prefix over [0, r], shipped to r+1
 	if r == 0 {
 		fwd = buf
 	} else {
-		me.WaitFlagGE(st.flags, me.Rank(), 0, ep)
+		me.WaitFlagGE(st.Flags, me.Rank(), 0, ep)
 		in := pgas.Local(co, me)[reg : reg+n] // prefix over [0, r)
 		if exclusive {
 			if r < sz-1 {
@@ -73,12 +73,12 @@ func ScanLinear[T any](v *team.View, buf []T, op Op[T], exclusive bool, via pgas
 		// Gate on the credit for my previous same-parity send.
 		expect[creditSlot]++
 		if sends := expect[creditSlot]; sends > 1 {
-			me.WaitFlagGE(st.flags, me.Rank(), creditSlot, sends-1)
+			me.WaitFlagGE(st.Flags, me.Rank(), creditSlot, sends-1)
 		}
-		pgas.PutThenNotify(me, co, v.T.GlobalRank(r+1), reg, fwd, st.flags, 0, 1, via)
+		pgas.PutThenNotify(me, co, v.T.GlobalRank(r+1), reg, fwd, st.Flags, 0, 1, via)
 	}
 	if r > 0 {
-		me.NotifyAdd(st.flags, v.T.GlobalRank(r-1), creditSlot, 1, via)
+		me.NotifyAdd(st.Flags, v.T.GlobalRank(r-1), creditSlot, 1, via)
 	}
 }
 
@@ -105,16 +105,16 @@ func ScanRD[T any](v *team.View, buf []T, op Op[T], exclusive bool, via pgas.Via
 	if sz == 1 {
 		return
 	}
-	nr := rounds(sz)
+	nr := Rounds(sz)
 	alg := "scan.rd." + op.Name + "." + scanTag(exclusive) + "." + via.String() + "." + tag[T]()
-	st := getState(v, alg, 3*nr+3)
-	ep := st.next(v.Rank)
+	st := GetState(v, alg, 3*nr+3)
+	ep := st.Next(v)
 	co, cap_ := Scratch[T](v, "scan.rd."+op.Name, scanTag(exclusive), n, 2*nr)
 	parity := int(ep % 2)
 	region := func(k int) int { return (parity*nr + k) * cap_ }
 	me := v.Img
 	r := v.Rank
-	expect := st.expect(v.Rank)
+	expect := st.Expect(v)
 	acc := slices.Clone(buf) // running partial over [max(0, r−2^k+1), r]
 	me.MemWork(es * n)
 	for k := 0; 1<<k < sz; k++ {
@@ -122,15 +122,15 @@ func ScanRD[T any](v *team.View, buf []T, op Op[T], exclusive bool, via pgas.Via
 		if r+1<<k < sz {
 			expect[ackSlot]++
 			if sends := expect[ackSlot]; sends > 1 {
-				me.WaitFlagGE(st.flags, me.Rank(), ackSlot, sends-1)
+				me.WaitFlagGE(st.Flags, me.Rank(), ackSlot, sends-1)
 			}
-			pgas.PutThenNotify(me, co, v.T.GlobalRank(r+1<<k), region(k), acc, st.flags, k, 1, via)
+			pgas.PutThenNotify(me, co, v.T.GlobalRank(r+1<<k), region(k), acc, st.Flags, k, 1, via)
 		}
 		if r-1<<k >= 0 {
-			me.WaitFlagGE(st.flags, me.Rank(), k, ep)
+			me.WaitFlagGE(st.Flags, me.Rank(), k, ep)
 			op.Combine(acc, pgas.Local(co, me)[region(k):region(k)+n])
 			me.MemWork(2 * es * n)
-			me.NotifyAdd(st.flags, v.T.GlobalRank(r-1<<k), ackSlot, 1, via)
+			me.NotifyAdd(st.Flags, v.T.GlobalRank(r-1<<k), ackSlot, 1, via)
 		}
 	}
 	if !exclusive {
@@ -146,14 +146,14 @@ func ScanRD[T any](v *team.View, buf []T, op Op[T], exclusive bool, via pgas.Via
 	if r+1 < sz {
 		expect[shiftAck]++
 		if sends := expect[shiftAck]; sends > 1 {
-			me.WaitFlagGE(st.flags, me.Rank(), shiftAck, sends-1)
+			me.WaitFlagGE(st.Flags, me.Rank(), shiftAck, sends-1)
 		}
-		pgas.PutThenNotify(me, shift, v.T.GlobalRank(r+1), parity*scap, acc, st.flags, shiftSlot, 1, via)
+		pgas.PutThenNotify(me, shift, v.T.GlobalRank(r+1), parity*scap, acc, st.Flags, shiftSlot, 1, via)
 	}
 	if r > 0 {
-		me.WaitFlagGE(st.flags, me.Rank(), shiftSlot, ep)
+		me.WaitFlagGE(st.Flags, me.Rank(), shiftSlot, ep)
 		copy(buf, pgas.Local(shift, me)[parity*scap:parity*scap+n])
 		me.MemWork(es * n)
-		me.NotifyAdd(st.flags, v.T.GlobalRank(r-1), shiftAck, 1, via)
+		me.NotifyAdd(st.Flags, v.T.GlobalRank(r-1), shiftAck, 1, via)
 	}
 }

@@ -36,8 +36,9 @@ func ScatterLinear[T any](v *team.View, root int, send, recv []T, via pgas.Via) 
 	if sz == 1 {
 		return
 	}
-	st := getState(v, "sc.lin."+via.String()+"."+tag[T](), 5)
-	ep := st.next(v.Rank)
+	st := GetState(v, "sc.lin."+via.String()+"."+tag[T](), 5)
+	ep := st.Next(v)
+	expect := st.Expect(v)
 	co, cap_ := Scratch[T](v, "sc.lin", "", n, 2)
 	parity := int(ep % 2)
 	reg := parity * cap_
@@ -45,28 +46,28 @@ func ScatterLinear[T any](v *team.View, root int, send, recv []T, via pgas.Via) 
 	ackSlot := 2 + parity
 	me := v.Img
 	if v.Rank == root {
-		me.WaitFlagGE(st.flags, me.Rank(), 4, ep-2)
+		me.WaitFlagGE(st.Flags, me.Rank(), 4, ep-2)
 		for r := 0; r < sz; r++ {
 			if r == root {
 				continue
 			}
-			pgas.PutThenNotify(me, co, v.T.GlobalRank(r), reg, send[r*n:r*n+n], st.flags, paySlot, 1, via)
+			pgas.PutThenNotify(me, co, v.T.GlobalRank(r), reg, send[r*n:r*n+n], st.Flags, paySlot, 1, via)
 		}
-		st.ackExpect[parity][v.Rank] += int64(sz - 1)
-		me.WaitFlagGE(st.flags, me.Rank(), ackSlot, st.ackExpect[parity][v.Rank])
-		me.SetLocal(st.flags, 4, ep)
+		expect[ackSlot] += int64(sz - 1)
+		me.WaitFlagGE(st.Flags, me.Rank(), ackSlot, expect[ackSlot])
+		me.SetLocal(st.Flags, 4, ep)
 		for r := 0; r < sz; r++ {
 			if r != root {
-				me.NotifySet(st.flags, v.T.GlobalRank(r), 4, ep, via)
+				me.NotifySet(st.Flags, v.T.GlobalRank(r), 4, ep, via)
 			}
 		}
 		return
 	}
-	st.payExpect[parity][v.Rank]++
-	me.WaitFlagGE(st.flags, me.Rank(), paySlot, st.payExpect[parity][v.Rank])
+	expect[paySlot]++
+	me.WaitFlagGE(st.Flags, me.Rank(), paySlot, expect[paySlot])
 	copy(recv, pgas.Local(co, me)[reg:reg+n])
 	me.MemWork(es * n)
-	me.NotifyAdd(st.flags, v.T.GlobalRank(root), ackSlot, 1, via)
+	me.NotifyAdd(st.Flags, v.T.GlobalRank(root), ackSlot, 1, via)
 }
 
 // ScatterBinomial distributes per-member blocks along the binomial scatter
@@ -99,8 +100,9 @@ func ScatterBinomial[T any](v *team.View, root int, send, recv []T, via pgas.Via
 	if sz == 1 {
 		return
 	}
-	st := getState(v, "sc.binom."+via.String()+"."+tag[T](), 5)
-	ep := st.next(v.Rank)
+	st := GetState(v, "sc.binom."+via.String()+"."+tag[T](), 5)
+	ep := st.Next(v)
+	expect := st.Expect(v)
 	parity := int(ep % 2)
 	paySlot := parity
 	ackSlot := 2 + parity
@@ -111,7 +113,7 @@ func ScatterBinomial[T any](v *team.View, root int, send, recv []T, via pgas.Via
 	// tree holds the packed blocks for relative ranks [rel, rel+span).
 	var tree []T
 	if rel == 0 {
-		me.WaitFlagGE(st.flags, me.Rank(), 4, ep-2)
+		me.WaitFlagGE(st.Flags, me.Rank(), 4, ep-2)
 		tree = make([]T, sz*n)
 		for q := 0; q < sz; q++ {
 			b := (q + root) % sz
@@ -119,8 +121,8 @@ func ScatterBinomial[T any](v *team.View, root int, send, recv []T, via pgas.Via
 		}
 		me.MemWork(es * sz * n)
 	} else {
-		st.payExpect[parity][v.Rank]++
-		me.WaitFlagGE(st.flags, me.Rank(), paySlot, st.payExpect[parity][v.Rank])
+		expect[paySlot]++
+		me.WaitFlagGE(st.Flags, me.Rank(), paySlot, expect[paySlot])
 		co, base, span := subtreeArea[T](v, "sc.binom", rel, sz, n, parity)
 		tree = pgas.Local(co, me)[base : base+span*n]
 		copy(recv, tree[:n])
@@ -128,7 +130,7 @@ func ScatterBinomial[T any](v *team.View, root int, send, recv []T, via pgas.Via
 	}
 	// Forward subtree halves, deepest child first.
 	nkids := 0
-	for k := rounds(sz) - 1; k >= 0; k-- {
+	for k := Rounds(sz) - 1; k >= 0; k-- {
 		if rel%(1<<(k+1)) == 0 && rel+1<<k < sz {
 			child := rel + 1<<k
 			last := child + 1<<k
@@ -136,21 +138,21 @@ func ScatterBinomial[T any](v *team.View, root int, send, recv []T, via pgas.Via
 				last = sz
 			}
 			co, base, _ := subtreeArea[T](v, "sc.binom", child, sz, n, parity)
-			pgas.PutThenNotify(me, co, global(child), base, tree[(child-rel)*n:(last-rel)*n], st.flags, paySlot, 1, via)
+			pgas.PutThenNotify(me, co, global(child), base, tree[(child-rel)*n:(last-rel)*n], st.Flags, paySlot, 1, via)
 			nkids++
 		}
 	}
-	st.ackExpect[parity][v.Rank] += int64(nkids)
+	expect[ackSlot] += int64(nkids)
 	if nkids > 0 {
-		me.WaitFlagGE(st.flags, me.Rank(), ackSlot, st.ackExpect[parity][v.Rank])
+		me.WaitFlagGE(st.Flags, me.Rank(), ackSlot, expect[ackSlot])
 	}
 	if rel != 0 {
 		parent := rel - (rel & -rel)
-		me.NotifyAdd(st.flags, global(parent), ackSlot, 1, via)
+		me.NotifyAdd(st.Flags, global(parent), ackSlot, 1, via)
 		return
 	}
-	me.SetLocal(st.flags, 4, ep)
+	me.SetLocal(st.Flags, 4, ep)
 	for q := 1; q < sz; q++ {
-		me.NotifySet(st.flags, global(q), 4, ep, via)
+		me.NotifySet(st.Flags, global(q), 4, ep, via)
 	}
 }

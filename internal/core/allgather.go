@@ -33,9 +33,8 @@ func AllgatherTwoLevel[T any](v *team.View, mine, out []T) {
 	alg := "ag2." + pgas.TypeName[T]()
 	nLeaders := len(t.Leaders())
 	steps := nLeaders - 1
-	st := getHierState(v, alg, 2+steps)
-	st.ep[v.Rank]++
-	ep := st.ep[v.Rank]
+	st := coll.GetState(v, alg, 2+steps)
+	ep := st.Next(v)
 	parity := int(ep % 2)
 
 	// Two boxes, per parity: the full gathered vector on every image (the
@@ -52,8 +51,8 @@ func AllgatherTwoLevel[T any](v *team.View, mine, out []T) {
 
 	if v.Rank != leader {
 		// Contribute to the leader's assembled area at my rank's slot.
-		pgas.PutThenNotify(me, co, t.GlobalRank(leader), base+v.Rank*cap_, mine, st.flags, 0, 1, pgas.ViaShm)
-		me.WaitFlagGE(st.flags, me.Rank(), 1, ep)
+		pgas.PutThenNotify(me, co, t.GlobalRank(leader), base+v.Rank*cap_, mine, st.Flags, 0, 1, pgas.ViaShm)
+		me.WaitFlagGE(st.Flags, me.Rank(), 1, ep)
 		local := pgas.Local(co, me)
 		for r := 0; r < sz; r++ {
 			copy(out[r*n:r*n+n], local[base+r*cap_:base+r*cap_+n])
@@ -65,7 +64,7 @@ func AllgatherTwoLevel[T any](v *team.View, mine, out []T) {
 	local := pgas.Local(co, me)
 	copy(local[base+v.Rank*cap_:base+v.Rank*cap_+n], mine)
 	if len(group) > 1 {
-		me.WaitFlagGE(st.flags, me.Rank(), 0, ep*int64(len(group)-1))
+		me.WaitFlagGE(st.Flags, me.Rank(), 0, ep*int64(len(group)-1))
 	}
 	// Ring allgather of node blocks among leaders. Each step forwards one
 	// whole node block (packed rank-slot layout).
@@ -91,8 +90,8 @@ func AllgatherTwoLevel[T any](v *team.View, mine, out []T) {
 				copy(pack[i*n:], local[base+r*cap_:base+r*cap_+n])
 			}
 			me.MemWork(es * len(pack))
-			pgas.PutThenNotify(me, ring, next, reg, pack, st.flags, 2+s, 1, pgas.ViaConduit)
-			me.WaitFlagGE(st.flags, me.Rank(), 2+s, ep)
+			pgas.PutThenNotify(me, ring, next, reg, pack, st.Flags, 2+s, 1, pgas.ViaConduit)
+			me.WaitFlagGE(st.Flags, me.Rank(), 2+s, ep)
 			recvGroup := t.NodeGroup(recvPos)
 			landed := pgas.Local(ring, me)[reg:]
 			for i, r := range recvGroup {
@@ -106,7 +105,7 @@ func AllgatherTwoLevel[T any](v *team.View, mine, out []T) {
 		if r == v.Rank {
 			continue
 		}
-		pgas.PutThenNotify(me, co, t.GlobalRank(r), base, local[base:base+full], st.flags, 1, 1, pgas.ViaShm)
+		pgas.PutThenNotify(me, co, t.GlobalRank(r), base, local[base:base+full], st.Flags, 1, 1, pgas.ViaShm)
 	}
 	for r := 0; r < sz; r++ {
 		copy(out[r*n:r*n+n], local[base+r*cap_:base+r*cap_+n])

@@ -53,9 +53,8 @@ func AlltoallTwoLevel[T any](v *team.View, send, recv []T) {
 		return
 	}
 	alg := "a2a2." + pgas.TypeName[T]()
-	st := getHierState(v, alg, a2aSlots)
-	st.ep[v.Rank]++
-	ep := st.ep[v.Rank]
+	st := coll.GetState(v, alg, a2aSlots)
+	ep := st.Next(v)
 	parity := int(ep % 2)
 	mg := t.MaxNodeGroup()
 	leaders := t.Leaders()
@@ -71,7 +70,7 @@ func AlltoallTwoLevel[T any](v *team.View, send, recv []T) {
 	landAt := func(gi int) int { return (parity*ng + gi) * mg * mg * lcap }
 	outboxOff := parity * sz * ocap
 	me := v.Img
-	expect := st.expect(v.Rank)
+	expect := st.Expect(v)
 	leader := t.LeaderOf(v.Rank)
 	gi := t.GroupOf(v.Rank)
 	group := t.NodeGroup(gi)
@@ -83,15 +82,15 @@ func AlltoallTwoLevel[T any](v *team.View, send, recv []T) {
 		// receive vector and ack it.
 		expect[a2aInboxCredit+parity]++
 		if sends := expect[a2aInboxCredit+parity]; sends > 1 {
-			me.WaitFlagGE(st.flags, me.Rank(), a2aInboxCredit+parity, sends-1)
+			me.WaitFlagGE(st.Flags, me.Rank(), a2aInboxCredit+parity, sends-1)
 		}
 		pos := groupPos(group, v.Rank)
-		pgas.PutThenNotify(me, inbox, t.GlobalRank(leader), inboxAt(pos), send[:sz*n], st.flags, a2aInboxSlot+parity, 1, pgas.ViaShm)
+		pgas.PutThenNotify(me, inbox, t.GlobalRank(leader), inboxAt(pos), send[:sz*n], st.Flags, a2aInboxSlot+parity, 1, pgas.ViaShm)
 		expect[a2aOutboxSlot+parity]++
-		me.WaitFlagGE(st.flags, me.Rank(), a2aOutboxSlot+parity, expect[a2aOutboxSlot+parity])
+		me.WaitFlagGE(st.Flags, me.Rank(), a2aOutboxSlot+parity, expect[a2aOutboxSlot+parity])
 		copy(recv, pgas.Local(outbox, me)[outboxOff:outboxOff+sz*n])
 		me.MemWork(es * sz * n)
-		me.NotifyAdd(st.flags, t.GlobalRank(leader), a2aOutboxAck+parity, 1, pgas.ViaShm)
+		me.NotifyAdd(st.Flags, t.GlobalRank(leader), a2aOutboxAck+parity, 1, pgas.ViaShm)
 		return
 	}
 
@@ -101,7 +100,7 @@ func AlltoallTwoLevel[T any](v *team.View, send, recv []T) {
 	var staged, landed []T
 	if gsz > 1 {
 		expect[a2aInboxSlot+parity] += int64(gsz - 1)
-		me.WaitFlagGE(st.flags, me.Rank(), a2aInboxSlot+parity, expect[a2aInboxSlot+parity])
+		me.WaitFlagGE(st.Flags, me.Rank(), a2aInboxSlot+parity, expect[a2aInboxSlot+parity])
 		staged = pgas.Local(inbox, me)
 	}
 	// vec(i) is group position i's full send vector.
@@ -117,7 +116,7 @@ func AlltoallTwoLevel[T any](v *team.View, send, recv []T) {
 	// for every previous same-parity pack.
 	if ng > 1 {
 		if prev := expect[a2aPackCredit+parity]; prev > 0 {
-			me.WaitFlagGE(st.flags, me.Rank(), a2aPackCredit+parity, prev)
+			me.WaitFlagGE(st.Flags, me.Rank(), a2aPackCredit+parity, prev)
 		}
 		expect[a2aPackCredit+parity] += int64(ng - 1)
 		// One staging buffer serves every pack: a put captures its payload
@@ -136,16 +135,16 @@ func AlltoallTwoLevel[T any](v *team.View, send, recv []T) {
 				}
 			}
 			me.MemWork(es * len(pack))
-			pgas.PutThenNotify(me, lands, t.GlobalRank(lh), landAt(gi), pack, st.flags, a2aPackSlot+parity, 1, pgas.ViaAuto)
+			pgas.PutThenNotify(me, lands, t.GlobalRank(lh), landAt(gi), pack, st.Flags, a2aPackSlot+parity, 1, pgas.ViaAuto)
 		}
 		expect[a2aPackSlot+parity] += int64(ng - 1)
-		me.WaitFlagGE(st.flags, me.Rank(), a2aPackSlot+parity, expect[a2aPackSlot+parity])
+		me.WaitFlagGE(st.Flags, me.Rank(), a2aPackSlot+parity, expect[a2aPackSlot+parity])
 		landed = pgas.Local(lands, me)
 	}
 	// Assemble every member's receive vector, gated on the acks for the
 	// previous same-parity fan-out.
-	if gate := st.ackExpect[parity][v.Rank]; gate > 0 {
-		me.WaitFlagGE(st.flags, me.Rank(), a2aOutboxAck+parity, gate)
+	if gate := expect[a2aOutboxAck+parity]; gate > 0 {
+		me.WaitFlagGE(st.Flags, me.Rank(), a2aOutboxAck+parity, gate)
 	}
 	out := make([]T, sz*n)
 	targets := 0
@@ -168,20 +167,20 @@ func AlltoallTwoLevel[T any](v *team.View, send, recv []T) {
 			copy(recv, out)
 			continue
 		}
-		pgas.PutThenNotify(me, outbox, t.GlobalRank(m), outboxOff, out, st.flags, a2aOutboxSlot+parity, 1, pgas.ViaShm)
+		pgas.PutThenNotify(me, outbox, t.GlobalRank(m), outboxOff, out, st.Flags, a2aOutboxSlot+parity, 1, pgas.ViaShm)
 		targets++
 	}
-	st.ackExpect[parity][v.Rank] += int64(targets)
+	expect[a2aOutboxAck+parity] += int64(targets)
 	// Everything staged here is consumed: credit my members' inbox slots and
 	// the peer leaders' pack landings.
 	for _, m := range group {
 		if m != v.Rank {
-			me.NotifyAdd(st.flags, t.GlobalRank(m), a2aInboxCredit+parity, 1, pgas.ViaShm)
+			me.NotifyAdd(st.Flags, t.GlobalRank(m), a2aInboxCredit+parity, 1, pgas.ViaShm)
 		}
 	}
 	for hi, lh := range leaders {
 		if hi != gi {
-			me.NotifyAdd(st.flags, t.GlobalRank(lh), a2aPackCredit+parity, 1, pgas.ViaAuto)
+			me.NotifyAdd(st.Flags, t.GlobalRank(lh), a2aPackCredit+parity, 1, pgas.ViaAuto)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -245,72 +244,41 @@ func TestAsyncTestPolling(t *testing.T) {
 	})
 }
 
-// TestAsyncCounterpartMapping pins the blocking-name -> async-name mapping
-// the policy layer uses.
-func TestAsyncCounterpartMapping(t *testing.T) {
-	cases := []struct {
-		k    Kind
-		name string
-		want string
-		ok   bool
-	}{
-		{KindAllreduce, "rd", "nb-rd", true},
-		{KindAllreduce, "ring", "nb-rd", true},
-		{KindAllreduce, "2level", "nb-2level", true},
-		{KindAllreduce, "3level", "nb-2level", true},
-		{KindAllreduce, "nb-2level", "nb-2level", true},
-		{KindBroadcast, "binomial", "nb-binomial", true},
-		{KindBroadcast, "2level", "nb-2level", true},
-		{KindAllgather, "bruck", "nb-ring", true},
-		{KindAllgather, "2level", "nb-2level", true},
-		{KindBarrier, "tdlb", "", false},
-		{KindAllreduce, "some-custom", "", false},
-	}
-	for _, c := range cases {
-		got, ok := AsyncCounterpart(c.k, c.name)
-		if ok != c.ok || got != c.want {
-			t.Errorf("AsyncCounterpart(%s, %q) = (%q, %v), want (%q, %v)", c.k, c.name, got, ok, c.want, c.ok)
-		}
-	}
-}
-
-// TestPolicyAsyncFallsBackForCustomAlgorithms: a tuned custom algorithm has
-// no split-phase form, so the policy async path must run it blocking and
-// return a completed handle.
-func TestPolicyAsyncFallsBackForCustomAlgorithms(t *testing.T) {
-	RegisterAllreduce("test-async-fallback", func(v *team.View, buf []float64, op coll.Op[float64]) {
+// TestPolicyAsyncRunsCustomAlgorithmSplitPhase: a tuned custom algorithm is
+// split-phase like any other — the policy async path starts it on a
+// coroutine, the handle is in flight after initiation, and its rounds overlap
+// the compute between initiate and wait.
+func TestPolicyAsyncRunsCustomAlgorithmSplitPhase(t *testing.T) {
+	RegisterAllreduce("test-async-custom", func(v *team.View, buf []float64, op coll.Op[float64]) {
 		coll.AllreduceRD(v, buf, op, pgas.ViaConduit)
 	})
 	w := newWorld(t, "8(2)")
 	w.Run(func(im *pgas.Image) {
 		v := team.Initial(w, im)
-		p := Policy{Level: LevelAuto, Tuning: Tuning{Allreduce: "test-async-fallback"}}
+		p := Policy{Level: LevelAuto, Tuning: Tuning{Allreduce: "test-async-custom"}}
+		const flops = 3e4
+		p.Barrier(v)
+		t0 := im.Now()
 		buf := []float64{1}
+		PolicyAllreduce(p, v, buf, coll.Sum)
+		tColl := im.Now() - t0
+		t0 = im.Now()
+		im.Compute(flops)
+		tComp := im.Now() - t0
+		p.Barrier(v)
+		t0 = im.Now()
+		buf = []float64{1}
 		h := PolicyAllreduceAsync(p, v, buf, coll.Sum)
-		if !h.Done() {
-			t.Error("fallback handle must be already complete")
+		if h.Done() {
+			t.Error("custom algorithm completed at initiation: it ran blocking")
 		}
-		h.Wait() // must be a no-op
+		im.Compute(flops)
+		h.Wait()
+		if tOv := im.Now() - t0; tOv >= tComp+tColl {
+			t.Errorf("image %d: overlapped episode %d ns, compute %d + collective %d ns: no overlap", im.Rank(), tOv, tComp, tColl)
+		}
 		if buf[0] != 8 {
 			t.Errorf("co_sum = %v, want 8", buf[0])
 		}
-	})
-}
-
-// TestStartUnknownAsyncAlgorithmPanics pins the error surface.
-func TestStartUnknownAsyncAlgorithmPanics(t *testing.T) {
-	w := newWorld(t, "4(1)")
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("StartAllreduce with a blocking-only name did not panic")
-		}
-		if s := fmt.Sprint(r); s == "" {
-			t.Fatal("empty panic message")
-		}
-	}()
-	w.Run(func(im *pgas.Image) {
-		v := team.Initial(w, im)
-		StartAllreduce("ring", v, []float64{1}, coll.Sum)
 	})
 }

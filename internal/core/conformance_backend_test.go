@@ -42,7 +42,7 @@ func checkBarrierOn(t *testing.T, sc confScenario, alg string) {
 		for ep := int64(1); ep <= confEpisodes; ep++ {
 			im.Sleep(pgas.Time(rng.Intn(20000)))
 			atomic.StoreInt64(&entered[im.Rank()], ep)
-			RunBarrier(alg, v)
+			sc.run(t, v, KindBarrier, func() { RunBarrier(alg, v) })
 			for r := 0; r < n; r++ {
 				if atomic.LoadInt64(&entered[r]) < ep {
 					t.Errorf("%s/barrier/%s: image %d left episode %d before image %d entered",
@@ -103,21 +103,17 @@ func TestConformanceCrossBackend(t *testing.T) {
 				k := k
 				name := algs[k]
 				for _, backend := range confBackends {
-					backend := backend
-					sc := base
-					sc.backend = backend
-					t.Run(fmt.Sprintf("%s/%s/%s", k, name, backend), func(t *testing.T) {
-						switch {
-						case k == KindBarrier:
-							checkBarrierOn(t, sc, name)
-						case k == KindScan:
-							for _, exclusive := range []bool{false, true} {
-								runConformanceData(t, sc, k, name, exclusive)
-							}
-						default:
-							runConformanceData(t, sc, k, name, false)
+					for _, splitPhase := range []bool{false, true} {
+						sc := base
+						sc.backend, sc.splitPhase = backend, splitPhase
+						label := fmt.Sprintf("%s/%s/%s", k, name, backend)
+						if splitPhase {
+							label += "/splitphase"
 						}
-					})
+						t.Run(label, func(t *testing.T) {
+							runConfCell(t, sc, k, name)
+						})
+					}
 				}
 			}
 		})

@@ -4,8 +4,8 @@ package core
 // shapes (node count, images per node, block or cyclic placement) and
 // payload sizes are swept across *every* registered algorithm of *every*
 // collective kind — including the hierarchy-aware 2level/3level forms and
-// the split-phase nb-* machines, which Run* dispatches as initiate+wait —
-// and each result is compared bitwise against a serial reference computed
+// the nb-* aliases, which Run* dispatches as start-on-a-coroutine+wait — and
+// each result is compared bitwise against a serial reference computed
 // directly from the input function. Inputs are small integers, so float64
 // reductions are exact in any association order and bitwise comparison is
 // meaningful.
@@ -56,13 +56,52 @@ type confScenario struct {
 	// (confEpisodes) and root schedule (confRoot) of runConfEpisodes.
 	episodes int
 	rootOf   func(ep, n int) int
+
+	// splitPhase runs every collective call of the cell as a split-phase
+	// operation (see run) instead of calling it directly.
+	splitPhase bool
+}
+
+// run executes one collective call of a kind-k cell: directly, or — in
+// split-phase mode — started as a coroutine, with a second handle of a
+// different kind in flight beside it and compute between start and Wait, so
+// the cell's algorithm runs interleaved with another one on the progress
+// engine. The side operation owns its state (a private reduction name, or the
+// flat broadcast no allreduce cell uses), so it is legal next to any cell.
+func (s confScenario) run(t *testing.T, v *team.View, k Kind, call func()) {
+	if !s.splitPhase {
+		call()
+		return
+	}
+	h := v.Img.StartOp(call)
+	n := float64(v.T.Size())
+	side := []float64{1}
+	var h2 *Handle
+	if k == KindAllreduce {
+		if v.Rank == 0 {
+			side[0] = n
+		}
+		h2 = StartBroadcast("binomial", v, 0, side)
+	} else {
+		h2 = StartAllreduce("rd", v, side, coll.Op[float64]{Name: "conf-side", Combine: coll.Sum.Combine})
+	}
+	v.Img.Compute(3e3)
+	h.Wait()
+	h2.Wait()
+	if side[0] != n {
+		t.Errorf("%s: side operation beside a %s cell = %v, want %v", s, k, side[0], n)
+	}
 }
 
 func (s confScenario) String() string {
-	if s.label != "" {
-		return fmt.Sprintf("%s-%delems", s.label, s.elems)
+	mode := ""
+	if s.splitPhase {
+		mode = "-splitphase"
 	}
-	return fmt.Sprintf("%dx%d-%s-%delems", s.nodes, s.perNode, s.place, s.elems)
+	if s.label != "" {
+		return fmt.Sprintf("%s-%delems%s", s.label, s.elems, mode)
+	}
+	return fmt.Sprintf("%dx%d-%s-%delems%s", s.nodes, s.perNode, s.place, s.elems, mode)
 }
 
 func (s confScenario) world(t testing.TB) *pgas.World {
@@ -141,6 +180,20 @@ func confRoot(seed int64, ep, n int) int {
 	return r
 }
 
+// runConfCell verifies one (kind, algorithm) cell on one scenario.
+func runConfCell(t *testing.T, sc confScenario, k Kind, name string) {
+	switch k {
+	case KindBarrier:
+		checkBarrierOn(t, sc, name)
+	case KindScan:
+		for _, exclusive := range []bool{false, true} {
+			runConformanceData(t, sc, k, name, exclusive)
+		}
+	default:
+		runConformanceData(t, sc, k, name, false)
+	}
+}
+
 // runConformanceData runs confEpisodes episodes of one (kind, algorithm)
 // pair on one scenario and verifies every image's result bitwise against
 // the serial reference.
@@ -178,25 +231,25 @@ func runConfEpisodes(t *testing.T, sc confScenario, k Kind, name string, exclusi
 		switch k {
 		case KindAllreduce:
 			buf := append([]float64(nil), mine...)
-			RunAllreduce(name, v, buf, coll.Sum)
+			sc.run(t, v, k, func() { RunAllreduce(name, v, buf, coll.Sum) })
 			if !confCheck(t, label, buf, confSum(sc.seed, 0, n, ep, elems)) {
 				return
 			}
 		case KindReduceTo:
 			buf := append([]float64(nil), mine...)
-			RunReduceTo(name, v, root, buf, coll.Sum)
+			sc.run(t, v, k, func() { RunReduceTo(name, v, root, buf, coll.Sum) })
 			if v.Rank == root && !confCheck(t, label, buf, confSum(sc.seed, 0, n, ep, elems)) {
 				return
 			}
 		case KindBroadcast:
 			buf := append([]float64(nil), mine...)
-			RunBroadcast(name, v, root, buf)
+			sc.run(t, v, k, func() { RunBroadcast(name, v, root, buf) })
 			if !confCheck(t, label, buf, confInput(sc.seed, 0, root, ep, elems)) {
 				return
 			}
 		case KindAllgather:
 			out := make([]float64, n*elems)
-			RunAllgather(name, v, mine, out)
+			sc.run(t, v, k, func() { RunAllgather(name, v, mine, out) })
 			for r := 0; r < n; r++ {
 				if !confCheck(t, label, out[r*elems:(r+1)*elems], confInput(sc.seed, 0, r, ep, elems)) {
 					return
@@ -213,7 +266,7 @@ func runConfEpisodes(t *testing.T, sc confScenario, k Kind, name string, exclusi
 				}
 			}
 			recv := make([]float64, elems)
-			RunScatter(name, v, root, send, recv)
+			sc.run(t, v, k, func() { RunScatter(name, v, root, send, recv) })
 			if !confCheck(t, label, recv, mine) {
 				return
 			}
@@ -222,7 +275,7 @@ func runConfEpisodes(t *testing.T, sc confScenario, k Kind, name string, exclusi
 			if v.Rank == root {
 				recv = make([]float64, n*elems)
 			}
-			RunGather(name, v, root, mine, recv)
+			sc.run(t, v, k, func() { RunGather(name, v, root, mine, recv) })
 			if v.Rank == root {
 				for r := 0; r < n; r++ {
 					if !confCheck(t, label, recv[r*elems:(r+1)*elems], confInput(sc.seed, 0, r, ep, elems)) {
@@ -238,7 +291,7 @@ func runConfEpisodes(t *testing.T, sc confScenario, k Kind, name string, exclusi
 				send = append(send, confInput(sc.seed, 1+d, v.Rank, ep, elems)...)
 			}
 			recv := make([]float64, n*elems)
-			RunAlltoall(name, v, send, recv)
+			sc.run(t, v, k, func() { RunAlltoall(name, v, send, recv) })
 			for s := 0; s < n; s++ {
 				if !confCheck(t, label, recv[s*elems:(s+1)*elems], confInput(sc.seed, 1+v.Rank, s, ep, elems)) {
 					return
@@ -246,7 +299,7 @@ func runConfEpisodes(t *testing.T, sc confScenario, k Kind, name string, exclusi
 			}
 		case KindScan:
 			buf := append([]float64(nil), mine...)
-			RunScan(name, v, buf, coll.Sum, exclusive)
+			sc.run(t, v, k, func() { RunScan(name, v, buf, coll.Sum, exclusive) })
 			var want []float64
 			switch {
 			case !exclusive:
@@ -297,17 +350,7 @@ func TestConformance512MultiLevel(t *testing.T) {
 		for _, name := range algs[k] {
 			k, name := k, name
 			t.Run(fmt.Sprintf("%s/%s", k, name), func(t *testing.T) {
-				switch {
-				case k == KindBarrier:
-					checkBarrier(t, sc.world(t), fmt.Sprintf("%s/barrier/%s", sc, name),
-						func(v *team.View) { RunBarrier(name, v) }, confEpisodes)
-				case k == KindScan:
-					for _, exclusive := range []bool{false, true} {
-						runConformanceData(t, sc, k, name, exclusive)
-					}
-				default:
-					runConformanceData(t, sc, k, name, false)
-				}
+				runConfCell(t, sc, k, name)
 			})
 		}
 	}
@@ -330,25 +373,24 @@ func TestConformanceRandomized(t *testing.T) {
 			elems:   elemChoices[rng.Intn(len(elemChoices))],
 			seed:    rng.Int63(),
 		}
-		t.Run(sc.String(), func(t *testing.T) {
-			for _, k := range Kinds() {
-				for _, name := range Algorithms(k) {
-					k, name := k, name
-					t.Run(fmt.Sprintf("%s/%s", k, name), func(t *testing.T) {
-						switch {
-						case k == KindBarrier:
-							checkBarrier(t, sc.world(t), fmt.Sprintf("%s/barrier/%s", sc, name),
-								func(v *team.View) { RunBarrier(name, v) }, confEpisodes)
-						case k == KindScan:
-							for _, exclusive := range []bool{false, true} {
-								runConformanceData(t, sc, k, name, exclusive)
-							}
-						default:
-							runConformanceData(t, sc, k, name, false)
-						}
-					})
+		// The last scenario of the sweep also runs in split-phase mode.
+		modes := []bool{false}
+		if round == rounds-1 {
+			modes = append(modes, true)
+		}
+		for _, mode := range modes {
+			sc := sc
+			sc.splitPhase = mode
+			t.Run(sc.String(), func(t *testing.T) {
+				for _, k := range Kinds() {
+					for _, name := range Algorithms(k) {
+						k, name := k, name
+						t.Run(fmt.Sprintf("%s/%s", k, name), func(t *testing.T) {
+							runConfCell(t, sc, k, name)
+						})
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }

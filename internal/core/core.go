@@ -33,35 +33,11 @@
 package core
 
 import (
-	"fmt"
-
 	"cafteams/internal/coll"
 	"cafteams/internal/pgas"
 	"cafteams/internal/team"
 	"cafteams/internal/trace"
 )
-
-// tdlbState holds the TDLB flag array for one team: slot 0 counts intranode
-// arrivals at the node leader (the "cocounter" of Algorithm 1), slot 1
-// carries the leader's release stamp, and slots 2.. are the dissemination
-// round flags used by the leaders.
-type tdlbState struct {
-	flags *pgas.Flags
-	ep    []int64
-}
-
-func getTDLBState(v *team.View, alg string, extra int) *tdlbState {
-	return v.Memo(team.MemoKey{Kind: "core:tdlb", Alg: alg}, func() interface{} {
-		w := v.Img.World()
-		key := fmt.Sprintf("core:%s:team%d", alg, v.T.ID())
-		return pgas.LookupOrCreate(w, key, func() interface{} {
-			return &tdlbState{
-				flags: pgas.NewFlags(w, key, 2+extra),
-				ep:    make([]int64, v.T.Size()),
-			}
-		})
-	}).(*tdlbState)
-}
 
 // BarrierTDLB is the Team Dissemination Linear Barrier (paper Algorithm 1),
 // run by every image of the team:
@@ -85,9 +61,11 @@ func BarrierTDLB(v *team.View) {
 		return
 	}
 	leaders := t.Leaders()
-	st := getTDLBState(v, "tdlb", disseminationRounds(len(leaders)))
-	st.ep[v.Rank]++
-	ep := st.ep[v.Rank]
+	// Flag layout: slot 0 counts intranode arrivals at the node leader (the
+	// "cocounter" of Algorithm 1), slot 1 carries the leader's release stamp,
+	// slots 2.. are the dissemination round flags used by the leaders.
+	st := coll.GetState(v, "tdlb", 2+coll.Rounds(len(leaders)))
+	ep := st.Next(v)
 	me := v.Img
 	leader := t.LeaderOf(v.Rank)
 	group := t.NodeGroup(t.GroupOf(v.Rank))
@@ -95,13 +73,13 @@ func BarrierTDLB(v *team.View) {
 	if v.Rank != leader {
 		// Step 1 (slave side): bump the leader's cocounter, then wait
 		// for the release — both through shared memory.
-		me.NotifyAdd(st.flags, t.GlobalRank(leader), 0, 1, pgas.ViaShm)
-		me.WaitFlagGE(st.flags, me.Rank(), 1, ep)
+		me.NotifyAdd(st.Flags, t.GlobalRank(leader), 0, 1, pgas.ViaShm)
+		me.WaitFlagGE(st.Flags, me.Rank(), 1, ep)
 		return
 	}
 	// Step 1 (leader side): wait for the intranode set to arrive.
 	if len(group) > 1 {
-		me.WaitFlagGE(st.flags, me.Rank(), 0, ep*int64(len(group)-1))
+		me.WaitFlagGE(st.Flags, me.Rank(), 0, ep*int64(len(group)-1))
 	}
 	// Step 2: dissemination among leaders over the conduit.
 	leaderDissemination(v, st, leaders, ep)
@@ -110,13 +88,13 @@ func BarrierTDLB(v *team.View) {
 		if r == v.Rank {
 			continue
 		}
-		me.NotifySet(st.flags, t.GlobalRank(r), 1, ep, pgas.ViaShm)
+		me.NotifySet(st.Flags, t.GlobalRank(r), 1, ep, pgas.ViaShm)
 	}
 }
 
 // leaderDissemination runs the dissemination rounds among the leaders list;
 // the caller must be a leader. Flag slots 2.. hold the round counters.
-func leaderDissemination(v *team.View, st *tdlbState, leaders []int, ep int64) {
+func leaderDissemination(v *team.View, st *coll.State, leaders []int, ep int64) {
 	l := len(leaders)
 	if l == 1 {
 		return
@@ -126,18 +104,9 @@ func leaderDissemination(v *team.View, st *tdlbState, leaders []int, ep int64) {
 	myPos := t.LeaderPos(v.Rank)
 	for k := 0; 1<<k < l; k++ {
 		partner := leaders[(myPos+1<<k)%l]
-		me.NotifyAdd(st.flags, t.GlobalRank(partner), 2+k, 1, pgas.ViaConduit)
-		me.WaitFlagGE(st.flags, me.Rank(), 2+k, ep)
+		me.NotifyAdd(st.Flags, t.GlobalRank(partner), 2+k, 1, pgas.ViaConduit)
+		me.WaitFlagGE(st.Flags, me.Rank(), 2+k, ep)
 	}
-}
-
-// disseminationRounds returns ceil(log2 n).
-func disseminationRounds(n int) int {
-	r := 0
-	for 1<<r < n {
-		r++
-	}
-	return r
 }
 
 // BarrierTDLL is the ablation variant that uses a *linear* barrier among the
@@ -151,39 +120,38 @@ func BarrierTDLL(v *team.View) {
 		return
 	}
 	leaders := t.Leaders()
-	st := getTDLBState(v, "tdll", 2)
-	st.ep[v.Rank]++
-	ep := st.ep[v.Rank]
+	st := coll.GetState(v, "tdll", 4)
+	ep := st.Next(v)
 	me := v.Img
 	leader := t.LeaderOf(v.Rank)
 	group := t.NodeGroup(t.GroupOf(v.Rank))
 
 	if v.Rank != leader {
-		me.NotifyAdd(st.flags, t.GlobalRank(leader), 0, 1, pgas.ViaShm)
-		me.WaitFlagGE(st.flags, me.Rank(), 1, ep)
+		me.NotifyAdd(st.Flags, t.GlobalRank(leader), 0, 1, pgas.ViaShm)
+		me.WaitFlagGE(st.Flags, me.Rank(), 1, ep)
 		return
 	}
 	if len(group) > 1 {
-		me.WaitFlagGE(st.flags, me.Rank(), 0, ep*int64(len(group)-1))
+		me.WaitFlagGE(st.Flags, me.Rank(), 0, ep*int64(len(group)-1))
 	}
 	// Linear among leaders, rooted at the first leader.
 	rootLeader := leaders[0]
 	if v.Rank == rootLeader {
 		if len(leaders) > 1 {
-			me.WaitFlagGE(st.flags, me.Rank(), 2, ep*int64(len(leaders)-1))
+			me.WaitFlagGE(st.Flags, me.Rank(), 2, ep*int64(len(leaders)-1))
 		}
 		for _, lr := range leaders[1:] {
-			me.NotifySet(st.flags, t.GlobalRank(lr), 3, ep, pgas.ViaConduit)
+			me.NotifySet(st.Flags, t.GlobalRank(lr), 3, ep, pgas.ViaConduit)
 		}
 	} else {
-		me.NotifyAdd(st.flags, t.GlobalRank(rootLeader), 2, 1, pgas.ViaConduit)
-		me.WaitFlagGE(st.flags, me.Rank(), 3, ep)
+		me.NotifyAdd(st.Flags, t.GlobalRank(rootLeader), 2, 1, pgas.ViaConduit)
+		me.WaitFlagGE(st.Flags, me.Rank(), 3, ep)
 	}
 	for _, r := range group {
 		if r == v.Rank {
 			continue
 		}
-		me.NotifySet(st.flags, t.GlobalRank(r), 1, ep, pgas.ViaShm)
+		me.NotifySet(st.Flags, t.GlobalRank(r), 1, ep, pgas.ViaShm)
 	}
 }
 

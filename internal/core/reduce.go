@@ -1,59 +1,11 @@
 package core
 
 import (
-	"fmt"
-
 	"cafteams/internal/coll"
 	"cafteams/internal/pgas"
 	"cafteams/internal/team"
 	"cafteams/internal/trace"
 )
-
-// redState carries the two-level reduction plumbing for one (team, op)
-// pair: flags and per-member counters (the scratch boxes come from
-// coll.Scratch, one per role). Flag layout: slot 0 counts intranode arrivals
-// at the leader, slot 1 carries the leader's result release.
-type redState struct {
-	flags *pgas.Flags
-	ep    []int64
-	// expect0/expect1 are per-member local expectations for flag slots 0
-	// and 1. They can lag the episode number when a member's role varies
-	// between episodes (e.g. the broadcast root changes), so each member
-	// tracks exactly how many notifications it should have received.
-	expect0 []int64
-	expect1 []int64
-	// ackExpect[p][r] is leader r's cumulative expected member-ack count
-	// on the parity-p ack slot (fan-out flow control in BcastTwoLevel).
-	ackExpect [2][]int64
-	// sendExpect[p][r] counts the same-parity root->leader handoff puts
-	// image r has issued (BcastTwoLevel's handoff flow control: a root
-	// gates send s on the leader's consumption ack for send s-1).
-	sendExpect [2][]int64
-}
-
-func getRedState(v *team.View, alg string) *redState {
-	return v.Memo(team.MemoKey{Kind: "core:red", Alg: alg}, func() interface{} {
-		return newRedState(v, alg)
-	}).(*redState)
-}
-
-func newRedState(v *team.View, alg string) *redState {
-	w := v.Img.World()
-	key := fmt.Sprintf("core:%s:team%d", alg, v.T.ID())
-	return pgas.LookupOrCreate(w, key, func() interface{} {
-		s := &redState{
-			flags:   pgas.NewFlags(w, key, 7),
-			ep:      make([]int64, v.T.Size()),
-			expect0: make([]int64, v.T.Size()),
-			expect1: make([]int64, v.T.Size()),
-		}
-		s.ackExpect[0] = make([]int64, v.T.Size())
-		s.ackExpect[1] = make([]int64, v.T.Size())
-		s.sendExpect[0] = make([]int64, v.T.Size())
-		s.sendExpect[1] = make([]int64, v.T.Size())
-		return s
-	}).(*redState)
-}
 
 // AllreduceTwoLevel is the memory-hierarchy-aware all-to-all reduction
 // (paper §IV applied to co_sum/co_max/co_min):
@@ -75,9 +27,10 @@ func AllreduceTwoLevel[T any](v *team.View, buf []T, op coll.Op[T]) {
 	n := len(buf)
 	es := pgas.ElemSize[T]()
 	alg := "red2." + op.Name + "." + pgas.TypeName[T]()
-	st := getRedState(v, alg)
-	st.ep[v.Rank]++
-	ep := st.ep[v.Rank]
+	// Flag layout: slot 0 counts intranode arrivals at the leader, slot 1
+	// carries the leader's result release.
+	st := coll.GetState(v, alg, 2)
+	ep := st.Next(v)
 	// Two boxes, per parity: a leader's inbox (one region per position in
 	// its intranode set) and a member's result landing region.
 	inbox, icap := coll.Scratch[T](v, alg, "in", n, 2*t.MaxNodeGroup())
@@ -93,21 +46,15 @@ func AllreduceTwoLevel[T any](v *team.View, buf []T, op coll.Op[T]) {
 		// Step 1 (slave): contribute my vector to the leader's inbox
 		// slot (my position within the intranode set), then collect the
 		// result in step 3.
-		slot := -1
-		for i, r := range group {
-			if r == v.Rank {
-				slot = i
-			}
-		}
-		pgas.PutThenNotify(me, inbox, t.GlobalRank(leader), region(slot), buf, st.flags, 0, 1, pgas.ViaShm)
-		me.WaitFlagGE(st.flags, me.Rank(), 1, ep)
+		pgas.PutThenNotify(me, inbox, t.GlobalRank(leader), region(groupPos(group, v.Rank)), buf, st.Flags, 0, 1, pgas.ViaShm)
+		me.WaitFlagGE(st.Flags, me.Rank(), 1, ep)
 		copy(buf, pgas.Local(res, me)[resultRegion:resultRegion+n])
 		me.MemWork(es * n)
 		return
 	}
 	// Step 1 (leader): combine the intranode set's vectors.
 	if len(group) > 1 {
-		me.WaitFlagGE(st.flags, me.Rank(), 0, ep*int64(len(group)-1))
+		me.WaitFlagGE(st.Flags, me.Rank(), 0, ep*int64(len(group)-1))
 		local := pgas.Local(inbox, me)
 		for i, r := range group {
 			if r == v.Rank {
@@ -126,7 +73,7 @@ func AllreduceTwoLevel[T any](v *team.View, buf []T, op coll.Op[T]) {
 		if r == v.Rank {
 			continue
 		}
-		pgas.PutThenNotify(me, res, t.GlobalRank(r), resultRegion, buf, st.flags, 1, 1, pgas.ViaShm)
+		pgas.PutThenNotify(me, res, t.GlobalRank(r), resultRegion, buf, st.Flags, 1, 1, pgas.ViaShm)
 	}
 }
 
@@ -143,9 +90,13 @@ func BcastTwoLevel[T any](v *team.View, root int, buf []T) {
 	n := len(buf)
 	es := pgas.ElemSize[T]()
 	alg := "bc2." + pgas.TypeName[T]()
-	st := getRedState(v, alg)
-	st.ep[v.Rank]++
-	ep := st.ep[v.Rank]
+	// Flag layout: slot 0 handoff arrivals at the root's leader, slot 1
+	// fan-out arrivals at members, slots 3/4 parity fan-out acks at leaders,
+	// slots 5/6 parity handoff credits at the root. Roles vary with the root,
+	// so every wait counts exactly (State.Expect).
+	st := coll.GetState(v, alg, 7)
+	ep := st.Next(v)
+	expect := st.Expect(v)
 	// One landing region per parity on every image: the root's leader lands
 	// the handoff in it, everyone else the fan-out.
 	co, cap_ := coll.Scratch[T](v, alg, "", n, 2)
@@ -162,18 +113,18 @@ func BcastTwoLevel[T any](v *team.View, root int, buf []T) {
 	// a parity landing region before the leader acked consuming the
 	// previous same-parity handoff (slots 5/6).
 	if v.Rank == root && root != rootLeader {
-		st.sendExpect[parity][v.Rank]++
-		if sends := st.sendExpect[parity][v.Rank]; sends > 1 {
-			me.WaitFlagGE(st.flags, me.Rank(), 5+parity, sends-1)
+		expect[5+parity]++
+		if sends := expect[5+parity]; sends > 1 {
+			me.WaitFlagGE(st.Flags, me.Rank(), 5+parity, sends-1)
 		}
-		pgas.PutThenNotify(me, co, t.GlobalRank(rootLeader), dataRegion, buf, st.flags, 0, 1, pgas.ViaShm)
+		pgas.PutThenNotify(me, co, t.GlobalRank(rootLeader), dataRegion, buf, st.Flags, 0, 1, pgas.ViaShm)
 	}
 	if v.Rank == rootLeader && root != rootLeader {
-		st.expect0[v.Rank]++
-		me.WaitFlagGE(st.flags, me.Rank(), 0, st.expect0[v.Rank])
+		expect[0]++
+		me.WaitFlagGE(st.Flags, me.Rank(), 0, expect[0])
 		copy(buf, pgas.Local(co, me)[dataRegion:dataRegion+n])
 		me.MemWork(es * n)
-		me.NotifyAdd(st.flags, t.GlobalRank(root), 5+parity, 1, pgas.ViaShm)
+		me.NotifyAdd(st.Flags, t.GlobalRank(root), 5+parity, 1, pgas.ViaShm)
 	}
 	// Step 1: binomial broadcast among node leaders (internally
 	// flow-controlled).
@@ -183,9 +134,8 @@ func BcastTwoLevel[T any](v *team.View, root int, buf []T) {
 		// Fan-out flow control: the intranode set must have consumed the
 		// same-parity fan-out from two episodes ago before its landing
 		// region is overwritten.
-		gate := st.ackExpect[parity][v.Rank]
-		if gate > 0 {
-			me.WaitFlagGE(st.flags, me.Rank(), ackSlot, gate)
+		if gate := expect[ackSlot]; gate > 0 {
+			me.WaitFlagGE(st.Flags, me.Rank(), ackSlot, gate)
 		}
 		// Step 2: fan out to the intranode set over shared memory.
 		targets := 0
@@ -193,18 +143,18 @@ func BcastTwoLevel[T any](v *team.View, root int, buf []T) {
 			if r == v.Rank || r == root {
 				continue
 			}
-			pgas.PutThenNotify(me, co, t.GlobalRank(r), dataRegion, buf, st.flags, 1, 1, pgas.ViaShm)
+			pgas.PutThenNotify(me, co, t.GlobalRank(r), dataRegion, buf, st.Flags, 1, 1, pgas.ViaShm)
 			targets++
 		}
-		st.ackExpect[parity][v.Rank] += int64(targets)
+		expect[ackSlot] += int64(targets)
 		return
 	}
 	if v.Rank == root {
 		return // the source already has the data
 	}
-	st.expect1[v.Rank]++
-	me.WaitFlagGE(st.flags, me.Rank(), 1, st.expect1[v.Rank])
+	expect[1]++
+	me.WaitFlagGE(st.Flags, me.Rank(), 1, expect[1])
 	copy(buf, pgas.Local(co, me)[dataRegion:dataRegion+n])
 	me.MemWork(es * n)
-	me.NotifyAdd(st.flags, t.GlobalRank(leader), ackSlot, 1, pgas.ViaShm)
+	me.NotifyAdd(st.Flags, t.GlobalRank(leader), ackSlot, 1, pgas.ViaShm)
 }

@@ -26,9 +26,9 @@ func ReduceToRootTwoLevel[T any](v *team.View, root int, buf []T, op coll.Op[T])
 	n := len(buf)
 	es := pgas.ElemSize[T]()
 	alg := "redto2." + op.Name + "." + pgas.TypeName[T]()
-	st := getRedState(v, alg)
-	st.ep[v.Rank]++
-	ep := st.ep[v.Rank]
+	st := coll.GetState(v, alg, 7)
+	ep := st.Next(v)
+	expect := st.Expect(v)
 	// Two boxes, per parity: a leader's inbox (one region per position in
 	// its intranode set) and the result landing region of a non-leader root.
 	inbox, icap := coll.Scratch[T](v, alg, "in", n, 2*t.MaxNodeGroup())
@@ -44,26 +44,17 @@ func ReduceToRootTwoLevel[T any](v *team.View, root int, buf []T, op coll.Op[T])
 
 	if v.Rank != leader {
 		// Contribute to the node leader; gate region reuse on the
-		// leader's credit for my previous same-parity episode. (Members
-		// use their own ackExpect entries to count same-parity sends;
-		// leaders use theirs for arrival expectations — the roles are
-		// fixed per team, so the entries never conflict.)
-		st.ackExpect[parity][v.Rank]++
-		if sends := st.ackExpect[parity][v.Rank]; sends > 1 {
-			me.WaitFlagGE(st.flags, me.Rank(), ackSlot, sends-1)
+		// leader's credit for my previous same-parity episode.
+		expect[ackSlot]++
+		if sends := expect[ackSlot]; sends > 1 {
+			me.WaitFlagGE(st.Flags, me.Rank(), ackSlot, sends-1)
 		}
-		slot := -1
-		for i, r := range group {
-			if r == v.Rank {
-				slot = i
-			}
-		}
-		pgas.PutThenNotify(me, inbox, t.GlobalRank(leader), region(slot), buf, st.flags, 5+parity, 1, pgas.ViaShm)
+		pgas.PutThenNotify(me, inbox, t.GlobalRank(leader), region(groupPos(group, v.Rank)), buf, st.Flags, 5+parity, 1, pgas.ViaShm)
 		if v.Rank == root {
 			// A non-leader root receives the final result from its
 			// leader.
-			st.expect1[v.Rank]++
-			me.WaitFlagGE(st.flags, me.Rank(), 1, st.expect1[v.Rank])
+			expect[1]++
+			me.WaitFlagGE(st.Flags, me.Rank(), 1, expect[1])
 			copy(buf, pgas.Local(res, me)[resultRegion:resultRegion+n])
 			me.MemWork(es * n)
 		}
@@ -71,8 +62,8 @@ func ReduceToRootTwoLevel[T any](v *team.View, root int, buf []T, op coll.Op[T])
 	}
 	// Leader: combine the intranode set, crediting each contributor.
 	if len(group) > 1 {
-		st.ackExpect[parity][v.Rank] += int64(len(group) - 1)
-		me.WaitFlagGE(st.flags, me.Rank(), 5+parity, st.ackExpect[parity][v.Rank])
+		expect[5+parity] += int64(len(group) - 1)
+		me.WaitFlagGE(st.Flags, me.Rank(), 5+parity, expect[5+parity])
 		local := pgas.Local(inbox, me)
 		for i, r := range group {
 			if r == v.Rank {
@@ -81,7 +72,7 @@ func ReduceToRootTwoLevel[T any](v *team.View, root int, buf []T, op coll.Op[T])
 			off := region(i)
 			op.Combine(buf, local[off:off+n])
 			me.MemWork(2 * es * n)
-			me.NotifyAdd(st.flags, t.GlobalRank(r), ackSlot, 1, pgas.ViaShm)
+			me.NotifyAdd(st.Flags, t.GlobalRank(r), ackSlot, 1, pgas.ViaShm)
 		}
 	}
 	// Binomial reduce-to-one among leaders, to the root's leader.
@@ -89,6 +80,6 @@ func ReduceToRootTwoLevel[T any](v *team.View, root int, buf []T, op coll.Op[T])
 	coll.SubgroupReduceToRoot(v, leaders, t.LeaderPos(v.Rank), t.LeaderPos(rootLeader), buf, op, "core.redto2lead."+op.Name, pgas.ViaConduit)
 	// Hand the result to a non-leader root.
 	if v.Rank == rootLeader && root != rootLeader {
-		pgas.PutThenNotify(me, res, t.GlobalRank(root), resultRegion, buf, st.flags, 1, 1, pgas.ViaShm)
+		pgas.PutThenNotify(me, res, t.GlobalRank(root), resultRegion, buf, st.Flags, 1, 1, pgas.ViaShm)
 	}
 }

@@ -115,10 +115,8 @@ const AlgAuto = "auto"
 // Built-in generic algorithms cannot be stored as values for every possible
 // element type, so dispatch instantiates them on demand (see runAllreduce
 // and friends); this table is the source of truth for listing/validation.
-// The "nb-" names are the split-phase (non-blocking) machines of async.go:
-// dispatched through Run* they initiate and immediately wait (so sweeps and
-// Tuning treat them like any other algorithm); dispatched through Start*
-// they return a Handle for compute/communication overlap.
+// The "nb-" names are aliases (see onCoroutine in async.go): dispatched
+// through Run* they run the algorithm they prefix on a coroutine.
 var builtins = map[Kind][]string{
 	KindBarrier:   {"dissemination", "linear", "tree", "tournament", "tdlb", "tdll", "tdlb3"},
 	KindAllreduce: {"rd", "linear", "tree", "ring", "2level", "3level", "nb-rd", "nb-2level"},
@@ -330,7 +328,7 @@ func RunAllreduce[T any](name string, v *team.View, buf []T, op coll.Op[T]) {
 	case "3level":
 		AllreduceThreeLevel(v, buf, op)
 	case "nb-rd", "nb-2level":
-		StartAllreduce(name, v, buf, op).Wait()
+		onCoroutine(v, func() { RunAllreduce(name[len("nb-"):], v, buf, op) })
 	default:
 		if fn, ok := lookupCustom(KindAllreduce, typedKey[T](name)); ok {
 			fn.(AllreduceFn[T])(v, buf, op)
@@ -371,7 +369,7 @@ func RunBroadcast[T any](name string, v *team.View, root int, buf []T) {
 	case "2level":
 		BcastTwoLevel(v, root, buf)
 	case "nb-binomial", "nb-2level":
-		StartBroadcast(name, v, root, buf).Wait()
+		onCoroutine(v, func() { RunBroadcast(name[len("nb-"):], v, root, buf) })
 	default:
 		if fn, ok := lookupCustom(KindBroadcast, typedKey[T](name)); ok {
 			fn.(BroadcastFn[T])(v, root, buf)
@@ -391,7 +389,7 @@ func RunAllgather[T any](name string, v *team.View, mine, out []T) {
 	case "2level":
 		AllgatherTwoLevel(v, mine, out)
 	case "nb-ring", "nb-2level":
-		StartAllgather(name, v, mine, out).Wait()
+		onCoroutine(v, func() { RunAllgather(name[len("nb-"):], v, mine, out) })
 	default:
 		if fn, ok := lookupCustom(KindAllgather, typedKey[T](name)); ok {
 			fn.(AllgatherFn[T])(v, mine, out)

@@ -82,9 +82,8 @@ func ScanTwoLevel[T any](v *team.View, buf []T, op coll.Op[T], exclusive bool) {
 	n := len(buf)
 	es := pgas.ElemSize[T]()
 	alg := "scan2." + op.Name + "." + scan2Tag(exclusive) + "." + pgas.TypeName[T]()
-	st := getHierState(v, alg, scan2Slots)
-	st.ep[v.Rank]++
-	ep := st.ep[v.Rank]
+	st := coll.GetState(v, alg, scan2Slots)
+	ep := st.Next(v)
 	parity := int(ep % 2)
 	mg := t.MaxNodeGroup()
 	// Two boxes, per parity: a leader's inbox (one vector per group position,
@@ -95,7 +94,7 @@ func ScanTwoLevel[T any](v *team.View, buf []T, op coll.Op[T], exclusive bool) {
 	chainOff := base + mg*icap
 	resultOff := parity * rcap
 	me := v.Img
-	expect := st.expect(v.Rank)
+	expect := st.Expect(v)
 	leader := t.LeaderOf(v.Rank)
 	gi := t.GroupOf(v.Rank)
 	group := t.NodeGroup(gi)
@@ -106,15 +105,15 @@ func ScanTwoLevel[T any](v *team.View, buf []T, op coll.Op[T], exclusive bool) {
 		// same-parity contribution; then collect my prefix and ack it.
 		expect[scan2InboxCredit+parity]++
 		if sends := expect[scan2InboxCredit+parity]; sends > 1 {
-			me.WaitFlagGE(st.flags, me.Rank(), scan2InboxCredit+parity, sends-1)
+			me.WaitFlagGE(st.Flags, me.Rank(), scan2InboxCredit+parity, sends-1)
 		}
 		pos := groupPos(group, v.Rank)
-		pgas.PutThenNotify(me, inbox, t.GlobalRank(leader), base+pos*icap, buf, st.flags, scan2InboxSlot+parity, 1, pgas.ViaShm)
+		pgas.PutThenNotify(me, inbox, t.GlobalRank(leader), base+pos*icap, buf, st.Flags, scan2InboxSlot+parity, 1, pgas.ViaShm)
 		expect[scan2ResultSlot+parity]++
-		me.WaitFlagGE(st.flags, me.Rank(), scan2ResultSlot+parity, expect[scan2ResultSlot+parity])
+		me.WaitFlagGE(st.Flags, me.Rank(), scan2ResultSlot+parity, expect[scan2ResultSlot+parity])
 		copy(buf, pgas.Local(resBox, me)[resultOff:resultOff+n])
 		me.MemWork(es * n)
-		me.NotifyAdd(st.flags, t.GlobalRank(leader), scan2ResultAck+parity, 1, pgas.ViaShm)
+		me.NotifyAdd(st.Flags, t.GlobalRank(leader), scan2ResultAck+parity, 1, pgas.ViaShm)
 		return
 	}
 
@@ -122,7 +121,7 @@ func ScanTwoLevel[T any](v *team.View, buf []T, op coll.Op[T], exclusive bool) {
 	// requirement the team's rank 0 is always a leader).
 	if gsz > 1 {
 		expect[scan2InboxSlot+parity] += int64(gsz - 1)
-		me.WaitFlagGE(st.flags, me.Rank(), scan2InboxSlot+parity, expect[scan2InboxSlot+parity])
+		me.WaitFlagGE(st.Flags, me.Rank(), scan2InboxSlot+parity, expect[scan2InboxSlot+parity])
 	}
 	// Within-node inclusive prefixes, in group (= team rank) order.
 	incl := make([]T, gsz*n)
@@ -138,7 +137,7 @@ func ScanTwoLevel[T any](v *team.View, buf []T, op coll.Op[T], exclusive bool) {
 	// The inbox is consumed: credit the contributors.
 	for _, r := range group {
 		if r != v.Rank {
-			me.NotifyAdd(st.flags, t.GlobalRank(r), scan2InboxCredit+parity, 1, pgas.ViaShm)
+			me.NotifyAdd(st.Flags, t.GlobalRank(r), scan2InboxCredit+parity, 1, pgas.ViaShm)
 		}
 	}
 	// Exclusive scan of node totals along the rank-ordered leader chain.
@@ -151,10 +150,10 @@ func ScanTwoLevel[T any](v *team.View, buf []T, op coll.Op[T], exclusive bool) {
 	var ex []T // reduction over every preceding node's total; nil at the head
 	if chainPos > 0 {
 		expect[scan2ChainSlot+parity]++
-		me.WaitFlagGE(st.flags, me.Rank(), scan2ChainSlot+parity, expect[scan2ChainSlot+parity])
+		me.WaitFlagGE(st.Flags, me.Rank(), scan2ChainSlot+parity, expect[scan2ChainSlot+parity])
 		ex = slices.Clone(pgas.Local(inbox, me)[chainOff : chainOff+n])
 		me.MemWork(es * n)
-		me.NotifyAdd(st.flags, t.GlobalRank(t.Leaders()[order[chainPos-1]]), scan2ChainCredit+parity, 1, pgas.ViaAuto)
+		me.NotifyAdd(st.Flags, t.GlobalRank(t.Leaders()[order[chainPos-1]]), scan2ChainCredit+parity, 1, pgas.ViaAuto)
 	}
 	if chainPos < len(order)-1 {
 		fwd := acc // node total, already the running prefix over my groups
@@ -166,15 +165,15 @@ func ScanTwoLevel[T any](v *team.View, buf []T, op coll.Op[T], exclusive bool) {
 		// Gate on the successor's credit for my previous same-parity send.
 		expect[scan2ChainCredit+parity]++
 		if sends := expect[scan2ChainCredit+parity]; sends > 1 {
-			me.WaitFlagGE(st.flags, me.Rank(), scan2ChainCredit+parity, sends-1)
+			me.WaitFlagGE(st.Flags, me.Rank(), scan2ChainCredit+parity, sends-1)
 		}
 		next := t.Leaders()[order[chainPos+1]]
-		pgas.PutThenNotify(me, inbox, t.GlobalRank(next), chainOff, fwd, st.flags, scan2ChainSlot+parity, 1, pgas.ViaAuto)
+		pgas.PutThenNotify(me, inbox, t.GlobalRank(next), chainOff, fwd, st.Flags, scan2ChainSlot+parity, 1, pgas.ViaAuto)
 	}
 	// Fold the node-exclusive prefix into each member's result and deliver,
 	// gated on the acks for the previous same-parity fan-out.
-	if gate := st.ackExpect[parity][v.Rank]; gate > 0 {
-		me.WaitFlagGE(st.flags, me.Rank(), scan2ResultAck+parity, gate)
+	if gate := expect[scan2ResultAck+parity]; gate > 0 {
+		me.WaitFlagGE(st.Flags, me.Rank(), scan2ResultAck+parity, gate)
 	}
 	fold := func(withinIncl []T) []T {
 		if ex == nil {
@@ -203,10 +202,10 @@ func ScanTwoLevel[T any](v *team.View, buf []T, op coll.Op[T], exclusive bool) {
 			}
 			continue
 		}
-		pgas.PutThenNotify(me, resBox, t.GlobalRank(r), resultOff, res, st.flags, scan2ResultSlot+parity, 1, pgas.ViaShm)
+		pgas.PutThenNotify(me, resBox, t.GlobalRank(r), resultOff, res, st.Flags, scan2ResultSlot+parity, 1, pgas.ViaShm)
 		targets++
 	}
-	st.ackExpect[parity][v.Rank] += int64(targets)
+	expect[scan2ResultAck+parity] += int64(targets)
 }
 
 // ScanFlatFallback is the placement-oblivious algorithm ScanTwoLevel

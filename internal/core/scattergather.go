@@ -9,55 +9,6 @@ import (
 	"cafteams/internal/trace"
 )
 
-// hierState is the per-(team, algorithm) plumbing shared by the
-// hierarchy-aware scatter/gather/alltoall/scan collectives: a flag array,
-// per-member episode counters, exact per-slot arrival expectations (roles
-// vary with the root, so episode numbers over-count), and per-parity
-// aggregate ack expectations for leader fan-outs.
-type hierState struct {
-	flags *pgas.Flags
-	ep    []int64
-	// slotExpect[r][s] is member r's cumulative expected arrival count on
-	// flag slot s. Doubling as a send counter on credit slots: before a
-	// member's k-th same-parity send it waits for k-1 credits, which (one
-	// credit per consumed send) proves every previous landing region it
-	// wrote — on whichever image — was consumed.
-	slotExpect [][]int64
-	// ackExpect[p][r] is leader r's cumulative expected member-ack count on
-	// its parity-p ack slot (fan-out flow control: the leader may not
-	// overwrite its members' landing regions before the previous same-parity
-	// fan-out was consumed everywhere).
-	ackExpect [2][]int64
-}
-
-// getHierState returns the shared state of one hierarchy-aware algorithm on a
-// team. The per-view memo keeps repeat calls (one per episode, per image) off
-// the key formatting and the world registry lock.
-func getHierState(v *team.View, alg string, slots int) *hierState {
-	return v.Memo(team.MemoKey{Kind: "core:hier", Alg: alg}, func() interface{} {
-		w := v.Img.World()
-		key := fmt.Sprintf("core:%s:team%d", alg, v.T.ID())
-		return pgas.LookupOrCreate(w, key, func() interface{} {
-			s := &hierState{
-				flags:      pgas.NewFlags(w, key, slots),
-				ep:         make([]int64, v.T.Size()),
-				slotExpect: make([][]int64, v.T.Size()),
-			}
-			s.ackExpect[0] = make([]int64, v.T.Size())
-			s.ackExpect[1] = make([]int64, v.T.Size())
-			return s
-		})
-	}).(*hierState)
-}
-
-// expect returns the caller's own slotExpect row, created on first use.
-func (s *hierState) expect(rank int) []int64 {
-	if s.slotExpect[rank] == nil {
-		s.slotExpect[rank] = make([]int64, s.flags.Slots())
-	}
-	return s.slotExpect[rank]
-}
-
 // groupPos returns rank's index within its (ascending) node group.
 func groupPos(group []int, rank int) int {
 	for i, r := range group {
@@ -111,9 +62,8 @@ func ScatterTwoLevel[T any](v *team.View, root int, send, recv []T) {
 		return
 	}
 	alg := "sc2." + pgas.TypeName[T]()
-	st := getHierState(v, alg, sc2Slots)
-	st.ep[v.Rank]++
-	ep := st.ep[v.Rank]
+	st := coll.GetState(v, alg, sc2Slots)
+	ep := st.Next(v)
 	parity := int(ep % 2)
 	// Two boxes, per parity: a leader's pack landing area (MaxNodeGroup
 	// blocks, written by the episode root) and a member's block landing
@@ -123,7 +73,7 @@ func ScatterTwoLevel[T any](v *team.View, root int, send, recv []T) {
 	packBase := parity * t.MaxNodeGroup() * pcap
 	blockOff := parity * bcap
 	me := v.Img
-	expect := st.expect(v.Rank)
+	expect := st.Expect(v)
 	leader := t.LeaderOf(v.Rank)
 	group := t.NodeGroup(t.GroupOf(v.Rank))
 	leaders := t.Leaders()
@@ -132,7 +82,7 @@ func ScatterTwoLevel[T any](v *team.View, root int, send, recv []T) {
 		// Injection gate: the pack regions this episode overwrites were last
 		// written two same-parity episodes ago, possibly by a different
 		// root; only the done stamp proves they were consumed.
-		me.WaitFlagGE(st.flags, me.Rank(), sc2Done, ep-2)
+		me.WaitFlagGE(st.Flags, me.Rank(), sc2Done, ep-2)
 		sent := 0
 		// One staging buffer serves every pack: a put captures its payload
 		// at issue.
@@ -147,7 +97,7 @@ func ScatterTwoLevel[T any](v *team.View, root int, send, recv []T) {
 				copy(pack[i*n:(i+1)*n], send[r*n:r*n+n])
 			}
 			me.MemWork(es * len(pack))
-			pgas.PutThenNotify(me, packs, t.GlobalRank(l), packBase, pack, st.flags, sc2PackSlot+parity, 1, pgas.ViaAuto)
+			pgas.PutThenNotify(me, packs, t.GlobalRank(l), packBase, pack, st.Flags, sc2PackSlot+parity, 1, pgas.ViaAuto)
 			sent++
 		}
 		if v.Rank == leader {
@@ -157,13 +107,13 @@ func ScatterTwoLevel[T any](v *team.View, root int, send, recv []T) {
 		}
 		if sent > 0 {
 			expect[sc2RootAck+parity] += int64(sent)
-			me.WaitFlagGE(st.flags, me.Rank(), sc2RootAck+parity, expect[sc2RootAck+parity])
+			me.WaitFlagGE(st.Flags, me.Rank(), sc2RootAck+parity, expect[sc2RootAck+parity])
 		}
 		// Publish completion to every potential future root.
-		me.SetLocal(st.flags, sc2Done, ep)
+		me.SetLocal(st.Flags, sc2Done, ep)
 		for r := 0; r < sz; r++ {
 			if r != root {
-				me.NotifySet(st.flags, t.GlobalRank(r), sc2Done, ep, pgas.ViaAuto)
+				me.NotifySet(st.Flags, t.GlobalRank(r), sc2Done, ep, pgas.ViaAuto)
 			}
 		}
 		return
@@ -173,43 +123,44 @@ func ScatterTwoLevel[T any](v *team.View, root int, send, recv []T) {
 		// over shared memory, then ack the root (my pack region is free the
 		// moment the fan-out puts are issued — puts capture data at issue).
 		expect[sc2PackSlot+parity]++
-		me.WaitFlagGE(st.flags, me.Rank(), sc2PackSlot+parity, expect[sc2PackSlot+parity])
+		me.WaitFlagGE(st.Flags, me.Rank(), sc2PackSlot+parity, expect[sc2PackSlot+parity])
 		local := pgas.Local(packs, me)
 		pos := groupPos(group, v.Rank)
 		copy(recv, local[packBase+pos*n:packBase+pos*n+n])
 		me.MemWork(es * n)
 		scatterFanOut(v, st, blocks, blockOff, parity, root, group, es, n,
 			func(i, r int) []T { return local[packBase+i*n : packBase+(i+1)*n] })
-		me.NotifyAdd(st.flags, t.GlobalRank(root), sc2RootAck+parity, 1, pgas.ViaAuto)
+		me.NotifyAdd(st.Flags, t.GlobalRank(root), sc2RootAck+parity, 1, pgas.ViaAuto)
 		return
 	}
 	// Member: exactly one block arrives, from my node leader, over shared
 	// memory; ack it so the leader may reuse my landing region.
 	expect[sc2BlockSlot+parity]++
-	me.WaitFlagGE(st.flags, me.Rank(), sc2BlockSlot+parity, expect[sc2BlockSlot+parity])
+	me.WaitFlagGE(st.Flags, me.Rank(), sc2BlockSlot+parity, expect[sc2BlockSlot+parity])
 	copy(recv, pgas.Local(blocks, me)[blockOff:blockOff+n])
 	me.MemWork(es * n)
-	me.NotifyAdd(st.flags, t.GlobalRank(leader), sc2MemberAck+parity, 1, pgas.ViaShm)
+	me.NotifyAdd(st.Flags, t.GlobalRank(leader), sc2MemberAck+parity, 1, pgas.ViaShm)
 }
 
 // scatterFanOut delivers per-member blocks to the leader's intranode set,
 // gated on the acks for the previous same-parity fan-out. block(i, r) yields
 // group position i / team rank r's block.
-func scatterFanOut[T any](v *team.View, st *hierState, co *pgas.Coarray[T], blockOff, parity, root int, group []int, es, n int, block func(i, r int) []T) {
+func scatterFanOut[T any](v *team.View, st *coll.State, co *pgas.Coarray[T], blockOff, parity, root int, group []int, es, n int, block func(i, r int) []T) {
 	me := v.Img
 	t := v.T
-	if gate := st.ackExpect[parity][v.Rank]; gate > 0 {
-		me.WaitFlagGE(st.flags, me.Rank(), sc2MemberAck+parity, gate)
+	expect := st.Expect(v)
+	if gate := expect[sc2MemberAck+parity]; gate > 0 {
+		me.WaitFlagGE(st.Flags, me.Rank(), sc2MemberAck+parity, gate)
 	}
 	targets := 0
 	for i, r := range group {
 		if r == v.Rank || r == root {
 			continue
 		}
-		pgas.PutThenNotify(me, co, t.GlobalRank(r), blockOff, block(i, r), st.flags, sc2BlockSlot+parity, 1, pgas.ViaShm)
+		pgas.PutThenNotify(me, co, t.GlobalRank(r), blockOff, block(i, r), st.Flags, sc2BlockSlot+parity, 1, pgas.ViaShm)
 		targets++
 	}
-	st.ackExpect[parity][v.Rank] += int64(targets)
+	expect[sc2MemberAck+parity] += int64(targets)
 }
 
 // Flag slots of the two-level gather: parity member-block arrivals at a
@@ -253,9 +204,8 @@ func GatherTwoLevel[T any](v *team.View, root int, send, recv []T) {
 		return
 	}
 	alg := "ga2." + pgas.TypeName[T]()
-	st := getHierState(v, alg, ga2Slots)
-	st.ep[v.Rank]++
-	ep := st.ep[v.Rank]
+	st := coll.GetState(v, alg, ga2Slots)
+	ep := st.Next(v)
 	parity := int(ep % 2)
 	maxGroup := t.MaxNodeGroup()
 	leaders := t.Leaders()
@@ -268,7 +218,7 @@ func GatherTwoLevel[T any](v *team.View, root int, send, recv []T) {
 	packBase := parity * maxGroup * pcap
 	landBase := func(gi int) int { return (parity*ng + gi) * maxGroup * lcap }
 	me := v.Img
-	expect := st.expect(v.Rank)
+	expect := st.Expect(v)
 	leader := t.LeaderOf(v.Rank)
 	group := t.NodeGroup(t.GroupOf(v.Rank))
 
@@ -277,10 +227,10 @@ func GatherTwoLevel[T any](v *team.View, root int, send, recv []T) {
 		// gated on the credit for my previous same-parity contribution.
 		expect[ga2MemberCredit+parity]++
 		if sends := expect[ga2MemberCredit+parity]; sends > 1 {
-			me.WaitFlagGE(st.flags, me.Rank(), ga2MemberCredit+parity, sends-1)
+			me.WaitFlagGE(st.Flags, me.Rank(), ga2MemberCredit+parity, sends-1)
 		}
 		pos := groupPos(group, v.Rank)
-		pgas.PutThenNotify(me, packs, t.GlobalRank(leader), packBase+pos*n, send, st.flags, ga2BlockSlot+parity, 1, pgas.ViaShm)
+		pgas.PutThenNotify(me, packs, t.GlobalRank(leader), packBase+pos*n, send, st.Flags, ga2BlockSlot+parity, 1, pgas.ViaShm)
 		return
 	}
 	if v.Rank == leader {
@@ -294,7 +244,7 @@ func GatherTwoLevel[T any](v *team.View, root int, send, recv []T) {
 		}
 		if contribs > 0 {
 			expect[ga2BlockSlot+parity] += int64(contribs)
-			me.WaitFlagGE(st.flags, me.Rank(), ga2BlockSlot+parity, expect[ga2BlockSlot+parity])
+			me.WaitFlagGE(st.Flags, me.Rank(), ga2BlockSlot+parity, expect[ga2BlockSlot+parity])
 		}
 		if v.Rank != root {
 			local := pgas.Local(packs, me)
@@ -306,14 +256,14 @@ func GatherTwoLevel[T any](v *team.View, root int, send, recv []T) {
 			// hole the unpack skips).
 			expect[ga2LeaderCredit+parity]++
 			if sends := expect[ga2LeaderCredit+parity]; sends > 1 {
-				me.WaitFlagGE(st.flags, me.Rank(), ga2LeaderCredit+parity, sends-1)
+				me.WaitFlagGE(st.Flags, me.Rank(), ga2LeaderCredit+parity, sends-1)
 			}
 			gi := t.GroupOf(v.Rank)
-			pgas.PutThenNotify(me, lands, t.GlobalRank(root), landBase(gi), local[packBase:packBase+len(group)*n], st.flags, ga2PackSlot+parity, 1, pgas.ViaAuto)
+			pgas.PutThenNotify(me, lands, t.GlobalRank(root), landBase(gi), local[packBase:packBase+len(group)*n], st.Flags, ga2PackSlot+parity, 1, pgas.ViaAuto)
 			// The pack area is consumed the moment the put is issued.
 			for _, r := range group {
 				if r != v.Rank && r != root {
-					me.NotifyAdd(st.flags, t.GlobalRank(r), ga2MemberCredit+parity, 1, pgas.ViaShm)
+					me.NotifyAdd(st.Flags, t.GlobalRank(r), ga2MemberCredit+parity, 1, pgas.ViaShm)
 				}
 			}
 			return
@@ -328,7 +278,7 @@ func GatherTwoLevel[T any](v *team.View, root int, send, recv []T) {
 	}
 	if sendersExpected > 0 {
 		expect[ga2PackSlot+parity] += int64(sendersExpected)
-		me.WaitFlagGE(st.flags, me.Rank(), ga2PackSlot+parity, expect[ga2PackSlot+parity])
+		me.WaitFlagGE(st.Flags, me.Rank(), ga2PackSlot+parity, expect[ga2PackSlot+parity])
 	}
 	for gi, l := range leaders {
 		grp := t.NodeGroup(gi)
@@ -346,14 +296,14 @@ func GatherTwoLevel[T any](v *team.View, root int, send, recv []T) {
 			me.MemWork(es * n)
 		}
 		if l != root {
-			me.NotifyAdd(st.flags, t.GlobalRank(l), ga2LeaderCredit+parity, 1, pgas.ViaAuto)
+			me.NotifyAdd(st.Flags, t.GlobalRank(l), ga2LeaderCredit+parity, 1, pgas.ViaAuto)
 		}
 	}
 	if v.Rank == leader {
 		// A root that leads its node credits its contributors itself.
 		for _, r := range group {
 			if r != v.Rank {
-				me.NotifyAdd(st.flags, t.GlobalRank(r), ga2MemberCredit+parity, 1, pgas.ViaShm)
+				me.NotifyAdd(st.Flags, t.GlobalRank(r), ga2MemberCredit+parity, 1, pgas.ViaShm)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"cafteams/internal/coll"
 	"cafteams/internal/pgas"
 	"cafteams/internal/team"
 	"cafteams/internal/trace"
@@ -30,9 +31,8 @@ func BarrierTDLB3(v *team.View) {
 		return
 	}
 	leaders := t.Leaders()
-	st := getTDLBState(v, "tdlb3", 2+disseminationRounds(len(leaders)))
-	st.ep[v.Rank]++
-	ep := st.ep[v.Rank]
+	st := coll.GetState(v, "tdlb3", 4+coll.Rounds(len(leaders)))
+	ep := st.Next(v)
 	me := v.Img
 	gi := t.GroupOf(v.Rank)
 	nodeLeader := t.LeaderOf(v.Rank)
@@ -42,21 +42,21 @@ func BarrierTDLB3(v *team.View) {
 
 	if v.Rank != mySocketLeader {
 		// Step 1 (core): arrive at the socket leader, await release.
-		me.NotifyAdd(st.flags, t.GlobalRank(mySocketLeader), 0, 1, pgas.ViaShm)
-		me.WaitFlagGE(st.flags, me.Rank(), 1, ep)
+		me.NotifyAdd(st.Flags, t.GlobalRank(mySocketLeader), 0, 1, pgas.ViaShm)
+		me.WaitFlagGE(st.Flags, me.Rank(), 1, ep)
 		return
 	}
 	if len(mySocketGroup) > 1 {
-		me.WaitFlagGE(st.flags, me.Rank(), 0, ep*int64(len(mySocketGroup)-1))
+		me.WaitFlagGE(st.Flags, me.Rank(), 0, ep*int64(len(mySocketGroup)-1))
 	}
 	if v.Rank != nodeLeader {
 		// Step 2 (socket leader): arrive at the node leader, await
 		// release, then release my socket.
-		me.NotifyAdd(st.flags, t.GlobalRank(nodeLeader), 2, 1, pgas.ViaShm)
-		me.WaitFlagGE(st.flags, me.Rank(), 3, ep)
+		me.NotifyAdd(st.Flags, t.GlobalRank(nodeLeader), 2, 1, pgas.ViaShm)
+		me.WaitFlagGE(st.Flags, me.Rank(), 3, ep)
 	} else {
 		if len(sleaders) > 1 {
-			me.WaitFlagGE(st.flags, me.Rank(), 2, ep*int64(len(sleaders)-1))
+			me.WaitFlagGE(st.Flags, me.Rank(), 2, ep*int64(len(sleaders)-1))
 		}
 		// Step 3: network dissemination among node leaders. Rounds
 		// start at slot 4.
@@ -64,15 +64,15 @@ func BarrierTDLB3(v *team.View) {
 		myPos := t.LeaderPos(v.Rank)
 		for k := 0; 1<<k < l; k++ {
 			partner := leaders[(myPos+1<<k)%l]
-			me.NotifyAdd(st.flags, t.GlobalRank(partner), 4+k, 1, pgas.ViaConduit)
-			me.WaitFlagGE(st.flags, me.Rank(), 4+k, ep)
+			me.NotifyAdd(st.Flags, t.GlobalRank(partner), 4+k, 1, pgas.ViaConduit)
+			me.WaitFlagGE(st.Flags, me.Rank(), 4+k, ep)
 		}
 		// Step 4: release the other socket leaders on this node.
 		for _, sl := range sleaders {
 			if sl == v.Rank {
 				continue
 			}
-			me.NotifySet(st.flags, t.GlobalRank(sl), 3, ep, pgas.ViaShm)
+			me.NotifySet(st.Flags, t.GlobalRank(sl), 3, ep, pgas.ViaShm)
 		}
 	}
 	// Step 5: release my socket group.
@@ -80,7 +80,7 @@ func BarrierTDLB3(v *team.View) {
 		if r == v.Rank {
 			continue
 		}
-		me.NotifySet(st.flags, t.GlobalRank(r), 1, ep, pgas.ViaShm)
+		me.NotifySet(st.Flags, t.GlobalRank(r), 1, ep, pgas.ViaShm)
 	}
 }
 

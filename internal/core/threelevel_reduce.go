@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"cafteams/internal/coll"
 	"cafteams/internal/pgas"
 	"cafteams/internal/team"
@@ -29,9 +27,8 @@ func AllreduceThreeLevel[T any](v *team.View, buf []T, op coll.Op[T]) {
 	n := len(buf)
 	es := pgas.ElemSize[T]()
 	alg := "red3." + op.Name + "." + pgas.TypeName[T]()
-	st := getRedState(v, alg)
-	st.ep[v.Rank]++
-	ep := st.ep[v.Rank]
+	st := coll.GetState(v, alg, 4)
+	ep := st.Next(v)
 	// Two boxes, per parity: a socket or node leader's inbox, and the result
 	// landing region of everyone the result cascades down to.
 	regions, leaderBase := red3Layout(v)
@@ -50,16 +47,16 @@ func AllreduceThreeLevel[T any](v *team.View, buf []T, op coll.Op[T]) {
 
 	if v.Rank != mySocketLeader {
 		// Step 1 (core): contribute to the socket leader, await result.
-		slot := slotIn(mySocketGroup, v.Rank)
-		pgas.PutThenNotify(me, inbox, t.GlobalRank(mySocketLeader), region(slot), buf, st.flags, 0, 1, pgas.ViaShm)
-		me.WaitFlagGE(st.flags, me.Rank(), 1, ep)
+		slot := groupPos(mySocketGroup, v.Rank)
+		pgas.PutThenNotify(me, inbox, t.GlobalRank(mySocketLeader), region(slot), buf, st.Flags, 0, 1, pgas.ViaShm)
+		me.WaitFlagGE(st.Flags, me.Rank(), 1, ep)
 		copy(buf, pgas.Local(res, me)[resultRegion:resultRegion+n])
 		me.MemWork(es * n)
 		return
 	}
 	// Socket leader: combine the socket group's vectors.
 	if len(mySocketGroup) > 1 {
-		me.WaitFlagGE(st.flags, me.Rank(), 0, ep*int64(len(mySocketGroup)-1))
+		me.WaitFlagGE(st.Flags, me.Rank(), 0, ep*int64(len(mySocketGroup)-1))
 		local := pgas.Local(inbox, me)
 		for i, r := range mySocketGroup {
 			if r == v.Rank {
@@ -75,15 +72,15 @@ func AllreduceThreeLevel[T any](v *team.View, buf []T, op coll.Op[T]) {
 		// result, then release the socket. Socket leaders land in their
 		// own region range (leaderBase..) — a socket-group member of the
 		// node leader's socket writes the low regions concurrently.
-		slot := leaderBase + slotIn(sleaders, v.Rank)
-		pgas.PutThenNotify(me, inbox, t.GlobalRank(nodeLeader), region(slot), buf, st.flags, 2, 1, pgas.ViaShm)
-		me.WaitFlagGE(st.flags, me.Rank(), 3, ep)
+		slot := leaderBase + groupPos(sleaders, v.Rank)
+		pgas.PutThenNotify(me, inbox, t.GlobalRank(nodeLeader), region(slot), buf, st.Flags, 2, 1, pgas.ViaShm)
+		me.WaitFlagGE(st.Flags, me.Rank(), 3, ep)
 		copy(buf, pgas.Local(res, me)[resultRegion:resultRegion+n])
 		me.MemWork(es * n)
 	} else {
 		// Node leader: combine the other socket leaders' partials.
 		if len(sleaders) > 1 {
-			me.WaitFlagGE(st.flags, me.Rank(), 2, ep*int64(len(sleaders)-1))
+			me.WaitFlagGE(st.Flags, me.Rank(), 2, ep*int64(len(sleaders)-1))
 			local := pgas.Local(inbox, me)
 			for i, r := range sleaders {
 				if r == v.Rank {
@@ -101,7 +98,7 @@ func AllreduceThreeLevel[T any](v *team.View, buf []T, op coll.Op[T]) {
 			if sl == v.Rank {
 				continue
 			}
-			pgas.PutThenNotify(me, res, t.GlobalRank(sl), resultRegion, buf, st.flags, 3, 1, pgas.ViaShm)
+			pgas.PutThenNotify(me, res, t.GlobalRank(sl), resultRegion, buf, st.Flags, 3, 1, pgas.ViaShm)
 		}
 	}
 	// Step 5: release my socket group.
@@ -109,7 +106,7 @@ func AllreduceThreeLevel[T any](v *team.View, buf []T, op coll.Op[T]) {
 		if r == v.Rank {
 			continue
 		}
-		pgas.PutThenNotify(me, res, t.GlobalRank(r), resultRegion, buf, st.flags, 1, 1, pgas.ViaShm)
+		pgas.PutThenNotify(me, res, t.GlobalRank(r), resultRegion, buf, st.Flags, 1, 1, pgas.ViaShm)
 	}
 }
 
@@ -136,14 +133,4 @@ func red3Layout(v *team.View) (regions, leaderBase int) {
 		return [2]int{maxGroup + maxLead, maxGroup}
 	}).([2]int)
 	return l[0], l[1]
-}
-
-// slotIn returns r's index within group.
-func slotIn(group []int, r int) int {
-	for i, g := range group {
-		if g == r {
-			return i
-		}
-	}
-	panic(fmt.Sprintf("core: rank %d not in group %v", r, group))
 }

@@ -300,6 +300,13 @@ func (fc *faultCtx) failError(op string, timeout bool) *FailedImageError {
 // value (nil for a normal return). Runs inside the launch wrapper's defer,
 // on the image's own execution context.
 func (fc *faultCtx) imageDone(im *Image, r interface{}) {
+	// Whatever ended the body, no split-phase coroutine outlives it. A body
+	// that returns normally with operations in flight broke the split-phase
+	// contract (every handle is completed with Wait): that is a programming
+	// error, reported like a panic.
+	if n := im.stopOps(); n > 0 && r == nil {
+		r = fmt.Errorf("pgas: image %d returned with %d split-phase operation(s) unfinished (complete every handle with Wait)", im.rank, n)
+	}
 	switch {
 	case r == nil:
 		fc.markDone(im.rank)

@@ -157,10 +157,16 @@ func (im *Image) SetLocal(f *Flags, idx int, val int64) {
 // WaitFlagGE blocks this image until flag idx on image owner is >= min.
 // Waiting on another image's flags is only meaningful on the same node
 // (shared memory); the runtime enforces that, matching what real hardware
-// permits.
+// permits. On the image's own row, inside a split-phase body, an unmet wait
+// yields the body to the image instead of blocking it (see progress.go).
 func (im *Image) WaitFlagGE(f *Flags, owner, idx int, min int64) {
-	if owner != im.rank && !im.SameNode(owner) {
-		panic(fmt.Sprintf("pgas: image %d waits on flags of remote image %d", im.rank, owner))
+	if owner != im.rank {
+		if !im.SameNode(owner) {
+			panic(fmt.Sprintf("pgas: image %d waits on flags of remote image %d", im.rank, owner))
+		}
+	} else if h := im.cur; h != nil {
+		h.waitOwnFlag(f, idx, min)
+		return
 	}
 	im.w.tr.WaitFlagGE(im, f, owner, idx, min)
 }

@@ -23,8 +23,12 @@ type Image struct {
 	syncSent []int64
 
 	// pendingOps are the in-flight split-phase operations driven by this
-	// image's progress engine (see progress.go).
+	// image's progress engine (see progress.go); cur is the one whose body
+	// is executing right now, nil on the blocking path; idle are coroutines
+	// whose body has returned, kept for the next operations.
 	pendingOps []*AsyncOp
+	cur        *AsyncOp
+	idle       []*coroutine
 }
 
 // Rank returns the image's 0-based global rank. (Coarray Fortran numbers

@@ -144,34 +144,18 @@ func TestNativeProgressEngine(t *testing.T) {
 	w := newNativeTestWorld(t, 1, 4)
 	fl := NewFlags(w, "nb-fl", 1)
 	w.Run(func(im *Image) {
-		// A trivial Progressible: done once every image's notify arrived.
+		// A trivial split-phase body: done once every image's notify arrived.
 		n := int64(w.NumImages())
 		for r := 0; r < int(n); r++ {
 			im.NotifyAdd(fl, r, 0, 1, ViaAuto)
 		}
-		h := im.StartOp(&waitForFlag{im: im, f: fl, min: n})
+		h := im.StartOp(func() { im.WaitFlagGE(fl, im.Rank(), 0, n) })
 		im.Compute(1e3)
 		h.Wait()
 		if got := fl.load(im.rank, 0); got < n {
 			t.Errorf("rank %d finished wait at flag %d, want >= %d", im.Rank(), got, n)
 		}
 	})
-}
-
-// waitForFlag is a minimal Progressible: complete when the image's own flag
-// slot 0 reaches min.
-type waitForFlag struct {
-	im  *Image
-	f   *Flags
-	min int64
-}
-
-func (op *waitForFlag) Step() bool {
-	return op.f.load(op.im.rank, 0) >= op.min
-}
-
-func (op *waitForFlag) Blocked() (*Flags, int, int64) {
-	return op.f, 0, op.min
 }
 
 // TestNativeFirstTouchRace: coarray slabs and flag rows materialise on first

@@ -171,7 +171,9 @@ func (w *World) SetLabel(label string) {
 // Every image body runs under a classifier that turns a forced kill or an
 // unrecovered *FailedImageError into a recorded image failure; arbitrary
 // panics are contained too when ContainPanics (or any fault machinery) is
-// enabled, and re-raised to the driver otherwise.
+// enabled, and re-raised to the driver otherwise. A body that returns with
+// split-phase operations in flight is such a panic; however a body ends, its
+// parked operations are stopped first.
 func (w *World) Launch(body func(img *Image)) {
 	fc := w.faults
 	w.tr.Launch(w, func(im *Image) {
