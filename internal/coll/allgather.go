@@ -30,9 +30,9 @@ func AllgatherRing[T any](v *team.View, mine, out []T, via pgas.Via) {
 		return
 	}
 	steps := sz - 1
-	st := GetState(v, "ag.ring."+via.String()+"."+tag[T](), steps)
-	ep := st.Next(v)
-	co, cap_ := Scratch[T](v, "ag.ring", "", n, 2*steps)
+	st := GetState(v, Alg{"ag.ring", via.String(), tag[T]()}, steps)
+	ep := st.Next()
+	co, cap_ := Scratch[T](st, "", n, 2*steps)
 	parity := int(ep % 2)
 	region := func(s int) int { return (parity*steps + s) * cap_ }
 	me := v.Img
@@ -70,12 +70,12 @@ func AllgatherBruck[T any](v *team.View, mine, out []T, via pgas.Via) {
 		return
 	}
 	nr := Rounds(sz)
-	st := GetState(v, "ag.bruck."+via.String()+"."+tag[T](), nr)
-	ep := st.Next(v)
+	st := GetState(v, Alg{"ag.bruck", via.String(), tag[T]()}, nr)
+	ep := st.Next()
 	// Round k lands min(2^k, sz−2^k) blocks; lay rounds out back to back
 	// per parity: round k starts 2^k−1 blocks in, and the last one ends
 	// sz−1 blocks in — every block but my own.
-	co, cap_ := Scratch[T](v, "ag.bruck", "", n, 2*(sz-1))
+	co, cap_ := Scratch[T](st, "", n, 2*(sz-1))
 	parity := int(ep % 2)
 	base := func(k int) int { return (parity*(sz-1) + (1<<k - 1)) * cap_ }
 	me := v.Img
@@ -85,7 +85,7 @@ func AllgatherBruck[T any](v *team.View, mine, out []T, via pgas.Via) {
 	have := 1
 	// One staging buffer serves every round: a put captures its payload at
 	// issue, and no round ships more than half the team's blocks.
-	staging := make([]T, sz/2*n)
+	staging := Temp[T](st, "pack", sz/2*n)
 	for k := 0; 1<<k < sz; k++ {
 		dst := ((r-1<<k)%sz + sz) % sz
 		send := have

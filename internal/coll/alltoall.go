@@ -46,9 +46,9 @@ func AlltoallPairwise[T any](v *team.View, send, recv []T, via pgas.Via) {
 	}
 	v.Img.MemWork(es * n)
 	steps := sz - 1
-	st := GetState(v, "a2a.pw."+via.String()+"."+tag[T](), steps)
-	ep := st.Next(v)
-	co, cap_ := Scratch[T](v, "a2a.pw", "", n, 2*steps)
+	st := GetState(v, Alg{"a2a.pw", via.String(), tag[T]()}, steps)
+	ep := st.Next()
+	co, cap_ := Scratch[T](st, "", n, 2*steps)
 	parity := int(ep % 2)
 	region := func(s int) int { return (parity*steps + s) * cap_ }
 	me := v.Img
@@ -91,31 +91,30 @@ func AlltoallBruck[T any](v *team.View, send, recv []T, via pgas.Via) {
 		return
 	}
 	nr := Rounds(sz)
-	// cnt[k] = number of blocks exchanged in round k; regions are laid out
-	// back to back per parity, sized exactly.
-	cnt := make([]int, nr)
-	off := make([]int, nr)
+	st := GetState(v, Alg{"a2a.bruck", via.String(), tag[T]()}, 3*nr)
+	ep := st.Next()
+	// Round k exchanges the blocks whose index has bit k set; regions are
+	// laid out back to back per parity, sized exactly: round k starts off[k]
+	// blocks in.
+	off := Temp[int](st, "off", nr)
 	total := 0
-	for k := 0; k < nr; k++ {
+	for k := range off {
 		off[k] = total
 		for j := 1; j < sz; j++ {
 			if j>>k&1 == 1 {
-				cnt[k]++
+				total++
 			}
 		}
-		total += cnt[k]
 	}
-	st := GetState(v, "a2a.bruck."+via.String()+"."+tag[T](), 3*nr)
-	ep := st.Next(v)
-	co, cap_ := Scratch[T](v, "a2a.bruck", "", n, 2*total)
+	co, cap_ := Scratch[T](st, "", n, 2*total)
 	parity := int(ep % 2)
 	region := func(k int) int { return (parity*total + off[k]) * cap_ }
 	me := v.Img
 	r := v.Rank
-	expect := st.Expect(v)
+	expect := st.Expect()
 
 	// Phase 1: local rotation — tmp block j is my block for rank (r+j).
-	tmp := make([]T, sz*n)
+	tmp := Temp[T](st, "rot", sz*n)
 	for j := 0; j < sz; j++ {
 		b := (r + j) % sz
 		copy(tmp[j*n:(j+1)*n], send[b*n:b*n+n])
@@ -124,7 +123,7 @@ func AlltoallBruck[T any](v *team.View, send, recv []T, via pgas.Via) {
 	// Phase 2: doubling rounds. One staging buffer serves every round: a
 	// put captures its payload at issue, and no round ships more than half
 	// the team's blocks.
-	pack := make([]T, 0, sz/2*n)
+	pack := Temp[T](st, "pack", sz/2*n)
 	for k := 0; k < nr; k++ {
 		dst := (r + 1<<k) % sz
 		src := (r - 1<<k + sz) % sz

@@ -17,8 +17,8 @@ func BarrierDissemination(v *team.View, via pgas.Via) {
 	if n == 1 {
 		return
 	}
-	st := GetState(v, "bar.diss."+via.String(), Rounds(n))
-	ep := st.Next(v)
+	st := GetState(v, Alg{"bar.diss", via.String()}, Rounds(n))
+	ep := st.Next()
 	for k := 0; 1<<k < n; k++ {
 		partner := (v.Rank + 1<<k) % n
 		v.Img.NotifyAdd(st.Flags, v.T.GlobalRank(partner), k, 1, via)
@@ -36,8 +36,8 @@ func BarrierLinear(v *team.View, via pgas.Via) {
 	if n == 1 {
 		return
 	}
-	st := GetState(v, "bar.lin."+via.String(), 2)
-	ep := st.Next(v)
+	st := GetState(v, Alg{"bar.lin", via.String()}, 2)
+	ep := st.Next()
 	root := v.T.GlobalRank(0)
 	if v.Rank == 0 {
 		v.Img.WaitFlagGE(st.Flags, root, 0, ep*int64(n-1))
@@ -60,8 +60,8 @@ func BarrierTree(v *team.View, via pgas.Via) {
 	if n == 1 {
 		return
 	}
-	st := GetState(v, "bar.tree."+via.String(), 2)
-	ep := st.Next(v)
+	st := GetState(v, Alg{"bar.tree", via.String()}, 2)
+	ep := st.Next()
 	r := v.Rank
 	kids := binomialChildren(r, n)
 	if len(kids) > 0 {
@@ -114,8 +114,8 @@ func BarrierTournament(v *team.View, via pgas.Via) {
 		return
 	}
 	nr := Rounds(n)
-	st := GetState(v, "bar.tour."+via.String(), 2*nr)
-	ep := st.Next(v)
+	st := GetState(v, Alg{"bar.tour", via.String()}, 2*nr)
+	ep := st.Next()
 	r := v.Rank
 	lost := -1
 	for k := 0; 1<<k < n; k++ {

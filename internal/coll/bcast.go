@@ -22,17 +22,17 @@ import (
 //
 // Flag layout: slots 0-1 parity payload arrivals, slots 2-3 parity acks,
 // slot 4 done stamps.
-func SubgroupBcastBinomial[T any](v *team.View, group []int, myIdx, rootIdx int, buf []T, alg string, via pgas.Via) {
+func SubgroupBcastBinomial[T any](v *team.View, group []int, myIdx, rootIdx int, buf []T, alg Alg, via pgas.Via) {
 	g := len(group)
 	if g == 1 {
 		return
 	}
 	n := len(buf)
 	es := pgas.ElemSize[T]()
-	st := GetState(v, alg+".bcast."+tag[T](), 5)
-	ep := st.Next(v)
-	expect := st.Expect(v)
-	co, cap_ := Scratch[T](v, alg, "bcast", n, 2)
+	st := GetState(v, alg.With("bcast", tag[T]()), 5)
+	ep := st.Next()
+	expect := st.Expect()
+	co, cap_ := Scratch[T](st, "bcast", n, 2)
 	parity := int(ep % 2)
 	reg := parity * cap_
 	paySlot := parity
@@ -81,7 +81,7 @@ func SubgroupBcastBinomial[T any](v *team.View, group []int, myIdx, rootIdx int,
 // whole team (the baseline for co_broadcast). root is a team rank.
 func BcastBinomial[T any](v *team.View, root int, buf []T, via pgas.Via) {
 	v.Img.World().Stats().Count(trace.OpBroadcast)
-	SubgroupBcastBinomial(v, TeamRanks(v), v.Rank, root, buf, "bc.flat."+via.String(), via)
+	SubgroupBcastBinomial(v, TeamRanks(v), v.Rank, root, buf, Alg{"bc.flat", via.String()}, via)
 }
 
 // BcastLinear has the root put the payload to every member directly —
@@ -97,10 +97,10 @@ func BcastLinear[T any](v *team.View, root int, buf []T, via pgas.Via) {
 	}
 	n := len(buf)
 	es := pgas.ElemSize[T]()
-	st := GetState(v, "bc.lin."+via.String()+"."+tag[T](), 5)
-	ep := st.Next(v)
-	expect := st.Expect(v)
-	co, cap_ := Scratch[T](v, "bc.lin", "", n, 2)
+	st := GetState(v, Alg{"bc.lin", via.String(), tag[T]()}, 5)
+	ep := st.Next()
+	expect := st.Expect()
+	co, cap_ := Scratch[T](st, "", n, 2)
 	parity := int(ep % 2)
 	reg := parity * cap_
 	paySlot := parity
@@ -144,18 +144,18 @@ func BcastScatterAllgather[T any](v *team.View, root int, buf []T, via pgas.Via)
 		return
 	}
 	if n < sz {
-		SubgroupBcastBinomial(v, TeamRanks(v), v.Rank, root, buf, "bc.sagfallback."+via.String(), via)
+		SubgroupBcastBinomial(v, TeamRanks(v), v.Rank, root, buf, Alg{"bc.sagfallback", via.String()}, via)
 		return
 	}
 	chunk := (n + sz - 1) / sz
 	steps := sz - 1
-	st := GetState(v, "bc.sag."+via.String()+"."+tag[T](), 1+steps)
-	ep := st.Next(v)
-	expect := st.Expect(v)
+	st := GetState(v, Alg{"bc.sag", via.String(), tag[T]()}, 1+steps)
+	ep := st.Next()
+	expect := st.Expect()
 	// Per parity: the full vector (scatter target area), and one
 	// chunk-sized region per all-gather step.
-	co, cap_ := Scratch[T](v, "bc.sag", "", n, 2)
-	ring, rcap := Scratch[T](v, "bc.sag", "ring", chunk, 2*steps)
+	co, cap_ := Scratch[T](st, "", n, 2)
+	ring, rcap := Scratch[T](st, "ring", chunk, 2*steps)
 	parity := int(ep % 2)
 	base := parity * cap_
 	me := v.Img

@@ -88,13 +88,33 @@ var (
 // on the same team must not share flag arrays or landing regions.
 func tag[T any]() string { return pgas.TypeName[T]() }
 
-// State is the per-(team, algorithm) collective state — the one such struct
-// of internal/coll and internal/core: a flag array plus, per member, the
-// episode counter, the split-phase operation that claimed the latest episode,
-// and exact per-slot arrival expectations. Each image only writes its own
-// member entry.
+// State is one image's handle on the state of one algorithm instance on its
+// team — the one such struct of internal/coll and internal/core. Team-shared:
+// a flag array plus, per member, the episode counter, the split-phase
+// operation that claimed the latest episode, and exact per-slot arrival
+// expectations (each image only writes its own member entry). Private to the
+// image: the instance's scratch coarrays and temporaries it has asked for
+// before, so a repeat call finds them by role without naming anything.
 type State struct {
-	Flags   *pgas.Flags
+	Flags *pgas.Flags
+	v     *team.View
+	name  string  // the state's world-registry key; scratch names extend it
+	m     *member // this image's entry of the team-shared member table
+	bufs  []buffer
+}
+
+// buffer is one scratch coarray (regions > 0) or temporary (regions == 0) the
+// image asked for before, found again by role and, for scratch, size class.
+type buffer struct {
+	role          string
+	cap_, regions int
+	x             interface{} // *pgas.Coarray[T], or *[]T for a temporary
+}
+
+// sharedState is the team-shared part of a State, one per instance in the
+// world registry.
+type sharedState struct {
+	flags   *pgas.Flags
 	members []member
 }
 
@@ -114,18 +134,27 @@ type member struct {
 	expect []int64
 }
 
-// GetState returns the shared state for one algorithm instance on a team,
-// with slots flag slots per member. The per-view memo makes repeat calls (one
-// per episode, per image) free of key formatting and registry traffic; the
-// state itself stays team-shared through the world registry.
-func GetState(v *team.View, alg string, slots int) *State {
-	return v.Memo(team.MemoKey{Kind: "coll:state", Alg: alg}, func() interface{} {
-		w := v.Img.World()
-		key := fmt.Sprintf("coll:%s:team%d", alg, v.T.ID())
-		return pgas.LookupOrCreate(w, key, func() interface{} {
-			return &State{Flags: pgas.NewFlags(w, key, slots), members: make([]member, v.T.Size())}
-		})
-	}).(*State)
+// Alg names one algorithm instance — the key of its state, and through it of
+// its scratch and temporaries. It stays in parts (see team.AlgName): a call
+// that finds its state in the view's cache formats and concatenates nothing.
+type Alg = team.AlgName
+
+// GetState returns the calling image's handle on the state of one algorithm
+// instance on its team, with slots flag slots per member. The per-view cache
+// makes repeat calls (one per episode, per image) one short scan, free of key
+// formatting and registry traffic; the flags and the member table stay
+// team-shared through the world registry.
+func GetState(v *team.View, alg Alg, slots int) *State {
+	memo := team.MemoKey{Kind: "coll:state", Alg: alg}
+	if x := v.Cached(memo); x != nil {
+		return x.(*State)
+	}
+	w := v.Img.World()
+	key := fmt.Sprintf("coll:%s:team%d", alg, v.T.ID())
+	sh := pgas.LookupOrCreate(w, key, func() interface{} {
+		return &sharedState{flags: pgas.NewFlags(w, key, slots), members: make([]member, v.T.Size())}
+	}).(*sharedState)
+	return v.Cache(memo, &State{Flags: sh.flags, v: v, name: key, m: &sh.members[v.Rank]}).(*State)
 }
 
 // Next claims the caller's next episode of the state and returns its number.
@@ -138,9 +167,9 @@ func GetState(v *team.View, alg string, slots int) *State {
 // Several claims can be queued behind one holder. The engine resumes them in
 // initiation order, so the first to wake claims and becomes the holder the
 // others find when they re-check: a loop, not an if.
-func (s *State) Next(v *team.View) int64 {
-	m := &s.members[v.Rank]
-	cur := v.Img.Running()
+func (s *State) Next() int64 {
+	m := s.m
+	cur := s.v.Img.Running()
 	for m.holder != nil && m.holder != cur && !m.holder.Done() {
 		m.holder.Wait()
 	}
@@ -150,12 +179,11 @@ func (s *State) Next(v *team.View) int64 {
 }
 
 // Expect returns the caller's own per-slot expectation counters.
-func (s *State) Expect(v *team.View) []int64 {
-	m := &s.members[v.Rank]
-	if m.expect == nil {
-		m.expect = make([]int64, s.Flags.Slots())
+func (s *State) Expect() []int64 {
+	if s.m.expect == nil {
+		s.m.expect = make([]int64, s.Flags.Slots())
 	}
-	return m.expect
+	return s.m.expect
 }
 
 // Rounds returns ceil(log2 n): the number of dissemination /
@@ -187,10 +215,11 @@ func bucket(n int) int {
 	return 1 << bits.Len(uint(n))
 }
 
-// Scratch returns the team's scratch coarray for one role of one algorithm:
-// regions regions of at least elems elements each (the returned capacity,
-// elems rounded up to its size class), allocated per size class and element
-// type. It is the one scratch allocator of internal/coll and internal/core.
+// Scratch returns the team's scratch coarray for one role of the algorithm
+// instance st is the state of: regions regions of at least elems elements each
+// (the returned capacity, elems rounded up to its size class), allocated per
+// size class and element type. It is the one scratch allocator of
+// internal/coll and internal/core.
 //
 // Slabs materialise on first touch (see pgas.Coarray), so a scratch costs an
 // image only what its role touches — provided roles do not share a slab.
@@ -198,19 +227,46 @@ func bucket(n int) int {
 // only one): the inbox or staging area of a leader, root or parent and the
 // result landing of a member are separate coarrays, and an image only ever
 // materialises the boxes of roles it has played.
-func Scratch[T any](v *team.View, alg, role string, elems, regions int) (*pgas.Coarray[T], int) {
+func Scratch[T any](st *State, role string, elems, regions int) (*pgas.Coarray[T], int) {
 	cap_ := bucket(elems)
-	mk := func() interface{} {
-		name := fmt.Sprintf("coll:%s:%s:%s:team%d:cap%d:r%d", alg, role, tag[T](), v.T.ID(), cap_, regions)
-		return pgas.NewTeamCoarray[T](v.Img.World(), name, cap_*regions, v.T.Members())
+	// A repeat call (one per episode, per image) finds the coarray among the
+	// few buffers this image asked for before: no name formatting, no
+	// registry lock.
+	for i := range st.bufs {
+		if b := &st.bufs[i]; b.role == role && b.cap_ == cap_ && b.regions == regions {
+			if co, ok := b.x.(*pgas.Coarray[T]); ok {
+				return co, cap_
+			}
+		}
 	}
-	// The per-view memo keeps repeat calls (one per episode, per image) off
-	// the name formatting and the world registry lock.
-	key := team.MemoKey{Kind: "coll:scratch", Alg: alg, Role: role, N: cap_, M: regions}
-	if co, ok := v.Memo(key, mk).(*pgas.Coarray[T]); ok {
-		return co, cap_
+	name := fmt.Sprintf("%s:%s:cap%d:r%d", st.name, role, cap_, regions)
+	co := pgas.NewTeamCoarray[T](st.v.Img.World(), name, cap_*regions, st.v.T.Members())
+	st.bufs = append(st.bufs, buffer{role, cap_, regions, co})
+	return co, cap_
+}
+
+// Temp returns a buffer of n elements private to the calling image, for one
+// role of the algorithm instance st is the state of, kept across episodes:
+// packing and staging space that every episode would otherwise allocate. It
+// holds whatever its last user left in it. Take it after st.Next — Next runs an
+// image's episodes of one state one at a time, so a split-phase body still in
+// flight never shares its temporaries with the next call.
+func Temp[T any](st *State, role string, n int) []T {
+	var p *[]T
+	for i := range st.bufs {
+		if b := &st.bufs[i]; b.role == role && b.regions == 0 {
+			if q, ok := b.x.(*[]T); ok {
+				p = q
+				break
+			}
+		}
 	}
-	// Memo slot taken by another element type for the same (alg, role,
-	// class): the registry keys on the type as well.
-	return mk().(*pgas.Coarray[T]), cap_
+	if p == nil {
+		p = new([]T)
+		st.bufs = append(st.bufs, buffer{role: role, x: p})
+	}
+	if cap(*p) < n {
+		*p = make([]T, n)
+	}
+	return (*p)[:n]
 }

@@ -34,14 +34,14 @@ func GatherLinear[T any](v *team.View, root int, send, recv []T, via pgas.Via) {
 	if sz == 1 {
 		return
 	}
-	st := GetState(v, "ga.lin."+via.String()+"."+tag[T](), 4)
-	ep := st.Next(v)
-	co, cap_ := Scratch[T](v, "ga.lin", "", n, 2*sz)
+	st := GetState(v, Alg{"ga.lin", via.String(), tag[T]()}, 4)
+	ep := st.Next()
+	co, cap_ := Scratch[T](st, "", n, 2*sz)
 	parity := int(ep % 2)
 	arriveSlot := parity
 	creditSlot := 2 + parity
 	me := v.Img
-	expect := st.Expect(v)
+	expect := st.Expect()
 	if v.Rank == root {
 		// Arrival counts are root-dependent, so count exactly.
 		expect[arriveSlot] += int64(sz - 1)
@@ -105,17 +105,17 @@ func GatherBinomial[T any](v *team.View, root int, send, recv []T, via pgas.Via)
 		return
 	}
 	nr := Rounds(sz)
-	st := GetState(v, "ga.binom."+via.String()+"."+tag[T](), 3*nr)
-	ep := st.Next(v)
+	st := GetState(v, Alg{"ga.binom", via.String(), tag[T]()}, 3*nr)
+	ep := st.Next()
 	parity := int(ep % 2)
 	me := v.Img
 	rel := (v.Rank - root + sz) % sz
 	global := func(relIdx int) int { return v.T.GlobalRank((relIdx + root) % sz) }
-	expect := st.Expect(v)
+	expect := st.Expect()
 	nkids := binomialFanout(rel, sz)
 	pack := send // a leaf's packed range is its own block
 	if nkids > 0 {
-		co, base, span := subtreeArea[T](v, "ga.binom", rel, sz, n, parity)
+		co, base, span := subtreeArea[T](st, rel, sz, n, parity)
 		local := pgas.Local(co, me)
 		copy(local[base:base+n], send) // my own block leads my packed range
 		pack = local[base : base+span*n]
@@ -151,7 +151,7 @@ func GatherBinomial[T any](v *team.View, root int, send, recv []T, via pgas.Via)
 	if sends := expect[creditSlot]; sends > 1 {
 		me.WaitFlagGE(st.Flags, me.Rank(), creditSlot, sends-1)
 	}
-	pco, pbase, _ := subtreeArea[T](v, "ga.binom", parentRel, sz, n, parity)
+	pco, pbase, _ := subtreeArea[T](st, parentRel, sz, n, parity)
 	pgas.PutThenNotify(me, pco, global(parentRel), pbase+(rel-parentRel)*n, pack, st.Flags, edge, 1, via)
 	creditKids()
 }
@@ -162,11 +162,11 @@ func GatherBinomial[T any](v *team.View, root int, send, recv []T, via pgas.Via)
 // ranks clipped at the team's end — packed n-contiguous in relative-rank
 // order at base, this parity's half of the scratch of that subtree's size
 // class. Owner and remote writer derive the same coarray from rel alone.
-func subtreeArea[T any](v *team.View, alg string, rel, sz, n, parity int) (co *pgas.Coarray[T], base, span int) {
+func subtreeArea[T any](st *State, rel, sz, n, parity int) (co *pgas.Coarray[T], base, span int) {
 	span = sz
 	if rel != 0 {
 		span = min(rel&-rel, sz-rel)
 	}
-	co, cap_ := Scratch[T](v, alg, "", span*n, 2)
+	co, cap_ := Scratch[T](st, "", span*n, 2)
 	return co, parity * cap_, span
 }

@@ -20,7 +20,7 @@ import (
 //
 // The hierarchy-aware two-level reduction (internal/core) reuses this with
 // group = the team's node leaders; the flat baseline uses the whole team.
-func SubgroupAllreduceRD[T any](v *team.View, group []int, myIdx int, buf []T, op Op[T], alg string, via pgas.Via) {
+func SubgroupAllreduceRD[T any](v *team.View, group []int, myIdx int, buf []T, op Op[T], alg Alg, via pgas.Via) {
 	g := len(group)
 	if g == 1 {
 		return
@@ -28,9 +28,8 @@ func SubgroupAllreduceRD[T any](v *team.View, group []int, myIdx int, buf []T, o
 	n := len(buf)
 	es := pgas.ElemSize[T]()
 	nr := Rounds(FloorPow2(g))
-	alg += ".rd." + op.Name
-	st := GetState(v, alg+"."+tag[T](), nr+2)
-	ep := st.Next(v)
+	st := GetState(v, alg.With("rd", op.Name, tag[T]()), nr+2)
+	ep := st.Next()
 	// Three boxes, per parity: the rd rounds land at every core member, a
 	// folded extra's contribution at its core partner, and the result at
 	// the extra — each role touches only its own.
@@ -45,21 +44,21 @@ func SubgroupAllreduceRD[T any](v *team.View, group []int, myIdx int, buf []T, o
 	if myIdx >= p2 {
 		// Fold in: ship to the core partner, then wait for the result.
 		partner := myIdx - p2
-		in, icap := Scratch[T](v, alg, "fold", n, 2)
+		in, icap := Scratch[T](st, "fold", n, 2)
 		pgas.PutThenNotify(me, in, global(partner), parity*icap, buf, st.Flags, slotExtra, 1, via)
 		me.WaitFlagGE(st.Flags, me.Rank(), slotResult, ep)
-		res, rcap := Scratch[T](v, alg, "res", n, 2)
+		res, rcap := Scratch[T](st, "res", n, 2)
 		copy(buf, pgas.Local(res, me)[parity*rcap:parity*rcap+n])
 		me.MemWork(es * n)
 		return
 	}
 	if myIdx < extras {
 		me.WaitFlagGE(st.Flags, me.Rank(), slotExtra, ep)
-		in, icap := Scratch[T](v, alg, "fold", n, 2)
+		in, icap := Scratch[T](st, "fold", n, 2)
 		op.Combine(buf, pgas.Local(in, me)[parity*icap:parity*icap+n])
 		me.MemWork(2 * es * n)
 	}
-	co, cap_ := Scratch[T](v, alg, "", n, 2*nr)
+	co, cap_ := Scratch[T](st, "", n, 2*nr)
 	region := func(k int) int { return (parity*nr + k) * cap_ }
 	for k := 0; 1<<k < p2; k++ {
 		partner := myIdx ^ 1<<k
@@ -69,7 +68,7 @@ func SubgroupAllreduceRD[T any](v *team.View, group []int, myIdx int, buf []T, o
 		me.MemWork(2 * es * n)
 	}
 	if myIdx < extras {
-		res, rcap := Scratch[T](v, alg, "res", n, 2)
+		res, rcap := Scratch[T](st, "res", n, 2)
 		pgas.PutThenNotify(me, res, global(myIdx+p2), parity*rcap, buf, st.Flags, slotResult, 1, via)
 	}
 }
@@ -79,7 +78,7 @@ func SubgroupAllreduceRD[T any](v *team.View, group []int, myIdx int, buf []T, o
 // friends.
 func AllreduceRD[T any](v *team.View, buf []T, op Op[T], via pgas.Via) {
 	v.Img.World().Stats().Count(trace.OpReduce)
-	SubgroupAllreduceRD(v, TeamRanks(v), v.Rank, buf, op, "red.flat."+via.String(), via)
+	SubgroupAllreduceRD(v, TeamRanks(v), v.Rank, buf, op, Alg{"red.flat", via.String()}, via)
 }
 
 // AllreduceLinear gathers every vector at the team's first member, combines
@@ -93,12 +92,12 @@ func AllreduceLinear[T any](v *team.View, buf []T, op Op[T], via pgas.Via) {
 	if sz == 1 {
 		return
 	}
-	st := GetState(v, "red.lin."+op.Name+"."+via.String()+"."+tag[T](), 2)
-	ep := st.Next(v)
+	st := GetState(v, Alg{"red.lin", op.Name, via.String(), tag[T]()}, 2)
+	ep := st.Next()
 	// Root inbox: one region per member per parity, touched at the root
 	// only. Result landing: one region per parity at every other member.
-	inbox, icap := Scratch[T](v, "red.lin."+op.Name, "in", n, 2*sz)
-	res, rcap := Scratch[T](v, "red.lin."+op.Name, "res", n, 2)
+	inbox, icap := Scratch[T](st, "in", n, 2*sz)
+	res, rcap := Scratch[T](st, "res", n, 2)
 	parity := int(ep % 2)
 	root := v.T.GlobalRank(0)
 	me := v.Img
@@ -134,12 +133,12 @@ func AllreduceTree[T any](v *team.View, buf []T, op Op[T], via pgas.Via) {
 		return
 	}
 	nr := Rounds(sz)
-	st := GetState(v, "red.tree."+op.Name+"."+via.String()+"."+tag[T](), nr+1)
-	ep := st.Next(v)
+	st := GetState(v, Alg{"red.tree", op.Name, via.String(), tag[T]()}, nr+1)
+	ep := st.Next()
 	// Parents land their children per tree level; every member but the
 	// root lands the result, in a box of its own (leaves touch no other).
-	co, cap_ := Scratch[T](v, "red.tree."+op.Name, "in", n, 2*nr)
-	res, rcap := Scratch[T](v, "red.tree."+op.Name, "res", n, 2)
+	co, cap_ := Scratch[T](st, "in", n, 2*nr)
+	res, rcap := Scratch[T](st, "res", n, 2)
 	parity := int(ep % 2)
 	region := func(k int) int { return (parity*nr + k) * cap_ }
 	me := v.Img
@@ -189,16 +188,16 @@ func AllreduceRing[T any](v *team.View, buf []T, op Op[T], via pgas.Via) {
 	}
 	if n < sz {
 		// Tiny vectors degenerate; fall back to recursive doubling.
-		SubgroupAllreduceRD(v, TeamRanks(v), v.Rank, buf, op, "red.ringfallback."+via.String(), via)
+		SubgroupAllreduceRD(v, TeamRanks(v), v.Rank, buf, op, Alg{"red.ringfallback", via.String()}, via)
 		return
 	}
 	steps := 2 * (sz - 1)
-	st := GetState(v, "red.ring."+op.Name+"."+via.String()+"."+tag[T](), steps)
-	ep := st.Next(v)
+	st := GetState(v, Alg{"red.ring", op.Name, via.String(), tag[T]()}, steps)
+	ep := st.Next()
 	chunk := (n + sz - 1) / sz
 	// One inbox region per step per episode parity: ring skew can reach
 	// sz−1 steps, so regions cannot be shared between nearby steps.
-	co, cap_ := Scratch[T](v, "red.ring."+op.Name, "", chunk, 2*steps)
+	co, cap_ := Scratch[T](st, "", chunk, 2*steps)
 	parity := int(ep % 2)
 	region := func(step int) int { return (parity*steps + step) * cap_ }
 	me := v.Img
@@ -246,14 +245,16 @@ func AllreduceRing[T any](v *team.View, buf []T, op Op[T], via pgas.Via) {
 // built once per team and shared by every member; callers must not modify
 // it.
 func TeamRanks(v *team.View) []int {
-	return v.Memo(team.MemoKey{Kind: "coll:ranks"}, func() interface{} {
-		key := fmt.Sprintf("coll:ranks:team%d", v.T.ID())
-		return pgas.LookupOrCreate(v.Img.World(), key, func() interface{} {
-			out := make([]int, v.T.Size())
-			for i := range out {
-				out[i] = i
-			}
-			return out
-		})
-	}).([]int)
+	memo := team.MemoKey{Kind: "coll:ranks"}
+	if x := v.Cached(memo); x != nil {
+		return x.([]int)
+	}
+	key := fmt.Sprintf("coll:ranks:team%d", v.T.ID())
+	return v.Cache(memo, pgas.LookupOrCreate(v.Img.World(), key, func() interface{} {
+		out := make([]int, v.T.Size())
+		for i := range out {
+			out[i] = i
+		}
+		return out
+	})).([]int)
 }

@@ -29,7 +29,7 @@ import (
 //
 // Flag layout, nr = ⌈log2 g⌉: slots [0, nr) edge arrivals; slot
 // nr+2·k+parity the credit from the edge-k parent.
-func SubgroupReduceToRoot[T any](v *team.View, group []int, myIdx, rootIdx int, buf []T, op Op[T], alg string, via pgas.Via) {
+func SubgroupReduceToRoot[T any](v *team.View, group []int, myIdx, rootIdx int, buf []T, op Op[T], alg Alg, via pgas.Via) {
 	g := len(group)
 	if g == 1 {
 		return
@@ -37,15 +37,15 @@ func SubgroupReduceToRoot[T any](v *team.View, group []int, myIdx, rootIdx int, 
 	n := len(buf)
 	es := pgas.ElemSize[T]()
 	nr := Rounds(g)
-	st := GetState(v, alg+".redto."+tag[T](), 3*nr)
-	ep := st.Next(v)
-	co, cap_ := Scratch[T](v, alg, "redto", n, 2*nr)
+	st := GetState(v, alg.With("redto", tag[T]()), 3*nr)
+	ep := st.Next()
+	co, cap_ := Scratch[T](st, "redto", n, 2*nr)
 	parity := int(ep % 2)
 	region := func(edge int) int { return (parity*nr + edge) * cap_ }
 	me := v.Img
 	rel := (myIdx - rootIdx + g) % g
 	globalOf := func(idx int) int { return v.T.GlobalRank(group[idx]) }
-	expect := st.Expect(v)
+	expect := st.Expect()
 
 	// Children in the relative binomial tree (same shape as the gather of
 	// AllreduceTree): rel's children are rel+2^k for k below rel's lowest
@@ -76,7 +76,7 @@ func SubgroupReduceToRoot[T any](v *team.View, group []int, myIdx, rootIdx int, 
 // root is a team rank.
 func ReduceToRoot[T any](v *team.View, root int, buf []T, op Op[T], via pgas.Via) {
 	v.Img.World().Stats().Count(trace.OpReduce)
-	SubgroupReduceToRoot(v, TeamRanks(v), v.Rank, root, buf, op, "redto.flat."+op.Name+"."+via.String(), via)
+	SubgroupReduceToRoot(v, TeamRanks(v), v.Rank, root, buf, op, Alg{"redto.flat", op.Name, via.String()}, via)
 }
 
 // ReduceToRootLinear gathers every member's vector at the root directly and
@@ -94,14 +94,14 @@ func ReduceToRootLinear[T any](v *team.View, root int, buf []T, op Op[T], via pg
 	}
 	n := len(buf)
 	es := pgas.ElemSize[T]()
-	st := GetState(v, "redto.lin."+op.Name+"."+via.String()+"."+tag[T](), 4)
-	ep := st.Next(v)
-	co, cap_ := Scratch[T](v, "redto.lin."+op.Name, "", n, 2*sz)
+	st := GetState(v, Alg{"redto.lin", op.Name, via.String(), tag[T]()}, 4)
+	ep := st.Next()
+	co, cap_ := Scratch[T](st, "", n, 2*sz)
 	parity := int(ep % 2)
 	arriveSlot := parity
 	creditSlot := 2 + parity
 	me := v.Img
-	expect := st.Expect(v)
+	expect := st.Expect()
 	if v.Rank == root {
 		// expect[arriveSlot] counts cumulative same-parity
 		// arrivals; the tree shape is root-dependent, so count exactly.

@@ -1,8 +1,6 @@
 package coll
 
 import (
-	"slices"
-
 	"cafteams/internal/pgas"
 	"cafteams/internal/team"
 	"cafteams/internal/trace"
@@ -39,16 +37,15 @@ func ScanLinear[T any](v *team.View, buf []T, op Op[T], exclusive bool, via pgas
 	if sz == 1 {
 		return
 	}
-	alg := "scan.lin." + op.Name + "." + scanTag(exclusive) + "." + via.String() + "." + tag[T]()
-	st := GetState(v, alg, 4)
-	ep := st.Next(v)
-	co, cap_ := Scratch[T](v, "scan.lin."+op.Name, scanTag(exclusive), n, 2)
+	st := GetState(v, Alg{"scan.lin", op.Name, scanTag(exclusive), via.String(), tag[T]()}, 4)
+	ep := st.Next()
+	co, cap_ := Scratch[T](st, scanTag(exclusive), n, 2)
 	parity := int(ep % 2)
 	reg := parity * cap_
 	creditSlot := 2 + parity
 	me := v.Img
 	r := v.Rank
-	expect := st.Expect(v)
+	expect := st.Expect()
 	var fwd []T // the inclusive prefix over [0, r], shipped to r+1
 	if r == 0 {
 		fwd = buf
@@ -57,7 +54,8 @@ func ScanLinear[T any](v *team.View, buf []T, op Op[T], exclusive bool, via pgas
 		in := pgas.Local(co, me)[reg : reg+n] // prefix over [0, r)
 		if exclusive {
 			if r < sz-1 {
-				fwd = slices.Clone(in)
+				fwd = Temp[T](st, "fwd", n)
+				copy(fwd, in)
 				op.Combine(fwd, buf)
 				me.MemWork(3 * es * n)
 			}
@@ -106,16 +104,16 @@ func ScanRD[T any](v *team.View, buf []T, op Op[T], exclusive bool, via pgas.Via
 		return
 	}
 	nr := Rounds(sz)
-	alg := "scan.rd." + op.Name + "." + scanTag(exclusive) + "." + via.String() + "." + tag[T]()
-	st := GetState(v, alg, 3*nr+3)
-	ep := st.Next(v)
-	co, cap_ := Scratch[T](v, "scan.rd."+op.Name, scanTag(exclusive), n, 2*nr)
+	st := GetState(v, Alg{"scan.rd", op.Name, scanTag(exclusive), via.String(), tag[T]()}, 3*nr+3)
+	ep := st.Next()
+	co, cap_ := Scratch[T](st, scanTag(exclusive), n, 2*nr)
 	parity := int(ep % 2)
 	region := func(k int) int { return (parity*nr + k) * cap_ }
 	me := v.Img
 	r := v.Rank
-	expect := st.Expect(v)
-	acc := slices.Clone(buf) // running partial over [max(0, r−2^k+1), r]
+	expect := st.Expect()
+	acc := Temp[T](st, "acc", n) // running partial over [max(0, r−2^k+1), r]
+	copy(acc, buf)
 	me.MemWork(es * n)
 	for k := 0; 1<<k < sz; k++ {
 		ackSlot := nr + 2*k + parity
@@ -140,7 +138,7 @@ func ScanRD[T any](v *team.View, buf []T, op Op[T], exclusive bool, via pgas.Via
 	}
 	// Shift the inclusive prefixes down by one rank, through a box of its
 	// own.
-	shift, scap := Scratch[T](v, "scan.rd."+op.Name, "shift", n, 2)
+	shift, scap := Scratch[T](st, "shift", n, 2)
 	shiftSlot := 3 * nr
 	shiftAck := 3*nr + 1 + parity
 	if r+1 < sz {

@@ -36,10 +36,10 @@ func ScatterLinear[T any](v *team.View, root int, send, recv []T, via pgas.Via) 
 	if sz == 1 {
 		return
 	}
-	st := GetState(v, "sc.lin."+via.String()+"."+tag[T](), 5)
-	ep := st.Next(v)
-	expect := st.Expect(v)
-	co, cap_ := Scratch[T](v, "sc.lin", "", n, 2)
+	st := GetState(v, Alg{"sc.lin", via.String(), tag[T]()}, 5)
+	ep := st.Next()
+	expect := st.Expect()
+	co, cap_ := Scratch[T](st, "", n, 2)
 	parity := int(ep % 2)
 	reg := parity * cap_
 	paySlot := parity
@@ -100,9 +100,9 @@ func ScatterBinomial[T any](v *team.View, root int, send, recv []T, via pgas.Via
 	if sz == 1 {
 		return
 	}
-	st := GetState(v, "sc.binom."+via.String()+"."+tag[T](), 5)
-	ep := st.Next(v)
-	expect := st.Expect(v)
+	st := GetState(v, Alg{"sc.binom", via.String(), tag[T]()}, 5)
+	ep := st.Next()
+	expect := st.Expect()
 	parity := int(ep % 2)
 	paySlot := parity
 	ackSlot := 2 + parity
@@ -114,7 +114,7 @@ func ScatterBinomial[T any](v *team.View, root int, send, recv []T, via pgas.Via
 	var tree []T
 	if rel == 0 {
 		me.WaitFlagGE(st.Flags, me.Rank(), 4, ep-2)
-		tree = make([]T, sz*n)
+		tree = Temp[T](st, "tree", sz*n)
 		for q := 0; q < sz; q++ {
 			b := (q + root) % sz
 			copy(tree[q*n:(q+1)*n], send[b*n:b*n+n])
@@ -123,7 +123,7 @@ func ScatterBinomial[T any](v *team.View, root int, send, recv []T, via pgas.Via
 	} else {
 		expect[paySlot]++
 		me.WaitFlagGE(st.Flags, me.Rank(), paySlot, expect[paySlot])
-		co, base, span := subtreeArea[T](v, "sc.binom", rel, sz, n, parity)
+		co, base, span := subtreeArea[T](st, rel, sz, n, parity)
 		tree = pgas.Local(co, me)[base : base+span*n]
 		copy(recv, tree[:n])
 		me.MemWork(es * n)
@@ -137,7 +137,7 @@ func ScatterBinomial[T any](v *team.View, root int, send, recv []T, via pgas.Via
 			if last > sz {
 				last = sz
 			}
-			co, base, _ := subtreeArea[T](v, "sc.binom", child, sz, n, parity)
+			co, base, _ := subtreeArea[T](st, child, sz, n, parity)
 			pgas.PutThenNotify(me, co, global(child), base, tree[(child-rel)*n:(last-rel)*n], st.Flags, paySlot, 1, via)
 			nkids++
 		}

@@ -30,18 +30,17 @@ func AllgatherTwoLevel[T any](v *team.View, mine, out []T) {
 	if sz == 1 {
 		return
 	}
-	alg := "ag2." + pgas.TypeName[T]()
 	nLeaders := len(t.Leaders())
 	steps := nLeaders - 1
-	st := coll.GetState(v, alg, 2+steps)
-	ep := st.Next(v)
+	st := coll.GetState(v, coll.Alg{"ag2", pgas.TypeName[T]()}, 2+steps)
+	ep := st.Next()
 	parity := int(ep % 2)
 
 	// Two boxes, per parity: the full gathered vector on every image (the
 	// leader's assembly area and the members' fan-out landing, one cap-sized
 	// slot per team rank), and a leader's ring-step regions, each sized to
 	// the largest node block.
-	co, cap_ := coll.Scratch[T](v, alg, "", n, 2*sz)
+	co, cap_ := coll.Scratch[T](st, "", n, 2*sz)
 	full := cap_ * sz
 	base := parity * full
 	me := v.Img
@@ -72,13 +71,13 @@ func AllgatherTwoLevel[T any](v *team.View, mine, out []T) {
 	myPos := t.LeaderPos(v.Rank)
 	if steps > 0 {
 		stepRegion := cap_ * t.MaxNodeGroup()
-		ring, _ := coll.Scratch[T](v, alg, "ring", n, 2*steps*t.MaxNodeGroup())
+		ring, _ := coll.Scratch[T](st, "ring", n, 2*steps*t.MaxNodeGroup())
 		ringBase := parity * steps * stepRegion
 		nextPos := (myPos + 1) % nLeaders
 		next := t.GlobalRank(leaders[nextPos])
 		// One staging buffer serves every step: a put captures its payload
 		// at issue.
-		staging := make([]T, t.MaxNodeGroup()*n)
+		staging := coll.Temp[T](st, "pack", t.MaxNodeGroup()*n)
 		for s := 0; s < steps; s++ {
 			sendPos := ((myPos-s)%nLeaders + nLeaders) % nLeaders
 			recvPos := ((myPos-s-1)%nLeaders + nLeaders) % nLeaders

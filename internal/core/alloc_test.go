@@ -1,0 +1,97 @@
+//go:build !race
+
+package core
+
+// What a collective call allocates once its state exists: nothing. State and scratch lookups hit the view's cache without building a
+// key string, temporaries are kept per view (coll.Temp), native puts land
+// inline and a native wait builds its description only when it fails — so
+// per-episode garbage is a regression, and on the native backend it is CPU
+// the wall clock sees. (Not built under -race, where allocation counts mean
+// nothing.)
+
+import (
+	"runtime"
+	"testing"
+
+	"cafteams/internal/coll"
+	"cafteams/internal/pgas"
+	"cafteams/internal/team"
+	"cafteams/internal/topology"
+)
+
+// steadyStateAllocs runs kind k's hierarchy-default algorithm on an 8(2)
+// world of the given backend at 128 elems — two warm-up episodes (both
+// parities: state, scratch slabs, flag rows, temporaries), then eps measured
+// ones — and returns the heap objects allocated per episode per image.
+// Everything the images allocate between rank 0's two readings counts; the
+// barriers that fence the readings are themselves inside the window.
+func steadyStateAllocs(t *testing.T, backend string, k Kind) float64 {
+	t.Helper()
+	const warm, eps, elems, root = 2, 40, 128, 5 // root: a non-leader of the second node
+	sc := confScenario{nodes: 2, perNode: 4, place: topology.PlaceBlock, backend: backend}
+	w := sc.world(t)
+	pol := Policy{Level: LevelAuto}
+	var before, after runtime.MemStats
+	w.Run(func(im *pgas.Image) {
+		v := team.Initial(w, im)
+		n := v.NumImages()
+		vec, all, all2 := make([]float64, elems), make([]float64, n*elems), make([]float64, n*elems)
+		episode := func() {
+			switch k {
+			case KindBarrier:
+				pol.Barrier(v)
+			case KindAllreduce:
+				pol.Allreduce(v, vec, coll.Sum)
+			case KindReduceTo:
+				pol.ReduceTo(v, root, vec, coll.Sum)
+			case KindBroadcast:
+				pol.Broadcast(v, root, vec)
+			case KindAllgather:
+				pol.Allgather(v, vec, all)
+			case KindScatter:
+				pol.Scatter(v, root, all, vec)
+			case KindGather:
+				pol.Gather(v, root, vec, all)
+			case KindAlltoall:
+				pol.Alltoall(v, all, all2)
+			case KindScan:
+				pol.Scan(v, vec, coll.Max, false)
+			}
+		}
+		for i := 0; i < warm; i++ {
+			episode()
+			pol.Barrier(v)
+		}
+		if im.Rank() == 0 {
+			runtime.ReadMemStats(&before)
+		}
+		pol.Barrier(v)
+		for i := 0; i < eps; i++ {
+			episode()
+		}
+		pol.Barrier(v)
+		if im.Rank() == 0 {
+			runtime.ReadMemStats(&after)
+		}
+		pol.Barrier(v) // nobody starts tearing down before the reading
+	})
+	return float64(after.Mallocs-before.Mallocs) / float64(eps*w.NumImages())
+}
+
+// TestCollectiveSteadyStateAllocs holds every kind to zero heap objects per
+// episode per image on the native backend — all nine, alltoall, allgather and
+// scan included — and reports the same table on the sim backend (where every
+// put stages a copy and every image is a simulated process: a report, not a
+// gate).
+func TestCollectiveSteadyStateAllocs(t *testing.T) {
+	for _, k := range Kinds() {
+		native := steadyStateAllocs(t, "native", k)
+		sim := steadyStateAllocs(t, "sim", k)
+		t.Logf("%-9s native %.2f allocs/episode/image, sim %.2f", k, native, sim)
+		// A stray runtime allocation (a sudog, a GC worker) must not fail
+		// the pin: 40 episodes x 8 images leave room for a handful.
+		if native > 0.05 {
+			t.Errorf("%s: %.2f allocs per episode per image on native, want 0", k, native)
+		}
+	}
+}

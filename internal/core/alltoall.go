@@ -52,9 +52,8 @@ func AlltoallTwoLevel[T any](v *team.View, send, recv []T) {
 		copy(recv, send[:n])
 		return
 	}
-	alg := "a2a2." + pgas.TypeName[T]()
-	st := coll.GetState(v, alg, a2aSlots)
-	ep := st.Next(v)
+	st := coll.GetState(v, coll.Alg{"a2a2", pgas.TypeName[T]()}, a2aSlots)
+	ep := st.Next()
 	parity := int(ep % 2)
 	mg := t.MaxNodeGroup()
 	leaders := t.Leaders()
@@ -63,14 +62,14 @@ func AlltoallTwoLevel[T any](v *team.View, send, recv []T) {
 	// (one full send vector per group position), a leader's node-pair pack
 	// landing area per source group, and a member's outbox (one full recv
 	// vector).
-	inbox, icap := coll.Scratch[T](v, alg, "in", n, 2*mg*sz)
-	lands, lcap := coll.Scratch[T](v, alg, "land", n, 2*ng*mg*mg)
-	outbox, ocap := coll.Scratch[T](v, alg, "out", n, 2*sz)
+	inbox, icap := coll.Scratch[T](st, "in", n, 2*mg*sz)
+	lands, lcap := coll.Scratch[T](st, "land", n, 2*ng*mg*mg)
+	outbox, ocap := coll.Scratch[T](st, "out", n, 2*sz)
 	inboxAt := func(pos int) int { return (parity*mg + pos) * sz * icap }
 	landAt := func(gi int) int { return (parity*ng + gi) * mg * mg * lcap }
 	outboxOff := parity * sz * ocap
 	me := v.Img
-	expect := st.Expect(v)
+	expect := st.Expect()
 	leader := t.LeaderOf(v.Rank)
 	gi := t.GroupOf(v.Rank)
 	group := t.NodeGroup(gi)
@@ -121,7 +120,7 @@ func AlltoallTwoLevel[T any](v *team.View, send, recv []T) {
 		expect[a2aPackCredit+parity] += int64(ng - 1)
 		// One staging buffer serves every pack: a put captures its payload
 		// at issue.
-		pack := make([]T, 0, gsz*mg*n)
+		pack := coll.Temp[T](st, "pack", gsz*mg*n)
 		for hi, lh := range leaders {
 			if hi == gi {
 				continue
@@ -146,7 +145,7 @@ func AlltoallTwoLevel[T any](v *team.View, send, recv []T) {
 	if gate := expect[a2aOutboxAck+parity]; gate > 0 {
 		me.WaitFlagGE(st.Flags, me.Rank(), a2aOutboxAck+parity, gate)
 	}
-	out := make([]T, sz*n)
+	out := coll.Temp[T](st, "out", sz*n)
 	targets := 0
 	for j, m := range group {
 		for s := 0; s < sz; s++ {

@@ -64,8 +64,8 @@ func BarrierTDLB(v *team.View) {
 	// Flag layout: slot 0 counts intranode arrivals at the node leader (the
 	// "cocounter" of Algorithm 1), slot 1 carries the leader's release stamp,
 	// slots 2.. are the dissemination round flags used by the leaders.
-	st := coll.GetState(v, "tdlb", 2+coll.Rounds(len(leaders)))
-	ep := st.Next(v)
+	st := coll.GetState(v, coll.Alg{"tdlb"}, 2+coll.Rounds(len(leaders)))
+	ep := st.Next()
 	me := v.Img
 	leader := t.LeaderOf(v.Rank)
 	group := t.NodeGroup(t.GroupOf(v.Rank))
@@ -120,8 +120,8 @@ func BarrierTDLL(v *team.View) {
 		return
 	}
 	leaders := t.Leaders()
-	st := coll.GetState(v, "tdll", 4)
-	ep := st.Next(v)
+	st := coll.GetState(v, coll.Alg{"tdll"}, 4)
+	ep := st.Next()
 	me := v.Img
 	leader := t.LeaderOf(v.Rank)
 	group := t.NodeGroup(t.GroupOf(v.Rank))

@@ -26,15 +26,14 @@ func AllreduceTwoLevel[T any](v *team.View, buf []T, op coll.Op[T]) {
 	}
 	n := len(buf)
 	es := pgas.ElemSize[T]()
-	alg := "red2." + op.Name + "." + pgas.TypeName[T]()
 	// Flag layout: slot 0 counts intranode arrivals at the leader, slot 1
 	// carries the leader's result release.
-	st := coll.GetState(v, alg, 2)
-	ep := st.Next(v)
+	st := coll.GetState(v, coll.Alg{"red2", op.Name, pgas.TypeName[T]()}, 2)
+	ep := st.Next()
 	// Two boxes, per parity: a leader's inbox (one region per position in
 	// its intranode set) and a member's result landing region.
-	inbox, icap := coll.Scratch[T](v, alg, "in", n, 2*t.MaxNodeGroup())
-	res, rcap := coll.Scratch[T](v, alg, "res", n, 2)
+	inbox, icap := coll.Scratch[T](st, "in", n, 2*t.MaxNodeGroup())
+	res, rcap := coll.Scratch[T](st, "res", n, 2)
 	parity := int(ep % 2)
 	region := func(k int) int { return (parity*t.MaxNodeGroup() + k) * icap }
 	me := v.Img
@@ -67,7 +66,7 @@ func AllreduceTwoLevel[T any](v *team.View, buf []T, op coll.Op[T]) {
 	}
 	// Step 2: recursive doubling among leaders over the conduit.
 	leaders := t.Leaders()
-	coll.SubgroupAllreduceRD(v, leaders, t.LeaderPos(v.Rank), buf, op, "core.red2lead."+op.Name, pgas.ViaConduit)
+	coll.SubgroupAllreduceRD(v, leaders, t.LeaderPos(v.Rank), buf, op, coll.Alg{"core.red2lead", op.Name}, pgas.ViaConduit)
 	// Step 3: release the result to the intranode set.
 	for _, r := range group {
 		if r == v.Rank {
@@ -89,17 +88,16 @@ func BcastTwoLevel[T any](v *team.View, root int, buf []T) {
 	}
 	n := len(buf)
 	es := pgas.ElemSize[T]()
-	alg := "bc2." + pgas.TypeName[T]()
 	// Flag layout: slot 0 handoff arrivals at the root's leader, slot 1
 	// fan-out arrivals at members, slots 3/4 parity fan-out acks at leaders,
 	// slots 5/6 parity handoff credits at the root. Roles vary with the root,
 	// so every wait counts exactly (State.Expect).
-	st := coll.GetState(v, alg, 7)
-	ep := st.Next(v)
-	expect := st.Expect(v)
+	st := coll.GetState(v, coll.Alg{"bc2", pgas.TypeName[T]()}, 7)
+	ep := st.Next()
+	expect := st.Expect()
 	// One landing region per parity on every image: the root's leader lands
 	// the handoff in it, everyone else the fan-out.
-	co, cap_ := coll.Scratch[T](v, alg, "", n, 2)
+	co, cap_ := coll.Scratch[T](st, "", n, 2)
 	parity := int(ep % 2)
 	dataRegion := parity * cap_
 	me := v.Img
@@ -130,7 +128,7 @@ func BcastTwoLevel[T any](v *team.View, root int, buf []T) {
 	// flow-controlled).
 	if v.Rank == leader {
 		leaders := t.Leaders()
-		coll.SubgroupBcastBinomial(v, leaders, t.LeaderPos(v.Rank), t.LeaderPos(rootLeader), buf, "core.bc2lead", pgas.ViaConduit)
+		coll.SubgroupBcastBinomial(v, leaders, t.LeaderPos(v.Rank), t.LeaderPos(rootLeader), buf, coll.Alg{"core.bc2lead"}, pgas.ViaConduit)
 		// Fan-out flow control: the intranode set must have consumed the
 		// same-parity fan-out from two episodes ago before its landing
 		// region is overwritten.

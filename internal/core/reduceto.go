@@ -25,14 +25,13 @@ func ReduceToRootTwoLevel[T any](v *team.View, root int, buf []T, op coll.Op[T])
 	}
 	n := len(buf)
 	es := pgas.ElemSize[T]()
-	alg := "redto2." + op.Name + "." + pgas.TypeName[T]()
-	st := coll.GetState(v, alg, 7)
-	ep := st.Next(v)
-	expect := st.Expect(v)
+	st := coll.GetState(v, coll.Alg{"redto2", op.Name, pgas.TypeName[T]()}, 7)
+	ep := st.Next()
+	expect := st.Expect()
 	// Two boxes, per parity: a leader's inbox (one region per position in
 	// its intranode set) and the result landing region of a non-leader root.
-	inbox, icap := coll.Scratch[T](v, alg, "in", n, 2*t.MaxNodeGroup())
-	res, rcap := coll.Scratch[T](v, alg, "res", n, 2)
+	inbox, icap := coll.Scratch[T](st, "in", n, 2*t.MaxNodeGroup())
+	res, rcap := coll.Scratch[T](st, "res", n, 2)
 	parity := int(ep % 2)
 	region := func(k int) int { return (parity*t.MaxNodeGroup() + k) * icap }
 	resultRegion := parity * rcap
@@ -77,7 +76,7 @@ func ReduceToRootTwoLevel[T any](v *team.View, root int, buf []T, op coll.Op[T])
 	}
 	// Binomial reduce-to-one among leaders, to the root's leader.
 	leaders := t.Leaders()
-	coll.SubgroupReduceToRoot(v, leaders, t.LeaderPos(v.Rank), t.LeaderPos(rootLeader), buf, op, "core.redto2lead."+op.Name, pgas.ViaConduit)
+	coll.SubgroupReduceToRoot(v, leaders, t.LeaderPos(v.Rank), t.LeaderPos(rootLeader), buf, op, coll.Alg{"core.redto2lead", op.Name}, pgas.ViaConduit)
 	// Hand the result to a non-leader root.
 	if v.Rank == rootLeader && root != rootLeader {
 		pgas.PutThenNotify(me, res, t.GlobalRank(root), resultRegion, buf, st.Flags, 1, 1, pgas.ViaShm)

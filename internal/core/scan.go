@@ -1,7 +1,6 @@
 package core
 
 import (
-	"slices"
 	"sort"
 
 	"cafteams/internal/coll"
@@ -29,8 +28,15 @@ const (
 // first team rank, and whether the groups tile the team contiguously in that
 // order (every group's ranks consecutive, each group starting where the
 // previous ended). Only then does a prefix reduction decompose into
-// per-node segments plus one inter-node scan of group totals.
-func scanChainOrder(t *team.Team) ([]int, bool) {
+// per-node segments plus one inter-node scan of group totals. The answer is a
+// property of the team, computed once per view.
+func scanChainOrder(v *team.View) ([]int, bool) {
+	memo := team.MemoKey{Kind: "core:scanchain"}
+	if x := v.Cached(memo); x != nil {
+		c := x.(scanChain)
+		return c.order, c.contiguous
+	}
+	t := v.T
 	order := make([]int, t.NumNodeGroups())
 	for i := range order {
 		order[i] = i
@@ -38,16 +44,20 @@ func scanChainOrder(t *team.Team) ([]int, bool) {
 	sort.Slice(order, func(a, b int) bool {
 		return t.NodeGroup(order[a])[0] < t.NodeGroup(order[b])[0]
 	})
-	next := 0
+	next, contiguous := 0, true
 	for _, gi := range order {
 		for _, r := range t.NodeGroup(gi) {
-			if r != next {
-				return order, false
-			}
+			contiguous = contiguous && r == next
 			next++
 		}
 	}
-	return order, true
+	v.Cache(memo, scanChain{order, contiguous})
+	return order, contiguous
+}
+
+type scanChain struct {
+	order      []int
+	contiguous bool
 }
 
 // ScanTwoLevel is the hierarchy-aware prefix reduction over team rank order
@@ -74,27 +84,26 @@ func ScanTwoLevel[T any](v *team.View, buf []T, op coll.Op[T], exclusive bool) {
 	if sz == 1 {
 		return
 	}
-	order, contiguous := scanChainOrder(t)
+	order, contiguous := scanChainOrder(v)
 	if !contiguous {
 		ScanFlatFallback(v, buf, op, exclusive)
 		return
 	}
 	n := len(buf)
 	es := pgas.ElemSize[T]()
-	alg := "scan2." + op.Name + "." + scan2Tag(exclusive) + "." + pgas.TypeName[T]()
-	st := coll.GetState(v, alg, scan2Slots)
-	ep := st.Next(v)
+	st := coll.GetState(v, coll.Alg{"scan2", op.Name, scan2Tag(exclusive), pgas.TypeName[T]()}, scan2Slots)
+	ep := st.Next()
 	parity := int(ep % 2)
 	mg := t.MaxNodeGroup()
 	// Two boxes, per parity: a leader's inbox (one vector per group position,
 	// then the chain landing region) and a member's result landing region.
-	inbox, icap := coll.Scratch[T](v, alg, "in", n, 2*(mg+1))
-	resBox, rcap := coll.Scratch[T](v, alg, "res", n, 2)
+	inbox, icap := coll.Scratch[T](st, "in", n, 2*(mg+1))
+	resBox, rcap := coll.Scratch[T](st, "res", n, 2)
 	base := parity * (mg + 1) * icap
 	chainOff := base + mg*icap
 	resultOff := parity * rcap
 	me := v.Img
-	expect := st.Expect(v)
+	expect := st.Expect()
 	leader := t.LeaderOf(v.Rank)
 	gi := t.GroupOf(v.Rank)
 	group := t.NodeGroup(gi)
@@ -124,8 +133,9 @@ func ScanTwoLevel[T any](v *team.View, buf []T, op coll.Op[T], exclusive bool) {
 		me.WaitFlagGE(st.Flags, me.Rank(), scan2InboxSlot+parity, expect[scan2InboxSlot+parity])
 	}
 	// Within-node inclusive prefixes, in group (= team rank) order.
-	incl := make([]T, gsz*n)
-	acc := slices.Clone(buf)
+	incl := coll.Temp[T](st, "incl", gsz*n)
+	acc := coll.Temp[T](st, "acc", n)
+	copy(acc, buf)
 	copy(incl[:n], acc)
 	me.MemWork(2 * es * n)
 	for j := 1; j < gsz; j++ {
@@ -151,14 +161,16 @@ func ScanTwoLevel[T any](v *team.View, buf []T, op coll.Op[T], exclusive bool) {
 	if chainPos > 0 {
 		expect[scan2ChainSlot+parity]++
 		me.WaitFlagGE(st.Flags, me.Rank(), scan2ChainSlot+parity, expect[scan2ChainSlot+parity])
-		ex = slices.Clone(pgas.Local(inbox, me)[chainOff : chainOff+n])
+		ex = coll.Temp[T](st, "ex", n)
+		copy(ex, pgas.Local(inbox, me)[chainOff:chainOff+n])
 		me.MemWork(es * n)
 		me.NotifyAdd(st.Flags, t.GlobalRank(t.Leaders()[order[chainPos-1]]), scan2ChainCredit+parity, 1, pgas.ViaAuto)
 	}
 	if chainPos < len(order)-1 {
 		fwd := acc // node total, already the running prefix over my groups
 		if ex != nil {
-			fwd = slices.Clone(ex)
+			fwd = coll.Temp[T](st, "fwd", n)
+			copy(fwd, ex)
 			op.Combine(fwd, acc)
 			me.MemWork(3 * es * n)
 		}
@@ -175,11 +187,14 @@ func ScanTwoLevel[T any](v *team.View, buf []T, op coll.Op[T], exclusive bool) {
 	if gate := expect[scan2ResultAck+parity]; gate > 0 {
 		me.WaitFlagGE(st.Flags, me.Rank(), scan2ResultAck+parity, gate)
 	}
+	// One result buffer serves every member: a put captures its payload at
+	// issue.
 	fold := func(withinIncl []T) []T {
 		if ex == nil {
 			return withinIncl
 		}
-		res := slices.Clone(ex)
+		res := coll.Temp[T](st, "res", n)
+		copy(res, ex)
 		op.Combine(res, withinIncl)
 		me.MemWork(3 * es * n)
 		return res

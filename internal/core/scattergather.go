@@ -61,19 +61,18 @@ func ScatterTwoLevel[T any](v *team.View, root int, send, recv []T) {
 	if sz == 1 {
 		return
 	}
-	alg := "sc2." + pgas.TypeName[T]()
-	st := coll.GetState(v, alg, sc2Slots)
-	ep := st.Next(v)
+	st := coll.GetState(v, coll.Alg{"sc2", pgas.TypeName[T]()}, sc2Slots)
+	ep := st.Next()
 	parity := int(ep % 2)
 	// Two boxes, per parity: a leader's pack landing area (MaxNodeGroup
 	// blocks, written by the episode root) and a member's block landing
 	// region (written by the image's node leader).
-	packs, pcap := coll.Scratch[T](v, alg, "pack", n, 2*t.MaxNodeGroup())
-	blocks, bcap := coll.Scratch[T](v, alg, "blk", n, 2)
+	packs, pcap := coll.Scratch[T](st, "pack", n, 2*t.MaxNodeGroup())
+	blocks, bcap := coll.Scratch[T](st, "blk", n, 2)
 	packBase := parity * t.MaxNodeGroup() * pcap
 	blockOff := parity * bcap
 	me := v.Img
-	expect := st.Expect(v)
+	expect := st.Expect()
 	leader := t.LeaderOf(v.Rank)
 	group := t.NodeGroup(t.GroupOf(v.Rank))
 	leaders := t.Leaders()
@@ -86,7 +85,7 @@ func ScatterTwoLevel[T any](v *team.View, root int, send, recv []T) {
 		sent := 0
 		// One staging buffer serves every pack: a put captures its payload
 		// at issue.
-		staging := make([]T, t.MaxNodeGroup()*n)
+		staging := coll.Temp[T](st, "pack", t.MaxNodeGroup()*n)
 		for gi, l := range leaders {
 			if l == root {
 				continue
@@ -148,7 +147,7 @@ func ScatterTwoLevel[T any](v *team.View, root int, send, recv []T) {
 func scatterFanOut[T any](v *team.View, st *coll.State, co *pgas.Coarray[T], blockOff, parity, root int, group []int, es, n int, block func(i, r int) []T) {
 	me := v.Img
 	t := v.T
-	expect := st.Expect(v)
+	expect := st.Expect()
 	if gate := expect[sc2MemberAck+parity]; gate > 0 {
 		me.WaitFlagGE(st.Flags, me.Rank(), sc2MemberAck+parity, gate)
 	}
@@ -203,9 +202,8 @@ func GatherTwoLevel[T any](v *team.View, root int, send, recv []T) {
 	if sz == 1 {
 		return
 	}
-	alg := "ga2." + pgas.TypeName[T]()
-	st := coll.GetState(v, alg, ga2Slots)
-	ep := st.Next(v)
+	st := coll.GetState(v, coll.Alg{"ga2", pgas.TypeName[T]()}, ga2Slots)
+	ep := st.Next()
 	parity := int(ep % 2)
 	maxGroup := t.MaxNodeGroup()
 	leaders := t.Leaders()
@@ -213,12 +211,12 @@ func GatherTwoLevel[T any](v *team.View, root int, send, recv []T) {
 	// Two boxes, per parity: a leader's pack assembly area (maxGroup blocks,
 	// written by its intranode set), and an episode root's landing area —
 	// one pack region per node group, written by that group's leader.
-	packs, pcap := coll.Scratch[T](v, alg, "pack", n, 2*maxGroup)
-	lands, lcap := coll.Scratch[T](v, alg, "land", n, 2*ng*maxGroup)
+	packs, pcap := coll.Scratch[T](st, "pack", n, 2*maxGroup)
+	lands, lcap := coll.Scratch[T](st, "land", n, 2*ng*maxGroup)
 	packBase := parity * maxGroup * pcap
 	landBase := func(gi int) int { return (parity*ng + gi) * maxGroup * lcap }
 	me := v.Img
-	expect := st.Expect(v)
+	expect := st.Expect()
 	leader := t.LeaderOf(v.Rank)
 	group := t.NodeGroup(t.GroupOf(v.Rank))
 

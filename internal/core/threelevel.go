@@ -31,8 +31,8 @@ func BarrierTDLB3(v *team.View) {
 		return
 	}
 	leaders := t.Leaders()
-	st := coll.GetState(v, "tdlb3", 4+coll.Rounds(len(leaders)))
-	ep := st.Next(v)
+	st := coll.GetState(v, coll.Alg{"tdlb3"}, 4+coll.Rounds(len(leaders)))
+	ep := st.Next()
 	me := v.Img
 	gi := t.GroupOf(v.Rank)
 	nodeLeader := t.LeaderOf(v.Rank)

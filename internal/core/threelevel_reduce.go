@@ -26,14 +26,13 @@ func AllreduceThreeLevel[T any](v *team.View, buf []T, op coll.Op[T]) {
 	}
 	n := len(buf)
 	es := pgas.ElemSize[T]()
-	alg := "red3." + op.Name + "." + pgas.TypeName[T]()
-	st := coll.GetState(v, alg, 4)
-	ep := st.Next(v)
+	st := coll.GetState(v, coll.Alg{"red3", op.Name, pgas.TypeName[T]()}, 4)
+	ep := st.Next()
 	// Two boxes, per parity: a socket or node leader's inbox, and the result
 	// landing region of everyone the result cascades down to.
 	regions, leaderBase := red3Layout(v)
-	inbox, icap := coll.Scratch[T](v, alg, "in", n, 2*regions)
-	res, rcap := coll.Scratch[T](v, alg, "res", n, 2)
+	inbox, icap := coll.Scratch[T](st, "in", n, 2*regions)
+	res, rcap := coll.Scratch[T](st, "res", n, 2)
 	parity := int(ep % 2)
 	region := func(k int) int { return (parity*regions + k) * icap }
 	resultRegion := parity * rcap
@@ -92,7 +91,7 @@ func AllreduceThreeLevel[T any](v *team.View, buf []T, op coll.Op[T]) {
 			}
 		}
 		// Step 3: network recursive doubling among node leaders.
-		coll.SubgroupAllreduceRD(v, t.Leaders(), t.LeaderPos(v.Rank), buf, op, "core.red3lead."+op.Name, pgas.ViaConduit)
+		coll.SubgroupAllreduceRD(v, t.Leaders(), t.LeaderPos(v.Rank), buf, op, coll.Alg{"core.red3lead", op.Name}, pgas.ViaConduit)
 		// Step 4: release the other socket leaders.
 		for _, sl := range sleaders {
 			if sl == v.Rank {
@@ -116,21 +115,24 @@ func AllreduceThreeLevel[T any](v *team.View, buf []T, op coll.Op[T]) {
 // node leader both its own socket's members and the other socket leaders
 // deposit concurrently.
 func red3Layout(v *team.View) (regions, leaderBase int) {
-	l := v.Memo(team.MemoKey{Kind: "core:red3layout"}, func() interface{} {
-		t := v.T
-		maxGroup := 1
-		maxLead := 1
-		for gi := 0; gi < t.NumNodeGroups(); gi++ {
-			for _, sg := range t.SocketGroups(gi) {
-				if len(sg) > maxGroup {
-					maxGroup = len(sg)
-				}
-			}
-			if l := len(t.SocketLeaders(gi)); l > maxLead {
-				maxLead = l
+	memo := team.MemoKey{Kind: "core:red3layout"}
+	if x := v.Cached(memo); x != nil {
+		l := x.([2]int)
+		return l[0], l[1]
+	}
+	t := v.T
+	maxGroup := 1
+	maxLead := 1
+	for gi := 0; gi < t.NumNodeGroups(); gi++ {
+		for _, sg := range t.SocketGroups(gi) {
+			if len(sg) > maxGroup {
+				maxGroup = len(sg)
 			}
 		}
-		return [2]int{maxGroup + maxLead, maxGroup}
-	}).([2]int)
-	return l[0], l[1]
+		if l := len(t.SocketLeaders(gi)); l > maxLead {
+			maxLead = l
+		}
+	}
+	v.Cache(memo, [2]int{maxGroup + maxLead, maxGroup})
+	return maxGroup + maxLead, maxGroup
 }

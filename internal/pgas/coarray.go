@@ -196,25 +196,19 @@ func (c *Coarray[T]) materialize(rank int) []T {
 // cost is charged; local compute is charged separately via Image.Compute.
 func Local[T any](c *Coarray[T], im *Image) []T { return c.slab(im.rank) }
 
-// stageCommit builds the payload-landing closure for a one-sided write. A
-// transport whose Put commits synchronously inside the call (shared memory)
-// reads src directly; an asynchronous transport gets a staged copy so the
-// caller may reuse src immediately after Put returns — the usual
-// injection-buffer semantics. Staged records come from the coarray's pool;
-// a record whose commit is never run (a dropped message under fault
-// injection) simply falls to the garbage collector.
-func stageCommit[T any](im *Image, c *Coarray[T], dst []T, off int, src []T) func() {
-	if im.w.tr.Immediate() {
-		return func() { copy(dst[off:], src) }
-	}
-	return c.stage(dst, off, src).run
-}
-
 // Put copies src into target's slab at offset off — the CAF assignment
 // "A(off:off+len)[target] = src". It is one-sided and non-blocking: the
 // caller is charged injection overhead and may proceed; delivery lands
 // later (use Image.Quiet or a flag notification for completion, issued
 // after the Put so delivery order per image pair is preserved).
+//
+// A transport whose puts complete inside the call (Transport.Immediate) gets
+// no commit: after its admission check the payload lands right here, read
+// straight from src. An asynchronous transport gets a staged copy, so the
+// caller may reuse src immediately after Put returns — the usual
+// injection-buffer semantics. Staged records come from the coarray's pool; a
+// record whose commit is never run (a dropped message under fault injection)
+// simply falls to the garbage collector.
 func Put[T any](im *Image, c *Coarray[T], target, off int, src []T, via Via) {
 	if off < 0 || off+len(src) > c.n {
 		panic(fmt.Sprintf("pgas: put %q [%d:%d) outside [0:%d)", c.name, off, off+len(src), c.n))
@@ -222,7 +216,13 @@ func Put[T any](im *Image, c *Coarray[T], target, off int, src []T, via Via) {
 	dst := c.slab(target)
 	nbytes := len(src) * c.elemSize
 	im.w.stats.Message(trace.OpPut, im.SameNode(target) && target != im.rank, target == im.rank, nbytes)
-	im.w.tr.Put(im, target, nbytes, im.resolveVia(target, via), stageCommit(im, c, dst, off, src))
+	tr, via := im.w.tr, im.resolveVia(target, via)
+	if tr.Immediate() {
+		tr.Put(im, target, nbytes, via, nil)
+		copy(dst[off:], src)
+		return
+	}
+	tr.Put(im, target, nbytes, via, c.stage(dst, off, src).run)
 }
 
 // Get copies length len(dst) from target's slab at offset off into dst — the
@@ -235,13 +235,19 @@ func Get[T any](im *Image, c *Coarray[T], target, off int, dst []T) {
 	src := c.slab(target)
 	nbytes := len(dst) * c.elemSize
 	im.w.stats.Message(trace.OpGet, im.SameNode(target) && target != im.rank, target == im.rank, nbytes)
+	if tr := im.w.tr; tr.Immediate() {
+		tr.Get(im, target, nbytes, nil)
+		copy(dst, src[off:])
+		return
+	}
 	im.w.tr.Get(im, target, nbytes, func() { copy(dst, src[off:]) })
 }
 
 // PutThenNotify performs a Put followed by a flag notification to the same
 // target, guaranteeing the flag lands after the data (ordered delivery on
 // one conduit path per image pair — the standard put+flag idiom the
-// hierarchy-aware collectives use).
+// hierarchy-aware collectives use). On an Immediate transport that is
+// literally Put, the inline copy, then NotifyAdd.
 func PutThenNotify[T any](im *Image, c *Coarray[T], target, off int, src []T, f *Flags, idx int, delta int64, via Via) {
 	if off < 0 || off+len(src) > c.n {
 		panic(fmt.Sprintf("pgas: put %q [%d:%d) outside [0:%d)", c.name, off, off+len(src), c.n))
@@ -251,6 +257,12 @@ func PutThenNotify[T any](im *Image, c *Coarray[T], target, off int, src []T, f 
 	shm := im.SameNode(target) && target != im.rank
 	im.w.stats.Message(trace.OpPut, shm, target == im.rank, nbytes)
 	im.w.stats.Message(trace.OpNotify, shm, target == im.rank, 8)
-	im.w.tr.PutThenNotify(im, target, nbytes, im.resolveVia(target, via),
-		stageCommit(im, c, dst, off, src), f, idx, delta)
+	tr, via := im.w.tr, im.resolveVia(target, via)
+	if tr.Immediate() {
+		tr.Put(im, target, nbytes, via, nil)
+		copy(dst[off:], src)
+		tr.NotifyAdd(im, f, target, idx, delta, via)
+		return
+	}
+	tr.PutThenNotify(im, target, nbytes, via, c.stage(dst, off, src).run, f, idx, delta)
 }

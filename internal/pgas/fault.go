@@ -489,21 +489,12 @@ func (w *World) Failures() []ImageFailure {
 // survivors' recovery instead of racing ahead.
 func (im *Image) AwaitFailedImages(min int) []int {
 	fc := im.w.faults
-	pred := func() bool { return fc.failedCount() >= int64(min) }
 	switch ts := im.w.ts.(type) {
 	case *simWorld:
-		ts.rowCond[im.rank].Wait(simI(im).proc, fmt.Sprintf("await %d failed images", min), pred)
+		ts.rowCond[im.rank].Wait(simI(im).proc, "await failed images",
+			func() bool { return fc.failedCount() >= int64(min) })
 	case *nativeWorld:
-		c := ts.cells[im.rank]
-		c.mu.Lock()
-		for !pred() {
-			if fc.isDead(im.rank) {
-				c.mu.Unlock()
-				panic(imageKilled{rank: im.rank})
-			}
-			c.cond.Wait()
-		}
-		c.mu.Unlock()
+		nativeAwaitFailed(im, min)
 	}
 	return fc.failedSnapshot()
 }

@@ -92,7 +92,11 @@ func TestNativePanicContained(t *testing.T) {
 // only the heartbeat monitor can out the death.
 func TestNativeSilentKillHeartbeatDetection(t *testing.T) {
 	w := newNativeTestWorld(t, 2, 2)
-	w.SetDetect(DetectConfig{Heartbeat: (2 * time.Millisecond).Nanoseconds()})
+	// A period long enough that a short host stall does not make the live
+	// images look stale: at 2 ms (stale after 6) one run in a few hundred under
+	// -race, here and at the parent commit alike, had the monitor wake from a
+	// stall ahead of the stampers and announce everybody.
+	w.SetDetect(DetectConfig{Heartbeat: (10 * time.Millisecond).Nanoseconds()})
 	const victim = 1
 	if err := w.InjectFaults(&FaultPlan{Events: []FaultEvent{
 		{At: (1 * time.Millisecond).Nanoseconds(), Kind: FaultKillImage, Image: victim, Silent: true},
@@ -129,6 +133,10 @@ func TestNativeWaitTimeout(t *testing.T) {
 		err := catchFailed(func() { im.WaitFlagGE(fl, 0, 0, 1) })
 		if err == nil || !err.Timeout {
 			t.Errorf("want timeout error, got %v", err)
+		} else if err.Op != "flag never[0][0]>=1" {
+			// Built only now that the wait failed; the text is the one the
+			// sim backend reports for the same wait.
+			t.Errorf("timed-out operation reads %q", err.Op)
 		}
 	})
 	if len(w.Failures()) != 0 {

@@ -71,6 +71,13 @@ func (f *Flags) cell(owner, idx int) *int64 {
 	return &(*f.rows[owner].Load())[idx] // another image's first touch won
 }
 
+// describeGE is the text of a wait for owner's slot idx to reach min, as
+// deadlock reports and FailedImageError.Op carry it on both backends. Waits
+// build it only when they fail.
+func (f *Flags) describeGE(owner, idx int, min int64) string {
+	return fmt.Sprintf("flag %s[%d][%d]>=%d", f.name, owner, idx, min)
+}
+
 // Peek returns the current value of a slot without synchronization or cost;
 // for tests and local fast-path checks.
 func (f *Flags) Peek(owner, idx int) int64 { return f.load(owner, idx) }

@@ -9,7 +9,6 @@
 package pgas
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,13 +19,15 @@ import (
 )
 
 // This file is the native shared-memory transport: images run as real
-// goroutines in this process's address space. A put or get is a memcpy
-// committed synchronously in the caller; flag notifications are sync/atomic
-// mutations followed by a condition-variable broadcast to the owner rank's
-// waiters; Sleep/Compute burn real wall-clock time (the modeled durations,
-// slept for real); MemWork and Quiet are no-ops because the work they
-// account for in the simulator either happens for real inline or has
-// already completed by the time the call returns.
+// goroutines in this process's address space. A put or get is a memcpy the
+// caller performs inline (Immediate); a flag notification is a sync/atomic
+// mutation that wakes the owner rank's waiters only when some are registered;
+// a wait whose flag already holds is one atomic load, and only a wait that
+// has to park touches the rank's mutex and condition variable (nativeWait);
+// Sleep/Compute burn real wall-clock time (the modeled durations, slept for
+// real); MemWork and Quiet are no-ops because the work they account for in
+// the simulator either happens for real inline or has already completed by
+// the time the call returns.
 //
 // The memory model leans entirely on the flag discipline the algorithms
 // already follow: a payload write is published by the atomic flag increment
@@ -38,18 +39,23 @@ import (
 // nativeWorld is the native backend's per-world state.
 type nativeWorld struct {
 	start time.Time
-	cells []*nativeCell // per rank
+	cells []nativeCell // per rank
 	wg    sync.WaitGroup
 }
 
-// nativeCell guards rank r's flag waiters. Waits hold mu across the
-// predicate check and cond.Wait; wakers take (and release) mu before
-// broadcasting, so a mutation between a waiter's failed predicate check and
-// its Wait cannot be lost — the waker's Lock blocks until the waiter is
-// parked.
+// nativeCell parks rank r's waiters. The protocol is a Dekker pairing over
+// sequentially consistent atomics: a waiter registers in waiters and then
+// re-checks its predicate; a waker mutates (a flag cell, the dead set, the
+// failure epoch — all sync/atomic) and then reads waiters. Either the waker
+// sees the registration and broadcasts, or its mutation precedes the
+// registration and the re-check sees it; so a waker that reads zero may skip
+// the lock and the broadcast. A registered waiter holds mu from its re-check
+// to cond.Wait, and a waker takes (and releases) mu before broadcasting, so
+// the broadcast cannot fall between the two.
 type nativeCell struct {
-	mu   sync.Mutex
-	cond *sync.Cond
+	waiters atomic.Int32
+	mu      sync.Mutex
+	cond    sync.Cond // on mu
 }
 
 func nativeW(w *World) *nativeWorld { return w.ts.(*nativeWorld) }
@@ -62,11 +68,10 @@ func nativeW(w *World) *nativeWorld { return w.ts.(*nativeWorld) }
 // one address space, the shape the paper's two-level algorithms exploit.
 func NewNativeWorld(model *machine.Model, topo *topology.Topology, stats *trace.Stats) *World {
 	w := newWorld(nativeTransport{}, model, topo, stats)
-	nw := &nativeWorld{cells: make([]*nativeCell, topo.NumImages())}
+	nw := &nativeWorld{cells: make([]nativeCell, topo.NumImages())}
 	for i := range nw.cells {
-		c := &nativeCell{}
-		c.cond = sync.NewCond(&c.mu)
-		nw.cells[i] = c
+		c := &nw.cells[i]
+		c.cond.L = &c.mu
 	}
 	w.ts = nw
 	return w
@@ -221,66 +226,130 @@ func nativeCheck(im *Image) {
 	}
 }
 
-// nativeWait parks im on cellRank's condition until pred holds, unwinding
-// on a kill of im itself, on a failure announcement (epoch change), or —
-// when configured — on WaitTimeout expiry. The timer only broadcasts; the
-// waiter itself decides it timed out, so spurious wakeups are harmless.
-func nativeWait(im *Image, cellRank int, why string, pred func() bool) {
-	nativeCheck(im)
+// waitDesc names a wait for the error a failed one raises: the static why,
+// or — for flag waits — the operands of the "flag name[o][i]>=min" text,
+// which is built only then.
+type waitDesc struct {
+	why        string
+	f          *Flags
+	owner, idx int
+	min        int64
+}
+
+func (d waitDesc) String() string {
+	if d.f != nil {
+		return d.f.describeGE(d.owner, d.idx, d.min)
+	}
+	return d.why
+}
+
+// How a parked wait ended.
+const (
+	waitOK = iota
+	waitKilled
+	waitFailed
+	waitTimedOut
+)
+
+// nativeWait is the one parking primitive: it returns once pred holds, and
+// unwinds on a kill of im itself or — when raise is set — on a failure
+// announcement im has not acknowledged (epoch change) or on WaitTimeout
+// expiry. Callers check the kill and try pred first, so a satisfied wait
+// never gets here; like the loop this replaces, only a wait that did not find
+// its predicate true inspects the epoch and the clock. The timeout timer is
+// armed when the wait first parks and only broadcasts; the waiter itself
+// decides it timed out, so spurious wakeups are harmless.
+func nativeWait(im *Image, cellRank int, pred func() bool, d waitDesc, raise bool) {
 	nw := nativeW(im.w)
 	fc := im.w.faults
-	c := nw.cells[cellRank]
+	c := &nw.cells[cellRank]
 	// Interrupt on any announcement this image has not acknowledged (see
 	// faultCtx.ackEpoch), not just ones newer than the wait.
 	ep0 := fc.ackEpoch[im.rank]
 	var deadline time.Time
 	var timer *time.Timer
-	if to := fc.cfg.WaitTimeout; to > 0 {
-		deadline = time.Now().Add(time.Duration(to))
-		timer = time.AfterFunc(time.Duration(to), func() { nw.wake(cellRank) })
-		defer timer.Stop()
-	}
+	end := waitOK
+	c.waiters.Add(1)
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	for !pred() {
+	for !pred() { // the re-check after registration, and after every wake-up
 		if fc.isDead(im.rank) {
-			panic(imageKilled{rank: im.rank})
+			end = waitKilled
+			break
 		}
-		if fc.epochLoad() != ep0 {
-			panic(fc.failError(why, false))
-		}
-		if timer != nil && !time.Now().Before(deadline) {
-			panic(fc.failError(why, true))
+		if raise {
+			if fc.epochLoad() != ep0 {
+				end = waitFailed
+				break
+			}
+			if to := time.Duration(fc.cfg.WaitTimeout); to > 0 {
+				if timer == nil {
+					deadline = time.Now().Add(to)
+					timer = time.AfterFunc(to, func() { nw.wake(cellRank) })
+				} else if !time.Now().Before(deadline) {
+					end = waitTimedOut
+					break
+				}
+			}
 		}
 		c.cond.Wait()
 	}
+	c.mu.Unlock()
+	c.waiters.Add(-1)
+	if timer != nil {
+		timer.Stop()
+	}
+	switch end {
+	case waitKilled:
+		panic(imageKilled{rank: im.rank})
+	case waitFailed, waitTimedOut:
+		panic(fc.failError(d.String(), end == waitTimedOut))
+	}
 }
 
-// wake broadcasts to rank's flag waiters after a flag mutation. Taking and
-// releasing the cell lock first orders the broadcast after any in-progress
-// predicate check (see nativeCell).
+// wake broadcasts to rank's waiters after a mutation they may be waiting
+// for; with none registered it is one atomic load (see nativeCell).
 func (nw *nativeWorld) wake(rank int) {
-	c := nw.cells[rank]
+	c := &nw.cells[rank]
+	if c.waiters.Load() == 0 {
+		return
+	}
 	c.mu.Lock()
 	c.cond.Broadcast()
 	c.mu.Unlock()
 }
 
+// nativeAwaitFailed is Image.AwaitFailedImages on this backend: a wait on the
+// announced-failure count that does not raise.
+func nativeAwaitFailed(im *Image, min int) {
+	fc := im.w.faults
+	pred := func() bool { return fc.failedCount() >= int64(min) }
+	nativeCheck(im)
+	if !pred() {
+		nativeWait(im, im.rank, pred, waitDesc{why: "await failed images"}, false)
+	}
+}
+
+// Put and Get are the kill check: the typed front end lands the payload
+// itself right after the call and passes no commit (see Transport.Immediate).
 func (nativeTransport) Put(im *Image, target, nbytes int, via Via, commit func()) {
 	nativeCheck(im)
-	commit()
+	if commit != nil {
+		commit()
+	}
 }
 
 func (nativeTransport) Get(im *Image, target, nbytes int, commit func()) {
 	nativeCheck(im)
-	commit()
+	if commit != nil {
+		commit()
+	}
 }
 
-func (nativeTransport) PutThenNotify(im *Image, target, nbytes int, via Via, commit func(), f *Flags, idx int, delta int64) {
-	nativeCheck(im)
-	commit()
-	f.add(target, idx, delta)
-	nativeW(im.w).wake(target)
+// PutThenNotify is Put then NotifyAdd: with every commit synchronous, program
+// order is delivery order.
+func (t nativeTransport) PutThenNotify(im *Image, target, nbytes int, via Via, commit func(), f *Flags, idx int, delta int64) {
+	t.Put(im, target, nbytes, via, commit)
+	t.NotifyAdd(im, f, target, idx, delta, via)
 }
 
 func (nativeTransport) NotifyAdd(im *Image, f *Flags, target, idx int, delta int64, via Via) {
@@ -312,13 +381,20 @@ func (nativeTransport) CompareAndSwap(im *Image, f *Flags, target, idx int, expe
 }
 
 func (nativeTransport) WaitFlagGE(im *Image, f *Flags, owner, idx int, min int64) {
-	nativeWait(im, owner,
-		fmt.Sprintf("flag %s[%d][%d]>=%d", f.name, owner, idx, min),
-		func() bool { return f.load(owner, idx) >= min })
+	nativeCheck(im)
+	cell := f.cell(owner, idx)
+	if atomic.LoadInt64(cell) >= min {
+		return
+	}
+	nativeWait(im, owner, func() bool { return atomic.LoadInt64(cell) >= min },
+		waitDesc{f: f, owner: owner, idx: idx, min: min}, true)
 }
 
 func (nativeTransport) WaitAsync(im *Image, ready func() bool) {
-	nativeWait(im, im.rank, "async progress", ready)
+	nativeCheck(im)
+	if !ready() {
+		nativeWait(im, im.rank, ready, waitDesc{why: "async progress"}, true)
+	}
 }
 
 func (nativeTransport) WakeRank(w *World, rank int) {

@@ -109,7 +109,7 @@ func (si *simImage) waitEval() bool {
 // wait fast path no longer pays.
 func (si *simImage) describeWait() string {
 	if si.wKind == wFlag {
-		return fmt.Sprintf("flag %s[%d][%d]>=%d", si.wFlags.name, si.wOwner, si.wIdx, si.wMin)
+		return si.wFlags.describeGE(si.wOwner, si.wIdx, si.wMin)
 	}
 	return ""
 }

@@ -28,8 +28,10 @@ const (
 //     progress-engine / memory-bus resources. Time is simulated time.
 //
 //   - nativeTransport (nativebackend.go): images are real goroutines in one
-//     shared address space; puts and gets are memcpys, flags are sync/atomic
-//     cells, waits are condition variables, and time is the wall clock.
+//     shared address space; puts and gets are inline memcpys, flags are
+//     sync/atomic cells, a wait is an atomic load that parks on the owner
+//     rank's condition variable only when the flag is not there yet, and
+//     time is the wall clock.
 //
 // Contract notes that keep the two backends observably equivalent (the
 // cross-backend conformance mode relies on these):
@@ -43,7 +45,14 @@ const (
 //     (ordered delivery per image pair — the put+flag idiom).
 //   - Wait* methods return only when their predicate/threshold holds; any
 //     mutation of an image's flag rows eventually wakes that image's
-//     waiters (WakeRank is the explicit hook for local stores).
+//     waiters (WakeRank is the explicit hook for local stores). A wake-up
+//     may be skipped when nobody waits, never lost: the native backend
+//     counts registered waiters per rank, and a waiter re-checks its
+//     predicate after registering.
+//   - A killed image unwinds at its next transport call whether or not
+//     that call would have had to wait; failure announcements and
+//     WaitTimeout are observed only by a wait whose predicate does not
+//     already hold.
 type Transport interface {
 	// Name identifies the backend: "sim" or "native".
 	Name() string
@@ -109,7 +118,10 @@ type Transport interface {
 	// failure announcement or timeout turns a hang into a status.
 	WakeAll(w *World)
 
-	// Immediate reports whether Put commits synchronously in the caller
-	// (shared memory), letting Put skip the staging copy of its payload.
+	// Immediate reports whether one-sided operations complete inside the
+	// call (shared memory). The typed front end (coarray.go) then lands
+	// payloads itself, straight from the caller's buffer, and passes a nil
+	// commit: Put and Get are the admission check only, and a put+flag is
+	// Put, the inline copy, then NotifyAdd.
 	Immediate() bool
 }

@@ -123,12 +123,12 @@ func newWorld(tr Transport, model *machine.Model, topo *topology.Topology, stats
 		stats:    stats,
 		registry: make(map[string]*regEntry),
 	}
-	for r := 0; r < topo.NumImages(); r++ {
-		w.images = append(w.images, &Image{
-			w:    w,
-			rank: r,
-			node: topo.NodeOf(r),
-		})
+	// One slab for all images: a world's set-up cost is its allocations.
+	images := make([]Image, topo.NumImages())
+	w.images = make([]*Image, len(images))
+	for r := range images {
+		images[r] = Image{w: w, rank: r, node: topo.NodeOf(r)}
+		w.images[r] = &images[r]
 	}
 	w.faults = newFaultCtx(w)
 	return w

@@ -14,6 +14,7 @@ package team
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync/atomic"
 
 	"cafteams/internal/pgas"
@@ -52,36 +53,74 @@ type View struct {
 	Rank int // this image's team rank, 0-based
 	Img  *pgas.Image
 
-	// memo caches per-view lookups of shared per-team objects (see Memo).
-	memo map[MemoKey]interface{}
+	// memo caches per-view lookups of per-team objects (see Cached): a
+	// handful of entries per view, so a slice scanned in order — at 4096
+	// images a map per view is most of a megabyte per collective.
+	memo []memoEntry
 }
 
-// MemoKey keys one view-cached lookup: a kind tag, an algorithm name, the
-// role within the algorithm, and two small integer discriminators (size
-// class, region count...). It is a comparable struct so memo lookups build
+type memoEntry struct {
+	key MemoKey
+	val interface{}
+}
+
+// AlgName names one algorithm instance in parts: the algorithm, then
+// whatever tells instances apart — the reduction, the path, the element type.
+// It is comparable, so it keys view-cached lookups as it is; the parts are
+// joined into the world-registry name (String) only when a lookup misses.
+type AlgName [5]string
+
+// used is the number of parts up to the last non-empty one.
+func (a AlgName) used() int {
+	n := len(a)
+	for n > 0 && a[n-1] == "" {
+		n--
+	}
+	return n
+}
+
+// With returns a with parts appended.
+func (a AlgName) With(parts ...string) AlgName {
+	n := a.used()
+	if n+len(parts) > len(a) {
+		// (parts stays out of the message: formatting it would move every
+		// caller's argument list to the heap.)
+		panic(fmt.Sprintf("team: algorithm name %v has no room for %d more parts", a, len(parts)))
+	}
+	copy(a[n:], parts)
+	return a
+}
+
+// String joins the parts with dots.
+func (a AlgName) String() string { return strings.Join(a[:a.used()], ".") }
+
+// MemoKey keys one view-cached lookup: a kind tag and, for per-algorithm
+// objects, the algorithm instance. It is a comparable struct so lookups build
 // no strings and box no keys.
 type MemoKey struct {
 	Kind string
-	Alg  string
-	Role string
-	N, M int
+	Alg  AlgName
 }
 
-// Memo returns the view-cached value for key, computing it with mk on first
-// use. The collective layers use it to skip per-episode registry lookups
-// (and their formatted string keys) on the hot path: the view is one
-// image's private handle, so no locking is needed on either backend, while
-// mk typically delegates to pgas.LookupOrCreate so the *cached object*
-// stays shared team-wide.
-func (v *View) Memo(key MemoKey, mk func() interface{}) interface{} {
-	if x, ok := v.memo[key]; ok {
-		return x
+// Cached returns the view-cached value for key, nil when there is none yet.
+// The collective layers use the cache to skip per-episode registry lookups
+// (and their formatted string keys) on the hot path: the view is one image's
+// private handle, so no locking is needed on either backend. What a miss
+// stores (Cache) is typically an object the world registry shares team-wide,
+// or a buffer private to this image.
+func (v *View) Cached(key MemoKey) interface{} {
+	for i := range v.memo {
+		if v.memo[i].key == key {
+			return v.memo[i].val
+		}
 	}
-	if v.memo == nil {
-		v.memo = make(map[MemoKey]interface{})
-	}
-	x := mk()
-	v.memo[key] = x
+	return nil
+}
+
+// Cache stores x as the view-cached value for key, which Cached just missed,
+// and returns it.
+func (v *View) Cache(key MemoKey, x interface{}) interface{} {
+	v.memo = append(v.memo, memoEntry{key, x})
 	return x
 }
 

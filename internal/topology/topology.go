@@ -152,7 +152,9 @@ func ParseSpec(spec string) (*Topology, error) {
 		core := img % perNode
 		locs[img] = Loc{Node: img / perNode, Socket: core / coresPerSocket, Core: core}
 	}
-	return NewCustom(nodes, 2, coresPerSocket, locs)
+	// In range and distinct by construction: no need for NewCustom's checks
+	// (a map insert per image) or its defensive copy.
+	return &Topology{nodes: nodes, socketsPerNode: 2, coresPerSocket: coresPerSocket, locs: locs}, nil
 }
 
 // ParseShape parses a bare machine shape "NODESxSOCKETSxCORES" (e.g.
