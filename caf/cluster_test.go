@@ -1,6 +1,7 @@
 package caf
 
 import (
+	"runtime"
 	"testing"
 
 	"cafteams/internal/cluster"
@@ -84,5 +85,62 @@ func TestLaunchOnValidation(t *testing.T) {
 	}
 	if _, err := LaunchOn(cl, big, Config{}, "j", func(*Image) {}, nil); err == nil {
 		t.Fatal("oversized topology accepted")
+	}
+}
+
+// TestFinishedJobsAreNotRetained: a long-lived cluster environment holds
+// nothing of a finished job — 500 jobs run back to back on one sim.Env, each
+// with a quarter-megabyte world, and the live heap does not grow with the
+// number of jobs finished. (A finished sim process used to stay in the Env
+// with a hook into its image, and through it the whole world.)
+func TestFinishedJobsAreNotRetained(t *testing.T) {
+	cl, err := cluster.New(machine.PaperCluster(), 2, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo, err := cl.Topology([]topology.Loc{{Node: 0, Core: 0}, {Node: 0, Core: 1}, {Node: 1, Core: 0}, {Node: 1, Core: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const jobs, elems = 500, 8192 // 4 images x 64 KiB of coarray per job
+	const early = 100             // finished jobs at the first of the two readings
+	live := map[int]uint64{}
+	var launch func(j int)
+	launch = func(j int) {
+		_, err := LaunchOn(cl, topo, Config{}, "job", func(im *Image) {
+			co := NewCoarrayT[float64](im, "payload", elems)
+			co.Local(im)[elems-1] = float64(im.ThisImage())
+			im.SyncAll()
+			x := []float64{co.Local(im)[elems-1]}
+			im.CoSum(x)
+			if x[0] != 10 {
+				t.Errorf("job %d: co_sum = %v, want 10", j, x[0])
+			}
+		}, func(Report) {
+			if j == early || j == jobs-1 {
+				var ms runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&ms)
+				live[j] = ms.HeapAlloc
+			}
+			if j+1 < jobs {
+				launch(j + 1)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	launch(0)
+	if err := cl.Env().Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if live[jobs-1] == 0 {
+		t.Fatal("the job chain did not run to its end")
+	}
+	// Both readings see the same live set up to noise; 400 retained worlds
+	// would be about 100 MB.
+	if grown := int64(live[jobs-1]) - int64(live[early]); grown > 4<<20 {
+		t.Fatalf("live heap grew by %d KiB over %d finished jobs (%d -> %d)", grown>>10, jobs-1-early, live[early], live[jobs-1])
 	}
 }

@@ -30,8 +30,8 @@ import (
 
 // Cluster is the shared machine: simulation clock, cost model, per-node
 // serializing resources, and the core-allocation table the scheduler
-// assigns jobs from. All methods must be called from the simulation's
-// scheduler goroutine (or before the simulation starts); see sim.Env for
+// assigns jobs from. All methods must be called in the simulation's
+// scheduler context (or before the simulation starts); see sim.Env for
 // the sharing contract.
 type Cluster struct {
 	env   *sim.Env

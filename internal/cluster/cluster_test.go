@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"cafteams/internal/machine"
@@ -271,4 +273,51 @@ func TestSchedulerLifecycle(t *testing.T) {
 	if sm.Utilization <= 0 || sm.Utilization > 1 {
 		t.Fatalf("utilization %v out of range", sm.Utilization)
 	}
+}
+
+// TestPoliciesLeaveStateUnchanged: a State is read-only to policies — the
+// scheduler hands one snapshot to every pending job of a pass — whether the
+// placement succeeds or the job must queue.
+func TestPoliciesLeaveStateUnchanged(t *testing.T) {
+	c := testCluster(t, 4, 2, 2)
+	if err := c.Allocate([]topology.Loc{{Node: 0, Core: 0}, {Node: 2, Core: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	policies := []Policy{Packed(), Spread(), KChoices(2, rand.New(rand.NewSource(1))), Quota(Spread(), 2)}
+	for _, p := range policies {
+		st := freshState(c)
+		st.TenantNodes[7] = []int{0}
+		want := freshState(c)
+		want.TenantNodes[7] = []int{0}
+		for _, images := range []int{5, 14, 99} { // fits, fits exactly, must queue
+			p.Place(st, &Job{Images: images, Tenant: 7})
+			if !reflect.DeepEqual(st, want) {
+				t.Fatalf("%s modified its State placing %d images:\n got %v\nwant %v", p.Name(), images, st, want)
+			}
+		}
+	}
+}
+
+// consuming is what policies used to be allowed to be: it takes cores out of
+// the State it is handed.
+type consuming struct{ Policy }
+
+func (p consuming) Place(s *State, job *Job) ([]topology.Loc, bool) {
+	locs, ok := p.Policy.Place(s, job)
+	for _, l := range locs {
+		s.Free[l.Node] = s.Free[l.Node][1:]
+	}
+	return locs, ok
+}
+
+func TestSchedulerRejectsStateMutatingPolicy(t *testing.T) {
+	c := testCluster(t, 2, 1, 2)
+	sched := NewScheduler(c, consuming{Packed()}, func(*Job, *topology.Topology, func(JobStats)) JobHandle { return nil })
+	sched.Submit([]Job{{ID: 0, Images: 1}})
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "modified the State") {
+			t.Fatalf("scheduler accepted a policy that consumed its State: %v", r)
+		}
+	}()
+	_ = c.Env().Run(0)
 }

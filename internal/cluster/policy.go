@@ -3,14 +3,17 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"cafteams/internal/topology"
 )
 
 // State is a placement policy's view of the machine at one scheduling
-// decision. The scheduler builds a fresh State per Place call; policies may
-// consume it destructively while computing a placement — the authoritative
+// decision. It is read-only to policies: the scheduler hands the same State
+// to every Place call until a placement changes the machine, and checks that
+// it comes back as it went in. A policy that consumes cores while computing a
+// placement does so on its own copy of Free (working) — the authoritative
 // allocation happens afterwards through Cluster.Allocate.
 type State struct {
 	CoresPerNode int
@@ -21,15 +24,22 @@ type State struct {
 	TenantNodes map[int][]int
 }
 
+// freeCores is a policy's working copy of State.Free: the per-node lists are
+// shared with the State (and never written), the list of lists is the
+// policy's own to shorten.
+type freeCores [][]int
+
+// working returns a copy of s.Free for one placement computation to consume.
+func (s *State) working() freeCores { return slices.Clone(s.Free) }
+
 // take removes and returns the lowest free core of node n. It panics when
-// the node is full — policies must check len(Free[n]) first.
-func (s *State) take(n int) topology.Loc {
-	free := s.Free[n]
-	if len(free) == 0 {
+// the node is full — policies must check len(free[n]) first.
+func (free freeCores) take(n int) topology.Loc {
+	if len(free[n]) == 0 {
 		panic(fmt.Sprintf("cluster: placement policy took a core on full node %d", n))
 	}
-	core := free[0]
-	s.Free[n] = free[1:]
+	core := free[n][0]
+	free[n] = free[n][1:]
 	return topology.Loc{Node: n, Core: core}
 }
 
@@ -69,10 +79,11 @@ func (packed) Place(s *State, job *Job) ([]topology.Loc, bool) {
 	if s.totalFree(nil) < job.Images {
 		return nil, false
 	}
+	free := s.working()
 	locs := make([]topology.Loc, 0, job.Images)
-	for n := 0; n < len(s.Free) && len(locs) < job.Images; n++ {
-		for len(s.Free[n]) > 0 && len(locs) < job.Images {
-			locs = append(locs, s.take(n))
+	for n := 0; n < len(free) && len(locs) < job.Images; n++ {
+		for len(free[n]) > 0 && len(locs) < job.Images {
+			locs = append(locs, free.take(n))
 		}
 	}
 	return locs, true
@@ -95,21 +106,22 @@ func (spread) Place(s *State, job *Job) ([]topology.Loc, bool) {
 	if s.totalFree(nil) < job.Images {
 		return nil, false
 	}
+	free := s.working()
 	// Nodes ordered by load (freest first, node id breaking ties) — the
 	// deal order; re-sorted every round so the policy keeps spreading as
 	// nodes fill.
 	locs := make([]topology.Loc, 0, job.Images)
 	for len(locs) < job.Images {
-		order := make([]int, 0, len(s.Free))
-		for n := range s.Free {
-			if len(s.Free[n]) > 0 {
+		order := make([]int, 0, len(free))
+		for n := range free {
+			if len(free[n]) > 0 {
 				order = append(order, n)
 			}
 		}
 		sort.Slice(order, func(i, j int) bool {
 			a, b := order[i], order[j]
-			if len(s.Free[a]) != len(s.Free[b]) {
-				return len(s.Free[a]) > len(s.Free[b])
+			if len(free[a]) != len(free[b]) {
+				return len(free[a]) > len(free[b])
 			}
 			return a < b
 		})
@@ -117,7 +129,7 @@ func (spread) Place(s *State, job *Job) ([]topology.Loc, bool) {
 			if len(locs) == job.Images {
 				break
 			}
-			locs = append(locs, s.take(n))
+			locs = append(locs, free.take(n))
 		}
 	}
 	return locs, true
@@ -164,11 +176,12 @@ func (p *kChoices) Place(s *State, job *Job) ([]topology.Loc, bool) {
 	if s.totalFree(nil) < job.Images {
 		return nil, false
 	}
+	free := s.working()
 	// Idle heap: fully idle nodes, ascending id (a deterministic heap
 	// order); rebuilt once per placement, drained front-to-back.
 	var idle []int
-	for n := range s.Free {
-		if len(s.Free[n]) == s.CoresPerNode {
+	for n := range free {
+		if len(free[n]) == s.CoresPerNode {
 			idle = append(idle, n)
 		}
 	}
@@ -176,29 +189,29 @@ func (p *kChoices) Place(s *State, job *Job) ([]topology.Loc, bool) {
 	for len(locs) < job.Images {
 		if len(idle) > 0 {
 			n := idle[0]
-			locs = append(locs, s.take(n))
+			locs = append(locs, free.take(n))
 			p.foundIdle++
-			if len(s.Free[n]) == 0 {
+			if len(free[n]) == 0 {
 				idle = idle[1:]
 			}
 			continue
 		}
 		// Sample k nodes with free cores; take from the freest sampled.
-		cand := make([]int, 0, len(s.Free))
-		for n := range s.Free {
-			if len(s.Free[n]) > 0 {
+		cand := make([]int, 0, len(free))
+		for n := range free {
+			if len(free[n]) > 0 {
 				cand = append(cand, n)
 			}
 		}
 		best := -1
 		for i := 0; i < p.k; i++ {
 			n := cand[p.rng.Intn(len(cand))]
-			if best < 0 || len(s.Free[n]) > len(s.Free[best]) ||
-				(len(s.Free[n]) == len(s.Free[best]) && n < best) {
+			if best < 0 || len(free[n]) > len(free[best]) ||
+				(len(free[n]) == len(free[best]) && n < best) {
 				best = n
 			}
 		}
-		locs = append(locs, s.take(best))
+		locs = append(locs, free.take(best))
 		p.usedChoices++
 	}
 	return locs, true

@@ -201,7 +201,8 @@ func (s *Scheduler) Submit(jobs []Job) {
 	}
 }
 
-// state snapshots the cluster for one placement decision.
+// state snapshots the cluster as placement policies see it. It is valid until
+// a placement (or anything else) changes which cores are free.
 func (s *Scheduler) state() *State {
 	st := &State{
 		CoresPerNode: s.c.CoresPerNode(),
@@ -236,8 +237,17 @@ func (s *Scheduler) state() *State {
 // can place on the current free cores.
 func (s *Scheduler) tryPlace() {
 	var still []*Job
+	// One snapshot serves every job the policy cannot place: only a
+	// successful placement changes the machine within a pass.
+	var st *State
 	for _, j := range s.pending {
-		locs, ok := s.policy.Place(s.state(), j)
+		if st == nil {
+			st = s.state()
+		}
+		locs, ok := s.policy.Place(st, j)
+		if st.totalFree(nil) != s.c.TotalFree() {
+			panic(fmt.Sprintf("cluster: policy %s modified the State it was handed", s.policy.Name()))
+		}
 		if !ok {
 			still = append(still, j)
 			continue
@@ -248,6 +258,7 @@ func (s *Scheduler) tryPlace() {
 		if err := s.c.Allocate(locs); err != nil {
 			panic(fmt.Sprintf("cluster: policy %s produced invalid placement for %v: %v", s.policy.Name(), j, err))
 		}
+		st = nil
 		topo, err := s.c.Topology(locs)
 		if err != nil {
 			panic(fmt.Sprintf("cluster: placement for %v does not form a topology: %v", j, err))

@@ -22,8 +22,10 @@
 package coll
 
 import (
-	"fmt"
 	"math/bits"
+	"reflect"
+	"strconv"
+	"sync"
 
 	"cafteams/internal/pgas"
 	"cafteams/internal/team"
@@ -45,35 +47,55 @@ type Op[T any] struct {
 	Combine func(dst, src []T)
 }
 
+// The predefined operations are built once per element type and found again
+// by type: a generic function's closure carries its type dictionary, so
+// building one per co_sum call would allocate on every call.
+var sumOps, maxOps, minOps sync.Map // reflect.Type → Op[T]
+
+func cachedOp[T any](ops *sync.Map, mk func() Op[T]) Op[T] {
+	t := reflect.TypeFor[T]()
+	if x, ok := ops.Load(t); ok {
+		return x.(Op[T])
+	}
+	x, _ := ops.LoadOrStore(t, mk())
+	return x.(Op[T])
+}
+
 // SumOp returns the element-wise summation operation over T (co_sum).
 func SumOp[T Number]() Op[T] {
-	return Op[T]{Name: "sum", Combine: func(dst, src []T) {
-		for i := range dst {
-			dst[i] += src[i]
-		}
-	}}
+	return cachedOp(&sumOps, func() Op[T] {
+		return Op[T]{Name: "sum", Combine: func(dst, src []T) {
+			for i := range dst {
+				dst[i] += src[i]
+			}
+		}}
+	})
 }
 
 // MaxOp returns the element-wise maximum operation over T (co_max).
 func MaxOp[T Number]() Op[T] {
-	return Op[T]{Name: "max", Combine: func(dst, src []T) {
-		for i := range dst {
-			if src[i] > dst[i] {
-				dst[i] = src[i]
+	return cachedOp(&maxOps, func() Op[T] {
+		return Op[T]{Name: "max", Combine: func(dst, src []T) {
+			for i := range dst {
+				if src[i] > dst[i] {
+					dst[i] = src[i]
+				}
 			}
-		}
-	}}
+		}}
+	})
 }
 
 // MinOp returns the element-wise minimum operation over T (co_min).
 func MinOp[T Number]() Op[T] {
-	return Op[T]{Name: "min", Combine: func(dst, src []T) {
-		for i := range dst {
-			if src[i] < dst[i] {
-				dst[i] = src[i]
+	return cachedOp(&minOps, func() Op[T] {
+		return Op[T]{Name: "min", Combine: func(dst, src []T) {
+			for i := range dst {
+				if src[i] < dst[i] {
+					dst[i] = src[i]
+				}
 			}
-		}
-	}}
+		}}
+	})
 }
 
 // Predefined float64 reduction operations (the CAF co_sum, co_max, co_min
@@ -150,7 +172,7 @@ func GetState(v *team.View, alg Alg, slots int) *State {
 		return x.(*State)
 	}
 	w := v.Img.World()
-	key := fmt.Sprintf("coll:%s:team%d", alg, v.T.ID())
+	key := "coll:" + alg.String() + ":team" + strconv.FormatInt(v.T.ID(), 10)
 	sh := pgas.LookupOrCreate(w, key, func() interface{} {
 		return &sharedState{flags: pgas.NewFlags(w, key, slots), members: make([]member, v.T.Size())}
 	}).(*sharedState)
@@ -239,7 +261,7 @@ func Scratch[T any](st *State, role string, elems, regions int) (*pgas.Coarray[T
 			}
 		}
 	}
-	name := fmt.Sprintf("%s:%s:cap%d:r%d", st.name, role, cap_, regions)
+	name := st.name + ":" + role + ":cap" + strconv.Itoa(cap_) + ":r" + strconv.Itoa(regions)
 	co := pgas.NewTeamCoarray[T](st.v.Img.World(), name, cap_*regions, st.v.T.Members())
 	st.bufs = append(st.bufs, buffer{role, cap_, regions, co})
 	return co, cap_

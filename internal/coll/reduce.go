@@ -2,6 +2,7 @@ package coll
 
 import (
 	"fmt"
+	"strconv"
 
 	"cafteams/internal/pgas"
 	"cafteams/internal/team"
@@ -249,7 +250,7 @@ func TeamRanks(v *team.View) []int {
 	if x := v.Cached(memo); x != nil {
 		return x.([]int)
 	}
-	key := fmt.Sprintf("coll:ranks:team%d", v.T.ID())
+	key := "coll:ranks:team" + strconv.FormatInt(v.T.ID(), 10)
 	return v.Cache(memo, pgas.LookupOrCreate(v.Img.World(), key, func() interface{} {
 		out := make([]int, v.T.Size())
 		for i := range out {

@@ -131,6 +131,8 @@ func runImage(w *pgas.World, im *pgas.Image, cfg Config) imageState {
 	ipivBuf := make([]float64, cfg.NB)
 	rowBufA := make([]float64, maxLC)
 	rowBufB := make([]float64, maxLC)
+	l11Buf := make([]float64, cfg.NB*cfg.NB)
+	l21Buf := make([]float64, lr*cfg.NB)
 
 	pol.Barrier(v)
 	st.start = im.Now()
@@ -227,7 +229,7 @@ func runImage(w *pgas.World, im *pgas.Image, cfg Config) imageState {
 		trailCols := lc - trail0
 		u := uBuf[:cb*trailCols]
 		if d.pr == d.ownerRow(kb) {
-			l11 := extractL11(panel, panelRows, cb, d, krow)
+			l11 := extractL11(l11Buf, panel, panelRows, cb, d, krow)
 			if trailCols > 0 {
 				eng.Trsm(l11, cb, d.localRowOf(krow), trail0, lc)
 				im.Compute(linalg.TrsmFlops(cb, trailCols))
@@ -240,7 +242,7 @@ func runImage(w *pgas.World, im *pgas.Image, cfg Config) imageState {
 		gr0 := d.firstLocalRowAtOrAfter((kb + 1) * cfg.NB)
 		m := lr - gr0
 		if m > 0 && trailCols > 0 {
-			l21 := packL21(panel, panelRows, cb, gr0-plr0)
+			l21 := packL21(l21Buf, panel, panelRows, cb, gr0-plr0)
 			eng.Gemm(l21, u, cb, gr0, lr, trail0, lc)
 			im.Compute(linalg.GemmFlops(m, trailCols, cb))
 		}
@@ -268,12 +270,13 @@ func anySingular(piv []int, krow int) bool {
 
 // extractL11 pulls the cb×cb unit-lower block of the panel corresponding to
 // global block row krow/nb out of the packed panel buffer (panelRows × cb,
-// column-major). Only called on images whose grid row owns that block.
-func extractL11(panel []float64, panelRows, cb int, d dist, krow int) []float64 {
+// column-major) into buf, which the image reuses across panel steps. Only
+// called on images whose grid row owns that block.
+func extractL11(buf, panel []float64, panelRows, cb int, d dist, krow int) []float64 {
 	lrTop := d.localRowOf(krow)
 	plr0 := d.firstLocalRowAtOrAfter(krow)
 	off := lrTop - plr0
-	out := make([]float64, cb*cb)
+	out := buf[:cb*cb]
 	for j := 0; j < cb; j++ {
 		copy(out[j*cb:j*cb+cb], panel[j*panelRows+off:j*panelRows+off+cb])
 	}
@@ -281,13 +284,14 @@ func extractL11(panel []float64, panelRows, cb int, d dist, krow int) []float64 
 }
 
 // packL21 extracts the trailing rows (from localOff on) of the packed panel
-// as a dense (panelRows−localOff) × cb column-major block.
-func packL21(panel []float64, panelRows, cb, localOff int) []float64 {
+// as a dense (panelRows−localOff) × cb column-major block in buf, which the
+// image reuses across panel steps.
+func packL21(buf, panel []float64, panelRows, cb, localOff int) []float64 {
 	m := panelRows - localOff
 	if m <= 0 {
 		return nil
 	}
-	out := make([]float64, m*cb)
+	out := buf[:m*cb]
 	for j := 0; j < cb; j++ {
 		copy(out[j*m:j*m+m], panel[j*panelRows+localOff:j*panelRows+localOff+m])
 	}

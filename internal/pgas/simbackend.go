@@ -39,8 +39,8 @@ type simWorld struct {
 	rowCond []sim.Cond
 
 	// freeDel is the delivery-record free list (LIFO). Records cycle
-	// strictly within the scheduler goroutine, so a plain slice is both
-	// safe and deterministic.
+	// strictly within scheduler context (see sim.Env), so a plain slice is
+	// both safe and deterministic.
 	freeDel []*delivery
 }
 

@@ -1,22 +1,19 @@
 package sim
 
-// The event queue is the simulator's hottest data structure: every sleep,
-// message delivery, wake-up and timer passes through it once. It is a typed
-// 4-ary min-heap over event values ordered by (at, seq):
+// The event heap holds every event that is not due at the current time (those
+// take the now-queue, see Env.push). It is a typed 4-ary min-heap over event
+// values ordered by (at, seq):
 //
-//   - events are stored by value, so steady-state scheduling never allocates
-//     (the old container/heap queue boxed one *event per Schedule and paid an
-//     interface dispatch per comparison);
+//   - events are stored by value, so steady-state scheduling never allocates;
 //   - 4-ary layout halves the tree depth of a binary heap, trading slightly
 //     more comparisons per level for fewer cache-missing levels — the right
 //     trade for the sift-down-dominated pop pattern of a simulator;
 //   - sift operations move a hole instead of swapping, so each level costs
 //     one copy, and the comparison is inlined (no Less/Swap calls).
 //
-// The (at, seq) order is a total order (seq is unique), so any correct heap
-// implementation pops the exact same sequence — the property the differential
-// harness in queue_diff_test.go checks against the retained container/heap
-// reference model.
+// The (at, seq) order is a total order (seq is unique), so any correct queue
+// pops the exact same sequence — the property the differential harness in
+// queue_diff_test.go checks against its sorted-slice reference model.
 
 // event is one scheduled entry, stored by value in the queue.
 //
@@ -40,9 +37,13 @@ type eventQueue struct {
 
 func (q *eventQueue) len() int { return len(q.a) }
 
-// minAt returns the timestamp of the earliest event; the queue must be
-// non-empty.
-func (q *eventQueue) minAt() Time { return q.a[0].at }
+// peek returns the earliest event in place, nil when the queue is empty.
+func (q *eventQueue) peek() *event {
+	if len(q.a) == 0 {
+		return nil
+	}
+	return &q.a[0]
+}
 
 // before reports whether x orders strictly before y.
 func before(x, y *event) bool {

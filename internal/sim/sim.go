@@ -1,28 +1,47 @@
 // Package sim implements a deterministic discrete-event simulation kernel.
 //
-// Simulated processes run as goroutines, but only one goroutine executes at a
-// time. Control moves by direct handoff: whichever goroutine is active runs
-// the dispatch loop, and when it pops a resume event for another process it
-// hands control straight to that process's goroutine (one switch, not a
-// bounce through a scheduler goroutine); a process whose own resume event is
-// next simply keeps running with no switch at all. Events are ordered by
-// (time, sequence number), so a simulation is fully deterministic and
-// repeatable regardless of Go scheduling.
+// A simulated process is a coroutine (iter.Pull); the goroutine that calls
+// Run is the dispatcher. One of them executes at a time, and control moves
+// only by coroutine switch — a direct same-thread transfer that never enters
+// the Go scheduler, so the kernel costs the same on one P or many. One loop,
+// step, pops events and runs callback events on whichever stack is active
+// until a process resume comes up. A process that blocks runs step itself: if
+// its own resume is next it keeps running with no switch at all; otherwise it
+// leaves the process to resume in Env.handoff and yields to the dispatcher,
+// which resumes that one (two switches). Events are ordered by (time, sequence
+// number), so a simulation is repeatable regardless of Go scheduling.
 //
 // The kernel is the substrate on which the PGAS runtime models a cluster:
 // simulated time stands in for wall-clock time on the machine described by
 // the paper's evaluation (a 44-node InfiniBand cluster).
 //
-// The hot path — Schedule, process resume, Run's pop loop — is built for
-// throughput: events live by value in a typed 4-ary heap (queue.go), process
-// resumes are scheduled without closures, and nothing on the steady-state
-// schedule→pop path allocates (pinned by TestScheduleDrainZeroAlloc). The
-// semantics are pinned against a retained reference model by the
-// differential harness in queue_diff_test.go.
+// Events live by value in a typed 4-ary heap (queue.go), process resumes are
+// scheduled without closures, and the steady-state schedule→pop path does not
+// allocate (TestScheduleDrainZeroAlloc). Two bypasses keep the commonest
+// events off the heap without changing any event's time, order or count —
+// each still takes its sequence number and counts toward Events:
+//
+//   - an event scheduled for the current time (every Cond.Wake, Yield, Kill
+//     and Spawn) goes to a FIFO, the now-queue. An entry is accepted only if
+//     it is not earlier than the tail and sequence numbers only grow, so the
+//     FIFO is sorted by (time, sequence) and step merges it with the heap by
+//     comparing the two heads — sequence number included;
+//   - a Sleep whose wake-up is provably the next event — now-queue empty, heap
+//     empty or strictly later than the wake-up (an entry at the same time is
+//     older), wake-up within Run's limit — advances the clock in place: no
+//     push, no pop, no dispatch.
+//
+// A finished process holds nothing: its coroutine, body and Describe hook are
+// dropped and it leaves the Env's live set, so a long-lived Env (a cluster
+// running a job stream) retains no finished job. A Run that ends in a
+// deadlock or a panic unwinds the processes still parked, so no goroutine
+// outlives it. The differential harness in queue_diff_test.go pins all of
+// this against an independent reference model.
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"sort"
 )
 
@@ -48,10 +67,10 @@ type timerSlot struct {
 // Env is a simulation environment: an event queue, a clock, and a set of
 // processes.
 //
-// Sharing contract: all scheduling and execution for one Env must happen on
-// one scheduler goroutine — an Env must not be driven by two goroutines
-// concurrently, and no other goroutine may call Schedule/Spawn while Run is
-// executing. Within that constraint, an Env may host any number of logical
+// Sharing contract: all scheduling and execution for one Env must happen in
+// scheduler context — on the goroutine that calls Run, or inside a process or
+// event that Run is executing; an Env must not be driven by two goroutines
+// concurrently. Within that constraint, an Env may host any number of logical
 // simulations at once: multiple pgas.Worlds (jobs on a shared cluster)
 // spawn their processes into one queue and interleave deterministically by
 // (time, sequence) order, which is exactly how internal/cluster models a
@@ -63,24 +82,29 @@ type Env struct {
 	seq    uint64
 	events int64
 	queue  eventQueue
-	driver chan struct{} // wakes the Run caller when a run ends
-	limit  Time          // Run's current limit (0 = none)
-	procs  []*Proc
+	// nowq[nowHead:] is the now-queue: events due at the current time.
+	nowq    []event
+	nowHead int
+	limit   Time // Run's current limit (0 = none)
+	// handoff is the process a blocking process found next in step and left
+	// for the dispatcher to resume; nil when it found the run at its end.
+	handoff *Proc
+	live    []*Proc // unfinished processes, in no particular order
+	nextID  int
 
 	// timers backs AfterCancelable events; timerFree is the slot free list.
 	timers    []timerSlot
 	timerFree []int32
 
 	// panicked records a panic escaping a process so Run can re-raise it
-	// on the scheduler goroutine, where the test harness sees it.
+	// on its caller, where the test harness sees it.
 	panicked interface{}
 	hasPanic bool
+	stopping bool // stopLive is unwinding processes: step dispatches nothing
 }
 
 // NewEnv returns an empty simulation environment with the clock at zero.
-func NewEnv() *Env {
-	return &Env{driver: make(chan struct{})}
-}
+func NewEnv() *Env { return &Env{} }
 
 // Now returns the current simulated time.
 func (e *Env) Now() Time { return e.now }
@@ -89,26 +113,30 @@ func (e *Env) Now() Time { return e.now }
 // simulator-throughput (events/sec) microbenchmark.
 func (e *Env) Events() int64 { return e.events }
 
+// push gives ev its sequence number and queues it: on the now-queue if it is
+// due now (or earlier, which is treated as now) and keeps that queue sorted,
+// on the heap otherwise.
+func (e *Env) push(ev event) {
+	e.seq++
+	ev.seq = e.seq
+	if ev.at <= e.now {
+		ev.at = e.now
+		if n := len(e.nowq); n == e.nowHead || e.nowq[n-1].at <= ev.at {
+			e.nowq = append(e.nowq, ev)
+			return
+		}
+	}
+	e.queue.push(ev)
+}
+
 // Schedule registers fn to run at absolute simulated time at. Scheduling in
 // the past is treated as "now". Events scheduled at the same time run in
 // scheduling order.
-func (e *Env) Schedule(at Time, fn func()) {
-	if at < e.now {
-		at = e.now
-	}
-	e.seq++
-	e.queue.push(event{at: at, seq: e.seq, fn: fn})
-}
+func (e *Env) Schedule(at Time, fn func()) { e.push(event{at: at, fn: fn}) }
 
 // scheduleProc registers a resume of p at time at — the closure-free form of
-// Schedule(at, func() { e.runProc(p) }) used by every sleep, wake and kill.
-func (e *Env) scheduleProc(at Time, p *Proc) {
-	if at < e.now {
-		at = e.now
-	}
-	e.seq++
-	e.queue.push(event{at: at, seq: e.seq, proc: p})
-}
+// Schedule used by every sleep, wake, kill and spawn.
+func (e *Env) scheduleProc(at Time, p *Proc) { e.push(event{at: at, proc: p}) }
 
 // After registers fn to run d nanoseconds from now.
 func (e *Env) After(d Time, fn func()) { e.Schedule(e.now+d, fn) }
@@ -117,13 +145,9 @@ func (e *Env) After(d Time, fn func()) { e.Schedule(e.now+d, fn) }
 // cancel function. A canceled event is skipped entirely: it does not run,
 // does not count toward Events, and — unlike a no-op event — does not
 // advance the clock, so speculative timers (wait timeouts) never stretch a
-// simulation's end time. Cancel is idempotent and must be called from the
-// scheduler goroutine, like Schedule.
+// simulation's end time. Cancel is idempotent and must be called from
+// scheduler context, like Schedule.
 func (e *Env) AfterCancelable(d Time, fn func()) (cancel func()) {
-	at := e.now + d
-	if at < e.now { // overflow of a huge timeout
-		at = e.now
-	}
 	var idx int32
 	if n := len(e.timerFree); n > 0 {
 		idx = e.timerFree[n-1]
@@ -133,8 +157,8 @@ func (e *Env) AfterCancelable(d Time, fn func()) (cancel func()) {
 		idx = int32(len(e.timers) - 1)
 	}
 	gen := e.timers[idx].gen
-	e.seq++
-	e.queue.push(event{at: at, seq: e.seq, fn: fn, timer: idx + 1})
+	// A huge timeout that overflows lands in the past, i.e. now.
+	e.push(event{at: e.now + d, fn: fn, timer: idx + 1})
 	return func() {
 		if s := &e.timers[idx]; s.gen == gen {
 			s.canceled = true
@@ -153,15 +177,23 @@ func (e *Env) releaseTimer(timer int32) (canceled bool) {
 	return canceled
 }
 
-// Proc is a simulated process. All Proc methods must be called from the
-// process's own goroutine while it is the running process.
+// Proc is a simulated process. All Proc methods except Kill and Alive must be
+// called by the process itself while it is the running process.
 type Proc struct {
-	env    *Env
-	ID     int
-	Name   string
-	resume chan struct{}
+	env  *Env
+	ID   int
+	Name string
+	// The process's coroutine, created when it first runs (until then body
+	// holds what it will run): the dispatcher resumes it with next; yield
+	// parks it, on whichever goroutine the process is executing — inside a
+	// nested coroutine (a split-phase body) not the one it started on. All nil
+	// once the process finished.
+	next   func() (struct{}, bool)
+	yield  func(struct{}) bool
+	body   func(p *Proc)
+	slot   int // index in env.live
 	done   bool
-	killed bool
+	killed bool // unwinds with Killed when it next resumes
 	// blockedOn describes what the process is waiting for; used in
 	// deadlock reports. Hot paths store static strings here; Describe,
 	// when set, supplies the expensive detail lazily.
@@ -187,8 +219,8 @@ type Killed struct {
 func (k Killed) String() string { return fmt.Sprintf("sim: process %s killed", k.Proc) }
 
 // Kill marks p as killed and forces it to unwind with a Killed panic at its
-// next (or current) blocking point. Must be called from the scheduler
-// goroutine (inside an event or another process), never from p itself.
+// next (or current) blocking point. Must be called from scheduler context
+// (inside an event or another process), never from p itself.
 // Killing a finished process is a no-op.
 func (p *Proc) Kill() {
 	if p.done || p.killed {
@@ -206,67 +238,98 @@ func (p *Proc) Kill() {
 func (p *Proc) Alive() bool { return !p.done && !p.killed }
 
 // Spawn creates a process executing fn. The process starts at the current
-// simulated time, after already-queued events at this timestamp.
+// simulated time, after already-queued events at this timestamp; its
+// coroutine is created when it does.
 func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{env: e, ID: len(e.procs), Name: name, resume: make(chan struct{})}
-	e.procs = append(e.procs, p)
-	go func() {
-		<-p.resume
-		defer func() {
-			if r := recover(); r != nil {
-				if _, wasKill := r.(Killed); !wasKill {
-					e.panicked = r
-					e.hasPanic = true
-				}
-			}
-			p.done = true
-			// The dying process holds control; keep dispatching from its
-			// goroutine until control transfers elsewhere, then exit.
-			e.dispatch(p.resume)
-		}()
-		if p.killed {
-			// Killed before it ever ran: terminate without executing fn.
-			panic(Killed{Proc: p.Name})
-		}
-		fn(p)
-	}()
+	p := &Proc{env: e, ID: e.nextID, Name: name, body: fn, slot: len(e.live)}
+	e.nextID++
+	e.live = append(e.live, p)
 	e.scheduleProc(e.now, p)
 	return p
 }
 
-// block gives up control and waits to be resumed. The blocking goroutine
-// itself runs the dispatch loop: if its own resume event comes up next it
-// continues with no goroutine switch at all; otherwise control is handed to
-// whichever goroutine the loop reached and this one parks. why must be cheap
-// — pass a static string and use Proc.Describe for detail.
+// resume continues p on the dispatcher's behalf: from where it parked, or
+// from the top of its body on the first call — unless it was killed before it
+// ever ran, which ends it without executing the body.
+func (p *Proc) resume() {
+	if p.next == nil {
+		if p.killed {
+			p.finish()
+			return
+		}
+		body := p.body
+		p.body = nil
+		p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+			p.yield = yield
+			defer p.finish()
+			body(p)
+		})
+	}
+	p.next()
+}
+
+// finish ends the process — deferred around its body, or called for one
+// killed before it started. A panic other than Killed is kept for Run to
+// re-raise. The process drops what reaches the world it ran in — coroutine
+// (and with it the body closure) and Describe hook — and leaves the live set.
+func (p *Proc) finish() {
+	e := p.env
+	if r := recover(); r != nil {
+		if _, wasKill := r.(Killed); !wasKill && !e.hasPanic {
+			e.panicked, e.hasPanic = r, true
+		}
+	}
+	p.done = true
+	p.next, p.yield, p.body, p.Describe = nil, nil, nil, nil
+	last := len(e.live) - 1
+	e.live[p.slot], e.live[last].slot = e.live[last], p.slot
+	e.live[last] = nil
+	e.live = e.live[:last]
+}
+
+// block gives up control and waits to be resumed. The blocking process
+// itself runs the event loop: if its own resume event comes up next it
+// continues with no switch at all; otherwise it hands the process the loop
+// reached (nil: the run is at its end) to the dispatcher and parks. why must
+// be cheap — pass a static string and use Proc.Describe for detail.
 func (p *Proc) block(why string) {
 	p.blockedOn = why
-	if !p.env.dispatch(p.resume) {
-		<-p.resume
+	if q := p.env.step(); q != p {
+		p.env.handoff = q
+		p.yield(struct{}{})
 	}
 	if p.killed {
 		panic(Killed{Proc: p.Name})
 	}
 }
 
-// dispatch runs the event loop on the calling goroutine, identified by its
-// resume channel self. It returns true if the loop popped a resume event for
-// self (the caller keeps control and continues), or false after handing
-// control to another goroutine — a resumed process, or the Run caller when
-// the run ends (queue empty, limit reached, or a panic to re-raise) — in
-// which case the caller must park on self (or exit, if it is a dying
-// process).
-func (e *Env) dispatch(self chan struct{}) (resumedSelf bool) {
-	for {
-		if e.hasPanic || e.queue.len() == 0 {
-			return e.handToDriver(self)
+// step runs the event loop on the calling stack — the dispatcher's or a
+// blocking process's — executing callback events until it pops a process
+// resume, and returns that process for the caller to continue as (itself) or
+// hand to the dispatcher. It returns nil, with nothing popped, when the run
+// is at its end: queues empty, limit reached, or a panic to re-raise.
+func (e *Env) step() *Proc {
+	for !e.hasPanic && !e.stopping {
+		// The next event is the earlier of the two queue heads by (at, seq).
+		head := e.queue.peek()
+		fromNowq := e.nowHead < len(e.nowq) && (head == nil || before(&e.nowq[e.nowHead], head))
+		if fromNowq {
+			head = &e.nowq[e.nowHead]
 		}
-		if e.limit > 0 && e.queue.minAt() > e.limit {
+		if head == nil || e.limit > 0 && head.at > e.limit {
 			// Peek before pop: the first event past the limit stays queued
 			// so a later Run resumes exactly here.
-			return e.handToDriver(self)
+			break
 		}
-		ev := e.queue.pop()
+		var ev event
+		if fromNowq {
+			ev, *head = *head, event{} // release fn/proc pointers to the GC
+			if e.nowHead++; e.nowHead == len(e.nowq) {
+				e.nowq, e.nowHead = e.nowq[:0], 0
+			}
+		} else {
+			ev = e.queue.pop()
+		}
 		if ev.timer != 0 && e.releaseTimer(ev.timer) {
 			continue
 		}
@@ -277,28 +340,15 @@ func (e *Env) dispatch(self chan struct{}) (resumedSelf bool) {
 				continue // stale resume (killed while sleeping)
 			}
 			p.blockedOn = ""
-			if p.resume == self {
-				return true
-			}
-			p.resume <- struct{}{}
-			return false
+			return p
 		}
 		e.execFn(ev.fn)
 	}
-}
-
-// handToDriver ends a dispatch run: the Run caller gets control back (unless
-// the caller is the Run caller already).
-func (e *Env) handToDriver(self chan struct{}) bool {
-	if self == e.driver {
-		return true
-	}
-	e.driver <- struct{}{}
-	return false
+	return nil
 }
 
 // execFn runs one event function, capturing a panic so it is re-raised on
-// the Run caller's goroutine no matter which goroutine executed the event.
+// the Run caller no matter which stack executed the event.
 func (e *Env) execFn(fn func()) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -324,7 +374,18 @@ func (p *Proc) Sleep(d Time) {
 		d = 0
 	}
 	e := p.env
-	e.scheduleProc(e.now+d, p)
+	at := e.now + d
+	// If the wake-up would be the very next event popped — nothing due now,
+	// the heap strictly later, Run not stopping first — take it in place: the
+	// clock, sequence and event count of push + pop, without either.
+	if h := e.queue.peek(); at >= e.now && e.nowHead == len(e.nowq) && (h == nil || h.at > at) &&
+		(e.limit <= 0 || at <= e.limit) && !p.killed {
+		e.seq++
+		e.events++
+		e.now = at
+		return
+	}
+	e.scheduleProc(at, p)
 	p.block("sleep")
 }
 
@@ -345,43 +406,65 @@ func (d *DeadlockError) Error() string {
 }
 
 // Run executes events until the queue is empty or until limit (if positive)
-// is reached. It returns a *DeadlockError if the queue drains while spawned
-// processes are still blocked. A panic inside a process is re-raised on the
-// caller's goroutine.
+// is reached; its caller is the dispatcher that resumes processes. It returns
+// a *DeadlockError if the queue drains while spawned processes are still
+// blocked, and re-raises a panic inside a process or an event on the caller.
+// Either ends the simulation: the processes still parked are unwound as if
+// killed, so none outlives the Run.
 //
 // Stopping at the limit is lossless: the first event past the limit stays
-// queued (the queue is peeked before popping), so a subsequent Run resumes
-// exactly where the previous one stopped.
+// queued (the queue is peeked before popping) and every process stays parked,
+// so a subsequent Run resumes exactly where the previous one stopped.
 func (e *Env) Run(limit Time) error {
 	e.limit = limit
-	if !e.dispatch(e.driver) {
-		<-e.driver
+	for {
+		p := e.handoff
+		if p == nil {
+			if p = e.step(); p == nil {
+				break
+			}
+		}
+		e.handoff = nil
+		p.resume()
 	}
 	if e.hasPanic {
+		e.stopLive()
 		panic(e.panicked)
 	}
-	if e.queue.len() > 0 {
+	if e.queue.len() > 0 || e.nowHead < len(e.nowq) {
 		// Stopped at the limit with the next event still queued.
 		e.now = limit
 		return nil
 	}
-	var blocked []string
-	for _, p := range e.procs {
-		if !p.done {
-			why := p.blockedOn
-			if p.Describe != nil {
-				if d := p.Describe(); d != "" {
-					why = d
-				}
+	if len(e.live) == 0 {
+		return nil
+	}
+	blocked := make([]string, len(e.live))
+	for i, p := range e.live {
+		why := p.blockedOn
+		if p.Describe != nil {
+			if d := p.Describe(); d != "" {
+				why = d
 			}
-			blocked = append(blocked, fmt.Sprintf("%s: %s", p.Name, why))
 		}
+		blocked[i] = fmt.Sprintf("%s: %s", p.Name, why)
 	}
-	if len(blocked) > 0 {
-		sort.Strings(blocked)
-		return &DeadlockError{At: e.now, Blocked: blocked}
+	sort.Strings(blocked)
+	e.stopLive()
+	return &DeadlockError{At: e.now, Blocked: blocked}
+}
+
+// stopLive ends every unfinished process as Kill would, without the events: a
+// parked one resumes in block and unwinds with Killed (once more for every
+// deferred call that blocks again), an unstarted one just ends.
+func (e *Env) stopLive() {
+	e.stopping = true
+	for len(e.live) > 0 {
+		p := e.live[len(e.live)-1]
+		p.killed = true
+		p.resume()
 	}
-	return nil
+	e.stopping = false
 }
 
 // RunAll executes the simulation to completion and panics on deadlock.
