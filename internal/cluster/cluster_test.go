@@ -1,10 +1,8 @@
 package cluster
 
 import (
-	"fmt"
 	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 
 	"cafteams/internal/machine"
@@ -296,28 +294,4 @@ func TestPoliciesLeaveStateUnchanged(t *testing.T) {
 			}
 		}
 	}
-}
-
-// consuming is what policies used to be allowed to be: it takes cores out of
-// the State it is handed.
-type consuming struct{ Policy }
-
-func (p consuming) Place(s *State, job *Job) ([]topology.Loc, bool) {
-	locs, ok := p.Policy.Place(s, job)
-	for _, l := range locs {
-		s.Free[l.Node] = s.Free[l.Node][1:]
-	}
-	return locs, ok
-}
-
-func TestSchedulerRejectsStateMutatingPolicy(t *testing.T) {
-	c := testCluster(t, 2, 1, 2)
-	sched := NewScheduler(c, consuming{Packed()}, func(*Job, *topology.Topology, func(JobStats)) JobHandle { return nil })
-	sched.Submit([]Job{{ID: 0, Images: 1}})
-	defer func() {
-		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "modified the State") {
-			t.Fatalf("scheduler accepted a policy that consumed its State: %v", r)
-		}
-	}()
-	_ = c.Env().Run(0)
 }

@@ -11,10 +11,11 @@ import (
 
 // State is a placement policy's view of the machine at one scheduling
 // decision. It is read-only to policies: the scheduler hands the same State
-// to every Place call until a placement changes the machine, and checks that
-// it comes back as it went in. A policy that consumes cores while computing a
-// placement does so on its own copy of Free (working) — the authoritative
-// allocation happens afterwards through Cluster.Allocate.
+// to every Place call until a placement changes the machine, and
+// TestPoliciesLeaveStateUnchanged holds every policy to it. A policy that
+// consumes cores while computing a placement does so on its own copy of Free
+// (working) — the authoritative allocation happens afterwards through
+// Cluster.Allocate.
 type State struct {
 	CoresPerNode int
 	// Free[n] lists node n's unallocated core ids, ascending.

@@ -238,16 +238,14 @@ func (s *Scheduler) state() *State {
 func (s *Scheduler) tryPlace() {
 	var still []*Job
 	// One snapshot serves every job the policy cannot place: only a
-	// successful placement changes the machine within a pass.
+	// successful placement changes the machine within a pass, and policies
+	// leave the State as they found it (TestPoliciesLeaveStateUnchanged).
 	var st *State
 	for _, j := range s.pending {
 		if st == nil {
 			st = s.state()
 		}
 		locs, ok := s.policy.Place(st, j)
-		if st.totalFree(nil) != s.c.TotalFree() {
-			panic(fmt.Sprintf("cluster: policy %s modified the State it was handed", s.policy.Name()))
-		}
 		if !ok {
 			still = append(still, j)
 			continue

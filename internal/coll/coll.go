@@ -47,56 +47,51 @@ type Op[T any] struct {
 	Combine func(dst, src []T)
 }
 
-// The predefined operations are built once per element type and found again
-// by type: a generic function's closure carries its type dictionary, so
-// building one per co_sum call would allocate on every call.
-var sumOps, maxOps, minOps sync.Map // reflect.Type → Op[T]
+// numberOps holds the predefined operations over one element type. They are
+// built once per type and found again by type: a generic function's closure
+// carries its type dictionary, so building one per co_sum call would allocate
+// on every call.
+type numberOps[T Number] struct{ sum, max, min Op[T] }
 
-func cachedOp[T any](ops *sync.Map, mk func() Op[T]) Op[T] {
+var opsByType sync.Map // reflect.Type → *numberOps[T]
+
+func opsFor[T Number]() *numberOps[T] {
 	t := reflect.TypeFor[T]()
-	if x, ok := ops.Load(t); ok {
-		return x.(Op[T])
+	if x, ok := opsByType.Load(t); ok {
+		return x.(*numberOps[T])
 	}
-	x, _ := ops.LoadOrStore(t, mk())
-	return x.(Op[T])
-}
-
-// SumOp returns the element-wise summation operation over T (co_sum).
-func SumOp[T Number]() Op[T] {
-	return cachedOp(&sumOps, func() Op[T] {
-		return Op[T]{Name: "sum", Combine: func(dst, src []T) {
+	x, _ := opsByType.LoadOrStore(t, &numberOps[T]{
+		sum: Op[T]{Name: "sum", Combine: func(dst, src []T) {
 			for i := range dst {
 				dst[i] += src[i]
 			}
-		}}
-	})
-}
-
-// MaxOp returns the element-wise maximum operation over T (co_max).
-func MaxOp[T Number]() Op[T] {
-	return cachedOp(&maxOps, func() Op[T] {
-		return Op[T]{Name: "max", Combine: func(dst, src []T) {
+		}},
+		max: Op[T]{Name: "max", Combine: func(dst, src []T) {
 			for i := range dst {
 				if src[i] > dst[i] {
 					dst[i] = src[i]
 				}
 			}
-		}}
-	})
-}
-
-// MinOp returns the element-wise minimum operation over T (co_min).
-func MinOp[T Number]() Op[T] {
-	return cachedOp(&minOps, func() Op[T] {
-		return Op[T]{Name: "min", Combine: func(dst, src []T) {
+		}},
+		min: Op[T]{Name: "min", Combine: func(dst, src []T) {
 			for i := range dst {
 				if src[i] < dst[i] {
 					dst[i] = src[i]
 				}
 			}
-		}}
+		}},
 	})
+	return x.(*numberOps[T])
 }
+
+// SumOp returns the element-wise summation operation over T (co_sum).
+func SumOp[T Number]() Op[T] { return opsFor[T]().sum }
+
+// MaxOp returns the element-wise maximum operation over T (co_max).
+func MaxOp[T Number]() Op[T] { return opsFor[T]().max }
+
+// MinOp returns the element-wise minimum operation over T (co_min).
+func MinOp[T Number]() Op[T] { return opsFor[T]().min }
 
 // Predefined float64 reduction operations (the CAF co_sum, co_max, co_min
 // intrinsics at the default element type).

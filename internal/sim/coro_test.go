@@ -170,6 +170,7 @@ func TestNoGoroutineOutlivesTheSimulation(t *testing.T) {
 	var c Cond
 	for i := 0; i < 5; i++ {
 		e.Spawn("stuck", func(p *Proc) {
+			defer p.Sleep(1) // blocks again while it is unwound
 			p.Sleep(Time(i))
 			c.Wait(p, "never", func() bool { return false })
 		})
@@ -179,8 +180,9 @@ func TestNoGoroutineOutlivesTheSimulation(t *testing.T) {
 		t.Fatal("no deadlock reported")
 	}
 	check("a deadlocked Run")
-	if err := e.Run(0); err != nil {
-		t.Fatalf("Run after a deadlock: %v, want nil (the deadlocked processes were unwound)", err)
+	events := e.Events()
+	if err := e.Run(0); err != nil || e.Events() != events {
+		t.Fatalf("Run after a deadlock: %v, %d more events; want the Env finished, nothing left queued", err, e.Events()-events)
 	}
 
 	e = build()

@@ -38,6 +38,21 @@ func TestKillUnwindsBlockedProc(t *testing.T) {
 	}
 }
 
+// TestKillBeforeFirstRun: killing a process that has not started yet
+// terminates it without ever executing its body.
+func TestKillBeforeFirstRun(t *testing.T) {
+	e := NewEnv()
+	ran := false
+	p := e.Spawn("early", func(p *Proc) { ran = true })
+	p.Kill()
+	if err := e.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if ran {
+		t.Fatal("killed-before-start proc ran its body")
+	}
+}
+
 // TestKillFinishedProcIsNoop: killing a process after it completed does
 // nothing.
 func TestKillFinishedProcIsNoop(t *testing.T) {
@@ -77,6 +92,32 @@ func TestCondWakeSkipsKilledWaiters(t *testing.T) {
 	})
 	if err := e.Run(0); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAfterCancelableSkipped: a canceled event neither runs nor advances
+// the clock nor counts toward Events — it is as if it was never scheduled.
+func TestAfterCancelableSkipped(t *testing.T) {
+	e := NewEnv()
+	fired := false
+	cancel := e.AfterCancelable(100*Microsecond, func() { fired = true })
+	e.After(Microsecond, func() { cancel() })
+	base := NewEnv()
+	base.After(Microsecond, func() {})
+	if err := e.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := base.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if fired {
+		t.Fatal("canceled event ran")
+	}
+	if e.Now() != base.Now() {
+		t.Fatalf("canceled event advanced the clock to %d (want %d)", e.Now(), base.Now())
+	}
+	if e.Events() != base.Events() {
+		t.Fatalf("canceled event counted: %d events, want %d", e.Events(), base.Events())
 	}
 }
 

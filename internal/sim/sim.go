@@ -1,42 +1,35 @@
-// Package sim implements a deterministic discrete-event simulation kernel.
+// Package sim implements a deterministic discrete-event simulation kernel, the
+// substrate on which the PGAS runtime models the paper's 44-node InfiniBand
+// cluster: simulated time stands in for wall-clock time.
 //
 // A simulated process is a coroutine (iter.Pull); the goroutine that calls
-// Run is the dispatcher. One of them executes at a time, and control moves
-// only by coroutine switch — a direct same-thread transfer that never enters
-// the Go scheduler, so the kernel costs the same on one P or many. One loop,
-// step, pops events and runs callback events on whichever stack is active
-// until a process resume comes up. A process that blocks runs step itself: if
-// its own resume is next it keeps running with no switch at all; otherwise it
-// leaves the process to resume in Env.handoff and yields to the dispatcher,
-// which resumes that one (two switches). Events are ordered by (time, sequence
-// number), so a simulation is repeatable regardless of Go scheduling.
+// Run is the dispatcher. One of them executes at a time and control moves only
+// by coroutine switch, which never enters the Go scheduler, so the kernel
+// costs the same on one P or many. One loop, step, pops events in (time,
+// sequence) order and runs callback events on whichever stack is active until
+// a process resume comes up. A process that blocks runs step itself: its own
+// resume next means it keeps running with no switch; otherwise it leaves the
+// process to resume in Env.handoff and yields to the dispatcher, which
+// resumes that one (two switches).
 //
-// The kernel is the substrate on which the PGAS runtime models a cluster:
-// simulated time stands in for wall-clock time on the machine described by
-// the paper's evaluation (a 44-node InfiniBand cluster).
-//
-// Events live by value in a typed 4-ary heap (queue.go), process resumes are
-// scheduled without closures, and the steady-state schedule→pop path does not
+// Events live by value in a 4-ary heap (queue.go) and scheduling does not
 // allocate (TestScheduleDrainZeroAlloc). Two bypasses keep the commonest
-// events off the heap without changing any event's time, order or count —
-// each still takes its sequence number and counts toward Events:
+// events off the heap; each still takes its sequence number and counts toward
+// Events, so no event's time, order or count changes:
 //
 //   - an event scheduled for the current time (every Cond.Wake, Yield, Kill
-//     and Spawn) goes to a FIFO, the now-queue. An entry is accepted only if
-//     it is not earlier than the tail and sequence numbers only grow, so the
-//     FIFO is sorted by (time, sequence) and step merges it with the heap by
-//     comparing the two heads — sequence number included;
+//     and Spawn) goes to a FIFO, the now-queue. Sequence numbers only grow and
+//     an entry earlier than the tail is refused, so the FIFO is sorted and step
+//     merges it with the heap by comparing the two heads, sequence included;
 //   - a Sleep whose wake-up is provably the next event — now-queue empty, heap
-//     empty or strictly later than the wake-up (an entry at the same time is
-//     older), wake-up within Run's limit — advances the clock in place: no
-//     push, no pop, no dispatch.
+//     empty or strictly later (an entry at the same time is older), wake-up
+//     within Run's limit — advances the clock in place: no push, pop or switch.
 //
-// A finished process holds nothing: its coroutine, body and Describe hook are
-// dropped and it leaves the Env's live set, so a long-lived Env (a cluster
-// running a job stream) retains no finished job. A Run that ends in a
-// deadlock or a panic unwinds the processes still parked, so no goroutine
-// outlives it. The differential harness in queue_diff_test.go pins all of
-// this against an independent reference model.
+// A finished process holds nothing: coroutine, body and Describe hook are
+// dropped and it leaves the live set, so a long-lived Env (a cluster running a
+// job stream) retains no finished job. A Run that ends in a deadlock or a
+// panic finishes the Env (see Run). queue_diff_test.go checks all of this
+// against an independent reference model.
 package sim
 
 import (
@@ -183,11 +176,9 @@ type Proc struct {
 	env  *Env
 	ID   int
 	Name string
-	// The process's coroutine, created when it first runs (until then body
-	// holds what it will run): the dispatcher resumes it with next; yield
-	// parks it, on whichever goroutine the process is executing — inside a
-	// nested coroutine (a split-phase body) not the one it started on. All nil
-	// once the process finished.
+	// The coroutine, created from body at the first resume. yield parks
+	// whichever goroutine the process is on — inside a nested coroutine (a
+	// split-phase body) not the one it started on. All nil once finished.
 	next   func() (struct{}, bool)
 	yield  func(struct{}) bool
 	body   func(p *Proc)
@@ -394,7 +385,7 @@ func (p *Proc) Sleep(d Time) {
 func (p *Proc) Yield() { p.Sleep(0) }
 
 // DeadlockError reports a simulation that ran out of events while processes
-// were still blocked.
+// were still blocked. It is final: Run has unwound those processes.
 type DeadlockError struct {
 	At      Time
 	Blocked []string // "name: reason" for each blocked process
@@ -409,8 +400,9 @@ func (d *DeadlockError) Error() string {
 // is reached; its caller is the dispatcher that resumes processes. It returns
 // a *DeadlockError if the queue drains while spawned processes are still
 // blocked, and re-raises a panic inside a process or an event on the caller.
-// Either ends the simulation: the processes still parked are unwound as if
-// killed, so none outlives the Run.
+// Either finishes the Env: the processes still parked are unwound as if
+// killed, so none outlives the Run, and what is still queued is dropped — a
+// later Run finds nothing to do and does not report the deadlock again.
 //
 // Stopping at the limit is lossless: the first event past the limit stays
 // queued (the queue is peeked before popping) and every process stays parked,
@@ -456,7 +448,9 @@ func (e *Env) Run(limit Time) error {
 
 // stopLive ends every unfinished process as Kill would, without the events: a
 // parked one resumes in block and unwinds with Killed (once more for every
-// deferred call that blocks again), an unstarted one just ends.
+// deferred call that blocks again — one that recovers Killed and blocks in a
+// loop never ends, see Killed), an unstarted one just ends. It then empties
+// the queues, stale resumes from those deferred calls included.
 func (e *Env) stopLive() {
 	e.stopping = true
 	for len(e.live) > 0 {
@@ -465,6 +459,7 @@ func (e *Env) stopLive() {
 		p.resume()
 	}
 	e.stopping = false
+	e.queue, e.nowq, e.nowHead = eventQueue{}, nil, 0
 }
 
 // RunAll executes the simulation to completion and panics on deadlock.

@@ -62,6 +62,23 @@ func TestEventsRunInTimeOrder(t *testing.T) {
 	}
 }
 
+func TestSameTimeEventsRunInScheduleOrder(t *testing.T) {
+	e := NewEnv()
+	var got []int
+	for i := 0; i < 10; i++ {
+		i := i
+		e.Schedule(42, func() { got = append(got, i) })
+	}
+	if err := e.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		if got[i] != i {
+			t.Fatalf("same-time order = %v, want ascending", got)
+		}
+	}
+}
+
 func TestSchedulePastClampsToNow(t *testing.T) {
 	e := NewEnv()
 	ran := false
@@ -111,6 +128,93 @@ func TestTwoProcessesInterleaveDeterministically(t *testing.T) {
 	}
 }
 
+func TestRunLimitStopsEarly(t *testing.T) {
+	e := NewEnv()
+	ran := 0
+	e.Schedule(10, func() { ran++ })
+	e.Schedule(20, func() { ran++ })
+	e.Schedule(30, func() { ran++ })
+	if err := e.Run(25); err != nil {
+		t.Fatal(err)
+	}
+	if ran != 2 {
+		t.Fatalf("ran = %d, want 2", ran)
+	}
+	if e.Now() != 25 {
+		t.Fatalf("clock = %d, want 25", e.Now())
+	}
+}
+
+// TestRunLimitResumesLosslessly pins the peek-before-pop behavior of Run: an
+// event past the limit must stay queued, so running to a limit and then to
+// completion executes every event exactly once (the event popped at the
+// limit used to be dropped).
+func TestRunLimitResumesLosslessly(t *testing.T) {
+	e := NewEnv()
+	var order []Time
+	for _, at := range []Time{10, 20, 30} {
+		at := at
+		e.Schedule(at, func() { order = append(order, at) })
+	}
+	if err := e.Run(15); err != nil {
+		t.Fatal(err)
+	}
+	if len(order) != 1 || order[0] != 10 {
+		t.Fatalf("after Run(15): ran %v, want [10]", order)
+	}
+	if e.Now() != 15 {
+		t.Fatalf("clock = %d, want 15", e.Now())
+	}
+	if err := e.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if len(order) != 3 || order[1] != 20 || order[2] != 30 {
+		t.Fatalf("after resume: ran %v, want [10 20 30]", order)
+	}
+	if e.Now() != 30 {
+		t.Fatalf("clock = %d, want 30", e.Now())
+	}
+}
+
+// TestRunLimitKeepsProcessesRunnable checks the limit interacts with
+// processes: a sleeping process cut off by the limit resumes on the next Run.
+func TestRunLimitKeepsProcessesRunnable(t *testing.T) {
+	e := NewEnv()
+	done := false
+	e.Spawn("sleeper", func(p *Proc) {
+		p.Sleep(100)
+		done = true
+	})
+	if err := e.Run(50); err != nil {
+		t.Fatal(err)
+	}
+	if done {
+		t.Fatal("process finished before its wake-up event")
+	}
+	if err := e.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if !done {
+		t.Fatal("process lost its wake-up event across a limited Run")
+	}
+}
+
+func TestDeadlockDetected(t *testing.T) {
+	e := NewEnv()
+	var c Cond
+	e.Spawn("stuck", func(p *Proc) {
+		c.Wait(p, "never", func() bool { return false })
+	})
+	err := e.Run(0)
+	de, ok := err.(*DeadlockError)
+	if !ok {
+		t.Fatalf("err = %v, want DeadlockError", err)
+	}
+	if len(de.Blocked) != 1 || de.Blocked[0] != "stuck: never" {
+		t.Fatalf("blocked = %v", de.Blocked)
+	}
+}
+
 func TestCondImmediatePredicateDoesNotBlock(t *testing.T) {
 	e := NewEnv()
 	var c Cond
@@ -157,6 +261,20 @@ func TestCondWakeWithNoWaitersIsNoop(t *testing.T) {
 	if c.Waiting() != 0 {
 		t.Fatal("phantom waiters")
 	}
+}
+
+func TestProcPanicPropagates(t *testing.T) {
+	defer func() {
+		if r := recover(); r == nil {
+			t.Fatal("panic did not propagate")
+		}
+	}()
+	e := NewEnv()
+	e.Spawn("boom", func(p *Proc) {
+		p.Sleep(10)
+		panic("boom")
+	})
+	_ = e.Run(0)
 }
 
 func TestResourceSerializes(t *testing.T) {
@@ -300,5 +418,21 @@ func TestAfterSchedulesRelative(t *testing.T) {
 	}
 	if at != 150 {
 		t.Fatalf("at = %d, want 150", at)
+	}
+}
+
+func TestYieldRunsQueuedEventsFirst(t *testing.T) {
+	e := NewEnv()
+	var order []string
+	e.Spawn("p", func(p *Proc) {
+		e.Schedule(e.Now(), func() { order = append(order, "event") })
+		p.Yield()
+		order = append(order, "proc")
+	})
+	if err := e.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if len(order) != 2 || order[0] != "event" || order[1] != "proc" {
+		t.Fatalf("order = %v", order)
 	}
 }
