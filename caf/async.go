@@ -1,7 +1,7 @@
 // Non-blocking (split-phase) collective intrinsics: initiate with an Async
 // call, overlap local work, complete with Handle.Wait. A split-phase
 // collective is the same algorithm the blocking call would run — whatever the
-// hierarchy level, Tuning or a custom registration selects — executed on a
+// hierarchy level or Tuning selects — executed on a
 // coroutine whose flag waits yield to the image instead of blocking it. The
 // returned Handle progresses whenever the image gives the runtime a chance —
 // inside Handle.Wait, during Image.Compute (compute time is interleaved with

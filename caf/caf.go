@@ -79,10 +79,7 @@ type Config struct {
 	// dispatches to, by registry name (see Algorithms). Zero value: the
 	// hierarchy level decides, the paper's methodology. Entries may also
 	// be AlgAuto to additionally key the choice on message size. Unknown
-	// names make Run fail with an error. (Custom algorithms are
-	// registered per element type; selecting one and then calling a
-	// collective with an element type it was not registered for panics
-	// at the call site.) See also WithAlgorithm.
+	// names make Run fail with an error. See also WithAlgorithm.
 	Tuning Tuning
 	// Detect configures timer-based failure detection: per-wait timeouts
 	// and per-image heartbeats. The zero value disables all timers —

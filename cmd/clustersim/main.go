@@ -12,14 +12,12 @@
 //
 //	clustersim [-seed N] [-jobs N] [-machine 16x2x4] [-mean-gap-us N]
 //	           [-policies packed,spread,kchoices,quota] [-k 3] [-quota 3]
-//	           [-ideal=false] [-bench-out BENCH_cluster.json]
+//	           [-ideal=false] [-faults N]
 //
-// All output is deterministic for a fixed -seed (the benchmark JSON adds a
-// wall-clock events/sec microbench entry, which is not).
+// All output is deterministic for a fixed -seed.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -27,7 +25,6 @@ import (
 	"os"
 	"sort"
 	"strings"
-	"time"
 
 	"cafteams/caf"
 	"cafteams/internal/cluster"
@@ -46,7 +43,6 @@ type options struct {
 	k         int
 	quota     int
 	ideal     bool
-	benchOut  string
 
 	// -faults scenario mode.
 	faults      int
@@ -67,7 +63,6 @@ func main() {
 	flag.IntVar(&o.k, "k", 3, "sample size for the k-choices policy")
 	flag.IntVar(&o.quota, "quota", 3, "distinct-node cap per tenant for the quota policy")
 	flag.BoolVar(&o.ideal, "ideal", true, "re-run every job alone on an identical machine and report the contention penalty")
-	flag.StringVar(&o.benchOut, "bench-out", "", "write the benchmark trajectory JSON to this file")
 	flag.IntVar(&o.faults, "faults", 0, "inject N seeded node crashes (enables the fault scenario: goodput/retry/MTTR tables)")
 	flag.IntVar(&o.faultSpanUS, "fault-span-us", 400, "window (simulated us) the crash times are drawn from")
 	flag.IntVar(&o.faultMTTRUS, "fault-mttr-us", 200, "node repair time (simulated us); 0 = nodes stay down")
@@ -146,13 +141,6 @@ func runSim(o options, w io.Writer) error {
 	printCollectives(w, runs, o.ideal)
 	if o.faults > 0 {
 		printFaultSummaries(w, runs)
-	}
-
-	if o.benchOut != "" {
-		if err := writeBench(o, runs, model); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "\nbenchmark trajectory written to %s\n", o.benchOut)
 	}
 	return nil
 }
@@ -403,125 +391,3 @@ func printFaultSummaries(w io.Writer, runs []*policyRun) {
 		}
 	}
 }
-
-// --------------------------------------------------------------------------
-// Benchmark trajectory (BENCH_cluster.json)
-
-type benchColl struct {
-	SharedUSPerOp float64 `json:"shared_us_per_op"`
-	IdealUSPerOp  float64 `json:"ideal_us_per_op,omitempty"`
-	Penalty       float64 `json:"penalty,omitempty"`
-	Ops           int64   `json:"ops"`
-}
-
-type benchPolicy struct {
-	Jobs        int                  `json:"jobs"`
-	AvgWaitUS   float64              `json:"avg_wait_us"`
-	MaxWaitUS   float64              `json:"max_wait_us"`
-	AvgTurnUS   float64              `json:"avg_turnaround_us"`
-	MakespanMS  float64              `json:"makespan_ms"`
-	Utilization float64              `json:"utilization"`
-	Coll        map[string]benchColl `json:"collectives"`
-}
-
-type benchMicro struct {
-	Images       int     `json:"images"`
-	Events       int64   `json:"events"`
-	SimMS        float64 `json:"sim_ms"`
-	WallMS       float64 `json:"wall_ms"`
-	EventsPerSec float64 `json:"events_per_sec"`
-}
-
-type benchFile struct {
-	Bench     string                 `json:"bench"`
-	Seed      int64                  `json:"seed"`
-	Machine   string                 `json:"machine"`
-	Jobs      int                    `json:"jobs"`
-	MeanGapUS int                    `json:"mean_gap_us"`
-	Policies  map[string]benchPolicy `json:"policies"`
-	Micro     benchMicro             `json:"simulator_microbench"`
-}
-
-func writeBench(o options, runs []*policyRun, model *machine.Model) error {
-	bf := benchFile{
-		Bench:     "cluster",
-		Seed:      o.seed,
-		Machine:   o.machine,
-		Jobs:      o.jobs,
-		MeanGapUS: o.meanGapUS,
-		Policies:  map[string]benchPolicy{},
-	}
-	for _, pr := range runs {
-		sm := pr.summary
-		bp := benchPolicy{
-			Jobs:        sm.Jobs,
-			AvgWaitUS:   round1(us(sm.AvgWait)),
-			MaxWaitUS:   round1(us(float64(sm.MaxWait))),
-			AvgTurnUS:   round1(us(sm.AvgTurnaround)),
-			MakespanMS:  round2(float64(sm.Makespan) / float64(sim.Millisecond)),
-			Utilization: round2(sm.Utilization),
-			Coll:        map[string]benchColl{},
-		}
-		for _, kind := range sm.CollKinds() {
-			shared := sm.Coll[kind]
-			bc := benchColl{SharedUSPerOp: round1(us(shared.PerOp())), Ops: shared.N}
-			if id, ok := pr.ideal[kind]; ok && id.PerOp() > 0 {
-				bc.IdealUSPerOp = round1(us(id.PerOp()))
-				bc.Penalty = round2(shared.PerOp() / id.PerOp())
-			}
-			bp.Coll[kind] = bc
-		}
-		bf.Policies[pr.name] = bp
-	}
-	micro, err := microbench(model)
-	if err != nil {
-		return err
-	}
-	bf.Micro = micro
-	data, err := json.MarshalIndent(bf, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(o.benchOut, append(data, '\n'), 0o644)
-}
-
-// microbench measures raw simulator throughput (events/sec of wall time) on
-// a fixed single-job allreduce sweep — the perf-trajectory entry ROADMAP
-// asks every perf PR to track.
-func microbench(model *machine.Model) (benchMicro, error) {
-	cl, err := cluster.New(model, 8, 2, 4)
-	if err != nil {
-		return benchMicro{}, err
-	}
-	locs := make([]topology.Loc, 0, 64)
-	for n := 0; n < 8; n++ {
-		for c := 0; c < 8; c++ {
-			locs = append(locs, topology.Loc{Node: n, Core: c})
-		}
-	}
-	topo, err := cl.Topology(locs)
-	if err != nil {
-		return benchMicro{}, err
-	}
-	body := jobBody(cluster.Job{Kind: cluster.JobAllreduce, Elems: 512, Iters: 30}, trace.NewTimings())
-	if _, err := caf.LaunchOn(cl, topo, caf.Config{}, "micro", body, nil); err != nil {
-		return benchMicro{}, err
-	}
-	start := time.Now() //caflint:allow wallclock -- measuring the simulator itself (events/sec); not part of the replayed output
-	if err := cl.Env().Run(0); err != nil {
-		return benchMicro{}, err
-	}
-	wall := time.Since(start) //caflint:allow wallclock -- see above
-
-	ev := cl.Env().Events()
-	return benchMicro{
-		Images:       64,
-		Events:       ev,
-		SimMS:        round2(float64(cl.Env().Now()) / float64(sim.Millisecond)),
-		WallMS:       round2(wall.Seconds() * 1000),
-		EventsPerSec: round1(float64(ev) / wall.Seconds()),
-	}, nil
-}
-
-func round1(v float64) float64 { return float64(int64(v*10+0.5)) / 10 }
-func round2(v float64) float64 { return float64(int64(v*100+0.5)) / 100 }

@@ -2,9 +2,8 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -47,6 +46,32 @@ func TestSmoke(t *testing.T) {
 	if strings.Contains(out, "UNPLACED") {
 		t.Errorf("jobs were left unplaced:\n%s", out)
 	}
+	pens := allreducePenalties(t, out)
+	if len(pens) != 4 {
+		t.Fatalf("%d allreduce rows in the collective table, want one per policy:\n%s", len(pens), out)
+	}
+	for _, p := range pens {
+		if p < 1 {
+			t.Errorf("allreduce penalty %v < 1 (shared faster than ideal?)", p)
+		}
+	}
+}
+
+// allreducePenalties reads the penalty column of the allreduce rows of the
+// collective table (kind, policy, shared, ideal, penalty), one per policy.
+func allreducePenalties(t *testing.T, out string) []float64 {
+	t.Helper()
+	var pens []float64
+	for _, line := range strings.Split(out, "\n") {
+		if f := strings.Fields(line); len(f) == 5 && f[0] == "allreduce" {
+			p, err := strconv.ParseFloat(strings.TrimSuffix(f[4], "x"), 64)
+			if err != nil {
+				t.Fatalf("penalty column of %q: %v", line, err)
+			}
+			pens = append(pens, p)
+		}
+	}
+	return pens
 }
 
 // TestSeededDeterminism is the acceptance check: the same -seed must yield
@@ -127,40 +152,6 @@ func TestFaultDeterminism(t *testing.T) {
 	}
 }
 
-// TestBenchOutput checks the benchmark JSON has per-policy collective
-// entries with a contention penalty and a positive events/sec microbench.
-func TestBenchOutput(t *testing.T) {
-	o := testOptions()
-	o.benchOut = filepath.Join(t.TempDir(), "bench.json")
-	var buf bytes.Buffer
-	if err := runSim(o, &buf); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(o.benchOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var bf benchFile
-	if err := json.Unmarshal(data, &bf); err != nil {
-		t.Fatal(err)
-	}
-	if bf.Bench != "cluster" || len(bf.Policies) != 4 {
-		t.Fatalf("bench file %+v", bf)
-	}
-	for name, bp := range bf.Policies {
-		ar, ok := bp.Coll["allreduce"]
-		if !ok || ar.Ops == 0 {
-			t.Fatalf("policy %s missing allreduce stats: %+v", name, bp)
-		}
-		if ar.Penalty < 1 {
-			t.Errorf("policy %s allreduce penalty %v < 1 (shared faster than ideal?)", name, ar.Penalty)
-		}
-	}
-	if bf.Micro.Events == 0 || bf.Micro.EventsPerSec <= 0 {
-		t.Fatalf("microbench not populated: %+v", bf.Micro)
-	}
-}
-
 // TestContentionMeasurable pins the demo's point: on the saturating default
 // configuration at least one policy's allreduce runs measurably slower
 // shared than ideal.
@@ -171,27 +162,11 @@ func TestContentionMeasurable(t *testing.T) {
 	o := testOptions()
 	o.jobs = 40
 	o.machine = "8x2x4"
-	// Read the penalty straight from a bench file to avoid parsing the table.
-	o.benchOut = filepath.Join(t.TempDir(), "bench.json")
 	var buf bytes.Buffer
 	if err := runSim(o, &buf); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(o.benchOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var bf benchFile
-	if err := json.Unmarshal(data, &bf); err != nil {
-		t.Fatal(err)
-	}
-	best := 0.0
-	for _, bp := range bf.Policies {
-		if p := bp.Coll["allreduce"].Penalty; p > best {
-			best = p
-		}
-	}
-	if best < 1.05 {
+	if best := slices.Max(allreducePenalties(t, buf.String())); best < 1.05 {
 		t.Fatalf("no policy shows a measurable allreduce contention penalty (best %vx)", best)
 	}
 }

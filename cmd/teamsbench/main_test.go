@@ -46,7 +46,7 @@ func captureStdout(t *testing.T, fn func()) string {
 // registry names, including the split-phase entries.
 func TestAlgSweepList(t *testing.T) {
 	out := captureStdout(t, func() {
-		if err := runAlgSweep("list", "", 8, 1, false, "sim", ""); err != nil {
+		if err := runAlgSweep("list", "", 8, 1, false, "sim"); err != nil {
 			t.Errorf("alg list: %v", err)
 		}
 	})
@@ -61,7 +61,7 @@ func TestAlgSweepList(t *testing.T) {
 // requested algorithms.
 func TestAlgSweepMeasures(t *testing.T) {
 	out := captureStdout(t, func() {
-		if err := runAlgSweep("allreduce/rd,allreduce/nb-rd,barrier/tdlb", "8(2)", 4, 1, false, "sim", ""); err != nil {
+		if err := runAlgSweep("allreduce/rd,allreduce/nb-rd,barrier/tdlb", "8(2)", 4, 1, false, "sim"); err != nil {
 			t.Errorf("alg sweep: %v", err)
 		}
 	})
@@ -76,7 +76,7 @@ func TestAlgSweepMeasures(t *testing.T) {
 // (spec, comparator).
 func TestAlgSweepCSV(t *testing.T) {
 	out := captureStdout(t, func() {
-		if err := runAlgSweep("bcast/nb-2level", "8(2)", 4, 1, true, "sim", ""); err != nil {
+		if err := runAlgSweep("bcast/nb-2level", "8(2)", 4, 1, true, "sim"); err != nil {
 			t.Errorf("alg csv sweep: %v", err)
 		}
 	})
@@ -87,18 +87,18 @@ func TestAlgSweepCSV(t *testing.T) {
 
 // TestAlgSweepRejectsUnknown pins the error path.
 func TestAlgSweepRejectsUnknown(t *testing.T) {
-	if err := runAlgSweep("allreduce/no-such-alg", "8(2)", 4, 1, false, "sim", ""); err == nil {
+	if err := runAlgSweep("allreduce/no-such-alg", "8(2)", 4, 1, false, "sim"); err == nil {
 		t.Fatal("unknown algorithm accepted")
 	}
-	if err := runAlgSweep("nokind/rd", "8(2)", 4, 1, false, "sim", ""); err == nil {
+	if err := runAlgSweep("nokind/rd", "8(2)", 4, 1, false, "sim"); err == nil {
 		t.Fatal("unknown kind accepted")
 	}
 	// "auto" and "" are Tuning selection rules, not sweepable algorithms;
 	// they used to panic mid-measurement instead of erroring up front.
-	if err := runAlgSweep("allreduce/auto", "8(2)", 4, 1, false, "sim", ""); err == nil {
+	if err := runAlgSweep("allreduce/auto", "8(2)", 4, 1, false, "sim"); err == nil {
 		t.Fatal("allreduce/auto accepted")
 	}
-	if err := runAlgSweep("allreduce/", "8(2)", 4, 1, false, "sim", ""); err == nil {
+	if err := runAlgSweep("allreduce/", "8(2)", 4, 1, false, "sim"); err == nil {
 		t.Fatal("empty algorithm name accepted")
 	}
 }
@@ -106,16 +106,32 @@ func TestAlgSweepRejectsUnknown(t *testing.T) {
 // TestExperimentTables smoke-runs the cheapest experiment and the overlap
 // table so the e* plumbing is exercised by tier-1.
 func TestExperimentTables(t *testing.T) {
-	pts := e1(1)
+	points := func(name string) []bench.Point {
+		for _, e := range experiments {
+			if e.name == name {
+				pts, err := e.points(1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return pts
+			}
+		}
+		t.Fatalf("no experiment %q", name)
+		return nil
+	}
+	pts := points("e1")
 	if len(pts) == 0 {
 		t.Fatal("e1 produced no points")
 	}
-	for _, p := range pts {
+	for i, p := range pts {
 		if p.Latency <= 0 {
 			t.Fatalf("e1 point %+v has non-positive latency", p)
 		}
+		if want := []string{"TDLB (2-level)", "GASNet RDMA dissemination"}[i%2]; p.Comparator != want {
+			t.Fatalf("e1 row %d is %q, want %q", i, p.Comparator, want)
+		}
 	}
-	ov := overlap(1)
+	ov := points("overlap")
 	if len(ov) == 0 {
 		t.Fatal("overlap produced no points")
 	}
@@ -133,7 +149,7 @@ func TestExperimentTables(t *testing.T) {
 // real goroutines; the table must render with positive wall-clock timings.
 func TestAlgSweepNativeBackend(t *testing.T) {
 	out := captureStdout(t, func() {
-		if err := runAlgSweep("barrier/tdlb,allreduce/2level", "8(2)", 4, 2, false, "native", ""); err != nil {
+		if err := runAlgSweep("barrier/tdlb,allreduce/2level", "8(2)", 4, 2, false, "native"); err != nil {
 			t.Errorf("native sweep: %v", err)
 		}
 	})
@@ -163,27 +179,12 @@ func TestAlgSweepNativeBackend(t *testing.T) {
 // backend yields positive wall-clock latency.
 func TestNativeExperimentPoint(t *testing.T) {
 	cmps := bench.RegistryComparators(core.KindBarrier)
-	p, err := bench.MeasureBackend("4(2)", "native", cmps[0], 1, 2)
+	p, err := bench.Measure("4(2)", "native", cmps[0], 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.Latency <= 0 {
 		t.Fatalf("native point has non-positive latency: %+v", p)
-	}
-}
-
-// TestSimBenchSmoke: the -simbench path renders one row per sim-core
-// workload with positive event counts.
-func TestSimBenchSmoke(t *testing.T) {
-	var buf strings.Builder
-	if err := runSimBench(&buf, "", ""); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range append(bench.SimCoreWorkloads(), "events/sec", "wall_s/sim_s") {
-		if !strings.Contains(out, want) {
-			t.Fatalf("simbench output missing %q:\n%s", want, out)
-		}
 	}
 }
 
@@ -253,45 +254,28 @@ func TestScaleStudy4kDeterministic(t *testing.T) {
 	}
 }
 
-// TestTrajectoryFileShape validates the checked-in BENCH_sim.json: the
-// sim-core trajectory must parse, carry the canonical workload list, and
-// hold at least the two entries this kernel rework recorded (pre-PR
-// baseline, post-rework) with plausible deterministic fields. The rework's
-// headline claim — ≥2x events/sec on teams-alg-sweep — is pinned as data.
-func TestTrajectoryFileShape(t *testing.T) {
-	tr, err := bench.LoadTrajectory("../../BENCH_sim.json")
-	if err != nil {
-		t.Fatal(err)
+// TestBadFlags: values that used to panic (-iters 0, -elems -1), print NaN
+// rows (-scale-iters 0) or silently select nothing (-exp e9) are rejected
+// before anything is measured, naming the flag.
+func TestBadFlags(t *testing.T) {
+	if err := checkFlags("all", 10, 128, 8, 2); err != nil {
+		t.Fatalf("defaults rejected: %v", err)
 	}
-	if tr.Bench != "sim-core" {
-		t.Fatalf("bench = %q, want sim-core", tr.Bench)
-	}
-	want := bench.SimCoreWorkloads()
-	if len(tr.Workloads) != len(want) {
-		t.Fatalf("workloads = %v, want %v", tr.Workloads, want)
-	}
-	if len(tr.Entries) < 2 {
-		t.Fatalf("trajectory has %d entries, want >= 2 (baseline + rework)", len(tr.Entries))
-	}
-	for _, e := range tr.Entries {
-		if e.Label == "" {
-			t.Fatal("trajectory entry with empty label")
+	for _, c := range []struct {
+		exp                                  string
+		iters, elems, scaleElems, scaleIters int
+		want                                 string
+	}{
+		{"all", 0, 128, 8, 2, "-iters"},
+		{"all", 10, -1, 8, 2, "-elems"},
+		{"all", 10, 128, 0, 2, "-scale-elems"},
+		{"all", 10, 128, 8, 0, "-scale-iters"},
+		{"e9", 10, 128, 8, 2, "e1, e2, e3, e4, e6, e7 or all"},
+	} {
+		err := checkFlags(c.exp, c.iters, c.elems, c.scaleElems, c.scaleIters)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("checkFlags(%q, %d, %d, %d, %d) = %v, want an error naming %q",
+				c.exp, c.iters, c.elems, c.scaleElems, c.scaleIters, err, c.want)
 		}
-		if len(e.Points) != len(want) {
-			t.Fatalf("entry %q has %d points, want %d", e.Label, len(e.Points), len(want))
-		}
-		for i, p := range e.Points {
-			if p.Workload != want[i] {
-				t.Fatalf("entry %q point %d is %q, want %q", e.Label, i, p.Workload, want[i])
-			}
-			if p.Events <= 0 || p.SimNS < 0 || p.WallNS <= 0 || p.EventsPerSec <= 0 {
-				t.Fatalf("entry %q point %+v has implausible fields", e.Label, p)
-			}
-		}
-	}
-	base, rework := tr.Entries[0].Points[0], tr.Entries[1].Points[0]
-	if ratio := rework.EventsPerSec / base.EventsPerSec; ratio < 2 {
-		t.Fatalf("recorded teams-alg-sweep speedup is %.2fx, want >= 2x (baseline %.0f, rework %.0f ev/s)",
-			ratio, base.EventsPerSec, rework.EventsPerSec)
 	}
 }

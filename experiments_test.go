@@ -1,8 +1,7 @@
 // Integration shape tests: fast, assertion-bearing versions of the
-// experiment suite (DESIGN.md §3). Where bench_test.go reports metrics,
-// these tests fail if a paper-reproduced *shape* regresses — parity on flat
-// hierarchies, hierarchy-aware wins on dense placements, improvement
-// ordering across collectives, and the Figure 1 variant ordering.
+// experiment suite. They fail if a paper-reproduced *shape* regresses —
+// parity on flat hierarchies, hierarchy-aware wins on dense placements,
+// improvement ordering across collectives, and the Figure 1 variant ordering.
 package main
 
 import (
@@ -22,18 +21,18 @@ import (
 
 func measureT(t *testing.T, spec string, cmp bench.Comparator, elems, iters int) sim.Time {
 	t.Helper()
-	p, err := bench.Measure(spec, cmp, elems, iters)
+	p, err := bench.Measure(spec, "sim", cmp, elems, iters)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return p.Latency
 }
 
-func comparator(t *testing.T, c bench.Collective, name string) bench.Comparator {
+func comparator(t *testing.T, set []bench.Row, name string) bench.Comparator {
 	t.Helper()
-	for _, cmp := range bench.Comparators(c) {
-		if cmp.Name == name {
-			return cmp
+	for _, r := range set {
+		if r.Label == name {
+			return r.Comparator()
 		}
 	}
 	t.Fatalf("no comparator %q", name)
@@ -41,17 +40,17 @@ func comparator(t *testing.T, c bench.Collective, name string) bench.Comparator 
 }
 
 func TestShapeE1FlatHierarchyParity(t *testing.T) {
-	tdlb := measureT(t, "16(16)", comparator(t, bench.Barrier, "TDLB (2-level)"), 1, 8)
-	diss := measureT(t, "16(16)", comparator(t, bench.Barrier, "GASNet RDMA dissemination"), 1, 8)
+	tdlb := measureT(t, "16(16)", comparator(t, bench.BarrierSet, "TDLB (2-level)"), 1, 8)
+	diss := measureT(t, "16(16)", comparator(t, bench.BarrierSet, "GASNet RDMA dissemination"), 1, 8)
 	if tdlb != diss {
 		t.Fatalf("E1 parity broken: TDLB %d ns vs dissemination %d ns", tdlb, diss)
 	}
 }
 
 func TestShapeE2BarrierBands(t *testing.T) {
-	tdlb := measureT(t, "128(16)", comparator(t, bench.Barrier, "TDLB (2-level)"), 1, 8)
-	am := measureT(t, "128(16)", comparator(t, bench.Barrier, "UHCAF dissemination (AM)"), 1, 8)
-	rdma := measureT(t, "128(16)", comparator(t, bench.Barrier, "GASNet RDMA dissemination"), 1, 8)
+	tdlb := measureT(t, "128(16)", comparator(t, bench.BarrierSet, "TDLB (2-level)"), 1, 8)
+	am := measureT(t, "128(16)", comparator(t, bench.BarrierSet, "UHCAF dissemination (AM)"), 1, 8)
+	rdma := measureT(t, "128(16)", comparator(t, bench.BarrierSet, "GASNet RDMA dissemination"), 1, 8)
 	ratio := float64(am) / float64(tdlb)
 	if ratio < 8 || ratio > 60 {
 		t.Fatalf("E2 ratio vs AM baseline = %.1f, want order-of-magnitude band [8, 60]", ratio)
@@ -60,8 +59,8 @@ func TestShapeE2BarrierBands(t *testing.T) {
 		t.Fatalf("E2: flat RDMA dissemination (%d) must lose to TDLB (%d)", rdma, tdlb)
 	}
 	// Improvement grows with images-per-node density: 8/node beats 2/node.
-	tdlbSparse := measureT(t, "32(16)", comparator(t, bench.Barrier, "TDLB (2-level)"), 1, 8)
-	amSparse := measureT(t, "32(16)", comparator(t, bench.Barrier, "UHCAF dissemination (AM)"), 1, 8)
+	tdlbSparse := measureT(t, "32(16)", comparator(t, bench.BarrierSet, "TDLB (2-level)"), 1, 8)
+	amSparse := measureT(t, "32(16)", comparator(t, bench.BarrierSet, "UHCAF dissemination (AM)"), 1, 8)
 	if float64(amSparse)/float64(tdlbSparse) >= ratio {
 		t.Fatalf("E2 trend broken: ratio at 2/node (%.1f) not below ratio at 8/node (%.1f)",
 			float64(amSparse)/float64(tdlbSparse), ratio)
@@ -72,12 +71,12 @@ func TestShapeE3E4ImprovementOrdering(t *testing.T) {
 	// Paper ordering of improvements vs the old runtime:
 	// broadcast (3x) < barrier (26x) < reduction (74x).
 	spec := "128(16)"
-	bar := float64(measureT(t, spec, comparator(t, bench.Barrier, "UHCAF dissemination (AM)"), 1, 6)) /
-		float64(measureT(t, spec, comparator(t, bench.Barrier, "TDLB (2-level)"), 1, 6))
-	red := float64(measureT(t, spec, comparator(t, bench.Reduce, "UHCAF linear (AM)"), 16, 4)) /
-		float64(measureT(t, spec, comparator(t, bench.Reduce, "two-level reduction"), 16, 4))
-	bc := float64(measureT(t, spec, comparator(t, bench.Bcast, "UHCAF binomial (AM)"), 16, 4)) /
-		float64(measureT(t, spec, comparator(t, bench.Bcast, "two-level broadcast"), 16, 4))
+	bar := float64(measureT(t, spec, comparator(t, bench.BarrierSet, "UHCAF dissemination (AM)"), 1, 6)) /
+		float64(measureT(t, spec, comparator(t, bench.BarrierSet, "TDLB (2-level)"), 1, 6))
+	red := float64(measureT(t, spec, comparator(t, bench.ReduceSet, "UHCAF linear (AM)"), 16, 4)) /
+		float64(measureT(t, spec, comparator(t, bench.ReduceSet, "two-level reduction"), 16, 4))
+	bc := float64(measureT(t, spec, comparator(t, bench.BcastSet, "UHCAF binomial (AM)"), 16, 4)) /
+		float64(measureT(t, spec, comparator(t, bench.BcastSet, "two-level broadcast"), 16, 4))
 	if !(bc < bar && bar < red) {
 		t.Fatalf("improvement ordering broken: bcast %.1fx, barrier %.1fx, reduction %.1fx (want bcast < barrier < reduction)",
 			bc, bar, red)
@@ -173,11 +172,11 @@ func TestShapeE8MessageCountClosedForms(t *testing.T) {
 		{"16(4)", 16, 4, 30},
 		{"64(8)", 64, 6, 126},
 	} {
-		diss := counts(int(c.n), c.spec, func(v *team.View) { coll.BarrierDissemination(v, pgas.ViaConduit) })
+		diss := counts(int(c.n), c.spec, func(v *team.View) { coll.BarrierDissemination(v) })
 		if diss != c.n*c.lg {
 			t.Fatalf("%s: dissemination msgs = %d, want n·log n = %d", c.spec, diss, c.n*c.lg)
 		}
-		lin := counts(int(c.n), c.spec, func(v *team.View) { coll.BarrierLinear(v, pgas.ViaConduit) })
+		lin := counts(int(c.n), c.spec, func(v *team.View) { coll.BarrierLinear(v) })
 		if lin != c.linear {
 			t.Fatalf("%s: linear msgs = %d, want 2(n−1) = %d", c.spec, lin, c.linear)
 		}
@@ -186,7 +185,7 @@ func TestShapeE8MessageCountClosedForms(t *testing.T) {
 
 // TestShapeRegistryHierarchyWins: on the paper's dense placement, the
 // hierarchy-aware table entries must beat their flat baselines when
-// selected purely by registry name — the acceptance gate for the pluggable
+// selected purely by registry name — the acceptance gate for the registry
 // dispatch layer (no special-cased fast path left behind).
 func TestShapeRegistryHierarchyWins(t *testing.T) {
 	const spec = "64(8)"

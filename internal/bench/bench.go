@@ -1,14 +1,13 @@
 // Package bench is the Teams Microbenchmark harness (the paper's benchmark
 // suite (1), §V-A): it measures team collective latencies across image
 // counts, placements, comparator stacks and algorithms, and renders the
-// paper-style tables. cmd/teamsbench and the repository's bench_test.go
+// paper-style tables. cmd/teamsbench and the repository's experiments_test.go
 // drive it.
 package bench
 
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"cafteams/internal/coll"
@@ -21,35 +20,6 @@ import (
 	"cafteams/internal/trace"
 )
 
-// Collective names a benchmarked operation.
-type Collective int
-
-// Benchmarked collectives.
-const (
-	Barrier Collective = iota
-	Reduce
-	Bcast
-	ReduceTo
-	Allgather
-)
-
-func (c Collective) String() string {
-	switch c {
-	case Barrier:
-		return "barrier"
-	case Reduce:
-		return "reduction"
-	case Bcast:
-		return "broadcast"
-	case ReduceTo:
-		return "reduce-to"
-	case Allgather:
-		return "allgather"
-	default:
-		return fmt.Sprintf("collective(%d)", int(c))
-	}
-}
-
 // Comparator is one (algorithm, conduit) implementation under test —
 // matching the comparison set of the paper's §V-A.
 type Comparator struct {
@@ -59,101 +29,69 @@ type Comparator struct {
 	Run func(v *team.View, buf []float64, iters int)
 }
 
-// Comparators returns the paper's comparator set for the given collective:
-// TDLB/two-level (the contribution), the old-runtime AM dissemination
-// baseline, GASNet-RDMA and IB-verbs flat dissemination, MPI flat and
-// hierarchical, and the centralized linear scheme.
-func Comparators(c Collective) []Comparator {
-	flatBarrier := func(v *team.View, _ []float64, iters int) {
-		for i := 0; i < iters; i++ {
-			coll.BarrierDissemination(v, pgas.ViaConduit)
-		}
+// Row is one line of a paper comparison table: a registry algorithm, the
+// conduit it runs over (the zero value is GASNet RDMA) and the label the
+// paper's stack goes by.
+type Row struct {
+	Label   string
+	Kind    core.Kind
+	Alg     string
+	Conduit machine.Conduit
+}
+
+// The paper's comparator sets (§V-A) — TDLB/two-level (the contribution), the
+// old-runtime AM baselines, GASNet-RDMA and IB-verbs flat dissemination, MPI
+// flat and hierarchical, the centralized linear schemes — and the two barrier
+// ablations (intra-node x inter-node strategy; socket-aware third level).
+var (
+	BarrierSet = []Row{
+		{Label: "TDLB (2-level)", Kind: core.KindBarrier, Alg: "tdlb"},
+		{Label: "UHCAF dissemination (AM)", Kind: core.KindBarrier, Alg: "dissemination", Conduit: machine.ConduitGASNetAM},
+		{Label: "GASNet RDMA dissemination", Kind: core.KindBarrier, Alg: "dissemination"},
+		{Label: "GASNet IB dissemination", Kind: core.KindBarrier, Alg: "dissemination", Conduit: machine.ConduitGASNetIBV},
+		{Label: "MPI dissemination", Kind: core.KindBarrier, Alg: "dissemination", Conduit: machine.ConduitMPI},
+		{Label: "MPI hierarchical", Kind: core.KindBarrier, Alg: "tdlb", Conduit: machine.ConduitMPI},
+		{Label: "linear (centralized)", Kind: core.KindBarrier, Alg: "linear"},
 	}
-	switch c {
-	case Barrier:
-		return []Comparator{
-			{Name: "TDLB (2-level)", Conduit: machine.ConduitGASNetRDMA, Run: func(v *team.View, _ []float64, iters int) {
-				for i := 0; i < iters; i++ {
-					core.BarrierTDLB(v)
-				}
-			}},
-			{Name: "UHCAF dissemination (AM)", Conduit: machine.ConduitGASNetAM, Run: flatBarrier},
-			{Name: "GASNet RDMA dissemination", Conduit: machine.ConduitGASNetRDMA, Run: flatBarrier},
-			{Name: "GASNet IB dissemination", Conduit: machine.ConduitGASNetIBV, Run: flatBarrier},
-			{Name: "MPI dissemination", Conduit: machine.ConduitMPI, Run: flatBarrier},
-			{Name: "MPI hierarchical", Conduit: machine.ConduitMPI, Run: func(v *team.View, _ []float64, iters int) {
-				for i := 0; i < iters; i++ {
-					core.BarrierTDLB(v)
-				}
-			}},
-			{Name: "linear (centralized)", Conduit: machine.ConduitGASNetRDMA, Run: func(v *team.View, _ []float64, iters int) {
-				for i := 0; i < iters; i++ {
-					coll.BarrierLinear(v, pgas.ViaConduit)
-				}
-			}},
-		}
-	case Reduce:
-		return []Comparator{
-			{Name: "two-level reduction", Conduit: machine.ConduitGASNetRDMA, Run: func(v *team.View, buf []float64, iters int) {
-				for i := 0; i < iters; i++ {
-					core.AllreduceTwoLevel(v, buf, coll.Sum)
-				}
-			}},
-			{Name: "UHCAF linear (AM)", Conduit: machine.ConduitGASNetAM, Run: func(v *team.View, buf []float64, iters int) {
-				for i := 0; i < iters; i++ {
-					coll.AllreduceLinear(v, buf, coll.Sum, pgas.ViaConduit)
-				}
-			}},
-			{Name: "flat recursive doubling", Conduit: machine.ConduitGASNetRDMA, Run: func(v *team.View, buf []float64, iters int) {
-				for i := 0; i < iters; i++ {
-					coll.AllreduceRD(v, buf, coll.Sum, pgas.ViaConduit)
-				}
-			}},
-			{Name: "flat binomial tree", Conduit: machine.ConduitGASNetRDMA, Run: func(v *team.View, buf []float64, iters int) {
-				for i := 0; i < iters; i++ {
-					coll.AllreduceTree(v, buf, coll.Sum, pgas.ViaConduit)
-				}
-			}},
-			{Name: "ring allreduce", Conduit: machine.ConduitGASNetRDMA, Run: func(v *team.View, buf []float64, iters int) {
-				for i := 0; i < iters; i++ {
-					coll.AllreduceRing(v, buf, coll.Sum, pgas.ViaConduit)
-				}
-			}},
-		}
-	case Bcast:
-		return []Comparator{
-			{Name: "two-level broadcast", Conduit: machine.ConduitGASNetRDMA, Run: func(v *team.View, buf []float64, iters int) {
-				for i := 0; i < iters; i++ {
-					core.BcastTwoLevel(v, 0, buf)
-				}
-			}},
-			{Name: "UHCAF binomial (AM)", Conduit: machine.ConduitGASNetAM, Run: func(v *team.View, buf []float64, iters int) {
-				for i := 0; i < iters; i++ {
-					coll.BcastBinomial(v, 0, buf, pgas.ViaConduit)
-				}
-			}},
-			{Name: "flat binomial", Conduit: machine.ConduitGASNetRDMA, Run: func(v *team.View, buf []float64, iters int) {
-				for i := 0; i < iters; i++ {
-					coll.BcastBinomial(v, 0, buf, pgas.ViaConduit)
-				}
-			}},
-			{Name: "scatter-allgather", Conduit: machine.ConduitGASNetRDMA, Run: func(v *team.View, buf []float64, iters int) {
-				for i := 0; i < iters; i++ {
-					coll.BcastScatterAllgather(v, 0, buf, pgas.ViaConduit)
-				}
-			}},
-			{Name: "linear (centralized)", Conduit: machine.ConduitGASNetRDMA, Run: func(v *team.View, buf []float64, iters int) {
-				for i := 0; i < iters; i++ {
-					coll.BcastLinear(v, 0, buf, pgas.ViaConduit)
-				}
-			}},
-		}
+	ReduceSet = []Row{
+		{Label: "two-level reduction", Kind: core.KindAllreduce, Alg: "2level"},
+		{Label: "UHCAF linear (AM)", Kind: core.KindAllreduce, Alg: "linear", Conduit: machine.ConduitGASNetAM},
+		{Label: "flat recursive doubling", Kind: core.KindAllreduce, Alg: "rd"},
+		{Label: "flat binomial tree", Kind: core.KindAllreduce, Alg: "tree"},
+		{Label: "ring allreduce", Kind: core.KindAllreduce, Alg: "ring"},
 	}
-	return nil
+	BcastSet = []Row{
+		{Label: "two-level broadcast", Kind: core.KindBroadcast, Alg: "2level"},
+		{Label: "UHCAF binomial (AM)", Kind: core.KindBroadcast, Alg: "binomial", Conduit: machine.ConduitGASNetAM},
+		{Label: "flat binomial", Kind: core.KindBroadcast, Alg: "binomial"},
+		{Label: "scatter-allgather", Kind: core.KindBroadcast, Alg: "scatter-allgather"},
+		{Label: "linear (centralized)", Kind: core.KindBroadcast, Alg: "linear"},
+	}
+	StrategySet = []Row{
+		{Label: "TDLB: linear intra + dissemination inter", Kind: core.KindBarrier, Alg: "tdlb"},
+		{Label: "TDLL: linear intra + linear inter", Kind: core.KindBarrier, Alg: "tdll"},
+		{Label: "flat dissemination (no hierarchy)", Kind: core.KindBarrier, Alg: "dissemination"},
+		{Label: "flat linear (no hierarchy)", Kind: core.KindBarrier, Alg: "linear"},
+		{Label: "flat tournament (no hierarchy)", Kind: core.KindBarrier, Alg: "tournament"},
+		{Label: "flat binomial tree (no hierarchy)", Kind: core.KindBarrier, Alg: "tree"},
+	}
+	LevelSet = []Row{
+		{Label: "2-level (TDLB)", Kind: core.KindBarrier, Alg: "tdlb"},
+		{Label: "3-level (TDLB3, socket-aware)", Kind: core.KindBarrier, Alg: "tdlb3"},
+		{Label: "flat dissemination", Kind: core.KindBarrier, Alg: "dissemination"},
+	}
+)
+
+// Comparator resolves the row through the registry: the row's algorithm
+// under the row's label, over the row's conduit.
+func (r Row) Comparator() Comparator {
+	c := RegistryComparator(r.Kind, r.Alg)
+	c.Name, c.Conduit = r.Label, r.Conduit
+	return c
 }
 
 // RegistryComparator builds a comparator that drives one named algorithm
-// from core's pluggable registry (kind "barrier", "allreduce", "reduceto",
+// from core's registry (kind "barrier", "allreduce", "reduceto",
 // "bcast", "allgather", "scatter", "gather", "alltoall" or "scan") over the
 // GASNet-RDMA conduit. The comparator name is the registry's "kind/name"
 // form, so sweep output lines up with the names accepted by
@@ -165,35 +103,34 @@ func RegistryComparator(k core.Kind, name string) Comparator {
 		Name:    k.String() + "/" + name,
 		Conduit: machine.ConduitGASNetRDMA,
 		Run: func(v *team.View, buf []float64, iters int) {
-			var wide, wide2 []float64
+			wide := func() []float64 { return make([]float64, v.NumImages()*len(buf)) }
+			var episode func()
 			switch k {
-			case core.KindAllgather, core.KindScatter, core.KindGather:
-				wide = make([]float64, v.NumImages()*len(buf))
+			case core.KindBarrier:
+				episode = func() { core.RunBarrier(name, v) }
+			case core.KindAllreduce:
+				episode = func() { core.RunAllreduce(name, v, buf, coll.Sum) }
+			case core.KindReduceTo:
+				episode = func() { core.RunReduceTo(name, v, 0, buf, coll.Sum) }
+			case core.KindBroadcast:
+				episode = func() { core.RunBroadcast(name, v, 0, buf) }
+			case core.KindAllgather:
+				out := wide()
+				episode = func() { core.RunAllgather(name, v, buf, out) }
+			case core.KindScatter:
+				send := wide()
+				episode = func() { core.RunScatter(name, v, 0, send, buf) }
+			case core.KindGather:
+				recv := wide()
+				episode = func() { core.RunGather(name, v, 0, buf, recv) }
 			case core.KindAlltoall:
-				wide = make([]float64, v.NumImages()*len(buf))
-				wide2 = make([]float64, v.NumImages()*len(buf))
+				send, recv := wide(), wide()
+				episode = func() { core.RunAlltoall(name, v, send, recv) }
+			case core.KindScan:
+				episode = func() { core.RunScan(name, v, buf, coll.Sum, false) }
 			}
 			for i := 0; i < iters; i++ {
-				switch k {
-				case core.KindBarrier:
-					core.RunBarrier(name, v)
-				case core.KindAllreduce:
-					core.RunAllreduce(name, v, buf, coll.Sum)
-				case core.KindReduceTo:
-					core.RunReduceTo(name, v, 0, buf, coll.Sum)
-				case core.KindBroadcast:
-					core.RunBroadcast(name, v, 0, buf)
-				case core.KindAllgather:
-					core.RunAllgather(name, v, buf, wide)
-				case core.KindScatter:
-					core.RunScatter(name, v, 0, wide, buf)
-				case core.KindGather:
-					core.RunGather(name, v, 0, buf, wide)
-				case core.KindAlltoall:
-					core.RunAlltoall(name, v, wide, wide2)
-				case core.KindScan:
-					core.RunScan(name, v, buf, coll.Sum, false)
-				}
+				episode()
 			}
 		},
 	}
@@ -209,59 +146,41 @@ func RegistryComparators(k core.Kind) []Comparator {
 	return cmps
 }
 
-// OverlapComparator builds one side of the blocking-vs-overlapped
+// OverlapComparators returns the two sides of the blocking-vs-overlapped
 // comparison for a compute+co_sum episode — the pattern of the CG dot
-// product and the heat2d residual check. Each episode charges flops of
-// independent local work and performs one allreduce of the benchmark
-// vector:
+// product and the heat2d residual check, and the rows of the overlap table.
+// Each episode charges flops of independent local work and performs one
+// allreduce of the benchmark vector:
 //
 //	blocking:   compute; allreduce(alg)
-//	overlapped: initiate(async counterpart of alg); compute; wait
+//	overlapped: initiate(alg, split-phase); compute; wait
 //
 // The overlapped side progresses the collective's rounds behind the compute
 // (Image.Compute polls the progress engine), so its episode time approaches
 // max(compute, collective) instead of their sum. alg is a KindAllreduce
-// registry name; the overlapped side runs the same algorithm split-phase,
-// through the policy's async entry point (its row keeps the "nb-" label).
-func OverlapComparator(alg string, flops float64, overlapped bool) Comparator {
-	name := fmt.Sprintf("%s blocking (compute; co_sum)", alg)
-	if overlapped {
-		pol := core.Policy{Tuning: core.Tuning{Allreduce: alg}}
-		return Comparator{
-			Name:    fmt.Sprintf("nb-%s overlapped (init; compute; wait)", alg),
-			Conduit: machine.ConduitGASNetRDMA,
-			Run: func(v *team.View, buf []float64, iters int) {
-				for i := 0; i < iters; i++ {
-					h := core.PolicyAllreduceAsync(pol, v, buf, coll.Sum)
-					v.Img.Compute(flops)
-					h.Wait()
-				}
-			},
-		}
-	}
-	return Comparator{
-		Name:    name,
-		Conduit: machine.ConduitGASNetRDMA,
-		Run: func(v *team.View, buf []float64, iters int) {
+// registry name; the overlapped side runs the same algorithm split-phase (its
+// row keeps the "nb-" label).
+func OverlapComparators(alg string, flops float64) []Comparator {
+	return []Comparator{
+		{Name: alg + " blocking (compute; co_sum)", Run: func(v *team.View, buf []float64, iters int) {
 			for i := 0; i < iters; i++ {
 				v.Img.Compute(flops)
 				core.RunAllreduce(alg, v, buf, coll.Sum)
 			}
-		},
-	}
-}
-
-// OverlapComparators returns the blocking/overlapped pair for one blocking
-// allreduce algorithm — the rows of the overlap table.
-func OverlapComparators(alg string, flops float64) []Comparator {
-	return []Comparator{
-		OverlapComparator(alg, flops, false),
-		OverlapComparator(alg, flops, true),
+		}},
+		{Name: "nb-" + alg + " overlapped (init; compute; wait)", Run: func(v *team.View, buf []float64, iters int) {
+			for i := 0; i < iters; i++ {
+				h := core.StartAllreduce(alg, v, buf, coll.Sum)
+				v.Img.Compute(flops)
+				h.Wait()
+			}
+		}},
 	}
 }
 
 // Point is one measured cell: mean latency per episode (simulated
-// nanoseconds on the sim backend, wall-clock nanoseconds on native).
+// nanoseconds on the sim backend, wall-clock nanoseconds on native) and the
+// totals of the whole measurement it is the mean of.
 type Point struct {
 	Spec       string
 	Comparator string
@@ -269,31 +188,29 @@ type Point struct {
 	Latency    pgas.Time
 	IntraMsgs  int64
 	InterMsgs  int64
+	End        pgas.Time // all iters episodes
+	Events     int64     // simulator events, 0 on native
 }
 
-// Measure runs one comparator on one placement on the sim backend and
-// returns the mean episode latency and message counts per episode.
-func Measure(spec string, cmp Comparator, elems, iters int) (Point, error) {
-	return MeasureBackend(spec, "sim", cmp, elems, iters)
-}
-
-// MeasureBackend is Measure on a chosen execution substrate: "sim" (or "")
-// measures simulated time on the modeled cluster; "native" runs the same
-// comparator on real goroutines and measures wall-clock time, so the same
-// sweep reports both modeled and real microseconds. Native latencies carry
-// scheduling noise — treat them as ground truth for calibration, not as
-// deterministic values.
-func MeasureBackend(spec, backend string, cmp Comparator, elems, iters int) (Point, error) {
+// Measure runs iters episodes of one comparator on one "images(nodes)"
+// placement and returns the mean episode latency and message counts per
+// episode. Backend "sim" (or "") measures simulated time on the modeled
+// cluster; "native" runs the same comparator on real goroutines and measures
+// wall-clock time, so the same sweep reports both modeled and real
+// microseconds. Native latencies carry scheduling noise — treat them as
+// ground truth for calibration, not as deterministic values.
+func Measure(spec, backend string, cmp Comparator, elems, iters int) (Point, error) {
 	topo, err := topology.ParseSpec(spec)
 	if err != nil {
 		return Point{}, err
 	}
 	model := machine.PaperCluster().WithConduit(cmp.Conduit)
 	stats := trace.New()
+	env := sim.NewEnv()
 	var w *pgas.World
 	switch backend {
 	case "", "sim":
-		w, err = pgas.NewWorld(sim.NewEnv(), model, topo, stats)
+		w, err = pgas.NewWorld(env, model, topo, stats)
 		if err != nil {
 			return Point{}, err
 		}
@@ -315,6 +232,8 @@ func MeasureBackend(spec, backend string, cmp Comparator, elems, iters int) (Poi
 		Latency:    end / pgas.Time(iters),
 		IntraMsgs:  sn.IntraMsgs / int64(iters),
 		InterMsgs:  sn.InterMsgs / int64(iters),
+		End:        end,
+		Events:     env.Events(),
 	}, nil
 }
 
@@ -331,7 +250,6 @@ func Table(w io.Writer, title string, points []Point, reference string) {
 		}
 		bySpec[p.Spec] = append(bySpec[p.Spec], p)
 	}
-	sort.SliceStable(specs, func(i, j int) bool { return false }) // preserve insertion order
 	for _, spec := range specs {
 		pts := bySpec[spec]
 		var ref pgas.Time

@@ -2,43 +2,54 @@ package bench
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
+	"cafteams/internal/core"
 	"cafteams/internal/sim"
 )
 
+// TestComparatorSetsNonEmpty: every row of the paper sets resolves to a
+// registered algorithm, and the labels — the row names of `teamsbench -exp
+// all` — are the ones the tables have always carried, in order.
 func TestComparatorSetsNonEmpty(t *testing.T) {
-	for _, c := range []Collective{Barrier, Reduce, Bcast} {
-		cmps := Comparators(c)
-		if len(cmps) < 4 {
-			t.Fatalf("%v: only %d comparators", c, len(cmps))
-		}
-		names := map[string]bool{}
-		for _, cmp := range cmps {
-			if cmp.Name == "" || cmp.Run == nil {
-				t.Fatalf("%v: malformed comparator %+v", c, cmp)
+	for _, c := range []struct {
+		set    string
+		rows   []Row
+		labels []string
+	}{
+		{"barrier", BarrierSet, []string{"TDLB (2-level)", "UHCAF dissemination (AM)", "GASNet RDMA dissemination",
+			"GASNet IB dissemination", "MPI dissemination", "MPI hierarchical", "linear (centralized)"}},
+		{"reduce", ReduceSet, []string{"two-level reduction", "UHCAF linear (AM)", "flat recursive doubling",
+			"flat binomial tree", "ring allreduce"}},
+		{"bcast", BcastSet, []string{"two-level broadcast", "UHCAF binomial (AM)", "flat binomial",
+			"scatter-allgather", "linear (centralized)"}},
+		{"strategy", StrategySet, []string{"TDLB: linear intra + dissemination inter", "TDLL: linear intra + linear inter",
+			"flat dissemination (no hierarchy)", "flat linear (no hierarchy)", "flat tournament (no hierarchy)",
+			"flat binomial tree (no hierarchy)"}},
+		{"level", LevelSet, []string{"2-level (TDLB)", "3-level (TDLB3, socket-aware)", "flat dissemination"}},
+	} {
+		var labels []string
+		for _, r := range c.rows {
+			labels = append(labels, r.Label)
+			if r.Alg == core.AlgAuto || !core.HasAlgorithm(r.Kind, r.Alg) {
+				t.Errorf("%s set: row %q names %s/%s, not a registered algorithm", c.set, r.Label, r.Kind, r.Alg)
 			}
-			if names[cmp.Name] {
-				t.Fatalf("%v: duplicate comparator %q", c, cmp.Name)
+			if cmp := r.Comparator(); cmp.Name != r.Label || cmp.Conduit != r.Conduit || cmp.Run == nil {
+				t.Errorf("%s set: row %q resolved to %+v", c.set, r.Label, cmp)
 			}
-			names[cmp.Name] = true
 		}
-	}
-}
-
-func TestCollectiveString(t *testing.T) {
-	if Barrier.String() != "barrier" || Reduce.String() != "reduction" || Bcast.String() != "broadcast" {
-		t.Fatal("names wrong")
-	}
-	if Collective(9).String() == "" {
-		t.Fatal("unknown collective must stringify")
+		if !slices.Equal(labels, c.labels) {
+			t.Errorf("%s set labels = %q, want %q", c.set, labels, c.labels)
+		}
 	}
 }
 
 func TestMeasureBarrier(t *testing.T) {
-	for _, cmp := range Comparators(Barrier) {
-		p, err := Measure("16(2)", cmp, 1, 5)
+	for _, r := range BarrierSet {
+		cmp := r.Comparator()
+		p, err := Measure("16(2)", "sim", cmp, 1, 5)
 		if err != nil {
 			t.Fatalf("%s: %v", cmp.Name, err)
 		}
@@ -52,18 +63,17 @@ func TestMeasureBarrier(t *testing.T) {
 }
 
 func TestMeasureBadSpec(t *testing.T) {
-	if _, err := Measure("nope", Comparators(Barrier)[0], 1, 1); err == nil {
+	if _, err := Measure("nope", "sim", BarrierSet[0].Comparator(), 1, 1); err == nil {
 		t.Fatal("bad spec accepted")
 	}
 }
 
 func TestTDLBBeatsAMBaseline(t *testing.T) {
-	cmps := Comparators(Barrier)
-	tdlb, err := Measure("64(8)", cmps[0], 1, 5)
+	tdlb, err := Measure("64(8)", "sim", BarrierSet[0].Comparator(), 1, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	am, err := Measure("64(8)", cmps[1], 1, 5)
+	am, err := Measure("64(8)", "sim", BarrierSet[1].Comparator(), 1, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,11 +91,11 @@ func TestOverlapStrictlyBeatsBlocking(t *testing.T) {
 	const flops = 3e4
 	for _, alg := range []string{"2level", "rd"} {
 		pair := OverlapComparators(alg, flops)
-		blocking, err := Measure("16(2)", pair[0], 128, 5)
+		blocking, err := Measure("16(2)", "sim", pair[0], 128, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		overlapped, err := Measure("16(2)", pair[1], 128, 5)
+		overlapped, err := Measure("16(2)", "sim", pair[1], 128, 5)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,21 +5,16 @@ package bench
 // images on multi-level topologies). Everything reported here is simulated
 // time and event counts — pure functions of the workload — so scale tables
 // are byte-deterministic and diffable across runs and machines; only the
-// wall-clock cost of *producing* them varies, which is what the sim-core
-// microbenchmarks (simcore.go) track.
+// wall-clock cost of *producing* them varies, which is what the repository
+// benchmark's scale-4k workload tracks.
 
 import (
 	"fmt"
 	"io"
 	"math"
+	"strings"
 
 	"cafteams/internal/core"
-	"cafteams/internal/machine"
-	"cafteams/internal/pgas"
-	"cafteams/internal/sim"
-	"cafteams/internal/team"
-	"cafteams/internal/topology"
-	"cafteams/internal/trace"
 )
 
 // ScalePerNode is the fixed images-per-node of the scale topologies: every
@@ -31,66 +26,47 @@ const ScalePerNode = 8
 // sweeps: only logarithmic-depth algorithms — the O(N) linear/ring baselines
 // would dominate runtime at 64k images without saying anything new (their
 // slopes are already visible at paper scale).
-func ScaleKindAlgs() []struct {
+var ScaleKindAlgs = []struct {
 	Kind core.Kind
 	Algs []string
-} {
-	return []struct {
-		Kind core.Kind
-		Algs []string
-	}{
-		{core.KindBarrier, []string{"dissemination", "tdlb", "tdlb3"}},
-		{core.KindAllreduce, []string{"rd", "2level"}},
-		{core.KindReduceTo, []string{"binomial", "2level"}},
-		{core.KindBroadcast, []string{"binomial", "2level"}},
-		{core.KindScan, []string{"rd", "2level"}},
-	}
+}{
+	{core.KindBarrier, []string{"dissemination", "tdlb", "tdlb3"}},
+	{core.KindAllreduce, []string{"rd", "2level"}},
+	{core.KindReduceTo, []string{"binomial", "2level"}},
+	{core.KindBroadcast, []string{"binomial", "2level"}},
+	{core.KindScan, []string{"rd", "2level"}},
 }
 
 // ScalePoint is one scale-study cell. All fields are deterministic.
 type ScalePoint struct {
-	Kind    string  `json:"kind"`
-	Alg     string  `json:"alg"`
-	Images  int     `json:"images"`
-	Nodes   int     `json:"nodes"`
-	UsPerOp float64 `json:"us_per_op"` // modeled microseconds per episode
-	Events  int64   `json:"events"`    // simulator events for the whole measurement
+	Alg     string
+	Images  int
+	Nodes   int
+	UsPerOp float64 // modeled microseconds per episode
+	Events  int64   // simulator events for the whole measurement
 }
 
-// MeasureScale runs iters episodes of one registry algorithm on an
-// images-image multi-level topology (ScalePerNode images per node, block
-// placement) and reports the modeled per-episode latency.
+// MeasureScale runs iters episodes of one registry algorithm on images images
+// placed ScalePerNode per dual-socket node, in blocks, and reports the modeled
+// per-episode latency.
 func MeasureScale(k core.Kind, alg string, images, elems, iters int) (ScalePoint, error) {
 	if images%ScalePerNode != 0 {
 		return ScalePoint{}, fmt.Errorf("bench: scale image count %d not a multiple of %d per node", images, ScalePerNode)
 	}
 	nodes := images / ScalePerNode
-	topo, err := topology.New(nodes, 2, ScalePerNode/2, images, topology.PlaceBlock)
-	if err != nil {
-		return ScalePoint{}, err
-	}
-	env := sim.NewEnv()
-	w, err := pgas.NewWorld(env, machine.PaperCluster(), topo, trace.New())
-	if err != nil {
-		return ScalePoint{}, err
-	}
-	cmp := RegistryComparator(k, alg)
-	n := elems
 	if k == core.KindBarrier {
-		n = 1
+		elems = 1
 	}
-	end := w.Run(func(im *pgas.Image) {
-		v := team.Initial(w, im)
-		buf := make([]float64, n)
-		cmp.Run(v, buf, iters)
-	})
+	p, err := Measure(fmt.Sprintf("%d(%d)", images, nodes), "sim", RegistryComparator(k, alg), elems, iters)
+	if err != nil {
+		return ScalePoint{}, err
+	}
 	return ScalePoint{
-		Kind:    k.String(),
 		Alg:     alg,
 		Images:  images,
 		Nodes:   nodes,
-		UsPerOp: float64(end) / float64(iters) / 1000,
-		Events:  env.Events(),
+		UsPerOp: float64(p.End) / float64(iters) / 1000,
+		Events:  p.Events,
 	}, nil
 }
 
@@ -100,7 +76,7 @@ func MeasureScale(k core.Kind, alg string, images, elems, iters int) (ScalePoint
 // adds ~constant us per doubling; a linear phase doubles with N).
 func ScaleTable(w io.Writer, kind string, pts []ScalePoint) {
 	title := fmt.Sprintf("scale study: %s (%d images/node, multi-level, block placement, modeled time)", kind, ScalePerNode)
-	fmt.Fprintf(w, "%s\n%s\n", title, ruler(len(title)))
+	fmt.Fprintf(w, "%s\n%s\n", title, strings.Repeat("=", len(title)))
 	fmt.Fprintf(w, "  %-16s %8s %7s %12s %9s %10s %12s\n",
 		"alg", "images", "nodes", "us/op", "log2(N)", "log2(us)", "events")
 	last := ""
@@ -112,12 +88,4 @@ func ScaleTable(w io.Writer, kind string, pts []ScalePoint) {
 		fmt.Fprintf(w, "  %-16s %8d %7d %12.2f %9.2f %10.2f %12d\n",
 			p.Alg, p.Images, p.Nodes, p.UsPerOp, math.Log2(float64(p.Images)), math.Log2(p.UsPerOp), p.Events)
 	}
-}
-
-func ruler(n int) string {
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = '='
-	}
-	return string(b)
 }

@@ -107,9 +107,6 @@ func (c *Cluster) Nodes() int { return c.nodes }
 // SocketsPerNode returns the socket count per node.
 func (c *Cluster) SocketsPerNode() int { return c.socketsPerNode }
 
-// CoresPerSocket returns the core count per socket.
-func (c *Cluster) CoresPerSocket() int { return c.coresPerSocket }
-
 // CoresPerNode returns the core count per node.
 func (c *Cluster) CoresPerNode() int { return c.socketsPerNode * c.coresPerSocket }
 

@@ -20,17 +20,7 @@ const (
 	JobTranspose
 	JobHeat2D
 	JobCG
-	numJobKinds
 )
-
-// JobKinds returns every workload class, in declaration order.
-func JobKinds() []JobKind {
-	out := make([]JobKind, numJobKinds)
-	for i := range out {
-		out[i] = JobKind(i)
-	}
-	return out
-}
 
 func (k JobKind) String() string {
 	switch k {

@@ -17,7 +17,7 @@ import (
 //
 // Like the ring all-reduce, skew around the ring can reach n−1 steps, so
 // every step gets its own parity-indexed landing region.
-func AllgatherRing[T any](v *team.View, mine, out []T, via pgas.Via) {
+func AllgatherRing[T any](v *team.View, mine, out []T) {
 	sz := v.NumImages()
 	n := len(mine)
 	es := pgas.ElemSize[T]()
@@ -30,7 +30,7 @@ func AllgatherRing[T any](v *team.View, mine, out []T, via pgas.Via) {
 		return
 	}
 	steps := sz - 1
-	st := GetState(v, Alg{"ag.ring", via.String(), tag[T]()}, steps)
+	st := GetState(v, Alg{"ag.ring", tag[T]()}, steps)
 	ep := st.Next()
 	co, cap_ := Scratch[T](st, "", n, 2*steps)
 	parity := int(ep % 2)
@@ -42,7 +42,7 @@ func AllgatherRing[T any](v *team.View, mine, out []T, via pgas.Via) {
 		sendB := ((r-s)%sz + sz) % sz
 		recvB := ((r-s-1)%sz + sz) % sz
 		reg := region(s)
-		pgas.PutThenNotify(me, co, next, reg, out[sendB*n:sendB*n+n], st.Flags, s, 1, via)
+		pgas.PutThenNotify(me, co, next, reg, out[sendB*n:sendB*n+n], st.Flags, s, 1, pgas.ViaConduit)
 		me.WaitFlagGE(st.Flags, me.Rank(), s, ep)
 		copy(out[recvB*n:recvB*n+n], pgas.Local(co, me)[reg:reg+n])
 		me.MemWork(es * n)
@@ -57,7 +57,7 @@ func AllgatherRing[T any](v *team.View, mine, out []T, via pgas.Via) {
 //
 // Round r's transfer lands in its own parity-indexed region, so a fast
 // neighbor running ahead can never clobber an unread round.
-func AllgatherBruck[T any](v *team.View, mine, out []T, via pgas.Via) {
+func AllgatherBruck[T any](v *team.View, mine, out []T) {
 	sz := v.NumImages()
 	n := len(mine)
 	es := pgas.ElemSize[T]()
@@ -70,7 +70,7 @@ func AllgatherBruck[T any](v *team.View, mine, out []T, via pgas.Via) {
 		return
 	}
 	nr := Rounds(sz)
-	st := GetState(v, Alg{"ag.bruck", via.String(), tag[T]()}, nr)
+	st := GetState(v, Alg{"ag.bruck", tag[T]()}, nr)
 	ep := st.Next()
 	// Round k lands min(2^k, sz−2^k) blocks; lay rounds out back to back
 	// per parity: round k starts 2^k−1 blocks in, and the last one ends
@@ -100,7 +100,7 @@ func AllgatherBruck[T any](v *team.View, mine, out []T, via pgas.Via) {
 			copy(pack[i*n:(i+1)*n], out[b*n:b*n+n])
 		}
 		me.MemWork(es * len(pack))
-		pgas.PutThenNotify(me, co, v.T.GlobalRank(dst), base(k), pack, st.Flags, k, 1, via)
+		pgas.PutThenNotify(me, co, v.T.GlobalRank(dst), base(k), pack, st.Flags, k, 1, pgas.ViaConduit)
 		me.WaitFlagGE(st.Flags, me.Rank(), k, ep)
 		// Unpack what arrived: the sender was (r+2^k) mod sz, its blocks
 		// start at its rank.

@@ -35,7 +35,7 @@ func a2aBlock[T any](v *team.View, send, recv []T) int {
 // it completed episode e+1, whose step (size−s) waited on a message this
 // image only sends after fully completing episode e — by which point the
 // region being overwritten was consumed.
-func AlltoallPairwise[T any](v *team.View, send, recv []T, via pgas.Via) {
+func AlltoallPairwise[T any](v *team.View, send, recv []T) {
 	sz := v.NumImages()
 	n := a2aBlock(v, send, recv)
 	es := pgas.ElemSize[T]()
@@ -46,7 +46,7 @@ func AlltoallPairwise[T any](v *team.View, send, recv []T, via pgas.Via) {
 	}
 	v.Img.MemWork(es * n)
 	steps := sz - 1
-	st := GetState(v, Alg{"a2a.pw", via.String(), tag[T]()}, steps)
+	st := GetState(v, Alg{"a2a.pw", tag[T]()}, steps)
 	ep := st.Next()
 	co, cap_ := Scratch[T](st, "", n, 2*steps)
 	parity := int(ep % 2)
@@ -57,7 +57,7 @@ func AlltoallPairwise[T any](v *team.View, send, recv []T, via pgas.Via) {
 		dst := (r + s) % sz
 		src := (r - s + sz) % sz
 		reg := region(s - 1)
-		pgas.PutThenNotify(me, co, v.T.GlobalRank(dst), reg, send[dst*n:dst*n+n], st.Flags, s-1, 1, via)
+		pgas.PutThenNotify(me, co, v.T.GlobalRank(dst), reg, send[dst*n:dst*n+n], st.Flags, s-1, 1, pgas.ViaConduit)
 		me.WaitFlagGE(st.Flags, me.Rank(), s-1, ep)
 		copy(recv[src*n:src*n+n], pgas.Local(co, me)[reg:reg+n])
 		me.MemWork(es * n)
@@ -81,7 +81,7 @@ func AlltoallPairwise[T any](v *team.View, send, recv []T, via pgas.Via) {
 //
 // Flag layout: slots [0, rounds) step arrivals; slot rounds+2·k+parity the
 // step-k credit.
-func AlltoallBruck[T any](v *team.View, send, recv []T, via pgas.Via) {
+func AlltoallBruck[T any](v *team.View, send, recv []T) {
 	sz := v.NumImages()
 	n := a2aBlock(v, send, recv)
 	es := pgas.ElemSize[T]()
@@ -91,7 +91,7 @@ func AlltoallBruck[T any](v *team.View, send, recv []T, via pgas.Via) {
 		return
 	}
 	nr := Rounds(sz)
-	st := GetState(v, Alg{"a2a.bruck", via.String(), tag[T]()}, 3*nr)
+	st := GetState(v, Alg{"a2a.bruck", tag[T]()}, 3*nr)
 	ep := st.Next()
 	// Round k exchanges the blocks whose index has bit k set; regions are
 	// laid out back to back per parity, sized exactly: round k starts off[k]
@@ -139,7 +139,7 @@ func AlltoallBruck[T any](v *team.View, send, recv []T, via pgas.Via) {
 		if sends := expect[ackSlot]; sends > 1 {
 			me.WaitFlagGE(st.Flags, me.Rank(), ackSlot, sends-1)
 		}
-		pgas.PutThenNotify(me, co, v.T.GlobalRank(dst), region(k), pack, st.Flags, k, 1, via)
+		pgas.PutThenNotify(me, co, v.T.GlobalRank(dst), region(k), pack, st.Flags, k, 1, pgas.ViaConduit)
 		me.WaitFlagGE(st.Flags, me.Rank(), k, ep)
 		local := pgas.Local(co, me)
 		i := 0
@@ -150,7 +150,7 @@ func AlltoallBruck[T any](v *team.View, send, recv []T, via pgas.Via) {
 			}
 		}
 		me.MemWork(es * i * n)
-		me.NotifyAdd(st.Flags, v.T.GlobalRank(src), ackSlot, 1, via)
+		me.NotifyAdd(st.Flags, v.T.GlobalRank(src), ackSlot, 1, pgas.ViaConduit)
 	}
 	// Phase 3: final rotation — tmp position j carries the block from
 	// source (r−j).

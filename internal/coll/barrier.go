@@ -11,17 +11,17 @@ import (
 // image r notifies image (r + 2^k) mod n and waits for its own round-k flag.
 // n·ceil(log2 n) notifications total. This is the algorithm the paper's
 // baseline UHCAF runtime uses for every barrier, regardless of placement.
-func BarrierDissemination(v *team.View, via pgas.Via) {
+func BarrierDissemination(v *team.View) {
 	n := v.NumImages()
 	v.Img.World().Stats().Count(trace.OpBarrier)
 	if n == 1 {
 		return
 	}
-	st := GetState(v, Alg{"bar.diss", via.String()}, Rounds(n))
+	st := GetState(v, Alg{"bar.diss"}, Rounds(n))
 	ep := st.Next()
 	for k := 0; 1<<k < n; k++ {
 		partner := (v.Rank + 1<<k) % n
-		v.Img.NotifyAdd(st.Flags, v.T.GlobalRank(partner), k, 1, via)
+		v.Img.NotifyAdd(st.Flags, v.T.GlobalRank(partner), k, 1, pgas.ViaConduit)
 		v.Img.WaitFlagGE(st.Flags, v.Img.Rank(), k, ep)
 	}
 }
@@ -30,23 +30,23 @@ func BarrierDissemination(v *team.View, via pgas.Via) {
 // dissemination: 2(n−1) notifications, all serialized through the first
 // team member. Slot 0 counts arrivals at the root; slot 1 carries the
 // release stamp.
-func BarrierLinear(v *team.View, via pgas.Via) {
+func BarrierLinear(v *team.View) {
 	n := v.NumImages()
 	v.Img.World().Stats().Count(trace.OpBarrier)
 	if n == 1 {
 		return
 	}
-	st := GetState(v, Alg{"bar.lin", via.String()}, 2)
+	st := GetState(v, Alg{"bar.lin"}, 2)
 	ep := st.Next()
 	root := v.T.GlobalRank(0)
 	if v.Rank == 0 {
 		v.Img.WaitFlagGE(st.Flags, root, 0, ep*int64(n-1))
 		for r := 1; r < n; r++ {
-			v.Img.NotifySet(st.Flags, v.T.GlobalRank(r), 1, ep, via)
+			v.Img.NotifySet(st.Flags, v.T.GlobalRank(r), 1, ep, pgas.ViaConduit)
 		}
 		return
 	}
-	v.Img.NotifyAdd(st.Flags, root, 0, 1, via)
+	v.Img.NotifyAdd(st.Flags, root, 0, 1, pgas.ViaConduit)
 	v.Img.WaitFlagGE(st.Flags, v.Img.Rank(), 1, ep)
 }
 
@@ -54,13 +54,13 @@ func BarrierLinear(v *team.View, via pgas.Via) {
 // node waits for its children), release back down. 2(n−1) messages like the
 // linear barrier, but logarithmic depth and no single hot spot.
 // Slot 0 counts child arrivals; slot 1 carries the release stamp.
-func BarrierTree(v *team.View, via pgas.Via) {
+func BarrierTree(v *team.View) {
 	n := v.NumImages()
 	v.Img.World().Stats().Count(trace.OpBarrier)
 	if n == 1 {
 		return
 	}
-	st := GetState(v, Alg{"bar.tree", via.String()}, 2)
+	st := GetState(v, Alg{"bar.tree"}, 2)
 	ep := st.Next()
 	r := v.Rank
 	kids := binomialChildren(r, n)
@@ -69,11 +69,11 @@ func BarrierTree(v *team.View, via pgas.Via) {
 	}
 	if r != 0 {
 		parent := r - (r & -r)
-		v.Img.NotifyAdd(st.Flags, v.T.GlobalRank(parent), 0, 1, via)
+		v.Img.NotifyAdd(st.Flags, v.T.GlobalRank(parent), 0, 1, pgas.ViaConduit)
 		v.Img.WaitFlagGE(st.Flags, v.Img.Rank(), 1, ep)
 	}
 	for _, c := range kids {
-		v.Img.NotifySet(st.Flags, v.T.GlobalRank(c), 1, ep, via)
+		v.Img.NotifySet(st.Flags, v.T.GlobalRank(c), 1, ep, pgas.ViaConduit)
 	}
 }
 
@@ -107,14 +107,14 @@ func binomialFanout(r, n int) int {
 // waits; the champion starts a logarithmic release wave. Arrival uses one
 // flag slot per round; release uses one slot per round offset by the round
 // count.
-func BarrierTournament(v *team.View, via pgas.Via) {
+func BarrierTournament(v *team.View) {
 	n := v.NumImages()
 	v.Img.World().Stats().Count(trace.OpBarrier)
 	if n == 1 {
 		return
 	}
 	nr := Rounds(n)
-	st := GetState(v, Alg{"bar.tour", via.String()}, 2*nr)
+	st := GetState(v, Alg{"bar.tour"}, 2*nr)
 	ep := st.Next()
 	r := v.Rank
 	lost := -1
@@ -122,7 +122,7 @@ func BarrierTournament(v *team.View, via pgas.Via) {
 		if r%(1<<(k+1)) != 0 {
 			// Loser: report to the winner and stop advancing.
 			winner := r - 1<<k
-			v.Img.NotifyAdd(st.Flags, v.T.GlobalRank(winner), k, 1, via)
+			v.Img.NotifyAdd(st.Flags, v.T.GlobalRank(winner), k, 1, pgas.ViaConduit)
 			lost = k
 			break
 		}
@@ -143,7 +143,7 @@ func BarrierTournament(v *team.View, via pgas.Via) {
 		if r%(1<<(k+1)) == 0 {
 			partner := r + 1<<k
 			if partner < n {
-				v.Img.NotifySet(st.Flags, v.T.GlobalRank(partner), nr+k, ep, via)
+				v.Img.NotifySet(st.Flags, v.T.GlobalRank(partner), nr+k, ep, pgas.ViaConduit)
 			}
 		}
 	}

@@ -22,7 +22,7 @@ import (
 //
 // Flag layout: slots 0-1 parity payload arrivals, slots 2-3 parity acks,
 // slot 4 done stamps.
-func SubgroupBcastBinomial[T any](v *team.View, group []int, myIdx, rootIdx int, buf []T, alg Alg, via pgas.Via) {
+func SubgroupBcastBinomial[T any](v *team.View, group []int, myIdx, rootIdx int, buf []T, alg Alg) {
 	g := len(group)
 	if g == 1 {
 		return
@@ -56,7 +56,7 @@ func SubgroupBcastBinomial[T any](v *team.View, group []int, myIdx, rootIdx int,
 	nkids := 0
 	for k := Rounds(g) - 1; k >= 0; k-- {
 		if rel < 1<<k && rel+1<<k < g {
-			pgas.PutThenNotify(me, co, global(rel+1<<k), reg, buf, st.Flags, paySlot, 1, via)
+			pgas.PutThenNotify(me, co, global(rel+1<<k), reg, buf, st.Flags, paySlot, 1, pgas.ViaConduit)
 			nkids++
 		}
 	}
@@ -68,20 +68,20 @@ func SubgroupBcastBinomial[T any](v *team.View, group []int, myIdx, rootIdx int,
 	}
 	if rel != 0 {
 		parent := rel - FloorPow2(rel)
-		me.NotifyAdd(st.Flags, global(parent), ackSlot, 1, via)
+		me.NotifyAdd(st.Flags, global(parent), ackSlot, 1, pgas.ViaConduit)
 		return
 	}
 	me.SetLocal(st.Flags, 4, ep)
 	for i := 1; i < g; i++ {
-		me.NotifySet(st.Flags, global(i), 4, ep, via)
+		me.NotifySet(st.Flags, global(i), 4, ep, pgas.ViaConduit)
 	}
 }
 
 // BcastBinomial is the flat binomial-tree one-to-all broadcast over the
 // whole team (the baseline for co_broadcast). root is a team rank.
-func BcastBinomial[T any](v *team.View, root int, buf []T, via pgas.Via) {
+func BcastBinomial[T any](v *team.View, root int, buf []T) {
 	v.Img.World().Stats().Count(trace.OpBroadcast)
-	SubgroupBcastBinomial(v, TeamRanks(v), v.Rank, root, buf, Alg{"bc.flat", via.String()}, via)
+	SubgroupBcastBinomial(v, TeamRanks(v), v.Rank, root, buf, Alg{"bc.flat"})
 }
 
 // BcastLinear has the root put the payload to every member directly —
@@ -89,7 +89,7 @@ func BcastBinomial[T any](v *team.View, root int, buf []T, via pgas.Via) {
 // control mirrors SubgroupBcastBinomial: parity ack slots converging
 // directly at the episode root, a done-stamp wave, and an injection gate at
 // done >= e−2.
-func BcastLinear[T any](v *team.View, root int, buf []T, via pgas.Via) {
+func BcastLinear[T any](v *team.View, root int, buf []T) {
 	v.Img.World().Stats().Count(trace.OpBroadcast)
 	sz := v.NumImages()
 	if sz == 1 {
@@ -97,7 +97,7 @@ func BcastLinear[T any](v *team.View, root int, buf []T, via pgas.Via) {
 	}
 	n := len(buf)
 	es := pgas.ElemSize[T]()
-	st := GetState(v, Alg{"bc.lin", via.String(), tag[T]()}, 5)
+	st := GetState(v, Alg{"bc.lin", tag[T]()}, 5)
 	ep := st.Next()
 	expect := st.Expect()
 	co, cap_ := Scratch[T](st, "", n, 2)
@@ -112,14 +112,14 @@ func BcastLinear[T any](v *team.View, root int, buf []T, via pgas.Via) {
 			if r == root {
 				continue
 			}
-			pgas.PutThenNotify(me, co, v.T.GlobalRank(r), reg, buf, st.Flags, paySlot, 1, via)
+			pgas.PutThenNotify(me, co, v.T.GlobalRank(r), reg, buf, st.Flags, paySlot, 1, pgas.ViaConduit)
 		}
 		expect[ackSlot] += int64(sz - 1)
 		me.WaitFlagGE(st.Flags, me.Rank(), ackSlot, expect[ackSlot])
 		me.SetLocal(st.Flags, 4, ep)
 		for r := 0; r < sz; r++ {
 			if r != root {
-				me.NotifySet(st.Flags, v.T.GlobalRank(r), 4, ep, via)
+				me.NotifySet(st.Flags, v.T.GlobalRank(r), 4, ep, pgas.ViaConduit)
 			}
 		}
 		return
@@ -128,14 +128,14 @@ func BcastLinear[T any](v *team.View, root int, buf []T, via pgas.Via) {
 	me.WaitFlagGE(st.Flags, me.Rank(), paySlot, expect[paySlot])
 	copy(buf, pgas.Local(co, me)[reg:reg+n])
 	me.MemWork(es * n)
-	me.NotifyAdd(st.Flags, v.T.GlobalRank(root), ackSlot, 1, via)
+	me.NotifyAdd(st.Flags, v.T.GlobalRank(root), ackSlot, 1, pgas.ViaConduit)
 }
 
 // BcastScatterAllgather is the van de Geijn large-message broadcast: the
 // root binomial-scatters n/size chunks, then a ring all-gather completes
 // every copy. Bandwidth-optimal for payloads much larger than the team.
 // Falls back to the binomial tree when the vector is shorter than the team.
-func BcastScatterAllgather[T any](v *team.View, root int, buf []T, via pgas.Via) {
+func BcastScatterAllgather[T any](v *team.View, root int, buf []T) {
 	v.Img.World().Stats().Count(trace.OpBroadcast)
 	sz := v.NumImages()
 	n := len(buf)
@@ -144,12 +144,12 @@ func BcastScatterAllgather[T any](v *team.View, root int, buf []T, via pgas.Via)
 		return
 	}
 	if n < sz {
-		SubgroupBcastBinomial(v, TeamRanks(v), v.Rank, root, buf, Alg{"bc.sagfallback", via.String()}, via)
+		SubgroupBcastBinomial(v, TeamRanks(v), v.Rank, root, buf, Alg{"bc.sagfallback"})
 		return
 	}
 	chunk := (n + sz - 1) / sz
 	steps := sz - 1
-	st := GetState(v, Alg{"bc.sag", via.String(), tag[T]()}, 1+steps)
+	st := GetState(v, Alg{"bc.sag", tag[T]()}, 1+steps)
 	ep := st.Next()
 	expect := st.Expect()
 	// Per parity: the full vector (scatter target area), and one
@@ -200,11 +200,11 @@ func BcastScatterAllgather[T any](v *team.View, root int, buf []T, via pgas.Via)
 			_, hi := bounds(lastRel - 1)
 			if hi > lo {
 				src := pgas.Local(co, me)[base+lo : base+hi]
-				pgas.PutThenNotify(me, co, global(child), base+lo, src, st.Flags, 0, 1, via)
+				pgas.PutThenNotify(me, co, global(child), base+lo, src, st.Flags, 0, 1, pgas.ViaConduit)
 			} else {
 				// The child's whole subtree falls past the vector end;
 				// it still needs the release notification.
-				me.NotifyAdd(st.Flags, global(child), 0, 1, via)
+				me.NotifyAdd(st.Flags, global(child), 0, 1, pgas.ViaConduit)
 			}
 		}
 	}
@@ -216,9 +216,9 @@ func BcastScatterAllgather[T any](v *team.View, root int, buf []T, via pgas.Via)
 		lo, hi := bounds(sendC)
 		reg := (parity*steps + s) * rcap
 		if hi > lo {
-			pgas.PutThenNotify(me, ring, next, reg, buf[lo:hi], st.Flags, 1+s, 1, via)
+			pgas.PutThenNotify(me, ring, next, reg, buf[lo:hi], st.Flags, 1+s, 1, pgas.ViaConduit)
 		} else {
-			me.NotifyAdd(st.Flags, next, 1+s, 1, via)
+			me.NotifyAdd(st.Flags, next, 1+s, 1, pgas.ViaConduit)
 		}
 		me.WaitFlagGE(st.Flags, me.Rank(), 1+s, ep)
 		rlo, rhi := bounds(recvC)

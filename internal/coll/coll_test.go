@@ -32,10 +32,10 @@ func newWorld(t testing.TB, spec string) *pgas.World {
 type barrierFn func(v *team.View)
 
 var barriers = map[string]barrierFn{
-	"dissemination": func(v *team.View) { BarrierDissemination(v, pgas.ViaConduit) },
-	"linear":        func(v *team.View) { BarrierLinear(v, pgas.ViaConduit) },
-	"tree":          func(v *team.View) { BarrierTree(v, pgas.ViaConduit) },
-	"tournament":    func(v *team.View) { BarrierTournament(v, pgas.ViaConduit) },
+	"dissemination": func(v *team.View) { BarrierDissemination(v) },
+	"linear":        func(v *team.View) { BarrierLinear(v) },
+	"tree":          func(v *team.View) { BarrierTree(v) },
+	"tournament":    func(v *team.View) { BarrierTournament(v) },
 }
 
 // checkBarrier drives episodes of a barrier with randomized skew and
@@ -114,7 +114,7 @@ func TestBarrierMessageCounts(t *testing.T) {
 			before = w.Stats().Snapshot()
 		}
 		im.SyncImages(nil) // no-op alignment
-		BarrierDissemination(v, pgas.ViaConduit)
+		BarrierDissemination(v)
 	})
 	d := w.Stats().Snapshot().Diff(before)
 	wantDiss := int64(16 * 4) // 16 images, ceil(log2 16)=4 rounds
@@ -125,7 +125,7 @@ func TestBarrierMessageCounts(t *testing.T) {
 	w2 := newWorld(t, "16(4)")
 	w2.Run(func(im *pgas.Image) {
 		v := team.Initial(w2, im)
-		BarrierLinear(v, pgas.ViaConduit)
+		BarrierLinear(v)
 	})
 	d2 := w2.Stats().Snapshot()
 	wantLin := int64(2 * 15)
@@ -138,10 +138,10 @@ func TestBarrierMessageCounts(t *testing.T) {
 type reduceFn func(v *team.View, buf []float64, op Op[float64])
 
 var reducers = map[string]reduceFn{
-	"rd":     func(v *team.View, b []float64, op Op[float64]) { AllreduceRD(v, b, op, pgas.ViaConduit) },
-	"linear": func(v *team.View, b []float64, op Op[float64]) { AllreduceLinear(v, b, op, pgas.ViaConduit) },
-	"tree":   func(v *team.View, b []float64, op Op[float64]) { AllreduceTree(v, b, op, pgas.ViaConduit) },
-	"ring":   func(v *team.View, b []float64, op Op[float64]) { AllreduceRing(v, b, op, pgas.ViaConduit) },
+	"rd":     func(v *team.View, b []float64, op Op[float64]) { AllreduceRD(v, b, op) },
+	"linear": func(v *team.View, b []float64, op Op[float64]) { AllreduceLinear(v, b, op) },
+	"tree":   func(v *team.View, b []float64, op Op[float64]) { AllreduceTree(v, b, op) },
+	"ring":   func(v *team.View, b []float64, op Op[float64]) { AllreduceRing(v, b, op) },
 }
 
 func checkAllreduce(t *testing.T, spec string, name string, fn reduceFn, elems int, op Op[float64], expect func(n, i int) float64) {
@@ -201,7 +201,7 @@ func TestAllreduceOnSubteams(t *testing.T) {
 		v := team.Initial(w, im)
 		sub := v.Form(int64(im.Rank()%2)+1, -1)
 		buf := []float64{float64(im.Rank())}
-		AllreduceRD(sub, buf, Sum, pgas.ViaConduit)
+		AllreduceRD(sub, buf, Sum)
 		// Sum of global ranks with my parity: 0+2+...+14=56, 1+3+...+15=64.
 		want := 56.0
 		if im.Rank()%2 == 1 {
@@ -217,9 +217,9 @@ func TestAllreduceOnSubteams(t *testing.T) {
 type bcastFn func(v *team.View, root int, buf []float64)
 
 var bcasters = map[string]bcastFn{
-	"binomial": func(v *team.View, r int, b []float64) { BcastBinomial(v, r, b, pgas.ViaConduit) },
-	"linear":   func(v *team.View, r int, b []float64) { BcastLinear(v, r, b, pgas.ViaConduit) },
-	"sag":      func(v *team.View, r int, b []float64) { BcastScatterAllgather(v, r, b, pgas.ViaConduit) },
+	"binomial": func(v *team.View, r int, b []float64) { BcastBinomial(v, r, b) },
+	"linear":   func(v *team.View, r int, b []float64) { BcastLinear(v, r, b) },
+	"sag":      func(v *team.View, r int, b []float64) { BcastScatterAllgather(v, r, b) },
 }
 
 func checkBcast(t *testing.T, spec, name string, fn bcastFn, elems int) {
@@ -287,15 +287,15 @@ func TestMixedCollectiveSequence(t *testing.T) {
 	w.Run(func(im *pgas.Image) {
 		v := team.Initial(w, im)
 		buf := []float64{float64(im.Rank() + 1)}
-		BarrierDissemination(v, pgas.ViaConduit)
-		AllreduceRD(v, buf, Sum, pgas.ViaConduit)
+		BarrierDissemination(v)
+		AllreduceRD(v, buf, Sum)
 		want := float64(n*(n+1)) / 2
 		if buf[0] != want {
 			t.Errorf("sum after barrier = %v, want %v", buf[0], want)
 		}
-		BcastBinomial(v, 2, buf, pgas.ViaConduit)
-		BarrierTree(v, pgas.ViaConduit)
-		AllreduceTree(v, buf, Max, pgas.ViaConduit)
+		BcastBinomial(v, 2, buf)
+		BarrierTree(v)
+		AllreduceTree(v, buf, Max)
 		if buf[0] != want {
 			t.Errorf("max of identical = %v, want %v", buf[0], want)
 		}
@@ -309,14 +309,14 @@ func TestReduceChargesPayloadTime(t *testing.T) {
 		v := team.Initial(w, im)
 		small := make([]float64, 1)
 		t0 := im.Now()
-		AllreduceRD(v, small, Sum, pgas.ViaConduit)
+		AllreduceRD(v, small, Sum)
 		if im.Rank() == 0 {
 			smallT = im.Now() - t0
 		}
-		BarrierDissemination(v, pgas.ViaConduit)
+		BarrierDissemination(v)
 		big := make([]float64, 8192)
 		t0 = im.Now()
-		AllreduceRD(v, big, Sum, pgas.ViaConduit)
+		AllreduceRD(v, big, Sum)
 		if im.Rank() == 0 {
 			bigT = im.Now() - t0
 		}
@@ -434,7 +434,7 @@ func TestReduceToRootCorrect(t *testing.T) {
 				for ep := 0; ep < 5; ep++ {
 					root := (ep * 3) % n
 					buf := []float64{float64(im.Rank() + 1)}
-					ReduceToRoot(v, root, buf, Sum, pgas.ViaConduit)
+					ReduceToRoot(v, root, buf, Sum)
 					if v.Rank == root {
 						want := float64(n*(n+1)) / 2
 						if buf[0] != want {
@@ -463,7 +463,7 @@ func TestReduceToRootSkewedMembers(t *testing.T) {
 				im.Sleep(sim.Time(rng.Intn(2000)))
 			}
 			buf := []float64{float64(im.Rank() + 1)}
-			ReduceToRoot(v, 0, buf, Sum, pgas.ViaConduit)
+			ReduceToRoot(v, 0, buf, Sum)
 			if v.Rank == 0 {
 				want := float64(n*(n+1)) / 2
 				if buf[0] != want {
@@ -484,7 +484,7 @@ func TestAllgatherRingCorrect(t *testing.T) {
 				for ep := 0; ep < 3; ep++ {
 					mine := []float64{float64(im.Rank()*100 + ep), float64(im.Rank())}
 					out := make([]float64, 2*n)
-					AllgatherRing(v, mine, out, pgas.ViaConduit)
+					AllgatherRing(v, mine, out)
 					for r := 0; r < n; r++ {
 						if out[2*r] != float64(r*100+ep) || out[2*r+1] != float64(r) {
 							t.Errorf("%s ep%d: block %d = %v", spec, ep, r, out[2*r:2*r+2])

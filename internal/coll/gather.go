@@ -19,7 +19,7 @@ import (
 //
 // Flag layout: slots 0-1 parity arrivals at the root, slots 2-3 parity
 // credits back to the senders.
-func GatherLinear[T any](v *team.View, root int, send, recv []T, via pgas.Via) {
+func GatherLinear[T any](v *team.View, root int, send, recv []T) {
 	sz := v.NumImages()
 	n := len(send)
 	es := pgas.ElemSize[T]()
@@ -34,7 +34,7 @@ func GatherLinear[T any](v *team.View, root int, send, recv []T, via pgas.Via) {
 	if sz == 1 {
 		return
 	}
-	st := GetState(v, Alg{"ga.lin", via.String(), tag[T]()}, 4)
+	st := GetState(v, Alg{"ga.lin", tag[T]()}, 4)
 	ep := st.Next()
 	co, cap_ := Scratch[T](st, "", n, 2*sz)
 	parity := int(ep % 2)
@@ -54,7 +54,7 @@ func GatherLinear[T any](v *team.View, root int, send, recv []T, via pgas.Via) {
 			off := (parity*sz + r) * cap_
 			copy(recv[r*n:r*n+n], local[off:off+n])
 			me.MemWork(es * n)
-			me.NotifyAdd(st.Flags, v.T.GlobalRank(r), creditSlot, 1, via)
+			me.NotifyAdd(st.Flags, v.T.GlobalRank(r), creditSlot, 1, pgas.ViaConduit)
 		}
 		return
 	}
@@ -64,7 +64,7 @@ func GatherLinear[T any](v *team.View, root int, send, recv []T, via pgas.Via) {
 		me.WaitFlagGE(st.Flags, me.Rank(), creditSlot, sends-1)
 	}
 	off := (parity*sz + v.Rank) * cap_
-	pgas.PutThenNotify(me, co, v.T.GlobalRank(root), off, send, st.Flags, arriveSlot, 1, via)
+	pgas.PutThenNotify(me, co, v.T.GlobalRank(root), off, send, st.Flags, arriveSlot, 1, pgas.ViaConduit)
 }
 
 // GatherBinomial collects the per-member blocks up the "low bits free"
@@ -89,7 +89,7 @@ func GatherLinear[T any](v *team.View, root int, send, recv []T, via pgas.Via) {
 //
 // Flag layout, nr = ⌈log2 size⌉: slots [0, nr) edge arrivals; slot
 // nr+2·k+parity the credit from the edge-k parent.
-func GatherBinomial[T any](v *team.View, root int, send, recv []T, via pgas.Via) {
+func GatherBinomial[T any](v *team.View, root int, send, recv []T) {
 	sz := v.NumImages()
 	n := len(send)
 	es := pgas.ElemSize[T]()
@@ -105,7 +105,7 @@ func GatherBinomial[T any](v *team.View, root int, send, recv []T, via pgas.Via)
 		return
 	}
 	nr := Rounds(sz)
-	st := GetState(v, Alg{"ga.binom", via.String(), tag[T]()}, 3*nr)
+	st := GetState(v, Alg{"ga.binom", tag[T]()}, 3*nr)
 	ep := st.Next()
 	parity := int(ep % 2)
 	me := v.Img
@@ -131,7 +131,7 @@ func GatherBinomial[T any](v *team.View, root int, send, recv []T, via pgas.Via)
 	}
 	creditKids := func() {
 		for k := nkids - 1; k >= 0; k-- {
-			me.NotifyAdd(st.Flags, global(rel+1<<k), nr+2*k+parity, 1, via)
+			me.NotifyAdd(st.Flags, global(rel+1<<k), nr+2*k+parity, 1, pgas.ViaConduit)
 		}
 	}
 	if rel == 0 {
@@ -152,7 +152,7 @@ func GatherBinomial[T any](v *team.View, root int, send, recv []T, via pgas.Via)
 		me.WaitFlagGE(st.Flags, me.Rank(), creditSlot, sends-1)
 	}
 	pco, pbase, _ := subtreeArea[T](st, parentRel, sz, n, parity)
-	pgas.PutThenNotify(me, pco, global(parentRel), pbase+(rel-parentRel)*n, pack, st.Flags, edge, 1, via)
+	pgas.PutThenNotify(me, pco, global(parentRel), pbase+(rel-parentRel)*n, pack, st.Flags, edge, 1, pgas.ViaConduit)
 	creditKids()
 }
 

@@ -21,7 +21,7 @@ import (
 //
 // The hierarchy-aware two-level reduction (internal/core) reuses this with
 // group = the team's node leaders; the flat baseline uses the whole team.
-func SubgroupAllreduceRD[T any](v *team.View, group []int, myIdx int, buf []T, op Op[T], alg Alg, via pgas.Via) {
+func SubgroupAllreduceRD[T any](v *team.View, group []int, myIdx int, buf []T, op Op[T], alg Alg) {
 	g := len(group)
 	if g == 1 {
 		return
@@ -46,7 +46,7 @@ func SubgroupAllreduceRD[T any](v *team.View, group []int, myIdx int, buf []T, o
 		// Fold in: ship to the core partner, then wait for the result.
 		partner := myIdx - p2
 		in, icap := Scratch[T](st, "fold", n, 2)
-		pgas.PutThenNotify(me, in, global(partner), parity*icap, buf, st.Flags, slotExtra, 1, via)
+		pgas.PutThenNotify(me, in, global(partner), parity*icap, buf, st.Flags, slotExtra, 1, pgas.ViaConduit)
 		me.WaitFlagGE(st.Flags, me.Rank(), slotResult, ep)
 		res, rcap := Scratch[T](st, "res", n, 2)
 		copy(buf, pgas.Local(res, me)[parity*rcap:parity*rcap+n])
@@ -63,29 +63,29 @@ func SubgroupAllreduceRD[T any](v *team.View, group []int, myIdx int, buf []T, o
 	region := func(k int) int { return (parity*nr + k) * cap_ }
 	for k := 0; 1<<k < p2; k++ {
 		partner := myIdx ^ 1<<k
-		pgas.PutThenNotify(me, co, global(partner), region(k), buf, st.Flags, k, 1, via)
+		pgas.PutThenNotify(me, co, global(partner), region(k), buf, st.Flags, k, 1, pgas.ViaConduit)
 		me.WaitFlagGE(st.Flags, me.Rank(), k, ep)
 		op.Combine(buf, pgas.Local(co, me)[region(k):region(k)+n])
 		me.MemWork(2 * es * n)
 	}
 	if myIdx < extras {
 		res, rcap := Scratch[T](st, "res", n, 2)
-		pgas.PutThenNotify(me, res, global(myIdx+p2), parity*rcap, buf, st.Flags, slotResult, 1, via)
+		pgas.PutThenNotify(me, res, global(myIdx+p2), parity*rcap, buf, st.Flags, slotResult, 1, pgas.ViaConduit)
 	}
 }
 
 // AllreduceRD is the flat recursive-doubling all-to-all reduction over the
 // whole team through the conduit path — a standard baseline for co_sum and
 // friends.
-func AllreduceRD[T any](v *team.View, buf []T, op Op[T], via pgas.Via) {
+func AllreduceRD[T any](v *team.View, buf []T, op Op[T]) {
 	v.Img.World().Stats().Count(trace.OpReduce)
-	SubgroupAllreduceRD(v, TeamRanks(v), v.Rank, buf, op, Alg{"red.flat", via.String()}, via)
+	SubgroupAllreduceRD(v, TeamRanks(v), v.Rank, buf, op, Alg{"red.flat"})
 }
 
 // AllreduceLinear gathers every vector at the team's first member, combines
 // there, and ships the result back out — the centralized counterpart the
 // paper's methodology discussion contrasts with distributed algorithms.
-func AllreduceLinear[T any](v *team.View, buf []T, op Op[T], via pgas.Via) {
+func AllreduceLinear[T any](v *team.View, buf []T, op Op[T]) {
 	v.Img.World().Stats().Count(trace.OpReduce)
 	n := len(buf)
 	es := pgas.ElemSize[T]()
@@ -93,7 +93,7 @@ func AllreduceLinear[T any](v *team.View, buf []T, op Op[T], via pgas.Via) {
 	if sz == 1 {
 		return
 	}
-	st := GetState(v, Alg{"red.lin", op.Name, via.String(), tag[T]()}, 2)
+	st := GetState(v, Alg{"red.lin", op.Name, tag[T]()}, 2)
 	ep := st.Next()
 	// Root inbox: one region per member per parity, touched at the root
 	// only. Result landing: one region per parity at every other member.
@@ -111,12 +111,12 @@ func AllreduceLinear[T any](v *team.View, buf []T, op Op[T], via pgas.Via) {
 			me.MemWork(2 * es * n)
 		}
 		for r := 1; r < sz; r++ {
-			pgas.PutThenNotify(me, res, v.T.GlobalRank(r), parity*rcap, buf, st.Flags, 1, 1, via)
+			pgas.PutThenNotify(me, res, v.T.GlobalRank(r), parity*rcap, buf, st.Flags, 1, 1, pgas.ViaConduit)
 		}
 		return
 	}
 	off := (parity*sz + v.Rank) * icap
-	pgas.PutThenNotify(me, inbox, root, off, buf, st.Flags, 0, 1, via)
+	pgas.PutThenNotify(me, inbox, root, off, buf, st.Flags, 0, 1, pgas.ViaConduit)
 	me.WaitFlagGE(st.Flags, me.Rank(), 1, ep)
 	copy(buf, pgas.Local(res, me)[parity*rcap:parity*rcap+n])
 	me.MemWork(es * n)
@@ -125,7 +125,7 @@ func AllreduceLinear[T any](v *team.View, buf []T, op Op[T], via pgas.Via) {
 // AllreduceTree reduces up a binomial tree to the first member and
 // broadcasts the result back down the same tree. 2(n−1) vector messages
 // with logarithmic depth.
-func AllreduceTree[T any](v *team.View, buf []T, op Op[T], via pgas.Via) {
+func AllreduceTree[T any](v *team.View, buf []T, op Op[T]) {
 	v.Img.World().Stats().Count(trace.OpReduce)
 	n := len(buf)
 	es := pgas.ElemSize[T]()
@@ -134,7 +134,7 @@ func AllreduceTree[T any](v *team.View, buf []T, op Op[T], via pgas.Via) {
 		return
 	}
 	nr := Rounds(sz)
-	st := GetState(v, Alg{"red.tree", op.Name, via.String(), tag[T]()}, nr+1)
+	st := GetState(v, Alg{"red.tree", op.Name, tag[T]()}, nr+1)
 	ep := st.Next()
 	// Parents land their children per tree level; every member but the
 	// root lands the result, in a box of its own (leaves touch no other).
@@ -155,13 +155,13 @@ func AllreduceTree[T any](v *team.View, buf []T, op Op[T], via pgas.Via) {
 		parent := r - (r & -r)
 		// My slot at the parent is my position among its children.
 		slot := childSlot(parent, r)
-		pgas.PutThenNotify(me, co, v.T.GlobalRank(parent), region(slot), buf, st.Flags, slot, 1, via)
+		pgas.PutThenNotify(me, co, v.T.GlobalRank(parent), region(slot), buf, st.Flags, slot, 1, pgas.ViaConduit)
 		me.WaitFlagGE(st.Flags, me.Rank(), nr, ep)
 		copy(buf, pgas.Local(res, me)[parity*rcap:parity*rcap+n])
 		me.MemWork(es * n)
 	}
 	for _, c := range kids {
-		pgas.PutThenNotify(me, res, v.T.GlobalRank(c), parity*rcap, buf, st.Flags, nr, 1, via)
+		pgas.PutThenNotify(me, res, v.T.GlobalRank(c), parity*rcap, buf, st.Flags, nr, 1, pgas.ViaConduit)
 	}
 }
 
@@ -179,7 +179,7 @@ func childSlot(parent, child int) int {
 // AllreduceRing is the bandwidth-optimal ring all-reduce (reduce-scatter
 // pass followed by an all-gather pass, 2(n−1) steps of n/size chunks). An
 // extension beyond the paper's baselines, included for the ablation bench.
-func AllreduceRing[T any](v *team.View, buf []T, op Op[T], via pgas.Via) {
+func AllreduceRing[T any](v *team.View, buf []T, op Op[T]) {
 	v.Img.World().Stats().Count(trace.OpReduce)
 	sz := v.NumImages()
 	n := len(buf)
@@ -189,11 +189,11 @@ func AllreduceRing[T any](v *team.View, buf []T, op Op[T], via pgas.Via) {
 	}
 	if n < sz {
 		// Tiny vectors degenerate; fall back to recursive doubling.
-		SubgroupAllreduceRD(v, TeamRanks(v), v.Rank, buf, op, Alg{"red.ringfallback", via.String()}, via)
+		SubgroupAllreduceRD(v, TeamRanks(v), v.Rank, buf, op, Alg{"red.ringfallback"})
 		return
 	}
 	steps := 2 * (sz - 1)
-	st := GetState(v, Alg{"red.ring", op.Name, via.String(), tag[T]()}, steps)
+	st := GetState(v, Alg{"red.ring", op.Name, tag[T]()}, steps)
 	ep := st.Next()
 	chunk := (n + sz - 1) / sz
 	// One inbox region per step per episode parity: ring skew can reach
@@ -222,7 +222,7 @@ func AllreduceRing[T any](v *team.View, buf []T, op Op[T], via pgas.Via) {
 		recvC := ((r-s-1)%sz + sz) % sz
 		lo, hi := bounds(sendC)
 		reg := region(s)
-		pgas.PutThenNotify(me, co, next, reg, buf[lo:hi], st.Flags, s, 1, via)
+		pgas.PutThenNotify(me, co, next, reg, buf[lo:hi], st.Flags, s, 1, pgas.ViaConduit)
 		me.WaitFlagGE(st.Flags, me.Rank(), s, ep)
 		rlo, rhi := bounds(recvC)
 		op.Combine(buf[rlo:rhi], pgas.Local(co, me)[reg:reg+(rhi-rlo)])
@@ -234,7 +234,7 @@ func AllreduceRing[T any](v *team.View, buf []T, op Op[T], via pgas.Via) {
 		recvC := ((r-s)%sz + sz) % sz
 		lo, hi := bounds(sendC)
 		reg := region(sz - 1 + s)
-		pgas.PutThenNotify(me, co, next, reg, buf[lo:hi], st.Flags, sz-1+s, 1, via)
+		pgas.PutThenNotify(me, co, next, reg, buf[lo:hi], st.Flags, sz-1+s, 1, pgas.ViaConduit)
 		me.WaitFlagGE(st.Flags, me.Rank(), sz-1+s, ep)
 		rlo, rhi := bounds(recvC)
 		copy(buf[rlo:rhi], pgas.Local(co, me)[reg:reg+(rhi-rlo)])

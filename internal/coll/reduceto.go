@@ -29,7 +29,7 @@ import (
 //
 // Flag layout, nr = ⌈log2 g⌉: slots [0, nr) edge arrivals; slot
 // nr+2·k+parity the credit from the edge-k parent.
-func SubgroupReduceToRoot[T any](v *team.View, group []int, myIdx, rootIdx int, buf []T, op Op[T], alg Alg, via pgas.Via) {
+func SubgroupReduceToRoot[T any](v *team.View, group []int, myIdx, rootIdx int, buf []T, op Op[T], alg Alg) {
 	g := len(group)
 	if g == 1 {
 		return
@@ -57,7 +57,7 @@ func SubgroupReduceToRoot[T any](v *team.View, group []int, myIdx, rootIdx int, 
 		op.Combine(buf, pgas.Local(co, me)[off:off+n])
 		me.MemWork(2 * es * n)
 		// Credit the child: its parity landing region here is free.
-		me.NotifyAdd(st.Flags, globalOf((myIdx+1<<k)%g), nr+2*k+parity, 1, via)
+		me.NotifyAdd(st.Flags, globalOf((myIdx+1<<k)%g), nr+2*k+parity, 1, pgas.ViaConduit)
 	}
 	if rel == 0 {
 		return
@@ -69,14 +69,14 @@ func SubgroupReduceToRoot[T any](v *team.View, group []int, myIdx, rootIdx int, 
 	if sends := expect[creditSlot]; sends > 1 {
 		me.WaitFlagGE(st.Flags, me.Rank(), creditSlot, sends-1)
 	}
-	pgas.PutThenNotify(me, co, globalOf((myIdx-1<<edge+g)%g), region(edge), buf, st.Flags, edge, 1, via)
+	pgas.PutThenNotify(me, co, globalOf((myIdx-1<<edge+g)%g), region(edge), buf, st.Flags, edge, 1, pgas.ViaConduit)
 }
 
 // ReduceToRoot is the flat binomial reduce-to-one over the whole team;
 // root is a team rank.
-func ReduceToRoot[T any](v *team.View, root int, buf []T, op Op[T], via pgas.Via) {
+func ReduceToRoot[T any](v *team.View, root int, buf []T, op Op[T]) {
 	v.Img.World().Stats().Count(trace.OpReduce)
-	SubgroupReduceToRoot(v, TeamRanks(v), v.Rank, root, buf, op, Alg{"redto.flat", op.Name, via.String()}, via)
+	SubgroupReduceToRoot(v, TeamRanks(v), v.Rank, root, buf, op, Alg{"redto.flat", op.Name})
 }
 
 // ReduceToRootLinear gathers every member's vector at the root directly and
@@ -86,7 +86,7 @@ func ReduceToRoot[T any](v *team.View, root int, buf []T, op Op[T], via pgas.Via
 //
 // Flag layout: slots 0-1 parity arrivals at the root, slots 2-3 parity
 // credits back to the senders.
-func ReduceToRootLinear[T any](v *team.View, root int, buf []T, op Op[T], via pgas.Via) {
+func ReduceToRootLinear[T any](v *team.View, root int, buf []T, op Op[T]) {
 	v.Img.World().Stats().Count(trace.OpReduce)
 	sz := v.NumImages()
 	if sz == 1 {
@@ -94,7 +94,7 @@ func ReduceToRootLinear[T any](v *team.View, root int, buf []T, op Op[T], via pg
 	}
 	n := len(buf)
 	es := pgas.ElemSize[T]()
-	st := GetState(v, Alg{"redto.lin", op.Name, via.String(), tag[T]()}, 4)
+	st := GetState(v, Alg{"redto.lin", op.Name, tag[T]()}, 4)
 	ep := st.Next()
 	co, cap_ := Scratch[T](st, "", n, 2*sz)
 	parity := int(ep % 2)
@@ -115,7 +115,7 @@ func ReduceToRootLinear[T any](v *team.View, root int, buf []T, op Op[T], via pg
 			off := (parity*sz + r) * cap_
 			op.Combine(buf, local[off:off+n])
 			me.MemWork(2 * es * n)
-			me.NotifyAdd(st.Flags, v.T.GlobalRank(r), creditSlot, 1, via)
+			me.NotifyAdd(st.Flags, v.T.GlobalRank(r), creditSlot, 1, pgas.ViaConduit)
 		}
 		return
 	}
@@ -125,5 +125,5 @@ func ReduceToRootLinear[T any](v *team.View, root int, buf []T, op Op[T], via pg
 		me.WaitFlagGE(st.Flags, me.Rank(), creditSlot, sends-1)
 	}
 	off := (parity*sz + v.Rank) * cap_
-	pgas.PutThenNotify(me, co, v.T.GlobalRank(root), off, buf, st.Flags, arriveSlot, 1, via)
+	pgas.PutThenNotify(me, co, v.T.GlobalRank(root), off, buf, st.Flags, arriveSlot, 1, pgas.ViaConduit)
 }

@@ -29,7 +29,7 @@ func scanTag(exclusive bool) string {
 // may not ship a same-parity prefix before the previous one was acked.
 //
 // Flag layout: slot 0 arrivals, slots 2-3 parity credits.
-func ScanLinear[T any](v *team.View, buf []T, op Op[T], exclusive bool, via pgas.Via) {
+func ScanLinear[T any](v *team.View, buf []T, op Op[T], exclusive bool) {
 	sz := v.NumImages()
 	n := len(buf)
 	es := pgas.ElemSize[T]()
@@ -37,7 +37,7 @@ func ScanLinear[T any](v *team.View, buf []T, op Op[T], exclusive bool, via pgas
 	if sz == 1 {
 		return
 	}
-	st := GetState(v, Alg{"scan.lin", op.Name, scanTag(exclusive), via.String(), tag[T]()}, 4)
+	st := GetState(v, Alg{"scan.lin", op.Name, scanTag(exclusive), tag[T]()}, 4)
 	ep := st.Next()
 	co, cap_ := Scratch[T](st, scanTag(exclusive), n, 2)
 	parity := int(ep % 2)
@@ -73,10 +73,10 @@ func ScanLinear[T any](v *team.View, buf []T, op Op[T], exclusive bool, via pgas
 		if sends := expect[creditSlot]; sends > 1 {
 			me.WaitFlagGE(st.Flags, me.Rank(), creditSlot, sends-1)
 		}
-		pgas.PutThenNotify(me, co, v.T.GlobalRank(r+1), reg, fwd, st.Flags, 0, 1, via)
+		pgas.PutThenNotify(me, co, v.T.GlobalRank(r+1), reg, fwd, st.Flags, 0, 1, pgas.ViaConduit)
 	}
 	if r > 0 {
-		me.NotifyAdd(st.Flags, v.T.GlobalRank(r-1), creditSlot, 1, via)
+		me.NotifyAdd(st.Flags, v.T.GlobalRank(r-1), creditSlot, 1, pgas.ViaConduit)
 	}
 }
 
@@ -95,7 +95,7 @@ func ScanLinear[T any](v *team.View, buf []T, op Op[T], exclusive bool, via pgas
 // Flag layout: slots [0, rounds) round arrivals; slot rounds+2·k+parity the
 // round-k credit; slot 3·rounds the shift arrival; slots 3·rounds+1/+2 the
 // shift credits.
-func ScanRD[T any](v *team.View, buf []T, op Op[T], exclusive bool, via pgas.Via) {
+func ScanRD[T any](v *team.View, buf []T, op Op[T], exclusive bool) {
 	sz := v.NumImages()
 	n := len(buf)
 	es := pgas.ElemSize[T]()
@@ -104,7 +104,7 @@ func ScanRD[T any](v *team.View, buf []T, op Op[T], exclusive bool, via pgas.Via
 		return
 	}
 	nr := Rounds(sz)
-	st := GetState(v, Alg{"scan.rd", op.Name, scanTag(exclusive), via.String(), tag[T]()}, 3*nr+3)
+	st := GetState(v, Alg{"scan.rd", op.Name, scanTag(exclusive), tag[T]()}, 3*nr+3)
 	ep := st.Next()
 	co, cap_ := Scratch[T](st, scanTag(exclusive), n, 2*nr)
 	parity := int(ep % 2)
@@ -122,13 +122,13 @@ func ScanRD[T any](v *team.View, buf []T, op Op[T], exclusive bool, via pgas.Via
 			if sends := expect[ackSlot]; sends > 1 {
 				me.WaitFlagGE(st.Flags, me.Rank(), ackSlot, sends-1)
 			}
-			pgas.PutThenNotify(me, co, v.T.GlobalRank(r+1<<k), region(k), acc, st.Flags, k, 1, via)
+			pgas.PutThenNotify(me, co, v.T.GlobalRank(r+1<<k), region(k), acc, st.Flags, k, 1, pgas.ViaConduit)
 		}
 		if r-1<<k >= 0 {
 			me.WaitFlagGE(st.Flags, me.Rank(), k, ep)
 			op.Combine(acc, pgas.Local(co, me)[region(k):region(k)+n])
 			me.MemWork(2 * es * n)
-			me.NotifyAdd(st.Flags, v.T.GlobalRank(r-1<<k), ackSlot, 1, via)
+			me.NotifyAdd(st.Flags, v.T.GlobalRank(r-1<<k), ackSlot, 1, pgas.ViaConduit)
 		}
 	}
 	if !exclusive {
@@ -146,12 +146,12 @@ func ScanRD[T any](v *team.View, buf []T, op Op[T], exclusive bool, via pgas.Via
 		if sends := expect[shiftAck]; sends > 1 {
 			me.WaitFlagGE(st.Flags, me.Rank(), shiftAck, sends-1)
 		}
-		pgas.PutThenNotify(me, shift, v.T.GlobalRank(r+1), parity*scap, acc, st.Flags, shiftSlot, 1, via)
+		pgas.PutThenNotify(me, shift, v.T.GlobalRank(r+1), parity*scap, acc, st.Flags, shiftSlot, 1, pgas.ViaConduit)
 	}
 	if r > 0 {
 		me.WaitFlagGE(st.Flags, me.Rank(), shiftSlot, ep)
 		copy(buf, pgas.Local(shift, me)[parity*scap:parity*scap+n])
 		me.MemWork(es * n)
-		me.NotifyAdd(st.Flags, v.T.GlobalRank(r-1), shiftAck, 1, via)
+		me.NotifyAdd(st.Flags, v.T.GlobalRank(r-1), shiftAck, 1, pgas.ViaConduit)
 	}
 }

@@ -21,7 +21,7 @@ import (
 //
 // Flag layout: slots 0-1 parity payload arrivals, slots 2-3 parity acks,
 // slot 4 done stamps.
-func ScatterLinear[T any](v *team.View, root int, send, recv []T, via pgas.Via) {
+func ScatterLinear[T any](v *team.View, root int, send, recv []T) {
 	sz := v.NumImages()
 	n := len(recv)
 	es := pgas.ElemSize[T]()
@@ -36,7 +36,7 @@ func ScatterLinear[T any](v *team.View, root int, send, recv []T, via pgas.Via) 
 	if sz == 1 {
 		return
 	}
-	st := GetState(v, Alg{"sc.lin", via.String(), tag[T]()}, 5)
+	st := GetState(v, Alg{"sc.lin", tag[T]()}, 5)
 	ep := st.Next()
 	expect := st.Expect()
 	co, cap_ := Scratch[T](st, "", n, 2)
@@ -51,14 +51,14 @@ func ScatterLinear[T any](v *team.View, root int, send, recv []T, via pgas.Via) 
 			if r == root {
 				continue
 			}
-			pgas.PutThenNotify(me, co, v.T.GlobalRank(r), reg, send[r*n:r*n+n], st.Flags, paySlot, 1, via)
+			pgas.PutThenNotify(me, co, v.T.GlobalRank(r), reg, send[r*n:r*n+n], st.Flags, paySlot, 1, pgas.ViaConduit)
 		}
 		expect[ackSlot] += int64(sz - 1)
 		me.WaitFlagGE(st.Flags, me.Rank(), ackSlot, expect[ackSlot])
 		me.SetLocal(st.Flags, 4, ep)
 		for r := 0; r < sz; r++ {
 			if r != root {
-				me.NotifySet(st.Flags, v.T.GlobalRank(r), 4, ep, via)
+				me.NotifySet(st.Flags, v.T.GlobalRank(r), 4, ep, pgas.ViaConduit)
 			}
 		}
 		return
@@ -67,7 +67,7 @@ func ScatterLinear[T any](v *team.View, root int, send, recv []T, via pgas.Via) 
 	me.WaitFlagGE(st.Flags, me.Rank(), paySlot, expect[paySlot])
 	copy(recv, pgas.Local(co, me)[reg:reg+n])
 	me.MemWork(es * n)
-	me.NotifyAdd(st.Flags, v.T.GlobalRank(root), ackSlot, 1, via)
+	me.NotifyAdd(st.Flags, v.T.GlobalRank(root), ackSlot, 1, pgas.ViaConduit)
 }
 
 // ScatterBinomial distributes per-member blocks along the binomial scatter
@@ -85,7 +85,7 @@ func ScatterLinear[T any](v *team.View, root int, send, recv []T, via pgas.Via) 
 // scratch of that subtree's size class (the sender picks the same class from
 // the child's position): leaves land one block, and nobody stages the whole
 // team — the root forwards from a private copy.
-func ScatterBinomial[T any](v *team.View, root int, send, recv []T, via pgas.Via) {
+func ScatterBinomial[T any](v *team.View, root int, send, recv []T) {
 	sz := v.NumImages()
 	n := len(recv)
 	es := pgas.ElemSize[T]()
@@ -100,7 +100,7 @@ func ScatterBinomial[T any](v *team.View, root int, send, recv []T, via pgas.Via
 	if sz == 1 {
 		return
 	}
-	st := GetState(v, Alg{"sc.binom", via.String(), tag[T]()}, 5)
+	st := GetState(v, Alg{"sc.binom", tag[T]()}, 5)
 	ep := st.Next()
 	expect := st.Expect()
 	parity := int(ep % 2)
@@ -138,7 +138,7 @@ func ScatterBinomial[T any](v *team.View, root int, send, recv []T, via pgas.Via
 				last = sz
 			}
 			co, base, _ := subtreeArea[T](st, child, sz, n, parity)
-			pgas.PutThenNotify(me, co, global(child), base, tree[(child-rel)*n:(last-rel)*n], st.Flags, paySlot, 1, via)
+			pgas.PutThenNotify(me, co, global(child), base, tree[(child-rel)*n:(last-rel)*n], st.Flags, paySlot, 1, pgas.ViaConduit)
 			nkids++
 		}
 	}
@@ -148,11 +148,11 @@ func ScatterBinomial[T any](v *team.View, root int, send, recv []T, via pgas.Via
 	}
 	if rel != 0 {
 		parent := rel - (rel & -rel)
-		me.NotifyAdd(st.Flags, global(parent), ackSlot, 1, via)
+		me.NotifyAdd(st.Flags, global(parent), ackSlot, 1, pgas.ViaConduit)
 		return
 	}
 	me.SetLocal(st.Flags, 4, ep)
 	for q := 1; q < sz; q++ {
-		me.NotifySet(st.Flags, global(q), 4, ep, via)
+		me.NotifySet(st.Flags, global(q), 4, ep, pgas.ViaConduit)
 	}
 }

@@ -41,21 +41,21 @@ func steadyStateAllocs(t *testing.T, backend string, k Kind) float64 {
 			case KindBarrier:
 				pol.Barrier(v)
 			case KindAllreduce:
-				pol.Allreduce(v, vec, coll.Sum)
+				PolicyAllreduce(pol, v, vec, coll.Sum)
 			case KindReduceTo:
-				pol.ReduceTo(v, root, vec, coll.Sum)
+				PolicyReduceTo(pol, v, root, vec, coll.Sum)
 			case KindBroadcast:
-				pol.Broadcast(v, root, vec)
+				PolicyBroadcast(pol, v, root, vec)
 			case KindAllgather:
-				pol.Allgather(v, vec, all)
+				PolicyAllgather(pol, v, vec, all)
 			case KindScatter:
-				pol.Scatter(v, root, all, vec)
+				PolicyScatter(pol, v, root, all, vec)
 			case KindGather:
-				pol.Gather(v, root, vec, all)
+				PolicyGather(pol, v, root, vec, all)
 			case KindAlltoall:
-				pol.Alltoall(v, all, all2)
+				PolicyAlltoall(pol, v, all, all2)
 			case KindScan:
-				pol.Scan(v, vec, coll.Max, false)
+				PolicyScan(pol, v, vec, coll.Max, false)
 			}
 		}
 		for i := 0; i < warm; i++ {

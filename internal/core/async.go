@@ -8,7 +8,7 @@ import (
 
 // This file is the entry surface of the split-phase (non-blocking)
 // collectives. There are no split-phase algorithms: a split-phase collective
-// is a registry algorithm — any of them, custom registrations included — run
+// is a registry algorithm — any of them — run
 // on a coroutine by the per-image progress engine in internal/pgas, where its
 // flag waits yield to the image instead of blocking it.
 //

@@ -244,18 +244,15 @@ func TestAsyncTestPolling(t *testing.T) {
 	})
 }
 
-// TestPolicyAsyncRunsCustomAlgorithmSplitPhase: a tuned custom algorithm is
-// split-phase like any other — the policy async path starts it on a
-// coroutine, the handle is in flight after initiation, and its rounds overlap
-// the compute between initiate and wait.
+// TestPolicyAsyncRunsCustomAlgorithmSplitPhase: an algorithm with no "nb-"
+// alias, pinned by Tuning, is split-phase like any other — the policy async
+// path starts it on a coroutine, the handle is in flight after initiation,
+// and its rounds overlap the compute between initiate and wait.
 func TestPolicyAsyncRunsCustomAlgorithmSplitPhase(t *testing.T) {
-	RegisterAllreduce("test-async-custom", func(v *team.View, buf []float64, op coll.Op[float64]) {
-		coll.AllreduceRD(v, buf, op, pgas.ViaConduit)
-	})
 	w := newWorld(t, "8(2)")
 	w.Run(func(im *pgas.Image) {
 		v := team.Initial(w, im)
-		p := Policy{Level: LevelAuto, Tuning: Tuning{Allreduce: "test-async-custom"}}
+		p := Policy{Level: LevelAuto, Tuning: Tuning{KindAllreduce: "tree"}}
 		const flops = 3e4
 		p.Barrier(v)
 		t0 := im.Now()
@@ -270,7 +267,7 @@ func TestPolicyAsyncRunsCustomAlgorithmSplitPhase(t *testing.T) {
 		buf = []float64{1}
 		h := PolicyAllreduceAsync(p, v, buf, coll.Sum)
 		if h.Done() {
-			t.Error("custom algorithm completed at initiation: it ran blocking")
+			t.Error("tuned algorithm completed at initiation: it ran blocking")
 		}
 		im.Compute(flops)
 		h.Wait()

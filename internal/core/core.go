@@ -154,9 +154,3 @@ func BarrierTDLL(v *team.View) {
 		me.NotifySet(st.Flags, t.GlobalRank(r), 1, ep, pgas.ViaShm)
 	}
 }
-
-// BarrierFlatDissemination re-exports the flat baseline so callers comparing
-// the two levels only import core.
-func BarrierFlatDissemination(v *team.View) {
-	coll.BarrierDissemination(v, pgas.ViaConduit)
-}

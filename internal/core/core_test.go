@@ -98,7 +98,7 @@ func TestTDLBFasterThanFlatWithManyImagesPerNode(t *testing.T) {
 			}
 		})
 	}
-	flat := time(BarrierFlatDissemination)
+	flat := time(coll.BarrierDissemination)
 	tdlb := time(BarrierTDLB)
 	if tdlb*2 >= flat {
 		t.Fatalf("TDLB (%d ns) should be at least 2x faster than flat dissemination (%d ns) at 8 images/node", tdlb, flat)
@@ -117,7 +117,7 @@ func TestTDLBMatchesDisseminationOnFlatHierarchy(t *testing.T) {
 			}
 		})
 	}
-	flat := time(BarrierFlatDissemination)
+	flat := time(coll.BarrierDissemination)
 	tdlb := time(BarrierTDLB)
 	if flat != tdlb {
 		t.Fatalf("flat hierarchy: TDLB = %d ns, dissemination = %d ns; must coincide", tdlb, flat)
@@ -229,7 +229,7 @@ func TestTwoLevelReduceFasterThanFlat(t *testing.T) {
 				if two {
 					AllreduceTwoLevel(v, buf, coll.Sum)
 				} else {
-					coll.AllreduceRD(v, buf, coll.Sum, pgas.ViaConduit)
+					coll.AllreduceRD(v, buf, coll.Sum)
 				}
 			}
 		})
@@ -251,7 +251,7 @@ func TestTwoLevelBcastFasterThanFlat(t *testing.T) {
 				if two {
 					BcastTwoLevel(v, 0, buf)
 				} else {
-					coll.BcastBinomial(v, 0, buf, pgas.ViaConduit)
+					coll.BcastBinomial(v, 0, buf)
 				}
 			}
 		})
@@ -294,14 +294,14 @@ func TestPolicyDispatchesAllLevels(t *testing.T) {
 				p := Policy{Level: lvl}
 				p.Barrier(v)
 				buf := []float64{1}
-				p.Allreduce(v, buf, coll.Sum)
+				PolicyAllreduce(p, v, buf, coll.Sum)
 				if buf[0] != float64(n) {
 					t.Errorf("%v allreduce = %v, want %v", lvl, buf[0], float64(n))
 				}
 				if v.Rank == 3 {
 					buf[0] = 42
 				}
-				p.Broadcast(v, 3, buf)
+				PolicyBroadcast(p, v, 3, buf)
 				if buf[0] != 42 {
 					t.Errorf("%v broadcast = %v, want 42", lvl, buf[0])
 				}
@@ -457,7 +457,7 @@ func TestPolicyLevelThreeUsesThreeLevelReduce(t *testing.T) {
 		v := team.Initial(w, im)
 		p := Policy{Level: LevelThree}
 		buf := []float64{float64(im.Rank() + 1)}
-		p.Allreduce(v, buf, coll.Sum)
+		PolicyAllreduce(p, v, buf, coll.Sum)
 		if buf[0] != float64(n*(n+1))/2 {
 			t.Errorf("3-level policy sum = %v", buf[0])
 		}
@@ -500,7 +500,7 @@ func TestReduceToRootTwoLevelFasterThanFlat(t *testing.T) {
 				if two {
 					ReduceToRootTwoLevel(v, 0, buf, coll.Sum)
 				} else {
-					coll.ReduceToRoot(v, 0, buf, coll.Sum, pgas.ViaConduit)
+					coll.ReduceToRoot(v, 0, buf, coll.Sum)
 				}
 			}
 		})
@@ -548,7 +548,7 @@ func TestAllgatherTwoLevelFasterThanFlat(t *testing.T) {
 				if two {
 					AllgatherTwoLevel(v, mine, out)
 				} else {
-					coll.AllgatherRing(v, mine, out, pgas.ViaConduit)
+					coll.AllgatherRing(v, mine, out)
 				}
 			}
 		})

@@ -41,73 +41,28 @@ func (l Level) String() string {
 	}
 }
 
-// Tuning selects, per collective kind, which registered algorithm the
-// runtime dispatches to. The zero value ("" everywhere) defers entirely to
-// the hierarchy level — the paper's methodology. A field set to a name from
-// Algorithms(kind) forces that algorithm for every call; a field set to
-// AlgAuto ("auto") picks per call from the team shape *and* the message
-// size (hierarchy-aware where the team spans intranode sets, and within the
-// flat table latency-optimal algorithms for short vectors,
+// Tuning selects, per collective kind (the index), which registered
+// algorithm the runtime dispatches to. The zero value ("" everywhere) defers
+// entirely to the hierarchy level — the paper's methodology. An entry set to
+// a name from Algorithms(kind) forces that algorithm for every call; an entry
+// set to AlgAuto ("auto") picks per call from the team shape *and* the
+// message size (hierarchy-aware where the team spans intranode sets, and
+// within the flat table latency-optimal algorithms for short vectors,
 // bandwidth-optimal ones for long vectors).
-type Tuning struct {
-	Barrier   string
-	Allreduce string
-	ReduceTo  string
-	Broadcast string
-	Allgather string
-	Scatter   string
-	Gather    string
-	Alltoall  string
-	Scan      string
-}
+type Tuning [numKinds]string
 
 // For returns the tuning entry for kind k.
 func (t Tuning) For(k Kind) string {
-	switch k {
-	case KindBarrier:
-		return t.Barrier
-	case KindAllreduce:
-		return t.Allreduce
-	case KindReduceTo:
-		return t.ReduceTo
-	case KindBroadcast:
-		return t.Broadcast
-	case KindAllgather:
-		return t.Allgather
-	case KindScatter:
-		return t.Scatter
-	case KindGather:
-		return t.Gather
-	case KindAlltoall:
-		return t.Alltoall
-	case KindScan:
-		return t.Scan
-	default:
+	if !k.valid() {
 		return ""
 	}
+	return t[k]
 }
 
 // With returns a copy of t with kind k's algorithm set to name.
 func (t Tuning) With(k Kind, name string) Tuning {
-	switch k {
-	case KindBarrier:
-		t.Barrier = name
-	case KindAllreduce:
-		t.Allreduce = name
-	case KindReduceTo:
-		t.ReduceTo = name
-	case KindBroadcast:
-		t.Broadcast = name
-	case KindAllgather:
-		t.Allgather = name
-	case KindScatter:
-		t.Scatter = name
-	case KindGather:
-		t.Gather = name
-	case KindAlltoall:
-		t.Alltoall = name
-	case KindScan:
-		t.Scan = name
+	if k.valid() {
+		t[k] = name
 	}
 	return t
 }
@@ -115,16 +70,18 @@ func (t Tuning) With(k Kind, name string) Tuning {
 // AllAuto is the Tuning that applies the size- and shape-keyed auto rule to
 // every collective kind.
 func AllAuto() Tuning {
-	return Tuning{Barrier: AlgAuto, Allreduce: AlgAuto, ReduceTo: AlgAuto,
-		Broadcast: AlgAuto, Allgather: AlgAuto, Scatter: AlgAuto,
-		Gather: AlgAuto, Alltoall: AlgAuto, Scan: AlgAuto}
+	var t Tuning
+	for k := range t {
+		t[k] = AlgAuto
+	}
+	return t
 }
 
 // Validate checks every non-empty entry against the registry.
 func (t Tuning) Validate() error {
-	for _, k := range Kinds() {
-		if name := t.For(k); !HasAlgorithm(k, name) {
-			return fmt.Errorf("tuning: unknown algorithm %s/%s (registered: %v)", k, name, Algorithms(k))
+	for k, name := range t {
+		if !HasAlgorithm(Kind(k), name) {
+			return fmt.Errorf("tuning: unknown algorithm %s/%s (registered: %v)", Kind(k), name, Algorithms(Kind(k)))
 		}
 	}
 	return nil
@@ -258,7 +215,7 @@ func (p Policy) Barrier(v *team.View) {
 
 // PolicyAllreduce performs the team all-to-all reduction (co_sum and
 // friends) for any element type. (A package function because Go methods
-// cannot be generic; Policy.Allreduce is the float64 shorthand.)
+// cannot be generic.)
 func PolicyAllreduce[T any](p Policy, v *team.View, buf []T, op coll.Op[T]) {
 	RunAllreduce(p.algFor(KindAllreduce, v, len(buf), pgas.ElemSize[T]()), v, buf, op)
 }
@@ -309,48 +266,4 @@ func PolicyAlltoall[T any](p Policy, v *team.View, send, recv []T) {
 // rank 0's buf is left unchanged).
 func PolicyScan[T any](p Policy, v *team.View, buf []T, op coll.Op[T], exclusive bool) {
 	RunScan(p.algFor(KindScan, v, len(buf), pgas.ElemSize[T]()), v, buf, op, exclusive)
-}
-
-// Allreduce performs the team all-to-all reduction over float64 buffers.
-func (p Policy) Allreduce(v *team.View, buf []float64, op coll.Op[float64]) {
-	PolicyAllreduce(p, v, buf, op)
-}
-
-// Allgather concatenates every member's mine vector into out (ordered by
-// team rank) on every member.
-func (p Policy) Allgather(v *team.View, mine, out []float64) {
-	PolicyAllgather(p, v, mine, out)
-}
-
-// ReduceTo performs the team reduce-to-one (the co_sum(result_image=...)
-// family): only team rank root receives the combined result.
-func (p Policy) ReduceTo(v *team.View, root int, buf []float64, op coll.Op[float64]) {
-	PolicyReduceTo(p, v, root, buf, op)
-}
-
-// Broadcast performs the team one-to-all broadcast (co_broadcast) from team
-// rank root.
-func (p Policy) Broadcast(v *team.View, root int, buf []float64) {
-	PolicyBroadcast(p, v, root, buf)
-}
-
-// Scatter distributes per-member float64 blocks from team rank root.
-func (p Policy) Scatter(v *team.View, root int, send, recv []float64) {
-	PolicyScatter(p, v, root, send, recv)
-}
-
-// Gather collects every member's float64 block at team rank root.
-func (p Policy) Gather(v *team.View, root int, send, recv []float64) {
-	PolicyGather(p, v, root, send, recv)
-}
-
-// Alltoall performs the personalized all-to-all exchange over float64
-// blocks.
-func (p Policy) Alltoall(v *team.View, send, recv []float64) {
-	PolicyAlltoall(p, v, send, recv)
-}
-
-// Scan computes the float64 prefix reduction over team rank order.
-func (p Policy) Scan(v *team.View, buf []float64, op coll.Op[float64], exclusive bool) {
-	PolicyScan(p, v, buf, op, exclusive)
 }

@@ -66,7 +66,7 @@ func AllreduceTwoLevel[T any](v *team.View, buf []T, op coll.Op[T]) {
 	}
 	// Step 2: recursive doubling among leaders over the conduit.
 	leaders := t.Leaders()
-	coll.SubgroupAllreduceRD(v, leaders, t.LeaderPos(v.Rank), buf, op, coll.Alg{"core.red2lead", op.Name}, pgas.ViaConduit)
+	coll.SubgroupAllreduceRD(v, leaders, t.LeaderPos(v.Rank), buf, op, coll.Alg{"core.red2lead", op.Name})
 	// Step 3: release the result to the intranode set.
 	for _, r := range group {
 		if r == v.Rank {
@@ -128,7 +128,7 @@ func BcastTwoLevel[T any](v *team.View, root int, buf []T) {
 	// flow-controlled).
 	if v.Rank == leader {
 		leaders := t.Leaders()
-		coll.SubgroupBcastBinomial(v, leaders, t.LeaderPos(v.Rank), t.LeaderPos(rootLeader), buf, coll.Alg{"core.bc2lead"}, pgas.ViaConduit)
+		coll.SubgroupBcastBinomial(v, leaders, t.LeaderPos(v.Rank), t.LeaderPos(rootLeader), buf, coll.Alg{"core.bc2lead"})
 		// Fan-out flow control: the intranode set must have consumed the
 		// same-parity fan-out from two episodes ago before its landing
 		// region is overwritten.

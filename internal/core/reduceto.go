@@ -76,7 +76,7 @@ func ReduceToRootTwoLevel[T any](v *team.View, root int, buf []T, op coll.Op[T])
 	}
 	// Binomial reduce-to-one among leaders, to the root's leader.
 	leaders := t.Leaders()
-	coll.SubgroupReduceToRoot(v, leaders, t.LeaderPos(v.Rank), t.LeaderPos(rootLeader), buf, op, coll.Alg{"core.redto2lead", op.Name}, pgas.ViaConduit)
+	coll.SubgroupReduceToRoot(v, leaders, t.LeaderPos(v.Rank), t.LeaderPos(rootLeader), buf, op, coll.Alg{"core.redto2lead", op.Name})
 	// Hand the result to a non-leader root.
 	if v.Rank == rootLeader && root != rootLeader {
 		pgas.PutThenNotify(me, res, t.GlobalRank(root), resultRegion, buf, st.Flags, 1, 1, pgas.ViaShm)

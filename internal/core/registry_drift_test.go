@@ -1,48 +1,28 @@
 package core
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
 
-// TestKindTablesStayConsistent is the drift guard for adding collective
-// kinds: Kind.String(), Kinds(), ParseKind and the builtins table must stay
-// mutually consistent — a new kind wired into one but not the others is a
-// bug this test pins down before any simulation runs.
+// TestKindTablesStayConsistent: kindTable is a keyed array literal, so a kind
+// added to the const block without a row leaves a silent zero row. Every row
+// must carry a unique display name that ParseKind resolves back.
 func TestKindTablesStayConsistent(t *testing.T) {
-	ks := Kinds()
-	if len(ks) != int(numKinds) {
-		t.Errorf("Kinds() lists %d kinds, const block declares %d", len(ks), int(numKinds))
-	}
-	seenKind := map[Kind]bool{}
-	seenName := map[string]bool{}
-	for _, k := range ks {
-		if k < 0 || k >= numKinds {
-			t.Errorf("Kinds() lists %d, outside [0, %d)", int(k), int(numKinds))
-		}
-		if seenKind[k] {
-			t.Errorf("Kinds() lists %v twice", k)
-		}
-		seenKind[k] = true
-
+	seen := map[string]bool{}
+	for _, k := range Kinds() {
 		name := k.String()
-		if name == "" || strings.HasPrefix(name, "kind(") {
-			t.Errorf("kind %d has no display name (String() = %q)", int(k), name)
+		if name == "" || seen[name] {
+			t.Errorf("kind %d has display name %q: empty or used twice", int(k), name)
 		}
-		if seenName[name] {
-			t.Errorf("display name %q used by two kinds", name)
-		}
-		seenName[name] = true
-		got, err := ParseKind(name)
-		if err != nil {
-			t.Errorf("ParseKind(%q): %v", name, err)
-		} else if got != k {
-			t.Errorf("ParseKind(%q) = %v, want %v", name, got, k)
-		}
-	}
-	for k := Kind(0); k < numKinds; k++ {
-		if !seenKind[k] {
-			t.Errorf("kind %v (%d) missing from Kinds()", k, int(k))
+		seen[name] = true
+		if got, err := ParseKind(name); err != nil || got != k {
+			t.Errorf("ParseKind(%q) = %v, %v; want %v", name, got, err, k)
 		}
 	}
 	if _, err := ParseKind("no-such-kind"); err == nil {
@@ -50,63 +30,80 @@ func TestKindTablesStayConsistent(t *testing.T) {
 	}
 }
 
-// TestBuiltinsTableStaysConsistent checks the builtins algorithm table
-// against the kind list: every kind has at least one compiled-in algorithm,
-// no orphan entries, and every name is well-formed, unique within its kind,
-// listed by Algorithms and accepted by HasAlgorithm.
+// runSwitchNames reads registry.go and returns, per Run* function, the string
+// literals its `switch name` dispatches on.
+func runSwitchNames(t *testing.T) map[string][]string {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), "registry.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string][]string{}
+	for _, d := range f.Decls {
+		fn, ok := d.(*ast.FuncDecl)
+		if !ok || !strings.HasPrefix(fn.Name.Name, "Run") {
+			continue
+		}
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			cc, ok := n.(*ast.CaseClause)
+			if !ok {
+				return true
+			}
+			for _, e := range cc.List {
+				if lit, ok := e.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					s, _ := strconv.Unquote(lit.Value)
+					out[fn.Name.Name] = append(out[fn.Name.Name], s)
+				}
+			}
+			return true
+		})
+	}
+	return out
+}
+
+// TestBuiltinsTableStaysConsistent checks the two places an algorithm lives —
+// its name in kindTable and its case in the kind's Run* switch — against each
+// other, both ways, and the table's own invariants: every kind has an
+// algorithm, names are well-formed and unique within their kind, and an "nb-"
+// alias prefixes an algorithm of the same kind.
 func TestBuiltinsTableStaysConsistent(t *testing.T) {
-	if len(builtins) != int(numKinds) {
-		t.Errorf("builtins has %d entries, want one per kind (%d)", len(builtins), int(numKinds))
+	runFn := [numKinds]string{
+		KindBarrier: "RunBarrier", KindAllreduce: "RunAllreduce", KindReduceTo: "RunReduceTo",
+		KindBroadcast: "RunBroadcast", KindAllgather: "RunAllgather", KindScatter: "RunScatter",
+		KindGather: "RunGather", KindAlltoall: "RunAlltoall", KindScan: "RunScan",
+	}
+	cases := runSwitchNames(t)
+	if len(cases) != int(numKinds) {
+		t.Errorf("registry.go has %d Run* dispatchers, want one per kind (%d)", len(cases), int(numKinds))
 	}
 	for _, k := range Kinds() {
-		names := builtins[k]
+		names := Algorithms(k)
 		if len(names) == 0 {
 			t.Errorf("kind %v has no built-in algorithms", k)
 			continue
 		}
-		seen := map[string]bool{}
-		for _, name := range names {
+		dispatched := cases[runFn[k]]
+		for i, name := range names {
 			if name == "" || name == AlgAuto || strings.ContainsAny(name, "/\x00") {
 				t.Errorf("%v built-in %q is not a valid algorithm name", k, name)
 			}
-			if seen[name] {
+			if slices.Contains(names[:i], name) {
 				t.Errorf("%v lists built-in %q twice", k, name)
 			}
-			seen[name] = true
 			if !HasAlgorithm(k, name) {
 				t.Errorf("HasAlgorithm(%v, %q) = false for a built-in", k, name)
 			}
-		}
-		listed := Algorithms(k)
-		if len(listed) < len(names) {
-			t.Errorf("Algorithms(%v) lists %d names, fewer than the %d built-ins", k, len(listed), len(names))
-		}
-		for i, name := range names {
-			if i >= len(listed) || listed[i] != name {
-				t.Errorf("Algorithms(%v) = %v does not lead with the built-ins %v", k, listed, names)
-				break
+			if !slices.Contains(dispatched, name) {
+				t.Errorf("%s/%s is in the table but %s has no case for it", k, name, runFn[k])
+			}
+			if twin, isAlias := strings.CutPrefix(name, "nb-"); isAlias && (strings.HasPrefix(twin, "nb-") || !slices.Contains(names, twin)) {
+				t.Errorf("alias %s/%s has no algorithm %q to run on a coroutine", k, name, twin)
 			}
 		}
-	}
-	for k := range builtins {
-		if k < 0 || k >= numKinds {
-			t.Errorf("builtins has an entry for invalid kind %d", int(k))
-		}
-	}
-}
-
-// TestTuningCoversEveryKind guards the Tuning struct against kind drift:
-// With must round-trip through For for every kind, so a kind missing from
-// either switch (which would silently ignore WithAlgorithm and skip
-// validation) fails here.
-func TestTuningCoversEveryKind(t *testing.T) {
-	for _, k := range Kinds() {
-		tn := Tuning{}.With(k, "drift-probe")
-		if got := tn.For(k); got != "drift-probe" {
-			t.Errorf("Tuning.With(%v)/For(%v) = %q, want the name back", k, k, got)
-		}
-		if err := tn.Validate(); err == nil {
-			t.Errorf("Tuning{%v: unknown name} passed Validate", k)
+		for _, name := range dispatched {
+			if !slices.Contains(names, name) {
+				t.Errorf("%s dispatches %q, which the table does not list for %v", runFn[k], name, k)
+			}
 		}
 	}
 }

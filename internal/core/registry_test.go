@@ -135,51 +135,6 @@ func TestRegistryBarriersSynchronize(t *testing.T) {
 	}
 }
 
-// TestRegistryCustomAlgorithm registers a custom allreduce and a custom
-// barrier and checks they are listed, validated and dispatched.
-func TestRegistryCustomAlgorithm(t *testing.T) {
-	calls := 0
-	RegisterAllreduce("test-custom-allreduce", func(v *team.View, buf []float64, op coll.Op[float64]) {
-		calls++
-		coll.AllreduceTree(v, buf, op, pgas.ViaConduit)
-	})
-	if !HasAlgorithm(KindAllreduce, "test-custom-allreduce") {
-		t.Fatal("custom algorithm not registered")
-	}
-	found := false
-	for _, n := range Algorithms(KindAllreduce) {
-		if n == "test-custom-allreduce" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("custom algorithm missing from listing %v", Algorithms(KindAllreduce))
-	}
-	w := newWorld(t, "8(2)")
-	w.Run(func(im *pgas.Image) {
-		v := team.Initial(w, im)
-		buf := []float64{float64(im.Rank() + 1)}
-		RunAllreduce("test-custom-allreduce", v, buf, coll.Sum)
-		if buf[0] != 36 {
-			t.Errorf("custom allreduce = %v, want 36", buf[0])
-		}
-	})
-	if calls == 0 {
-		t.Fatal("custom allreduce never dispatched")
-	}
-	// A custom allreduce registered for float64 must not resolve for int64.
-	defer func() {
-		if recover() == nil {
-			t.Fatal("int64 dispatch of a float64-only custom algorithm did not panic")
-		}
-	}()
-	w2 := newWorld(t, "4(2)")
-	w2.Run(func(im *pgas.Image) {
-		v := team.Initial(w2, im)
-		RunAllreduce("test-custom-allreduce", v, []int64{1}, coll.SumOp[int64]())
-	})
-}
-
 // TestTuningValidateAndSelection checks Tuning validation and that explicit
 // and auto tuning entries resolve to the expected registry names.
 func TestTuningValidateAndSelection(t *testing.T) {
@@ -189,10 +144,10 @@ func TestTuningValidateAndSelection(t *testing.T) {
 	if err := AllAuto().Validate(); err != nil {
 		t.Fatalf("auto tuning invalid: %v", err)
 	}
-	if err := (Tuning{Allreduce: "no-such-alg"}).Validate(); err == nil {
+	if err := (Tuning{KindAllreduce: "no-such-alg"}).Validate(); err == nil {
 		t.Fatal("unknown algorithm name accepted")
 	}
-	if got := (Tuning{}).With(KindBroadcast, "linear"); got.Broadcast != "linear" {
+	if got := (Tuning{}).With(KindBroadcast, "linear"); got.For(KindBroadcast) != "linear" {
 		t.Fatalf("With(KindBroadcast) = %+v", got)
 	}
 
@@ -222,7 +177,7 @@ func TestTuningValidateAndSelection(t *testing.T) {
 		if got := flatAuto.algFor(KindAllgather, v, 32, 8); got != "bruck" {
 			t.Errorf("flat auto small allgather = %q, want bruck", got)
 		}
-		forced := Policy{Level: LevelAuto, Tuning: Tuning{Allreduce: "tree"}}
+		forced := Policy{Level: LevelAuto, Tuning: Tuning{KindAllreduce: "tree"}}
 		if got := forced.algFor(KindAllreduce, v, 1, 8); got != "tree" {
 			t.Errorf("forced allreduce = %q, want tree", got)
 		}

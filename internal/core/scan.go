@@ -226,7 +226,7 @@ func ScanTwoLevel[T any](v *team.View, buf []T, op coll.Op[T], exclusive bool) {
 // ScanFlatFallback is the placement-oblivious algorithm ScanTwoLevel
 // delegates to when the team's intranode sets are not rank-contiguous.
 func ScanFlatFallback[T any](v *team.View, buf []T, op coll.Op[T], exclusive bool) {
-	coll.ScanRD(v, buf, op, exclusive, pgas.ViaConduit)
+	coll.ScanRD(v, buf, op, exclusive)
 }
 
 func scan2Tag(exclusive bool) string {

@@ -91,7 +91,7 @@ func AllreduceThreeLevel[T any](v *team.View, buf []T, op coll.Op[T]) {
 			}
 		}
 		// Step 3: network recursive doubling among node leaders.
-		coll.SubgroupAllreduceRD(v, t.Leaders(), t.LeaderPos(v.Rank), buf, op, coll.Alg{"core.red3lead", op.Name}, pgas.ViaConduit)
+		coll.SubgroupAllreduceRD(v, t.Leaders(), t.LeaderPos(v.Rank), buf, op, coll.Alg{"core.red3lead", op.Name})
 		// Step 4: release the other socket leaders.
 		for _, sl := range sleaders {
 			if sl == v.Rank {

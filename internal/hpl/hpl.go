@@ -157,7 +157,7 @@ func runImage(w *pgas.World, im *pgas.Image, cfg Config) imageState {
 					cand[0], cand[1] = val, float64(d.globalRowOfLocal(plr))
 				}
 				im.MemWork(8 * (lr - lrj0)) // the scan
-				pol.Allreduce(colTeam, cand, maxLoc)
+				core.PolicyAllreduce(pol, colTeam, cand, maxLoc)
 				if cand[0] == 0 {
 					singular = true
 				}
@@ -179,7 +179,7 @@ func runImage(w *pgas.World, im *pgas.Image, cfg Config) imageState {
 					if d.pr == d.ownerRow(gr1/cfg.NB) {
 						eng.PackRow(d.localRowOf(gr1), panelLC0+j, panelLC0+cb, seg)
 					}
-					pol.Broadcast(colTeam, d.ownerRow(gr1/cfg.NB), seg)
+					core.PolicyBroadcast(pol, colTeam, d.ownerRow(gr1/cfg.NB), seg)
 					pivot := seg[0]
 					below := d.firstLocalRowAtOrAfter(gr1 + 1)
 					eng.ScaleColumn(panelLC0+j, below, lr, pivot)
@@ -202,8 +202,8 @@ func runImage(w *pgas.World, im *pgas.Image, cfg Config) imageState {
 				ipivBuf[j] = float64(ipiv[krow+j])
 			}
 		}
-		pol.Broadcast(rowTeam, d.ownerCol(kb), panel)
-		pol.Broadcast(rowTeam, d.ownerCol(kb), ipivBuf[:cb])
+		core.PolicyBroadcast(pol, rowTeam, d.ownerCol(kb), panel)
+		core.PolicyBroadcast(pol, rowTeam, d.ownerCol(kb), ipivBuf[:cb])
 		for j := 0; j < cb; j++ {
 			ipiv[krow+j] = int(ipivBuf[j])
 		}
@@ -237,7 +237,7 @@ func runImage(w *pgas.World, im *pgas.Image, cfg Config) imageState {
 				im.MemWork(8 * len(u))
 			}
 		}
-		pol.Broadcast(colTeam, d.ownerRow(kb), u)
+		core.PolicyBroadcast(pol, colTeam, d.ownerRow(kb), u)
 		// ---- Trailing update ----
 		gr0 := d.firstLocalRowAtOrAfter((kb + 1) * cfg.NB)
 		m := lr - gr0

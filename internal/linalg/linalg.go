@@ -36,9 +36,6 @@ func (a *Matrix) At(i, j int) float64 { return a.Data[i+j*a.LD] }
 // Set assigns element (i, j).
 func (a *Matrix) Set(i, j int, v float64) { a.Data[i+j*a.LD] = v }
 
-// Col returns column j as a slice of length Rows.
-func (a *Matrix) Col(j int) []float64 { return a.Data[j*a.LD : j*a.LD+a.Rows] }
-
 // Sub returns a view of the block starting at (i, j) with r rows and c
 // columns, sharing storage with a.
 func (a *Matrix) Sub(i, j, r, c int) *Matrix {

@@ -218,14 +218,6 @@ func PaperCluster() *Model {
 	}
 }
 
-// LaptopShared returns a small single-node model: every image on one node.
-// Useful for tests exercising the pure shared-memory path.
-func LaptopShared() *Model {
-	m := PaperCluster()
-	m.Name = "laptop-shared"
-	return m
-}
-
 // Validate reports a configuration error if any parameter is nonsensical.
 func (m *Model) Validate() error {
 	if m.Net.O < 0 || m.Net.G < 0 || m.Net.L < 0 {
