@@ -17,7 +17,9 @@
 //   - every handle must be completed with Wait (or Test to completion) before
 //     the image's body returns; a body that returns with one in flight fails
 //     the run. A Wait that reports a failed image (WithStat) completes the
-//     handle too: the operation is abandoned.
+//     handle too: the operation is abandoned. On a team with a member already
+//     announced failed the Async call itself reports it, like its blocking
+//     twin, and initiates nothing.
 //
 // Operations of different kinds — or different element types/operations —
 // may be in flight together and interleave freely; operations of the same
@@ -71,18 +73,21 @@ func (im *Image) CoAllgatherAsync(mine, out []float64) *Handle {
 // CoSumAsyncT initiates a non-blocking sum reduction for any numeric
 // element type.
 func CoSumAsyncT[T Numeric](im *Image, a []T) *Handle {
+	im.guardTeam("co_sum")
 	return core.PolicyAllreduceAsync(im.pol, im.view(), a, coll.SumOp[T]())
 }
 
 // CoMaxAsyncT initiates a non-blocking maximum reduction for any numeric
 // element type.
 func CoMaxAsyncT[T Numeric](im *Image, a []T) *Handle {
+	im.guardTeam("co_max")
 	return core.PolicyAllreduceAsync(im.pol, im.view(), a, coll.MaxOp[T]())
 }
 
 // CoMinAsyncT initiates a non-blocking minimum reduction for any numeric
 // element type.
 func CoMinAsyncT[T Numeric](im *Image, a []T) *Handle {
+	im.guardTeam("co_min")
 	return core.PolicyAllreduceAsync(im.pol, im.view(), a, coll.MinOp[T]())
 }
 
@@ -90,18 +95,21 @@ func CoMinAsyncT[T Numeric](im *Image, a []T) *Handle {
 // associative, commutative operation. name keys the runtime's internal
 // state; use one name per distinct operation.
 func CoReduceAsyncT[T any](im *Image, a []T, name string, combine func(dst, src []T)) *Handle {
+	im.guardTeam("co_reduce")
 	return core.PolicyAllreduceAsync(im.pol, im.view(), a, coll.Op[T]{Name: name, Combine: combine})
 }
 
 // CoBroadcastAsyncT initiates a non-blocking broadcast from sourceImage
 // (1-based, current team) for any element type.
 func CoBroadcastAsyncT[T any](im *Image, a []T, sourceImage int) *Handle {
+	im.guardTeam("co_broadcast")
 	return core.PolicyBroadcastAsync(im.pol, im.view(), sourceImage-1, a)
 }
 
 // CoAllgatherAsyncT initiates a non-blocking allgather for any element
 // type.
 func CoAllgatherAsyncT[T any](im *Image, mine, out []T) *Handle {
+	im.guardTeam("co_allgather")
 	return core.PolicyAllgatherAsync(im.pol, im.view(), mine, out)
 }
 

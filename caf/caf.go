@@ -215,7 +215,7 @@ func runWithLevel(cfg Config, level core.Level, body func(im *Image)) (Report, e
 	} else {
 		// Backend construction stays behind the pgas seam: caf does not
 		// import internal/sim (enforced by internal/lint's layers
-		// analyzer, which replaced PR 5's hand-verified convention).
+		// analyzer).
 		w, err = pgas.NewSimWorld(model, topo, stats)
 		if err != nil {
 			return Report{}, err
@@ -371,6 +371,7 @@ func (im *Image) FormTeam(number int64) *Team {
 // FormTeamIndexed is FormTeam with an explicit NEW_INDEX (1-based rank
 // request within the new team).
 func (im *Image) FormTeamIndexed(number int64, newIndex int) *Team {
+	im.guardTeam("form team")
 	return &Team{v: im.view().Form(number, newIndex-1)}
 }
 
@@ -396,6 +397,7 @@ func (im *Image) ChangeTeam(t *Team, body func()) {
 // GridTeams forms row and column teams of a p×q process grid over the
 // current team (rank = row*q + col), the decomposition the HPL port uses.
 func (im *Image) GridTeams(p, q int) (row, col *Team, err error) {
+	im.guardTeam("form team")
 	rv, cv, err := im.view().Grid(p, q)
 	if err != nil {
 		return nil, nil, err

@@ -185,6 +185,72 @@ func TestNativeNodeCrashDuringAsync(t *testing.T) {
 		pgas.Time((20 * time.Millisecond).Nanoseconds()))
 }
 
+// runDeadMemberEntryPoints: node 1 of "6(3)" dies, the survivors notice,
+// acknowledge the failure by finishing a co_sum on the survivor team, and go
+// back to the initial team — where nothing is in flight and no *new* failure
+// will ever interrupt a wait. Every collective entry point must then refuse
+// the team at entry (guardTeam) instead of waiting on the dead forever: the
+// split-phase collectives and the two team formations that are not FormTeam.
+// An entry point that skips the guard deadlocks the simulation, and on the
+// native backend runs into the wait timeout set here.
+func runDeadMemberEntryPoints(t *testing.T, cfg Config, killAt, victimNap pgas.Time) {
+	t.Helper()
+	cfg.Spec = "6(3)"
+	cfg.FaultPlan = &FaultPlan{Events: []FaultEvent{
+		{At: killAt, Kind: FaultKillNode, Node: 1},
+	}}
+	for _, c := range []struct {
+		name  string
+		entry func(im *Image)
+	}{
+		{"CoSumAsync", func(im *Image) { im.CoSumAsync([]float64{1}).Wait() }},
+		{"CoReduceAsyncT", func(im *Image) {
+			CoReduceAsyncT(im, []int64{1}, "xor", func(dst, src []int64) { dst[0] ^= src[0] }).Wait()
+		}},
+		{"CoBroadcastAsync", func(im *Image) { im.CoBroadcastAsync([]float64{1}, 1).Wait() }},
+		{"CoAllgatherAsync", func(im *Image) { im.CoAllgatherAsync([]float64{1}, make([]float64, 6)).Wait() }},
+		{"FormTeamIndexed", func(im *Image) { im.FormTeamIndexed(1, im.ThisImage()) }},
+		{"GridTeams", func(im *Image) { im.GridTeams(2, 3) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := Run(cfg, func(im *Image) {
+				if im.Node() == 1 {
+					for range 500 { // killed mid-nap (slices: see runCrashDuringAsyncAlg)
+						im.Sleep(victimNap)
+					}
+					t.Errorf("victim image %d survived the node kill", im.GlobalImage())
+					return
+				}
+				if st := im.CoSumStat([]float64{1}); st != StatFailedImage {
+					t.Errorf("image %d: co_sum over a dead node returned %v", im.GlobalImage(), st)
+					return
+				}
+				im.AwaitFailedImages(2)
+				im.ChangeTeam(im.FormTeamSurvivors(), func() { im.CoSum([]float64{1}) })
+				if st := im.WithStat(func() { c.entry(im) }); st != StatFailedImage {
+					t.Errorf("image %d: %s on a team with dead members returned %v, want %v",
+						im.GlobalImage(), c.name, st, StatFailedImage)
+				}
+			})
+			var fre *FailedRunError
+			if !errors.As(err, &fre) {
+				t.Fatalf("Run error = %v, want *FailedRunError", err)
+			}
+		})
+	}
+}
+
+func TestSimDeadMemberEntryPoints(t *testing.T) {
+	runDeadMemberEntryPoints(t, Config{Backend: BackendSim}, 50*pgas.Microsecond, pgas.Second)
+}
+
+func TestNativeDeadMemberEntryPoints(t *testing.T) {
+	runDeadMemberEntryPoints(t, Config{Backend: BackendNative,
+		Detect: DetectConfig{WaitTimeout: pgas.Time((5 * time.Second).Nanoseconds())}},
+		pgas.Time((2 * time.Millisecond).Nanoseconds()),
+		pgas.Time((20 * time.Millisecond).Nanoseconds()))
+}
+
 var unfinishedMsg = regexp.MustCompile(`image \d+ returned with 1 split-phase operation\(s\) unfinished`)
 
 // runUnfinishedHandle: a body that returns with a split-phase operation in

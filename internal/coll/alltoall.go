@@ -111,7 +111,6 @@ func AlltoallBruck[T any](v *team.View, send, recv []T) {
 	region := func(k int) int { return (parity*total + off[k]) * cap_ }
 	me := v.Img
 	r := v.Rank
-	expect := st.Expect()
 
 	// Phase 1: local rotation — tmp block j is my block for rank (r+j).
 	tmp := Temp[T](st, "rot", sz*n)
@@ -135,10 +134,7 @@ func AlltoallBruck[T any](v *team.View, send, recv []T) {
 			}
 		}
 		me.MemWork(es * len(pack))
-		expect[ackSlot]++
-		if sends := expect[ackSlot]; sends > 1 {
-			me.WaitFlagGE(st.Flags, me.Rank(), ackSlot, sends-1)
-		}
+		st.Credit(ackSlot)
 		pgas.PutThenNotify(me, co, v.T.GlobalRank(dst), region(k), pack, st.Flags, k, 1, pgas.ViaConduit)
 		me.WaitFlagGE(st.Flags, me.Rank(), k, ep)
 		local := pgas.Local(co, me)

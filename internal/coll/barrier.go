@@ -6,11 +6,47 @@ import (
 	"cafteams/internal/trace"
 )
 
-// BarrierDissemination is the classic dissemination barrier (Hensgen,
-// Finkel, Manber; Mellor-Crummey & Scott) over one-sided puts: in round k,
-// image r notifies image (r + 2^k) mod n and waits for its own round-k flag.
-// n·ceil(log2 n) notifications total. This is the algorithm the paper's
-// baseline UHCAF runtime uses for every barrier, regardless of placement.
+// SubgroupDissemination is the classic dissemination barrier (Hensgen,
+// Finkel, Manber; Mellor-Crummey & Scott) over one-sided puts, among an
+// arbitrary subgroup of a team: in round k, the member at index i notifies
+// the member at index (i + 2^k) mod g and waits for its own round-k flag.
+// g·ceil(log2 g) notifications total. group lists the participating team
+// ranks, myIdx is the caller's index within it; the round flags are slots
+// base.. of st, whose episode ep the caller has claimed. The flat barrier
+// runs it over the whole team, the hierarchy-aware barriers of internal/core
+// over the node leaders.
+func SubgroupDissemination(v *team.View, st *State, base int, group []int, myIdx int, ep int64) {
+	g := len(group)
+	for k := 0; 1<<k < g; k++ {
+		partner := group[(myIdx+1<<k)%g]
+		v.Img.NotifyAdd(st.Flags, v.T.GlobalRank(partner), base+k, 1, pgas.ViaConduit)
+		v.Img.WaitFlagGE(st.Flags, v.Img.Rank(), base+k, ep)
+	}
+}
+
+// SubgroupLinear is the centralized linear barrier among a subgroup (same
+// arguments as SubgroupDissemination): 2(g−1) notifications, all serialized
+// through the group's first member. Slot base counts arrivals at it; slot
+// base+1 carries its release stamp.
+func SubgroupLinear(v *team.View, st *State, base int, group []int, myIdx int, ep int64) {
+	g := len(group)
+	if g == 1 {
+		return
+	}
+	if myIdx == 0 {
+		v.Img.WaitFlagGE(st.Flags, v.Img.Rank(), base, ep*int64(g-1))
+		for _, r := range group[1:] {
+			v.Img.NotifySet(st.Flags, v.T.GlobalRank(r), base+1, ep, pgas.ViaConduit)
+		}
+		return
+	}
+	v.Img.NotifyAdd(st.Flags, v.T.GlobalRank(group[0]), base, 1, pgas.ViaConduit)
+	v.Img.WaitFlagGE(st.Flags, v.Img.Rank(), base+1, ep)
+}
+
+// BarrierDissemination is the dissemination barrier over the whole team —
+// the algorithm the paper's baseline UHCAF runtime uses for every barrier,
+// regardless of placement.
 func BarrierDissemination(v *team.View) {
 	n := v.NumImages()
 	v.Img.World().Stats().Count(trace.OpBarrier)
@@ -18,36 +54,18 @@ func BarrierDissemination(v *team.View) {
 		return
 	}
 	st := GetState(v, Alg{"bar.diss"}, Rounds(n))
-	ep := st.Next()
-	for k := 0; 1<<k < n; k++ {
-		partner := (v.Rank + 1<<k) % n
-		v.Img.NotifyAdd(st.Flags, v.T.GlobalRank(partner), k, 1, pgas.ViaConduit)
-		v.Img.WaitFlagGE(st.Flags, v.Img.Rank(), k, ep)
-	}
+	SubgroupDissemination(v, st, 0, TeamRanks(v), v.Rank, st.Next())
 }
 
 // BarrierLinear is the centralized linear barrier the paper contrasts with
-// dissemination: 2(n−1) notifications, all serialized through the first
-// team member. Slot 0 counts arrivals at the root; slot 1 carries the
-// release stamp.
+// dissemination, over the whole team.
 func BarrierLinear(v *team.View) {
-	n := v.NumImages()
 	v.Img.World().Stats().Count(trace.OpBarrier)
-	if n == 1 {
+	if v.NumImages() == 1 {
 		return
 	}
 	st := GetState(v, Alg{"bar.lin"}, 2)
-	ep := st.Next()
-	root := v.T.GlobalRank(0)
-	if v.Rank == 0 {
-		v.Img.WaitFlagGE(st.Flags, root, 0, ep*int64(n-1))
-		for r := 1; r < n; r++ {
-			v.Img.NotifySet(st.Flags, v.T.GlobalRank(r), 1, ep, pgas.ViaConduit)
-		}
-		return
-	}
-	v.Img.NotifyAdd(st.Flags, root, 0, 1, pgas.ViaConduit)
-	v.Img.WaitFlagGE(st.Flags, v.Img.Rank(), 1, ep)
+	SubgroupLinear(v, st, 0, TeamRanks(v), v.Rank, st.Next())
 }
 
 // BarrierTree is a binomial-tree barrier: gather up the tree (each internal

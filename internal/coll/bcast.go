@@ -31,7 +31,6 @@ func SubgroupBcastBinomial[T any](v *team.View, group []int, myIdx, rootIdx int,
 	es := pgas.ElemSize[T]()
 	st := GetState(v, alg.With("bcast", tag[T]()), 5)
 	ep := st.Next()
-	expect := st.Expect()
 	co, cap_ := Scratch[T](st, "bcast", n, 2)
 	parity := int(ep % 2)
 	reg := parity * cap_
@@ -46,8 +45,7 @@ func SubgroupBcastBinomial[T any](v *team.View, group []int, myIdx, rootIdx int,
 		// once episode ep−2 has fully completed.
 		me.WaitFlagGE(st.Flags, me.Rank(), 4, ep-2)
 	} else {
-		expect[paySlot]++
-		me.WaitFlagGE(st.Flags, me.Rank(), paySlot, expect[paySlot])
+		st.Arrivals(paySlot, 1)
 		copy(buf, pgas.Local(co, me)[reg:reg+n])
 		me.MemWork(es * n)
 	}
@@ -62,9 +60,8 @@ func SubgroupBcastBinomial[T any](v *team.View, group []int, myIdx, rootIdx int,
 	}
 	// Ack wave: wait for the subtree, then report to the parent (or, at
 	// the root, stamp completion to everyone).
-	expect[ackSlot] += int64(nkids)
 	if nkids > 0 {
-		me.WaitFlagGE(st.Flags, me.Rank(), ackSlot, expect[ackSlot])
+		st.Arrivals(ackSlot, nkids)
 	}
 	if rel != 0 {
 		parent := rel - FloorPow2(rel)
@@ -99,7 +96,6 @@ func BcastLinear[T any](v *team.View, root int, buf []T) {
 	es := pgas.ElemSize[T]()
 	st := GetState(v, Alg{"bc.lin", tag[T]()}, 5)
 	ep := st.Next()
-	expect := st.Expect()
 	co, cap_ := Scratch[T](st, "", n, 2)
 	parity := int(ep % 2)
 	reg := parity * cap_
@@ -114,8 +110,7 @@ func BcastLinear[T any](v *team.View, root int, buf []T) {
 			}
 			pgas.PutThenNotify(me, co, v.T.GlobalRank(r), reg, buf, st.Flags, paySlot, 1, pgas.ViaConduit)
 		}
-		expect[ackSlot] += int64(sz - 1)
-		me.WaitFlagGE(st.Flags, me.Rank(), ackSlot, expect[ackSlot])
+		st.Arrivals(ackSlot, sz-1)
 		me.SetLocal(st.Flags, 4, ep)
 		for r := 0; r < sz; r++ {
 			if r != root {
@@ -124,8 +119,7 @@ func BcastLinear[T any](v *team.View, root int, buf []T) {
 		}
 		return
 	}
-	expect[paySlot]++
-	me.WaitFlagGE(st.Flags, me.Rank(), paySlot, expect[paySlot])
+	st.Arrivals(paySlot, 1)
 	copy(buf, pgas.Local(co, me)[reg:reg+n])
 	me.MemWork(es * n)
 	me.NotifyAdd(st.Flags, v.T.GlobalRank(root), ackSlot, 1, pgas.ViaConduit)
@@ -151,7 +145,6 @@ func BcastScatterAllgather[T any](v *team.View, root int, buf []T) {
 	steps := sz - 1
 	st := GetState(v, Alg{"bc.sag", tag[T]()}, 1+steps)
 	ep := st.Next()
-	expect := st.Expect()
 	// Per parity: the full vector (scatter target area), and one
 	// chunk-sized region per all-gather step.
 	co, cap_ := Scratch[T](st, "", n, 2)
@@ -175,8 +168,7 @@ func BcastScatterAllgather[T any](v *team.View, root int, buf []T) {
 	// Binomial scatter: each internal node holds the chunks for its
 	// subtree [rel, rel+2^k) and forwards the upper half.
 	if rel != 0 {
-		expect[0]++
-		me.WaitFlagGE(st.Flags, me.Rank(), 0, expect[0])
+		st.Arrivals(0, 1)
 		// Received chunks [rel, rel+span) into the vector area; copy my
 		// own chunk into buf.
 		lo, hi := bounds(rel)

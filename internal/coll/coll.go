@@ -5,8 +5,9 @@
 // scatter-allgather broadcasts; linear and binomial scatters and gathers;
 // pairwise-exchange and Bruck personalized all-to-alls; linear and
 // distance-doubling prefix reductions — plus the plumbing (per-team flag
-// arrays, episode counters, scratch coarrays) shared with the
-// hierarchy-aware algorithms in internal/core.
+// arrays, episode counters, flow-control counters, scratch coarrays) shared
+// with the hierarchy-aware algorithms in internal/core, which also run the
+// Subgroup* forms of these algorithms among their node leaders.
 //
 // Flat algorithms address every peer uniformly through the portable conduit
 // path (pgas.ViaConduit), exactly like a runtime with no knowledge of which
@@ -18,7 +19,7 @@
 // Like internal/core, this package is backend-agnostic — internal/pgas is
 // its only way down, never internal/sim. The boundary is enforced
 // mechanically by internal/lint's layers analyzer (cmd/caflint under
-// go vet), replacing the old hand-verified convention.
+// go vet).
 package coll
 
 import (
@@ -195,12 +196,35 @@ func (s *State) Next() int64 {
 	return m.ep
 }
 
-// Expect returns the caller's own per-slot expectation counters.
+// Expect returns the caller's own per-slot expectation counters, for the
+// sites neither verb below fits (a gate on what earlier episodes counted,
+// topped up after this episode's sends).
 func (s *State) Expect() []int64 {
 	if s.m.expect == nil {
 		s.m.expect = make([]int64, s.Flags.Slots())
 	}
 	return s.m.expect
+}
+
+// Arrivals adds n to the caller's cumulative expectation on slot and waits,
+// on the caller's own flag row, until that many have arrived.
+func (s *State) Arrivals(slot, n int) {
+	e := s.Expect()
+	e[slot] += int64(n)
+	me := s.v.Img
+	me.WaitFlagGE(s.Flags, me.Rank(), slot, e[slot])
+}
+
+// Credit counts one more same-parity send of the caller on slot and, from the
+// second on, waits for one credit fewer than it has sent: every landing
+// region it wrote before has then been consumed.
+func (s *State) Credit(slot int) {
+	e := s.Expect()
+	e[slot]++
+	if sends := e[slot]; sends > 1 {
+		me := s.v.Img
+		me.WaitFlagGE(s.Flags, me.Rank(), slot, sends-1)
+	}
 }
 
 // Rounds returns ceil(log2 n): the number of dissemination /

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -43,19 +44,32 @@ var barriers = map[string]barrierFn{
 // image has entered episode e.
 func checkBarrier(t *testing.T, w *pgas.World, name string, fn barrierFn, episodes int) {
 	t.Helper()
-	n := w.NumImages()
-	entered := make([]int, n)
+	all := make([]int, w.NumImages())
+	for i := range all {
+		all[i] = i
+	}
+	checkBarrierAmong(t, w, name, all, fn, episodes)
+}
+
+// checkBarrierAmong is checkBarrier for a barrier among the listed images
+// only; the others stay out of it.
+func checkBarrierAmong(t *testing.T, w *pgas.World, name string, members []int, fn barrierFn, episodes int) {
+	t.Helper()
+	entered := make([]int, w.NumImages())
 	for i := range entered {
 		entered[i] = -1
 	}
 	w.Run(func(im *pgas.Image) {
+		if !slices.Contains(members, im.Rank()) {
+			return
+		}
 		v := team.Initial(w, im)
 		rng := rand.New(rand.NewSource(int64(im.Rank()) * 7779))
 		for ep := 0; ep < episodes; ep++ {
 			im.Sleep(sim.Time(rng.Intn(20000)))
 			entered[im.Rank()] = ep
 			fn(v)
-			for r := 0; r < n; r++ {
+			for _, r := range members {
 				if entered[r] < ep {
 					t.Errorf("%s: image %d left episode %d before image %d entered (it is at %d)",
 						name, im.Rank(), ep, r, entered[r])
@@ -71,6 +85,24 @@ func TestBarriersEnforceSynchronization(t *testing.T) {
 		for _, spec := range []string{"16(2)", "16(16)", "24(3)", "7(2)", "1(1)", "13(4)"} {
 			t.Run(fmt.Sprintf("%s/%s", name, spec), func(t *testing.T) {
 				checkBarrier(t, newWorld(t, spec), name, fn, 4)
+			})
+		}
+	}
+}
+
+// TestSubgroupBarriersEnforceSynchronization points the same check at the
+// subgroup forms the hierarchy-aware barriers run among their node leaders: a
+// strict subgroup of non-contiguous ranks, round flags at an offset.
+func TestSubgroupBarriersEnforceSynchronization(t *testing.T) {
+	type subgroupFn func(v *team.View, st *State, base int, group []int, myIdx int, ep int64)
+	for name, sub := range map[string]subgroupFn{"dissemination": SubgroupDissemination, "linear": SubgroupLinear} {
+		for _, group := range [][]int{{1, 4, 6, 9, 11}, {12, 0, 7}, {5}} {
+			t.Run(fmt.Sprintf("%s/%v", name, group), func(t *testing.T) {
+				const base = 3
+				checkBarrierAmong(t, newWorld(t, "13(4)"), name, group, func(v *team.View) {
+					st := GetState(v, Alg{"test.sub", name}, base+2+Rounds(len(group)))
+					sub(v, st, base, group, slices.Index(group, v.Rank), st.Next())
+				}, 4)
 			})
 		}
 	}

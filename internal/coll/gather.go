@@ -41,11 +41,9 @@ func GatherLinear[T any](v *team.View, root int, send, recv []T) {
 	arriveSlot := parity
 	creditSlot := 2 + parity
 	me := v.Img
-	expect := st.Expect()
 	if v.Rank == root {
 		// Arrival counts are root-dependent, so count exactly.
-		expect[arriveSlot] += int64(sz - 1)
-		me.WaitFlagGE(st.Flags, me.Rank(), arriveSlot, expect[arriveSlot])
+		st.Arrivals(arriveSlot, sz-1)
 		local := pgas.Local(co, me)
 		for r := 0; r < sz; r++ {
 			if r == root {
@@ -59,10 +57,7 @@ func GatherLinear[T any](v *team.View, root int, send, recv []T) {
 		return
 	}
 	// Gate on the credit for my previous same-parity send.
-	expect[creditSlot]++
-	if sends := expect[creditSlot]; sends > 1 {
-		me.WaitFlagGE(st.Flags, me.Rank(), creditSlot, sends-1)
-	}
+	st.Credit(creditSlot)
 	off := (parity*sz + v.Rank) * cap_
 	pgas.PutThenNotify(me, co, v.T.GlobalRank(root), off, send, st.Flags, arriveSlot, 1, pgas.ViaConduit)
 }
@@ -111,7 +106,6 @@ func GatherBinomial[T any](v *team.View, root int, send, recv []T) {
 	me := v.Img
 	rel := (v.Rank - root + sz) % sz
 	global := func(relIdx int) int { return v.T.GlobalRank((relIdx + root) % sz) }
-	expect := st.Expect()
 	nkids := binomialFanout(rel, sz)
 	pack := send // a leaf's packed range is its own block
 	if nkids > 0 {
@@ -126,8 +120,7 @@ func GatherBinomial[T any](v *team.View, root int, send, recv []T) {
 	// Collect the children's packed subtree ranges (child rel+2^k for every
 	// k below lowbit(rel), bounded by sz).
 	for k := nkids - 1; k >= 0; k-- {
-		expect[k]++
-		me.WaitFlagGE(st.Flags, me.Rank(), k, expect[k])
+		st.Arrivals(k, 1)
 	}
 	creditKids := func() {
 		for k := nkids - 1; k >= 0; k-- {
@@ -147,10 +140,7 @@ func GatherBinomial[T any](v *team.View, root int, send, recv []T) {
 	edge := bits.TrailingZeros(uint(rel))
 	parentRel := rel - 1<<edge
 	creditSlot := nr + 2*edge + parity
-	expect[creditSlot]++
-	if sends := expect[creditSlot]; sends > 1 {
-		me.WaitFlagGE(st.Flags, me.Rank(), creditSlot, sends-1)
-	}
+	st.Credit(creditSlot)
 	pco, pbase, _ := subtreeArea[T](st, parentRel, sz, n, parity)
 	pgas.PutThenNotify(me, pco, global(parentRel), pbase+(rel-parentRel)*n, pack, st.Flags, edge, 1, pgas.ViaConduit)
 	creditKids()

@@ -45,14 +45,12 @@ func SubgroupReduceToRoot[T any](v *team.View, group []int, myIdx, rootIdx int, 
 	me := v.Img
 	rel := (myIdx - rootIdx + g) % g
 	globalOf := func(idx int) int { return v.T.GlobalRank(group[idx]) }
-	expect := st.Expect()
 
 	// Children in the relative binomial tree (same shape as the gather of
 	// AllreduceTree): rel's children are rel+2^k for k below rel's lowest
 	// set bit. Deepest subtree first.
 	for k := binomialFanout(rel, g) - 1; k >= 0; k-- {
-		expect[k]++
-		me.WaitFlagGE(st.Flags, me.Rank(), k, expect[k])
+		st.Arrivals(k, 1)
 		off := region(k)
 		op.Combine(buf, pgas.Local(co, me)[off:off+n])
 		me.MemWork(2 * es * n)
@@ -65,10 +63,7 @@ func SubgroupReduceToRoot[T any](v *team.View, group []int, myIdx, rootIdx int, 
 	// Gate on the credit for my previous same-parity send over this edge.
 	edge := bits.TrailingZeros(uint(rel))
 	creditSlot := nr + 2*edge + parity
-	expect[creditSlot]++
-	if sends := expect[creditSlot]; sends > 1 {
-		me.WaitFlagGE(st.Flags, me.Rank(), creditSlot, sends-1)
-	}
+	st.Credit(creditSlot)
 	pgas.PutThenNotify(me, co, globalOf((myIdx-1<<edge+g)%g), region(edge), buf, st.Flags, edge, 1, pgas.ViaConduit)
 }
 
@@ -101,12 +96,10 @@ func ReduceToRootLinear[T any](v *team.View, root int, buf []T, op Op[T]) {
 	arriveSlot := parity
 	creditSlot := 2 + parity
 	me := v.Img
-	expect := st.Expect()
 	if v.Rank == root {
-		// expect[arriveSlot] counts cumulative same-parity
-		// arrivals; the tree shape is root-dependent, so count exactly.
-		expect[arriveSlot] += int64(sz - 1)
-		me.WaitFlagGE(st.Flags, me.Rank(), arriveSlot, expect[arriveSlot])
+		// Arrivals are counted per parity, cumulatively: the tree shape
+		// is root-dependent, so count exactly.
+		st.Arrivals(arriveSlot, sz-1)
 		local := pgas.Local(co, me)
 		for r := 0; r < sz; r++ {
 			if r == root {
@@ -120,10 +113,7 @@ func ReduceToRootLinear[T any](v *team.View, root int, buf []T, op Op[T]) {
 		return
 	}
 	// Gate on the credit for my previous same-parity send.
-	expect[creditSlot]++
-	if sends := expect[creditSlot]; sends > 1 {
-		me.WaitFlagGE(st.Flags, me.Rank(), creditSlot, sends-1)
-	}
+	st.Credit(creditSlot)
 	off := (parity*sz + v.Rank) * cap_
 	pgas.PutThenNotify(me, co, v.T.GlobalRank(root), off, buf, st.Flags, arriveSlot, 1, pgas.ViaConduit)
 }

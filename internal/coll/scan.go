@@ -45,7 +45,6 @@ func ScanLinear[T any](v *team.View, buf []T, op Op[T], exclusive bool) {
 	creditSlot := 2 + parity
 	me := v.Img
 	r := v.Rank
-	expect := st.Expect()
 	var fwd []T // the inclusive prefix over [0, r], shipped to r+1
 	if r == 0 {
 		fwd = buf
@@ -69,10 +68,7 @@ func ScanLinear[T any](v *team.View, buf []T, op Op[T], exclusive bool) {
 	}
 	if r < sz-1 {
 		// Gate on the credit for my previous same-parity send.
-		expect[creditSlot]++
-		if sends := expect[creditSlot]; sends > 1 {
-			me.WaitFlagGE(st.Flags, me.Rank(), creditSlot, sends-1)
-		}
+		st.Credit(creditSlot)
 		pgas.PutThenNotify(me, co, v.T.GlobalRank(r+1), reg, fwd, st.Flags, 0, 1, pgas.ViaConduit)
 	}
 	if r > 0 {
@@ -111,17 +107,13 @@ func ScanRD[T any](v *team.View, buf []T, op Op[T], exclusive bool) {
 	region := func(k int) int { return (parity*nr + k) * cap_ }
 	me := v.Img
 	r := v.Rank
-	expect := st.Expect()
 	acc := Temp[T](st, "acc", n) // running partial over [max(0, r−2^k+1), r]
 	copy(acc, buf)
 	me.MemWork(es * n)
 	for k := 0; 1<<k < sz; k++ {
 		ackSlot := nr + 2*k + parity
 		if r+1<<k < sz {
-			expect[ackSlot]++
-			if sends := expect[ackSlot]; sends > 1 {
-				me.WaitFlagGE(st.Flags, me.Rank(), ackSlot, sends-1)
-			}
+			st.Credit(ackSlot)
 			pgas.PutThenNotify(me, co, v.T.GlobalRank(r+1<<k), region(k), acc, st.Flags, k, 1, pgas.ViaConduit)
 		}
 		if r-1<<k >= 0 {
@@ -142,10 +134,7 @@ func ScanRD[T any](v *team.View, buf []T, op Op[T], exclusive bool) {
 	shiftSlot := 3 * nr
 	shiftAck := 3*nr + 1 + parity
 	if r+1 < sz {
-		expect[shiftAck]++
-		if sends := expect[shiftAck]; sends > 1 {
-			me.WaitFlagGE(st.Flags, me.Rank(), shiftAck, sends-1)
-		}
+		st.Credit(shiftAck)
 		pgas.PutThenNotify(me, shift, v.T.GlobalRank(r+1), parity*scap, acc, st.Flags, shiftSlot, 1, pgas.ViaConduit)
 	}
 	if r > 0 {

@@ -38,7 +38,6 @@ func ScatterLinear[T any](v *team.View, root int, send, recv []T) {
 	}
 	st := GetState(v, Alg{"sc.lin", tag[T]()}, 5)
 	ep := st.Next()
-	expect := st.Expect()
 	co, cap_ := Scratch[T](st, "", n, 2)
 	parity := int(ep % 2)
 	reg := parity * cap_
@@ -53,8 +52,7 @@ func ScatterLinear[T any](v *team.View, root int, send, recv []T) {
 			}
 			pgas.PutThenNotify(me, co, v.T.GlobalRank(r), reg, send[r*n:r*n+n], st.Flags, paySlot, 1, pgas.ViaConduit)
 		}
-		expect[ackSlot] += int64(sz - 1)
-		me.WaitFlagGE(st.Flags, me.Rank(), ackSlot, expect[ackSlot])
+		st.Arrivals(ackSlot, sz-1)
 		me.SetLocal(st.Flags, 4, ep)
 		for r := 0; r < sz; r++ {
 			if r != root {
@@ -63,8 +61,7 @@ func ScatterLinear[T any](v *team.View, root int, send, recv []T) {
 		}
 		return
 	}
-	expect[paySlot]++
-	me.WaitFlagGE(st.Flags, me.Rank(), paySlot, expect[paySlot])
+	st.Arrivals(paySlot, 1)
 	copy(recv, pgas.Local(co, me)[reg:reg+n])
 	me.MemWork(es * n)
 	me.NotifyAdd(st.Flags, v.T.GlobalRank(root), ackSlot, 1, pgas.ViaConduit)
@@ -102,7 +99,6 @@ func ScatterBinomial[T any](v *team.View, root int, send, recv []T) {
 	}
 	st := GetState(v, Alg{"sc.binom", tag[T]()}, 5)
 	ep := st.Next()
-	expect := st.Expect()
 	parity := int(ep % 2)
 	paySlot := parity
 	ackSlot := 2 + parity
@@ -121,8 +117,7 @@ func ScatterBinomial[T any](v *team.View, root int, send, recv []T) {
 		}
 		me.MemWork(es * sz * n)
 	} else {
-		expect[paySlot]++
-		me.WaitFlagGE(st.Flags, me.Rank(), paySlot, expect[paySlot])
+		st.Arrivals(paySlot, 1)
 		co, base, span := subtreeArea[T](st, rel, sz, n, parity)
 		tree = pgas.Local(co, me)[base : base+span*n]
 		copy(recv, tree[:n])
@@ -142,9 +137,8 @@ func ScatterBinomial[T any](v *team.View, root int, send, recv []T) {
 			nkids++
 		}
 	}
-	expect[ackSlot] += int64(nkids)
 	if nkids > 0 {
-		me.WaitFlagGE(st.Flags, me.Rank(), ackSlot, expect[ackSlot])
+		st.Arrivals(ackSlot, nkids)
 	}
 	if rel != 0 {
 		parent := rel - (rel & -rel)

@@ -79,14 +79,10 @@ func AlltoallTwoLevel[T any](v *team.View, send, recv []T) {
 		// Ship my send vector to the leader's inbox, gated on the credit
 		// for my previous same-parity shipment; then collect my assembled
 		// receive vector and ack it.
-		expect[a2aInboxCredit+parity]++
-		if sends := expect[a2aInboxCredit+parity]; sends > 1 {
-			me.WaitFlagGE(st.Flags, me.Rank(), a2aInboxCredit+parity, sends-1)
-		}
+		st.Credit(a2aInboxCredit + parity)
 		pos := groupPos(group, v.Rank)
 		pgas.PutThenNotify(me, inbox, t.GlobalRank(leader), inboxAt(pos), send[:sz*n], st.Flags, a2aInboxSlot+parity, 1, pgas.ViaShm)
-		expect[a2aOutboxSlot+parity]++
-		me.WaitFlagGE(st.Flags, me.Rank(), a2aOutboxSlot+parity, expect[a2aOutboxSlot+parity])
+		st.Arrivals(a2aOutboxSlot+parity, 1)
 		copy(recv, pgas.Local(outbox, me)[outboxOff:outboxOff+sz*n])
 		me.MemWork(es * sz * n)
 		me.NotifyAdd(st.Flags, t.GlobalRank(leader), a2aOutboxAck+parity, 1, pgas.ViaShm)
@@ -98,8 +94,7 @@ func AlltoallTwoLevel[T any](v *team.View, send, recv []T) {
 	// no peers.
 	var staged, landed []T
 	if gsz > 1 {
-		expect[a2aInboxSlot+parity] += int64(gsz - 1)
-		me.WaitFlagGE(st.Flags, me.Rank(), a2aInboxSlot+parity, expect[a2aInboxSlot+parity])
+		st.Arrivals(a2aInboxSlot+parity, gsz-1)
 		staged = pgas.Local(inbox, me)
 	}
 	// vec(i) is group position i's full send vector.
@@ -136,8 +131,7 @@ func AlltoallTwoLevel[T any](v *team.View, send, recv []T) {
 			me.MemWork(es * len(pack))
 			pgas.PutThenNotify(me, lands, t.GlobalRank(lh), landAt(gi), pack, st.Flags, a2aPackSlot+parity, 1, pgas.ViaAuto)
 		}
-		expect[a2aPackSlot+parity] += int64(ng - 1)
-		me.WaitFlagGE(st.Flags, me.Rank(), a2aPackSlot+parity, expect[a2aPackSlot+parity])
+		st.Arrivals(a2aPackSlot+parity, ng-1)
 		landed = pgas.Local(lands, me)
 	}
 	// Assemble every member's receive vector, gated on the acks for the

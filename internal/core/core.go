@@ -2,155 +2,166 @@
 // hierarchy-aware, team-based runtime methodology for collective operations
 // in a PGAS runtime.
 //
-// The methodology (paper §IV-A) is two-step:
+// The methodology (paper §IV-A) is stated once: synchronize or combine inside
+// each shared-memory group up to the group's leader, where notifications are
+// loads and stores and a centralized scheme is cheap; run a distributed
+// algorithm (dissemination, recursive doubling, binomial) among the node
+// leaders only, where the message-passing cost model applies; release back
+// down. internal/team precomputes the groups and leaders as each team's
+// hierarchy view; "multi-level hierarchies (NUMA nodes, sockets)" are the same
+// recipe with more levels.
 //
-//  1. detect, within each team, the images that run on the same node (the
-//     "intranode set") and designate a leader per node — internal/team
-//     precomputes this as the team's hierarchy view;
-//  2. run each collective as a two-level composition: an intra-node phase
-//     over shared memory (where a centralized/linear scheme is cheap,
-//     because notifications are loads and stores), and an inter-node phase
-//     among the node leaders only (where a distributed dissemination /
-//     recursive-doubling / binomial scheme fits the message-passing cost
-//     model).
+// So an image's way up the hierarchy is a value — levelsOf: the groups it
+// belongs to or leads, innermost first, each with its leader — and each
+// hierarchy-aware algorithm is written once over it:
 //
-// The package provides:
+//   - barrierLeveled is the barrier. BarrierTDLB (paper Algorithm 1),
+//     BarrierTDLL (linear among the leaders, the E6 ablation) and
+//     BarrierTDLB3 (socket-aware) are instantiations.
+//   - allreduceLeveled is the all-to-all reduction. AllreduceTwoLevel and
+//     AllreduceThreeLevel are instantiations.
 //
-//   - BarrierTDLB — the Team Dissemination Linear Barrier (Algorithm 1);
-//   - AllreduceTwoLevel — the two-level all-to-all reduction;
-//   - BcastTwoLevel — the two-level one-to-all broadcast;
-//   - BarrierTDLB3 / AllreduceThreeLevel — the multi-level (socket-aware)
-//     extension the paper lists as future work;
-//   - Policy — runtime selection between flat and hierarchy-aware
-//     algorithms from the team's hierarchy shape.
+// The slot/level rule both share: level d of the walk owns flag slots 2d
+// (arrivals at the level's leader) and 2d+1 (its release); the leaders' phase
+// takes the slots that follow. The rooted and personalized collectives
+// (BcastTwoLevel, ReduceToRootTwoLevel, ScatterTwoLevel, GatherTwoLevel,
+// AllgatherTwoLevel, AlltoallTwoLevel, ScanTwoLevel) are two-level
+// compositions of their own, because the root's position decides each image's
+// role. Policy selects between flat and hierarchy-aware algorithms from the
+// team's hierarchy shape and the message size.
 //
 // This package is backend-agnostic: it speaks to the runtime only through
-// internal/pgas (the Transport seam) and must never import internal/sim.
-// That boundary used to be a hand-verified review convention; it is now
-// enforced mechanically by internal/lint's layers analyzer (run as
-// cmd/caflint via go vet), so refactors here can lean on CI instead of
-// comment archaeology.
+// internal/pgas (the Transport seam) and must never import internal/sim —
+// internal/lint's layers analyzer (run as cmd/caflint via go vet) enforces it.
 package core
 
 import (
+	"fmt"
+	"slices"
+
 	"cafteams/internal/coll"
 	"cafteams/internal/pgas"
 	"cafteams/internal/team"
 	"cafteams/internal/trace"
 )
 
-// BarrierTDLB is the Team Dissemination Linear Barrier (paper Algorithm 1),
-// run by every image of the team:
+// level is one step of an image's way up the memory hierarchy: a group of
+// team ranks that share a level of it, and the member that goes on to the
+// next level for all of them.
+type level struct {
+	group  []int
+	leader int
+}
+
+// levelsOf fills buf with rank's way up, innermost first, and returns the
+// levels in use: the intranode set for the two-level runtime; with sockets,
+// the socket group, then the socket leaders of the node. Only a level's
+// leader climbs on, so an image reads the levels up to the first it does not
+// lead. The last level's leader is the node leader. The groups are the team's
+// own slices and buf is the caller's: nothing is allocated.
+func levelsOf(t *team.Team, rank int, sockets bool, buf *[2]level) []level {
+	gi := t.GroupOf(rank)
+	if !sockets {
+		buf[0] = level{t.NodeGroup(gi), t.LeaderOf(rank)}
+		return buf[:1]
+	}
+	sleaders := t.SocketLeaders(gi)
+	for i, sg := range t.SocketGroups(gi) {
+		if slices.Contains(sg, rank) {
+			buf[0] = level{sg, sleaders[i]}
+			buf[1] = level{sleaders, t.LeaderOf(rank)}
+			return buf[:2]
+		}
+	}
+	panic(fmt.Sprintf("core: rank %d not found in its node's socket groups", rank))
+}
+
+// levelWidths returns the size of the largest group of each level over the
+// whole team: what a per-level inbox is sized from.
+func levelWidths(t *team.Team, sockets bool) [2]int {
+	if !sockets {
+		return [2]int{t.MaxNodeGroup(), 0}
+	}
+	return [2]int{t.MaxSocketGroup(), t.MaxSockets()}
+}
+
+// barrierLeveled is the hierarchy-aware barrier, run by every image of the
+// team (paper Algorithm 1, for any number of shared-memory levels):
 //
-//	Step 1: the images of each intranode set synchronize with their node
-//	        leader through a linear counter in shared memory
-//	        (linear_counter_1);
-//	Step 2: the node leaders synchronize among themselves with a PGAS
-//	        dissemination barrier over the network (pgased_dissemination);
-//	Step 3: each leader releases its intranode set through shared memory
-//	        (linear_counter_2).
+//	up:   at each level the image arrives at the level's leader through a
+//	      linear counter in shared memory and awaits its release; only the
+//	      leader — once its whole group arrived — climbs on;
+//	top:  the node leaders synchronize among themselves over the network,
+//	      with the dissemination barrier or (linearTop) the linear one;
+//	down: each leader releases the groups it leads through shared memory,
+//	      outermost first.
 //
-// With one image per node every image is a leader, both linear phases
-// vanish, and TDLB degenerates to the pure dissemination barrier — the
-// paper's flat-hierarchy parity result (E1).
-func BarrierTDLB(v *team.View) {
+// Flag layout: level d has slot 2d for arrivals at its leader (the
+// "cocounter" of Algorithm 1) and slot 2d+1 for the leader's release stamp;
+// the leaders' barrier uses the slots that follow.
+func barrierLeveled(v *team.View, name string, sockets, linearTop bool) {
 	t := v.T
-	n := t.Size()
 	v.Img.World().Stats().Count(trace.OpBarrier)
-	if n == 1 {
+	if t.Size() == 1 {
 		return
 	}
+	var buf [2]level
+	levels := levelsOf(t, v.Rank, sockets, &buf)
 	leaders := t.Leaders()
-	// Flag layout: slot 0 counts intranode arrivals at the node leader (the
-	// "cocounter" of Algorithm 1), slot 1 carries the leader's release stamp,
-	// slots 2.. are the dissemination round flags used by the leaders.
-	st := coll.GetState(v, coll.Alg{"tdlb"}, 2+coll.Rounds(len(leaders)))
+	top := 2 * len(levels)
+	topSlots := coll.Rounds(len(leaders))
+	if linearTop {
+		topSlots = 2
+	}
+	st := coll.GetState(v, coll.Alg{name}, top+topSlots)
 	ep := st.Next()
 	me := v.Img
-	leader := t.LeaderOf(v.Rank)
-	group := t.NodeGroup(t.GroupOf(v.Rank))
 
-	if v.Rank != leader {
-		// Step 1 (slave side): bump the leader's cocounter, then wait
-		// for the release — both through shared memory.
-		me.NotifyAdd(st.Flags, t.GlobalRank(leader), 0, 1, pgas.ViaShm)
-		me.WaitFlagGE(st.Flags, me.Rank(), 1, ep)
-		return
-	}
-	// Step 1 (leader side): wait for the intranode set to arrive.
-	if len(group) > 1 {
-		me.WaitFlagGE(st.Flags, me.Rank(), 0, ep*int64(len(group)-1))
-	}
-	// Step 2: dissemination among leaders over the conduit.
-	leaderDissemination(v, st, leaders, ep)
-	// Step 3: release the intranode set.
-	for _, r := range group {
-		if r == v.Rank {
-			continue
+	d := 0
+	for ; d < len(levels); d++ {
+		lv := levels[d]
+		if v.Rank != lv.leader {
+			me.NotifyAdd(st.Flags, t.GlobalRank(lv.leader), 2*d, 1, pgas.ViaShm)
+			me.WaitFlagGE(st.Flags, me.Rank(), 2*d+1, ep)
+			break
 		}
-		me.NotifySet(st.Flags, t.GlobalRank(r), 1, ep, pgas.ViaShm)
+		if len(lv.group) > 1 {
+			me.WaitFlagGE(st.Flags, me.Rank(), 2*d, ep*int64(len(lv.group)-1))
+		}
+	}
+	if d == len(levels) {
+		if linearTop {
+			coll.SubgroupLinear(v, st, top, leaders, t.LeaderPos(v.Rank), ep)
+		} else {
+			coll.SubgroupDissemination(v, st, top, leaders, t.LeaderPos(v.Rank), ep)
+		}
+	}
+	// d is the first level the image does not lead: it releases those below.
+	for d--; d >= 0; d-- {
+		for _, r := range levels[d].group {
+			if r != v.Rank {
+				me.NotifySet(st.Flags, t.GlobalRank(r), 2*d+1, ep, pgas.ViaShm)
+			}
+		}
 	}
 }
 
-// leaderDissemination runs the dissemination rounds among the leaders list;
-// the caller must be a leader. Flag slots 2.. hold the round counters.
-func leaderDissemination(v *team.View, st *coll.State, leaders []int, ep int64) {
-	l := len(leaders)
-	if l == 1 {
-		return
-	}
-	t := v.T
-	me := v.Img
-	myPos := t.LeaderPos(v.Rank)
-	for k := 0; 1<<k < l; k++ {
-		partner := leaders[(myPos+1<<k)%l]
-		me.NotifyAdd(st.Flags, t.GlobalRank(partner), 2+k, 1, pgas.ViaConduit)
-		me.WaitFlagGE(st.Flags, me.Rank(), 2+k, ep)
-	}
-}
+// BarrierTDLB is the Team Dissemination Linear Barrier (paper Algorithm 1):
+// linear_counter_1 up to the node leader, pgased_dissemination among the
+// leaders, linear_counter_2 back down. With one image per node every image
+// is a leader, both linear phases vanish, and TDLB degenerates to the pure
+// dissemination barrier — the paper's flat-hierarchy parity result (E1).
+func BarrierTDLB(v *team.View) { barrierLeveled(v, "tdlb", false, false) }
 
 // BarrierTDLL is the ablation variant that uses a *linear* barrier among the
 // node leaders instead of dissemination (experiment E6): intra-node linear,
 // inter-node linear through the first leader.
-func BarrierTDLL(v *team.View) {
-	t := v.T
-	n := t.Size()
-	v.Img.World().Stats().Count(trace.OpBarrier)
-	if n == 1 {
-		return
-	}
-	leaders := t.Leaders()
-	st := coll.GetState(v, coll.Alg{"tdll"}, 4)
-	ep := st.Next()
-	me := v.Img
-	leader := t.LeaderOf(v.Rank)
-	group := t.NodeGroup(t.GroupOf(v.Rank))
+func BarrierTDLL(v *team.View) { barrierLeveled(v, "tdll", false, true) }
 
-	if v.Rank != leader {
-		me.NotifyAdd(st.Flags, t.GlobalRank(leader), 0, 1, pgas.ViaShm)
-		me.WaitFlagGE(st.Flags, me.Rank(), 1, ep)
-		return
-	}
-	if len(group) > 1 {
-		me.WaitFlagGE(st.Flags, me.Rank(), 0, ep*int64(len(group)-1))
-	}
-	// Linear among leaders, rooted at the first leader.
-	rootLeader := leaders[0]
-	if v.Rank == rootLeader {
-		if len(leaders) > 1 {
-			me.WaitFlagGE(st.Flags, me.Rank(), 2, ep*int64(len(leaders)-1))
-		}
-		for _, lr := range leaders[1:] {
-			me.NotifySet(st.Flags, t.GlobalRank(lr), 3, ep, pgas.ViaConduit)
-		}
-	} else {
-		me.NotifyAdd(st.Flags, t.GlobalRank(rootLeader), 2, 1, pgas.ViaConduit)
-		me.WaitFlagGE(st.Flags, me.Rank(), 3, ep)
-	}
-	for _, r := range group {
-		if r == v.Rank {
-			continue
-		}
-		me.NotifySet(st.Flags, t.GlobalRank(r), 1, ep, pgas.ViaShm)
-	}
-}
+// BarrierTDLB3 is the multi-level extension of TDLB the paper lists as
+// future work ("multi-level hierarchies to represent ... NUMA memory nodes,
+// shared caches, processor sockets and cores"): core images synchronize with
+// their *socket* leader (the cheapest coherence domain), socket leaders with
+// their *node* leader (shared memory across sockets), node leaders by
+// dissemination over the network; releases cascade back down.
+func BarrierTDLB3(v *team.View) { barrierLeveled(v, "tdlb3", true, false) }

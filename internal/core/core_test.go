@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cafteams/internal/coll"
@@ -121,6 +122,109 @@ func TestTDLBMatchesDisseminationOnFlatHierarchy(t *testing.T) {
 	tdlb := time(BarrierTDLB)
 	if flat != tdlb {
 		t.Fatalf("flat hierarchy: TDLB = %d ns, dissemination = %d ns; must coincide", tdlb, flat)
+	}
+}
+
+// TestLeveledFormsMatchOnOneSocketNodes is the same degeneration one level
+// up: with one socket per node every socket group is its intranode set and
+// every node leader the only socket leader, so the extra level of the
+// three-level forms has nobody to wait for or release — tdlb3 is tdlb and
+// 3level is 2level, in modeled time and in messages.
+func TestLeveledFormsMatchOnOneSocketNodes(t *testing.T) {
+	run := func(fn func(v *team.View)) (sim.Time, trace.Snapshot) {
+		topo, err := topology.New(4, 1, 6, 22, topology.PlaceCyclic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := pgas.NewWorld(sim.NewEnv(), machine.PaperCluster(), topo, trace.New())
+		if err != nil {
+			t.Fatal(err)
+		}
+		end := w.Run(func(im *pgas.Image) {
+			v := team.Initial(w, im)
+			for i := 0; i < 5; i++ {
+				fn(v)
+			}
+		})
+		sn := w.Stats().Snapshot()
+		sn.CoarrayBytes, sn.FlagBytes = 0, 0 // the three-level layouts reserve an unused level
+		return end, sn
+	}
+	allreduce := func(alg func(*team.View, []float64, coll.Op[float64])) func(*team.View) {
+		return func(v *team.View) { alg(v, make([]float64, 40), coll.Sum) }
+	}
+	for _, c := range []struct {
+		name       string
+		two, three func(v *team.View)
+	}{
+		{"tdlb3=tdlb", BarrierTDLB, BarrierTDLB3},
+		{"3level=2level", allreduce(AllreduceTwoLevel[float64]), allreduce(AllreduceThreeLevel[float64])},
+	} {
+		end2, sn2 := run(c.two)
+		end3, sn3 := run(c.three)
+		if end2 != end3 {
+			t.Errorf("%s: modeled end %d ns (two-level) != %d ns (three-level)", c.name, end2, end3)
+		}
+		if sn2.String() != sn3.String() {
+			t.Errorf("%s: messages differ:\n two-level:   %v\n three-level: %v", c.name, sn2, sn3)
+		}
+	}
+}
+
+// TestLevelsOfProperties checks what the leveled algorithms take for granted
+// about an image's way up, on scheduler-produced and randomized placements,
+// at both depths: an image is in its innermost group; a level's leader is in
+// its own group and in the next level's; the last leader is the node leader;
+// the innermost groups partition the team; no group is wider than its level's
+// inbox range.
+func TestLevelsOfProperties(t *testing.T) {
+	scs := placementScenarios(t)
+	rng := rand.New(rand.NewSource(20260930))
+	for i := 0; i < 40; i++ {
+		scs = append(scs, confScenario{nodes: 1 + rng.Intn(5), perNode: 1 + rng.Intn(6), place: topology.Placement(rng.Intn(2))})
+	}
+	for _, sc := range scs {
+		w := sc.world(t)
+		w.Run(func(im *pgas.Image) {
+			if im.Rank() != 0 {
+				return
+			}
+			tm := team.Initial(w, im).T
+			for depth, sockets := range map[int]bool{1: false, 2: true} {
+				widths := levelWidths(tm, sockets)
+				for r := 0; r < tm.Size(); r++ {
+					var buf, other [2]level
+					levels := levelsOf(tm, r, sockets, &buf)
+					if len(levels) != depth {
+						t.Fatalf("%s rank %d: %d levels, want %d", sc, r, len(levels), depth)
+					}
+					if !slices.Contains(levels[0].group, r) {
+						t.Errorf("%s rank %d is not in its innermost group %v", sc, r, levels[0].group)
+					}
+					for d, lv := range levels {
+						if !slices.Contains(lv.group, lv.leader) {
+							t.Errorf("%s rank %d level %d: leader %d is not in its group %v", sc, r, d, lv.leader, lv.group)
+						}
+						if d+1 < depth && !slices.Contains(levels[d+1].group, lv.leader) {
+							t.Errorf("%s rank %d level %d: leader %d does not climb into %v", sc, r, d, lv.leader, levels[d+1].group)
+						}
+						if len(lv.group) > widths[d] {
+							t.Errorf("%s rank %d level %d: group %v wider than the level's %d regions", sc, r, d, lv.group, widths[d])
+						}
+					}
+					if last := levels[depth-1].leader; last != tm.LeaderOf(r) {
+						t.Errorf("%s rank %d: way up ends at %d, node leader is %d", sc, r, last, tm.LeaderOf(r))
+					}
+					// r is in its own group and shares it, leader included,
+					// with every member: the groups partition the team.
+					for _, m := range levels[0].group {
+						if l0 := levelsOf(tm, m, sockets, &other)[0]; !slices.Equal(l0.group, levels[0].group) || l0.leader != levels[0].leader {
+							t.Errorf("%s: rank %d is in rank %d's innermost group %v but has %v", sc, m, r, levels[0].group, l0.group)
+						}
+					}
+				}
+			}
+		})
 	}
 }
 

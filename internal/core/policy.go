@@ -108,11 +108,8 @@ func (p Policy) effective(v *team.View) Level {
 	if p.Level != LevelAuto {
 		return p.Level
 	}
-	t := v.T
-	for gi := 0; gi < t.NumNodeGroups(); gi++ {
-		if len(t.NodeGroup(gi)) > 1 {
-			return LevelTwo
-		}
+	if v.T.MaxNodeGroup() > 1 {
+		return LevelTwo
 	}
 	return LevelFlat
 }
@@ -121,90 +118,26 @@ func (p Policy) effective(v *team.View) Level {
 // elems elements of elemSize bytes each: an explicit tuning entry wins;
 // otherwise the hierarchy level selects, and under the auto rule the flat
 // choice also keys on the payload size. elems < 0 means "size unknown"
-// (barriers) and suppresses size keying.
+// (barriers) and suppresses size keying. The choices are kindTable's columns.
 func (p Policy) algFor(k Kind, v *team.View, elems, elemSize int) string {
 	name := p.Tuning.For(k)
-	sized := name == AlgAuto && elems >= 0
 	if name != "" && name != AlgAuto {
 		return name
 	}
-	level := p.effective(v)
-	nbytes := elems * elemSize
-	// The chunked algorithms (ring, scatter-allgather) need at least one
-	// element per member to beat their fallbacks.
-	large := sized && nbytes >= autoLargeBytes && elems >= v.NumImages()
-	switch k {
-	case KindBarrier:
-		switch level {
-		case LevelTwo:
-			return "tdlb"
-		case LevelThree:
-			return "tdlb3"
-		default:
-			return "dissemination"
-		}
-	case KindAllreduce:
-		switch level {
-		case LevelTwo:
-			return "2level"
-		case LevelThree:
-			return "3level"
-		default:
-			if large {
-				return "ring"
-			}
-			return "rd"
-		}
-	case KindReduceTo:
-		if level == LevelTwo || level == LevelThree {
-			return "2level"
-		}
-		return "binomial"
-	case KindBroadcast:
-		if level == LevelTwo || level == LevelThree {
-			return "2level"
-		}
-		if large {
-			return "scatter-allgather"
-		}
-		return "binomial"
-	case KindAllgather:
-		if level == LevelTwo || level == LevelThree {
-			return "2level"
-		}
-		if sized && nbytes < autoLargeBytes {
-			return "bruck"
-		}
-		return "ring"
-	case KindScatter, KindGather:
-		if level == LevelTwo || level == LevelThree {
-			return "2level"
-		}
-		// Linear moves each block across the wire exactly once
-		// (bandwidth-optimal); the binomial tree forwards blocks through
-		// log levels but finishes in log steps (latency-optimal).
-		if sized && nbytes >= autoLargeBytes {
-			return "linear"
-		}
-		return "binomial"
-	case KindAlltoall:
-		if level == LevelTwo || level == LevelThree {
-			return "2level"
-		}
-		// Bruck sends log messages per member (latency-optimal for short
-		// blocks); the pairwise exchange moves each block once
-		// (bandwidth-optimal).
-		if sized && nbytes < autoLargeBytes {
-			return "bruck"
-		}
-		return "pairwise"
-	case KindScan:
-		if level == LevelTwo || level == LevelThree {
-			return "2level"
-		}
-		return "rd"
+	rule := &kindTable[k]
+	switch p.effective(v) {
+	case LevelTwo:
+		return rule.two
+	case LevelThree:
+		return rule.three
 	}
-	panic(fmt.Sprintf("core: no algorithm for kind %v", k))
+	switch {
+	case name != AlgAuto || elems < 0:
+		return rule.unsized
+	case elems*elemSize < autoLargeBytes || rule.chunked && elems < v.NumImages():
+		return rule.small
+	}
+	return rule.large
 }
 
 // Barrier synchronizes the team (CAF sync team / sync all within the

@@ -7,18 +7,21 @@ import (
 	"cafteams/internal/trace"
 )
 
-// AllreduceTwoLevel is the memory-hierarchy-aware all-to-all reduction
-// (paper §IV applied to co_sum/co_max/co_min):
+// allreduceLeveled is the memory-hierarchy-aware all-to-all reduction (paper
+// §IV applied to co_sum/co_max/co_min, for any number of shared-memory
+// levels), the walk of barrierLeveled with vectors on it:
 //
-//	Step 1: each intranode set ships its vectors to the node leader over
-//	        shared memory; the leader combines them;
-//	Step 2: the node leaders run a recursive-doubling all-reduce among
-//	        themselves over the network;
-//	Step 3: each leader ships the result back to its intranode set over
-//	        shared memory.
+//	up:   at each level the image ships its vector to the level's leader over
+//	      shared memory and awaits the result; only the leader — having
+//	      combined its whole group's vectors — climbs on;
+//	top:  the node leaders run a recursive-doubling all-reduce among
+//	      themselves over the network (state name leadName);
+//	down: each leader ships the result to the groups it leads over shared
+//	      memory, outermost first.
 //
-// buf is combined in place on every image.
-func AllreduceTwoLevel[T any](v *team.View, buf []T, op coll.Op[T]) {
+// buf is combined in place on every image. Flag layout: level d has slot 2d
+// for arrivals at its leader and slot 2d+1 for the leader's result release.
+func allreduceLeveled[T any](v *team.View, buf []T, op coll.Op[T], name, leadName string, sockets bool) {
 	t := v.T
 	v.Img.World().Stats().Count(trace.OpReduce)
 	if t.Size() == 1 {
@@ -26,54 +29,73 @@ func AllreduceTwoLevel[T any](v *team.View, buf []T, op coll.Op[T]) {
 	}
 	n := len(buf)
 	es := pgas.ElemSize[T]()
-	// Flag layout: slot 0 counts intranode arrivals at the leader, slot 1
-	// carries the leader's result release.
-	st := coll.GetState(v, coll.Alg{"red2", op.Name, pgas.TypeName[T]()}, 2)
+	var lbuf [2]level
+	levels := levelsOf(t, v.Rank, sockets, &lbuf)
+	st := coll.GetState(v, coll.Alg{name, op.Name, pgas.TypeName[T]()}, 2*len(levels))
 	ep := st.Next()
-	// Two boxes, per parity: a leader's inbox (one region per position in
-	// its intranode set) and a member's result landing region.
-	inbox, icap := coll.Scratch[T](st, "in", n, 2*t.MaxNodeGroup())
+	// Two boxes, per parity: a leader's inbox and the result landing region
+	// of everyone the result cascades down to. The inbox has a range of
+	// regions per level, as wide as the level's largest group, one region per
+	// position in the group. The ranges must not overlap: at a node leader
+	// both its own socket's members and the other socket leaders deposit
+	// concurrently.
+	widths := levelWidths(t, sockets)
+	regions := widths[0] + widths[1]
+	inbox, icap := coll.Scratch[T](st, "in", n, 2*regions)
 	res, rcap := coll.Scratch[T](st, "res", n, 2)
 	parity := int(ep % 2)
-	region := func(k int) int { return (parity*t.MaxNodeGroup() + k) * icap }
-	me := v.Img
-	leader := t.LeaderOf(v.Rank)
-	group := t.NodeGroup(t.GroupOf(v.Rank))
 	resultRegion := parity * rcap
+	me := v.Img
 
-	if v.Rank != leader {
-		// Step 1 (slave): contribute my vector to the leader's inbox
-		// slot (my position within the intranode set), then collect the
-		// result in step 3.
-		pgas.PutThenNotify(me, inbox, t.GlobalRank(leader), region(groupPos(group, v.Rank)), buf, st.Flags, 0, 1, pgas.ViaShm)
-		me.WaitFlagGE(st.Flags, me.Rank(), 1, ep)
-		copy(buf, pgas.Local(res, me)[resultRegion:resultRegion+n])
-		me.MemWork(es * n)
-		return
-	}
-	// Step 1 (leader): combine the intranode set's vectors.
-	if len(group) > 1 {
-		me.WaitFlagGE(st.Flags, me.Rank(), 0, ep*int64(len(group)-1))
-		local := pgas.Local(inbox, me)
-		for i, r := range group {
-			if r == v.Rank {
-				continue
+	d, first := 0, parity*regions // first: the level's range of inbox regions
+	for ; d < len(levels); d++ {
+		lv := levels[d]
+		if v.Rank != lv.leader {
+			off := (first + groupPos(lv.group, v.Rank)) * icap
+			pgas.PutThenNotify(me, inbox, t.GlobalRank(lv.leader), off, buf, st.Flags, 2*d, 1, pgas.ViaShm)
+			me.WaitFlagGE(st.Flags, me.Rank(), 2*d+1, ep)
+			copy(buf, pgas.Local(res, me)[resultRegion:resultRegion+n])
+			me.MemWork(es * n)
+			break
+		}
+		if len(lv.group) > 1 {
+			me.WaitFlagGE(st.Flags, me.Rank(), 2*d, ep*int64(len(lv.group)-1))
+			local := pgas.Local(inbox, me)
+			for i, r := range lv.group {
+				if r == v.Rank {
+					continue
+				}
+				off := (first + i) * icap
+				op.Combine(buf, local[off:off+n])
+				me.MemWork(2 * es * n)
 			}
-			off := region(i)
-			op.Combine(buf, local[off:off+n])
-			me.MemWork(2 * es * n)
+		}
+		first += widths[d]
+	}
+	if d == len(levels) {
+		coll.SubgroupAllreduceRD(v, t.Leaders(), t.LeaderPos(v.Rank), buf, op, coll.Alg{leadName, op.Name})
+	}
+	// d is the first level the image does not lead: it releases those below.
+	for d--; d >= 0; d-- {
+		for _, r := range levels[d].group {
+			if r != v.Rank {
+				pgas.PutThenNotify(me, res, t.GlobalRank(r), resultRegion, buf, st.Flags, 2*d+1, 1, pgas.ViaShm)
+			}
 		}
 	}
-	// Step 2: recursive doubling among leaders over the conduit.
-	leaders := t.Leaders()
-	coll.SubgroupAllreduceRD(v, leaders, t.LeaderPos(v.Rank), buf, op, coll.Alg{"core.red2lead", op.Name})
-	// Step 3: release the result to the intranode set.
-	for _, r := range group {
-		if r == v.Rank {
-			continue
-		}
-		pgas.PutThenNotify(me, res, t.GlobalRank(r), resultRegion, buf, st.Flags, 1, 1, pgas.ViaShm)
-	}
+}
+
+// AllreduceTwoLevel is the paper's two-level all-to-all reduction: intranode
+// sets combine at their node leader, the leaders reduce over the network.
+func AllreduceTwoLevel[T any](v *team.View, buf []T, op coll.Op[T]) {
+	allreduceLeveled(v, buf, op, "red2", "core.red2lead", false)
+}
+
+// AllreduceThreeLevel is the socket-aware all-to-all reduction (the
+// multi-level generalization of the paper's future-work section): cores
+// combine at their socket leader, socket leaders at the node leader.
+func AllreduceThreeLevel[T any](v *team.View, buf []T, op coll.Op[T]) {
+	allreduceLeveled(v, buf, op, "red3", "core.red3lead", true)
 }
 
 // BcastTwoLevel is the memory-hierarchy-aware one-to-all broadcast: the
@@ -91,7 +113,7 @@ func BcastTwoLevel[T any](v *team.View, root int, buf []T) {
 	// Flag layout: slot 0 handoff arrivals at the root's leader, slot 1
 	// fan-out arrivals at members, slots 3/4 parity fan-out acks at leaders,
 	// slots 5/6 parity handoff credits at the root. Roles vary with the root,
-	// so every wait counts exactly (State.Expect).
+	// so every wait counts exactly (State.Arrivals).
 	st := coll.GetState(v, coll.Alg{"bc2", pgas.TypeName[T]()}, 7)
 	ep := st.Next()
 	expect := st.Expect()
@@ -111,15 +133,11 @@ func BcastTwoLevel[T any](v *team.View, root int, buf []T) {
 	// a parity landing region before the leader acked consuming the
 	// previous same-parity handoff (slots 5/6).
 	if v.Rank == root && root != rootLeader {
-		expect[5+parity]++
-		if sends := expect[5+parity]; sends > 1 {
-			me.WaitFlagGE(st.Flags, me.Rank(), 5+parity, sends-1)
-		}
+		st.Credit(5 + parity)
 		pgas.PutThenNotify(me, co, t.GlobalRank(rootLeader), dataRegion, buf, st.Flags, 0, 1, pgas.ViaShm)
 	}
 	if v.Rank == rootLeader && root != rootLeader {
-		expect[0]++
-		me.WaitFlagGE(st.Flags, me.Rank(), 0, expect[0])
+		st.Arrivals(0, 1)
 		copy(buf, pgas.Local(co, me)[dataRegion:dataRegion+n])
 		me.MemWork(es * n)
 		me.NotifyAdd(st.Flags, t.GlobalRank(root), 5+parity, 1, pgas.ViaShm)
@@ -150,8 +168,7 @@ func BcastTwoLevel[T any](v *team.View, root int, buf []T) {
 	if v.Rank == root {
 		return // the source already has the data
 	}
-	expect[1]++
-	me.WaitFlagGE(st.Flags, me.Rank(), 1, expect[1])
+	st.Arrivals(1, 1)
 	copy(buf, pgas.Local(co, me)[dataRegion:dataRegion+n])
 	me.MemWork(es * n)
 	me.NotifyAdd(st.Flags, t.GlobalRank(leader), ackSlot, 1, pgas.ViaShm)

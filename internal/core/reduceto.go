@@ -27,7 +27,6 @@ func ReduceToRootTwoLevel[T any](v *team.View, root int, buf []T, op coll.Op[T])
 	es := pgas.ElemSize[T]()
 	st := coll.GetState(v, coll.Alg{"redto2", op.Name, pgas.TypeName[T]()}, 7)
 	ep := st.Next()
-	expect := st.Expect()
 	// Two boxes, per parity: a leader's inbox (one region per position in
 	// its intranode set) and the result landing region of a non-leader root.
 	inbox, icap := coll.Scratch[T](st, "in", n, 2*t.MaxNodeGroup())
@@ -44,16 +43,12 @@ func ReduceToRootTwoLevel[T any](v *team.View, root int, buf []T, op coll.Op[T])
 	if v.Rank != leader {
 		// Contribute to the node leader; gate region reuse on the
 		// leader's credit for my previous same-parity episode.
-		expect[ackSlot]++
-		if sends := expect[ackSlot]; sends > 1 {
-			me.WaitFlagGE(st.Flags, me.Rank(), ackSlot, sends-1)
-		}
+		st.Credit(ackSlot)
 		pgas.PutThenNotify(me, inbox, t.GlobalRank(leader), region(groupPos(group, v.Rank)), buf, st.Flags, 5+parity, 1, pgas.ViaShm)
 		if v.Rank == root {
 			// A non-leader root receives the final result from its
 			// leader.
-			expect[1]++
-			me.WaitFlagGE(st.Flags, me.Rank(), 1, expect[1])
+			st.Arrivals(1, 1)
 			copy(buf, pgas.Local(res, me)[resultRegion:resultRegion+n])
 			me.MemWork(es * n)
 		}
@@ -61,8 +56,7 @@ func ReduceToRootTwoLevel[T any](v *team.View, root int, buf []T, op coll.Op[T])
 	}
 	// Leader: combine the intranode set, crediting each contributor.
 	if len(group) > 1 {
-		expect[5+parity] += int64(len(group) - 1)
-		me.WaitFlagGE(st.Flags, me.Rank(), 5+parity, expect[5+parity])
+		st.Arrivals(5+parity, len(group)-1)
 		local := pgas.Local(inbox, me)
 		for i, r := range group {
 			if r == v.Rank {

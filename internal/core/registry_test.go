@@ -182,6 +182,53 @@ func TestTuningValidateAndSelection(t *testing.T) {
 			t.Errorf("forced allreduce = %q, want tree", got)
 		}
 	})
+
+	// The whole rule: kind × level × payload. Flat choices by payload class —
+	// size not consulted, small, large, large with fewer elements than images
+	// (the chunked algorithms need one per member) — then the two- and
+	// three-level choice, which no payload changes.
+	want := [numKinds][6]string{
+		KindBarrier:   {"dissemination", "dissemination", "dissemination", "dissemination", "tdlb", "tdlb3"},
+		KindAllreduce: {"rd", "rd", "ring", "rd", "2level", "3level"},
+		KindReduceTo:  {"binomial", "binomial", "binomial", "binomial", "2level", "2level"},
+		KindBroadcast: {"binomial", "binomial", "scatter-allgather", "binomial", "2level", "2level"},
+		KindAllgather: {"ring", "bruck", "ring", "ring", "2level", "2level"},
+		KindScatter:   {"binomial", "binomial", "linear", "linear", "2level", "2level"},
+		KindGather:    {"binomial", "binomial", "linear", "linear", "2level", "2level"},
+		KindAlltoall:  {"pairwise", "bruck", "pairwise", "pairwise", "2level", "2level"},
+		KindScan:      {"rd", "rd", "rd", "rd", "2level", "2level"},
+	}
+	payloads := [4]struct{ elems, elemSize int }{{-1, 8}, {8, 8}, {1 << 17, 8}, {4, autoLargeBytes / 4}}
+	for _, spec := range []string{"16(2)", "8(8)"} {
+		w := newWorld(t, spec)
+		w.Run(func(im *pgas.Image) {
+			v := team.Initial(w, im)
+			if im.Rank() != 0 {
+				return
+			}
+			autoLevel := 4 // LevelAuto: two-level where a node holds several images
+			if spec == "8(8)" {
+				autoLevel = -1 // one image per node: flat, the payload decides
+			}
+			for k := range want {
+				for level, col := range map[Level]int{LevelFlat: -1, LevelTwo: 4, LevelThree: 5, LevelAuto: autoLevel} {
+					for pi, pl := range payloads {
+						sized, unsized := col, col
+						if col < 0 {
+							sized, unsized = pi, 0
+						}
+						if got := (Policy{Level: level, Tuning: AllAuto()}).algFor(Kind(k), v, pl.elems, pl.elemSize); got != want[k][sized] {
+							t.Errorf("%s %s auto %v/%v: %q, want %q", spec, Kind(k), level, pl, got, want[k][sized])
+						}
+						// Without the auto entry the level alone decides.
+						if got := (Policy{Level: level}).algFor(Kind(k), v, pl.elems, pl.elemSize); got != want[k][unsized] {
+							t.Errorf("%s %s %v/%v: %q, want %q", spec, Kind(k), level, pl, got, want[k][unsized])
+						}
+					}
+				}
+			}
+		})
+	}
 }
 
 // TestRegistryGenericAgreement checks that int64 and float32 instantiations

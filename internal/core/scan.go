@@ -112,14 +112,10 @@ func ScanTwoLevel[T any](v *team.View, buf []T, op coll.Op[T], exclusive bool) {
 	if v.Rank != leader {
 		// Contribute my vector, gated on the credit for my previous
 		// same-parity contribution; then collect my prefix and ack it.
-		expect[scan2InboxCredit+parity]++
-		if sends := expect[scan2InboxCredit+parity]; sends > 1 {
-			me.WaitFlagGE(st.Flags, me.Rank(), scan2InboxCredit+parity, sends-1)
-		}
+		st.Credit(scan2InboxCredit + parity)
 		pos := groupPos(group, v.Rank)
 		pgas.PutThenNotify(me, inbox, t.GlobalRank(leader), base+pos*icap, buf, st.Flags, scan2InboxSlot+parity, 1, pgas.ViaShm)
-		expect[scan2ResultSlot+parity]++
-		me.WaitFlagGE(st.Flags, me.Rank(), scan2ResultSlot+parity, expect[scan2ResultSlot+parity])
+		st.Arrivals(scan2ResultSlot+parity, 1)
 		copy(buf, pgas.Local(resBox, me)[resultOff:resultOff+n])
 		me.MemWork(es * n)
 		me.NotifyAdd(st.Flags, t.GlobalRank(leader), scan2ResultAck+parity, 1, pgas.ViaShm)
@@ -129,8 +125,7 @@ func ScanTwoLevel[T any](v *team.View, buf []T, op coll.Op[T], exclusive bool) {
 	// Leader (= the group's lowest team rank, so under the contiguity
 	// requirement the team's rank 0 is always a leader).
 	if gsz > 1 {
-		expect[scan2InboxSlot+parity] += int64(gsz - 1)
-		me.WaitFlagGE(st.Flags, me.Rank(), scan2InboxSlot+parity, expect[scan2InboxSlot+parity])
+		st.Arrivals(scan2InboxSlot+parity, gsz-1)
 	}
 	// Within-node inclusive prefixes, in group (= team rank) order.
 	incl := coll.Temp[T](st, "incl", gsz*n)
@@ -159,8 +154,7 @@ func ScanTwoLevel[T any](v *team.View, buf []T, op coll.Op[T], exclusive bool) {
 	}
 	var ex []T // reduction over every preceding node's total; nil at the head
 	if chainPos > 0 {
-		expect[scan2ChainSlot+parity]++
-		me.WaitFlagGE(st.Flags, me.Rank(), scan2ChainSlot+parity, expect[scan2ChainSlot+parity])
+		st.Arrivals(scan2ChainSlot+parity, 1)
 		ex = coll.Temp[T](st, "ex", n)
 		copy(ex, pgas.Local(inbox, me)[chainOff:chainOff+n])
 		me.MemWork(es * n)
@@ -175,10 +169,7 @@ func ScanTwoLevel[T any](v *team.View, buf []T, op coll.Op[T], exclusive bool) {
 			me.MemWork(3 * es * n)
 		}
 		// Gate on the successor's credit for my previous same-parity send.
-		expect[scan2ChainCredit+parity]++
-		if sends := expect[scan2ChainCredit+parity]; sends > 1 {
-			me.WaitFlagGE(st.Flags, me.Rank(), scan2ChainCredit+parity, sends-1)
-		}
+		st.Credit(scan2ChainCredit + parity)
 		next := t.Leaders()[order[chainPos+1]]
 		pgas.PutThenNotify(me, inbox, t.GlobalRank(next), chainOff, fwd, st.Flags, scan2ChainSlot+parity, 1, pgas.ViaAuto)
 	}

@@ -44,7 +44,7 @@ const (
 // done-stamp wave published by each episode's root (after every leader acked
 // consuming its pack) gates the next same-parity root's injection, member
 // landing regions are guarded by member→leader acks, and all arrival waits
-// count exactly (slotExpect) because each image's role depends on the root.
+// count exactly (State.Arrivals) because each image's role depends on the root.
 func ScatterTwoLevel[T any](v *team.View, root int, send, recv []T) {
 	t := v.T
 	sz := t.Size()
@@ -72,7 +72,6 @@ func ScatterTwoLevel[T any](v *team.View, root int, send, recv []T) {
 	packBase := parity * t.MaxNodeGroup() * pcap
 	blockOff := parity * bcap
 	me := v.Img
-	expect := st.Expect()
 	leader := t.LeaderOf(v.Rank)
 	group := t.NodeGroup(t.GroupOf(v.Rank))
 	leaders := t.Leaders()
@@ -105,8 +104,7 @@ func ScatterTwoLevel[T any](v *team.View, root int, send, recv []T) {
 				func(i, r int) []T { return send[r*n : r*n+n] })
 		}
 		if sent > 0 {
-			expect[sc2RootAck+parity] += int64(sent)
-			me.WaitFlagGE(st.Flags, me.Rank(), sc2RootAck+parity, expect[sc2RootAck+parity])
+			st.Arrivals(sc2RootAck+parity, sent)
 		}
 		// Publish completion to every potential future root.
 		me.SetLocal(st.Flags, sc2Done, ep)
@@ -121,8 +119,7 @@ func ScatterTwoLevel[T any](v *team.View, root int, send, recv []T) {
 		// Receive the root's node block, keep my slice, fan the rest out
 		// over shared memory, then ack the root (my pack region is free the
 		// moment the fan-out puts are issued — puts capture data at issue).
-		expect[sc2PackSlot+parity]++
-		me.WaitFlagGE(st.Flags, me.Rank(), sc2PackSlot+parity, expect[sc2PackSlot+parity])
+		st.Arrivals(sc2PackSlot+parity, 1)
 		local := pgas.Local(packs, me)
 		pos := groupPos(group, v.Rank)
 		copy(recv, local[packBase+pos*n:packBase+pos*n+n])
@@ -134,8 +131,7 @@ func ScatterTwoLevel[T any](v *team.View, root int, send, recv []T) {
 	}
 	// Member: exactly one block arrives, from my node leader, over shared
 	// memory; ack it so the leader may reuse my landing region.
-	expect[sc2BlockSlot+parity]++
-	me.WaitFlagGE(st.Flags, me.Rank(), sc2BlockSlot+parity, expect[sc2BlockSlot+parity])
+	st.Arrivals(sc2BlockSlot+parity, 1)
 	copy(recv, pgas.Local(blocks, me)[blockOff:blockOff+n])
 	me.MemWork(es * n)
 	me.NotifyAdd(st.Flags, t.GlobalRank(leader), sc2MemberAck+parity, 1, pgas.ViaShm)
@@ -216,17 +212,13 @@ func GatherTwoLevel[T any](v *team.View, root int, send, recv []T) {
 	packBase := parity * maxGroup * pcap
 	landBase := func(gi int) int { return (parity*ng + gi) * maxGroup * lcap }
 	me := v.Img
-	expect := st.Expect()
 	leader := t.LeaderOf(v.Rank)
 	group := t.NodeGroup(t.GroupOf(v.Rank))
 
 	if v.Rank != leader && v.Rank != root {
 		// Contribute my block to the leader's pack at my group position,
 		// gated on the credit for my previous same-parity contribution.
-		expect[ga2MemberCredit+parity]++
-		if sends := expect[ga2MemberCredit+parity]; sends > 1 {
-			me.WaitFlagGE(st.Flags, me.Rank(), ga2MemberCredit+parity, sends-1)
-		}
+		st.Credit(ga2MemberCredit + parity)
 		pos := groupPos(group, v.Rank)
 		pgas.PutThenNotify(me, packs, t.GlobalRank(leader), packBase+pos*n, send, st.Flags, ga2BlockSlot+parity, 1, pgas.ViaShm)
 		return
@@ -241,8 +233,7 @@ func GatherTwoLevel[T any](v *team.View, root int, send, recv []T) {
 			}
 		}
 		if contribs > 0 {
-			expect[ga2BlockSlot+parity] += int64(contribs)
-			me.WaitFlagGE(st.Flags, me.Rank(), ga2BlockSlot+parity, expect[ga2BlockSlot+parity])
+			st.Arrivals(ga2BlockSlot+parity, contribs)
 		}
 		if v.Rank != root {
 			local := pgas.Local(packs, me)
@@ -252,10 +243,7 @@ func GatherTwoLevel[T any](v *team.View, root int, send, recv []T) {
 			// Ship the whole pack to the root, gated on the credit for my
 			// previous same-parity pack (a root's slot in the pack is a
 			// hole the unpack skips).
-			expect[ga2LeaderCredit+parity]++
-			if sends := expect[ga2LeaderCredit+parity]; sends > 1 {
-				me.WaitFlagGE(st.Flags, me.Rank(), ga2LeaderCredit+parity, sends-1)
-			}
+			st.Credit(ga2LeaderCredit + parity)
 			gi := t.GroupOf(v.Rank)
 			pgas.PutThenNotify(me, lands, t.GlobalRank(root), landBase(gi), local[packBase:packBase+len(group)*n], st.Flags, ga2PackSlot+parity, 1, pgas.ViaAuto)
 			// The pack area is consumed the moment the put is issued.
@@ -275,8 +263,7 @@ func GatherTwoLevel[T any](v *team.View, root int, send, recv []T) {
 		}
 	}
 	if sendersExpected > 0 {
-		expect[ga2PackSlot+parity] += int64(sendersExpected)
-		me.WaitFlagGE(st.Flags, me.Rank(), ga2PackSlot+parity, expect[ga2PackSlot+parity])
+		st.Arrivals(ga2PackSlot+parity, sendersExpected)
 	}
 	for gi, l := range leaders {
 		grp := t.NodeGroup(gi)

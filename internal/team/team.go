@@ -42,9 +42,10 @@ type Team struct {
 
 	// Socket-level hierarchy (3-level extension): within each node group,
 	// members split by socket.
-	socketGroups [][][]int // [node group][socket group] -> team ranks
-	socketLeader [][]int   // [node group] -> team rank of each socket leader
-
+	socketGroups   [][][]int // [node group][socket group] -> team ranks
+	socketLeader   [][]int   // [node group] -> team rank of each socket leader
+	maxSocketGroup int       // size of the largest socket group
+	maxSockets     int       // most socket groups on one node
 }
 
 // View is one image's handle on a team (the team_type value).
@@ -195,7 +196,9 @@ func build(w *pgas.World, id, number int64, parent *Team, members []int) *Team {
 			sort.Ints(sg)
 			sgroups = append(sgroups, sg)
 			sleaders = append(sleaders, sg[0])
+			t.maxSocketGroup = max(t.maxSocketGroup, len(sg))
 		}
+		t.maxSockets = max(t.maxSockets, len(sgroups))
 		t.socketGroups = append(t.socketGroups, sgroups)
 		t.socketLeader = append(t.socketLeader, sleaders)
 	}
@@ -281,6 +284,13 @@ func (t *Team) SocketGroups(gi int) [][]int { return t.socketGroups[gi] }
 // SocketLeaders returns the team rank of each socket leader in node group
 // gi.
 func (t *Team) SocketLeaders(gi int) []int { return t.socketLeader[gi] }
+
+// MaxSocketGroup returns the size of the team's largest socket group: with
+// MaxSockets, what the three-level inbox layout is sized from.
+func (t *Team) MaxSocketGroup() int { return t.maxSocketGroup }
+
+// MaxSockets returns the most socket groups (so, socket leaders) on one node.
+func (t *Team) MaxSockets() int { return t.maxSockets }
 
 // NumImages is the team-relative num_images intrinsic.
 func (v *View) NumImages() int { return v.T.Size() }

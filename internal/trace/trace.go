@@ -15,50 +15,27 @@ import (
 	"sync/atomic"
 )
 
-// Op names a traced operation kind.
-type Op string
+// Op is a traced operation kind: an index into opNames and into the per-op
+// counters.
+type Op int
 
 // Operation kinds recorded by the runtime.
 const (
-	OpPut       Op = "put"
-	OpGet       Op = "get"
-	OpAtomic    Op = "atomic"
-	OpNotify    Op = "notify" // flag puts used by synchronization
-	OpWait      Op = "wait"
-	OpCompute   Op = "compute"
-	OpBarrier   Op = "barrier"
-	OpReduce    Op = "reduce"
-	OpBroadcast Op = "broadcast"
+	OpPut Op = iota
+	OpGet
+	OpAtomic
+	OpNotify // flag puts used by synchronization
+	OpWait
+	OpCompute
+	OpBarrier
+	OpReduce
+	OpBroadcast
+	numOps
 )
 
-// numOps is the size of the fixed per-op counter array; opIndex maps the
-// known operation kinds onto it. Unknown ops (none exist in the runtime, but
-// Op is an open string type) fall back to a mutex-guarded overflow map.
-const numOps = 9
+var opNames = [numOps]string{"put", "get", "atomic", "notify", "wait", "compute", "barrier", "reduce", "broadcast"}
 
-func opIndex(op Op) int {
-	switch op {
-	case OpPut:
-		return 0
-	case OpGet:
-		return 1
-	case OpAtomic:
-		return 2
-	case OpNotify:
-		return 3
-	case OpWait:
-		return 4
-	case OpCompute:
-		return 5
-	case OpBarrier:
-		return 6
-	case OpReduce:
-		return 7
-	case OpBroadcast:
-		return 8
-	}
-	return -1
-}
+func (op Op) String() string { return opNames[op] }
 
 // Mem names a kind of symmetric runtime memory. Coarray slabs and flag rows
 // are declared on every image but only created when first touched, so the
@@ -72,9 +49,6 @@ const (
 	numMems
 )
 
-var opNames = [numOps]Op{OpPut, OpGet, OpAtomic, OpNotify, OpWait, OpCompute,
-	OpBarrier, OpReduce, OpBroadcast}
-
 // Stats accumulates counters. Recording is a handful of atomic adds — no
 // lock, no map — because Message/Count sit on the per-message hot path of
 // both backends: the sim scheduler calls them once per modeled transfer, and
@@ -87,11 +61,6 @@ type Stats struct {
 	selfMsgs   int64
 	opCounts   [numOps]int64
 	memBytes   [numMems]int64
-
-	// overflow holds counters for op kinds outside the fixed set; nil until
-	// first touched (never, for the runtime's own ops).
-	mu       sync.Mutex
-	overflow map[Op]int64
 }
 
 // New returns an empty statistics collector.
@@ -117,18 +86,7 @@ func (s *Stats) Message(op Op, sameNode, self bool, n int) {
 }
 
 // Count bumps a bare operation counter (barrier entries, compute blocks...).
-func (s *Stats) Count(op Op) {
-	if i := opIndex(op); i >= 0 {
-		atomic.AddInt64(&s.opCounts[i], 1)
-		return
-	}
-	s.mu.Lock()
-	if s.overflow == nil {
-		s.overflow = make(map[Op]int64)
-	}
-	s.overflow[op]++
-	s.mu.Unlock()
-}
+func (s *Stats) Count(op Op) { atomic.AddInt64(&s.opCounts[op], 1) }
 
 // Materialize records nbytes of kind memory created by a first touch.
 func (s *Stats) Materialize(kind Mem, nbytes int) {
@@ -156,19 +114,14 @@ func (sn Snapshot) TotalMsgs() int64 { return sn.IntraMsgs + sn.InterMsgs }
 func (sn Snapshot) MaterializedBytes() int64 { return sn.CoarrayBytes + sn.FlagBytes }
 
 // Snapshot returns a copy of the current counters. Only ops with non-zero
-// counts appear in the map, matching the old map-backed behavior.
+// counts appear in the map.
 func (s *Stats) Snapshot() Snapshot {
 	ops := make(map[Op]int64)
-	for i, name := range opNames {
+	for i := range s.opCounts {
 		if v := atomic.LoadInt64(&s.opCounts[i]); v != 0 {
-			ops[name] = v
+			ops[Op(i)] = v
 		}
 	}
-	s.mu.Lock()
-	for k, v := range s.overflow {
-		ops[k] = v
-	}
-	s.mu.Unlock()
 	return Snapshot{
 		IntraMsgs:    atomic.LoadInt64(&s.intraMsgs),
 		InterMsgs:    atomic.LoadInt64(&s.interMsgs),
@@ -194,9 +147,6 @@ func (s *Stats) Reset() {
 	for i := range s.memBytes {
 		atomic.StoreInt64(&s.memBytes[i], 0)
 	}
-	s.mu.Lock()
-	s.overflow = nil
-	s.mu.Unlock()
 }
 
 // Timings accumulates named durations — per-collective-kind episode
@@ -271,17 +221,17 @@ func (sn Snapshot) String() string {
 	fmt.Fprintf(&b, "intra: %d msgs/%d B, inter: %d msgs/%d B, self: %d, materialized: %d B",
 		sn.IntraMsgs, sn.IntraBytes, sn.InterMsgs, sn.InterBytes, sn.SelfMsgs, sn.MaterializedBytes())
 	if len(sn.Ops) > 0 {
-		keys := make([]string, 0, len(sn.Ops))
+		keys := make([]Op, 0, len(sn.Ops))
 		for k := range sn.Ops {
-			keys = append(keys, string(k))
+			keys = append(keys, k)
 		}
-		sort.Strings(keys)
+		sort.Slice(keys, func(i, j int) bool { return keys[i].String() < keys[j].String() })
 		b.WriteString(" [")
 		for i, k := range keys {
 			if i > 0 {
 				b.WriteString(" ")
 			}
-			fmt.Fprintf(&b, "%s=%d", k, sn.Ops[Op(k)])
+			fmt.Fprintf(&b, "%s=%d", k, sn.Ops[k])
 		}
 		b.WriteString("]")
 	}
