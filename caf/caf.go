@@ -14,7 +14,7 @@
 // dense, the flat one-level baseline otherwise, or the three-level
 // (socket-aware) extension — and Config.Tuning / Config.WithAlgorithm pin
 // any collective kind to any registered algorithm (see Algorithms) or to
-// the size-aware auto rule.
+// "auto", the runtime's measured decision table.
 //
 // Quick start:
 //
@@ -78,8 +78,10 @@ type Config struct {
 	// Tuning selects, per collective kind, the algorithm the runtime
 	// dispatches to, by registry name (see Algorithms). Zero value: the
 	// hierarchy level decides, the paper's methodology. Entries may also
-	// be AlgAuto to additionally key the choice on message size. Unknown
-	// names make Run fail with an error. See also WithAlgorithm.
+	// be AlgAuto: the call's algorithm is then read from a decision table
+	// measured over placements and payload sizes (Report.Stats.AutoPicks
+	// counts what it chose). Unknown names make Run fail with an error.
+	// See also WithAlgorithm.
 	Tuning Tuning
 	// Detect configures timer-based failure detection: per-wait timeouts
 	// and per-image heartbeats. The zero value disables all timers —

@@ -42,12 +42,14 @@ const (
 // registry name. See Config.Tuning.
 type Tuning = core.Tuning
 
-// AlgAuto, as a Tuning entry, picks the algorithm per call from the team
-// shape and the message size.
+// AlgAuto, as a Tuning entry, picks the algorithm per call from a measured
+// decision table keyed on how the team sits on the machine (images per node,
+// sockets, nodes) and on the payload bytes; under RunFlat, among the
+// hierarchy-oblivious algorithms only.
 const AlgAuto = core.AlgAuto
 
-// AutoTuning returns the Tuning that applies the size- and shape-keyed auto
-// rule to every collective kind.
+// AutoTuning returns the Tuning that reads every collective kind's algorithm
+// from the decision table.
 func AutoTuning() Tuning { return core.AllAuto() }
 
 // Algorithms returns the names selectable for collective kind k, e.g.

@@ -2,6 +2,8 @@ package caf
 
 import (
 	"testing"
+
+	"cafteams/internal/core"
 )
 
 // TestCoSumTAgreesAcrossTypes: the generic int64 and float32 paths must
@@ -178,37 +180,69 @@ func TestWithAlgorithmUnknownNameFails(t *testing.T) {
 }
 
 func TestAutoTuningRuns(t *testing.T) {
-	// The size-aware auto rule must stay correct on both small and large
-	// vectors (it switches algorithms at a byte threshold).
-	_, err := RunFlat(Config{Spec: "16(4)", Tuning: AutoTuning()}, func(im *Image) {
-		for _, elems := range []int{4, 8192} {
-			x := make([]float64, elems)
-			for i := range x {
-				x[i] = float64(im.ThisImage())
-			}
-			im.CoSum(x)
-			for i := range x {
-				if x[i] != 136 {
-					t.Errorf("auto-tuned co_sum (%d elems) = %v, want 136", elems, x[i])
-					return
+	// What the decision table picks must be correct on both sides of its
+	// payload boundaries, under the hierarchy-aware and the flat runtime; the
+	// report counts one decision per image per call, and a flat run's
+	// decisions name no hierarchy-aware algorithm.
+	const calls = 2 * 3 // co_sum and co_broadcast at three sizes
+	for _, run := range []struct {
+		name string
+		fn   func(Config, func(*Image)) (Report, error)
+	}{{"Run", Run}, {"RunFlat", RunFlat}} {
+		rep, err := run.fn(Config{Spec: "16(4)", Tuning: AutoTuning()}, func(im *Image) {
+			for _, elems := range []int{4, 8192, 1 << 17} {
+				x := make([]float64, elems)
+				for i := range x {
+					x[i] = float64(im.ThisImage())
 				}
-			}
-			buf := make([]float64, elems)
-			if im.ThisImage() == 2 {
+				im.CoSum(x)
+				for i := range x {
+					if x[i] != 136 {
+						t.Errorf("%s: auto-tuned co_sum (%d elems) = %v, want 136", run.name, elems, x[i])
+						return
+					}
+				}
+				buf := make([]float64, elems)
+				if im.ThisImage() == 2 {
+					for i := range buf {
+						buf[i] = float64(i % 97)
+					}
+				}
+				im.CoBroadcast(buf, 2)
 				for i := range buf {
-					buf[i] = float64(i % 97)
+					if buf[i] != float64(i%97) {
+						t.Errorf("%s: auto-tuned co_broadcast (%d elems) elem %d = %v", run.name, elems, i, buf[i])
+						return
+					}
 				}
 			}
-			im.CoBroadcast(buf, 2)
-			for i := range buf {
-				if buf[i] != float64(i%97) {
-					t.Errorf("auto-tuned co_broadcast (%d elems) elem %d = %v", elems, i, buf[i])
-					return
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		decisions := int64(0)
+		for k, byAlg := range rep.Stats.AutoPicks {
+			for i, n := range byAlg {
+				if n == 0 {
+					continue
+				}
+				decisions += n
+				alg := Algorithms(Kind(k))[i]
+				if core.HierarchyAware(alg) && run.name == "RunFlat" {
+					t.Errorf("RunFlat with auto tuning ran %s/%s %d times", Kind(k), alg, n)
 				}
 			}
 		}
-	})
+		if want := int64(calls * rep.Images); decisions != want {
+			t.Errorf("%s: %d auto decisions counted, want %d (%d calls x %d images)", run.name, decisions, want, calls, rep.Images)
+		}
+	}
+	// The zero Tuning decides by level and counts nothing.
+	rep, err := Run(Config{Spec: "16(4)"}, func(im *Image) { im.CoSum(make([]float64, 4)) })
 	if err != nil {
 		t.Fatal(err)
+	}
+	if rep.Stats.AutoPicks != (Report{}).Stats.AutoPicks {
+		t.Errorf("a run without auto tuning counted auto decisions: %v", rep.Stats.AutoPicks)
 	}
 }

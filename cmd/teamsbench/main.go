@@ -11,6 +11,8 @@
 //	teamsbench -alg allreduce [-algspecs ...]        # every allreduce algorithm
 //	teamsbench -alg allreduce/ring,bcast/2level      # specific algorithms
 //	teamsbench -alg alltoall,scan                    # the personalized/prefix kinds
+//	teamsbench -exp regret [-algspecs ...] [-elems N]    # what auto picks against the best algorithm, per cell
+//	teamsbench -exp autotable -out FILE              # regenerate the auto decision table (go generate ./internal/core)
 //
 // The -alg family sweeps the algorithm registry: every named
 // algorithm of every collective kind (barrier, allreduce, reduceto, bcast,
@@ -20,6 +22,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -34,7 +37,8 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: "+strings.Join(experimentNames(), ", ")+" or all")
+	exp := flag.String("exp", "all", "experiment to run: "+strings.Join(experimentNames(), ", ")+` or all; "regret": the auto decision table against the best algorithm per cell; "autotable": regenerate that table into -out`)
+	out := flag.String("out", "", "with -exp autotable: the Go source file to write the decision table to")
 	iters := flag.Int("iters", 10, "episodes per measurement")
 	csv := flag.Bool("csv", false, "emit CSV instead of tables")
 	alg := flag.String("alg", "", `sweep the algorithm registry: "list", "all", a kind ("allreduce"), or comma-separated "kind/name" entries`)
@@ -55,6 +59,21 @@ func main() {
 		err = runScaleStudy(os.Stdout, *scale, *scaleKinds, *scaleElems, *scaleIters)
 	case *alg != "":
 		err = runAlgSweep(*alg, *algspecs, *elems, *iters, *csv, backend)
+	case *exp == "autotable":
+		err = generateAutoTable(*out)
+	case *exp == "regret":
+		// Unless told otherwise, the cells of the repository benchmark's
+		// coll-sweep: its auto_regret, from the product side.
+		specs, sizes := "16(4),64(8),44(44)", []int{128, 4096}
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "algspecs":
+				specs = *algspecs
+			case "elems":
+				sizes = []int{*elems}
+			}
+		})
+		err = runRegret(os.Stdout, specs, sizes)
 	default:
 		err = runExperiments(*exp, *iters, *csv)
 	}
@@ -79,8 +98,8 @@ func checkFlags(exp string, iters, elems, scaleElems, scaleIters int) error {
 			return fmt.Errorf("%s must be at least 1, got %d", f.name, f.v)
 		}
 	}
-	if names := experimentNames(); exp != "all" && !slices.Contains(names, exp) {
-		return fmt.Errorf("-exp: unknown experiment %q (want %s or all)", exp, strings.Join(names, ", "))
+	if names := experimentNames(); exp != "all" && exp != "regret" && exp != "autotable" && !slices.Contains(names, exp) {
+		return fmt.Errorf("-exp: unknown experiment %q (want %s or all; or regret, autotable for the auto decision table)", exp, strings.Join(names, ", "))
 	}
 	return nil
 }
@@ -223,6 +242,38 @@ func runAlgSweep(sel, specs string, elems, iters int, csv bool, backend string) 
 		bench.CSV(os.Stdout, csvPts)
 	}
 	return nil
+}
+
+// runRegret prints the regret report for every kind on the placements at the
+// sizes. As in the repository benchmark, sizes past the first run allgather
+// and alltoall on the first placement only: their cost grows with the square
+// of the image count.
+func runRegret(w io.Writer, specs string, sizes []int) error {
+	var list []string
+	for _, spec := range strings.Split(specs, ",") {
+		if spec = strings.TrimSpace(spec); spec != "" {
+			list = append(list, spec)
+		}
+	}
+	_, _, err := bench.RegretReport(w, bench.SweepCells(list, sizes, func(k core.Kind, spec, size int) bool {
+		return spec == 0 || size == 0 || k != core.KindAllgather && k != core.KindAlltoall
+	}))
+	return err
+}
+
+// generateAutoTable sweeps the generator's grid and writes the fitted decision
+// table to path — whole, or not at all: the file is part of the package this
+// binary is built from — and the verdicts on the dominated algorithms to
+// standard output.
+func generateAutoTable(path string) error {
+	if path == "" {
+		return fmt.Errorf("-exp autotable needs -out FILE (go generate ./internal/core passes autotable_gen.go)")
+	}
+	var src bytes.Buffer
+	if err := bench.GenerateAutoTable(&src, os.Stdout); err != nil {
+		return err
+	}
+	return os.WriteFile(path, src.Bytes(), 0o644)
 }
 
 // experiment is one table of the paper reproduction: what -exp selects, the

@@ -279,3 +279,38 @@ func TestBadFlags(t *testing.T) {
 		}
 	}
 }
+
+// TestRegretReport: `-exp regret` prints, per cell, the pick, the best
+// algorithm, the regret and the table row that matched, then the summary; a
+// regret below 1 would mean the best was not among the algorithms swept.
+func TestRegretReport(t *testing.T) {
+	if err := checkFlags("regret", 10, 128, 8, 2); err != nil {
+		t.Fatalf("-exp regret rejected: %v", err)
+	}
+	var out strings.Builder
+	if err := runRegret(&out, "8(2), 4(4)", []int{16, 512}); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	// Header, 2 barrier cells, 8 kinds x 2 sizes x 2 placements less the
+	// second placement's large allgather and alltoall, a blank, the summary.
+	if want := 1 + 2 + 8*2*2 - 2 + 2; len(lines) != want {
+		t.Fatalf("%d lines, want %d:\n%s", len(lines), want, out.String())
+	}
+	for _, want := range []string{"auto picks", "table row", "per node", "geomean regret 1."} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("report lacks %q:\n%s", want, out.String())
+		}
+	}
+}
+
+// TestGenerateAutoTableNeedsOut: the generator writes a file of the package it
+// is built from, so it wants to be told which.
+func TestGenerateAutoTableNeedsOut(t *testing.T) {
+	if err := checkFlags("autotable", 10, 128, 8, 2); err != nil {
+		t.Fatalf("-exp autotable rejected: %v", err)
+	}
+	if err := generateAutoTable(""); err == nil || !strings.Contains(err.Error(), "-out") {
+		t.Errorf("generateAutoTable(\"\") = %v, want an error naming -out", err)
+	}
+}

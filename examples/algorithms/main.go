@@ -1,8 +1,8 @@
 // Algorithm selection and typed collectives: the collective runtime v2 API.
 // Every collective kind dispatches through a named-algorithm registry —
 // this example sweeps the allreduce table explicitly, then lets the
-// size-aware auto rule pick, and uses the generic entry points with int64
-// and float32 elements.
+// measured decision table pick and prints what it decided, and uses the
+// generic entry points with int64 and float32 elements.
 package main
 
 import (
@@ -37,19 +37,29 @@ func main() {
 		fmt.Printf("allreduce/%-8s %10.2f us\n", alg, float64(rep.Elapsed)/1000)
 	}
 
-	// 3. Auto tuning: the runtime keys the choice on team shape and
-	// message size (hierarchy-aware where the team is dense, and within
-	// the flat table latency- vs bandwidth-optimal by payload).
+	// 3. Auto tuning: the runtime reads each call's algorithm from a
+	// decision table measured over placements and payload sizes (how the
+	// team sits on the machine, and the bytes), and the report counts what
+	// it decided — one decision per image per call.
 	rep, err := caf.Run(caf.Config{Spec: "64(8)", Tuning: caf.AutoTuning()}, func(im *caf.Image) {
 		small := make([]float64, 8)
 		large := make([]float64, 1<<15)
-		im.CoSum(small) // short vector: latency-optimal pick
-		im.CoSum(large) // long vector: bandwidth-optimal pick
+		im.CoSum(small)
+		im.CoSum(large)
+		im.CoBroadcast(large, 1)
+		im.SyncAll()
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("auto-tuned run: %.2f us\n", float64(rep.Elapsed)/1000)
+	for k, byAlg := range rep.Stats.AutoPicks {
+		for i, n := range byAlg {
+			if n > 0 {
+				fmt.Printf("  auto picked %s/%s x%d\n", caf.Kind(k), caf.Algorithms(caf.Kind(k))[i], n/int64(rep.Images))
+			}
+		}
+	}
 
 	// 4. Generic typed collectives: any numeric element type through the
 	// same registry (methods cannot be generic in Go, so these are

@@ -97,40 +97,69 @@ func (r Row) Comparator() Comparator {
 // form, so sweep output lines up with the names accepted by
 // caf.Config.WithAlgorithm and teamsbench -alg. For the rooted and
 // personalized kinds the benchmark vector is the per-image block, so cells
-// stay comparable across kinds at one -elems setting.
+// stay comparable across kinds at one -elems setting. Rooted kinds root at
+// team rank 0 and scans are inclusive.
 func RegistryComparator(k core.Kind, name string) Comparator {
+	return registryComparator(k, name, false)
+}
+
+// CellComparator is RegistryComparator measured the way the repository
+// benchmark measures its cells (benchmark/cell.go): the root of the rooted
+// kinds rotates over the episodes — a node leader, then a leader's neighbour
+// on another node, and so on — and odd episodes scan exclusively. Measured at
+// root 0 only, near-ties between a linear and a tree algorithm fall the other
+// way. name may be core.AlgAuto: the decision table's pick.
+func CellComparator(k core.Kind, name string) Comparator {
+	return registryComparator(k, name, true)
+}
+
+func registryComparator(k core.Kind, name string, rotate bool) Comparator {
+	// An explicit tuning entry is dispatched as it stands, so one policy
+	// serves registry names and "auto" alike.
+	pol := core.Policy{Level: core.LevelAuto, Tuning: core.Tuning{}.With(k, name)}
 	return Comparator{
 		Name:    k.String() + "/" + name,
 		Conduit: machine.ConduitGASNetRDMA,
 		Run: func(v *team.View, buf []float64, iters int) {
-			wide := func() []float64 { return make([]float64, v.NumImages()*len(buf)) }
-			var episode func()
+			n := v.NumImages()
+			var wide, wide2 []float64 // one block per image
 			switch k {
-			case core.KindBarrier:
-				episode = func() { core.RunBarrier(name, v) }
-			case core.KindAllreduce:
-				episode = func() { core.RunAllreduce(name, v, buf, coll.Sum) }
-			case core.KindReduceTo:
-				episode = func() { core.RunReduceTo(name, v, 0, buf, coll.Sum) }
-			case core.KindBroadcast:
-				episode = func() { core.RunBroadcast(name, v, 0, buf) }
 			case core.KindAllgather:
-				out := wide()
-				episode = func() { core.RunAllgather(name, v, buf, out) }
-			case core.KindScatter:
-				send := wide()
-				episode = func() { core.RunScatter(name, v, 0, send, buf) }
-			case core.KindGather:
-				recv := wide()
-				episode = func() { core.RunGather(name, v, 0, buf, recv) }
+				wide = make([]float64, n*len(buf))
 			case core.KindAlltoall:
-				send, recv := wide(), wide()
-				episode = func() { core.RunAlltoall(name, v, send, recv) }
-			case core.KindScan:
-				episode = func() { core.RunScan(name, v, buf, coll.Sum, false) }
+				wide, wide2 = make([]float64, n*len(buf)), make([]float64, n*len(buf))
 			}
-			for i := 0; i < iters; i++ {
-				episode()
+			per := v.T.MaxNodeGroup()
+			for ep := 0; ep < iters; ep++ {
+				root := 0
+				if rotate {
+					root = ((ep*3+1)%(n/per)*per + ep%per) % n
+				}
+				// Only a root reads or writes the wide side of a scatter or
+				// gather: nobody else holds one.
+				if (k == core.KindScatter || k == core.KindGather) && v.Rank == root && wide == nil {
+					wide = make([]float64, n*len(buf))
+				}
+				switch k {
+				case core.KindBarrier:
+					pol.Barrier(v)
+				case core.KindAllreduce:
+					core.PolicyAllreduce(pol, v, buf, coll.Sum)
+				case core.KindReduceTo:
+					core.PolicyReduceTo(pol, v, root, buf, coll.Sum)
+				case core.KindBroadcast:
+					core.PolicyBroadcast(pol, v, root, buf)
+				case core.KindAllgather:
+					core.PolicyAllgather(pol, v, buf, wide)
+				case core.KindScatter:
+					core.PolicyScatter(pol, v, root, wide, buf)
+				case core.KindGather:
+					core.PolicyGather(pol, v, root, buf, wide)
+				case core.KindAlltoall:
+					core.PolicyAlltoall(pol, v, wide, wide2)
+				case core.KindScan:
+					core.PolicyScan(pol, v, buf, coll.Sum, rotate && ep%2 == 1)
+				}
 			}
 		},
 	}
@@ -190,17 +219,34 @@ type Point struct {
 	InterMsgs  int64
 	End        pgas.Time // all iters episodes
 	Events     int64     // simulator events, 0 on native
+	// Key is what the auto decision table sees of the initial team at this
+	// payload (Bytes taken as float64 elements).
+	Key core.AutoKey
 }
 
-// Measure runs iters episodes of one comparator on one "images(nodes)"
-// placement and returns the mean episode latency and message counts per
+// parseSpec resolves a placement: the paper's "images(nodes)" notation, or a
+// machine shape "NODESxSOCKETSxCORES" with an image on every core, in blocks —
+// the way to put, say, eight images of a node on one socket.
+func parseSpec(spec string) (*topology.Topology, error) {
+	if !strings.Contains(spec, "x") {
+		return topology.ParseSpec(spec)
+	}
+	nodes, sockets, cores, err := topology.ParseShape(spec)
+	if err != nil {
+		return nil, err
+	}
+	return topology.New(nodes, sockets, cores, nodes*sockets*cores, topology.PlaceBlock)
+}
+
+// Measure runs iters episodes of one comparator on one placement (see
+// parseSpec) and returns the mean episode latency and message counts per
 // episode. Backend "sim" (or "") measures simulated time on the modeled
 // cluster; "native" runs the same comparator on real goroutines and measures
 // wall-clock time, so the same sweep reports both modeled and real
 // microseconds. Native latencies carry scheduling noise — treat them as
 // ground truth for calibration, not as deterministic values.
 func Measure(spec, backend string, cmp Comparator, elems, iters int) (Point, error) {
-	topo, err := topology.ParseSpec(spec)
+	topo, err := parseSpec(spec)
 	if err != nil {
 		return Point{}, err
 	}
@@ -219,8 +265,12 @@ func Measure(spec, backend string, cmp Comparator, elems, iters int) (Point, err
 	default:
 		return Point{}, fmt.Errorf("bench: unknown backend %q (want \"sim\" or \"native\")", backend)
 	}
+	var key core.AutoKey
 	end := w.Run(func(im *pgas.Image) {
 		v := team.Initial(w, im)
+		if v.Rank == 0 {
+			key = core.AutoKeyOf(v, 8*elems)
+		}
 		buf := make([]float64, elems)
 		cmp.Run(v, buf, iters)
 	})
@@ -234,6 +284,7 @@ func Measure(spec, backend string, cmp Comparator, elems, iters int) (Point, err
 		InterMsgs:  sn.InterMsgs / int64(iters),
 		End:        end,
 		Events:     env.Events(),
+		Key:        key,
 	}, nil
 }
 

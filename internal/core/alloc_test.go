@@ -19,18 +19,17 @@ import (
 	"cafteams/internal/topology"
 )
 
-// steadyStateAllocs runs kind k's hierarchy-default algorithm on an 8(2)
-// world of the given backend at 128 elems — two warm-up episodes (both
+// steadyStateAllocs runs kind k under pol on an 8(2) world of the given
+// backend at 128 elems — two warm-up episodes (both
 // parities: state, scratch slabs, flag rows, temporaries), then eps measured
 // ones — and returns the heap objects allocated per episode per image.
 // Everything the images allocate between rank 0's two readings counts; the
 // barriers that fence the readings are themselves inside the window.
-func steadyStateAllocs(t *testing.T, backend string, k Kind) float64 {
+func steadyStateAllocs(t *testing.T, backend string, k Kind, pol Policy) float64 {
 	t.Helper()
 	const warm, eps, elems, root = 2, 40, 128, 5 // root: a non-leader of the second node
 	sc := confScenario{nodes: 2, perNode: 4, place: topology.PlaceBlock, backend: backend}
 	w := sc.world(t)
-	pol := Policy{Level: LevelAuto}
 	var before, after runtime.MemStats
 	w.Run(func(im *pgas.Image) {
 		v := team.Initial(w, im)
@@ -80,18 +79,60 @@ func steadyStateAllocs(t *testing.T, backend string, k Kind) float64 {
 
 // TestCollectiveSteadyStateAllocs holds every kind to zero heap objects per
 // episode per image on the native backend — all nine, alltoall, allgather and
-// scan included — and reports the same table on the sim backend (where every
-// put stages a copy and every image is a simulated process: a report, not a
-// gate).
+// scan included; the hierarchy default and the decision table's pick, whose
+// lookup and decision counter are on every call's path — and reports the same
+// table on the sim backend (where every put stages a copy and every image is a
+// simulated process: a report, not a gate).
 func TestCollectiveSteadyStateAllocs(t *testing.T) {
-	for _, k := range Kinds() {
-		native := steadyStateAllocs(t, "native", k)
-		sim := steadyStateAllocs(t, "sim", k)
-		t.Logf("%-9s native %.2f allocs/episode/image, sim %.2f", k, native, sim)
-		// A stray runtime allocation (a sudog, a GC worker) must not fail
-		// the pin: 40 episodes x 8 images leave room for a handful.
-		if native > 0.05 {
-			t.Errorf("%s: %.2f allocs per episode per image on native, want 0", k, native)
+	for _, pol := range []Policy{{Level: LevelAuto}, {Level: LevelAuto, Tuning: AllAuto()}} {
+		for _, k := range Kinds() {
+			native := steadyStateAllocs(t, "native", k, pol)
+			sim := steadyStateAllocs(t, "sim", k, pol)
+			t.Logf("%-9s tuning %q: native %.2f allocs/episode/image, sim %.2f", k, pol.Tuning.For(k), native, sim)
+			// A stray runtime allocation (a sudog, a GC worker) must not fail
+			// the pin: 40 episodes x 8 images leave room for a handful.
+			if native > 0.05 {
+				t.Errorf("%s, tuning %q: %.2f allocs per episode per image on native, want 0", k, pol.Tuning.For(k), native)
+			}
 		}
+	}
+}
+
+// TestScanStateDoesNotGrowWithNodes pins the rank chain of the two-level scan
+// as a property of the team: what an image allocates for its first scan/2level
+// episodes — state, scratch, temporaries — is the same on 32 nodes and on 128.
+// Kept per view, the chain (a node-count-long slice, sorted once per image)
+// added 8 bytes per node to every image.
+func TestScanStateDoesNotGrowWithNodes(t *testing.T) {
+	perImage := func(images int) float64 {
+		topo, err := topology.New(images/8, 2, 4, images, topology.PlaceBlock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := confScenario{topo: topo}.world(t)
+		var before, after runtime.MemStats
+		w.Run(func(im *pgas.Image) {
+			v := team.Initial(w, im)
+			buf := make([]float64, 8)
+			RunBarrier("tdlb", v) // its own state exists before the first reading
+			if im.Rank() == 0 {
+				runtime.ReadMemStats(&before)
+			}
+			RunBarrier("tdlb", v)
+			for ep := 0; ep < 2; ep++ {
+				RunScan("2level", v, buf, coll.Sum, ep == 1)
+			}
+			RunBarrier("tdlb", v)
+			if im.Rank() == 0 {
+				runtime.ReadMemStats(&after)
+			}
+			RunBarrier("tdlb", v)
+		})
+		return float64(after.TotalAlloc-before.TotalAlloc) / float64(images)
+	}
+	small, large := perImage(256), perImage(1024)
+	t.Logf("scan/2level, first two episodes: %.0f B/image at 256 images, %.0f B/image at 1024", small, large)
+	if large > 1.1*small {
+		t.Errorf("scan/2level allocates %.0f B per image on 128 nodes, %.0f on 32: it grows with the node count", large, small)
 	}
 }

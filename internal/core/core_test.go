@@ -368,23 +368,39 @@ func TestTwoLevelBcastFasterThanFlat(t *testing.T) {
 }
 
 func TestPolicyAutoSelects(t *testing.T) {
-	// One image per node -> flat; several per node -> two-level.
-	w := newWorld(t, "4(4)")
-	w.Run(func(im *pgas.Image) {
-		v := team.Initial(w, im)
-		p := Policy{Level: LevelAuto}
-		if got := p.effective(v); got != LevelFlat {
-			t.Errorf("auto on 4(4) = %v, want flat", got)
-		}
-	})
-	w2 := newWorld(t, "16(2)")
-	w2.Run(func(im *pgas.Image) {
-		v := team.Initial(w2, im)
-		p := Policy{Level: LevelAuto}
-		if got := p.effective(v); got != LevelTwo {
-			t.Errorf("auto on 16(2) = %v, want two-level", got)
-		}
-	})
+	// One image per node -> flat; several per node -> two-level. With every
+	// kind on "auto" the level no longer decides: the pick is the decision
+	// table's row for what the call looks like (here: the key the table is
+	// given is the team's), and a flat policy gets the row's flat pick.
+	for _, c := range []struct {
+		spec string
+		want Level
+		key  AutoKey
+	}{
+		{"4(4)", LevelFlat, AutoKey{PerNode: 1, Sockets: 1, Nodes: 4, Bytes: 1024}},
+		{"16(2)", LevelTwo, AutoKey{PerNode: 8, Sockets: 2, Nodes: 2, Bytes: 1024}},
+	} {
+		spec, w := c.spec, newWorld(t, c.spec)
+		w.Run(func(im *pgas.Image) {
+			v := team.Initial(w, im)
+			if got := (Policy{Level: LevelAuto}).effective(v); got != c.want {
+				t.Errorf("auto on %s = %v, want %v", spec, got, c.want)
+			}
+			key := AutoKeyOf(v, 1024)
+			if key != c.key {
+				t.Errorf("%s: key %+v, want %+v", spec, key, c.key)
+			}
+			for _, k := range Kinds() {
+				row, _ := AutoPick(k, key)
+				if got := (Policy{Level: LevelAuto, Tuning: AllAuto()}).algFor(k, v, 128, 8); got != row.Alg {
+					t.Errorf("%s %s: auto runs %q, the table says %q", spec, k, got, row.Alg)
+				}
+				if got := (Policy{Level: LevelFlat, Tuning: AllAuto()}).algFor(k, v, 128, 8); got != row.Flat || HierarchyAware(got) {
+					t.Errorf("%s %s: flat auto runs %q, the table says %q", spec, k, got, row.Flat)
+				}
+			}
+		})
+	}
 }
 
 func TestPolicyDispatchesAllLevels(t *testing.T) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"cafteams/internal/coll"
 	"cafteams/internal/pgas"
@@ -45,10 +46,9 @@ func (l Level) String() string {
 // algorithm the runtime dispatches to. The zero value ("" everywhere) defers
 // entirely to the hierarchy level — the paper's methodology. An entry set to
 // a name from Algorithms(kind) forces that algorithm for every call; an entry
-// set to AlgAuto ("auto") picks per call from the team shape *and* the
-// message size (hierarchy-aware where the team spans intranode sets, and
-// within the flat table latency-optimal algorithms for short vectors,
-// bandwidth-optimal ones for long vectors).
+// set to AlgAuto ("auto") picks per call from the measured decision table
+// (autotable.go): keyed by how the team sits on the machine — images per
+// node, sockets they occupy, nodes — and the payload bytes.
 type Tuning [numKinds]string
 
 // For returns the tuning entry for kind k.
@@ -67,8 +67,8 @@ func (t Tuning) With(k Kind, name string) Tuning {
 	return t
 }
 
-// AllAuto is the Tuning that applies the size- and shape-keyed auto rule to
-// every collective kind.
+// AllAuto is the Tuning that reads every collective kind's algorithm from
+// the decision table.
 func AllAuto() Tuning {
 	var t Tuning
 	for k := range t {
@@ -87,17 +87,10 @@ func (t Tuning) Validate() error {
 	return nil
 }
 
-// autoLargeBytes is the payload size at which the auto rule switches the
-// flat table from latency-optimal algorithms (recursive doubling, binomial)
-// to bandwidth-optimal ones (ring, scatter-allgather): roughly where the
-// per-step ByteTime term overtakes the per-step latency term on the paper
-// cluster.
-const autoLargeBytes = 32 << 10
-
 // Policy dispatches team collectives through the algorithm registry. Level
 // picks the hierarchy methodology (the paper's contribution); Tuning
 // overrides individual kinds with explicitly named algorithms or the
-// size-aware auto rule. The zero value is the flat runtime.
+// decision table. The zero value is the flat runtime.
 type Policy struct {
 	Level  Level
 	Tuning Tuning
@@ -115,29 +108,31 @@ func (p Policy) effective(v *team.View) Level {
 }
 
 // algFor resolves the algorithm name for kind k on team v with a payload of
-// elems elements of elemSize bytes each: an explicit tuning entry wins;
-// otherwise the hierarchy level selects, and under the auto rule the flat
-// choice also keys on the payload size. elems < 0 means "size unknown"
-// (barriers) and suppresses size keying. The choices are kindTable's columns.
+// elems elements of elemSize bytes each (elems < 0: no payload, a barrier). An
+// explicit tuning entry wins. Otherwise the hierarchy level selects among
+// kindTable's columns — the paper's methodology, and all there is to the zero
+// Tuning — except that an "auto" entry whose level leaves the choice open
+// reads the decision table: every registered algorithm under LevelAuto, the
+// hierarchy-oblivious ones under LevelFlat.
 func (p Policy) algFor(k Kind, v *team.View, elems, elemSize int) string {
 	name := p.Tuning.For(k)
 	if name != "" && name != AlgAuto {
 		return name
 	}
-	rule := &kindTable[k]
-	switch p.effective(v) {
-	case LevelTwo:
-		return rule.two
-	case LevelThree:
-		return rule.three
+	if name == "" {
+		return LevelChoice(k, p.effective(v))
 	}
-	switch {
-	case name != AlgAuto || elems < 0:
-		return rule.unsized
-	case elems*elemSize < autoLargeBytes || rule.chunked && elems < v.NumImages():
-		return rule.small
+	// An explicit two- or three-level policy keeps its level's choice.
+	pick := LevelChoice(k, p.Level)
+	if p.Level == LevelAuto || p.Level == LevelFlat {
+		row, _ := AutoPick(k, AutoKeyOf(v, max(elems, 0)*elemSize))
+		pick = row.Alg
+		if p.Level == LevelFlat {
+			pick = row.Flat
+		}
 	}
-	return rule.large
+	v.Img.World().Stats().AutoPick(int(k), slices.Index(kindTable[k].builtins, pick))
+	return pick
 }
 
 // Barrier synchronizes the team (CAF sync team / sync all within the

@@ -7,6 +7,7 @@ import (
 
 	"cafteams/internal/coll"
 	"cafteams/internal/team"
+	"cafteams/internal/trace"
 )
 
 // Kind names one collective operation class. Every kind owns a table of
@@ -33,46 +34,43 @@ const (
 const AlgAuto = "auto"
 
 // kindTable is the one per-kind table: display name, the algorithm names
-// compiled into the kind, in canonical (listing) order, and the selection rule
-// (see Policy.algFor). Built-in generic algorithms cannot be stored as values
-// for every possible element type, so dispatch instantiates them on demand in
-// the kind's Run* switch; adding an algorithm is a name here plus a case
-// there. The "nb-" names are aliases (see onCoroutine in async.go): dispatched
-// through Run* they run the algorithm they prefix on a coroutine.
-//
-// The rule's columns: the flat choice when the payload size is unknown or not
-// consulted, below autoLargeBytes, and at or above it — latency-optimal
-// algorithms (recursive doubling, binomial trees, Bruck: log steps) for short
-// vectors, bandwidth-optimal ones (ring, scatter-allgather, linear, pairwise:
-// each block crosses the wire once) for long ones; chunked marks a large
-// choice that needs at least one element per member to beat its fallback, and
-// yields to the small one below that; then the two- and three-level choices.
+// compiled into the kind, in canonical (listing) order — hierarchy-oblivious
+// ones, then hierarchy-aware ones (see HierarchyAware), then aliases — and
+// what the hierarchy level alone selects (see Policy.algFor): the flat, the
+// two-level and the three-level choice. Built-in generic algorithms cannot be
+// stored as values for every possible element type, so dispatch instantiates
+// them on demand in the kind's Run* switch; adding an algorithm is a name here
+// plus a case there. The "nb-" names are aliases (see onCoroutine in
+// async.go): dispatched through Run* they run the algorithm they prefix on a
+// coroutine.
 var kindTable = [numKinds]struct {
-	name                  string
-	builtins              []string
-	unsized, small, large string
-	chunked               bool
-	two, three            string
+	name                string
+	builtins            []string
+	unsized, two, three string
 }{
 	KindBarrier: {"barrier", []string{"dissemination", "linear", "tree", "tournament", "tdlb", "tdll", "tdlb3"},
-		"dissemination", "dissemination", "dissemination", false, "tdlb", "tdlb3"},
+		"dissemination", "tdlb", "tdlb3"},
 	KindAllreduce: {"allreduce", []string{"rd", "linear", "tree", "ring", "2level", "3level", "nb-rd", "nb-2level"},
-		"rd", "rd", "ring", true, "2level", "3level"},
+		"rd", "2level", "3level"},
 	KindReduceTo: {"reduceto", []string{"binomial", "linear", "2level"},
-		"binomial", "binomial", "binomial", false, "2level", "2level"},
+		"binomial", "2level", "2level"},
 	KindBroadcast: {"bcast", []string{"binomial", "linear", "scatter-allgather", "2level", "nb-binomial", "nb-2level"},
-		"binomial", "binomial", "scatter-allgather", true, "2level", "2level"},
+		"binomial", "2level", "2level"},
 	KindAllgather: {"allgather", []string{"ring", "bruck", "2level", "nb-ring", "nb-2level"},
-		"ring", "bruck", "ring", false, "2level", "2level"},
+		"ring", "2level", "2level"},
 	KindScatter: {"scatter", []string{"linear", "binomial", "2level"},
-		"binomial", "binomial", "linear", false, "2level", "2level"},
+		"binomial", "2level", "2level"},
 	KindGather: {"gather", []string{"linear", "binomial", "2level"},
-		"binomial", "binomial", "linear", false, "2level", "2level"},
+		"binomial", "2level", "2level"},
 	KindAlltoall: {"alltoall", []string{"pairwise", "bruck", "2level"},
-		"pairwise", "bruck", "pairwise", false, "2level", "2level"},
+		"pairwise", "2level", "2level"},
 	KindScan: {"scan", []string{"linear", "rd", "2level"},
-		"rd", "rd", "rd", false, "2level", "2level"},
+		"rd", "2level", "2level"},
 }
+
+// The decision counters of trace.Stats are indexed by kind and by position in
+// builtins (TestBuiltinsTableStaysConsistent holds the second bound).
+var _ [trace.AutoKinds - numKinds]struct{}
 
 func (k Kind) valid() bool { return k >= 0 && k < numKinds }
 

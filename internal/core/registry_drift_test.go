@@ -8,6 +8,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"cafteams/internal/trace"
 )
 
 // TestKindTablesStayConsistent: kindTable is a keyed array literal, so a kind
@@ -81,6 +83,9 @@ func TestBuiltinsTableStaysConsistent(t *testing.T) {
 		if len(names) == 0 {
 			t.Errorf("kind %v has no built-in algorithms", k)
 			continue
+		}
+		if len(names) > trace.AutoAlgs {
+			t.Errorf("kind %v lists %d algorithms, the decision counters of trace.Stats hold %d", k, len(names), trace.AutoAlgs)
 		}
 		dispatched := cases[runFn[k]]
 		for i, name := range names {

@@ -135,8 +135,13 @@ func TestRegistryBarriersSynchronize(t *testing.T) {
 	}
 }
 
-// TestTuningValidateAndSelection checks Tuning validation and that explicit
-// and auto tuning entries resolve to the expected registry names.
+// TestTuningValidateAndSelection checks Tuning validation and what each kind
+// of entry resolves to: an explicit name to itself; the zero Tuning to exactly
+// the hierarchy level's column of kindTable, whatever the payload (the paper's
+// methodology, which the decision table must not touch); "auto" to the
+// decision table's row for the call — its pick under LevelAuto, its flat pick
+// under LevelFlat — and, under an explicit two- or three-level policy, to that
+// level's column. Auto resolutions, and only those, are counted.
 func TestTuningValidateAndSelection(t *testing.T) {
 	if err := (Tuning{}).Validate(); err != nil {
 		t.Fatalf("zero tuning invalid: %v", err)
@@ -151,81 +156,62 @@ func TestTuningValidateAndSelection(t *testing.T) {
 		t.Fatalf("With(KindBroadcast) = %+v", got)
 	}
 
-	w := newWorld(t, "16(2)") // dense: effective level two
-	w.Run(func(im *pgas.Image) {
-		v := team.Initial(w, im)
-		if im.Rank() != 0 {
-			return
-		}
-		deflt := Policy{Level: LevelAuto}
-		if got := deflt.algFor(KindBarrier, v, -1, 0); got != "tdlb" {
-			t.Errorf("default dense barrier = %q, want tdlb", got)
-		}
-		if got := deflt.algFor(KindAllreduce, v, 1, 8); got != "2level" {
-			t.Errorf("default dense allreduce = %q, want 2level", got)
-		}
-		flatAuto := Policy{Level: LevelFlat, Tuning: AllAuto()}
-		if got := flatAuto.algFor(KindAllreduce, v, 8, 8); got != "rd" {
-			t.Errorf("flat auto small allreduce = %q, want rd", got)
-		}
-		if got := flatAuto.algFor(KindAllreduce, v, 1<<17, 8); got != "ring" {
-			t.Errorf("flat auto large allreduce = %q, want ring", got)
-		}
-		if got := flatAuto.algFor(KindBroadcast, v, 1<<17, 8); got != "scatter-allgather" {
-			t.Errorf("flat auto large bcast = %q, want scatter-allgather", got)
-		}
-		if got := flatAuto.algFor(KindAllgather, v, 32, 8); got != "bruck" {
-			t.Errorf("flat auto small allgather = %q, want bruck", got)
-		}
-		forced := Policy{Level: LevelAuto, Tuning: Tuning{KindAllreduce: "tree"}}
-		if got := forced.algFor(KindAllreduce, v, 1, 8); got != "tree" {
-			t.Errorf("forced allreduce = %q, want tree", got)
-		}
-	})
-
-	// The whole rule: kind × level × payload. Flat choices by payload class —
-	// size not consulted, small, large, large with fewer elements than images
-	// (the chunked algorithms need one per member) — then the two- and
-	// three-level choice, which no payload changes.
-	want := [numKinds][6]string{
-		KindBarrier:   {"dissemination", "dissemination", "dissemination", "dissemination", "tdlb", "tdlb3"},
-		KindAllreduce: {"rd", "rd", "ring", "rd", "2level", "3level"},
-		KindReduceTo:  {"binomial", "binomial", "binomial", "binomial", "2level", "2level"},
-		KindBroadcast: {"binomial", "binomial", "scatter-allgather", "binomial", "2level", "2level"},
-		KindAllgather: {"ring", "bruck", "ring", "ring", "2level", "2level"},
-		KindScatter:   {"binomial", "binomial", "linear", "linear", "2level", "2level"},
-		KindGather:    {"binomial", "binomial", "linear", "linear", "2level", "2level"},
-		KindAlltoall:  {"pairwise", "bruck", "pairwise", "pairwise", "2level", "2level"},
-		KindScan:      {"rd", "rd", "rd", "rd", "2level", "2level"},
+	// unsized, two, three.
+	want := [numKinds][3]string{
+		KindBarrier:   {"dissemination", "tdlb", "tdlb3"},
+		KindAllreduce: {"rd", "2level", "3level"},
+		KindReduceTo:  {"binomial", "2level", "2level"},
+		KindBroadcast: {"binomial", "2level", "2level"},
+		KindAllgather: {"ring", "2level", "2level"},
+		KindScatter:   {"binomial", "2level", "2level"},
+		KindGather:    {"binomial", "2level", "2level"},
+		KindAlltoall:  {"pairwise", "2level", "2level"},
+		KindScan:      {"rd", "2level", "2level"},
 	}
-	payloads := [4]struct{ elems, elemSize int }{{-1, 8}, {8, 8}, {1 << 17, 8}, {4, autoLargeBytes / 4}}
-	for _, spec := range []string{"16(2)", "8(8)"} {
+	payloads := []struct{ elems, elemSize int }{{-1, 0}, {1, 8}, {8, 8}, {128, 8}, {4096, 8}, {1 << 17, 8}, {4, 8 << 10}}
+	for _, spec := range []string{"16(2)", "8(8)", "16(4)"} {
 		w := newWorld(t, spec)
 		w.Run(func(im *pgas.Image) {
 			v := team.Initial(w, im)
 			if im.Rank() != 0 {
 				return
 			}
-			autoLevel := 4 // LevelAuto: two-level where a node holds several images
+			autoCol := 1 // LevelAuto: two-level where a node holds several images
 			if spec == "8(8)" {
-				autoLevel = -1 // one image per node: flat, the payload decides
+				autoCol = 0
 			}
+			autos := int64(0)
 			for k := range want {
-				for level, col := range map[Level]int{LevelFlat: -1, LevelTwo: 4, LevelThree: 5, LevelAuto: autoLevel} {
-					for pi, pl := range payloads {
-						sized, unsized := col, col
-						if col < 0 {
-							sized, unsized = pi, 0
+				k := Kind(k)
+				for _, pl := range payloads {
+					if (k == KindBarrier) != (pl.elems < 0) {
+						continue
+					}
+					for level, col := range map[Level]int{LevelFlat: 0, LevelTwo: 1, LevelThree: 2, LevelAuto: autoCol} {
+						if got := (Policy{Level: level}).algFor(k, v, pl.elems, pl.elemSize); got != want[k][col] {
+							t.Errorf("%s %s %v/%v: zero tuning runs %q, want %q", spec, k, level, pl, got, want[k][col])
 						}
-						if got := (Policy{Level: level, Tuning: AllAuto()}).algFor(Kind(k), v, pl.elems, pl.elemSize); got != want[k][sized] {
-							t.Errorf("%s %s auto %v/%v: %q, want %q", spec, Kind(k), level, pl, got, want[k][sized])
+						row, _ := AutoPick(k, AutoKeyOf(v, max(pl.elems, 0)*pl.elemSize))
+						wantAuto := map[Level]string{LevelFlat: row.Flat, LevelTwo: want[k][1], LevelThree: want[k][2], LevelAuto: row.Alg}[level]
+						if got := (Policy{Level: level, Tuning: AllAuto()}).algFor(k, v, pl.elems, pl.elemSize); got != wantAuto {
+							t.Errorf("%s %s %v/%v: auto runs %q, want %q (row %v)", spec, k, level, pl, got, wantAuto, row)
 						}
-						// Without the auto entry the level alone decides.
-						if got := (Policy{Level: level}).algFor(Kind(k), v, pl.elems, pl.elemSize); got != want[k][unsized] {
-							t.Errorf("%s %s %v/%v: %q, want %q", spec, Kind(k), level, pl, got, want[k][unsized])
+						autos++
+						forced := Policy{Level: level, Tuning: AllAuto().With(k, Algorithms(k)[1])}
+						if got := forced.algFor(k, v, pl.elems, pl.elemSize); got != Algorithms(k)[1] {
+							t.Errorf("%s %s %v/%v: forced %q, got %q", spec, k, level, pl, Algorithms(k)[1], got)
 						}
 					}
 				}
+			}
+			counted := int64(0)
+			for _, byAlg := range w.Stats().Snapshot().AutoPicks {
+				for _, n := range byAlg {
+					counted += n
+				}
+			}
+			if counted != autos {
+				t.Errorf("%s: %d auto decisions counted, %d made", spec, counted, autos)
 			}
 		})
 	}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"cafteams/internal/coll"
 	"cafteams/internal/pgas"
 	"cafteams/internal/team"
@@ -23,42 +21,6 @@ const (
 	scan2ResultAck   = 10
 	scan2Slots       = 12
 )
-
-// scanChainOrder returns the node-group indices ordered by each group's
-// first team rank, and whether the groups tile the team contiguously in that
-// order (every group's ranks consecutive, each group starting where the
-// previous ended). Only then does a prefix reduction decompose into
-// per-node segments plus one inter-node scan of group totals. The answer is a
-// property of the team, computed once per view.
-func scanChainOrder(v *team.View) ([]int, bool) {
-	memo := team.MemoKey{Kind: "core:scanchain"}
-	if x := v.Cached(memo); x != nil {
-		c := x.(scanChain)
-		return c.order, c.contiguous
-	}
-	t := v.T
-	order := make([]int, t.NumNodeGroups())
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		return t.NodeGroup(order[a])[0] < t.NodeGroup(order[b])[0]
-	})
-	next, contiguous := 0, true
-	for _, gi := range order {
-		for _, r := range t.NodeGroup(gi) {
-			contiguous = contiguous && r == next
-			next++
-		}
-	}
-	v.Cache(memo, scanChain{order, contiguous})
-	return order, contiguous
-}
-
-type scanChain struct {
-	order      []int
-	contiguous bool
-}
 
 // ScanTwoLevel is the hierarchy-aware prefix reduction over team rank order
 // (inclusive: buf becomes the reduction over ranks [0, r]; exclusive: over
@@ -84,7 +46,7 @@ func ScanTwoLevel[T any](v *team.View, buf []T, op coll.Op[T], exclusive bool) {
 	if sz == 1 {
 		return
 	}
-	order, contiguous := scanChainOrder(v)
+	order, contiguous := t.RankChain()
 	if !contiguous {
 		ScanFlatFallback(v, buf, op, exclusive)
 		return

@@ -13,6 +13,7 @@ package team
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -46,6 +47,10 @@ type Team struct {
 	socketLeader   [][]int   // [node group] -> team rank of each socket leader
 	maxSocketGroup int       // size of the largest socket group
 	maxSockets     int       // most socket groups on one node
+
+	// Rank order of the node groups (prefix collectives chain along it).
+	rankChain      []int // node-group indices ordered by each group's first team rank
+	rankContiguous bool  // the groups tile the team rank range in that order
 }
 
 // View is one image's handle on a team (the team_type value).
@@ -202,6 +207,19 @@ func build(w *pgas.World, id, number int64, parent *Team, members []int) *Team {
 		t.socketGroups = append(t.socketGroups, sgroups)
 		t.socketLeader = append(t.socketLeader, sleaders)
 	}
+	t.rankChain = make([]int, len(t.nodes))
+	for i := range t.rankChain {
+		t.rankChain[i] = i
+	}
+	slices.SortFunc(t.rankChain, func(a, b int) int { return t.nodeGroups[a][0] - t.nodeGroups[b][0] })
+	next := 0
+	t.rankContiguous = true
+	for _, gi := range t.rankChain {
+		for _, r := range t.nodeGroups[gi] {
+			t.rankContiguous = t.rankContiguous && r == next
+			next++
+		}
+	}
 	return t
 }
 
@@ -291,6 +309,13 @@ func (t *Team) MaxSocketGroup() int { return t.maxSocketGroup }
 
 // MaxSockets returns the most socket groups (so, socket leaders) on one node.
 func (t *Team) MaxSockets() int { return t.maxSockets }
+
+// RankChain returns the node-group indices ordered by each group's first team
+// rank, and whether the groups tile the team contiguously in that order (every
+// group's ranks consecutive, each group starting where the previous ended).
+// Only then does a prefix reduction decompose into per-node segments plus one
+// inter-node scan of group totals. The slice is the team's own: read-only.
+func (t *Team) RankChain() (order []int, contiguous bool) { return t.rankChain, t.rankContiguous }
 
 // NumImages is the team-relative num_images intrinsic.
 func (v *View) NumImages() int { return v.T.Size() }

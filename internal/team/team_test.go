@@ -438,3 +438,34 @@ func TestFormPartitionProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRankChain: the node groups in team rank order, and whether they tile
+// the rank range. Block placement: the identity, contiguous. The same images
+// in reverse rank order: the chain runs the node groups backwards, still
+// contiguous. Cyclic placement: every group is scattered over the ranks.
+func TestRankChain(t *testing.T) {
+	w := newWorld(t, "6(3)")
+	w.Run(func(im *pgas.Image) {
+		v := Initial(w, im)
+		if order, contiguous := v.T.RankChain(); !contiguous || fmt.Sprint(order) != "[0 1 2]" {
+			t.Errorf("block placement: chain %v, contiguous %v", order, contiguous)
+		}
+		rev := v.Form(1, v.NumImages()-1-im.Rank())
+		if order, contiguous := rev.T.RankChain(); !contiguous || fmt.Sprint(order) != "[2 1 0]" {
+			t.Errorf("reversed ranks: chain %v, contiguous %v", order, contiguous)
+		}
+	})
+	topo, err := topology.New(3, 2, 1, 6, topology.PlaceCyclic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wc, err := pgas.NewWorld(sim.NewEnv(), machine.PaperCluster(), topo, trace.New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wc.Run(func(im *pgas.Image) {
+		if order, contiguous := Initial(wc, im).T.RankChain(); contiguous || len(order) != 3 {
+			t.Errorf("cyclic placement: chain %v, contiguous %v", order, contiguous)
+		}
+	})
+}

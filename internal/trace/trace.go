@@ -49,6 +49,15 @@ const (
 	numMems
 )
 
+// AutoKinds and AutoAlgs size the auto-decision counters: collective kinds
+// by registered algorithms per kind. This package sits below the registry, so
+// it counts positions, not names; internal/core holds its kind table to these
+// bounds and owns the meaning of the two indices.
+const (
+	AutoKinds = 9
+	AutoAlgs  = 8
+)
+
 // Stats accumulates counters. Recording is a handful of atomic adds — no
 // lock, no map — because Message/Count sit on the per-message hot path of
 // both backends: the sim scheduler calls them once per modeled transfer, and
@@ -61,6 +70,9 @@ type Stats struct {
 	selfMsgs   int64
 	opCounts   [numOps]int64
 	memBytes   [numMems]int64
+	// The decision counters exist from the first decision on: a run that
+	// never sets a Tuning entry to "auto" does not carry them.
+	autoPicks atomic.Pointer[[AutoKinds][AutoAlgs]int64]
 }
 
 // New returns an empty statistics collector.
@@ -93,6 +105,19 @@ func (s *Stats) Materialize(kind Mem, nbytes int) {
 	atomic.AddInt64(&s.memBytes[kind], int64(nbytes))
 }
 
+// AutoPick records that the auto rule resolved one call of collective kind
+// kind to the algorithm at position alg of the kind's registry listing.
+func (s *Stats) AutoPick(kind, alg int) {
+	picks := s.autoPicks.Load()
+	if picks == nil {
+		picks = new([AutoKinds][AutoAlgs]int64)
+		if !s.autoPicks.CompareAndSwap(nil, picks) {
+			picks = s.autoPicks.Load()
+		}
+	}
+	atomic.AddInt64(&picks[kind][alg], 1)
+}
+
 // Snapshot is an immutable copy of the counters.
 type Snapshot struct {
 	IntraMsgs  int64
@@ -105,6 +130,10 @@ type Snapshot struct {
 	CoarrayBytes int64
 	FlagBytes    int64
 	Ops          map[Op]int64
+	// AutoPicks[kind][i] counts the calls (one per image per call) the auto
+	// rule resolved to the i-th registered algorithm of the kind; all zero
+	// unless a Tuning entry is "auto".
+	AutoPicks [AutoKinds][AutoAlgs]int64
 }
 
 // TotalMsgs returns all off-image messages (intra + inter node).
@@ -122,7 +151,7 @@ func (s *Stats) Snapshot() Snapshot {
 			ops[Op(i)] = v
 		}
 	}
-	return Snapshot{
+	sn := Snapshot{
 		IntraMsgs:    atomic.LoadInt64(&s.intraMsgs),
 		InterMsgs:    atomic.LoadInt64(&s.interMsgs),
 		IntraBytes:   atomic.LoadInt64(&s.intraBytes),
@@ -132,6 +161,14 @@ func (s *Stats) Snapshot() Snapshot {
 		FlagBytes:    atomic.LoadInt64(&s.memBytes[MemFlags]),
 		Ops:          ops,
 	}
+	if picks := s.autoPicks.Load(); picks != nil {
+		for k := range picks {
+			for a := range picks[k] {
+				sn.AutoPicks[k][a] = atomic.LoadInt64(&picks[k][a])
+			}
+		}
+	}
+	return sn
 }
 
 // Reset clears all counters.
@@ -146,6 +183,13 @@ func (s *Stats) Reset() {
 	}
 	for i := range s.memBytes {
 		atomic.StoreInt64(&s.memBytes[i], 0)
+	}
+	if picks := s.autoPicks.Load(); picks != nil {
+		for k := range picks {
+			for a := range picks[k] {
+				atomic.StoreInt64(&picks[k][a], 0)
+			}
+		}
 	}
 }
 
@@ -203,7 +247,7 @@ func (sn Snapshot) Diff(earlier Snapshot) Snapshot {
 			ops[k] = d
 		}
 	}
-	return Snapshot{
+	d := Snapshot{
 		IntraMsgs:    sn.IntraMsgs - earlier.IntraMsgs,
 		InterMsgs:    sn.InterMsgs - earlier.InterMsgs,
 		IntraBytes:   sn.IntraBytes - earlier.IntraBytes,
@@ -213,6 +257,12 @@ func (sn Snapshot) Diff(earlier Snapshot) Snapshot {
 		FlagBytes:    sn.FlagBytes - earlier.FlagBytes,
 		Ops:          ops,
 	}
+	for k := range d.AutoPicks {
+		for a := range d.AutoPicks[k] {
+			d.AutoPicks[k][a] = sn.AutoPicks[k][a] - earlier.AutoPicks[k][a]
+		}
+	}
+	return d
 }
 
 // String renders the snapshot compactly, with op counters sorted by name.

@@ -101,3 +101,28 @@ func TestMaterialize(t *testing.T) {
 		t.Fatal("reset failed")
 	}
 }
+
+// TestAutoPickCounters: decisions are counted per (kind, algorithm) position,
+// carried by Snapshot and Diff, cleared by Reset, and an idle collector's
+// snapshot holds none.
+func TestAutoPickCounters(t *testing.T) {
+	s := New()
+	if s.Snapshot().AutoPicks != [AutoKinds][AutoAlgs]int64{} {
+		t.Fatal("a fresh collector reports auto decisions")
+	}
+	s.AutoPick(1, 4)
+	before := s.Snapshot()
+	s.AutoPick(1, 4)
+	s.AutoPick(AutoKinds-1, AutoAlgs-1)
+	sn := s.Snapshot()
+	if sn.AutoPicks[1][4] != 2 || sn.AutoPicks[AutoKinds-1][AutoAlgs-1] != 1 {
+		t.Fatalf("counters = %v", sn.AutoPicks)
+	}
+	if d := sn.Diff(before); d.AutoPicks[1][4] != 1 || d.AutoPicks[AutoKinds-1][AutoAlgs-1] != 1 {
+		t.Fatalf("diff = %v", d.AutoPicks)
+	}
+	s.Reset()
+	if s.Snapshot().AutoPicks != [AutoKinds][AutoAlgs]int64{} {
+		t.Fatal("reset left auto decisions behind")
+	}
+}
