@@ -74,21 +74,21 @@ func (im *Image) CoAllgatherAsync(mine, out []float64) *Handle {
 // element type.
 func CoSumAsyncT[T Numeric](im *Image, a []T) *Handle {
 	im.guardTeam("co_sum")
-	return core.PolicyAllreduceAsync(im.pol, im.view(), a, coll.SumOp[T]())
+	return allreduceAsync(im, a, coll.SumOp[T]())
 }
 
 // CoMaxAsyncT initiates a non-blocking maximum reduction for any numeric
 // element type.
 func CoMaxAsyncT[T Numeric](im *Image, a []T) *Handle {
 	im.guardTeam("co_max")
-	return core.PolicyAllreduceAsync(im.pol, im.view(), a, coll.MaxOp[T]())
+	return allreduceAsync(im, a, coll.MaxOp[T]())
 }
 
 // CoMinAsyncT initiates a non-blocking minimum reduction for any numeric
 // element type.
 func CoMinAsyncT[T Numeric](im *Image, a []T) *Handle {
 	im.guardTeam("co_min")
-	return core.PolicyAllreduceAsync(im.pol, im.view(), a, coll.MinOp[T]())
+	return allreduceAsync(im, a, coll.MinOp[T]())
 }
 
 // CoReduceAsyncT initiates a non-blocking reduction with a caller-supplied
@@ -96,21 +96,36 @@ func CoMinAsyncT[T Numeric](im *Image, a []T) *Handle {
 // state; use one name per distinct operation.
 func CoReduceAsyncT[T any](im *Image, a []T, name string, combine func(dst, src []T)) *Handle {
 	im.guardTeam("co_reduce")
-	return core.PolicyAllreduceAsync(im.pol, im.view(), a, coll.Op[T]{Name: name, Combine: combine})
+	return allreduceAsync(im, a, coll.Op[T]{Name: name, Combine: combine})
 }
 
 // CoBroadcastAsyncT initiates a non-blocking broadcast from sourceImage
 // (1-based, current team) for any element type.
 func CoBroadcastAsyncT[T any](im *Image, a []T, sourceImage int) *Handle {
 	im.guardTeam("co_broadcast")
-	return core.PolicyBroadcastAsync(im.pol, im.view(), sourceImage-1, a)
+	v := im.view()
+	name := im.pol.AlgFor(core.KindBroadcast, v, len(a), pgas.ElemSize[T]())
+	return im.img.StartOp(func() { core.RunBroadcast(name, v, sourceImage-1, a) })
 }
 
 // CoAllgatherAsyncT initiates a non-blocking allgather for any element
 // type.
 func CoAllgatherAsyncT[T any](im *Image, mine, out []T) *Handle {
 	im.guardTeam("co_allgather")
-	return core.PolicyAllgatherAsync(im.pol, im.view(), mine, out)
+	v := im.view()
+	name := im.pol.AlgFor(core.KindAllgather, v, len(mine), pgas.ElemSize[T]())
+	return im.img.StartOp(func() { core.RunAllgather(name, v, mine, out) })
+}
+
+// allreduceAsync starts the team all-to-all reduction the blocking call would
+// run — same policy, same algorithm — as a split-phase operation. The policy
+// resolves the algorithm here, at initiation, as in every Async call: resolved
+// inside the operation it would sit (a Policy by value and a frame) on the
+// operation's own small coroutine stack, under every round of the collective.
+func allreduceAsync[T any](im *Image, a []T, op coll.Op[T]) *Handle {
+	v := im.view()
+	name := im.pol.AlgFor(core.KindAllreduce, v, len(a), pgas.ElemSize[T]())
+	return im.img.StartOp(func() { core.RunAllreduce(name, v, a, op) })
 }
 
 // compile-time check that the handle type is the pgas engine's handle (the

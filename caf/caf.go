@@ -170,11 +170,42 @@ type Image struct {
 // two-level methodology wherever a node hosts more than one image); use
 // RunFlat for the one-level baseline.
 func Run(cfg Config, body func(im *Image)) (Report, error) {
-	level := cfg.Hierarchy
-	if level == core.LevelFlat {
-		level = core.LevelAuto
+	return runWithLevel(cfg, cfg.level(), body)
+}
+
+// level is the hierarchy level of Run and LaunchOn: the zero value means Auto.
+func (c Config) level() core.Level {
+	if c.Hierarchy == core.LevelFlat {
+		return core.LevelAuto
 	}
-	return runWithLevel(cfg, level, body)
+	return c.Hierarchy
+}
+
+// newWorld is the world set-up Run and LaunchOn share: the tuning is checked,
+// build makes the world on the backend or cluster of the caller's choice, and
+// the world is armed — image panics are always contained (a panic in one
+// image's body fails that image, recorded in Report.Failures, instead of
+// crashing the run), detection timers and the fault plan installed. The
+// returned function makes an image's handle, on its initial team.
+func (c Config) newWorld(level core.Level, build func(*trace.Stats) (*pgas.World, error)) (*pgas.World, func(*pgas.Image) *Image, error) {
+	if err := c.Tuning.Validate(); err != nil {
+		return nil, nil, fmt.Errorf("caf: %w", err)
+	}
+	w, err := build(trace.New())
+	if err != nil {
+		return nil, nil, err
+	}
+	w.ContainPanics()
+	w.SetDetect(c.Detect)
+	if c.FaultPlan != nil {
+		if err := w.InjectFaults(c.FaultPlan); err != nil {
+			return nil, nil, err
+		}
+	}
+	pol := core.Policy{Level: level, Tuning: c.Tuning}
+	return w, func(pim *pgas.Image) *Image {
+		return &Image{img: pim, w: w, pol: pol, stack: []*team.View{team.Initial(w, pim)}}
+	}, nil
 }
 
 // RunFlat is Run with the one-level (hierarchy-oblivious) runtime — the
@@ -198,9 +229,6 @@ func runWithLevel(cfg Config, level core.Level, body func(im *Image)) (Report, e
 	if err != nil {
 		return Report{}, err
 	}
-	if err := cfg.Tuning.Validate(); err != nil {
-		return Report{}, fmt.Errorf("caf: %w", err)
-	}
 	model := cfg.Model
 	if model == nil {
 		model = machine.PaperCluster()
@@ -210,35 +238,19 @@ func runWithLevel(cfg Config, level core.Level, body func(im *Image)) (Report, e
 	if err != nil {
 		return Report{}, err
 	}
-	stats := trace.New()
-	var w *pgas.World
-	if backend == BackendNative {
-		w = pgas.NewNativeWorld(model, topo, stats)
-	} else {
+	w, newImage, err := cfg.newWorld(level, func(stats *trace.Stats) (*pgas.World, error) {
+		if backend == BackendNative {
+			return pgas.NewNativeWorld(model, topo, stats), nil
+		}
 		// Backend construction stays behind the pgas seam: caf does not
-		// import internal/sim (enforced by internal/lint's layers
-		// analyzer).
-		w, err = pgas.NewSimWorld(model, topo, stats)
-		if err != nil {
-			return Report{}, err
-		}
-	}
-	// The caf layer always contains image panics: a panic in one image's
-	// body fails that image (recorded in Report.Failures) instead of
-	// crashing the run.
-	w.ContainPanics()
-	w.SetDetect(cfg.Detect)
-	if cfg.FaultPlan != nil {
-		if err := w.InjectFaults(cfg.FaultPlan); err != nil {
-			return Report{}, err
-		}
-	}
-	end := w.Run(func(pim *pgas.Image) {
-		im := &Image{img: pim, w: w, pol: core.Policy{Level: level, Tuning: cfg.Tuning}}
-		im.stack = []*team.View{team.Initial(w, pim)}
-		body(im)
+		// import internal/sim (enforced by internal/lint's layers analyzer).
+		return pgas.NewSimWorld(model, topo, stats)
 	})
-	rep := Report{Elapsed: end, Stats: stats.Snapshot(), Images: w.NumImages(),
+	if err != nil {
+		return Report{}, err
+	}
+	end := w.Run(func(pim *pgas.Image) { body(newImage(pim)) })
+	rep := Report{Elapsed: end, Stats: w.Stats().Snapshot(), Images: w.NumImages(),
 		Backend: backend, Failures: w.Failures()}
 	if len(rep.Failures) > 0 {
 		return rep, &FailedRunError{Failures: rep.Failures}

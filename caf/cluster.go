@@ -1,12 +1,8 @@
 package caf
 
 import (
-	"fmt"
-
 	"cafteams/internal/cluster"
-	"cafteams/internal/core"
 	"cafteams/internal/pgas"
-	"cafteams/internal/team"
 	"cafteams/internal/topology"
 	"cafteams/internal/trace"
 )
@@ -31,26 +27,13 @@ import (
 // finished, killed, or failed — so a faulted job still completes from the
 // scheduler's point of view instead of wedging it.
 func LaunchOn(cl *cluster.Cluster, topo *topology.Topology, cfg Config, label string, body func(im *Image), onDone func(Report)) (*Job, error) {
-	if err := cfg.Tuning.Validate(); err != nil {
-		return nil, fmt.Errorf("caf: %w", err)
-	}
-	level := cfg.Hierarchy
-	if level == core.LevelFlat {
-		level = core.LevelAuto
-	}
-	stats := trace.New()
-	w, err := pgas.NewWorldOn(cl, topo, stats)
+	w, newImage, err := cfg.newWorld(cfg.level(), func(stats *trace.Stats) (*pgas.World, error) {
+		return pgas.NewWorldOn(cl, topo, stats)
+	})
 	if err != nil {
 		return nil, err
 	}
 	w.SetLabel(label)
-	w.ContainPanics()
-	w.SetDetect(cfg.Detect)
-	if cfg.FaultPlan != nil {
-		if err := w.InjectFaults(cfg.FaultPlan); err != nil {
-			return nil, err
-		}
-	}
 	n := topo.NumImages()
 	remaining := n
 	start := cl.Env().Now()
@@ -64,15 +47,13 @@ func LaunchOn(cl *cluster.Cluster, topo *topology.Topology, cfg Config, label st
 			w.ObserveImageEnd(pim, recover())
 			remaining--
 			if remaining == 0 && onDone != nil {
-				onDone(Report{Elapsed: cl.Env().Now() - start, Stats: stats.Snapshot(),
+				onDone(Report{Elapsed: cl.Env().Now() - start, Stats: w.Stats().Snapshot(),
 					Images: n, Backend: w.Backend(), Failures: w.Failures()})
 			}
 		}()
-		im := &Image{img: pim, w: w, pol: core.Policy{Level: level, Tuning: cfg.Tuning}}
-		im.stack = []*team.View{team.Initial(w, pim)}
-		body(im)
+		body(newImage(pim))
 	})
-	return &Job{w: w, Stats: stats}, nil
+	return &Job{w: w, Stats: w.Stats()}, nil
 }
 
 // Job is a handle on a job launched with LaunchOn: the scheduler uses it to

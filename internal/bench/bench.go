@@ -199,7 +199,7 @@ func OverlapComparators(alg string, flops float64) []Comparator {
 		}},
 		{Name: "nb-" + alg + " overlapped (init; compute; wait)", Run: func(v *team.View, buf []float64, iters int) {
 			for i := 0; i < iters; i++ {
-				h := core.StartAllreduce(alg, v, buf, coll.Sum)
+				h := v.Img.StartOp(func() { core.RunAllreduce(alg, v, buf, coll.Sum) })
 				v.Img.Compute(flops)
 				h.Wait()
 			}

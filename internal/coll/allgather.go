@@ -20,7 +20,6 @@ import (
 func AllgatherRing[T any](v *team.View, mine, out []T) {
 	sz := v.NumImages()
 	n := len(mine)
-	es := pgas.ElemSize[T]()
 	if len(out) < sz*n {
 		panic(fmt.Sprintf("coll: allgather out %d < %d", len(out), sz*n))
 	}
@@ -32,20 +31,15 @@ func AllgatherRing[T any](v *team.View, mine, out []T) {
 	steps := sz - 1
 	st := GetState(v, Alg{"ag.ring", tag[T]()}, steps)
 	ep := st.Next()
-	co, cap_ := Scratch[T](st, "", n, 2*steps)
-	parity := int(ep % 2)
-	region := func(s int) int { return (parity*steps + s) * cap_ }
+	box := NewBox[T](st, "", n, steps)
 	me := v.Img
 	r := v.Rank
-	next := v.T.GlobalRank((r + 1) % sz)
 	for s := 0; s < steps; s++ {
 		sendB := ((r-s)%sz + sz) % sz
 		recvB := ((r-s-1)%sz + sz) % sz
-		reg := region(s)
-		pgas.PutThenNotify(me, co, next, reg, out[sendB*n:sendB*n+n], st.Flags, s, 1, pgas.ViaConduit)
+		box.Put((r+1)%sz, s, out[sendB*n:sendB*n+n], s, pgas.ViaConduit)
 		me.WaitFlagGE(st.Flags, me.Rank(), s, ep)
-		copy(out[recvB*n:recvB*n+n], pgas.Local(co, me)[reg:reg+n])
-		me.MemWork(es * n)
+		box.Take(s, out[recvB*n:recvB*n+n])
 	}
 }
 
@@ -72,12 +66,10 @@ func AllgatherBruck[T any](v *team.View, mine, out []T) {
 	nr := Rounds(sz)
 	st := GetState(v, Alg{"ag.bruck", tag[T]()}, nr)
 	ep := st.Next()
-	// Round k lands min(2^k, sz−2^k) blocks; lay rounds out back to back
-	// per parity: round k starts 2^k−1 blocks in, and the last one ends
-	// sz−1 blocks in — every block but my own.
-	co, cap_ := Scratch[T](st, "", n, 2*(sz-1))
-	parity := int(ep % 2)
-	base := func(k int) int { return (parity*(sz-1) + (1<<k - 1)) * cap_ }
+	// Round k lands min(2^k, sz−2^k) blocks; lay rounds out back to back:
+	// round k starts at region 2^k−1, and the last one ends sz−1 regions
+	// in — every block but my own.
+	box := NewBox[T](st, "", n, sz-1)
 	me := v.Img
 	r := v.Rank
 	// have counts the contiguous (cyclic, starting at my own rank) blocks
@@ -100,7 +92,7 @@ func AllgatherBruck[T any](v *team.View, mine, out []T) {
 			copy(pack[i*n:(i+1)*n], out[b*n:b*n+n])
 		}
 		me.MemWork(es * len(pack))
-		pgas.PutThenNotify(me, co, v.T.GlobalRank(dst), base(k), pack, st.Flags, k, 1, pgas.ViaConduit)
+		box.Put(dst, 1<<k-1, pack, k, pgas.ViaConduit)
 		me.WaitFlagGE(st.Flags, me.Rank(), k, ep)
 		// Unpack what arrived: the sender was (r+2^k) mod sz, its blocks
 		// start at its rank.
@@ -109,10 +101,10 @@ func AllgatherBruck[T any](v *team.View, mine, out []T) {
 		if recv > sz-have {
 			recv = sz - have
 		}
-		local := pgas.Local(co, me)
+		landed := box.Region(1<<k - 1)
 		for i := 0; i < recv; i++ {
 			b := (src + i) % sz
-			copy(out[b*n:b*n+n], local[base(k)+i*n:base(k)+(i+1)*n])
+			copy(out[b*n:b*n+n], landed[i*n:(i+1)*n])
 		}
 		me.MemWork(es * recv * n)
 		have += recv

@@ -48,19 +48,15 @@ func AlltoallPairwise[T any](v *team.View, send, recv []T) {
 	steps := sz - 1
 	st := GetState(v, Alg{"a2a.pw", tag[T]()}, steps)
 	ep := st.Next()
-	co, cap_ := Scratch[T](st, "", n, 2*steps)
-	parity := int(ep % 2)
-	region := func(s int) int { return (parity*steps + s) * cap_ }
+	box := NewBox[T](st, "", n, steps)
 	me := v.Img
 	r := v.Rank
 	for s := 1; s <= steps; s++ {
 		dst := (r + s) % sz
 		src := (r - s + sz) % sz
-		reg := region(s - 1)
-		pgas.PutThenNotify(me, co, v.T.GlobalRank(dst), reg, send[dst*n:dst*n+n], st.Flags, s-1, 1, pgas.ViaConduit)
+		box.Put(dst, s-1, send[dst*n:dst*n+n], s-1, pgas.ViaConduit)
 		me.WaitFlagGE(st.Flags, me.Rank(), s-1, ep)
-		copy(recv[src*n:src*n+n], pgas.Local(co, me)[reg:reg+n])
-		me.MemWork(es * n)
+		box.Take(s-1, recv[src*n:src*n+n])
 	}
 }
 
@@ -93,9 +89,8 @@ func AlltoallBruck[T any](v *team.View, send, recv []T) {
 	nr := Rounds(sz)
 	st := GetState(v, Alg{"a2a.bruck", tag[T]()}, 3*nr)
 	ep := st.Next()
-	// Round k exchanges the blocks whose index has bit k set; regions are
-	// laid out back to back per parity, sized exactly: round k starts off[k]
-	// blocks in.
+	// Round k exchanges the blocks whose index has bit k set; rounds are laid
+	// out back to back, sized exactly: round k starts at region off[k].
 	off := Temp[int](st, "off", nr)
 	total := 0
 	for k := range off {
@@ -106,9 +101,8 @@ func AlltoallBruck[T any](v *team.View, send, recv []T) {
 			}
 		}
 	}
-	co, cap_ := Scratch[T](st, "", n, 2*total)
+	box := NewBox[T](st, "", n, total)
 	parity := int(ep % 2)
-	region := func(k int) int { return (parity*total + off[k]) * cap_ }
 	me := v.Img
 	r := v.Rank
 
@@ -134,14 +128,14 @@ func AlltoallBruck[T any](v *team.View, send, recv []T) {
 			}
 		}
 		me.MemWork(es * len(pack))
-		st.Credit(ackSlot)
-		pgas.PutThenNotify(me, co, v.T.GlobalRank(dst), region(k), pack, st.Flags, k, 1, pgas.ViaConduit)
+		st.Gate(ackSlot, 1)
+		box.Put(dst, off[k], pack, k, pgas.ViaConduit)
 		me.WaitFlagGE(st.Flags, me.Rank(), k, ep)
-		local := pgas.Local(co, me)
+		landed := box.Region(off[k])
 		i := 0
 		for j := 1; j < sz; j++ {
 			if j>>k&1 == 1 {
-				copy(tmp[j*n:(j+1)*n], local[region(k)+i*n:region(k)+(i+1)*n])
+				copy(tmp[j*n:(j+1)*n], landed[i*n:(i+1)*n])
 				i++
 			}
 		}

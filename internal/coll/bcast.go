@@ -27,34 +27,27 @@ func SubgroupBcastBinomial[T any](v *team.View, group []int, myIdx, rootIdx int,
 	if g == 1 {
 		return
 	}
-	n := len(buf)
-	es := pgas.ElemSize[T]()
 	st := GetState(v, alg.With("bcast", tag[T]()), 5)
 	ep := st.Next()
-	co, cap_ := Scratch[T](st, "bcast", n, 2)
+	box := NewBox[T](st, "bcast", len(buf), 1)
 	parity := int(ep % 2)
-	reg := parity * cap_
 	paySlot := parity
 	ackSlot := 2 + parity
-	me := v.Img
 	rel := (myIdx - rootIdx + g) % g // rank relative to the root
-	global := func(relIdx int) int { return v.T.GlobalRank(group[(relIdx+rootIdx)%g]) }
+	member := func(relIdx int) int { return group[(relIdx+rootIdx)%g] }
 
 	if rel == 0 {
-		// Flow-control gate: landing regions of parity ep are known free
-		// once episode ep−2 has fully completed.
-		me.WaitFlagGE(st.Flags, me.Rank(), 4, ep-2)
+		st.Inject(4)
 	} else {
 		st.Arrivals(paySlot, 1)
-		copy(buf, pgas.Local(co, me)[reg:reg+n])
-		me.MemWork(es * n)
+		box.Take(0, buf)
 	}
 	// Forward to subtree children: highest distance first so the far half
 	// of the tree starts as early as possible.
 	nkids := 0
 	for k := Rounds(g) - 1; k >= 0; k-- {
 		if rel < 1<<k && rel+1<<k < g {
-			pgas.PutThenNotify(me, co, global(rel+1<<k), reg, buf, st.Flags, paySlot, 1, pgas.ViaConduit)
+			box.Put(member(rel+1<<k), 0, buf, paySlot, pgas.ViaConduit)
 			nkids++
 		}
 	}
@@ -64,14 +57,11 @@ func SubgroupBcastBinomial[T any](v *team.View, group []int, myIdx, rootIdx int,
 		st.Arrivals(ackSlot, nkids)
 	}
 	if rel != 0 {
-		parent := rel - FloorPow2(rel)
-		me.NotifyAdd(st.Flags, global(parent), ackSlot, 1, pgas.ViaConduit)
+		parent := member(rel - FloorPow2(rel))
+		v.Img.NotifyAdd(st.Flags, v.T.GlobalRank(parent), ackSlot, 1, pgas.ViaConduit)
 		return
 	}
-	me.SetLocal(st.Flags, 4, ep)
-	for i := 1; i < g; i++ {
-		me.NotifySet(st.Flags, global(i), 4, ep, pgas.ViaConduit)
-	}
+	st.Publish(4, group, rootIdx, pgas.ViaConduit)
 }
 
 // BcastBinomial is the flat binomial-tree one-to-all broadcast over the
@@ -82,47 +72,44 @@ func BcastBinomial[T any](v *team.View, root int, buf []T) {
 }
 
 // BcastLinear has the root put the payload to every member directly —
-// 2(n−1) serialized messages from one image, the centralized scheme. Flow
-// control mirrors SubgroupBcastBinomial: parity ack slots converging
-// directly at the episode root, a done-stamp wave, and an injection gate at
-// done >= e−2.
+// 2(n−1) serialized messages from one image, the centralized scheme
+// (deliverLinear with every member's block the whole payload).
 func BcastLinear[T any](v *team.View, root int, buf []T) {
 	v.Img.World().Stats().Count(trace.OpBroadcast)
-	sz := v.NumImages()
-	if sz == 1 {
-		return
+	if v.NumImages() > 1 {
+		deliverLinear(v, root, Alg{"bc.lin", tag[T]()}, buf, 0, buf)
 	}
-	n := len(buf)
-	es := pgas.ElemSize[T]()
-	st := GetState(v, Alg{"bc.lin", tag[T]()}, 5)
+}
+
+// deliverLinear is the centralized one-to-all scheme of BcastLinear and
+// ScatterLinear: the root puts member r's block — send[r*stride:] — into r's
+// one landing region, len(recv) elements; r copies it into recv. Flow control
+// mirrors SubgroupBcastBinomial: parity ack slots converging directly at the
+// episode root, a done-stamp wave, and an injection gate (roots vary between
+// episodes, so completion must be published to every potential root).
+//
+// Flag layout: slots 0-1 parity payload arrivals, slots 2-3 parity acks,
+// slot 4 done stamps.
+func deliverLinear[T any](v *team.View, root int, alg Alg, send []T, stride int, recv []T) {
+	n := len(recv)
+	st := GetState(v, alg, 5)
 	ep := st.Next()
-	co, cap_ := Scratch[T](st, "", n, 2)
+	box := NewBox[T](st, "", n, 1)
 	parity := int(ep % 2)
-	reg := parity * cap_
 	paySlot := parity
 	ackSlot := 2 + parity
-	me := v.Img
-	if v.Rank == root {
-		me.WaitFlagGE(st.Flags, me.Rank(), 4, ep-2)
-		for r := 0; r < sz; r++ {
-			if r == root {
-				continue
-			}
-			pgas.PutThenNotify(me, co, v.T.GlobalRank(r), reg, buf, st.Flags, paySlot, 1, pgas.ViaConduit)
-		}
-		st.Arrivals(ackSlot, sz-1)
-		me.SetLocal(st.Flags, 4, ep)
-		for r := 0; r < sz; r++ {
-			if r != root {
-				me.NotifySet(st.Flags, v.T.GlobalRank(r), 4, ep, pgas.ViaConduit)
-			}
-		}
+	if v.Rank != root {
+		box.Land(paySlot, recv, root, ackSlot, pgas.ViaConduit)
 		return
 	}
-	st.Arrivals(paySlot, 1)
-	copy(buf, pgas.Local(co, me)[reg:reg+n])
-	me.MemWork(es * n)
-	me.NotifyAdd(st.Flags, v.T.GlobalRank(root), ackSlot, 1, pgas.ViaConduit)
+	st.Inject(4)
+	for r := 0; r < v.NumImages(); r++ {
+		if r != root {
+			box.Put(r, 0, send[r*stride:r*stride+n], paySlot, pgas.ViaConduit)
+		}
+	}
+	st.Arrivals(ackSlot, v.NumImages()-1)
+	st.Publish(4, TeamRanks(v), 0, pgas.ViaConduit)
 }
 
 // BcastScatterAllgather is the van de Geijn large-message broadcast: the
@@ -145,15 +132,13 @@ func BcastScatterAllgather[T any](v *team.View, root int, buf []T) {
 	steps := sz - 1
 	st := GetState(v, Alg{"bc.sag", tag[T]()}, 1+steps)
 	ep := st.Next()
-	// Per parity: the full vector (scatter target area), and one
-	// chunk-sized region per all-gather step.
-	co, cap_ := Scratch[T](st, "", n, 2)
-	ring, rcap := Scratch[T](st, "ring", chunk, 2*steps)
-	parity := int(ep % 2)
-	base := parity * cap_
+	// The full vector (scatter target area), and one chunk-sized region per
+	// all-gather step.
+	vec := NewBox[T](st, "", n, 1)
+	ring := NewBox[T](st, "ring", chunk, steps)
 	me := v.Img
 	rel := (v.Rank - root + sz) % sz
-	global := func(relIdx int) int { return v.T.GlobalRank((relIdx + root) % sz) }
+	member := func(relIdx int) int { return (relIdx + root) % sz }
 	bounds := func(c int) (lo, hi int) {
 		lo = c * chunk
 		hi = lo + chunk
@@ -172,10 +157,10 @@ func BcastScatterAllgather[T any](v *team.View, root int, buf []T) {
 		// Received chunks [rel, rel+span) into the vector area; copy my
 		// own chunk into buf.
 		lo, hi := bounds(rel)
-		copy(buf[lo:hi], pgas.Local(co, me)[base+lo:base+hi])
+		copy(buf[lo:hi], vec.Region(0)[lo:hi])
 		me.MemWork(es * (hi - lo))
 	} else {
-		copy(pgas.Local(co, me)[base:base+n], buf)
+		copy(vec.Region(0)[:n], buf)
 		me.MemWork(es * n)
 	}
 	// This scatter tree uses the "low bits free" binomial shape (forward
@@ -191,32 +176,28 @@ func BcastScatterAllgather[T any](v *team.View, root int, buf []T) {
 			lo, _ := bounds(child)
 			_, hi := bounds(lastRel - 1)
 			if hi > lo {
-				src := pgas.Local(co, me)[base+lo : base+hi]
-				pgas.PutThenNotify(me, co, global(child), base+lo, src, st.Flags, 0, 1, pgas.ViaConduit)
+				vec.PutAt(member(child), 0, lo, vec.Region(0)[lo:hi], 0, pgas.ViaConduit)
 			} else {
 				// The child's whole subtree falls past the vector end;
 				// it still needs the release notification.
-				me.NotifyAdd(st.Flags, global(child), 0, 1, pgas.ViaConduit)
+				me.NotifyAdd(st.Flags, v.T.GlobalRank(member(child)), 0, 1, pgas.ViaConduit)
 			}
 		}
 	}
 	// Ring all-gather over relative ranks.
-	next := global((rel + 1) % sz)
+	next := member((rel + 1) % sz)
 	for s := 0; s < steps; s++ {
 		sendC := ((rel-s)%sz + sz) % sz
 		recvC := ((rel-s-1)%sz + sz) % sz
 		lo, hi := bounds(sendC)
-		reg := (parity*steps + s) * rcap
 		if hi > lo {
-			pgas.PutThenNotify(me, ring, next, reg, buf[lo:hi], st.Flags, 1+s, 1, pgas.ViaConduit)
+			ring.Put(next, s, buf[lo:hi], 1+s, pgas.ViaConduit)
 		} else {
-			me.NotifyAdd(st.Flags, next, 1+s, 1, pgas.ViaConduit)
+			me.NotifyAdd(st.Flags, v.T.GlobalRank(next), 1+s, 1, pgas.ViaConduit)
 		}
 		me.WaitFlagGE(st.Flags, me.Rank(), 1+s, ep)
-		rlo, rhi := bounds(recvC)
-		if rhi > rlo {
-			copy(buf[rlo:rhi], pgas.Local(ring, me)[reg:reg+(rhi-rlo)])
-			me.MemWork(es * (rhi - rlo))
+		if rlo, rhi := bounds(recvC); rhi > rlo {
+			ring.Take(s, buf[rlo:rhi])
 		}
 	}
 }

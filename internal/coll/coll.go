@@ -4,10 +4,12 @@
 // recursive-doubling and ring all-to-all reductions; linear, binomial and
 // scatter-allgather broadcasts; linear and binomial scatters and gathers;
 // pairwise-exchange and Bruck personalized all-to-alls; linear and
-// distance-doubling prefix reductions — plus the plumbing (per-team flag
-// arrays, episode counters, flow-control counters, scratch coarrays) shared
-// with the hierarchy-aware algorithms in internal/core, which also run the
-// Subgroup* forms of these algorithms among their node leaders.
+// distance-doubling prefix reductions — plus, in this file, the protocol
+// vocabulary every algorithm body here and in internal/core is written in
+// (State: per-team flags, episodes and the wait verbs Arrivals, Gate, Inject
+// with the Publish done wave; Box: a role's landing regions of the running
+// episode). internal/core also runs the Subgroup* forms of these algorithms
+// among its node leaders.
 //
 // Flat algorithms address every peer uniformly through the portable conduit
 // path (pgas.ViaConduit), exactly like a runtime with no knowledge of which
@@ -23,6 +25,7 @@
 package coll
 
 import (
+	"fmt"
 	"math/bits"
 	"reflect"
 	"strconv"
@@ -121,12 +124,13 @@ type State struct {
 	bufs  []buffer
 }
 
-// buffer is one scratch coarray (regions > 0) or temporary (regions == 0) the
-// image asked for before, found again by role and, for scratch, size class.
+// buffer is one box's scratch (regions > 0 per parity) or temporary (regions
+// == 0) the image asked for before, found again by role and, for scratch, size
+// class.
 type buffer struct {
 	role          string
 	cap_, regions int
-	x             interface{} // *pgas.Coarray[T], or *[]T for a temporary
+	x             interface{} // *landing[T], or *[]T for a temporary
 }
 
 // sharedState is the team-shared part of a State, one per instance in the
@@ -148,7 +152,7 @@ type member struct {
 	// as a send counter on credit slots — the member's own same-parity sends
 	// (before its k-th it waits for k-1 credits, which proves every landing
 	// region it wrote before was consumed). Created by the member's first
-	// Expect call, so only algorithms and roles that count pay for it.
+	// Arrivals or Gate, so only algorithms and roles that count pay for it.
 	expect []int64
 }
 
@@ -196,34 +200,66 @@ func (s *State) Next() int64 {
 	return m.ep
 }
 
-// Expect returns the caller's own per-slot expectation counters, for the
-// sites neither verb below fits (a gate on what earlier episodes counted,
-// topped up after this episode's sends).
-func (s *State) Expect() []int64 {
+// expect returns the caller's own per-slot expectation counters.
+func (s *State) expect() []int64 {
 	if s.m.expect == nil {
 		s.m.expect = make([]int64, s.Flags.Slots())
 	}
 	return s.m.expect
 }
 
-// Arrivals adds n to the caller's cumulative expectation on slot and waits,
-// on the caller's own flag row, until that many have arrived.
+// The flow-control vocabulary. Every wait of an algorithm that the episode
+// number over-counts is one of three verbs, each on the caller's own flag row:
+// Arrivals (the late party is a sender), Gate (a receiver that has not yet
+// consumed what the caller sent before) and Inject (the root of an earlier
+// episode that has not yet seen it complete).
+
+// Arrivals adds n to the caller's cumulative expectation on slot and waits
+// until that many have arrived.
 func (s *State) Arrivals(slot, n int) {
-	e := s.Expect()
+	e := s.expect()
 	e[slot] += int64(n)
 	me := s.v.Img
 	me.WaitFlagGE(s.Flags, me.Rank(), slot, e[slot])
 }
 
-// Credit counts one more same-parity send of the caller on slot and, from the
-// second on, waits for one credit fewer than it has sent: every landing
-// region it wrote before has then been consumed.
-func (s *State) Credit(slot int) {
-	e := s.Expect()
-	e[slot]++
-	if sends := e[slot]; sends > 1 {
+// Gate waits for the credits of everything the caller counted on slot before,
+// then counts n more sends: every landing region those sends wrote has been
+// consumed, so the n same-parity sends that follow may overwrite them. n = 1
+// is the credit gate of a fixed edge (before its k-th send the sender holds
+// k−1 credits); n = a fan-out's targets is a leader's gate on the acks of its
+// previous same-parity fan-out.
+func (s *State) Gate(slot, n int) {
+	e := s.expect()
+	if prev := e[slot]; prev > 0 {
 		me := s.v.Img
-		me.WaitFlagGE(s.Flags, me.Rank(), slot, sends-1)
+		me.WaitFlagGE(s.Flags, me.Rank(), slot, prev)
+	}
+	e[slot] += int64(n)
+}
+
+// Inject is the injection gate of the collectives whose root varies between
+// episodes: nothing in their data flow stops a root from racing ahead of a
+// slow receiver of an earlier root, so the running episode's root may not
+// write before the episode two back — the last to use this parity's landing
+// regions, whoever its root was — was published complete on slot (Publish).
+func (s *State) Inject(slot int) {
+	me := s.v.Img
+	me.WaitFlagGE(s.Flags, me.Rank(), slot, s.m.ep-2)
+}
+
+// Publish is the done wave that Inject waits for: the running episode's root,
+// having collected every ack, stamps the episode number on slot at itself and
+// at every other member of group (team ranks), in group order starting at
+// index first — the binomial waves start at the root (root-relative order),
+// the linear and two-level ones at index 0 (absolute rank order).
+func (s *State) Publish(slot int, group []int, first int, via pgas.Via) {
+	me, ep := s.v.Img, s.m.ep
+	me.SetLocal(s.Flags, slot, ep)
+	for i := range group {
+		if r := group[(first+i)%len(group)]; r != s.v.Rank {
+			me.NotifySet(s.Flags, s.v.T.GlobalRank(r), slot, ep, via)
+		}
 	}
 }
 
@@ -256,11 +292,30 @@ func bucket(n int) int {
 	return 1 << bits.Len(uint(n))
 }
 
-// Scratch returns the team's scratch coarray for one role of the algorithm
-// instance st is the state of: regions regions of at least elems elements each
-// (the returned capacity, elems rounded up to its size class), allocated per
-// size class and element type. It is the one scratch allocator of
-// internal/coll and internal/core.
+// Box is one role's landing area for the running episode of a state: the
+// episode's parity half of the role's scratch coarray — regions regions of Cap
+// elements each, at least the elems asked for — on every member of the team.
+// Consecutive episodes use opposite halves, which is what lets a sender run
+// one episode ahead of a slow receiver; a Box owns that arithmetic, so an
+// algorithm names regions of the running episode and cannot reach the other
+// parity's. A two-word value: making one allocates nothing.
+type Box[T any] struct {
+	*landing[T]
+	first int // the half's first region of the coarray
+}
+
+// landing is what NewBox memoises per role and size class: the scratch
+// coarray, regions regions of cap_ elements per parity.
+type landing[T any] struct {
+	st            *State
+	co            *pgas.Coarray[T]
+	cap_, regions int
+}
+
+// NewBox returns role's box of st's running episode (take it after st.Next),
+// the one scratch allocator of internal/coll and internal/core: the coarray
+// behind it is allocated per role, size class (elems rounded up) and element
+// type, at the first call that asks for it.
 //
 // Slabs materialise on first touch (see pgas.Coarray), so a scratch costs an
 // image only what its role touches — provided roles do not share a slab.
@@ -268,22 +323,76 @@ func bucket(n int) int {
 // only one): the inbox or staging area of a leader, root or parent and the
 // result landing of a member are separate coarrays, and an image only ever
 // materialises the boxes of roles it has played.
-func Scratch[T any](st *State, role string, elems, regions int) (*pgas.Coarray[T], int) {
-	cap_ := bucket(elems)
-	// A repeat call (one per episode, per image) finds the coarray among the
+func NewBox[T any](st *State, role string, elems, regions int) Box[T] {
+	cap_, first := bucket(elems), int(st.m.ep%2)*regions
+	// A repeat call (one per episode, per image) finds the landing among the
 	// few buffers this image asked for before: no name formatting, no
 	// registry lock.
 	for i := range st.bufs {
 		if b := &st.bufs[i]; b.role == role && b.cap_ == cap_ && b.regions == regions {
-			if co, ok := b.x.(*pgas.Coarray[T]); ok {
-				return co, cap_
+			if l, ok := b.x.(*landing[T]); ok {
+				return Box[T]{l, first}
 			}
 		}
 	}
-	name := st.name + ":" + role + ":cap" + strconv.Itoa(cap_) + ":r" + strconv.Itoa(regions)
-	co := pgas.NewTeamCoarray[T](st.v.Img.World(), name, cap_*regions, st.v.T.Members())
-	st.bufs = append(st.bufs, buffer{role, cap_, regions, co})
-	return co, cap_
+	name := st.name + ":" + role + ":cap" + strconv.Itoa(cap_) + ":r" + strconv.Itoa(2*regions)
+	co := pgas.NewTeamCoarray[T](st.v.Img.World(), name, 2*regions*cap_, st.v.T.Members())
+	l := &landing[T]{st, co, cap_, regions}
+	st.bufs = append(st.bufs, buffer{role, cap_, regions, l})
+	return Box[T]{l, first}
+}
+
+// Cap returns the element capacity of one region.
+func (b Box[T]) Cap() int { return b.cap_ }
+
+// Region returns the caller's own copy of the box from region i on, to the end
+// of the half (so a packed range may span regions): the first touch of a role
+// materialises its slab here.
+func (b Box[T]) Region(i int) []T {
+	if i < 0 {
+		b.outside(i, 0, 0)
+	}
+	lo, hi := (b.first+i)*b.cap_, (b.first+b.regions)*b.cap_
+	return pgas.Local(b.co, b.st.v.Img)[lo:hi:hi]
+}
+
+// Take copies the head of region i out into dst and charges the copy.
+func (b Box[T]) Take(i int, dst []T) {
+	copy(dst, b.Region(i)[:len(dst)])
+	b.st.v.Img.MemWork(pgas.ElemSize[T]() * len(dst))
+}
+
+// Land is the receiving end of a one-block delivery: await the one arrival on
+// slot, Take region 0 into dst, and ack the sender (a team rank) on its
+// ackSlot, so it may reuse the region.
+func (b Box[T]) Land(slot int, dst []T, sender, ackSlot int, via pgas.Via) {
+	s := b.st
+	s.Arrivals(slot, 1)
+	b.Take(0, dst)
+	s.v.Img.NotifyAdd(s.Flags, s.v.T.GlobalRank(sender), ackSlot, 1, via)
+}
+
+// Put writes data into region i of team rank's box and then adds one to its
+// flag slot (ordered after the data).
+func (b Box[T]) Put(rank, i int, data []T, slot int, via pgas.Via) {
+	b.PutAt(rank, i, 0, data, slot, via)
+}
+
+// PutAt is Put at element offset off of region i, for senders that share a
+// packed range.
+func (b Box[T]) PutAt(rank, i, off int, data []T, slot int, via pgas.Via) {
+	at := (b.first+i)*b.cap_ + off
+	if i < 0 || off < 0 || at+len(data) > (b.first+b.regions)*b.cap_ {
+		b.outside(i, off, len(data))
+	}
+	s := b.st
+	pgas.PutThenNotify(s.v.Img, b.co, s.v.T.GlobalRank(rank), at, data, s.Flags, slot, 1, via)
+}
+
+// outside refuses an access that leaves the box (kept out of line: the
+// accessors are on every algorithm's hot path).
+func (b Box[T]) outside(i, off, n int) {
+	panic(fmt.Sprintf("coll: %d elements at region %d+%d leave the %d-region box of %q", n, i, off, b.regions, b.co.Name()))
 }
 
 // Temp returns a buffer of n elements private to the calling image, for one

@@ -9,57 +9,68 @@ import (
 	"cafteams/internal/trace"
 )
 
-// GatherLinear collects every member's send block (n = len(send) elements)
-// at team rank root: recv[r*n:(r+1)*n] = member r's send. recv is
-// significant only at the root and must hold NumImages()*len(send) elements
-// there. The centralized scheme — O(n) serialized messages into one image —
-// with the ReduceToRootLinear credit protocol: senders are parity
-// credit-gated so a landing region is never overwritten before the root has
-// copied it out.
-//
-// Flag layout: slots 0-1 parity arrivals at the root, slots 2-3 parity
-// credits back to the senders.
-func GatherLinear[T any](v *team.View, root int, send, recv []T) {
-	sz := v.NumImages()
-	n := len(send)
-	es := pgas.ElemSize[T]()
+// GatherOwn is the entry of every gather: the root checks recv (which is
+// significant only there) against the team's size and places its own block. It
+// reports whether there is anyone else to hear from.
+func GatherOwn[T any](v *team.View, root int, send, recv []T) bool {
 	v.Img.World().Stats().Count(trace.OpReduce)
+	sz, n := v.NumImages(), len(send)
 	if v.Rank == root {
 		if len(recv) < sz*n {
 			panic(fmt.Sprintf("coll: gather recv %d < %d", len(recv), sz*n))
 		}
 		copy(recv[root*n:root*n+n], send)
-		v.Img.MemWork(es * n)
+		v.Img.MemWork(pgas.ElemSize[T]() * n)
 	}
-	if sz == 1 {
+	return sz > 1
+}
+
+// GatherLinear collects every member's send block (n = len(send) elements)
+// at team rank root: recv[r*n:(r+1)*n] = member r's send. recv is
+// significant only at the root and must hold NumImages()*len(send) elements
+// there. The centralized scheme — O(n) serialized messages into one image
+// (collectLinear).
+func GatherLinear[T any](v *team.View, root int, send, recv []T) {
+	if !GatherOwn(v, root, send, recv) {
 		return
 	}
-	st := GetState(v, Alg{"ga.lin", tag[T]()}, 4)
+	n := len(send)
+	collectLinear(v, root, Alg{"ga.lin", tag[T]()}, send, func(r int, in []T) {
+		copy(recv[r*n:r*n+n], in)
+		v.Img.MemWork(pgas.ElemSize[T]() * n)
+	})
+}
+
+// collectLinear is the centralized all-to-one scheme of ReduceToRootLinear
+// and GatherLinear: every member but the root puts mine into its own region of
+// the root's inbox, and the root hands each to consume, in rank order,
+// crediting the sender right after. Senders are credit-gated per parity, so a
+// landing region is never overwritten before the root has consumed it.
+//
+// Flag layout: slots 0-1 parity arrivals at the root, slots 2-3 parity
+// credits back to the senders.
+func collectLinear[T any](v *team.View, root int, alg Alg, mine []T, consume func(r int, in []T)) {
+	sz := v.NumImages()
+	st := GetState(v, alg, 4)
 	ep := st.Next()
-	co, cap_ := Scratch[T](st, "", n, 2*sz)
+	box := NewBox[T](st, "", len(mine), sz)
 	parity := int(ep % 2)
 	arriveSlot := parity
 	creditSlot := 2 + parity
-	me := v.Img
-	if v.Rank == root {
-		// Arrival counts are root-dependent, so count exactly.
-		st.Arrivals(arriveSlot, sz-1)
-		local := pgas.Local(co, me)
-		for r := 0; r < sz; r++ {
-			if r == root {
-				continue
-			}
-			off := (parity*sz + r) * cap_
-			copy(recv[r*n:r*n+n], local[off:off+n])
-			me.MemWork(es * n)
-			me.NotifyAdd(st.Flags, v.T.GlobalRank(r), creditSlot, 1, pgas.ViaConduit)
-		}
+	if v.Rank != root {
+		// Gate on the credit for my previous same-parity send.
+		st.Gate(creditSlot, 1)
+		box.Put(root, v.Rank, mine, arriveSlot, pgas.ViaConduit)
 		return
 	}
-	// Gate on the credit for my previous same-parity send.
-	st.Credit(creditSlot)
-	off := (parity*sz + v.Rank) * cap_
-	pgas.PutThenNotify(me, co, v.T.GlobalRank(root), off, send, st.Flags, arriveSlot, 1, pgas.ViaConduit)
+	// Arrival counts are root-dependent, so count exactly.
+	st.Arrivals(arriveSlot, sz-1)
+	for r := 0; r < sz; r++ {
+		if r != root {
+			consume(r, box.Region(r)[:len(mine)])
+			v.Img.NotifyAdd(st.Flags, v.T.GlobalRank(r), creditSlot, 1, pgas.ViaConduit)
+		}
+	}
 }
 
 // GatherBinomial collects the per-member blocks up the "low bits free"
@@ -85,34 +96,25 @@ func GatherLinear[T any](v *team.View, root int, send, recv []T) {
 // Flag layout, nr = ⌈log2 size⌉: slots [0, nr) edge arrivals; slot
 // nr+2·k+parity the credit from the edge-k parent.
 func GatherBinomial[T any](v *team.View, root int, send, recv []T) {
+	if !GatherOwn(v, root, send, recv) {
+		return
+	}
 	sz := v.NumImages()
 	n := len(send)
 	es := pgas.ElemSize[T]()
-	v.Img.World().Stats().Count(trace.OpReduce)
-	if v.Rank == root {
-		if len(recv) < sz*n {
-			panic(fmt.Sprintf("coll: gather recv %d < %d", len(recv), sz*n))
-		}
-		copy(recv[root*n:root*n+n], send)
-		v.Img.MemWork(es * n)
-	}
-	if sz == 1 {
-		return
-	}
 	nr := Rounds(sz)
 	st := GetState(v, Alg{"ga.binom", tag[T]()}, 3*nr)
 	ep := st.Next()
 	parity := int(ep % 2)
 	me := v.Img
 	rel := (v.Rank - root + sz) % sz
-	global := func(relIdx int) int { return v.T.GlobalRank((relIdx + root) % sz) }
+	member := func(relIdx int) int { return (relIdx + root) % sz }
 	nkids := binomialFanout(rel, sz)
 	pack := send // a leaf's packed range is its own block
 	if nkids > 0 {
-		co, base, span := subtreeArea[T](st, rel, sz, n, parity)
-		local := pgas.Local(co, me)
-		copy(local[base:base+n], send) // my own block leads my packed range
-		pack = local[base : base+span*n]
+		box, span := subtreeBox[T](st, rel, sz, n)
+		pack = box.Region(0)[:span*n]
+		copy(pack, send) // my own block leads my packed range
 	}
 	// Leaves are charged for the staging copy too, so that modeled times do
 	// not depend on the scratch layout.
@@ -124,14 +126,13 @@ func GatherBinomial[T any](v *team.View, root int, send, recv []T) {
 	}
 	creditKids := func() {
 		for k := nkids - 1; k >= 0; k-- {
-			me.NotifyAdd(st.Flags, global(rel+1<<k), nr+2*k+parity, 1, pgas.ViaConduit)
+			me.NotifyAdd(st.Flags, v.T.GlobalRank(member(rel+1<<k)), nr+2*k+parity, 1, pgas.ViaConduit)
 		}
 	}
 	if rel == 0 {
 		// Root: unpack relative order back to absolute team ranks.
 		for q := 1; q < sz; q++ {
-			b := (q + root) % sz
-			copy(recv[b*n:b*n+n], pack[q*n:(q+1)*n])
+			copy(recv[member(q)*n:], pack[q*n:(q+1)*n])
 		}
 		me.MemWork(es * (sz - 1) * n)
 		creditKids()
@@ -139,24 +140,22 @@ func GatherBinomial[T any](v *team.View, root int, send, recv []T) {
 	}
 	edge := bits.TrailingZeros(uint(rel))
 	parentRel := rel - 1<<edge
-	creditSlot := nr + 2*edge + parity
-	st.Credit(creditSlot)
-	pco, pbase, _ := subtreeArea[T](st, parentRel, sz, n, parity)
-	pgas.PutThenNotify(me, pco, global(parentRel), pbase+(rel-parentRel)*n, pack, st.Flags, edge, 1, pgas.ViaConduit)
+	st.Gate(nr+2*edge+parity, 1)
+	box, _ := subtreeBox[T](st, parentRel, sz, n)
+	box.PutAt(member(parentRel), 0, (rel-parentRel)*n, pack, edge, pgas.ViaConduit)
 	creditKids()
 }
 
-// subtreeArea returns the landing area of the member at relative rank rel of
-// a "low bits free" binomial tree over sz ranks: its whole subtree — span
-// blocks of n elements, the whole team at the root, otherwise lowbit(rel)
-// ranks clipped at the team's end — packed n-contiguous in relative-rank
-// order at base, this parity's half of the scratch of that subtree's size
-// class. Owner and remote writer derive the same coarray from rel alone.
-func subtreeArea[T any](st *State, rel, sz, n, parity int) (co *pgas.Coarray[T], base, span int) {
+// subtreeBox returns the landing box of the member at relative rank rel of a
+// "low bits free" binomial tree over sz ranks: its whole subtree — span blocks
+// of n elements, the whole team at the root, otherwise lowbit(rel) ranks
+// clipped at the team's end — packed n-contiguous in relative-rank order from
+// region 0, in the scratch of that subtree's size class. Owner and remote
+// writer derive the same box from rel alone.
+func subtreeBox[T any](st *State, rel, sz, n int) (box Box[T], span int) {
 	span = sz
 	if rel != 0 {
 		span = min(rel&-rel, sz-rel)
 	}
-	co, cap_ := Scratch[T](st, "", span*n, 2)
-	return co, parity * cap_, span
+	return NewBox[T](st, "", span*n, 1), span
 }

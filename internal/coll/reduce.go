@@ -31,46 +31,35 @@ func SubgroupAllreduceRD[T any](v *team.View, group []int, myIdx int, buf []T, o
 	nr := Rounds(FloorPow2(g))
 	st := GetState(v, alg.With("rd", op.Name, tag[T]()), nr+2)
 	ep := st.Next()
-	// Three boxes, per parity: the rd rounds land at every core member, a
-	// folded extra's contribution at its core partner, and the result at
-	// the extra — each role touches only its own.
-	parity := int(ep % 2)
+	// Three boxes: the rd rounds land at every core member, a folded extra's
+	// contribution at its core partner, and the result at the extra — each
+	// role touches only its own.
 	me := v.Img
-	global := func(idx int) int { return v.T.GlobalRank(group[idx]) }
-
 	p2 := FloorPow2(g)
 	extras := g - p2
 	slotExtra, slotResult := nr, nr+1
 
 	if myIdx >= p2 {
 		// Fold in: ship to the core partner, then wait for the result.
-		partner := myIdx - p2
-		in, icap := Scratch[T](st, "fold", n, 2)
-		pgas.PutThenNotify(me, in, global(partner), parity*icap, buf, st.Flags, slotExtra, 1, pgas.ViaConduit)
+		NewBox[T](st, "fold", n, 1).Put(group[myIdx-p2], 0, buf, slotExtra, pgas.ViaConduit)
 		me.WaitFlagGE(st.Flags, me.Rank(), slotResult, ep)
-		res, rcap := Scratch[T](st, "res", n, 2)
-		copy(buf, pgas.Local(res, me)[parity*rcap:parity*rcap+n])
-		me.MemWork(es * n)
+		NewBox[T](st, "res", n, 1).Take(0, buf)
 		return
 	}
 	if myIdx < extras {
 		me.WaitFlagGE(st.Flags, me.Rank(), slotExtra, ep)
-		in, icap := Scratch[T](st, "fold", n, 2)
-		op.Combine(buf, pgas.Local(in, me)[parity*icap:parity*icap+n])
+		op.Combine(buf, NewBox[T](st, "fold", n, 1).Region(0)[:n])
 		me.MemWork(2 * es * n)
 	}
-	co, cap_ := Scratch[T](st, "", n, 2*nr)
-	region := func(k int) int { return (parity*nr + k) * cap_ }
+	box := NewBox[T](st, "", n, nr)
 	for k := 0; 1<<k < p2; k++ {
-		partner := myIdx ^ 1<<k
-		pgas.PutThenNotify(me, co, global(partner), region(k), buf, st.Flags, k, 1, pgas.ViaConduit)
+		box.Put(group[myIdx^1<<k], k, buf, k, pgas.ViaConduit)
 		me.WaitFlagGE(st.Flags, me.Rank(), k, ep)
-		op.Combine(buf, pgas.Local(co, me)[region(k):region(k)+n])
+		op.Combine(buf, box.Region(k)[:n])
 		me.MemWork(2 * es * n)
 	}
 	if myIdx < extras {
-		res, rcap := Scratch[T](st, "res", n, 2)
-		pgas.PutThenNotify(me, res, global(myIdx+p2), parity*rcap, buf, st.Flags, slotResult, 1, pgas.ViaConduit)
+		NewBox[T](st, "res", n, 1).Put(group[myIdx+p2], 0, buf, slotResult, pgas.ViaConduit)
 	}
 }
 
@@ -95,31 +84,25 @@ func AllreduceLinear[T any](v *team.View, buf []T, op Op[T]) {
 	}
 	st := GetState(v, Alg{"red.lin", op.Name, tag[T]()}, 2)
 	ep := st.Next()
-	// Root inbox: one region per member per parity, touched at the root
-	// only. Result landing: one region per parity at every other member.
-	inbox, icap := Scratch[T](st, "in", n, 2*sz)
-	res, rcap := Scratch[T](st, "res", n, 2)
-	parity := int(ep % 2)
-	root := v.T.GlobalRank(0)
+	// Root inbox: one region per member, touched at the root only. Result
+	// landing: one region at every other member.
+	inbox := NewBox[T](st, "in", n, sz)
+	res := NewBox[T](st, "res", n, 1)
 	me := v.Img
 	if v.Rank == 0 {
-		me.WaitFlagGE(st.Flags, root, 0, ep*int64(sz-1))
-		local := pgas.Local(inbox, me)
+		me.WaitFlagGE(st.Flags, me.Rank(), 0, ep*int64(sz-1))
 		for r := 1; r < sz; r++ {
-			off := (parity*sz + r) * icap
-			op.Combine(buf, local[off:off+n])
+			op.Combine(buf, inbox.Region(r)[:n])
 			me.MemWork(2 * es * n)
 		}
 		for r := 1; r < sz; r++ {
-			pgas.PutThenNotify(me, res, v.T.GlobalRank(r), parity*rcap, buf, st.Flags, 1, 1, pgas.ViaConduit)
+			res.Put(r, 0, buf, 1, pgas.ViaConduit)
 		}
 		return
 	}
-	off := (parity*sz + v.Rank) * icap
-	pgas.PutThenNotify(me, inbox, root, off, buf, st.Flags, 0, 1, pgas.ViaConduit)
+	inbox.Put(0, v.Rank, buf, 0, pgas.ViaConduit)
 	me.WaitFlagGE(st.Flags, me.Rank(), 1, ep)
-	copy(buf, pgas.Local(res, me)[parity*rcap:parity*rcap+n])
-	me.MemWork(es * n)
+	res.Take(0, buf)
 }
 
 // AllreduceTree reduces up a binomial tree to the first member and
@@ -138,30 +121,27 @@ func AllreduceTree[T any](v *team.View, buf []T, op Op[T]) {
 	ep := st.Next()
 	// Parents land their children per tree level; every member but the
 	// root lands the result, in a box of its own (leaves touch no other).
-	co, cap_ := Scratch[T](st, "in", n, 2*nr)
-	res, rcap := Scratch[T](st, "res", n, 2)
-	parity := int(ep % 2)
-	region := func(k int) int { return (parity*nr + k) * cap_ }
+	in := NewBox[T](st, "in", n, nr)
+	res := NewBox[T](st, "res", n, 1)
 	me := v.Img
 	r := v.Rank
 	kids := binomialChildren(r, sz)
 	// Gather: children arrive on per-level slots, deepest first.
 	for i := len(kids) - 1; i >= 0; i-- {
 		me.WaitFlagGE(st.Flags, me.Rank(), i, ep)
-		op.Combine(buf, pgas.Local(co, me)[region(i):region(i)+n])
+		op.Combine(buf, in.Region(i)[:n])
 		me.MemWork(2 * es * n)
 	}
 	if r != 0 {
 		parent := r - (r & -r)
 		// My slot at the parent is my position among its children.
 		slot := childSlot(parent, r)
-		pgas.PutThenNotify(me, co, v.T.GlobalRank(parent), region(slot), buf, st.Flags, slot, 1, pgas.ViaConduit)
+		in.Put(parent, slot, buf, slot, pgas.ViaConduit)
 		me.WaitFlagGE(st.Flags, me.Rank(), nr, ep)
-		copy(buf, pgas.Local(res, me)[parity*rcap:parity*rcap+n])
-		me.MemWork(es * n)
+		res.Take(0, buf)
 	}
 	for _, c := range kids {
-		pgas.PutThenNotify(me, res, v.T.GlobalRank(c), parity*rcap, buf, st.Flags, nr, 1, pgas.ViaConduit)
+		res.Put(c, 0, buf, nr, pgas.ViaConduit)
 	}
 }
 
@@ -196,14 +176,12 @@ func AllreduceRing[T any](v *team.View, buf []T, op Op[T]) {
 	st := GetState(v, Alg{"red.ring", op.Name, tag[T]()}, steps)
 	ep := st.Next()
 	chunk := (n + sz - 1) / sz
-	// One inbox region per step per episode parity: ring skew can reach
-	// sz−1 steps, so regions cannot be shared between nearby steps.
-	co, cap_ := Scratch[T](st, "", chunk, 2*steps)
-	parity := int(ep % 2)
-	region := func(step int) int { return (parity*steps + step) * cap_ }
+	// One inbox region per step: ring skew can reach sz−1 steps, so regions
+	// cannot be shared between nearby steps.
+	box := NewBox[T](st, "", chunk, steps)
 	me := v.Img
 	r := v.Rank
-	next := v.T.GlobalRank((r + 1) % sz)
+	next := (r + 1) % sz
 	bounds := func(c int) (lo, hi int) {
 		lo = c * chunk
 		hi = lo + chunk
@@ -221,11 +199,10 @@ func AllreduceRing[T any](v *team.View, buf []T, op Op[T]) {
 		sendC := ((r-s)%sz + sz) % sz
 		recvC := ((r-s-1)%sz + sz) % sz
 		lo, hi := bounds(sendC)
-		reg := region(s)
-		pgas.PutThenNotify(me, co, next, reg, buf[lo:hi], st.Flags, s, 1, pgas.ViaConduit)
+		box.Put(next, s, buf[lo:hi], s, pgas.ViaConduit)
 		me.WaitFlagGE(st.Flags, me.Rank(), s, ep)
 		rlo, rhi := bounds(recvC)
-		op.Combine(buf[rlo:rhi], pgas.Local(co, me)[reg:reg+(rhi-rlo)])
+		op.Combine(buf[rlo:rhi], box.Region(s)[:rhi-rlo])
 		me.MemWork(2 * es * (rhi - rlo))
 	}
 	// All-gather: circulate the finished chunks.
@@ -233,12 +210,10 @@ func AllreduceRing[T any](v *team.View, buf []T, op Op[T]) {
 		sendC := ((r+1-s)%sz + sz) % sz
 		recvC := ((r-s)%sz + sz) % sz
 		lo, hi := bounds(sendC)
-		reg := region(sz - 1 + s)
-		pgas.PutThenNotify(me, co, next, reg, buf[lo:hi], st.Flags, sz-1+s, 1, pgas.ViaConduit)
+		box.Put(next, sz-1+s, buf[lo:hi], sz-1+s, pgas.ViaConduit)
 		me.WaitFlagGE(st.Flags, me.Rank(), sz-1+s, ep)
 		rlo, rhi := bounds(recvC)
-		copy(buf[rlo:rhi], pgas.Local(co, me)[reg:reg+(rhi-rlo)])
-		me.MemWork(es * (rhi - rlo))
+		box.Take(sz-1+s, buf[rlo:rhi])
 	}
 }
 

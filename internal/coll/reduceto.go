@@ -39,32 +39,28 @@ func SubgroupReduceToRoot[T any](v *team.View, group []int, myIdx, rootIdx int, 
 	nr := Rounds(g)
 	st := GetState(v, alg.With("redto", tag[T]()), 3*nr)
 	ep := st.Next()
-	co, cap_ := Scratch[T](st, "redto", n, 2*nr)
+	box := NewBox[T](st, "redto", n, nr)
 	parity := int(ep % 2)
-	region := func(edge int) int { return (parity*nr + edge) * cap_ }
 	me := v.Img
 	rel := (myIdx - rootIdx + g) % g
-	globalOf := func(idx int) int { return v.T.GlobalRank(group[idx]) }
 
 	// Children in the relative binomial tree (same shape as the gather of
 	// AllreduceTree): rel's children are rel+2^k for k below rel's lowest
 	// set bit. Deepest subtree first.
 	for k := binomialFanout(rel, g) - 1; k >= 0; k-- {
 		st.Arrivals(k, 1)
-		off := region(k)
-		op.Combine(buf, pgas.Local(co, me)[off:off+n])
+		op.Combine(buf, box.Region(k)[:n])
 		me.MemWork(2 * es * n)
 		// Credit the child: its parity landing region here is free.
-		me.NotifyAdd(st.Flags, globalOf((myIdx+1<<k)%g), nr+2*k+parity, 1, pgas.ViaConduit)
+		me.NotifyAdd(st.Flags, v.T.GlobalRank(group[(myIdx+1<<k)%g]), nr+2*k+parity, 1, pgas.ViaConduit)
 	}
 	if rel == 0 {
 		return
 	}
 	// Gate on the credit for my previous same-parity send over this edge.
 	edge := bits.TrailingZeros(uint(rel))
-	creditSlot := nr + 2*edge + parity
-	st.Credit(creditSlot)
-	pgas.PutThenNotify(me, co, globalOf((myIdx-1<<edge+g)%g), region(edge), buf, st.Flags, edge, 1, pgas.ViaConduit)
+	st.Gate(nr+2*edge+parity, 1)
+	box.Put(group[(myIdx-1<<edge+g)%g], edge, buf, edge, pgas.ViaConduit)
 }
 
 // ReduceToRoot is the flat binomial reduce-to-one over the whole team;
@@ -76,44 +72,14 @@ func ReduceToRoot[T any](v *team.View, root int, buf []T, op Op[T]) {
 
 // ReduceToRootLinear gathers every member's vector at the root directly and
 // combines there — the centralized scheme, O(n) serialized messages into one
-// image. Senders are credit-gated per parity so landing regions are never
-// overwritten before the root has combined them.
-//
-// Flag layout: slots 0-1 parity arrivals at the root, slots 2-3 parity
-// credits back to the senders.
+// image (collectLinear).
 func ReduceToRootLinear[T any](v *team.View, root int, buf []T, op Op[T]) {
 	v.Img.World().Stats().Count(trace.OpReduce)
-	sz := v.NumImages()
-	if sz == 1 {
+	if v.NumImages() == 1 {
 		return
 	}
-	n := len(buf)
-	es := pgas.ElemSize[T]()
-	st := GetState(v, Alg{"redto.lin", op.Name, tag[T]()}, 4)
-	ep := st.Next()
-	co, cap_ := Scratch[T](st, "", n, 2*sz)
-	parity := int(ep % 2)
-	arriveSlot := parity
-	creditSlot := 2 + parity
-	me := v.Img
-	if v.Rank == root {
-		// Arrivals are counted per parity, cumulatively: the tree shape
-		// is root-dependent, so count exactly.
-		st.Arrivals(arriveSlot, sz-1)
-		local := pgas.Local(co, me)
-		for r := 0; r < sz; r++ {
-			if r == root {
-				continue
-			}
-			off := (parity*sz + r) * cap_
-			op.Combine(buf, local[off:off+n])
-			me.MemWork(2 * es * n)
-			me.NotifyAdd(st.Flags, v.T.GlobalRank(r), creditSlot, 1, pgas.ViaConduit)
-		}
-		return
-	}
-	// Gate on the credit for my previous same-parity send.
-	st.Credit(creditSlot)
-	off := (parity*sz + v.Rank) * cap_
-	pgas.PutThenNotify(me, co, v.T.GlobalRank(root), off, buf, st.Flags, arriveSlot, 1, pgas.ViaConduit)
+	collectLinear(v, root, Alg{"redto.lin", op.Name, tag[T]()}, buf, func(_ int, in []T) {
+		op.Combine(buf, in)
+		v.Img.MemWork(2 * pgas.ElemSize[T]() * len(buf))
+	})
 }

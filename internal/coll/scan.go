@@ -39,10 +39,8 @@ func ScanLinear[T any](v *team.View, buf []T, op Op[T], exclusive bool) {
 	}
 	st := GetState(v, Alg{"scan.lin", op.Name, scanTag(exclusive), tag[T]()}, 4)
 	ep := st.Next()
-	co, cap_ := Scratch[T](st, scanTag(exclusive), n, 2)
-	parity := int(ep % 2)
-	reg := parity * cap_
-	creditSlot := 2 + parity
+	box := NewBox[T](st, scanTag(exclusive), n, 1)
+	creditSlot := 2 + int(ep%2)
 	me := v.Img
 	r := v.Rank
 	var fwd []T // the inclusive prefix over [0, r], shipped to r+1
@@ -50,7 +48,7 @@ func ScanLinear[T any](v *team.View, buf []T, op Op[T], exclusive bool) {
 		fwd = buf
 	} else {
 		me.WaitFlagGE(st.Flags, me.Rank(), 0, ep)
-		in := pgas.Local(co, me)[reg : reg+n] // prefix over [0, r)
+		in := box.Region(0)[:n] // prefix over [0, r)
 		if exclusive {
 			if r < sz-1 {
 				fwd = Temp[T](st, "fwd", n)
@@ -68,8 +66,8 @@ func ScanLinear[T any](v *team.View, buf []T, op Op[T], exclusive bool) {
 	}
 	if r < sz-1 {
 		// Gate on the credit for my previous same-parity send.
-		st.Credit(creditSlot)
-		pgas.PutThenNotify(me, co, v.T.GlobalRank(r+1), reg, fwd, st.Flags, 0, 1, pgas.ViaConduit)
+		st.Gate(creditSlot, 1)
+		box.Put(r+1, 0, fwd, 0, pgas.ViaConduit)
 	}
 	if r > 0 {
 		me.NotifyAdd(st.Flags, v.T.GlobalRank(r-1), creditSlot, 1, pgas.ViaConduit)
@@ -102,9 +100,8 @@ func ScanRD[T any](v *team.View, buf []T, op Op[T], exclusive bool) {
 	nr := Rounds(sz)
 	st := GetState(v, Alg{"scan.rd", op.Name, scanTag(exclusive), tag[T]()}, 3*nr+3)
 	ep := st.Next()
-	co, cap_ := Scratch[T](st, scanTag(exclusive), n, 2*nr)
+	box := NewBox[T](st, scanTag(exclusive), n, nr)
 	parity := int(ep % 2)
-	region := func(k int) int { return (parity*nr + k) * cap_ }
 	me := v.Img
 	r := v.Rank
 	acc := Temp[T](st, "acc", n) // running partial over [max(0, r−2^k+1), r]
@@ -113,12 +110,12 @@ func ScanRD[T any](v *team.View, buf []T, op Op[T], exclusive bool) {
 	for k := 0; 1<<k < sz; k++ {
 		ackSlot := nr + 2*k + parity
 		if r+1<<k < sz {
-			st.Credit(ackSlot)
-			pgas.PutThenNotify(me, co, v.T.GlobalRank(r+1<<k), region(k), acc, st.Flags, k, 1, pgas.ViaConduit)
+			st.Gate(ackSlot, 1)
+			box.Put(r+1<<k, k, acc, k, pgas.ViaConduit)
 		}
 		if r-1<<k >= 0 {
 			me.WaitFlagGE(st.Flags, me.Rank(), k, ep)
-			op.Combine(acc, pgas.Local(co, me)[region(k):region(k)+n])
+			op.Combine(acc, box.Region(k)[:n])
 			me.MemWork(2 * es * n)
 			me.NotifyAdd(st.Flags, v.T.GlobalRank(r-1<<k), ackSlot, 1, pgas.ViaConduit)
 		}
@@ -130,17 +127,16 @@ func ScanRD[T any](v *team.View, buf []T, op Op[T], exclusive bool) {
 	}
 	// Shift the inclusive prefixes down by one rank, through a box of its
 	// own.
-	shift, scap := Scratch[T](st, "shift", n, 2)
+	shift := NewBox[T](st, "shift", n, 1)
 	shiftSlot := 3 * nr
 	shiftAck := 3*nr + 1 + parity
 	if r+1 < sz {
-		st.Credit(shiftAck)
-		pgas.PutThenNotify(me, shift, v.T.GlobalRank(r+1), parity*scap, acc, st.Flags, shiftSlot, 1, pgas.ViaConduit)
+		st.Gate(shiftAck, 1)
+		shift.Put(r+1, 0, acc, shiftSlot, pgas.ViaConduit)
 	}
 	if r > 0 {
 		me.WaitFlagGE(st.Flags, me.Rank(), shiftSlot, ep)
-		copy(buf, pgas.Local(shift, me)[parity*scap:parity*scap+n])
-		me.MemWork(es * n)
+		shift.Take(0, buf)
 		me.NotifyAdd(st.Flags, v.T.GlobalRank(r-1), shiftAck, 1, pgas.ViaConduit)
 	}
 }

@@ -8,63 +8,31 @@ import (
 	"cafteams/internal/trace"
 )
 
-// ScatterLinear distributes per-member blocks from team rank root directly:
-// the root puts block r of send (send[r*n:(r+1)*n], n = len(recv)) to member
-// r — the centralized scheme, 2(n−1) serialized messages from one image.
-// send is significant only at the root and must hold NumImages()*len(recv)
-// elements there.
-//
-// Flow control mirrors BcastLinear: parity-indexed landing regions, parity
-// ack slots converging at the episode root, a done-stamp wave, and an
-// injection gate at done >= e−2 (roots vary between episodes, so completion
-// must be published to every potential root).
-//
-// Flag layout: slots 0-1 parity payload arrivals, slots 2-3 parity acks,
-// slot 4 done stamps.
-func ScatterLinear[T any](v *team.View, root int, send, recv []T) {
-	sz := v.NumImages()
-	n := len(recv)
-	es := pgas.ElemSize[T]()
+// ScatterOwn is the entry of every scatter: the root checks send (which is
+// significant only there) against the team's size and keeps its own block. It
+// reports whether there is anyone else to serve.
+func ScatterOwn[T any](v *team.View, root int, send, recv []T) bool {
 	v.Img.World().Stats().Count(trace.OpBroadcast)
+	sz, n := v.NumImages(), len(recv)
 	if v.Rank == root {
 		if len(send) < sz*n {
 			panic(fmt.Sprintf("coll: scatter send %d < %d", len(send), sz*n))
 		}
 		copy(recv, send[root*n:root*n+n])
-		v.Img.MemWork(es * n)
+		v.Img.MemWork(pgas.ElemSize[T]() * n)
 	}
-	if sz == 1 {
-		return
+	return sz > 1
+}
+
+// ScatterLinear distributes per-member blocks from team rank root directly:
+// the root puts block r of send (send[r*n:(r+1)*n], n = len(recv)) to member
+// r — the centralized scheme, 2(n−1) serialized messages from one image
+// (deliverLinear). send is significant only at the root and must hold
+// NumImages()*len(recv) elements there.
+func ScatterLinear[T any](v *team.View, root int, send, recv []T) {
+	if ScatterOwn(v, root, send, recv) {
+		deliverLinear(v, root, Alg{"sc.lin", tag[T]()}, send, len(recv), recv)
 	}
-	st := GetState(v, Alg{"sc.lin", tag[T]()}, 5)
-	ep := st.Next()
-	co, cap_ := Scratch[T](st, "", n, 2)
-	parity := int(ep % 2)
-	reg := parity * cap_
-	paySlot := parity
-	ackSlot := 2 + parity
-	me := v.Img
-	if v.Rank == root {
-		me.WaitFlagGE(st.Flags, me.Rank(), 4, ep-2)
-		for r := 0; r < sz; r++ {
-			if r == root {
-				continue
-			}
-			pgas.PutThenNotify(me, co, v.T.GlobalRank(r), reg, send[r*n:r*n+n], st.Flags, paySlot, 1, pgas.ViaConduit)
-		}
-		st.Arrivals(ackSlot, sz-1)
-		me.SetLocal(st.Flags, 4, ep)
-		for r := 0; r < sz; r++ {
-			if r != root {
-				me.NotifySet(st.Flags, v.T.GlobalRank(r), 4, ep, pgas.ViaConduit)
-			}
-		}
-		return
-	}
-	st.Arrivals(paySlot, 1)
-	copy(recv, pgas.Local(co, me)[reg:reg+n])
-	me.MemWork(es * n)
-	me.NotifyAdd(st.Flags, v.T.GlobalRank(root), ackSlot, 1, pgas.ViaConduit)
 }
 
 // ScatterBinomial distributes per-member blocks along the binomial scatter
@@ -83,20 +51,11 @@ func ScatterLinear[T any](v *team.View, root int, send, recv []T) {
 // the child's position): leaves land one block, and nobody stages the whole
 // team — the root forwards from a private copy.
 func ScatterBinomial[T any](v *team.View, root int, send, recv []T) {
-	sz := v.NumImages()
-	n := len(recv)
-	es := pgas.ElemSize[T]()
-	v.Img.World().Stats().Count(trace.OpBroadcast)
-	if v.Rank == root {
-		if len(send) < sz*n {
-			panic(fmt.Sprintf("coll: scatter send %d < %d", len(send), sz*n))
-		}
-		copy(recv, send[root*n:root*n+n])
-		v.Img.MemWork(es * n)
-	}
-	if sz == 1 {
+	if !ScatterOwn(v, root, send, recv) {
 		return
 	}
+	sz := v.NumImages()
+	n := len(recv)
 	st := GetState(v, Alg{"sc.binom", tag[T]()}, 5)
 	ep := st.Next()
 	parity := int(ep % 2)
@@ -104,36 +63,31 @@ func ScatterBinomial[T any](v *team.View, root int, send, recv []T) {
 	ackSlot := 2 + parity
 	me := v.Img
 	rel := (v.Rank - root + sz) % sz
-	global := func(relIdx int) int { return v.T.GlobalRank((relIdx + root) % sz) }
+	member := func(relIdx int) int { return (relIdx + root) % sz }
 
 	// tree holds the packed blocks for relative ranks [rel, rel+span).
 	var tree []T
 	if rel == 0 {
-		me.WaitFlagGE(st.Flags, me.Rank(), 4, ep-2)
+		st.Inject(4)
 		tree = Temp[T](st, "tree", sz*n)
 		for q := 0; q < sz; q++ {
-			b := (q + root) % sz
-			copy(tree[q*n:(q+1)*n], send[b*n:b*n+n])
+			copy(tree[q*n:(q+1)*n], send[member(q)*n:])
 		}
-		me.MemWork(es * sz * n)
+		me.MemWork(pgas.ElemSize[T]() * sz * n)
 	} else {
 		st.Arrivals(paySlot, 1)
-		co, base, span := subtreeArea[T](st, rel, sz, n, parity)
-		tree = pgas.Local(co, me)[base : base+span*n]
-		copy(recv, tree[:n])
-		me.MemWork(es * n)
+		box, span := subtreeBox[T](st, rel, sz, n)
+		tree = box.Region(0)[:span*n]
+		box.Take(0, recv)
 	}
 	// Forward subtree halves, deepest child first.
 	nkids := 0
 	for k := Rounds(sz) - 1; k >= 0; k-- {
 		if rel%(1<<(k+1)) == 0 && rel+1<<k < sz {
 			child := rel + 1<<k
-			last := child + 1<<k
-			if last > sz {
-				last = sz
-			}
-			co, base, _ := subtreeArea[T](st, child, sz, n, parity)
-			pgas.PutThenNotify(me, co, global(child), base, tree[(child-rel)*n:(last-rel)*n], st.Flags, paySlot, 1, pgas.ViaConduit)
+			last := min(child+1<<k, sz)
+			box, _ := subtreeBox[T](st, child, sz, n)
+			box.Put(member(child), 0, tree[(child-rel)*n:(last-rel)*n], paySlot, pgas.ViaConduit)
 			nkids++
 		}
 	}
@@ -141,12 +95,9 @@ func ScatterBinomial[T any](v *team.View, root int, send, recv []T) {
 		st.Arrivals(ackSlot, nkids)
 	}
 	if rel != 0 {
-		parent := rel - (rel & -rel)
-		me.NotifyAdd(st.Flags, global(parent), ackSlot, 1, pgas.ViaConduit)
+		parent := member(rel - (rel & -rel))
+		me.NotifyAdd(st.Flags, v.T.GlobalRank(parent), ackSlot, 1, pgas.ViaConduit)
 		return
 	}
-	me.SetLocal(st.Flags, 4, ep)
-	for q := 1; q < sz; q++ {
-		me.NotifySet(st.Flags, global(q), 4, ep, pgas.ViaConduit)
-	}
+	st.Publish(4, TeamRanks(v), root, pgas.ViaConduit)
 }

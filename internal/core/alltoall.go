@@ -53,23 +53,18 @@ func AlltoallTwoLevel[T any](v *team.View, send, recv []T) {
 		return
 	}
 	st := coll.GetState(v, coll.Alg{"a2a2", pgas.TypeName[T]()}, a2aSlots)
-	ep := st.Next()
-	parity := int(ep % 2)
+	parity := int(st.Next() % 2)
 	mg := t.MaxNodeGroup()
 	leaders := t.Leaders()
 	ng := len(leaders)
-	// Three boxes, per parity (in cap-sized block units): a leader's inbox
-	// (one full send vector per group position), a leader's node-pair pack
-	// landing area per source group, and a member's outbox (one full recv
-	// vector).
-	inbox, icap := coll.Scratch[T](st, "in", n, 2*mg*sz)
-	lands, lcap := coll.Scratch[T](st, "land", n, 2*ng*mg*mg)
-	outbox, ocap := coll.Scratch[T](st, "out", n, 2*sz)
-	inboxAt := func(pos int) int { return (parity*mg + pos) * sz * icap }
-	landAt := func(gi int) int { return (parity*ng + gi) * mg * mg * lcap }
-	outboxOff := parity * sz * ocap
+	// Three boxes (in block-sized regions): a leader's inbox (one full send
+	// vector of sz regions per group position), a leader's node-pair pack
+	// landing area (mg·mg regions per source group), and a member's outbox
+	// (one full recv vector).
+	inbox := coll.NewBox[T](st, "in", n, mg*sz)
+	lands := coll.NewBox[T](st, "land", n, ng*mg*mg)
+	outbox := coll.NewBox[T](st, "out", n, sz)
 	me := v.Img
-	expect := st.Expect()
 	leader := t.LeaderOf(v.Rank)
 	gi := t.GroupOf(v.Rank)
 	group := t.NodeGroup(gi)
@@ -79,40 +74,30 @@ func AlltoallTwoLevel[T any](v *team.View, send, recv []T) {
 		// Ship my send vector to the leader's inbox, gated on the credit
 		// for my previous same-parity shipment; then collect my assembled
 		// receive vector and ack it.
-		st.Credit(a2aInboxCredit + parity)
-		pos := groupPos(group, v.Rank)
-		pgas.PutThenNotify(me, inbox, t.GlobalRank(leader), inboxAt(pos), send[:sz*n], st.Flags, a2aInboxSlot+parity, 1, pgas.ViaShm)
-		st.Arrivals(a2aOutboxSlot+parity, 1)
-		copy(recv, pgas.Local(outbox, me)[outboxOff:outboxOff+sz*n])
-		me.MemWork(es * sz * n)
-		me.NotifyAdd(st.Flags, t.GlobalRank(leader), a2aOutboxAck+parity, 1, pgas.ViaShm)
+		st.Gate(a2aInboxCredit+parity, 1)
+		inbox.Put(leader, groupPos(group, v.Rank)*sz, send[:sz*n], a2aInboxSlot+parity, pgas.ViaShm)
+		outbox.Land(a2aOutboxSlot+parity, recv[:sz*n], leader, a2aOutboxAck+parity, pgas.ViaShm)
 		return
 	}
 
-	// Leader: collect the intranode set's send vectors. staged and landed
-	// stay nil — and their boxes untouched — on a leader with no members or
-	// no peers.
-	var staged, landed []T
+	// Leader: collect the intranode set's send vectors. The inbox and the
+	// landing area stay untouched on a leader with no members or no peers.
 	if gsz > 1 {
 		st.Arrivals(a2aInboxSlot+parity, gsz-1)
-		staged = pgas.Local(inbox, me)
 	}
 	// vec(i) is group position i's full send vector.
 	vec := func(i int) []T {
 		if group[i] == v.Rank {
 			return send
 		}
-		return staged[inboxAt(i) : inboxAt(i)+sz*n]
+		return inbox.Region(i * sz)
 	}
 	// Exchange node-pair packs with every peer leader: the pack for group h
 	// holds, for each of my members (group order), its blocks for each of
 	// h's members (group order). Gate this episode's packs on the credits
 	// for every previous same-parity pack.
 	if ng > 1 {
-		if prev := expect[a2aPackCredit+parity]; prev > 0 {
-			me.WaitFlagGE(st.Flags, me.Rank(), a2aPackCredit+parity, prev)
-		}
-		expect[a2aPackCredit+parity] += int64(ng - 1)
+		st.Gate(a2aPackCredit+parity, ng-1)
 		// One staging buffer serves every pack: a put captures its payload
 		// at issue.
 		pack := coll.Temp[T](st, "pack", gsz*mg*n)
@@ -129,41 +114,30 @@ func AlltoallTwoLevel[T any](v *team.View, send, recv []T) {
 				}
 			}
 			me.MemWork(es * len(pack))
-			pgas.PutThenNotify(me, lands, t.GlobalRank(lh), landAt(gi), pack, st.Flags, a2aPackSlot+parity, 1, pgas.ViaAuto)
+			lands.Put(lh, gi*mg*mg, pack, a2aPackSlot+parity, pgas.ViaAuto)
 		}
 		st.Arrivals(a2aPackSlot+parity, ng-1)
-		landed = pgas.Local(lands, me)
 	}
-	// Assemble every member's receive vector, gated on the acks for the
-	// previous same-parity fan-out.
-	if gate := expect[a2aOutboxAck+parity]; gate > 0 {
-		me.WaitFlagGE(st.Flags, me.Rank(), a2aOutboxAck+parity, gate)
-	}
+	// Assemble every member's receive vector — my own included, in group
+	// order — and deliver it, gated on the acks for the previous same-parity
+	// fan-out.
 	out := coll.Temp[T](st, "out", sz*n)
-	targets := 0
-	for j, m := range group {
-		for s := 0; s < sz; s++ {
-			hi := t.GroupOf(s)
-			var block []T
-			if hi == gi {
-				sv := vec(groupPos(group, s))
-				block = sv[m*n : m*n+n]
-			} else {
-				i := groupPos(t.NodeGroup(hi), s)
-				off := landAt(hi) + (i*gsz+j)*n
-				block = landed[off : off+n]
+	fanOut(v, st, outbox, group, -1, a2aOutboxAck+parity, a2aOutboxSlot+parity, func(j, m int) []T {
+		for hi := range leaders {
+			for i, s := range t.NodeGroup(hi) { // block s comes from position i of group hi
+				if hi == gi {
+					copy(out[s*n:s*n+n], vec(i)[m*n:])
+				} else {
+					copy(out[s*n:s*n+n], lands.Region(hi * mg * mg)[(i*gsz+j)*n:])
+				}
 			}
-			copy(out[s*n:s*n+n], block)
 		}
 		me.MemWork(es * sz * n)
 		if m == v.Rank {
 			copy(recv, out)
-			continue
 		}
-		pgas.PutThenNotify(me, outbox, t.GlobalRank(m), outboxOff, out, st.Flags, a2aOutboxSlot+parity, 1, pgas.ViaShm)
-		targets++
-	}
-	expect[a2aOutboxAck+parity] += int64(targets)
+		return out
+	})
 	// Everything staged here is consumed: credit my members' inbox slots and
 	// the peer leaders' pack landings.
 	for _, m := range group {

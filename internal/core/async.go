@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cafteams/internal/coll"
 	"cafteams/internal/pgas"
 	"cafteams/internal/team"
 )
@@ -29,43 +28,9 @@ func onCoroutine(v *team.View, body func()) {
 }
 
 // Handle is the completion handle of a split-phase collective: the caller
-// initiates with Start*/Policy*Async, overlaps local work (Image.Compute
-// progresses in-flight collectives), and completes with Wait. Test polls.
-type Handle = pgas.AsyncOp
-
-// StartAllreduce initiates the named allreduce algorithm on buf as a
-// split-phase operation and returns its handle; buf must not be read or
+// initiates with Image.StartOp(func() { RunX(name, ...) }) — name from
+// Policy.AlgFor, resolved at initiation, or any registry name — overlaps local
+// work (Image.Compute progresses in-flight collectives), and completes with
+// Wait. Test polls. The buffers handed to the collective must not be read or
 // written until Wait.
-func StartAllreduce[T any](name string, v *team.View, buf []T, op coll.Op[T]) *Handle {
-	return v.Img.StartOp(func() { RunAllreduce(name, v, buf, op) })
-}
-
-// StartBroadcast initiates the named broadcast algorithm from team rank root
-// as a split-phase operation.
-func StartBroadcast[T any](name string, v *team.View, root int, buf []T) *Handle {
-	return v.Img.StartOp(func() { RunBroadcast(name, v, root, buf) })
-}
-
-// StartAllgather initiates the named allgather algorithm of mine into out
-// (ordered by team rank) as a split-phase operation.
-func StartAllgather[T any](name string, v *team.View, mine, out []T) *Handle {
-	return v.Img.StartOp(func() { RunAllgather(name, v, mine, out) })
-}
-
-// PolicyAllreduceAsync initiates a split-phase team allreduce with the
-// algorithm the policy resolves, exactly like the blocking path.
-func PolicyAllreduceAsync[T any](p Policy, v *team.View, buf []T, op coll.Op[T]) *Handle {
-	return StartAllreduce(p.algFor(KindAllreduce, v, len(buf), pgas.ElemSize[T]()), v, buf, op)
-}
-
-// PolicyBroadcastAsync initiates a split-phase team broadcast from team rank
-// root under the policy.
-func PolicyBroadcastAsync[T any](p Policy, v *team.View, root int, buf []T) *Handle {
-	return StartBroadcast(p.algFor(KindBroadcast, v, len(buf), pgas.ElemSize[T]()), v, root, buf)
-}
-
-// PolicyAllgatherAsync initiates a split-phase team allgather under the
-// policy.
-func PolicyAllgatherAsync[T any](p Policy, v *team.View, mine, out []T) *Handle {
-	return StartAllgather(p.algFor(KindAllgather, v, len(mine), pgas.ElemSize[T]()), v, mine, out)
-}
+type Handle = pgas.AsyncOp

@@ -31,7 +31,7 @@ func TestAsyncAgreementWithBlocking(t *testing.T) {
 						async[i] = blocking[i]
 					}
 					RunAllreduce("rd", v, blocking, coll.Sum)
-					h := StartAllreduce("nb-rd", v, async, coll.Sum)
+					h := v.Img.StartOp(func() { RunAllreduce("nb-rd", v, async, coll.Sum) })
 					im.Compute(5000) // overlap window: rounds progress in here
 					h.Wait()
 					for i := range blocking {
@@ -51,7 +51,7 @@ func TestAsyncAgreementWithBlocking(t *testing.T) {
 						}
 					}
 					RunBroadcast("2level", v, root, bbuf)
-					hb := StartBroadcast("nb-2level", v, root, abuf)
+					hb := v.Img.StartOp(func() { RunBroadcast("nb-2level", v, root, abuf) })
 					im.Compute(5000)
 					hb.Wait()
 					for i := range bbuf {
@@ -65,7 +65,7 @@ func TestAsyncAgreementWithBlocking(t *testing.T) {
 					bout := make([]float64, n)
 					aout := make([]float64, n)
 					RunAllgather("ring", v, mine, bout)
-					hg := StartAllgather("nb-2level", v, mine, aout)
+					hg := v.Img.StartOp(func() { RunAllgather("nb-2level", v, mine, aout) })
 					im.Compute(5000)
 					hg.Wait()
 					for i := range bout {
@@ -97,7 +97,7 @@ func TestAsyncOverlapHidesCollectiveLatency(t *testing.T) {
 			}
 			for ep := 0; ep < 5; ep++ {
 				if overlapped {
-					h := StartAllreduce("nb-2level", v, buf, coll.Sum)
+					h := v.Img.StartOp(func() { RunAllreduce("nb-2level", v, buf, coll.Sum) })
 					im.Compute(flops)
 					h.Wait()
 				} else {
@@ -130,8 +130,8 @@ func TestAsyncConcurrentHandles(t *testing.T) {
 		if v.Rank == 2 {
 			bc[0] = 42
 		}
-		h1 := StartAllreduce("nb-2level", v, sum, coll.Sum)
-		h2 := StartBroadcast("nb-binomial", v, 2, bc)
+		h1 := v.Img.StartOp(func() { RunAllreduce("nb-2level", v, sum, coll.Sum) })
+		h2 := v.Img.StartOp(func() { RunBroadcast("nb-binomial", v, 2, bc) })
 		p.Barrier(v) // a blocking collective while two handles are pending
 		im.Compute(20000)
 		h2.Wait()
@@ -159,8 +159,8 @@ func TestAsyncSameFamilyHandlesSerialize(t *testing.T) {
 		v := team.Initial(w, im)
 		a := []float64{1}
 		b := []float64{10}
-		h1 := StartAllreduce("nb-rd", v, a, coll.Sum)
-		h2 := StartAllreduce("nb-rd", v, b, coll.Sum)
+		h1 := v.Img.StartOp(func() { RunAllreduce("nb-rd", v, a, coll.Sum) })
+		h2 := v.Img.StartOp(func() { RunAllreduce("nb-rd", v, b, coll.Sum) })
 		im.Compute(30000)
 		h2.Wait() // waiting out of order must still drive h1 first
 		h1.Wait()
@@ -200,7 +200,7 @@ func TestBcast2RepeatedRootHandoffFlowControl(t *testing.T) {
 						if v.Rank == root {
 							bufs[ep][0] = float64(111 * (ep + 1))
 						}
-						handles[ep] = StartBroadcast("nb-2level", v, root, bufs[ep])
+						handles[ep] = v.Img.StartOp(func() { RunBroadcast("nb-2level", v, root, bufs[ep]) })
 					}
 					for ep := 0; ep < episodes; ep++ {
 						handles[ep].Wait()
@@ -231,7 +231,7 @@ func TestAsyncTestPolling(t *testing.T) {
 	w.Run(func(im *pgas.Image) {
 		v := team.Initial(w, im)
 		buf := []float64{1}
-		h := StartAllreduce("nb-2level", v, buf, coll.Sum)
+		h := v.Img.StartOp(func() { RunAllreduce("nb-2level", v, buf, coll.Sum) })
 		for !h.Test() {
 			im.Sleep(500 * sim.Nanosecond)
 		}
@@ -265,7 +265,7 @@ func TestPolicyAsyncRunsCustomAlgorithmSplitPhase(t *testing.T) {
 		p.Barrier(v)
 		t0 = im.Now()
 		buf = []float64{1}
-		h := PolicyAllreduceAsync(p, v, buf, coll.Sum)
+		h := v.Img.StartOp(func() { PolicyAllreduce(p, v, buf, coll.Sum) })
 		if h.Done() {
 			t.Error("tuned algorithm completed at initiation: it ran blocking")
 		}

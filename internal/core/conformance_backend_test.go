@@ -55,7 +55,7 @@ func checkBarrierOn(t *testing.T, sc confScenario, alg string) {
 }
 
 // defaultAlgs resolves the auto policy's algorithm choice per kind on the
-// scenario's shape. algFor only reads the team's hierarchy view, so it can
+// scenario's shape. AlgFor only reads the team's hierarchy view, so it can
 // be resolved once on a throwaway world; every image of a team resolves the
 // same name.
 func defaultAlgs(t *testing.T, sc confScenario) map[Kind]string {
@@ -76,7 +76,7 @@ func defaultAlgs(t *testing.T, sc confScenario) map[Kind]string {
 		if k == KindBarrier {
 			elems = -1
 		}
-		algs[k] = pol.algFor(k, v, elems, 8)
+		algs[k] = pol.AlgFor(k, v, elems, 8)
 	}
 	return algs
 }

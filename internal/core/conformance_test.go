@@ -81,9 +81,9 @@ func (s confScenario) run(t *testing.T, v *team.View, k Kind, call func()) {
 		if v.Rank == 0 {
 			side[0] = n
 		}
-		h2 = StartBroadcast("binomial", v, 0, side)
+		h2 = v.Img.StartOp(func() { RunBroadcast("binomial", v, 0, side) })
 	} else {
-		h2 = StartAllreduce("rd", v, side, coll.Op[float64]{Name: "conf-side", Combine: coll.Sum.Combine})
+		h2 = v.Img.StartOp(func() { RunAllreduce("rd", v, side, coll.Op[float64]{Name: "conf-side", Combine: coll.Sum.Combine}) })
 	}
 	v.Img.Compute(3e3)
 	h.Wait()

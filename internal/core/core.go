@@ -27,8 +27,15 @@
 // (BcastTwoLevel, ReduceToRootTwoLevel, ScatterTwoLevel, GatherTwoLevel,
 // AllgatherTwoLevel, AlltoallTwoLevel, ScanTwoLevel) are two-level
 // compositions of their own, because the root's position decides each image's
-// role. Policy selects between flat and hierarchy-aware algorithms from the
-// team's hierarchy shape and the message size.
+// role. What they share is the protocol under them, and that is written once,
+// in internal/coll's vocabulary: a landing area is a coll.Box (it owns the
+// episode's parity and the region offsets), a wait is State.Arrivals, Gate or
+// Inject (with the Publish done wave), a member's receipt and ack of its block
+// is Box.Land, and on top of those this package has one stage verb of its own:
+// fanOut, a leader's gated delivery to its intranode set. No body multiplies a
+// parity by a capacity or reads a counter. Policy selects
+// between flat and hierarchy-aware algorithms from the team's hierarchy shape
+// and the message size.
 //
 // This package is backend-agnostic: it speaks to the runtime only through
 // internal/pgas (the Transport seam) and must never import internal/sim —
@@ -83,6 +90,35 @@ func levelWidths(t *team.Team, sockets bool) [2]int {
 		return [2]int{t.MaxNodeGroup(), 0}
 	}
 	return [2]int{t.MaxSocketGroup(), t.MaxSockets()}
+}
+
+// fanOut delivers, over shared memory, block(i, r) — group position i, team
+// rank r — into region 0 of r's box, for every member of the leader's group
+// but skip (the episode's root, which has its data; −1 for none), gated on
+// the acks (ackSlot) of its previous same-parity fan-out. The leader's own
+// position is asked for too, in group order, and not sent: assembling a block
+// may be charged work, its own included.
+func fanOut[T any](v *team.View, st *coll.State, box coll.Box[T], group []int, skip, ackSlot, slot int, block func(i, r int) []T) {
+	st.Gate(ackSlot, others(v, group, skip))
+	for i, r := range group {
+		if r == skip {
+			continue
+		}
+		if b := block(i, r); r != v.Rank {
+			box.Put(r, 0, b, slot, pgas.ViaShm)
+		}
+	}
+}
+
+// others counts the members of group besides the caller and skip.
+func others(v *team.View, group []int, skip int) int {
+	n := 0
+	for _, r := range group {
+		if r != v.Rank && r != skip {
+			n++
+		}
+	}
+	return n
 }
 
 // barrierLeveled is the hierarchy-aware barrier, run by every image of the

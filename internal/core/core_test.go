@@ -392,10 +392,10 @@ func TestPolicyAutoSelects(t *testing.T) {
 			}
 			for _, k := range Kinds() {
 				row, _ := AutoPick(k, key)
-				if got := (Policy{Level: LevelAuto, Tuning: AllAuto()}).algFor(k, v, 128, 8); got != row.Alg {
+				if got := (Policy{Level: LevelAuto, Tuning: AllAuto()}).AlgFor(k, v, 128, 8); got != row.Alg {
 					t.Errorf("%s %s: auto runs %q, the table says %q", spec, k, got, row.Alg)
 				}
-				if got := (Policy{Level: LevelFlat, Tuning: AllAuto()}).algFor(k, v, 128, 8); got != row.Flat || HierarchyAware(got) {
+				if got := (Policy{Level: LevelFlat, Tuning: AllAuto()}).AlgFor(k, v, 128, 8); got != row.Flat || HierarchyAware(got) {
 					t.Errorf("%s %s: flat auto runs %q, the table says %q", spec, k, got, row.Flat)
 				}
 			}
@@ -518,6 +518,25 @@ func newWorldCyclic(t testing.TB, nodes, perNode int) *pgas.World {
 		t.Fatal(err)
 	}
 	return w
+}
+
+// TestScanCountsOneOpPerCall: every scan algorithm counts one reduction per
+// call and image — on a cyclic placement too, where the two-level scan hands
+// the call to the flat one, which counts it.
+func TestScanCountsOneOpPerCall(t *testing.T) {
+	const calls = 3
+	for _, name := range Algorithms(KindScan) {
+		w := newWorldCyclic(t, 3, 2)
+		w.Run(func(im *pgas.Image) {
+			v := team.Initial(w, im)
+			for i := 0; i < calls; i++ {
+				RunScan(name, v, []float64{1}, coll.Sum, i%2 == 1)
+			}
+		})
+		if got, want := w.Stats().Snapshot().Ops[trace.OpReduce], int64(calls*w.NumImages()); got != want {
+			t.Errorf("scan/%s on a cyclic placement: %d reductions counted for %d calls on %d images, want %d", name, got, calls, w.NumImages(), want)
+		}
+	}
 }
 
 func TestAllreduceThreeLevelCorrect(t *testing.T) {

@@ -107,14 +107,14 @@ func (p Policy) effective(v *team.View) Level {
 	return LevelFlat
 }
 
-// algFor resolves the algorithm name for kind k on team v with a payload of
+// AlgFor resolves the algorithm name for kind k on team v with a payload of
 // elems elements of elemSize bytes each (elems < 0: no payload, a barrier). An
 // explicit tuning entry wins. Otherwise the hierarchy level selects among
 // kindTable's columns — the paper's methodology, and all there is to the zero
 // Tuning — except that an "auto" entry whose level leaves the choice open
 // reads the decision table: every registered algorithm under LevelAuto, the
 // hierarchy-oblivious ones under LevelFlat.
-func (p Policy) algFor(k Kind, v *team.View, elems, elemSize int) string {
+func (p Policy) AlgFor(k Kind, v *team.View, elems, elemSize int) string {
 	name := p.Tuning.For(k)
 	if name != "" && name != AlgAuto {
 		return name
@@ -138,45 +138,45 @@ func (p Policy) algFor(k Kind, v *team.View, elems, elemSize int) string {
 // Barrier synchronizes the team (CAF sync team / sync all within the
 // team).
 func (p Policy) Barrier(v *team.View) {
-	RunBarrier(p.algFor(KindBarrier, v, -1, 0), v)
+	RunBarrier(p.AlgFor(KindBarrier, v, -1, 0), v)
 }
 
 // PolicyAllreduce performs the team all-to-all reduction (co_sum and
 // friends) for any element type. (A package function because Go methods
 // cannot be generic.)
 func PolicyAllreduce[T any](p Policy, v *team.View, buf []T, op coll.Op[T]) {
-	RunAllreduce(p.algFor(KindAllreduce, v, len(buf), pgas.ElemSize[T]()), v, buf, op)
+	RunAllreduce(p.AlgFor(KindAllreduce, v, len(buf), pgas.ElemSize[T]()), v, buf, op)
 }
 
 // PolicyAllgather concatenates every member's mine vector into out (ordered
 // by team rank) on every member.
 func PolicyAllgather[T any](p Policy, v *team.View, mine, out []T) {
-	RunAllgather(p.algFor(KindAllgather, v, len(mine), pgas.ElemSize[T]()), v, mine, out)
+	RunAllgather(p.AlgFor(KindAllgather, v, len(mine), pgas.ElemSize[T]()), v, mine, out)
 }
 
 // PolicyReduceTo performs the team reduce-to-one (the co_sum(result_image=...)
 // family): only team rank root receives the combined result.
 func PolicyReduceTo[T any](p Policy, v *team.View, root int, buf []T, op coll.Op[T]) {
-	RunReduceTo(p.algFor(KindReduceTo, v, len(buf), pgas.ElemSize[T]()), v, root, buf, op)
+	RunReduceTo(p.AlgFor(KindReduceTo, v, len(buf), pgas.ElemSize[T]()), v, root, buf, op)
 }
 
 // PolicyBroadcast performs the team one-to-all broadcast (co_broadcast)
 // from team rank root.
 func PolicyBroadcast[T any](p Policy, v *team.View, root int, buf []T) {
-	RunBroadcast(p.algFor(KindBroadcast, v, len(buf), pgas.ElemSize[T]()), v, root, buf)
+	RunBroadcast(p.AlgFor(KindBroadcast, v, len(buf), pgas.ElemSize[T]()), v, root, buf)
 }
 
 // PolicyScatter distributes per-member blocks from team rank root: each
 // member receives its len(recv)-element block of the root's send vector
 // (significant only at the root, NumImages()*len(recv) elements there).
 func PolicyScatter[T any](p Policy, v *team.View, root int, send, recv []T) {
-	RunScatter(p.algFor(KindScatter, v, len(recv), pgas.ElemSize[T]()), v, root, send, recv)
+	RunScatter(p.AlgFor(KindScatter, v, len(recv), pgas.ElemSize[T]()), v, root, send, recv)
 }
 
 // PolicyGather collects every member's send block into recv on team rank
 // root only, ordered by team rank (recv significant only at the root).
 func PolicyGather[T any](p Policy, v *team.View, root int, send, recv []T) {
-	RunGather(p.algFor(KindGather, v, len(send), pgas.ElemSize[T]()), v, root, send, recv)
+	RunGather(p.AlgFor(KindGather, v, len(send), pgas.ElemSize[T]()), v, root, send, recv)
 }
 
 // PolicyAlltoall performs the personalized all-to-all exchange: send block j
@@ -186,12 +186,12 @@ func PolicyAlltoall[T any](p Policy, v *team.View, send, recv []T) {
 	if n := v.NumImages(); n > 0 {
 		elems = len(send) / n
 	}
-	RunAlltoall(p.algFor(KindAlltoall, v, elems, pgas.ElemSize[T]()), v, send, recv)
+	RunAlltoall(p.AlgFor(KindAlltoall, v, elems, pgas.ElemSize[T]()), v, send, recv)
 }
 
 // PolicyScan computes the prefix reduction over team rank order: inclusive
 // (buf becomes the reduction over ranks [0, r]) or exclusive (over [0, r);
 // rank 0's buf is left unchanged).
 func PolicyScan[T any](p Policy, v *team.View, buf []T, op coll.Op[T], exclusive bool) {
-	RunScan(p.algFor(KindScan, v, len(buf), pgas.ElemSize[T]()), v, buf, op, exclusive)
+	RunScan(p.AlgFor(KindScan, v, len(buf), pgas.ElemSize[T]()), v, buf, op, exclusive)
 }

@@ -33,41 +33,32 @@ func allreduceLeveled[T any](v *team.View, buf []T, op coll.Op[T], name, leadNam
 	levels := levelsOf(t, v.Rank, sockets, &lbuf)
 	st := coll.GetState(v, coll.Alg{name, op.Name, pgas.TypeName[T]()}, 2*len(levels))
 	ep := st.Next()
-	// Two boxes, per parity: a leader's inbox and the result landing region
-	// of everyone the result cascades down to. The inbox has a range of
-	// regions per level, as wide as the level's largest group, one region per
-	// position in the group. The ranges must not overlap: at a node leader
-	// both its own socket's members and the other socket leaders deposit
-	// concurrently.
+	// Two boxes: a leader's inbox and the result landing region of everyone
+	// the result cascades down to. The inbox has a range of regions per level,
+	// as wide as the level's largest group, one region per position in the
+	// group. The ranges must not overlap: at a node leader both its own
+	// socket's members and the other socket leaders deposit concurrently.
 	widths := levelWidths(t, sockets)
-	regions := widths[0] + widths[1]
-	inbox, icap := coll.Scratch[T](st, "in", n, 2*regions)
-	res, rcap := coll.Scratch[T](st, "res", n, 2)
-	parity := int(ep % 2)
-	resultRegion := parity * rcap
+	inbox := coll.NewBox[T](st, "in", n, widths[0]+widths[1])
+	res := coll.NewBox[T](st, "res", n, 1)
 	me := v.Img
 
-	d, first := 0, parity*regions // first: the level's range of inbox regions
+	d, first := 0, 0 // first: the level's range of inbox regions
 	for ; d < len(levels); d++ {
 		lv := levels[d]
 		if v.Rank != lv.leader {
-			off := (first + groupPos(lv.group, v.Rank)) * icap
-			pgas.PutThenNotify(me, inbox, t.GlobalRank(lv.leader), off, buf, st.Flags, 2*d, 1, pgas.ViaShm)
+			inbox.Put(lv.leader, first+groupPos(lv.group, v.Rank), buf, 2*d, pgas.ViaShm)
 			me.WaitFlagGE(st.Flags, me.Rank(), 2*d+1, ep)
-			copy(buf, pgas.Local(res, me)[resultRegion:resultRegion+n])
-			me.MemWork(es * n)
+			res.Take(0, buf)
 			break
 		}
 		if len(lv.group) > 1 {
 			me.WaitFlagGE(st.Flags, me.Rank(), 2*d, ep*int64(len(lv.group)-1))
-			local := pgas.Local(inbox, me)
 			for i, r := range lv.group {
-				if r == v.Rank {
-					continue
+				if r != v.Rank {
+					op.Combine(buf, inbox.Region(first + i)[:n])
+					me.MemWork(2 * es * n)
 				}
-				off := (first + i) * icap
-				op.Combine(buf, local[off:off+n])
-				me.MemWork(2 * es * n)
 			}
 		}
 		first += widths[d]
@@ -79,7 +70,7 @@ func allreduceLeveled[T any](v *team.View, buf []T, op coll.Op[T], name, leadNam
 	for d--; d >= 0; d-- {
 		for _, r := range levels[d].group {
 			if r != v.Rank {
-				pgas.PutThenNotify(me, res, t.GlobalRank(r), resultRegion, buf, st.Flags, 2*d+1, 1, pgas.ViaShm)
+				res.Put(r, 0, buf, 2*d+1, pgas.ViaShm)
 			}
 		}
 	}
@@ -108,23 +99,16 @@ func BcastTwoLevel[T any](v *team.View, root int, buf []T) {
 	if t.Size() == 1 {
 		return
 	}
-	n := len(buf)
-	es := pgas.ElemSize[T]()
 	// Flag layout: slot 0 handoff arrivals at the root's leader, slot 1
 	// fan-out arrivals at members, slots 3/4 parity fan-out acks at leaders,
 	// slots 5/6 parity handoff credits at the root. Roles vary with the root,
 	// so every wait counts exactly (State.Arrivals).
 	st := coll.GetState(v, coll.Alg{"bc2", pgas.TypeName[T]()}, 7)
-	ep := st.Next()
-	expect := st.Expect()
-	// One landing region per parity on every image: the root's leader lands
-	// the handoff in it, everyone else the fan-out.
-	co, cap_ := coll.Scratch[T](st, "", n, 2)
-	parity := int(ep % 2)
-	dataRegion := parity * cap_
-	me := v.Img
+	parity := int(st.Next() % 2)
+	// One landing region on every image: the root's leader lands the handoff
+	// in it, everyone else the fan-out.
+	box := coll.NewBox[T](st, "", len(buf), 1)
 	leader := t.LeaderOf(v.Rank)
-	group := t.NodeGroup(t.GroupOf(v.Rank))
 	rootLeader := t.LeaderOf(root)
 	ackSlot := 3 + parity
 	// Step 0: a non-leader source hands the payload to its node leader.
@@ -133,43 +117,22 @@ func BcastTwoLevel[T any](v *team.View, root int, buf []T) {
 	// a parity landing region before the leader acked consuming the
 	// previous same-parity handoff (slots 5/6).
 	if v.Rank == root && root != rootLeader {
-		st.Credit(5 + parity)
-		pgas.PutThenNotify(me, co, t.GlobalRank(rootLeader), dataRegion, buf, st.Flags, 0, 1, pgas.ViaShm)
+		st.Gate(5+parity, 1)
+		box.Put(rootLeader, 0, buf, 0, pgas.ViaShm)
 	}
 	if v.Rank == rootLeader && root != rootLeader {
-		st.Arrivals(0, 1)
-		copy(buf, pgas.Local(co, me)[dataRegion:dataRegion+n])
-		me.MemWork(es * n)
-		me.NotifyAdd(st.Flags, t.GlobalRank(root), 5+parity, 1, pgas.ViaShm)
+		box.Land(0, buf, root, 5+parity, pgas.ViaShm)
 	}
 	// Step 1: binomial broadcast among node leaders (internally
 	// flow-controlled).
 	if v.Rank == leader {
-		leaders := t.Leaders()
-		coll.SubgroupBcastBinomial(v, leaders, t.LeaderPos(v.Rank), t.LeaderPos(rootLeader), buf, coll.Alg{"core.bc2lead"})
-		// Fan-out flow control: the intranode set must have consumed the
-		// same-parity fan-out from two episodes ago before its landing
-		// region is overwritten.
-		if gate := expect[ackSlot]; gate > 0 {
-			me.WaitFlagGE(st.Flags, me.Rank(), ackSlot, gate)
-		}
-		// Step 2: fan out to the intranode set over shared memory.
-		targets := 0
-		for _, r := range group {
-			if r == v.Rank || r == root {
-				continue
-			}
-			pgas.PutThenNotify(me, co, t.GlobalRank(r), dataRegion, buf, st.Flags, 1, 1, pgas.ViaShm)
-			targets++
-		}
-		expect[ackSlot] += int64(targets)
+		coll.SubgroupBcastBinomial(v, t.Leaders(), t.LeaderPos(v.Rank), t.LeaderPos(rootLeader), buf, coll.Alg{"core.bc2lead"})
+		// Step 2: fan out to the intranode set over shared memory, once it
+		// has consumed the same-parity fan-out from two episodes ago.
+		fanOut(v, st, box, t.NodeGroup(t.GroupOf(v.Rank)), root, ackSlot, 1, func(int, int) []T { return buf })
 		return
 	}
-	if v.Rank == root {
-		return // the source already has the data
+	if v.Rank != root { // the source already has the data
+		box.Land(1, buf, leader, ackSlot, pgas.ViaShm)
 	}
-	st.Arrivals(1, 1)
-	copy(buf, pgas.Local(co, me)[dataRegion:dataRegion+n])
-	me.MemWork(es * n)
-	me.NotifyAdd(st.Flags, t.GlobalRank(leader), ackSlot, 1, pgas.ViaShm)
 }

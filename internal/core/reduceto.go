@@ -24,16 +24,13 @@ func ReduceToRootTwoLevel[T any](v *team.View, root int, buf []T, op coll.Op[T])
 		return
 	}
 	n := len(buf)
-	es := pgas.ElemSize[T]()
 	st := coll.GetState(v, coll.Alg{"redto2", op.Name, pgas.TypeName[T]()}, 7)
 	ep := st.Next()
-	// Two boxes, per parity: a leader's inbox (one region per position in
-	// its intranode set) and the result landing region of a non-leader root.
-	inbox, icap := coll.Scratch[T](st, "in", n, 2*t.MaxNodeGroup())
-	res, rcap := coll.Scratch[T](st, "res", n, 2)
+	// Two boxes: a leader's inbox (one region per position in its intranode
+	// set) and the result landing region of a non-leader root.
+	inbox := coll.NewBox[T](st, "in", n, t.MaxNodeGroup())
+	res := coll.NewBox[T](st, "res", n, 1)
 	parity := int(ep % 2)
-	region := func(k int) int { return (parity*t.MaxNodeGroup() + k) * icap }
-	resultRegion := parity * rcap
 	ackSlot := 3 + parity
 	me := v.Img
 	leader := t.LeaderOf(v.Rank)
@@ -43,36 +40,31 @@ func ReduceToRootTwoLevel[T any](v *team.View, root int, buf []T, op coll.Op[T])
 	if v.Rank != leader {
 		// Contribute to the node leader; gate region reuse on the
 		// leader's credit for my previous same-parity episode.
-		st.Credit(ackSlot)
-		pgas.PutThenNotify(me, inbox, t.GlobalRank(leader), region(groupPos(group, v.Rank)), buf, st.Flags, 5+parity, 1, pgas.ViaShm)
+		st.Gate(ackSlot, 1)
+		inbox.Put(leader, groupPos(group, v.Rank), buf, 5+parity, pgas.ViaShm)
 		if v.Rank == root {
 			// A non-leader root receives the final result from its
 			// leader.
 			st.Arrivals(1, 1)
-			copy(buf, pgas.Local(res, me)[resultRegion:resultRegion+n])
-			me.MemWork(es * n)
+			res.Take(0, buf)
 		}
 		return
 	}
 	// Leader: combine the intranode set, crediting each contributor.
 	if len(group) > 1 {
 		st.Arrivals(5+parity, len(group)-1)
-		local := pgas.Local(inbox, me)
 		for i, r := range group {
-			if r == v.Rank {
-				continue
+			if r != v.Rank {
+				op.Combine(buf, inbox.Region(i)[:n])
+				me.MemWork(2 * pgas.ElemSize[T]() * n)
+				me.NotifyAdd(st.Flags, t.GlobalRank(r), ackSlot, 1, pgas.ViaShm)
 			}
-			off := region(i)
-			op.Combine(buf, local[off:off+n])
-			me.MemWork(2 * es * n)
-			me.NotifyAdd(st.Flags, t.GlobalRank(r), ackSlot, 1, pgas.ViaShm)
 		}
 	}
 	// Binomial reduce-to-one among leaders, to the root's leader.
-	leaders := t.Leaders()
-	coll.SubgroupReduceToRoot(v, leaders, t.LeaderPos(v.Rank), t.LeaderPos(rootLeader), buf, op, coll.Alg{"core.redto2lead", op.Name})
+	coll.SubgroupReduceToRoot(v, t.Leaders(), t.LeaderPos(v.Rank), t.LeaderPos(rootLeader), buf, op, coll.Alg{"core.redto2lead", op.Name})
 	// Hand the result to a non-leader root.
 	if v.Rank == rootLeader && root != rootLeader {
-		pgas.PutThenNotify(me, res, t.GlobalRank(root), resultRegion, buf, st.Flags, 1, 1, pgas.ViaShm)
+		res.Put(root, 0, buf, 1, pgas.ViaShm)
 	}
 }

@@ -36,7 +36,7 @@ const AlgAuto = "auto"
 // kindTable is the one per-kind table: display name, the algorithm names
 // compiled into the kind, in canonical (listing) order — hierarchy-oblivious
 // ones, then hierarchy-aware ones (see HierarchyAware), then aliases — and
-// what the hierarchy level alone selects (see Policy.algFor): the flat, the
+// what the hierarchy level alone selects (see Policy.AlgFor): the flat, the
 // two-level and the three-level choice. Built-in generic algorithms cannot be
 // stored as values for every possible element type, so dispatch instantiates
 // them on demand in the kind's Run* switch; adding an algorithm is a name here

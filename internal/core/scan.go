@@ -42,45 +42,38 @@ const (
 func ScanTwoLevel[T any](v *team.View, buf []T, op coll.Op[T], exclusive bool) {
 	t := v.T
 	sz := t.Size()
+	if _, contiguous := t.RankChain(); !contiguous {
+		coll.ScanRD(v, buf, op, exclusive) // counts the operation itself
+		return
+	}
 	v.Img.World().Stats().Count(trace.OpReduce)
 	if sz == 1 {
 		return
 	}
-	order, contiguous := t.RankChain()
-	if !contiguous {
-		ScanFlatFallback(v, buf, op, exclusive)
-		return
-	}
 	n := len(buf)
 	es := pgas.ElemSize[T]()
-	st := coll.GetState(v, coll.Alg{"scan2", op.Name, scan2Tag(exclusive), pgas.TypeName[T]()}, scan2Slots)
-	ep := st.Next()
-	parity := int(ep % 2)
+	form := "incl" // the two forms must not share episodes or regions
+	if exclusive {
+		form = "excl"
+	}
+	st := coll.GetState(v, coll.Alg{"scan2", op.Name, form, pgas.TypeName[T]()}, scan2Slots)
+	parity := int(st.Next() % 2)
 	mg := t.MaxNodeGroup()
-	// Two boxes, per parity: a leader's inbox (one vector per group position,
-	// then the chain landing region) and a member's result landing region.
-	inbox, icap := coll.Scratch[T](st, "in", n, 2*(mg+1))
-	resBox, rcap := coll.Scratch[T](st, "res", n, 2)
-	base := parity * (mg + 1) * icap
-	chainOff := base + mg*icap
-	resultOff := parity * rcap
+	// Two boxes: a leader's inbox (one vector per group position, then the
+	// chain landing region) and a member's result landing region.
+	inbox := coll.NewBox[T](st, "in", n, mg+1)
+	resBox := coll.NewBox[T](st, "res", n, 1)
 	me := v.Img
-	expect := st.Expect()
 	leader := t.LeaderOf(v.Rank)
-	gi := t.GroupOf(v.Rank)
-	group := t.NodeGroup(gi)
+	group := t.NodeGroup(t.GroupOf(v.Rank))
 	gsz := len(group)
 
 	if v.Rank != leader {
 		// Contribute my vector, gated on the credit for my previous
 		// same-parity contribution; then collect my prefix and ack it.
-		st.Credit(scan2InboxCredit + parity)
-		pos := groupPos(group, v.Rank)
-		pgas.PutThenNotify(me, inbox, t.GlobalRank(leader), base+pos*icap, buf, st.Flags, scan2InboxSlot+parity, 1, pgas.ViaShm)
-		st.Arrivals(scan2ResultSlot+parity, 1)
-		copy(buf, pgas.Local(resBox, me)[resultOff:resultOff+n])
-		me.MemWork(es * n)
-		me.NotifyAdd(st.Flags, t.GlobalRank(leader), scan2ResultAck+parity, 1, pgas.ViaShm)
+		st.Gate(scan2InboxCredit+parity, 1)
+		inbox.Put(leader, groupPos(group, v.Rank), buf, scan2InboxSlot+parity, pgas.ViaShm)
+		resBox.Land(scan2ResultSlot+parity, buf, leader, scan2ResultAck+parity, pgas.ViaShm)
 		return
 	}
 
@@ -96,33 +89,25 @@ func ScanTwoLevel[T any](v *team.View, buf []T, op coll.Op[T], exclusive bool) {
 	copy(incl[:n], acc)
 	me.MemWork(2 * es * n)
 	for j := 1; j < gsz; j++ {
-		off := base + j*icap
-		op.Combine(acc, pgas.Local(inbox, me)[off:off+n])
+		op.Combine(acc, inbox.Region(j)[:n])
 		copy(incl[j*n:(j+1)*n], acc)
 		me.MemWork(3 * es * n)
 	}
 	// The inbox is consumed: credit the contributors.
-	for _, r := range group {
-		if r != v.Rank {
-			me.NotifyAdd(st.Flags, t.GlobalRank(r), scan2InboxCredit+parity, 1, pgas.ViaShm)
-		}
+	for _, r := range group[1:] {
+		me.NotifyAdd(st.Flags, t.GlobalRank(r), scan2InboxCredit+parity, 1, pgas.ViaShm)
 	}
-	// Exclusive scan of node totals along the rank-ordered leader chain.
-	chainPos := 0
-	for i, g := range order {
-		if g == gi {
-			chainPos = i
-		}
-	}
+	// Exclusive scan of node totals along the rank-ordered leader chain. The
+	// groups tile the rank range, so my predecessor in the chain leads the
+	// rank below my group and my successor is the rank above it.
 	var ex []T // reduction over every preceding node's total; nil at the head
-	if chainPos > 0 {
+	if first := group[0]; first > 0 {
 		st.Arrivals(scan2ChainSlot+parity, 1)
 		ex = coll.Temp[T](st, "ex", n)
-		copy(ex, pgas.Local(inbox, me)[chainOff:chainOff+n])
-		me.MemWork(es * n)
-		me.NotifyAdd(st.Flags, t.GlobalRank(t.Leaders()[order[chainPos-1]]), scan2ChainCredit+parity, 1, pgas.ViaAuto)
+		inbox.Take(mg, ex)
+		me.NotifyAdd(st.Flags, t.GlobalRank(t.LeaderOf(first-1)), scan2ChainCredit+parity, 1, pgas.ViaAuto)
 	}
-	if chainPos < len(order)-1 {
+	if next := group[gsz-1] + 1; next < sz {
 		fwd := acc // node total, already the running prefix over my groups
 		if ex != nil {
 			fwd = coll.Temp[T](st, "fwd", n)
@@ -131,17 +116,12 @@ func ScanTwoLevel[T any](v *team.View, buf []T, op coll.Op[T], exclusive bool) {
 			me.MemWork(3 * es * n)
 		}
 		// Gate on the successor's credit for my previous same-parity send.
-		st.Credit(scan2ChainCredit + parity)
-		next := t.Leaders()[order[chainPos+1]]
-		pgas.PutThenNotify(me, inbox, t.GlobalRank(next), chainOff, fwd, st.Flags, scan2ChainSlot+parity, 1, pgas.ViaAuto)
+		st.Gate(scan2ChainCredit+parity, 1)
+		inbox.Put(next, mg, fwd, scan2ChainSlot+parity, pgas.ViaAuto)
 	}
 	// Fold the node-exclusive prefix into each member's result and deliver,
-	// gated on the acks for the previous same-parity fan-out.
-	if gate := expect[scan2ResultAck+parity]; gate > 0 {
-		me.WaitFlagGE(st.Flags, me.Rank(), scan2ResultAck+parity, gate)
-	}
-	// One result buffer serves every member: a put captures its payload at
-	// issue.
+	// gated on the acks for the previous same-parity fan-out. One result
+	// buffer serves every member: a put captures its payload at issue.
 	fold := func(withinIncl []T) []T {
 		if ex == nil {
 			return withinIncl
@@ -152,8 +132,7 @@ func ScanTwoLevel[T any](v *team.View, buf []T, op coll.Op[T], exclusive bool) {
 		me.MemWork(3 * es * n)
 		return res
 	}
-	targets := 0
-	for j, r := range group {
+	fanOut(v, st, resBox, group, -1, scan2ResultAck+parity, scan2ResultSlot+parity, func(j, r int) []T {
 		var res []T
 		switch {
 		case !exclusive:
@@ -163,28 +142,10 @@ func ScanTwoLevel[T any](v *team.View, buf []T, op coll.Op[T], exclusive bool) {
 		default:
 			res = fold(incl[(j-1)*n : j*n])
 		}
-		if r == v.Rank {
-			if res != nil {
-				copy(buf, res)
-				me.MemWork(es * n)
-			}
-			continue
+		if r == v.Rank && res != nil {
+			copy(buf, res)
+			me.MemWork(es * n)
 		}
-		pgas.PutThenNotify(me, resBox, t.GlobalRank(r), resultOff, res, st.Flags, scan2ResultSlot+parity, 1, pgas.ViaShm)
-		targets++
-	}
-	expect[scan2ResultAck+parity] += int64(targets)
-}
-
-// ScanFlatFallback is the placement-oblivious algorithm ScanTwoLevel
-// delegates to when the team's intranode sets are not rank-contiguous.
-func ScanFlatFallback[T any](v *team.View, buf []T, op coll.Op[T], exclusive bool) {
-	coll.ScanRD(v, buf, op, exclusive)
-}
-
-func scan2Tag(exclusive bool) string {
-	if exclusive {
-		return "excl"
-	}
-	return "incl"
+		return res
+	})
 }

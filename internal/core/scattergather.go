@@ -6,7 +6,6 @@ import (
 	"cafteams/internal/coll"
 	"cafteams/internal/pgas"
 	"cafteams/internal/team"
-	"cafteams/internal/trace"
 )
 
 // groupPos returns rank's index within its (ascending) node group.
@@ -46,46 +45,32 @@ const (
 // landing regions are guarded by member→leader acks, and all arrival waits
 // count exactly (State.Arrivals) because each image's role depends on the root.
 func ScatterTwoLevel[T any](v *team.View, root int, send, recv []T) {
-	t := v.T
-	sz := t.Size()
-	n := len(recv)
-	es := pgas.ElemSize[T]()
-	v.Img.World().Stats().Count(trace.OpBroadcast)
-	if v.Rank == root {
-		if len(send) < sz*n {
-			panic(fmt.Sprintf("core: scatter send %d < %d", len(send), sz*n))
-		}
-		copy(recv, send[root*n:root*n+n])
-		v.Img.MemWork(es * n)
-	}
-	if sz == 1 {
+	if !coll.ScatterOwn(v, root, send, recv) {
 		return
 	}
+	t := v.T
+	n := len(recv)
 	st := coll.GetState(v, coll.Alg{"sc2", pgas.TypeName[T]()}, sc2Slots)
-	ep := st.Next()
-	parity := int(ep % 2)
-	// Two boxes, per parity: a leader's pack landing area (MaxNodeGroup
-	// blocks, written by the episode root) and a member's block landing
-	// region (written by the image's node leader).
-	packs, pcap := coll.Scratch[T](st, "pack", n, 2*t.MaxNodeGroup())
-	blocks, bcap := coll.Scratch[T](st, "blk", n, 2)
-	packBase := parity * t.MaxNodeGroup() * pcap
-	blockOff := parity * bcap
+	parity := int(st.Next() % 2)
+	// Two boxes: a leader's pack landing area (MaxNodeGroup blocks, written by
+	// the episode root) and a member's block landing region (written by the
+	// image's node leader).
+	packs := coll.NewBox[T](st, "pack", n, t.MaxNodeGroup())
+	blocks := coll.NewBox[T](st, "blk", n, 1)
 	me := v.Img
 	leader := t.LeaderOf(v.Rank)
 	group := t.NodeGroup(t.GroupOf(v.Rank))
-	leaders := t.Leaders()
 
 	if v.Rank == root {
-		// Injection gate: the pack regions this episode overwrites were last
-		// written two same-parity episodes ago, possibly by a different
-		// root; only the done stamp proves they were consumed.
-		me.WaitFlagGE(st.Flags, me.Rank(), sc2Done, ep-2)
+		// The pack regions this episode overwrites were last written two
+		// same-parity episodes ago, possibly by a different root; only the
+		// done stamp proves they were consumed.
+		st.Inject(sc2Done)
 		sent := 0
 		// One staging buffer serves every pack: a put captures its payload
 		// at issue.
 		staging := coll.Temp[T](st, "pack", t.MaxNodeGroup()*n)
-		for gi, l := range leaders {
+		for gi, l := range t.Leaders() {
 			if l == root {
 				continue
 			}
@@ -94,25 +79,20 @@ func ScatterTwoLevel[T any](v *team.View, root int, send, recv []T) {
 			for i, r := range grp {
 				copy(pack[i*n:(i+1)*n], send[r*n:r*n+n])
 			}
-			me.MemWork(es * len(pack))
-			pgas.PutThenNotify(me, packs, t.GlobalRank(l), packBase, pack, st.Flags, sc2PackSlot+parity, 1, pgas.ViaAuto)
+			me.MemWork(pgas.ElemSize[T]() * len(pack))
+			packs.Put(l, 0, pack, sc2PackSlot+parity, pgas.ViaAuto)
 			sent++
 		}
 		if v.Rank == leader {
 			// A root that leads its node fans out straight from send.
-			scatterFanOut(v, st, blocks, blockOff, parity, root, group, es, n,
-				func(i, r int) []T { return send[r*n : r*n+n] })
+			fanOut(v, st, blocks, group, root, sc2MemberAck+parity, sc2BlockSlot+parity,
+				func(_, r int) []T { return send[r*n : r*n+n] })
 		}
 		if sent > 0 {
 			st.Arrivals(sc2RootAck+parity, sent)
 		}
 		// Publish completion to every potential future root.
-		me.SetLocal(st.Flags, sc2Done, ep)
-		for r := 0; r < sz; r++ {
-			if r != root {
-				me.NotifySet(st.Flags, t.GlobalRank(r), sc2Done, ep, pgas.ViaAuto)
-			}
-		}
+		st.Publish(sc2Done, coll.TeamRanks(v), 0, pgas.ViaAuto)
 		return
 	}
 	if v.Rank == leader {
@@ -120,42 +100,18 @@ func ScatterTwoLevel[T any](v *team.View, root int, send, recv []T) {
 		// over shared memory, then ack the root (my pack region is free the
 		// moment the fan-out puts are issued — puts capture data at issue).
 		st.Arrivals(sc2PackSlot+parity, 1)
-		local := pgas.Local(packs, me)
+		pack := packs.Region(0)
 		pos := groupPos(group, v.Rank)
-		copy(recv, local[packBase+pos*n:packBase+pos*n+n])
-		me.MemWork(es * n)
-		scatterFanOut(v, st, blocks, blockOff, parity, root, group, es, n,
-			func(i, r int) []T { return local[packBase+i*n : packBase+(i+1)*n] })
+		copy(recv, pack[pos*n:pos*n+n])
+		me.MemWork(pgas.ElemSize[T]() * n)
+		fanOut(v, st, blocks, group, root, sc2MemberAck+parity, sc2BlockSlot+parity,
+			func(i, _ int) []T { return pack[i*n : (i+1)*n] })
 		me.NotifyAdd(st.Flags, t.GlobalRank(root), sc2RootAck+parity, 1, pgas.ViaAuto)
 		return
 	}
 	// Member: exactly one block arrives, from my node leader, over shared
 	// memory; ack it so the leader may reuse my landing region.
-	st.Arrivals(sc2BlockSlot+parity, 1)
-	copy(recv, pgas.Local(blocks, me)[blockOff:blockOff+n])
-	me.MemWork(es * n)
-	me.NotifyAdd(st.Flags, t.GlobalRank(leader), sc2MemberAck+parity, 1, pgas.ViaShm)
-}
-
-// scatterFanOut delivers per-member blocks to the leader's intranode set,
-// gated on the acks for the previous same-parity fan-out. block(i, r) yields
-// group position i / team rank r's block.
-func scatterFanOut[T any](v *team.View, st *coll.State, co *pgas.Coarray[T], blockOff, parity, root int, group []int, es, n int, block func(i, r int) []T) {
-	me := v.Img
-	t := v.T
-	expect := st.Expect()
-	if gate := expect[sc2MemberAck+parity]; gate > 0 {
-		me.WaitFlagGE(st.Flags, me.Rank(), sc2MemberAck+parity, gate)
-	}
-	targets := 0
-	for i, r := range group {
-		if r == v.Rank || r == root {
-			continue
-		}
-		pgas.PutThenNotify(me, co, t.GlobalRank(r), blockOff, block(i, r), st.Flags, sc2BlockSlot+parity, 1, pgas.ViaShm)
-		targets++
-	}
-	expect[sc2MemberAck+parity] += int64(targets)
+	blocks.Land(sc2BlockSlot+parity, recv, leader, sc2MemberAck+parity, pgas.ViaShm)
 }
 
 // Flag slots of the two-level gather: parity member-block arrivals at a
@@ -183,113 +139,82 @@ const (
 // arrives per consumed send, so k−1 credits prove every previously written
 // region, on whichever image, was consumed.
 func GatherTwoLevel[T any](v *team.View, root int, send, recv []T) {
-	t := v.T
-	sz := t.Size()
-	n := len(send)
-	es := pgas.ElemSize[T]()
-	v.Img.World().Stats().Count(trace.OpReduce)
-	if v.Rank == root {
-		if len(recv) < sz*n {
-			panic(fmt.Sprintf("core: gather recv %d < %d", len(recv), sz*n))
-		}
-		copy(recv[root*n:root*n+n], send)
-		v.Img.MemWork(es * n)
-	}
-	if sz == 1 {
+	if !coll.GatherOwn(v, root, send, recv) {
 		return
 	}
+	t := v.T
+	n := len(send)
+	es := pgas.ElemSize[T]()
 	st := coll.GetState(v, coll.Alg{"ga2", pgas.TypeName[T]()}, ga2Slots)
-	ep := st.Next()
-	parity := int(ep % 2)
+	parity := int(st.Next() % 2)
 	maxGroup := t.MaxNodeGroup()
 	leaders := t.Leaders()
-	ng := len(leaders)
-	// Two boxes, per parity: a leader's pack assembly area (maxGroup blocks,
-	// written by its intranode set), and an episode root's landing area —
-	// one pack region per node group, written by that group's leader.
-	packs, pcap := coll.Scratch[T](st, "pack", n, 2*maxGroup)
-	lands, lcap := coll.Scratch[T](st, "land", n, 2*ng*maxGroup)
-	packBase := parity * maxGroup * pcap
-	landBase := func(gi int) int { return (parity*ng + gi) * maxGroup * lcap }
+	// Two boxes: a leader's pack assembly area (maxGroup blocks, written by
+	// its intranode set), and an episode root's landing area — one pack of
+	// maxGroup regions per node group, written by that group's leader.
+	packs := coll.NewBox[T](st, "pack", n, maxGroup)
+	lands := coll.NewBox[T](st, "land", n, len(leaders)*maxGroup)
 	me := v.Img
 	leader := t.LeaderOf(v.Rank)
 	group := t.NodeGroup(t.GroupOf(v.Rank))
+	// creditGroup tells my contributors their slices of the pack are free.
+	creditGroup := func() {
+		for _, r := range group {
+			if r != v.Rank && r != root {
+				me.NotifyAdd(st.Flags, t.GlobalRank(r), ga2MemberCredit+parity, 1, pgas.ViaShm)
+			}
+		}
+	}
 
 	if v.Rank != leader && v.Rank != root {
 		// Contribute my block to the leader's pack at my group position,
 		// gated on the credit for my previous same-parity contribution.
-		st.Credit(ga2MemberCredit + parity)
-		pos := groupPos(group, v.Rank)
-		pgas.PutThenNotify(me, packs, t.GlobalRank(leader), packBase+pos*n, send, st.Flags, ga2BlockSlot+parity, 1, pgas.ViaShm)
+		st.Gate(ga2MemberCredit+parity, 1)
+		packs.PutAt(leader, 0, groupPos(group, v.Rank)*n, send, ga2BlockSlot+parity, pgas.ViaShm)
 		return
 	}
 	if v.Rank == leader {
 		// Assemble the node pack: count exactly the contributors (the root
 		// keeps its block local, so it never contributes).
-		contribs := 0
-		for _, r := range group {
-			if r != v.Rank && r != root {
-				contribs++
-			}
-		}
-		if contribs > 0 {
+		if contribs := others(v, group, root); contribs > 0 {
 			st.Arrivals(ga2BlockSlot+parity, contribs)
 		}
 		if v.Rank != root {
-			local := pgas.Local(packs, me)
-			pos := groupPos(group, v.Rank)
-			copy(local[packBase+pos*n:packBase+pos*n+n], send)
+			pack := packs.Region(0)[:len(group)*n]
+			copy(pack[groupPos(group, v.Rank)*n:], send)
 			me.MemWork(es * n)
 			// Ship the whole pack to the root, gated on the credit for my
 			// previous same-parity pack (a root's slot in the pack is a
 			// hole the unpack skips).
-			st.Credit(ga2LeaderCredit + parity)
-			gi := t.GroupOf(v.Rank)
-			pgas.PutThenNotify(me, lands, t.GlobalRank(root), landBase(gi), local[packBase:packBase+len(group)*n], st.Flags, ga2PackSlot+parity, 1, pgas.ViaAuto)
+			st.Gate(ga2LeaderCredit+parity, 1)
+			lands.Put(root, t.GroupOf(v.Rank)*maxGroup, pack, ga2PackSlot+parity, pgas.ViaAuto)
 			// The pack area is consumed the moment the put is issued.
-			for _, r := range group {
-				if r != v.Rank && r != root {
-					me.NotifyAdd(st.Flags, t.GlobalRank(r), ga2MemberCredit+parity, 1, pgas.ViaShm)
-				}
-			}
+			creditGroup()
 			return
 		}
 	}
 	// Root: wait for every other leader's pack, unpack by team rank, credit.
-	sendersExpected := 0
-	for _, l := range leaders {
-		if l != root {
-			sendersExpected++
-		}
-	}
-	if sendersExpected > 0 {
-		st.Arrivals(ga2PackSlot+parity, sendersExpected)
+	if senders := others(v, leaders, -1); senders > 0 {
+		st.Arrivals(ga2PackSlot+parity, senders)
 	}
 	for gi, l := range leaders {
-		grp := t.NodeGroup(gi)
-		var local []T
+		var pack []T
 		if l == root { // my own node, assembled in place
-			local = pgas.Local(packs, me)[packBase:]
+			pack = packs.Region(0)
 		} else {
-			local = pgas.Local(lands, me)[landBase(gi):]
+			pack = lands.Region(gi * maxGroup)
 		}
-		for i, r := range grp {
-			if r == root {
-				continue
+		for i, r := range t.NodeGroup(gi) {
+			if r != root {
+				copy(recv[r*n:r*n+n], pack[i*n:i*n+n])
+				me.MemWork(es * n)
 			}
-			copy(recv[r*n:r*n+n], local[i*n:i*n+n])
-			me.MemWork(es * n)
 		}
 		if l != root {
 			me.NotifyAdd(st.Flags, t.GlobalRank(l), ga2LeaderCredit+parity, 1, pgas.ViaAuto)
 		}
 	}
 	if v.Rank == leader {
-		// A root that leads its node credits its contributors itself.
-		for _, r := range group {
-			if r != v.Rank {
-				me.NotifyAdd(st.Flags, t.GlobalRank(r), ga2MemberCredit+parity, 1, pgas.ViaShm)
-			}
-		}
+		creditGroup() // a root that leads its node credits its contributors itself
 	}
 }

@@ -279,6 +279,42 @@ func (fc *faultCtx) announce(rank int, at Time, cause string, panicValue interfa
 	fc.w.tr.WakeAll(fc.w)
 }
 
+// sweepStale is the failure detector of both backends, a function of now and
+// the heartbeat stamps only: every image still running whose stamp is older
+// than the staleness threshold is announced failed. It reports whether any
+// image is left to watch; a backend calls it every heartbeat period until not.
+func (fc *faultCtx) sweepStale(now Time) (watching bool) {
+	for r := range fc.hbStamp {
+		switch {
+		case fc.isDone(r) || fc.isFailed(r):
+		case now-atomic.LoadInt64(&fc.hbStamp[r]) > fc.cfg.staleAfter():
+			fc.announce(r, now, CauseHeartbeat, nil)
+		default:
+			watching = true
+		}
+	}
+	return watching
+}
+
+// applyKill executes one planned kill (of an image, or of every image on a
+// node) at time now, which a backend calls at ev.At. Non-silent kills are
+// announced at once (a cluster manager broadcasting the death), silent ones
+// are left for heartbeats or wait timeouts to discover.
+func (fc *faultCtx) applyKill(ev FaultEvent, now Time) {
+	for _, im := range fc.w.images {
+		if ev.Kind == FaultKillImage && im.rank != ev.Image || ev.Kind == FaultKillNode && im.node != ev.Node {
+			continue
+		}
+		if fc.isDone(im.rank) || fc.isDead(im.rank) {
+			continue
+		}
+		fc.w.tr.Kill(fc.w, im.rank)
+		if !ev.Silent {
+			fc.announce(im.rank, now, CauseKilled, nil)
+		}
+	}
+}
+
 // failedSnapshot returns the announced failed images, ascending.
 func (fc *faultCtx) failedSnapshot() []int {
 	var out []int

@@ -7,6 +7,7 @@ package pgas
 // semantics (who observes what), never about how long detection took.
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
@@ -88,14 +89,13 @@ func TestNativePanicContained(t *testing.T) {
 	}
 }
 
-// TestNativeSilentKillHeartbeatDetection: with announcements suppressed,
-// only the heartbeat monitor can out the death.
+// TestNativeSilentKillHeartbeatDetection: with announcements suppressed, only
+// the heartbeat monitor can out the death. The liveness contract, which holds
+// however the host stalls: the victim is announced by heartbeat, every
+// survivor's wait ends with a non-timeout failure, nothing hangs. Who exactly
+// is announced when is TestSweepStale's, off the clock.
 func TestNativeSilentKillHeartbeatDetection(t *testing.T) {
 	w := newNativeTestWorld(t, 2, 2)
-	// A period long enough that a short host stall does not make the live
-	// images look stale: at 2 ms (stale after 6) one run in a few hundred under
-	// -race, here and at the parent commit alike, had the monitor wake from a
-	// stall ahead of the stampers and announce everybody.
 	w.SetDetect(DetectConfig{Heartbeat: (10 * time.Millisecond).Nanoseconds()})
 	const victim = 1
 	if err := w.InjectFaults(&FaultPlan{Events: []FaultEvent{
@@ -103,7 +103,7 @@ func TestNativeSilentKillHeartbeatDetection(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	w.Run(func(im *Image) {
+	runOrHang(t, w, 30*time.Second, func(im *Image) {
 		fl := NewFlags(w, "never", 1)
 		if im.Rank() == victim {
 			im.WaitFlagGE(fl, im.Rank(), 0, 1)
@@ -114,9 +114,61 @@ func TestNativeSilentKillHeartbeatDetection(t *testing.T) {
 			t.Errorf("rank %d: want heartbeat-announced failure, got %v", im.Rank(), err)
 		}
 	})
-	fails := w.Failures()
-	if len(fails) != 1 || fails[0].Rank != victim || fails[0].Cause != CauseHeartbeat {
-		t.Fatalf("failures = %+v", fails)
+	announced := false
+	for _, f := range w.Failures() {
+		if f.Rank == victim {
+			announced = f.Cause == CauseHeartbeat
+		}
+	}
+	if !announced {
+		t.Fatalf("victim %d not announced by heartbeat: %+v", victim, w.Failures())
+	}
+}
+
+// TestSweepStale: the failure detector both backends run every heartbeat
+// period is a function of the stamps and the time it is handed, so who gets
+// announced is pinned here with both fed by hand: no clock, no goroutine.
+func TestSweepStale(t *testing.T) {
+	const h = 10 // staleness threshold: 3 periods
+	for _, c := range []struct {
+		name         string
+		stamps       []int64
+		done, failed []int
+		now          int64
+		announce     []int
+		watching     bool
+	}{
+		{name: "all fresh", stamps: []int64{100, 95, 71, 70}, now: 100, watching: true},
+		{name: "exactly the threshold is not stale", stamps: []int64{100, 70, 100, 100}, now: 100, watching: true},
+		{name: "one stale", stamps: []int64{100, 69, 100, 100}, now: 100, announce: []int{1}, watching: true},
+		{name: "finished and failed images are not watched", stamps: []int64{100, 0, 0, 100}, done: []int{1}, failed: []int{2}, now: 100, watching: true},
+		{name: "everyone stale", stamps: []int64{0, 0, 0, 0}, now: 31, announce: []int{0, 1, 2, 3}},
+		{name: "all done or failed", stamps: []int64{0, 0, 0, 0}, done: []int{0, 1}, failed: []int{2, 3}, now: 1000},
+	} {
+		w := newNativeTestWorld(t, 2, 2)
+		w.SetDetect(DetectConfig{Heartbeat: h})
+		fc := w.faults
+		copy(fc.hbStamp, c.stamps)
+		for _, r := range c.done {
+			fc.markDone(r)
+		}
+		for _, r := range c.failed {
+			fc.announce(r, 0, CauseKilled, nil)
+		}
+		before := len(w.Failures())
+		if got := fc.sweepStale(c.now); got != c.watching {
+			t.Errorf("%s: watching = %v, want %v", c.name, got, c.watching)
+		}
+		var got []int
+		for _, f := range w.Failures()[before:] {
+			if f.Cause != CauseHeartbeat || f.At != c.now {
+				t.Errorf("%s: announced %+v, want cause heartbeat at %d", c.name, f, c.now)
+			}
+			got = append(got, f.Rank)
+		}
+		if !slices.Equal(got, c.announce) {
+			t.Errorf("%s: announced %v, want %v", c.name, got, c.announce)
+		}
 	}
 }
 

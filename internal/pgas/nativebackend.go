@@ -67,7 +67,7 @@ func nativeW(w *World) *nativeWorld { return w.ts.(*nativeWorld) }
 // structure on — on the native backend "nodes" are logical groups within
 // one address space, the shape the paper's two-level algorithms exploit.
 func NewNativeWorld(model *machine.Model, topo *topology.Topology, stats *trace.Stats) *World {
-	w := newWorld(nativeTransport{}, model, topo, stats)
+	w := newWorld(&nativeTransport{}, model, topo, stats)
 	nw := &nativeWorld{cells: make([]nativeCell, topo.NumImages())}
 	for i := range nw.cells {
 		c := &nw.cells[i]
@@ -80,13 +80,13 @@ func NewNativeWorld(model *machine.Model, topo *topology.Topology, stats *trace.
 // nativeTransport implements Transport on real goroutines.
 type nativeTransport struct{}
 
-func (nativeTransport) Name() string { return "native" }
+func (*nativeTransport) Name() string { return "native" }
 
 // Immediate reports true: native puts commit inside the call, so Put may
 // read the caller's buffer directly with no staging copy.
-func (nativeTransport) Immediate() bool { return true }
+func (*nativeTransport) Immediate() bool { return true }
 
-func (nativeTransport) Launch(w *World, body func(*Image)) {
+func (*nativeTransport) Launch(w *World, body func(*Image)) {
 	nw := nativeW(w)
 	nw.start = time.Now()
 	nw.wg.Add(len(w.images))
@@ -108,36 +108,12 @@ func (nativeTransport) Launch(w *World, body func(*Image)) {
 			}
 			ev := ev
 			fc.timers = append(fc.timers, time.AfterFunc(time.Duration(ev.At), func() {
-				nativeApplyKill(w, ev)
+				fc.applyKill(ev, w.killTime())
 			}))
 		}
 	}
 	if fc.cfg.Heartbeat > 0 {
 		startNativeHeartbeats(w, nw)
-	}
-}
-
-// nativeApplyKill executes one planned kill on the native backend.
-func nativeApplyKill(w *World, ev FaultEvent) {
-	fc := w.faults
-	kill := func(rank int) {
-		if fc.isDone(rank) || fc.isDead(rank) {
-			return
-		}
-		nativeTransport{}.Kill(w, rank)
-		if !ev.Silent {
-			fc.announce(rank, w.killTime(), CauseKilled, nil)
-		}
-	}
-	switch ev.Kind {
-	case FaultKillImage:
-		kill(ev.Image)
-	case FaultKillNode:
-		for _, im := range w.images {
-			if im.node == ev.Node {
-				kill(im.rank)
-			}
-		}
 	}
 }
 
@@ -163,24 +139,7 @@ func startNativeHeartbeats(w *World, nw *nativeWorld) {
 		}()
 	}
 	go func() {
-		stale := fc.cfg.staleAfter()
-		for {
-			watching := false
-			now := time.Since(nw.start).Nanoseconds()
-			for _, im := range w.images {
-				r := im.rank
-				if fc.isDone(r) || fc.isFailed(r) {
-					continue
-				}
-				if now-atomic.LoadInt64(&fc.hbStamp[r]) > stale {
-					fc.announce(r, now, CauseHeartbeat, nil)
-					continue
-				}
-				watching = true
-			}
-			if !watching {
-				return
-			}
+		for fc.sweepStale(time.Since(nw.start).Nanoseconds()) {
 			select {
 			case <-fc.stopCh:
 				return
@@ -190,18 +149,18 @@ func startNativeHeartbeats(w *World, nw *nativeWorld) {
 	}()
 }
 
-func (nativeTransport) Drive(w *World) Time {
+func (*nativeTransport) Drive(w *World) Time {
 	nw := nativeW(w)
 	nw.wg.Wait()
 	w.faults.stop()
 	return time.Since(nw.start).Nanoseconds()
 }
 
-func (nativeTransport) Now(im *Image) Time {
+func (*nativeTransport) Now(im *Image) Time {
 	return time.Since(nativeW(im.w).start).Nanoseconds()
 }
 
-func (nativeTransport) Sleep(im *Image, d Time) {
+func (*nativeTransport) Sleep(im *Image, d Time) {
 	nativeCheck(im)
 	if d > 0 {
 		time.Sleep(time.Duration(d))
@@ -211,11 +170,11 @@ func (nativeTransport) Sleep(im *Image, d Time) {
 
 // MemWork is a no-op: the packing/combining copies it accounts for in the
 // simulator happen for real on this backend.
-func (nativeTransport) MemWork(im *Image, nbytes int) {}
+func (*nativeTransport) MemWork(im *Image, nbytes int) {}
 
 // Quiet is a no-op (every one-sided operation committed before returning)
 // except for the kill check: a poisoned image unwinds here like anywhere.
-func (nativeTransport) Quiet(im *Image) { nativeCheck(im) }
+func (*nativeTransport) Quiet(im *Image) { nativeCheck(im) }
 
 // nativeCheck unwinds a killed (poisoned) image at its next runtime call;
 // this is the native analogue of the sim kernel interrupting a process at
@@ -331,47 +290,36 @@ func nativeAwaitFailed(im *Image, min int) {
 
 // Put and Get are the kill check: the typed front end lands the payload
 // itself right after the call and passes no commit (see Transport.Immediate).
-func (nativeTransport) Put(im *Image, target, nbytes int, via Via, commit func()) {
-	nativeCheck(im)
-	if commit != nil {
-		commit()
-	}
+func (*nativeTransport) Put(im *Image, target, nbytes int, via Via, _ func()) { nativeCheck(im) }
+
+func (*nativeTransport) Get(im *Image, target, nbytes int, _ func()) { nativeCheck(im) }
+
+// PutThenNotify is not how a put+flag reaches an Immediate transport: the
+// front end calls Put, copies, then NotifyAdd — program order is delivery order.
+func (*nativeTransport) PutThenNotify(*Image, int, int, Via, func(), *Flags, int, int64) {
+	panic("pgas: native puts land in the typed front end (Transport.Immediate)")
 }
 
-func (nativeTransport) Get(im *Image, target, nbytes int, commit func()) {
-	nativeCheck(im)
-	if commit != nil {
-		commit()
-	}
-}
-
-// PutThenNotify is Put then NotifyAdd: with every commit synchronous, program
-// order is delivery order.
-func (t nativeTransport) PutThenNotify(im *Image, target, nbytes int, via Via, commit func(), f *Flags, idx int, delta int64) {
-	t.Put(im, target, nbytes, via, commit)
-	t.NotifyAdd(im, f, target, idx, delta, via)
-}
-
-func (nativeTransport) NotifyAdd(im *Image, f *Flags, target, idx int, delta int64, via Via) {
+func (*nativeTransport) NotifyAdd(im *Image, f *Flags, target, idx int, delta int64, via Via) {
 	nativeCheck(im)
 	f.add(target, idx, delta)
 	nativeW(im.w).wake(target)
 }
 
-func (nativeTransport) NotifySet(im *Image, f *Flags, target, idx int, val int64, via Via) {
+func (*nativeTransport) NotifySet(im *Image, f *Flags, target, idx int, val int64, via Via) {
 	nativeCheck(im)
 	f.storeMax(target, idx, val)
 	nativeW(im.w).wake(target)
 }
 
-func (nativeTransport) FetchOp(im *Image, f *Flags, target, idx int, op AtomicOp, operand int64) int64 {
+func (*nativeTransport) FetchOp(im *Image, f *Flags, target, idx int, op AtomicOp, operand int64) int64 {
 	nativeCheck(im)
 	old := f.fetchOp(target, idx, op, operand)
 	nativeW(im.w).wake(target)
 	return old
 }
 
-func (nativeTransport) CompareAndSwap(im *Image, f *Flags, target, idx int, expected, desired int64) int64 {
+func (*nativeTransport) CompareAndSwap(im *Image, f *Flags, target, idx int, expected, desired int64) int64 {
 	nativeCheck(im)
 	old := f.compareAndSwap(target, idx, expected, desired)
 	if old == expected {
@@ -380,7 +328,7 @@ func (nativeTransport) CompareAndSwap(im *Image, f *Flags, target, idx int, expe
 	return old
 }
 
-func (nativeTransport) WaitFlagGE(im *Image, f *Flags, owner, idx int, min int64) {
+func (*nativeTransport) WaitFlagGE(im *Image, f *Flags, owner, idx int, min int64) {
 	nativeCheck(im)
 	cell := f.cell(owner, idx)
 	if atomic.LoadInt64(cell) >= min {
@@ -390,14 +338,14 @@ func (nativeTransport) WaitFlagGE(im *Image, f *Flags, owner, idx int, min int64
 		waitDesc{f: f, owner: owner, idx: idx, min: min}, true)
 }
 
-func (nativeTransport) WaitAsync(im *Image, ready func() bool) {
+func (*nativeTransport) WaitAsync(im *Image, ready func() bool) {
 	nativeCheck(im)
 	if !ready() {
 		nativeWait(im, im.rank, ready, waitDesc{why: "async progress"}, true)
 	}
 }
 
-func (nativeTransport) WakeRank(w *World, rank int) {
+func (*nativeTransport) WakeRank(w *World, rank int) {
 	nativeW(w).wake(rank)
 }
 
@@ -406,12 +354,12 @@ func (nativeTransport) WakeRank(w *World, rank int) {
 // An image busy in a long Compute dies at the sleep's end — the native
 // backend cannot interrupt a real time.Sleep, a documented difference from
 // the sim backend's immediate unwind.
-func (nativeTransport) Kill(w *World, rank int) {
+func (*nativeTransport) Kill(w *World, rank int) {
 	w.faults.markDead(rank)
-	nativeTransport{}.WakeAll(w)
+	w.tr.WakeAll(w)
 }
 
-func (nativeTransport) WakeAll(w *World) {
+func (*nativeTransport) WakeAll(w *World) {
 	nw := nativeW(w)
 	for r := range nw.cells {
 		nw.wake(r)
@@ -420,6 +368,6 @@ func (nativeTransport) WakeAll(w *World) {
 
 // compile-time interface checks for both transports.
 var (
-	_ Transport = simTransport{}
-	_ Transport = nativeTransport{}
+	_ Transport = (*simTransport)(nil)
+	_ Transport = (*nativeTransport)(nil)
 )

@@ -150,7 +150,7 @@ func NewWorldOn(hw *cluster.Cluster, topo *topology.Topology, stats *trace.Stats
 	if topo.CoresPerNode() > hw.CoresPerNode() {
 		return nil, fmt.Errorf("pgas: topology wants %d cores/node but cluster has %d", topo.CoresPerNode(), hw.CoresPerNode())
 	}
-	w := newWorld(simTransport{}, hw.Model(), topo, stats)
+	w := newWorld(&simTransport{}, hw.Model(), topo, stats)
 	w.ts = &simWorld{
 		hw:       hw,
 		env:      hw.Env(),
@@ -196,13 +196,13 @@ func (im *Image) Proc() *sim.Proc {
 // simTransport implements Transport on the discrete-event kernel.
 type simTransport struct{}
 
-func (simTransport) Name() string { return "sim" }
+func (*simTransport) Name() string { return "sim" }
 
 // Immediate reports false: sim puts deliver asynchronously at a later
 // simulated time, so Put must stage its payload.
-func (simTransport) Immediate() bool { return false }
+func (*simTransport) Immediate() bool { return false }
 
-func (simTransport) Launch(w *World, body func(*Image)) {
+func (*simTransport) Launch(w *World, body func(*Image)) {
 	sw := simW(w)
 	for _, img := range w.images {
 		img := img
@@ -228,16 +228,8 @@ func (simTransport) Launch(w *World, body func(*Image)) {
 func scheduleFaultEvent(w *World, sw *simWorld, ev FaultEvent) {
 	fc := w.faults
 	switch ev.Kind {
-	case FaultKillImage:
-		sw.env.Schedule(ev.At, func() { simKill(w, ev.Image, ev.Silent) })
-	case FaultKillNode:
-		sw.env.Schedule(ev.At, func() {
-			for _, im := range w.images {
-				if im.node == ev.Node {
-					simKill(w, im.rank, ev.Silent)
-				}
-			}
-		})
+	case FaultKillImage, FaultKillNode:
+		sw.env.Schedule(ev.At, func() { fc.applyKill(ev, sw.env.Now()) })
 	case FaultNICDegrade:
 		node, factor := ev.Node, ev.Factor
 		sw.env.Schedule(ev.At, func() { fc.nicFactor[node] = factor })
@@ -259,22 +251,8 @@ func scheduleFaultEvent(w *World, sw *simWorld, ev FaultEvent) {
 	}
 }
 
-// simKill terminates image rank in simulation context; non-silent kills are
-// announced immediately (a cluster manager broadcasting the death), silent
-// ones are left for heartbeats or wait timeouts to discover.
-func simKill(w *World, rank int, silent bool) {
-	fc := w.faults
-	if fc.isDone(rank) || fc.isDead(rank) {
-		return
-	}
-	simTransport{}.Kill(w, rank)
-	if !silent {
-		fc.announce(rank, simW(w).env.Now(), CauseKilled, nil)
-	}
-}
-
 // startSimHeartbeats spawns one stamper process per image plus a monitor
-// that announces images whose stamps go stale (a killed image's stamper is
+// that sweeps for stale stamps every period (a killed image's stamper is
 // killed with it, so silent deaths surface after ~3 heartbeat periods).
 // All heartbeat processes terminate once every image is done or failed.
 func startSimHeartbeats(w *World, sw *simWorld) {
@@ -294,29 +272,13 @@ func startSimHeartbeats(w *World, sw *simWorld) {
 		})
 	}
 	sw.env.Spawn(w.label+"hbmon", func(p *sim.Proc) {
-		stale := fc.cfg.staleAfter()
-		for {
-			watching := false
-			for _, im := range w.images {
-				r := im.rank
-				if fc.isDone(r) || fc.isFailed(r) {
-					continue
-				}
-				if p.Now()-atomic.LoadInt64(&fc.hbStamp[r]) > stale {
-					fc.announce(r, p.Now(), CauseHeartbeat, nil)
-					continue
-				}
-				watching = true
-			}
-			if !watching {
-				return
-			}
+		for fc.sweepStale(p.Now()) {
 			p.Sleep(h)
 		}
 	})
 }
 
-func (simTransport) Drive(w *World) Time {
+func (*simTransport) Drive(w *World) Time {
 	env := simW(w).env
 	if err := env.Run(0); err != nil {
 		panic(err)
@@ -324,10 +286,10 @@ func (simTransport) Drive(w *World) Time {
 	return env.Now()
 }
 
-func (simTransport) Now(im *Image) Time      { return simI(im).proc.Now() }
-func (simTransport) Sleep(im *Image, d Time) { simI(im).proc.Sleep(d) }
+func (*simTransport) Now(im *Image) Time      { return simI(im).proc.Now() }
+func (*simTransport) Sleep(im *Image, d Time) { simI(im).proc.Sleep(d) }
 
-func (simTransport) MemWork(im *Image, nbytes int) {
+func (*simTransport) MemWork(im *Image, nbytes int) {
 	simI(im).proc.Sleep(im.w.model.MemTime(nbytes))
 }
 
@@ -540,7 +502,7 @@ func deliverFlagOp(im *Image, t sim.Time, kind uint8, f *Flags, target, idx int,
 	dispatch(im, t, d)
 }
 
-func (simTransport) Quiet(im *Image) {
+func (*simTransport) Quiet(im *Image) {
 	si := simI(im)
 	si.wKind = wQuiet
 	simWait(im, &si.quietCond, "quiet")
@@ -559,7 +521,7 @@ func simDropped(im *Image, target int) bool {
 	return im.w.faults.dropNow(im.node, dst)
 }
 
-func (simTransport) Put(im *Image, target, nbytes int, via Via, commit func()) {
+func (*simTransport) Put(im *Image, target, nbytes int, via Via, commit func()) {
 	deliver := route(im, target, nbytes, via)
 	if simDropped(im, target) {
 		deliverNop(im, deliver)
@@ -568,7 +530,7 @@ func (simTransport) Put(im *Image, target, nbytes int, via Via, commit func()) {
 	deliverAt(im, deliver, commit)
 }
 
-func (simTransport) Get(im *Image, target, nbytes int, commit func()) {
+func (*simTransport) Get(im *Image, target, nbytes int, commit func()) {
 	w := im.w
 	sw := simW(w)
 	m := w.model
@@ -614,7 +576,7 @@ func (simTransport) Get(im *Image, target, nbytes int, commit func()) {
 	simWaitPred(im, &sw.rowCond[im.rank], "get", func() bool { return done })
 }
 
-func (simTransport) PutThenNotify(im *Image, target, nbytes int, via Via, commit func(), f *Flags, idx int, delta int64) {
+func (*simTransport) PutThenNotify(im *Image, target, nbytes int, via Via, commit func(), f *Flags, idx int, delta int64) {
 	deliverData := route(im, target, nbytes, via)
 	deliverFlag := route(im, target, 8, via)
 	if deliverFlag < deliverData {
@@ -632,7 +594,7 @@ func (simTransport) PutThenNotify(im *Image, target, nbytes int, via Via, commit
 	deliverFlagOp(im, deliverFlag, dAdd, f, target, idx, delta)
 }
 
-func (simTransport) NotifyAdd(im *Image, f *Flags, target, idx int, delta int64, via Via) {
+func (*simTransport) NotifyAdd(im *Image, f *Flags, target, idx int, delta int64, via Via) {
 	deliver := route(im, target, 8, via)
 	if simDropped(im, target) {
 		deliverNop(im, deliver)
@@ -641,7 +603,7 @@ func (simTransport) NotifyAdd(im *Image, f *Flags, target, idx int, delta int64,
 	deliverFlagOp(im, deliver, dAdd, f, target, idx, delta)
 }
 
-func (simTransport) NotifySet(im *Image, f *Flags, target, idx int, val int64, via Via) {
+func (*simTransport) NotifySet(im *Image, f *Flags, target, idx int, val int64, via Via) {
 	deliver := route(im, target, 8, via)
 	if simDropped(im, target) {
 		deliverNop(im, deliver)
@@ -700,7 +662,7 @@ func atomicRoundTrip(im *Image, target, reqBytes int, why string, apply func() i
 	return old
 }
 
-func (simTransport) FetchOp(im *Image, f *Flags, target, idx int, op AtomicOp, operand int64) int64 {
+func (*simTransport) FetchOp(im *Image, f *Flags, target, idx int, op AtomicOp, operand int64) int64 {
 	sw := simW(im.w)
 	return atomicRoundTrip(im, target, 8, "atomic "+op.String(), func() int64 {
 		old := f.fetchOp(target, idx, op, operand)
@@ -709,7 +671,7 @@ func (simTransport) FetchOp(im *Image, f *Flags, target, idx int, op AtomicOp, o
 	})
 }
 
-func (simTransport) CompareAndSwap(im *Image, f *Flags, target, idx int, expected, desired int64) int64 {
+func (*simTransport) CompareAndSwap(im *Image, f *Flags, target, idx int, expected, desired int64) int64 {
 	sw := simW(im.w)
 	return atomicRoundTrip(im, target, 16, "cas", func() int64 {
 		old := f.compareAndSwap(target, idx, expected, desired)
@@ -720,7 +682,7 @@ func (simTransport) CompareAndSwap(im *Image, f *Flags, target, idx int, expecte
 	})
 }
 
-func (simTransport) WaitFlagGE(im *Image, f *Flags, owner, idx int, min int64) {
+func (*simTransport) WaitFlagGE(im *Image, f *Flags, owner, idx int, min int64) {
 	sw := simW(im.w)
 	si := simI(im)
 	si.wKind = wFlag
@@ -731,16 +693,16 @@ func (simTransport) WaitFlagGE(im *Image, f *Flags, owner, idx int, min int64) {
 	simWait(im, &sw.rowCond[owner], "flag wait")
 }
 
-func (simTransport) WaitAsync(im *Image, ready func() bool) {
+func (*simTransport) WaitAsync(im *Image, ready func() bool) {
 	sw := simW(im.w)
 	simWaitPred(im, &sw.rowCond[im.rank], "async progress", ready)
 }
 
-func (simTransport) WakeRank(w *World, rank int) {
+func (*simTransport) WakeRank(w *World, rank int) {
 	simW(w).wake(rank)
 }
 
-func (simTransport) Kill(w *World, rank int) {
+func (*simTransport) Kill(w *World, rank int) {
 	w.faults.markDead(rank)
 	si := simI(w.images[rank])
 	if si.proc != nil {
@@ -751,7 +713,7 @@ func (simTransport) Kill(w *World, rank int) {
 	}
 }
 
-func (simTransport) WakeAll(w *World) {
+func (*simTransport) WakeAll(w *World) {
 	sw := simW(w)
 	for r := range sw.rowCond {
 		sw.rowCond[r].Wake(sw.env)
