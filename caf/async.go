@@ -104,8 +104,9 @@ func CoReduceAsyncT[T any](im *Image, a []T, name string, combine func(dst, src 
 func CoBroadcastAsyncT[T any](im *Image, a []T, sourceImage int) *Handle {
 	im.guardTeam("co_broadcast")
 	v := im.view()
+	root := teamRank(v, "co_broadcast", "source", sourceImage)
 	name := im.pol.AlgFor(core.KindBroadcast, v, len(a), pgas.ElemSize[T]())
-	return im.img.StartOp(func() { core.RunBroadcast(name, v, sourceImage-1, a) })
+	return im.img.StartOp(func() { core.RunBroadcast(name, v, root, a) })
 }
 
 // CoAllgatherAsyncT initiates a non-blocking allgather for any element

@@ -261,6 +261,17 @@ func runWithLevel(cfg Config, level core.Level, body func(im *Image)) (Report, e
 // view returns the current team view (innermost change-team block).
 func (im *Image) view() *team.View { return im.stack[len(im.stack)-1] }
 
+// teamRank turns a 1-based image index of v's team into the runtime's team
+// rank and refuses one outside the team by name. Entry points call it before
+// anything is sent: every image fails alike and Run reports it, where a root
+// nobody is would leave the whole team waiting.
+func teamRank(v *team.View, op, what string, image int) int {
+	if n := v.NumImages(); image < 1 || image > n {
+		panic(fmt.Sprintf("caf: %s: %s image %d outside 1..%d", op, what, image, n))
+	}
+	return image - 1
+}
+
 // ThisImage returns this image's index in the current team, 1-based as in
 // Fortran.
 func (im *Image) ThisImage() int { return im.view().Rank + 1 }
@@ -300,7 +311,7 @@ func (im *Image) SyncImages(images []int) {
 	v := im.view()
 	globals := make([]int, 0, len(images))
 	for _, idx := range images {
-		globals = append(globals, v.T.GlobalRank(idx-1))
+		globals = append(globals, v.T.GlobalRank(teamRank(v, "sync images", "partner", idx)))
 	}
 	im.img.SyncImages(globals)
 }

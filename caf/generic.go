@@ -88,14 +88,14 @@ func CoReduceT[T any](im *Image, a []T, name string, combine func(dst, src []T))
 // left with partial values.
 func CoSumToT[T Numeric](im *Image, a []T, resultImage int) {
 	im.guardTeam("co_sum(result_image)")
-	core.PolicyReduceTo(im.pol, im.view(), resultImage-1, a, coll.SumOp[T]())
+	core.PolicyReduceTo(im.pol, im.view(), teamRank(im.view(), "co_sum(result_image)", "result", resultImage), a, coll.SumOp[T]())
 }
 
 // CoBroadcastT broadcasts a from sourceImage (1-based, current team) to the
 // whole team (CAF co_broadcast), for any element type.
 func CoBroadcastT[T any](im *Image, a []T, sourceImage int) {
 	im.guardTeam("co_broadcast")
-	core.PolicyBroadcast(im.pol, im.view(), sourceImage-1, a)
+	core.PolicyBroadcast(im.pol, im.view(), teamRank(im.view(), "co_broadcast", "source", sourceImage), a)
 }
 
 // CoAllgatherT concatenates every image's mine vector into out, ordered by
@@ -112,7 +112,7 @@ func CoAllgatherT[T any](im *Image, mine, out []T) {
 // NumImages()*len(recv) elements there (the MPI_Scatter pattern).
 func CoScatterT[T any](im *Image, send, recv []T, sourceImage int) {
 	im.guardTeam("co_scatter")
-	core.PolicyScatter(im.pol, im.view(), sourceImage-1, send, recv)
+	core.PolicyScatter(im.pol, im.view(), teamRank(im.view(), "co_scatter", "source", sourceImage), send, recv)
 }
 
 // CoGatherT collects every image's send block into recv on resultImage
@@ -121,7 +121,7 @@ func CoScatterT[T any](im *Image, send, recv []T, sourceImage int) {
 // there (the MPI_Gather pattern).
 func CoGatherT[T any](im *Image, send, recv []T, resultImage int) {
 	im.guardTeam("co_gather")
-	core.PolicyGather(im.pol, im.view(), resultImage-1, send, recv)
+	core.PolicyGather(im.pol, im.view(), teamRank(im.view(), "co_gather", "result", resultImage), send, recv)
 }
 
 // CoAlltoallT performs the personalized all-to-all exchange over the current
@@ -180,11 +180,11 @@ func (c *CoarrayT[T]) Local(im *Image) []T { return pgas.Local(c.co, im.img) }
 // src". One-sided and non-blocking; use SyncMemory or a barrier before the
 // target reads it.
 func (c *CoarrayT[T]) Put(im *Image, target, off int, src []T) {
-	pgas.Put(im.img, c.co, c.v.T.GlobalRank(target-1), off, src, pgas.ViaAuto)
+	pgas.Put(im.img, c.co, c.v.T.GlobalRank(teamRank(c.v, "coarray put", "target", target)), off, src, pgas.ViaAuto)
 }
 
 // Get reads from the slab of image target (1-based) at offset off into dst,
 // blocking until the data arrives — "dst = A(off:...)[target]".
 func (c *CoarrayT[T]) Get(im *Image, target, off int, dst []T) {
-	pgas.Get(im.img, c.co, c.v.T.GlobalRank(target-1), off, dst)
+	pgas.Get(im.img, c.co, c.v.T.GlobalRank(teamRank(c.v, "coarray get", "target", target)), off, dst)
 }

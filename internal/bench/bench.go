@@ -130,6 +130,10 @@ func registryComparator(k core.Kind, name string, rotate bool) Comparator {
 				wide, wide2 = make([]float64, n*len(buf)), make([]float64, n*len(buf))
 			}
 			per := v.T.MaxNodeGroup()
+			elemSize := 8
+			if k == core.KindBarrier {
+				elemSize = 0 // no payload: the decision table sees 0 bytes
+			}
 			for ep := 0; ep < iters; ep++ {
 				root := 0
 				if rotate {
@@ -140,25 +144,28 @@ func registryComparator(k core.Kind, name string, rotate bool) Comparator {
 				if (k == core.KindScatter || k == core.KindGather) && v.Rank == root && wide == nil {
 					wide = make([]float64, n*len(buf))
 				}
+				// Run by name: a Policy passed down by value would sit under
+				// every put of the episode (TestStackBudget).
+				alg := pol.AlgFor(k, v, len(buf), elemSize)
 				switch k {
 				case core.KindBarrier:
-					pol.Barrier(v)
+					core.RunBarrier(alg, v)
 				case core.KindAllreduce:
-					core.PolicyAllreduce(pol, v, buf, coll.Sum)
+					core.RunAllreduce(alg, v, buf, coll.Sum)
 				case core.KindReduceTo:
-					core.PolicyReduceTo(pol, v, root, buf, coll.Sum)
+					core.RunReduceTo(alg, v, root, buf, coll.Sum)
 				case core.KindBroadcast:
-					core.PolicyBroadcast(pol, v, root, buf)
+					core.RunBroadcast(alg, v, root, buf)
 				case core.KindAllgather:
-					core.PolicyAllgather(pol, v, buf, wide)
+					core.RunAllgather(alg, v, buf, wide)
 				case core.KindScatter:
-					core.PolicyScatter(pol, v, root, wide, buf)
+					core.RunScatter(alg, v, root, wide, buf)
 				case core.KindGather:
-					core.PolicyGather(pol, v, root, buf, wide)
+					core.RunGather(alg, v, root, buf, wide)
 				case core.KindAlltoall:
-					core.PolicyAlltoall(pol, v, wide, wide2)
+					core.RunAlltoall(alg, v, wide, wide2)
 				case core.KindScan:
-					core.PolicyScan(pol, v, buf, coll.Sum, rotate && ep%2 == 1)
+					core.RunScan(alg, v, buf, coll.Sum, rotate && ep%2 == 1)
 				}
 			}
 		},

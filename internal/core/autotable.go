@@ -50,8 +50,10 @@ func (r AutoRow) String() string {
 	return fmt.Sprintf("%s, %s, %s, %s", bound(r.PerNode, "per node"), bound(r.Sockets, "sockets"), bound(r.Nodes, "nodes"), below)
 }
 
+// matches reports whether key falls under the row's bounds; Below is
+// exclusive, except that inf is no bound at all (FuzzFirstMatch).
 func (r AutoRow) matches(key AutoKey) bool {
-	return key.PerNode <= r.PerNode && key.Sockets <= r.Sockets && key.Nodes <= r.Nodes && key.Bytes < r.Below
+	return key.PerNode <= r.PerNode && key.Sockets <= r.Sockets && key.Nodes <= r.Nodes && (key.Bytes < r.Below || r.Below == inf)
 }
 
 // FirstMatch is the one lookup: the position of the first of rows that

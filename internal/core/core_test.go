@@ -383,7 +383,7 @@ func TestPolicyAutoSelects(t *testing.T) {
 		spec, w := c.spec, newWorld(t, c.spec)
 		w.Run(func(im *pgas.Image) {
 			v := team.Initial(w, im)
-			if got := (Policy{Level: LevelAuto}).effective(v); got != c.want {
+			if got := (&Policy{Level: LevelAuto}).effective(v); got != c.want {
 				t.Errorf("auto on %s = %v, want %v", spec, got, c.want)
 			}
 			key := AutoKeyOf(v, 1024)
@@ -392,10 +392,10 @@ func TestPolicyAutoSelects(t *testing.T) {
 			}
 			for _, k := range Kinds() {
 				row, _ := AutoPick(k, key)
-				if got := (Policy{Level: LevelAuto, Tuning: AllAuto()}).AlgFor(k, v, 128, 8); got != row.Alg {
+				if got := (&Policy{Level: LevelAuto, Tuning: AllAuto()}).AlgFor(k, v, 128, 8); got != row.Alg {
 					t.Errorf("%s %s: auto runs %q, the table says %q", spec, k, got, row.Alg)
 				}
-				if got := (Policy{Level: LevelFlat, Tuning: AllAuto()}).AlgFor(k, v, 128, 8); got != row.Flat || HierarchyAware(got) {
+				if got := (&Policy{Level: LevelFlat, Tuning: AllAuto()}).AlgFor(k, v, 128, 8); got != row.Flat || HierarchyAware(got) {
 					t.Errorf("%s %s: flat auto runs %q, the table says %q", spec, k, got, row.Flat)
 				}
 			}

@@ -97,7 +97,7 @@ type Policy struct {
 }
 
 // effective resolves LevelAuto for a concrete team.
-func (p Policy) effective(v *team.View) Level {
+func (p *Policy) effective(v *team.View) Level {
 	if p.Level != LevelAuto {
 		return p.Level
 	}
@@ -114,7 +114,7 @@ func (p Policy) effective(v *team.View) Level {
 // Tuning — except that an "auto" entry whose level leaves the choice open
 // reads the decision table: every registered algorithm under LevelAuto, the
 // hierarchy-oblivious ones under LevelFlat.
-func (p Policy) AlgFor(k Kind, v *team.View, elems, elemSize int) string {
+func (p *Policy) AlgFor(k Kind, v *team.View, elems, elemSize int) string {
 	name := p.Tuning.For(k)
 	if name != "" && name != AlgAuto {
 		return name
@@ -137,7 +137,7 @@ func (p Policy) AlgFor(k Kind, v *team.View, elems, elemSize int) string {
 
 // Barrier synchronizes the team (CAF sync team / sync all within the
 // team).
-func (p Policy) Barrier(v *team.View) {
+func (p *Policy) Barrier(v *team.View) {
 	RunBarrier(p.AlgFor(KindBarrier, v, -1, 0), v)
 }
 

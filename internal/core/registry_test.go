@@ -188,12 +188,12 @@ func TestTuningValidateAndSelection(t *testing.T) {
 						continue
 					}
 					for level, col := range map[Level]int{LevelFlat: 0, LevelTwo: 1, LevelThree: 2, LevelAuto: autoCol} {
-						if got := (Policy{Level: level}).AlgFor(k, v, pl.elems, pl.elemSize); got != want[k][col] {
+						if got := (&Policy{Level: level}).AlgFor(k, v, pl.elems, pl.elemSize); got != want[k][col] {
 							t.Errorf("%s %s %v/%v: zero tuning runs %q, want %q", spec, k, level, pl, got, want[k][col])
 						}
 						row, _ := AutoPick(k, AutoKeyOf(v, max(pl.elems, 0)*pl.elemSize))
 						wantAuto := map[Level]string{LevelFlat: row.Flat, LevelTwo: want[k][1], LevelThree: want[k][2], LevelAuto: row.Alg}[level]
-						if got := (Policy{Level: level, Tuning: AllAuto()}).AlgFor(k, v, pl.elems, pl.elemSize); got != wantAuto {
+						if got := (&Policy{Level: level, Tuning: AllAuto()}).AlgFor(k, v, pl.elems, pl.elemSize); got != wantAuto {
 							t.Errorf("%s %s %v/%v: auto runs %q, want %q (row %v)", spec, k, level, pl, got, wantAuto, row)
 						}
 						autos++

@@ -192,6 +192,14 @@ func (c *Coarray[T]) materialize(rank int) []T {
 	return s
 }
 
+// outside refuses a transfer that leaves the slab, in a frame of its own: the
+// formatting costs the put chain no stack (TestStackBudget).
+//
+//go:noinline
+func (c *Coarray[T]) outside(op string, off, n int) {
+	panic(fmt.Sprintf("pgas: %s %q [%d:%d) outside [0:%d)", op, c.name, off, off+n, c.n))
+}
+
 // Local returns this image's own slab for direct computation. No transfer
 // cost is charged; local compute is charged separately via Image.Compute.
 func Local[T any](c *Coarray[T], im *Image) []T { return c.slab(im.rank) }
@@ -211,7 +219,7 @@ func Local[T any](c *Coarray[T], im *Image) []T { return c.slab(im.rank) }
 // simply falls to the garbage collector.
 func Put[T any](im *Image, c *Coarray[T], target, off int, src []T, via Via) {
 	if off < 0 || off+len(src) > c.n {
-		panic(fmt.Sprintf("pgas: put %q [%d:%d) outside [0:%d)", c.name, off, off+len(src), c.n))
+		c.outside("put", off, len(src))
 	}
 	dst := c.slab(target)
 	nbytes := len(src) * c.elemSize
@@ -230,7 +238,7 @@ func Put[T any](im *Image, c *Coarray[T], target, off int, src []T, via Via) {
 // has arrived (CAF gets are blocking).
 func Get[T any](im *Image, c *Coarray[T], target, off int, dst []T) {
 	if off < 0 || off+len(dst) > c.n {
-		panic(fmt.Sprintf("pgas: get %q [%d:%d) outside [0:%d)", c.name, off, off+len(dst), c.n))
+		c.outside("get", off, len(dst))
 	}
 	src := c.slab(target)
 	nbytes := len(dst) * c.elemSize
@@ -250,7 +258,7 @@ func Get[T any](im *Image, c *Coarray[T], target, off int, dst []T) {
 // literally Put, the inline copy, then NotifyAdd.
 func PutThenNotify[T any](im *Image, c *Coarray[T], target, off int, src []T, f *Flags, idx int, delta int64, via Via) {
 	if off < 0 || off+len(src) > c.n {
-		panic(fmt.Sprintf("pgas: put %q [%d:%d) outside [0:%d)", c.name, off, off+len(src), c.n))
+		c.outside("put", off, len(src))
 	}
 	dst := c.slab(target)
 	nbytes := len(src) * c.elemSize

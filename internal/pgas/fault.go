@@ -461,14 +461,14 @@ func (w *World) KillImage(rank int) {
 
 // killTime returns "now" for failure records without an Image context.
 func (w *World) killTime() Time {
-	if sw, ok := w.ts.(*simWorld); ok {
-		return sw.env.Now()
+	if w.sim != nil {
+		return w.sim.env.Now()
 	}
-	if nw, ok := w.ts.(*nativeWorld); ok && !nw.start.IsZero() {
-		//caflint:allow wallclock -- native-backend branch: real elapsed time is the backend's clock
-		return time.Since(nw.start).Nanoseconds()
+	if w.native.start.IsZero() {
+		return 0 // not launched yet
 	}
-	return 0
+	//caflint:allow wallclock -- native-backend branch: real elapsed time is the backend's clock
+	return time.Since(w.native.start).Nanoseconds()
 }
 
 // FailedImages returns the global ranks of announced failed images,
@@ -525,11 +525,10 @@ func (w *World) Failures() []ImageFailure {
 // survivors' recovery instead of racing ahead.
 func (im *Image) AwaitFailedImages(min int) []int {
 	fc := im.w.faults
-	switch ts := im.w.ts.(type) {
-	case *simWorld:
-		ts.rowCond[im.rank].Wait(simI(im).proc, "await failed images",
+	if sw := im.w.sim; sw != nil {
+		sw.rowCond[im.rank].Wait(sw.img[im.rank].proc, "await failed images",
 			func() bool { return fc.failedCount() >= int64(min) })
-	case *nativeWorld:
+	} else {
 		nativeAwaitFailed(im, min)
 	}
 	return fc.failedSnapshot()

@@ -308,7 +308,7 @@ func TestZeroDetectConfigAddsNoEvents(t *testing.T) {
 				im.WaitFlagGE(fl, im.Rank(), im.Rank(), ep)
 			}
 		})
-		env := simW(w).env
+		env := w.sim.env
 		return end, env.Events()
 	}
 	baseEnd, baseEvents := run(func(w *World) {})

@@ -14,7 +14,6 @@ type Image struct {
 	w    *World
 	rank int
 	node int
-	ts   interface{} // backend-private state (*simImage on sim, nil on native)
 
 	// syncSent[p] counts sync-images notifications this image has sent to
 	// image p. The matching receive counters live in the world-level

@@ -58,8 +58,6 @@ type nativeCell struct {
 	cond    sync.Cond // on mu
 }
 
-func nativeW(w *World) *nativeWorld { return w.ts.(*nativeWorld) }
-
 // NewNativeWorld creates a world whose images run as real goroutines on
 // this machine, with wall-clock timing. model is still consulted for
 // Compute/Sleep durations (slept for real); topo still defines the
@@ -73,7 +71,7 @@ func NewNativeWorld(model *machine.Model, topo *topology.Topology, stats *trace.
 		c := &nw.cells[i]
 		c.cond.L = &c.mu
 	}
-	w.ts = nw
+	w.native = nw
 	return w
 }
 
@@ -87,7 +85,7 @@ func (*nativeTransport) Name() string { return "native" }
 func (*nativeTransport) Immediate() bool { return true }
 
 func (*nativeTransport) Launch(w *World, body func(*Image)) {
-	nw := nativeW(w)
+	nw := w.native
 	nw.start = time.Now()
 	nw.wg.Add(len(w.images))
 	for _, img := range w.images {
@@ -150,14 +148,14 @@ func startNativeHeartbeats(w *World, nw *nativeWorld) {
 }
 
 func (*nativeTransport) Drive(w *World) Time {
-	nw := nativeW(w)
+	nw := w.native
 	nw.wg.Wait()
 	w.faults.stop()
 	return time.Since(nw.start).Nanoseconds()
 }
 
 func (*nativeTransport) Now(im *Image) Time {
-	return time.Since(nativeW(im.w).start).Nanoseconds()
+	return time.Since(im.w.native.start).Nanoseconds()
 }
 
 func (*nativeTransport) Sleep(im *Image, d Time) {
@@ -219,7 +217,7 @@ const (
 // armed when the wait first parks and only broadcasts; the waiter itself
 // decides it timed out, so spurious wakeups are harmless.
 func nativeWait(im *Image, cellRank int, pred func() bool, d waitDesc, raise bool) {
-	nw := nativeW(im.w)
+	nw := im.w.native
 	fc := im.w.faults
 	c := &nw.cells[cellRank]
 	// Interrupt on any announcement this image has not acknowledged (see
@@ -303,19 +301,19 @@ func (*nativeTransport) PutThenNotify(*Image, int, int, Via, func(), *Flags, int
 func (*nativeTransport) NotifyAdd(im *Image, f *Flags, target, idx int, delta int64, via Via) {
 	nativeCheck(im)
 	f.add(target, idx, delta)
-	nativeW(im.w).wake(target)
+	im.w.native.wake(target)
 }
 
 func (*nativeTransport) NotifySet(im *Image, f *Flags, target, idx int, val int64, via Via) {
 	nativeCheck(im)
 	f.storeMax(target, idx, val)
-	nativeW(im.w).wake(target)
+	im.w.native.wake(target)
 }
 
 func (*nativeTransport) FetchOp(im *Image, f *Flags, target, idx int, op AtomicOp, operand int64) int64 {
 	nativeCheck(im)
 	old := f.fetchOp(target, idx, op, operand)
-	nativeW(im.w).wake(target)
+	im.w.native.wake(target)
 	return old
 }
 
@@ -323,7 +321,7 @@ func (*nativeTransport) CompareAndSwap(im *Image, f *Flags, target, idx int, exp
 	nativeCheck(im)
 	old := f.compareAndSwap(target, idx, expected, desired)
 	if old == expected {
-		nativeW(im.w).wake(target)
+		im.w.native.wake(target)
 	}
 	return old
 }
@@ -346,7 +344,7 @@ func (*nativeTransport) WaitAsync(im *Image, ready func() bool) {
 }
 
 func (*nativeTransport) WakeRank(w *World, rank int) {
-	nativeW(w).wake(rank)
+	w.native.wake(rank)
 }
 
 // Kill poisons image rank: its current wait (woken by the broadcast below)
@@ -360,7 +358,7 @@ func (*nativeTransport) Kill(w *World, rank int) {
 }
 
 func (*nativeTransport) WakeAll(w *World) {
-	nw := nativeW(w)
+	nw := w.native
 	for r := range nw.cells {
 		nw.wake(r)
 	}

@@ -644,7 +644,9 @@ func TestPerPairDeliveryOrdered(t *testing.T) {
 				if im.Rank() == 0 {
 					for k := int64(1); k <= 20; k++ {
 						k := k
-						deliver := route(im, target, 8, via)
+						via := im.resolveVia(target, via)
+						im.Sleep(sendOverhead(w.model, via))
+						deliver := route(im, target, 8, via, im.Now())
 						deliverAt(im, deliver, func() { order = append(order, k) })
 					}
 				}

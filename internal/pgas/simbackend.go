@@ -38,6 +38,8 @@ type simWorld struct {
 	// split-phase progress engine.
 	rowCond []sim.Cond
 
+	img []simImage // per rank, one slab like World.images
+
 	// freeDel is the delivery-record free list (LIFO). Records cycle
 	// strictly within scheduler context (see sim.Env), so a plain slice is
 	// both safe and deterministic.
@@ -114,9 +116,6 @@ func (si *simImage) describeWait() string {
 	return ""
 }
 
-func simW(w *World) *simWorld  { return w.ts.(*simWorld) }
-func simI(im *Image) *simImage { return im.ts.(*simImage) }
-
 // NewWorld creates a world with one image per placed rank in topo, on a
 // private simulated machine owned by this world alone. The caller launches
 // image bodies with Launch (driving env) or Run.
@@ -151,18 +150,19 @@ func NewWorldOn(hw *cluster.Cluster, topo *topology.Topology, stats *trace.Stats
 		return nil, fmt.Errorf("pgas: topology wants %d cores/node but cluster has %d", topo.CoresPerNode(), hw.CoresPerNode())
 	}
 	w := newWorld(&simTransport{}, hw.Model(), topo, stats)
-	w.ts = &simWorld{
+	w.sim = &simWorld{
 		hw:       hw,
 		env:      hw.Env(),
 		nic:      hw.NICs(),
 		progress: hw.ProgressEngines(),
 		membus:   hw.Membuses(),
 		rowCond:  make([]sim.Cond, topo.NumImages()),
+		img:      make([]simImage, topo.NumImages()),
 	}
-	for _, im := range w.images {
-		si := &simImage{im: im}
+	for r, im := range w.images {
+		si := &w.sim.img[r]
+		si.im = im
 		si.eval = si.waitEval
-		im.ts = si
 	}
 	return w, nil
 }
@@ -170,27 +170,27 @@ func NewWorldOn(hw *cluster.Cluster, topo *topology.Topology, stats *trace.Stats
 // Cluster returns the simulated machine this world runs on, or nil on the
 // native backend.
 func (w *World) Cluster() *cluster.Cluster {
-	if sw, ok := w.ts.(*simWorld); ok {
-		return sw.hw
+	if w.sim == nil {
+		return nil
 	}
-	return nil
+	return w.sim.hw
 }
 
 // Env returns the simulation environment, or nil on the native backend.
 func (w *World) Env() *sim.Env {
-	if sw, ok := w.ts.(*simWorld); ok {
-		return sw.env
+	if w.sim == nil {
+		return nil
 	}
-	return nil
+	return w.sim.env
 }
 
 // Proc returns the simulated process, for direct sleeps in tests; nil on
 // the native backend.
 func (im *Image) Proc() *sim.Proc {
-	if si, ok := im.ts.(*simImage); ok {
-		return si.proc
+	if im.w.sim == nil {
+		return nil
 	}
-	return nil
+	return im.w.sim.img[im.rank].proc
 }
 
 // simTransport implements Transport on the discrete-event kernel.
@@ -203,11 +203,11 @@ func (*simTransport) Name() string { return "sim" }
 func (*simTransport) Immediate() bool { return false }
 
 func (*simTransport) Launch(w *World, body func(*Image)) {
-	sw := simW(w)
+	sw := w.sim
 	for _, img := range w.images {
 		img := img
 		sw.env.Spawn(fmt.Sprintf("%simage%d", w.label, img.rank), func(p *sim.Proc) {
-			si := simI(img)
+			si := &sw.img[img.rank]
 			si.proc = p
 			p.Describe = si.describeWait
 			body(img)
@@ -263,8 +263,7 @@ func startSimHeartbeats(w *World, sw *simWorld) {
 	}
 	for _, im := range w.images {
 		im := im
-		si := simI(im)
-		si.hb = sw.env.Spawn(fmt.Sprintf("%shb%d", w.label, im.rank), func(p *sim.Proc) {
+		sw.img[im.rank].hb = sw.env.Spawn(fmt.Sprintf("%shb%d", w.label, im.rank), func(p *sim.Proc) {
 			for !fc.isDone(im.rank) && !fc.isDead(im.rank) {
 				atomic.StoreInt64(&fc.hbStamp[im.rank], p.Now())
 				p.Sleep(h)
@@ -279,18 +278,18 @@ func startSimHeartbeats(w *World, sw *simWorld) {
 }
 
 func (*simTransport) Drive(w *World) Time {
-	env := simW(w).env
+	env := w.sim.env
 	if err := env.Run(0); err != nil {
 		panic(err)
 	}
 	return env.Now()
 }
 
-func (*simTransport) Now(im *Image) Time      { return simI(im).proc.Now() }
-func (*simTransport) Sleep(im *Image, d Time) { simI(im).proc.Sleep(d) }
+func (*simTransport) Now(im *Image) Time      { return im.w.sim.img[im.rank].proc.Now() }
+func (*simTransport) Sleep(im *Image, d Time) { im.w.sim.img[im.rank].proc.Sleep(d) }
 
 func (*simTransport) MemWork(im *Image, nbytes int) {
-	simI(im).proc.Sleep(im.w.model.MemTime(nbytes))
+	im.w.sim.img[im.rank].proc.Sleep(im.w.model.MemTime(nbytes))
 }
 
 // wake re-evaluates rank's flag waiters and progress engine. Called after
@@ -310,9 +309,9 @@ func (sw *simWorld) wake(rank int) {
 // static why string; the detailed description, when one exists, is built
 // lazily by describeWait — only for deadlock reports and failure errors.
 func simWait(im *Image, c *sim.Cond, why string) {
-	sw := simW(im.w)
+	sw := im.w.sim
 	fc := im.w.faults
-	si := simI(im)
+	si := &sw.img[im.rank]
 	// Interrupt on any announcement this image has not acknowledged — not
 	// just ones newer than the wait: an unacked dead peer may be the very
 	// image whose notify we are waiting for (see faultCtx.ackEpoch).
@@ -346,39 +345,41 @@ func simWait(im *Image, c *sim.Cond, why string) {
 // simWaitPred is simWait with an arbitrary predicate (the wGeneric kind),
 // for the colder round-trip paths (get, atomics, async progress).
 func simWaitPred(im *Image, c *sim.Cond, why string, pred func() bool) {
-	si := simI(im)
+	si := &im.w.sim.img[im.rank]
 	si.wKind = wGeneric
 	si.wPred = pred
 	simWait(im, c, why)
 }
 
-// route computes the delivery time of a message of n payload bytes from im
-// to target over the given (resolved) path, charging the sender's CPU
-// overhead (which blocks the caller) and occupying the serializing
-// resources. It returns the simulated delivery time.
-func route(im *Image, target int, n int, via Via) sim.Time {
+// sendOverhead is the sender's CPU overhead (LogGP o) over a resolved path:
+// what the issuing transport method sleeps before it asks route.
+func sendOverhead(m *machine.Model, via Via) Time {
+	if via == ViaShm {
+		return m.Shm.O
+	}
+	return m.Net.O
+}
+
+// route is the cost function of one message: n payload bytes from im to
+// target over a resolved path, injected at now (the caller's clock after its
+// sendOverhead sleep). It occupies the path's serializing resources and
+// returns the delivery time; it never blocks (TestSimHelpersDoNotBlock).
+func route(im *Image, target, n int, via Via, now sim.Time) sim.Time {
 	w := im.w
-	sw := simW(w)
+	sw := w.sim
 	m := w.model
-	proc := simI(im).proc
 	dstNode := w.topo.NodeOf(target)
-	sameNode := dstNode == im.node
-	via = im.resolveVia(target, via)
 	switch {
 	case via == ViaShm:
 		// Direct load/store path within the node.
-		proc.Sleep(m.Shm.O)
-		now := proc.Now()
 		dur := m.Shm.G + m.Shm.ByteTime(n)
 		start := sw.membus[im.node].Occupy(now, dur)
 		return start + dur + m.Shm.L
-	case sameNode:
+	case dstNode == im.node:
 		// Conduit loopback: the portable path does not know the target
 		// is local; the message serializes through the node's conduit
 		// progress engine at an inflated occupancy (software handling
 		// plus flag-polling coherence traffic).
-		proc.Sleep(m.Net.O)
-		now := proc.Now()
 		dur := m.LoopbackG + m.Shm.ByteTime(n)
 		start := sw.progress[im.node].Occupy(now, dur)
 		return start + dur + m.Shm.L
@@ -388,8 +389,6 @@ func route(im *Image, target int, n int, via Via) sim.Time {
 		// Injected NIC degradation inflates the occupancy at either end;
 		// an injected link delay stretches the wire.
 		fc := w.faults
-		proc.Sleep(m.Net.O)
-		now := proc.Now()
 		sdur := m.Net.G + m.Net.ByteTime(n)
 		if f := fc.nicFactorNow(im.node) * fc.nicFactorNow(dstNode); f != 1 {
 			sdur = Time(float64(sdur) * f)
@@ -449,7 +448,7 @@ func (sw *simWorld) getDelivery(im *Image, kind uint8) *delivery {
 // record to the pool. Runs as a simulator event.
 func (d *delivery) execute() {
 	im := d.im
-	sw := simW(im.w)
+	sw := im.w.sim
 	switch d.kind {
 	case dFn:
 		d.fn()
@@ -460,7 +459,7 @@ func (d *delivery) execute() {
 		d.f.storeMax(d.tgt, d.idx, d.val)
 		sw.wake(d.tgt)
 	}
-	si := simI(im)
+	si := &sw.img[im.rank]
 	si.outstanding--
 	if si.outstanding == 0 {
 		si.quietCond.Wake(sw.env)
@@ -473,14 +472,15 @@ func (d *delivery) execute() {
 
 // dispatch schedules d at time t and tracks the operation for Quiet.
 func dispatch(im *Image, t sim.Time, d *delivery) {
-	simI(im).outstanding++
-	simW(im.w).env.Schedule(t, d.run)
+	sw := im.w.sim
+	sw.img[im.rank].outstanding++
+	sw.env.Schedule(t, d.run)
 }
 
 // deliverAt schedules fn at time t and tracks the operation for Quiet — the
 // generic (closure-carrying) form used by put commits and atomic applies.
 func deliverAt(im *Image, t sim.Time, fn func()) {
-	d := simW(im.w).getDelivery(im, dFn)
+	d := im.w.sim.getDelivery(im, dFn)
 	d.fn = fn
 	dispatch(im, t, d)
 }
@@ -488,13 +488,13 @@ func deliverAt(im *Image, t sim.Time, fn func()) {
 // deliverNop schedules a dropped message: it drains for Quiet at the time
 // the sender believes delivery happened, but mutates nothing.
 func deliverNop(im *Image, t sim.Time) {
-	dispatch(im, t, simW(im.w).getDelivery(im, dNop))
+	dispatch(im, t, im.w.sim.getDelivery(im, dNop))
 }
 
 // deliverFlagOp schedules a pooled flag mutation (dAdd or dSet) on f's
 // target row — the zero-alloc path under every notify.
 func deliverFlagOp(im *Image, t sim.Time, kind uint8, f *Flags, target, idx int, val int64) {
-	d := simW(im.w).getDelivery(im, kind)
+	d := im.w.sim.getDelivery(im, kind)
 	d.f = f
 	d.tgt = target
 	d.idx = idx
@@ -503,7 +503,7 @@ func deliverFlagOp(im *Image, t sim.Time, kind uint8, f *Flags, target, idx int,
 }
 
 func (*simTransport) Quiet(im *Image) {
-	si := simI(im)
+	si := &im.w.sim.img[im.rank]
 	si.wKind = wQuiet
 	simWait(im, &si.quietCond, "quiet")
 }
@@ -522,7 +522,9 @@ func simDropped(im *Image, target int) bool {
 }
 
 func (*simTransport) Put(im *Image, target, nbytes int, via Via, commit func()) {
-	deliver := route(im, target, nbytes, via)
+	proc := im.w.sim.img[im.rank].proc
+	proc.Sleep(sendOverhead(im.w.model, via))
+	deliver := route(im, target, nbytes, via, proc.Now())
 	if simDropped(im, target) {
 		deliverNop(im, deliver)
 		return
@@ -532,20 +534,18 @@ func (*simTransport) Put(im *Image, target, nbytes int, via Via, commit func()) 
 
 func (*simTransport) Get(im *Image, target, nbytes int, commit func()) {
 	w := im.w
-	sw := simW(w)
+	sw := w.sim
 	m := w.model
-	proc := simI(im).proc
+	proc := sw.img[im.rank].proc
 	if target == im.rank {
 		proc.Sleep(m.MemTime(nbytes))
 		commit()
 		return
 	}
 	if im.SameNode(target) {
-		// Direct shared-memory read.
+		// Direct shared-memory read: a message over the membus, waited for.
 		proc.Sleep(m.Shm.O)
-		dur := m.Shm.G + m.Shm.ByteTime(nbytes)
-		start := sw.membus[im.node].Occupy(proc.Now(), dur)
-		proc.Sleep(start + dur + m.Shm.L - proc.Now())
+		proc.Sleep(route(im, target, nbytes, ViaShm, proc.Now()) - proc.Now())
 		commit()
 		return
 	}
@@ -577,8 +577,12 @@ func (*simTransport) Get(im *Image, target, nbytes int, commit func()) {
 }
 
 func (*simTransport) PutThenNotify(im *Image, target, nbytes int, via Via, commit func(), f *Flags, idx int, delta int64) {
-	deliverData := route(im, target, nbytes, via)
-	deliverFlag := route(im, target, 8, via)
+	proc := im.w.sim.img[im.rank].proc
+	o := sendOverhead(im.w.model, via)
+	proc.Sleep(o)
+	deliverData := route(im, target, nbytes, via, proc.Now())
+	proc.Sleep(o)
+	deliverFlag := route(im, target, 8, via, proc.Now())
 	if deliverFlag < deliverData {
 		deliverFlag = deliverData // ordered delivery per pair
 	}
@@ -595,7 +599,9 @@ func (*simTransport) PutThenNotify(im *Image, target, nbytes int, via Via, commi
 }
 
 func (*simTransport) NotifyAdd(im *Image, f *Flags, target, idx int, delta int64, via Via) {
-	deliver := route(im, target, 8, via)
+	proc := im.w.sim.img[im.rank].proc
+	proc.Sleep(sendOverhead(im.w.model, via))
+	deliver := route(im, target, 8, via, proc.Now())
 	if simDropped(im, target) {
 		deliverNop(im, deliver)
 		return
@@ -604,7 +610,9 @@ func (*simTransport) NotifyAdd(im *Image, f *Flags, target, idx int, delta int64
 }
 
 func (*simTransport) NotifySet(im *Image, f *Flags, target, idx int, val int64, via Via) {
-	deliver := route(im, target, 8, via)
+	proc := im.w.sim.img[im.rank].proc
+	proc.Sleep(sendOverhead(im.w.model, via))
+	deliver := route(im, target, 8, via, proc.Now())
 	if simDropped(im, target) {
 		deliverNop(im, deliver)
 		return
@@ -616,12 +624,13 @@ func (*simTransport) NotifySet(im *Image, f *Flags, target, idx int, val int64, 
 // local and intra-node targets use the node's memory system; inter-node
 // targets pay a request over the wire (reqBytes of payload) and an 8-byte
 // response back, with apply executed at the target at delivery time. It
-// returns apply's result once the caller may proceed.
-func atomicRoundTrip(im *Image, target, reqBytes int, why string, apply func() int64) int64 {
+// returns apply's result once the caller may proceed (it blocks, so it is a
+// transport method).
+func (*simTransport) atomicRoundTrip(im *Image, target, reqBytes int, why string, apply func() int64) int64 {
 	w := im.w
-	sw := simW(w)
+	sw := w.sim
 	m := w.model
-	proc := simI(im).proc
+	proc := sw.img[im.rank].proc
 	if target == im.rank {
 		proc.Sleep(m.AtomicShm)
 		return apply()
@@ -640,7 +649,8 @@ func atomicRoundTrip(im *Image, target, reqBytes int, why string, apply func() i
 		proc.Sleep(m.Net.O)
 		simWaitPred(im, &sw.rowCond[im.rank], why, func() bool { return false })
 	}
-	deliver := route(im, target, reqBytes, ViaConduit)
+	proc.Sleep(m.Net.O)
+	deliver := route(im, target, reqBytes, ViaConduit, proc.Now())
 	var old int64
 	done := false
 	deliverAt(im, deliver, func() { old = apply() })
@@ -662,18 +672,18 @@ func atomicRoundTrip(im *Image, target, reqBytes int, why string, apply func() i
 	return old
 }
 
-func (*simTransport) FetchOp(im *Image, f *Flags, target, idx int, op AtomicOp, operand int64) int64 {
-	sw := simW(im.w)
-	return atomicRoundTrip(im, target, 8, "atomic "+op.String(), func() int64 {
+func (t *simTransport) FetchOp(im *Image, f *Flags, target, idx int, op AtomicOp, operand int64) int64 {
+	sw := im.w.sim
+	return t.atomicRoundTrip(im, target, 8, "atomic "+op.String(), func() int64 {
 		old := f.fetchOp(target, idx, op, operand)
 		sw.wake(target)
 		return old
 	})
 }
 
-func (*simTransport) CompareAndSwap(im *Image, f *Flags, target, idx int, expected, desired int64) int64 {
-	sw := simW(im.w)
-	return atomicRoundTrip(im, target, 16, "cas", func() int64 {
+func (t *simTransport) CompareAndSwap(im *Image, f *Flags, target, idx int, expected, desired int64) int64 {
+	sw := im.w.sim
+	return t.atomicRoundTrip(im, target, 16, "cas", func() int64 {
 		old := f.compareAndSwap(target, idx, expected, desired)
 		if old == expected {
 			sw.wake(target)
@@ -683,8 +693,8 @@ func (*simTransport) CompareAndSwap(im *Image, f *Flags, target, idx int, expect
 }
 
 func (*simTransport) WaitFlagGE(im *Image, f *Flags, owner, idx int, min int64) {
-	sw := simW(im.w)
-	si := simI(im)
+	sw := im.w.sim
+	si := &sw.img[im.rank]
 	si.wKind = wFlag
 	si.wFlags = f
 	si.wOwner = owner
@@ -694,17 +704,16 @@ func (*simTransport) WaitFlagGE(im *Image, f *Flags, owner, idx int, min int64) 
 }
 
 func (*simTransport) WaitAsync(im *Image, ready func() bool) {
-	sw := simW(im.w)
-	simWaitPred(im, &sw.rowCond[im.rank], "async progress", ready)
+	simWaitPred(im, &im.w.sim.rowCond[im.rank], "async progress", ready)
 }
 
 func (*simTransport) WakeRank(w *World, rank int) {
-	simW(w).wake(rank)
+	w.sim.wake(rank)
 }
 
 func (*simTransport) Kill(w *World, rank int) {
 	w.faults.markDead(rank)
-	si := simI(w.images[rank])
+	si := &w.sim.img[rank]
 	if si.proc != nil {
 		si.proc.Kill()
 	}
@@ -714,11 +723,11 @@ func (*simTransport) Kill(w *World, rank int) {
 }
 
 func (*simTransport) WakeAll(w *World) {
-	sw := simW(w)
+	sw := w.sim
 	for r := range sw.rowCond {
 		sw.rowCond[r].Wake(sw.env)
 	}
-	for _, im := range w.images {
-		simI(im).quietCond.Wake(sw.env)
+	for r := range sw.img {
+		sw.img[r].quietCond.Wake(sw.env)
 	}
 }

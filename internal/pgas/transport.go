@@ -53,6 +53,12 @@ const (
 //     that call would have had to wait; failure announcements and
 //     WaitTimeout are observed only by a wait whose predicate does not
 //     already hold.
+//   - Helpers compute, transport methods block: an image parks (sender
+//     overhead, flag wait, round trip, Quiet) only in a method of this
+//     interface or the backend's wait primitive, never in what the method
+//     calls on the way (the sim's route and deliver* helpers). A block hidden
+//     in a helper is one more frame under every one of 4096 parked images
+//     (TestSimHelpersDoNotBlock, bench.TestStackBudget).
 type Transport interface {
 	// Name identifies the backend: "sim" or "native".
 	Name() string

@@ -79,11 +79,12 @@ func (v Via) String() string {
 // World built with NewNativeWorld runs its images as real goroutines on
 // this machine with wall-clock timing.
 type World struct {
-	tr    Transport
-	ts    interface{} // backend-private state (*simWorld / *nativeWorld)
-	model *machine.Model
-	topo  *topology.Topology
-	stats *trace.Stats
+	tr     Transport
+	sim    *simWorld    // backend-private state: the constructor that chose tr
+	native *nativeWorld // set exactly one of the two
+	model  *machine.Model
+	topo   *topology.Topology
+	stats  *trace.Stats
 
 	images []*Image
 

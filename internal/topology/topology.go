@@ -38,6 +38,12 @@ func (p Placement) String() string {
 	}
 }
 
+// MaxImages bounds a topology's images and each dimension of a machine shape:
+// specs come from flags and configs, and a count past it is refused instead of
+// overflowing the capacity product or the allocator (the scale studies stop at
+// 65,536).
+const MaxImages = 1 << 20
+
 // Loc is the physical location of one image.
 type Loc struct {
 	Node   int
@@ -60,8 +66,9 @@ func New(nodes, socketsPerNode, coresPerSocket, nImages int, place Placement) (*
 	if nodes <= 0 || socketsPerNode <= 0 || coresPerSocket <= 0 {
 		return nil, fmt.Errorf("topology: non-positive shape %dx%dx%d", nodes, socketsPerNode, coresPerSocket)
 	}
-	if nImages <= 0 {
-		return nil, fmt.Errorf("topology: need at least one image, got %d", nImages)
+	if max(nodes, socketsPerNode, coresPerSocket) > MaxImages || nImages <= 0 || nImages > MaxImages {
+		return nil, fmt.Errorf("topology: need 1..%d images on a shape of dimensions up to that, got %d on %dx%dx%d",
+			MaxImages, nImages, nodes, socketsPerNode, coresPerSocket)
 	}
 	capacity := nodes * socketsPerNode * coresPerSocket
 	if nImages > capacity {
@@ -139,6 +146,9 @@ func ParseSpec(spec string) (*Topology, error) {
 	if nodes <= 0 || images <= 0 {
 		return nil, fmt.Errorf("topology: non-positive spec %q", spec)
 	}
+	if max(images, nodes) > MaxImages {
+		return nil, fmt.Errorf("topology: spec %q asks for more than %d images or nodes", spec, MaxImages)
+	}
 	perNode := (images + nodes - 1) / nodes
 	// Dual-socket nodes as on the paper's testbed; at least 4 cores/socket.
 	coresPerSocket := (perNode + 1) / 2
@@ -170,7 +180,7 @@ func ParseShape(shape string) (nodes, socketsPerNode, coresPerSocket int, err er
 	nums := make([]int, 0, 3)
 	for _, p := range parts {
 		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || v <= 0 {
+		if err != nil || v <= 0 || v > MaxImages {
 			return bad()
 		}
 		nums = append(nums, v)
