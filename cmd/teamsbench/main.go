@@ -125,18 +125,14 @@ func runScaleStudy(w io.Writer, ns, kinds string, elems, iters int) error {
 	if len(images) == 0 {
 		return fmt.Errorf("-scale: no image counts given")
 	}
-	want := map[string]bool{}
-	for _, f := range strings.Split(kinds, ",") {
-		if f = strings.TrimSpace(f); f != "" {
-			want[f] = true
-		}
+	want, err := parseScaleKinds(kinds)
+	if err != nil {
+		return err
 	}
-	matched := 0
 	for _, ka := range bench.ScaleKindAlgs {
 		if len(want) > 0 && !want[ka.Kind.String()] {
 			continue
 		}
-		matched++
 		var pts []bench.ScalePoint
 		for _, alg := range ka.Algs {
 			for _, n := range images {
@@ -155,10 +151,28 @@ func runScaleStudy(w io.Writer, ns, kinds string, elems, iters int) error {
 		bench.ScaleTable(w, ka.Kind.String(), pts)
 		fmt.Fprintln(w)
 	}
-	if len(want) > 0 && matched != len(want) {
-		return fmt.Errorf("-scale-kinds: unknown kind in %q (known: barrier, allreduce, reduceto, bcast, scan)", kinds)
-	}
 	return nil
+}
+
+// parseScaleKinds reads the -scale-kinds list into a set (empty: every kind of
+// the study). A name that is not a kind of bench.ScaleKindAlgs is refused by
+// name, with the kinds the study has, before anything is measured.
+func parseScaleKinds(kinds string) (map[string]bool, error) {
+	var known []string
+	for _, ka := range bench.ScaleKindAlgs {
+		known = append(known, ka.Kind.String())
+	}
+	want := map[string]bool{}
+	for _, f := range strings.Split(kinds, ",") {
+		if f = strings.TrimSpace(f); f == "" {
+			continue
+		}
+		if !slices.Contains(known, f) {
+			return nil, fmt.Errorf("-scale-kinds: unknown kind %q in %q (known: %s)", f, kinds, strings.Join(known, ", "))
+		}
+		want[f] = true
+	}
+	return want, nil
 }
 
 // runAlgSweep measures named registry algorithms across placements on the

@@ -2,7 +2,9 @@ package main
 
 import (
 	"fmt"
+	"maps"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -228,6 +230,45 @@ func TestScaleStudyKindFilter(t *testing.T) {
 	buf.Reset()
 	if err := runScaleStudy(&buf, "64", "nokind", 1, 1); err == nil {
 		t.Fatal("unknown -scale-kinds accepted")
+	}
+}
+
+// TestParseScaleKinds: the -scale-kinds list names kinds of the study
+// (bench.ScaleKindAlgs); an entry that is not one is refused by name — a kind
+// the registry has but the study does not included — with the study's kinds in
+// the message, and nothing is measured for the good entries beside it.
+func TestParseScaleKinds(t *testing.T) {
+	for _, c := range []struct {
+		kinds   string
+		want    []string // the set, sorted
+		badKind string   // non-empty: refused, naming this entry
+	}{
+		{kinds: "", want: nil},
+		{kinds: "barrier", want: []string{"barrier"}},
+		{kinds: " scan , allreduce,", want: []string{"allreduce", "scan"}},
+		{kinds: "barrier,allreduce,reduceto,bcast,scan", want: []string{"allreduce", "barrier", "bcast", "reduceto", "scan"}},
+		{kinds: "nokind", badKind: "nokind"},
+		{kinds: "allgather,scan", badKind: "allgather"},
+		{kinds: "scan,Barrier", badKind: "Barrier"},
+	} {
+		got, err := parseScaleKinds(c.kinds)
+		if c.badKind != "" {
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unknown kind %q", c.badKind)) ||
+				!strings.Contains(err.Error(), "known: barrier, allreduce, reduceto, bcast, scan") {
+				t.Errorf("-scale-kinds %q: error %v, want one naming %q and the study's kinds", c.kinds, err, c.badKind)
+			}
+			var buf strings.Builder
+			if err := runScaleStudy(&buf, "64", c.kinds, 1, 1); err == nil || buf.Len() > 0 {
+				t.Errorf("-scale-kinds %q: the study ran (error %v, %d bytes printed)", c.kinds, err, buf.Len())
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("-scale-kinds %q: %v", c.kinds, err)
+		}
+		if keys := slices.Sorted(maps.Keys(got)); !slices.Equal(keys, c.want) {
+			t.Errorf("-scale-kinds %q = %v, want %v", c.kinds, keys, c.want)
+		}
 	}
 }
 

@@ -141,3 +141,32 @@ func TestCSVRendering(t *testing.T) {
 		t.Fatalf("csv = %q", out)
 	}
 }
+
+// TestTwoLevelLeadersStageIsLogDepth pins the slope of the two leaders' stages
+// that had a linear form only (a chain for scan, a ring for allgather), at
+// ScalePerNode images per node and 8 elements. scan/2level over 32 → 256 nodes
+// — three doublings — grows by less than 2× (the chain doubled from 32 to 64
+// nodes alone); allgather/2level's output grows with the team, so its time
+// must, but a node costs no more at 64 nodes than 1.1× what it costs at 24
+// (the ring's per-node cost grew with the node count: 1.41× there).
+func TestTwoLevelLeadersStageIsLogDepth(t *testing.T) {
+	us := func(k core.Kind, nodes int) float64 {
+		p, err := MeasureScale(k, "2level", nodes*ScalePerNode, 8, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.UsPerOp
+	}
+	var scan []float64
+	for _, nodes := range []int{32, 64, 128, 256} {
+		scan = append(scan, us(core.KindScan, nodes))
+	}
+	if scan[3] >= 2*scan[0] {
+		t.Errorf("scan/2level modeled us/op over 32, 64, 128, 256 nodes = %.1f: grows %.2fx, want < 2x", scan, scan[3]/scan[0])
+	}
+	at24, at64 := us(core.KindAllgather, 24)/24, us(core.KindAllgather, 64)/64
+	if at64 > 1.1*at24 {
+		t.Errorf("allgather/2level modeled us/op per node: %.1f at 24 nodes, %.1f at 64 (%.2fx), want <= 1.1x", at24, at64, at64/at24)
+	}
+	t.Logf("scan/2level us/op at 32, 64, 128, 256 nodes: %.1f; allgather/2level us/op per node: %.1f at 24 nodes, %.1f at 64", scan, at24, at64)
+}

@@ -23,9 +23,11 @@ import (
 const ScalePerNode = 8
 
 // ScaleKindAlgs lists the collective kinds and algorithms the scale study
-// sweeps: only logarithmic-depth algorithms — the O(N) linear/ring baselines
-// would dominate runtime at 64k images without saying anything new (their
-// slopes are already visible at paper scale).
+// sweeps: only algorithms whose network stage is logarithmic in depth (the
+// hierarchy-aware ones add their linear shared-memory phases, as long as a node
+// is wide; TestTwoLevelLeadersStageIsLogDepth holds scan/2level to it) — the
+// O(N) linear/ring baselines would dominate runtime at 64k images without
+// saying anything new (their slopes are already visible at paper scale).
 var ScaleKindAlgs = []struct {
 	Kind core.Kind
 	Algs []string

@@ -140,3 +140,64 @@ func ScanRD[T any](v *team.View, buf []T, op Op[T], exclusive bool) {
 		me.NotifyAdd(st.Flags, v.T.GlobalRank(r-1), shiftAck, 1, pgas.ViaConduit)
 	}
 }
+
+// SubgroupExscan is the pairwise-exchange recursive-doubling exclusive prefix
+// reduction (MPICH's MPI_Exscan: Thakur, Rabenseifner, Gropp 2005) over an
+// arbitrary subgroup of a team, in group order. group lists the participating
+// team ranks; myIdx is the caller's index within group. ceil(log2 g) rounds: in
+// round k the caller exchanges running totals with the member at index
+// myIdx XOR 2^k — the total of its 2^k-aligned subcube, as far as the group
+// reaches — and a total arriving from a lower index is also folded into the
+// caller's exclusive prefix. A partner past the end of the group is skipped, so
+// any g works: what such a round would have brought lies above the caller and
+// above everyone the caller still sends to.
+//
+// total is the caller's contribution and is consumed (it is the running
+// subcube total). ex receives the reduction over group[0:myIdx]; index 0 has
+// none, its ex is left alone and the call returns false.
+//
+// Every round is an exchange, so the stage synchronises itself the way
+// SubgroupAllreduceRD does — a member's round-k put of episode e+2 follows its
+// partner's round-k put of e+1, which followed the partner's fold of e — and
+// carries no credits. (It also makes every member wait for the whole group,
+// where a chain's head waits for nobody: internal/core runs it among its node
+// leaders only above a measured number of them.)
+//
+// Flag layout: slots [0, rounds) round arrivals.
+func SubgroupExscan[T any](v *team.View, group []int, myIdx int, total, ex []T, op Op[T], alg Alg) bool {
+	g := len(group)
+	if g == 1 {
+		return false
+	}
+	n := len(total)
+	es := pgas.ElemSize[T]()
+	nr := Rounds(g)
+	st := GetState(v, alg.With("xscan", op.Name, tag[T]()), nr)
+	ep := st.Next()
+	box := NewBox[T](st, "", n, nr)
+	me := v.Img
+	have := false
+	for k := 0; 1<<k < g; k++ {
+		partner := myIdx ^ 1<<k
+		if partner >= g {
+			continue
+		}
+		box.Put(group[partner], k, total, k, pgas.ViaConduit)
+		me.WaitFlagGE(st.Flags, me.Rank(), k, ep)
+		in := box.Region(k)[:n]
+		if partner < myIdx {
+			if have {
+				op.Combine(ex, in)
+				me.MemWork(2 * es * n)
+			} else {
+				box.Take(k, ex)
+				have = true
+			}
+		}
+		if k+1 < nr { // the last round's total goes nowhere
+			op.Combine(total, in)
+			me.MemWork(2 * es * n)
+		}
+	}
+	return have
+}

@@ -19,16 +19,15 @@ import (
 	"cafteams/internal/topology"
 )
 
-// steadyStateAllocs runs kind k under pol on an 8(2) world of the given
-// backend at 128 elems — two warm-up episodes (both
+// steadyStateAllocs runs kind k under pol on sc's world (allocShape: 8(2)) at
+// 128 elems — two warm-up episodes (both
 // parities: state, scratch slabs, flag rows, temporaries), then eps measured
 // ones — and returns the heap objects allocated per episode per image.
 // Everything the images allocate between rank 0's two readings counts; the
 // barriers that fence the readings are themselves inside the window.
-func steadyStateAllocs(t *testing.T, backend string, k Kind, pol Policy) float64 {
+func steadyStateAllocs(t *testing.T, sc confScenario, k Kind, pol Policy) float64 {
 	t.Helper()
 	const warm, eps, elems, root = 2, 40, 128, 5 // root: a non-leader of the second node
-	sc := confScenario{nodes: 2, perNode: 4, place: topology.PlaceBlock, backend: backend}
 	w := sc.world(t)
 	var before, after runtime.MemStats
 	w.Run(func(im *pgas.Image) {
@@ -77,6 +76,24 @@ func steadyStateAllocs(t *testing.T, backend string, k Kind, pol Policy) float64
 	return float64(after.Mallocs-before.Mallocs) / float64(eps*w.NumImages())
 }
 
+func allocShape(backend string) confScenario {
+	return confScenario{nodes: 2, perNode: 4, place: topology.PlaceBlock, backend: backend}
+}
+
+// TestLogDepthStagesSteadyStateAllocs is the same pin for the leaders' stages
+// that the 8(2) world never reaches: scan/2level's exchange over the team's
+// rank-ordered leaders and allgather/2level's Bruck stage, on 24 nodes.
+func TestLogDepthStagesSteadyStateAllocs(t *testing.T) {
+	sc := manyLeaderScenarios(t)[1]
+	sc.backend = "native"
+	for _, c := range leaderStageCells {
+		pol := Policy{Level: LevelAuto, Tuning: Tuning{}.With(c.k, c.name)}
+		if native := steadyStateAllocs(t, sc, c.k, pol); native > 0.05 {
+			t.Errorf("%s/%s on %s: %.2f allocs per episode per image on native, want 0", c.k, c.name, sc, native)
+		}
+	}
+}
+
 // TestCollectiveSteadyStateAllocs holds every kind to zero heap objects per
 // episode per image on the native backend — all nine, alltoall, allgather and
 // scan included; the hierarchy default and the decision table's pick, whose
@@ -86,8 +103,8 @@ func steadyStateAllocs(t *testing.T, backend string, k Kind, pol Policy) float64
 func TestCollectiveSteadyStateAllocs(t *testing.T) {
 	for _, pol := range []Policy{{Level: LevelAuto}, {Level: LevelAuto, Tuning: AllAuto()}} {
 		for _, k := range Kinds() {
-			native := steadyStateAllocs(t, "native", k, pol)
-			sim := steadyStateAllocs(t, "sim", k, pol)
+			native := steadyStateAllocs(t, allocShape("native"), k, pol)
+			sim := steadyStateAllocs(t, allocShape("sim"), k, pol)
 			t.Logf("%-9s tuning %q: native %.2f allocs/episode/image, sim %.2f", k, pol.Tuning.For(k), native, sim)
 			// A stray runtime allocation (a sudog, a GC worker) must not fail
 			// the pin: 40 episodes x 8 images leave room for a handful.

@@ -67,21 +67,20 @@ var autoTable = [numKinds][]AutoRow{
 		{inf, inf, inf, inf, "2level", "binomial"},                   // 66 cells, 1.000, worst 1.000
 	},
 	4: { // allgather
-		{1, inf, inf, inf, "bruck", "bruck"},     // 34 cells, 1.000, worst 1.000
-		{4, inf, 2, 16384, "2level", "bruck"},    // 4 cells, 1.000, worst 1.000
-		{4, inf, 2, inf, "ring", "ring"},         // 3 cells, 1.000, worst 1.000
-		{4, inf, 4, 65536, "2level", "bruck"},    // 10 cells, 1.001, worst 1.013
-		{4, inf, 4, inf, "ring", "ring"},         // 3 cells, 1.019, worst 1.039
-		{4, inf, 8, 512, "bruck", "bruck"},       // 2 cells, 1.000, worst 1.000
-		{4, inf, 8, 4096, "2level", "bruck"},     // 1 cells, 1.000, worst 1.000
-		{4, inf, 8, 16384, "ring", "ring"},       // 1 cells, 1.000, worst 1.000
-		{4, inf, 8, inf, "2level", "bruck"},      // 1 cells, 1.000, worst 1.000
-		{4, inf, inf, 4096, "bruck", "bruck"},    // 9 cells, 1.000, worst 1.000
-		{4, inf, inf, inf, "ring", "ring"},       // 2 cells, 1.000, worst 1.000
-		{inf, inf, 16, 65536, "2level", "bruck"}, // 35 cells, 1.000, worst 1.000
-		{inf, inf, 16, inf, "ring", "ring"},      // 1 cells, 1.000, worst 1.000
-		{inf, inf, inf, 32, "bruck", "bruck"},    // 1 cells, 1.000, worst 1.000
-		{inf, inf, inf, inf, "2level", "bruck"},  // 2 cells, 1.000, worst 1.000
+		{1, inf, inf, inf, "bruck", "bruck"},      // 34 cells, 1.001, worst 1.029
+		{4, inf, 2, 16384, "2level", "bruck"},     // 4 cells, 1.000, worst 1.000
+		{4, inf, 2, inf, "ring", "ring"},          // 3 cells, 1.000, worst 1.000
+		{4, inf, 4, 65536, "2level", "bruck"},     // 10 cells, 1.001, worst 1.013
+		{4, inf, 4, inf, "ring", "ring"},          // 3 cells, 1.019, worst 1.039
+		{4, inf, 8, 512, "bruck", "bruck"},        // 2 cells, 1.000, worst 1.000
+		{4, inf, 8, 4096, "2level", "bruck"},      // 1 cells, 1.000, worst 1.000
+		{4, inf, 8, 16384, "ring", "ring"},        // 1 cells, 1.000, worst 1.000
+		{4, inf, 8, inf, "2level", "bruck"},       // 1 cells, 1.000, worst 1.000
+		{4, inf, 16, 4096, "bruck", "bruck"},      // 6 cells, 1.000, worst 1.000
+		{4, inf, 16, inf, "ring", "ring"},         // 2 cells, 1.000, worst 1.000
+		{4, inf, inf, inf, "2level", "bruck"},     // 3 cells, 1.000, worst 1.000
+		{inf, inf, inf, 65536, "2level", "bruck"}, // 38 cells, 1.000, worst 1.000
+		{inf, inf, inf, inf, "ring", "ring"},      // 1 cells, 1.000, worst 1.000
 	},
 	5: { // scatter
 		{1, inf, 8, 4096, "2level", "linear"},       // 6 cells, 1.001, worst 1.002
@@ -126,9 +125,7 @@ var autoTable = [numKinds][]AutoRow{
 	},
 	8: { // scan
 		{1, inf, 16, inf, "linear", "linear"},     // 21 cells, 1.000, worst 1.000
-		{1, inf, 32, 16384, "linear", "linear"},   // 4 cells, 1.012, worst 1.049
-		{1, inf, 32, inf, "rd", "rd"},             // 3 cells, 1.000, worst 1.000
-		{1, inf, inf, inf, "rd", "rd"},            // 14 cells, 1.005, worst 1.070
+		{1, inf, inf, inf, "2level", "rd"},        // 21 cells, 1.000, worst 1.000
 		{4, inf, 4, 16384, "2level", "linear"},    // 12 cells, 1.001, worst 1.016
 		{4, inf, 4, inf, "linear", "linear"},      // 9 cells, 1.000, worst 1.000
 		{4, inf, inf, inf, "2level", "linear"},    // 27 cells, 1.000, worst 1.000

@@ -11,7 +11,8 @@ import (
 // parity chain arrivals at a leader (from the predecessor leader), parity
 // result arrivals at a member, parity inbox credits (leader→member), parity
 // chain credits (successor→predecessor leader), and parity result acks
-// (member→leader).
+// (member→leader). The chain slots idle when the leaders' stage is the
+// log-depth exchange, which has a state of its own.
 const (
 	scan2InboxSlot   = 0 // +parity
 	scan2ChainSlot   = 2
@@ -29,9 +30,11 @@ const (
 //	Step 1: each intranode set ships its vectors to the node leader over
 //	        shared memory; the leader computes the within-node prefixes
 //	        and the node total;
-//	Step 2: the leaders run an exclusive scan of node totals along the
-//	        rank-ordered leader chain over the network — one message per
-//	        adjacent node pair instead of a full flat schedule;
+//	Step 2: the leaders run an exclusive scan of node totals, in rank order,
+//	        over the network: from logDepthLeaders node leaders up the
+//	        pairwise-exchange recursive doubling of coll.SubgroupExscan
+//	        (ceil(log2 nodes) rounds), below it the leader chain — one message
+//	        per adjacent node pair, the head node waiting for nobody;
 //	Step 3: each leader folds its node-exclusive prefix into the member
 //	        prefixes and ships the results back over shared memory.
 //
@@ -51,34 +54,42 @@ func ScanTwoLevel[T any](v *team.View, buf []T, op coll.Op[T], exclusive bool) {
 		return
 	}
 	n := len(buf)
-	es := pgas.ElemSize[T]()
 	form := "incl" // the two forms must not share episodes or regions
 	if exclusive {
 		form = "excl"
 	}
 	st := coll.GetState(v, coll.Alg{"scan2", op.Name, form, pgas.TypeName[T]()}, scan2Slots)
 	parity := int(st.Next() % 2)
-	mg := t.MaxNodeGroup()
 	// Two boxes: a leader's inbox (one vector per group position, then the
 	// chain landing region) and a member's result landing region.
-	inbox := coll.NewBox[T](st, "in", n, mg+1)
+	inbox := coll.NewBox[T](st, "in", n, t.MaxNodeGroup()+1)
 	resBox := coll.NewBox[T](st, "res", n, 1)
-	me := v.Img
 	leader := t.LeaderOf(v.Rank)
-	group := t.NodeGroup(t.GroupOf(v.Rank))
-	gsz := len(group)
-
-	if v.Rank != leader {
-		// Contribute my vector, gated on the credit for my previous
-		// same-parity contribution; then collect my prefix and ack it.
-		st.Gate(scan2InboxCredit+parity, 1)
-		inbox.Put(leader, groupPos(group, v.Rank), buf, scan2InboxSlot+parity, pgas.ViaShm)
-		resBox.Land(scan2ResultSlot+parity, buf, leader, scan2ResultAck+parity, pgas.ViaShm)
+	if v.Rank == leader {
+		scanTwoLevelLead(v, st, inbox, resBox, buf, op, form, parity)
 		return
 	}
+	// Contribute my vector, gated on the credit for my previous same-parity
+	// contribution; then collect my prefix and ack it.
+	st.Gate(scan2InboxCredit+parity, 1)
+	inbox.Put(leader, groupPos(t.NodeGroup(t.GroupOf(v.Rank)), v.Rank), buf, scan2InboxSlot+parity, pgas.ViaShm)
+	resBox.Land(scan2ResultSlot+parity, buf, leader, scan2ResultAck+parity, pgas.ViaShm)
+}
 
-	// Leader (= the group's lowest team rank, so under the contiguity
-	// requirement the team's rank 0 is always a leader).
+// scanTwoLevelLead is a node leader's part of ScanTwoLevel (the leader is its
+// group's lowest team rank, so under the contiguity requirement the team's rank
+// 0 is always one). A function of its own so that the seven members in eight
+// carry none of its frame: their put chain ends within a few hundred bytes of
+// the 4 KB stack (TestStackBudget).
+//
+//go:noinline
+func scanTwoLevelLead[T any](v *team.View, st *coll.State, inbox, resBox coll.Box[T], buf []T, op coll.Op[T], form string, parity int) {
+	t, me := v.T, v.Img
+	sz, n, mg := t.Size(), len(buf), t.MaxNodeGroup()
+	es := pgas.ElemSize[T]()
+	exclusive := form == "excl"
+	group := t.NodeGroup(t.GroupOf(v.Rank))
+	gsz := len(group)
 	if gsz > 1 {
 		st.Arrivals(scan2InboxSlot+parity, gsz-1)
 	}
@@ -97,27 +108,37 @@ func ScanTwoLevel[T any](v *team.View, buf []T, op coll.Op[T], exclusive bool) {
 	for _, r := range group[1:] {
 		me.NotifyAdd(st.Flags, t.GlobalRank(r), scan2InboxCredit+parity, 1, pgas.ViaShm)
 	}
-	// Exclusive scan of node totals along the rank-ordered leader chain. The
-	// groups tile the rank range, so my predecessor in the chain leads the
-	// rank below my group and my successor is the rank above it.
+	// Exclusive scan of node totals among the leaders, in rank order.
 	var ex []T // reduction over every preceding node's total; nil at the head
-	if first := group[0]; first > 0 {
-		st.Arrivals(scan2ChainSlot+parity, 1)
-		ex = coll.Temp[T](st, "ex", n)
-		inbox.Take(mg, ex)
-		me.NotifyAdd(st.Flags, t.GlobalRank(t.LeaderOf(first-1)), scan2ChainCredit+parity, 1, pgas.ViaAuto)
-	}
-	if next := group[gsz-1] + 1; next < sz {
-		fwd := acc // node total, already the running prefix over my groups
-		if ex != nil {
-			fwd = coll.Temp[T](st, "fwd", n)
-			copy(fwd, ex)
-			op.Combine(fwd, acc)
-			me.MemWork(3 * es * n)
+	if leaders := t.RankLeaders(); len(leaders) >= logDepthLeaders {
+		// Pairwise exchange, log-depth. (acc is spent: incl holds what the
+		// fan-out needs.)
+		x := coll.Temp[T](st, "ex", n)
+		if coll.SubgroupExscan(v, leaders, t.ChainPos(t.GroupOf(v.Rank)), acc, x, op, coll.Alg{"core.scan2lead", form}) {
+			ex = x
 		}
-		// Gate on the successor's credit for my previous same-parity send.
-		st.Gate(scan2ChainCredit+parity, 1)
-		inbox.Put(next, mg, fwd, scan2ChainSlot+parity, pgas.ViaAuto)
+	} else {
+		// Along the leader chain, the head waiting for nobody. The groups tile
+		// the rank range, so my predecessor in the chain leads the rank below
+		// my group and my successor is the rank above it.
+		if first := group[0]; first > 0 {
+			st.Arrivals(scan2ChainSlot+parity, 1)
+			ex = coll.Temp[T](st, "ex", n)
+			inbox.Take(mg, ex)
+			me.NotifyAdd(st.Flags, t.GlobalRank(t.LeaderOf(first-1)), scan2ChainCredit+parity, 1, pgas.ViaAuto)
+		}
+		if next := group[gsz-1] + 1; next < sz {
+			fwd := acc // node total, already the running prefix over my groups
+			if ex != nil {
+				fwd = coll.Temp[T](st, "fwd", n)
+				copy(fwd, ex)
+				op.Combine(fwd, acc)
+				me.MemWork(3 * es * n)
+			}
+			// Gate on the successor's credit for my previous same-parity send.
+			st.Gate(scan2ChainCredit+parity, 1)
+			inbox.Put(next, mg, fwd, scan2ChainSlot+parity, pgas.ViaAuto)
+		}
 	}
 	// Fold the node-exclusive prefix into each member's result and deliver,
 	// gated on the acks for the previous same-parity fan-out. One result

@@ -51,6 +51,8 @@ type Team struct {
 	// Rank order of the node groups (prefix collectives chain along it).
 	rankChain      []int // node-group indices ordered by each group's first team rank
 	rankContiguous bool  // the groups tile the team rank range in that order
+	rankLeaders    []int // the leaders in that order: ascending team rank
+	chainPos       []int // node-group index -> its position in rankChain
 }
 
 // View is one image's handle on a team (the team_type value).
@@ -212,9 +214,12 @@ func build(w *pgas.World, id, number int64, parent *Team, members []int) *Team {
 		t.rankChain[i] = i
 	}
 	slices.SortFunc(t.rankChain, func(a, b int) int { return t.nodeGroups[a][0] - t.nodeGroups[b][0] })
+	t.rankLeaders = make([]int, len(t.nodes))
+	t.chainPos = make([]int, len(t.nodes))
 	next := 0
 	t.rankContiguous = true
-	for _, gi := range t.rankChain {
+	for i, gi := range t.rankChain {
+		t.rankLeaders[i], t.chainPos[gi] = t.leaders[gi], i
 		for _, r := range t.nodeGroups[gi] {
 			t.rankContiguous = t.rankContiguous && r == next
 			next++
@@ -316,6 +321,15 @@ func (t *Team) MaxSockets() int { return t.maxSockets }
 // Only then does a prefix reduction decompose into per-node segments plus one
 // inter-node scan of group totals. The slice is the team's own: read-only.
 func (t *Team) RankChain() (order []int, contiguous bool) { return t.rankChain, t.rankContiguous }
+
+// RankLeaders returns the node leaders in rank-chain order (ascending team
+// rank: a leader is its group's lowest rank) — the subgroup a log-depth prefix
+// reduction of node totals runs over. The slice is the team's own: read-only.
+func (t *Team) RankLeaders() []int { return t.rankLeaders }
+
+// ChainPos returns the position of node group gi in the rank chain: the index
+// of its leader in RankLeaders.
+func (t *Team) ChainPos(gi int) int { return t.chainPos[gi] }
 
 // NumImages is the team-relative num_images intrinsic.
 func (v *View) NumImages() int { return v.T.Size() }

@@ -443,6 +443,8 @@ func TestFormPartitionProperty(t *testing.T) {
 // the rank range. Block placement: the identity, contiguous. The same images
 // in reverse rank order: the chain runs the node groups backwards, still
 // contiguous. Cyclic placement: every group is scattered over the ranks.
+// RankLeaders and ChainPos are the same order seen from the leaders: ascending
+// team ranks, and each group's index among them.
 func TestRankChain(t *testing.T) {
 	w := newWorld(t, "6(3)")
 	w.Run(func(im *pgas.Image) {
@@ -453,6 +455,9 @@ func TestRankChain(t *testing.T) {
 		rev := v.Form(1, v.NumImages()-1-im.Rank())
 		if order, contiguous := rev.T.RankChain(); !contiguous || fmt.Sprint(order) != "[2 1 0]" {
 			t.Errorf("reversed ranks: chain %v, contiguous %v", order, contiguous)
+		}
+		if l, pos := rev.T.RankLeaders(), rev.T.ChainPos(rev.T.GroupOf(rev.Rank)); fmt.Sprint(l) != "[0 2 4]" || l[pos] != rev.T.LeaderOf(rev.Rank) {
+			t.Errorf("reversed ranks: rank-ordered leaders %v, rank %d at position %d", l, rev.Rank, pos)
 		}
 	})
 	topo, err := topology.New(3, 2, 1, 6, topology.PlaceCyclic)
