@@ -185,6 +185,10 @@ func runAlgSweep(sel, specs string, elems, iters int, csv bool, backend string) 
 		}
 		return nil
 	}
+	placements, err := placementList(specs)
+	if err != nil {
+		return err
+	}
 	// Resolve the selection to per-kind comparator lists.
 	byKind := map[core.Kind][]bench.Comparator{}
 	order := []core.Kind{}
@@ -231,11 +235,7 @@ func runAlgSweep(sel, specs string, elems, iters int, csv bool, backend string) 
 			n = 1
 		}
 		var pts []bench.Point
-		for _, spec := range strings.Split(specs, ",") {
-			spec = strings.TrimSpace(spec)
-			if spec == "" {
-				continue
-			}
+		for _, spec := range placements {
 			for _, c := range cmps {
 				p, err := bench.Measure(spec, backend, c, n, iters)
 				if err != nil {
@@ -263,16 +263,29 @@ func runAlgSweep(sel, specs string, elems, iters int, csv bool, backend string) 
 // and alltoall on the first placement only: their cost grows with the square
 // of the image count.
 func runRegret(w io.Writer, specs string, sizes []int) error {
+	list, err := placementList(specs)
+	if err != nil {
+		return err
+	}
+	_, _, err = bench.RegretReport(w, bench.SweepCells(list, sizes, func(k core.Kind, spec, size int) bool {
+		return spec == 0 || size == 0 || k != core.KindAllgather && k != core.KindAlltoall
+	}))
+	return err
+}
+
+// placementList splits the -algspecs value; a list with nothing in it would
+// measure nothing and report success.
+func placementList(specs string) ([]string, error) {
 	var list []string
 	for _, spec := range strings.Split(specs, ",") {
 		if spec = strings.TrimSpace(spec); spec != "" {
 			list = append(list, spec)
 		}
 	}
-	_, _, err := bench.RegretReport(w, bench.SweepCells(list, sizes, func(k core.Kind, spec, size int) bool {
-		return spec == 0 || size == 0 || k != core.KindAllgather && k != core.KindAlltoall
-	}))
-	return err
+	if len(list) == 0 {
+		return nil, fmt.Errorf("-algspecs: no placements given in %q", specs)
+	}
+	return list, nil
 }
 
 // generateAutoTable sweeps the generator's grid and writes the fitted decision

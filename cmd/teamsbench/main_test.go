@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"maps"
 	"os"
 	"slices"
@@ -317,6 +318,19 @@ func TestBadFlags(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("checkFlags(%q, %d, %d, %d, %d) = %v, want an error naming %q",
 				c.exp, c.iters, c.elems, c.scaleElems, c.scaleIters, err, c.want)
+		}
+	}
+	// A placement list with nothing in it measures nothing: refused, not a
+	// title over an empty table or a geomean over 0 cells.
+	for _, c := range []struct {
+		flags string
+		err   error
+	}{
+		{`-alg allgather -algspecs ""`, runAlgSweep("allgather", "", 128, 1, false, "sim")},
+		{`-exp regret -algspecs " , "`, runRegret(io.Discard, " , ", []int{128})},
+	} {
+		if c.err == nil || !strings.Contains(c.err.Error(), "-algspecs") {
+			t.Errorf("%s = %v, want an error naming -algspecs", c.flags, c.err)
 		}
 	}
 }

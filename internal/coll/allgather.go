@@ -43,18 +43,63 @@ func AllgatherRing[T any](v *team.View, mine, out []T) {
 	}
 }
 
-// AllgatherBruck is the doubling allgather (Bruck's algorithm without the
-// final rotation, expressed over absolute ranks): ceil(log2 n) rounds, in
-// round k each member sends the 2^k blocks it has assembled so far to the
-// member 2^k below it. Latency-optimal for small blocks — the counterpart of
-// the ring's bandwidth optimality.
+// SubgroupAllgatherBruck is the doubling allgather (Bruck, Ho, Kipnis, Upfal,
+// Weathersby 1997, without the final rotation: blocks keep their absolute
+// places) among an arbitrary subgroup of a team, each participant speaking for
+// a block of team ranks: ceil(log2 g) rounds, in round k a participant sends
+// the min(2^k, g−2^k) blocks it has assembled so far (cyclically, from its own
+// on) to the participant 2^k positions below it. Latency-optimal for small
+// blocks — the counterpart of the ring's bandwidth optimality.
 //
-// Round r's transfer lands in its own parity-indexed region, so a fast
-// neighbor running ahead can never clobber an unread round.
+// group lists the participating team ranks, myIdx is the caller's index within
+// it and block(i) the team ranks participant i speaks for, at most maxBlock of
+// them. vec is the caller's assembly area — the n elements of team rank r at
+// r·stride, the caller's own block already in place — and holds every
+// participant's block on return. A message is a run of whole blocks packed
+// member after member; round k's lands in its own regions of box, which has
+// (g−1)·maxBlock regions of n elements (the rounds lie back to back from
+// region (2^k−1)·maxBlock on), so a fast neighbor running ahead can never
+// clobber an unread round. The round flags are slots base.. of st, whose
+// episode ep the caller has claimed.
+func SubgroupAllgatherBruck[T any](v *team.View, st *State, base int, box Box[T], group []int, myIdx int, block func(i int) []int, maxBlock int, vec []T, stride, n int, ep int64) {
+	g := len(group)
+	me := v.Img
+	es := pgas.ElemSize[T]()
+	// move copies count blocks, from participant first on, between vec and a
+	// packed run, charges the copy and returns the run's length.
+	move := func(run []T, first, count int, unpack bool) int {
+		at := 0
+		for i := 0; i < count; i++ {
+			for _, r := range block((first + i) % g) {
+				if unpack {
+					copy(vec[r*stride:], run[at:at+n])
+				} else {
+					copy(run[at:], vec[r*stride:r*stride+n])
+				}
+				at += n
+			}
+		}
+		me.MemWork(es * at)
+		return at
+	}
+	// One staging buffer serves every round: a put captures its payload at
+	// issue, and no round ships more than half the blocks.
+	staging := Temp[T](st, "pack", g/2*maxBlock*n)
+	for k, have := 0, 1; have < g; k++ {
+		count := min(have, g-have) // the receiver needs no more
+		at := (1<<k - 1) * maxBlock
+		box.Put(group[(myIdx-1<<k+g)%g], at, staging[:move(staging, myIdx, count, false)], base+k, pgas.ViaConduit)
+		me.WaitFlagGE(st.Flags, me.Rank(), base+k, ep)
+		move(box.Region(at), myIdx+1<<k, count, true)
+		have += count
+	}
+}
+
+// AllgatherBruck is SubgroupAllgatherBruck over the whole team, every member
+// speaking for itself (out must hold NumImages()*len(mine) elements).
 func AllgatherBruck[T any](v *team.View, mine, out []T) {
 	sz := v.NumImages()
 	n := len(mine)
-	es := pgas.ElemSize[T]()
 	if len(out) < sz*n {
 		panic(fmt.Sprintf("coll: allgather out %d < %d", len(out), sz*n))
 	}
@@ -63,50 +108,9 @@ func AllgatherBruck[T any](v *team.View, mine, out []T) {
 	if sz == 1 {
 		return
 	}
-	nr := Rounds(sz)
-	st := GetState(v, Alg{"ag.bruck", tag[T]()}, nr)
+	st := GetState(v, Alg{"ag.bruck", tag[T]()}, Rounds(sz))
 	ep := st.Next()
-	// Round k lands min(2^k, sz−2^k) blocks; lay rounds out back to back:
-	// round k starts at region 2^k−1, and the last one ends sz−1 regions
-	// in — every block but my own.
-	box := NewBox[T](st, "", n, sz-1)
-	me := v.Img
-	r := v.Rank
-	// have counts the contiguous (cyclic, starting at my own rank) blocks
-	// assembled so far.
-	have := 1
-	// One staging buffer serves every round: a put captures its payload at
-	// issue, and no round ships more than half the team's blocks.
-	staging := Temp[T](st, "pack", sz/2*n)
-	for k := 0; 1<<k < sz; k++ {
-		dst := ((r-1<<k)%sz + sz) % sz
-		send := have
-		if send > sz-have { // the receiver only needs sz-have more blocks
-			send = sz - have
-		}
-		// Pack my first `send` blocks (cyclic from my rank) into the
-		// round-k region at dst.
-		pack := staging[:send*n]
-		for i := 0; i < send; i++ {
-			b := (r + i) % sz
-			copy(pack[i*n:(i+1)*n], out[b*n:b*n+n])
-		}
-		me.MemWork(es * len(pack))
-		box.Put(dst, 1<<k-1, pack, k, pgas.ViaConduit)
-		me.WaitFlagGE(st.Flags, me.Rank(), k, ep)
-		// Unpack what arrived: the sender was (r+2^k) mod sz, its blocks
-		// start at its rank.
-		src := (r + 1<<k) % sz
-		recv := have
-		if recv > sz-have {
-			recv = sz - have
-		}
-		landed := box.Region(1<<k - 1)
-		for i := 0; i < recv; i++ {
-			b := (src + i) % sz
-			copy(out[b*n:b*n+n], landed[i*n:(i+1)*n])
-		}
-		me.MemWork(es * recv * n)
-		have += recv
-	}
+	ranks := TeamRanks(v)
+	SubgroupAllgatherBruck(v, st, 0, NewBox[T](st, "", n, sz-1), ranks, v.Rank,
+		func(i int) []int { return ranks[i : i+1] }, 1, out, n, n, ep)
 }

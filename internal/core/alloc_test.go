@@ -82,14 +82,23 @@ func allocShape(backend string) confScenario {
 
 // TestLogDepthStagesSteadyStateAllocs is the same pin for the leaders' stages
 // that the 8(2) world never reaches: scan/2level's exchange over the team's
-// rank-ordered leaders and allgather/2level's Bruck stage, on 24 nodes.
+// rank-ordered leaders on 24 nodes, and coll.SubgroupAllgatherBruck under both
+// its callers on 24, 4 and 8 (its block function and its pack/unpack helper are
+// closures: they must stay on the stack).
 func TestLogDepthStagesSteadyStateAllocs(t *testing.T) {
-	sc := manyLeaderScenarios(t)[1]
-	sc.backend = "native"
-	for _, c := range leaderStageCells {
-		pol := Policy{Level: LevelAuto, Tuning: Tuning{}.With(c.k, c.name)}
-		if native := steadyStateAllocs(t, sc, c.k, pol); native > 0.05 {
-			t.Errorf("%s/%s on %s: %.2f allocs per episode per image on native, want 0", c.k, c.name, sc, native)
+	few := fewLeaderScenarios(t)
+	for _, c := range []struct {
+		sc    confScenario
+		cells []leaderCell
+	}{{manyLeaderScenarios(t)[1], leaderStageCells}, {few[2], allgatherCells}, {few[6], allgatherCells}} {
+		c.sc.backend = "native"
+		for _, cell := range c.cells {
+			pol := Policy{Level: LevelAuto, Tuning: Tuning{}.With(cell.k, cell.name)}
+			native := steadyStateAllocs(t, c.sc, cell.k, pol)
+			t.Logf("%s/%s on %s: %.2f allocs per episode per image on native", cell.k, cell.name, c.sc, native)
+			if native > 0.05 {
+				t.Errorf("%s/%s on %s: %.2f allocs per episode per image on native, want 0", cell.k, cell.name, c.sc, native)
+			}
 		}
 	}
 }

@@ -67,18 +67,10 @@ var autoTable = [numKinds][]AutoRow{
 		{inf, inf, inf, inf, "2level", "binomial"},                   // 66 cells, 1.000, worst 1.000
 	},
 	4: { // allgather
-		{1, inf, inf, inf, "bruck", "bruck"},      // 34 cells, 1.001, worst 1.029
+		{1, inf, inf, inf, "bruck", "bruck"},      // 34 cells, 1.003, worst 1.046
 		{4, inf, 2, 16384, "2level", "bruck"},     // 4 cells, 1.000, worst 1.000
 		{4, inf, 2, inf, "ring", "ring"},          // 3 cells, 1.000, worst 1.000
-		{4, inf, 4, 65536, "2level", "bruck"},     // 10 cells, 1.001, worst 1.013
-		{4, inf, 4, inf, "ring", "ring"},          // 3 cells, 1.019, worst 1.039
-		{4, inf, 8, 512, "bruck", "bruck"},        // 2 cells, 1.000, worst 1.000
-		{4, inf, 8, 4096, "2level", "bruck"},      // 1 cells, 1.000, worst 1.000
-		{4, inf, 8, 16384, "ring", "ring"},        // 1 cells, 1.000, worst 1.000
-		{4, inf, 8, inf, "2level", "bruck"},       // 1 cells, 1.000, worst 1.000
-		{4, inf, 16, 4096, "bruck", "bruck"},      // 6 cells, 1.000, worst 1.000
-		{4, inf, 16, inf, "ring", "ring"},         // 2 cells, 1.000, worst 1.000
-		{4, inf, inf, inf, "2level", "bruck"},     // 3 cells, 1.000, worst 1.000
+		{4, inf, inf, inf, "2level", "bruck"},     // 29 cells, 1.002, worst 1.057
 		{inf, inf, inf, 65536, "2level", "bruck"}, // 38 cells, 1.000, worst 1.000
 		{inf, inf, inf, inf, "ring", "ring"},      // 1 cells, 1.000, worst 1.000
 	},

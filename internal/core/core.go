@@ -28,14 +28,14 @@
 // AllgatherTwoLevel, AlltoallTwoLevel, ScanTwoLevel) are two-level
 // compositions of their own, because the root's position decides each image's
 // role. Where they replicate or combine, their leaders' stage is log-depth like
-// the two above: the binomial trees of BcastTwoLevel and ReduceToRootTwoLevel
-// and, from logDepthLeaders node leaders up, the pairwise-exchange scan of
-// coll.SubgroupExscan in ScanTwoLevel and Bruck's algorithm over node blocks in
-// AllgatherTwoLevel (below that number a chain, which measures faster there,
-// and a ring, kept so that small teams run what they ran). What they share is
-// the protocol under them, and that is written once, in internal/coll's
-// vocabulary: a landing area is a coll.Box (it owns the
-// episode's parity and the region offsets), a wait is State.Arrivals, Gate or
+// the two above: the binomial trees of BcastTwoLevel and ReduceToRootTwoLevel,
+// Bruck's algorithm over node blocks (coll.SubgroupAllgatherBruck) in
+// AllgatherTwoLevel and, from logDepthLeaders node leaders up, the
+// pairwise-exchange scan of coll.SubgroupExscan in ScanTwoLevel (below that
+// number a chain, which measures faster there). What they share is the protocol
+// under them, and that is written once, in internal/coll's vocabulary: a
+// landing area is a coll.Box (it owns the episode's parity and the region
+// offsets), a wait is State.Arrivals, Gate or
 // Inject (with the Publish done wave), a member's receipt and ack of its block
 // is Box.Land, and on top of those this package has one stage verb of its own:
 // fanOut, a leader's gated delivery to its intranode set. No body multiplies a
@@ -57,22 +57,6 @@ import (
 	"cafteams/internal/team"
 	"cafteams/internal/trace"
 )
-
-// logDepthLeaders is the number of node leaders from which the two leaders'
-// stages that have a linear form as well — ScanTwoLevel's exclusive scan of
-// node totals, AllgatherTwoLevel's exchange of node blocks — take their
-// log-depth one (coll.SubgroupExscan, Bruck over node blocks). The crossover is
-// real, and measured in three-episode cells like the benchmark's (CHANGES.md,
-// PR 22, prints the sweep): a chain's head node waits for nobody and its
-// episodes pipeline, an exchange makes every leader wait for the whole team.
-// At 8 images per node and 128 elements the chain is 1.3–1.4× faster at 4 and 8
-// leaders, the two tie at 17 and 18 (59.9 vs 60.8, 62.3 vs 62.6 µs/op) and the
-// exchange is 1.14× faster at 24, 2× at 64, 26× at 512; at 4096 elements or one
-// image per node the lines cross between 8 and 16. 17 is the conservative end of
-// that: from it up no swept shape loses more than 2 %. The Bruck stage beats
-// the ring from 4 leaders on; it shares the constant so that teams of up to 16
-// leaders run what they ran.
-const logDepthLeaders = 17
 
 // level is one step of an image's way up the memory hierarchy: a group of
 // team ranks that share a level of it, and the member that goes on to the

@@ -23,6 +23,19 @@ const (
 	scan2Slots       = 12
 )
 
+// logDepthLeaders is the number of node leaders from which ScanTwoLevel's
+// exclusive scan of node totals is the log-depth coll.SubgroupExscan and no
+// longer the leader chain. The crossover is real, and measured in three-episode
+// cells like the benchmark's (CHANGES.md, PR 22, prints the sweep): a chain's
+// head node waits for nobody and its episodes pipeline, an exchange makes every
+// leader wait for the whole team. At 8 images per node and 128 elements the
+// chain is 1.3–1.4× faster at 4 and 8 leaders, the two tie at 17 and 18 (59.9 vs
+// 60.8, 62.3 vs 62.6 µs/op) and the exchange is 1.14× faster at 24, 2× at 64,
+// 26× at 512; at 4096 elements or one image per node the lines cross between 8
+// and 16. 17 is the conservative end of that: from it up no swept shape loses
+// more than 2 %.
+const logDepthLeaders = 17
+
 // ScanTwoLevel is the hierarchy-aware prefix reduction over team rank order
 // (inclusive: buf becomes the reduction over ranks [0, r]; exclusive: over
 // [0, r), rank 0's buf left unchanged):

@@ -26,6 +26,7 @@ package pgas
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"sync"
@@ -80,13 +81,13 @@ type FaultEvent struct {
 	Node  int // FaultKillNode / FaultNICDegrade / link source node
 	Node2 int // link destination node
 
-	// Factor is the NIC occupancy multiplier (FaultNICDegrade, must be
-	// >= 1) or the per-message drop probability (FaultLinkDrop, in [0,1]).
+	// Factor is the NIC occupancy multiplier (FaultNICDegrade, in [1, 1e6])
+	// or the per-message drop probability (FaultLinkDrop, in [0,1]).
 	Factor float64
 	// Delay is the extra per-message latency for FaultLinkDelay.
 	Delay Time
 	// Duration bounds NIC/link faults; 0 means permanent. Ignored by kills
-	// (death is permanent).
+	// (death is permanent). At, Delay and Duration are at most MaxInt64/4.
 	Duration Time
 
 	// Silent suppresses the kill announcement: the image stops executing
@@ -95,6 +96,17 @@ type FaultEvent struct {
 	// Non-silent kills model a cluster manager that broadcasts the death.
 	Silent bool
 }
+
+// maxNICFactor is the largest FaultNICDegrade factor a plan may carry: an
+// occupancy inflated at both ends (factor squared) must stay a Time, and a NaN,
+// an infinity or 1e300 converts to a negative one — every message through that
+// NIC free. A NIC a million times slower is a dead node; kill it instead.
+const maxNICFactor = 1e6
+
+// maxFaultTime bounds At, Duration and Delay (73 simulated years): the repair
+// at At+Duration and an arrival a Delay after a send in that span cannot wrap
+// into the past — a delayed message would arrive early.
+const maxFaultTime Time = math.MaxInt64 / 4
 
 // FaultPlan is a deterministic fault schedule: the same plan and seed
 // produce the same simulated execution. Seed feeds the drop-probability
@@ -418,21 +430,22 @@ func (w *World) InjectFaults(plan *FaultPlan) error {
 			if ev.Node < 0 || ev.Node >= nodes {
 				return fmt.Errorf("pgas: fault event %d targets node %d of %d", i, ev.Node, nodes)
 			}
-			if ev.Kind == FaultNICDegrade && ev.Factor < 1 {
-				return fmt.Errorf("pgas: fault event %d has NIC factor %v < 1", i, ev.Factor)
+			// Written so that a NaN fails it: NaN < 1 is false.
+			if ev.Kind == FaultNICDegrade && !(ev.Factor >= 1 && ev.Factor <= maxNICFactor) {
+				return fmt.Errorf("pgas: fault event %d has NIC factor %v outside [1, %g]", i, ev.Factor, maxNICFactor)
 			}
 		case FaultLinkDelay, FaultLinkDrop:
 			if ev.Node < 0 || ev.Node >= nodes || ev.Node2 < 0 || ev.Node2 >= nodes {
 				return fmt.Errorf("pgas: fault event %d targets link %d->%d of %d nodes", i, ev.Node, ev.Node2, nodes)
 			}
-			if ev.Kind == FaultLinkDrop && (ev.Factor < 0 || ev.Factor > 1) {
+			if ev.Kind == FaultLinkDrop && !(ev.Factor >= 0 && ev.Factor <= 1) {
 				return fmt.Errorf("pgas: fault event %d has drop probability %v", i, ev.Factor)
 			}
 		default:
 			return fmt.Errorf("pgas: fault event %d has unknown kind %d", i, int(ev.Kind))
 		}
-		if ev.At < 0 || ev.Duration < 0 || ev.Delay < 0 {
-			return fmt.Errorf("pgas: fault event %d has negative time", i)
+		if min(ev.At, ev.Duration, ev.Delay) < 0 || max(ev.At, ev.Duration, ev.Delay) > maxFaultTime {
+			return fmt.Errorf("pgas: fault event %d has a time outside [0, %d]", i, maxFaultTime)
 		}
 	}
 	fc := w.faults

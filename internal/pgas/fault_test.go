@@ -7,6 +7,8 @@ package pgas
 // DetectConfig schedules no timer events at all.
 
 import (
+	"math"
+	"strings"
 	"testing"
 )
 
@@ -280,15 +282,16 @@ func TestSimNICDegradeSlowsTraffic(t *testing.T) {
 		})
 	}
 	base := exchange(newTestWorld(t, 2, 1))
-	w := newTestWorld(t, 2, 1)
-	if err := w.InjectFaults(&FaultPlan{Events: []FaultEvent{
-		{At: 0, Kind: FaultNICDegrade, Node: 0, Factor: 8},
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	slow := exchange(w)
-	if slow <= base {
-		t.Fatalf("degraded NIC finished in %d <= healthy %d", slow, base)
+	for _, factor := range []float64{8, maxNICFactor} {
+		w := newTestWorld(t, 2, 1)
+		if err := w.InjectFaults(&FaultPlan{Events: []FaultEvent{
+			{At: 0, Kind: FaultNICDegrade, Node: 0, Factor: factor},
+		}}); err != nil {
+			t.Fatal(err)
+		}
+		if slow := exchange(w); slow <= base {
+			t.Fatalf("NIC degraded %gx finished in %d <= healthy %d", factor, slow, base)
+		}
 	}
 }
 
@@ -327,4 +330,71 @@ func TestZeroDetectConfigAddsNoEvents(t *testing.T) {
 	if toEnd != baseEnd {
 		t.Fatalf("unused wait timeouts stretched the run: end %d, want %d", toEnd, baseEnd)
 	}
+}
+
+// TestInjectFaultsRefusesFreeMessages: a NIC factor that is NaN, infinite or
+// too large to keep an occupancy inside a Time used to pass (NaN < 1 is false)
+// and made every message through that NIC free; a NaN drop probability passed
+// too, an At+Duration that wraps scheduled the repair before the fault, and a
+// Delay that wraps delivered early. Each is refused by event index.
+func TestInjectFaultsRefusesFreeMessages(t *testing.T) {
+	ok := FaultEvent{Kind: FaultNICDegrade, Node: 1, Factor: 8, Duration: Microsecond}
+	for _, bad := range []FaultEvent{
+		{Kind: FaultNICDegrade, Factor: math.NaN()},
+		{Kind: FaultNICDegrade, Factor: math.Inf(1)},
+		{Kind: FaultNICDegrade, Factor: math.Inf(-1)},
+		{Kind: FaultNICDegrade, Factor: 1e300},
+		{Kind: FaultLinkDrop, Node2: 1, Factor: math.NaN()},
+		{Kind: FaultNICDegrade, Factor: 2, At: math.MaxInt64, Duration: 1},
+		{Kind: FaultLinkDelay, Node2: 1, At: 1, Duration: math.MaxInt64},
+		{Kind: FaultLinkDelay, Node2: 1, Delay: math.MaxInt64},
+	} {
+		err := newTestWorld(t, 2, 2).InjectFaults(&FaultPlan{Events: []FaultEvent{ok, bad}})
+		if err == nil || !strings.Contains(err.Error(), "fault event 1 ") {
+			t.Errorf("%+v: InjectFaults = %v, want fault event 1 refused", bad, err)
+		}
+	}
+}
+
+// FuzzInjectFaults: any one-event plan is validated without a panic and
+// accepted exactly when the event is well-formed — targets inside the 2x2
+// world, a factor the kind reads finite and in range, times in [0, MaxInt64/4].
+func FuzzInjectFaults(f *testing.F) {
+	for kind := FaultKillImage; kind <= FaultLinkDrop; kind++ {
+		f.Add(int(kind), 1, 1, 0, 1.0, int64(2000), int64(500), int64(0))
+	}
+	f.Add(int(FaultNICDegrade), 0, 0, 0, math.NaN(), int64(0), int64(0), int64(0))
+	f.Add(int(FaultNICDegrade), 0, 0, 0, math.Inf(1), int64(0), int64(0), int64(0))
+	f.Add(int(FaultNICDegrade), 0, 1, 0, 1e300, int64(0), int64(0), int64(0))
+	f.Add(int(FaultLinkDrop), 0, 0, 1, math.NaN(), int64(0), int64(0), int64(0))
+	f.Add(int(FaultLinkDrop), 0, 0, 1, 0.5, int64(0), int64(0), int64(1000))
+	f.Add(int(FaultLinkDelay), 0, 1, 0, math.NaN(), int64(1), int64(7), int64(math.MaxInt64))
+	f.Add(int(FaultKillNode), 0, 2, 0, 0.0, int64(0), int64(0), int64(0))
+	f.Add(int(FaultKillImage), 4, 0, 0, 0.0, int64(-1), int64(0), int64(0))
+	f.Add(99, 0, 0, 0, 1.0, int64(0), int64(0), int64(0))
+	f.Fuzz(func(t *testing.T, kind, image, node, node2 int, factor float64, at, delay, duration int64) {
+		ev := FaultEvent{Kind: FaultKind(kind), Image: image, Node: node, Node2: node2, Factor: factor, At: at, Delay: delay, Duration: duration}
+		onNode := func(n int) bool { return n >= 0 && n < 2 }
+		finite := !math.IsNaN(factor) && !math.IsInf(factor, 0)
+		var want bool
+		switch ev.Kind {
+		case FaultKillImage:
+			want = image >= 0 && image < 4
+		case FaultKillNode:
+			want = onNode(node)
+		case FaultNICDegrade:
+			want = onNode(node) && finite && factor >= 1 && factor <= 1e6
+		case FaultLinkDelay:
+			want = onNode(node) && onNode(node2)
+		case FaultLinkDrop:
+			want = onNode(node) && onNode(node2) && finite && factor >= 0 && factor <= 1
+		}
+		for _, d := range []int64{at, delay, duration} {
+			want = want && d >= 0 && d <= math.MaxInt64/4
+		}
+		err := newTestWorld(t, 2, 2).InjectFaults(&FaultPlan{Events: []FaultEvent{ev}})
+		if (err == nil) != want {
+			t.Fatalf("InjectFaults(%+v) = %v, want accepted = %v", ev, err, want)
+		}
+	})
 }
