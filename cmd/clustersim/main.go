@@ -70,10 +70,34 @@ func main() {
 	flag.IntVar(&o.retryBaseUS, "retry-base-us", 20, "initial retry backoff (simulated us)")
 	flag.IntVar(&o.retryCapUS, "retry-cap-us", 160, "retry backoff cap (simulated us)")
 	flag.Parse()
-	if err := runSim(o, os.Stdout); err != nil {
+	err := checkFlags(o)
+	if err == nil {
+		err = runSim(o, os.Stdout)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "clustersim:", err)
 		os.Exit(1)
 	}
+}
+
+// checkFlags refuses, naming the flag, the values that used to panic deep in
+// the simulation (-fault-span-us 0 in rand.Int63n, -quota 0 in an empty
+// placement, -jobs -3 in makeslice) or were silently reinterpreted (-k 0
+// sampled as 1, a negative repair time or retry bound as none).
+func checkFlags(o options) error {
+	for _, f := range []struct {
+		name     string
+		v, least int
+	}{
+		{"-jobs", o.jobs, 1}, {"-mean-gap-us", o.meanGapUS, 1}, {"-k", o.k, 1}, {"-quota", o.quota, 1},
+		{"-faults", o.faults, 0}, {"-fault-span-us", o.faultSpanUS, 1}, {"-fault-mttr-us", o.faultMTTRUS, 0},
+		{"-retry-max", o.retryMax, 0}, {"-retry-base-us", o.retryBaseUS, 0}, {"-retry-cap-us", o.retryCapUS, 0},
+	} {
+		if f.v < f.least {
+			return fmt.Errorf("%s must be at least %d, got %d", f.name, f.least, f.v)
+		}
+	}
+	return nil
 }
 
 // policyRun is one policy's replay of the job stream.

@@ -171,7 +171,35 @@ func TestContentionMeasurable(t *testing.T) {
 	}
 }
 
+// TestBadFlags: values that used to panic inside the simulation (-fault-span-us
+// 0, -quota 0, -jobs -3) or were silently reinterpreted (-k 0, negative repair
+// and retry times) are refused before anything is simulated, naming the flag;
+// so are a machine shape and a policy nothing can run.
 func TestBadFlags(t *testing.T) {
+	if err := checkFlags(faultOptions()); err != nil {
+		t.Fatalf("good flags rejected: %v", err)
+	}
+	for _, c := range []struct {
+		flag string
+		set  func(o *options)
+	}{
+		{"-jobs", func(o *options) { o.jobs = -3 }},
+		{"-mean-gap-us", func(o *options) { o.meanGapUS = 0 }},
+		{"-k", func(o *options) { o.k = 0 }},
+		{"-quota", func(o *options) { o.quota = 0 }},
+		{"-faults", func(o *options) { o.faults = -1 }},
+		{"-fault-span-us", func(o *options) { o.faultSpanUS = 0 }},
+		{"-fault-mttr-us", func(o *options) { o.faultMTTRUS = -1 }},
+		{"-retry-max", func(o *options) { o.retryMax = -1 }},
+		{"-retry-base-us", func(o *options) { o.retryBaseUS = -20 }},
+		{"-retry-cap-us", func(o *options) { o.retryCapUS = -160 }},
+	} {
+		o := faultOptions()
+		c.set(&o)
+		if err := checkFlags(o); err == nil || !strings.HasPrefix(err.Error(), c.flag+" ") {
+			t.Errorf("checkFlags with a bad %s = %v, want an error naming it", c.flag, err)
+		}
+	}
 	o := testOptions()
 	o.machine = "0x2"
 	if err := runSim(o, nil); err == nil {

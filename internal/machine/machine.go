@@ -90,15 +90,8 @@ type Model struct {
 	Name string
 	// Net is the inter-node parameter set for the active conduit.
 	Net Params
-	// Shm is the intra-node parameter set. For conduits that do not
-	// shortcut intra-node traffic through shared memory (the paper's flat
-	// GASNet puts go through the NIC loopback), ShmViaNIC is set and Shm
-	// is ignored for puts issued through the flat path.
+	// Shm is the intra-node parameter set.
 	Shm Params
-	// ShmViaNIC: when true, intra-node one-sided traffic behaves like
-	// network traffic (loopback through the NIC), which is how the
-	// unmodified flat dissemination behaves in the paper's runtime.
-	ShmViaNIC bool
 	// LoopbackG is the per-message occupancy of the node's conduit
 	// progress engine for intra-node messages sent through the portable
 	// conduit path (the hierarchy-oblivious path). For software conduits

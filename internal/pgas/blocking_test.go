@@ -15,6 +15,12 @@ import (
 // that return; a block hidden in one of them is a frame under every parked
 // image (see bench.TestStackBudget). The body of a spawned process (the
 // heartbeat stampers) is not a helper: it blocks on its own stack.
+//
+// And the seam under it — a modeled message is charged in one place: in
+// simbackend.go a resource is occupied only by route and by the same-node arm
+// of atomicRoundTrip (AtomicShm is the memory system executing a
+// read-modify-write, not a message), and the link-drop stream is consulted by
+// one function, so no leg of any operation can miss a NIC or link fault.
 func TestSimHelpersDoNotBlock(t *testing.T) {
 	fset := token.NewFileSet()
 	file, err := parser.ParseFile(fset, "simbackend.go", nil, 0)
@@ -29,11 +35,23 @@ func TestSimHelpersDoNotBlock(t *testing.T) {
 		return true
 	})
 	checked := map[string]bool{}
+	occupies, draws := map[string]int{}, map[string]int{}
 	for _, d := range file.Decls {
 		fn, ok := d.(*ast.FuncDecl)
 		if !ok || fn.Body == nil {
 			continue
 		}
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				switch sel.Sel.Name {
+				case "Occupy":
+					occupies[fn.Name.Name]++
+				case "drops":
+					draws[fn.Name.Name]++
+				}
+			}
+			return true
+		})
 		if strings.HasPrefix(fn.Name.Name, "simWait") {
 			continue
 		}
@@ -66,9 +84,16 @@ func TestSimHelpersDoNotBlock(t *testing.T) {
 			return true
 		})
 	}
-	for _, name := range []string{"route", "sendOverhead", "dispatch", "deliverAt", "deliverNop", "deliverFlagOp", "simDropped"} {
+	for _, name := range []string{"route", "sendOverhead", "dispatch", "deliverAt", "deliverFlagOp", "dropped"} {
 		if !checked[name] {
 			t.Errorf("simbackend.go has no helper %s: the pin checks nothing on the put path", name)
 		}
+	}
+	if occupies["route"] != 4 || occupies["atomicRoundTrip"] != 1 || len(occupies) != 2 {
+		t.Errorf("resources are occupied in %v: want route's four sites and atomicRoundTrip's same-node arm only", occupies)
+	}
+	delete(draws, "Launch") // creates the stream, seeded by the plan
+	if draws["dropped"] != 1 || len(draws) != 1 {
+		t.Errorf("the link-drop stream is consulted in %v: want the one gate, dropped", draws)
 	}
 }

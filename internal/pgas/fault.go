@@ -27,7 +27,6 @@ package pgas
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -45,7 +44,9 @@ const (
 	// FaultKillNode kills every image of this world hosted on node Node.
 	FaultKillNode
 	// FaultNICDegrade multiplies node Node's NIC occupancy by Factor (>1
-	// slows it down) for Duration (0 = permanently). Sim backend only.
+	// slows it down) for Duration (0 = permanently). Sim backend only. Like
+	// the two link faults it acts on every inter-node leg that touches its
+	// target, Get and atomic round trips (request and response) included.
 	FaultNICDegrade
 	// FaultLinkDelay adds Delay to every message Node→Node2 for Duration.
 	// Sim backend only.
@@ -122,8 +123,8 @@ type FaultPlan struct {
 // simulated deadlock on the sim backend) — exactly the pre-fault-layer
 // behavior, which keeps timing-asserting tests unaffected.
 type DetectConfig struct {
-	// WaitTimeout bounds every blocking wait (WaitFlagGE, Quiet, Get,
-	// remote atomics, collective episodes, which are built from these).
+	// WaitTimeout bounds every blocking wait (WaitFlagGE, Quiet, a Get or
+	// remote atomic lost on the wire, collective episodes, built from these).
 	// A wait that exceeds it raises a *FailedImageError with Timeout set.
 	// 0 disables.
 	WaitTimeout Time
@@ -213,7 +214,6 @@ type faultCtx struct {
 	contain bool
 
 	plan *FaultPlan
-	rng  *rand.Rand // drop-probability stream, sim scheduler context only
 
 	// epoch counts failure announcements. Every blocking wait of image r is
 	// interrupted (raising *FailedImageError) while epoch != ackEpoch[r]:
@@ -237,11 +237,6 @@ type faultCtx struct {
 
 	mu       sync.Mutex
 	failures []ImageFailure
-
-	// Sim-only link state, mutated in scheduler context.
-	nicFactor []float64
-	linkDelay map[[2]int]Time
-	linkDrop  map[[2]int]float64
 
 	// Heartbeat stamps (atomic), valid when cfg.Heartbeat > 0.
 	hbStamp []int64
@@ -420,6 +415,7 @@ func (w *World) Detect() DetectConfig { return w.faults.cfg }
 func (w *World) InjectFaults(plan *FaultPlan) error {
 	n := w.topo.NumImages()
 	nodes := w.topo.NumNodes()
+	lastsPast := func(ev FaultEvent, t Time) bool { return ev.Duration == 0 || ev.At+ev.Duration > t }
 	for i, ev := range plan.Events {
 		switch ev.Kind {
 		case FaultKillImage:
@@ -447,17 +443,18 @@ func (w *World) InjectFaults(plan *FaultPlan) error {
 		if min(ev.At, ev.Duration, ev.Delay) < 0 || max(ev.At, ev.Duration, ev.Delay) > maxFaultTime {
 			return fmt.Errorf("pgas: fault event %d has a time outside [0, %d]", i, maxFaultTime)
 		}
+		// A repair restores the healthy value, whoever degraded it: of two
+		// windows open at once on one NIC or link the first repair would end
+		// the second fault too (a permanent fault is open ever after).
+		for j, prev := range plan.Events[:i] {
+			if ev.Kind != FaultKillImage && ev.Kind != FaultKillNode && prev.Kind == ev.Kind && prev.Node == ev.Node &&
+				(ev.Kind == FaultNICDegrade || prev.Node2 == ev.Node2) && lastsPast(prev, ev.At) && lastsPast(ev, prev.At) {
+				return fmt.Errorf("pgas: fault event %d overlaps event %d (%s on the same target)", i, j, ev.Kind)
+			}
+		}
 	}
-	fc := w.faults
-	fc.plan = plan
-	fc.rng = rand.New(rand.NewSource(plan.Seed))
-	fc.contain = true
-	fc.nicFactor = make([]float64, nodes)
-	for i := range fc.nicFactor {
-		fc.nicFactor[i] = 1
-	}
-	fc.linkDelay = make(map[[2]int]Time)
-	fc.linkDrop = make(map[[2]int]float64)
+	w.faults.plan = plan
+	w.faults.contain = true
 	return nil
 }
 
@@ -545,35 +542,4 @@ func (im *Image) AwaitFailedImages(min int) []int {
 		nativeAwaitFailed(im, min)
 	}
 	return fc.failedSnapshot()
-}
-
-// --- sim-only injection helpers (scheduler context) -----------------------
-
-// nicFactorNow returns the current occupancy multiplier for node n.
-func (fc *faultCtx) nicFactorNow(n int) float64 {
-	if fc.nicFactor == nil {
-		return 1
-	}
-	return fc.nicFactor[n]
-}
-
-// linkDelayNow returns the extra latency on src→dst.
-func (fc *faultCtx) linkDelayNow(src, dst int) Time {
-	if fc.linkDelay == nil {
-		return 0
-	}
-	return fc.linkDelay[[2]int{src, dst}]
-}
-
-// dropNow decides whether one message on src→dst is dropped, consuming one
-// draw from the plan's stream iff a drop rate is active on the link.
-func (fc *faultCtx) dropNow(src, dst int) bool {
-	if fc.linkDrop == nil {
-		return false
-	}
-	p, ok := fc.linkDrop[[2]int{src, dst}]
-	if !ok || p <= 0 {
-		return false
-	}
-	return fc.rng.Float64() < p
 }

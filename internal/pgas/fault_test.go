@@ -269,7 +269,13 @@ func TestSimLinkDropLosesNotifyButDrainsQuiet(t *testing.T) {
 }
 
 // TestSimNICDegradeSlowsTraffic: degrading a node's NIC makes the same
-// exchange take longer than on a healthy machine.
+// exchange take longer than on a healthy machine — and, as a table over every
+// inter-node operation, each modeled fault reaches each leg the operation is
+// made of: a degraded NIC at either end slows it, a delayed link makes it later
+// by at least the delay when it crosses that link (and leaves it alone when it
+// does not), a dropped leg ends in a timeout status at whoever observes the
+// operation's completion, never in a hang. The healthy times are pinned to the
+// nanosecond: a Get or an atomic is two routed legs and nothing else.
 func TestSimNICDegradeSlowsTraffic(t *testing.T) {
 	exchange := func(w *World) Time {
 		return w.Run(func(im *Image) {
@@ -291,6 +297,89 @@ func TestSimNICDegradeSlowsTraffic(t *testing.T) {
 		}
 		if slow := exchange(w); slow <= base {
 			t.Fatalf("NIC degraded %gx finished in %d <= healthy %d", factor, slow, base)
+		}
+	}
+
+	// Rank 0 (node 0) acts on rank 1 (node 1) with 8 KiB payloads. back: the
+	// operation has a leg on link 1->0 too. observed: somebody waits for the
+	// completion, so a lost leg is seen (a put+quiet drains regardless: the
+	// sender cannot tell its message evaporated).
+	const delay, timeout = 50 * Microsecond, 500 * Microsecond
+	ops := []struct {
+		name           string
+		healthy        Time
+		back, observed bool
+		rank0          func(im *Image, co *Coarray[float64], fl *Flags, buf []float64)
+	}{
+		{"put+quiet", 9551, false, false, func(im *Image, co *Coarray[float64], fl *Flags, buf []float64) {
+			Put(im, co, 1, 0, buf, ViaConduit)
+			im.Quiet()
+		}},
+		{"put+flag", 10256, false, true, func(im *Image, co *Coarray[float64], fl *Flags, buf []float64) {
+			PutThenNotify(im, co, 1, 0, buf, fl, 0, 1, ViaConduit)
+		}},
+		{"notify", 3705, false, true, func(im *Image, co *Coarray[float64], fl *Flags, buf []float64) {
+			im.NotifyAdd(fl, 1, 0, 1, ViaConduit)
+		}},
+		{"get", 12651, true, true, func(im *Image, co *Coarray[float64], fl *Flags, buf []float64) {
+			Get(im, co, 1, 0, buf)
+		}},
+		{"fetch-add", 6810, true, true, func(im *Image, co *Coarray[float64], fl *Flags, buf []float64) {
+			im.FetchAddFlag(fl, 1, 1, 1)
+		}},
+		{"cas", 6816, true, true, func(im *Image, co *Coarray[float64], fl *Flags, buf []float64) {
+			im.CompareAndSwapFlag(fl, 1, 1, 0, 1)
+		}},
+	}
+	run := func(rank0 func(*Image, *Coarray[float64], *Flags, []float64), waitFlag bool, events ...FaultEvent) (Time, *FailedImageError) {
+		w := newTestWorld(t, 2, 1)
+		w.SetDetect(DetectConfig{WaitTimeout: timeout})
+		if err := w.InjectFaults(&FaultPlan{Seed: 1, Events: events}); err != nil {
+			t.Fatal(err)
+		}
+		var failed *FailedImageError
+		end := w.Run(func(im *Image) {
+			co := NewCoarray[float64](w, "legs", 1024)
+			fl := NewFlags(w, "legs", 2)
+			im.Sleep(Microsecond) // the faults, scheduled at 0, are in force
+			err := catchFailed(func() {
+				if im.Rank() == 0 {
+					rank0(im, co, fl, make([]float64, 1024))
+				} else if waitFlag {
+					im.WaitFlagGE(fl, 1, 0, 1)
+				}
+			})
+			if err != nil {
+				failed = err
+			}
+		})
+		return end - Microsecond, failed
+	}
+	for _, op := range ops {
+		waitFlag := op.observed && !op.back // completion is the flag landing on rank 1
+		healthy, err := run(op.rank0, waitFlag)
+		if err != nil || healthy != op.healthy {
+			t.Errorf("%s healthy: %d ns (%v), want %d", op.name, healthy, err, op.healthy)
+		}
+		for node := 0; node < 2; node++ {
+			slow, err := run(op.rank0, waitFlag, FaultEvent{Kind: FaultNICDegrade, Node: node, Factor: 8})
+			if err != nil || slow <= healthy {
+				t.Errorf("%s with node %d's NIC degraded 8x: %d ns (%v), healthy %d", op.name, node, slow, err, healthy)
+			}
+		}
+		for _, link := range [][2]int{{0, 1}, {1, 0}} {
+			crosses := link[0] == 0 || op.back
+			late, err := run(op.rank0, waitFlag, FaultEvent{Kind: FaultLinkDelay, Node: link[0], Node2: link[1], Delay: delay})
+			if err != nil || crosses && late < healthy+delay || !crosses && late != healthy {
+				t.Errorf("%s with +%d ns on link %v (crossed: %v): %d ns (%v), healthy %d", op.name, delay, link, crosses, late, err, healthy)
+			}
+			end, err := run(op.rank0, waitFlag, FaultEvent{Kind: FaultLinkDrop, Node: link[0], Node2: link[1], Factor: 1})
+			switch lost := crosses && op.observed; {
+			case lost && (err == nil || !err.Timeout):
+				t.Errorf("%s with link %v dropping: ended at %d with %v, want a timeout status", op.name, link, end, err)
+			case !lost && (err != nil || end != healthy):
+				t.Errorf("%s with link %v dropping (crossed: %v): %d ns (%v), healthy %d", op.name, link, crosses, end, err, healthy)
+			}
 		}
 	}
 }
@@ -336,10 +425,12 @@ func TestZeroDetectConfigAddsNoEvents(t *testing.T) {
 // too large to keep an occupancy inside a Time used to pass (NaN < 1 is false)
 // and made every message through that NIC free; a NaN drop probability passed
 // too, an At+Duration that wraps scheduled the repair before the fault, and a
-// Delay that wraps delivered early. Each is refused by event index.
+// Delay that wraps delivered early; and of two windows open at once on one NIC
+// the first repair ended the second fault. Each is refused by event index.
 func TestInjectFaultsRefusesFreeMessages(t *testing.T) {
 	ok := FaultEvent{Kind: FaultNICDegrade, Node: 1, Factor: 8, Duration: Microsecond}
 	for _, bad := range []FaultEvent{
+		{Kind: FaultNICDegrade, Node: 1, Factor: 2, At: Microsecond - 1},
 		{Kind: FaultNICDegrade, Factor: math.NaN()},
 		{Kind: FaultNICDegrade, Factor: math.Inf(1)},
 		{Kind: FaultNICDegrade, Factor: math.Inf(-1)},
@@ -359,6 +450,8 @@ func TestInjectFaultsRefusesFreeMessages(t *testing.T) {
 // FuzzInjectFaults: any one-event plan is validated without a panic and
 // accepted exactly when the event is well-formed — targets inside the 2x2
 // world, a factor the kind reads finite and in range, times in [0, MaxInt64/4].
+// A well-formed NIC or link fault followed by the same fault delay ns later is
+// accepted exactly when the first has been repaired by then.
 func FuzzInjectFaults(f *testing.F) {
 	for kind := FaultKillImage; kind <= FaultLinkDrop; kind++ {
 		f.Add(int(kind), 1, 1, 0, 1.0, int64(2000), int64(500), int64(0))
@@ -372,6 +465,7 @@ func FuzzInjectFaults(f *testing.F) {
 	f.Add(int(FaultKillNode), 0, 2, 0, 0.0, int64(0), int64(0), int64(0))
 	f.Add(int(FaultKillImage), 4, 0, 0, 0.0, int64(-1), int64(0), int64(0))
 	f.Add(99, 0, 0, 0, 1.0, int64(0), int64(0), int64(0))
+	f.Add(int(FaultLinkDelay), 0, 0, 1, 0.0, int64(10), int64(499), int64(500))
 	f.Fuzz(func(t *testing.T, kind, image, node, node2 int, factor float64, at, delay, duration int64) {
 		ev := FaultEvent{Kind: FaultKind(kind), Image: image, Node: node, Node2: node2, Factor: factor, At: at, Delay: delay, Duration: duration}
 		onNode := func(n int) bool { return n >= 0 && n < 2 }
@@ -395,6 +489,16 @@ func FuzzInjectFaults(f *testing.F) {
 		err := newTestWorld(t, 2, 2).InjectFaults(&FaultPlan{Events: []FaultEvent{ev}})
 		if (err == nil) != want {
 			t.Fatalf("InjectFaults(%+v) = %v, want accepted = %v", ev, err, want)
+		}
+		again := ev
+		again.At += delay
+		if want && again.At <= math.MaxInt64/4 {
+			kill := ev.Kind == FaultKillImage || ev.Kind == FaultKillNode
+			want = kill || duration > 0 && delay >= duration
+			err := newTestWorld(t, 2, 2).InjectFaults(&FaultPlan{Events: []FaultEvent{ev, again}})
+			if (err == nil) != want || !want && !strings.Contains(err.Error(), "fault event 1 overlaps event 0") {
+				t.Fatalf("InjectFaults(%+v, then again %d ns later) = %v, want accepted = %v", ev, delay, err, want)
+			}
 		}
 	})
 }

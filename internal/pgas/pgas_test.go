@@ -646,8 +646,8 @@ func TestPerPairDeliveryOrdered(t *testing.T) {
 						k := k
 						via := im.resolveVia(target, via)
 						im.Sleep(sendOverhead(w.model, via))
-						deliver := route(im, target, 8, via, im.Now())
-						deliverAt(im, deliver, func() { order = append(order, k) })
+						deliver := route(w, im.Node(), w.topo.NodeOf(target), 8, via, im.Now())
+						deliverAt(im, deliver, func() { order = append(order, k) }, false)
 					}
 				}
 			})

@@ -2,6 +2,8 @@ package pgas
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"sync/atomic"
 
 	"cafteams/internal/cluster"
@@ -44,6 +46,15 @@ type simWorld struct {
 	// strictly within scheduler context (see sim.Env), so a plain slice is
 	// both safe and deterministic.
 	freeDel []*delivery
+
+	// Injected state of the NICs and wires above (FaultPlan's NIC and link
+	// events), mutated in scheduler context and read by route and dropped
+	// only. All nil until Launch arms a plan: a world without one pays a nil
+	// test per inter-node message for the fault model, and nothing else.
+	nicFactor []float64          // per node occupancy multiplier, 1 = healthy
+	linkDelay map[[2]int]Time    // extra latency src node -> dst node
+	linkDrop  map[[2]int]float64 // drop probability src node -> dst node
+	drops     *rand.Rand         // the plan's seeded drop-probability stream
 }
 
 // Wait kinds for simImage's reusable wait record.
@@ -215,6 +226,10 @@ func (*simTransport) Launch(w *World, body func(*Image)) {
 	}
 	fc := w.faults
 	if fc.plan != nil {
+		sw.nicFactor = slices.Repeat([]float64{1}, w.topo.NumNodes())
+		sw.linkDelay = make(map[[2]int]Time)
+		sw.linkDrop = make(map[[2]int]float64)
+		sw.drops = rand.New(rand.NewSource(fc.plan.Seed))
 		for _, ev := range fc.plan.Events {
 			scheduleFaultEvent(w, sw, ev)
 		}
@@ -224,30 +239,26 @@ func (*simTransport) Launch(w *World, body func(*Image)) {
 	}
 }
 
-// scheduleFaultEvent turns one FaultPlan entry into event-queue entries.
+// scheduleFaultEvent turns one FaultPlan entry into event-queue entries. A
+// repair is an assignment: InjectFaults refuses plans whose windows on one NIC
+// or link overlap, so no repair ends a fault that is not its own.
 func scheduleFaultEvent(w *World, sw *simWorld, ev FaultEvent) {
-	fc := w.faults
+	during := func(set, repair func()) {
+		sw.env.Schedule(ev.At, set)
+		if ev.Duration > 0 {
+			sw.env.Schedule(ev.At+ev.Duration, repair)
+		}
+	}
+	link := [2]int{ev.Node, ev.Node2}
 	switch ev.Kind {
 	case FaultKillImage, FaultKillNode:
-		sw.env.Schedule(ev.At, func() { fc.applyKill(ev, sw.env.Now()) })
+		sw.env.Schedule(ev.At, func() { w.faults.applyKill(ev, sw.env.Now()) })
 	case FaultNICDegrade:
-		node, factor := ev.Node, ev.Factor
-		sw.env.Schedule(ev.At, func() { fc.nicFactor[node] = factor })
-		if ev.Duration > 0 {
-			sw.env.Schedule(ev.At+ev.Duration, func() { fc.nicFactor[node] = 1 })
-		}
+		during(func() { sw.nicFactor[ev.Node] = ev.Factor }, func() { sw.nicFactor[ev.Node] = 1 })
 	case FaultLinkDelay:
-		key, d := [2]int{ev.Node, ev.Node2}, ev.Delay
-		sw.env.Schedule(ev.At, func() { fc.linkDelay[key] = d })
-		if ev.Duration > 0 {
-			sw.env.Schedule(ev.At+ev.Duration, func() { delete(fc.linkDelay, key) })
-		}
+		during(func() { sw.linkDelay[link] = ev.Delay }, func() { delete(sw.linkDelay, link) })
 	case FaultLinkDrop:
-		key, p := [2]int{ev.Node, ev.Node2}, ev.Factor
-		sw.env.Schedule(ev.At, func() { fc.linkDrop[key] = p })
-		if ev.Duration > 0 {
-			sw.env.Schedule(ev.At+ev.Duration, func() { delete(fc.linkDrop, key) })
-		}
+		during(func() { sw.linkDrop[link] = ev.Factor }, func() { delete(sw.linkDrop, link) })
 	}
 }
 
@@ -342,13 +353,13 @@ func simWait(im *Image, c *sim.Cond, why string) {
 	panic(fc.failError(op, timedOut))
 }
 
-// simWaitPred is simWait with an arbitrary predicate (the wGeneric kind),
-// for the colder round-trip paths (get, atomics, async progress).
-func simWaitPred(im *Image, c *sim.Cond, why string, pred func() bool) {
+// simWaitPred is simWait on the image's own row with an arbitrary predicate
+// (the wGeneric kind): async progress, and a round trip lost on the wire.
+func simWaitPred(im *Image, why string, pred func() bool) {
 	si := &im.w.sim.img[im.rank]
 	si.wKind = wGeneric
 	si.wPred = pred
-	simWait(im, c, why)
+	simWait(im, &im.w.sim.rowCond[im.rank], why)
 }
 
 // sendOverhead is the sender's CPU overhead (LogGP o) over a resolved path:
@@ -360,52 +371,67 @@ func sendOverhead(m *machine.Model, via Via) Time {
 	return m.Net.O
 }
 
-// route is the cost function of one message: n payload bytes from im to
-// target over a resolved path, injected at now (the caller's clock after its
-// sendOverhead sleep). It occupies the path's serializing resources and
-// returns the delivery time; it never blocks (TestSimHelpersDoNotBlock).
-func route(im *Image, target, n int, via Via, now sim.Time) sim.Time {
-	w := im.w
+// route is the cost function of one message leg, and the only one (see the
+// Transport contract): n payload bytes from node src to node dst over a
+// resolved path, injected at now (the issuer's clock after its sendOverhead
+// sleep, or the arrival of the request a response answers). It occupies the
+// path's serializing resources and returns the delivery time; it never blocks
+// (TestSimHelpersDoNotBlock).
+func route(w *World, src, dst, n int, via Via, now sim.Time) sim.Time {
 	sw := w.sim
 	m := w.model
-	dstNode := w.topo.NodeOf(target)
 	switch {
 	case via == ViaShm:
 		// Direct load/store path within the node.
 		dur := m.Shm.G + m.Shm.ByteTime(n)
-		start := sw.membus[im.node].Occupy(now, dur)
+		start := sw.membus[src].Occupy(now, dur)
 		return start + dur + m.Shm.L
-	case dstNode == im.node:
+	case dst == src:
 		// Conduit loopback: the portable path does not know the target
 		// is local; the message serializes through the node's conduit
 		// progress engine at an inflated occupancy (software handling
 		// plus flag-polling coherence traffic).
 		dur := m.LoopbackG + m.Shm.ByteTime(n)
-		start := sw.progress[im.node].Occupy(now, dur)
+		start := sw.progress[src].Occupy(now, dur)
 		return start + dur + m.Shm.L
 	default:
 		// Inter-node: sender NIC injection, wire, receiver NIC (the
 		// receive-side occupancy is zero for pure RDMA-write conduits).
-		// Injected NIC degradation inflates the occupancy at either end;
-		// an injected link delay stretches the wire.
-		fc := w.faults
 		sdur := m.Net.G + m.Net.ByteTime(n)
-		if f := fc.nicFactorNow(im.node) * fc.nicFactorNow(dstNode); f != 1 {
-			sdur = Time(float64(sdur) * f)
+		wire := m.Net.L
+		if sw.nicFactor != nil {
+			// A fault plan is armed: injected NIC degradation inflates the
+			// occupancy at either end, an injected link delay stretches the wire.
+			sdur = Time(float64(sdur) * (sw.nicFactor[src] * sw.nicFactor[dst]))
+			wire += sw.linkDelay[[2]int{src, dst}]
 		}
-		start := sw.nic[im.node].Occupy(now, sdur)
-		arrive := start + sdur + m.Net.L + fc.linkDelayNow(im.node, dstNode)
+		start := sw.nic[src].Occupy(now, sdur)
+		arrive := start + sdur + wire
 		if m.RecvG == 0 {
 			return arrive
 		}
-		rstart := sw.nic[dstNode].Occupy(arrive, m.RecvG)
+		rstart := sw.nic[dst].Occupy(arrive, m.RecvG)
 		return rstart + m.RecvG
 	}
 }
 
+// dropped is the one drop gate: whether a message routed from node src to
+// node dst is lost on the wire, consuming one draw from the plan's stream iff
+// a drop rate is active on that link. A dropped message still counts as
+// injected (and drains for Quiet): the sender believes the NIC took it; only
+// the receiver never hears, which is what makes loss detectable solely by
+// timeout or heartbeat.
+func (sw *simWorld) dropped(src, dst int) bool {
+	if src == dst || len(sw.linkDrop) == 0 {
+		return false
+	}
+	p := sw.linkDrop[[2]int{src, dst}]
+	return p > 0 && sw.drops.Float64() < p
+}
+
 // Delivery kinds for pooled delivery records.
 const (
-	dNop uint8 = iota // dropped message: drains for Quiet, mutates nothing
+	dNop uint8 = iota // lost message: drains for Quiet, mutates nothing
 	dFn               // run fn (staged put commits, atomic applies)
 	dAdd              // flags add + wake target
 	dSet              // flags monotone set (storeMax) + wake target
@@ -470,8 +496,13 @@ func (d *delivery) execute() {
 	sw.freeDel = append(sw.freeDel, d)
 }
 
-// dispatch schedules d at time t and tracks the operation for Quiet.
-func dispatch(im *Image, t sim.Time, d *delivery) {
+// dispatch schedules d at time t and tracks the operation for Quiet. A lost
+// message (see dropped) drains at the time the sender believes delivery
+// happened, but mutates nothing.
+func dispatch(im *Image, t sim.Time, d *delivery, lost bool) {
+	if lost {
+		d.kind = dNop
+	}
 	sw := im.w.sim
 	sw.img[im.rank].outstanding++
 	sw.env.Schedule(t, d.run)
@@ -479,27 +510,21 @@ func dispatch(im *Image, t sim.Time, d *delivery) {
 
 // deliverAt schedules fn at time t and tracks the operation for Quiet — the
 // generic (closure-carrying) form used by put commits and atomic applies.
-func deliverAt(im *Image, t sim.Time, fn func()) {
+func deliverAt(im *Image, t sim.Time, fn func(), lost bool) {
 	d := im.w.sim.getDelivery(im, dFn)
 	d.fn = fn
-	dispatch(im, t, d)
-}
-
-// deliverNop schedules a dropped message: it drains for Quiet at the time
-// the sender believes delivery happened, but mutates nothing.
-func deliverNop(im *Image, t sim.Time) {
-	dispatch(im, t, im.w.sim.getDelivery(im, dNop))
+	dispatch(im, t, d, lost)
 }
 
 // deliverFlagOp schedules a pooled flag mutation (dAdd or dSet) on f's
 // target row — the zero-alloc path under every notify.
-func deliverFlagOp(im *Image, t sim.Time, kind uint8, f *Flags, target, idx int, val int64) {
+func deliverFlagOp(im *Image, t sim.Time, kind uint8, f *Flags, target, idx int, val int64, lost bool) {
 	d := im.w.sim.getDelivery(im, kind)
 	d.f = f
 	d.tgt = target
 	d.idx = idx
 	d.val = val
-	dispatch(im, t, d)
+	dispatch(im, t, d, lost)
 }
 
 func (*simTransport) Quiet(im *Image) {
@@ -508,168 +533,121 @@ func (*simTransport) Quiet(im *Image) {
 	simWait(im, &si.quietCond, "quiet")
 }
 
-// simDropped decides whether one logical inter-node operation from im to
-// target is lost on the wire. Dropped operations still count as injected
-// (and drain for Quiet): the sender believes the NIC took them; only the
-// receiver never hears, which is what makes loss detectable solely by
-// timeout or heartbeat.
-func simDropped(im *Image, target int) bool {
-	dst := im.w.topo.NodeOf(target)
-	if dst == im.node {
-		return false
-	}
-	return im.w.faults.dropNow(im.node, dst)
-}
-
 func (*simTransport) Put(im *Image, target, nbytes int, via Via, commit func()) {
-	proc := im.w.sim.img[im.rank].proc
-	proc.Sleep(sendOverhead(im.w.model, via))
-	deliver := route(im, target, nbytes, via, proc.Now())
-	if simDropped(im, target) {
-		deliverNop(im, deliver)
-		return
-	}
-	deliverAt(im, deliver, commit)
+	w := im.w
+	proc := w.sim.img[im.rank].proc
+	proc.Sleep(sendOverhead(w.model, via))
+	dst := w.topo.NodeOf(target)
+	deliver := route(w, im.node, dst, nbytes, via, proc.Now())
+	deliverAt(im, deliver, commit, w.sim.dropped(im.node, dst))
 }
 
-func (*simTransport) Get(im *Image, target, nbytes int, commit func()) {
+func (t *simTransport) Get(im *Image, target, nbytes int, commit func()) {
 	w := im.w
-	sw := w.sim
-	m := w.model
-	proc := sw.img[im.rank].proc
-	if target == im.rank {
-		proc.Sleep(m.MemTime(nbytes))
-		commit()
-		return
-	}
-	if im.SameNode(target) {
+	proc := w.sim.img[im.rank].proc
+	switch dst := w.topo.NodeOf(target); {
+	case target == im.rank:
+		proc.Sleep(w.model.MemTime(nbytes))
+	case dst == im.node:
 		// Direct shared-memory read: a message over the membus, waited for.
-		proc.Sleep(m.Shm.O)
-		proc.Sleep(route(im, target, nbytes, ViaShm, proc.Now()) - proc.Now())
-		commit()
-		return
+		proc.Sleep(w.model.Shm.O)
+		proc.Sleep(route(w, dst, dst, nbytes, ViaShm, proc.Now()) - proc.Now())
+	default:
+		// Remote get: a bare request out, the payload back.
+		t.roundTrip(im, dst, 0, nbytes, "get", nil)
 	}
-	// Remote get: small request out, payload back. A drop on either
-	// direction loses the round trip; only a timeout or failure
-	// announcement releases the waiter then.
-	proc.Sleep(m.Net.O)
-	dstNode := w.topo.NodeOf(target)
-	fc := w.faults
-	if fc.dropNow(im.node, dstNode) || fc.dropNow(dstNode, im.node) {
-		simWaitPred(im, &sw.rowCond[im.rank], "get", func() bool { return false })
-		return
-	}
-	now := proc.Now()
-	reqDur := m.Net.G
-	reqStart := sw.nic[im.node].Occupy(now, reqDur)
-	reqArrive := reqStart + reqDur + m.Net.L
-	respDur := m.Net.G + m.Net.ByteTime(nbytes)
-	respStart := sw.nic[dstNode].Occupy(reqArrive, respDur)
-	back := respStart + respDur + m.Net.L
-	bstart := sw.nic[im.node].Occupy(back, m.Net.G)
-	done := false
-	sw.env.Schedule(bstart+m.Net.G, func() {
-		commit()
-		done = true
-		sw.wake(im.rank)
-	})
-	simWaitPred(im, &sw.rowCond[im.rank], "get", func() bool { return done })
+	commit()
 }
 
 func (*simTransport) PutThenNotify(im *Image, target, nbytes int, via Via, commit func(), f *Flags, idx int, delta int64) {
-	proc := im.w.sim.img[im.rank].proc
-	o := sendOverhead(im.w.model, via)
+	w := im.w
+	proc := w.sim.img[im.rank].proc
+	o := sendOverhead(w.model, via)
+	dst := w.topo.NodeOf(target)
 	proc.Sleep(o)
-	deliverData := route(im, target, nbytes, via, proc.Now())
+	deliverData := route(w, im.node, dst, nbytes, via, proc.Now())
 	proc.Sleep(o)
-	deliverFlag := route(im, target, 8, via, proc.Now())
+	deliverFlag := route(w, im.node, dst, 8, via, proc.Now())
 	if deliverFlag < deliverData {
 		deliverFlag = deliverData // ordered delivery per pair
 	}
-	if simDropped(im, target) {
-		// One drop decision for the pair: losing the payload but landing
-		// the flag would break the ordered-delivery contract the put+flag
-		// idiom rests on.
-		deliverNop(im, deliverData)
-		deliverNop(im, deliverFlag)
-		return
-	}
-	deliverAt(im, deliverData, commit)
-	deliverFlagOp(im, deliverFlag, dAdd, f, target, idx, delta)
+	// One drop decision for the pair: losing the payload but landing the
+	// flag would break the ordered-delivery contract the put+flag idiom
+	// rests on.
+	lost := w.sim.dropped(im.node, dst)
+	deliverAt(im, deliverData, commit, lost)
+	deliverFlagOp(im, deliverFlag, dAdd, f, target, idx, delta, lost)
 }
 
 func (*simTransport) NotifyAdd(im *Image, f *Flags, target, idx int, delta int64, via Via) {
-	proc := im.w.sim.img[im.rank].proc
-	proc.Sleep(sendOverhead(im.w.model, via))
-	deliver := route(im, target, 8, via, proc.Now())
-	if simDropped(im, target) {
-		deliverNop(im, deliver)
-		return
-	}
-	deliverFlagOp(im, deliver, dAdd, f, target, idx, delta)
+	w := im.w
+	proc := w.sim.img[im.rank].proc
+	proc.Sleep(sendOverhead(w.model, via))
+	dst := w.topo.NodeOf(target)
+	deliver := route(w, im.node, dst, 8, via, proc.Now())
+	deliverFlagOp(im, deliver, dAdd, f, target, idx, delta, w.sim.dropped(im.node, dst))
 }
 
 func (*simTransport) NotifySet(im *Image, f *Flags, target, idx int, val int64, via Via) {
-	proc := im.w.sim.img[im.rank].proc
-	proc.Sleep(sendOverhead(im.w.model, via))
-	deliver := route(im, target, 8, via, proc.Now())
-	if simDropped(im, target) {
-		deliverNop(im, deliver)
-		return
+	w := im.w
+	proc := w.sim.img[im.rank].proc
+	proc.Sleep(sendOverhead(w.model, via))
+	dst := w.topo.NodeOf(target)
+	deliver := route(w, im.node, dst, 8, via, proc.Now())
+	deliverFlagOp(im, deliver, dSet, f, target, idx, val, w.sim.dropped(im.node, dst))
+}
+
+// roundTrip is a blocking operation on another node as two routed legs: after
+// the sender's overhead a request of reqBytes goes to node dst, atTarget (if
+// any) runs there at its delivery, and a response of respBytes is routed back
+// from that moment; the caller sleeps until it lands. A leg lost on the wire
+// loses the round trip (a request that arrived has still run atTarget): the
+// caller parks until a timeout or a failure announcement raises.
+func (*simTransport) roundTrip(im *Image, dst, reqBytes, respBytes int, why string, atTarget func()) {
+	w := im.w
+	sw := w.sim
+	proc := sw.img[im.rank].proc
+	proc.Sleep(w.model.Net.O)
+	there := route(w, im.node, dst, reqBytes, ViaConduit, proc.Now())
+	lost := sw.dropped(im.node, dst)
+	if atTarget != nil {
+		deliverAt(im, there, atTarget, lost)
 	}
-	deliverFlagOp(im, deliver, dSet, f, target, idx, val)
+	var back sim.Time
+	if !lost {
+		back = route(w, dst, im.node, respBytes, ViaConduit, there)
+		lost = sw.dropped(dst, im.node)
+	}
+	if lost {
+		simWaitPred(im, why, func() bool { return false })
+	}
+	proc.Sleep(back - proc.Now())
 }
 
 // atomicRoundTrip models the timing of a blocking remote read-modify-write:
 // local and intra-node targets use the node's memory system; inter-node
-// targets pay a request over the wire (reqBytes of payload) and an 8-byte
-// response back, with apply executed at the target at delivery time. It
-// returns apply's result once the caller may proceed (it blocks, so it is a
-// transport method).
-func (*simTransport) atomicRoundTrip(im *Image, target, reqBytes int, why string, apply func() int64) int64 {
+// targets pay a roundTrip of reqBytes out and 8 bytes back, with apply executed
+// at the target when the request is delivered. It returns apply's result once
+// the caller may proceed (it blocks, so it is a transport method).
+func (t *simTransport) atomicRoundTrip(im *Image, target, reqBytes int, why string, apply func() int64) int64 {
 	w := im.w
-	sw := w.sim
 	m := w.model
-	proc := sw.img[im.rank].proc
-	if target == im.rank {
+	proc := w.sim.img[im.rank].proc
+	switch dst := w.topo.NodeOf(target); {
+	case target == im.rank:
 		proc.Sleep(m.AtomicShm)
-		return apply()
-	}
-	if im.SameNode(target) {
+	case dst == im.node:
+		// The one occupancy outside route: AtomicShm is the memory system
+		// executing a read-modify-write, not a message crossing the membus.
 		proc.Sleep(m.Shm.O)
-		start := sw.membus[im.node].Occupy(proc.Now(), m.AtomicShm)
+		start := w.sim.membus[dst].Occupy(proc.Now(), m.AtomicShm)
 		proc.Sleep(start + m.AtomicShm - proc.Now())
-		return apply()
+	default:
+		var old int64
+		t.roundTrip(im, dst, reqBytes, 8, why, func() { old = apply() })
+		return old
 	}
-	dstNode := w.topo.NodeOf(target)
-	fc := w.faults
-	if fc.dropNow(im.node, dstNode) || fc.dropNow(dstNode, im.node) {
-		// Lost round trip: the remote cell is never mutated, the caller
-		// waits for a timeout or failure announcement.
-		proc.Sleep(m.Net.O)
-		simWaitPred(im, &sw.rowCond[im.rank], why, func() bool { return false })
-	}
-	proc.Sleep(m.Net.O)
-	deliver := route(im, target, reqBytes, ViaConduit, proc.Now())
-	var old int64
-	done := false
-	deliverAt(im, deliver, func() { old = apply() })
-	rdur := m.Net.G + m.Net.ByteTime(8)
-	rstart := sw.nic[dstNode].Occupy(deliver, rdur)
-	back := rstart + rdur + m.Net.L
-	var at sim.Time
-	if m.RecvG == 0 {
-		at = back
-	} else {
-		bstart := sw.nic[im.node].Occupy(back, m.RecvG)
-		at = bstart + m.RecvG
-	}
-	sw.env.Schedule(at, func() {
-		done = true
-		sw.wake(im.rank)
-	})
-	simWaitPred(im, &sw.rowCond[im.rank], why, func() bool { return done })
-	return old
+	return apply()
 }
 
 func (t *simTransport) FetchOp(im *Image, f *Flags, target, idx int, op AtomicOp, operand int64) int64 {
@@ -704,7 +682,7 @@ func (*simTransport) WaitFlagGE(im *Image, f *Flags, owner, idx int, min int64) 
 }
 
 func (*simTransport) WaitAsync(im *Image, ready func() bool) {
-	simWaitPred(im, &im.w.sim.rowCond[im.rank], "async progress", ready)
+	simWaitPred(im, "async progress", ready)
 }
 
 func (*simTransport) WakeRank(w *World, rank int) {

@@ -59,6 +59,10 @@ const (
 //     calls on the way (the sim's route and deliver* helpers). A block hidden
 //     in a helper is one more frame under every one of 4096 parked images
 //     (TestSimHelpersDoNotBlock, bench.TestStackBudget).
+//   - A modeled message is charged by the sim's route and nowhere else: a put,
+//     a notify, and each leg of a Get or remote atomic round trip occupy NIC,
+//     progress engine or memory bus there, and are lost at one gate (dropped),
+//     so a NIC or link fault reaches every inter-node leg (same test).
 type Transport interface {
 	// Name identifies the backend: "sim" or "native".
 	Name() string
@@ -119,7 +123,7 @@ type Transport interface {
 	// death is announced.
 	Kill(w *World, rank int)
 	// WakeAll wakes every blocked waiter in the world (all ranks' flag
-	// waiters, Quiet waiters, in-flight Get/atomic waiters) so they
+	// waiters, Quiet waiters, callers of a lost Get or atomic) so they
 	// re-check their predicates against the failure state. This is how a
 	// failure announcement or timeout turns a hang into a status.
 	WakeAll(w *World)
