@@ -30,6 +30,9 @@ func main() {
 	maxIter := flag.Int("iters", 200, "max CG iterations")
 	overlap := flag.Bool("overlap", true, "also run with the split-phase dot product and compare")
 	flag.Parse()
+	if *nx < 1 || *rowsPer < 1 || *maxIter < 1 {
+		log.Fatalf("cg: -nx %d -rows %d -iters %d: each must be at least 1", *nx, *rowsPer, *maxIter)
+	}
 
 	blocking := run(*spec, *nx, *rowsPer, *maxIter, false)
 	fmt.Printf("cg on %s (blocking):   simulated %.2f ms, %d intra / %d inter messages\n",

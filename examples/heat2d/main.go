@@ -32,8 +32,8 @@ func main() {
 	check := flag.Int("check", 1, "sweeps between residual checks")
 	overlap := flag.Bool("overlap", true, "also run with the split-phase residual check and compare")
 	flag.Parse()
-	if *check < 1 {
-		log.Fatal("heat2d: -check must be >= 1")
+	if *nx < 3 || *rowsPer < 1 || *sweeps < 1 || *check < 1 {
+		log.Fatalf("heat2d: -nx %d -rows %d -sweeps %d -check %d: -nx must be at least 3, the others at least 1", *nx, *rowsPer, *sweeps, *check)
 	}
 
 	blocking := run(*spec, *nx, *rowsPer, *sweeps, *check, false)

@@ -26,6 +26,10 @@ func main() {
 	rows := flag.Int("rows", 8, "matrix rows per image (tiles are rows x rows)")
 	iters := flag.Int("iters", 10, "transposes per measurement")
 	flag.Parse()
+	if *rows < 1 || *iters < 1 {
+		fmt.Fprintf(os.Stderr, "transpose: -rows %d -iters %d: each must be at least 1\n", *rows, *iters)
+		os.Exit(1)
+	}
 
 	fmt.Printf("distributed transpose: %s, %d rows/image, %d iterations\n", *spec, *rows, *iters)
 	fmt.Printf("  %-10s %14s %10s\n", "alltoall", "latency/op", "vs pairwise")

@@ -135,8 +135,8 @@ func TestSweepReproducesTheBenchmarksCells(t *testing.T) {
 	for _, line := range readLines(t, "../../.github/golden-drift-allowed.txt") {
 		var key string
 		var old, ns int64
-		if strings.HasPrefix(line, "#") {
-			continue
+		if strings.HasPrefix(line, "#") || !strings.Contains(line, " modeled_ns ") {
+			continue // a reason, or a row of a table without modeled time (cluster-stream)
 		}
 		if _, err := fmt.Sscanf(line, "%s modeled_ns %d -> %d", &key, &old, &ns); err != nil {
 			t.Fatalf("amendment %q: %v", line, err)

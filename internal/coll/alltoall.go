@@ -8,11 +8,11 @@ import (
 	"cafteams/internal/trace"
 )
 
-// a2aBlock validates the alltoall buffer lengths and returns the per-pair
-// block size: send and recv both hold NumImages() blocks of n elements,
-// send block j destined to team rank j, recv block i arriving from team
-// rank i.
-func a2aBlock[T any](v *team.View, send, recv []T) int {
+// AlltoallBlock validates the buffer lengths of every all-to-all and returns
+// the per-pair block size: send and recv both hold NumImages() blocks of n
+// elements, send block j destined to team rank j, recv block i arriving from
+// team rank i.
+func AlltoallBlock[T any](v *team.View, send, recv []T) int {
 	sz := v.NumImages()
 	if len(send)%sz != 0 {
 		panic(fmt.Sprintf("coll: alltoall send %d not a multiple of team size %d", len(send), sz))
@@ -37,7 +37,7 @@ func a2aBlock[T any](v *team.View, send, recv []T) int {
 // region being overwritten was consumed.
 func AlltoallPairwise[T any](v *team.View, send, recv []T) {
 	sz := v.NumImages()
-	n := a2aBlock(v, send, recv)
+	n := AlltoallBlock(v, send, recv)
 	es := pgas.ElemSize[T]()
 	v.Img.World().Stats().Count(trace.OpReduce)
 	copy(recv[v.Rank*n:v.Rank*n+n], send[v.Rank*n:v.Rank*n+n])
@@ -79,7 +79,7 @@ func AlltoallPairwise[T any](v *team.View, send, recv []T) {
 // step-k credit.
 func AlltoallBruck[T any](v *team.View, send, recv []T) {
 	sz := v.NumImages()
-	n := a2aBlock(v, send, recv)
+	n := AlltoallBlock(v, send, recv)
 	es := pgas.ElemSize[T]()
 	v.Img.World().Stats().Count(trace.OpReduce)
 	if sz == 1 {

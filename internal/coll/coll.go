@@ -7,9 +7,9 @@
 // distance-doubling prefix reductions — plus, in this file, the protocol
 // vocabulary every algorithm body here and in internal/core is written in
 // (State: per-team flags, episodes and the wait verbs Arrivals, Gate, Inject
-// with the Publish done wave; Box: a role's landing regions of the running
-// episode). internal/core also runs the Subgroup* forms of these algorithms
-// among its node leaders.
+// with the Publish done wave and its Relay; Box: a role's landing regions of
+// the running episode). internal/core also runs the Subgroup* forms of these
+// algorithms among its node leaders.
 //
 // Flat algorithms address every peer uniformly through the portable conduit
 // path (pgas.ViaConduit), exactly like a runtime with no knowledge of which
@@ -212,7 +212,7 @@ func (s *State) expect() []int64 {
 // number over-counts is one of three verbs, each on the caller's own flag row:
 // Arrivals (the late party is a sender), Gate (a receiver that has not yet
 // consumed what the caller sent before) and Inject (the root of an earlier
-// episode that has not yet seen it complete).
+// episode that has not yet seen it complete; Relay hands its stamp on).
 
 // Arrivals adds n to the caller's cumulative expectation on slot and waits
 // until that many have arrived.
@@ -246,6 +246,16 @@ func (s *State) Gate(slot, n int) {
 func (s *State) Inject(slot int) {
 	me := s.v.Img
 	me.WaitFlagGE(s.Flags, me.Rank(), slot, s.m.ep-2)
+}
+
+// Relay hands Inject's stamp on to team rank, which the done wave does not
+// reach (a wave to the node leaders only): once the episode two back is
+// published complete on slot of the caller's row, it is stamped on rank's.
+func (s *State) Relay(slot, rank int, via pgas.Via) {
+	if me, done := s.v.Img, s.m.ep-2; done > 0 { // before that Inject waits for nothing
+		me.WaitFlagGE(s.Flags, me.Rank(), slot, done)
+		me.NotifySet(s.Flags, s.v.T.GlobalRank(rank), slot, done, via)
+	}
 }
 
 // Publish is the done wave that Inject waits for: the running episode's root,

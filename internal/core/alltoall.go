@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"cafteams/internal/coll"
 	"cafteams/internal/pgas"
 	"cafteams/internal/team"
@@ -11,17 +9,13 @@ import (
 
 // Flag slots of the two-level alltoall: parity send-vector arrivals at a
 // leader (from its intranode set), parity node-pair pack arrivals at a
-// leader (from peer leaders), parity assembled-vector arrivals at a member,
-// parity inbox credits (leader→member), parity pack credits (leader→leader),
-// and parity outbox acks (member→leader).
+// leader (from peer leaders), and parity assembled-vector arrivals at a
+// member (from its leader).
 const (
-	a2aInboxSlot   = 0 // +parity
-	a2aPackSlot    = 2
-	a2aOutboxSlot  = 4
-	a2aInboxCredit = 6
-	a2aPackCredit  = 8
-	a2aOutboxAck   = 10
-	a2aSlots       = 12
+	a2aInboxSlot  = 0 // +parity
+	a2aPackSlot   = 2
+	a2aOutboxSlot = 4
+	a2aSlots      = 6
 )
 
 // AlltoallTwoLevel is the hierarchy-aware personalized all-to-all exchange:
@@ -31,21 +25,23 @@ const (
 // leader-staged counterpart of the pairwise exchange's |g|·|h| separate
 // wires — and each leader assembles and delivers every member's receive
 // vector over shared memory. send block j goes to team rank j; recv block i
-// arrives from team rank i; both hold NumImages() blocks.
+// arrives from team rank i; both hold NumImages() blocks. Per episode: a put
+// and its notify per ordered node pair over the network, two per member over
+// shared memory, nothing else.
 //
-// All roles are fixed by team structure, so flow control is pure
-// sender-counted parity credits: every landing region has a single writer
-// that gates its k-th same-parity write on k−1 credits from the consumers.
+// No landing region needs a credit: as in coll.AlltoallPairwise, the
+// exchange's own waits prove a region's reader consumed episode e's write
+// before its writer's episode e+2 reuses it.
+//   - A member's inbox slot at its leader: the member ships episode e+2 after
+//     its episode e+1 outbox arrived, sent by the leader after episode e.
+//   - A peer's pack landing at a leader: the peer ships episode e+2 after
+//     every pack of episode e+1 arrived, the leader's sent after episode e.
+//   - A member's outbox: the leader delivers episode e+2 after the member's
+//     episode e+2 send vector arrived, shipped after it took episode e's.
 func AlltoallTwoLevel[T any](v *team.View, send, recv []T) {
 	t := v.T
 	sz := t.Size()
-	if len(send)%sz != 0 {
-		panic(fmt.Sprintf("core: alltoall send %d not a multiple of team size %d", len(send), sz))
-	}
-	n := len(send) / sz
-	if len(recv) < sz*n {
-		panic(fmt.Sprintf("core: alltoall recv %d < %d", len(recv), sz*n))
-	}
+	n := coll.AlltoallBlock(v, send, recv)
 	es := pgas.ElemSize[T]()
 	v.Img.World().Stats().Count(trace.OpReduce)
 	if sz == 1 {
@@ -71,12 +67,11 @@ func AlltoallTwoLevel[T any](v *team.View, send, recv []T) {
 	gsz := len(group)
 
 	if v.Rank != leader {
-		// Ship my send vector to the leader's inbox, gated on the credit
-		// for my previous same-parity shipment; then collect my assembled
-		// receive vector and ack it.
-		st.Gate(a2aInboxCredit+parity, 1)
+		// Ship my send vector to the leader's inbox, then take my assembled
+		// receive vector.
 		inbox.Put(leader, groupPos(group, v.Rank)*sz, send[:sz*n], a2aInboxSlot+parity, pgas.ViaShm)
-		outbox.Land(a2aOutboxSlot+parity, recv[:sz*n], leader, a2aOutboxAck+parity, pgas.ViaShm)
+		st.Arrivals(a2aOutboxSlot+parity, 1)
+		outbox.Take(0, recv[:sz*n])
 		return
 	}
 
@@ -94,10 +89,8 @@ func AlltoallTwoLevel[T any](v *team.View, send, recv []T) {
 	}
 	// Exchange node-pair packs with every peer leader: the pack for group h
 	// holds, for each of my members (group order), its blocks for each of
-	// h's members (group order). Gate this episode's packs on the credits
-	// for every previous same-parity pack.
+	// h's members (group order).
 	if ng > 1 {
-		st.Gate(a2aPackCredit+parity, ng-1)
 		// One staging buffer serves every pack: a put captures its payload
 		// at issue.
 		pack := coll.Temp[T](st, "pack", gsz*mg*n)
@@ -119,10 +112,9 @@ func AlltoallTwoLevel[T any](v *team.View, send, recv []T) {
 		st.Arrivals(a2aPackSlot+parity, ng-1)
 	}
 	// Assemble every member's receive vector — my own included, in group
-	// order — and deliver it, gated on the acks for the previous same-parity
-	// fan-out.
+	// order — and deliver it.
 	out := coll.Temp[T](st, "out", sz*n)
-	fanOut(v, st, outbox, group, -1, a2aOutboxAck+parity, a2aOutboxSlot+parity, func(j, m int) []T {
+	for j, m := range group {
 		for hi := range leaders {
 			for i, s := range t.NodeGroup(hi) { // block s comes from position i of group hi
 				if hi == gi {
@@ -135,19 +127,8 @@ func AlltoallTwoLevel[T any](v *team.View, send, recv []T) {
 		me.MemWork(es * sz * n)
 		if m == v.Rank {
 			copy(recv, out)
-		}
-		return out
-	})
-	// Everything staged here is consumed: credit my members' inbox slots and
-	// the peer leaders' pack landings.
-	for _, m := range group {
-		if m != v.Rank {
-			me.NotifyAdd(st.Flags, t.GlobalRank(m), a2aInboxCredit+parity, 1, pgas.ViaShm)
-		}
-	}
-	for hi, lh := range leaders {
-		if hi != gi {
-			me.NotifyAdd(st.Flags, t.GlobalRank(lh), a2aPackCredit+parity, 1, pgas.ViaAuto)
+		} else {
+			outbox.Put(m, 0, out, a2aOutboxSlot+parity, pgas.ViaShm)
 		}
 	}
 }

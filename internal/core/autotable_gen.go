@@ -75,18 +75,17 @@ var autoTable = [numKinds][]AutoRow{
 		{inf, inf, inf, inf, "ring", "ring"},      // 1 cells, 1.000, worst 1.000
 	},
 	5: { // scatter
-		{1, inf, 8, 4096, "2level", "linear"},       // 6 cells, 1.001, worst 1.002
-		{1, inf, 8, inf, "linear", "linear"},        // 8 cells, 1.000, worst 1.000
+		{1, inf, 8, inf, "linear", "linear"},        // 14 cells, 1.000, worst 1.000
 		{1, inf, 16, 512, "binomial", "binomial"},   // 2 cells, 1.000, worst 1.000
 		{1, inf, 16, inf, "linear", "linear"},       // 5 cells, 1.000, worst 1.000
 		{1, inf, inf, 4096, "binomial", "binomial"}, // 9 cells, 1.000, worst 1.000
 		{1, inf, inf, inf, "linear", "linear"},      // 12 cells, 1.000, worst 1.000
-		{inf, 1, 4, 4096, "2level", "linear"},       // 9 cells, 1.000, worst 1.000
-		{inf, 1, 4, inf, "linear", "linear"},        // 12 cells, 1.000, worst 1.000
-		{inf, 1, inf, 16384, "2level", "linear"},    // 16 cells, 1.000, worst 1.000
-		{inf, 1, inf, inf, "linear", "linear"},      // 11 cells, 1.002, worst 1.024
-		{inf, inf, inf, 16384, "2level", "linear"},  // 40 cells, 1.000, worst 1.000
-		{inf, inf, inf, inf, "linear", "linear"},    // 26 cells, 1.002, worst 1.038
+		{16, inf, 8, 16384, "2level", "linear"},     // 36 cells, 1.000, worst 1.000
+		{16, inf, 8, inf, "linear", "linear"},       // 27 cells, 1.003, worst 1.046
+		{16, inf, inf, inf, "2level", "linear"},     // 32 cells, 1.002, worst 1.024
+		{inf, inf, 4, 16384, "2level", "linear"},    // 8 cells, 1.000, worst 1.000
+		{inf, inf, 4, inf, "linear", "linear"},      // 5 cells, 1.000, worst 1.000
+		{inf, inf, inf, inf, "2level", "linear"},    // 6 cells, 1.005, worst 1.028
 	},
 	6: { // gather
 		{1, inf, 8, inf, "linear", "linear"},        // 14 cells, 1.000, worst 1.000
@@ -102,7 +101,7 @@ var autoTable = [numKinds][]AutoRow{
 		{inf, inf, inf, inf, "linear", "linear"},    // 26 cells, 1.001, worst 1.028
 	},
 	7: { // alltoall
-		{1, inf, 4, inf, "pairwise", "pairwise"},   // 7 cells, 1.000, worst 1.000
+		{1, inf, 4, inf, "pairwise", "pairwise"},   // 7 cells, 1.000, worst 1.001
 		{1, inf, inf, 512, "bruck", "bruck"},       // 10 cells, 1.000, worst 1.000
 		{1, inf, inf, inf, "pairwise", "pairwise"}, // 17 cells, 1.000, worst 1.000
 		{4, inf, 4, 4096, "2level", "bruck"},       // 9 cells, 1.000, worst 1.000

@@ -56,6 +56,9 @@ type confScenario struct {
 	// (confEpisodes) and root schedule (confRoot) of runConfEpisodes.
 	episodes int
 	rootOf   func(ep, n int) int
+	// skew, when set, draws the delay an image sleeps before each episode
+	// (default: uniform below 20 µs).
+	skew func(*rand.Rand) pgas.Time
 
 	// splitPhase runs every collective call of the cell as a split-phase
 	// operation (see run) instead of calling it directly.
@@ -221,7 +224,11 @@ func runConfEpisodes(t *testing.T, sc confScenario, k Kind, name string, exclusi
 	}
 	for ep := 0; ep < episodes; ep++ {
 		// Random skew so no algorithm can rely on lockstep entry.
-		im.Sleep(pgas.Time(rng.Intn(20000)))
+		if sc.skew != nil {
+			im.Sleep(sc.skew(rng))
+		} else {
+			im.Sleep(pgas.Time(rng.Intn(20000)))
+		}
 		root := confRoot(sc.seed, ep, n)
 		if sc.rootOf != nil {
 			root = sc.rootOf(ep, n)

@@ -32,14 +32,17 @@
 // Bruck's algorithm over node blocks (coll.SubgroupAllgatherBruck) in
 // AllgatherTwoLevel and, from logDepthLeaders node leaders up, the
 // pairwise-exchange scan of coll.SubgroupExscan in ScanTwoLevel (below that
-// number a chain, which measures faster there). What they share is the protocol
-// under them, and that is written once, in internal/coll's vocabulary: a
-// landing area is a coll.Box (it owns the episode's parity and the region
-// offsets), a wait is State.Arrivals, Gate or
-// Inject (with the Publish done wave), a member's receipt and ack of its block
-// is Box.Land, and on top of those this package has one stage verb of its own:
-// fanOut, a leader's gated delivery to its intranode set. No body multiplies a
-// parity by a capacity or reads a counter. Policy selects
+// number a chain, which measures faster there). Where they distribute or
+// exchange, flow control sends only what no wait already proves: a done wave
+// reaches the images a root writes to (ScatterTwoLevel's stops at the node
+// leaders) and AlltoallTwoLevel's own exchange frees every region, so it sends
+// no credit. What they share is the protocol under them, and that is written
+// once, in internal/coll's vocabulary: a landing area is a coll.Box (it owns
+// the episode's parity and the region offsets), a wait is State.Arrivals, Gate
+// or Inject (with the Publish done wave and its Relay), a member's receipt and
+// ack of its block is Box.Land, and on top of those this package has one stage
+// verb of its own: fanOut, a leader's gated delivery to its intranode set. No
+// body multiplies a parity by a capacity or reads a counter. Policy selects
 // between flat and hierarchy-aware algorithms from the team's hierarchy shape
 // and the message size.
 //

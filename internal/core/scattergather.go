@@ -21,7 +21,7 @@ func groupPos(group []int, rank int) int {
 // Flag slots of the two-level scatter: parity pack arrivals at a leader
 // (from the root), parity block arrivals at a member (from its leader),
 // parity leader acks at the root, parity member acks at a leader, and the
-// done stamp every potential future root gates injection on.
+// done stamp a root gates injection on (its leader's relay, if not a leader).
 const (
 	sc2PackSlot  = 0 // +parity
 	sc2BlockSlot = 2
@@ -32,18 +32,22 @@ const (
 )
 
 // ScatterTwoLevel distributes per-member blocks from team rank root with the
-// paper's two-level methodology: the root packs one *node block* per
-// intranode set (the members' blocks, contiguous in group order) and ships
-// it to that node's leader — one inter-node message per node instead of one
-// per image — and each leader fans the blocks out to its intranode set over
-// shared memory. send is significant only at the root and must hold
-// NumImages()*len(recv) elements there.
+// paper's two-level methodology: the root ships one *node block* per
+// intranode set (the members' blocks in group order: straight from send when
+// their team ranks are consecutive, packed otherwise) to that node's leader —
+// one inter-node message per node instead of one per image — and each leader
+// fans the blocks out to its intranode set over shared memory. send is
+// significant only at the root and must hold NumImages()*len(recv) elements
+// there.
 //
-// Flow control mirrors ScatterLinear: roots vary between episodes, so a
-// done-stamp wave published by each episode's root (after every leader acked
-// consuming its pack) gates the next same-parity root's injection, member
-// landing regions are guarded by member→leader acks, and all arrival waits
-// count exactly (State.Arrivals) because each image's role depends on the root.
+// Flow control mirrors ScatterLinear: roots vary between episodes, so a done
+// stamp published by each episode's root (after every leader acked consuming
+// its pack) gates the next same-parity root's injection. A root writes only
+// leaders' packs, so the stamp goes to the node leaders — per remote node a
+// pack put and notify, an ack and a stamp cross the network — and a leader
+// relays it to a root of its node. Member landing regions are guarded by
+// member→leader acks, and all arrival waits count exactly (State.Arrivals)
+// because each image's role depends on the root.
 func ScatterTwoLevel[T any](v *team.View, root int, send, recv []T) {
 	if !coll.ScatterOwn(v, root, send, recv) {
 		return
@@ -66,36 +70,39 @@ func ScatterTwoLevel[T any](v *team.View, root int, send, recv []T) {
 		// same-parity episodes ago, possibly by a different root; only the
 		// done stamp proves they were consumed.
 		st.Inject(sc2Done)
-		sent := 0
-		// One staging buffer serves every pack: a put captures its payload
-		// at issue.
-		staging := coll.Temp[T](st, "pack", t.MaxNodeGroup()*n)
 		for gi, l := range t.Leaders() {
 			if l == root {
 				continue
 			}
 			grp := t.NodeGroup(gi)
-			pack := staging[:len(grp)*n]
-			for i, r := range grp {
-				copy(pack[i*n:(i+1)*n], send[r*n:r*n+n])
+			pack := send[grp[0]*n : (grp[0]+len(grp))*n] // consecutive ranks: packed already
+			if grp[len(grp)-1]-grp[0] >= len(grp) {
+				// One staging buffer serves every pack: a put captures its
+				// payload at issue.
+				pack = coll.Temp[T](st, "pack", t.MaxNodeGroup()*n)[:len(grp)*n]
+				for i, r := range grp {
+					copy(pack[i*n:(i+1)*n], send[r*n:r*n+n])
+				}
+				me.MemWork(pgas.ElemSize[T]() * len(pack))
 			}
-			me.MemWork(pgas.ElemSize[T]() * len(pack))
 			packs.Put(l, 0, pack, sc2PackSlot+parity, pgas.ViaAuto)
-			sent++
 		}
 		if v.Rank == leader {
 			// A root that leads its node fans out straight from send.
 			fanOut(v, st, blocks, group, root, sc2MemberAck+parity, sc2BlockSlot+parity,
 				func(_, r int) []T { return send[r*n : r*n+n] })
 		}
-		if sent > 0 {
+		if sent := others(v, t.Leaders(), -1); sent > 0 {
 			st.Arrivals(sc2RootAck+parity, sent)
 		}
-		// Publish completion to every potential future root.
-		st.Publish(sc2Done, coll.TeamRanks(v), 0, pgas.ViaAuto)
+		// Publish completion to the node leaders, every future root's relay.
+		st.Publish(sc2Done, t.Leaders(), 0, pgas.ViaAuto)
 		return
 	}
 	if v.Rank == leader {
+		if t.LeaderOf(root) == v.Rank {
+			st.Relay(sc2Done, root, pgas.ViaShm) // the root's injection gate
+		}
 		// Receive the root's node block, keep my slice, fan the rest out
 		// over shared memory, then ack the root (my pack region is free the
 		// moment the fan-out puts are issued — puts capture data at issue).
