@@ -21,7 +21,7 @@ import (
 	"cafteams/internal/core"
 )
 
-// The generator's grid. Shapes span one, 2–4, 5–16 and more than 16 images
+// The generator's grid. Shapes span one, 2, 3–4, 5–16 and more than 16 images
 // per node, on one and on two sockets, over 2 to 64 nodes ("NxSxC" is a
 // machine shape, see parseSpec); payloads run from 8 B to 1 MiB of float64.
 // autoByteBounds cuts the payload axis into buckets (upper bounds, exclusive)
@@ -38,7 +38,7 @@ var (
 	}
 	AutoElems = []int{1, 16, 128, 1024, 4096, 16384, 131072}
 
-	autoPerNodeBounds = []int{1, 4, 16, math.MaxInt}
+	autoPerNodeBounds = []int{1, 2, 4, 16, math.MaxInt}
 	autoSocketBounds  = []int{1, math.MaxInt}
 	autoNodeBounds    = []int{2, 4, 8, 16, 32, 64, math.MaxInt}
 	autoByteBounds    = []int{32, 512, 4 << 10, 16 << 10, 64 << 10, 512 << 10, math.MaxInt}

@@ -61,7 +61,11 @@ func AllgatherRing[T any](v *team.View, mine, out []T) {
 // region (2^k−1)·maxBlock on), so a fast neighbor running ahead can never
 // clobber an unread round. The round flags are slots base.. of st, whose
 // episode ep the caller has claimed.
-func SubgroupAllgatherBruck[T any](v *team.View, st *State, base int, box Box[T], group []int, myIdx int, block func(i int) []int, maxBlock int, vec []T, stride, n int, ep int64) {
+//
+// delivered, when not nil, is called once per round, as soon as the round's
+// blocks are in vec: participants first, first+1, … (mod g), count of them —
+// what lets a caller forward each block while the next rounds are on the wire.
+func SubgroupAllgatherBruck[T any](v *team.View, st *State, base int, box Box[T], group []int, myIdx int, block func(i int) []int, maxBlock int, vec []T, stride, n int, ep int64, delivered func(first, count int)) {
 	g := len(group)
 	me := v.Img
 	es := pgas.ElemSize[T]()
@@ -91,6 +95,9 @@ func SubgroupAllgatherBruck[T any](v *team.View, st *State, base int, box Box[T]
 		box.Put(group[(myIdx-1<<k+g)%g], at, staging[:move(staging, myIdx, count, false)], base+k, pgas.ViaConduit)
 		me.WaitFlagGE(st.Flags, me.Rank(), base+k, ep)
 		move(box.Region(at), myIdx+1<<k, count, true)
+		if delivered != nil {
+			delivered(myIdx+1<<k, count)
+		}
 		have += count
 	}
 }
@@ -112,5 +119,5 @@ func AllgatherBruck[T any](v *team.View, mine, out []T) {
 	ep := st.Next()
 	ranks := TeamRanks(v)
 	SubgroupAllgatherBruck(v, st, 0, NewBox[T](st, "", n, sz-1), ranks, v.Rank,
-		func(i int) []int { return ranks[i : i+1] }, 1, out, n, n, ep)
+		func(i int) []int { return ranks[i : i+1] }, 1, out, n, n, ep, nil)
 }

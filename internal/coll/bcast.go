@@ -22,9 +22,18 @@ import (
 //
 // Flag layout: slots 0-1 parity payload arrivals, slots 2-3 parity acks,
 // slot 4 done stamps.
-func SubgroupBcastBinomial[T any](v *team.View, group []int, myIdx, rootIdx int, buf []T, alg Alg) {
+//
+// forwarded, when not nil, is called once buf holds the payload and the
+// participant owes the tree nothing but waits: after forwarding to its
+// children, before their acks — or, at a leaf, after its own ack — so a
+// caller's work on the payload overlaps the rest of the tree.
+func SubgroupBcastBinomial[T any](v *team.View, group []int, myIdx, rootIdx int, buf []T, alg Alg, forwarded func()) {
+	if forwarded == nil {
+		forwarded = func() {}
+	}
 	g := len(group)
 	if g == 1 {
+		forwarded()
 		return
 	}
 	st := GetState(v, alg.With("bcast", tag[T]()), 5)
@@ -54,11 +63,15 @@ func SubgroupBcastBinomial[T any](v *team.View, group []int, myIdx, rootIdx int,
 	// Ack wave: wait for the subtree, then report to the parent (or, at
 	// the root, stamp completion to everyone).
 	if nkids > 0 {
+		forwarded()
 		st.Arrivals(ackSlot, nkids)
 	}
 	if rel != 0 {
 		parent := member(rel - FloorPow2(rel))
 		v.Img.NotifyAdd(st.Flags, v.T.GlobalRank(parent), ackSlot, 1, pgas.ViaConduit)
+		if nkids == 0 {
+			forwarded()
+		}
 		return
 	}
 	st.Publish(4, group, rootIdx, pgas.ViaConduit)
@@ -68,7 +81,7 @@ func SubgroupBcastBinomial[T any](v *team.View, group []int, myIdx, rootIdx int,
 // whole team (the baseline for co_broadcast). root is a team rank.
 func BcastBinomial[T any](v *team.View, root int, buf []T) {
 	v.Img.World().Stats().Count(trace.OpBroadcast)
-	SubgroupBcastBinomial(v, TeamRanks(v), v.Rank, root, buf, Alg{"bc.flat"})
+	SubgroupBcastBinomial(v, TeamRanks(v), v.Rank, root, buf, Alg{"bc.flat"}, nil)
 }
 
 // BcastLinear has the root put the payload to every member directly —
@@ -125,7 +138,7 @@ func BcastScatterAllgather[T any](v *team.View, root int, buf []T) {
 		return
 	}
 	if n < sz {
-		SubgroupBcastBinomial(v, TeamRanks(v), v.Rank, root, buf, Alg{"bc.sagfallback"})
+		SubgroupBcastBinomial(v, TeamRanks(v), v.Rank, root, buf, Alg{"bc.sagfallback"}, nil)
 		return
 	}
 	chunk := (n + sz - 1) / sz

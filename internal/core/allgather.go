@@ -14,11 +14,16 @@ import (
 // sets gather at their node leader over shared memory, the leaders run an
 // allgather of whole node blocks over the network — Bruck's concatenation
 // algorithm, ceil(log2 nodes) rounds (coll.SubgroupAllgatherBruck) — and each
-// leader fans the assembled vector out to its intranode set over shared
-// memory.
+// leader fans every node block out to its intranode set over shared memory as
+// soon as it has it: its own once its members' blocks are in, each other in
+// the round that delivered it, so the fan-out runs while later rounds are on
+// the wire. A node block travels as one put when its team ranks are
+// consecutive and as one put per rank otherwise; a member lands them all in
+// one region of the whole vector. With one image per node this is exactly
+// coll.AllgatherBruck.
 //
-// Flag layout: slot 0 intranode arrivals at the leader, slot 1 the leader's
-// release, slots 2.. the leaders' rounds.
+// Flag layout: slot 0 intranode arrivals at the leader, slot 1 fan-out
+// arrivals at a member, slots 2.. the leaders' rounds.
 func AllgatherTwoLevel[T any](v *team.View, mine, out []T) {
 	t := v.T
 	sz := t.Size()
@@ -33,52 +38,73 @@ func AllgatherTwoLevel[T any](v *team.View, mine, out []T) {
 	}
 	st := coll.GetState(v, coll.Alg{"ag2", pgas.TypeName[T]()}, 2+coll.Rounds(t.NumNodeGroups()))
 	ep := st.Next()
-	// The full gathered vector on every image, one region per team rank: the
-	// leader's assembly area and the members' fan-out landing.
-	vec := coll.NewBox[T](st, "", n, sz)
+	// The whole vector on every image, packed by team rank: a leader's members
+	// contribute into it, a member lands the fan-out in it.
+	vec := coll.NewBox[T](st, "", sz*n, 1)
 	me := v.Img
-	if leader := t.LeaderOf(v.Rank); v.Rank != leader {
-		// Contribute to the leader's assembled area at my rank's region.
-		vec.Put(leader, v.Rank, mine, 0, pgas.ViaShm)
-		me.WaitFlagGE(st.Flags, me.Rank(), 1, ep)
-	} else {
-		allgatherTwoLevelLead(v, st, vec, mine, ep)
+	leader := t.LeaderOf(v.Rank)
+	if v.Rank == leader {
+		allgatherTwoLevelLead(v, st, vec, out[:sz*n], n, ep)
+		return
 	}
-	// Copy the gathered vector, one region per rank, out into out.
-	all, c := vec.Region(0), vec.Cap()
-	for r := 0; r < sz; r++ {
-		copy(out[r*n:r*n+n], all[r*c:])
+	vec.PutAt(leader, 0, v.Rank*n, mine, 0, pgas.ViaShm)
+	puts := 0 // the fan-out's: one per node block, or per rank of a scattered one
+	for gi := range t.NumNodeGroups() {
+		if g := t.NodeGroup(gi); consecutive(g) {
+			puts++
+		} else {
+			puts += len(g)
+		}
 	}
+	me.WaitFlagGE(st.Flags, me.Rank(), 1, ep*int64(puts))
+	copy(out, vec.Region(0)[:sz*n])
 	me.MemWork(pgas.ElemSize[T]() * n * sz)
 }
 
 // allgatherTwoLevelLead is a node leader's part of AllgatherTwoLevel: collect
-// the node block, exchange node blocks with the other leaders, fan the
-// assembled vector out. A function of its own for the reason scanTwoLevelLead
-// is: the members carry none of its frame.
+// the node block, exchange node blocks with the other leaders, fan each block
+// out as it lands. It assembles in out (every rank's n elements at rank·n). A
+// function of its own for the reason scanTwoLevelLead is: the members carry
+// none of its frame.
 //
 //go:noinline
-func allgatherTwoLevelLead[T any](v *team.View, st *coll.State, vec coll.Box[T], mine []T, ep int64) {
+func allgatherTwoLevelLead[T any](v *team.View, st *coll.State, vec coll.Box[T], out []T, n int, ep int64) {
 	t, me := v.T, v.Img
-	n := len(mine)
-	leaders := t.Leaders()
-	all, c := vec.Region(0), vec.Cap()
-	copy(all[v.Rank*c:], mine)
-	group := t.NodeGroup(t.GroupOf(v.Rank))
+	gi := t.GroupOf(v.Rank)
+	group := t.NodeGroup(gi)
+	// fan puts node block b, from out, into every member's landing region.
+	fan := func(b int) {
+		blk := t.NodeGroup(b)
+		for _, m := range group[1:] {
+			if consecutive(blk) {
+				lo, hi := blk[0]*n, (blk[len(blk)-1]+1)*n
+				vec.PutAt(m, 0, lo, out[lo:hi], 1, pgas.ViaShm)
+				continue
+			}
+			for _, r := range blk {
+				vec.PutAt(m, 0, r*n, out[r*n:r*n+n], 1, pgas.ViaShm)
+			}
+		}
+	}
 	if len(group) > 1 {
 		me.WaitFlagGE(st.Flags, me.Rank(), 0, ep*int64(len(group)-1))
+		in := vec.Region(0)
+		for _, r := range group[1:] {
+			copy(out[r*n:r*n+n], in[r*n:])
+		}
+		me.MemWork(pgas.ElemSize[T]() * n * (len(group) - 1))
+		fan(gi)
 	}
-	// Allgather of node blocks among the leaders; they land in a box of their
-	// own.
+	// Allgather of node blocks among the leaders, straight into out; each
+	// round's blocks go down to my set before the next round is waited for.
+	leaders := t.Leaders()
 	if steps := len(leaders) - 1; steps > 0 {
 		mg := t.MaxNodeGroup()
-		coll.SubgroupAllgatherBruck(v, st, 2, coll.NewBox[T](st, "blocks", n, steps*mg), leaders, t.LeaderPos(v.Rank),
-			t.NodeGroup, mg, all, c, n, ep)
-	}
-	// Fan out the assembled vector to the intranode set.
-	for _, r := range group {
-		if r != v.Rank {
-			vec.Put(r, 0, all, 1, pgas.ViaShm)
-		}
+		coll.SubgroupAllgatherBruck(v, st, 2, coll.NewBox[T](st, "blocks", n, steps*mg), leaders, gi,
+			t.NodeGroup, mg, out, n, n, ep, func(first, count int) {
+				for i := range count {
+					fan((first + i) % len(leaders))
+				}
+			})
 	}
 }

@@ -14,10 +14,10 @@ package core
 // worst ratio of the pick's modeled time to the best algorithm's.
 var autoTable = [numKinds][]AutoRow{
 	0: { // barrier
-		{1, inf, 16, inf, "linear", "linear"},          // 3 cells, 1.000, worst 1.000
-		{1, inf, inf, inf, "tournament", "tournament"}, // 3 cells, 1.000, worst 1.000
+		{2, inf, 16, inf, "tdll", "linear"},            // 4 cells, 1.000, worst 1.000
+		{2, inf, inf, inf, "tournament", "tournament"}, // 3 cells, 1.000, worst 1.000
 		{inf, inf, 2, inf, "tdlb", "linear"},           // 4 cells, 1.000, worst 1.000
-		{inf, inf, inf, inf, "tdll", "tournament"},     // 13 cells, 1.000, worst 1.000
+		{inf, inf, inf, inf, "tdll", "tournament"},     // 12 cells, 1.000, worst 1.000
 	},
 	1: { // allreduce
 		{1, inf, 8, 4096, "linear", "linear"},  // 6 cells, 1.000, worst 1.000
@@ -58,21 +58,17 @@ var autoTable = [numKinds][]AutoRow{
 		{1, inf, 32, inf, "scatter-allgather", "scatter-allgather"},  // 3 cells, 1.000, worst 1.000
 		{1, inf, inf, 65536, "binomial", "binomial"},                 // 10 cells, 1.000, worst 1.000
 		{1, inf, inf, inf, "scatter-allgather", "scatter-allgather"}, // 4 cells, 1.333, worst 2.182
-		{4, inf, 2, 524288, "2level", "linear"},                      // 6 cells, 1.000, worst 1.000
-		{4, inf, 2, inf, "scatter-allgather", "scatter-allgather"},   // 1 cells, 1.000, worst 1.000
-		{4, inf, 8, 65536, "2level", "linear"},                       // 15 cells, 1.000, worst 1.000
-		{4, inf, 8, inf, "scatter-allgather", "scatter-allgather"},   // 6 cells, 1.050, worst 1.337
-		{4, inf, inf, 524288, "2level", "binomial"},                  // 18 cells, 1.000, worst 1.000
-		{4, inf, inf, inf, "scatter-allgather", "scatter-allgather"}, // 2 cells, 1.000, worst 1.000
+		{2, inf, inf, 65536, "2level", "linear"},                     // 5 cells, 1.000, worst 1.000
+		{2, inf, inf, inf, "scatter-allgather", "scatter-allgather"}, // 2 cells, 1.000, worst 1.000
+		{4, inf, inf, 524288, "2level", "binomial"},                  // 36 cells, 1.001, worst 1.022
+		{4, inf, inf, inf, "scatter-allgather", "scatter-allgather"}, // 5 cells, 1.000, worst 1.000
 		{inf, inf, inf, inf, "2level", "binomial"},                   // 66 cells, 1.000, worst 1.000
 	},
 	4: { // allgather
-		{1, inf, inf, inf, "bruck", "bruck"},      // 34 cells, 1.003, worst 1.046
-		{4, inf, 2, 16384, "2level", "bruck"},     // 4 cells, 1.000, worst 1.000
-		{4, inf, 2, inf, "ring", "ring"},          // 3 cells, 1.000, worst 1.000
-		{4, inf, inf, inf, "2level", "bruck"},     // 29 cells, 1.002, worst 1.057
-		{inf, inf, inf, 65536, "2level", "bruck"}, // 38 cells, 1.000, worst 1.000
-		{inf, inf, inf, inf, "ring", "ring"},      // 1 cells, 1.000, worst 1.000
+		{4, inf, 2, 16384, "2level", "bruck"},   // 4 cells, 1.000, worst 1.000
+		{4, inf, 2, inf, "ring", "ring"},        // 3 cells, 1.000, worst 1.000
+		{4, inf, inf, inf, "2level", "bruck"},   // 63 cells, 1.000, worst 1.000
+		{inf, inf, inf, inf, "2level", "bruck"}, // 39 cells, 1.001, worst 1.044
 	},
 	5: { // scatter
 		{1, inf, 8, inf, "linear", "linear"},        // 14 cells, 1.000, worst 1.000
@@ -80,12 +76,10 @@ var autoTable = [numKinds][]AutoRow{
 		{1, inf, 16, inf, "linear", "linear"},       // 5 cells, 1.000, worst 1.000
 		{1, inf, inf, 4096, "binomial", "binomial"}, // 9 cells, 1.000, worst 1.000
 		{1, inf, inf, inf, "linear", "linear"},      // 12 cells, 1.000, worst 1.000
-		{16, inf, 8, 16384, "2level", "linear"},     // 36 cells, 1.000, worst 1.000
-		{16, inf, 8, inf, "linear", "linear"},       // 27 cells, 1.003, worst 1.046
-		{16, inf, inf, inf, "2level", "linear"},     // 32 cells, 1.002, worst 1.024
-		{inf, inf, 4, 16384, "2level", "linear"},    // 8 cells, 1.000, worst 1.000
-		{inf, inf, 4, inf, "linear", "linear"},      // 5 cells, 1.000, worst 1.000
-		{inf, inf, inf, inf, "2level", "linear"},    // 6 cells, 1.005, worst 1.028
+		{inf, inf, 4, 16384, "2level", "linear"},    // 32 cells, 1.000, worst 1.000
+		{inf, inf, 4, inf, "linear", "linear"},      // 23 cells, 1.000, worst 1.007
+		{inf, inf, inf, 524288, "2level", "linear"}, // 54 cells, 1.002, worst 1.043
+		{inf, inf, inf, inf, "linear", "linear"},    // 5 cells, 1.000, worst 1.000
 	},
 	6: { // gather
 		{1, inf, 8, inf, "linear", "linear"},        // 14 cells, 1.000, worst 1.000
@@ -93,12 +87,8 @@ var autoTable = [numKinds][]AutoRow{
 		{1, inf, 32, inf, "linear", "linear"},       // 10 cells, 1.000, worst 1.000
 		{1, inf, inf, 4096, "binomial", "binomial"}, // 6 cells, 1.002, worst 1.010
 		{1, inf, inf, inf, "linear", "linear"},      // 8 cells, 1.000, worst 1.000
-		{4, inf, 4, 4096, "2level", "linear"},       // 9 cells, 1.000, worst 1.000
-		{4, inf, 4, inf, "linear", "linear"},        // 12 cells, 1.000, worst 1.000
-		{4, inf, inf, 16384, "2level", "binomial"},  // 16 cells, 1.000, worst 1.000
-		{4, inf, inf, inf, "linear", "linear"},      // 11 cells, 1.002, worst 1.018
-		{inf, inf, inf, 16384, "2level", "linear"},  // 40 cells, 1.000, worst 1.000
-		{inf, inf, inf, inf, "linear", "linear"},    // 26 cells, 1.001, worst 1.028
+		{inf, inf, inf, 16384, "2level", "linear"},  // 68 cells, 1.001, worst 1.018
+		{inf, inf, inf, inf, "linear", "linear"},    // 46 cells, 1.001, worst 1.031
 	},
 	7: { // alltoall
 		{1, inf, 4, inf, "pairwise", "pairwise"},   // 7 cells, 1.000, worst 1.001
@@ -115,15 +105,15 @@ var autoTable = [numKinds][]AutoRow{
 		{inf, inf, inf, inf, "bruck", "bruck"},     // 1 cells, 1.000, worst 1.000
 	},
 	8: { // scan
-		{1, inf, 16, inf, "linear", "linear"},     // 21 cells, 1.000, worst 1.000
-		{1, inf, inf, inf, "2level", "rd"},        // 21 cells, 1.000, worst 1.000
-		{4, inf, 4, 16384, "2level", "linear"},    // 12 cells, 1.001, worst 1.016
-		{4, inf, 4, inf, "linear", "linear"},      // 9 cells, 1.000, worst 1.000
-		{4, inf, inf, inf, "2level", "linear"},    // 27 cells, 1.000, worst 1.000
-		{inf, inf, 2, 16384, "2level", "linear"},  // 12 cells, 1.000, worst 1.000
-		{inf, inf, 2, inf, "linear", "linear"},    // 9 cells, 1.000, worst 1.000
-		{inf, inf, 4, 524288, "2level", "linear"}, // 12 cells, 1.000, worst 1.000
-		{inf, inf, 4, inf, "linear", "linear"},    // 1 cells, 1.000, worst 1.000
-		{inf, inf, inf, inf, "2level", "rd"},      // 32 cells, 1.000, worst 1.000
+		{1, inf, 16, inf, "linear", "linear"},    // 21 cells, 1.000, worst 1.000
+		{1, inf, inf, inf, "2level", "rd"},       // 21 cells, 1.000, worst 1.000
+		{2, inf, inf, 16384, "2level", "linear"}, // 4 cells, 1.000, worst 1.000
+		{2, inf, inf, inf, "linear", "linear"},   // 3 cells, 1.000, worst 1.000
+		{4, inf, 2, 16384, "2level", "linear"},   // 4 cells, 1.000, worst 1.000
+		{4, inf, 2, inf, "linear", "linear"},     // 3 cells, 1.000, worst 1.000
+		{4, inf, inf, inf, "2level", "linear"},   // 34 cells, 1.000, worst 1.000
+		{inf, inf, 2, 65536, "2level", "linear"}, // 15 cells, 1.003, worst 1.043
+		{inf, inf, 2, inf, "linear", "linear"},   // 6 cells, 1.000, worst 1.000
+		{inf, inf, inf, inf, "2level", "linear"}, // 45 cells, 1.000, worst 1.000
 	},
 }

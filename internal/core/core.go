@@ -32,7 +32,12 @@
 // Bruck's algorithm over node blocks (coll.SubgroupAllgatherBruck) in
 // AllgatherTwoLevel and, from logDepthLeaders node leaders up, the
 // pairwise-exchange scan of coll.SubgroupExscan in ScanTwoLevel (below that
-// number a chain, which measures faster there). Where they distribute or
+// number a chain, which measures faster there). A leader serves its node while
+// that stage works the network, and copies nothing the data does not need:
+// BcastTwoLevel fans out once the payload is forwarded down the tree, before
+// the acks climb back; AllgatherTwoLevel fans out each node block in the round
+// that delivered it; ScanTwoLevel folds its members' results straight out of
+// the inbox. Where they distribute or
 // exchange, flow control sends only what no wait already proves: a done wave
 // reaches the images a root writes to (ScatterTwoLevel's stops at the node
 // leaders) and AlltoallTwoLevel's own exchange frees every region, so it sends

@@ -92,7 +92,9 @@ func AllreduceThreeLevel[T any](v *team.View, buf []T, op coll.Op[T]) {
 // BcastTwoLevel is the memory-hierarchy-aware one-to-all broadcast: the
 // source forwards to its node leader (shared memory), the node leaders run
 // a binomial broadcast over the network, and each leader fans out to its
-// intranode set over shared memory. root is a team rank.
+// intranode set over shared memory as soon as it has forwarded the payload
+// down the tree, while the tree's acks are still on their way. root is a team
+// rank.
 func BcastTwoLevel[T any](v *team.View, root int, buf []T) {
 	t := v.T
 	v.Img.World().Stats().Count(trace.OpBroadcast)
@@ -124,12 +126,14 @@ func BcastTwoLevel[T any](v *team.View, root int, buf []T) {
 		box.Land(0, buf, root, 5+parity, pgas.ViaShm)
 	}
 	// Step 1: binomial broadcast among node leaders (internally
-	// flow-controlled).
+	// flow-controlled). Step 2, called from inside it once the leader has
+	// forwarded the payload (a leaf: acked it): fan out to the intranode set
+	// over shared memory, once it has consumed the same-parity fan-out from
+	// two episodes ago.
 	if v.Rank == leader {
-		coll.SubgroupBcastBinomial(v, t.Leaders(), t.LeaderPos(v.Rank), t.LeaderPos(rootLeader), buf, coll.Alg{"core.bc2lead"})
-		// Step 2: fan out to the intranode set over shared memory, once it
-		// has consumed the same-parity fan-out from two episodes ago.
-		fanOut(v, st, box, t.NodeGroup(t.GroupOf(v.Rank)), root, ackSlot, 1, func(int, int) []T { return buf })
+		coll.SubgroupBcastBinomial(v, t.Leaders(), t.LeaderPos(v.Rank), t.LeaderPos(rootLeader), buf, coll.Alg{"core.bc2lead"}, func() {
+			fanOut(v, st, box, t.NodeGroup(t.GroupOf(v.Rank)), root, ackSlot, 1, func(int, int) []T { return buf })
+		})
 		return
 	}
 	if v.Rank != root { // the source already has the data

@@ -41,15 +41,15 @@ const logDepthLeaders = 17
 // [0, r), rank 0's buf left unchanged):
 //
 //	Step 1: each intranode set ships its vectors to the node leader over
-//	        shared memory; the leader computes the within-node prefixes
-//	        and the node total;
+//	        shared memory; the leader computes the node total;
 //	Step 2: the leaders run an exclusive scan of node totals, in rank order,
 //	        over the network: from logDepthLeaders node leaders up the
 //	        pairwise-exchange recursive doubling of coll.SubgroupExscan
 //	        (ceil(log2 nodes) rounds), below it the leader chain — one message
 //	        per adjacent node pair, the head node waiting for nobody;
-//	Step 3: each leader folds its node-exclusive prefix into the member
-//	        prefixes and ships the results back over shared memory.
+//	Step 3: each leader folds the members' vectors, in rank order, onto its
+//	        node-exclusive prefix in one running buffer and ships each
+//	        member its result over shared memory as the fold reaches it.
 //
 // The decomposition requires every intranode set to be contiguous in team
 // rank order (true for the default block placements the paper benchmarks);
@@ -103,29 +103,21 @@ func scanTwoLevelLead[T any](v *team.View, st *coll.State, inbox, resBox coll.Bo
 	exclusive := form == "excl"
 	group := t.NodeGroup(t.GroupOf(v.Rank))
 	gsz := len(group)
-	if gsz > 1 {
-		st.Arrivals(scan2InboxSlot+parity, gsz-1)
-	}
-	// Within-node inclusive prefixes, in group (= team rank) order.
-	incl := coll.Temp[T](st, "incl", gsz*n)
+	// The node total, straight from the members' vectors in the inbox.
 	acc := coll.Temp[T](st, "acc", n)
 	copy(acc, buf)
-	copy(incl[:n], acc)
-	me.MemWork(2 * es * n)
-	for j := 1; j < gsz; j++ {
-		op.Combine(acc, inbox.Region(j)[:n])
-		copy(incl[j*n:(j+1)*n], acc)
-		me.MemWork(3 * es * n)
-	}
-	// The inbox is consumed: credit the contributors.
-	for _, r := range group[1:] {
-		me.NotifyAdd(st.Flags, t.GlobalRank(r), scan2InboxCredit+parity, 1, pgas.ViaShm)
+	me.MemWork(es * n)
+	if gsz > 1 {
+		st.Arrivals(scan2InboxSlot+parity, gsz-1)
+		for j := 1; j < gsz; j++ {
+			op.Combine(acc, inbox.Region(j)[:n])
+			me.MemWork(2 * es * n)
+		}
 	}
 	// Exclusive scan of node totals among the leaders, in rank order.
 	var ex []T // reduction over every preceding node's total; nil at the head
 	if leaders := t.RankLeaders(); len(leaders) >= logDepthLeaders {
-		// Pairwise exchange, log-depth. (acc is spent: incl holds what the
-		// fan-out needs.)
+		// Pairwise exchange, log-depth (it spends acc).
 		x := coll.Temp[T](st, "ex", n)
 		if coll.SubgroupExscan(v, leaders, t.ChainPos(t.GroupOf(v.Rank)), acc, x, op, coll.Alg{"core.scan2lead", form}) {
 			ex = x
@@ -153,33 +145,46 @@ func scanTwoLevelLead[T any](v *team.View, st *coll.State, inbox, resBox coll.Bo
 			inbox.Put(next, mg, fwd, scan2ChainSlot+parity, pgas.ViaAuto)
 		}
 	}
-	// Fold the node-exclusive prefix into each member's result and deliver,
-	// gated on the acks for the previous same-parity fan-out. One result
-	// buffer serves every member: a put captures its payload at issue.
-	fold := func(withinIncl []T) []T {
-		if ex == nil {
-			return withinIncl
-		}
-		res := coll.Temp[T](st, "res", n)
-		copy(res, ex)
-		op.Combine(res, withinIncl)
-		me.MemWork(3 * es * n)
-		return res
-	}
-	fanOut(v, st, resBox, group, -1, scan2ResultAck+parity, scan2ResultSlot+parity, func(j, r int) []T {
-		var res []T
+	// Fold the vectors, in group order — v(0) mine, v(j) member j's in the
+	// inbox — into one running prefix run = ex ⊕ v(0) ⊕ … ⊕ v(j) and deliver
+	// it as it grows, gated on the acks for the previous same-parity fan-out:
+	// position j's inclusive result is run with v(j) folded in, its exclusive
+	// one run before. One buffer serves every member: a put captures its
+	// payload at issue.
+	run := coll.Temp[T](st, "run", n)
+	fold := func(j int) {
 		switch {
-		case !exclusive:
-			res = fold(incl[j*n : (j+1)*n])
-		case j == 0:
-			res = ex // nil at the team's rank 0: buf stays unchanged
-		default:
-			res = fold(incl[(j-1)*n : j*n])
-		}
-		if r == v.Rank && res != nil {
-			copy(buf, res)
+		case j > 0:
+			op.Combine(run, inbox.Region(j)[:n])
+			me.MemWork(2 * es * n)
+		case ex == nil:
+			copy(run, buf)
 			me.MemWork(es * n)
+		default:
+			copy(run, ex)
+			op.Combine(run, buf)
+			me.MemWork(3 * es * n)
 		}
-		return res
+	}
+	fanOut(v, st, resBox, group, -1, scan2ResultAck+parity, scan2ResultSlot+parity, func(j, _ int) []T {
+		if !exclusive {
+			fold(j)
+			if j == 0 && ex != nil {
+				copy(buf, run)
+				me.MemWork(es * n)
+			}
+		} else if j > 0 {
+			fold(j - 1)
+		}
+		return run
 	})
+	// The fold has read the inbox: credit the contributors.
+	for _, r := range group[1:] {
+		me.NotifyAdd(st.Flags, t.GlobalRank(r), scan2InboxCredit+parity, 1, pgas.ViaShm)
+	}
+	// My own exclusive result last: the fold needed my vector.
+	if exclusive && ex != nil { // nil at the team's rank 0: buf stays unchanged
+		copy(buf, ex)
+		me.MemWork(es * n)
+	}
 }

@@ -18,6 +18,11 @@ func groupPos(group []int, rank int) int {
 	panic(fmt.Sprintf("core: rank %d not in group %v", rank, group))
 }
 
+// consecutive reports whether an ascending group's team ranks are
+// consecutive: its members' blocks are then one contiguous run of a vector
+// ordered by team rank.
+func consecutive(group []int) bool { return group[len(group)-1]-group[0] == len(group)-1 }
+
 // Flag slots of the two-level scatter: parity pack arrivals at a leader
 // (from the root), parity block arrivals at a member (from its leader),
 // parity leader acks at the root, parity member acks at a leader, and the
@@ -76,7 +81,7 @@ func ScatterTwoLevel[T any](v *team.View, root int, send, recv []T) {
 			}
 			grp := t.NodeGroup(gi)
 			pack := send[grp[0]*n : (grp[0]+len(grp))*n] // consecutive ranks: packed already
-			if grp[len(grp)-1]-grp[0] >= len(grp) {
+			if !consecutive(grp) {
 				// One staging buffer serves every pack: a put captures its
 				// payload at issue.
 				pack = coll.Temp[T](st, "pack", t.MaxNodeGroup()*n)[:len(grp)*n]
@@ -103,16 +108,16 @@ func ScatterTwoLevel[T any](v *team.View, root int, send, recv []T) {
 		if t.LeaderOf(root) == v.Rank {
 			st.Relay(sc2Done, root, pgas.ViaShm) // the root's injection gate
 		}
-		// Receive the root's node block, keep my slice, fan the rest out
-		// over shared memory, then ack the root (my pack region is free the
-		// moment the fan-out puts are issued — puts capture data at issue).
+		// Receive the root's node block, fan it out over shared memory, keep
+		// my slice, then ack the root (puts capture data at issue, so my
+		// pack region is free once my own copy is out of it).
 		st.Arrivals(sc2PackSlot+parity, 1)
 		pack := packs.Region(0)
+		fanOut(v, st, blocks, group, root, sc2MemberAck+parity, sc2BlockSlot+parity,
+			func(i, _ int) []T { return pack[i*n : (i+1)*n] })
 		pos := groupPos(group, v.Rank)
 		copy(recv, pack[pos*n:pos*n+n])
 		me.MemWork(pgas.ElemSize[T]() * n)
-		fanOut(v, st, blocks, group, root, sc2MemberAck+parity, sc2BlockSlot+parity,
-			func(i, _ int) []T { return pack[i*n : (i+1)*n] })
 		me.NotifyAdd(st.Flags, t.GlobalRank(root), sc2RootAck+parity, 1, pgas.ViaAuto)
 		return
 	}
@@ -181,15 +186,19 @@ func GatherTwoLevel[T any](v *team.View, root int, send, recv []T) {
 		return
 	}
 	if v.Rank == leader {
-		// Assemble the node pack: count exactly the contributors (the root
-		// keeps its block local, so it never contributes).
+		// Assemble the node pack, my own block first: count exactly the
+		// contributors (the root keeps its block local, so it never
+		// contributes). A node of one ships send as it is.
+		pack := send
+		if len(group) > 1 && v.Rank != root {
+			pack = packs.Region(0)[:len(group)*n]
+			copy(pack[groupPos(group, v.Rank)*n:], send)
+			me.MemWork(es * n)
+		}
 		if contribs := others(v, group, root); contribs > 0 {
 			st.Arrivals(ga2BlockSlot+parity, contribs)
 		}
 		if v.Rank != root {
-			pack := packs.Region(0)[:len(group)*n]
-			copy(pack[groupPos(group, v.Rank)*n:], send)
-			me.MemWork(es * n)
 			// Ship the whole pack to the root, gated on the credit for my
 			// previous same-parity pack (a root's slot in the pack is a
 			// hole the unpack skips).

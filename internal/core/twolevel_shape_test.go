@@ -57,6 +57,28 @@ func TestTwoLevelScatterAlltoallMessageShape(t *testing.T) {
 	}
 }
 
+// TestTwoLevelAllgatherFanOutShape pins what allgather/2level moves over shared
+// memory per episode: each member's contribution to its leader, and the
+// leader's fan-out of every node block to every member as the block lands —
+// one put per node block when its team ranks are consecutive, one per rank on
+// the cyclic placement — each a put and its notify. 16(4): 12 members ×
+// (1 + 4) × 2 = 120; 64(8): 56 × (1 + 8) × 2 = 1,008; cyclic 4×4:
+// 12 × (1 + 16) × 2 = 408.
+func TestTwoLevelAllgatherFanOutShape(t *testing.T) {
+	const episodes = 3
+	for i, perEpisode := range []int64{120, 1008, 408} {
+		sc := shapeScenarios[i]
+		sc.episodes = episodes
+		t.Run(sc.String(), func(t *testing.T) {
+			w := sc.world(t)
+			w.Run(func(im *pgas.Image) { runConfEpisodes(t, sc, KindAllgather, "2level", false, team.Initial(w, im)) })
+			if got, want := w.Stats().Snapshot().IntraMsgs, episodes*perEpisode; got != want {
+				t.Errorf("allgather/2level sent %d intra-node messages in %d episodes, want %d", got, episodes, want)
+			}
+		})
+	}
+}
+
 // TestTwoLevelScatterPacksOnlyScatteredGroups pins the root's packing charge on
 // a machine whose local copies are slow enough to dominate the episode: with
 // rank-contiguous node groups the root ships from send and its time stays
@@ -106,11 +128,14 @@ func TestTwoLevelScatterPacksOnlyScatteredGroups(t *testing.T) {
 // TestRootedCollectivesUnderSkew runs back-to-back episodes with rotating
 // roots while every image sleeps a seeded random delay, now and then long
 // enough for the others to run two episodes ahead, before each one: every
-// algorithm of the rooted kinds and the all-to-all, blocking and split-phase,
-// bitwise against the serial reference. The root schedule reuses a root two
-// episodes later (what a gather's landing regions at the root are credited
-// for) and moves to a non-leader of another node (what the scatter's relayed
-// done stamp is for).
+// algorithm of the rooted kinds, the all-to-all, the allgather and both forms
+// of the scan, blocking and split-phase, bitwise against the serial
+// reference. The root schedule reuses a root two episodes later (what a
+// gather's landing regions at the root are credited for) and moves to a
+// non-leader of another node (what the scatter's relayed done stamp is for);
+// the rootless kinds are there for the leaders that serve their node while
+// their network stage runs (allgather's per-round fan-out, the scan's fold
+// out of the inbox).
 func TestRootedCollectivesUnderSkew(t *testing.T) {
 	roots := []int{1, 6, 1, 11, 14, 11, 0, 7}
 	for _, base := range []confScenario{shapeScenarios[0], shapeScenarios[2]} {
@@ -124,7 +149,7 @@ func TestRootedCollectivesUnderSkew(t *testing.T) {
 				}
 				return pgas.Time(rng.Intn(20_000))
 			}
-			for _, k := range []Kind{KindScatter, KindGather, KindAlltoall, KindBroadcast, KindReduceTo} {
+			for _, k := range []Kind{KindScatter, KindGather, KindAlltoall, KindBroadcast, KindReduceTo, KindAllgather, KindScan} {
 				for _, name := range Algorithms(k) {
 					t.Run(fmt.Sprintf("%s/%s/%s", sc, k, name), func(t *testing.T) {
 						defer func() {
@@ -132,7 +157,7 @@ func TestRootedCollectivesUnderSkew(t *testing.T) {
 								t.Fatalf("%v", r)
 							}
 						}()
-						runConformanceData(t, sc, k, name, false)
+						runConfCell(t, sc, k, name) // both forms of the scan
 					})
 				}
 			}
