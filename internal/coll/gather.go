@@ -73,89 +73,122 @@ func collectLinear[T any](v *team.View, root int, alg Alg, mine []T, consume fun
 	}
 }
 
-// GatherBinomial collects the per-member blocks up the "low bits free"
-// binomial tree over relative ranks (the mirror of ScatterBinomial): every
-// internal node assembles the packed blocks of its subtree [rel,
-// rel+lowbit(rel)) — its own block plus each child's packed range — and
-// ships the whole range to its parent, so each block crosses the wire once
-// per tree level it climbs.
-//
-// The protocol keys everything by tree edge, like SubgroupReduceToRoot: the
-// child on edge k of a member is the member 2^k above it whatever the root,
-// so a parent owns one arrival flag slot per edge and the edge-k child
-// writes the disjoint slice [2^k, 2^(k+1)) blocks of the parent's parity
-// landing area; a parent credits each child after consuming (on the child's
-// slot for that edge and parity), and a child may not ship before the
-// credit for its previous same-parity send over that edge arrived.
-//
-// A landing area is as large as its owner's subtree, so it lives in the
-// scratch of the owner's subtree size class: a leaf ships straight from
-// send and touches no scratch, and only an episode's root stages the whole
-// team.
-//
-// Flag layout, nr = ⌈log2 size⌉: slots [0, nr) edge arrivals; slot
-// nr+2·k+parity the credit from the edge-k parent.
+// GatherBinomial collects the per-member blocks up the binomial gather tree:
+// SubgroupGatherBinomial over the whole team, every member speaking for itself.
 func GatherBinomial[T any](v *team.View, root int, send, recv []T) {
 	if !GatherOwn(v, root, send, recv) {
 		return
 	}
 	sz := v.NumImages()
-	n := len(send)
-	es := pgas.ElemSize[T]()
-	nr := Rounds(sz)
-	st := GetState(v, Alg{"ga.binom", tag[T]()}, 3*nr)
+	st := GetState(v, Alg{"ga.binom", tag[T]()}, 3*Rounds(sz))
 	ep := st.Next()
+	ranks := TeamRanks(v)
+	SubgroupGatherBinomial(v, st, 0, ranks, v.Rank, root, func(i int) []int { return ranks[i : i+1] }, 1, send, recv, len(send), ep)
+}
+
+// SubgroupGatherBinomial is the binomial gather tree (the mirror of
+// SubgroupScatterBinomial; MPICH's short-message gather, Thakur, Rabenseifner,
+// Gropp 2005) among an arbitrary subgroup of a team, each participant
+// speaking for a block of team ranks: every internal node of the "low bits
+// free" tree over indices relative to rootIdx assembles the packed blocks of
+// its subtree [rel, rel+lowbit(rel)) — its own block, then each child's packed
+// range — and ships the whole range to its parent, so each block crosses the
+// wire once per tree level it climbs.
+//
+// group lists the participating team ranks, myIdx is the caller's index within
+// it and block(i) the team ranks participant i speaks for, at most maxBlock of
+// them, n elements each. own is the caller's packed block (at the root, what
+// of it it has; it is not unpacked): an internal node copies it to the head of
+// its landing area, and the copy is charged whether it is made or not — a leaf
+// ships own as it is — so that modeled times do not depend on the scratch
+// layout. The root unpacks every other participant's block into recv, the n
+// elements of team rank r at r·n.
+//
+// The protocol keys everything by tree edge, like SubgroupReduceToRoot: the
+// child on edge k of index i is index i+2^k whatever the root, so a parent owns
+// one arrival flag slot per edge and the edge-k child writes the same slice of
+// the parent's parity landing area every time; a parent credits each child
+// after consuming (on the child's slot for that edge and parity), and a child
+// may not ship before the credit for its previous same-parity send over that
+// edge arrived. Only the root may differ from episode to episode in who stands
+// at an index, as it never ships.
+//
+// A landing area holds its owner's whole subtree, span·maxBlock·n elements, so
+// it lives in the scratch of that span's size class: a leaf ships straight from
+// own and touches no scratch, and only the root stages the whole group.
+//
+// Flag layout on st, whose episode ep the caller has claimed, nr =
+// ⌈log2 g⌉: slots base+[0, nr) edge arrivals; slot base+nr+2·k+parity the
+// credit from the edge-k parent.
+func SubgroupGatherBinomial[T any](v *team.View, st *State, base int, group []int, myIdx, rootIdx int, block func(i int) []int, maxBlock int, own, recv []T, n int, ep int64) {
+	g := len(group)
+	nr := Rounds(g)
 	parity := int(ep % 2)
+	es := pgas.ElemSize[T]()
 	me := v.Img
-	rel := (v.Rank - root + sz) % sz
-	member := func(relIdx int) int { return (relIdx + root) % sz }
-	nkids := binomialFanout(rel, sz)
-	pack := send // a leaf's packed range is its own block
+	rel := (myIdx - rootIdx + g) % g
+	member := func(relIdx int) int { return group[(relIdx+rootIdx)%g] }
+	span := func(a, b int) int { return packedLen(block, g, rootIdx, a, b, n) }
+	nkids := binomialFanout(rel, g)
+	pack := own // a leaf's packed range is its own block
 	if nkids > 0 {
-		box, span := subtreeBox[T](st, rel, sz, n)
-		pack = box.Region(0)[:span*n]
-		copy(pack, send) // my own block leads my packed range
+		box, cnt := subtreeBox[T](st, rel, g, maxBlock*n)
+		pack = box.Region(0)[:span(rel, rel+cnt)]
+		copy(pack, own) // my own block leads my packed range
 	}
-	// Leaves are charged for the staging copy too, so that modeled times do
-	// not depend on the scratch layout.
-	me.MemWork(es * n)
-	// Collect the children's packed subtree ranges (child rel+2^k for every
-	// k below lowbit(rel), bounded by sz).
+	me.MemWork(es * len(own))
+	// Collect the children's packed subtree ranges (child rel+2^k for every k
+	// below lowbit(rel), bounded by g).
 	for k := nkids - 1; k >= 0; k-- {
-		st.Arrivals(k, 1)
+		st.Arrivals(base+k, 1)
 	}
 	creditKids := func() {
 		for k := nkids - 1; k >= 0; k-- {
-			me.NotifyAdd(st.Flags, v.T.GlobalRank(member(rel+1<<k)), nr+2*k+parity, 1, pgas.ViaConduit)
+			me.NotifyAdd(st.Flags, v.T.GlobalRank(member(rel+1<<k)), base+nr+2*k+parity, 1, pgas.ViaConduit)
 		}
 	}
 	if rel == 0 {
 		// Root: unpack relative order back to absolute team ranks.
-		for q := 1; q < sz; q++ {
-			copy(recv[member(q)*n:], pack[q*n:(q+1)*n])
+		at := span(0, 1)
+		for q := 1; q < g; q++ {
+			for _, r := range block((q + rootIdx) % g) {
+				copy(recv[r*n:], pack[at:at+n])
+				at += n
+			}
 		}
-		me.MemWork(es * (sz - 1) * n)
+		me.MemWork(es * (at - span(0, 1)))
 		creditKids()
 		return
 	}
 	edge := bits.TrailingZeros(uint(rel))
 	parentRel := rel - 1<<edge
-	st.Gate(nr+2*edge+parity, 1)
-	box, _ := subtreeBox[T](st, parentRel, sz, n)
-	box.PutAt(member(parentRel), 0, (rel-parentRel)*n, pack, edge, pgas.ViaConduit)
+	st.Gate(base+nr+2*edge+parity, 1)
+	box, _ := subtreeBox[T](st, parentRel, g, maxBlock*n)
+	box.PutAt(member(parentRel), 0, span(parentRel, rel), pack, base+edge, pgas.ViaConduit)
 	creditKids()
 }
 
-// subtreeBox returns the landing box of the member at relative rank rel of a
-// "low bits free" binomial tree over sz ranks: its whole subtree — span blocks
-// of n elements, the whole team at the root, otherwise lowbit(rel) ranks
-// clipped at the team's end — packed n-contiguous in relative-rank order from
-// region 0, in the scratch of that subtree's size class. Owner and remote
-// writer derive the same box from rel alone.
-func subtreeBox[T any](st *State, rel, sz, n int) (box Box[T], span int) {
-	span = sz
+// subtreeBox returns the landing box of the participant at relative index rel
+// of a "low bits free" binomial tree over g participants: its whole subtree —
+// span participants, the whole group at the root, otherwise lowbit(rel)
+// clipped at the group's end — room for span slots of slot elements packed
+// from region 0 in relative order, in the scratch of that subtree's size
+// class. Owner and remote writer derive the same box from rel alone.
+func subtreeBox[T any](st *State, rel, g, slot int) (box Box[T], span int) {
+	span = g
 	if rel != 0 {
-		span = min(rel&-rel, sz-rel)
+		span = min(rel&-rel, g-rel)
 	}
-	return NewBox[T](st, "", span*n, 1), span
+	return NewBox[T](st, "", span*slot, 1), span
+}
+
+// packedLen is the length of the packed blocks of the participants at
+// relative indices [a, b) of a tree over g rooted at rootIdx, n elements per
+// team rank.
+func packedLen(block func(i int) []int, g, rootIdx, a, b, n int) int {
+	l := 0
+	for q := a; q < b; q++ {
+		l += len(block((q + rootIdx) % g))
+	}
+	return l * n
 }

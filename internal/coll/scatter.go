@@ -36,68 +36,97 @@ func ScatterLinear[T any](v *team.View, root int, send, recv []T) {
 }
 
 // ScatterBinomial distributes per-member blocks along the binomial scatter
-// tree (the scatter half of the van de Geijn broadcast): each internal node
-// of the "low bits free" tree over relative ranks receives the packed
-// blocks of its whole subtree [rel, rel+lowbit(rel)) and forwards the upper
-// half at every level — ceil(log2 n) depth, each block crossing the wire
-// once per tree level it descends.
-//
-// Flow control is the SubgroupBcastBinomial credit scheme: parity payload
-// and ack slots, an ack wave climbing back to the episode root, a done
-// stamp, and a root injection gate at done >= e−2.
-//
-// A member's landing area holds its whole subtree, so it lives in the
-// scratch of that subtree's size class (the sender picks the same class from
-// the child's position): leaves land one block, and nobody stages the whole
-// team — the root forwards from a private copy.
+// tree: SubgroupScatterBinomial over the whole team, every member speaking for
+// itself, under the flat flow control's injection gate and done wave (slot 4).
 func ScatterBinomial[T any](v *team.View, root int, send, recv []T) {
 	if !ScatterOwn(v, root, send, recv) {
 		return
 	}
-	sz := v.NumImages()
-	n := len(recv)
 	st := GetState(v, Alg{"sc.binom", tag[T]()}, 5)
 	ep := st.Next()
-	parity := int(ep % 2)
-	paySlot := parity
-	ackSlot := 2 + parity
-	me := v.Img
-	rel := (v.Rank - root + sz) % sz
-	member := func(relIdx int) int { return (relIdx + root) % sz }
-
-	// tree holds the packed blocks for relative ranks [rel, rel+span).
-	var tree []T
-	if rel == 0 {
+	if v.Rank == root {
 		st.Inject(4)
-		tree = Temp[T](st, "tree", sz*n)
-		for q := 0; q < sz; q++ {
-			copy(tree[q*n:(q+1)*n], send[member(q)*n:])
+	}
+	ranks := TeamRanks(v)
+	SubgroupScatterBinomial(v, st, 0, ranks, v.Rank, root, func(i int) []int { return ranks[i : i+1] }, 1, send, recv, ep, nil)
+	if v.Rank == root {
+		st.Publish(4, ranks, root, pgas.ViaConduit)
+	}
+}
+
+// SubgroupScatterBinomial is the binomial scatter tree (the scatter half of
+// the van de Geijn broadcast: Barnett et al., InterCom, 1994) among an
+// arbitrary subgroup of a team, each participant speaking for a block of team
+// ranks: every internal node of the "low bits free" tree over indices relative
+// to rootIdx receives the packed blocks of its whole subtree [rel,
+// rel+lowbit(rel)) and forwards the upper half at every level — ceil(log2 g)
+// depth, each block crossing the wire once per tree level it descends.
+//
+// group lists the participating team ranks, myIdx is the caller's index within
+// it and block(i) the team ranks participant i speaks for, at most maxBlock of
+// them. send, significant at the root only, holds the n = len(recv) elements
+// of team rank r at r·n; the root packs every block from it in relative order
+// (charged as one copy of the whole payload, its own block included). A
+// non-root caller's own team rank leads its block: recv receives that rank's n
+// elements as soon as the subtree has landed, before anything is forwarded.
+//
+// A landing area holds its owner's whole subtree, span·maxBlock·n elements,
+// so it lives in the scratch of that span's size class (the sender picks the
+// same class from the child's position): leaves land one block, nobody stages
+// the whole group, and the root forwards from a private copy. Flow control is
+// the SubgroupBcastBinomial ack scheme on slots base.. of st, whose episode ep
+// the caller has claimed: parity payload arrivals (base, base+1) and parity
+// acks (base+2, base+3) climbing back to the root. The injection gate before
+// the root's call and the done wave after it are the caller's: it alone knows
+// who else may write the landing areas and who the next roots are.
+//
+// forwarded, when not nil, is called with the caller's packed subtree once it
+// has been forwarded to the children, before their acks are awaited and before
+// the caller acks its parent: the subtree stays readable until it returns.
+func SubgroupScatterBinomial[T any](v *team.View, st *State, base int, group []int, myIdx, rootIdx int, block func(i int) []int, maxBlock int, send, recv []T, ep int64, forwarded func(tree []T)) {
+	g := len(group)
+	n := len(recv)
+	parity := int(ep % 2)
+	paySlot := base + parity
+	ackSlot := base + 2 + parity
+	me := v.Img
+	rel := (myIdx - rootIdx + g) % g
+	span := func(a, b int) int { return packedLen(block, g, rootIdx, a, b, n) }
+
+	var tree []T // the packed blocks of relative indices [rel, rel+lowbit(rel))
+	if rel == 0 {
+		tree = Temp[T](st, "tree", span(0, g))
+		at := 0
+		for q := 0; q < g; q++ {
+			for _, r := range block((q + rootIdx) % g) {
+				copy(tree[at:at+n], send[r*n:])
+				at += n
+			}
 		}
-		me.MemWork(pgas.ElemSize[T]() * sz * n)
+		me.MemWork(pgas.ElemSize[T]() * at)
 	} else {
 		st.Arrivals(paySlot, 1)
-		box, span := subtreeBox[T](st, rel, sz, n)
-		tree = box.Region(0)[:span*n]
+		box, cnt := subtreeBox[T](st, rel, g, maxBlock*n)
+		tree = box.Region(0)[:span(rel, rel+cnt)]
 		box.Take(0, recv)
 	}
 	// Forward subtree halves, deepest child first.
-	nkids := 0
-	for k := Rounds(sz) - 1; k >= 0; k-- {
-		if rel%(1<<(k+1)) == 0 && rel+1<<k < sz {
-			child := rel + 1<<k
-			last := min(child+1<<k, sz)
-			box, _ := subtreeBox[T](st, child, sz, n)
-			box.Put(member(child), 0, tree[(child-rel)*n:(last-rel)*n], paySlot, pgas.ViaConduit)
-			nkids++
-		}
+	nkids := binomialFanout(rel, g)
+	for k := nkids - 1; k >= 0; k-- {
+		child := rel + 1<<k
+		last := min(child+1<<k, g)
+		box, _ := subtreeBox[T](st, child, g, maxBlock*n)
+		lo := span(rel, child)
+		box.Put(group[(child+rootIdx)%g], 0, tree[lo:lo+span(child, last)], paySlot, pgas.ViaConduit)
+	}
+	if forwarded != nil {
+		forwarded(tree)
 	}
 	if nkids > 0 {
 		st.Arrivals(ackSlot, nkids)
 	}
 	if rel != 0 {
-		parent := member(rel - (rel & -rel))
+		parent := group[(rel-rel&-rel+rootIdx)%g] // rel less its lowest bit
 		me.NotifyAdd(st.Flags, v.T.GlobalRank(parent), ackSlot, 1, pgas.ViaConduit)
-		return
 	}
-	st.Publish(4, TeamRanks(v), root, pgas.ViaConduit)
 }

@@ -1,0 +1,123 @@
+package coll
+
+import (
+	"math/rand"
+	"slices"
+	"testing"
+
+	"cafteams/internal/pgas"
+	"cafteams/internal/sim"
+	"cafteams/internal/team"
+)
+
+// rootedBlocks is a proper subgroup of a 13-image team whose participants
+// speak for non-contiguous blocks of uneven sizes (each led by the
+// participant itself); team rank 6 is in none of them.
+var (
+	rootedGroup  = []int{2, 9, 5, 11, 0}
+	rootedBlocks = [][]int{{2, 7}, {9}, {5, 1, 12}, {11, 3}, {0, 4, 8, 10}}
+)
+
+// rootedValue is team rank r's element i in episode ep.
+func rootedValue(ep, r, i int) float64 { return float64(ep*1000 + r*10 + i) }
+
+// TestSubgroupRootedTrees runs SubgroupScatterBinomial and
+// SubgroupGatherBinomial over rootedGroup with the root rotating over every
+// participant and skewed arrivals, under the injection gate and done wave a
+// scatter caller owes: every participant gets its own block and sees its
+// whole subtree packed in relative order, the gather root gets every other
+// participant's ranks and nothing else.
+func TestSubgroupRootedTrees(t *testing.T) {
+	const n, episodes = 3, 12
+	w := newWorld(t, "13(13)")
+	sz := w.NumImages()
+	g := len(rootedGroup)
+	block := func(i int) []int { return rootedBlocks[i] }
+	w.Run(func(im *pgas.Image) {
+		v := team.Initial(w, im)
+		myIdx := -1
+		for i, r := range rootedGroup {
+			if r == v.Rank {
+				myIdx = i
+			}
+		}
+		if myIdx < 0 {
+			return
+		}
+		sc := GetState(v, Alg{"test.sc"}, 5)
+		ga := GetState(v, Alg{"test.ga"}, 3*Rounds(g))
+		rng := rand.New(rand.NewSource(int64(v.Rank) * 7919))
+		for ep := 0; ep < episodes; ep++ {
+			if rng.Intn(3) == 0 {
+				im.Sleep(sim.Time(rng.Intn(300_000)))
+			} else {
+				im.Sleep(sim.Time(rng.Intn(5_000)))
+			}
+			rootIdx := (ep * 3) % g
+			rel := (myIdx - rootIdx + g) % g
+			span := g
+			if rel != 0 {
+				span = min(rel&-rel, g-rel)
+			}
+			var want []float64 // my subtree, packed in relative order
+			for q := rel; q < rel+span; q++ {
+				for _, r := range rootedBlocks[(q+rootIdx)%g] {
+					for i := range n {
+						want = append(want, rootedValue(ep, r, i))
+					}
+				}
+			}
+
+			sep := sc.Next()
+			var send []float64
+			if rel == 0 {
+				send = make([]float64, sz*n)
+				for r := range sz {
+					for i := range n {
+						send[r*n+i] = rootedValue(ep, r, i)
+					}
+				}
+				sc.Inject(4)
+			}
+			recv := make([]float64, n)
+			SubgroupScatterBinomial(v, sc, 0, rootedGroup, myIdx, rootIdx, block, 4, send, recv, sep, func(tree []float64) {
+				if !slices.Equal(tree, want) {
+					t.Errorf("scatter ep%d rank %d: subtree %v, want %v", ep, v.Rank, tree, want)
+				}
+			})
+			if rel == 0 {
+				sc.Publish(4, rootedGroup, rootIdx, pgas.ViaConduit)
+			} else if !slices.Equal(recv, want[:n]) {
+				t.Errorf("scatter ep%d rank %d: recv %v, want %v", ep, v.Rank, recv, want[:n])
+			}
+
+			gep := ga.Next()
+			own := want[:len(rootedBlocks[myIdx])*n]
+			var got []float64
+			if rel == 0 {
+				got = make([]float64, sz*n)
+				for i := range got {
+					got[i] = -1
+				}
+			}
+			SubgroupGatherBinomial(v, ga, 0, rootedGroup, myIdx, rootIdx, block, 4, own, got, n, gep)
+			if rel != 0 {
+				continue
+			}
+			wantGot := make([]float64, sz*n) // the root's own ranks and rank 6 stay untouched
+			for i := range wantGot {
+				wantGot[i] = -1
+			}
+			for q := 1; q < g; q++ {
+				for _, r := range rootedBlocks[(q+rootIdx)%g] {
+					for i := range n {
+						wantGot[r*n+i] = rootedValue(ep, r, i)
+					}
+				}
+			}
+			if !slices.Equal(got, wantGot) {
+				t.Errorf("gather ep%d root %d: recv %v, want %v", ep, v.Rank, got, wantGot)
+			}
+		}
+	})
+}

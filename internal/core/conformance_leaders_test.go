@@ -1,12 +1,14 @@
 package core
 
-// Conformance of the leaders' stages of ScanTwoLevel and AllgatherTwoLevel on
-// fixed shapes the randomized sweep (1–5 nodes) does not draw. The many-node
-// shapes have at least logDepthLeaders node leaders, so their scan runs the
-// pairwise-exchange stage — odd and even leader counts either side of a power
-// of two, one node shorter than the rest, and one cyclic shape whose scan must
-// take the flat fallback while its allgather packs node blocks that are
-// scattered over the ranks. The few-leader shapes are where
+// Conformance of the leaders' stages of ScanTwoLevel, AllgatherTwoLevel,
+// ScatterTwoLevel and GatherTwoLevel on fixed shapes the randomized sweep (1–5
+// nodes) does not draw. The many-node shapes have at least logDepthLeaders
+// node leaders, so their scan runs the pairwise-exchange stage — odd and even
+// leader counts either side of a power of two, one node shorter than the rest,
+// and two cyclic shapes whose scan must take the flat fallback while their
+// allgather, scatter and gather pack node blocks that are scattered over the
+// ranks; from treeLeaders up (all but 17x1 and 18x2) the rooted kinds run
+// their binomial tree over node blocks. The few-leader shapes are where
 // coll.SubgroupAllgatherBruck replaced AllgatherTwoLevel's ring: every count
 // from 2 to 16 that rounds differently (3, 5, 6, 7, 11, 13 beside the powers of
 // two), uneven node groups, one image per node. Blocking, split-phase, on the
@@ -38,6 +40,7 @@ var manyLeaderShapes = []leaderShape{
 	{33, 2, -1, topology.PlaceBlock},
 	{40, 1, -1, topology.PlaceBlock},
 	{18, 2, -1, topology.PlaceCyclic},
+	{21, 2, -1, topology.PlaceCyclic},
 }
 
 var fewLeaderShapes = []leaderShape{
@@ -99,7 +102,7 @@ type leaderCell struct {
 // leaders' stage that walked the nodes before it was log-depth. allgatherCells
 // run on the few-leader shapes: the two callers of coll.SubgroupAllgatherBruck.
 var (
-	leaderStageCells = []leaderCell{{KindScan, "2level"}, {KindAllgather, "2level"}}
+	leaderStageCells = []leaderCell{{KindScan, "2level"}, {KindAllgather, "2level"}, {KindScatter, "2level"}, {KindGather, "2level"}}
 	allgatherCells   = []leaderCell{{KindAllgather, "2level"}, {KindAllgather, "bruck"}}
 )
 
@@ -117,7 +120,10 @@ func ranState(w *pgas.World, alg string) bool {
 // falls back to the flat scan. Allgather: N leaders run Bruck's ceil(log2 N)
 // rounds at every N — N·ceil(log2 N) inter-node puts per episode (8 on four
 // nodes, where the ring took 12) and 2+ceil(log2 N) flag slots per image, so a
-// leader's flag row does not grow with the node count.
+// leader's flag row does not grow with the node count. Scatter and gather: from
+// treeLeaders node leaders up (at these small node blocks) the binomial tree
+// over node blocks, below it the root's linear stage; with one image per node
+// the tree sends exactly what flat binomial sends, in exactly its time.
 func TestManyLeadersTakeTheLogDepthStage(t *testing.T) {
 	many := manyLeaderScenarios(t)
 	for i, sc := range append(many, fewLeaderScenarios(t)...) {
@@ -150,6 +156,30 @@ func TestManyLeadersTakeTheLogDepthStage(t *testing.T) {
 		}
 		if want := int64(tm.Size() * 8 * (2 + rounds)); sn.FlagBytes > want {
 			t.Errorf("%s: allgather/2level materialised %d B of flags > %d B (2+%d slots on %d images)", sc, sn.FlagBytes, want, rounds, tm.Size())
+		}
+
+		wantTree := leaders >= treeLeaders
+		for _, c := range []struct {
+			k     Kind
+			state string
+		}{{KindScatter, "sc2"}, {KindGather, "ga2"}} {
+			rooted := sc
+			rooted.episodes = 4
+			rooted.rootOf = func(ep, n int) int { return ep * (n/4 + 1) % n }
+			w = rooted.world(t)
+			end := w.Run(func(im *pgas.Image) { runConfEpisodes(t, rooted, c.k, "2level", false, team.Initial(w, im)) })
+			if tree, linear := ranState(w, c.state+".tree.float64"), ranState(w, c.state+".float64"); tree != wantTree || linear == wantTree {
+				t.Errorf("%s (%d leaders): %s/2level ran the tree %v, the linear stage %v", sc, leaders, c.k, tree, linear)
+			}
+			if tm.MaxNodeGroup() > 1 || !wantTree {
+				continue
+			}
+			got := w.Stats().Snapshot()
+			w = rooted.world(t)
+			flatEnd := w.Run(func(im *pgas.Image) { runConfEpisodes(t, rooted, c.k, "binomial", false, team.Initial(w, im)) })
+			if flat := w.Stats().Snapshot(); got.InterMsgs != flat.InterMsgs || got.IntraMsgs != 0 || end != flatEnd {
+				t.Errorf("%s: %s/2level sent %d inter-node and %d intra-node messages in %d ns, %s/binomial %d in %d ns", sc, c.k, got.InterMsgs, got.IntraMsgs, end, c.k, flat.InterMsgs, flatEnd)
+			}
 		}
 	}
 }

@@ -135,10 +135,12 @@ func TestTwoLevelScatterPacksOnlyScatteredGroups(t *testing.T) {
 // non-leader of another node (what the scatter's relayed done stamp is for);
 // the rootless kinds are there for the leaders that serve their node while
 // their network stage runs (allgather's per-round fan-out, the scan's fold
-// out of the inbox).
+// out of the inbox). The 24-leader shape runs the rooted kinds' binomial tree
+// over node blocks: its acks, credits and done stamp with roots that are
+// leaders (0, 6) and members standing in for their node (1, 7, 11, 14).
 func TestRootedCollectivesUnderSkew(t *testing.T) {
 	roots := []int{1, 6, 1, 11, 14, 11, 0, 7}
-	for _, base := range []confScenario{shapeScenarios[0], shapeScenarios[2]} {
+	for _, base := range []confScenario{shapeScenarios[0], shapeScenarios[2], manyLeaderScenarios(t)[1]} {
 		for _, split := range []bool{false, true} {
 			sc := base
 			sc.seed, sc.splitPhase, sc.episodes = 20261015, split, len(roots)
