@@ -101,19 +101,12 @@ func runVerify() {
 	w, _ := pgas.NewWorld(sim.NewEnv(), machine.PaperCluster(), topo, trace.New())
 	res := hpl.Run(w, hpl.Config{N: 192, NB: 32, P: 4, Q: 4, Seed: 42,
 		Level: core.LevelTwo, Real: true, Verify: true})
-	if res.Err != nil {
-		fmt.Fprintln(os.Stderr, "hplbench verify:", res.Err)
+	if err := res.Verdict(); err != nil {
+		fmt.Fprintln(os.Stderr, "hplbench verify: FAILED:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("verify: N=%d on 16 images: residual=%.3g, max |distributed-serial|=%.3g  => %s\n\n",
-		res.N, res.Residual, res.MaxLUDiff, passFail(res.Residual < 16))
-}
-
-func passFail(ok bool) string {
-	if ok {
-		return "PASSED"
-	}
-	return "FAILED"
+	fmt.Printf("verify: N=%d on 16 images: residual=%.3g, max |distributed-serial|=%.3g  => PASSED\n\n",
+		res.N, res.Residual, res.MaxLUDiff)
 }
 
 func shorten(name string) string {

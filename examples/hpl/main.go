@@ -44,8 +44,8 @@ func main() {
 	}
 
 	two := run(core.LevelTwo)
-	if two.Err != nil {
-		log.Fatal(two.Err)
+	if err := two.Verdict(); err != nil {
+		log.Fatal(err) // an error, or a residual HPL does not pass
 	}
 	fmt.Printf("HPL N=%d NB=%d on %s (%dx%d grid), two-level runtime:\n", *n, *nb, *spec, *p, *q)
 	fmt.Printf("  factorization: %.3f ms simulated, %.3f GFLOP/s\n",

@@ -85,44 +85,15 @@ func BcastBinomial[T any](v *team.View, root int, buf []T) {
 }
 
 // BcastLinear has the root put the payload to every member directly —
-// 2(n−1) serialized messages from one image, the centralized scheme
-// (deliverLinear with every member's block the whole payload).
+// 2(n−1) serialized messages from one image, the centralized scheme: the
+// linear scatter whose every member speaks for the one block of the payload,
+// team rank 0's of send = buf.
 func BcastLinear[T any](v *team.View, root int, buf []T) {
 	v.Img.World().Stats().Count(trace.OpBroadcast)
 	if v.NumImages() > 1 {
-		deliverLinear(v, root, Alg{"bc.lin", tag[T]()}, buf, 0, buf)
+		ranks := TeamRanks(v)
+		scatterFlat(v, root, Alg{"bc.lin", tag[T]()}, false, func(int) []int { return ranks[:1] }, buf, buf)
 	}
-}
-
-// deliverLinear is the centralized one-to-all scheme of BcastLinear and
-// ScatterLinear: the root puts member r's block — send[r*stride:] — into r's
-// one landing region, len(recv) elements; r copies it into recv. Flow control
-// mirrors SubgroupBcastBinomial: parity ack slots converging directly at the
-// episode root, a done-stamp wave, and an injection gate (roots vary between
-// episodes, so completion must be published to every potential root).
-//
-// Flag layout: slots 0-1 parity payload arrivals, slots 2-3 parity acks,
-// slot 4 done stamps.
-func deliverLinear[T any](v *team.View, root int, alg Alg, send []T, stride int, recv []T) {
-	n := len(recv)
-	st := GetState(v, alg, 5)
-	ep := st.Next()
-	box := NewBox[T](st, "", n, 1)
-	parity := int(ep % 2)
-	paySlot := parity
-	ackSlot := 2 + parity
-	if v.Rank != root {
-		box.Land(paySlot, recv, root, ackSlot, pgas.ViaConduit)
-		return
-	}
-	st.Inject(4)
-	for r := 0; r < v.NumImages(); r++ {
-		if r != root {
-			box.Put(r, 0, send[r*stride:r*stride+n], paySlot, pgas.ViaConduit)
-		}
-	}
-	st.Arrivals(ackSlot, v.NumImages()-1)
-	st.Publish(4, TeamRanks(v), 0, pgas.ViaConduit)
 }
 
 // BcastScatterAllgather is the van de Geijn large-message broadcast: the

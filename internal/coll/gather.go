@@ -29,45 +29,52 @@ func GatherOwn[T any](v *team.View, root int, send, recv []T) bool {
 // at team rank root: recv[r*n:(r+1)*n] = member r's send. recv is
 // significant only at the root and must hold NumImages()*len(send) elements
 // there. The centralized scheme — O(n) serialized messages into one image
-// (collectLinear).
+// (SubgroupGatherLinear over the whole team).
 func GatherLinear[T any](v *team.View, root int, send, recv []T) {
 	if !GatherOwn(v, root, send, recv) {
 		return
 	}
-	n := len(send)
-	collectLinear(v, root, Alg{"ga.lin", tag[T]()}, send, func(r int, in []T) {
-		copy(recv[r*n:r*n+n], in)
-		v.Img.MemWork(pgas.ElemSize[T]() * n)
+	st := GetState(v, Alg{"ga.lin", tag[T]()}, 4)
+	ep := st.Next()
+	ranks := TeamRanks(v)
+	SubgroupGatherLinear(v, st, 0, ranks, v.Rank, root, func(i int) []int { return ranks[i : i+1] }, 1, send, recv, len(send), ep)
+}
+
+// SubgroupGatherLinear is the centralized gather among a subgroup, with
+// SubgroupGatherBinomial's contract: every participant but the root puts own
+// into its region of the root's inbox, and the root unpacks each into recv by
+// team rank, in index order (collectLinear), leaving its own block alone.
+func SubgroupGatherLinear[T any](v *team.View, st *State, base int, group []int, myIdx, rootIdx int, block func(i int) []int, maxBlock int, own, recv []T, n int, ep int64) {
+	collectLinear(v, st, base, group, myIdx, rootIdx, maxBlock*n, own, ep, func(i int, in []T) {
+		for j, r := range block(i) {
+			copy(recv[r*n:r*n+n], in[j*n:j*n+n])
+			v.Img.MemWork(pgas.ElemSize[T]() * n)
+		}
 	})
 }
 
-// collectLinear is the centralized all-to-one scheme of ReduceToRootLinear
-// and GatherLinear: every member but the root puts mine into its own region of
-// the root's inbox, and the root hands each to consume, in rank order,
-// crediting the sender right after. Senders are credit-gated per parity, so a
-// landing region is never overwritten before the root has consumed it.
-//
-// Flag layout: slots 0-1 parity arrivals at the root, slots 2-3 parity
-// credits back to the senders.
-func collectLinear[T any](v *team.View, root int, alg Alg, mine []T, consume func(r int, in []T)) {
-	sz := v.NumImages()
-	st := GetState(v, alg, 4)
-	ep := st.Next()
-	box := NewBox[T](st, "", len(mine), sz)
-	parity := int(ep % 2)
-	arriveSlot := parity
-	creditSlot := 2 + parity
-	if v.Rank != root {
+// collectLinear is the centralized all-to-one scheme of SubgroupGatherLinear
+// and ReduceToRootLinear: every participant but the root puts own into its
+// region (slot elements) of the root's inbox, and the root hands each to
+// consume, in index order, crediting the sender right after. Senders are
+// credit-gated per parity, so a landing region is never overwritten before the
+// root has consumed it. Flag layout on st, whose episode ep the caller has
+// claimed: parity arrivals at the root (base, base+1), parity credits back to
+// the senders (base+2, base+3).
+func collectLinear[T any](v *team.View, st *State, base int, group []int, myIdx, rootIdx, slot int, own []T, ep int64, consume func(i int, in []T)) {
+	box := NewBox[T](st, "", slot, len(group))
+	arriveSlot, creditSlot := base+int(ep%2), base+2+int(ep%2)
+	if myIdx != rootIdx {
 		// Gate on the credit for my previous same-parity send.
 		st.Gate(creditSlot, 1)
-		box.Put(root, v.Rank, mine, arriveSlot, pgas.ViaConduit)
+		box.Put(group[rootIdx], myIdx, own, arriveSlot, pgas.ViaConduit)
 		return
 	}
 	// Arrival counts are root-dependent, so count exactly.
-	st.Arrivals(arriveSlot, sz-1)
-	for r := 0; r < sz; r++ {
-		if r != root {
-			consume(r, box.Region(r)[:len(mine)])
+	st.Arrivals(arriveSlot, len(group)-1)
+	for i, r := range group {
+		if i != rootIdx {
+			consume(i, box.Region(i)[:slot])
 			v.Img.NotifyAdd(st.Flags, v.T.GlobalRank(r), creditSlot, 1, pgas.ViaConduit)
 		}
 	}

@@ -78,7 +78,9 @@ func ReduceToRootLinear[T any](v *team.View, root int, buf []T, op Op[T]) {
 	if v.NumImages() == 1 {
 		return
 	}
-	collectLinear(v, root, Alg{"redto.lin", op.Name, tag[T]()}, buf, func(_ int, in []T) {
+	st := GetState(v, Alg{"redto.lin", op.Name, tag[T]()}, 4)
+	ep := st.Next()
+	collectLinear(v, st, 0, TeamRanks(v), v.Rank, root, len(buf), buf, ep, func(_ int, in []T) {
 		op.Combine(buf, in)
 		v.Img.MemWork(2 * pgas.ElemSize[T]() * len(buf))
 	})

@@ -2,6 +2,7 @@ package coll
 
 import (
 	"fmt"
+	"slices"
 
 	"cafteams/internal/pgas"
 	"cafteams/internal/team"
@@ -26,32 +27,88 @@ func ScatterOwn[T any](v *team.View, root int, send, recv []T) bool {
 
 // ScatterLinear distributes per-member blocks from team rank root directly:
 // the root puts block r of send (send[r*n:(r+1)*n], n = len(recv)) to member
-// r — the centralized scheme, 2(n−1) serialized messages from one image
-// (deliverLinear). send is significant only at the root and must hold
-// NumImages()*len(recv) elements there.
+// r — the centralized scheme, 2(n−1) serialized messages from one image. send
+// is significant only at the root and must hold NumImages()*len(recv) there.
 func ScatterLinear[T any](v *team.View, root int, send, recv []T) {
 	if ScatterOwn(v, root, send, recv) {
-		deliverLinear(v, root, Alg{"sc.lin", tag[T]()}, send, len(recv), recv)
+		ranks := TeamRanks(v)
+		scatterFlat(v, root, Alg{"sc.lin", tag[T]()}, false, func(i int) []int { return ranks[i : i+1] }, send, recv)
 	}
 }
 
 // ScatterBinomial distributes per-member blocks along the binomial scatter
-// tree: SubgroupScatterBinomial over the whole team, every member speaking for
-// itself, under the flat flow control's injection gate and done wave (slot 4).
+// tree: SubgroupScatterBinomial over the whole team.
 func ScatterBinomial[T any](v *team.View, root int, send, recv []T) {
-	if !ScatterOwn(v, root, send, recv) {
-		return
+	if ScatterOwn(v, root, send, recv) {
+		ranks := TeamRanks(v)
+		scatterFlat(v, root, Alg{"sc.binom", tag[T]()}, true, func(i int) []int { return ranks[i : i+1] }, send, recv)
 	}
-	st := GetState(v, Alg{"sc.binom", tag[T]()}, 5)
+}
+
+// scatterFlat runs SubgroupScatterLinear or (tree) SubgroupScatterBinomial
+// over the whole team, member i speaking for block(i), under the root's
+// injection gate and its done wave on slot 4 (in rank order, or root-relative
+// after the tree).
+func scatterFlat[T any](v *team.View, root int, alg Alg, tree bool, block func(i int) []int, send, recv []T) {
+	st := GetState(v, alg, 5)
 	ep := st.Next()
+	ranks := TeamRanks(v)
+	first := 0
 	if v.Rank == root {
 		st.Inject(4)
 	}
-	ranks := TeamRanks(v)
-	SubgroupScatterBinomial(v, st, 0, ranks, v.Rank, root, func(i int) []int { return ranks[i : i+1] }, 1, send, recv, ep, nil)
-	if v.Rank == root {
-		st.Publish(4, ranks, root, pgas.ViaConduit)
+	if tree {
+		first = root
+		SubgroupScatterBinomial(v, st, 0, ranks, v.Rank, root, block, 1, send, recv, ep, nil)
+	} else {
+		SubgroupScatterLinear(v, st, 0, ranks, v.Rank, root, block, 1, send, recv, ep, nil)
 	}
+	if v.Rank == root {
+		st.Publish(4, ranks, first, pgas.ViaConduit)
+	}
+}
+
+// SubgroupScatterLinear is the centralized scatter among a subgroup, with
+// SubgroupScatterBinomial's contract and flag layout: the root puts every other
+// participant's packed block into its one landing region, in index order, then
+// hands its own to forwarded — a block ships from send when its team ranks are
+// consecutive, otherwise packed into one staging buffer (a put captures its
+// payload at issue) at a copy's cost. A participant awaits its block, hands it
+// to forwarded, takes its first n elements into recv and acks the root.
+func SubgroupScatterLinear[T any](v *team.View, st *State, base int, group []int, myIdx, rootIdx int, block func(i int) []int, maxBlock int, send, recv []T, ep int64, forwarded func(packed []T)) {
+	n := len(recv)
+	box := NewBox[T](st, "", maxBlock*n, 1)
+	paySlot, ackSlot := base+int(ep%2), base+2+int(ep%2)
+	if myIdx != rootIdx {
+		st.Arrivals(paySlot, 1)
+		if forwarded != nil {
+			forwarded(box.Region(0)[:len(block(myIdx))*n])
+		}
+		box.Take(0, recv)
+		v.Img.NotifyAdd(st.Flags, v.T.GlobalRank(group[rootIdx]), ackSlot, 1, pgas.ViaConduit)
+		return
+	}
+	pack := func(i int) []T {
+		b := block(i)
+		if slices.IsSorted(b) && b[len(b)-1]-b[0] == len(b)-1 { // consecutive ranks
+			return send[b[0]*n : (b[0]+len(b))*n]
+		}
+		p := Temp[T](st, "pack", maxBlock*n)[:len(b)*n]
+		for j, r := range b {
+			copy(p[j*n:], send[r*n:r*n+n])
+		}
+		v.Img.MemWork(pgas.ElemSize[T]() * len(p))
+		return p
+	}
+	for i, r := range group {
+		if i != rootIdx {
+			box.Put(r, 0, pack(i), paySlot, pgas.ViaConduit)
+		}
+	}
+	if forwarded != nil {
+		forwarded(pack(rootIdx))
+	}
+	st.Arrivals(ackSlot, len(group)-1)
 }
 
 // SubgroupScatterBinomial is the binomial scatter tree (the scatter half of

@@ -21,13 +21,22 @@ var (
 // rootedValue is team rank r's element i in episode ep.
 func rootedValue(ep, r, i int) float64 { return float64(ep*1000 + r*10 + i) }
 
-// TestSubgroupRootedTrees runs SubgroupScatterBinomial and
-// SubgroupGatherBinomial over rootedGroup with the root rotating over every
-// participant and skewed arrivals, under the injection gate and done wave a
-// scatter caller owes: every participant gets its own block and sees its
-// whole subtree packed in relative order, the gather root gets every other
-// participant's ranks and nothing else.
+// TestSubgroupRootedTrees runs both rooted pairs — SubgroupScatterBinomial and
+// SubgroupGatherBinomial, SubgroupScatterLinear and SubgroupGatherLinear — over
+// rootedGroup with the root rotating over every participant and skewed
+// arrivals, under the injection gate and done wave a scatter caller owes: every
+// participant gets its own block and hands forwarded what it holds packed in
+// relative order (in the tree its whole subtree, in the linear form its own
+// block, the root's included), the gather root gets every other participant's
+// ranks and nothing else. The blocks are not consecutive, so the linear root
+// packs them.
 func TestSubgroupRootedTrees(t *testing.T) {
+	for _, form := range []string{"binomial", "linear"} {
+		t.Run(form, func(t *testing.T) { runSubgroupRooted(t, form == "linear") })
+	}
+}
+
+func runSubgroupRooted(t *testing.T, linear bool) {
 	const n, episodes = 3, 12
 	w := newWorld(t, "13(13)")
 	sz := w.NumImages()
@@ -45,7 +54,7 @@ func TestSubgroupRootedTrees(t *testing.T) {
 			return
 		}
 		sc := GetState(v, Alg{"test.sc"}, 5)
-		ga := GetState(v, Alg{"test.ga"}, 3*Rounds(g))
+		ga := GetState(v, Alg{"test.ga"}, max(4, 3*Rounds(g)))
 		rng := rand.New(rand.NewSource(int64(v.Rank) * 7919))
 		for ep := 0; ep < episodes; ep++ {
 			if rng.Intn(3) == 0 {
@@ -56,10 +65,12 @@ func TestSubgroupRootedTrees(t *testing.T) {
 			rootIdx := (ep * 3) % g
 			rel := (myIdx - rootIdx + g) % g
 			span := g
-			if rel != 0 {
+			if linear {
+				span = 1
+			} else if rel != 0 {
 				span = min(rel&-rel, g-rel)
 			}
-			var want []float64 // my subtree, packed in relative order
+			var want []float64 // what I hold, packed in relative order
 			for q := rel; q < rel+span; q++ {
 				for _, r := range rootedBlocks[(q+rootIdx)%g] {
 					for i := range n {
@@ -80,11 +91,16 @@ func TestSubgroupRootedTrees(t *testing.T) {
 				sc.Inject(4)
 			}
 			recv := make([]float64, n)
-			SubgroupScatterBinomial(v, sc, 0, rootedGroup, myIdx, rootIdx, block, 4, send, recv, sep, func(tree []float64) {
+			forwarded := func(tree []float64) {
 				if !slices.Equal(tree, want) {
-					t.Errorf("scatter ep%d rank %d: subtree %v, want %v", ep, v.Rank, tree, want)
+					t.Errorf("scatter ep%d rank %d: holds %v, want %v", ep, v.Rank, tree, want)
 				}
-			})
+			}
+			if linear {
+				SubgroupScatterLinear(v, sc, 0, rootedGroup, myIdx, rootIdx, block, 4, send, recv, sep, forwarded)
+			} else {
+				SubgroupScatterBinomial(v, sc, 0, rootedGroup, myIdx, rootIdx, block, 4, send, recv, sep, forwarded)
+			}
 			if rel == 0 {
 				sc.Publish(4, rootedGroup, rootIdx, pgas.ViaConduit)
 			} else if !slices.Equal(recv, want[:n]) {
@@ -100,7 +116,11 @@ func TestSubgroupRootedTrees(t *testing.T) {
 					got[i] = -1
 				}
 			}
-			SubgroupGatherBinomial(v, ga, 0, rootedGroup, myIdx, rootIdx, block, 4, own, got, n, gep)
+			if linear {
+				SubgroupGatherLinear(v, ga, 0, rootedGroup, myIdx, rootIdx, block, 4, own, got, n, gep)
+			} else {
+				SubgroupGatherBinomial(v, ga, 0, rootedGroup, myIdx, rootIdx, block, 4, own, got, n, gep)
+			}
 			if rel != 0 {
 				continue
 			}

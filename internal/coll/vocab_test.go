@@ -1,6 +1,9 @@
 package coll
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"strings"
@@ -184,6 +187,56 @@ func TestProtocolVocabularyIsClosed(t *testing.T) {
 					t.Errorf("%s:%d spells protocol arithmetic outside coll.go: %s", f, i+1, strings.TrimSpace(line))
 				}
 			}
+		}
+	}
+}
+
+// TestCoreNetworkSendsAreClosed: internal/core writes three inter-node sends
+// of its own — AlltoallTwoLevel's pack exchange, scanTwoLevelLead's chain and
+// ScatterTwoLevel's done wave (its Publish); every other message of a
+// two-level body that may cross the network is a coll body's among the node
+// leaders. So pgas.ViaAuto and pgas.ViaConduit appear nowhere else in its
+// non-test files.
+func TestCoreNetworkSendsAreClosed(t *testing.T) {
+	files, err := filepath.Glob("../core/*.go")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no files of internal/core found: %v", err)
+	}
+	fset := token.NewFileSet()
+	for _, f := range files {
+		if strings.HasSuffix(f, "_test.go") {
+			continue
+		}
+		file, err := parser.ParseFile(fset, f, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range file.Decls {
+			fn := ""
+			if fd, ok := d.(*ast.FuncDecl); ok {
+				fn = fd.Name.Name
+			}
+			var publish []*ast.CallExpr // the Publish calls met so far: ast.Inspect visits a call before its arguments
+			ast.Inspect(d, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CallExpr:
+					if s, ok := n.Fun.(*ast.SelectorExpr); ok && s.Sel.Name == "Publish" {
+						publish = append(publish, n)
+					}
+				case *ast.SelectorExpr:
+					if x, ok := n.X.(*ast.Ident); !ok || x.Name != "pgas" || n.Sel.Name != "ViaAuto" && n.Sel.Name != "ViaConduit" {
+						return true
+					}
+					inPublish := false
+					for _, c := range publish {
+						inPublish = inPublish || c.Lparen < n.Pos() && n.Pos() < c.Rparen
+					}
+					if fn != "AlltoallTwoLevel" && fn != "scanTwoLevelLead" && (fn != "ScatterTwoLevel" || !inPublish) {
+						t.Errorf("%s: pgas.%s in %s: an inter-node send of internal/core's own", fset.Position(n.Pos()), n.Sel.Name, fn)
+					}
+				}
+				return true
+			})
 		}
 	}
 }

@@ -72,23 +72,21 @@ var autoTable = [numKinds][]AutoRow{
 	},
 	5: { // scatter
 		{1, inf, 8, inf, "linear", "linear"},        // 14 cells, 1.000, worst 1.000
-		{1, inf, 16, 512, "binomial", "binomial"},   // 2 cells, 1.000, worst 1.000
-		{1, inf, 16, inf, "linear", "linear"},       // 5 cells, 1.000, worst 1.000
-		{1, inf, inf, 4096, "binomial", "binomial"}, // 9 cells, 1.000, worst 1.000
-		{1, inf, inf, inf, "linear", "linear"},      // 12 cells, 1.000, worst 1.000
+		{1, inf, inf, 512, "binomial", "binomial"},  // 8 cells, 1.000, worst 1.000
+		{1, inf, inf, inf, "2level", "linear"},      // 20 cells, 1.000, worst 1.000
 		{inf, inf, 4, 16384, "2level", "linear"},    // 32 cells, 1.000, worst 1.000
 		{inf, inf, 4, inf, "linear", "linear"},      // 23 cells, 1.000, worst 1.007
 		{inf, inf, inf, 524288, "2level", "linear"}, // 54 cells, 1.002, worst 1.043
 		{inf, inf, inf, inf, "linear", "linear"},    // 5 cells, 1.000, worst 1.000
 	},
 	6: { // gather
-		{1, inf, 8, inf, "linear", "linear"},        // 14 cells, 1.000, worst 1.000
-		{1, inf, 32, 512, "binomial", "binomial"},   // 4 cells, 1.000, worst 1.000
-		{1, inf, 32, inf, "linear", "linear"},       // 10 cells, 1.000, worst 1.000
-		{1, inf, inf, 4096, "binomial", "binomial"}, // 6 cells, 1.002, worst 1.010
-		{1, inf, inf, inf, "linear", "linear"},      // 8 cells, 1.000, worst 1.000
-		{inf, inf, inf, 16384, "2level", "linear"},  // 68 cells, 1.001, worst 1.018
-		{inf, inf, inf, inf, "linear", "linear"},    // 46 cells, 1.001, worst 1.031
+		{1, inf, 8, inf, "linear", "linear"},      // 14 cells, 1.000, worst 1.000
+		{1, inf, 32, 512, "binomial", "binomial"}, // 4 cells, 1.000, worst 1.000
+		{1, inf, 32, inf, "linear", "linear"},     // 10 cells, 1.000, worst 1.000
+		{1, inf, inf, inf, "2level", "linear"},    // 14 cells, 1.001, worst 1.010
+		{inf, inf, 16, 16384, "2level", "linear"}, // 60 cells, 1.000, worst 1.000
+		{inf, inf, 16, inf, "linear", "linear"},   // 42 cells, 1.002, worst 1.032
+		{inf, inf, inf, inf, "2level", "linear"},  // 12 cells, 1.001, worst 1.005
 	},
 	7: { // alltoall
 		{1, inf, 4, inf, "pairwise", "pairwise"},   // 7 cells, 1.000, worst 1.001

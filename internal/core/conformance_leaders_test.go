@@ -122,8 +122,9 @@ func ranState(w *pgas.World, alg string) bool {
 // nodes, where the ring took 12) and 2+ceil(log2 N) flag slots per image, so a
 // leader's flag row does not grow with the node count. Scatter and gather: from
 // treeLeaders node leaders up (at these small node blocks) the binomial tree
-// over node blocks, below it the root's linear stage; with one image per node
-// the tree sends exactly what flat binomial sends, in exactly its time.
+// over node blocks, below it the linear stage; with one image per node each
+// form sends exactly what its flat algorithm (binomial, linear) sends, in
+// exactly its time, and nothing over shared memory.
 func TestManyLeadersTakeTheLogDepthStage(t *testing.T) {
 	many := manyLeaderScenarios(t)
 	for i, sc := range append(many, fewLeaderScenarios(t)...) {
@@ -171,14 +172,18 @@ func TestManyLeadersTakeTheLogDepthStage(t *testing.T) {
 			if tree, linear := ranState(w, c.state+".tree.float64"), ranState(w, c.state+".float64"); tree != wantTree || linear == wantTree {
 				t.Errorf("%s (%d leaders): %s/2level ran the tree %v, the linear stage %v", sc, leaders, c.k, tree, linear)
 			}
-			if tm.MaxNodeGroup() > 1 || !wantTree {
+			if tm.MaxNodeGroup() > 1 {
 				continue
+			}
+			flatName := "linear"
+			if wantTree {
+				flatName = "binomial"
 			}
 			got := w.Stats().Snapshot()
 			w = rooted.world(t)
-			flatEnd := w.Run(func(im *pgas.Image) { runConfEpisodes(t, rooted, c.k, "binomial", false, team.Initial(w, im)) })
+			flatEnd := w.Run(func(im *pgas.Image) { runConfEpisodes(t, rooted, c.k, flatName, false, team.Initial(w, im)) })
 			if flat := w.Stats().Snapshot(); got.InterMsgs != flat.InterMsgs || got.IntraMsgs != 0 || end != flatEnd {
-				t.Errorf("%s: %s/2level sent %d inter-node and %d intra-node messages in %d ns, %s/binomial %d in %d ns", sc, c.k, got.InterMsgs, got.IntraMsgs, end, c.k, flat.InterMsgs, flatEnd)
+				t.Errorf("%s: %s/2level sent %d inter-node and %d intra-node messages in %d ns, %s/%s %d in %d ns", sc, c.k, got.InterMsgs, got.IntraMsgs, end, c.k, flatName, flat.InterMsgs, flatEnd)
 			}
 		}
 	}

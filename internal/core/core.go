@@ -32,24 +32,28 @@
 // Bruck's algorithm over node blocks (coll.SubgroupAllgatherBruck) in
 // AllgatherTwoLevel and, from logDepthLeaders node leaders up, the
 // pairwise-exchange scan of coll.SubgroupExscan in ScanTwoLevel (below that
-// number a chain, which measures faster there). A leader serves its node while
-// that stage works the network, and copies nothing the data does not need:
-// BcastTwoLevel fans out once the payload is forwarded down the tree, before
-// the acks climb back; AllgatherTwoLevel fans out each node block in the round
-// that delivered it; ScanTwoLevel folds its members' results straight out of
-// the inbox. Where they distribute or
-// exchange, flow control sends only what no wait already proves: a done wave
-// reaches the images a root writes to (ScatterTwoLevel's stops at the node
-// leaders) and AlltoallTwoLevel's own exchange frees every region, so it sends
-// no credit. What they share is the protocol under them, and that is written
-// once, in internal/coll's vocabulary: a landing area is a coll.Box (it owns
-// the episode's parity and the region offsets), a wait is State.Arrivals, Gate
-// or Inject (with the Publish done wave and its Relay), a member's receipt and
-// ack of its block is Box.Land, and on top of those this package has one stage
-// verb of its own: fanOut, a leader's gated delivery to its intranode set. No
-// body multiplies a parity by a capacity or reads a counter. Policy selects
-// between flat and hierarchy-aware algorithms from the team's hierarchy shape
-// and the message size.
+// number a chain, which measures faster there). Where they distribute or
+// collect (ScatterTwoLevel, GatherTwoLevel) it is coll's linear scatter and
+// gather over node blocks, or its binomial trees from treeLeaders leaders up,
+// the root standing in for its node; the only inter-node sends this package
+// writes itself are AlltoallTwoLevel's exchange, ScanTwoLevel's chain and
+// ScatterTwoLevel's done wave. A leader serves its node while that stage works
+// the network, and copies nothing the data does not need: BcastTwoLevel fans
+// out once the payload is forwarded down the tree, before the acks climb back;
+// AllgatherTwoLevel fans out each node block in the round that delivered it;
+// ScanTwoLevel folds its members' results straight out of the inbox. Where
+// they distribute or exchange, flow control sends only what no wait already
+// proves: a done wave reaches the images a root writes to (ScatterTwoLevel's
+// stops at the node leaders) and AlltoallTwoLevel's own exchange frees every
+// region, so it sends no credit. What they share is the protocol under them,
+// and that is written once, in internal/coll's vocabulary: a landing area is a
+// coll.Box (it owns the episode's parity and the region offsets), a wait is
+// State.Arrivals, Gate or Inject (with the Publish done wave and its Relay), a
+// member's receipt and ack of its block is Box.Land, and on top of those this
+// package has one stage verb of its own: fanOut, a leader's gated delivery to
+// its intranode set. No body multiplies a parity by a capacity or reads a
+// counter. Policy selects between flat and hierarchy-aware algorithms from the
+// team's hierarchy shape and the message size.
 //
 // This package is backend-agnostic: it speaks to the runtime only through
 // internal/pgas (the Transport seam) and must never import internal/sim —

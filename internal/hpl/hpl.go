@@ -42,6 +42,15 @@ type Result struct {
 	Err         error
 }
 
+// Verdict is nil for a run that raised no error and whose scaled residual is a
+// number below HPL's pass mark of 16 (NaN fails: unverified, or a broken solve).
+func (r Result) Verdict() error {
+	if r.Err == nil && !(r.Residual < 16) {
+		return fmt.Errorf("hpl: residual %.3g, HPL passes below 16", r.Residual)
+	}
+	return r.Err
+}
+
 // maxLoc combines (|value|, row) pairs keeping the largest value, breaking
 // ties toward the lower row — matching the serial pivot search order.
 var maxLoc = coll.Op[float64]{Name: "maxloc", Combine: func(dst, src []float64) {

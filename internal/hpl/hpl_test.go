@@ -1,6 +1,7 @@
 package hpl
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -272,6 +273,29 @@ func TestVerifyResidualIsFinite(t *testing.T) {
 	}
 	if math.IsNaN(res.Residual) || math.IsInf(res.Residual, 0) {
 		t.Fatalf("residual = %v", res.Residual)
+	}
+}
+
+// TestVerdict: a run passes only with no error and a residual that is a number
+// below 16 — what hplbench -verify and examples/hpl exit 1 on otherwise.
+func TestVerdict(t *testing.T) {
+	broke := errors.New("broke")
+	for _, c := range []struct {
+		res  Result
+		pass bool
+	}{
+		{Result{Residual: 0.02}, true},
+		{Result{Residual: 15.99}, true},
+		{Result{Residual: 16}, false},
+		{Result{Residual: 1e9}, false},
+		{Result{Residual: math.Inf(1)}, false},
+		{Result{Residual: math.NaN()}, false},
+		{Result{Residual: 0.02, Err: broke}, false},
+	} {
+		err := c.res.Verdict()
+		if (err == nil) != c.pass || c.res.Err != nil && !errors.Is(err, c.res.Err) {
+			t.Errorf("residual %v, Err %v: verdict %v, want pass %v", c.res.Residual, c.res.Err, err, c.pass)
+		}
 	}
 }
 
