@@ -24,40 +24,61 @@ func AlltoallBlock[T any](v *team.View, send, recv []T) int {
 	return n
 }
 
-// AlltoallPairwise is the pairwise-exchange personalized all-to-all: n−1
-// steps, in step s each member sends its block for rank (r+s) and receives
-// the block from rank (r−s) — every pair exchanges exactly once, the
-// bandwidth-optimal large-message schedule (the pattern behind
-// MPI_Alltoall's long-message path and distributed transposes).
+// SubgroupAlltoallPairwise is the pairwise-exchange personalized all-to-all
+// (the long-message schedule of Thakur, Rabenseifner and Gropp 2005) among an
+// arbitrary subgroup of a team, each participant holding one run of data for
+// every other: g−1 lock-step steps, in step s a participant sends its run for
+// the participant s positions above it and receives the run of the one s
+// below — every pair exchanges exactly once, the bandwidth-optimal schedule
+// behind MPI_Alltoall's long-message path and distributed transposes.
 //
-// Each step owns a parity-indexed landing region. Cross-episode safety
-// needs no explicit credits: before a writer starts episode e+2 of step s
-// it completed episode e+1, whose step (size−s) waited on a message this
-// image only sends after fully completing episode e — by which point the
-// region being overwritten was consumed.
+// group lists the participating team ranks and myIdx is the caller's index
+// within it. pack(i) returns the caller's run for participant i, called for
+// step s+1's run once step s's is on the wire; unpack(i, run) is called as soon
+// as participant i's run has landed, run starting at it (the caller knows its
+// length). Step s's run lands from region (s−1)·per of box on, which holds
+// (g−1)·per regions, under flag slot base+s−1 of st, whose episode ep the
+// caller has claimed.
+//
+// Cross-episode safety needs no credits: before a writer starts episode e+2 of
+// step s it completed episode e+1, whose step g−s waited on a message its
+// target only sends after completing episode e — unpack included, by which
+// point the region being overwritten was consumed.
+func SubgroupAlltoallPairwise[T any](v *team.View, st *State, base int, box Box[T], group []int, myIdx, per int, ep int64, pack func(i int) []T, unpack func(i int, run []T)) {
+	g := len(group)
+	me := v.Img
+	run := pack((myIdx + 1) % g)
+	for s := 1; s < g; s++ {
+		box.Put(group[(myIdx+s)%g], (s-1)*per, run, base+s-1, pgas.ViaConduit)
+		if s+1 < g {
+			run = pack((myIdx + s + 1) % g)
+		}
+		me.WaitFlagGE(st.Flags, me.Rank(), base+s-1, ep)
+		unpack((myIdx-s+g)%g, box.Region((s-1)*per))
+	}
+}
+
+// AlltoallPairwise is SubgroupAlltoallPairwise over the whole team, every
+// member's run for rank j its send block j.
 func AlltoallPairwise[T any](v *team.View, send, recv []T) {
 	sz := v.NumImages()
 	n := AlltoallBlock(v, send, recv)
 	es := pgas.ElemSize[T]()
-	v.Img.World().Stats().Count(trace.OpReduce)
+	me := v.Img
+	me.World().Stats().Count(trace.OpReduce)
 	copy(recv[v.Rank*n:v.Rank*n+n], send[v.Rank*n:v.Rank*n+n])
 	if sz == 1 {
 		return
 	}
-	v.Img.MemWork(es * n)
-	steps := sz - 1
-	st := GetState(v, Alg{"a2a.pw", tag[T]()}, steps)
+	me.MemWork(es * n)
+	st := GetState(v, Alg{"a2a.pw", tag[T]()}, sz-1)
 	ep := st.Next()
-	box := NewBox[T](st, "", n, steps)
-	me := v.Img
-	r := v.Rank
-	for s := 1; s <= steps; s++ {
-		dst := (r + s) % sz
-		src := (r - s + sz) % sz
-		box.Put(dst, s-1, send[dst*n:dst*n+n], s-1, pgas.ViaConduit)
-		me.WaitFlagGE(st.Flags, me.Rank(), s-1, ep)
-		box.Take(s-1, recv[src*n:src*n+n])
-	}
+	SubgroupAlltoallPairwise(v, st, 0, NewBox[T](st, "", n, sz-1), TeamRanks(v), v.Rank, 1, ep,
+		func(i int) []T { return send[i*n : i*n+n] },
+		func(i int, run []T) {
+			copy(recv[i*n:i*n+n], run)
+			me.MemWork(es * n)
+		})
 }
 
 // AlltoallBruck is the log-step personalized all-to-all (Bruck's

@@ -308,18 +308,19 @@ func bucket(n int) int {
 // Consecutive episodes use opposite halves, which is what lets a sender run
 // one episode ahead of a slow receiver; a Box owns that arithmetic, so an
 // algorithm names regions of the running episode and cannot reach the other
-// parity's. A two-word value: making one allocates nothing.
+// parity's (a NewFixedBox has one half, which every episode uses). A two-word
+// value: making one allocates nothing.
 type Box[T any] struct {
 	*landing[T]
 	first int // the half's first region of the coarray
 }
 
 // landing is what NewBox memoises per role and size class: the scratch
-// coarray, regions regions of cap_ elements per parity.
+// coarray, halves × regions regions of cap_ elements.
 type landing[T any] struct {
-	st            *State
-	co            *pgas.Coarray[T]
-	cap_, regions int
+	st                    *State
+	co                    *pgas.Coarray[T]
+	cap_, regions, halves int
 }
 
 // NewBox returns role's box of st's running episode (take it after st.Next),
@@ -334,20 +335,36 @@ type landing[T any] struct {
 // result landing of a member are separate coarrays, and an image only ever
 // materialises the boxes of roles it has played.
 func NewBox[T any](st *State, role string, elems, regions int) Box[T] {
-	cap_, first := bucket(elems), int(st.m.ep%2)*regions
+	return newBox[T](st, role, elems, regions, 2)
+}
+
+// NewFixedBox is NewBox with one half, which every episode uses: half the
+// scratch, for a role whose writer cannot run an episode ahead of its reader —
+// a member's landing area that its leader writes only after the member's
+// request for the episode arrived, sent once the member had read the last one.
+func NewFixedBox[T any](st *State, role string, elems, regions int) Box[T] {
+	return newBox[T](st, role, elems, regions, 1)
+}
+
+func newBox[T any](st *State, role string, elems, regions, halves int) Box[T] {
+	cap_, first := bucket(elems), int(st.m.ep%int64(halves))*regions
 	// A repeat call (one per episode, per image) finds the landing among the
 	// few buffers this image asked for before: no name formatting, no
 	// registry lock.
 	for i := range st.bufs {
 		if b := &st.bufs[i]; b.role == role && b.cap_ == cap_ && b.regions == regions {
-			if l, ok := b.x.(*landing[T]); ok {
+			if l, ok := b.x.(*landing[T]); ok && l.halves == halves {
 				return Box[T]{l, first}
 			}
 		}
 	}
-	name := st.name + ":" + role + ":cap" + strconv.Itoa(cap_) + ":r" + strconv.Itoa(2*regions)
-	co := pgas.NewTeamCoarray[T](st.v.Img.World(), name, 2*regions*cap_, st.v.T.Members())
-	l := &landing[T]{st, co, cap_, regions}
+	kind := ":r" // the coarray's regions: both halves, or the one fixed half
+	if halves == 1 {
+		kind = ":f"
+	}
+	name := st.name + ":" + role + ":cap" + strconv.Itoa(cap_) + kind + strconv.Itoa(halves*regions)
+	co := pgas.NewTeamCoarray[T](st.v.Img.World(), name, halves*regions*cap_, st.v.T.Members())
+	l := &landing[T]{st, co, cap_, regions, halves}
 	st.bufs = append(st.bufs, buffer{role, cap_, regions, l})
 	return Box[T]{l, first}
 }

@@ -36,6 +36,63 @@ func TestSubgroupRootedTrees(t *testing.T) {
 	}
 }
 
+// TestSubgroupAlltoallPairwise runs the pairwise exchange over rootedGroup with
+// skewed arrivals, each participant's run for participant i its block's ranks'
+// values for i's block's ranks, destination-major: every run lands whole, from
+// the participant it names, in the episode it was sent, and each other
+// participant's run is packed and unpacked once, in step order.
+func TestSubgroupAlltoallPairwise(t *testing.T) {
+	const n, episodes, maxBlock = 2, 12, 4
+	w := newWorld(t, "13(13)")
+	g := len(rootedGroup)
+	w.Run(func(im *pgas.Image) {
+		v := team.Initial(w, im)
+		myIdx := slices.Index(rootedGroup, v.Rank)
+		if myIdx < 0 {
+			return
+		}
+		// run is participant from's run for participant to in episode ep.
+		run := func(ep, from, to int) []float64 {
+			var out []float64
+			for _, d := range rootedBlocks[to] {
+				for _, s := range rootedBlocks[from] {
+					for i := range n {
+						out = append(out, rootedValue(ep, s, d*n+i))
+					}
+				}
+			}
+			return out
+		}
+		st := GetState(v, Alg{"test.a2a"}, g-1)
+		rng := rand.New(rand.NewSource(int64(v.Rank) * 7919))
+		for ep := 0; ep < episodes; ep++ {
+			if rng.Intn(3) == 0 {
+				im.Sleep(sim.Time(rng.Intn(300_000)))
+			} else {
+				im.Sleep(sim.Time(rng.Intn(5_000)))
+			}
+			sep := st.Next()
+			var packed, unpacked []int
+			SubgroupAlltoallPairwise(v, st, 0, NewBox[float64](st, "", n, (g-1)*maxBlock*maxBlock), rootedGroup, myIdx, maxBlock*maxBlock, sep,
+				func(i int) []float64 {
+					packed = append(packed, i)
+					return run(ep, myIdx, i)
+				},
+				func(i int, got []float64) {
+					unpacked = append(unpacked, i)
+					if want := run(ep, i, myIdx); !slices.Equal(got[:len(want)], want) {
+						t.Errorf("ep%d rank %d: run from participant %d is %v, want %v", ep, v.Rank, i, got[:len(want)], want)
+					}
+				})
+			for s := 1; s < g; s++ {
+				if len(packed) != g-1 || len(unpacked) != g-1 || packed[s-1] != (myIdx+s)%g || unpacked[s-1] != (myIdx-s+g)%g {
+					t.Fatalf("ep%d rank %d: packed %v, unpacked %v, want step s to pack for participant +s and unpack from −s", ep, v.Rank, packed, unpacked)
+				}
+			}
+		}
+	})
+}
+
 func runSubgroupRooted(t *testing.T, linear bool) {
 	const n, episodes = 3, 12
 	w := newWorld(t, "13(13)")

@@ -160,6 +160,41 @@ func TestBox(t *testing.T) {
 	})
 }
 
+// TestFixedBox: a NewFixedBox is one half of regions*cap elements, which every
+// episode uses — region i starts at element i*cap in episodes 1 and 2 alike —
+// apart from a parity box of the same role and size; a put past it panics.
+func TestFixedBox(t *testing.T) {
+	const elems, regions, cap_ = 5, 3, 16
+	w := newWorld(t, "2(2)")
+	w.Run(func(im *pgas.Image) {
+		v := team.Initial(w, im)
+		st := GetState(v, Alg{"test.fixedbox"}, 1)
+		for ep := st.Next(); ep <= 2; ep = st.Next() {
+			box := NewFixedBox[float64](st, "t", elems, regions)
+			if box.co == NewBox[float64](st, "t", elems, regions).co {
+				t.Fatalf("episode %d: the fixed box shares the parity box's coarray", ep)
+			}
+			slab := pgas.Local(box.co, im)
+			if len(slab) != regions*cap_ {
+				t.Fatalf("episode %d: %d elements, want %d", ep, len(slab), regions*cap_)
+			}
+			for i := 0; i < regions; i++ {
+				if r := box.Region(i); &r[0] != &slab[i*cap_] || len(r) != (regions-i)*cap_ {
+					t.Errorf("episode %d: Region(%d) has %d elements and does not start at element %d", ep, i, len(r), i*cap_)
+				}
+			}
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("episode %d: a put past the box did not panic", ep)
+					}
+				}()
+				box.Put(1-v.Rank, regions-1, make([]float64, cap_+1), 0, pgas.ViaConduit)
+			}()
+		}
+	})
+}
+
 // TestProtocolVocabularyIsClosed: outside coll.go no algorithm file of
 // internal/coll or internal/core allocates scratch, reads the expectation
 // counters or spells the injection gate by hand; Box, Arrivals/Gate and
@@ -191,12 +226,12 @@ func TestProtocolVocabularyIsClosed(t *testing.T) {
 	}
 }
 
-// TestCoreNetworkSendsAreClosed: internal/core writes three inter-node sends
-// of its own — AlltoallTwoLevel's pack exchange, scanTwoLevelLead's chain and
-// ScatterTwoLevel's done wave (its Publish); every other message of a
-// two-level body that may cross the network is a coll body's among the node
-// leaders. So pgas.ViaAuto and pgas.ViaConduit appear nowhere else in its
-// non-test files.
+// TestCoreNetworkSendsAreClosed: internal/core writes two inter-node sends of
+// its own — scanTwoLevelLead's chain and ScatterTwoLevel's done wave (its
+// Publish); every other message of a two-level body that may cross the network
+// is a coll body's among the node leaders (the all-to-all's exchange is
+// coll.SubgroupAlltoallPairwise's). So pgas.ViaAuto and pgas.ViaConduit appear
+// nowhere else in its non-test files.
 func TestCoreNetworkSendsAreClosed(t *testing.T) {
 	files, err := filepath.Glob("../core/*.go")
 	if err != nil || len(files) == 0 {
@@ -231,7 +266,7 @@ func TestCoreNetworkSendsAreClosed(t *testing.T) {
 					for _, c := range publish {
 						inPublish = inPublish || c.Lparen < n.Pos() && n.Pos() < c.Rparen
 					}
-					if fn != "AlltoallTwoLevel" && fn != "scanTwoLevelLead" && (fn != "ScatterTwoLevel" || !inPublish) {
+					if fn != "scanTwoLevelLead" && (fn != "ScatterTwoLevel" || !inPublish) {
 						t.Errorf("%s: pgas.%s in %s: an inter-node send of internal/core's own", fset.Position(n.Pos()), n.Sel.Name, fn)
 					}
 				}

@@ -48,7 +48,16 @@ func AllgatherTwoLevel[T any](v *team.View, mine, out []T) {
 		return
 	}
 	vec.PutAt(leader, 0, v.Rank*n, mine, 0, pgas.ViaShm)
-	puts := 0 // the fan-out's: one per node block, or per rank of a scattered one
+	me.WaitFlagGE(st.Flags, me.Rank(), 1, ep*int64(nodeBlockPuts(t)))
+	copy(out, vec.Region(0)[:sz*n])
+	me.MemWork(pgas.ElemSize[T]() * n * sz)
+}
+
+// nodeBlockPuts is the number of puts a member receives when its leader hands
+// it one block of every node's team ranks: one per node block, or per rank of
+// one whose team ranks are not consecutive.
+func nodeBlockPuts(t *team.Team) int {
+	puts := 0
 	for gi := range t.NumNodeGroups() {
 		if g := t.NodeGroup(gi); consecutive(g) {
 			puts++
@@ -56,9 +65,7 @@ func AllgatherTwoLevel[T any](v *team.View, mine, out []T) {
 			puts += len(g)
 		}
 	}
-	me.WaitFlagGE(st.Flags, me.Rank(), 1, ep*int64(puts))
-	copy(out, vec.Region(0)[:sz*n])
-	me.MemWork(pgas.ElemSize[T]() * n * sz)
+	return puts
 }
 
 // allgatherTwoLevelLead is a node leader's part of AllgatherTwoLevel: collect

@@ -189,6 +189,27 @@ func TestManyLeadersTakeTheLogDepthStage(t *testing.T) {
 	}
 }
 
+// TestOneImagePerNodeAlltoallIsPairwise: with one image per node the leaders'
+// pairwise exchange is the whole of alltoall/2level — no staging, nothing over
+// shared memory — so it sends exactly what flat pairwise sends, in exactly its
+// time, at a few leaders, at logDepthLeaders and at the benchmark's 44.
+func TestOneImagePerNodeAlltoallIsPairwise(t *testing.T) {
+	for _, sc := range leaderScenarios(t, []leaderShape{{5, 1, -1, topology.PlaceBlock}, {17, 1, -1, topology.PlaceBlock}, {44, 1, -1, topology.PlaceBlock}}) {
+		sc.episodes = 3
+		run := func(name string) (pgas.Time, int64, int64) {
+			w := sc.world(t)
+			end := w.Run(func(im *pgas.Image) { runConfEpisodes(t, sc, KindAlltoall, name, false, team.Initial(w, im)) })
+			sn := w.Stats().Snapshot()
+			return end, sn.InterMsgs, sn.IntraMsgs
+		}
+		end, inter, intra := run("2level")
+		flatEnd, flatInter, _ := run("pairwise")
+		if end != flatEnd || inter != flatInter || intra != 0 {
+			t.Errorf("%s: alltoall/2level sent %d inter-node and %d intra-node messages in %d ns, alltoall/pairwise %d in %d ns", sc, inter, intra, end, flatInter, flatEnd)
+		}
+	}
+}
+
 // TestConformanceManyLeaders runs each set of cells over its shapes: blocking
 // and split-phase on the simulator, blocking on the native backend, each
 // image's every episode bitwise against the serial reference.

@@ -35,12 +35,14 @@
 // number a chain, which measures faster there). Where they distribute or
 // collect (ScatterTwoLevel, GatherTwoLevel) it is coll's linear scatter and
 // gather over node blocks, or its binomial trees from treeLeaders leaders up,
-// the root standing in for its node; the only inter-node sends this package
-// writes itself are AlltoallTwoLevel's exchange, ScanTwoLevel's chain and
-// ScatterTwoLevel's done wave. A leader serves its node while that stage works
-// the network, and copies nothing the data does not need: BcastTwoLevel fans
-// out once the payload is forwarded down the tree, before the acks climb back;
-// AllgatherTwoLevel fans out each node block in the round that delivered it;
+// the root standing in for its node; where they exchange (AlltoallTwoLevel) it
+// is coll's pairwise exchange over node-pair runs. The only inter-node sends
+// this package writes itself are ScanTwoLevel's chain and ScatterTwoLevel's
+// done wave. A leader serves its node while that stage works the network, and
+// copies nothing the data does not need: BcastTwoLevel fans out once the
+// payload is forwarded down the tree, before the acks climb back;
+// AllgatherTwoLevel fans out each node block in the round that delivered it,
+// and AlltoallTwoLevel each node-pair run in the step that delivered it;
 // ScanTwoLevel folds its members' results straight out of the inbox. Where
 // they distribute or exchange, flow control sends only what no wait already
 // proves: a done wave reaches the images a root writes to (ScatterTwoLevel's

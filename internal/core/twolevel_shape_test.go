@@ -25,8 +25,10 @@ var shapeScenarios = []confScenario{
 // episode. scatter/2level: per remote node, the pack's put and notify, the
 // leader's ack and the root's done stamp — 4·(nodes−1), whoever the root is
 // (the wave reaches the node leaders only). alltoall/2level: a put and its
-// notify per ordered pair of nodes, two of each per member over shared
-// memory, and no credit, so its state has six flag slots.
+// notify per ordered pair of nodes; over shared memory, per member, its send
+// vector's put and notify and those of every fan-out put — one per node, one
+// per rank on the cyclic placement — and no credit, so a member's flag row
+// has three slots and a leader's the exchange's one per step besides.
 func TestTwoLevelScatterAlltoallMessageShape(t *testing.T) {
 	const episodes = 4 // roots: a leader, then non-leaders of three nodes
 	for _, base := range shapeScenarios {
@@ -47,11 +49,15 @@ func TestTwoLevelScatterAlltoallMessageShape(t *testing.T) {
 			if want := int64(episodes * 2 * ng * (ng - 1)); sn.InterMsgs != want {
 				t.Errorf("alltoall/2level sent %d inter-node messages in %d episodes, want %d (a put and a notify per node pair)", sn.InterMsgs, episodes, want)
 			}
-			if want := int64(episodes * 4 * (n - ng)); sn.IntraMsgs != want {
-				t.Errorf("alltoall/2level sent %d intra-node messages in %d episodes, want %d (two puts and notifies per member)", sn.IntraMsgs, episodes, want)
+			fan := ng // puts per member
+			if sc.place == topology.PlaceCyclic {
+				fan = n
 			}
-			if want := int64(n * 8 * 6); sn.FlagBytes != want {
-				t.Errorf("alltoall/2level materialised %d B of flags, want %d (6 slots on %d images)", sn.FlagBytes, want, n)
+			if want := int64(episodes * 2 * (n - ng) * (1 + fan)); sn.IntraMsgs != want {
+				t.Errorf("alltoall/2level sent %d intra-node messages in %d episodes, want %d (a put and a notify per member, and per fan-out put)", sn.IntraMsgs, episodes, want)
+			}
+			if want := int64(8 * (n*3 + ng*(ng-1))); sn.FlagBytes != want {
+				t.Errorf("alltoall/2level materialised %d B of flags, want %d (3 slots on %d images, %d more on %d leaders)", sn.FlagBytes, want, n, ng-1, ng)
 			}
 		})
 	}
