@@ -1,92 +1,199 @@
 package caf
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
+
+	"cafteams/internal/pgas"
 )
 
-// TestAsyncIntrinsicsAgreeWithBlocking checks each Async intrinsic against
-// its blocking twin at the public API level, with compute overlapping the
-// in-flight operation.
+// TestAsyncIntrinsicsAgreeWithBlocking checks every kind through Async
+// against its blocking twin at the public API level, bitwise, on both
+// backends: the async run initiates every call, overlaps compute with the
+// whole batch in flight and completes the handles in reverse order. Then the
+// refusals: an out-of-range root or a team with a failed member panics out of
+// Async itself, with no operation left pending.
 func TestAsyncIntrinsicsAgreeWithBlocking(t *testing.T) {
-	cfg := Config{Spec: "16(2)"}
-	type result struct {
-		sum, max, min []float64
-		bc            []float64
-		gather        []float64
-		isum          []int64
+	const n = 16
+	floats := func(xs ...[]float64) func() []uint64 {
+		return func() (w []uint64) {
+			for _, x := range xs {
+				for _, v := range x {
+					w = append(w, math.Float64bits(v))
+				}
+			}
+			return w
+		}
 	}
-	run := func(async bool) []result {
-		results := make([]result, 16)
-		_, err := Run(cfg, func(im *Image) {
-			me := im.ThisImage()
-			n := im.NumImages()
-			sum := []float64{float64(me), float64(me * 2)}
-			max := []float64{float64(me)}
-			min := []float64{float64(me)}
-			bc := []float64{0}
+	ints := func(x []int64) func() []uint64 {
+		return func() (w []uint64) {
+			for _, v := range x {
+				w = append(w, uint64(v))
+			}
+			return w
+		}
+	}
+	// Each case fills fresh buffers on image me and returns one call and the
+	// bits of everything the call writes.
+	cases := []struct {
+		name string
+		prep func(im *Image, me int) (call func(), bits func() []uint64)
+	}{
+		{"co_sum", func(im *Image, me int) (func(), func() []uint64) {
+			a := []float64{float64(me), float64(2 * me)}
+			return func() { im.CoSum(a) }, floats(a)
+		}},
+		{"co_max", func(im *Image, me int) (func(), func() []uint64) {
+			a := []float64{float64(me), float64(-me)}
+			return func() { im.CoMax(a) }, floats(a)
+		}},
+		{"co_min", func(im *Image, me int) (func(), func() []uint64) {
+			a := []float64{float64(me), float64(-me)}
+			return func() { im.CoMin(a) }, floats(a)
+		}},
+		{"co_sum(result_image)", func(im *Image, me int) (func(), func() []uint64) {
+			a := []float64{float64(me), float64(-3 * me)}
+			return func() { im.CoSumTo(a, 5) }, floats(a)
+		}},
+		{"co_reduce", func(im *Image, me int) (func(), func() []uint64) {
+			a := []int64{int64(7 * me), int64(me * me)}
+			return func() {
+				CoReduceT(im, a, "xor", func(dst, src []int64) {
+					for i := range dst {
+						dst[i] ^= src[i]
+					}
+				})
+			}, ints(a)
+		}},
+		{"co_broadcast", func(im *Image, me int) (func(), func() []uint64) {
+			a := []float64{0, 0}
 			if me == 3 {
-				bc[0] = 99
+				a[0], a[1] = 99, -1
 			}
-			mine := []float64{float64(me * 10)}
-			gather := make([]float64, n)
-			isum := []int64{int64(me)}
+			return func() { im.CoBroadcast(a, 3) }, floats(a)
+		}},
+		{"co_allgather", func(im *Image, me int) (func(), func() []uint64) {
+			mine, out := []float64{float64(10 * me)}, make([]float64, n)
+			return func() { im.CoAllgather(mine, out) }, floats(mine, out)
+		}},
+		{"co_scatter", func(im *Image, me int) (func(), func() []uint64) {
+			send, recv := make([]float64, 2*n), make([]float64, 2)
+			for i := range send {
+				send[i] = float64(100*me + i)
+			}
+			return func() { im.CoScatter(send, recv, 4) }, floats(recv)
+		}},
+		{"co_gather", func(im *Image, me int) (func(), func() []uint64) {
+			send, recv := []float64{float64(me), float64(me * me)}, make([]float64, 2*n)
+			return func() { im.CoGather(send, recv, 6) }, floats(send, recv)
+		}},
+		{"co_alltoall", func(im *Image, me int) (func(), func() []uint64) {
+			send, recv := make([]float64, n), make([]float64, n)
+			for j := range send {
+				send[j] = float64(100*me + j)
+			}
+			return func() { im.CoAlltoall(send, recv) }, floats(recv)
+		}},
+		{"co_scan", func(im *Image, me int) (func(), func() []uint64) {
+			a := []float64{float64(me), 1}
+			return func() { im.CoScan(a, false) }, floats(a)
+		}},
+		{"co_scan(exclusive)", func(im *Image, me int) (func(), func() []uint64) {
+			a := []float64{float64(me), 1}
+			return func() { im.CoScan(a, true) }, floats(a)
+		}},
+		{"sync all", func(im *Image, me int) (func(), func() []uint64) {
+			return im.SyncAll, floats()
+		}},
+		{"sync images", func(im *Image, me int) (func(), func() []uint64) {
+			return func() { im.SyncImages([]int{(me+n-2)%n + 1, me%n + 1}) }, floats()
+		}},
+		{"int64 co_sum", func(im *Image, me int) (func(), func() []uint64) {
+			a := []int64{int64(me), -int64(me)}
+			return func() { CoSumT(im, a) }, ints(a)
+		}},
+	}
+	run := func(backend string, async bool) [][][]uint64 {
+		results := make([][][]uint64, n)
+		_, err := Run(Config{Spec: "16(2)", Backend: backend}, func(im *Image) {
+			me := im.ThisImage()
+			bits := make([]func() []uint64, len(cases))
+			hs := make([]*Handle, len(cases))
+			for i, c := range cases {
+				var call func()
+				call, bits[i] = c.prep(im, me)
+				if async {
+					hs[i] = im.Async(call)
+				} else {
+					call()
+				}
+			}
 			if async {
-				h1 := im.CoSumAsync(sum)
 				im.Compute(10000)
-				h1.Wait()
-				h2 := im.CoMaxAsync(max)
-				h3 := im.CoMinAsync(min)
-				im.Compute(10000)
-				h3.Wait()
-				h2.Wait()
-				hb := im.CoBroadcastAsync(bc, 3)
-				hg := im.CoAllgatherAsync(mine, gather)
-				hi := CoSumAsyncT(im, isum)
-				im.Compute(10000)
-				hb.Wait()
-				hg.Wait()
-				hi.Wait()
-			} else {
-				im.CoSum(sum)
-				im.CoMax(max)
-				im.CoMin(min)
-				im.CoBroadcast(bc, 3)
-				im.CoAllgather(mine, gather)
-				CoSumT(im, isum)
+				for i := range hs {
+					hs[len(hs)-1-i].Wait()
+				}
 			}
-			results[me-1] = result{sum: sum, max: max, min: min, bc: bc, gather: gather, isum: isum}
+			results[me-1] = make([][]uint64, len(cases))
+			for i := range cases {
+				results[me-1][i] = bits[i]()
+			}
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return results
 	}
-	blocking := run(false)
-	async := run(true)
-	for r := range blocking {
-		b, a := blocking[r], async[r]
-		for i := range b.sum {
-			if math.Float64bits(b.sum[i]) != math.Float64bits(a.sum[i]) {
-				t.Errorf("rank %d co_sum[%d]: async %v != blocking %v", r, i, a.sum[i], b.sum[i])
+	for _, backend := range []string{BackendSim, BackendNative} {
+		blocking, async := run(backend, false), run(backend, true)
+		for r := range blocking {
+			for i, c := range cases {
+				if !slices.Equal(blocking[r][i], async[r][i]) {
+					t.Errorf("%s: image %d %s: async %x != blocking %x", backend, r+1, c.name, async[r][i], blocking[r][i])
+				}
 			}
 		}
-		if b.max[0] != a.max[0] || b.min[0] != a.min[0] {
-			t.Errorf("rank %d co_max/co_min: async (%v,%v) != blocking (%v,%v)",
-				r, a.max[0], a.min[0], b.max[0], b.min[0])
-		}
-		if b.bc[0] != a.bc[0] {
-			t.Errorf("rank %d co_broadcast: async %v != blocking %v", r, a.bc[0], b.bc[0])
-		}
-		for i := range b.gather {
-			if b.gather[i] != a.gather[i] {
-				t.Errorf("rank %d co_allgather[%d]: async %v != blocking %v", r, i, a.gather[i], b.gather[i])
+	}
+
+	for _, backend := range []string{BackendSim, BackendNative} {
+		_, err := Run(Config{Spec: "4(2)", Backend: backend}, func(im *Image) {
+			refused := func(what string, op func()) (r any) {
+				defer func() {
+					r = recover()
+					if pending := im.Progress(); pending != 0 {
+						t.Errorf("%s: image %d: %s left %d operations pending", backend, im.ThisImage(), what, pending)
+					}
+				}()
+				im.Async(op)
+				t.Errorf("%s: image %d: Async initiated %s", backend, im.ThisImage(), what)
+				return nil
 			}
-		}
-		if b.isum[0] != a.isum[0] {
-			t.Errorf("rank %d int64 co_sum: async %v != blocking %v", r, a.isum[0], b.isum[0])
+			r := refused("a scatter from image 5 of 4", func() { im.CoScatter(make([]float64, 4), make([]float64, 1), 5) })
+			if msg, _ := r.(string); !strings.Contains(msg, "outside 1..4") {
+				t.Errorf("%s: image %d: out-of-range root raised %v", backend, im.ThisImage(), r)
+			}
+			// Every image checked the root before image 2 fails; on the native
+			// backend a barrier still draining elsewhere may observe the failure.
+			if st := im.WithStat(im.SyncAll); st != StatOK && st != StatFailedImage {
+				t.Errorf("%s: image %d: barrier returned %v", backend, im.ThisImage(), st)
+			}
+			if im.ThisImage() == 2 {
+				panic("image 2 fails")
+			}
+			im.AwaitFailedImages(1)
+			r = refused("a co_sum over a failed member", func() { im.CoSum([]float64{1}) })
+			if pgas.AsFailedImageError(r) == nil {
+				t.Errorf("%s: image %d: co_sum over a failed member raised %v", backend, im.ThisImage(), r)
+			}
+		})
+		var fre *FailedRunError
+		if !errors.As(err, &fre) || len(fre.Failures) != 1 {
+			t.Errorf("%s: Run error = %v, want image 2's failure alone", backend, err)
 		}
 	}
 }
@@ -178,14 +285,14 @@ func TestAsyncThenBlockingSameKind(t *testing.T) {
 						}
 						src1, src2 := 1+ep%n, 1+(ep+3)%n
 						ba, bb := []float64{float64(me)}, []float64{float64(-me)}
-						h = im.CoBroadcastAsync(ba, src1)
+						h = im.Async(func() { im.CoBroadcast(ba, src1) })
 						im.CoBroadcast(bb, src2)
 						h.Wait()
 						if ba[0] != float64(src1) || bb[0] != float64(-src2) {
 							t.Errorf("image %d ep %d: co_broadcast async %v (want %d), blocking %v (want %d)", me, ep, ba, src1, bb, -src2)
 						}
 						ga, gb := make([]float64, n), make([]float64, n)
-						h = im.CoAllgatherAsync([]float64{float64(me) + e}, ga)
+						h = im.Async(func() { im.CoAllgather([]float64{float64(me) + e}, ga) })
 						im.CoAllgather([]float64{float64(100*me) - e}, gb)
 						h.Wait()
 						for r := 1; r <= n; r++ {
@@ -237,7 +344,7 @@ func TestAsyncPileUpSameKind(t *testing.T) {
 						var bcs [depth][]float64
 						for k := range hs {
 							bcs[k] = []float64{float64(me + 100*k)}
-							hs[k] = im.CoBroadcastAsync(bcs[k], 1+k%n)
+							hs[k] = im.Async(func() { im.CoBroadcast(bcs[k], 1+k%n) })
 						}
 						for k, h := range hs {
 							h.Wait()
@@ -249,7 +356,7 @@ func TestAsyncPileUpSameKind(t *testing.T) {
 						var gas [depth][]float64
 						for k := range hs {
 							gas[k] = make([]float64, n)
-							hs[k] = im.CoAllgatherAsync([]float64{float64(me + 100*k)}, gas[k])
+							hs[k] = im.Async(func() { im.CoAllgather([]float64{float64(me + 100*k)}, gas[k]) })
 						}
 						for k, h := range hs {
 							h.Wait()
@@ -271,7 +378,7 @@ func TestAsyncPileUpSameKind(t *testing.T) {
 							t.Errorf("image %d: co_sum async, async, blocking = %v %v %v", me, a, b, c)
 						}
 						a, b, c = []float64{float64(me)}, []float64{float64(2 * me)}, []float64{float64(3 * me)}
-						h1, h2 = im.CoBroadcastAsync(a, 1), im.CoBroadcastAsync(b, 2)
+						h1, h2 = im.Async(func() { im.CoBroadcast(a, 1) }), im.Async(func() { im.CoBroadcast(b, 2) })
 						im.CoBroadcast(c, 3)
 						h1.Wait()
 						h2.Wait()
@@ -279,8 +386,8 @@ func TestAsyncPileUpSameKind(t *testing.T) {
 							t.Errorf("image %d: co_broadcast async, async, blocking = %v %v %v", me, a, b, c)
 						}
 						ga, gb, gc := make([]float64, n), make([]float64, n), make([]float64, n)
-						h1 = im.CoAllgatherAsync([]float64{float64(me)}, ga)
-						h2 = im.CoAllgatherAsync([]float64{float64(2 * me)}, gb)
+						h1 = im.Async(func() { im.CoAllgather([]float64{float64(me)}, ga) })
+						h2 = im.Async(func() { im.CoAllgather([]float64{float64(2 * me)}, gb) })
 						im.CoAllgather([]float64{float64(3 * me)}, gc)
 						h1.Wait()
 						h2.Wait()

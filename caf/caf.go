@@ -30,6 +30,7 @@ package caf
 import (
 	"fmt"
 	"os"
+	"slices"
 
 	"cafteams/internal/core"
 	"cafteams/internal/machine"
@@ -167,55 +168,9 @@ type Image struct {
 // the program deadlocks.
 //
 // The zero value of Config.Hierarchy runs the Auto policy (the paper's
-// two-level methodology wherever a node hosts more than one image); use
-// RunFlat for the one-level baseline.
+// two-level methodology wherever a node hosts more than one image);
+// Hierarchy: OneLevel (or RunFlat) runs the one-level baseline.
 func Run(cfg Config, body func(im *Image)) (Report, error) {
-	return runWithLevel(cfg, cfg.level(), body)
-}
-
-// level is the hierarchy level of Run and LaunchOn: the zero value means Auto.
-func (c Config) level() core.Level {
-	if c.Hierarchy == core.LevelFlat {
-		return core.LevelAuto
-	}
-	return c.Hierarchy
-}
-
-// newWorld is the world set-up Run and LaunchOn share: the tuning is checked,
-// build makes the world on the backend or cluster of the caller's choice, and
-// the world is armed — image panics are always contained (a panic in one
-// image's body fails that image, recorded in Report.Failures, instead of
-// crashing the run), detection timers and the fault plan installed. The
-// returned function makes an image's handle, on its initial team.
-func (c Config) newWorld(level core.Level, build func(*trace.Stats) (*pgas.World, error)) (*pgas.World, func(*pgas.Image) *Image, error) {
-	if err := c.Tuning.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("caf: %w", err)
-	}
-	w, err := build(trace.New())
-	if err != nil {
-		return nil, nil, err
-	}
-	w.ContainPanics()
-	w.SetDetect(c.Detect)
-	if c.FaultPlan != nil {
-		if err := w.InjectFaults(c.FaultPlan); err != nil {
-			return nil, nil, err
-		}
-	}
-	pol := core.Policy{Level: level, Tuning: c.Tuning}
-	return w, func(pim *pgas.Image) *Image {
-		return &Image{img: pim, w: w, pol: pol, stack: []*team.View{team.Initial(w, pim)}}
-	}, nil
-}
-
-// RunFlat is Run with the one-level (hierarchy-oblivious) runtime — the
-// paper's baseline. Provided separately because the zero Config defaults to
-// the hierarchy-aware runtime.
-func RunFlat(cfg Config, body func(im *Image)) (Report, error) {
-	return runWithLevel(cfg, core.LevelFlat, body)
-}
-
-func runWithLevel(cfg Config, level core.Level, body func(im *Image)) (Report, error) {
 	var topo *topology.Topology
 	var err error
 	switch {
@@ -238,7 +193,7 @@ func runWithLevel(cfg Config, level core.Level, body func(im *Image)) (Report, e
 	if err != nil {
 		return Report{}, err
 	}
-	w, newImage, err := cfg.newWorld(level, func(stats *trace.Stats) (*pgas.World, error) {
+	w, newImage, err := cfg.newWorld(func(stats *trace.Stats) (*pgas.World, error) {
 		if backend == BackendNative {
 			return pgas.NewNativeWorld(model, topo, stats), nil
 		}
@@ -256,6 +211,40 @@ func runWithLevel(cfg Config, level core.Level, body func(im *Image)) (Report, e
 		return rep, &FailedRunError{Failures: rep.Failures}
 	}
 	return rep, nil
+}
+
+// newWorld is the world set-up Run and LaunchOn share: the tuning is checked,
+// build makes the world on the backend or cluster of the caller's choice, and
+// the world is armed — image panics are always contained (a panic in one
+// image's body fails that image, recorded in Report.Failures, instead of
+// crashing the run), detection timers and the fault plan installed. The
+// returned function makes an image's handle, on its initial team.
+func (c Config) newWorld(build func(*trace.Stats) (*pgas.World, error)) (*pgas.World, func(*pgas.Image) *Image, error) {
+	if err := c.Tuning.Validate(); err != nil {
+		return nil, nil, fmt.Errorf("caf: %w", err)
+	}
+	w, err := build(trace.New())
+	if err != nil {
+		return nil, nil, err
+	}
+	w.ContainPanics()
+	w.SetDetect(c.Detect)
+	if c.FaultPlan != nil {
+		if err := w.InjectFaults(c.FaultPlan); err != nil {
+			return nil, nil, err
+		}
+	}
+	pol := core.Policy{Level: c.Hierarchy, Tuning: c.Tuning}
+	return w, func(pim *pgas.Image) *Image {
+		return &Image{img: pim, w: w, pol: pol, stack: []*team.View{team.Initial(w, pim)}}
+	}, nil
+}
+
+// RunFlat is Run with Hierarchy: OneLevel — the paper's one-level
+// (hierarchy-oblivious) baseline.
+func RunFlat(cfg Config, body func(im *Image)) (Report, error) {
+	cfg.Hierarchy = OneLevel
+	return Run(cfg, body)
 }
 
 // view returns the current team view (innermost change-team block).
@@ -305,13 +294,18 @@ func (im *Image) SyncAll() {
 }
 
 // SyncImages synchronizes pairwise with the listed images (1-based, current
-// team).
+// team). An image may be listed once (F2018 11.6.4): a repeat is refused, like
+// an index outside the team, before anything is sent.
 func (im *Image) SyncImages(images []int) {
 	im.guardTeam("sync images")
 	v := im.view()
 	globals := make([]int, 0, len(images))
-	for _, idx := range images {
-		globals = append(globals, v.T.GlobalRank(teamRank(v, "sync images", "partner", idx)))
+	for i, idx := range images {
+		g := v.T.GlobalRank(teamRank(v, "sync images", "partner", idx))
+		if slices.Contains(images[:i], idx) {
+			panic(fmt.Sprintf("caf: sync images: partner image %d listed twice", idx))
+		}
+		globals = append(globals, g)
 	}
 	im.img.SyncImages(globals)
 }

@@ -6,7 +6,10 @@ import (
 	"sync"
 	"testing"
 
+	"cafteams/internal/cluster"
 	"cafteams/internal/machine"
+	"cafteams/internal/topology"
+	"cafteams/internal/trace"
 )
 
 func TestRunBasicIntrinsics(t *testing.T) {
@@ -260,6 +263,66 @@ func TestRunFlatVsTwoLevelPerformance(t *testing.T) {
 	}
 	if two.Elapsed >= flat.Elapsed {
 		t.Fatalf("two-level (%d ns) not faster than flat (%d ns)", two.Elapsed, flat.Elapsed)
+	}
+}
+
+// TestOneLevelHierarchyRunsFlat: Hierarchy: OneLevel is the flat runtime,
+// under Run — the same end time and messages as RunFlat, not Auto's — and
+// under LaunchOn, whose job otherwise could only run Auto.
+func TestOneLevelHierarchyRunsFlat(t *testing.T) {
+	body := func(im *Image) {
+		for i := 0; i < 4; i++ {
+			im.CoSum([]float64{float64(im.ThisImage()), 1})
+		}
+	}
+	run := func(launch func(Config, func(*Image)) (Report, error), h Hierarchy) Report {
+		rep, err := launch(Config{Spec: "16(4)", Backend: BackendSim, Hierarchy: h}, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	flat, one, auto := run(RunFlat, Auto), run(Run, OneLevel), run(Run, Auto)
+	if one.Elapsed != flat.Elapsed || one.Stats.IntraMsgs != flat.Stats.IntraMsgs || one.Stats.InterMsgs != flat.Stats.InterMsgs {
+		t.Errorf("Run with OneLevel: %d ns, %d intra, %d inter messages; RunFlat: %d ns, %d, %d",
+			one.Elapsed, one.Stats.IntraMsgs, one.Stats.InterMsgs, flat.Elapsed, flat.Stats.IntraMsgs, flat.Stats.InterMsgs)
+	}
+	if auto.Elapsed == flat.Elapsed || auto.Stats.IntraMsgs == flat.Stats.IntraMsgs {
+		t.Fatalf("Auto and flat are indistinguishable here (%d ns, %d intra messages)", auto.Elapsed, auto.Stats.IntraMsgs)
+	}
+
+	launched := func(h Hierarchy) trace.Snapshot {
+		cl, err := cluster.New(machine.PaperCluster(), 4, 2, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var locs []topology.Loc
+		for node := 0; node < 4; node++ {
+			for core := 0; core < 4; core++ {
+				locs = append(locs, topology.Loc{Node: node, Core: core})
+			}
+		}
+		topo, err := cl.Topology(locs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rep Report
+		if _, err := LaunchOn(cl, topo, Config{Hierarchy: h}, "job", body, func(r Report) { rep = r }); err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.Env().Run(0); err != nil {
+			t.Fatal(err)
+		}
+		return rep.Stats
+	}
+	for _, c := range []struct {
+		h    Hierarchy
+		want trace.Snapshot
+	}{{OneLevel, flat.Stats}, {Auto, auto.Stats}} {
+		if got := launched(c.h); got.IntraMsgs != c.want.IntraMsgs || got.InterMsgs != c.want.InterMsgs {
+			t.Errorf("LaunchOn with %v: %d intra, %d inter messages, want %d, %d",
+				c.h, got.IntraMsgs, got.InterMsgs, c.want.IntraMsgs, c.want.InterMsgs)
+		}
 	}
 }
 

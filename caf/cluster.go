@@ -27,7 +27,7 @@ import (
 // finished, killed, or failed — so a faulted job still completes from the
 // scheduler's point of view instead of wedging it.
 func LaunchOn(cl *cluster.Cluster, topo *topology.Topology, cfg Config, label string, body func(im *Image), onDone func(Report)) (*Job, error) {
-	w, newImage, err := cfg.newWorld(cfg.level(), func(stats *trace.Stats) (*pgas.World, error) {
+	w, newImage, err := cfg.newWorld(func(stats *trace.Stats) (*pgas.World, error) {
 		return pgas.NewWorldOn(cl, topo, stats)
 	})
 	if err != nil {

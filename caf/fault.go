@@ -5,10 +5,11 @@
 // (FormTeamSurvivors) and continue — the shrink-and-continue recovery MPI's
 // ULFM standardizes.
 //
-// Status-returning variants mirror the Fortran stat= convention: the plain
-// collectives panic with a *pgas.FailedImageError on failure (error
-// termination cascades, as in Fortran), the ...Stat forms and WithStat
-// recover it into a Stat code so the image can run recovery code.
+// WithStat is the Fortran stat= specifier: the plain collective and
+// synchronization calls panic with a *pgas.FailedImageError on failure (error
+// termination cascades, as in Fortran); wrapped in WithStat — one call, e.g.
+// im.WithStat(im.SyncAll), or a block of them — the failure becomes a Stat
+// code so the image can run recovery code.
 package caf
 
 import (
@@ -88,8 +89,8 @@ func (e *FailedRunError) Error() string {
 // it into a status code: StatOK when f returns, StatFailedImage or
 // StatTimeout when a synchronization inside f observed a failure. Any other
 // panic — including the runtime unwinding this image itself after a kill —
-// propagates. This is the general stat= form; SyncAllStat/CoSumStat and
-// friends are shorthands for one operation.
+// propagates. It is the stat= form of every call: st := im.WithStat(func() {
+// im.CoSum(a) }), or im.WithStat(h.Wait) for a split-phase one.
 func (im *Image) WithStat(f func()) (st Stat) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -106,32 +107,6 @@ func (im *Image) WithStat(f func()) (st Stat) {
 	}()
 	f()
 	return StatOK
-}
-
-// SyncAllStat is SyncAll with failed-image reporting: StatOK on a completed
-// barrier, StatFailedImage/StatTimeout when the barrier observed a failure.
-func (im *Image) SyncAllStat() Stat { return im.WithStat(im.SyncAll) }
-
-// SyncImagesStat is SyncImages with failed-image reporting.
-func (im *Image) SyncImagesStat(images []int) Stat {
-	return im.WithStat(func() { im.SyncImages(images) })
-}
-
-// CoSumStat is CoSum with failed-image reporting. On non-OK status a's
-// contents are unspecified (re-run the collective on a survivor team with a
-// fresh copy of the contribution).
-func (im *Image) CoSumStat(a []float64) Stat {
-	return im.WithStat(func() { im.CoSum(a) })
-}
-
-// CoMaxStat is CoMax with failed-image reporting.
-func (im *Image) CoMaxStat(a []float64) Stat {
-	return im.WithStat(func() { im.CoMax(a) })
-}
-
-// CoBroadcastStat is CoBroadcast with failed-image reporting.
-func (im *Image) CoBroadcastStat(a []float64, sourceImage int) Stat {
-	return im.WithStat(func() { im.CoBroadcast(a, sourceImage) })
 }
 
 // FailedImages returns the 1-based global indices of images announced
@@ -174,10 +149,10 @@ func (im *Image) FormTeamSurvivors() *Team {
 // guardTeam decides, at the entry of op, what the announced failures so far
 // mean for the current team: if any failed image is a member, op would wait
 // on the dead forever, so it fails fast with the same *pgas.FailedImageError
-// a mid-episode detection raises (WithStat and the ...Stat variants handle
-// both identically). If none is — the failures belong to other teams, or
-// were already excluded by a shrink — they are acknowledged, so op's waits
-// are not interrupted on their account (only *new* announcements interrupt).
+// a mid-episode detection raises (WithStat handles both identically). If none
+// is — the failures belong to other teams, or were already excluded by a
+// shrink — they are acknowledged, so op's waits are not interrupted on their
+// account (only *new* announcements interrupt).
 func (im *Image) guardTeam(op string) {
 	w := im.w
 	if !w.HasFailures() {

@@ -39,7 +39,7 @@ func runNodeCrashRecovery(t *testing.T, cfg Config, killAt pgas.Time, victimNap 
 			return
 		}
 		a := []float64{float64(im.GlobalImage())}
-		st := im.CoSumStat(a)
+		st := im.WithStat(func() { im.CoSum(a) })
 		if st != StatFailedImage {
 			t.Errorf("image %d: allreduce over a dead node returned %v, want %v",
 				im.GlobalImage(), st, StatFailedImage)
@@ -147,7 +147,7 @@ func runCrashDuringAsyncAlg(t *testing.T, cfg Config, alg string, killAt, victim
 		var h1, h2 *Handle
 		if st := im.WithStat(func() {
 			h1 = im.CoSumAsync(a)
-			h2 = im.CoBroadcastAsync(b, 1)
+			h2 = im.Async(func() { im.CoBroadcast(b, 1) })
 		}); st != StatOK && st != StatFailedImage {
 			t.Errorf("image %d: initiation returned %v", im.GlobalImage(), st)
 		}
@@ -217,10 +217,10 @@ func runDeadMemberEntryPoints(t *testing.T, cfg Config, killAt, victimNap pgas.T
 	}{
 		{"CoSumAsync", func(im *Image) { im.CoSumAsync([]float64{1}).Wait() }},
 		{"CoReduceAsyncT", func(im *Image) {
-			CoReduceAsyncT(im, []int64{1}, "xor", func(dst, src []int64) { dst[0] ^= src[0] }).Wait()
+			im.Async(func() { CoReduceT(im, []int64{1}, "xor", func(dst, src []int64) { dst[0] ^= src[0] }) }).Wait()
 		}},
-		{"CoBroadcastAsync", func(im *Image) { im.CoBroadcastAsync([]float64{1}, 1).Wait() }},
-		{"CoAllgatherAsync", func(im *Image) { im.CoAllgatherAsync([]float64{1}, make([]float64, 6)).Wait() }},
+		{"CoBroadcastAsync", func(im *Image) { im.Async(func() { im.CoBroadcast([]float64{1}, 1) }).Wait() }},
+		{"CoAllgatherAsync", func(im *Image) { im.Async(func() { im.CoAllgather([]float64{1}, make([]float64, 6)) }).Wait() }},
 		{"FormTeamIndexed", func(im *Image) { im.FormTeamIndexed(1, im.ThisImage()) }},
 		{"GridTeams", func(im *Image) { im.GridTeams(2, 3) }},
 	} {
@@ -233,7 +233,7 @@ func runDeadMemberEntryPoints(t *testing.T, cfg Config, killAt, victimNap pgas.T
 					t.Errorf("victim image %d survived the node kill", im.GlobalImage())
 					return
 				}
-				if st := im.CoSumStat([]float64{1}); st != StatFailedImage {
+				if st := im.WithStat(func() { im.CoSum([]float64{1}) }); st != StatFailedImage {
 					t.Errorf("image %d: co_sum over a dead node returned %v", im.GlobalImage(), st)
 					return
 				}
@@ -302,7 +302,7 @@ func runPanicContainment(t *testing.T, cfg Config) {
 		if im.GlobalImage() == 2 {
 			panic("kaboom")
 		}
-		if st := im.SyncAllStat(); st != StatFailedImage {
+		if st := im.WithStat(im.SyncAll); st != StatFailedImage {
 			t.Errorf("image %d: barrier with a panicked peer returned %v, want %v",
 				im.GlobalImage(), st, StatFailedImage)
 		}

@@ -51,7 +51,7 @@ func TestImageIndexOutOfRange(t *testing.T) {
 		call     func(im *Image, image int)
 	}{
 		{"CoBroadcast", "co_broadcast", func(im *Image, i int) { im.CoBroadcast(make([]float64, 2), i) }},
-		{"CoBroadcastAsync", "co_broadcast", func(im *Image, i int) { im.CoBroadcastAsync(make([]float64, 2), i).Wait() }},
+		{"CoBroadcastAsync", "co_broadcast", func(im *Image, i int) { im.Async(func() { im.CoBroadcast(make([]float64, 2), i) }).Wait() }},
 		{"CoSumTo", "co_sum(result_image)", func(im *Image, i int) { im.CoSumTo(make([]float64, 2), i) }},
 		{"CoScatter", "co_scatter", func(im *Image, i int) { im.CoScatter(make([]float64, 2*n), make([]float64, 2), i) }},
 		{"CoGather", "co_gather", func(im *Image, i int) { im.CoGather(make([]float64, 2), make([]float64, 2*n), i) }},
@@ -78,5 +78,31 @@ func TestImageIndexOutOfRange(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestSyncImagesRepeatedIndex: an image set may not list an image twice
+// (F2018 11.6.4). Image 1 lists image 2 twice while image 2 lists image 1
+// once; image 1 refuses by name before it notifies anyone, and image 2
+// observes image 1's failure instead of waiting for a second notify forever.
+func TestSyncImagesRepeatedIndex(t *testing.T) {
+	for _, backend := range []string{BackendSim, BackendNative} {
+		t.Run(backend, func(t *testing.T) {
+			err := runOrHang(t, Config{Spec: "4(2)", Backend: backend}, func(im *Image) {
+				switch im.ThisImage() {
+				case 1:
+					im.SyncImages([]int{2, 2})
+				case 2:
+					im.SyncImages([]int{1})
+				}
+			})
+			var fre *FailedRunError
+			if !errors.As(err, &fre) {
+				t.Fatalf("Run error = %v, want *FailedRunError", err)
+			}
+			if msg := err.Error(); !strings.Contains(msg, "caf: sync images: partner image 2 listed twice") {
+				t.Errorf("error %q does not name the repeated image", msg)
+			}
+		})
 	}
 }

@@ -1,15 +1,13 @@
 package core
 
-import (
-	"cafteams/internal/pgas"
-	"cafteams/internal/team"
-)
+import "cafteams/internal/team"
 
-// This file is the entry surface of the split-phase (non-blocking)
-// collectives. There are no split-phase algorithms: a split-phase collective
-// is a registry algorithm — any of them — run
-// on a coroutine by the per-image progress engine in internal/pgas, where its
-// flag waits yield to the image instead of blocking it.
+// There are no split-phase algorithms: a split-phase (non-blocking)
+// collective is a registry algorithm — any of them — run on a coroutine by
+// the per-image progress engine in internal/pgas
+// (Image.StartOp(func() { RunX(name, ...) }), completed with AsyncOp.Wait),
+// where its flag waits yield to the image instead of blocking it. The public
+// caf.Image.Async wraps a whole blocking call that way.
 //
 // The "nb-rd", "nb-2level", "nb-binomial", "nb-ring" registry names are
 // aliases resolved by Run* through onCoroutine, so sweeps and Tuning can put
@@ -26,11 +24,3 @@ func onCoroutine(v *team.View, body func()) {
 	}
 	v.Img.StartOp(body).Wait()
 }
-
-// Handle is the completion handle of a split-phase collective: the caller
-// initiates with Image.StartOp(func() { RunX(name, ...) }) — name from
-// Policy.AlgFor, resolved at initiation, or any registry name — overlaps local
-// work (Image.Compute progresses in-flight collectives), and completes with
-// Wait. Test polls. The buffers handed to the collective must not be read or
-// written until Wait.
-type Handle = pgas.AsyncOp

@@ -194,7 +194,7 @@ func TestBcast2RepeatedRootHandoffFlowControl(t *testing.T) {
 					// Initiate every episode before waiting any: the
 					// worst-case pile-up.
 					bufs := make([][]float64, episodes)
-					handles := make([]*Handle, episodes)
+					handles := make([]*pgas.AsyncOp, episodes)
 					for ep := 0; ep < episodes; ep++ {
 						bufs[ep] = []float64{0}
 						if v.Rank == root {

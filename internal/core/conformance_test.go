@@ -79,7 +79,7 @@ func (s confScenario) run(t *testing.T, v *team.View, k Kind, call func()) {
 	h := v.Img.StartOp(call)
 	n := float64(v.T.Size())
 	side := []float64{1}
-	var h2 *Handle
+	var h2 *pgas.AsyncOp
 	if k == KindAllreduce {
 		if v.Rank == 0 {
 			side[0] = n

@@ -13,18 +13,18 @@ import (
 type Level int
 
 const (
+	// LevelAuto, the zero value, picks per team: flat when the team has at
+	// most one image per node (the two-level algorithms degenerate to flat
+	// there anyway), two-level otherwise.
+	LevelAuto Level = iota
 	// LevelFlat ignores placement entirely — the paper's baseline
 	// ("one-level") runtime.
-	LevelFlat Level = iota
+	LevelFlat
 	// LevelTwo applies the paper's two-level (node-aware) methodology.
 	LevelTwo
 	// LevelThree additionally splits nodes by socket (the future-work
 	// extension).
 	LevelThree
-	// LevelAuto picks per team: flat when the team has at most one image
-	// per node (the two-level algorithms degenerate to flat there
-	// anyway), two-level otherwise.
-	LevelAuto
 )
 
 func (l Level) String() string {
@@ -90,7 +90,7 @@ func (t Tuning) Validate() error {
 // Policy dispatches team collectives through the algorithm registry. Level
 // picks the hierarchy methodology (the paper's contribution); Tuning
 // overrides individual kinds with explicitly named algorithms or the
-// decision table. The zero value is the flat runtime.
+// decision table. The zero value is the Auto runtime.
 type Policy struct {
 	Level  Level
 	Tuning Tuning

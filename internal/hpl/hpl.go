@@ -20,7 +20,8 @@ type Config struct {
 	P, Q int // process grid (P*Q must equal the world size)
 	Seed int64
 	// Level selects the collective runtime: the paper's two-level
-	// methodology, the flat one-level baseline, or the 3-level extension.
+	// methodology, the flat one-level baseline, or the 3-level extension
+	// (zero value: Auto, two-level wherever a node hosts several images).
 	Level core.Level
 	// Real runs the actual arithmetic (and enables Verify); otherwise the
 	// phantom engine skips arithmetic while issuing identical

@@ -7,8 +7,8 @@ import (
 )
 
 // Statcheck is an errcheck-style used-result check for the failed-image
-// API: any call returning the runtime's Stat type (caf.Stat —
-// SyncAllStat, CoSumStat, WithStat and friends) must consume the result.
+// API: any call returning the runtime's Stat type (caf.Stat — WithStat, the
+// stat= form of every call) must consume the result.
 // A dropped Stat is a fault-recovery path that silently ignores a failure
 // code; a deliberate drop must say so with //caflint:allow stat.
 //

@@ -24,10 +24,13 @@ type Image struct {
 	// pendingOps are the in-flight split-phase operations driven by this
 	// image's progress engine (see progress.go); cur is the one whose body
 	// is executing right now, nil on the blocking path; idle are coroutines
-	// whose body has returned, kept for the next operations.
+	// whose body has returned, kept for the next operations. asyncReady is
+	// the engine's wake-up predicate, made once so a blocking Wait does not
+	// allocate it per wait.
 	pendingOps []*AsyncOp
 	cur        *AsyncOp
 	idle       []*coroutine
+	asyncReady func() bool
 }
 
 // Rank returns the image's 0-based global rank. (Coarray Fortran numbers

@@ -268,15 +268,17 @@ func (im *Image) stopOps() int {
 // path wakes the owner rank), so the wait cannot miss an arrival regardless
 // of which flags array it lands in.
 func (im *Image) awaitAsyncActivity() {
-	ready := func() bool {
-		for _, h := range im.pendingOps {
-			if h.done || h.ready() {
-				return true
+	if im.asyncReady == nil {
+		im.asyncReady = func() bool {
+			for _, h := range im.pendingOps {
+				if h.done || h.ready() {
+					return true
+				}
 			}
+			return false
 		}
-		return false
 	}
-	im.w.tr.WaitAsync(im, ready)
+	im.w.tr.WaitAsync(im, im.asyncReady)
 }
 
 // progressQuantum is how often Image.Compute polls the progress engine while
