@@ -52,7 +52,7 @@ func main() {
 	flag.Parse()
 	backend = *backendFlag
 
-	err := checkFlags(*exp, *iters, *elems, *scaleElems, *scaleIters)
+	err := checkFlags(*exp, *out, *iters, *elems, *scaleElems, *scaleIters)
 	switch {
 	case err != nil:
 	case *scale != "":
@@ -88,8 +88,9 @@ func main() {
 var backend = "sim"
 
 // checkFlags rejects, before anything is measured, the values that would
-// otherwise divide by zero, size a negative buffer or select nothing.
-func checkFlags(exp string, iters, elems, scaleElems, scaleIters int) error {
+// otherwise divide by zero, size a negative buffer, select nothing or be
+// ignored.
+func checkFlags(exp, out string, iters, elems, scaleElems, scaleIters int) error {
 	for _, f := range []struct {
 		name string
 		v    int
@@ -100,6 +101,9 @@ func checkFlags(exp string, iters, elems, scaleElems, scaleIters int) error {
 	}
 	if names := experimentNames(); exp != "all" && exp != "regret" && exp != "autotable" && !slices.Contains(names, exp) {
 		return fmt.Errorf("-exp: unknown experiment %q (want %s or all; or regret, autotable for the auto decision table)", exp, strings.Join(names, ", "))
+	}
+	if out != "" && exp != "autotable" {
+		return fmt.Errorf("-out %s: only -exp autotable writes a file, not -exp %s", out, exp)
 	}
 	return nil
 }
@@ -290,14 +294,13 @@ func placementList(specs string) ([]string, error) {
 
 // generateAutoTable sweeps the generator's grid and writes the fitted decision
 // table to path — whole, or not at all: the file is part of the package this
-// binary is built from — and the verdicts on the dominated algorithms to
-// standard output.
+// binary is built from.
 func generateAutoTable(path string) error {
 	if path == "" {
 		return fmt.Errorf("-exp autotable needs -out FILE (go generate ./internal/core passes autotable_gen.go)")
 	}
 	var src bytes.Buffer
-	if err := bench.GenerateAutoTable(&src, os.Stdout); err != nil {
+	if err := bench.GenerateAutoTable(&src); err != nil {
 		return err
 	}
 	return os.WriteFile(path, src.Bytes(), 0o644)

@@ -297,27 +297,29 @@ func TestScaleStudy4kDeterministic(t *testing.T) {
 }
 
 // TestBadFlags: values that used to panic (-iters 0, -elems -1), print NaN
-// rows (-scale-iters 0) or silently select nothing (-exp e9) are rejected
-// before anything is measured, naming the flag.
+// rows (-scale-iters 0), silently select nothing (-exp e9) or go unread (-out
+// beside any -exp but autotable) are rejected before anything is measured,
+// naming the flag.
 func TestBadFlags(t *testing.T) {
-	if err := checkFlags("all", 10, 128, 8, 2); err != nil {
+	if err := checkFlags("all", "", 10, 128, 8, 2); err != nil {
 		t.Fatalf("defaults rejected: %v", err)
 	}
 	for _, c := range []struct {
-		exp                                  string
+		exp, out                             string
 		iters, elems, scaleElems, scaleIters int
 		want                                 string
 	}{
-		{"all", 0, 128, 8, 2, "-iters"},
-		{"all", 10, -1, 8, 2, "-elems"},
-		{"all", 10, 128, 0, 2, "-scale-elems"},
-		{"all", 10, 128, 8, 0, "-scale-iters"},
-		{"e9", 10, 128, 8, 2, "e1, e2, e3, e4, e6, e7 or all"},
+		{"all", "", 0, 128, 8, 2, "-iters"},
+		{"all", "", 10, -1, 8, 2, "-elems"},
+		{"all", "", 10, 128, 0, 2, "-scale-elems"},
+		{"all", "", 10, 128, 8, 0, "-scale-iters"},
+		{"e9", "", 10, 128, 8, 2, "e1, e2, e3, e4, e6, e7 or all"},
+		{"regret", "table.go", 10, 128, 8, 2, "-out"},
 	} {
-		err := checkFlags(c.exp, c.iters, c.elems, c.scaleElems, c.scaleIters)
+		err := checkFlags(c.exp, c.out, c.iters, c.elems, c.scaleElems, c.scaleIters)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("checkFlags(%q, %d, %d, %d, %d) = %v, want an error naming %q",
-				c.exp, c.iters, c.elems, c.scaleElems, c.scaleIters, err, c.want)
+			t.Errorf("checkFlags(%q, %q, %d, %d, %d, %d) = %v, want an error naming %q",
+				c.exp, c.out, c.iters, c.elems, c.scaleElems, c.scaleIters, err, c.want)
 		}
 	}
 	// A placement list with nothing in it measures nothing: refused, not a
@@ -337,24 +339,37 @@ func TestBadFlags(t *testing.T) {
 
 // TestRegretReport: `-exp regret` prints, per cell, the pick, the best
 // algorithm, the regret and the table row that matched, then the summary; a
-// regret below 1 would mean the best was not among the algorithms swept.
+// regret below 1 would mean the best was not among the algorithms swept. On
+// one image every algorithm takes 0 modeled ns: equal times, regret 1.
 func TestRegretReport(t *testing.T) {
-	if err := checkFlags("regret", 10, 128, 8, 2); err != nil {
+	if err := checkFlags("regret", "", 10, 128, 8, 2); err != nil {
 		t.Fatalf("-exp regret rejected: %v", err)
 	}
-	var out strings.Builder
-	if err := runRegret(&out, "8(2), 4(4)", []int{16, 512}); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
-	// Header, 2 barrier cells, 8 kinds x 2 sizes x 2 placements less the
-	// second placement's large allgather and alltoall, a blank, the summary.
-	if want := 1 + 2 + 8*2*2 - 2 + 2; len(lines) != want {
-		t.Fatalf("%d lines, want %d:\n%s", len(lines), want, out.String())
-	}
-	for _, want := range []string{"auto picks", "table row", "per node", "geomean regret 1."} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("report lacks %q:\n%s", want, out.String())
+	for _, c := range []struct {
+		specs   string
+		sizes   []int
+		lines   int
+		summary string
+	}{
+		// Header, 2 barrier cells, 8 kinds x 2 sizes x 2 placements less the
+		// second placement's large allgather and alltoall, a blank, the summary.
+		{"8(2), 4(4)", []int{16, 512}, 1 + 2 + 8*2*2 - 2 + 2, "geomean regret 1."},
+		{"1(1)", []int{16}, 1 + 9 + 2, "geomean regret 1.0000 over 9 cells, 0 behind the best, worst 1.000"},
+	} {
+		var out strings.Builder
+		if err := runRegret(&out, c.specs, c.sizes); err != nil {
+			t.Fatal(err)
+		}
+		if lines := strings.Split(strings.TrimSpace(out.String()), "\n"); len(lines) != c.lines {
+			t.Fatalf("%s: %d lines, want %d:\n%s", c.specs, len(lines), c.lines, out.String())
+		}
+		for _, want := range []string{"auto picks", "table row", "per node", c.summary} {
+			if !strings.Contains(out.String(), want) {
+				t.Errorf("%s: report lacks %q:\n%s", c.specs, want, out.String())
+			}
+		}
+		if strings.Contains(out.String(), "NaN") {
+			t.Errorf("%s: report prints NaN:\n%s", c.specs, out.String())
 		}
 	}
 }
@@ -362,7 +377,7 @@ func TestRegretReport(t *testing.T) {
 // TestGenerateAutoTableNeedsOut: the generator writes a file of the package it
 // is built from, so it wants to be told which.
 func TestGenerateAutoTableNeedsOut(t *testing.T) {
-	if err := checkFlags("autotable", 10, 128, 8, 2); err != nil {
+	if err := checkFlags("autotable", "autotable_gen.go", 10, 128, 8, 2); err != nil {
 		t.Fatalf("-exp autotable rejected: %v", err)
 	}
 	if err := generateAutoTable(""); err == nil || !strings.Contains(err.Error(), "-out") {

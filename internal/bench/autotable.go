@@ -2,10 +2,9 @@ package bench
 
 // The auto decision table, from the measuring side: the sweep that produces
 // the samples, the fit that turns them into core.AutoRow lines, the Go source
-// `go generate ./internal/core` checks in, the verdicts on the algorithms the
-// sweep never or rarely favours, and the regret report that holds the table
-// against the best registered algorithm per cell. Everything here is modeled
-// time, so every output is a pure function of the tree.
+// `go generate ./internal/core` checks in, and the regret report that holds
+// the table against the best registered algorithm per cell. Everything here is
+// modeled time, so every output is a pure function of the tree.
 
 import (
 	"bytes"
@@ -27,8 +26,8 @@ import (
 // autoByteBounds cuts the payload axis into buckets (upper bounds, exclusive)
 // holding one swept size each, the other three cut the placement axes into
 // classes (upper bounds, inclusive); the last of each is open. Classes are
-// where the table may change its mind, not where it must: the fit merges the
-// neighbours that agree.
+// where the table may change its mind, not where it must: the fit cuts them
+// into runs of neighbours that one row serves.
 var (
 	AutoShapes = []string{
 		"4(4)", "8(8)", "16(16)", "32(32)", "44(44)", "64(64)", // one image per node
@@ -84,10 +83,15 @@ func (s Sample) Best(flat bool) (alg string, ns int64) {
 	return alg, ns
 }
 
-// Regret is alg's modeled time over the best's (over the best flat one's).
+// Regret is alg's modeled time over the best's (over the best flat one's);
+// equal times are regret 1, also when both are 0, as on a one-image team.
 func (s Sample) Regret(alg string, flat bool) float64 {
 	_, best := s.Best(flat)
-	return float64(s.NS[slices.Index(s.Algs, alg)]) / float64(best)
+	ns := s.NS[slices.Index(s.Algs, alg)]
+	if ns == best {
+		return 1
+	}
+	return float64(ns) / float64(best)
 }
 
 // SweepCells lists the cells of a sweep in (kind, elems, spec) order, every
@@ -202,21 +206,18 @@ func geoRegret(samples []Sample, alg string, flat bool) float64 {
 	return math.Exp(sum / float64(len(samples)))
 }
 
-// tieTolerance is how far behind the lowest geomean regret the hierarchy
-// level's own choice may be and still be kept: the table then departs from the
-// paper's methodology only where the sweep shows more than a near-tie.
+// tieTolerance is how far behind the best algorithm a row's pick may be on
+// any cell the row covers: the table departs from the paper's methodology only
+// where the sweep shows more than a near-tie.
 const tieTolerance = 1.02
 
-// pickFor is the algorithm one cell of the table runs: the lowest geomean
-// regret over the cell's samples (the first in registry order among equals),
-// unless a preferred algorithm is within tieTolerance of it.
-func pickFor(samples []Sample, flat bool, prefer ...string) string {
+// pick is the algorithm among algs with the lowest geomean regret over the
+// samples (the first in algs among equals), unless a preferred one is within
+// tieTolerance of it.
+func pick(samples []Sample, algs []string, flat bool, prefer ...string) string {
 	best, bestRegret := "", 0.0
 	regret := map[string]float64{}
-	for _, a := range samples[0].Algs {
-		if flat && core.HierarchyAware(a) {
-			continue
-		}
+	for _, a := range algs {
 		regret[a] = geoRegret(samples, a, flat)
 		if best == "" || regret[a] < bestRegret {
 			best, bestRegret = a, regret[a]
@@ -249,133 +250,108 @@ var fitAxes = []struct {
 	{autoByteBounds, func(k core.AutoKey) int { return k.Bytes + 1 }, func(r *core.AutoRow) *int { return &r.Below }},
 }
 
-// FitAutoTable fits one kind's rows to that kind's samples. The table is a
-// decision tree flattened: images per node, then sockets, then nodes, then
-// bytes. On each axis the samples fall into classes; a class nobody sampled is
-// covered by its neighbour (the next sampled class up, or the last one),
-// neighbouring classes merge while one fit serves both about as well as two
-// (see mergeable), and the last is open — so the sorted rows answer every key
-// by first match.
+// FitAutoTable fits one kind's rows to that kind's samples: the fewest
+// first-match rows whose pick is within tieTolerance of the best algorithm on
+// every cell its row covers. The table is a decision tree flattened: images
+// per node, then sockets, then nodes, then bytes. On each axis the sampled
+// classes are cut into runs of neighbours and each run is fitted on the next
+// axis; a run's row bound is its last class's bound, so a class nobody sampled
+// is covered by the next sampled one up, and the last run is open — the sorted
+// rows answer every key by first match. A class alone on every axis that no
+// algorithm serves keeps the lowest geomean regret, so a fit always exists for
+// samples that hold some of kind k's.
 func FitAutoTable(k core.Kind, samples []Sample) []FitRow {
 	samples = slices.DeleteFunc(slices.Clone(samples), func(s Sample) bool { return s.Kind != k })
-	return fitAxis(k, samples, 0)
+	return fit(k, samples, 0, true)
 }
 
-func fitAxis(k core.Kind, samples []Sample, axis int) []FitRow {
+// fit is the fewest rows for the samples on the axes from axis on, nil when
+// none serves them; alone says every axis before this one cut them to one
+// class. The cut is a suffix DP over run ends: rows[i] is the fewest rows for
+// classes i and up, ties to the shortest first run.
+func fit(k core.Kind, samples []Sample, axis int, alone bool) []FitRow {
 	if axis == len(fitAxes) {
-		// Preferred: what the hierarchy level alone would run under
-		// LevelAuto, then the three-level choice where there are sockets to
-		// split by.
-		prefer := []string{core.LevelChoice(k, core.LevelFlat)}
-		if key := samples[0].Key; key.PerNode > 1 {
-			prefer[0] = core.LevelChoice(k, core.LevelTwo)
-			if key.Sockets > 1 {
-				prefer = append(prefer, core.LevelChoice(k, core.LevelThree))
-			}
-		}
-		return []FitRow{{
-			AutoRow: core.AutoRow{
-				Alg:  pickFor(samples, false, prefer...),
-				Flat: pickFor(samples, true, core.LevelChoice(k, core.LevelFlat)),
-			},
-			Samples: samples,
-		}}
+		return leaf(k, samples, alone)
 	}
 	ax := fitAxes[axis]
-	var out, cur []FitRow // finished classes; the class being grown, this axis's bound not yet set
-	var curSamples []Sample
-	curBound := 0
-	flush := func(bound int) {
-		for _, r := range cur {
-			*ax.field(&r.AutoRow) = bound
-			out = append(out, r)
-		}
-	}
+	var classes [][]Sample
+	var bounds []int
 	lo := math.MinInt
 	for _, bound := range ax.bounds {
-		var sub []Sample
+		var class []Sample
 		for _, s := range samples {
 			if v := ax.of(s.Key); v > lo && v <= bound {
-				sub = append(sub, s)
+				class = append(class, s)
 			}
 		}
-		lo = bound
-		if len(sub) == 0 {
-			continue
+		if lo = bound; class != nil {
+			classes, bounds = append(classes, class), append(bounds, bound)
 		}
-		rows := fitAxis(k, sub, axis+1)
-		if cur != nil {
-			both := slices.Concat(curSamples, sub)
-			var merged []FitRow
-			if slices.EqualFunc(cur, rows, func(a, b FitRow) bool { return a.AutoRow == b.AutoRow }) {
-				// The same rows twice are one class whatever a fit to both
-				// would say.
-				merged = slices.Clone(cur)
-				for i := range merged {
-					merged[i].Samples = slices.Concat(cur[i].Samples, rows[i].Samples)
-				}
-			} else {
-				merged = fitAxis(k, both, axis+1)
-			}
-			if mergeable(merged, cur, rows) {
-				cur, curSamples, curBound = merged, both, bound
+	}
+	n := len(classes)
+	bounds[n-1] = math.MaxInt // the last run is open
+	rows := make([][]FitRow, n+1)
+	rows[n] = []FitRow{}
+	for i := n - 1; i >= 0; i-- {
+		for j := i; j < n; j++ {
+			if rows[j+1] == nil {
 				continue
 			}
-			flush(curBound)
+			run := fit(k, slices.Concat(classes[i:j+1]...), axis+1, alone && i == j)
+			if run == nil || rows[i] != nil && len(run)+len(rows[j+1]) >= len(rows[i]) {
+				continue
+			}
+			for r := range run {
+				*ax.field(&run[r].AutoRow) = bounds[j]
+			}
+			rows[i] = slices.Concat(run, rows[j+1])
 		}
-		cur, curSamples, curBound = rows, sub, bound
 	}
-	flush(math.MaxInt)
-	return out
+	return rows[0]
 }
 
-// mergeCellCap is the regret a merge of two classes may leave a cell of the
-// sweep at, unless the cell was already worse: the 5 % within which the
-// verdicts call an algorithm as good as the best.
-const mergeCellCap = 1.05
-
-// mergeable reports whether merged, one fit to the samples of two
-// neighbouring classes, may replace their separate fits a and b: it takes no
-// more rows than the larger of them (or the deeper axes are standing in for
-// the difference between the classes), its geomean regret is within
-// tieTolerance of theirs, and no cell ends above mergeCellCap that was not
-// there before.
-func mergeable(merged, a, b []FitRow) bool {
-	if len(merged) > max(len(a), len(b)) {
-		return false
-	}
-	split := slices.Concat(a, b)
-	type cell struct {
-		spec  string
-		elems int
-	}
-	regrets := func(rows []FitRow) (map[cell]float64, float64) {
-		by, sum := map[cell]float64{}, 0.0
-		for _, r := range rows {
-			for _, s := range r.Samples {
-				by[cell{s.Spec, s.Elems}] = s.Regret(r.Alg, false)
-				sum += math.Log(by[cell{s.Spec, s.Elems}])
-			}
-		}
-		return by, math.Exp(sum / float64(len(by)))
-	}
-	before, costBefore := regrets(split)
-	after, costAfter := regrets(merged)
-	if costAfter > costBefore*tieTolerance {
-		return false
-	}
-	for c, r := range after {
-		if r > max(before[c], mergeCellCap) {
-			return false
+// leaf is the one row for samples the axes cut no further. It runs the
+// hierarchy level's own choice — what LevelAuto would run, then the
+// three-level choice where there are sockets to split by — when that serves
+// every cell within tieTolerance, else the lowest geomean regret among the
+// algorithms that do; with none, nil, unless the samples are alone on every
+// axis. The flat pick is the lowest geomean regret among the
+// hierarchy-oblivious algorithms, the flat level's choice within tieTolerance.
+func leaf(k core.Kind, samples []Sample, alone bool) []FitRow {
+	prefer := []string{core.LevelChoice(k, core.LevelFlat)}
+	if key := samples[0].Key; key.PerNode > 1 {
+		prefer[0] = core.LevelChoice(k, core.LevelTwo)
+		if key.Sockets > 1 {
+			prefer = append(prefer, core.LevelChoice(k, core.LevelThree))
 		}
 	}
-	return true
+	var serving, flat []string
+	for _, a := range samples[0].Algs {
+		if !slices.ContainsFunc(samples, func(s Sample) bool { return s.Regret(a, false) > tieTolerance }) {
+			serving = append(serving, a)
+		}
+		if !core.HierarchyAware(a) {
+			flat = append(flat, a)
+		}
+	}
+	if serving == nil {
+		if !alone {
+			return nil
+		}
+		serving = samples[0].Algs
+	}
+	return []FitRow{{
+		AutoRow: core.AutoRow{
+			Alg:  pick(samples, serving, false, prefer...),
+			Flat: pick(samples, flat, true, core.LevelChoice(k, core.LevelFlat)),
+		},
+		Samples: samples,
+	}}
 }
 
 // GenerateAutoTable sweeps the generator's grid and writes the fitted table as
-// the Go source of internal/core/autotable_gen.go to src and the verdicts on
-// the algorithms no hand rule should have favoured to report.
-func GenerateAutoTable(src, report io.Writer) error {
+// the Go source of internal/core/autotable_gen.go to w.
+func GenerateAutoTable(w io.Writer) error {
 	var images []int
 	for _, spec := range AutoShapes {
 		topo, err := parseSpec(spec)
@@ -395,11 +371,7 @@ func GenerateAutoTable(src, report io.Writer) error {
 	if err := Sweep(samples); err != nil {
 		return err
 	}
-	if err := writeAutoTable(src, samples); err != nil {
-		return err
-	}
-	Verdicts(report, samples)
-	return nil
+	return writeAutoTable(w, samples)
 }
 
 func writeAutoTable(w io.Writer, samples []Sample) error {
@@ -410,11 +382,13 @@ func writeAutoTable(w io.Writer, samples []Sample) error {
 		"// {images per node <=, sockets <=, nodes <=, payload bytes <, pick, flat pick},\n"+
 		"// first match wins. Fitted (internal/bench.FitAutoTable) to a sweep of every\n"+
 		"// registered algorithm, %d episodes with rotating roots, on the placements\n//\n//\t%s\n//\n"+
-		"// at %v float64 elements (cells above %d MiB of payload skipped). A row's\n"+
+		"// at %v float64 elements (cells above %d MiB of payload skipped): the fewest\n"+
+		"// rows whose pick is within %.2fx of the best algorithm on every cell they\n"+
+		"// cover, except where one class on every axis has no such algorithm. A row's\n"+
 		"// comment gives the sweep cells it covers and, over them, the geomean and the\n"+
 		"// worst ratio of the pick's modeled time to the best algorithm's.\n"+
 		"var autoTable = [numKinds][]AutoRow{\n",
-		AutoEpisodes, strings.Join(AutoShapes, " "), AutoElems, autoTrafficBudget>>20)
+		AutoEpisodes, strings.Join(AutoShapes, " "), AutoElems, autoTrafficBudget>>20, tieTolerance)
 	num := func(v int) string {
 		if v == math.MaxInt {
 			return "inf"
@@ -441,41 +415,6 @@ func writeAutoTable(w io.Writer, samples []Sample) error {
 	}
 	_, err = w.Write(src)
 	return err
-}
-
-// verdictAlgs are the algorithms the golden coll-sweep table shows at least
-// 1.4x off the best at every cell it has.
-var verdictAlgs = []struct {
-	kind core.Kind
-	alg  string
-}{
-	{core.KindAllreduce, "ring"}, {core.KindBroadcast, "scatter-allgather"},
-	{core.KindReduceTo, "linear"}, {core.KindBarrier, "linear"}, {core.KindBarrier, "tdlb3"},
-}
-
-// Verdicts prints, for each of verdictAlgs, the cells of the sweep where it is
-// within 5 % of the best registered algorithm — or how far off it stays.
-func Verdicts(w io.Writer, samples []Sample) {
-	for _, va := range verdictAlgs {
-		var near []string
-		cells, closest := 0, math.Inf(1)
-		for _, s := range samples {
-			if s.Kind != va.kind {
-				continue
-			}
-			cells++
-			r := s.Regret(va.alg, false)
-			closest = min(closest, r)
-			if r <= 1.05 {
-				near = append(near, fmt.Sprintf("%s/%d (%.2fx)", s.Spec, s.Elems, r))
-			}
-		}
-		if len(near) == 0 {
-			fmt.Fprintf(w, "%s/%s: never within %.2fx of the best on %d cells\n", va.kind, va.alg, closest, cells)
-		} else {
-			fmt.Fprintf(w, "%s/%s: within 5%% of the best on %d of %d cells: %s\n", va.kind, va.alg, len(near), cells, strings.Join(near, ", "))
-		}
-	}
 }
 
 // RegretReport sweeps the cells and prints, per cell, what the decision table

@@ -3,8 +3,10 @@ package bench
 import (
 	"bytes"
 	"fmt"
-	"io"
+	"math/rand/v2"
 	"os"
+	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -46,7 +48,7 @@ func TestGeneratorRefusesHeldOutShapes(t *testing.T) {
 	for _, spec := range []string{"24(24)", "352(44)", "8x2x2"} { // the last is 32 images on 8 nodes
 		AutoShapes = []string{"8(2)", spec}
 		var src bytes.Buffer
-		if err := GenerateAutoTable(&src, io.Discard); err == nil || !strings.Contains(err.Error(), "held-out") || src.Len() > 0 {
+		if err := GenerateAutoTable(&src); err == nil || !strings.Contains(err.Error(), "held-out") || src.Len() > 0 {
 			t.Errorf("grid with %s: error %v, %d bytes of table written; want a held-out refusal and nothing", spec, err, src.Len())
 		}
 	}
@@ -59,24 +61,10 @@ func synthetic(perNode, sockets, nodes, elems int, linear, binomial, twoLevel in
 		Algs: []string{"linear", "binomial", "2level"}, NS: []int64{linear, binomial, twoLevel}}
 }
 
-// TestFitAutoTable fits a sweep small enough to read: classes that agree
-// merge, a class that disagrees by more than the tolerance keeps its rows, the
-// hierarchy level's own choice wins a near-tie, an unsampled class is covered
-// by its neighbour, the flat pick is never hierarchy-aware, and looking each
-// sample up in the fitted rows lands on the row that was fitted to it.
-func TestFitAutoTable(t *testing.T) {
-	samples := []Sample{
-		// One image per node: binomial (the level's choice) within 2 % of linear.
-		synthetic(1, 1, 8, 128, 100, 101, 150), synthetic(1, 1, 8, 4096, 100, 102, 150),
-		// 4 per node: 2level wins small payloads, linear large ones — on 4 and on 16 nodes alike.
-		synthetic(4, 1, 4, 128, 200, 300, 100), synthetic(4, 1, 4, 4096, 100, 300, 150),
-		synthetic(4, 1, 16, 128, 210, 300, 100), synthetic(4, 1, 16, 4096, 100, 310, 160),
-		// 8 per node on two sockets: 2level everywhere, by a lot.
-		synthetic(8, 2, 8, 128, 400, 300, 100), synthetic(8, 2, 8, 4096, 400, 300, 100),
-		// Another kind's samples are not this kind's business.
-		{Kind: core.KindGather, Spec: "x", Elems: 128, Key: core.AutoKey{PerNode: 1, Sockets: 1, Nodes: 2, Bytes: 1024},
-			Algs: []string{"linear", "binomial", "2level"}, NS: []int64{1, 2, 3}},
-	}
+// fitted fits kind scatter to samples and prints the rows; every sample of
+// the kind must look up the row that was fitted to it.
+func fitted(t *testing.T, samples []Sample) ([]FitRow, []core.AutoRow, []string) {
+	t.Helper()
 	rows := FitAutoTable(core.KindScatter, samples)
 	var got []string
 	var bare []core.AutoRow
@@ -84,24 +72,118 @@ func TestFitAutoTable(t *testing.T) {
 		got = append(got, fmt.Sprintf("%v -> %s/%s (%d)", r.AutoRow, r.Alg, r.Flat, len(r.Samples)))
 		bare = append(bare, r.AutoRow)
 	}
-	want := []string{
-		"<=1 per node, any sockets, any nodes, any size -> binomial/binomial (2)",
-		"<=4 per node, any sockets, any nodes, <4096 B -> 2level/linear (2)",
-		"<=4 per node, any sockets, any nodes, any size -> linear/linear (2)",
-		"any per node, any sockets, any nodes, any size -> 2level/binomial (2)",
-	}
-	if strings.Join(got, "\n") != strings.Join(want, "\n") {
-		t.Errorf("fitted rows:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
-	}
-	for _, s := range samples[:8] {
-		i := core.FirstMatch(bare, s.Key)
-		if i < 0 || !containsSample(rows[i].Samples, s) {
+	for _, s := range samples {
+		if s.Kind != core.KindScatter {
+			continue
+		}
+		if i := core.FirstMatch(bare, s.Key); i < 0 || !containsSample(rows[i].Samples, s) {
 			t.Errorf("sample %s/%d looks up row %d, which was not fitted to it", s.Spec, s.Elems, i)
 		}
 	}
-	// 3 per node on two sockets, 64 nodes, 2 MiB: nobody sampled anything like it.
-	if i := core.FirstMatch(bare, core.AutoKey{PerNode: 3, Sockets: 2, Nodes: 64, Bytes: 2 << 20}); i != 2 {
-		t.Errorf("unsampled key matched row %d, want the last row of its images-per-node class (2)", i)
+	return rows, bare, got
+}
+
+// TestFitAutoTable fits sweeps small enough to read: classes one pick serves
+// share a row, a class that pick leaves more than the tolerance behind keeps
+// its own, the hierarchy level's own choice wins a near-tie, an unsampled class
+// is covered by its neighbour, the flat pick is never hierarchy-aware, and a
+// class alone on every axis that no algorithm serves gets the lowest geomean.
+func TestFitAutoTable(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		samples []Sample
+		want    []string
+	}{{
+		name: "classes",
+		samples: []Sample{
+			// One image per node: binomial (the level's choice) within 2 % of linear.
+			synthetic(1, 1, 8, 128, 100, 101, 150), synthetic(1, 1, 8, 4096, 100, 102, 150),
+			// 4 per node: 2level wins small payloads, linear large ones — on 4 and on 16 nodes alike.
+			synthetic(4, 1, 4, 128, 200, 300, 100), synthetic(4, 1, 4, 4096, 100, 300, 150),
+			synthetic(4, 1, 16, 128, 210, 300, 100), synthetic(4, 1, 16, 4096, 100, 310, 160),
+			// 8 per node on two sockets: 2level everywhere, by a lot.
+			synthetic(8, 2, 8, 128, 400, 300, 100), synthetic(8, 2, 8, 4096, 400, 300, 100),
+			// Another kind's samples are not this kind's business.
+			{Kind: core.KindGather, Spec: "x", Elems: 128, Key: core.AutoKey{PerNode: 1, Sockets: 1, Nodes: 2, Bytes: 1024},
+				Algs: []string{"linear", "binomial", "2level"}, NS: []int64{1, 2, 3}},
+		},
+		want: []string{
+			"<=1 per node, any sockets, any nodes, any size -> binomial/binomial (2)",
+			"<=4 per node, any sockets, any nodes, <4096 B -> 2level/linear (2)",
+			"<=4 per node, any sockets, any nodes, any size -> linear/linear (2)",
+			"any per node, any sockets, any nodes, any size -> 2level/binomial (2)",
+		},
+	}, {
+		// One pick for both node classes leaves a cell 3.5 % behind (a
+		// greedy merge within 5 % per cell took it): two rows.
+		name:    "a shared pick 3.5 % behind",
+		samples: []Sample{synthetic(1, 1, 4, 128, 1000, 1035, 2000), synthetic(1, 1, 8, 128, 1035, 1000, 2000)},
+		want: []string{
+			"any per node, any sockets, <=4 nodes, any size -> linear/linear (1)",
+			"any per node, any sockets, any nodes, any size -> binomial/binomial (1)",
+		},
+	}, {
+		// 1 KiB and 2 KiB are one payload class: linear is 3 % behind on
+		// one, binomial 10 % on the other, 2level 20 % on both.
+		name:    "alone and unserved",
+		samples: []Sample{synthetic(4, 1, 4, 128, 100, 110, 120), synthetic(4, 1, 4, 256, 103, 100, 120)},
+		want:    []string{"any per node, any sockets, any nodes, any size -> linear/linear (2)"},
+	}} {
+		_, bare, got := fitted(t, c.samples)
+		if strings.Join(got, "\n") != strings.Join(c.want, "\n") {
+			t.Errorf("%s: fitted rows:\n%s\nwant:\n%s", c.name, strings.Join(got, "\n"), strings.Join(c.want, "\n"))
+		}
+		if c.name != "classes" {
+			continue
+		}
+		// 3 per node on two sockets, 64 nodes, 2 MiB: nobody sampled anything like it.
+		if i := core.FirstMatch(bare, core.AutoKey{PerNode: 3, Sockets: 2, Nodes: 64, Bytes: 2 << 20}); i != 2 {
+			t.Errorf("unsampled key matched row %d, want the last row of its images-per-node class (2)", i)
+		}
+	}
+}
+
+// TestFitAutoTableProperties fits seeded random sweeps, some near-ties and
+// some spread wide: every row whose cells span two classes on some axis has a
+// pick within tieTolerance of the best on each of them, every sample is in one
+// row and looks that row up, and a second fit is the same.
+func TestFitAutoTableProperties(t *testing.T) {
+	rng := rand.New(rand.NewPCG(31, 7))
+	perNode, nodes := []int{1, 2, 3, 4, 8, 16, 32}, []int{2, 3, 4, 8, 16, 44, 64}
+	class := func(axis int, s Sample) int {
+		i, _ := slices.BinarySearch(fitAxes[axis].bounds, fitAxes[axis].of(s.Key))
+		return i
+	}
+	for sweep := range 20 {
+		spread := []int64{30, 300}[sweep%2]
+		var samples []Sample
+		for range 30 {
+			ns := func() int64 { return 1000 + rng.Int64N(spread) }
+			s := synthetic(perNode[rng.IntN(len(perNode))], 1+rng.IntN(2), nodes[rng.IntN(len(nodes))], AutoElems[rng.IntN(len(AutoElems))], ns(), ns(), ns())
+			if !containsSample(samples, s) {
+				samples = append(samples, s)
+			}
+		}
+		rows, _, _ := fitted(t, samples)
+		if again := FitAutoTable(core.KindScatter, samples); !reflect.DeepEqual(rows, again) {
+			t.Errorf("sweep %d: two fits of the same samples differ", sweep)
+		}
+		cells := 0
+		for _, r := range rows {
+			cells += len(r.Samples)
+			alone := true
+			for axis := range fitAxes {
+				alone = alone && !slices.ContainsFunc(r.Samples, func(s Sample) bool { return class(axis, s) != class(axis, r.Samples[0]) })
+			}
+			for _, s := range r.Samples {
+				if reg := s.Regret(r.Alg, false); !alone && reg > tieTolerance {
+					t.Errorf("sweep %d: row %v runs %s, %.3fx behind on %s/%d", sweep, r.AutoRow, r.Alg, reg, s.Spec, s.Elems)
+				}
+			}
+		}
+		if cells != len(samples) {
+			t.Errorf("sweep %d: rows cover %d cells, %d sampled", sweep, cells, len(samples))
+		}
 	}
 }
 

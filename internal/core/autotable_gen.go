@@ -9,98 +9,110 @@ package core
 //
 //	4(4) 8(8) 16(16) 32(32) 44(44) 64(64) 8(2) 8(4) 16(4) 24(8) 64(16) 128(32) 16x2x2 16(2) 32(2) 48(4) 64(8) 128(16) 256(32) 8x1x8 48(2) 96(4) 192(8)
 //
-// at [1 16 128 1024 4096 16384 131072] float64 elements (cells above 64 MiB of payload skipped). A row's
+// at [1 16 128 1024 4096 16384 131072] float64 elements (cells above 64 MiB of payload skipped): the fewest
+// rows whose pick is within 1.02x of the best algorithm on every cell they
+// cover, except where one class on every axis has no such algorithm. A row's
 // comment gives the sweep cells it covers and, over them, the geomean and the
 // worst ratio of the pick's modeled time to the best algorithm's.
 var autoTable = [numKinds][]AutoRow{
 	0: { // barrier
-		{2, inf, 16, inf, "tdll", "linear"},            // 4 cells, 1.000, worst 1.000
-		{2, inf, inf, inf, "tournament", "tournament"}, // 3 cells, 1.000, worst 1.000
+		{1, inf, 16, inf, "linear", "linear"},          // 3 cells, 1.000, worst 1.000
+		{1, inf, inf, inf, "tournament", "tournament"}, // 3 cells, 1.000, worst 1.000
 		{inf, inf, 2, inf, "tdlb", "linear"},           // 4 cells, 1.000, worst 1.000
-		{inf, inf, inf, inf, "tdll", "tournament"},     // 12 cells, 1.000, worst 1.000
+		{inf, inf, inf, inf, "tdll", "tournament"},     // 13 cells, 1.000, worst 1.000
 	},
 	1: { // allreduce
-		{1, inf, 8, 4096, "linear", "linear"},  // 6 cells, 1.000, worst 1.000
-		{1, inf, 8, inf, "rd", "rd"},           // 8 cells, 1.000, worst 1.000
-		{1, inf, inf, inf, "rd", "rd"},         // 28 cells, 1.000, worst 1.000
-		{4, 1, 2, 65536, "2level", "linear"},   // 5 cells, 1.000, worst 1.000
-		{4, 1, 2, inf, "ring", "ring"},         // 2 cells, 1.000, worst 1.000
-		{4, 1, 4, 524288, "2level", "linear"},  // 12 cells, 1.000, worst 1.000
-		{4, 1, 4, inf, "ring", "ring"},         // 2 cells, 1.000, worst 1.000
-		{4, 1, 8, inf, "2level", "tree"},       // 7 cells, 1.000, worst 1.000
-		{4, 1, inf, 524288, "2level", "tree"},  // 12 cells, 1.000, worst 1.000
-		{4, 1, inf, inf, "ring", "ring"},       // 1 cells, 1.000, worst 1.000
-		{4, inf, inf, 16384, "2level", "tree"}, // 4 cells, 1.012, worst 1.041
-		{4, inf, inf, 524288, "3level", "rd"},  // 2 cells, 1.000, worst 1.000
-		{4, inf, inf, inf, "ring", "ring"},     // 1 cells, 1.000, worst 1.000
-		{16, 1, inf, 524288, "2level", "tree"}, // 6 cells, 1.000, worst 1.000
-		{16, 1, inf, inf, "ring", "ring"},      // 1 cells, 1.000, worst 1.000
-		{16, inf, 2, 524288, "3level", "tree"}, // 12 cells, 1.002, worst 1.014
-		{16, inf, 2, inf, "ring", "ring"},      // 2 cells, 1.065, worst 1.134
-		{16, inf, inf, inf, "3level", "tree"},  // 26 cells, 1.001, worst 1.012
-		{inf, inf, inf, inf, "3level", "tree"}, // 19 cells, 1.001, worst 1.007
+		{1, inf, 8, 4096, "linear", "linear"},   // 6 cells, 1.000, worst 1.000
+		{1, inf, 8, inf, "rd", "rd"},            // 8 cells, 1.000, worst 1.000
+		{1, inf, inf, inf, "rd", "rd"},          // 28 cells, 1.000, worst 1.000
+		{4, inf, 2, 65536, "2level", "linear"},  // 5 cells, 1.000, worst 1.000
+		{4, inf, 2, inf, "ring", "ring"},        // 2 cells, 1.000, worst 1.000
+		{4, inf, 4, 524288, "2level", "linear"}, // 12 cells, 1.000, worst 1.000
+		{4, inf, 4, inf, "ring", "ring"},        // 2 cells, 1.000, worst 1.000
+		{4, inf, 8, inf, "2level", "tree"},      // 7 cells, 1.000, worst 1.000
+		{4, inf, inf, 524288, "3level", "tree"}, // 18 cells, 1.000, worst 1.003
+		{4, inf, inf, inf, "ring", "ring"},      // 2 cells, 1.000, worst 1.000
+		{16, 1, inf, 524288, "2level", "tree"},  // 6 cells, 1.000, worst 1.000
+		{16, 1, inf, inf, "ring", "ring"},       // 1 cells, 1.000, worst 1.000
+		{16, inf, 2, 524288, "3level", "tree"},  // 12 cells, 1.002, worst 1.014
+		{16, inf, 2, inf, "ring", "ring"},       // 2 cells, 1.065, worst 1.134
+		{16, inf, inf, inf, "3level", "tree"},   // 26 cells, 1.001, worst 1.012
+		{inf, inf, inf, inf, "3level", "tree"},  // 19 cells, 1.001, worst 1.007
 	},
 	2: { // reduceto
-		{1, inf, 8, 4096, "linear", "linear"},      // 6 cells, 1.000, worst 1.000
-		{1, inf, 8, inf, "binomial", "binomial"},   // 8 cells, 1.002, worst 1.018
-		{1, inf, inf, inf, "binomial", "binomial"}, // 28 cells, 1.000, worst 1.000
-		{4, inf, inf, inf, "2level", "binomial"},   // 48 cells, 1.000, worst 1.013
-		{inf, inf, 4, 65536, "2level", "binomial"}, // 25 cells, 1.000, worst 1.000
-		{inf, inf, 4, inf, "binomial", "binomial"}, // 9 cells, 1.005, worst 1.043
-		{inf, inf, inf, inf, "2level", "binomial"}, // 32 cells, 1.000, worst 1.000
+		{1, inf, 8, 4096, "linear", "linear"},        // 6 cells, 1.000, worst 1.000
+		{1, inf, 8, inf, "binomial", "binomial"},     // 8 cells, 1.002, worst 1.018
+		{1, inf, inf, inf, "binomial", "binomial"},   // 28 cells, 1.000, worst 1.000
+		{4, inf, inf, inf, "2level", "binomial"},     // 48 cells, 1.000, worst 1.013
+		{16, 1, inf, inf, "2level", "binomial"},      // 7 cells, 1.000, worst 1.000
+		{16, inf, 2, 65536, "2level", "linear"},      // 10 cells, 1.000, worst 1.000
+		{16, inf, 2, 524288, "binomial", "binomial"}, // 2 cells, 1.021, worst 1.043
+		{16, inf, 2, inf, "binomial", "binomial"},    // 2 cells, 1.000, worst 1.000
+		{16, inf, 4, 65536, "2level", "binomial"},    // 5 cells, 1.000, worst 1.000
+		{16, inf, 4, inf, "binomial", "binomial"},    // 2 cells, 1.000, worst 1.000
+		{16, inf, inf, inf, "2level", "binomial"},    // 19 cells, 1.000, worst 1.000
+		{inf, inf, 4, 65536, "2level", "binomial"},   // 10 cells, 1.000, worst 1.000
+		{inf, inf, 4, inf, "binomial", "binomial"},   // 3 cells, 1.000, worst 1.000
+		{inf, inf, inf, inf, "2level", "binomial"},   // 6 cells, 1.000, worst 1.000
 	},
 	3: { // bcast
-		{1, inf, 4, inf, "linear", "linear"},                         // 7 cells, 1.004, worst 1.030
-		{1, inf, 16, 16384, "linear", "linear"},                      // 8 cells, 1.000, worst 1.000
-		{1, inf, 16, inf, "scatter-allgather", "scatter-allgather"},  // 6 cells, 1.000, worst 1.000
-		{1, inf, 32, 512, "linear", "linear"},                        // 2 cells, 1.000, worst 1.000
-		{1, inf, 32, 16384, "binomial", "binomial"},                  // 2 cells, 1.000, worst 1.000
-		{1, inf, 32, inf, "scatter-allgather", "scatter-allgather"},  // 3 cells, 1.000, worst 1.000
-		{1, inf, inf, 65536, "binomial", "binomial"},                 // 10 cells, 1.000, worst 1.000
-		{1, inf, inf, inf, "scatter-allgather", "scatter-allgather"}, // 4 cells, 1.333, worst 2.182
-		{2, inf, inf, 65536, "2level", "linear"},                     // 5 cells, 1.000, worst 1.000
-		{2, inf, inf, inf, "scatter-allgather", "scatter-allgather"}, // 2 cells, 1.000, worst 1.000
-		{4, inf, inf, 524288, "2level", "binomial"},                  // 36 cells, 1.001, worst 1.022
-		{4, inf, inf, inf, "scatter-allgather", "scatter-allgather"}, // 5 cells, 1.000, worst 1.000
-		{inf, inf, inf, inf, "2level", "binomial"},                   // 66 cells, 1.000, worst 1.000
+		{1, inf, 4, 65536, "linear", "linear"},                          // 5 cells, 1.000, worst 1.000
+		{1, inf, 4, inf, "scatter-allgather", "scatter-allgather"},      // 2 cells, 1.003, worst 1.005
+		{1, inf, 16, 16384, "linear", "linear"},                         // 8 cells, 1.000, worst 1.000
+		{1, inf, 16, inf, "scatter-allgather", "scatter-allgather"},     // 6 cells, 1.000, worst 1.000
+		{1, inf, 32, 512, "linear", "linear"},                           // 2 cells, 1.000, worst 1.000
+		{1, inf, 32, 16384, "binomial", "binomial"},                     // 2 cells, 1.000, worst 1.000
+		{1, inf, 32, inf, "scatter-allgather", "scatter-allgather"},     // 3 cells, 1.000, worst 1.000
+		{1, inf, inf, 65536, "binomial", "binomial"},                    // 10 cells, 1.000, worst 1.000
+		{1, inf, inf, 524288, "scatter-allgather", "scatter-allgather"}, // 2 cells, 1.477, worst 2.182
+		{1, inf, inf, inf, "scatter-allgather", "scatter-allgather"},    // 2 cells, 1.202, worst 1.445
+		{2, inf, inf, 65536, "2level", "linear"},                        // 5 cells, 1.000, worst 1.000
+		{2, inf, inf, inf, "scatter-allgather", "scatter-allgather"},    // 2 cells, 1.000, worst 1.000
+		{4, inf, 4, 524288, "2level", "linear"},                         // 12 cells, 1.000, worst 1.000
+		{4, inf, 4, inf, "scatter-allgather", "scatter-allgather"},      // 2 cells, 1.000, worst 1.000
+		{4, inf, 8, 65536, "2level", "binomial"},                        // 5 cells, 1.000, worst 1.000
+		{4, inf, 8, inf, "scatter-allgather", "scatter-allgather"},      // 2 cells, 1.000, worst 1.000
+		{4, inf, inf, 524288, "2level", "binomial"},                     // 18 cells, 1.000, worst 1.000
+		{4, inf, inf, inf, "scatter-allgather", "scatter-allgather"},    // 2 cells, 1.000, worst 1.000
+		{inf, inf, inf, inf, "2level", "binomial"},                      // 66 cells, 1.000, worst 1.000
 	},
 	4: { // allgather
-		{4, inf, 2, 16384, "2level", "bruck"},   // 4 cells, 1.000, worst 1.000
-		{4, inf, 2, inf, "ring", "ring"},        // 3 cells, 1.000, worst 1.000
-		{4, inf, inf, inf, "2level", "bruck"},   // 63 cells, 1.000, worst 1.000
-		{inf, inf, inf, inf, "2level", "bruck"}, // 39 cells, 1.001, worst 1.044
+		{4, inf, 2, 16384, "2level", "bruck"},     // 4 cells, 1.000, worst 1.000
+		{4, inf, 2, inf, "ring", "ring"},          // 3 cells, 1.000, worst 1.000
+		{4, inf, inf, inf, "2level", "bruck"},     // 63 cells, 1.000, worst 1.000
+		{inf, inf, inf, 65536, "2level", "bruck"}, // 38 cells, 1.000, worst 1.000
+		{inf, inf, inf, inf, "ring", "ring"},      // 1 cells, 1.000, worst 1.000
 	},
 	5: { // scatter
-		{1, inf, 8, inf, "linear", "linear"},        // 14 cells, 1.000, worst 1.000
-		{1, inf, inf, 512, "binomial", "binomial"},  // 8 cells, 1.000, worst 1.000
-		{1, inf, inf, inf, "2level", "linear"},      // 20 cells, 1.000, worst 1.000
-		{inf, inf, 4, 16384, "2level", "linear"},    // 32 cells, 1.000, worst 1.000
-		{inf, inf, 4, inf, "linear", "linear"},      // 23 cells, 1.000, worst 1.007
-		{inf, inf, inf, 524288, "2level", "linear"}, // 54 cells, 1.002, worst 1.043
-		{inf, inf, inf, inf, "linear", "linear"},    // 5 cells, 1.000, worst 1.000
+		{1, inf, 8, inf, "linear", "linear"},       // 14 cells, 1.000, worst 1.000
+		{1, inf, inf, 512, "binomial", "binomial"}, // 8 cells, 1.000, worst 1.000
+		{1, inf, inf, inf, "2level", "linear"},     // 20 cells, 1.000, worst 1.000
+		{inf, inf, 4, 16384, "2level", "linear"},   // 32 cells, 1.000, worst 1.000
+		{inf, inf, 4, inf, "linear", "linear"},     // 23 cells, 1.000, worst 1.007
+		{inf, inf, inf, 65536, "2level", "linear"}, // 45 cells, 1.000, worst 1.000
+		{inf, inf, inf, inf, "linear", "linear"},   // 14 cells, 1.002, worst 1.014
 	},
 	6: { // gather
-		{1, inf, 8, inf, "linear", "linear"},      // 14 cells, 1.000, worst 1.000
-		{1, inf, 32, 512, "binomial", "binomial"}, // 4 cells, 1.000, worst 1.000
-		{1, inf, 32, inf, "linear", "linear"},     // 10 cells, 1.000, worst 1.000
-		{1, inf, inf, inf, "2level", "linear"},    // 14 cells, 1.001, worst 1.010
-		{inf, inf, 16, 16384, "2level", "linear"}, // 60 cells, 1.000, worst 1.000
-		{inf, inf, 16, inf, "linear", "linear"},   // 42 cells, 1.002, worst 1.032
-		{inf, inf, inf, inf, "2level", "linear"},  // 12 cells, 1.001, worst 1.005
+		{1, inf, 8, inf, "linear", "linear"},       // 14 cells, 1.000, worst 1.000
+		{1, inf, 32, 512, "binomial", "binomial"},  // 4 cells, 1.000, worst 1.000
+		{1, inf, 32, inf, "linear", "linear"},      // 10 cells, 1.000, worst 1.000
+		{1, inf, inf, inf, "2level", "linear"},     // 14 cells, 1.001, worst 1.010
+		{inf, inf, 8, 16384, "2level", "linear"},   // 48 cells, 1.000, worst 1.000
+		{inf, inf, 8, inf, "linear", "linear"},     // 34 cells, 1.000, worst 1.000
+		{inf, inf, inf, 65536, "2level", "linear"}, // 25 cells, 1.000, worst 1.000
+		{inf, inf, inf, inf, "linear", "linear"},   // 7 cells, 1.000, worst 1.000
 	},
 	7: { // alltoall
-		{1, inf, 4, inf, "pairwise", "pairwise"},   // 7 cells, 1.000, worst 1.000
-		{1, inf, inf, 512, "bruck", "bruck"},       // 10 cells, 1.000, worst 1.000
-		{1, inf, inf, inf, "pairwise", "pairwise"}, // 17 cells, 1.000, worst 1.000
-		{4, inf, 4, 4096, "2level", "bruck"},       // 9 cells, 1.000, worst 1.000
-		{4, inf, 4, inf, "pairwise", "pairwise"},   // 11 cells, 1.004, worst 1.040
-		{4, inf, inf, 16384, "2level", "bruck"},    // 15 cells, 1.000, worst 1.000
-		{4, inf, inf, inf, "pairwise", "pairwise"}, // 1 cells, 1.000, worst 1.000
-		{16, inf, 2, 4096, "2level", "bruck"},      // 6 cells, 1.000, worst 1.000
-		{16, inf, 2, inf, "pairwise", "pairwise"},  // 5 cells, 1.000, worst 1.000
-		{16, inf, inf, inf, "2level", "bruck"},     // 18 cells, 1.000, worst 1.000
-		{inf, inf, inf, 4096, "2level", "bruck"},   // 9 cells, 1.000, worst 1.000
-		{inf, inf, inf, inf, "bruck", "bruck"},     // 1 cells, 1.000, worst 1.000
+		{2, inf, 4, 4096, "2level", "bruck"},        // 6 cells, 1.000, worst 1.000
+		{2, inf, 4, inf, "pairwise", "pairwise"},    // 8 cells, 1.000, worst 1.000
+		{2, inf, inf, 512, "bruck", "bruck"},        // 10 cells, 1.000, worst 1.000
+		{2, inf, inf, inf, "pairwise", "pairwise"},  // 17 cells, 1.000, worst 1.000
+		{16, inf, 2, 4096, "2level", "bruck"},       // 9 cells, 1.000, worst 1.000
+		{16, inf, 2, inf, "pairwise", "pairwise"},   // 9 cells, 1.000, worst 1.000
+		{16, inf, inf, 16384, "2level", "bruck"},    // 37 cells, 1.000, worst 1.000
+		{16, inf, inf, inf, "pairwise", "pairwise"}, // 3 cells, 1.000, worst 1.000
+		{inf, inf, inf, 4096, "2level", "bruck"},    // 9 cells, 1.000, worst 1.000
+		{inf, inf, inf, inf, "bruck", "bruck"},      // 1 cells, 1.000, worst 1.000
 	},
 	8: { // scan
 		{1, inf, 16, inf, "linear", "linear"},    // 21 cells, 1.000, worst 1.000
@@ -110,8 +122,13 @@ var autoTable = [numKinds][]AutoRow{
 		{4, inf, 2, 16384, "2level", "linear"},   // 4 cells, 1.000, worst 1.000
 		{4, inf, 2, inf, "linear", "linear"},     // 3 cells, 1.000, worst 1.000
 		{4, inf, inf, inf, "2level", "linear"},   // 34 cells, 1.000, worst 1.000
-		{inf, inf, 2, 65536, "2level", "linear"}, // 15 cells, 1.003, worst 1.043
-		{inf, inf, 2, inf, "linear", "linear"},   // 6 cells, 1.000, worst 1.000
-		{inf, inf, inf, inf, "2level", "linear"}, // 45 cells, 1.000, worst 1.000
+		{16, 1, inf, inf, "2level", "linear"},    // 7 cells, 1.000, worst 1.000
+		{16, inf, 2, 16384, "2level", "linear"},  // 8 cells, 1.000, worst 1.000
+		{16, inf, 2, 65536, "2level", "linear"},  // 2 cells, 1.021, worst 1.043
+		{16, inf, 2, inf, "linear", "linear"},    // 4 cells, 1.000, worst 1.000
+		{16, inf, inf, inf, "2level", "rd"},      // 26 cells, 1.000, worst 1.000
+		{inf, inf, 2, 65536, "2level", "linear"}, // 5 cells, 1.000, worst 1.000
+		{inf, inf, 2, inf, "linear", "linear"},   // 2 cells, 1.000, worst 1.000
+		{inf, inf, inf, inf, "2level", "linear"}, // 12 cells, 1.000, worst 1.000
 	},
 }
