@@ -101,7 +101,7 @@ func TestAlltoallTransposes(t *testing.T) {
 
 // TestScanPrefixSums: inclusive and exclusive CoScan produce the prefix
 // sums over image order on every algorithm, including the generic int64
-// form.
+// form, and CoScanReduceT the prefix bitwise ORs of a caller's operation.
 func TestScanPrefixSums(t *testing.T) {
 	for _, alg := range []string{"linear", "rd", "2level"} {
 		for _, exclusive := range []bool{false, true} {
@@ -127,6 +127,22 @@ func TestScanPrefixSums(t *testing.T) {
 					CoScanT(im, y, exclusive)
 					if y[0] != int64(want[0]) {
 						t.Errorf("image %d int64 scan = %v, want %v", me, y[0], int64(want[0]))
+					}
+
+					// Image i contributes bit i−1: the OR over images 1..upTo
+					// is the low upTo bits.
+					z := []int64{1 << (me - 1)}
+					CoScanReduceT(im, z, "or", func(dst, src []int64) {
+						for i := range dst {
+							dst[i] |= src[i]
+						}
+					}, exclusive)
+					wantOr := int64(1)<<upTo - 1
+					if exclusive && me == 1 {
+						wantOr = 1 // image 1 left unchanged
+					}
+					if z[0] != wantOr {
+						t.Errorf("image %d OR scan = %#x, want %#x", me, z[0], wantOr)
 					}
 				})
 				if err != nil {

@@ -30,15 +30,14 @@ func AllgatherRing[T any](v *team.View, mine, out []T) {
 	}
 	steps := sz - 1
 	st := GetState(v, Alg{"ag.ring", tag[T]()}, steps)
-	ep := st.Next()
+	st.Next()
 	box := NewBox[T](st, "", n, steps)
-	me := v.Img
 	r := v.Rank
 	for s := 0; s < steps; s++ {
 		sendB := ((r-s)%sz + sz) % sz
 		recvB := ((r-s-1)%sz + sz) % sz
 		box.Put((r+1)%sz, s, out[sendB*n:sendB*n+n], s, pgas.ViaConduit)
-		me.WaitFlagGE(st.Flags, me.Rank(), s, ep)
+		st.Arrivals(s, 1)
 		box.Take(s, out[recvB*n:recvB*n+n])
 	}
 }
@@ -60,14 +59,14 @@ func AllgatherRing[T any](v *team.View, mine, out []T) {
 // (g−1)·maxBlock regions of n elements (the rounds lie back to back from
 // region (2^k−1)·maxBlock on), so a fast neighbor running ahead can never
 // clobber an unread round. The round flags are slots base.. of st, whose
-// episode ep the caller has claimed.
+// episode the caller has claimed.
 //
 // delivered, when not nil, is called once per round, as soon as the round's
 // blocks are in vec: participants first, first+1, … (mod g), count of them —
 // what lets a caller forward each block while the next rounds are on the wire.
-func SubgroupAllgatherBruck[T any](v *team.View, st *State, base int, box Box[T], group []int, myIdx int, block func(i int) []int, maxBlock int, vec []T, stride, n int, ep int64, delivered func(first, count int)) {
+func SubgroupAllgatherBruck[T any](st *State, base int, box Box[T], group []int, myIdx int, block func(i int) []int, maxBlock int, vec []T, stride, n int, delivered func(first, count int)) {
 	g := len(group)
-	me := v.Img
+	me := st.v.Img
 	es := pgas.ElemSize[T]()
 	// move copies count blocks, from participant first on, between vec and a
 	// packed run, charges the copy and returns the run's length.
@@ -93,7 +92,7 @@ func SubgroupAllgatherBruck[T any](v *team.View, st *State, base int, box Box[T]
 		count := min(have, g-have) // the receiver needs no more
 		at := (1<<k - 1) * maxBlock
 		box.Put(group[(myIdx-1<<k+g)%g], at, staging[:move(staging, myIdx, count, false)], base+k, pgas.ViaConduit)
-		me.WaitFlagGE(st.Flags, me.Rank(), base+k, ep)
+		st.Arrivals(base+k, 1)
 		move(box.Region(at), myIdx+1<<k, count, true)
 		if delivered != nil {
 			delivered(myIdx+1<<k, count)
@@ -116,8 +115,8 @@ func AllgatherBruck[T any](v *team.View, mine, out []T) {
 		return
 	}
 	st := GetState(v, Alg{"ag.bruck", tag[T]()}, Rounds(sz))
-	ep := st.Next()
+	st.Next()
 	ranks := TeamRanks(v)
-	SubgroupAllgatherBruck(v, st, 0, NewBox[T](st, "", n, sz-1), ranks, v.Rank,
-		func(i int) []int { return ranks[i : i+1] }, 1, out, n, n, ep, nil)
+	SubgroupAllgatherBruck(st, 0, NewBox[T](st, "", n, sz-1), ranks, v.Rank,
+		func(i int) []int { return ranks[i : i+1] }, 1, out, n, n, nil)
 }

@@ -37,23 +37,22 @@ func AlltoallBlock[T any](v *team.View, send, recv []T) int {
 // step s+1's run once step s's is on the wire; unpack(i, run) is called as soon
 // as participant i's run has landed, run starting at it (the caller knows its
 // length). Step s's run lands from region (s−1)·per of box on, which holds
-// (g−1)·per regions, under flag slot base+s−1 of st, whose episode ep the
-// caller has claimed.
+// (g−1)·per regions, under flag slot base+s−1 of st, whose episode the caller
+// has claimed.
 //
 // Cross-episode safety needs no credits: before a writer starts episode e+2 of
 // step s it completed episode e+1, whose step g−s waited on a message its
 // target only sends after completing episode e — unpack included, by which
 // point the region being overwritten was consumed.
-func SubgroupAlltoallPairwise[T any](v *team.View, st *State, base int, box Box[T], group []int, myIdx, per int, ep int64, pack func(i int) []T, unpack func(i int, run []T)) {
+func SubgroupAlltoallPairwise[T any](st *State, base int, box Box[T], group []int, myIdx, per int, pack func(i int) []T, unpack func(i int, run []T)) {
 	g := len(group)
-	me := v.Img
 	run := pack((myIdx + 1) % g)
 	for s := 1; s < g; s++ {
 		box.Put(group[(myIdx+s)%g], (s-1)*per, run, base+s-1, pgas.ViaConduit)
 		if s+1 < g {
 			run = pack((myIdx + s + 1) % g)
 		}
-		me.WaitFlagGE(st.Flags, me.Rank(), base+s-1, ep)
+		st.Arrivals(base+s-1, 1)
 		unpack((myIdx-s+g)%g, box.Region((s-1)*per))
 	}
 }
@@ -72,8 +71,8 @@ func AlltoallPairwise[T any](v *team.View, send, recv []T) {
 	}
 	me.MemWork(es * n)
 	st := GetState(v, Alg{"a2a.pw", tag[T]()}, sz-1)
-	ep := st.Next()
-	SubgroupAlltoallPairwise(v, st, 0, NewBox[T](st, "", n, sz-1), TeamRanks(v), v.Rank, 1, ep,
+	st.Next()
+	SubgroupAlltoallPairwise(st, 0, NewBox[T](st, "", n, sz-1), TeamRanks(v), v.Rank, 1,
 		func(i int) []T { return send[i*n : i*n+n] },
 		func(i int, run []T) {
 			copy(recv[i*n:i*n+n], run)
@@ -109,7 +108,7 @@ func AlltoallBruck[T any](v *team.View, send, recv []T) {
 	}
 	nr := Rounds(sz)
 	st := GetState(v, Alg{"a2a.bruck", tag[T]()}, 3*nr)
-	ep := st.Next()
+	st.Next()
 	// Round k exchanges the blocks whose index has bit k set; rounds are laid
 	// out back to back, sized exactly: round k starts at region off[k].
 	off := Temp[int](st, "off", nr)
@@ -123,7 +122,7 @@ func AlltoallBruck[T any](v *team.View, send, recv []T) {
 		}
 	}
 	box := NewBox[T](st, "", n, total)
-	parity := int(ep % 2)
+	parity := st.parity()
 	me := v.Img
 	r := v.Rank
 
@@ -151,7 +150,7 @@ func AlltoallBruck[T any](v *team.View, send, recv []T) {
 		me.MemWork(es * len(pack))
 		st.Gate(ackSlot, 1)
 		box.Put(dst, off[k], pack, k, pgas.ViaConduit)
-		me.WaitFlagGE(st.Flags, me.Rank(), k, ep)
+		st.Arrivals(k, 1)
 		landed := box.Region(off[k])
 		i := 0
 		for j := 1; j < sz; j++ {
@@ -161,7 +160,7 @@ func AlltoallBruck[T any](v *team.View, send, recv []T) {
 			}
 		}
 		me.MemWork(es * i * n)
-		me.NotifyAdd(st.Flags, v.T.GlobalRank(src), ackSlot, 1, pgas.ViaConduit)
+		st.Notify(src, ackSlot, pgas.ViaConduit)
 	}
 	// Phase 3: final rotation — tmp position j carries the block from
 	// source (r−j).

@@ -12,15 +12,14 @@ import (
 // the member at index (i + 2^k) mod g and waits for its own round-k flag.
 // g·ceil(log2 g) notifications total. group lists the participating team
 // ranks, myIdx is the caller's index within it; the round flags are slots
-// base.. of st, whose episode ep the caller has claimed. The flat barrier
-// runs it over the whole team, the hierarchy-aware barriers of internal/core
-// over the node leaders.
-func SubgroupDissemination(v *team.View, st *State, base int, group []int, myIdx int, ep int64) {
+// base.. of st, whose episode the caller has claimed. The flat barrier runs it
+// over the whole team, the hierarchy-aware barriers of internal/core over the
+// node leaders.
+func SubgroupDissemination(st *State, base int, group []int, myIdx int) {
 	g := len(group)
 	for k := 0; 1<<k < g; k++ {
-		partner := group[(myIdx+1<<k)%g]
-		v.Img.NotifyAdd(st.Flags, v.T.GlobalRank(partner), base+k, 1, pgas.ViaConduit)
-		v.Img.WaitFlagGE(st.Flags, v.Img.Rank(), base+k, ep)
+		st.Notify(group[(myIdx+1<<k)%g], base+k, pgas.ViaConduit)
+		st.Arrivals(base+k, 1)
 	}
 }
 
@@ -28,20 +27,20 @@ func SubgroupDissemination(v *team.View, st *State, base int, group []int, myIdx
 // arguments as SubgroupDissemination): 2(g−1) notifications, all serialized
 // through the group's first member. Slot base counts arrivals at it; slot
 // base+1 carries its release stamp.
-func SubgroupLinear(v *team.View, st *State, base int, group []int, myIdx int, ep int64) {
+func SubgroupLinear(st *State, base int, group []int, myIdx int) {
 	g := len(group)
 	if g == 1 {
 		return
 	}
 	if myIdx == 0 {
-		v.Img.WaitFlagGE(st.Flags, v.Img.Rank(), base, ep*int64(g-1))
+		st.Arrivals(base, g-1)
 		for _, r := range group[1:] {
-			v.Img.NotifySet(st.Flags, v.T.GlobalRank(r), base+1, ep, pgas.ViaConduit)
+			st.Stamp(r, base+1, pgas.ViaConduit)
 		}
 		return
 	}
-	v.Img.NotifyAdd(st.Flags, v.T.GlobalRank(group[0]), base, 1, pgas.ViaConduit)
-	v.Img.WaitFlagGE(st.Flags, v.Img.Rank(), base+1, ep)
+	st.Notify(group[0], base, pgas.ViaConduit)
+	st.Arrivals(base+1, 1)
 }
 
 // BarrierDissemination is the dissemination barrier over the whole team —
@@ -54,7 +53,8 @@ func BarrierDissemination(v *team.View) {
 		return
 	}
 	st := GetState(v, Alg{"bar.diss"}, Rounds(n))
-	SubgroupDissemination(v, st, 0, TeamRanks(v), v.Rank, st.Next())
+	st.Next()
+	SubgroupDissemination(st, 0, TeamRanks(v), v.Rank)
 }
 
 // BarrierLinear is the centralized linear barrier the paper contrasts with
@@ -65,7 +65,8 @@ func BarrierLinear(v *team.View) {
 		return
 	}
 	st := GetState(v, Alg{"bar.lin"}, 2)
-	SubgroupLinear(v, st, 0, TeamRanks(v), v.Rank, st.Next())
+	st.Next()
+	SubgroupLinear(st, 0, TeamRanks(v), v.Rank)
 }
 
 // BarrierTree is a binomial-tree barrier: gather up the tree (each internal
@@ -79,35 +80,26 @@ func BarrierTree(v *team.View) {
 		return
 	}
 	st := GetState(v, Alg{"bar.tree"}, 2)
-	ep := st.Next()
+	st.Next()
 	r := v.Rank
-	kids := binomialChildren(r, n)
-	if len(kids) > 0 {
-		v.Img.WaitFlagGE(st.Flags, v.Img.Rank(), 0, ep*int64(len(kids)))
+	nkids := binomialFanout(r, n)
+	if nkids > 0 {
+		st.Arrivals(0, nkids)
 	}
 	if r != 0 {
-		parent := r - (r & -r)
-		v.Img.NotifyAdd(st.Flags, v.T.GlobalRank(parent), 0, 1, pgas.ViaConduit)
-		v.Img.WaitFlagGE(st.Flags, v.Img.Rank(), 1, ep)
+		st.Notify(r-(r&-r), 0, pgas.ViaConduit)
+		st.Arrivals(1, 1)
 	}
-	for _, c := range kids {
-		v.Img.NotifySet(st.Flags, v.T.GlobalRank(c), 1, ep, pgas.ViaConduit)
+	for k := range nkids {
+		st.Stamp(r+1<<k, 1, pgas.ViaConduit)
 	}
 }
 
-// binomialChildren returns the children of rank r in a binomial tree of n
-// ranks rooted at 0: r + 2^k for each k below the position of r's lowest
-// set bit (all k for the root).
-func binomialChildren(r, n int) []int {
-	kids := make([]int, binomialFanout(r, n))
-	for k := range kids {
-		kids[k] = r + 1<<k
-	}
-	return kids
-}
-
-// binomialFanout returns how many children rank r has in that tree; they sit
-// on edges 0..fanout−1, the edge-k child at distance 2^k.
+// binomialFanout returns how many children rank r has in a binomial tree of n
+// ranks rooted at 0: r + 2^k for each k below the position of r's lowest set
+// bit (all k for the root), bounded by n. They sit on edges 0..fanout−1, the
+// edge-k child at distance 2^k; a child r's edge is the position of its lowest
+// set bit.
 func binomialFanout(r, n int) int {
 	limit := r & -r
 	if r == 0 {
@@ -133,24 +125,22 @@ func BarrierTournament(v *team.View) {
 	}
 	nr := Rounds(n)
 	st := GetState(v, Alg{"bar.tour"}, 2*nr)
-	ep := st.Next()
+	st.Next()
 	r := v.Rank
 	lost := -1
 	for k := 0; 1<<k < n; k++ {
 		if r%(1<<(k+1)) != 0 {
 			// Loser: report to the winner and stop advancing.
-			winner := r - 1<<k
-			v.Img.NotifyAdd(st.Flags, v.T.GlobalRank(winner), k, 1, pgas.ViaConduit)
+			st.Notify(r-1<<k, k, pgas.ViaConduit)
 			lost = k
 			break
 		}
-		partner := r + 1<<k
-		if partner < n {
-			v.Img.WaitFlagGE(st.Flags, v.Img.Rank(), k, ep)
+		if r+1<<k < n {
+			st.Arrivals(k, 1)
 		}
 	}
 	if lost >= 0 {
-		v.Img.WaitFlagGE(st.Flags, v.Img.Rank(), nr+lost, ep)
+		st.Arrivals(nr+lost, 1)
 	}
 	// Wake everyone we beat, in reverse round order.
 	start := nr - 1
@@ -161,7 +151,7 @@ func BarrierTournament(v *team.View) {
 		if r%(1<<(k+1)) == 0 {
 			partner := r + 1<<k
 			if partner < n {
-				v.Img.NotifySet(st.Flags, v.T.GlobalRank(partner), nr+k, ep, pgas.ViaConduit)
+				st.Stamp(partner, nr+k, pgas.ViaConduit)
 			}
 		}
 	}

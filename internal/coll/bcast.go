@@ -37,9 +37,9 @@ func SubgroupBcastBinomial[T any](v *team.View, group []int, myIdx, rootIdx int,
 		return
 	}
 	st := GetState(v, alg.With("bcast", tag[T]()), 5)
-	ep := st.Next()
+	st.Next()
 	box := NewBox[T](st, "bcast", len(buf), 1)
-	parity := int(ep % 2)
+	parity := st.parity()
 	paySlot := parity
 	ackSlot := 2 + parity
 	rel := (myIdx - rootIdx + g) % g // rank relative to the root
@@ -68,7 +68,7 @@ func SubgroupBcastBinomial[T any](v *team.View, group []int, myIdx, rootIdx int,
 	}
 	if rel != 0 {
 		parent := member(rel - FloorPow2(rel))
-		v.Img.NotifyAdd(st.Flags, v.T.GlobalRank(parent), ackSlot, 1, pgas.ViaConduit)
+		st.Notify(parent, ackSlot, pgas.ViaConduit)
 		if nkids == 0 {
 			forwarded()
 		}
@@ -115,7 +115,7 @@ func BcastScatterAllgather[T any](v *team.View, root int, buf []T) {
 	chunk := (n + sz - 1) / sz
 	steps := sz - 1
 	st := GetState(v, Alg{"bc.sag", tag[T]()}, 1+steps)
-	ep := st.Next()
+	st.Next()
 	// The full vector (scatter target area), and one chunk-sized region per
 	// all-gather step.
 	vec := NewBox[T](st, "", n, 1)
@@ -164,7 +164,7 @@ func BcastScatterAllgather[T any](v *team.View, root int, buf []T) {
 			} else {
 				// The child's whole subtree falls past the vector end;
 				// it still needs the release notification.
-				me.NotifyAdd(st.Flags, v.T.GlobalRank(member(child)), 0, 1, pgas.ViaConduit)
+				st.Notify(member(child), 0, pgas.ViaConduit)
 			}
 		}
 	}
@@ -177,9 +177,9 @@ func BcastScatterAllgather[T any](v *team.View, root int, buf []T) {
 		if hi > lo {
 			ring.Put(next, s, buf[lo:hi], 1+s, pgas.ViaConduit)
 		} else {
-			me.NotifyAdd(st.Flags, v.T.GlobalRank(next), 1+s, 1, pgas.ViaConduit)
+			st.Notify(next, 1+s, pgas.ViaConduit)
 		}
-		me.WaitFlagGE(st.Flags, me.Rank(), 1+s, ep)
+		st.Arrivals(1+s, 1)
 		if rlo, rhi := bounds(recvC); rhi > rlo {
 			ring.Take(s, buf[rlo:rhi])
 		}

@@ -5,11 +5,13 @@
 // scatter-allgather broadcasts; linear and binomial scatters and gathers;
 // pairwise-exchange and Bruck personalized all-to-alls; linear and
 // distance-doubling prefix reductions — plus, in this file, the protocol
-// vocabulary every algorithm body here and in internal/core is written in
-// (State: per-team flags, episodes and the wait verbs Arrivals, Gate, Inject
-// with the Publish done wave and its Relay; Box: a role's landing regions of
-// the running episode). internal/core also runs the Subgroup* forms of these
-// algorithms among its node leaders.
+// vocabulary every algorithm body here and in internal/core is written in, and
+// the only code that touches a collective's flags (State: per-team flags,
+// episodes, the wait verbs Arrivals, Gate and Inject, the send verbs Notify and
+// Stamp, the Publish done wave of stamps and its Relay; Box: a role's landing
+// regions of the running episode, whose Put is the send with data). The
+// Subgroup* forms take the State, which holds the running episode, and
+// internal/core runs them among its node leaders.
 //
 // Flat algorithms address every peer uniformly through the portable conduit
 // path (pgas.ViaConduit), exactly like a runtime with no knowledge of which
@@ -117,7 +119,7 @@ func tag[T any]() string { return pgas.TypeName[T]() }
 // image: the instance's scratch coarrays and temporaries it has asked for
 // before, so a repeat call finds them by role without naming anything.
 type State struct {
-	Flags *pgas.Flags
+	flags *pgas.Flags
 	v     *team.View
 	name  string  // the state's world-registry key; scratch names extend it
 	m     *member // this image's entry of the team-shared member table
@@ -176,7 +178,7 @@ func GetState(v *team.View, alg Alg, slots int) *State {
 	sh := pgas.LookupOrCreate(w, key, func() interface{} {
 		return &sharedState{flags: pgas.NewFlags(w, key, slots), members: make([]member, v.T.Size())}
 	}).(*sharedState)
-	return v.Cache(memo, &State{Flags: sh.flags, v: v, name: key, m: &sh.members[v.Rank]}).(*State)
+	return v.Cache(memo, &State{flags: sh.flags, v: v, name: key, m: &sh.members[v.Rank]}).(*State)
 }
 
 // Next claims the caller's next episode of the state and returns its number.
@@ -203,24 +205,28 @@ func (s *State) Next() int64 {
 // expect returns the caller's own per-slot expectation counters.
 func (s *State) expect() []int64 {
 	if s.m.expect == nil {
-		s.m.expect = make([]int64, s.Flags.Slots())
+		s.m.expect = make([]int64, s.flags.Slots())
 	}
 	return s.m.expect
 }
 
-// The flow-control vocabulary. Every wait of an algorithm that the episode
-// number over-counts is one of three verbs, each on the caller's own flag row:
-// Arrivals (the late party is a sender), Gate (a receiver that has not yet
-// consumed what the caller sent before) and Inject (the root of an earlier
-// episode that has not yet seen it complete; Relay hands its stamp on).
+// The protocol vocabulary: the only code that touches a state's flags. Every
+// wait is one of three verbs, each on the caller's own flag row: Arrivals (the
+// late party is a sender), Gate (a receiver that has not yet consumed what the
+// caller sent before) and Inject (the root of an earlier episode that has not
+// yet seen it complete; Relay hands its stamp on). Every send without data is
+// one of two, at a team rank's row: Notify (a count: an arrival, an ack or a
+// credit) and Stamp (the running episode: a release; Publish is a wave of
+// them). A send with data is a Box's Put.
 
 // Arrivals adds n to the caller's cumulative expectation on slot and waits
-// until that many have arrived.
+// until that many have arrived. A role that awaits n on the slot in every
+// episode so waits for n times the episode number.
 func (s *State) Arrivals(slot, n int) {
 	e := s.expect()
 	e[slot] += int64(n)
 	me := s.v.Img
-	me.WaitFlagGE(s.Flags, me.Rank(), slot, e[slot])
+	me.WaitFlagGE(s.flags, me.Rank(), slot, e[slot])
 }
 
 // Gate waits for the credits of everything the caller counted on slot before,
@@ -233,7 +239,7 @@ func (s *State) Gate(slot, n int) {
 	e := s.expect()
 	if prev := e[slot]; prev > 0 {
 		me := s.v.Img
-		me.WaitFlagGE(s.Flags, me.Rank(), slot, prev)
+		me.WaitFlagGE(s.flags, me.Rank(), slot, prev)
 	}
 	e[slot] += int64(n)
 }
@@ -245,7 +251,7 @@ func (s *State) Gate(slot, n int) {
 // regions, whoever its root was — was published complete on slot (Publish).
 func (s *State) Inject(slot int) {
 	me := s.v.Img
-	me.WaitFlagGE(s.Flags, me.Rank(), slot, s.m.ep-2)
+	me.WaitFlagGE(s.flags, me.Rank(), slot, s.m.ep-2)
 }
 
 // Relay hands Inject's stamp on to team rank, which the done wave does not
@@ -253,8 +259,24 @@ func (s *State) Inject(slot int) {
 // published complete on slot of the caller's row, it is stamped on rank's.
 func (s *State) Relay(slot, rank int, via pgas.Via) {
 	if me, done := s.v.Img, s.m.ep-2; done > 0 { // before that Inject waits for nothing
-		me.WaitFlagGE(s.Flags, me.Rank(), slot, done)
-		me.NotifySet(s.Flags, s.v.T.GlobalRank(rank), slot, done, via)
+		me.WaitFlagGE(s.flags, me.Rank(), slot, done)
+		me.NotifySet(s.flags, s.v.T.GlobalRank(rank), slot, done, via)
+	}
+}
+
+// Notify adds 1 at team rank's slot.
+func (s *State) Notify(rank, slot int, via pgas.Via) {
+	s.v.Img.NotifyAdd(s.flags, s.v.T.GlobalRank(rank), slot, 1, via)
+}
+
+// Stamp raises team rank's slot to the running episode (a monotone max, so a
+// late stamp of an earlier episode never lowers it). At the caller itself it
+// is a local store, which sends nothing.
+func (s *State) Stamp(rank, slot int, via pgas.Via) {
+	if me := s.v.Img; rank == s.v.Rank {
+		me.SetLocal(s.flags, slot, s.m.ep)
+	} else {
+		me.NotifySet(s.flags, s.v.T.GlobalRank(rank), slot, s.m.ep, via)
 	}
 }
 
@@ -264,14 +286,17 @@ func (s *State) Relay(slot, rank int, via pgas.Via) {
 // index first — the binomial waves start at the root (root-relative order),
 // the linear and two-level ones at index 0 (absolute rank order).
 func (s *State) Publish(slot int, group []int, first int, via pgas.Via) {
-	me, ep := s.v.Img, s.m.ep
-	me.SetLocal(s.Flags, slot, ep)
+	s.Stamp(s.v.Rank, slot, via)
 	for i := range group {
 		if r := group[(first+i)%len(group)]; r != s.v.Rank {
-			me.NotifySet(s.Flags, s.v.T.GlobalRank(r), slot, ep, via)
+			s.Stamp(r, slot, via)
 		}
 	}
 }
+
+// parity is the running episode's parity: which of a slot pair or a box's two
+// halves it uses.
+func (s *State) parity() int { return int(s.m.ep % 2) }
 
 // Rounds returns ceil(log2 n): the number of dissemination /
 // recursive-doubling rounds for n participants.
@@ -396,7 +421,7 @@ func (b Box[T]) Land(slot int, dst []T, sender, ackSlot int, via pgas.Via) {
 	s := b.st
 	s.Arrivals(slot, 1)
 	b.Take(0, dst)
-	s.v.Img.NotifyAdd(s.Flags, s.v.T.GlobalRank(sender), ackSlot, 1, via)
+	s.Notify(sender, ackSlot, via)
 }
 
 // Put writes data into region i of team rank's box and then adds one to its
@@ -413,7 +438,7 @@ func (b Box[T]) PutAt(rank, i, off int, data []T, slot int, via pgas.Via) {
 		b.outside(i, off, len(data))
 	}
 	s := b.st
-	pgas.PutThenNotify(s.v.Img, b.co, s.v.T.GlobalRank(rank), at, data, s.Flags, slot, 1, via)
+	pgas.PutThenNotify(s.v.Img, b.co, s.v.T.GlobalRank(rank), at, data, s.flags, slot, 1, via)
 }
 
 // outside refuses an access that leaves the box (kept out of line: the

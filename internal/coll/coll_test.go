@@ -3,6 +3,7 @@ package coll
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -94,14 +95,15 @@ func TestBarriersEnforceSynchronization(t *testing.T) {
 // subgroup forms the hierarchy-aware barriers run among their node leaders: a
 // strict subgroup of non-contiguous ranks, round flags at an offset.
 func TestSubgroupBarriersEnforceSynchronization(t *testing.T) {
-	type subgroupFn func(v *team.View, st *State, base int, group []int, myIdx int, ep int64)
+	type subgroupFn func(st *State, base int, group []int, myIdx int)
 	for name, sub := range map[string]subgroupFn{"dissemination": SubgroupDissemination, "linear": SubgroupLinear} {
 		for _, group := range [][]int{{1, 4, 6, 9, 11}, {12, 0, 7}, {5}} {
 			t.Run(fmt.Sprintf("%s/%v", name, group), func(t *testing.T) {
 				const base = 3
 				checkBarrierAmong(t, newWorld(t, "13(4)"), name, group, func(v *team.View) {
 					st := GetState(v, Alg{"test.sub", name}, base+2+Rounds(len(group)))
-					sub(v, st, base, group, slices.Index(group, v.Rank), st.Next())
+					st.Next()
+					sub(st, base, group, slices.Index(group, v.Rank))
 				}, 4)
 			})
 		}
@@ -385,7 +387,43 @@ func TestBucket(t *testing.T) {
 	}
 }
 
+// binomialChildren is the reference binomialFanout is held against: the
+// children of rank r in a binomial tree of n ranks rooted at 0, r + 2^k for
+// each k below the position of r's lowest set bit (all k for the root).
+func binomialChildren(r, n int) []int {
+	limit := r & -r
+	if r == 0 {
+		limit = 1 << 30
+	}
+	var kids []int
+	for k := 0; 1<<k < limit && r+1<<k < n; k++ {
+		kids = append(kids, r+1<<k)
+	}
+	return kids
+}
+
+// childSlot is the reference for a child's edge: its index within its
+// parent's children.
+func childSlot(parent, child int) int {
+	return slices.Index(binomialChildren(parent, child+1), child)
+}
+
+// TestBinomialChildren: the reference tree, and binomialFanout counts its
+// children — which sit on edges 0..fanout−1, the edge-k child at r+2^k.
 func TestBinomialChildren(t *testing.T) {
+	for n := 1; n <= 40; n++ {
+		for r := range n {
+			kids := binomialChildren(r, n)
+			if got := binomialFanout(r, n); got != len(kids) {
+				t.Fatalf("binomialFanout(%d, %d) = %d, children %v", r, n, got, kids)
+			}
+			for k, c := range kids {
+				if c != r+1<<k {
+					t.Fatalf("children(%d, %d) = %v: child %d is not on edge %d", r, n, kids, c, k)
+				}
+			}
+		}
+	}
 	if kids := binomialChildren(0, 8); len(kids) != 3 || kids[0] != 1 || kids[1] != 2 || kids[2] != 4 {
 		t.Fatalf("children(0,8) = %v", kids)
 	}
@@ -406,8 +444,11 @@ func TestChildSlotConsistent(t *testing.T) {
 			parent := r - (r & -r)
 			slot := childSlot(parent, r)
 			kids := binomialChildren(parent, n)
-			if kids[slot] != r {
+			if slot < 0 || kids[slot] != r {
 				t.Fatalf("n=%d r=%d: childSlot=%d but children=%v", n, r, slot, kids)
+			}
+			if edge := bits.TrailingZeros(uint(r)); edge != slot {
+				t.Fatalf("n=%d r=%d: edge %d (lowest set bit), childSlot %d", n, r, edge, slot)
 			}
 		}
 	}

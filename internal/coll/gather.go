@@ -35,20 +35,20 @@ func GatherLinear[T any](v *team.View, root int, send, recv []T) {
 		return
 	}
 	st := GetState(v, Alg{"ga.lin", tag[T]()}, 4)
-	ep := st.Next()
+	st.Next()
 	ranks := TeamRanks(v)
-	SubgroupGatherLinear(v, st, 0, ranks, v.Rank, root, func(i int) []int { return ranks[i : i+1] }, 1, send, recv, len(send), ep)
+	SubgroupGatherLinear(st, 0, ranks, v.Rank, root, func(i int) []int { return ranks[i : i+1] }, 1, send, recv, len(send))
 }
 
 // SubgroupGatherLinear is the centralized gather among a subgroup, with
 // SubgroupGatherBinomial's contract: every participant but the root puts own
 // into its region of the root's inbox, and the root unpacks each into recv by
 // team rank, in index order (collectLinear), leaving its own block alone.
-func SubgroupGatherLinear[T any](v *team.View, st *State, base int, group []int, myIdx, rootIdx int, block func(i int) []int, maxBlock int, own, recv []T, n int, ep int64) {
-	collectLinear(v, st, base, group, myIdx, rootIdx, maxBlock*n, own, ep, func(i int, in []T) {
+func SubgroupGatherLinear[T any](st *State, base int, group []int, myIdx, rootIdx int, block func(i int) []int, maxBlock int, own, recv []T, n int) {
+	collectLinear(st, base, group, myIdx, rootIdx, maxBlock*n, own, func(i int, in []T) {
 		for j, r := range block(i) {
 			copy(recv[r*n:r*n+n], in[j*n:j*n+n])
-			v.Img.MemWork(pgas.ElemSize[T]() * n)
+			st.v.Img.MemWork(pgas.ElemSize[T]() * n)
 		}
 	})
 }
@@ -58,12 +58,12 @@ func SubgroupGatherLinear[T any](v *team.View, st *State, base int, group []int,
 // region (slot elements) of the root's inbox, and the root hands each to
 // consume, in index order, crediting the sender right after. Senders are
 // credit-gated per parity, so a landing region is never overwritten before the
-// root has consumed it. Flag layout on st, whose episode ep the caller has
+// root has consumed it. Flag layout on st, whose episode the caller has
 // claimed: parity arrivals at the root (base, base+1), parity credits back to
 // the senders (base+2, base+3).
-func collectLinear[T any](v *team.View, st *State, base int, group []int, myIdx, rootIdx, slot int, own []T, ep int64, consume func(i int, in []T)) {
+func collectLinear[T any](st *State, base int, group []int, myIdx, rootIdx, slot int, own []T, consume func(i int, in []T)) {
 	box := NewBox[T](st, "", slot, len(group))
-	arriveSlot, creditSlot := base+int(ep%2), base+2+int(ep%2)
+	arriveSlot, creditSlot := base+st.parity(), base+2+st.parity()
 	if myIdx != rootIdx {
 		// Gate on the credit for my previous same-parity send.
 		st.Gate(creditSlot, 1)
@@ -75,7 +75,7 @@ func collectLinear[T any](v *team.View, st *State, base int, group []int, myIdx,
 	for i, r := range group {
 		if i != rootIdx {
 			consume(i, box.Region(i)[:slot])
-			v.Img.NotifyAdd(st.Flags, v.T.GlobalRank(r), creditSlot, 1, pgas.ViaConduit)
+			st.Notify(r, creditSlot, pgas.ViaConduit)
 		}
 	}
 }
@@ -88,9 +88,9 @@ func GatherBinomial[T any](v *team.View, root int, send, recv []T) {
 	}
 	sz := v.NumImages()
 	st := GetState(v, Alg{"ga.binom", tag[T]()}, 3*Rounds(sz))
-	ep := st.Next()
+	st.Next()
 	ranks := TeamRanks(v)
-	SubgroupGatherBinomial(v, st, 0, ranks, v.Rank, root, func(i int) []int { return ranks[i : i+1] }, 1, send, recv, len(send), ep)
+	SubgroupGatherBinomial(st, 0, ranks, v.Rank, root, func(i int) []int { return ranks[i : i+1] }, 1, send, recv, len(send))
 }
 
 // SubgroupGatherBinomial is the binomial gather tree (the mirror of
@@ -124,15 +124,15 @@ func GatherBinomial[T any](v *team.View, root int, send, recv []T) {
 // it lives in the scratch of that span's size class: a leaf ships straight from
 // own and touches no scratch, and only the root stages the whole group.
 //
-// Flag layout on st, whose episode ep the caller has claimed, nr =
-// ⌈log2 g⌉: slots base+[0, nr) edge arrivals; slot base+nr+2·k+parity the
-// credit from the edge-k parent.
-func SubgroupGatherBinomial[T any](v *team.View, st *State, base int, group []int, myIdx, rootIdx int, block func(i int) []int, maxBlock int, own, recv []T, n int, ep int64) {
+// Flag layout on st, whose episode the caller has claimed, nr = ⌈log2 g⌉:
+// slots base+[0, nr) edge arrivals; slot base+nr+2·k+parity the credit from
+// the edge-k parent.
+func SubgroupGatherBinomial[T any](st *State, base int, group []int, myIdx, rootIdx int, block func(i int) []int, maxBlock int, own, recv []T, n int) {
 	g := len(group)
 	nr := Rounds(g)
-	parity := int(ep % 2)
+	parity := st.parity()
 	es := pgas.ElemSize[T]()
-	me := v.Img
+	me := st.v.Img
 	rel := (myIdx - rootIdx + g) % g
 	member := func(relIdx int) int { return group[(relIdx+rootIdx)%g] }
 	span := func(a, b int) int { return packedLen(block, g, rootIdx, a, b, n) }
@@ -151,7 +151,7 @@ func SubgroupGatherBinomial[T any](v *team.View, st *State, base int, group []in
 	}
 	creditKids := func() {
 		for k := nkids - 1; k >= 0; k-- {
-			me.NotifyAdd(st.Flags, v.T.GlobalRank(member(rel+1<<k)), base+nr+2*k+parity, 1, pgas.ViaConduit)
+			st.Notify(member(rel+1<<k), base+nr+2*k+parity, pgas.ViaConduit)
 		}
 	}
 	if rel == 0 {

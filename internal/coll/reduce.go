@@ -1,7 +1,7 @@
 package coll
 
 import (
-	"fmt"
+	"math/bits"
 	"strconv"
 
 	"cafteams/internal/pgas"
@@ -30,7 +30,7 @@ func SubgroupAllreduceRD[T any](v *team.View, group []int, myIdx int, buf []T, o
 	es := pgas.ElemSize[T]()
 	nr := Rounds(FloorPow2(g))
 	st := GetState(v, alg.With("rd", op.Name, tag[T]()), nr+2)
-	ep := st.Next()
+	st.Next()
 	// Three boxes: the rd rounds land at every core member, a folded extra's
 	// contribution at its core partner, and the result at the extra — each
 	// role touches only its own.
@@ -42,19 +42,19 @@ func SubgroupAllreduceRD[T any](v *team.View, group []int, myIdx int, buf []T, o
 	if myIdx >= p2 {
 		// Fold in: ship to the core partner, then wait for the result.
 		NewBox[T](st, "fold", n, 1).Put(group[myIdx-p2], 0, buf, slotExtra, pgas.ViaConduit)
-		me.WaitFlagGE(st.Flags, me.Rank(), slotResult, ep)
+		st.Arrivals(slotResult, 1)
 		NewBox[T](st, "res", n, 1).Take(0, buf)
 		return
 	}
 	if myIdx < extras {
-		me.WaitFlagGE(st.Flags, me.Rank(), slotExtra, ep)
+		st.Arrivals(slotExtra, 1)
 		op.Combine(buf, NewBox[T](st, "fold", n, 1).Region(0)[:n])
 		me.MemWork(2 * es * n)
 	}
 	box := NewBox[T](st, "", n, nr)
 	for k := 0; 1<<k < p2; k++ {
 		box.Put(group[myIdx^1<<k], k, buf, k, pgas.ViaConduit)
-		me.WaitFlagGE(st.Flags, me.Rank(), k, ep)
+		st.Arrivals(k, 1)
 		op.Combine(buf, box.Region(k)[:n])
 		me.MemWork(2 * es * n)
 	}
@@ -83,14 +83,14 @@ func AllreduceLinear[T any](v *team.View, buf []T, op Op[T]) {
 		return
 	}
 	st := GetState(v, Alg{"red.lin", op.Name, tag[T]()}, 2)
-	ep := st.Next()
+	st.Next()
 	// Root inbox: one region per member, touched at the root only. Result
 	// landing: one region at every other member.
 	inbox := NewBox[T](st, "in", n, sz)
 	res := NewBox[T](st, "res", n, 1)
 	me := v.Img
 	if v.Rank == 0 {
-		me.WaitFlagGE(st.Flags, me.Rank(), 0, ep*int64(sz-1))
+		st.Arrivals(0, sz-1)
 		for r := 1; r < sz; r++ {
 			op.Combine(buf, inbox.Region(r)[:n])
 			me.MemWork(2 * es * n)
@@ -101,7 +101,7 @@ func AllreduceLinear[T any](v *team.View, buf []T, op Op[T]) {
 		return
 	}
 	inbox.Put(0, v.Rank, buf, 0, pgas.ViaConduit)
-	me.WaitFlagGE(st.Flags, me.Rank(), 1, ep)
+	st.Arrivals(1, 1)
 	res.Take(0, buf)
 }
 
@@ -118,42 +118,30 @@ func AllreduceTree[T any](v *team.View, buf []T, op Op[T]) {
 	}
 	nr := Rounds(sz)
 	st := GetState(v, Alg{"red.tree", op.Name, tag[T]()}, nr+1)
-	ep := st.Next()
-	// Parents land their children per tree level; every member but the
-	// root lands the result, in a box of its own (leaves touch no other).
+	st.Next()
+	// Parents land their children per tree edge; every member but the root
+	// lands the result, in a box of its own (leaves touch no other).
 	in := NewBox[T](st, "in", n, nr)
 	res := NewBox[T](st, "res", n, 1)
 	me := v.Img
 	r := v.Rank
-	kids := binomialChildren(r, sz)
-	// Gather: children arrive on per-level slots, deepest first.
-	for i := len(kids) - 1; i >= 0; i-- {
-		me.WaitFlagGE(st.Flags, me.Rank(), i, ep)
-		op.Combine(buf, in.Region(i)[:n])
+	nkids := binomialFanout(r, sz)
+	// Gather: the edge-k child arrives on slot k, deepest first.
+	for k := nkids - 1; k >= 0; k-- {
+		st.Arrivals(k, 1)
+		op.Combine(buf, in.Region(k)[:n])
 		me.MemWork(2 * es * n)
 	}
 	if r != 0 {
-		parent := r - (r & -r)
-		// My slot at the parent is my position among its children.
-		slot := childSlot(parent, r)
-		in.Put(parent, slot, buf, slot, pgas.ViaConduit)
-		me.WaitFlagGE(st.Flags, me.Rank(), nr, ep)
+		// My edge to the parent is my lowest set bit.
+		edge := bits.TrailingZeros(uint(r))
+		in.Put(r-1<<edge, edge, buf, edge, pgas.ViaConduit)
+		st.Arrivals(nr, 1)
 		res.Take(0, buf)
 	}
-	for _, c := range kids {
-		res.Put(c, 0, buf, nr, pgas.ViaConduit)
+	for k := range nkids {
+		res.Put(r+1<<k, 0, buf, nr, pgas.ViaConduit)
 	}
-}
-
-// childSlot returns child's index within parent's binomial children list.
-func childSlot(parent, child int) int {
-	kids := binomialChildren(parent, child+1)
-	for i, k := range kids {
-		if k == child {
-			return i
-		}
-	}
-	panic(fmt.Sprintf("coll: %d is not a binomial child of %d", child, parent))
 }
 
 // AllreduceRing is the bandwidth-optimal ring all-reduce (reduce-scatter
@@ -174,7 +162,7 @@ func AllreduceRing[T any](v *team.View, buf []T, op Op[T]) {
 	}
 	steps := 2 * (sz - 1)
 	st := GetState(v, Alg{"red.ring", op.Name, tag[T]()}, steps)
-	ep := st.Next()
+	st.Next()
 	chunk := (n + sz - 1) / sz
 	// One inbox region per step: ring skew can reach sz−1 steps, so regions
 	// cannot be shared between nearby steps.
@@ -200,7 +188,7 @@ func AllreduceRing[T any](v *team.View, buf []T, op Op[T]) {
 		recvC := ((r-s-1)%sz + sz) % sz
 		lo, hi := bounds(sendC)
 		box.Put(next, s, buf[lo:hi], s, pgas.ViaConduit)
-		me.WaitFlagGE(st.Flags, me.Rank(), s, ep)
+		st.Arrivals(s, 1)
 		rlo, rhi := bounds(recvC)
 		op.Combine(buf[rlo:rhi], box.Region(s)[:rhi-rlo])
 		me.MemWork(2 * es * (rhi - rlo))
@@ -211,7 +199,7 @@ func AllreduceRing[T any](v *team.View, buf []T, op Op[T]) {
 		recvC := ((r-s)%sz + sz) % sz
 		lo, hi := bounds(sendC)
 		box.Put(next, sz-1+s, buf[lo:hi], sz-1+s, pgas.ViaConduit)
-		me.WaitFlagGE(st.Flags, me.Rank(), sz-1+s, ep)
+		st.Arrivals(sz-1+s, 1)
 		rlo, rhi := bounds(recvC)
 		box.Take(sz-1+s, buf[rlo:rhi])
 	}

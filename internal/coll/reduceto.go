@@ -38,9 +38,9 @@ func SubgroupReduceToRoot[T any](v *team.View, group []int, myIdx, rootIdx int, 
 	es := pgas.ElemSize[T]()
 	nr := Rounds(g)
 	st := GetState(v, alg.With("redto", tag[T]()), 3*nr)
-	ep := st.Next()
+	st.Next()
 	box := NewBox[T](st, "redto", n, nr)
-	parity := int(ep % 2)
+	parity := st.parity()
 	me := v.Img
 	rel := (myIdx - rootIdx + g) % g
 
@@ -52,7 +52,7 @@ func SubgroupReduceToRoot[T any](v *team.View, group []int, myIdx, rootIdx int, 
 		op.Combine(buf, box.Region(k)[:n])
 		me.MemWork(2 * es * n)
 		// Credit the child: its parity landing region here is free.
-		me.NotifyAdd(st.Flags, v.T.GlobalRank(group[(myIdx+1<<k)%g]), nr+2*k+parity, 1, pgas.ViaConduit)
+		st.Notify(group[(myIdx+1<<k)%g], nr+2*k+parity, pgas.ViaConduit)
 	}
 	if rel == 0 {
 		return
@@ -79,8 +79,8 @@ func ReduceToRootLinear[T any](v *team.View, root int, buf []T, op Op[T]) {
 		return
 	}
 	st := GetState(v, Alg{"redto.lin", op.Name, tag[T]()}, 4)
-	ep := st.Next()
-	collectLinear(v, st, 0, TeamRanks(v), v.Rank, root, len(buf), buf, ep, func(_ int, in []T) {
+	st.Next()
+	collectLinear(st, 0, TeamRanks(v), v.Rank, root, len(buf), buf, func(_ int, in []T) {
 		op.Combine(buf, in)
 		v.Img.MemWork(2 * pgas.ElemSize[T]() * len(buf))
 	})

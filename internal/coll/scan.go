@@ -38,16 +38,16 @@ func ScanLinear[T any](v *team.View, buf []T, op Op[T], exclusive bool) {
 		return
 	}
 	st := GetState(v, Alg{"scan.lin", op.Name, scanTag(exclusive), tag[T]()}, 4)
-	ep := st.Next()
+	st.Next()
 	box := NewBox[T](st, scanTag(exclusive), n, 1)
-	creditSlot := 2 + int(ep%2)
+	creditSlot := 2 + st.parity()
 	me := v.Img
 	r := v.Rank
 	var fwd []T // the inclusive prefix over [0, r], shipped to r+1
 	if r == 0 {
 		fwd = buf
 	} else {
-		me.WaitFlagGE(st.Flags, me.Rank(), 0, ep)
+		st.Arrivals(0, 1)
 		in := box.Region(0)[:n] // prefix over [0, r)
 		if exclusive {
 			if r < sz-1 {
@@ -70,7 +70,7 @@ func ScanLinear[T any](v *team.View, buf []T, op Op[T], exclusive bool) {
 		box.Put(r+1, 0, fwd, 0, pgas.ViaConduit)
 	}
 	if r > 0 {
-		me.NotifyAdd(st.Flags, v.T.GlobalRank(r-1), creditSlot, 1, pgas.ViaConduit)
+		st.Notify(r-1, creditSlot, pgas.ViaConduit)
 	}
 }
 
@@ -99,9 +99,9 @@ func ScanRD[T any](v *team.View, buf []T, op Op[T], exclusive bool) {
 	}
 	nr := Rounds(sz)
 	st := GetState(v, Alg{"scan.rd", op.Name, scanTag(exclusive), tag[T]()}, 3*nr+3)
-	ep := st.Next()
+	st.Next()
 	box := NewBox[T](st, scanTag(exclusive), n, nr)
-	parity := int(ep % 2)
+	parity := st.parity()
 	me := v.Img
 	r := v.Rank
 	acc := Temp[T](st, "acc", n) // running partial over [max(0, r−2^k+1), r]
@@ -114,10 +114,10 @@ func ScanRD[T any](v *team.View, buf []T, op Op[T], exclusive bool) {
 			box.Put(r+1<<k, k, acc, k, pgas.ViaConduit)
 		}
 		if r-1<<k >= 0 {
-			me.WaitFlagGE(st.Flags, me.Rank(), k, ep)
+			st.Arrivals(k, 1)
 			op.Combine(acc, box.Region(k)[:n])
 			me.MemWork(2 * es * n)
-			me.NotifyAdd(st.Flags, v.T.GlobalRank(r-1<<k), ackSlot, 1, pgas.ViaConduit)
+			st.Notify(r-1<<k, ackSlot, pgas.ViaConduit)
 		}
 	}
 	if !exclusive {
@@ -135,9 +135,9 @@ func ScanRD[T any](v *team.View, buf []T, op Op[T], exclusive bool) {
 		shift.Put(r+1, 0, acc, shiftSlot, pgas.ViaConduit)
 	}
 	if r > 0 {
-		me.WaitFlagGE(st.Flags, me.Rank(), shiftSlot, ep)
+		st.Arrivals(shiftSlot, 1)
 		shift.Take(0, buf)
-		me.NotifyAdd(st.Flags, v.T.GlobalRank(r-1), shiftAck, 1, pgas.ViaConduit)
+		st.Notify(r-1, shiftAck, pgas.ViaConduit)
 	}
 }
 
@@ -173,7 +173,7 @@ func SubgroupExscan[T any](v *team.View, group []int, myIdx int, total, ex []T, 
 	es := pgas.ElemSize[T]()
 	nr := Rounds(g)
 	st := GetState(v, alg.With("xscan", op.Name, tag[T]()), nr)
-	ep := st.Next()
+	st.Next()
 	box := NewBox[T](st, "", n, nr)
 	me := v.Img
 	have := false
@@ -183,7 +183,7 @@ func SubgroupExscan[T any](v *team.View, group []int, myIdx int, total, ex []T, 
 			continue
 		}
 		box.Put(group[partner], k, total, k, pgas.ViaConduit)
-		me.WaitFlagGE(st.Flags, me.Rank(), k, ep)
+		st.Arrivals(k, 1)
 		in := box.Region(k)[:n]
 		if partner < myIdx {
 			if have {

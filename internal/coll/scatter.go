@@ -51,7 +51,7 @@ func ScatterBinomial[T any](v *team.View, root int, send, recv []T) {
 // after the tree).
 func scatterFlat[T any](v *team.View, root int, alg Alg, tree bool, block func(i int) []int, send, recv []T) {
 	st := GetState(v, alg, 5)
-	ep := st.Next()
+	st.Next()
 	ranks := TeamRanks(v)
 	first := 0
 	if v.Rank == root {
@@ -59,9 +59,9 @@ func scatterFlat[T any](v *team.View, root int, alg Alg, tree bool, block func(i
 	}
 	if tree {
 		first = root
-		SubgroupScatterBinomial(v, st, 0, ranks, v.Rank, root, block, 1, send, recv, ep, nil)
+		SubgroupScatterBinomial(st, 0, ranks, v.Rank, root, block, 1, send, recv, nil)
 	} else {
-		SubgroupScatterLinear(v, st, 0, ranks, v.Rank, root, block, 1, send, recv, ep, nil)
+		SubgroupScatterLinear(st, 0, ranks, v.Rank, root, block, 1, send, recv, nil)
 	}
 	if v.Rank == root {
 		st.Publish(4, ranks, first, pgas.ViaConduit)
@@ -75,17 +75,17 @@ func scatterFlat[T any](v *team.View, root int, alg Alg, tree bool, block func(i
 // consecutive, otherwise packed into one staging buffer (a put captures its
 // payload at issue) at a copy's cost. A participant awaits its block, hands it
 // to forwarded, takes its first n elements into recv and acks the root.
-func SubgroupScatterLinear[T any](v *team.View, st *State, base int, group []int, myIdx, rootIdx int, block func(i int) []int, maxBlock int, send, recv []T, ep int64, forwarded func(packed []T)) {
+func SubgroupScatterLinear[T any](st *State, base int, group []int, myIdx, rootIdx int, block func(i int) []int, maxBlock int, send, recv []T, forwarded func(packed []T)) {
 	n := len(recv)
 	box := NewBox[T](st, "", maxBlock*n, 1)
-	paySlot, ackSlot := base+int(ep%2), base+2+int(ep%2)
+	paySlot, ackSlot := base+st.parity(), base+2+st.parity()
 	if myIdx != rootIdx {
 		st.Arrivals(paySlot, 1)
 		if forwarded != nil {
 			forwarded(box.Region(0)[:len(block(myIdx))*n])
 		}
 		box.Take(0, recv)
-		v.Img.NotifyAdd(st.Flags, v.T.GlobalRank(group[rootIdx]), ackSlot, 1, pgas.ViaConduit)
+		st.Notify(group[rootIdx], ackSlot, pgas.ViaConduit)
 		return
 	}
 	pack := func(i int) []T {
@@ -97,7 +97,7 @@ func SubgroupScatterLinear[T any](v *team.View, st *State, base int, group []int
 		for j, r := range b {
 			copy(p[j*n:], send[r*n:r*n+n])
 		}
-		v.Img.MemWork(pgas.ElemSize[T]() * len(p))
+		st.v.Img.MemWork(pgas.ElemSize[T]() * len(p))
 		return p
 	}
 	for i, r := range group {
@@ -131,8 +131,8 @@ func SubgroupScatterLinear[T any](v *team.View, st *State, base int, group []int
 // so it lives in the scratch of that span's size class (the sender picks the
 // same class from the child's position): leaves land one block, nobody stages
 // the whole group, and the root forwards from a private copy. Flow control is
-// the SubgroupBcastBinomial ack scheme on slots base.. of st, whose episode ep
-// the caller has claimed: parity payload arrivals (base, base+1) and parity
+// the SubgroupBcastBinomial ack scheme on slots base.. of st, whose episode the
+// caller has claimed: parity payload arrivals (base, base+1) and parity
 // acks (base+2, base+3) climbing back to the root. The injection gate before
 // the root's call and the done wave after it are the caller's: it alone knows
 // who else may write the landing areas and who the next roots are.
@@ -140,13 +140,12 @@ func SubgroupScatterLinear[T any](v *team.View, st *State, base int, group []int
 // forwarded, when not nil, is called with the caller's packed subtree once it
 // has been forwarded to the children, before their acks are awaited and before
 // the caller acks its parent: the subtree stays readable until it returns.
-func SubgroupScatterBinomial[T any](v *team.View, st *State, base int, group []int, myIdx, rootIdx int, block func(i int) []int, maxBlock int, send, recv []T, ep int64, forwarded func(tree []T)) {
+func SubgroupScatterBinomial[T any](st *State, base int, group []int, myIdx, rootIdx int, block func(i int) []int, maxBlock int, send, recv []T, forwarded func(tree []T)) {
 	g := len(group)
 	n := len(recv)
-	parity := int(ep % 2)
-	paySlot := base + parity
-	ackSlot := base + 2 + parity
-	me := v.Img
+	paySlot := base + st.parity()
+	ackSlot := base + 2 + st.parity()
+	me := st.v.Img
 	rel := (myIdx - rootIdx + g) % g
 	span := func(a, b int) int { return packedLen(block, g, rootIdx, a, b, n) }
 
@@ -184,6 +183,6 @@ func SubgroupScatterBinomial[T any](v *team.View, st *State, base int, group []i
 	}
 	if rel != 0 {
 		parent := group[(rel-rel&-rel+rootIdx)%g] // rel less its lowest bit
-		me.NotifyAdd(st.Flags, v.T.GlobalRank(parent), ackSlot, 1, pgas.ViaConduit)
+		st.Notify(parent, ackSlot, pgas.ViaConduit)
 	}
 }

@@ -71,9 +71,9 @@ func TestSubgroupAlltoallPairwise(t *testing.T) {
 			} else {
 				im.Sleep(sim.Time(rng.Intn(5_000)))
 			}
-			sep := st.Next()
+			st.Next()
 			var packed, unpacked []int
-			SubgroupAlltoallPairwise(v, st, 0, NewBox[float64](st, "", n, (g-1)*maxBlock*maxBlock), rootedGroup, myIdx, maxBlock*maxBlock, sep,
+			SubgroupAlltoallPairwise(st, 0, NewBox[float64](st, "", n, (g-1)*maxBlock*maxBlock), rootedGroup, myIdx, maxBlock*maxBlock,
 				func(i int) []float64 {
 					packed = append(packed, i)
 					return run(ep, myIdx, i)
@@ -136,7 +136,7 @@ func runSubgroupRooted(t *testing.T, linear bool) {
 				}
 			}
 
-			sep := sc.Next()
+			sc.Next()
 			var send []float64
 			if rel == 0 {
 				send = make([]float64, sz*n)
@@ -154,9 +154,9 @@ func runSubgroupRooted(t *testing.T, linear bool) {
 				}
 			}
 			if linear {
-				SubgroupScatterLinear(v, sc, 0, rootedGroup, myIdx, rootIdx, block, 4, send, recv, sep, forwarded)
+				SubgroupScatterLinear(sc, 0, rootedGroup, myIdx, rootIdx, block, 4, send, recv, forwarded)
 			} else {
-				SubgroupScatterBinomial(v, sc, 0, rootedGroup, myIdx, rootIdx, block, 4, send, recv, sep, forwarded)
+				SubgroupScatterBinomial(sc, 0, rootedGroup, myIdx, rootIdx, block, 4, send, recv, forwarded)
 			}
 			if rel == 0 {
 				sc.Publish(4, rootedGroup, rootIdx, pgas.ViaConduit)
@@ -164,7 +164,7 @@ func runSubgroupRooted(t *testing.T, linear bool) {
 				t.Errorf("scatter ep%d rank %d: recv %v, want %v", ep, v.Rank, recv, want[:n])
 			}
 
-			gep := ga.Next()
+			ga.Next()
 			own := want[:len(rootedBlocks[myIdx])*n]
 			var got []float64
 			if rel == 0 {
@@ -174,9 +174,9 @@ func runSubgroupRooted(t *testing.T, linear bool) {
 				}
 			}
 			if linear {
-				SubgroupGatherLinear(v, ga, 0, rootedGroup, myIdx, rootIdx, block, 4, own, got, n, gep)
+				SubgroupGatherLinear(ga, 0, rootedGroup, myIdx, rootIdx, block, 4, own, got, n)
 			} else {
-				SubgroupGatherBinomial(v, ga, 0, rootedGroup, myIdx, rootIdx, block, 4, own, got, n, gep)
+				SubgroupGatherBinomial(ga, 0, rootedGroup, myIdx, rootIdx, block, 4, own, got, n)
 			}
 			if rel != 0 {
 				continue

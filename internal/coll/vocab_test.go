@@ -29,14 +29,14 @@ func TestGate(t *testing.T) {
 			// on slot 1 at 210, 220, 230 µs.
 			for _, c := range []struct{ at, slot int }{{50, 0}, {120, 0}, {210, 1}, {220, 1}, {230, 1}} {
 				im.Sleep(sim.Time(c.at)*us - im.Now())
-				im.NotifyAdd(st.Flags, 0, c.slot, 1, pgas.ViaConduit)
+				im.NotifyAdd(st.flags, 0, c.slot, 1, pgas.ViaConduit)
 			}
 			return
 		}
 		gate := func(slot, n int, credits int64, notBefore sim.Time) {
 			t.Helper()
 			st.Gate(slot, n)
-			if got := st.Flags.Peek(0, slot); got != credits || im.Now() < notBefore {
+			if got := st.flags.Peek(0, slot); got != credits || im.Now() < notBefore {
 				t.Errorf("Gate(%d, %d) returned at %d ns holding %d credits, want %d credits, sent at %d ns", slot, n, im.Now(), got, credits, notBefore)
 			}
 		}
@@ -76,12 +76,12 @@ func TestPublishOrder(t *testing.T) {
 			ep := st.Next()
 			if v.Rank == root {
 				st.Publish(0, TeamRanks(v), c.first, pgas.ViaConduit)
-				if st.Flags.Peek(root, 0) != ep {
+				if st.flags.Peek(root, 0) != ep {
 					t.Errorf("%s: the root did not stamp itself", c.name)
 				}
 				return
 			}
-			im.WaitFlagGE(st.Flags, im.Rank(), 0, ep)
+			im.WaitFlagGE(st.flags, im.Rank(), 0, ep)
 			at[v.Rank] = im.Now()
 		})
 		for i, a := range c.want {
@@ -128,7 +128,7 @@ func TestBox(t *testing.T) {
 				box.Put(peer, i, []float64{float64(10*ep) + float64(i)}, 0, pgas.ViaConduit)
 				box.PutAt(peer, i, 3, []float64{-float64(i)}, 0, pgas.ViaConduit)
 			}
-			im.WaitFlagGE(st.Flags, im.Rank(), 0, ep*2*regions)
+			im.WaitFlagGE(st.flags, im.Rank(), 0, ep*2*regions)
 			for i := 0; i < regions; i++ {
 				if off := (parity*regions + i) * cap_; slab[off] != float64(10*ep)+float64(i) || slab[off+3] != -float64(i) {
 					t.Errorf("episode %d: Put to region %d landed %v, %v at element %d", ep, i, slab[off], slab[off+3], off)
@@ -196,9 +196,11 @@ func TestFixedBox(t *testing.T) {
 }
 
 // TestProtocolVocabularyIsClosed: outside coll.go no algorithm file of
-// internal/coll or internal/core allocates scratch, reads the expectation
-// counters or spells the injection gate by hand; Box, Arrivals/Gate and
-// Inject/Publish are the only way to those.
+// internal/coll or internal/core touches a state's flags, allocates scratch,
+// reads the expectation counters or spells the injection gate by hand, and no
+// function takes the episode number beside the state that holds it. Box, the
+// waits Arrivals/Gate/Inject and the sends Notify/Stamp (Publish, Relay) are
+// the only way to those.
 func TestProtocolVocabularyIsClosed(t *testing.T) {
 	files, err := filepath.Glob("*.go")
 	if err != nil {
@@ -217,9 +219,10 @@ func TestProtocolVocabularyIsClosed(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, line := range strings.Split(string(src), "\n") {
-			for _, banned := range []string{"cratch[", ".Expect(", ".expect(", "ep-2", "ep - 2"} {
+			for _, banned := range []string{"cratch[", ".Expect(", ".expect(", "ep-2", "ep - 2",
+				"WaitFlagGE(", "NotifyAdd(", "NotifySet(", "SetLocal(", ".Flags", "ep int64"} {
 				if strings.Contains(line, banned) {
-					t.Errorf("%s:%d spells protocol arithmetic outside coll.go: %s", f, i+1, strings.TrimSpace(line))
+					t.Errorf("%s:%d steps outside the protocol vocabulary: %s", f, i+1, strings.TrimSpace(line))
 				}
 			}
 		}

@@ -37,18 +37,18 @@ func AllgatherTwoLevel[T any](v *team.View, mine, out []T) {
 		return
 	}
 	st := coll.GetState(v, coll.Alg{"ag2", pgas.TypeName[T]()}, 2+coll.Rounds(t.NumNodeGroups()))
-	ep := st.Next()
+	st.Next()
 	// The whole vector on every image, packed by team rank: a leader's members
 	// contribute into it, a member lands the fan-out in it.
 	vec := coll.NewBox[T](st, "", sz*n, 1)
 	me := v.Img
 	leader := t.LeaderOf(v.Rank)
 	if v.Rank == leader {
-		allgatherTwoLevelLead(v, st, vec, out[:sz*n], n, ep)
+		allgatherTwoLevelLead(v, st, vec, out[:sz*n], n)
 		return
 	}
 	vec.PutAt(leader, 0, v.Rank*n, mine, 0, pgas.ViaShm)
-	me.WaitFlagGE(st.Flags, me.Rank(), 1, ep*int64(nodeBlockPuts(t)))
+	st.Arrivals(1, nodeBlockPuts(t))
 	copy(out, vec.Region(0)[:sz*n])
 	me.MemWork(pgas.ElemSize[T]() * n * sz)
 }
@@ -75,7 +75,7 @@ func nodeBlockPuts(t *team.Team) int {
 // none of its frame.
 //
 //go:noinline
-func allgatherTwoLevelLead[T any](v *team.View, st *coll.State, vec coll.Box[T], out []T, n int, ep int64) {
+func allgatherTwoLevelLead[T any](v *team.View, st *coll.State, vec coll.Box[T], out []T, n int) {
 	t, me := v.T, v.Img
 	gi := t.GroupOf(v.Rank)
 	group := t.NodeGroup(gi)
@@ -94,7 +94,7 @@ func allgatherTwoLevelLead[T any](v *team.View, st *coll.State, vec coll.Box[T],
 		}
 	}
 	if len(group) > 1 {
-		me.WaitFlagGE(st.Flags, me.Rank(), 0, ep*int64(len(group)-1))
+		st.Arrivals(0, len(group)-1)
 		in := vec.Region(0)
 		for _, r := range group[1:] {
 			copy(out[r*n:r*n+n], in[r*n:])
@@ -107,8 +107,8 @@ func allgatherTwoLevelLead[T any](v *team.View, st *coll.State, vec coll.Box[T],
 	leaders := t.Leaders()
 	if steps := len(leaders) - 1; steps > 0 {
 		mg := t.MaxNodeGroup()
-		coll.SubgroupAllgatherBruck(v, st, 2, coll.NewBox[T](st, "blocks", n, steps*mg), leaders, gi,
-			t.NodeGroup, mg, out, n, n, ep, func(first, count int) {
+		coll.SubgroupAllgatherBruck(st, 2, coll.NewBox[T](st, "blocks", n, steps*mg), leaders, gi,
+			t.NodeGroup, mg, out, n, n, func(first, count int) {
 				for i := range count {
 					fan((first + i) % len(leaders))
 				}

@@ -11,6 +11,7 @@ package core
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 
 	"cafteams/internal/coll"
@@ -105,13 +106,22 @@ func TestLogDepthStagesSteadyStateAllocs(t *testing.T) {
 
 // TestCollectiveSteadyStateAllocs holds every kind to zero heap objects per
 // episode per image on the native backend — all nine, alltoall, allgather and
-// scan included; the hierarchy default and the decision table's pick, whose
-// lookup and decision counter are on every call's path — and reports the same
-// table on the sim backend (where every put stages a copy and every image is a
-// simulated process: a report, not a gate).
+// scan included; the hierarchy default, the decision table's pick, whose
+// lookup and decision counter are on every call's path, and every registered
+// algorithm by name but the "nb-" aliases (starting a split-phase operation
+// allocates its handle by design) — and reports the same table on the sim
+// backend (where every put stages a copy and every image is a simulated
+// process: a report, not a gate).
 func TestCollectiveSteadyStateAllocs(t *testing.T) {
-	for _, pol := range []Policy{{Level: LevelAuto}, {Level: LevelAuto, Tuning: AllAuto()}} {
-		for _, k := range Kinds() {
+	for _, k := range Kinds() {
+		tunings := []Tuning{{}, AllAuto()}
+		for _, name := range Algorithms(k) {
+			if !strings.HasPrefix(name, "nb-") {
+				tunings = append(tunings, Tuning{}.With(k, name))
+			}
+		}
+		for _, tuning := range tunings {
+			pol := Policy{Level: LevelAuto, Tuning: tuning}
 			native := steadyStateAllocs(t, allocShape("native"), k, pol)
 			sim := steadyStateAllocs(t, allocShape("sim"), k, pol)
 			t.Logf("%-9s tuning %q: native %.2f allocs/episode/image, sim %.2f", k, pol.Tuning.For(k), native, sim)

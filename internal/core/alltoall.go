@@ -149,8 +149,8 @@ func alltoallTwoLevelLead[T any](v *team.View, st *coll.State, inbox, outbox col
 	if leaders := t.Leaders(); len(leaders) > 1 {
 		steps := len(leaders) - 1
 		ls := coll.GetState(v, coll.Alg{"a2a2", "pw", pgas.TypeName[T]()}, steps)
-		ep := ls.Next()
-		coll.SubgroupAlltoallPairwise(v, ls, 0, coll.NewBox[T](ls, "", n, steps*mg*mg), leaders, gi, mg*mg, ep,
+		ls.Next()
+		coll.SubgroupAlltoallPairwise(ls, 0, coll.NewBox[T](ls, "", n, steps*mg*mg), leaders, gi, mg*mg,
 			func(h int) []T { return pack(t.NodeGroup(h)) },
 			func(h int, run []T) {
 				hn := len(t.NodeGroup(h)) * n

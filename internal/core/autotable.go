@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"cafteams/internal/team"
 )
@@ -89,9 +90,10 @@ func LevelChoice(k Kind, l Level) string {
 }
 
 // HierarchyAware reports whether a registered algorithm consults the team's
-// placement (and so is not a candidate for a row's Flat column).
+// placement (and so is not a candidate for a row's Flat column). An "nb-"
+// alias answers as the algorithm it runs.
 func HierarchyAware(name string) bool {
-	switch name {
+	switch strings.TrimPrefix(name, "nb-") {
 	case "tdlb", "tdll", "tdlb3", "2level", "3level":
 		return true
 	}

@@ -81,3 +81,31 @@ func TestAutoRowString(t *testing.T) {
 		t.Errorf("row prints %q, want %q", got, want)
 	}
 }
+
+// TestHierarchyAware: every registered name of every kind, an "nb-" alias
+// answering as the algorithm it runs.
+func TestHierarchyAware(t *testing.T) {
+	aware := map[Kind][]string{
+		KindBarrier:   {"tdlb", "tdll", "tdlb3"},
+		KindAllreduce: {"2level", "3level", "nb-2level"},
+		KindReduceTo:  {"2level"},
+		KindBroadcast: {"2level", "nb-2level"},
+		KindAllgather: {"2level", "nb-2level"},
+		KindScatter:   {"2level"},
+		KindGather:    {"2level"},
+		KindAlltoall:  {"2level"},
+		KindScan:      {"2level"},
+	}
+	for _, k := range Kinds() {
+		for _, name := range aware[k] {
+			if !HasAlgorithm(k, name) {
+				t.Errorf("%s/%s is not registered", k, name)
+			}
+		}
+		for _, name := range Algorithms(k) {
+			if got, want := HierarchyAware(name), slices.Contains(aware[k], name); got != want {
+				t.Errorf("HierarchyAware(%q) of %s = %v, want %v", name, k, got, want)
+			}
+		}
+	}
+}

@@ -50,12 +50,14 @@
 // region, so it sends no credit. What they share is the protocol under them,
 // and that is written once, in internal/coll's vocabulary: a landing area is a
 // coll.Box (it owns the episode's parity and the region offsets), a wait is
-// State.Arrivals, Gate or Inject (with the Publish done wave and its Relay), a
-// member's receipt and ack of its block is Box.Land, and on top of those this
-// package has one stage verb of its own: fanOut, a leader's gated delivery to
-// its intranode set. No body multiplies a parity by a capacity or reads a
-// counter. Policy selects between flat and hierarchy-aware algorithms from the
-// team's hierarchy shape and the message size.
+// State.Arrivals, Gate or Inject, a send without data is State.Notify (a count:
+// an arrival, an ack, a credit) or Stamp (a release; the Publish done wave and
+// its Relay), a member's receipt and ack of its block is Box.Land, and on top
+// of those this package has one stage verb of its own: fanOut, a leader's gated
+// delivery to its intranode set. No body touches a flag, multiplies a parity by
+// a capacity, reads a counter or passes the episode number on. Policy selects
+// between flat and hierarchy-aware algorithms from the team's hierarchy shape
+// and the message size.
 //
 // This package is backend-agnostic: it speaks to the runtime only through
 // internal/pgas (the Transport seam) and must never import internal/sim —
@@ -170,33 +172,32 @@ func barrierLeveled(v *team.View, name string, sockets, linearTop bool) {
 		topSlots = 2
 	}
 	st := coll.GetState(v, coll.Alg{name}, top+topSlots)
-	ep := st.Next()
-	me := v.Img
+	st.Next()
 
 	d := 0
 	for ; d < len(levels); d++ {
 		lv := levels[d]
 		if v.Rank != lv.leader {
-			me.NotifyAdd(st.Flags, t.GlobalRank(lv.leader), 2*d, 1, pgas.ViaShm)
-			me.WaitFlagGE(st.Flags, me.Rank(), 2*d+1, ep)
+			st.Notify(lv.leader, 2*d, pgas.ViaShm)
+			st.Arrivals(2*d+1, 1)
 			break
 		}
 		if len(lv.group) > 1 {
-			me.WaitFlagGE(st.Flags, me.Rank(), 2*d, ep*int64(len(lv.group)-1))
+			st.Arrivals(2*d, len(lv.group)-1)
 		}
 	}
 	if d == len(levels) {
 		if linearTop {
-			coll.SubgroupLinear(v, st, top, leaders, t.LeaderPos(v.Rank), ep)
+			coll.SubgroupLinear(st, top, leaders, t.LeaderPos(v.Rank))
 		} else {
-			coll.SubgroupDissemination(v, st, top, leaders, t.LeaderPos(v.Rank), ep)
+			coll.SubgroupDissemination(st, top, leaders, t.LeaderPos(v.Rank))
 		}
 	}
 	// d is the first level the image does not lead: it releases those below.
 	for d--; d >= 0; d-- {
 		for _, r := range levels[d].group {
 			if r != v.Rank {
-				me.NotifySet(st.Flags, t.GlobalRank(r), 2*d+1, ep, pgas.ViaShm)
+				st.Stamp(r, 2*d+1, pgas.ViaShm)
 			}
 		}
 	}

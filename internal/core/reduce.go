@@ -32,7 +32,7 @@ func allreduceLeveled[T any](v *team.View, buf []T, op coll.Op[T], name, leadNam
 	var lbuf [2]level
 	levels := levelsOf(t, v.Rank, sockets, &lbuf)
 	st := coll.GetState(v, coll.Alg{name, op.Name, pgas.TypeName[T]()}, 2*len(levels))
-	ep := st.Next()
+	st.Next()
 	// Two boxes: a leader's inbox and the result landing region of everyone
 	// the result cascades down to. The inbox has a range of regions per level,
 	// as wide as the level's largest group, one region per position in the
@@ -48,12 +48,12 @@ func allreduceLeveled[T any](v *team.View, buf []T, op coll.Op[T], name, leadNam
 		lv := levels[d]
 		if v.Rank != lv.leader {
 			inbox.Put(lv.leader, first+groupPos(lv.group, v.Rank), buf, 2*d, pgas.ViaShm)
-			me.WaitFlagGE(st.Flags, me.Rank(), 2*d+1, ep)
+			st.Arrivals(2*d+1, 1)
 			res.Take(0, buf)
 			break
 		}
 		if len(lv.group) > 1 {
-			me.WaitFlagGE(st.Flags, me.Rank(), 2*d, ep*int64(len(lv.group)-1))
+			st.Arrivals(2*d, len(lv.group)-1)
 			for i, r := range lv.group {
 				if r != v.Rank {
 					op.Combine(buf, inbox.Region(first + i)[:n])

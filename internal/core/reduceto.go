@@ -25,12 +25,11 @@ func ReduceToRootTwoLevel[T any](v *team.View, root int, buf []T, op coll.Op[T])
 	}
 	n := len(buf)
 	st := coll.GetState(v, coll.Alg{"redto2", op.Name, pgas.TypeName[T]()}, 7)
-	ep := st.Next()
+	parity := int(st.Next() % 2)
 	// Two boxes: a leader's inbox (one region per position in its intranode
 	// set) and the result landing region of a non-leader root.
 	inbox := coll.NewBox[T](st, "in", n, t.MaxNodeGroup())
 	res := coll.NewBox[T](st, "res", n, 1)
-	parity := int(ep % 2)
 	ackSlot := 3 + parity
 	me := v.Img
 	leader := t.LeaderOf(v.Rank)
@@ -57,7 +56,7 @@ func ReduceToRootTwoLevel[T any](v *team.View, root int, buf []T, op coll.Op[T])
 			if r != v.Rank {
 				op.Combine(buf, inbox.Region(i)[:n])
 				me.MemWork(2 * pgas.ElemSize[T]() * n)
-				me.NotifyAdd(st.Flags, t.GlobalRank(r), ackSlot, 1, pgas.ViaShm)
+				st.Notify(r, ackSlot, pgas.ViaShm)
 			}
 		}
 	}

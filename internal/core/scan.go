@@ -130,7 +130,7 @@ func scanTwoLevelLead[T any](v *team.View, st *coll.State, inbox, resBox coll.Bo
 			st.Arrivals(scan2ChainSlot+parity, 1)
 			ex = coll.Temp[T](st, "ex", n)
 			inbox.Take(mg, ex)
-			me.NotifyAdd(st.Flags, t.GlobalRank(t.LeaderOf(first-1)), scan2ChainCredit+parity, 1, pgas.ViaAuto)
+			st.Notify(t.LeaderOf(first-1), scan2ChainCredit+parity, pgas.ViaAuto)
 		}
 		if next := group[gsz-1] + 1; next < sz {
 			fwd := acc // node total, already the running prefix over my groups
@@ -180,7 +180,7 @@ func scanTwoLevelLead[T any](v *team.View, st *coll.State, inbox, resBox coll.Bo
 	})
 	// The fold has read the inbox: credit the contributors.
 	for _, r := range group[1:] {
-		me.NotifyAdd(st.Flags, t.GlobalRank(r), scan2InboxCredit+parity, 1, pgas.ViaShm)
+		st.Notify(r, scan2InboxCredit+parity, pgas.ViaShm)
 	}
 	// My own exclusive result last: the fold needed my vector.
 	if exclusive && ex != nil { // nil at the team's rank 0: buf stays unchanged

@@ -105,8 +105,7 @@ func ScatterTwoLevel[T any](v *team.View, root int, send, recv []T) {
 	n := len(recv)
 	tree := leadersTree(t, n*pgas.ElemSize[T]())
 	st := twoLevelState[T](v, "sc2", tree, sc2Slots+4)
-	ep := st.Next()
-	parity := int(ep % 2)
+	parity := int(st.Next() % 2)
 	// Besides the stage's boxes: the root's node block at its leader, written
 	// by a root that does not lead its node, and a member's block landing
 	// region, written by its leader.
@@ -138,9 +137,9 @@ func ScatterTwoLevel[T any](v *team.View, root int, send, recv []T) {
 		part, first := standIns(st, t, root), 0
 		if tree {
 			first = rgi
-			coll.SubgroupScatterBinomial(v, st, sc2Slots, part, gi, rgi, t.NodeGroup, t.MaxNodeGroup(), send, recv, ep, serve)
+			coll.SubgroupScatterBinomial(st, sc2Slots, part, gi, rgi, t.NodeGroup, t.MaxNodeGroup(), send, recv, serve)
 		} else {
-			coll.SubgroupScatterLinear(v, st, sc2Slots, part, gi, rgi, t.NodeGroup, t.MaxNodeGroup(), send, recv, ep, serve)
+			coll.SubgroupScatterLinear(st, sc2Slots, part, gi, rgi, t.NodeGroup, t.MaxNodeGroup(), send, recv, serve)
 		}
 		if v.Rank != root {
 			return
@@ -157,7 +156,7 @@ func ScatterTwoLevel[T any](v *team.View, root int, send, recv []T) {
 		st.Arrivals(sc2PackSlot+parity, 1)
 		serve(packs.Region(0))
 		packs.Take(0, recv)
-		v.Img.NotifyAdd(st.Flags, t.GlobalRank(root), sc2RootAck+parity, 1, pgas.ViaShm)
+		st.Notify(root, sc2RootAck+parity, pgas.ViaShm)
 	default:
 		// Member: exactly one block arrives, from my node leader, over shared
 		// memory; ack it so the leader may reuse my landing region.
@@ -210,8 +209,7 @@ func GatherTwoLevel[T any](v *team.View, root int, send, recv []T) {
 		stageSlots = 3 * coll.Rounds(t.NumNodeGroups())
 	}
 	st := twoLevelState[T](v, "ga2", tree, ga2Slots+stageSlots)
-	ep := st.Next()
-	parity := int(ep % 2)
+	parity := int(st.Next() % 2)
 	maxGroup := t.MaxNodeGroup()
 	// Besides the stage's boxes: a leader's pack assembly area, written by its
 	// intranode set, and the root's landing area for its own node's pack.
@@ -225,7 +223,7 @@ func GatherTwoLevel[T any](v *team.View, root int, send, recv []T) {
 	creditGroup := func() {
 		for _, r := range group {
 			if r != v.Rank && r != root {
-				me.NotifyAdd(st.Flags, t.GlobalRank(r), ga2MemberCredit+parity, 1, pgas.ViaShm)
+				st.Notify(r, ga2MemberCredit+parity, pgas.ViaShm)
 			}
 		}
 	}
@@ -270,7 +268,7 @@ func GatherTwoLevel[T any](v *team.View, root int, send, recv []T) {
 		if v.Rank == leader {
 			creditGroup()
 		} else {
-			me.NotifyAdd(st.Flags, t.GlobalRank(leader), ga2LeaderCredit+parity, 1, pgas.ViaShm)
+			st.Notify(leader, ga2LeaderCredit+parity, pgas.ViaShm)
 		}
 	case gi == rgi:
 		// The root's node: ship the whole pack to the root over shared memory,
@@ -282,9 +280,9 @@ func GatherTwoLevel[T any](v *team.View, root int, send, recv []T) {
 	}
 	part := standIns(st, t, root)
 	if tree {
-		coll.SubgroupGatherBinomial(v, st, ga2Slots, part, gi, rgi, t.NodeGroup, maxGroup, pack, recv, n, ep)
+		coll.SubgroupGatherBinomial(st, ga2Slots, part, gi, rgi, t.NodeGroup, maxGroup, pack, recv, n)
 	} else {
-		coll.SubgroupGatherLinear(v, st, ga2Slots, part, gi, rgi, t.NodeGroup, maxGroup, pack, recv, n, ep)
+		coll.SubgroupGatherLinear(st, ga2Slots, part, gi, rgi, t.NodeGroup, maxGroup, pack, recv, n)
 	}
 	if v.Rank != root {
 		creditGroup() // the pack area is consumed the moment its put is issued

@@ -18,8 +18,6 @@ type Engine interface {
 	// returns the maximum |value| and its local row, or ok=false if the
 	// range is empty.
 	LocalAbsMax(lc, lr0, lrEnd int) (val float64, lr int, ok bool)
-	// ColumnValue returns local element (lr, lc).
-	ColumnValue(lr, lc int) float64
 	// ScaleColumn divides local column lc rows [lr0, lrEnd) by pivot.
 	ScaleColumn(lc, lr0, lrEnd int, pivot float64)
 	// Rank1Update applies A[lr0:lrEnd, lc+1:lcEnd) -= l * pivRow where l
@@ -81,9 +79,6 @@ func (e *RealEngine) LocalAbsMax(lc, lr0, lrEnd int) (float64, int, bool) {
 	}
 	return best, bi, true
 }
-
-// ColumnValue implements Engine.
-func (e *RealEngine) ColumnValue(lr, lc int) float64 { return e.a.At(lr, lc) }
 
 // ScaleColumn implements Engine.
 func (e *RealEngine) ScaleColumn(lc, lr0, lrEnd int, pivot float64) {
@@ -192,9 +187,6 @@ func (e *PhantomEngine) LocalAbsMax(lc, lr0, lrEnd int) (float64, int, bool) {
 	val := 0.5 + float64(h%1024)/1024
 	return val, lr, true
 }
-
-// ColumnValue implements Engine.
-func (e *PhantomEngine) ColumnValue(lr, lc int) float64 { return 1 }
 
 // ScaleColumn implements Engine.
 func (e *PhantomEngine) ScaleColumn(lc, lr0, lrEnd int, pivot float64) {}
