@@ -21,14 +21,18 @@ import (
 )
 
 // steadyStateAllocs runs kind k under pol on sc's world (allocShape: 8(2)) at
-// 128 elems — two warm-up episodes (both
+// sc.elems (128 when unset) — two warm-up episodes (both
 // parities: state, scratch slabs, flag rows, temporaries), then eps measured
 // ones — and returns the heap objects allocated per episode per image.
 // Everything the images allocate between rank 0's two readings counts; the
 // barriers that fence the readings are themselves inside the window.
 func steadyStateAllocs(t *testing.T, sc confScenario, k Kind, pol Policy) float64 {
 	t.Helper()
-	const warm, eps, elems, root = 2, 40, 128, 5 // root: a non-leader of the second node
+	const warm, eps, root = 2, 40, 5 // root: a non-leader (8(2): of the second node)
+	elems := 128
+	if sc.elems > 0 {
+		elems = sc.elems
+	}
 	w := sc.world(t)
 	var before, after runtime.MemStats
 	w.Run(func(im *pgas.Image) {
@@ -130,6 +134,26 @@ func TestCollectiveSteadyStateAllocs(t *testing.T) {
 			if native > 0.05 {
 				t.Errorf("%s, tuning %q: %.2f allocs per episode per image on native, want 0", k, pol.Tuning.For(k), native)
 			}
+		}
+	}
+	// The leveled reductions' sliced node stage runs from sliceBytes per slice
+	// up, above 128 elements: on 2 nodes × 3 sockets × 3 cores at 576, 2level
+	// slices over nodes of 9 and 3level over both levels of 3. Its slice and
+	// gather boxes are found again by role like every other.
+	topo, err := topology.New(2, 3, 3, 18, topology.PlaceBlock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		k    Kind
+		name string
+	}{{KindAllreduce, "2level"}, {KindAllreduce, "3level"}, {KindReduceTo, "2level"}} {
+		pol := Policy{Level: LevelAuto, Tuning: Tuning{}.With(c.k, c.name)}
+		sc := confScenario{topo: topo, elems: 576, backend: "native"}
+		native := steadyStateAllocs(t, sc, c.k, pol)
+		t.Logf("%s/%s sliced on 2x3x3 at %d elems: native %.2f allocs/episode/image", c.k, c.name, sc.elems, native)
+		if native > 0.05 {
+			t.Errorf("%s/%s sliced: %.2f allocs per episode per image on native, want 0", c.k, c.name, native)
 		}
 	}
 }

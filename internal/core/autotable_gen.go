@@ -22,38 +22,29 @@ var autoTable = [numKinds][]AutoRow{
 		{inf, inf, inf, inf, "tdll", "tournament"},     // 13 cells, 1.000, worst 1.000
 	},
 	1: { // allreduce
-		{1, inf, 8, 4096, "linear", "linear"},   // 6 cells, 1.000, worst 1.000
-		{1, inf, 8, inf, "rd", "rd"},            // 8 cells, 1.000, worst 1.000
-		{1, inf, inf, inf, "rd", "rd"},          // 28 cells, 1.000, worst 1.000
-		{4, inf, 2, 65536, "2level", "linear"},  // 5 cells, 1.000, worst 1.000
-		{4, inf, 2, inf, "ring", "ring"},        // 2 cells, 1.000, worst 1.000
-		{4, inf, 4, 524288, "2level", "linear"}, // 12 cells, 1.000, worst 1.000
-		{4, inf, 4, inf, "ring", "ring"},        // 2 cells, 1.000, worst 1.000
-		{4, inf, 8, inf, "2level", "tree"},      // 7 cells, 1.000, worst 1.000
-		{4, inf, inf, 524288, "3level", "tree"}, // 18 cells, 1.000, worst 1.003
-		{4, inf, inf, inf, "ring", "ring"},      // 2 cells, 1.000, worst 1.000
-		{16, 1, inf, 524288, "2level", "tree"},  // 6 cells, 1.000, worst 1.000
-		{16, 1, inf, inf, "ring", "ring"},       // 1 cells, 1.000, worst 1.000
-		{16, inf, 2, 524288, "3level", "tree"},  // 12 cells, 1.002, worst 1.014
-		{16, inf, 2, inf, "ring", "ring"},       // 2 cells, 1.065, worst 1.134
-		{16, inf, inf, inf, "3level", "tree"},   // 26 cells, 1.001, worst 1.012
-		{inf, inf, inf, inf, "3level", "tree"},  // 19 cells, 1.001, worst 1.007
+		{1, inf, 8, 4096, "linear", "linear"},    // 6 cells, 1.000, worst 1.000
+		{1, inf, 8, inf, "rd", "rd"},             // 8 cells, 1.000, worst 1.000
+		{1, inf, inf, inf, "rd", "rd"},           // 28 cells, 1.000, worst 1.000
+		{4, inf, 4, 524288, "2level", "linear"},  // 18 cells, 1.000, worst 1.000
+		{4, inf, 4, inf, "ring", "ring"},         // 3 cells, 1.000, worst 1.000
+		{4, inf, 8, inf, "2level", "tree"},       // 7 cells, 1.000, worst 1.000
+		{4, inf, inf, 524288, "2level", "tree"},  // 18 cells, 1.000, worst 1.006
+		{4, inf, inf, inf, "ring", "ring"},       // 2 cells, 1.000, worst 1.000
+		{16, 1, inf, inf, "2level", "tree"},      // 7 cells, 1.000, worst 1.000
+		{16, inf, 2, 4096, "3level", "linear"},   // 6 cells, 1.004, worst 1.014
+		{16, inf, 2, 16384, "2level", "tree"},    // 2 cells, 1.037, worst 1.075
+		{16, inf, 2, 524288, "2level", "tree"},   // 4 cells, 1.000, worst 1.000
+		{16, inf, 2, inf, "2level", "ring"},      // 2 cells, 1.044, worst 1.090
+		{16, inf, inf, 4096, "3level", "tree"},   // 12 cells, 1.003, worst 1.012
+		{16, inf, inf, inf, "2level", "tree"},    // 14 cells, 1.001, worst 1.020
+		{inf, inf, inf, 16384, "3level", "tree"}, // 12 cells, 1.001, worst 1.007
+		{inf, inf, inf, inf, "2level", "tree"},   // 7 cells, 1.006, worst 1.014
 	},
 	2: { // reduceto
-		{1, inf, 8, 4096, "linear", "linear"},        // 6 cells, 1.000, worst 1.000
-		{1, inf, 8, inf, "binomial", "binomial"},     // 8 cells, 1.002, worst 1.018
-		{1, inf, inf, inf, "binomial", "binomial"},   // 28 cells, 1.000, worst 1.000
-		{4, inf, inf, inf, "2level", "binomial"},     // 48 cells, 1.000, worst 1.013
-		{16, 1, inf, inf, "2level", "binomial"},      // 7 cells, 1.000, worst 1.000
-		{16, inf, 2, 65536, "2level", "linear"},      // 10 cells, 1.000, worst 1.000
-		{16, inf, 2, 524288, "binomial", "binomial"}, // 2 cells, 1.021, worst 1.043
-		{16, inf, 2, inf, "binomial", "binomial"},    // 2 cells, 1.000, worst 1.000
-		{16, inf, 4, 65536, "2level", "binomial"},    // 5 cells, 1.000, worst 1.000
-		{16, inf, 4, inf, "binomial", "binomial"},    // 2 cells, 1.000, worst 1.000
-		{16, inf, inf, inf, "2level", "binomial"},    // 19 cells, 1.000, worst 1.000
-		{inf, inf, 4, 65536, "2level", "binomial"},   // 10 cells, 1.000, worst 1.000
-		{inf, inf, 4, inf, "binomial", "binomial"},   // 3 cells, 1.000, worst 1.000
-		{inf, inf, inf, inf, "2level", "binomial"},   // 6 cells, 1.000, worst 1.000
+		{1, inf, 8, 4096, "linear", "linear"},      // 6 cells, 1.000, worst 1.000
+		{1, inf, 8, inf, "binomial", "binomial"},   // 8 cells, 1.002, worst 1.018
+		{1, inf, inf, inf, "binomial", "binomial"}, // 28 cells, 1.000, worst 1.000
+		{inf, inf, inf, inf, "2level", "binomial"}, // 114 cells, 1.000, worst 1.000
 	},
 	3: { // bcast
 		{1, inf, 4, 65536, "linear", "linear"},                          // 5 cells, 1.000, worst 1.000

@@ -7,9 +7,12 @@
 // loads and stores and a centralized scheme is cheap; run a distributed
 // algorithm (dissemination, recursive doubling, binomial) among the node
 // leaders only, where the message-passing cost model applies; release back
-// down. internal/team precomputes the groups and leaders as each team's
-// hierarchy view; "multi-level hierarchies (NUMA nodes, sockets)" are the same
-// recipe with more levels.
+// down. Centralized is cheap for flags, not for large vectors: from sliceBytes
+// per member's slice up, a group combines its vectors as a reduce-scatter —
+// every core of the node one slice, the leader gathering the slices — rather
+// than at the leader alone. internal/team precomputes the groups and leaders
+// as each team's hierarchy view; "multi-level hierarchies (NUMA nodes,
+// sockets)" are the same recipe with more levels.
 //
 // So an image's way up the hierarchy is a value — levelsOf: the groups it
 // belongs to or leads, innermost first, each with its leader — and each
@@ -53,11 +56,13 @@
 // State.Arrivals, Gate or Inject, a send without data is State.Notify (a count:
 // an arrival, an ack, a credit) or Stamp (a release; the Publish done wave and
 // its Relay), a member's receipt and ack of its block is Box.Land, and on top
-// of those this package has one stage verb of its own: fanOut, a leader's gated
-// delivery to its intranode set. No body touches a flag, multiplies a parity by
-// a capacity, reads a counter or passes the episode number on. Policy selects
-// between flat and hierarchy-aware algorithms from the team's hierarchy shape
-// and the message size.
+// of those this package has two stage verbs of its own: fanOut, a leader's
+// gated delivery to its intranode set, and reduceUp, a group's combine into
+// its leader — whole vectors at the leader, or by slices on every member —
+// under allreduceLeveled and ReduceToRootTwoLevel. No body touches a flag,
+// multiplies a parity by a capacity, reads a counter or passes the episode
+// number on. Policy selects between flat and hierarchy-aware algorithms from
+// the team's hierarchy shape and the message size.
 //
 // This package is backend-agnostic: it speaks to the runtime only through
 // internal/pgas (the Transport seam) and must never import internal/sim —
@@ -128,6 +133,128 @@ func fanOut[T any](v *team.View, st *coll.State, box coll.Box[T], group []int, s
 		}
 		if b := block(i, r); r != v.Rank {
 			box.Put(r, 0, b, slot, pgas.ViaShm)
+		}
+	}
+}
+
+// sliceBytes is the measured crossover (three-episode cells; CHANGES.md has
+// the sweep) from which a group's stage of the leveled reductions is a
+// reduce-scatter: from slices of sliceBytes — the vector's bytes over the
+// group's size — up, every member combines one slice of the group's vectors,
+// in parallel. Below it the leader combines the whole vectors alone: the
+// per-slice puts and waits cost more than the combine they share out. A pair
+// never slices, at any size: its gather costs what the split saves.
+const sliceBytes = 512
+
+// sliced reports whether a group of g reduces n-element vectors of es-byte
+// elements by slices: the same on every member of the group.
+func sliced(g, n, es int) bool { return g > 2 && n*es/g >= sliceBytes }
+
+// upStage is one group's stage of a leveled reduction (reduceUp): the group
+// and its leader, the group's range of regions, first.. of boxes of regions,
+// and the flag slots of each form in the state.
+type upStage struct {
+	level
+	first, regions int
+	arrive, ack    int // whole vectors: arrivals at the leader; its ack to each contributor, −1 for none
+	slices         int // slices: per-sender slots from slices+first, per-combiner gather slots from slices+regions+first
+	credit         int // slices: the leader's credit to each member after its gather, −1 for none
+}
+
+// reduceUp is the node stage of the leveled reductions: the group's vectors,
+// buf on each member, combine over shared memory into the leader's buf. Below
+// sliceBytes per slice the members put their whole vectors into the leader's
+// inbox (a member gated on the leader's ack, s.ack, of its previous
+// same-parity vector) and the leader counts them in, then combines and acks
+// each (combineWhole); from it up the group reduce-scatters (reduceSliced). A
+// member returns once its part is sent; only the leader's buf holds the
+// group's result. The member's put is the one call of this frame on the way to
+// the transport: the two forms' other work is in frames of their own.
+func reduceUp[T any](v *team.View, st *coll.State, buf []T, op coll.Op[T], s *upStage) {
+	n, g := len(buf), len(s.group)
+	switch {
+	case sliced(g, n, pgas.ElemSize[T]()):
+		reduceSliced(v, st, buf, op, s)
+	case v.Rank == s.leader:
+		combineWhole(v, st, buf, op, s)
+	default:
+		if s.ack >= 0 {
+			st.Gate(s.ack, 1)
+		}
+		coll.NewBox[T](st, "in", n, s.regions).Put(s.leader, s.first+groupPos(s.group, v.Rank), buf, s.arrive, pgas.ViaShm)
+	}
+}
+
+// combineWhole is the leader's side of reduceUp's whole-vector form.
+//
+//go:noinline
+func combineWhole[T any](v *team.View, st *coll.State, buf []T, op coll.Op[T], s *upStage) {
+	n, es, g := len(buf), pgas.ElemSize[T](), len(s.group)
+	if g == 1 {
+		return
+	}
+	inbox := coll.NewBox[T](st, "in", n, s.regions)
+	st.Arrivals(s.arrive, g-1)
+	for i, r := range s.group {
+		if r != v.Rank {
+			op.Combine(buf, inbox.Region(s.first + i)[:n])
+			v.Img.MemWork(2 * es * n)
+			if s.ack >= 0 {
+				st.Notify(r, s.ack, pgas.ViaShm)
+			}
+		}
+	}
+}
+
+// reduceSliced is reduceUp's reduce-scatter. Member i puts slice j of its
+// vector (⌈n/g⌉ elements) to member j in shifted order, j = i+1, i+2, …; each
+// member combines its own slice as each sender's lands, in the same order, and
+// puts the result to the leader, which copies each into buf as it lands. The
+// slice and gather regions are one fixed half: a member writes an episode's
+// only once the previous episode's result was released to it (the allreduce)
+// or the leader's credit (s.credit) came, which the leader sends after its
+// gather — either proves that every region of that episode was read.
+//
+//go:noinline
+func reduceSliced[T any](v *team.View, st *coll.State, buf []T, op coll.Op[T], s *upStage) {
+	group := s.group
+	g, n := len(group), len(buf)
+	per := (n + g - 1) / g
+	slice := func(j int) []T {
+		lo := min(j*per, n)
+		return buf[lo:min(lo+per, n)]
+	}
+	in := coll.NewFixedBox[T](st, "slice", per, s.regions)
+	out := coll.NewFixedBox[T](st, "gather", per, s.regions)
+	me, gather := groupPos(group, v.Rank), s.slices+s.regions+s.first
+	if v.Rank != s.leader && s.credit >= 0 {
+		st.Gate(s.credit, 1)
+	}
+	for k := 1; k < g; k++ {
+		j := (me + k) % g
+		in.Put(group[j], s.first+me, slice(j), s.slices+s.first+me, pgas.ViaShm)
+	}
+	mine := slice(me)
+	for k := 1; k < g; k++ {
+		i := (me - k + g) % g
+		st.Arrivals(s.slices+s.first+i, 1)
+		op.Combine(mine, in.Region(s.first + i)[:len(mine)])
+		v.Img.MemWork(2 * pgas.ElemSize[T]() * len(mine))
+	}
+	if v.Rank != s.leader {
+		out.Put(s.leader, s.first+me, mine, gather+me, pgas.ViaShm)
+		return
+	}
+	for k := 1; k < g; k++ {
+		j := (me + k) % g
+		st.Arrivals(gather+j, 1)
+		out.Take(s.first+j, slice(j))
+	}
+	if s.credit >= 0 {
+		for _, r := range group {
+			if r != v.Rank {
+				st.Notify(r, s.credit, pgas.ViaShm)
+			}
 		}
 	}
 }

@@ -11,60 +11,53 @@ import (
 // §IV applied to co_sum/co_max/co_min, for any number of shared-memory
 // levels), the walk of barrierLeveled with vectors on it:
 //
-//	up:   at each level the image ships its vector to the level's leader over
-//	      shared memory and awaits the result; only the leader — having
-//	      combined its whole group's vectors — climbs on;
+//	up:   at each level the group's vectors combine at the level's leader
+//	      over shared memory (reduceUp: the leader alone, or for large
+//	      vectors every member a slice of them) and the members await the
+//	      result; only the leader climbs on;
 //	top:  the node leaders run a recursive-doubling all-reduce among
 //	      themselves over the network (state name leadName);
 //	down: each leader ships the result to the groups it leads over shared
 //	      memory, outermost first.
 //
 // buf is combined in place on every image. Flag layout: level d has slot 2d
-// for arrivals at its leader and slot 2d+1 for the leader's result release.
+// for whole vectors' arrivals at its leader and slot 2d+1 for the leader's
+// result release; the sliced stage's per-sender slice slots follow, one range
+// per level as wide as the level's largest group, then its per-combiner
+// gather slots, ranged alike.
 func allreduceLeveled[T any](v *team.View, buf []T, op coll.Op[T], name, leadName string, sockets bool) {
 	t := v.T
 	v.Img.World().Stats().Count(trace.OpReduce)
 	if t.Size() == 1 {
 		return
 	}
-	n := len(buf)
-	es := pgas.ElemSize[T]()
 	var lbuf [2]level
 	levels := levelsOf(t, v.Rank, sockets, &lbuf)
-	st := coll.GetState(v, coll.Alg{name, op.Name, pgas.TypeName[T]()}, 2*len(levels))
-	st.Next()
-	// Two boxes: a leader's inbox and the result landing region of everyone
-	// the result cascades down to. The inbox has a range of regions per level,
-	// as wide as the level's largest group, one region per position in the
-	// group. The ranges must not overlap: at a node leader both its own
-	// socket's members and the other socket leaders deposit concurrently.
+	// The inbox and slice regions of a level are a range as wide as the
+	// level's largest group, one region per position in the group. The ranges
+	// must not overlap: at a node leader both its own socket's members and the
+	// other socket leaders deposit concurrently.
 	widths := levelWidths(t, sockets)
-	inbox := coll.NewBox[T](st, "in", n, widths[0]+widths[1])
-	res := coll.NewBox[T](st, "res", n, 1)
-	me := v.Img
+	regions := widths[0] + widths[1]
+	st := coll.GetState(v, coll.Alg{name, op.Name, pgas.TypeName[T]()}, 2*len(levels)+2*regions)
+	st.Next()
+	// The result landing region of everyone the result cascades down to.
+	res := coll.NewBox[T](st, "res", len(buf), 1)
 
-	d, first := 0, 0 // first: the level's range of inbox regions
+	s := upStage{regions: regions, ack: -1, slices: 2 * len(levels), credit: -1}
+	d := 0
 	for ; d < len(levels); d++ {
-		lv := levels[d]
-		if v.Rank != lv.leader {
-			inbox.Put(lv.leader, first+groupPos(lv.group, v.Rank), buf, 2*d, pgas.ViaShm)
+		s.level, s.arrive = levels[d], 2*d
+		reduceUp(v, st, buf, op, &s)
+		if v.Rank != s.leader {
 			st.Arrivals(2*d+1, 1)
 			res.Take(0, buf)
 			break
 		}
-		if len(lv.group) > 1 {
-			st.Arrivals(2*d, len(lv.group)-1)
-			for i, r := range lv.group {
-				if r != v.Rank {
-					op.Combine(buf, inbox.Region(first + i)[:n])
-					me.MemWork(2 * es * n)
-				}
-			}
-		}
-		first += widths[d]
+		s.first += widths[d]
 	}
 	if d == len(levels) {
-		coll.SubgroupAllreduceRD(v, t.Leaders(), t.LeaderPos(v.Rank), buf, op, coll.Alg{leadName, op.Name})
+		leadersAllreduce(v, buf, op, leadName)
 	}
 	// d is the first level the image does not lead: it releases those below.
 	for d--; d >= 0; d-- {
@@ -74,6 +67,16 @@ func allreduceLeveled[T any](v *team.View, buf []T, op coll.Op[T], name, leadNam
 			}
 		}
 	}
+}
+
+// leadersAllreduce is allreduceLeveled's top: the recursive-doubling
+// all-reduce among the node leaders. It has a frame of its own because every
+// member's put runs through allreduceLeveled's: the call's arguments there
+// would put the members of a 4096-image world on 8 KB stacks.
+//
+//go:noinline
+func leadersAllreduce[T any](v *team.View, buf []T, op coll.Op[T], leadName string) {
+	coll.SubgroupAllreduceRD(v, v.T.Leaders(), v.T.LeaderPos(v.Rank), buf, op, coll.Alg{leadName, op.Name})
 }
 
 // AllreduceTwoLevel is the paper's two-level all-to-all reduction: intranode
@@ -102,28 +105,28 @@ func BcastTwoLevel[T any](v *team.View, root int, buf []T) {
 		return
 	}
 	// Flag layout: slot 0 handoff arrivals at the root's leader, slot 1
-	// fan-out arrivals at members, slots 3/4 parity fan-out acks at leaders,
-	// slots 5/6 parity handoff credits at the root. Roles vary with the root,
+	// fan-out arrivals at members, slots 2/3 parity fan-out acks at leaders,
+	// slots 4/5 parity handoff credits at the root. Roles vary with the root,
 	// so every wait counts exactly (State.Arrivals).
-	st := coll.GetState(v, coll.Alg{"bc2", pgas.TypeName[T]()}, 7)
+	st := coll.GetState(v, coll.Alg{"bc2", pgas.TypeName[T]()}, 6)
 	parity := int(st.Next() % 2)
 	// One landing region on every image: the root's leader lands the handoff
 	// in it, everyone else the fan-out.
 	box := coll.NewBox[T](st, "", len(buf), 1)
 	leader := t.LeaderOf(v.Rank)
 	rootLeader := t.LeaderOf(root)
-	ackSlot := 3 + parity
+	ackSlot := 2 + parity
 	// Step 0: a non-leader source hands the payload to its node leader.
 	// The handoff is the one edge with no downstream wait on the root's
 	// critical path, so it carries its own credit: the root may not reuse
 	// a parity landing region before the leader acked consuming the
-	// previous same-parity handoff (slots 5/6).
+	// previous same-parity handoff (slots 4/5).
 	if v.Rank == root && root != rootLeader {
-		st.Gate(5+parity, 1)
+		st.Gate(4+parity, 1)
 		box.Put(rootLeader, 0, buf, 0, pgas.ViaShm)
 	}
 	if v.Rank == rootLeader && root != rootLeader {
-		box.Land(0, buf, root, 5+parity, pgas.ViaShm)
+		box.Land(0, buf, root, 4+parity, pgas.ViaShm)
 	}
 	// Step 1: binomial broadcast among node leaders (internally
 	// flow-controlled). Step 2, called from inside it once the leader has
