@@ -58,13 +58,14 @@ func AllgatherRing[T any](v *team.View, mine, out []T) {
 // member after member; round k's lands in its own regions of box, which has
 // (g−1)·maxBlock regions of n elements (the rounds lie back to back from
 // region (2^k−1)·maxBlock on), so a fast neighbor running ahead can never
-// clobber an unread round. The round flags are slots base.. of st, whose
-// episode the caller has claimed.
+// clobber an unread round. Round k's flag is slot base+k of st, whose episode
+// the caller has claimed, on the participants' rows only: an image of the team
+// outside group may use those slots of its own row for something else.
 //
-// delivered, when not nil, is called once per round, as soon as the round's
+// delivered, when not nil, is called once per round k, as soon as the round's
 // blocks are in vec: participants first, first+1, … (mod g), count of them —
 // what lets a caller forward each block while the next rounds are on the wire.
-func SubgroupAllgatherBruck[T any](st *State, base int, box Box[T], group []int, myIdx int, block func(i int) []int, maxBlock int, vec []T, stride, n int, delivered func(first, count int)) {
+func SubgroupAllgatherBruck[T any](st *State, base int, box Box[T], group []int, myIdx int, block func(i int) []int, maxBlock int, vec []T, stride, n int, delivered func(k, first, count int)) {
 	g := len(group)
 	me := st.v.Img
 	es := pgas.ElemSize[T]()
@@ -95,7 +96,7 @@ func SubgroupAllgatherBruck[T any](st *State, base int, box Box[T], group []int,
 		st.Arrivals(base+k, 1)
 		move(box.Region(at), myIdx+1<<k, count, true)
 		if delivered != nil {
-			delivered(myIdx+1<<k, count)
+			delivered(k, myIdx+1<<k, count)
 		}
 		have += count
 	}

@@ -11,77 +11,106 @@ import (
 // return every participant's buf holds the root's data. The hierarchy-aware
 // two-level broadcast reuses this with group = the team's node leaders.
 //
+// The payload travels in segs segments (Segment's cut of buf; one segment is
+// the whole payload), pipelined down the tree: a participant forwards each
+// segment to its children as soon as it has landed, while the segments behind
+// it are still on their way. Every segment has its own arrival slot, so no
+// wait depends on the order in which two segments land.
+//
 // Broadcasts need flow control: unlike all-to-all collectives, nothing in
 // the data flow stops a root from racing two episodes ahead and overwriting
 // a landing region a slow receiver has not yet copied. The implementation
 // uses the standard credit scheme: acknowledgements climb back up the tree
-// on a parity-indexed slot (so consecutive episodes cannot be confused),
-// the episode's root then stamps a monotone "done" epoch to every member,
-// and a root may not inject episode e before done >= e−2 — guaranteeing the
-// parity-e landing regions are free.
+// on a parity-indexed slot (so consecutive episodes cannot be confused) once
+// a participant holds the whole payload, the episode's root then stamps a
+// monotone "done" epoch to every member, and a root may not inject episode e
+// before done >= e−2 — guaranteeing the parity-e landing regions are free.
 //
-// Flag layout: slots 0-1 parity payload arrivals, slots 2-3 parity acks,
-// slot 4 done stamps.
+// Flag layout, for a state whose episodes cut their payload into at most
+// maxSegs segments: slots 2s and 2s+1 parity arrivals of segment s, slots
+// 2·maxSegs and 2·maxSegs+1 parity acks, slot 2·maxSegs+2 done stamps (with
+// maxSegs = 1: 0-1 payload, 2-3 acks, 4 done).
 //
-// forwarded, when not nil, is called once buf holds the payload and the
-// participant owes the tree nothing but waits: after forwarding to its
-// children, before their acks — or, at a leaf, after its own ack — so a
-// caller's work on the payload overlaps the rest of the tree.
-func SubgroupBcastBinomial[T any](v *team.View, group []int, myIdx, rootIdx int, buf []T, alg Alg, forwarded func()) {
-	if forwarded == nil {
-		forwarded = func() {}
-	}
+// ready and forwarded, when not nil, are the per-segment hooks. ready(s) runs
+// at the root just before it forwards segment s: a caller whose payload
+// reaches the root in pieces lands segment s in buf there. forwarded(s) runs
+// once buf holds segment s and the participant owes the tree nothing for it
+// but waits: after forwarding it to its children — or, at a leaf, on its last
+// segment, after its own ack — so a caller's work on each segment overlaps
+// the rest of the tree.
+func SubgroupBcastBinomial[T any](v *team.View, group []int, myIdx, rootIdx int, buf []T, alg Alg, segs, maxSegs int, ready, forwarded func(s int)) {
 	g := len(group)
 	if g == 1 {
-		forwarded()
+		for s := range segs {
+			if ready != nil {
+				ready(s)
+			}
+			if forwarded != nil {
+				forwarded(s)
+			}
+		}
 		return
 	}
-	st := GetState(v, alg.With("bcast", tag[T]()), 5)
+	st := GetState(v, alg.With("bcast", tag[T]()), 2*maxSegs+3)
 	st.Next()
 	box := NewBox[T](st, "bcast", len(buf), 1)
 	parity := st.parity()
-	paySlot := parity
-	ackSlot := 2 + parity
+	ackSlot, doneSlot := 2*maxSegs+parity, 2*maxSegs+2
 	rel := (myIdx - rootIdx + g) % g // rank relative to the root
 	member := func(relIdx int) int { return group[(relIdx+rootIdx)%g] }
-
-	if rel == 0 {
-		st.Inject(4)
-	} else {
-		st.Arrivals(paySlot, 1)
-		box.Take(0, buf)
-	}
-	// Forward to subtree children: highest distance first so the far half
-	// of the tree starts as early as possible.
 	nkids := 0
 	for k := Rounds(g) - 1; k >= 0; k-- {
 		if rel < 1<<k && rel+1<<k < g {
-			box.Put(member(rel+1<<k), 0, buf, paySlot, pgas.ViaConduit)
 			nkids++
+		}
+	}
+	parent := member(rel - FloorPow2(rel)) // the root's own entry is unused
+	for s := range segs {
+		seg, off := Segment(buf, s, segs)
+		paySlot := 2*s + parity
+		if rel == 0 {
+			if ready != nil {
+				ready(s)
+			}
+			if s == 0 {
+				st.Inject(doneSlot)
+			}
+		} else {
+			st.Arrivals(paySlot, 1)
+			box.TakeAt(0, off, seg)
+		}
+		// Forward to subtree children: highest distance first so the far
+		// half of the tree starts as early as possible.
+		for k := Rounds(g) - 1; k >= 0; k-- {
+			if rel < 1<<k && rel+1<<k < g {
+				box.PutAt(member(rel+1<<k), 0, off, seg, paySlot, pgas.ViaConduit)
+			}
+		}
+		if nkids == 0 && s == segs-1 { // a leaf holds the whole payload: ack it
+			st.Notify(parent, ackSlot, pgas.ViaConduit)
+		}
+		if forwarded != nil {
+			forwarded(s)
 		}
 	}
 	// Ack wave: wait for the subtree, then report to the parent (or, at
 	// the root, stamp completion to everyone).
-	if nkids > 0 {
-		forwarded()
-		st.Arrivals(ackSlot, nkids)
-	}
-	if rel != 0 {
-		parent := member(rel - FloorPow2(rel))
-		st.Notify(parent, ackSlot, pgas.ViaConduit)
-		if nkids == 0 {
-			forwarded()
-		}
+	if nkids == 0 {
 		return
 	}
-	st.Publish(4, group, rootIdx, pgas.ViaConduit)
+	st.Arrivals(ackSlot, nkids)
+	if rel != 0 {
+		st.Notify(parent, ackSlot, pgas.ViaConduit)
+		return
+	}
+	st.Publish(doneSlot, group, rootIdx, pgas.ViaConduit)
 }
 
 // BcastBinomial is the flat binomial-tree one-to-all broadcast over the
 // whole team (the baseline for co_broadcast). root is a team rank.
 func BcastBinomial[T any](v *team.View, root int, buf []T) {
 	v.Img.World().Stats().Count(trace.OpBroadcast)
-	SubgroupBcastBinomial(v, TeamRanks(v), v.Rank, root, buf, Alg{"bc.flat"}, nil)
+	SubgroupBcastBinomial(v, TeamRanks(v), v.Rank, root, buf, Alg{"bc.flat"}, 1, 1, nil, nil)
 }
 
 // BcastLinear has the root put the payload to every member directly —
@@ -109,7 +138,7 @@ func BcastScatterAllgather[T any](v *team.View, root int, buf []T) {
 		return
 	}
 	if n < sz {
-		SubgroupBcastBinomial(v, TeamRanks(v), v.Rank, root, buf, Alg{"bc.sagfallback"}, nil)
+		SubgroupBcastBinomial(v, TeamRanks(v), v.Rank, root, buf, Alg{"bc.sagfallback"}, 1, 1, nil, nil)
 		return
 	}
 	chunk := (n + sz - 1) / sz

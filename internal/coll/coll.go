@@ -409,9 +409,21 @@ func (b Box[T]) Region(i int) []T {
 }
 
 // Take copies the head of region i out into dst and charges the copy.
-func (b Box[T]) Take(i int, dst []T) {
-	copy(dst, b.Region(i)[:len(dst)])
+func (b Box[T]) Take(i int, dst []T) { b.TakeAt(i, 0, dst) }
+
+// TakeAt is Take from element offset off of region i: the receiving end of a
+// PutAt, such as one segment of a payload that travels in pieces.
+func (b Box[T]) TakeAt(i, off int, dst []T) {
+	copy(dst, b.Region(i)[off:off+len(dst)])
 	b.st.v.Img.MemWork(pgas.ElemSize[T]() * len(dst))
+}
+
+// Segment returns piece s of buf cut into segs near-equal pieces, in order,
+// and the piece's offset in buf: how a payload that travels in segments is
+// cut, the same on every image. No piece is empty while segs <= len(buf).
+func Segment[T any](buf []T, s, segs int) ([]T, int) {
+	lo, hi := s*len(buf)/segs, (s+1)*len(buf)/segs
+	return buf[lo:hi], lo
 }
 
 // Land is the receiving end of a one-block delivery: await the one arrival on

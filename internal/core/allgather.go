@@ -19,11 +19,14 @@ import (
 // the round that delivered it, so the fan-out runs while later rounds are on
 // the wire. A node block travels as one put when its team ranks are
 // consecutive and as one put per rank otherwise; a member lands them all in
-// one region of the whole vector. With one image per node this is exactly
-// coll.AllgatherBruck.
+// one region of the whole vector, and copies its own node's block, then each
+// round's node blocks, into out as soon as that piece's puts are in. With one
+// image per node this is exactly coll.AllgatherBruck.
 //
-// Flag layout: slot 0 intranode arrivals at the leader, slot 1 fan-out
-// arrivals at a member, slots 2.. the leaders' rounds.
+// Flag layout: slot 0 intranode arrivals at the leader, slot 1 the fan-out of
+// the own node's block at a member, slots 2+k the leaders' round k — on a
+// leader's row — and the fan-out of round k's blocks — on a member's, which
+// the leaders' rounds never touch.
 func AllgatherTwoLevel[T any](v *team.View, mine, out []T) {
 	t := v.T
 	sz := t.Size()
@@ -36,36 +39,66 @@ func AllgatherTwoLevel[T any](v *team.View, mine, out []T) {
 	if sz == 1 {
 		return
 	}
-	st := coll.GetState(v, coll.Alg{"ag2", pgas.TypeName[T]()}, 2+coll.Rounds(t.NumNodeGroups()))
+	g := t.NumNodeGroups()
+	st := coll.GetState(v, coll.Alg{"ag2", pgas.TypeName[T]()}, 2+coll.Rounds(g))
 	st.Next()
 	// The whole vector on every image, packed by team rank: a leader's members
 	// contribute into it, a member lands the fan-out in it.
 	vec := coll.NewBox[T](st, "", sz*n, 1)
-	me := v.Img
 	leader := t.LeaderOf(v.Rank)
 	if v.Rank == leader {
 		allgatherTwoLevelLead(v, st, vec, out[:sz*n], n)
 		return
 	}
 	vec.PutAt(leader, 0, v.Rank*n, mine, 0, pgas.ViaShm)
-	st.Arrivals(1, nodeBlockPuts(t))
-	copy(out, vec.Region(0)[:sz*n])
-	me.MemWork(pgas.ElemSize[T]() * n * sz)
+	gi := t.GroupOf(v.Rank)
+	landNodeBlocks(v, st, vec, out, n, 1, gi, 1)
+	for k, have := 0, 1; have < g; k++ { // the leaders' Bruck rounds, as they deliver
+		count := min(have, g-have)
+		landNodeBlocks(v, st, vec, out, n, 2+k, gi+1<<k, count)
+		have += count
+	}
+}
+
+// landNodeBlocks is a member's receipt of one piece of AllgatherTwoLevel's
+// fan-out: the count node blocks from group first on (mod the node count),
+// whose puts arrive on slot, copied from the landing vector into out.
+func landNodeBlocks[T any](v *team.View, st *coll.State, vec coll.Box[T], out []T, n, slot, first, count int) {
+	t := v.T
+	puts, ranks := 0, 0
+	for i := range count {
+		blk := t.NodeGroup((first + i) % t.NumNodeGroups())
+		puts += blockPuts(blk)
+		ranks += len(blk)
+	}
+	st.Arrivals(slot, puts)
+	in := vec.Region(0)
+	for i := range count {
+		for _, r := range t.NodeGroup((first + i) % t.NumNodeGroups()) {
+			copy(out[r*n:r*n+n], in[r*n:])
+		}
+	}
+	v.Img.MemWork(pgas.ElemSize[T]() * n * ranks)
 }
 
 // nodeBlockPuts is the number of puts a member receives when its leader hands
-// it one block of every node's team ranks: one per node block, or per rank of
-// one whose team ranks are not consecutive.
+// it one block of every node's team ranks.
 func nodeBlockPuts(t *team.Team) int {
 	puts := 0
 	for gi := range t.NumNodeGroups() {
-		if g := t.NodeGroup(gi); consecutive(g) {
-			puts++
-		} else {
-			puts += len(g)
-		}
+		puts += blockPuts(t.NodeGroup(gi))
 	}
 	return puts
+}
+
+// blockPuts is the number of puts a member receives when its leader hands it
+// node block blk: one when its team ranks are consecutive, one per rank
+// otherwise.
+func blockPuts(blk []int) int {
+	if consecutive(blk) {
+		return 1
+	}
+	return len(blk)
 }
 
 // allgatherTwoLevelLead is a node leader's part of AllgatherTwoLevel: collect
@@ -79,17 +112,18 @@ func allgatherTwoLevelLead[T any](v *team.View, st *coll.State, vec coll.Box[T],
 	t, me := v.T, v.Img
 	gi := t.GroupOf(v.Rank)
 	group := t.NodeGroup(gi)
-	// fan puts node block b, from out, into every member's landing region.
-	fan := func(b int) {
+	// fan puts node block b, from out, into every member's landing region,
+	// arriving on slot.
+	fan := func(b, slot int) {
 		blk := t.NodeGroup(b)
 		for _, m := range group[1:] {
 			if consecutive(blk) {
 				lo, hi := blk[0]*n, (blk[len(blk)-1]+1)*n
-				vec.PutAt(m, 0, lo, out[lo:hi], 1, pgas.ViaShm)
+				vec.PutAt(m, 0, lo, out[lo:hi], slot, pgas.ViaShm)
 				continue
 			}
 			for _, r := range blk {
-				vec.PutAt(m, 0, r*n, out[r*n:r*n+n], 1, pgas.ViaShm)
+				vec.PutAt(m, 0, r*n, out[r*n:r*n+n], slot, pgas.ViaShm)
 			}
 		}
 	}
@@ -100,17 +134,18 @@ func allgatherTwoLevelLead[T any](v *team.View, st *coll.State, vec coll.Box[T],
 			copy(out[r*n:r*n+n], in[r*n:])
 		}
 		me.MemWork(pgas.ElemSize[T]() * n * (len(group) - 1))
-		fan(gi)
+		fan(gi, 1)
 	}
 	// Allgather of node blocks among the leaders, straight into out; each
-	// round's blocks go down to my set before the next round is waited for.
+	// round's blocks go down to my set, on the round's own slot, before the
+	// next round is waited for.
 	leaders := t.Leaders()
 	if steps := len(leaders) - 1; steps > 0 {
 		mg := t.MaxNodeGroup()
 		coll.SubgroupAllgatherBruck(st, 2, coll.NewBox[T](st, "blocks", n, steps*mg), leaders, gi,
-			t.NodeGroup, mg, out, n, n, func(first, count int) {
+			t.NodeGroup, mg, out, n, n, func(k, first, count int) {
 				for i := range count {
-					fan((first + i) % len(leaders))
+					fan((first+i)%len(leaders), 2+k)
 				}
 			})
 	}

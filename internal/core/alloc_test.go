@@ -136,6 +136,21 @@ func TestCollectiveSteadyStateAllocs(t *testing.T) {
 			}
 		}
 	}
+	// bcast/2level's pipeline runs above one segment (8(2): segBytes, one
+	// round of the leaders' tree), above 128 elements: its per-segment hooks
+	// are closures that must stay on the stack. (allgather/2level's members,
+	// which take each round as it lands, are among the registered algorithms
+	// above.)
+	for _, elems := range []int{segBytes/8 + 1, 5*segBytes/8 - 3} {
+		pol := Policy{Level: LevelAuto, Tuning: Tuning{}.With(KindBroadcast, "2level")}
+		sc := allocShape("native")
+		sc.elems = elems
+		native := steadyStateAllocs(t, sc, KindBroadcast, pol)
+		t.Logf("bcast/2level segmented at %d elems: native %.2f allocs/episode/image", elems, native)
+		if native > 0.05 {
+			t.Errorf("bcast/2level segmented at %d elems: %.2f allocs per episode per image on native, want 0", elems, native)
+		}
+	}
 	// The leveled reductions' sliced node stage runs from sliceBytes per slice
 	// up, above 128 elements: on 2 nodes × 3 sockets × 3 cores at 576, 2level
 	// slices over nodes of 9 and 3level over both levels of 3. Its slice and

@@ -57,22 +57,15 @@ var autoTable = [numKinds][]AutoRow{
 		{1, inf, inf, 65536, "binomial", "binomial"},                    // 10 cells, 1.000, worst 1.000
 		{1, inf, inf, 524288, "scatter-allgather", "scatter-allgather"}, // 2 cells, 1.477, worst 2.182
 		{1, inf, inf, inf, "scatter-allgather", "scatter-allgather"},    // 2 cells, 1.202, worst 1.445
-		{2, inf, inf, 65536, "2level", "linear"},                        // 5 cells, 1.000, worst 1.000
-		{2, inf, inf, inf, "scatter-allgather", "scatter-allgather"},    // 2 cells, 1.000, worst 1.000
-		{4, inf, 4, 524288, "2level", "linear"},                         // 12 cells, 1.000, worst 1.000
-		{4, inf, 4, inf, "scatter-allgather", "scatter-allgather"},      // 2 cells, 1.000, worst 1.000
-		{4, inf, 8, 65536, "2level", "binomial"},                        // 5 cells, 1.000, worst 1.000
-		{4, inf, 8, inf, "scatter-allgather", "scatter-allgather"},      // 2 cells, 1.000, worst 1.000
-		{4, inf, inf, 524288, "2level", "binomial"},                     // 18 cells, 1.000, worst 1.000
-		{4, inf, inf, inf, "scatter-allgather", "scatter-allgather"},    // 2 cells, 1.000, worst 1.000
+		{4, inf, 4, inf, "2level", "linear"},                            // 21 cells, 1.001, worst 1.017
+		{4, inf, inf, 524288, "2level", "binomial"},                     // 24 cells, 1.000, worst 1.000
+		{4, inf, inf, inf, "scatter-allgather", "scatter-allgather"},    // 3 cells, 1.000, worst 1.000
 		{inf, inf, inf, inf, "2level", "binomial"},                      // 66 cells, 1.000, worst 1.000
 	},
 	4: { // allgather
-		{4, inf, 2, 16384, "2level", "bruck"},     // 4 cells, 1.000, worst 1.000
-		{4, inf, 2, inf, "ring", "ring"},          // 3 cells, 1.000, worst 1.000
-		{4, inf, inf, inf, "2level", "bruck"},     // 63 cells, 1.000, worst 1.000
-		{inf, inf, inf, 65536, "2level", "bruck"}, // 38 cells, 1.000, worst 1.000
-		{inf, inf, inf, inf, "ring", "ring"},      // 1 cells, 1.000, worst 1.000
+		{inf, inf, 2, 65536, "2level", "bruck"}, // 19 cells, 1.001, worst 1.016
+		{inf, inf, 2, inf, "ring", "ring"},      // 3 cells, 1.006, worst 1.017
+		{inf, inf, inf, inf, "2level", "bruck"}, // 87 cells, 1.000, worst 1.000
 	},
 	5: { // scatter
 		{1, inf, 8, inf, "linear", "linear"},       // 14 cells, 1.000, worst 1.000

@@ -43,9 +43,11 @@
 // this package writes itself are ScanTwoLevel's chain and ScatterTwoLevel's
 // done wave. A leader serves its node while that stage works the network, and
 // copies nothing the data does not need: BcastTwoLevel fans out once the
-// payload is forwarded down the tree, before the acks climb back;
-// AllgatherTwoLevel fans out each node block in the round that delivered it,
-// and AlltoallTwoLevel each node-pair run in the step that delivered it;
+// payload is forwarded down the tree, before the acks climb back, and cuts a
+// large one into segments that travel the handoff, the tree and the fan-out
+// one behind the other; AllgatherTwoLevel fans out each node block in the
+// round that delivered it, and its members copy each round out as it lands;
+// AlltoallTwoLevel fans out each node-pair run in the step that delivered it;
 // ScanTwoLevel folds its members' results straight out of the inbox. Where
 // they distribute or exchange, flow control sends only what no wait already
 // proves: a done wave reaches the images a root writes to (ScatterTwoLevel's
@@ -56,12 +58,14 @@
 // State.Arrivals, Gate or Inject, a send without data is State.Notify (a count:
 // an arrival, an ack, a credit) or Stamp (a release; the Publish done wave and
 // its Relay), a member's receipt and ack of its block is Box.Land, and on top
-// of those this package has two stage verbs of its own: fanOut, a leader's
-// gated delivery to its intranode set, and reduceUp, a group's combine into
-// its leader — whole vectors at the leader, or by slices on every member —
-// under allreduceLeveled and ReduceToRootTwoLevel. No body touches a flag,
-// multiplies a parity by a capacity, reads a counter or passes the episode
-// number on. Policy selects between flat and hierarchy-aware algorithms from
+// of those this package has three stage verbs of its own: fanOut, a leader's
+// gated delivery to its intranode set (whole, or one segment at an offset);
+// landSegment, the receipt of one segment of a payload that travels in
+// pieces, each on its own arrival slot, acked once the last is in; and
+// reduceUp, a group's combine into its leader — whole vectors at the leader,
+// or by slices on every member — under allreduceLeveled and
+// ReduceToRootTwoLevel. No body touches a flag, multiplies a parity by a
+// capacity, reads a counter or passes the episode number on. Policy selects between flat and hierarchy-aware algorithms from
 // the team's hierarchy shape and the message size.
 //
 // This package is backend-agnostic: it speaks to the runtime only through
@@ -120,21 +124,69 @@ func levelWidths(t *team.Team, sockets bool) [2]int {
 }
 
 // fanOut delivers, over shared memory, block(i, r) — group position i, team
-// rank r — into region 0 of r's box, for every member of the leader's group
-// but skip (the episode's root, which has its data; −1 for none), gated on
-// the acks (ackSlot) of its previous same-parity fan-out. The leader's own
-// position is asked for too, in group order, and not sent: assembling a block
-// may be charged work, its own included.
-func fanOut[T any](v *team.View, st *coll.State, box coll.Box[T], group []int, skip, ackSlot, slot int, block func(i, r int) []T) {
-	st.Gate(ackSlot, others(v, group, skip))
+// rank r — at element offset off of region 0 of r's box, for every member of
+// the leader's group but skip (the episode's root, which has its data; −1 for
+// none), gated on the acks (ackSlot) of its previous same-parity fan-out — or,
+// ackSlot −1, on nothing: a later piece of a fan-out the episode already
+// gated. The leader's own position is asked for too, in group order, and not
+// sent: assembling a block may be charged work, its own included.
+func fanOut[T any](v *team.View, st *coll.State, box coll.Box[T], group []int, skip, ackSlot, slot, off int, block func(i, r int) []T) {
+	if ackSlot >= 0 {
+		st.Gate(ackSlot, others(v, group, skip))
+	}
 	for i, r := range group {
 		if r == skip {
 			continue
 		}
 		if b := block(i, r); r != v.Rank {
-			box.Put(r, 0, b, slot, pgas.ViaShm)
+			box.PutAt(r, 0, off, b, slot, pgas.ViaShm)
 		}
 	}
+}
+
+// landSegment is the receiving end of a payload that travels in segments
+// (coll.Segment's cut of buf into segs): await segment s's own arrival, on
+// slot+2s (the slots of one episode's segments interleave with the other
+// parity's), take it into buf and, once the last segment is in, ack the
+// sender (a team rank) on ackSlot, so it may reuse the region. With one
+// segment it is Box.Land.
+func landSegment[T any](st *coll.State, box coll.Box[T], buf []T, s, segs, slot, sender, ackSlot int) {
+	seg, off := coll.Segment(buf, s, segs)
+	st.Arrivals(slot+2*s, 1)
+	box.TakeAt(0, off, seg)
+	if s == segs-1 {
+		st.Notify(sender, ackSlot, pgas.ViaShm)
+	}
+}
+
+// segBytes and maxSegs size BcastTwoLevel's pipeline (three-episode cells;
+// CHANGES.md has the sweep): on a team where some node hosts more than one
+// image, a payload travels in segments of segBytes per round of the leaders'
+// binomial tree — twice that when no node hosts more than two images — and
+// at most maxSegs of them, so that a leader fans each segment out to its node
+// while the next is on the wire. Every segment pays the leaders' per-message
+// network cost once per tree round and hides one fan-out put per member, so
+// the deeper the tree and the smaller the node the larger a segment must be
+// to gain. A payload of one segment travels whole, and so does every payload
+// when no node hosts more than one image (no fan-out to overlap). The cap
+// keeps a large payload's segments large.
+const (
+	segBytes = 4 << 10
+	maxSegs  = 16
+)
+
+// segments returns how many segments BcastTwoLevel cuts an n-element payload
+// of es-byte elements into on team t: the same on every image of the team.
+func segments(t *team.Team, n, es int) int {
+	m := t.MaxNodeGroup()
+	if m == 1 {
+		return 1
+	}
+	seg := segBytes * max(1, coll.Rounds(t.NumNodeGroups()))
+	if m == 2 {
+		seg *= 2 // a pair's fan-out is one put: it hides half as much
+	}
+	return max(1, min((n*es+seg-1)/seg, maxSegs)) // an empty payload is one segment too
 }
 
 // sliceBytes is the measured crossover (three-episode cells; CHANGES.md has

@@ -98,48 +98,75 @@ func AllreduceThreeLevel[T any](v *team.View, buf []T, op coll.Op[T]) {
 // intranode set over shared memory as soon as it has forwarded the payload
 // down the tree, while the tree's acks are still on their way. root is a team
 // rank.
+//
+// A payload larger than one segment (segments: segBytes per round of the
+// leaders' tree), on a team where some node hosts more than one image,
+// travels in segments along the whole path: the handoff, the leaders' tree
+// (coll.SubgroupBcastBinomial's pipeline) and the fan-out. The root's leader forwards each handoff segment as soon as it has landed,
+// every leader fans each segment out as soon as it has forwarded it, and
+// every member copies each segment out as soon as it lands. With one segment
+// this is the unsegmented episode, and with one image per node it is exactly
+// coll.BcastBinomial.
 func BcastTwoLevel[T any](v *team.View, root int, buf []T) {
 	t := v.T
 	v.Img.World().Stats().Count(trace.OpBroadcast)
 	if t.Size() == 1 {
 		return
 	}
-	// Flag layout: slot 0 handoff arrivals at the root's leader, slot 1
-	// fan-out arrivals at members, slots 2/3 parity fan-out acks at leaders,
-	// slots 4/5 parity handoff credits at the root. Roles vary with the root,
-	// so every wait counts exactly (State.Arrivals).
-	st := coll.GetState(v, coll.Alg{"bc2", pgas.TypeName[T]()}, 6)
+	// Flag layout: slots 0/1 parity fan-out acks at leaders, slots 2/3 parity
+	// handoff credits at the root, then per segment s and parity p: slot
+	// 4+2s+p handoff arrivals at the root's leader and slot 4+2·maxSegs+2s+p
+	// fan-out arrivals at members. Roles vary with the root, so every wait
+	// counts exactly (State.Arrivals).
+	st := coll.GetState(v, coll.Alg{"bc2", pgas.TypeName[T]()}, 4+4*maxSegs)
 	parity := int(st.Next() % 2)
+	segs := segments(t, len(buf), pgas.ElemSize[T]())
 	// One landing region on every image: the root's leader lands the handoff
 	// in it, everyone else the fan-out.
 	box := coll.NewBox[T](st, "", len(buf), 1)
 	leader := t.LeaderOf(v.Rank)
 	rootLeader := t.LeaderOf(root)
-	ackSlot := 2 + parity
+	ackSlot, creditSlot := parity, 2+parity
+	handoff, fan := 4+parity, 4+2*maxSegs+parity
 	// Step 0: a non-leader source hands the payload to its node leader.
 	// The handoff is the one edge with no downstream wait on the root's
 	// critical path, so it carries its own credit: the root may not reuse
 	// a parity landing region before the leader acked consuming the
-	// previous same-parity handoff (slots 4/5).
+	// previous same-parity handoff.
 	if v.Rank == root && root != rootLeader {
-		st.Gate(4+parity, 1)
-		box.Put(rootLeader, 0, buf, 0, pgas.ViaShm)
-	}
-	if v.Rank == rootLeader && root != rootLeader {
-		box.Land(0, buf, root, 4+parity, pgas.ViaShm)
+		st.Gate(creditSlot, 1)
+		for s := range segs {
+			seg, off := coll.Segment(buf, s, segs)
+			box.PutAt(rootLeader, 0, off, seg, handoff+2*s, pgas.ViaShm)
+		}
 	}
 	// Step 1: binomial broadcast among node leaders (internally
-	// flow-controlled). Step 2, called from inside it once the leader has
-	// forwarded the payload (a leaf: acked it): fan out to the intranode set
-	// over shared memory, once it has consumed the same-parity fan-out from
-	// two episodes ago.
+	// flow-controlled), at whose root the root's leader lands each handoff
+	// segment just before it forwards it. Step 2, called from inside it
+	// once the leader has forwarded a segment (a leaf: landed it, and acked
+	// the last): fan the segment out to the intranode set over shared
+	// memory, the first once the same-parity fan-out of two episodes ago
+	// was consumed.
 	if v.Rank == leader {
-		coll.SubgroupBcastBinomial(v, t.Leaders(), t.LeaderPos(v.Rank), t.LeaderPos(rootLeader), buf, coll.Alg{"core.bc2lead"}, func() {
-			fanOut(v, st, box, t.NodeGroup(t.GroupOf(v.Rank)), root, ackSlot, 1, func(int, int) []T { return buf })
-		})
+		coll.SubgroupBcastBinomial(v, t.Leaders(), t.LeaderPos(v.Rank), t.LeaderPos(rootLeader), buf, coll.Alg{"core.bc2lead"}, segs, maxSegs,
+			func(s int) {
+				if root != rootLeader {
+					landSegment(st, box, buf, s, segs, handoff, root, creditSlot)
+				}
+			},
+			func(s int) {
+				seg, off := coll.Segment(buf, s, segs)
+				gate := ackSlot
+				if s > 0 {
+					gate = -1
+				}
+				fanOut(v, st, box, t.NodeGroup(t.GroupOf(v.Rank)), root, gate, fan+2*s, off, func(int, int) []T { return seg })
+			})
 		return
 	}
 	if v.Rank != root { // the source already has the data
-		box.Land(1, buf, leader, ackSlot, pgas.ViaShm)
+		for s := range segs {
+			landSegment(st, box, buf, s, segs, fan, leader, ackSlot)
+		}
 	}
 }

@@ -166,7 +166,7 @@ func scanTwoLevelLead[T any](v *team.View, st *coll.State, inbox, resBox coll.Bo
 			me.MemWork(3 * es * n)
 		}
 	}
-	fanOut(v, st, resBox, group, -1, scan2ResultAck+parity, scan2ResultSlot+parity, func(j, _ int) []T {
+	fanOut(v, st, resBox, group, -1, scan2ResultAck+parity, scan2ResultSlot+parity, 0, func(j, _ int) []T {
 		if !exclusive {
 			fold(j)
 			if j == 0 && ex != nil {

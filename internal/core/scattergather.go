@@ -121,7 +121,7 @@ func ScatterTwoLevel[T any](v *team.View, root int, send, recv []T) {
 			packs.Put(leader, 0, packed[:len(group)*n], sc2PackSlot+parity, pgas.ViaShm)
 			return
 		}
-		fanOut(v, st, blocks, group, root, sc2MemberAck+parity, sc2BlockSlot+parity, func(i, _ int) []T { return packed[i*n : (i+1)*n] })
+		fanOut(v, st, blocks, group, root, sc2MemberAck+parity, sc2BlockSlot+parity, 0, func(i, _ int) []T { return packed[i*n : (i+1)*n] })
 	}
 
 	switch {
