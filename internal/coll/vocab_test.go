@@ -230,8 +230,8 @@ func TestProtocolVocabularyIsClosed(t *testing.T) {
 }
 
 // TestCoreNetworkSendsAreClosed: internal/core writes two inter-node sends of
-// its own — scanTwoLevelLead's chain and ScatterTwoLevel's done wave (its
-// Publish); every other message of a two-level body that may cross the network
+// its own — scanChain (ScanTwoLevel's leaders' chain) and ScatterTwoLevel's
+// done wave (its Publish); every other message of a two-level body that may cross the network
 // is a coll body's among the node leaders (the all-to-all's exchange is
 // coll.SubgroupAlltoallPairwise's). So pgas.ViaAuto and pgas.ViaConduit appear
 // nowhere else in its non-test files.
@@ -269,7 +269,7 @@ func TestCoreNetworkSendsAreClosed(t *testing.T) {
 					for _, c := range publish {
 						inPublish = inPublish || c.Lparen < n.Pos() && n.Pos() < c.Rparen
 					}
-					if fn != "scanTwoLevelLead" && (fn != "ScatterTwoLevel" || !inPublish) {
+					if fn != "scanChain" && (fn != "ScatterTwoLevel" || !inPublish) {
 						t.Errorf("%s: pgas.%s in %s: an inter-node send of internal/core's own", fset.Position(n.Pos()), n.Sel.Name, fn)
 					}
 				}

@@ -151,6 +151,20 @@ func TestCollectiveSteadyStateAllocs(t *testing.T) {
 			t.Errorf("bcast/2level segmented at %d elems: %.2f allocs per episode per image on native, want 0", elems, native)
 		}
 	}
+	// scan/2level's node stage by slices and its chain in segments run above
+	// 128 elements: at 5,117 on 8(2), slices of a node of four and a chain of
+	// five segments. Its slice, total, prefix and result boxes and the chain's
+	// leaders-only state are found again like every other.
+	{
+		pol := Policy{Level: LevelAuto, Tuning: Tuning{}.With(KindScan, "2level")}
+		sc := allocShape("native")
+		sc.elems = 5*chainSegBytes/8 - 3
+		native := steadyStateAllocs(t, sc, KindScan, pol)
+		t.Logf("scan/2level sliced and segmented at %d elems: native %.2f allocs/episode/image", sc.elems, native)
+		if native > 0.05 {
+			t.Errorf("scan/2level sliced and segmented at %d elems: %.2f allocs per episode per image on native, want 0", sc.elems, native)
+		}
+	}
 	// The leveled reductions' sliced node stage runs from sliceBytes per slice
 	// up, above 128 elements: on 2 nodes × 3 sockets × 3 cores at 576, 2level
 	// slices over nodes of 9 and 3level over both levels of 3. Its slice and

@@ -103,16 +103,6 @@ var autoTable = [numKinds][]AutoRow{
 		{1, inf, inf, inf, "2level", "rd"},       // 21 cells, 1.000, worst 1.000
 		{2, inf, inf, 16384, "2level", "linear"}, // 4 cells, 1.000, worst 1.000
 		{2, inf, inf, inf, "linear", "linear"},   // 3 cells, 1.000, worst 1.000
-		{4, inf, 2, 16384, "2level", "linear"},   // 4 cells, 1.000, worst 1.000
-		{4, inf, 2, inf, "linear", "linear"},     // 3 cells, 1.000, worst 1.000
-		{4, inf, inf, inf, "2level", "linear"},   // 34 cells, 1.000, worst 1.000
-		{16, 1, inf, inf, "2level", "linear"},    // 7 cells, 1.000, worst 1.000
-		{16, inf, 2, 16384, "2level", "linear"},  // 8 cells, 1.000, worst 1.000
-		{16, inf, 2, 65536, "2level", "linear"},  // 2 cells, 1.021, worst 1.043
-		{16, inf, 2, inf, "linear", "linear"},    // 4 cells, 1.000, worst 1.000
-		{16, inf, inf, inf, "2level", "rd"},      // 26 cells, 1.000, worst 1.000
-		{inf, inf, 2, 65536, "2level", "linear"}, // 5 cells, 1.000, worst 1.000
-		{inf, inf, 2, inf, "linear", "linear"},   // 2 cells, 1.000, worst 1.000
-		{inf, inf, inf, inf, "2level", "linear"}, // 12 cells, 1.000, worst 1.000
+		{inf, inf, inf, inf, "2level", "linear"}, // 107 cells, 1.000, worst 1.000
 	},
 }

@@ -10,9 +10,11 @@
 // down. Centralized is cheap for flags, not for large vectors: from sliceBytes
 // per member's slice up, a group combines its vectors as a reduce-scatter —
 // every core of the node one slice, the leader gathering the slices — rather
-// than at the leader alone. internal/team precomputes the groups and leaders
-// as each team's hierarchy view; "multi-level hierarchies (NUMA nodes,
-// sockets)" are the same recipe with more levels.
+// than at the leader alone; and so does ScanTwoLevel's node stage, whose
+// members each fold one slice of every vector onto the node's prefix as well.
+// internal/team precomputes the groups and leaders as each team's hierarchy
+// view; "multi-level hierarchies (NUMA nodes, sockets)" are the same recipe
+// with more levels.
 //
 // So an image's way up the hierarchy is a value — levelsOf: the groups it
 // belongs to or leads, innermost first, each with its leader — and each
@@ -48,7 +50,9 @@
 // one behind the other; AllgatherTwoLevel fans out each node block in the
 // round that delivered it, and its members copy each round out as it lands;
 // AlltoallTwoLevel fans out each node-pair run in the step that delivered it;
-// ScanTwoLevel folds its members' results straight out of the inbox. Where
+// ScanTwoLevel folds its members' results straight out of the inbox — or, for
+// large vectors, every member folds one slice of them — and its chain carries
+// a large vector in segments, each forwarded as soon as it is combined. Where
 // they distribute or exchange, flow control sends only what no wait already
 // proves: a done wave reaches the images a root writes to (ScatterTwoLevel's
 // stops at the node leaders) and AlltoallTwoLevel's own exchange frees every
@@ -61,7 +65,8 @@
 // of those this package has three stage verbs of its own: fanOut, a leader's
 // gated delivery to its intranode set (whole, or one segment at an offset);
 // landSegment, the receipt of one segment of a payload that travels in
-// pieces, each on its own arrival slot, acked once the last is in; and
+// pieces (BcastTwoLevel's, ScanTwoLevel's chain), each on its own arrival
+// slot, acked once the last is in; and
 // reduceUp, a group's combine into its leader — whole vectors at the leader,
 // or by slices on every member — under allreduceLeveled and
 // ReduceToRootTwoLevel. No body touches a flag, multiplies a parity by a
@@ -148,14 +153,14 @@ func fanOut[T any](v *team.View, st *coll.State, box coll.Box[T], group []int, s
 // (coll.Segment's cut of buf into segs): await segment s's own arrival, on
 // slot+2s (the slots of one episode's segments interleave with the other
 // parity's), take it into buf and, once the last segment is in, ack the
-// sender (a team rank) on ackSlot, so it may reuse the region. With one
-// segment it is Box.Land.
-func landSegment[T any](st *coll.State, box coll.Box[T], buf []T, s, segs, slot, sender, ackSlot int) {
+// sender (a team rank) on ackSlot over via, so it may reuse the region. With
+// one segment it is Box.Land.
+func landSegment[T any](st *coll.State, box coll.Box[T], buf []T, s, segs, slot, sender, ackSlot int, via pgas.Via) {
 	seg, off := coll.Segment(buf, s, segs)
 	st.Arrivals(slot+2*s, 1)
 	box.TakeAt(0, off, seg)
 	if s == segs-1 {
-		st.Notify(sender, ackSlot, pgas.ViaShm)
+		st.Notify(sender, ackSlot, via)
 	}
 }
 
@@ -273,8 +278,8 @@ func reduceSliced[T any](v *team.View, st *coll.State, buf []T, op coll.Op[T], s
 	g, n := len(group), len(buf)
 	per := (n + g - 1) / g
 	slice := func(j int) []T {
-		lo := min(j*per, n)
-		return buf[lo:min(lo+per, n)]
+		sl, _ := sliceOf(buf, j, g)
+		return sl
 	}
 	in := coll.NewFixedBox[T](st, "slice", per, s.regions)
 	out := coll.NewFixedBox[T](st, "gather", per, s.regions)
@@ -309,6 +314,16 @@ func reduceSliced[T any](v *team.View, st *coll.State, buf []T, op coll.Op[T], s
 			}
 		}
 	}
+}
+
+// sliceOf returns slice j of buf cut into g slices of ⌈len(buf)/g⌉ elements —
+// the last ones shorter, or empty — and the slice's offset in buf: how the
+// sliced node stages (reduceSliced, scanSlices) cut a vector, the same on
+// every member.
+func sliceOf[T any](buf []T, j, g int) ([]T, int) {
+	per := (len(buf) + g - 1) / g
+	lo := min(j*per, len(buf))
+	return buf[lo:min(lo+per, len(buf))], lo
 }
 
 // others counts the members of group besides the caller and skip.

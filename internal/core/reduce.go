@@ -151,7 +151,7 @@ func BcastTwoLevel[T any](v *team.View, root int, buf []T) {
 		coll.SubgroupBcastBinomial(v, t.Leaders(), t.LeaderPos(v.Rank), t.LeaderPos(rootLeader), buf, coll.Alg{"core.bc2lead"}, segs, maxSegs,
 			func(s int) {
 				if root != rootLeader {
-					landSegment(st, box, buf, s, segs, handoff, root, creditSlot)
+					landSegment(st, box, buf, s, segs, handoff, root, creditSlot, pgas.ViaShm)
 				}
 			},
 			func(s int) {
@@ -166,7 +166,7 @@ func BcastTwoLevel[T any](v *team.View, root int, buf []T) {
 	}
 	if v.Rank != root { // the source already has the data
 		for s := range segs {
-			landSegment(st, box, buf, s, segs, fan, leader, ackSlot)
+			landSegment(st, box, buf, s, segs, fan, leader, ackSlot, pgas.ViaShm)
 		}
 	}
 }

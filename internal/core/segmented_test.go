@@ -118,13 +118,7 @@ func runSegmentedEpisodes(t *testing.T, sc confScenario, k Kind, name string) {
 // oneSegment returns the most float64 elements bcast/2level sends whole on
 // sc's initial team: one more is cut into two segments.
 func oneSegment(t *testing.T, sc confScenario) int {
-	var tm *team.Team
-	w := sc.world(t)
-	w.Run(func(im *pgas.Image) {
-		if v := team.Initial(w, im); im.Rank() == 0 {
-			tm = v.T
-		}
-	})
+	tm := initialTeam(t, sc)
 	n := 1
 	for segments(tm, n+1, 8) == 1 {
 		n++

@@ -135,3 +135,134 @@ func runSlicedEpisodes(t *testing.T, sc confScenario, k Kind, name string) {
 		}
 	})
 }
+
+// TestSlicedScan runs scan/2level, inclusive and exclusive, around its two
+// size rules: the node stage's crossover (one element below, at it, and one
+// above — not a multiple of the group) and the leaders' chain's segments (one
+// segment, two, and a length that is not a multiple of the segment size), on
+// the sliced stage's shapes, 64(8), 17 nodes of three images (17 leaders:
+// the sliced stage under coll.SubgroupExscan, which has no segments, so only
+// the crossover's sizes) and nodes of 5, 2, 1 and 4
+// images in rank order (sliced nodes and whole-vector ones on one chain).
+// Eight episodes under skew heavy
+// enough for a fast image to run an episode ahead, on sim and native, bitwise
+// against the serial reference; the exclusive form's rank 0 must keep its own
+// vector. A member that skips one slice, node-total, prefix or result wait, or
+// a leader that skips one chain segment's wait or its successor's credit,
+// reads a region before it lands or overwrites one before it is read.
+func TestSlicedScan(t *testing.T) {
+	const es = 8 // float64
+	var uneven []topology.Loc
+	for node, images := range []int{5, 2, 1, 4} {
+		for core := range images {
+			uneven = append(uneven, topology.Loc{Node: node, Core: core})
+		}
+	}
+	topo, err := topology.NewCustom(4, 1, 5, uneven)
+	if err != nil {
+		t.Fatal(err)
+	}
+	threes, err := topology.New(17, 1, 3, 51, topology.PlaceBlock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scenarios := []confScenario{
+		{label: "64(8)", nodes: 8, perNode: 8, place: topology.PlaceBlock},
+		{label: "51(17)", topo: threes},
+		{label: "uneven-5-2-1-4", topo: topo},
+	}
+	for _, s := range slicedScenarios(t) {
+		scenarios = append(scenarios, s.sc)
+	}
+	chain := chainSegBytes / es // the most elements the chain sends whole
+	for _, base := range scenarios {
+		tm := initialTeam(t, base)
+		if base.label == "51(17)" && len(tm.RankLeaders()) != 17 {
+			t.Fatalf("%s: %d leaders, want 17", base, len(tm.RankLeaders()))
+		}
+		at := 1
+		for tm.MaxNodeGroup() > 2 && !scanSliced(tm.MaxNodeGroup(), at, es) { // a pair never slices
+			at++
+		}
+		sizes := []int{at - 1, at, at + 1}
+		if len(tm.RankLeaders()) < logDepthLeaders { // the exchange has no segments
+			sizes = append(sizes, chain, chain+1, 3*chain-1)
+		}
+		for _, elems := range sizes {
+			for _, exclusive := range []bool{false, true} {
+				sc := base
+				sc.elems, sc.seed, sc.episodes = elems, 20261017+int64(elems), 8
+				sc.skew = func(rng *rand.Rand) pgas.Time {
+					if rng.Intn(4) == 0 {
+						return pgas.Time(rng.Intn(200_000))
+					}
+					return pgas.Time(rng.Intn(5_000))
+				}
+				// Native after sim, and only if sim passed: the simulator
+				// reports a deadlock, native would wait forever.
+				ok := true
+				for _, backend := range confBackends {
+					sc.backend = backend
+					ok = ok && t.Run(fmt.Sprintf("%s/%s/excl=%v", sc, backend, exclusive), func(t *testing.T) {
+						defer func() {
+							if r := recover(); r != nil {
+								t.Fatalf("%v", r)
+							}
+						}()
+						runSlicedScan(t, sc, exclusive)
+					})
+				}
+			}
+		}
+	}
+}
+
+// runSlicedScan is runSlicedEpisodes for the scan: an image that finds a
+// wrong result reports it and goes on. The serial references — every rank's
+// inclusive prefix of every episode — are summed once, before the run.
+func runSlicedScan(t *testing.T, sc confScenario, exclusive bool) {
+	w := sc.world(t)
+	n := w.NumImages()
+	incl := make([][][]float64, sc.episodes) // [ep][rank]
+	for ep := range incl {
+		incl[ep] = make([][]float64, n)
+		for r := range n {
+			incl[ep][r] = confInput(sc.seed, 0, r, ep, sc.elems)
+			if r > 0 {
+				for i, x := range incl[ep][r-1] {
+					incl[ep][r][i] += x
+				}
+			}
+		}
+	}
+	w.Run(func(im *pgas.Image) {
+		v := team.Initial(w, im)
+		rng := rand.New(rand.NewSource(sc.seed ^ int64(im.Rank()*2654435761)))
+		for ep := 0; ep < sc.episodes; ep++ {
+			im.Sleep(sc.skew(rng))
+			label := fmt.Sprintf("%s/scan/2level/excl=%v ep%d rank%d", sc, exclusive, ep, v.Rank)
+			buf := confInput(sc.seed, 0, v.Rank, ep, sc.elems)
+			RunScan("2level", v, buf, coll.Sum, exclusive)
+			want := incl[ep][v.Rank]
+			switch {
+			case exclusive && v.Rank == 0:
+				want = confInput(sc.seed, 0, 0, ep, sc.elems) // its own vector, unchanged
+			case exclusive:
+				want = incl[ep][v.Rank-1]
+			}
+			confCheck(t, label, buf, want)
+		}
+	})
+}
+
+// initialTeam returns sc's initial team.
+func initialTeam(t *testing.T, sc confScenario) *team.Team {
+	var tm *team.Team
+	w := sc.world(t)
+	w.Run(func(im *pgas.Image) {
+		if v := team.Initial(w, im); im.Rank() == 0 {
+			tm = v.T
+		}
+	})
+	return tm
+}
