@@ -143,18 +143,40 @@ func conformanceEnv(t *testing.T, name string, dflt int64) int64 {
 func confInput(seed int64, salt, rank, ep, elems int) []float64 {
 	v := make([]float64, elems)
 	for i := range v {
-		x := seed + int64(salt)*9973 + int64(rank)*31 + int64(ep)*7 + int64(i)
-		v[i] = float64(x%201 - 100)
+		v[i] = confElem(seed, salt, rank, ep, i)
 	}
 	return v
 }
 
+// confElem is element i of confInput's vector.
+func confElem(seed int64, salt, rank, ep, i int) float64 {
+	x := seed + int64(salt)*9973 + int64(rank)*31 + int64(ep)*7 + int64(i)
+	return float64(x%201 - 100)
+}
+
+// confSum is the sum of ranks 0..ranks-1's input vectors. Each rank's vector
+// reads the same cycle of 201 values, shifted by 31 per rank, so while no
+// input is negative before its %201 the sum is one table over the cycle: a
+// scan's check costs each image O(ranks+elems), not O(ranks·elems).
 func confSum(seed int64, salt, ranks, ep, elems int) []float64 {
 	want := make([]float64, elems)
-	for r := 0; r < ranks; r++ {
-		for i, x := range confInput(seed, salt, r, ep, elems) {
-			want[i] += x
+	base := seed + int64(salt)*9973 + int64(ep)*7
+	if base < 0 || base+int64(31*ranks+elems) < 0 {
+		for r := range ranks {
+			for i := range want {
+				want[i] += confElem(seed, salt, r, ep, i)
+			}
 		}
+		return want
+	}
+	var cycle [201]float64
+	for m := range cycle {
+		for r := range ranks {
+			cycle[m] += float64((int64(m+31*r))%201 - 100)
+		}
+	}
+	for i := range want {
+		want[i] = cycle[(base+int64(i))%201]
 	}
 	return want
 }
@@ -212,7 +234,10 @@ func runConformanceData(t *testing.T, sc confScenario, k Kind, name string, excl
 // Sizing, ranks and serial references all come from the view, so the same
 // loop verifies a full initial team or a shrunken survivor team (the
 // degraded-mode sweep) — the reference is recomputed over exactly the
-// view's team-relative ranks.
+// view's team-relative ranks. An image that finds a wrong result reports it
+// and goes on to the next episode: on native, where a missing gate shows as a
+// region overwritten a moment too early, an image that stopped would leave its
+// peers waiting for it.
 func runConfEpisodes(t *testing.T, sc confScenario, k Kind, name string, exclusive bool, v *team.View) {
 	im := v.Img
 	n := v.T.Size()
@@ -239,27 +264,23 @@ func runConfEpisodes(t *testing.T, sc confScenario, k Kind, name string, exclusi
 		case KindAllreduce:
 			buf := append([]float64(nil), mine...)
 			sc.run(t, v, k, func() { RunAllreduce(name, v, buf, coll.Sum) })
-			if !confCheck(t, label, buf, confSum(sc.seed, 0, n, ep, elems)) {
-				return
-			}
+			confCheck(t, label, buf, confSum(sc.seed, 0, n, ep, elems))
 		case KindReduceTo:
 			buf := append([]float64(nil), mine...)
 			sc.run(t, v, k, func() { RunReduceTo(name, v, root, buf, coll.Sum) })
-			if v.Rank == root && !confCheck(t, label, buf, confSum(sc.seed, 0, n, ep, elems)) {
-				return
+			if v.Rank == root {
+				confCheck(t, label, buf, confSum(sc.seed, 0, n, ep, elems))
 			}
 		case KindBroadcast:
 			buf := append([]float64(nil), mine...)
 			sc.run(t, v, k, func() { RunBroadcast(name, v, root, buf) })
-			if !confCheck(t, label, buf, confInput(sc.seed, 0, root, ep, elems)) {
-				return
-			}
+			confCheck(t, label, buf, confInput(sc.seed, 0, root, ep, elems))
 		case KindAllgather:
 			out := make([]float64, n*elems)
 			sc.run(t, v, k, func() { RunAllgather(name, v, mine, out) })
 			for r := 0; r < n; r++ {
 				if !confCheck(t, label, out[r*elems:(r+1)*elems], confInput(sc.seed, 0, r, ep, elems)) {
-					return
+					break
 				}
 			}
 		case KindScatter:
@@ -274,9 +295,7 @@ func runConfEpisodes(t *testing.T, sc confScenario, k Kind, name string, exclusi
 			}
 			recv := make([]float64, elems)
 			sc.run(t, v, k, func() { RunScatter(name, v, root, send, recv) })
-			if !confCheck(t, label, recv, mine) {
-				return
-			}
+			confCheck(t, label, recv, mine)
 		case KindGather:
 			var recv []float64
 			if v.Rank == root {
@@ -286,7 +305,7 @@ func runConfEpisodes(t *testing.T, sc confScenario, k Kind, name string, exclusi
 			if v.Rank == root {
 				for r := 0; r < n; r++ {
 					if !confCheck(t, label, recv[r*elems:(r+1)*elems], confInput(sc.seed, 0, r, ep, elems)) {
-						return
+						break
 					}
 				}
 			}
@@ -301,7 +320,7 @@ func runConfEpisodes(t *testing.T, sc confScenario, k Kind, name string, exclusi
 			sc.run(t, v, k, func() { RunAlltoall(name, v, send, recv) })
 			for s := 0; s < n; s++ {
 				if !confCheck(t, label, recv[s*elems:(s+1)*elems], confInput(sc.seed, 1+v.Rank, s, ep, elems)) {
-					return
+					break
 				}
 			}
 		case KindScan:
@@ -316,9 +335,7 @@ func runConfEpisodes(t *testing.T, sc confScenario, k Kind, name string, exclusi
 			default:
 				want = confSum(sc.seed, 0, v.Rank, ep, elems)
 			}
-			if !confCheck(t, label, buf, want) {
-				return
-			}
+			confCheck(t, label, buf, want)
 		default:
 			t.Errorf("kind %v is not data-bearing", k)
 			return

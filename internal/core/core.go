@@ -7,11 +7,13 @@
 // loads and stores and a centralized scheme is cheap; run a distributed
 // algorithm (dissemination, recursive doubling, binomial) among the node
 // leaders only, where the message-passing cost model applies; release back
-// down. Centralized is cheap for flags, not for large vectors: from sliceBytes
-// per member's slice up, a group combines its vectors as a reduce-scatter —
-// every core of the node one slice, the leader gathering the slices — rather
-// than at the leader alone; and so does ScanTwoLevel's node stage, whose
-// members each fold one slice of every vector onto the node's prefix as well.
+// down. A group combines its vectors as a reduce-scatter, each slice at one
+// member and the leader gathering the slices: centralized is cheap for flags,
+// not for large vectors, so from sliceBytes per member's slice up every core of
+// the node combines one slice, and below it the vectors are one slice, which
+// the leader combines alone. ScanTwoLevel's node stage slices large vectors
+// too, its members each folding one slice of every vector onto the node's
+// prefix as well.
 // internal/team precomputes the groups and leaders as each team's hierarchy
 // view; "multi-level hierarchies (NUMA nodes, sockets)" are the same recipe
 // with more levels.
@@ -67,9 +69,9 @@
 // landSegment, the receipt of one segment of a payload that travels in
 // pieces (BcastTwoLevel's, ScanTwoLevel's chain), each on its own arrival
 // slot, acked once the last is in; and
-// reduceUp, a group's combine into its leader — whole vectors at the leader,
-// or by slices on every member — under allreduceLeveled and
-// ReduceToRootTwoLevel. No body touches a flag, multiplies a parity by a
+// reduceUp, a group's combine into its leader — a reduce-scatter into one
+// slice per member, or into one slice at the leader — under allreduceLeveled
+// and ReduceToRootTwoLevel. No body touches a flag, multiplies a parity by a
 // capacity, reads a counter or passes the episode number on. Policy selects between flat and hierarchy-aware algorithms from
 // the team's hierarchy shape and the message size.
 //
@@ -120,7 +122,7 @@ func levelsOf(t *team.Team, rank int, sockets bool, buf *[2]level) []level {
 }
 
 // levelWidths returns the size of the largest group of each level over the
-// whole team: what a per-level inbox is sized from.
+// whole team: what a level's range of slice regions is sized from.
 func levelWidths(t *team.Team, sockets bool) [2]int {
 	if !sockets {
 		return [2]int{t.MaxNodeGroup(), 0}
@@ -195,12 +197,12 @@ func segments(t *team.Team, n, es int) int {
 }
 
 // sliceBytes is the measured crossover (three-episode cells; CHANGES.md has
-// the sweep) from which a group's stage of the leveled reductions is a
-// reduce-scatter: from slices of sliceBytes — the vector's bytes over the
-// group's size — up, every member combines one slice of the group's vectors,
-// in parallel. Below it the leader combines the whole vectors alone: the
-// per-slice puts and waits cost more than the combine they share out. A pair
-// never slices, at any size: its gather costs what the split saves.
+// the sweep) from which reduceUp cuts a group's vectors into one slice per
+// member: from slices of sliceBytes — the vector's bytes over the group's
+// size — up, every member combines one slice, in parallel. Below it the leader
+// combines the whole vectors alone: the per-slice puts and waits cost more
+// than the combine they share out. A pair never slices, at any size: its
+// gather costs what the split saves.
 const sliceBytes = 512
 
 // sliced reports whether a group of g reduces n-element vectors of es-byte
@@ -209,87 +211,64 @@ func sliced(g, n, es int) bool { return g > 2 && n*es/g >= sliceBytes }
 
 // upStage is one group's stage of a leveled reduction (reduceUp): the group
 // and its leader, the group's range of regions, first.. of boxes of regions,
-// and the flag slots of each form in the state.
+// and its flag slots: per-sender slice slots from slices+first, per-combiner
+// gather slots from slices+regions+first, and the leader's credit to each
+// member once it holds the group's result (−1 for none).
 type upStage struct {
 	level
-	first, regions int
-	arrive, ack    int // whole vectors: arrivals at the leader; its ack to each contributor, −1 for none
-	slices         int // slices: per-sender slots from slices+first, per-combiner gather slots from slices+regions+first
-	credit         int // slices: the leader's credit to each member after its gather, −1 for none
+	first, regions, slices, credit int
 }
 
-// reduceUp is the node stage of the leveled reductions: the group's vectors,
-// buf on each member, combine over shared memory into the leader's buf. Below
-// sliceBytes per slice the members put their whole vectors into the leader's
-// inbox (a member gated on the leader's ack, s.ack, of its previous
-// same-parity vector) and the leader counts them in, then combines and acks
-// each (combineWhole); from it up the group reduce-scatters (reduceSliced). A
-// member returns once its part is sent; only the leader's buf holds the
-// group's result. The member's put is the one call of this frame on the way to
-// the transport: the two forms' other work is in frames of their own.
+// reduceUp is the node stage of the leveled reductions, a reduce-scatter over
+// shared memory: the group's vectors, buf on each member, are cut into c
+// slices (one per member from sliceBytes per slice up, else one), the member
+// at offset j from the leader combines slice j of all of them (combineSlices),
+// and only the leader's buf ends with the group's result. A member that
+// combines nothing puts its whole vector from this frame, gated on the
+// leader's credit (s.credit) for its last: the one call here on the way to
+// the transport.
 func reduceUp[T any](v *team.View, st *coll.State, buf []T, op coll.Op[T], s *upStage) {
-	n, g := len(buf), len(s.group)
-	switch {
-	case sliced(g, n, pgas.ElemSize[T]()):
-		reduceSliced(v, st, buf, op, s)
-	case v.Rank == s.leader:
-		combineWhole(v, st, buf, op, s)
-	default:
-		if s.ack >= 0 {
-			st.Gate(s.ack, 1)
-		}
-		coll.NewBox[T](st, "in", n, s.regions).Put(s.leader, s.first+groupPos(s.group, v.Rank), buf, s.arrive, pgas.ViaShm)
+	n, g, c := len(buf), len(s.group), 1
+	if sliced(g, n, pgas.ElemSize[T]()) {
+		c = g
 	}
+	me := (groupPos(s.group, v.Rank) - groupPos(s.group, s.leader) + g) % g
+	if me < c {
+		combineSlices(v, st, buf, op, s, me, c)
+		return
+	}
+	if s.credit >= 0 {
+		st.Gate(s.credit, 1)
+	}
+	coll.NewFixedBox[T](st, "slice", n, s.regions).Put(s.leader, s.first+me, buf, s.slices+s.first+me, pgas.ViaShm)
 }
 
-// combineWhole is the leader's side of reduceUp's whole-vector form.
+// combineSlices is reduceUp's combiner at offset me of c: every member puts
+// slice j of its vector (⌈n/c⌉ elements) to combiner j in shifted order, j =
+// me+1, me+2, …; the combiner folds each sender's into its own as it lands, in
+// the same order (the leader of one slice: g−1, g−2, …, 1), and puts the
+// result to the leader, which copies it into buf. The regions are one fixed
+// half: a member writes them again only once the episode's result reached it
+// (the allreduce) or the leader's credit came, sent once it holds the result.
 //
 //go:noinline
-func combineWhole[T any](v *team.View, st *coll.State, buf []T, op coll.Op[T], s *upStage) {
-	n, es, g := len(buf), pgas.ElemSize[T](), len(s.group)
+func combineSlices[T any](v *team.View, st *coll.State, buf []T, op coll.Op[T], s *upStage, me, c int) {
+	g, n, lp := len(s.group), len(buf), groupPos(s.group, s.leader)
 	if g == 1 {
 		return
 	}
-	inbox := coll.NewBox[T](st, "in", n, s.regions)
-	st.Arrivals(s.arrive, g-1)
-	for i, r := range s.group {
-		if r != v.Rank {
-			op.Combine(buf, inbox.Region(s.first + i)[:n])
-			v.Img.MemWork(2 * es * n)
-			if s.ack >= 0 {
-				st.Notify(r, s.ack, pgas.ViaShm)
-			}
-		}
-	}
-}
-
-// reduceSliced is reduceUp's reduce-scatter. Member i puts slice j of its
-// vector (⌈n/g⌉ elements) to member j in shifted order, j = i+1, i+2, …; each
-// member combines its own slice as each sender's lands, in the same order, and
-// puts the result to the leader, which copies each into buf as it lands. The
-// slice and gather regions are one fixed half: a member writes an episode's
-// only once the previous episode's result was released to it (the allreduce)
-// or the leader's credit (s.credit) came, which the leader sends after its
-// gather — either proves that every region of that episode was read.
-//
-//go:noinline
-func reduceSliced[T any](v *team.View, st *coll.State, buf []T, op coll.Op[T], s *upStage) {
-	group := s.group
-	g, n := len(group), len(buf)
-	per := (n + g - 1) / g
+	per := (n + c - 1) / c
 	slice := func(j int) []T {
-		sl, _ := sliceOf(buf, j, g)
+		sl, _ := sliceOf(buf, j, c)
 		return sl
 	}
 	in := coll.NewFixedBox[T](st, "slice", per, s.regions)
-	out := coll.NewFixedBox[T](st, "gather", per, s.regions)
-	me, gather := groupPos(group, v.Rank), s.slices+s.regions+s.first
-	if v.Rank != s.leader && s.credit >= 0 {
+	if me != 0 && s.credit >= 0 {
 		st.Gate(s.credit, 1)
 	}
-	for k := 1; k < g; k++ {
+	for k := 1; k < c; k++ {
 		j := (me + k) % g
-		in.Put(group[j], s.first+me, slice(j), s.slices+s.first+me, pgas.ViaShm)
+		in.Put(s.group[(lp+j)%g], s.first+me, slice(j), s.slices+s.first+me, pgas.ViaShm)
 	}
 	mine := slice(me)
 	for k := 1; k < g; k++ {
@@ -298,17 +277,21 @@ func reduceSliced[T any](v *team.View, st *coll.State, buf []T, op coll.Op[T], s
 		op.Combine(mine, in.Region(s.first + i)[:len(mine)])
 		v.Img.MemWork(2 * pgas.ElemSize[T]() * len(mine))
 	}
-	if v.Rank != s.leader {
+	var out coll.Box[T]
+	if c > 1 {
+		out = coll.NewFixedBox[T](st, "gather", per, s.regions)
+	}
+	gather := s.slices + s.regions + s.first
+	if me != 0 {
 		out.Put(s.leader, s.first+me, mine, gather+me, pgas.ViaShm)
 		return
 	}
-	for k := 1; k < g; k++ {
-		j := (me + k) % g
+	for j := 1; j < c; j++ {
 		st.Arrivals(gather+j, 1)
 		out.Take(s.first+j, slice(j))
 	}
 	if s.credit >= 0 {
-		for _, r := range group {
+		for _, r := range s.group {
 			if r != v.Rank {
 				st.Notify(r, s.credit, pgas.ViaShm)
 			}
@@ -318,7 +301,7 @@ func reduceSliced[T any](v *team.View, st *coll.State, buf []T, op coll.Op[T], s
 
 // sliceOf returns slice j of buf cut into g slices of ⌈len(buf)/g⌉ elements —
 // the last ones shorter, or empty — and the slice's offset in buf: how the
-// sliced node stages (reduceSliced, scanSlices) cut a vector, the same on
+// sliced node stages (combineSlices, scanSlices) cut a vector, the same on
 // every member.
 func sliceOf[T any](buf []T, j, g int) ([]T, int) {
 	per := (len(buf) + g - 1) / g

@@ -20,11 +20,10 @@ import (
 //	down: each leader ships the result to the groups it leads over shared
 //	      memory, outermost first.
 //
-// buf is combined in place on every image. Flag layout: level d has slot 2d
-// for whole vectors' arrivals at its leader and slot 2d+1 for the leader's
-// result release; the sliced stage's per-sender slice slots follow, one range
-// per level as wide as the level's largest group, then its per-combiner
-// gather slots, ranged alike.
+// buf is combined in place on every image. Flag layout: level d has slot d
+// for the leader's result release; reduceUp's per-sender slice slots follow,
+// one range per level as wide as the level's largest group, then its
+// per-combiner gather slots, ranged alike.
 func allreduceLeveled[T any](v *team.View, buf []T, op coll.Op[T], name, leadName string, sockets bool) {
 	t := v.T
 	v.Img.World().Stats().Count(trace.OpReduce)
@@ -33,24 +32,24 @@ func allreduceLeveled[T any](v *team.View, buf []T, op coll.Op[T], name, leadNam
 	}
 	var lbuf [2]level
 	levels := levelsOf(t, v.Rank, sockets, &lbuf)
-	// The inbox and slice regions of a level are a range as wide as the
+	// The slice and gather regions of a level are a range as wide as the
 	// level's largest group, one region per position in the group. The ranges
 	// must not overlap: at a node leader both its own socket's members and the
 	// other socket leaders deposit concurrently.
 	widths := levelWidths(t, sockets)
 	regions := widths[0] + widths[1]
-	st := coll.GetState(v, coll.Alg{name, op.Name, pgas.TypeName[T]()}, 2*len(levels)+2*regions)
+	st := coll.GetState(v, coll.Alg{name, op.Name, pgas.TypeName[T]()}, len(levels)+2*regions)
 	st.Next()
 	// The result landing region of everyone the result cascades down to.
 	res := coll.NewBox[T](st, "res", len(buf), 1)
 
-	s := upStage{regions: regions, ack: -1, slices: 2 * len(levels), credit: -1}
+	s := upStage{regions: regions, slices: len(levels), credit: -1}
 	d := 0
 	for ; d < len(levels); d++ {
-		s.level, s.arrive = levels[d], 2*d
+		s.level = levels[d]
 		reduceUp(v, st, buf, op, &s)
 		if v.Rank != s.leader {
-			st.Arrivals(2*d+1, 1)
+			st.Arrivals(d, 1)
 			res.Take(0, buf)
 			break
 		}
@@ -63,7 +62,7 @@ func allreduceLeveled[T any](v *team.View, buf []T, op coll.Op[T], name, leadNam
 	for d--; d >= 0; d-- {
 		for _, r := range levels[d].group {
 			if r != v.Rank {
-				res.Put(r, 0, buf, 2*d+1, pgas.ViaShm)
+				res.Put(r, 0, buf, d, pgas.ViaShm)
 			}
 		}
 	}

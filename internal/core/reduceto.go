@@ -14,12 +14,11 @@ import (
 // the root's leader over the network, and the root's leader hands the result
 // to the root over shared memory. Only root's buf holds the result.
 //
-// Flag layout: slot 0 the root handoff; slots 1/2 parity acks of whole
-// vectors and 3/4 their parity arrivals at the leader (parity-split because
-// members here are only credit-gated, so a fast member can run one episode
-// ahead); slot 5 the leader's credit after a sliced stage's gather, then the
-// sliced stage's per-sender slice slots and its per-combiner gather slots,
-// each range as wide as the largest node group.
+// Flag layout: slot 0 the root handoff; slot 1 the leader's credit to its
+// members once it holds the node's result (members here are only
+// credit-gated, so without it a fast member would run an episode ahead), then
+// reduceUp's per-sender slice slots and its per-combiner gather slots, each
+// range as wide as the largest node group.
 func ReduceToRootTwoLevel[T any](v *team.View, root int, buf []T, op coll.Op[T]) {
 	t := v.T
 	v.Img.World().Stats().Count(trace.OpReduce)
@@ -27,15 +26,14 @@ func ReduceToRootTwoLevel[T any](v *team.View, root int, buf []T, op coll.Op[T])
 		return
 	}
 	width := t.MaxNodeGroup()
-	st := coll.GetState(v, coll.Alg{"redto2", op.Name, pgas.TypeName[T]()}, 6+2*width)
-	parity := int(st.Next() % 2)
+	st := coll.GetState(v, coll.Alg{"redto2", op.Name, pgas.TypeName[T]()}, 2+2*width)
+	st.Next()
 	// The result landing region of a non-leader root.
 	res := coll.NewBox[T](st, "res", len(buf), 1)
 	leader := t.LeaderOf(v.Rank)
 	rootLeader := t.LeaderOf(root)
 
-	reduceUp(v, st, buf, op, &upStage{level: level{t.NodeGroup(t.GroupOf(v.Rank)), leader}, regions: width,
-		arrive: 3 + parity, ack: 1 + parity, slices: 6, credit: 5})
+	reduceUp(v, st, buf, op, &upStage{level: level{t.NodeGroup(t.GroupOf(v.Rank)), leader}, regions: width, slices: 2, credit: 1})
 	if v.Rank != leader {
 		if v.Rank == root {
 			// A non-leader root receives the final result from its leader.

@@ -70,7 +70,7 @@ func scanSliced(g, n, es int) bool {
 // segment's latency rather than the whole vector's. 4 KiB segments lost up to
 // 0.8 % to whole vectors just above one segment, 16 KiB ones gave up part of
 // the gain. Teams of pairs and of one image per node still send every vector
-// whole (ROADMAP item 3 has what segments would gain there).
+// whole (ROADMAP item 9 has what segments would gain there).
 const (
 	chainSegBytes = 8 << 10
 	maxChainSegs  = 16
@@ -223,7 +223,7 @@ func scanTwoLevelLead[T any](v *team.View, st *coll.State, inbox, resBox coll.Bo
 }
 
 // scanSlices is ScanTwoLevel's node stage by slices, run by every member of
-// the group (a frame of its own, like reduceSliced). Member i puts slice j of
+// the group (a frame of its own, like combineSlices). Member i puts slice j of
 // its vector (sliceOf's cut) to member j in shifted order, j = i+1, i+2, …;
 // member j combines slice j of every vector into slice j of the node total, as
 // each sender's lands, and ships it to the leader, which runs the leaders'

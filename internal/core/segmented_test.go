@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"cafteams/internal/pgas"
-	"cafteams/internal/team"
 	"cafteams/internal/topology"
 )
 
@@ -78,41 +77,12 @@ func TestSegmentedFanOut(t *testing.T) {
 								t.Fatalf("%v", r)
 							}
 						}()
-						runSegmentedEpisodes(t, sc, c.k, c.name)
+						runConformanceData(t, sc, c.k, c.name, false)
 					})
 				}
 			}
 		}
 	}
-}
-
-// runSegmentedEpisodes is runSlicedEpisodes for the broadcast and the
-// allgather: an image that finds a wrong result reports it and goes on.
-func runSegmentedEpisodes(t *testing.T, sc confScenario, k Kind, name string) {
-	w := sc.world(t)
-	w.Run(func(im *pgas.Image) {
-		v := team.Initial(w, im)
-		n := v.T.Size()
-		rng := rand.New(rand.NewSource(sc.seed ^ int64(im.Rank()*2654435761)))
-		out := make([]float64, n*sc.elems)
-		for ep := 0; ep < sc.episodes; ep++ {
-			im.Sleep(sc.skew(rng))
-			root := sc.rootOf(ep, n)
-			label := fmt.Sprintf("%s/%s/%s ep%d rank%d", sc, k, name, ep, v.Rank)
-			buf := confInput(sc.seed, 0, v.Rank, ep, sc.elems)
-			if k == KindBroadcast {
-				RunBroadcast(name, v, root, buf)
-				confCheck(t, label, buf, confInput(sc.seed, 0, root, ep, sc.elems))
-				continue
-			}
-			RunAllgather(name, v, buf, out)
-			for r := 0; r < n; r++ {
-				if !confCheck(t, label, out[r*sc.elems:(r+1)*sc.elems], confInput(sc.seed, 0, r, ep, sc.elems)) {
-					break
-				}
-			}
-		}
-	})
 }
 
 // oneSegment returns the most float64 elements bcast/2level sends whole on

@@ -1,17 +1,16 @@
 package core
 
-// The sliced node stage of the leveled reductions (reduceUp's reduce-scatter)
-// runs only from sliceBytes per slice up, above every size the randomized
-// conformance sweep draws: this table runs it on both backends, bitwise
-// against the serial reference, at the crossover of each group size the
-// shapes have.
+// The node stage of the leveled reductions (reduceUp's reduce-scatter) cuts
+// the group's vectors into one slice per member only from sliceBytes per slice
+// up, above every size the randomized conformance sweep draws: this table runs
+// it on both backends, bitwise against the serial reference, on both sides of
+// the crossover of each group size the shapes have.
 
 import (
 	"fmt"
 	"math/rand"
 	"testing"
 
-	"cafteams/internal/coll"
 	"cafteams/internal/pgas"
 	"cafteams/internal/team"
 	"cafteams/internal/topology"
@@ -56,13 +55,13 @@ func slicedScenarios(t *testing.T) []struct {
 
 // TestSlicedNodeStage runs allreduce 2level, 3level and nb-2level and
 // reduceto/2level on the shapes above at three sizes per group size g: one
-// element below the crossover (the leader combines whole vectors), at it (g
-// slices), and one above it (n not a multiple of g: a shorter last slice);
-// eight episodes with rotating roots (members and leaders) under skew heavy
-// enough for a fast image to run an episode ahead, on sim and native. A
-// member that does not gate on the reduceto leader's credit, or a combiner
-// that skips one sender's wait, reads or overwrites a slice region of the
-// wrong episode here.
+// element below the crossover (one slice, which the leader combines alone),
+// at it (g slices), and one above it (n not a multiple of g: a shorter last
+// slice); eight episodes with rotating roots (members and leaders) under skew
+// heavy enough for a fast image to run an episode ahead, on sim and native. A
+// member that does not gate on the reduceto leader's credit, at either size,
+// or a combiner that skips one sender's wait, reads or overwrites a slice
+// region of the wrong episode here.
 func TestSlicedNodeStage(t *testing.T) {
 	const es = 8 // float64
 	roots := []int{1, 0, 6, 5, 11, 2, 8, 3}
@@ -70,7 +69,24 @@ func TestSlicedNodeStage(t *testing.T) {
 		k    Kind
 		name string
 	}{{KindAllreduce, "2level"}, {KindAllreduce, "3level"}, {KindAllreduce, "nb-2level"}, {KindReduceTo, "2level"}}
-	for _, s := range slicedScenarios(t) {
+	// Beside the shared shapes, 2 nodes × 3 sockets × 3 cores with each
+	// node's lowest rank on its last socket: the node leader is the last of
+	// its socket leaders, so 3level's second level runs with its leader off
+	// position 0, where reduceUp counts offsets from it.
+	var rot []topology.Loc
+	for img := range 18 {
+		k := img % 9
+		rot = append(rot, topology.Loc{Node: img / 9, Socket: (k + 2) % 3, Core: (k+2)%3*3 + k/3})
+	}
+	last, err := topology.NewCustom(2, 3, 3, rot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scenarios := append(slicedScenarios(t), struct {
+		sc     confScenario
+		groups []int
+	}{confScenario{label: "2x3x3-leader-last", topo: last}, []int{3}})
+	for _, s := range scenarios {
 		var sizes []int
 		for _, g := range s.groups {
 			at := sliceBytes * g / es
@@ -101,39 +117,12 @@ func TestSlicedNodeStage(t *testing.T) {
 								t.Fatalf("%v", r)
 							}
 						}()
-						runSlicedEpisodes(t, sc, c.k, c.name)
+						runConformanceData(t, sc, c.k, c.name, false)
 					})
 				}
 			}
 		}
 	}
-}
-
-// runSlicedEpisodes is runConfEpisodes for the two reduction kinds, except
-// that an image that finds a wrong result reports it and goes on: on native,
-// where a missing gate shows as a region overwritten a moment too early, an
-// image that stopped would leave its peers waiting for it.
-func runSlicedEpisodes(t *testing.T, sc confScenario, k Kind, name string) {
-	w := sc.world(t)
-	w.Run(func(im *pgas.Image) {
-		v := team.Initial(w, im)
-		n := v.T.Size()
-		rng := rand.New(rand.NewSource(sc.seed ^ int64(im.Rank()*2654435761)))
-		for ep := 0; ep < sc.episodes; ep++ {
-			im.Sleep(sc.skew(rng))
-			root := sc.rootOf(ep, n)
-			label := fmt.Sprintf("%s/%s/%s ep%d rank%d", sc, k, name, ep, v.Rank)
-			buf := confInput(sc.seed, 0, v.Rank, ep, sc.elems)
-			if k == KindAllreduce {
-				RunAllreduce(name, v, buf, coll.Sum)
-			} else {
-				RunReduceTo(name, v, root, buf, coll.Sum)
-			}
-			if k == KindAllreduce || v.Rank == root {
-				confCheck(t, label, buf, confSum(sc.seed, 0, n, ep, sc.elems))
-			}
-		}
-	})
 }
 
 // TestSlicedScan runs scan/2level, inclusive and exclusive, around its two
@@ -209,50 +198,12 @@ func TestSlicedScan(t *testing.T) {
 								t.Fatalf("%v", r)
 							}
 						}()
-						runSlicedScan(t, sc, exclusive)
+						runConformanceData(t, sc, KindScan, "2level", exclusive)
 					})
 				}
 			}
 		}
 	}
-}
-
-// runSlicedScan is runSlicedEpisodes for the scan: an image that finds a
-// wrong result reports it and goes on. The serial references — every rank's
-// inclusive prefix of every episode — are summed once, before the run.
-func runSlicedScan(t *testing.T, sc confScenario, exclusive bool) {
-	w := sc.world(t)
-	n := w.NumImages()
-	incl := make([][][]float64, sc.episodes) // [ep][rank]
-	for ep := range incl {
-		incl[ep] = make([][]float64, n)
-		for r := range n {
-			incl[ep][r] = confInput(sc.seed, 0, r, ep, sc.elems)
-			if r > 0 {
-				for i, x := range incl[ep][r-1] {
-					incl[ep][r][i] += x
-				}
-			}
-		}
-	}
-	w.Run(func(im *pgas.Image) {
-		v := team.Initial(w, im)
-		rng := rand.New(rand.NewSource(sc.seed ^ int64(im.Rank()*2654435761)))
-		for ep := 0; ep < sc.episodes; ep++ {
-			im.Sleep(sc.skew(rng))
-			label := fmt.Sprintf("%s/scan/2level/excl=%v ep%d rank%d", sc, exclusive, ep, v.Rank)
-			buf := confInput(sc.seed, 0, v.Rank, ep, sc.elems)
-			RunScan("2level", v, buf, coll.Sum, exclusive)
-			want := incl[ep][v.Rank]
-			switch {
-			case exclusive && v.Rank == 0:
-				want = confInput(sc.seed, 0, 0, ep, sc.elems) // its own vector, unchanged
-			case exclusive:
-				want = incl[ep][v.Rank-1]
-			}
-			confCheck(t, label, buf, want)
-		}
-	})
 }
 
 // initialTeam returns sc's initial team.
