@@ -14,8 +14,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
-	"sync/atomic"
 	"testing"
 
 	"cafteams/internal/machine"
@@ -27,32 +25,6 @@ import (
 
 // confBackends are the substrates the cross-check sweeps.
 var confBackends = []string{"sim", "native"}
-
-// checkBarrierOn verifies barrier semantics on either backend: no image
-// leaves episode ep before every image has entered it. The episode stamps
-// are accessed atomically so the check itself is race-free under native
-// concurrency.
-func checkBarrierOn(t *testing.T, sc confScenario, alg string) {
-	w := sc.world(t)
-	n := w.NumImages()
-	entered := make([]int64, n)
-	w.Run(func(im *pgas.Image) {
-		v := team.Initial(w, im)
-		rng := rand.New(rand.NewSource(sc.seed ^ int64(im.Rank()*2654435761)))
-		for ep := int64(1); ep <= confEpisodes; ep++ {
-			im.Sleep(pgas.Time(rng.Intn(20000)))
-			atomic.StoreInt64(&entered[im.Rank()], ep)
-			sc.run(t, v, KindBarrier, func() { RunBarrier(alg, v) })
-			for r := 0; r < n; r++ {
-				if atomic.LoadInt64(&entered[r]) < ep {
-					t.Errorf("%s/barrier/%s: image %d left episode %d before image %d entered",
-						sc, alg, im.Rank(), ep, r)
-					return
-				}
-			}
-		}
-	})
-}
 
 // defaultAlgs resolves the auto policy's algorithm choice per kind on the
 // scenario's shape. AlgFor only reads the team's hierarchy view, so it can

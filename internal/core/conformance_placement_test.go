@@ -14,7 +14,6 @@ import (
 
 	"cafteams/internal/cluster"
 	"cafteams/internal/machine"
-	"cafteams/internal/team"
 	"cafteams/internal/topology"
 )
 
@@ -99,17 +98,7 @@ func TestConformanceOnSchedulerPlacements(t *testing.T) {
 				for _, name := range Algorithms(k) {
 					k, name := k, name
 					t.Run(fmt.Sprintf("%s/%s", k, name), func(t *testing.T) {
-						switch {
-						case k == KindBarrier:
-							checkBarrier(t, sc.world(t), fmt.Sprintf("%s/barrier/%s", sc, name),
-								func(v *team.View) { RunBarrier(name, v) }, confEpisodes)
-						case k == KindScan:
-							for _, exclusive := range []bool{false, true} {
-								runConformanceData(t, sc, k, name, exclusive)
-							}
-						default:
-							runConformanceData(t, sc, k, name, false)
-						}
+						runConfCell(t, sc, k, name)
 					})
 				}
 			}

@@ -19,6 +19,7 @@ import (
 	"math/rand"
 	"os"
 	"strconv"
+	"sync/atomic"
 	"testing"
 
 	"cafteams/internal/coll"
@@ -107,6 +108,24 @@ func (s confScenario) String() string {
 	return fmt.Sprintf("%dx%d-%s-%delems%s", s.nodes, s.perNode, s.place, s.elems, mode)
 }
 
+// numEpisodes is the scenario's episode count.
+func (s confScenario) numEpisodes() int {
+	if s.episodes > 0 {
+		return s.episodes
+	}
+	return confEpisodes
+}
+
+// skewer returns an image's draw of the delay it sleeps before each episode:
+// random, so no algorithm can rely on lockstep entry.
+func (s confScenario) skewer(rank int) func() pgas.Time {
+	rng := rand.New(rand.NewSource(s.seed ^ int64(rank*2654435761)))
+	if s.skew != nil {
+		return func() pgas.Time { return s.skew(rng) }
+	}
+	return func() pgas.Time { return pgas.Time(rng.Intn(20000)) }
+}
+
 func (s confScenario) world(t testing.TB) *pgas.World {
 	t.Helper()
 	topo := s.topo
@@ -125,6 +144,17 @@ func (s confScenario) world(t testing.TB) *pgas.World {
 		t.Fatal(err)
 	}
 	return w
+}
+
+// onSpec returns sc on the topology of spec, such as "16(2)", labelled by it.
+func onSpec(t testing.TB, spec string, sc confScenario) confScenario {
+	t.Helper()
+	topo, err := topology.ParseSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.label, sc.topo = spec, topo
+	return sc
 }
 
 func conformanceEnv(t *testing.T, name string, dflt int64) int64 {
@@ -154,10 +184,12 @@ func confElem(seed int64, salt, rank, ep, i int) float64 {
 	return float64(x%201 - 100)
 }
 
-// confSum is the sum of ranks 0..ranks-1's input vectors. Each rank's vector
-// reads the same cycle of 201 values, shifted by 31 per rank, so while no
-// input is negative before its %201 the sum is one table over the cycle: a
-// scan's check costs each image O(ranks+elems), not O(ranks·elems).
+// confSum is the sum of ranks 0..ranks-1's input vectors. Rank r's element i
+// is (base+31r+i) mod 201 − 100, and 31 is prime to 201, so any 201
+// consecutive ranks contribute every residue once and sum to zero: only the
+// last ranks mod 201 ranks count, and element i sums like element i−201. While
+// no input is negative before its %201, a check costs an image
+// O(min(elems, 201)·min(ranks, 201)), not O(ranks·elems).
 func confSum(seed int64, salt, ranks, ep, elems int) []float64 {
 	want := make([]float64, elems)
 	base := seed + int64(salt)*9973 + int64(ep)*7
@@ -169,27 +201,40 @@ func confSum(seed int64, salt, ranks, ep, elems int) []float64 {
 		}
 		return want
 	}
-	var cycle [201]float64
-	for m := range cycle {
-		for r := range ranks {
-			cycle[m] += float64((int64(m+31*r))%201 - 100)
-		}
-	}
 	for i := range want {
-		want[i] = cycle[(base+int64(i))%201]
+		if i >= 201 {
+			want[i] = want[i-201]
+			continue
+		}
+		for r := range ranks % 201 {
+			want[i] += float64((base+int64(i+31*r))%201 - 100)
+		}
 	}
 	return want
 }
 
-func confCheck(t *testing.T, label string, got, want []float64) bool {
+// confLabel names one image's check of one episode. It is formatted only when
+// the check fails.
+type confLabel struct {
+	sc       *confScenario
+	k        Kind
+	name     string
+	ep, rank int
+}
+
+func (l *confLabel) String() string {
+	return fmt.Sprintf("%s/%s/%s ep%d rank%d", *l.sc, l.k, l.name, l.ep, l.rank)
+}
+
+func confCheck(t *testing.T, label any, got, want []float64) bool {
 	t.Helper()
 	if len(got) != len(want) {
-		t.Errorf("%s: len %d, want %d", label, len(got), len(want))
+		t.Errorf("%v: len %d, want %d", label, len(got), len(want))
 		return false
 	}
 	for i := range want {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Errorf("%s: elem %d = %v, want %v", label, i, got[i], want[i])
+			t.Errorf("%v: elem %d = %v, want %v", label, i, got[i], want[i])
 			return false
 		}
 	}
@@ -219,7 +264,69 @@ func runConfCell(t *testing.T, sc confScenario, k Kind, name string) {
 	}
 }
 
-// runConformanceData runs confEpisodes episodes of one (kind, algorithm)
+// heavySkew draws a skew heavy enough for a fast image to run episodes ahead
+// of a slow one: one episode in four sleeps up to long ns, the others up to
+// short.
+func heavySkew(long, short int) func(*rand.Rand) pgas.Time {
+	return func(rng *rand.Rand) pgas.Time {
+		if rng.Intn(4) == 0 {
+			return pgas.Time(rng.Intn(long))
+		}
+		return pgas.Time(rng.Intn(short))
+	}
+}
+
+// runSkewCell runs one cell of a skew table as a subtest per backend, named
+// sc/backend/cell (sc/cell for the scenario's own backend, ""): native after
+// sim, and only if sim passed — the simulator reports a deadlock, native
+// would wait forever — with a panic a failure.
+func runSkewCell(t *testing.T, sc confScenario, backends []string, cell string, body func(*testing.T, confScenario)) {
+	for _, backend := range backends {
+		sc.backend = backend
+		name := fmt.Sprintf("%s/%s/%s", sc, backend, cell)
+		if backend == "" {
+			name = fmt.Sprintf("%s/%s", sc, cell)
+		}
+		if !t.Run(name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("%v", r)
+				}
+			}()
+			body(t, sc)
+		}) {
+			return
+		}
+	}
+}
+
+// checkBarrierOn verifies barrier semantics on either backend: no image
+// leaves episode ep before every image has entered it. The episode stamps
+// are accessed atomically so the check itself is race-free under native
+// concurrency.
+func checkBarrierOn(t *testing.T, sc confScenario, alg string) {
+	w := sc.world(t)
+	n := w.NumImages()
+	entered := make([]int64, n)
+	w.Run(func(im *pgas.Image) {
+		v := team.Initial(w, im)
+		skew := sc.skewer(im.Rank())
+		for ep := int64(1); ep <= int64(sc.numEpisodes()); ep++ {
+			im.Sleep(skew())
+			atomic.StoreInt64(&entered[im.Rank()], ep)
+			sc.run(t, v, KindBarrier, func() { RunBarrier(alg, v) })
+			for r := 0; r < n; r++ {
+				if atomic.LoadInt64(&entered[r]) < ep {
+					t.Errorf("%s/barrier/%s: image %d left episode %d before image %d entered",
+						sc, alg, im.Rank(), ep, r)
+					return
+				}
+			}
+		}
+	})
+}
+
+// runConformanceData runs the episodes of one (kind, algorithm)
 // pair on one scenario and verifies every image's result bitwise against
 // the serial reference.
 func runConformanceData(t *testing.T, sc confScenario, k Kind, name string, exclusive bool) {
@@ -242,23 +349,15 @@ func runConfEpisodes(t *testing.T, sc confScenario, k Kind, name string, exclusi
 	im := v.Img
 	n := v.T.Size()
 	elems := sc.elems
-	rng := rand.New(rand.NewSource(sc.seed ^ int64(im.Rank()*2654435761)))
-	episodes := confEpisodes
-	if sc.episodes > 0 {
-		episodes = sc.episodes
-	}
-	for ep := 0; ep < episodes; ep++ {
-		// Random skew so no algorithm can rely on lockstep entry.
-		if sc.skew != nil {
-			im.Sleep(sc.skew(rng))
-		} else {
-			im.Sleep(pgas.Time(rng.Intn(20000)))
-		}
+	skew := sc.skewer(im.Rank())
+	label := &confLabel{sc: &sc, k: k, name: name, rank: v.Rank}
+	for ep := range sc.numEpisodes() {
+		im.Sleep(skew())
 		root := confRoot(sc.seed, ep, n)
 		if sc.rootOf != nil {
 			root = sc.rootOf(ep, n)
 		}
-		label := fmt.Sprintf("%s/%s/%s ep%d rank%d", sc, k, name, ep, v.Rank)
+		label.ep = ep
 		mine := confInput(sc.seed, 0, v.Rank, ep, elems)
 		switch k {
 		case KindAllreduce:
@@ -415,6 +514,29 @@ func TestConformanceRandomized(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestConfSumIsTheSerialSum pins the serial reference's shortcut to the
+// element-wise sum it stands for: across the cycle's length in ranks and in
+// elements, and on seeds that are negative or large, where it falls back.
+func TestConfSumIsTheSerialSum(t *testing.T) {
+	const ep = 3
+	for _, seed := range []int64{0, 1, 20260808, 20264017, -5, 1 << 40} {
+		for _, ranks := range []int{1, 2, 7, 200, 201, 202, 403, 512} {
+			for _, elems := range []int{1, 3, 200, 201, 202, 1500} {
+				for _, salt := range []int{0, 3} {
+					want := make([]float64, elems)
+					for r := range ranks {
+						for i := range want {
+							want[i] += confElem(seed, salt, r, ep, i)
+						}
+					}
+					label := fmt.Sprintf("seed %d ranks %d elems %d salt %d", seed, ranks, elems, salt)
+					confCheck(t, label, confSum(seed, salt, ranks, ep, elems), want)
+				}
+			}
 		}
 	}
 }

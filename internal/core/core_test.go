@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -18,52 +17,26 @@ import (
 
 func newWorld(t testing.TB, spec string) *pgas.World {
 	t.Helper()
-	topo, err := topology.ParseSpec(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := pgas.NewWorld(sim.NewEnv(), machine.PaperCluster(), topo, trace.New())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return w
+	return onSpec(t, spec, confScenario{}).world(t)
 }
 
-var hierBarriers = map[string]func(v *team.View){
-	"tdlb":  BarrierTDLB,
-	"tdll":  BarrierTDLL,
-	"tdlb3": BarrierTDLB3,
-}
-
-func checkBarrier(t *testing.T, w *pgas.World, name string, fn func(v *team.View), episodes int) {
-	t.Helper()
-	n := w.NumImages()
-	entered := make([]int, n)
-	for i := range entered {
-		entered[i] = -1
-	}
-	w.Run(func(im *pgas.Image) {
+// modeledNs is the modeled time episodes calls of body take on every image
+// of a fresh spec world.
+func modeledNs(t *testing.T, spec string, episodes int, body func(v *team.View)) sim.Time {
+	w := newWorld(t, spec)
+	return w.Run(func(im *pgas.Image) {
 		v := team.Initial(w, im)
-		rng := rand.New(rand.NewSource(int64(im.Rank()) * 13))
-		for ep := 0; ep < episodes; ep++ {
-			im.Sleep(sim.Time(rng.Intn(30000)))
-			entered[im.Rank()] = ep
-			fn(v)
-			for r := 0; r < n; r++ {
-				if entered[r] < ep {
-					t.Errorf("%s: image %d left episode %d before image %d entered", name, im.Rank(), ep, r)
-					return
-				}
-			}
+		for range episodes {
+			body(v)
 		}
 	})
 }
 
 func TestHierarchyBarriersSynchronize(t *testing.T) {
-	for name, fn := range hierBarriers {
+	for _, name := range []string{"tdlb", "tdll", "tdlb3"} {
 		for _, spec := range []string{"16(2)", "16(16)", "24(3)", "7(2)", "1(1)", "13(4)", "8(1)"} {
 			t.Run(fmt.Sprintf("%s/%s", name, spec), func(t *testing.T) {
-				checkBarrier(t, newWorld(t, spec), name, fn, 4)
+				checkBarrierOn(t, onSpec(t, spec, confScenario{episodes: 4}), name)
 			})
 		}
 	}
@@ -90,17 +63,8 @@ func TestTDLBOnSubteams(t *testing.T) {
 func TestTDLBFasterThanFlatWithManyImagesPerNode(t *testing.T) {
 	// The paper's headline: with 8 images/node the hierarchy-aware barrier
 	// beats flat dissemination substantially (E2).
-	time := func(fn func(v *team.View)) sim.Time {
-		w := newWorld(t, "64(8)")
-		return w.Run(func(im *pgas.Image) {
-			v := team.Initial(w, im)
-			for i := 0; i < 10; i++ {
-				fn(v)
-			}
-		})
-	}
-	flat := time(coll.BarrierDissemination)
-	tdlb := time(BarrierTDLB)
+	flat := modeledNs(t, "64(8)", 10, coll.BarrierDissemination)
+	tdlb := modeledNs(t, "64(8)", 10, BarrierTDLB)
 	if tdlb*2 >= flat {
 		t.Fatalf("TDLB (%d ns) should be at least 2x faster than flat dissemination (%d ns) at 8 images/node", tdlb, flat)
 	}
@@ -109,17 +73,8 @@ func TestTDLBFasterThanFlatWithManyImagesPerNode(t *testing.T) {
 func TestTDLBMatchesDisseminationOnFlatHierarchy(t *testing.T) {
 	// E1: with one image per node TDLB degenerates to dissemination; the
 	// end-to-end times must be identical (same algorithm, same messages).
-	time := func(fn func(v *team.View)) sim.Time {
-		w := newWorld(t, "16(16)")
-		return w.Run(func(im *pgas.Image) {
-			v := team.Initial(w, im)
-			for i := 0; i < 5; i++ {
-				fn(v)
-			}
-		})
-	}
-	flat := time(coll.BarrierDissemination)
-	tdlb := time(BarrierTDLB)
+	flat := modeledNs(t, "16(16)", 5, coll.BarrierDissemination)
+	tdlb := modeledNs(t, "16(16)", 5, BarrierTDLB)
 	if flat != tdlb {
 		t.Fatalf("flat hierarchy: TDLB = %d ns, dissemination = %d ns; must coincide", tdlb, flat)
 	}
@@ -249,25 +204,7 @@ func TestTDLBMessageShape(t *testing.T) {
 func TestAllreduceTwoLevelCorrect(t *testing.T) {
 	for _, spec := range []string{"16(2)", "8(8)", "24(3)", "7(2)", "1(1)", "13(4)"} {
 		t.Run(spec, func(t *testing.T) {
-			w := newWorld(t, spec)
-			n := w.NumImages()
-			w.Run(func(im *pgas.Image) {
-				v := team.Initial(w, im)
-				for ep := 0; ep < 3; ep++ {
-					buf := make([]float64, 21)
-					for i := range buf {
-						buf[i] = float64((im.Rank() + 1) * (i + 1 + ep))
-					}
-					AllreduceTwoLevel(v, buf, coll.Sum)
-					for i := range buf {
-						want := float64(i+1+ep) * float64(n*(n+1)) / 2
-						if math.Abs(buf[i]-want) > 1e-9 {
-							t.Errorf("ep%d image %d elem %d = %v, want %v", ep, im.Rank(), i, buf[i], want)
-							return
-						}
-					}
-				}
-			})
+			runConfCell(t, onSpec(t, spec, confScenario{elems: 21, episodes: 3}), KindAllreduce, "2level")
 		})
 	}
 }
@@ -293,30 +230,8 @@ func TestAllreduceTwoLevelMaxMin(t *testing.T) {
 func TestBcastTwoLevelVaryingRoots(t *testing.T) {
 	for _, spec := range []string{"16(2)", "8(8)", "24(3)", "7(2)", "1(1)", "13(4)"} {
 		t.Run(spec, func(t *testing.T) {
-			w := newWorld(t, spec)
-			n := w.NumImages()
-			w.Run(func(im *pgas.Image) {
-				v := team.Initial(w, im)
-				rng := rand.New(rand.NewSource(int64(im.Rank())))
-				for ep := 0; ep < 5; ep++ {
-					root := (ep*5 + 1) % n
-					buf := make([]float64, 17)
-					if v.Rank == root {
-						for i := range buf {
-							buf[i] = float64(root*100 + i + ep)
-						}
-					}
-					im.Sleep(sim.Time(rng.Intn(8000)))
-					BcastTwoLevel(v, root, buf)
-					for i := range buf {
-						if buf[i] != float64(root*100+i+ep) {
-							t.Errorf("%s ep%d root%d image %d elem %d = %v, want %v",
-								spec, ep, root, im.Rank(), i, buf[i], float64(root*100+i+ep))
-							return
-						}
-					}
-				}
-			})
+			sc := confScenario{elems: 17, episodes: 5, rootOf: func(ep, n int) int { return (ep*5 + 1) % n }}
+			runConfCell(t, onSpec(t, spec, sc), KindBroadcast, "2level")
 		})
 	}
 }
@@ -324,44 +239,16 @@ func TestBcastTwoLevelVaryingRoots(t *testing.T) {
 func TestTwoLevelReduceFasterThanFlat(t *testing.T) {
 	// E3 shape: with 8 images/node two-level reduction beats flat
 	// recursive doubling.
-	time := func(two bool) sim.Time {
-		w := newWorld(t, "64(8)")
-		return w.Run(func(im *pgas.Image) {
-			v := team.Initial(w, im)
-			buf := make([]float64, 256)
-			for i := 0; i < 5; i++ {
-				if two {
-					AllreduceTwoLevel(v, buf, coll.Sum)
-				} else {
-					coll.AllreduceRD(v, buf, coll.Sum)
-				}
-			}
-		})
-	}
-	flat := time(false)
-	two := time(true)
+	flat := modeledNs(t, "64(8)", 5, func(v *team.View) { coll.AllreduceRD(v, make([]float64, 256), coll.Sum) })
+	two := modeledNs(t, "64(8)", 5, func(v *team.View) { AllreduceTwoLevel(v, make([]float64, 256), coll.Sum) })
 	if two >= flat {
 		t.Fatalf("two-level reduce (%d ns) not faster than flat (%d ns)", two, flat)
 	}
 }
 
 func TestTwoLevelBcastFasterThanFlat(t *testing.T) {
-	time := func(two bool) sim.Time {
-		w := newWorld(t, "64(8)")
-		return w.Run(func(im *pgas.Image) {
-			v := team.Initial(w, im)
-			buf := make([]float64, 256)
-			for i := 0; i < 5; i++ {
-				if two {
-					BcastTwoLevel(v, 0, buf)
-				} else {
-					coll.BcastBinomial(v, 0, buf)
-				}
-			}
-		})
-	}
-	flat := time(false)
-	two := time(true)
+	flat := modeledNs(t, "64(8)", 5, func(v *team.View) { coll.BcastBinomial(v, 0, make([]float64, 256)) })
+	two := modeledNs(t, "64(8)", 5, func(v *team.View) { BcastTwoLevel(v, 0, make([]float64, 256)) })
 	if two >= flat {
 		t.Fatalf("two-level bcast (%d ns) not faster than flat (%d ns)", two, flat)
 	}
@@ -443,17 +330,8 @@ func TestLevelStrings(t *testing.T) {
 func TestTDLB3UsesFewerCrossSocketMessages(t *testing.T) {
 	// The 3-level barrier must synchronize correctly and should not be
 	// wildly slower than 2-level on a dual-socket node layout.
-	time := func(fn func(v *team.View)) sim.Time {
-		w := newWorld(t, "64(8)")
-		return w.Run(func(im *pgas.Image) {
-			v := team.Initial(w, im)
-			for i := 0; i < 10; i++ {
-				fn(v)
-			}
-		})
-	}
-	two := time(BarrierTDLB)
-	three := time(BarrierTDLB3)
+	two := modeledNs(t, "64(8)", 10, BarrierTDLB)
+	three := modeledNs(t, "64(8)", 10, BarrierTDLB3)
 	if three > two*2 {
 		t.Fatalf("3-level barrier (%d ns) more than 2x slower than 2-level (%d ns)", three, two)
 	}
@@ -506,27 +384,13 @@ func TestTwoLevelCollectivesOnGridTeams(t *testing.T) {
 	})
 }
 
-// newWorldCyclic builds a world with cyclic placement: rank i on node i%nodes.
-func newWorldCyclic(t testing.TB, nodes, perNode int) *pgas.World {
-	t.Helper()
-	topo, err := topology.New(nodes, 2, (perNode+1)/2, nodes*perNode, topology.PlaceCyclic)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := pgas.NewWorld(sim.NewEnv(), machine.PaperCluster(), topo, trace.New())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return w
-}
-
 // TestScanCountsOneOpPerCall: every scan algorithm counts one reduction per
 // call and image — on a cyclic placement too, where the two-level scan hands
 // the call to the flat one, which counts it.
 func TestScanCountsOneOpPerCall(t *testing.T) {
 	const calls = 3
 	for _, name := range Algorithms(KindScan) {
-		w := newWorldCyclic(t, 3, 2)
+		w := confScenario{nodes: 3, perNode: 2, place: topology.PlaceCyclic}.world(t)
 		w.Run(func(im *pgas.Image) {
 			v := team.Initial(w, im)
 			for i := 0; i < calls; i++ {
@@ -542,25 +406,7 @@ func TestScanCountsOneOpPerCall(t *testing.T) {
 func TestAllreduceThreeLevelCorrect(t *testing.T) {
 	for _, spec := range []string{"16(2)", "8(8)", "24(3)", "7(2)", "1(1)", "64(8)"} {
 		t.Run(spec, func(t *testing.T) {
-			w := newWorld(t, spec)
-			n := w.NumImages()
-			w.Run(func(im *pgas.Image) {
-				v := team.Initial(w, im)
-				for ep := 0; ep < 3; ep++ {
-					buf := make([]float64, 13)
-					for i := range buf {
-						buf[i] = float64((im.Rank() + 1) * (i + 1 + ep))
-					}
-					AllreduceThreeLevel(v, buf, coll.Sum)
-					for i := range buf {
-						want := float64(i+1+ep) * float64(n*(n+1)) / 2
-						if math.Abs(buf[i]-want) > 1e-9 {
-							t.Errorf("ep%d image %d elem %d = %v, want %v", ep, im.Rank(), i, buf[i], want)
-							return
-						}
-					}
-				}
-			})
+			runConfCell(t, onSpec(t, spec, confScenario{elems: 13, episodes: 3}), KindAllreduce, "3level")
 		})
 	}
 }
@@ -568,22 +414,8 @@ func TestAllreduceThreeLevelCorrect(t *testing.T) {
 func TestThreeLevelReduceCompetitive(t *testing.T) {
 	// On dual-socket nodes the 3-level reduce should be within 2x of the
 	// 2-level one (it trades bus traffic for an extra stage).
-	time := func(three bool) sim.Time {
-		w := newWorld(t, "64(8)")
-		return w.Run(func(im *pgas.Image) {
-			v := team.Initial(w, im)
-			buf := make([]float64, 64)
-			for i := 0; i < 5; i++ {
-				if three {
-					AllreduceThreeLevel(v, buf, coll.Sum)
-				} else {
-					AllreduceTwoLevel(v, buf, coll.Sum)
-				}
-			}
-		})
-	}
-	two := time(false)
-	three := time(true)
+	two := modeledNs(t, "64(8)", 5, func(v *team.View) { AllreduceTwoLevel(v, make([]float64, 64), coll.Sum) })
+	three := modeledNs(t, "64(8)", 5, func(v *team.View) { AllreduceThreeLevel(v, make([]float64, 64), coll.Sum) })
 	if three > 2*two {
 		t.Fatalf("3-level reduce (%d ns) more than 2x the 2-level (%d ns)", three, two)
 	}
@@ -606,46 +438,15 @@ func TestPolicyLevelThreeUsesThreeLevelReduce(t *testing.T) {
 func TestReduceToRootTwoLevelCorrect(t *testing.T) {
 	for _, spec := range []string{"16(2)", "8(8)", "7(2)", "24(3)", "1(1)", "13(4)"} {
 		t.Run(spec, func(t *testing.T) {
-			w := newWorld(t, spec)
-			n := w.NumImages()
-			w.Run(func(im *pgas.Image) {
-				v := team.Initial(w, im)
-				rng := rand.New(rand.NewSource(int64(im.Rank())))
-				for ep := 0; ep < 6; ep++ {
-					root := (ep * 5) % n
-					im.Sleep(sim.Time(rng.Intn(10000)))
-					buf := []float64{float64(im.Rank() + 1)}
-					ReduceToRootTwoLevel(v, root, buf, coll.Sum)
-					if v.Rank == root {
-						want := float64(n*(n+1)) / 2
-						if buf[0] != want {
-							t.Errorf("%s ep%d root%d: result = %v, want %v", spec, ep, root, buf[0], want)
-							return
-						}
-					}
-				}
-			})
+			sc := confScenario{elems: 1, episodes: 6, rootOf: func(ep, n int) int { return ep * 5 % n }}
+			runConfCell(t, onSpec(t, spec, sc), KindReduceTo, "2level")
 		})
 	}
 }
 
 func TestReduceToRootTwoLevelFasterThanFlat(t *testing.T) {
-	time := func(two bool) sim.Time {
-		w := newWorld(t, "64(8)")
-		return w.Run(func(im *pgas.Image) {
-			v := team.Initial(w, im)
-			buf := make([]float64, 128)
-			for i := 0; i < 5; i++ {
-				if two {
-					ReduceToRootTwoLevel(v, 0, buf, coll.Sum)
-				} else {
-					coll.ReduceToRoot(v, 0, buf, coll.Sum)
-				}
-			}
-		})
-	}
-	flat := time(false)
-	two := time(true)
+	flat := modeledNs(t, "64(8)", 5, func(v *team.View) { coll.ReduceToRoot(v, 0, make([]float64, 128), coll.Sum) })
+	two := modeledNs(t, "64(8)", 5, func(v *team.View) { ReduceToRootTwoLevel(v, 0, make([]float64, 128), coll.Sum) })
 	if two >= flat {
 		t.Fatalf("two-level reduce-to-one (%d ns) not faster than flat (%d ns)", two, flat)
 	}
@@ -654,46 +455,17 @@ func TestReduceToRootTwoLevelFasterThanFlat(t *testing.T) {
 func TestAllgatherTwoLevelCorrect(t *testing.T) {
 	for _, spec := range []string{"16(2)", "8(8)", "7(2)", "24(3)", "1(1)", "13(4)"} {
 		t.Run(spec, func(t *testing.T) {
-			w := newWorld(t, spec)
-			n := w.NumImages()
-			w.Run(func(im *pgas.Image) {
-				v := team.Initial(w, im)
-				rng := rand.New(rand.NewSource(int64(im.Rank())))
-				for ep := 0; ep < 3; ep++ {
-					im.Sleep(sim.Time(rng.Intn(5000)))
-					mine := []float64{float64(im.Rank()*100 + ep), float64(im.Rank())}
-					out := make([]float64, 2*n)
-					AllgatherTwoLevel(v, mine, out)
-					for r := 0; r < n; r++ {
-						if out[2*r] != float64(r*100+ep) || out[2*r+1] != float64(r) {
-							t.Errorf("%s ep%d image %d: block %d = %v", spec, ep, im.Rank(), r, out[2*r:2*r+2])
-							return
-						}
-					}
-				}
-			})
+			runConfCell(t, onSpec(t, spec, confScenario{elems: 2, episodes: 3}), KindAllgather, "2level")
 		})
 	}
 }
 
 func TestAllgatherTwoLevelFasterThanFlat(t *testing.T) {
-	time := func(two bool) sim.Time {
-		w := newWorld(t, "64(8)")
-		return w.Run(func(im *pgas.Image) {
-			v := team.Initial(w, im)
-			mine := make([]float64, 16)
-			out := make([]float64, 16*w.NumImages())
-			for i := 0; i < 3; i++ {
-				if two {
-					AllgatherTwoLevel(v, mine, out)
-				} else {
-					coll.AllgatherRing(v, mine, out)
-				}
-			}
-		})
+	allgather := func(alg func(*team.View, []float64, []float64)) func(*team.View) {
+		return func(v *team.View) { alg(v, make([]float64, 16), make([]float64, 16*v.T.Size())) }
 	}
-	flat := time(false)
-	two := time(true)
+	flat := modeledNs(t, "64(8)", 3, allgather(coll.AllgatherRing[float64]))
+	two := modeledNs(t, "64(8)", 3, allgather(AllgatherTwoLevel[float64]))
 	if two >= flat {
 		t.Fatalf("two-level allgather (%d ns) not faster than ring (%d ns)", two, flat)
 	}

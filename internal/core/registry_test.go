@@ -2,13 +2,10 @@ package core
 
 import (
 	"fmt"
-	"math"
-	"math/rand"
 	"testing"
 
 	"cafteams/internal/coll"
 	"cafteams/internal/pgas"
-	"cafteams/internal/sim"
 	"cafteams/internal/team"
 )
 
@@ -19,100 +16,17 @@ var crossShapes = []string{"8(1)", "16(4)", "9(3)"}
 
 const crossEpisodes = 3
 
-// runDataCollective runs `episodes` episodes of one named algorithm for one
-// data-bearing kind on every image of a fresh world and returns the per
-// (episode, rank) output vectors. Inputs are deterministic small integers,
-// so every correct algorithm must produce bit-identical float64 results
-// regardless of combine order.
-func runDataCollective(t *testing.T, spec string, k Kind, name string, elems int) [][][]float64 {
-	t.Helper()
-	w := newWorld(t, spec)
-	n := w.NumImages()
-	got := make([][][]float64, crossEpisodes)
-	for ep := range got {
-		got[ep] = make([][]float64, n)
-	}
-	w.Run(func(im *pgas.Image) {
-		v := team.Initial(w, im)
-		rng := rand.New(rand.NewSource(int64(im.Rank()+1) * 17))
-		for ep := 0; ep < crossEpisodes; ep++ {
-			// Random skew so algorithms cannot rely on lockstep entry.
-			im.Sleep(sim.Time(rng.Intn(20000)))
-			root := ep % n
-			var out []float64
-			buf := make([]float64, elems)
-			for i := range buf {
-				buf[i] = float64(((im.Rank() + 1) * (i + 1 + ep)) % 512)
-			}
-			switch k {
-			case KindAllreduce:
-				RunAllreduce(name, v, buf, coll.Sum)
-				out = buf
-			case KindReduceTo:
-				RunReduceTo(name, v, root, buf, coll.Sum)
-				if v.Rank != root {
-					// Only the root's buffer is defined; normalize the
-					// rest so comparisons skip them.
-					out = make([]float64, elems)
-				} else {
-					out = buf
-				}
-			case KindBroadcast:
-				if v.Rank == root {
-					for i := range buf {
-						buf[i] = float64((root*1000 + i + ep) % 512)
-					}
-				}
-				RunBroadcast(name, v, root, buf)
-				out = buf
-			case KindAllgather:
-				out = make([]float64, n*elems)
-				RunAllgather(name, v, buf, out)
-			default:
-				t.Fatalf("kind %v is not data-bearing", k)
-			}
-			got[ep][v.Rank] = out
-		}
-	})
-	return got
-}
-
-// flatBaseline names the hierarchy-oblivious reference algorithm per kind.
-var flatBaseline = map[Kind]string{
-	KindAllreduce: "rd",
-	KindReduceTo:  "binomial",
-	KindBroadcast: "binomial",
-	KindAllgather: "ring",
-}
-
 // TestRegistryCrossValidation runs every registered algorithm of every
-// data-bearing kind on several team shapes and asserts bit-identical
-// results against the flat baseline.
+// data-bearing kind on several team shapes, bitwise against the serial
+// reference.
 func TestRegistryCrossValidation(t *testing.T) {
 	for _, spec := range crossShapes {
 		for _, k := range []Kind{KindAllreduce, KindReduceTo, KindBroadcast, KindAllgather} {
 			for _, elems := range []int{1, 5, 67} {
-				base := runDataCollective(t, spec, k, flatBaseline[k], elems)
+				sc := onSpec(t, spec, confScenario{elems: elems, episodes: crossEpisodes, rootOf: func(ep, n int) int { return ep % n }})
 				for _, name := range Algorithms(k) {
-					if name == flatBaseline[k] {
-						continue
-					}
 					t.Run(fmt.Sprintf("%s/%s/%s/%delems", spec, k, name, elems), func(t *testing.T) {
-						got := runDataCollective(t, spec, k, name, elems)
-						for ep := range base {
-							for r := range base[ep] {
-								want, have := base[ep][r], got[ep][r]
-								if len(want) != len(have) {
-									t.Fatalf("ep%d rank%d: len %d != baseline %d", ep, r, len(have), len(want))
-								}
-								for i := range want {
-									if math.Float64bits(want[i]) != math.Float64bits(have[i]) {
-										t.Fatalf("ep%d rank%d elem%d: %v != baseline %v (algorithm %s/%s)",
-											ep, r, i, have[i], want[i], k, name)
-									}
-								}
-							}
-						}
+						runConfCell(t, sc, k, name)
 					})
 				}
 			}
@@ -127,9 +41,7 @@ func TestRegistryBarriersSynchronize(t *testing.T) {
 	for _, spec := range crossShapes {
 		for _, name := range Algorithms(KindBarrier) {
 			t.Run(spec+"/"+name, func(t *testing.T) {
-				alg := name
-				checkBarrier(t, newWorld(t, spec), "barrier/"+alg,
-					func(v *team.View) { RunBarrier(alg, v) }, 4)
+				checkBarrierOn(t, onSpec(t, spec, confScenario{episodes: 4}), name)
 			})
 		}
 	}

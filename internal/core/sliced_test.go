@@ -8,7 +8,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"cafteams/internal/pgas"
@@ -99,27 +98,11 @@ func TestSlicedNodeStage(t *testing.T) {
 			sc := s.sc
 			sc.elems, sc.seed, sc.episodes = elems, 20261017+int64(elems), len(roots)
 			sc.rootOf = func(ep, n int) int { return roots[ep] % n }
-			sc.skew = func(rng *rand.Rand) pgas.Time {
-				if rng.Intn(4) == 0 {
-					return pgas.Time(rng.Intn(200_000))
-				}
-				return pgas.Time(rng.Intn(5_000))
-			}
+			sc.skew = heavySkew(200_000, 5_000)
 			for _, c := range cells {
-				// Native after sim, and only if sim passed: the simulator
-				// reports a deadlock, native would wait forever.
-				ok := true
-				for _, backend := range confBackends {
-					sc.backend = backend
-					ok = ok && t.Run(fmt.Sprintf("%s/%s/%s/%s", sc, backend, c.k, c.name), func(t *testing.T) {
-						defer func() {
-							if r := recover(); r != nil {
-								t.Fatalf("%v", r)
-							}
-						}()
-						runConformanceData(t, sc, c.k, c.name, false)
-					})
-				}
+				runSkewCell(t, sc, confBackends, fmt.Sprintf("%s/%s", c.k, c.name), func(t *testing.T, sc confScenario) {
+					runConfCell(t, sc, c.k, c.name)
+				})
 			}
 		}
 	}
@@ -181,26 +164,10 @@ func TestSlicedScan(t *testing.T) {
 			for _, exclusive := range []bool{false, true} {
 				sc := base
 				sc.elems, sc.seed, sc.episodes = elems, 20261017+int64(elems), 8
-				sc.skew = func(rng *rand.Rand) pgas.Time {
-					if rng.Intn(4) == 0 {
-						return pgas.Time(rng.Intn(200_000))
-					}
-					return pgas.Time(rng.Intn(5_000))
-				}
-				// Native after sim, and only if sim passed: the simulator
-				// reports a deadlock, native would wait forever.
-				ok := true
-				for _, backend := range confBackends {
-					sc.backend = backend
-					ok = ok && t.Run(fmt.Sprintf("%s/%s/excl=%v", sc, backend, exclusive), func(t *testing.T) {
-						defer func() {
-							if r := recover(); r != nil {
-								t.Fatalf("%v", r)
-							}
-						}()
-						runConformanceData(t, sc, KindScan, "2level", exclusive)
-					})
-				}
+				sc.skew = heavySkew(200_000, 5_000)
+				runSkewCell(t, sc, confBackends, fmt.Sprintf("excl=%v", exclusive), func(t *testing.T, sc confScenario) {
+					runConformanceData(t, sc, KindScan, "2level", exclusive)
+				})
 			}
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"cafteams/internal/pgas"
 	"cafteams/internal/sim"
 	"cafteams/internal/team"
+	"cafteams/internal/topology"
 )
 
 // TestOverlappingTeamCollectivesStress runs several sibling teams through
@@ -129,7 +130,7 @@ func TestTeamIndependenceTiming(t *testing.T) {
 // placement), and collectives must stay correct.
 func TestAdversarialPlacementHierarchy(t *testing.T) {
 	// Cyclic: consecutive ranks land on different nodes.
-	w := newWorldCyclic(t, 4, 4)
+	w := confScenario{nodes: 4, perNode: 4, place: topology.PlaceCyclic}.world(t)
 	w.Run(func(im *pgas.Image) {
 		v := team.Initial(w, im)
 		tm := v.T

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"cafteams/internal/machine"
@@ -151,20 +150,10 @@ func TestRootedCollectivesUnderSkew(t *testing.T) {
 			sc := base
 			sc.seed, sc.splitPhase, sc.episodes = 20261015, split, len(roots)
 			sc.rootOf = func(ep, n int) int { return roots[ep] % n }
-			sc.skew = func(rng *rand.Rand) pgas.Time {
-				if rng.Intn(4) == 0 {
-					return pgas.Time(rng.Intn(400_000))
-				}
-				return pgas.Time(rng.Intn(20_000))
-			}
+			sc.skew = heavySkew(400_000, 20_000)
 			for _, k := range []Kind{KindScatter, KindGather, KindAlltoall, KindBroadcast, KindReduceTo, KindAllgather, KindScan} {
 				for _, name := range Algorithms(k) {
-					t.Run(fmt.Sprintf("%s/%s/%s", sc, k, name), func(t *testing.T) {
-						defer func() {
-							if r := recover(); r != nil {
-								t.Fatalf("%v", r)
-							}
-						}()
+					runSkewCell(t, sc, []string{""}, fmt.Sprintf("%s/%s", k, name), func(t *testing.T, sc confScenario) {
 						runConfCell(t, sc, k, name) // both forms of the scan
 					})
 				}
