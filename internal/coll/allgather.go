@@ -10,13 +10,10 @@ import (
 
 // AllgatherRing gathers every member's mine vector into out on every
 // member, ordered by team rank (out must hold NumImages()*len(mine)
-// elements) — the ring algorithm: n−1 steps, each member forwarding the
-// block it received in the previous step. This is the communication pattern
-// behind MPI_Allgather's large-message path and the cost model used for
-// team formation.
-//
-// Like the ring all-reduce, skew around the ring can reach n−1 steps, so
-// every step gets its own parity-indexed landing region.
+// elements): the ring pass with the members' vectors as its pieces, n−1
+// steps, each member forwarding the block it received in the previous step.
+// This is the communication pattern behind MPI_Allgather's large-message
+// path.
 func AllgatherRing[T any](v *team.View, mine, out []T) {
 	sz := v.NumImages()
 	n := len(mine)
@@ -28,17 +25,27 @@ func AllgatherRing[T any](v *team.View, mine, out []T) {
 	if sz == 1 {
 		return
 	}
-	steps := sz - 1
-	st := GetState(v, Alg{"ag.ring", tag[T]()}, steps)
+	st := GetState(v, Alg{"ag.ring", tag[T]()}, sz-1)
 	st.Next()
-	box := NewBox[T](st, "", n, steps)
-	r := v.Rank
-	for s := 0; s < steps; s++ {
-		sendB := ((r-s)%sz + sz) % sz
-		recvB := ((r-s-1)%sz + sz) % sz
-		box.Put((r+1)%sz, s, out[sendB*n:sendB*n+n], s, pgas.ViaConduit)
-		st.Arrivals(s, 1)
-		box.Take(s, out[recvB*n:recvB*n+n])
+	box := NewBox[T](st, "", n, sz-1)
+	piece := func(i int) []T { return out[i*n : i*n+n] }
+	ring(st, 0, box, v.Rank, sz, (v.Rank+1)%sz, piece, func(i, at int) { box.Take(at, piece(i)) })
+}
+
+// ring is the ring pass (Thakur, Rabenseifner and Gropp 2005) of the g
+// participants 0..g−1, the caller being me and its successor team rank next:
+// g−1 lock-step steps, in step s of which the caller puts piece((me−s) mod g)
+// into region base+s of its successor's box, on slot base+s, waits for its
+// predecessor's put on the same slot and hands land the piece index
+// (me−s−1) mod g and the region the piece landed in. Every step has a region
+// and a slot of its own: skew around the ring can reach g−1 steps, so no two
+// steps may share one. The caller has claimed st's episode; box has
+// base+g−1 regions, each as large as the largest piece.
+func ring[T any](st *State, base int, box Box[T], me, g, next int, piece func(i int) []T, land func(i, at int)) {
+	for s := 0; s < g-1; s++ {
+		box.Put(next, base+s, piece((me-s+g)%g), base+s, pgas.ViaConduit)
+		st.Arrivals(base+s, 1)
+		land((me-s-1+g)%g, base+s)
 	}
 }
 

@@ -126,14 +126,14 @@ func BcastLinear[T any](v *team.View, root int, buf []T) {
 }
 
 // BcastScatterAllgather is the van de Geijn large-message broadcast: the
-// root binomial-scatters n/size chunks, then a ring all-gather completes
-// every copy. Bandwidth-optimal for payloads much larger than the team.
-// Falls back to the binomial tree when the vector is shorter than the team.
+// root binomial-scatters Segment's n/size pieces, then the ring all-gathers
+// them over ranks relative to the root. Bandwidth-optimal for payloads much
+// larger than the team. Falls back to the binomial tree when the vector is
+// shorter than the team, so no piece is empty.
 func BcastScatterAllgather[T any](v *team.View, root int, buf []T) {
 	v.Img.World().Stats().Count(trace.OpBroadcast)
 	sz := v.NumImages()
 	n := len(buf)
-	es := pgas.ElemSize[T]()
 	if sz == 1 {
 		return
 	}
@@ -141,76 +141,34 @@ func BcastScatterAllgather[T any](v *team.View, root int, buf []T) {
 		SubgroupBcastBinomial(v, TeamRanks(v), v.Rank, root, buf, Alg{"bc.sagfallback"}, 1, 1, nil, nil)
 		return
 	}
-	chunk := (n + sz - 1) / sz
 	steps := sz - 1
-	st := GetState(v, Alg{"bc.sag", tag[T]()}, 1+steps)
+	st := GetState(v, Alg{"bc.sag", tag[T]()}, steps+1)
 	st.Next()
-	// The full vector (scatter target area), and one chunk-sized region per
-	// all-gather step.
+	// The full vector (the scatter's landing area), and one piece-sized
+	// region per ring step.
 	vec := NewBox[T](st, "", n, 1)
-	ring := NewBox[T](st, "ring", chunk, steps)
-	me := v.Img
+	ringBox := NewBox[T](st, "ring", (n+sz-1)/sz, steps)
 	rel := (v.Rank - root + sz) % sz
 	member := func(relIdx int) int { return (relIdx + root) % sz }
-	bounds := func(c int) (lo, hi int) {
-		lo = c * chunk
-		hi = lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo > n {
-			lo = n
-		}
-		return
-	}
-	// Binomial scatter: each internal node holds the chunks for its
-	// subtree [rel, rel+2^k) and forwards the upper half.
+	piece := func(c int) []T { p, _ := Segment(buf, c, sz); return p }
+	// Binomial scatter on slot steps: a member lands the pieces of its
+	// subtree [rel, rel+2^k) and keeps its own.
 	if rel != 0 {
-		st.Arrivals(0, 1)
-		// Received chunks [rel, rel+span) into the vector area; copy my
-		// own chunk into buf.
-		lo, hi := bounds(rel)
-		copy(buf[lo:hi], vec.Region(0)[lo:hi])
-		me.MemWork(es * (hi - lo))
+		st.Arrivals(steps, 1)
+		p, off := Segment(buf, rel, sz)
+		vec.TakeAt(0, off, p)
 	} else {
 		copy(vec.Region(0)[:n], buf)
-		me.MemWork(es * n)
+		v.Img.MemWork(pgas.ElemSize[T]() * n)
 	}
-	// This scatter tree uses the "low bits free" binomial shape (forward
-	// when rel ≡ 0 mod 2^(k+1)) because its subtrees are contiguous chunk
-	// ranges [child, child+2^k), which is what a scatter needs.
-	for k := Rounds(sz) - 1; k >= 0; k-- {
-		if rel%(1<<(k+1)) == 0 && rel+1<<k < sz {
-			child := rel + 1<<k
-			lastRel := child + 1<<k
-			if lastRel > sz {
-				lastRel = sz
-			}
-			lo, _ := bounds(child)
-			_, hi := bounds(lastRel - 1)
-			if hi > lo {
-				vec.PutAt(member(child), 0, lo, vec.Region(0)[lo:hi], 0, pgas.ViaConduit)
-			} else {
-				// The child's whole subtree falls past the vector end;
-				// it still needs the release notification.
-				st.Notify(member(child), 0, pgas.ViaConduit)
-			}
-		}
+	// The "low bits free" binomial shape: the edge-k child's subtree is the
+	// contiguous piece range [child, child+2^k), which is what a scatter
+	// needs: elements [child·n/sz, (child+2^k)·n/sz) in Segment's cut.
+	// Farthest child first.
+	for k := binomialFanout(rel, sz) - 1; k >= 0; k-- {
+		child := rel + 1<<k
+		lo, hi := child*n/sz, min(child+1<<k, sz)*n/sz
+		vec.PutAt(member(child), 0, lo, vec.Region(0)[lo:hi], steps, pgas.ViaConduit)
 	}
-	// Ring all-gather over relative ranks.
-	next := member((rel + 1) % sz)
-	for s := 0; s < steps; s++ {
-		sendC := ((rel-s)%sz + sz) % sz
-		recvC := ((rel-s-1)%sz + sz) % sz
-		lo, hi := bounds(sendC)
-		if hi > lo {
-			ring.Put(next, s, buf[lo:hi], 1+s, pgas.ViaConduit)
-		} else {
-			st.Notify(next, 1+s, pgas.ViaConduit)
-		}
-		st.Arrivals(1+s, 1)
-		if rlo, rhi := bounds(recvC); rhi > rlo {
-			ring.Take(s, buf[rlo:rhi])
-		}
-	}
+	ring(st, 0, ringBox, rel, sz, member(rel+1), piece, func(c, at int) { ringBox.Take(at, piece(c)) })
 }

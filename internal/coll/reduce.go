@@ -144,9 +144,11 @@ func AllreduceTree[T any](v *team.View, buf []T, op Op[T]) {
 	}
 }
 
-// AllreduceRing is the bandwidth-optimal ring all-reduce (reduce-scatter
-// pass followed by an all-gather pass, 2(n−1) steps of n/size chunks). An
-// extension beyond the paper's baselines, included for the ablation bench.
+// AllreduceRing is the bandwidth-optimal ring all-reduce: a reduce-scatter
+// pass followed by an all-gather pass, 2(n−1) steps of the ring over
+// Segment's n/size pieces. An extension beyond the paper's baselines, included
+// for the ablation bench. Falls back to recursive doubling when the vector is
+// shorter than the team.
 func AllreduceRing[T any](v *team.View, buf []T, op Op[T]) {
 	v.Img.World().Stats().Count(trace.OpReduce)
 	sz := v.NumImages()
@@ -156,53 +158,24 @@ func AllreduceRing[T any](v *team.View, buf []T, op Op[T]) {
 		return
 	}
 	if n < sz {
-		// Tiny vectors degenerate; fall back to recursive doubling.
 		SubgroupAllreduceRD(v, TeamRanks(v), v.Rank, buf, op, Alg{"red.ringfallback"})
 		return
 	}
-	steps := 2 * (sz - 1)
-	st := GetState(v, Alg{"red.ring", op.Name, tag[T]()}, steps)
+	st := GetState(v, Alg{"red.ring", op.Name, tag[T]()}, 2*(sz-1))
 	st.Next()
-	chunk := (n + sz - 1) / sz
-	// One inbox region per step: ring skew can reach sz−1 steps, so regions
-	// cannot be shared between nearby steps.
-	box := NewBox[T](st, "", chunk, steps)
-	me := v.Img
-	r := v.Rank
-	next := (r + 1) % sz
-	bounds := func(c int) (lo, hi int) {
-		lo = c * chunk
-		hi = lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo > n {
-			lo = n
-		}
-		return
-	}
-	// Reduce-scatter: in step s, send chunk (r-s) mod sz to the right,
-	// combine incoming chunk (r-s-1) mod sz.
-	for s := 0; s < sz-1; s++ {
-		sendC := ((r-s)%sz + sz) % sz
-		recvC := ((r-s-1)%sz + sz) % sz
-		lo, hi := bounds(sendC)
-		box.Put(next, s, buf[lo:hi], s, pgas.ViaConduit)
-		st.Arrivals(s, 1)
-		rlo, rhi := bounds(recvC)
-		op.Combine(buf[rlo:rhi], box.Region(s)[:rhi-rlo])
-		me.MemWork(2 * es * (rhi - rlo))
-	}
-	// All-gather: circulate the finished chunks.
-	for s := 0; s < sz-1; s++ {
-		sendC := ((r+1-s)%sz + sz) % sz
-		recvC := ((r-s)%sz + sz) % sz
-		lo, hi := bounds(sendC)
-		box.Put(next, sz-1+s, buf[lo:hi], sz-1+s, pgas.ViaConduit)
-		st.Arrivals(sz-1+s, 1)
-		rlo, rhi := bounds(recvC)
-		box.Take(sz-1+s, buf[rlo:rhi])
-	}
+	box := NewBox[T](st, "", (n+sz-1)/sz, 2*(sz-1))
+	me, r, next := v.Img, v.Rank, (v.Rank+1)%sz
+	piece := func(i int) []T { p, _ := Segment(buf, i, sz); return p }
+	// Reduce-scatter: the piece that lands is combined into the caller's
+	// own, which leaves piece (r+1) mod sz complete at r.
+	ring(st, 0, box, r, sz, next, piece, func(i, at int) {
+		p := piece(i)
+		op.Combine(p, box.Region(at)[:len(p)])
+		me.MemWork(2 * es * len(p))
+	})
+	// All-gather: circulate the finished pieces, shifted by one.
+	shifted := func(i int) []T { return piece((i + 1) % sz) }
+	ring(st, sz-1, box, r, sz, next, shifted, func(i, at int) { box.Take(at, shifted(i)) })
 }
 
 // TeamRanks returns [0..size): the whole team as a subgroup. The slice is

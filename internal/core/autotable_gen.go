@@ -55,7 +55,7 @@ var autoTable = [numKinds][]AutoRow{
 		{1, inf, 32, 16384, "binomial", "binomial"},                     // 2 cells, 1.000, worst 1.000
 		{1, inf, 32, inf, "scatter-allgather", "scatter-allgather"},     // 3 cells, 1.000, worst 1.000
 		{1, inf, inf, 65536, "binomial", "binomial"},                    // 10 cells, 1.000, worst 1.000
-		{1, inf, inf, 524288, "scatter-allgather", "scatter-allgather"}, // 2 cells, 1.477, worst 2.182
+		{1, inf, inf, 524288, "scatter-allgather", "scatter-allgather"}, // 2 cells, 1.478, worst 2.183
 		{1, inf, inf, inf, "scatter-allgather", "scatter-allgather"},    // 2 cells, 1.202, worst 1.445
 		{4, inf, 4, inf, "2level", "linear"},                            // 21 cells, 1.001, worst 1.017
 		{4, inf, inf, 524288, "2level", "binomial"},                     // 24 cells, 1.000, worst 1.000

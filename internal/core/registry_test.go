@@ -18,11 +18,13 @@ const crossEpisodes = 3
 
 // TestRegistryCrossValidation runs every registered algorithm of every
 // data-bearing kind on several team shapes, bitwise against the serial
-// reference.
+// reference. 1 and 5 elements fall below every team size (the ring bodies'
+// fallbacks); 16 is the team size of 16(4), where every ring piece is one
+// element; 67 cuts uneven pieces.
 func TestRegistryCrossValidation(t *testing.T) {
 	for _, spec := range crossShapes {
 		for _, k := range []Kind{KindAllreduce, KindReduceTo, KindBroadcast, KindAllgather} {
-			for _, elems := range []int{1, 5, 67} {
+			for _, elems := range []int{1, 5, 16, 67} {
 				sc := onSpec(t, spec, confScenario{elems: elems, episodes: crossEpisodes, rootOf: func(ep, n int) int { return ep % n }})
 				for _, name := range Algorithms(k) {
 					t.Run(fmt.Sprintf("%s/%s/%s/%delems", spec, k, name, elems), func(t *testing.T) {

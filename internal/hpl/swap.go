@@ -58,93 +58,66 @@ func (s *swapper) exchange(partner int, out, in []float64) {
 // columns [c0, c1) (local column indexes). Images owning neither row return
 // immediately.
 func (s *swapper) swapRows(eng Engine, d dist, gr1, gr2, c0, c1 int, bufA, bufB []float64) {
-	if gr1 == gr2 || c1 <= c0 {
-		return
-	}
-	o1 := d.ownerRow(gr1 / d.nb)
-	o2 := d.ownerRow(gr2 / d.nb)
-	switch {
-	case d.pr == o1 && d.pr == o2:
-		// Both rows local: plain swap.
-		lr1, lr2 := d.localRowOf(gr1), d.localRowOf(gr2)
-		a := bufA[:c1-c0]
-		b := bufB[:c1-c0]
-		eng.PackRow(lr1, c0, c1, a)
-		eng.PackRow(lr2, c0, c1, b)
-		eng.UnpackRow(lr1, c0, c1, b)
-		eng.UnpackRow(lr2, c0, c1, a)
-		s.im.MemWork(16 * (c1 - c0))
-	case d.pr == o1:
-		s.swapRemote(eng, d, gr1, o2, c0, c1, bufA, bufB)
-	case d.pr == o2:
-		s.swapRemote(eng, d, gr2, o1, c0, c1, bufA, bufB)
+	if gr1 != gr2 {
+		s.swap(eng, d, gr1, gr2, [][2]int{{c0, c1}}, bufA, bufB)
 	}
 }
 
-// swapRemote exchanges the locally-owned global row grLocal with the image
-// in grid row otherPR of the same grid column.
-func (s *swapper) swapRemote(eng Engine, d dist, grLocal, otherPR, c0, c1 int, bufA, bufB []float64) {
-	lr := d.localRowOf(grLocal)
-	out := bufA[:c1-c0]
-	in := bufB[:c1-c0]
-	eng.PackRow(lr, c0, c1, out)
-	partner := gridGlobalRank(d, otherPR, d.pc)
-	s.exchange(partner, out, in)
-	eng.UnpackRow(lr, c0, c1, in)
-}
-
-// swapRowsExcluding swaps rows across all local columns except [e0, e1)
-// (pass -1, -1 for no exclusion). Used for the trailing/left interchange
-// where the panel block was already swapped during factorization.
+// swapRowsExcluding swaps rows gr1 ≠ gr2 across all local columns except
+// [e0, e1) (pass -1, -1 for no exclusion). Used for the trailing/left
+// interchange where the panel block was already swapped during
+// factorization.
 func (s *swapper) swapRowsExcluding(eng Engine, d dist, gr1, gr2, e0, e1 int, bufA, bufB []float64) {
-	lc := d.localCols()
-	if e0 < 0 {
-		s.swapRows(eng, d, gr1, gr2, 0, lc, bufA, bufB)
+	spans := [][2]int{{0, d.localCols()}}
+	if e0 >= 0 {
+		spans = [][2]int{{0, e0}, {e1, d.localCols()}}
+	}
+	s.swap(eng, d, gr1, gr2, spans, bufA, bufB)
+}
+
+// swap exchanges global rows gr1 ≠ gr2 across the local column spans [c0, c1),
+// packed back to back so a remote exchange is one message (HPL swaps whole
+// rows). Images owning neither row return immediately.
+func (s *swapper) swap(eng Engine, d dist, gr1, gr2 int, spans [][2]int, bufA, bufB []float64) {
+	o1, o2 := d.ownerRow(gr1/d.nb), d.ownerRow(gr2/d.nb)
+	width := 0
+	for _, sp := range spans {
+		width += sp[1] - sp[0]
+	}
+	if d.pr != o1 && d.pr != o2 || width <= 0 {
 		return
 	}
-	// Two spans: [0, e0) and [e1, lc). Do them as one packed exchange to
-	// keep message counts realistic (HPL swaps whole rows).
-	o1 := d.ownerRow(gr1 / d.nb)
-	o2 := d.ownerRow(gr2 / d.nb)
-	if d.pr != o1 && d.pr != o2 {
-		return
+	// move packs local row lr's spans into buf, or unpacks buf into them.
+	move := func(lr int, buf []float64, unpack bool) {
+		at := 0
+		for _, sp := range spans {
+			w := sp[1] - sp[0]
+			if unpack {
+				eng.UnpackRow(lr, sp[0], sp[1], buf[at:at+w])
+			} else {
+				eng.PackRow(lr, sp[0], sp[1], buf[at:at+w])
+			}
+			at += w
+		}
 	}
-	width := e0 + (lc - e1)
-	if width <= 0 {
-		return
-	}
-	pack := func(lr int, out []float64) {
-		eng.PackRow(lr, 0, e0, out[:e0])
-		eng.PackRow(lr, e1, lc, out[e0:width])
-	}
-	unpack := func(lr int, in []float64) {
-		eng.UnpackRow(lr, 0, e0, in[:e0])
-		eng.UnpackRow(lr, e1, lc, in[e0:width])
-	}
-	if o1 == o2 {
+	a, b := bufA[:width], bufB[:width]
+	if o1 == o2 { // both rows local: a plain swap
 		lr1, lr2 := d.localRowOf(gr1), d.localRowOf(gr2)
-		a := bufA[:width]
-		b := bufB[:width]
-		pack(lr1, a)
-		pack(lr2, b)
-		unpack(lr1, b)
-		unpack(lr2, a)
+		move(lr1, a, false)
+		move(lr2, b, false)
+		move(lr1, b, true)
+		move(lr2, a, true)
 		s.im.MemWork(16 * width)
 		return
 	}
-	var grMine int
-	var otherPR int
-	if d.pr == o1 {
-		grMine, otherPR = gr1, o2
-	} else {
-		grMine, otherPR = gr2, o1
+	mine, other := gr1, o2
+	if d.pr == o2 {
+		mine, other = gr2, o1
 	}
-	lr := d.localRowOf(grMine)
-	out := bufA[:width]
-	in := bufB[:width]
-	pack(lr, out)
-	s.exchange(gridGlobalRank(d, otherPR, d.pc), out, in)
-	unpack(lr, in)
+	lr := d.localRowOf(mine)
+	move(lr, a, false)
+	s.exchange(gridGlobalRank(d, other, d.pc), a, b)
+	move(lr, b, true)
 }
 
 // gridGlobalRank maps grid coordinates to the global image rank (row-major

@@ -54,13 +54,6 @@ func (a *Matrix) Clone() *Matrix {
 	return b
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Gemm computes C = C + alpha * A * B where A is m×k, B is k×n, C is m×n —
 // the kernel HPL spends its time in. The inner loops are arranged j-l-i so
 // the innermost walks columns contiguously (column-major axpy form).

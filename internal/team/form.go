@@ -190,11 +190,6 @@ func (v *View) Grid(p, q int) (row, col *View, err error) {
 	r := v.Rank / q
 	c := v.Rank % q
 	row = v.Form(int64(r)+1, c)
-	col = row2col(v, p, q, r, c)
+	col = v.Form(int64(c)+1, r) // a second formation episode
 	return row, col, nil
-}
-
-// row2col forms the column team in a second formation episode.
-func row2col(v *View, p, q, r, c int) *View {
-	return v.Form(int64(c)+1, r)
 }
