@@ -5,6 +5,7 @@ package cluster
 // full caf-runtime integration is exercised by cmd/clustersim's fault tests.
 
 import (
+	"math"
 	"testing"
 
 	"cafteams/internal/sim"
@@ -62,6 +63,17 @@ func TestRetryPolicyBackoff(t *testing.T) {
 	}
 	if got := (RetryPolicy{}).Backoff(1); got != 0 {
 		t.Errorf("zero policy backoff = %d, want 0", got)
+	}
+	// No cap: the doubling saturates instead of wrapping (at 20 µs it used to
+	// turn negative at k = 50 and zero by k = 60).
+	uncapped := RetryPolicy{Max: 1000, Base: 20 * sim.Microsecond}
+	prev := sim.Time(0)
+	for _, k := range []int{1, 49, 50, 64, 1000} {
+		got := uncapped.Backoff(k)
+		if got <= 0 || got < prev || got > math.MaxInt64/4 {
+			t.Errorf("uncapped backoff(%d) = %d after %d: want positive, non-decreasing, at most MaxInt64/4", k, got, prev)
+		}
+		prev = got
 	}
 }
 

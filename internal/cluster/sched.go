@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"cafteams/internal/sim"
@@ -140,7 +141,7 @@ type retryState struct {
 
 // RetryPolicy bounds how the scheduler retries jobs whose run failed
 // (FailedImages > 0): up to Max retries, the k-th delayed by
-// min(Base<<(k-1), Cap) after the failure. The zero value never retries —
+// min(Base<<(k-1), Cap) after the failure (see Backoff). The zero value never retries —
 // a failed run retires immediately with GaveUp set, which preserves the
 // scheduler's historical fault-oblivious behavior.
 type RetryPolicy struct {
@@ -149,21 +150,21 @@ type RetryPolicy struct {
 	Cap  sim.Time
 }
 
-// Backoff returns the delay before retry attempt k (1-based): capped
-// binary exponential starting at Base.
+// Backoff returns the delay before retry attempt k (1-based): binary
+// exponential from Base, capped at Cap when Cap is positive and always at
+// MaxInt64/4, so a late retry neither wraps nor fires at once, and Env.After
+// of the result cannot overflow.
 func (p RetryPolicy) Backoff(k int) sim.Time {
 	if p.Base <= 0 {
 		return 0
 	}
-	d := p.Base
-	for i := 1; i < k; i++ {
-		d <<= 1
-		if d >= p.Cap && p.Cap > 0 {
-			return p.Cap
-		}
+	limit := sim.Time(math.MaxInt64 / 4)
+	if p.Cap > 0 {
+		limit = min(limit, p.Cap)
 	}
-	if p.Cap > 0 && d > p.Cap {
-		return p.Cap
+	d := min(p.Base, limit)
+	for i := 1; i < k && d < limit; i++ {
+		d = min(2*d, limit)
 	}
 	return d
 }

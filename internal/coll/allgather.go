@@ -8,6 +8,19 @@ import (
 	"cafteams/internal/trace"
 )
 
+// AllgatherOwn is the entry of every allgather: it checks out against the
+// team's size and places the caller's own block, uncharged. It reports
+// whether there is anyone else to hear from.
+func AllgatherOwn[T any](v *team.View, mine, out []T) bool {
+	sz, n := v.NumImages(), len(mine)
+	if len(out) < sz*n {
+		panic(fmt.Sprintf("coll: allgather out %d < %d", len(out), sz*n))
+	}
+	v.Img.World().Stats().Count(trace.OpReduce)
+	copy(out[v.Rank*n:], mine)
+	return sz > 1
+}
+
 // AllgatherRing gathers every member's mine vector into out on every
 // member, ordered by team rank (out must hold NumImages()*len(mine)
 // elements): the ring pass with the members' vectors as its pieces, n−1
@@ -15,16 +28,10 @@ import (
 // This is the communication pattern behind MPI_Allgather's large-message
 // path.
 func AllgatherRing[T any](v *team.View, mine, out []T) {
-	sz := v.NumImages()
-	n := len(mine)
-	if len(out) < sz*n {
-		panic(fmt.Sprintf("coll: allgather out %d < %d", len(out), sz*n))
-	}
-	v.Img.World().Stats().Count(trace.OpReduce)
-	copy(out[v.Rank*n:], mine)
-	if sz == 1 {
+	if !AllgatherOwn(v, mine, out) {
 		return
 	}
+	sz, n := v.NumImages(), len(mine)
 	st := GetState(v, Alg{"ag.ring", tag[T]()}, sz-1)
 	st.Next()
 	box := NewBox[T](st, "", n, sz-1)
@@ -112,16 +119,10 @@ func SubgroupAllgatherBruck[T any](st *State, base int, box Box[T], group []int,
 // AllgatherBruck is SubgroupAllgatherBruck over the whole team, every member
 // speaking for itself (out must hold NumImages()*len(mine) elements).
 func AllgatherBruck[T any](v *team.View, mine, out []T) {
-	sz := v.NumImages()
-	n := len(mine)
-	if len(out) < sz*n {
-		panic(fmt.Sprintf("coll: allgather out %d < %d", len(out), sz*n))
-	}
-	v.Img.World().Stats().Count(trace.OpReduce)
-	copy(out[v.Rank*n:], mine)
-	if sz == 1 {
+	if !AllgatherOwn(v, mine, out) {
 		return
 	}
+	sz, n := v.NumImages(), len(mine)
 	st := GetState(v, Alg{"ag.bruck", tag[T]()}, Rounds(sz))
 	st.Next()
 	ranks := TeamRanks(v)

@@ -79,8 +79,10 @@ func SubgroupBcastBinomial[T any](v *team.View, group []int, myIdx, rootIdx int,
 			st.Arrivals(paySlot, 1)
 			box.TakeAt(0, off, seg)
 		}
-		// Forward to subtree children: highest distance first so the far
-		// half of the tree starts as early as possible.
+		// Forward to subtree children, highest distance first. In this tree
+		// a child's own children lie at still larger distances, so the
+		// farthest child roots the smallest subtree and the deepest one
+		// starts last (an open question in ROADMAP item 6).
 		for k := Rounds(g) - 1; k >= 0; k-- {
 			if rel < 1<<k && rel+1<<k < g {
 				box.PutAt(member(rel+1<<k), 0, off, seg, paySlot, pgas.ViaConduit)

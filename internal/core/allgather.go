@@ -1,12 +1,9 @@
 package core
 
 import (
-	"fmt"
-
 	"cafteams/internal/coll"
 	"cafteams/internal/pgas"
 	"cafteams/internal/team"
-	"cafteams/internal/trace"
 )
 
 // AllgatherTwoLevel gathers every member's mine vector into out on every
@@ -28,17 +25,11 @@ import (
 // leader's row — and the fan-out of round k's blocks — on a member's, which
 // the leaders' rounds never touch.
 func AllgatherTwoLevel[T any](v *team.View, mine, out []T) {
-	t := v.T
-	sz := t.Size()
-	n := len(mine)
-	if len(out) < sz*n {
-		panic(fmt.Sprintf("core: allgather out %d < %d", len(out), sz*n))
-	}
-	v.Img.World().Stats().Count(trace.OpReduce)
-	copy(out[v.Rank*n:], mine)
-	if sz == 1 {
+	if !coll.AllgatherOwn(v, mine, out) {
 		return
 	}
+	t := v.T
+	sz, n := t.Size(), len(mine)
 	g := t.NumNodeGroups()
 	st := coll.GetState(v, coll.Alg{"ag2", pgas.TypeName[T]()}, 2+coll.Rounds(g))
 	st.Next()

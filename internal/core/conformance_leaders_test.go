@@ -11,12 +11,15 @@ package core
 // their binomial tree over node blocks. The few-leader shapes are where
 // coll.SubgroupAllgatherBruck replaced AllgatherTwoLevel's ring: every count
 // from 2 to 16 that rounds differently (3, 5, 6, 7, 11, 13 beside the powers of
-// two), uneven node groups, one image per node. Blocking, split-phase, on the
-// native backend, and with a leader killed under way.
+// two), uneven node groups, one image per node. One shape of each set deals its
+// blocks onto the nodes in reverse, so the leaders' node ids fall as their
+// ranks rise; every registered algorithm runs on those two. Blocking,
+// split-phase, on the native backend, and with a leader killed under way.
 
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -28,32 +31,37 @@ import (
 )
 
 // leaderShape is nodes × perNode images in blocks or cyclically, node short
-// (when ≥ 0) hosting one image only.
+// (when ≥ 0) hosting one image only; desc deals the blocks onto the nodes in
+// reverse, rank block b on node nodes−1−b, so the leaders' node ids fall as
+// their ranks rise.
 type leaderShape struct {
 	nodes, perNode, short int
 	place                 topology.Placement
+	desc                  bool
 }
 
 var manyLeaderShapes = []leaderShape{
-	{17, 1, -1, topology.PlaceBlock},
-	{24, 3, 10, topology.PlaceBlock},
-	{33, 2, -1, topology.PlaceBlock},
-	{40, 1, -1, topology.PlaceBlock},
-	{18, 2, -1, topology.PlaceCyclic},
-	{21, 2, -1, topology.PlaceCyclic},
+	{17, 1, -1, topology.PlaceBlock, false},
+	{24, 3, 10, topology.PlaceBlock, false},
+	{33, 2, -1, topology.PlaceBlock, false},
+	{40, 1, -1, topology.PlaceBlock, false},
+	{18, 2, -1, topology.PlaceCyclic, false},
+	{21, 2, -1, topology.PlaceCyclic, false},
+	{20, 2, -1, topology.PlaceBlock, true},
 }
 
 var fewLeaderShapes = []leaderShape{
-	{2, 4, -1, topology.PlaceBlock},
-	{3, 3, 1, topology.PlaceBlock},
-	{4, 4, -1, topology.PlaceBlock},
-	{5, 1, -1, topology.PlaceBlock},
-	{6, 2, -1, topology.PlaceCyclic},
-	{7, 3, 3, topology.PlaceBlock},
-	{8, 2, -1, topology.PlaceBlock},
-	{11, 1, -1, topology.PlaceBlock},
-	{13, 2, 5, topology.PlaceBlock},
-	{16, 2, 15, topology.PlaceBlock},
+	{2, 4, -1, topology.PlaceBlock, false},
+	{3, 3, 1, topology.PlaceBlock, false},
+	{4, 4, -1, topology.PlaceBlock, false},
+	{5, 1, -1, topology.PlaceBlock, false},
+	{6, 2, -1, topology.PlaceCyclic, false},
+	{7, 3, 3, topology.PlaceBlock, false},
+	{8, 2, -1, topology.PlaceBlock, false},
+	{11, 1, -1, topology.PlaceBlock, false},
+	{13, 2, 5, topology.PlaceBlock, false},
+	{16, 2, 15, topology.PlaceBlock, false},
+	{6, 3, 2, topology.PlaceBlock, true},
 }
 
 func manyLeaderScenarios(t *testing.T) []confScenario { return leaderScenarios(t, manyLeaderShapes) }
@@ -80,6 +88,11 @@ func leaderScenarios(t *testing.T, shapes []leaderShape) []confScenario {
 			}
 			locs = dealt
 		}
+		if c.desc {
+			for i := range locs {
+				locs[i].Node = c.nodes - 1 - locs[i].Node
+			}
+		}
 		topo, err := topology.NewCustom(c.nodes, 2, 2, locs)
 		if err != nil {
 			t.Fatal(err)
@@ -87,6 +100,9 @@ func leaderScenarios(t *testing.T, shapes []leaderShape) []confScenario {
 		label := fmt.Sprintf("%dx%d-%s", c.nodes, c.perNode, c.place)
 		if c.short >= 0 {
 			label += "-short"
+		}
+		if c.desc {
+			label += "-desc"
 		}
 		scs = append(scs, confScenario{label: label, topo: topo, elems: 3, seed: 20261003 + int64(i)*211})
 	}
@@ -137,7 +153,7 @@ func TestManyLeadersTakeTheLogDepthStage(t *testing.T) {
 		if (i < len(many)) != (leaders >= logDepthLeaders) {
 			t.Fatalf("%s: %d leaders, the log-depth scan stage starts at %d", sc, leaders, logDepthLeaders)
 		}
-		_, contiguous := tm.RankChain()
+		contiguous := tm.Contiguous()
 		wantExchange := contiguous && leaders >= logDepthLeaders
 		if exchange, flat := ranState(w, "core.scan2lead.incl.xscan.sum.float64"), ranState(w, "scan.rd.sum.incl.float64"); exchange != wantExchange || flat == contiguous {
 			t.Errorf("%s (rank-contiguous %v, %d leaders): scan/2level ran the exchange stage %v, the flat fallback %v", sc, contiguous, leaders, exchange, flat)
@@ -194,7 +210,7 @@ func TestManyLeadersTakeTheLogDepthStage(t *testing.T) {
 // shared memory — so it sends exactly what flat pairwise sends, in exactly its
 // time, at a few leaders, at logDepthLeaders and at the benchmark's 44.
 func TestOneImagePerNodeAlltoallIsPairwise(t *testing.T) {
-	for _, sc := range leaderScenarios(t, []leaderShape{{5, 1, -1, topology.PlaceBlock}, {17, 1, -1, topology.PlaceBlock}, {44, 1, -1, topology.PlaceBlock}}) {
+	for _, sc := range leaderScenarios(t, []leaderShape{{5, 1, -1, topology.PlaceBlock, false}, {17, 1, -1, topology.PlaceBlock, false}, {44, 1, -1, topology.PlaceBlock, false}}) {
 		sc.episodes = 3
 		run := func(name string) (pgas.Time, int64, int64) {
 			w := sc.world(t)
@@ -210,9 +226,10 @@ func TestOneImagePerNodeAlltoallIsPairwise(t *testing.T) {
 	}
 }
 
-// TestConformanceManyLeaders runs each set of cells over its shapes: blocking
-// and split-phase on the simulator, blocking on the native backend, each
-// image's every episode bitwise against the serial reference.
+// TestConformanceManyLeaders runs each set of cells over its shapes, and every
+// registered algorithm over the descending ones: blocking and split-phase on
+// the simulator, blocking on the native backend, each image's every episode
+// bitwise against the serial reference.
 func TestConformanceManyLeaders(t *testing.T) {
 	many, few := manyLeaderScenarios(t), fewLeaderScenarios(t)
 	if testing.Short() {
@@ -223,6 +240,15 @@ func TestConformanceManyLeaders(t *testing.T) {
 		cells []leaderCell
 	}{{many, leaderStageCells}, {few, allgatherCells}} {
 		for _, base := range set.scs {
+			cells := set.cells
+			if strings.HasSuffix(base.label, "-desc") {
+				cells = nil
+				for _, k := range Kinds() {
+					for _, name := range Algorithms(k) {
+						cells = append(cells, leaderCell{k, name})
+					}
+				}
+			}
 			for _, mode := range []struct {
 				name       string
 				backend    string
@@ -230,7 +256,7 @@ func TestConformanceManyLeaders(t *testing.T) {
 			}{{"sim", "sim", false}, {"splitphase", "sim", true}, {"native", "native", false}} {
 				sc := base
 				sc.backend, sc.splitPhase = mode.backend, mode.splitPhase
-				for _, c := range set.cells {
+				for _, c := range cells {
 					t.Run(fmt.Sprintf("%s/%s/%s/%s", base, mode.name, c.k, c.name), func(t *testing.T) {
 						runConfCell(t, sc, c.k, c.name)
 					})

@@ -365,9 +365,9 @@ func barrierLeveled(v *team.View, name string, sockets, linearTop bool) {
 	}
 	if d == len(levels) {
 		if linearTop {
-			coll.SubgroupLinear(st, top, leaders, t.LeaderPos(v.Rank))
+			coll.SubgroupLinear(st, top, leaders, t.GroupOf(v.Rank))
 		} else {
-			coll.SubgroupDissemination(st, top, leaders, t.LeaderPos(v.Rank))
+			coll.SubgroupDissemination(st, top, leaders, t.GroupOf(v.Rank))
 		}
 	}
 	// d is the first level the image does not lead: it releases those below.

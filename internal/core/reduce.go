@@ -75,7 +75,7 @@ func allreduceLeveled[T any](v *team.View, buf []T, op coll.Op[T], name, leadNam
 //
 //go:noinline
 func leadersAllreduce[T any](v *team.View, buf []T, op coll.Op[T], leadName string) {
-	coll.SubgroupAllreduceRD(v, v.T.Leaders(), v.T.LeaderPos(v.Rank), buf, op, coll.Alg{leadName, op.Name})
+	coll.SubgroupAllreduceRD(v, v.T.Leaders(), v.T.GroupOf(v.Rank), buf, op, coll.Alg{leadName, op.Name})
 }
 
 // AllreduceTwoLevel is the paper's two-level all-to-all reduction: intranode
@@ -147,7 +147,7 @@ func BcastTwoLevel[T any](v *team.View, root int, buf []T) {
 	// memory, the first once the same-parity fan-out of two episodes ago
 	// was consumed.
 	if v.Rank == leader {
-		coll.SubgroupBcastBinomial(v, t.Leaders(), t.LeaderPos(v.Rank), t.LeaderPos(rootLeader), buf, coll.Alg{"core.bc2lead"}, segs, maxSegs,
+		coll.SubgroupBcastBinomial(v, t.Leaders(), t.GroupOf(v.Rank), t.GroupOf(root), buf, coll.Alg{"core.bc2lead"}, segs, maxSegs,
 			func(s int) {
 				if root != rootLeader {
 					landSegment(st, box, buf, s, segs, handoff, root, creditSlot, pgas.ViaShm)

@@ -43,7 +43,7 @@ func ReduceToRootTwoLevel[T any](v *team.View, root int, buf []T, op coll.Op[T])
 		return
 	}
 	// Binomial reduce-to-one among leaders, to the root's leader.
-	coll.SubgroupReduceToRoot(v, t.Leaders(), t.LeaderPos(v.Rank), t.LeaderPos(rootLeader), buf, op, coll.Alg{"core.redto2lead", op.Name})
+	coll.SubgroupReduceToRoot(v, t.Leaders(), t.GroupOf(v.Rank), t.GroupOf(root), buf, op, coll.Alg{"core.redto2lead", op.Name})
 	// Hand the result to a non-leader root.
 	if v.Rank == rootLeader && root != rootLeader {
 		res.Put(root, 0, buf, 0, pgas.ViaShm)

@@ -108,17 +108,18 @@ func chainSegments(t *team.Team, n, es int) int {
 //	        prefix, and member j folds slice j of every vector onto it and puts
 //	        each member its result slice.
 //
-// The decomposition requires every intranode set to be contiguous in team
-// rank order (true for the default block placements the paper benchmarks);
-// on interleaved placements (e.g. cyclic) it falls back to the flat
-// recursive-doubling scan, which is placement-oblivious.
+// The decomposition requires every intranode set to be a run of consecutive
+// team ranks (Team.Contiguous: true for the block placements the paper
+// benchmarks, whichever way the node ids run); on interleaved placements
+// (e.g. cyclic) it falls back to the flat recursive-doubling scan, which is
+// placement-oblivious.
 //
 // Flag layout: the scan2* slots above, one row per image; the chain's and the
 // exchange's slots on leaders-only states of their own.
 func ScanTwoLevel[T any](v *team.View, buf []T, op coll.Op[T], exclusive bool) {
 	t := v.T
 	sz := t.Size()
-	if _, contiguous := t.RankChain(); !contiguous {
+	if !t.Contiguous() {
 		coll.ScanRD(v, buf, op, exclusive) // counts the operation itself
 		return
 	}
@@ -350,13 +351,13 @@ func scanSlices[T any](v *team.View, st *coll.State, buf []T, op coll.Op[T], for
 // over every preceding node's total — nil at the head node.
 func scanLeaders[T any](v *team.View, st *coll.State, acc []T, op coll.Op[T], group []int, form string) []T {
 	t := v.T
-	leaders := t.RankLeaders()
+	leaders := t.Leaders()
 	if len(leaders) < logDepthLeaders {
 		return scanChain(v, st, acc, op, group, form)
 	}
 	// Pairwise exchange, log-depth (it spends acc).
 	x := coll.Temp[T](st, "ex", len(acc))
-	if coll.SubgroupExscan(v, leaders, t.ChainPos(t.GroupOf(v.Rank)), acc, x, op, coll.Alg{"core.scan2lead", form}) {
+	if coll.SubgroupExscan(v, leaders, t.GroupOf(v.Rank), acc, x, op, coll.Alg{"core.scan2lead", form}) {
 		return x
 	}
 	return nil

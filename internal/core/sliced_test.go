@@ -149,15 +149,15 @@ func TestSlicedScan(t *testing.T) {
 	chain := chainSegBytes / es // the most elements the chain sends whole
 	for _, base := range scenarios {
 		tm := initialTeam(t, base)
-		if base.label == "51(17)" && len(tm.RankLeaders()) != 17 {
-			t.Fatalf("%s: %d leaders, want 17", base, len(tm.RankLeaders()))
+		if base.label == "51(17)" && tm.NumNodeGroups() != 17 {
+			t.Fatalf("%s: %d leaders, want 17", base, tm.NumNodeGroups())
 		}
 		at := 1
 		for tm.MaxNodeGroup() > 2 && !scanSliced(tm.MaxNodeGroup(), at, es) { // a pair never slices
 			at++
 		}
 		sizes := []int{at - 1, at, at + 1}
-		if len(tm.RankLeaders()) < logDepthLeaders { // the exchange has no segments
+		if tm.NumNodeGroups() < logDepthLeaders { // the exchange has no segments
 			sizes = append(sizes, chain, chain+1, 3*chain-1)
 		}
 		for _, elems := range sizes {

@@ -8,13 +8,15 @@
 // designated leader per node, and the ordered leader list. This is the
 // information the memory-hierarchy-aware collectives in internal/core
 // consume. The same grouping is also computed per socket, supporting the
-// multi-level extension the paper lists as future work.
+// multi-level extension the paper lists as future work. The view has one
+// order: a group, node or socket, comes where its lowest team rank does, and
+// that rank leads it, so the leader list ascends in team rank whatever the
+// node ids.
 package team
 
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync/atomic"
 
@@ -32,27 +34,21 @@ type Team struct {
 	members []int       // global ranks in team order
 	rankOf  map[int]int // global rank -> team rank
 
-	// Node-level hierarchy (2-level methodology).
-	nodes      []int       // distinct nodes hosting members, ascending
-	nodeGroups [][]int     // team ranks per entry of nodes, ascending
-	groupOf    []int       // team rank -> index into nodes/nodeGroups
-	leaders    []int       // team rank of each node group's leader
-	leaderOf   []int       // team rank -> its node leader's team rank
-	leaderPos  map[int]int // leader team rank -> index in leaders
-	maxGroup   int         // size of the largest node group
+	// Node-level hierarchy (2-level methodology), in one order: a group
+	// comes where its lowest team rank does, and that rank leads it.
+	nodes      []int   // the node hosting each group
+	nodeGroups [][]int // team ranks per group, ascending
+	groupOf    []int   // team rank -> index into nodes/nodeGroups
+	leaders    []int   // team rank of each group's leader: its lowest
+	maxGroup   int     // size of the largest node group
+	contiguous bool    // every group's team ranks are consecutive
 
 	// Socket-level hierarchy (3-level extension): within each node group,
-	// members split by socket.
+	// members split by socket, in the same order.
 	socketGroups   [][][]int // [node group][socket group] -> team ranks
 	socketLeader   [][]int   // [node group] -> team rank of each socket leader
 	maxSocketGroup int       // size of the largest socket group
 	maxSockets     int       // most socket groups on one node
-
-	// Rank order of the node groups (prefix collectives chain along it).
-	rankChain      []int // node-group indices ordered by each group's first team rank
-	rankContiguous bool  // the groups tile the team rank range in that order
-	rankLeaders    []int // the leaders in that order: ascending team rank
-	chainPos       []int // node-group index -> its position in rankChain
 }
 
 // View is one image's handle on a team (the team_type value).
@@ -156,73 +152,40 @@ func build(w *pgas.World, id, number int64, parent *Team, members []int) *Team {
 		t.rankOf[g] = r
 	}
 	topo := w.Topology()
-	// Group team ranks by node.
-	byNode := make(map[int][]int)
-	for r, g := range t.members {
-		n := topo.NodeOf(g)
-		byNode[n] = append(byNode[n], r)
-	}
-	nodes := make([]int, 0, len(byNode))
-	for n := range byNode {
-		nodes = append(nodes, n)
-	}
-	sort.Ints(nodes)
-	t.nodes = nodes
 	t.groupOf = make([]int, len(t.members))
-	t.leaderOf = make([]int, len(t.members))
-	t.leaderPos = make(map[int]int)
-	for gi, n := range t.nodes {
-		grp := byNode[n]
-		sort.Ints(grp)
-		t.nodeGroups = append(t.nodeGroups, grp)
-		if len(grp) > t.maxGroup {
-			t.maxGroup = len(grp)
+	groupAt := make(map[int]int) // node -> index of its group
+	var sockets [][]int          // [node group] -> socket of each socket group
+	for r, g := range t.members {
+		node, socket := topo.SocketOf(g)
+		gi, ok := groupAt[node]
+		if !ok {
+			gi = len(t.nodes)
+			groupAt[node] = gi
+			t.nodes = append(t.nodes, node)
+			t.nodeGroups = append(t.nodeGroups, nil)
+			t.leaders = append(t.leaders, r)
+			t.socketGroups = append(t.socketGroups, nil)
+			t.socketLeader = append(t.socketLeader, nil)
+			sockets = append(sockets, nil)
 		}
-		leader := grp[0]
-		t.leaders = append(t.leaders, leader)
-		t.leaderPos[leader] = gi
-		for _, r := range grp {
-			t.groupOf[r] = gi
-			t.leaderOf[r] = leader
+		t.nodeGroups[gi] = append(t.nodeGroups[gi], r)
+		t.groupOf[r] = gi
+		si := slices.Index(sockets[gi], socket)
+		if si < 0 {
+			si = len(sockets[gi])
+			sockets[gi] = append(sockets[gi], socket)
+			t.socketGroups[gi] = append(t.socketGroups[gi], nil)
+			t.socketLeader[gi] = append(t.socketLeader[gi], r)
 		}
-		// Socket split within the node group.
-		bySocket := make(map[int][]int)
-		for _, r := range grp {
-			_, s := topo.SocketOf(t.members[r])
-			bySocket[s] = append(bySocket[s], r)
-		}
-		var socks []int
-		for s := range bySocket {
-			socks = append(socks, s)
-		}
-		sort.Ints(socks)
-		var sgroups [][]int
-		var sleaders []int
-		for _, s := range socks {
-			sg := bySocket[s]
-			sort.Ints(sg)
-			sgroups = append(sgroups, sg)
-			sleaders = append(sleaders, sg[0])
+		t.socketGroups[gi][si] = append(t.socketGroups[gi][si], r)
+	}
+	t.contiguous = true
+	for gi, grp := range t.nodeGroups {
+		t.maxGroup = max(t.maxGroup, len(grp))
+		t.contiguous = t.contiguous && grp[len(grp)-1]-grp[0] == len(grp)-1
+		t.maxSockets = max(t.maxSockets, len(t.socketGroups[gi]))
+		for _, sg := range t.socketGroups[gi] {
 			t.maxSocketGroup = max(t.maxSocketGroup, len(sg))
-		}
-		t.maxSockets = max(t.maxSockets, len(sgroups))
-		t.socketGroups = append(t.socketGroups, sgroups)
-		t.socketLeader = append(t.socketLeader, sleaders)
-	}
-	t.rankChain = make([]int, len(t.nodes))
-	for i := range t.rankChain {
-		t.rankChain[i] = i
-	}
-	slices.SortFunc(t.rankChain, func(a, b int) int { return t.nodeGroups[a][0] - t.nodeGroups[b][0] })
-	t.rankLeaders = make([]int, len(t.nodes))
-	t.chainPos = make([]int, len(t.nodes))
-	next := 0
-	t.rankContiguous = true
-	for i, gi := range t.rankChain {
-		t.rankLeaders[i], t.chainPos[gi] = t.leaders[gi], i
-		for _, r := range t.nodeGroups[gi] {
-			t.rankContiguous = t.rankContiguous && r == next
-			next++
 		}
 	}
 	return t
@@ -271,10 +234,11 @@ func (t *Team) RankOf(globalRank int) int {
 	return -1
 }
 
-// Nodes returns the distinct nodes hosting team members, ascending.
+// Nodes returns the node hosting each node group, in group order: by each
+// group's lowest team rank.
 func (t *Team) Nodes() []int { return t.nodes }
 
-// NodeGroup returns the team ranks on the gi-th node, ascending.
+// NodeGroup returns the team ranks of the gi-th node group, ascending.
 func (t *Team) NodeGroup(gi int) []int { return t.nodeGroups[gi] }
 
 // MaxNodeGroup returns the size of the team's largest intranode set — the
@@ -284,24 +248,19 @@ func (t *Team) MaxNodeGroup() int { return t.maxGroup }
 // NumNodeGroups returns how many nodes host members of this team.
 func (t *Team) NumNodeGroups() int { return len(t.nodes) }
 
-// Leaders returns the team rank of each node group's leader, in node order.
+// Leaders returns the team rank of each node group's leader, in group order:
+// ascending, each group led by its lowest team rank, so Leaders()[GroupOf(r)]
+// is LeaderOf(r).
 func (t *Team) Leaders() []int { return t.leaders }
 
 // LeaderOf returns the team rank of the node leader for team rank r.
-func (t *Team) LeaderOf(r int) int { return t.leaderOf[r] }
-
-// LeaderPos returns the index of leader team rank r within Leaders, or -1.
-func (t *Team) LeaderPos(r int) int {
-	if p, ok := t.leaderPos[r]; ok {
-		return p
-	}
-	return -1
-}
+func (t *Team) LeaderOf(r int) int { return t.leaders[t.groupOf[r]] }
 
 // GroupOf returns the node-group index of team rank r.
 func (t *Team) GroupOf(r int) int { return t.groupOf[r] }
 
-// SocketGroups returns the socket-level split of node group gi.
+// SocketGroups returns the socket-level split of node group gi, each socket
+// group led by, and ordered by, its lowest team rank.
 func (t *Team) SocketGroups(gi int) [][]int { return t.socketGroups[gi] }
 
 // SocketLeaders returns the team rank of each socket leader in node group
@@ -315,21 +274,11 @@ func (t *Team) MaxSocketGroup() int { return t.maxSocketGroup }
 // MaxSockets returns the most socket groups (so, socket leaders) on one node.
 func (t *Team) MaxSockets() int { return t.maxSockets }
 
-// RankChain returns the node-group indices ordered by each group's first team
-// rank, and whether the groups tile the team contiguously in that order (every
-// group's ranks consecutive, each group starting where the previous ended).
-// Only then does a prefix reduction decompose into per-node segments plus one
-// inter-node scan of group totals. The slice is the team's own: read-only.
-func (t *Team) RankChain() (order []int, contiguous bool) { return t.rankChain, t.rankContiguous }
-
-// RankLeaders returns the node leaders in rank-chain order (ascending team
-// rank: a leader is its group's lowest rank) — the subgroup a log-depth prefix
-// reduction of node totals runs over. The slice is the team's own: read-only.
-func (t *Team) RankLeaders() []int { return t.rankLeaders }
-
-// ChainPos returns the position of node group gi in the rank chain: the index
-// of its leader in RankLeaders.
-func (t *Team) ChainPos(gi int) int { return t.chainPos[gi] }
+// Contiguous reports whether every node group's team ranks are consecutive:
+// the groups then tile the team's rank range in group order, and a prefix
+// reduction decomposes into per-node segments plus one inter-node scan of
+// group totals.
+func (t *Team) Contiguous() bool { return t.contiguous }
 
 // NumImages is the team-relative num_images intrinsic.
 func (v *View) NumImages() int { return v.T.Size() }

@@ -130,8 +130,8 @@ func TestHierarchyIntranodeSetsAndLeaders(t *testing.T) {
 		if tm.LeaderOf(3) != 0 || tm.LeaderOf(12) != 8 {
 			t.Fatalf("leaderOf wrong: %d %d", tm.LeaderOf(3), tm.LeaderOf(12))
 		}
-		if tm.LeaderPos(8) != 1 || tm.LeaderPos(3) != -1 {
-			t.Fatal("leaderPos wrong")
+		if tm.GroupOf(8) != 1 || tm.Leaders()[tm.GroupOf(12)] != tm.LeaderOf(12) {
+			t.Fatalf("groupOf wrong: %d %d", tm.GroupOf(8), tm.GroupOf(12))
 		}
 		g0 := tm.NodeGroup(0)
 		if len(g0) != 8 || g0[0] != 0 || g0[7] != 7 {
@@ -439,25 +439,24 @@ func TestFormPartitionProperty(t *testing.T) {
 	}
 }
 
-// TestRankChain: the node groups in team rank order, and whether they tile
-// the rank range. Block placement: the identity, contiguous. The same images
-// in reverse rank order: the chain runs the node groups backwards, still
-// contiguous. Cyclic placement: every group is scattered over the ranks.
-// RankLeaders and ChainPos are the same order seen from the leaders: ascending
-// team ranks, and each group's index among them.
+// TestRankChain: the node groups come in team rank order, each led by its
+// lowest rank, whatever the node ids, and Contiguous tells whether every group
+// is a run of consecutive ranks. Block placement: node order is rank order.
+// The same images in reverse rank order: the groups, their nodes descending,
+// still contiguous. Cyclic placement: every group is scattered over the ranks.
 func TestRankChain(t *testing.T) {
 	w := newWorld(t, "6(3)")
 	w.Run(func(im *pgas.Image) {
 		v := Initial(w, im)
-		if order, contiguous := v.T.RankChain(); !contiguous || fmt.Sprint(order) != "[0 1 2]" {
-			t.Errorf("block placement: chain %v, contiguous %v", order, contiguous)
+		if tm := v.T; !tm.Contiguous() || fmt.Sprint(tm.Nodes(), tm.Leaders()) != "[0 1 2] [0 2 4]" {
+			t.Errorf("block placement: nodes %v, leaders %v, contiguous %v", tm.Nodes(), tm.Leaders(), tm.Contiguous())
 		}
 		rev := v.Form(1, v.NumImages()-1-im.Rank())
-		if order, contiguous := rev.T.RankChain(); !contiguous || fmt.Sprint(order) != "[2 1 0]" {
-			t.Errorf("reversed ranks: chain %v, contiguous %v", order, contiguous)
+		if tm := rev.T; !tm.Contiguous() || fmt.Sprint(tm.Nodes(), tm.Leaders()) != "[2 1 0] [0 2 4]" {
+			t.Errorf("reversed ranks: nodes %v, leaders %v, contiguous %v", tm.Nodes(), tm.Leaders(), tm.Contiguous())
 		}
-		if l, pos := rev.T.RankLeaders(), rev.T.ChainPos(rev.T.GroupOf(rev.Rank)); fmt.Sprint(l) != "[0 2 4]" || l[pos] != rev.T.LeaderOf(rev.Rank) {
-			t.Errorf("reversed ranks: rank-ordered leaders %v, rank %d at position %d", l, rev.Rank, pos)
+		if tm := rev.T; tm.Leaders()[tm.GroupOf(rev.Rank)] != tm.LeaderOf(rev.Rank) {
+			t.Errorf("reversed ranks: rank %d in group %d, led by %d, not %d", rev.Rank, tm.GroupOf(rev.Rank), tm.LeaderOf(rev.Rank), tm.Leaders()[tm.GroupOf(rev.Rank)])
 		}
 	})
 	topo, err := topology.New(3, 2, 1, 6, topology.PlaceCyclic)
@@ -469,8 +468,8 @@ func TestRankChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	wc.Run(func(im *pgas.Image) {
-		if order, contiguous := Initial(wc, im).T.RankChain(); contiguous || len(order) != 3 {
-			t.Errorf("cyclic placement: chain %v, contiguous %v", order, contiguous)
+		if tm := Initial(wc, im).T; tm.Contiguous() || fmt.Sprint(tm.NodeGroup(0), tm.NodeGroup(1), tm.NodeGroup(2)) != "[0 3] [1 4] [2 5]" {
+			t.Errorf("cyclic placement: groups %v %v %v, contiguous %v", tm.NodeGroup(0), tm.NodeGroup(1), tm.NodeGroup(2), tm.Contiguous())
 		}
 	})
 }
