@@ -104,9 +104,6 @@ func (c *Cluster) Model() *machine.Model { return c.model }
 // Nodes returns the node count.
 func (c *Cluster) Nodes() int { return c.nodes }
 
-// SocketsPerNode returns the socket count per node.
-func (c *Cluster) SocketsPerNode() int { return c.socketsPerNode }
-
 // CoresPerNode returns the core count per node.
 func (c *Cluster) CoresPerNode() int { return c.socketsPerNode * c.coresPerSocket }
 

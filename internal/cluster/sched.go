@@ -186,9 +186,6 @@ func NewScheduler(c *Cluster, policy Policy, start StartFunc) *Scheduler {
 	}
 }
 
-// Policy returns the placement policy in use.
-func (s *Scheduler) Policy() Policy { return s.policy }
-
 // Submit registers the jobs' arrival events. Call before running the
 // environment; jobs must be in nondecreasing arrival order.
 func (s *Scheduler) Submit(jobs []Job) {

@@ -84,7 +84,7 @@ func TestSimHelpersDoNotBlock(t *testing.T) {
 			return true
 		})
 	}
-	for _, name := range []string{"route", "sendOverhead", "dispatch", "deliverAt", "deliverFlagOp", "dropped"} {
+	for _, name := range []string{"route", "sendOverhead", "dispatch", "deliverAt", "deliverFlagOp", "dropped", "wake", "getDelivery"} {
 		if !checked[name] {
 			t.Errorf("simbackend.go has no helper %s: the pin checks nothing on the put path", name)
 		}

@@ -162,9 +162,6 @@ func newCoarrayOn[T any](w *World, name string, n int, members []int) *Coarray[T
 // Name returns the allocation name.
 func (c *Coarray[T]) Name() string { return c.name }
 
-// Len returns the per-image element count.
-func (c *Coarray[T]) Len() int { return c.n }
-
 // OwnedBy reports whether image rank owns a slab of this coarray.
 func (c *Coarray[T]) OwnedBy(rank int) bool {
 	return c.members == nil || c.members[rank/64]>>(rank%64)&1 == 1

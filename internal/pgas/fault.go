@@ -30,7 +30,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"cafteams/internal/sim"
 )
@@ -240,11 +239,6 @@ type faultCtx struct {
 
 	// Heartbeat stamps (atomic), valid when cfg.Heartbeat > 0.
 	hbStamp []int64
-
-	// Native-backend teardown for timers and heartbeat goroutines.
-	stopOnce sync.Once
-	stopCh   chan struct{}
-	timers   []*time.Timer
 }
 
 func newFaultCtx(w *World) *faultCtx {
@@ -255,7 +249,6 @@ func newFaultCtx(w *World) *faultCtx {
 		failedBit: make([]int32, n),
 		deadBit:   make([]int32, n),
 		doneBit:   make([]int32, n),
-		stopCh:    make(chan struct{}),
 	}
 }
 
@@ -283,7 +276,7 @@ func (fc *faultCtx) announce(rank int, at Time, cause string, panicValue interfa
 	// The bit and record are published before the epoch moves: a waiter
 	// that observes the new epoch always sees this failure in snapshots.
 	atomic.AddInt64(&fc.epoch, 1)
-	fc.w.tr.WakeAll(fc.w)
+	fc.w.tr.WakeAll()
 }
 
 // sweepStale is the failure detector of both backends, a function of now and
@@ -315,7 +308,7 @@ func (fc *faultCtx) applyKill(ev FaultEvent, now Time) {
 		if fc.isDone(im.rank) || fc.isDead(im.rank) {
 			continue
 		}
-		fc.w.tr.Kill(fc.w, im.rank)
+		fc.w.tr.Kill(im.rank)
 		if !ev.Silent {
 			fc.announce(im.rank, now, CauseKilled, nil)
 		}
@@ -370,16 +363,6 @@ func (fc *faultCtx) imageDone(im *Image, r interface{}) {
 	}
 }
 
-// stop tears down native timers and heartbeat goroutines; idempotent.
-func (fc *faultCtx) stop() {
-	fc.stopOnce.Do(func() {
-		close(fc.stopCh)
-		for _, t := range fc.timers {
-			t.Stop()
-		}
-	})
-}
-
 // --- World / Image fault surface -----------------------------------------
 
 // ContainPanics makes a panic inside an image body terminate only that
@@ -403,9 +386,6 @@ func (w *World) SetDetect(cfg DetectConfig) {
 		w.faults.hbStamp = make([]int64, w.topo.NumImages())
 	}
 }
-
-// Detect returns the world's detection configuration.
-func (w *World) Detect() DetectConfig { return w.faults.cfg }
 
 // InjectFaults installs a fault plan, applied when the world launches.
 // Must be called before Launch. The native backend honors kill events
@@ -465,20 +445,8 @@ func (w *World) InjectFaults(plan *FaultPlan) error {
 // On the native backend it may be called from any goroutine.
 func (w *World) KillImage(rank int) {
 	w.faults.contain = true
-	w.tr.Kill(w, rank)
-	w.faults.announce(rank, w.killTime(), CauseKilled, nil)
-}
-
-// killTime returns "now" for failure records without an Image context.
-func (w *World) killTime() Time {
-	if w.sim != nil {
-		return w.sim.env.Now()
-	}
-	if w.native.start.IsZero() {
-		return 0 // not launched yet
-	}
-	//caflint:allow wallclock -- native-backend branch: real elapsed time is the backend's clock
-	return time.Since(w.native.start).Nanoseconds()
+	w.tr.Kill(rank)
+	w.faults.announce(rank, w.tr.Now(), CauseKilled, nil)
 }
 
 // FailedImages returns the global ranks of announced failed images,
@@ -534,12 +502,6 @@ func (w *World) Failures() []ImageFailure {
 // happened to complete before the announcement uses it to join the
 // survivors' recovery instead of racing ahead.
 func (im *Image) AwaitFailedImages(min int) []int {
-	fc := im.w.faults
-	if sw := im.w.sim; sw != nil {
-		sw.rowCond[im.rank].Wait(sw.img[im.rank].proc, "await failed images",
-			func() bool { return fc.failedCount() >= int64(min) })
-	} else {
-		nativeAwaitFailed(im, min)
-	}
-	return fc.failedSnapshot()
+	im.w.tr.AwaitFailed(im, min)
+	return im.w.faults.failedSnapshot()
 }

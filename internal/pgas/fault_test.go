@@ -400,7 +400,7 @@ func TestZeroDetectConfigAddsNoEvents(t *testing.T) {
 				im.WaitFlagGE(fl, im.Rank(), im.Rank(), ep)
 			}
 		})
-		env := w.sim.env
+		env := w.Cluster().Env()
 		return end, env.Events()
 	}
 	baseEnd, baseEvents := run(func(w *World) {})

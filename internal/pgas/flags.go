@@ -51,9 +51,6 @@ func NewFlags(w *World, name string, slots int) *Flags {
 	}).(*Flags)
 }
 
-// Name returns the allocation name.
-func (f *Flags) Name() string { return f.name }
-
 // Slots returns the per-image slot count.
 func (f *Flags) Slots() int { return f.slots }
 
@@ -76,6 +73,25 @@ func (f *Flags) cell(owner, idx int) *int64 {
 // build it only when they fail.
 func (f *Flags) describeGE(owner, idx int, min int64) string {
 	return fmt.Sprintf("flag %s[%d][%d]>=%d", f.name, owner, idx, min)
+}
+
+// waitDesc names a wait, on both backends, for the deadlock report or the
+// error a failed one raises: the static why, or — for flag waits — the
+// operands of the describeGE text, which is built only then.
+type waitDesc struct {
+	why        string
+	f          *Flags
+	owner, idx int
+	min        int64
+}
+
+// String has a pointer receiver so that formatting never copies the record,
+// and so that the sim's d.String method value stays bound to its wait record.
+func (d *waitDesc) String() string {
+	if d.f != nil {
+		return d.f.describeGE(d.owner, d.idx, d.min)
+	}
+	return d.why
 }
 
 // Peek returns the current value of a slot without synchronization or cost;
@@ -158,7 +174,7 @@ func (im *Image) NotifySet(f *Flags, target, idx int, val int64, via Via) {
 // store).
 func (im *Image) SetLocal(f *Flags, idx int, val int64) {
 	f.store(im.rank, idx, val)
-	im.w.tr.WakeRank(im.w, im.rank)
+	im.w.tr.WakeRank(im.rank)
 }
 
 // WaitFlagGE blocks this image until flag idx on image owner is >= min.

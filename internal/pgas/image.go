@@ -45,7 +45,7 @@ func (im *Image) Node() int { return im.node }
 func (im *Image) World() *World { return im.w }
 
 // Now returns the current time (simulated, or wall-clock since world start).
-func (im *Image) Now() Time { return im.w.tr.Now(im) }
+func (im *Image) Now() Time { return im.w.tr.Now() }
 
 // SameNode reports whether the target image shares this image's node.
 func (im *Image) SameNode(target int) bool { return im.w.topo.SameNode(im.rank, target) }

@@ -36,11 +36,18 @@ import (
 // That is the same release/acquire chain a real one-sided runtime provides,
 // and it is what makes the Go race detector meaningful over this backend.
 
-// nativeWorld is the native backend's per-world state.
-type nativeWorld struct {
+// nativeTransport is the native backend: the Transport and the world's state
+// on real goroutines.
+type nativeTransport struct {
+	w     *World
 	start time.Time
 	cells []nativeCell // per rank
 	wg    sync.WaitGroup
+
+	// Teardown for the kill timers and heartbeat goroutines Launch starts:
+	// Drive closes stop and stops the timers once every image has ended.
+	stop   chan struct{}
+	timers []*time.Timer
 }
 
 // nativeCell parks rank r's waiters. The protocol is a Dekker pairing over
@@ -65,18 +72,14 @@ type nativeCell struct {
 // structure on — on the native backend "nodes" are logical groups within
 // one address space, the shape the paper's two-level algorithms exploit.
 func NewNativeWorld(model *machine.Model, topo *topology.Topology, stats *trace.Stats) *World {
-	w := newWorld(&nativeTransport{}, model, topo, stats)
-	nw := &nativeWorld{cells: make([]nativeCell, topo.NumImages())}
-	for i := range nw.cells {
-		c := &nw.cells[i]
+	t := &nativeTransport{cells: make([]nativeCell, topo.NumImages())}
+	for i := range t.cells {
+		c := &t.cells[i]
 		c.cond.L = &c.mu
 	}
-	w.native = nw
-	return w
+	t.w = newWorld(t, model, topo, stats)
+	return t.w
 }
-
-// nativeTransport implements Transport on real goroutines.
-type nativeTransport struct{}
 
 func (*nativeTransport) Name() string { return "native" }
 
@@ -84,14 +87,15 @@ func (*nativeTransport) Name() string { return "native" }
 // read the caller's buffer directly with no staging copy.
 func (*nativeTransport) Immediate() bool { return true }
 
-func (*nativeTransport) Launch(w *World, body func(*Image)) {
-	nw := w.native
-	nw.start = time.Now()
-	nw.wg.Add(len(w.images))
+func (t *nativeTransport) Launch(body func(*Image)) {
+	w := t.w
+	t.start = time.Now()
+	t.stop = make(chan struct{})
+	t.wg.Add(len(w.images))
 	for _, img := range w.images {
 		img := img
 		go func() {
-			defer nw.wg.Done()
+			defer t.wg.Done()
 			body(img)
 		}()
 	}
@@ -105,31 +109,31 @@ func (*nativeTransport) Launch(w *World, body func(*Image)) {
 				continue
 			}
 			ev := ev
-			fc.timers = append(fc.timers, time.AfterFunc(time.Duration(ev.At), func() {
-				fc.applyKill(ev, w.killTime())
+			t.timers = append(t.timers, time.AfterFunc(time.Duration(ev.At), func() {
+				fc.applyKill(ev, t.Now())
 			}))
 		}
 	}
 	if fc.cfg.Heartbeat > 0 {
-		startNativeHeartbeats(w, nw)
+		startNativeHeartbeats(t)
 	}
 }
 
 // startNativeHeartbeats starts one stamper goroutine per image plus a
 // monitor; all of them exit when their image dies/finishes or when Drive
 // tears the world down.
-func startNativeHeartbeats(w *World, nw *nativeWorld) {
-	fc := w.faults
+func startNativeHeartbeats(t *nativeTransport) {
+	fc := t.w.faults
 	h := time.Duration(fc.cfg.Heartbeat)
-	stamp := func(r int) { atomic.StoreInt64(&fc.hbStamp[r], time.Since(nw.start).Nanoseconds()) }
-	for _, im := range w.images {
+	stamp := func(r int) { atomic.StoreInt64(&fc.hbStamp[r], t.Now()) }
+	for _, im := range t.w.images {
 		r := im.rank
 		stamp(r)
 		go func() {
 			for !fc.isDone(r) && !fc.isDead(r) {
 				stamp(r)
 				select {
-				case <-fc.stopCh:
+				case <-t.stop:
 					return
 				case <-time.After(h):
 				}
@@ -137,9 +141,9 @@ func startNativeHeartbeats(w *World, nw *nativeWorld) {
 		}()
 	}
 	go func() {
-		for fc.sweepStale(time.Since(nw.start).Nanoseconds()) {
+		for fc.sweepStale(t.Now()) {
 			select {
-			case <-fc.stopCh:
+			case <-t.stop:
 				return
 			case <-time.After(h):
 			}
@@ -147,15 +151,24 @@ func startNativeHeartbeats(w *World, nw *nativeWorld) {
 	}()
 }
 
-func (*nativeTransport) Drive(w *World) Time {
-	nw := w.native
-	nw.wg.Wait()
-	w.faults.stop()
-	return time.Since(nw.start).Nanoseconds()
+// Drive waits for every image, then tears down the kill timers and
+// heartbeat goroutines Launch started.
+func (t *nativeTransport) Drive() Time {
+	t.wg.Wait()
+	close(t.stop)
+	for _, tm := range t.timers {
+		tm.Stop()
+	}
+	t.timers = nil
+	return t.Now()
 }
 
-func (*nativeTransport) Now(im *Image) Time {
-	return time.Since(im.w.native.start).Nanoseconds()
+// Now is the wall-clock time since Launch, 0 before it.
+func (t *nativeTransport) Now() Time {
+	if t.start.IsZero() {
+		return 0
+	}
+	return time.Since(t.start).Nanoseconds()
 }
 
 func (*nativeTransport) Sleep(im *Image, d Time) {
@@ -183,23 +196,6 @@ func nativeCheck(im *Image) {
 	}
 }
 
-// waitDesc names a wait for the error a failed one raises: the static why,
-// or — for flag waits — the operands of the "flag name[o][i]>=min" text,
-// which is built only then.
-type waitDesc struct {
-	why        string
-	f          *Flags
-	owner, idx int
-	min        int64
-}
-
-func (d waitDesc) String() string {
-	if d.f != nil {
-		return d.f.describeGE(d.owner, d.idx, d.min)
-	}
-	return d.why
-}
-
 // How a parked wait ended.
 const (
 	waitOK = iota
@@ -216,10 +212,9 @@ const (
 // its predicate true inspects the epoch and the clock. The timeout timer is
 // armed when the wait first parks and only broadcasts; the waiter itself
 // decides it timed out, so spurious wakeups are harmless.
-func nativeWait(im *Image, cellRank int, pred func() bool, d waitDesc, raise bool) {
-	nw := im.w.native
-	fc := im.w.faults
-	c := &nw.cells[cellRank]
+func nativeWait(t *nativeTransport, im *Image, cellRank int, pred func() bool, d waitDesc, raise bool) {
+	fc := t.w.faults
+	c := &t.cells[cellRank]
 	// Interrupt on any announcement this image has not acknowledged (see
 	// faultCtx.ackEpoch), not just ones newer than the wait.
 	ep0 := fc.ackEpoch[im.rank]
@@ -241,7 +236,7 @@ func nativeWait(im *Image, cellRank int, pred func() bool, d waitDesc, raise boo
 			if to := time.Duration(fc.cfg.WaitTimeout); to > 0 {
 				if timer == nil {
 					deadline = time.Now().Add(to)
-					timer = time.AfterFunc(to, func() { nw.wake(cellRank) })
+					timer = time.AfterFunc(to, func() { t.wake(cellRank) })
 				} else if !time.Now().Before(deadline) {
 					end = waitTimedOut
 					break
@@ -265,25 +260,14 @@ func nativeWait(im *Image, cellRank int, pred func() bool, d waitDesc, raise boo
 
 // wake broadcasts to rank's waiters after a mutation they may be waiting
 // for; with none registered it is one atomic load (see nativeCell).
-func (nw *nativeWorld) wake(rank int) {
-	c := &nw.cells[rank]
+func (t *nativeTransport) wake(rank int) {
+	c := &t.cells[rank]
 	if c.waiters.Load() == 0 {
 		return
 	}
 	c.mu.Lock()
 	c.cond.Broadcast()
 	c.mu.Unlock()
-}
-
-// nativeAwaitFailed is Image.AwaitFailedImages on this backend: a wait on the
-// announced-failure count that does not raise.
-func nativeAwaitFailed(im *Image, min int) {
-	fc := im.w.faults
-	pred := func() bool { return fc.failedCount() >= int64(min) }
-	nativeCheck(im)
-	if !pred() {
-		nativeWait(im, im.rank, pred, waitDesc{why: "await failed images"}, false)
-	}
 }
 
 // Put and Get are the kill check: the typed front end lands the payload
@@ -298,74 +282,77 @@ func (*nativeTransport) PutThenNotify(*Image, int, int, Via, func(), *Flags, int
 	panic("pgas: native puts land in the typed front end (Transport.Immediate)")
 }
 
-func (*nativeTransport) NotifyAdd(im *Image, f *Flags, target, idx int, delta int64, via Via) {
+func (t *nativeTransport) NotifyAdd(im *Image, f *Flags, target, idx int, delta int64, via Via) {
 	nativeCheck(im)
 	f.add(target, idx, delta)
-	im.w.native.wake(target)
+	t.wake(target)
 }
 
-func (*nativeTransport) NotifySet(im *Image, f *Flags, target, idx int, val int64, via Via) {
+func (t *nativeTransport) NotifySet(im *Image, f *Flags, target, idx int, val int64, via Via) {
 	nativeCheck(im)
 	f.storeMax(target, idx, val)
-	im.w.native.wake(target)
+	t.wake(target)
 }
 
-func (*nativeTransport) FetchOp(im *Image, f *Flags, target, idx int, op AtomicOp, operand int64) int64 {
+func (t *nativeTransport) FetchOp(im *Image, f *Flags, target, idx int, op AtomicOp, operand int64) int64 {
 	nativeCheck(im)
 	old := f.fetchOp(target, idx, op, operand)
-	im.w.native.wake(target)
+	t.wake(target)
 	return old
 }
 
-func (*nativeTransport) CompareAndSwap(im *Image, f *Flags, target, idx int, expected, desired int64) int64 {
+func (t *nativeTransport) CompareAndSwap(im *Image, f *Flags, target, idx int, expected, desired int64) int64 {
 	nativeCheck(im)
 	old := f.compareAndSwap(target, idx, expected, desired)
 	if old == expected {
-		im.w.native.wake(target)
+		t.wake(target)
 	}
 	return old
 }
 
-func (*nativeTransport) WaitFlagGE(im *Image, f *Flags, owner, idx int, min int64) {
+func (t *nativeTransport) WaitFlagGE(im *Image, f *Flags, owner, idx int, min int64) {
 	nativeCheck(im)
 	cell := f.cell(owner, idx)
 	if atomic.LoadInt64(cell) >= min {
 		return
 	}
-	nativeWait(im, owner, func() bool { return atomic.LoadInt64(cell) >= min },
+	nativeWait(t, im, owner, func() bool { return atomic.LoadInt64(cell) >= min },
 		waitDesc{f: f, owner: owner, idx: idx, min: min}, true)
 }
 
-func (*nativeTransport) WaitAsync(im *Image, ready func() bool) {
+func (t *nativeTransport) WaitAsync(im *Image, ready func() bool) {
 	nativeCheck(im)
 	if !ready() {
-		nativeWait(im, im.rank, ready, waitDesc{why: "async progress"}, true)
+		nativeWait(t, im, im.rank, ready, waitDesc{why: "async progress"}, true)
 	}
 }
 
-func (*nativeTransport) WakeRank(w *World, rank int) {
-	w.native.wake(rank)
+// AwaitFailed is a wait on the announced-failure count that does not raise.
+func (t *nativeTransport) AwaitFailed(im *Image, min int) {
+	fc := t.w.faults
+	pred := func() bool { return fc.failedCount() >= int64(min) }
+	nativeCheck(im)
+	if !pred() {
+		nativeWait(t, im, im.rank, pred, waitDesc{why: "await failed images"}, false)
+	}
 }
+
+func (t *nativeTransport) WakeRank(rank int) { t.wake(rank) }
 
 // Kill poisons image rank: its current wait (woken by the broadcast below)
 // or its next transport call unwinds the goroutine with the kill sentinel.
 // An image busy in a long Compute dies at the sleep's end — the native
 // backend cannot interrupt a real time.Sleep, a documented difference from
 // the sim backend's immediate unwind.
-func (*nativeTransport) Kill(w *World, rank int) {
-	w.faults.markDead(rank)
-	w.tr.WakeAll(w)
+func (t *nativeTransport) Kill(rank int) {
+	t.w.faults.markDead(rank)
+	t.WakeAll()
 }
 
-func (*nativeTransport) WakeAll(w *World) {
-	nw := w.native
-	for r := range nw.cells {
-		nw.wake(r)
+func (t *nativeTransport) WakeAll() {
+	for r := range t.cells {
+		t.wake(r)
 	}
 }
 
-// compile-time interface checks for both transports.
-var (
-	_ Transport = (*simTransport)(nil)
-	_ Transport = (*nativeTransport)(nil)
-)
+var _ Transport = (*nativeTransport)(nil)

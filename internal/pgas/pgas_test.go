@@ -646,8 +646,9 @@ func TestPerPairDeliveryOrdered(t *testing.T) {
 						k := k
 						via := im.resolveVia(target, via)
 						im.Sleep(sendOverhead(w.model, via))
-						deliver := route(w, im.Node(), w.topo.NodeOf(target), 8, via, im.Now())
-						deliverAt(im, deliver, func() { order = append(order, k) }, false)
+						s := w.tr.(*simTransport)
+						deliver := route(s, im.Node(), w.topo.NodeOf(target), 8, via, im.Now())
+						deliverAt(s, im, deliver, func() { order = append(order, k) }, false)
 					}
 				}
 			})

@@ -27,8 +27,10 @@ import (
 //   - membus[n]: the shared-memory path used by hierarchy-aware algorithms
 //     for peers they know to be on the same node; far cheaper.
 
-// simWorld is the sim backend's per-world state.
-type simWorld struct {
+// simTransport is the sim backend: the Transport and the world's state on the
+// discrete-event kernel.
+type simTransport struct {
+	w        *World
 	hw       *cluster.Cluster
 	env      *sim.Env
 	nic      []*sim.Resource // per node (aliases hw's resources)
@@ -60,7 +62,7 @@ type simWorld struct {
 // Wait kinds for simImage's reusable wait record.
 const (
 	wNone    uint8 = iota
-	wFlag          // flags[wOwner][wIdx] >= wMin
+	wFlag          // wd's flag cell >= wd.min
 	wQuiet         // outstanding == 0
 	wGeneric       // wPred()
 )
@@ -81,16 +83,13 @@ type simImage struct {
 	// Reusable wait record. An image is in at most one blocking wait at a
 	// time, so one record (and the once-built eval closure over it)
 	// replaces the per-wait predicate closures and fmt.Sprintf why strings
-	// the hot wait path used to allocate. The fields mirror the wait kinds:
-	// wFlag carries the (flags, owner, idx, min) tuple so the predicate is
-	// a direct atomic load; wGeneric falls back to an arbitrary predicate.
+	// the hot wait path used to allocate. wd holds the operands: for wFlag
+	// the (flags, owner, idx, min) tuple, so the predicate is a direct atomic
+	// load; wGeneric falls back to an arbitrary predicate.
 	wKind     uint8
 	wTimedOut bool
-	wOwner    int
-	wIdx      int
-	wMin      int64
 	wEp0      int64
-	wFlags    *Flags
+	wd        waitDesc
 	wPred     func() bool
 	eval      func() bool // prebound (*simImage).waitEval
 }
@@ -100,7 +99,7 @@ type simImage struct {
 func (si *simImage) waitPredNow() bool {
 	switch si.wKind {
 	case wFlag:
-		return si.wFlags.load(si.wOwner, si.wIdx) >= si.wMin
+		return si.wd.f.load(si.wd.owner, si.wd.idx) >= si.wd.min
 	case wQuiet:
 		return si.outstanding == 0
 	default:
@@ -115,16 +114,6 @@ func (si *simImage) waitEval() bool {
 		return true
 	}
 	return si.wTimedOut || si.im.w.faults.epochLoad() != si.wEp0
-}
-
-// describeWait supplies the expensive wait description lazily for deadlock
-// reports and failure errors (sim.Proc.Describe hook) — the formatting the
-// wait fast path no longer pays.
-func (si *simImage) describeWait() string {
-	if si.wKind == wFlag {
-		return si.wFlags.describeGE(si.wOwner, si.wIdx, si.wMin)
-	}
-	return ""
 }
 
 // NewWorld creates a world with one image per placed rank in topo, on a
@@ -160,8 +149,7 @@ func NewWorldOn(hw *cluster.Cluster, topo *topology.Topology, stats *trace.Stats
 	if topo.CoresPerNode() > hw.CoresPerNode() {
 		return nil, fmt.Errorf("pgas: topology wants %d cores/node but cluster has %d", topo.CoresPerNode(), hw.CoresPerNode())
 	}
-	w := newWorld(&simTransport{}, hw.Model(), topo, stats)
-	w.sim = &simWorld{
+	s := &simTransport{
 		hw:       hw,
 		env:      hw.Env(),
 		nic:      hw.NICs(),
@@ -170,42 +158,23 @@ func NewWorldOn(hw *cluster.Cluster, topo *topology.Topology, stats *trace.Stats
 		rowCond:  make([]sim.Cond, topo.NumImages()),
 		img:      make([]simImage, topo.NumImages()),
 	}
-	for r, im := range w.images {
-		si := &w.sim.img[r]
+	s.w = newWorld(s, hw.Model(), topo, stats)
+	for r, im := range s.w.images {
+		si := &s.img[r]
 		si.im = im
 		si.eval = si.waitEval
 	}
-	return w, nil
+	return s.w, nil
 }
 
 // Cluster returns the simulated machine this world runs on, or nil on the
 // native backend.
 func (w *World) Cluster() *cluster.Cluster {
-	if w.sim == nil {
-		return nil
+	if s, ok := w.tr.(*simTransport); ok {
+		return s.hw
 	}
-	return w.sim.hw
+	return nil
 }
-
-// Env returns the simulation environment, or nil on the native backend.
-func (w *World) Env() *sim.Env {
-	if w.sim == nil {
-		return nil
-	}
-	return w.sim.env
-}
-
-// Proc returns the simulated process, for direct sleeps in tests; nil on
-// the native backend.
-func (im *Image) Proc() *sim.Proc {
-	if im.w.sim == nil {
-		return nil
-	}
-	return im.w.sim.img[im.rank].proc
-}
-
-// simTransport implements Transport on the discrete-event kernel.
-type simTransport struct{}
 
 func (*simTransport) Name() string { return "sim" }
 
@@ -213,52 +182,52 @@ func (*simTransport) Name() string { return "sim" }
 // simulated time, so Put must stage its payload.
 func (*simTransport) Immediate() bool { return false }
 
-func (*simTransport) Launch(w *World, body func(*Image)) {
-	sw := w.sim
+func (s *simTransport) Launch(body func(*Image)) {
+	w := s.w
 	for _, img := range w.images {
 		img := img
-		sw.env.Spawn(fmt.Sprintf("%simage%d", w.label, img.rank), func(p *sim.Proc) {
-			si := &sw.img[img.rank]
+		s.env.Spawn(fmt.Sprintf("%simage%d", w.label, img.rank), func(p *sim.Proc) {
+			si := &s.img[img.rank]
 			si.proc = p
-			p.Describe = si.describeWait
+			p.Describe = si.wd.String // bound to the record: String has a pointer receiver
 			body(img)
 		})
 	}
 	fc := w.faults
 	if fc.plan != nil {
-		sw.nicFactor = slices.Repeat([]float64{1}, w.topo.NumNodes())
-		sw.linkDelay = make(map[[2]int]Time)
-		sw.linkDrop = make(map[[2]int]float64)
-		sw.drops = rand.New(rand.NewSource(fc.plan.Seed))
+		s.nicFactor = slices.Repeat([]float64{1}, w.topo.NumNodes())
+		s.linkDelay = make(map[[2]int]Time)
+		s.linkDrop = make(map[[2]int]float64)
+		s.drops = rand.New(rand.NewSource(fc.plan.Seed))
 		for _, ev := range fc.plan.Events {
-			scheduleFaultEvent(w, sw, ev)
+			scheduleFaultEvent(s, ev)
 		}
 	}
 	if fc.cfg.Heartbeat > 0 {
-		startSimHeartbeats(w, sw)
+		startSimHeartbeats(s)
 	}
 }
 
 // scheduleFaultEvent turns one FaultPlan entry into event-queue entries. A
 // repair is an assignment: InjectFaults refuses plans whose windows on one NIC
 // or link overlap, so no repair ends a fault that is not its own.
-func scheduleFaultEvent(w *World, sw *simWorld, ev FaultEvent) {
+func scheduleFaultEvent(s *simTransport, ev FaultEvent) {
 	during := func(set, repair func()) {
-		sw.env.Schedule(ev.At, set)
+		s.env.Schedule(ev.At, set)
 		if ev.Duration > 0 {
-			sw.env.Schedule(ev.At+ev.Duration, repair)
+			s.env.Schedule(ev.At+ev.Duration, repair)
 		}
 	}
 	link := [2]int{ev.Node, ev.Node2}
 	switch ev.Kind {
 	case FaultKillImage, FaultKillNode:
-		sw.env.Schedule(ev.At, func() { w.faults.applyKill(ev, sw.env.Now()) })
+		s.env.Schedule(ev.At, func() { s.w.faults.applyKill(ev, s.env.Now()) })
 	case FaultNICDegrade:
-		during(func() { sw.nicFactor[ev.Node] = ev.Factor }, func() { sw.nicFactor[ev.Node] = 1 })
+		during(func() { s.nicFactor[ev.Node] = ev.Factor }, func() { s.nicFactor[ev.Node] = 1 })
 	case FaultLinkDelay:
-		during(func() { sw.linkDelay[link] = ev.Delay }, func() { delete(sw.linkDelay, link) })
+		during(func() { s.linkDelay[link] = ev.Delay }, func() { delete(s.linkDelay, link) })
 	case FaultLinkDrop:
-		during(func() { sw.linkDrop[link] = ev.Factor }, func() { delete(sw.linkDrop, link) })
+		during(func() { s.linkDrop[link] = ev.Factor }, func() { delete(s.linkDrop, link) })
 	}
 }
 
@@ -266,47 +235,47 @@ func scheduleFaultEvent(w *World, sw *simWorld, ev FaultEvent) {
 // that sweeps for stale stamps every period (a killed image's stamper is
 // killed with it, so silent deaths surface after ~3 heartbeat periods).
 // All heartbeat processes terminate once every image is done or failed.
-func startSimHeartbeats(w *World, sw *simWorld) {
+func startSimHeartbeats(s *simTransport) {
+	w := s.w
 	fc := w.faults
 	h := fc.cfg.Heartbeat
 	for _, im := range w.images {
-		atomic.StoreInt64(&fc.hbStamp[im.rank], sw.env.Now())
+		atomic.StoreInt64(&fc.hbStamp[im.rank], s.env.Now())
 	}
 	for _, im := range w.images {
 		im := im
-		sw.img[im.rank].hb = sw.env.Spawn(fmt.Sprintf("%shb%d", w.label, im.rank), func(p *sim.Proc) {
+		s.img[im.rank].hb = s.env.Spawn(fmt.Sprintf("%shb%d", w.label, im.rank), func(p *sim.Proc) {
 			for !fc.isDone(im.rank) && !fc.isDead(im.rank) {
 				atomic.StoreInt64(&fc.hbStamp[im.rank], p.Now())
 				p.Sleep(h)
 			}
 		})
 	}
-	sw.env.Spawn(w.label+"hbmon", func(p *sim.Proc) {
+	s.env.Spawn(w.label+"hbmon", func(p *sim.Proc) {
 		for fc.sweepStale(p.Now()) {
 			p.Sleep(h)
 		}
 	})
 }
 
-func (*simTransport) Drive(w *World) Time {
-	env := w.sim.env
-	if err := env.Run(0); err != nil {
+func (s *simTransport) Drive() Time {
+	if err := s.env.Run(0); err != nil {
 		panic(err)
 	}
-	return env.Now()
+	return s.env.Now()
 }
 
-func (*simTransport) Now(im *Image) Time      { return im.w.sim.img[im.rank].proc.Now() }
-func (*simTransport) Sleep(im *Image, d Time) { im.w.sim.img[im.rank].proc.Sleep(d) }
+func (s *simTransport) Now() Time               { return s.env.Now() }
+func (s *simTransport) Sleep(im *Image, d Time) { s.img[im.rank].proc.Sleep(d) }
 
-func (*simTransport) MemWork(im *Image, nbytes int) {
-	im.w.sim.img[im.rank].proc.Sleep(im.w.model.MemTime(nbytes))
+func (s *simTransport) MemWork(im *Image, nbytes int) {
+	s.img[im.rank].proc.Sleep(s.w.model.MemTime(nbytes))
 }
 
 // wake re-evaluates rank's flag waiters and progress engine. Called after
 // every mutation of rank's flag rows.
-func (sw *simWorld) wake(rank int) {
-	sw.rowCond[rank].Wake(sw.env)
+func wake(s *simTransport, rank int) {
+	s.rowCond[rank].Wake(s.env)
 }
 
 // simWait blocks im on c until the wait record configured on its simImage
@@ -316,36 +285,33 @@ func (sw *simWorld) wake(rank int) {
 // event stream — is identical to a plain c.Wait: the extra disjuncts never
 // fire and no timer event is scheduled.
 //
-// Callers set the wait kind (and its operands) on the simImage and pass a
-// static why string; the detailed description, when one exists, is built
-// lazily by describeWait — only for deadlock reports and failure errors.
-func simWait(im *Image, c *sim.Cond, why string) {
-	sw := im.w.sim
-	fc := im.w.faults
-	si := &sw.img[im.rank]
+// Callers set the wait kind and its operands on the simImage, a static why
+// string among them; the detailed description is built lazily from the wait
+// record's waitDesc — only for deadlock reports and failure errors.
+func simWait(s *simTransport, im *Image, c *sim.Cond) {
+	fc := s.w.faults
+	si := &s.img[im.rank]
 	// Interrupt on any announcement this image has not acknowledged — not
 	// just ones newer than the wait: an unacked dead peer may be the very
 	// image whose notify we are waiting for (see faultCtx.ackEpoch).
 	si.wEp0 = fc.ackEpoch[im.rank]
 	si.wTimedOut = false
 	if to := fc.cfg.WaitTimeout; to > 0 {
-		cancel := sw.env.AfterCancelable(to, func() {
+		cancel := s.env.AfterCancelable(to, func() {
 			si.wTimedOut = true
-			c.Wake(sw.env)
+			c.Wake(s.env)
 		})
 		defer cancel()
 	}
-	c.Wait(si.proc, why, si.eval)
+	c.Wait(si.proc, si.wd.why, si.eval)
 	ok := si.waitPredNow()
 	timedOut := si.wTimedOut
-	op := why
+	var op string
 	if !ok {
-		if d := si.describeWait(); d != "" {
-			op = d
-		}
+		op = si.wd.String()
 	}
 	si.wKind = wNone
-	si.wFlags = nil
+	si.wd.f = nil
 	si.wPred = nil
 	if ok {
 		return
@@ -355,11 +321,12 @@ func simWait(im *Image, c *sim.Cond, why string) {
 
 // simWaitPred is simWait on the image's own row with an arbitrary predicate
 // (the wGeneric kind): async progress, and a round trip lost on the wire.
-func simWaitPred(im *Image, why string, pred func() bool) {
-	si := &im.w.sim.img[im.rank]
+func simWaitPred(s *simTransport, im *Image, why string, pred func() bool) {
+	si := &s.img[im.rank]
 	si.wKind = wGeneric
+	si.wd.why = why
 	si.wPred = pred
-	simWait(im, &im.w.sim.rowCond[im.rank], why)
+	simWait(s, im, &s.rowCond[im.rank])
 }
 
 // sendOverhead is the sender's CPU overhead (LogGP o) over a resolved path:
@@ -377,14 +344,13 @@ func sendOverhead(m *machine.Model, via Via) Time {
 // sleep, or the arrival of the request a response answers). It occupies the
 // path's serializing resources and returns the delivery time; it never blocks
 // (TestSimHelpersDoNotBlock).
-func route(w *World, src, dst, n int, via Via, now sim.Time) sim.Time {
-	sw := w.sim
-	m := w.model
+func route(s *simTransport, src, dst, n int, via Via, now sim.Time) sim.Time {
+	m := s.w.model
 	switch {
 	case via == ViaShm:
 		// Direct load/store path within the node.
 		dur := m.Shm.G + m.Shm.ByteTime(n)
-		start := sw.membus[src].Occupy(now, dur)
+		start := s.membus[src].Occupy(now, dur)
 		return start + dur + m.Shm.L
 	case dst == src:
 		// Conduit loopback: the portable path does not know the target
@@ -392,25 +358,25 @@ func route(w *World, src, dst, n int, via Via, now sim.Time) sim.Time {
 		// progress engine at an inflated occupancy (software handling
 		// plus flag-polling coherence traffic).
 		dur := m.LoopbackG + m.Shm.ByteTime(n)
-		start := sw.progress[src].Occupy(now, dur)
+		start := s.progress[src].Occupy(now, dur)
 		return start + dur + m.Shm.L
 	default:
 		// Inter-node: sender NIC injection, wire, receiver NIC (the
 		// receive-side occupancy is zero for pure RDMA-write conduits).
 		sdur := m.Net.G + m.Net.ByteTime(n)
 		wire := m.Net.L
-		if sw.nicFactor != nil {
+		if s.nicFactor != nil {
 			// A fault plan is armed: injected NIC degradation inflates the
 			// occupancy at either end, an injected link delay stretches the wire.
-			sdur = Time(float64(sdur) * (sw.nicFactor[src] * sw.nicFactor[dst]))
-			wire += sw.linkDelay[[2]int{src, dst}]
+			sdur = Time(float64(sdur) * (s.nicFactor[src] * s.nicFactor[dst]))
+			wire += s.linkDelay[[2]int{src, dst}]
 		}
-		start := sw.nic[src].Occupy(now, sdur)
+		start := s.nic[src].Occupy(now, sdur)
 		arrive := start + sdur + wire
 		if m.RecvG == 0 {
 			return arrive
 		}
-		rstart := sw.nic[dst].Occupy(arrive, m.RecvG)
+		rstart := s.nic[dst].Occupy(arrive, m.RecvG)
 		return rstart + m.RecvG
 	}
 }
@@ -421,12 +387,12 @@ func route(w *World, src, dst, n int, via Via, now sim.Time) sim.Time {
 // injected (and drains for Quiet): the sender believes the NIC took it; only
 // the receiver never hears, which is what makes loss detectable solely by
 // timeout or heartbeat.
-func (sw *simWorld) dropped(src, dst int) bool {
-	if src == dst || len(sw.linkDrop) == 0 {
+func dropped(s *simTransport, src, dst int) bool {
+	if src == dst || len(s.linkDrop) == 0 {
 		return false
 	}
-	p := sw.linkDrop[[2]int{src, dst}]
-	return p > 0 && sw.drops.Float64() < p
+	p := s.linkDrop[[2]int{src, dst}]
+	return p > 0 && s.drops.Float64() < p
 }
 
 // Delivery kinds for pooled delivery records.
@@ -439,11 +405,12 @@ const (
 
 // delivery is one in-flight one-sided operation: what to do at the modeled
 // delivery time, plus the issuing image for Quiet accounting. Records are
-// pooled on the world's free list and carry a once-built run closure, so the
+// pooled on their transport's free list and carry a once-built run closure, so the
 // steady-state put/notify path schedules without allocating. The typed
 // dAdd/dSet kinds exist because flag notifications dominate collective
 // traffic — they deliver without any caller-built closure at all.
 type delivery struct {
+	t    *simTransport // the owner, set once at creation
 	im   *Image
 	kind uint8
 	tgt  int
@@ -454,15 +421,15 @@ type delivery struct {
 	run  func() // prebound (*delivery).execute
 }
 
-// getDelivery takes a record off the free list (or builds one) and stamps
+// getDelivery takes a record off s's free list (or builds one) and stamps
 // the issuing image and kind; the caller fills kind-specific fields.
-func (sw *simWorld) getDelivery(im *Image, kind uint8) *delivery {
+func getDelivery(s *simTransport, im *Image, kind uint8) *delivery {
 	var d *delivery
-	if n := len(sw.freeDel); n > 0 {
-		d = sw.freeDel[n-1]
-		sw.freeDel = sw.freeDel[:n-1]
+	if n := len(s.freeDel); n > 0 {
+		d = s.freeDel[n-1]
+		s.freeDel = s.freeDel[:n-1]
 	} else {
-		d = &delivery{}
+		d = &delivery{t: s}
 		d.run = d.execute
 	}
 	d.im = im
@@ -473,27 +440,26 @@ func (sw *simWorld) getDelivery(im *Image, kind uint8) *delivery {
 // execute performs the delivery, settles Quiet accounting, and returns the
 // record to the pool. Runs as a simulator event.
 func (d *delivery) execute() {
-	im := d.im
-	sw := im.w.sim
+	s := d.t
 	switch d.kind {
 	case dFn:
 		d.fn()
 	case dAdd:
 		d.f.add(d.tgt, d.idx, d.val)
-		sw.wake(d.tgt)
+		wake(s, d.tgt)
 	case dSet:
 		d.f.storeMax(d.tgt, d.idx, d.val)
-		sw.wake(d.tgt)
+		wake(s, d.tgt)
 	}
-	si := &sw.img[im.rank]
+	si := &s.img[d.im.rank]
 	si.outstanding--
 	if si.outstanding == 0 {
-		si.quietCond.Wake(sw.env)
+		si.quietCond.Wake(s.env)
 	}
 	d.im = nil
 	d.f = nil
 	d.fn = nil
-	sw.freeDel = append(sw.freeDel, d)
+	s.freeDel = append(s.freeDel, d)
 }
 
 // dispatch schedules d at time t and tracks the operation for Quiet. A lost
@@ -503,23 +469,22 @@ func dispatch(im *Image, t sim.Time, d *delivery, lost bool) {
 	if lost {
 		d.kind = dNop
 	}
-	sw := im.w.sim
-	sw.img[im.rank].outstanding++
-	sw.env.Schedule(t, d.run)
+	d.t.img[im.rank].outstanding++
+	d.t.env.Schedule(t, d.run)
 }
 
 // deliverAt schedules fn at time t and tracks the operation for Quiet — the
 // generic (closure-carrying) form used by put commits and atomic applies.
-func deliverAt(im *Image, t sim.Time, fn func(), lost bool) {
-	d := im.w.sim.getDelivery(im, dFn)
+func deliverAt(s *simTransport, im *Image, t sim.Time, fn func(), lost bool) {
+	d := getDelivery(s, im, dFn)
 	d.fn = fn
 	dispatch(im, t, d, lost)
 }
 
 // deliverFlagOp schedules a pooled flag mutation (dAdd or dSet) on f's
 // target row — the zero-alloc path under every notify.
-func deliverFlagOp(im *Image, t sim.Time, kind uint8, f *Flags, target, idx int, val int64, lost bool) {
-	d := im.w.sim.getDelivery(im, kind)
+func deliverFlagOp(s *simTransport, im *Image, t sim.Time, kind uint8, f *Flags, target, idx int, val int64, lost bool) {
+	d := getDelivery(s, im, kind)
 	d.f = f
 	d.tgt = target
 	d.idx = idx
@@ -527,74 +492,70 @@ func deliverFlagOp(im *Image, t sim.Time, kind uint8, f *Flags, target, idx int,
 	dispatch(im, t, d, lost)
 }
 
-func (*simTransport) Quiet(im *Image) {
-	si := &im.w.sim.img[im.rank]
+func (s *simTransport) Quiet(im *Image) {
+	si := &s.img[im.rank]
 	si.wKind = wQuiet
-	simWait(im, &si.quietCond, "quiet")
+	si.wd.why = "quiet"
+	simWait(s, im, &si.quietCond)
 }
 
-func (*simTransport) Put(im *Image, target, nbytes int, via Via, commit func()) {
-	w := im.w
-	proc := w.sim.img[im.rank].proc
-	proc.Sleep(sendOverhead(w.model, via))
-	dst := w.topo.NodeOf(target)
-	deliver := route(w, im.node, dst, nbytes, via, proc.Now())
-	deliverAt(im, deliver, commit, w.sim.dropped(im.node, dst))
+func (s *simTransport) Put(im *Image, target, nbytes int, via Via, commit func()) {
+	proc := s.img[im.rank].proc
+	proc.Sleep(sendOverhead(s.w.model, via))
+	dst := s.w.topo.NodeOf(target)
+	deliver := route(s, im.node, dst, nbytes, via, proc.Now())
+	deliverAt(s, im, deliver, commit, dropped(s, im.node, dst))
 }
 
-func (t *simTransport) Get(im *Image, target, nbytes int, commit func()) {
-	w := im.w
-	proc := w.sim.img[im.rank].proc
-	switch dst := w.topo.NodeOf(target); {
+func (s *simTransport) Get(im *Image, target, nbytes int, commit func()) {
+	proc := s.img[im.rank].proc
+	switch dst := s.w.topo.NodeOf(target); {
 	case target == im.rank:
-		proc.Sleep(w.model.MemTime(nbytes))
+		proc.Sleep(s.w.model.MemTime(nbytes))
 	case dst == im.node:
 		// Direct shared-memory read: a message over the membus, waited for.
-		proc.Sleep(w.model.Shm.O)
-		proc.Sleep(route(w, dst, dst, nbytes, ViaShm, proc.Now()) - proc.Now())
+		proc.Sleep(s.w.model.Shm.O)
+		proc.Sleep(route(s, dst, dst, nbytes, ViaShm, proc.Now()) - proc.Now())
 	default:
 		// Remote get: a bare request out, the payload back.
-		t.roundTrip(im, dst, 0, nbytes, "get", nil)
+		s.roundTrip(im, dst, 0, nbytes, "get", nil)
 	}
 	commit()
 }
 
-func (*simTransport) PutThenNotify(im *Image, target, nbytes int, via Via, commit func(), f *Flags, idx int, delta int64) {
-	w := im.w
-	proc := w.sim.img[im.rank].proc
-	o := sendOverhead(w.model, via)
-	dst := w.topo.NodeOf(target)
+func (s *simTransport) PutThenNotify(im *Image, target, nbytes int, via Via, commit func(), f *Flags, idx int, delta int64) {
+	proc := s.img[im.rank].proc
+	o := sendOverhead(s.w.model, via)
+	dst := s.w.topo.NodeOf(target)
 	proc.Sleep(o)
-	deliverData := route(w, im.node, dst, nbytes, via, proc.Now())
+	deliverData := route(s, im.node, dst, nbytes, via, proc.Now())
 	proc.Sleep(o)
-	deliverFlag := route(w, im.node, dst, 8, via, proc.Now())
+	deliverFlag := route(s, im.node, dst, 8, via, proc.Now())
 	if deliverFlag < deliverData {
 		deliverFlag = deliverData // ordered delivery per pair
 	}
 	// One drop decision for the pair: losing the payload but landing the
 	// flag would break the ordered-delivery contract the put+flag idiom
 	// rests on.
-	lost := w.sim.dropped(im.node, dst)
-	deliverAt(im, deliverData, commit, lost)
-	deliverFlagOp(im, deliverFlag, dAdd, f, target, idx, delta, lost)
+	lost := dropped(s, im.node, dst)
+	deliverAt(s, im, deliverData, commit, lost)
+	deliverFlagOp(s, im, deliverFlag, dAdd, f, target, idx, delta, lost)
 }
 
-func (*simTransport) NotifyAdd(im *Image, f *Flags, target, idx int, delta int64, via Via) {
-	w := im.w
-	proc := w.sim.img[im.rank].proc
-	proc.Sleep(sendOverhead(w.model, via))
-	dst := w.topo.NodeOf(target)
-	deliver := route(w, im.node, dst, 8, via, proc.Now())
-	deliverFlagOp(im, deliver, dAdd, f, target, idx, delta, w.sim.dropped(im.node, dst))
+func (s *simTransport) NotifyAdd(im *Image, f *Flags, target, idx int, delta int64, via Via) {
+	proc := s.img[im.rank].proc
+	proc.Sleep(sendOverhead(s.w.model, via))
+	dst := s.w.topo.NodeOf(target)
+	deliver := route(s, im.node, dst, 8, via, proc.Now())
+	deliverFlagOp(s, im, deliver, dAdd, f, target, idx, delta, dropped(s, im.node, dst))
 }
 
-func (*simTransport) NotifySet(im *Image, f *Flags, target, idx int, val int64, via Via) {
-	w := im.w
-	proc := w.sim.img[im.rank].proc
-	proc.Sleep(sendOverhead(w.model, via))
-	dst := w.topo.NodeOf(target)
-	deliver := route(w, im.node, dst, 8, via, proc.Now())
-	deliverFlagOp(im, deliver, dSet, f, target, idx, val, w.sim.dropped(im.node, dst))
+func (s *simTransport) NotifySet(im *Image, f *Flags, target, idx int, val int64, via Via) {
+	proc := s.img[im.rank].proc
+	proc.Sleep(sendOverhead(s.w.model, via))
+	dst := s.w.topo.NodeOf(target)
+	deliver := route(s, im.node, dst, 8, via, proc.Now())
+	deliverFlagOp(s, im, deliver, dSet, f, target, idx, val, dropped(s, im.node, dst))
 }
 
 // roundTrip is a blocking operation on another node as two routed legs: after
@@ -603,23 +564,21 @@ func (*simTransport) NotifySet(im *Image, f *Flags, target, idx int, val int64, 
 // from that moment; the caller sleeps until it lands. A leg lost on the wire
 // loses the round trip (a request that arrived has still run atTarget): the
 // caller parks until a timeout or a failure announcement raises.
-func (*simTransport) roundTrip(im *Image, dst, reqBytes, respBytes int, why string, atTarget func()) {
-	w := im.w
-	sw := w.sim
-	proc := sw.img[im.rank].proc
-	proc.Sleep(w.model.Net.O)
-	there := route(w, im.node, dst, reqBytes, ViaConduit, proc.Now())
-	lost := sw.dropped(im.node, dst)
+func (s *simTransport) roundTrip(im *Image, dst, reqBytes, respBytes int, why string, atTarget func()) {
+	proc := s.img[im.rank].proc
+	proc.Sleep(s.w.model.Net.O)
+	there := route(s, im.node, dst, reqBytes, ViaConduit, proc.Now())
+	lost := dropped(s, im.node, dst)
 	if atTarget != nil {
-		deliverAt(im, there, atTarget, lost)
+		deliverAt(s, im, there, atTarget, lost)
 	}
 	var back sim.Time
 	if !lost {
-		back = route(w, dst, im.node, respBytes, ViaConduit, there)
-		lost = sw.dropped(dst, im.node)
+		back = route(s, dst, im.node, respBytes, ViaConduit, there)
+		lost = dropped(s, dst, im.node)
 	}
 	if lost {
-		simWaitPred(im, why, func() bool { return false })
+		simWaitPred(s, im, why, func() bool { return false })
 	}
 	proc.Sleep(back - proc.Now())
 }
@@ -629,69 +588,75 @@ func (*simTransport) roundTrip(im *Image, dst, reqBytes, respBytes int, why stri
 // targets pay a roundTrip of reqBytes out and 8 bytes back, with apply executed
 // at the target when the request is delivered. It returns apply's result once
 // the caller may proceed (it blocks, so it is a transport method).
-func (t *simTransport) atomicRoundTrip(im *Image, target, reqBytes int, why string, apply func() int64) int64 {
-	w := im.w
-	m := w.model
-	proc := w.sim.img[im.rank].proc
-	switch dst := w.topo.NodeOf(target); {
+func (s *simTransport) atomicRoundTrip(im *Image, target, reqBytes int, why string, apply func() int64) int64 {
+	m := s.w.model
+	proc := s.img[im.rank].proc
+	switch dst := s.w.topo.NodeOf(target); {
 	case target == im.rank:
 		proc.Sleep(m.AtomicShm)
 	case dst == im.node:
 		// The one occupancy outside route: AtomicShm is the memory system
 		// executing a read-modify-write, not a message crossing the membus.
 		proc.Sleep(m.Shm.O)
-		start := w.sim.membus[dst].Occupy(proc.Now(), m.AtomicShm)
+		start := s.membus[dst].Occupy(proc.Now(), m.AtomicShm)
 		proc.Sleep(start + m.AtomicShm - proc.Now())
 	default:
 		var old int64
-		t.roundTrip(im, dst, reqBytes, 8, why, func() { old = apply() })
+		s.roundTrip(im, dst, reqBytes, 8, why, func() { old = apply() })
 		return old
 	}
 	return apply()
 }
 
-func (t *simTransport) FetchOp(im *Image, f *Flags, target, idx int, op AtomicOp, operand int64) int64 {
-	sw := im.w.sim
-	return t.atomicRoundTrip(im, target, 8, "atomic "+op.String(), func() int64 {
+func (s *simTransport) FetchOp(im *Image, f *Flags, target, idx int, op AtomicOp, operand int64) int64 {
+	return s.atomicRoundTrip(im, target, 8, "atomic "+op.String(), func() int64 {
 		old := f.fetchOp(target, idx, op, operand)
-		sw.wake(target)
+		wake(s, target)
 		return old
 	})
 }
 
-func (t *simTransport) CompareAndSwap(im *Image, f *Flags, target, idx int, expected, desired int64) int64 {
-	sw := im.w.sim
-	return t.atomicRoundTrip(im, target, 16, "cas", func() int64 {
+func (s *simTransport) CompareAndSwap(im *Image, f *Flags, target, idx int, expected, desired int64) int64 {
+	return s.atomicRoundTrip(im, target, 16, "cas", func() int64 {
 		old := f.compareAndSwap(target, idx, expected, desired)
 		if old == expected {
-			sw.wake(target)
+			wake(s, target)
 		}
 		return old
 	})
 }
 
-func (*simTransport) WaitFlagGE(im *Image, f *Flags, owner, idx int, min int64) {
-	sw := im.w.sim
-	si := &sw.img[im.rank]
+func (s *simTransport) WaitFlagGE(im *Image, f *Flags, owner, idx int, min int64) {
+	si := &s.img[im.rank]
 	si.wKind = wFlag
-	si.wFlags = f
-	si.wOwner = owner
-	si.wIdx = idx
-	si.wMin = min
-	simWait(im, &sw.rowCond[owner], "flag wait")
+	si.wd.why = "flag wait"
+	si.wd.f = f
+	si.wd.owner = owner
+	si.wd.idx = idx
+	si.wd.min = min
+	simWait(s, im, &s.rowCond[owner])
 }
 
-func (*simTransport) WaitAsync(im *Image, ready func() bool) {
-	simWaitPred(im, "async progress", ready)
+func (s *simTransport) WaitAsync(im *Image, ready func() bool) {
+	simWaitPred(s, im, "async progress", ready)
 }
 
-func (*simTransport) WakeRank(w *World, rank int) {
-	w.sim.wake(rank)
+// AwaitFailed parks im on its own row until min images are announced failed;
+// the announcement's WakeAll re-checks it. It never raises.
+func (s *simTransport) AwaitFailed(im *Image, min int) {
+	fc := s.w.faults
+	si := &s.img[im.rank]
+	si.wd.why = "await failed images"
+	s.rowCond[im.rank].Wait(si.proc, si.wd.why, func() bool { return fc.failedCount() >= int64(min) })
 }
 
-func (*simTransport) Kill(w *World, rank int) {
-	w.faults.markDead(rank)
-	si := &w.sim.img[rank]
+func (s *simTransport) WakeRank(rank int) {
+	wake(s, rank)
+}
+
+func (s *simTransport) Kill(rank int) {
+	s.w.faults.markDead(rank)
+	si := &s.img[rank]
 	if si.proc != nil {
 		si.proc.Kill()
 	}
@@ -700,12 +665,13 @@ func (*simTransport) Kill(w *World, rank int) {
 	}
 }
 
-func (*simTransport) WakeAll(w *World) {
-	sw := w.sim
-	for r := range sw.rowCond {
-		sw.rowCond[r].Wake(sw.env)
+func (s *simTransport) WakeAll() {
+	for r := range s.rowCond {
+		s.rowCond[r].Wake(s.env)
 	}
-	for r := range sw.img {
-		sw.img[r].quietCond.Wake(sw.env)
+	for r := range s.img {
+		s.img[r].quietCond.Wake(s.env)
 	}
 }
+
+var _ Transport = (*simTransport)(nil)

@@ -2,7 +2,7 @@ package pgas
 
 // Time is a pgas timestamp or duration in nanoseconds. On the sim backend it
 // is discrete-event simulated time (interchangeable with sim.Time); on the
-// native backend it is wall-clock time since the world started.
+// native backend it is wall-clock time since Launch.
 type Time = int64
 
 // Common durations, in nanoseconds.
@@ -20,7 +20,10 @@ const (
 // against Image/World/Coarray/Flags only and never sees which transport is
 // underneath.
 //
-// Two implementations exist:
+// A backend's state is its transport: each implementation holds its world's
+// per-rank state and a back-pointer to the World, World.tr is the world's
+// only backend handle, and no file outside the backend's own names its type
+// (TestBackendSeamIsClosed). Two implementations exist:
 //
 //   - simTransport (simbackend.go): images are deterministic simulated
 //     processes on a discrete-event kernel; every operation is charged
@@ -31,7 +34,7 @@ const (
 //     shared address space; puts and gets are inline memcpys, flags are
 //     sync/atomic cells, a wait is an atomic load that parks on the owner
 //     rank's condition variable only when the flag is not there yet, and
-//     time is the wall clock.
+//     time is the wall clock since Launch.
 //
 // Contract notes that keep the two backends observably equivalent (the
 // cross-backend conformance mode relies on these):
@@ -67,14 +70,15 @@ type Transport interface {
 	// Name identifies the backend: "sim" or "native".
 	Name() string
 
-	// Launch spawns every image of w running body; Drive blocks until all
-	// images have finished and returns the end time (simulated end time, or
-	// wall-clock nanoseconds since world start).
-	Launch(w *World, body func(*Image))
-	Drive(w *World) Time
+	// Launch spawns every image of the world running body; Drive blocks
+	// until all images have finished, tears down what Launch started, and
+	// returns the end time.
+	Launch(body func(*Image))
+	Drive() Time
 
-	// Now returns the current time as seen by im.
-	Now(im *Image) Time
+	// Now is the world clock: simulated time, or wall-clock nanoseconds
+	// since Launch (0 before it).
+	Now() Time
 	// Sleep charges d nanoseconds of local busy time to im.
 	Sleep(im *Image, d Time)
 	// MemWork charges local memory traffic (packing, combining) of nbytes.
@@ -111,9 +115,13 @@ type Transport interface {
 	// WaitAsync blocks im until ready() reports the progress engine can
 	// advance; ready is re-evaluated whenever a flag lands on im's rows.
 	WaitAsync(im *Image, ready func() bool)
+	// AwaitFailed blocks im until at least min images have been announced
+	// failed. Unlike the other waits it never raises: failure announcements
+	// are what it waits for.
+	AwaitFailed(im *Image, min int)
 	// WakeRank wakes rank's flag waiters and progress engine after a local
 	// (un-routed) flag mutation such as SetLocal.
-	WakeRank(w *World, rank int)
+	WakeRank(rank int)
 
 	// Kill forcibly terminates image rank's execution: the sim backend
 	// unwinds its simulated process at its current or next blocking point,
@@ -121,12 +129,12 @@ type Transport interface {
 	// current wait) unwinds its goroutine. Kill only stops execution; the
 	// caller (World.KillImage, the fault plan) decides whether and when the
 	// death is announced.
-	Kill(w *World, rank int)
+	Kill(rank int)
 	// WakeAll wakes every blocked waiter in the world (all ranks' flag
 	// waiters, Quiet waiters, callers of a lost Get or atomic) so they
 	// re-check their predicates against the failure state. This is how a
 	// failure announcement or timeout turns a hang into a status.
-	WakeAll(w *World)
+	WakeAll()
 
 	// Immediate reports whether one-sided operations complete inside the
 	// call (shared memory). The typed front end (coarray.go) then lands

@@ -6,7 +6,8 @@
 //
 // The runtime is split along a Transport seam (transport.go). Image, World,
 // Coarray, Flags, events and the split-phase progress engine are
-// backend-agnostic; two transports execute them:
+// backend-agnostic; two transports execute them, each one the whole of its
+// backend's state and the World's only handle on it:
 //
 //   - the sim backend (simbackend.go): images run as deterministic simulated
 //     processes (internal/sim), every remote operation is charged through
@@ -22,7 +23,7 @@
 //   - the native backend (nativebackend.go): images run as real goroutines
 //     in this process's address space; puts are memcpys, flags are
 //     sync/atomic cells, waits are condition variables, and timing is the
-//     wall clock.
+//     wall clock since Launch.
 //
 // The distinction between the conduit path and the shared-memory path is
 // exactly the lever the paper's two-level methodology exploits; the sim
@@ -79,12 +80,10 @@ func (v Via) String() string {
 // World built with NewNativeWorld runs its images as real goroutines on
 // this machine with wall-clock timing.
 type World struct {
-	tr     Transport
-	sim    *simWorld    // backend-private state: the constructor that chose tr
-	native *nativeWorld // set exactly one of the two
-	model  *machine.Model
-	topo   *topology.Topology
-	stats  *trace.Stats
+	tr    Transport // the backend and its state; the only backend handle
+	model *machine.Model
+	topo  *topology.Topology
+	stats *trace.Stats
 
 	images []*Image
 
@@ -166,8 +165,9 @@ func (w *World) SetLabel(label string) {
 }
 
 // Launch spawns every image running body and returns after all are
-// started; complete the run with the backend's driver (Env().Run for a
-// shared sim cluster, or World.Run which launches and drives in one call).
+// started; complete the run with the backend's driver (Cluster().Env().Run
+// for a shared sim cluster, or World.Run which launches and drives in one
+// call).
 //
 // Every image body runs under a classifier that turns a forced kill or an
 // unrecovered *FailedImageError into a recorded image failure; arbitrary
@@ -177,7 +177,7 @@ func (w *World) SetLabel(label string) {
 // parked operations are stopped first.
 func (w *World) Launch(body func(img *Image)) {
 	fc := w.faults
-	w.tr.Launch(w, func(im *Image) {
+	w.tr.Launch(func(im *Image) {
 		defer func() { fc.imageDone(im, recover()) }()
 		body(im)
 	})
@@ -189,7 +189,7 @@ func (w *World) Launch(body func(img *Image)) {
 // simulated deadlock (a correctness bug in the parallel program).
 func (w *World) Run(body func(img *Image)) Time {
 	w.Launch(body)
-	return w.tr.Drive(w)
+	return w.tr.Drive()
 }
 
 // lookupOrCreate returns the named world object, creating it with mk on

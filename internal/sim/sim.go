@@ -353,9 +353,6 @@ func (e *Env) execFn(fn func()) {
 // Now returns the current simulated time.
 func (p *Proc) Now() Time { return p.env.now }
 
-// Env returns the environment this process runs in.
-func (p *Proc) Env() *Env { return p.env }
-
 // Sleep advances the process by d simulated nanoseconds. Other processes and
 // events run in the meantime. Non-positive durations yield the processor
 // without advancing time (events already queued at the current time run

@@ -287,9 +287,6 @@ func (v *View) NumImages() int { return v.T.Size() }
 // the public caf package presents the Fortran 1-based convention).
 func (v *View) ThisImage() int { return v.Rank }
 
-// GlobalRank returns this image's global rank.
-func (v *View) GlobalRank() int { return v.Img.Rank() }
-
 // String describes the team.
 func (t *Team) String() string {
 	return fmt.Sprintf("team(id=%d number=%d size=%d nodes=%d)",
