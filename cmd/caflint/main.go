@@ -1,5 +1,5 @@
 // Caflint runs the internal/lint analyzer suite — the mechanical
-// enforcement of this runtime's determinism, layering, and liveness
+// enforcement of this runtime's determinism, layering, liveness and seam
 // invariants (see internal/lint's package docs for the analyzers and the
 // //caflint:allow directive grammar).
 //

@@ -181,7 +181,8 @@ func GetState(v *team.View, alg Alg, slots int) *State {
 	return v.Cache(memo, &State{flags: sh.flags, v: v, name: key, m: &sh.members[v.Rank]}).(*State)
 }
 
-// Next claims the caller's next episode of the state and returns its number.
+// Next claims the caller's next episode of the state and returns its parity
+// (0 or 1): the episode number itself does not leave this file.
 // Episodes of one state on one image run one at a time, in claim order (the
 // parity regions and credit schemes are only safe under that): when the
 // image's previous episode belongs to a split-phase operation still in
@@ -191,7 +192,7 @@ func GetState(v *team.View, alg Alg, slots int) *State {
 // Several claims can be queued behind one holder. The engine resumes them in
 // initiation order, so the first to wake claims and becomes the holder the
 // others find when they re-check: a loop, not an if.
-func (s *State) Next() int64 {
+func (s *State) Next() int {
 	m := s.m
 	cur := s.v.Img.Running()
 	for m.holder != nil && m.holder != cur && !m.holder.Done() {
@@ -199,7 +200,7 @@ func (s *State) Next() int64 {
 	}
 	m.holder = cur // nil on the blocking path: a finished holder is let go
 	m.ep++
-	return m.ep
+	return s.parity()
 }
 
 // expect returns the caller's own per-slot expectation counters.

@@ -1,12 +1,6 @@
 package coll
 
 import (
-	"go/ast"
-	"go/parser"
-	"go/token"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 
 	"cafteams/internal/pgas"
@@ -73,7 +67,8 @@ func TestPublishOrder(t *testing.T) {
 		w.Run(func(im *pgas.Image) {
 			v := team.Initial(w, im)
 			st := GetState(v, Alg{"test.publish"}, 1)
-			ep := st.Next()
+			st.Next()
+			ep := st.m.ep
 			if v.Rank == root {
 				st.Publish(0, TeamRanks(v), c.first, pgas.ViaConduit)
 				if st.flags.Peek(root, 0) != ep {
@@ -106,8 +101,8 @@ func TestBox(t *testing.T) {
 		v := team.Initial(w, im)
 		st := GetState(v, Alg{"test.box"}, 1)
 		peer := 1 - v.Rank
-		for ep := st.Next(); ep <= 2; ep = st.Next() {
-			parity := int(ep % 2)
+		for parity := st.Next(); st.m.ep <= 2; parity = st.Next() {
+			ep := st.m.ep
 			box := NewBox[float64](st, "t", elems, regions)
 			if box.Cap() != cap_ {
 				t.Fatalf("capacity %d, want the size class %d", box.Cap(), cap_)
@@ -169,7 +164,8 @@ func TestFixedBox(t *testing.T) {
 	w.Run(func(im *pgas.Image) {
 		v := team.Initial(w, im)
 		st := GetState(v, Alg{"test.fixedbox"}, 1)
-		for ep := st.Next(); ep <= 2; ep = st.Next() {
+		for st.Next(); st.m.ep <= 2; st.Next() {
+			ep := st.m.ep
 			box := NewFixedBox[float64](st, "t", elems, regions)
 			if box.co == NewBox[float64](st, "t", elems, regions).co {
 				t.Fatalf("episode %d: the fixed box shares the parity box's coarray", ep)
@@ -193,88 +189,4 @@ func TestFixedBox(t *testing.T) {
 			}()
 		}
 	})
-}
-
-// TestProtocolVocabularyIsClosed: outside coll.go no algorithm file of
-// internal/coll or internal/core touches a state's flags, allocates scratch,
-// reads the expectation counters or spells the injection gate by hand, and no
-// function takes the episode number beside the state that holds it. Box, the
-// waits Arrivals/Gate/Inject and the sends Notify/Stamp (Publish, Relay) are
-// the only way to those.
-func TestProtocolVocabularyIsClosed(t *testing.T) {
-	files, err := filepath.Glob("*.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	core, err := filepath.Glob("../core/*.go")
-	if err != nil || len(core) == 0 {
-		t.Fatalf("no files of internal/core found: %v", err)
-	}
-	for _, f := range append(files, core...) {
-		if f == "coll.go" || strings.HasSuffix(f, "_test.go") {
-			continue
-		}
-		src, err := os.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, line := range strings.Split(string(src), "\n") {
-			for _, banned := range []string{"cratch[", ".Expect(", ".expect(", "ep-2", "ep - 2",
-				"WaitFlagGE(", "NotifyAdd(", "NotifySet(", "SetLocal(", ".Flags", "ep int64"} {
-				if strings.Contains(line, banned) {
-					t.Errorf("%s:%d steps outside the protocol vocabulary: %s", f, i+1, strings.TrimSpace(line))
-				}
-			}
-		}
-	}
-}
-
-// TestCoreNetworkSendsAreClosed: internal/core writes two inter-node sends of
-// its own — scanChain (ScanTwoLevel's leaders' chain) and ScatterTwoLevel's
-// done wave (its Publish); every other message of a two-level body that may cross the network
-// is a coll body's among the node leaders (the all-to-all's exchange is
-// coll.SubgroupAlltoallPairwise's). So pgas.ViaAuto and pgas.ViaConduit appear
-// nowhere else in its non-test files.
-func TestCoreNetworkSendsAreClosed(t *testing.T) {
-	files, err := filepath.Glob("../core/*.go")
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no files of internal/core found: %v", err)
-	}
-	fset := token.NewFileSet()
-	for _, f := range files {
-		if strings.HasSuffix(f, "_test.go") {
-			continue
-		}
-		file, err := parser.ParseFile(fset, f, nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, d := range file.Decls {
-			fn := ""
-			if fd, ok := d.(*ast.FuncDecl); ok {
-				fn = fd.Name.Name
-			}
-			var publish []*ast.CallExpr // the Publish calls met so far: ast.Inspect visits a call before its arguments
-			ast.Inspect(d, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.CallExpr:
-					if s, ok := n.Fun.(*ast.SelectorExpr); ok && s.Sel.Name == "Publish" {
-						publish = append(publish, n)
-					}
-				case *ast.SelectorExpr:
-					if x, ok := n.X.(*ast.Ident); !ok || x.Name != "pgas" || n.Sel.Name != "ViaAuto" && n.Sel.Name != "ViaConduit" {
-						return true
-					}
-					inPublish := false
-					for _, c := range publish {
-						inPublish = inPublish || c.Lparen < n.Pos() && n.Pos() < c.Rparen
-					}
-					if fn != "scanChain" && (fn != "ScatterTwoLevel" || !inPublish) {
-						t.Errorf("%s: pgas.%s in %s: an inter-node send of internal/core's own", fset.Position(n.Pos()), n.Sel.Name, fn)
-					}
-				}
-				return true
-			})
-		}
-	}
 }

@@ -52,7 +52,7 @@ func AlltoallTwoLevel[T any](v *team.View, send, recv []T) {
 		return
 	}
 	st := coll.GetState(v, coll.Alg{"a2a2", pgas.TypeName[T]()}, a2aSlots)
-	parity := int(st.Next() % 2)
+	parity := st.Next()
 	// Two boxes (in block-sized regions), which no image needs when every node
 	// hosts one: a leader's inbox (one full send vector of sz regions per
 	// member, the leader being its group's first position) and a member's

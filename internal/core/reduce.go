@@ -118,7 +118,7 @@ func BcastTwoLevel[T any](v *team.View, root int, buf []T) {
 	// fan-out arrivals at members. Roles vary with the root, so every wait
 	// counts exactly (State.Arrivals).
 	st := coll.GetState(v, coll.Alg{"bc2", pgas.TypeName[T]()}, 4+4*maxSegs)
-	parity := int(st.Next() % 2)
+	parity := st.Next()
 	segs := segments(t, len(buf), pgas.ElemSize[T]())
 	// One landing region on every image: the root's leader lands the handoff
 	// in it, everyone else the fan-out.

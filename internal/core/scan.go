@@ -133,7 +133,7 @@ func ScanTwoLevel[T any](v *team.View, buf []T, op coll.Op[T], exclusive bool) {
 		form = "excl"
 	}
 	st := coll.GetState(v, coll.Alg{"scan2", op.Name, form, pgas.TypeName[T]()}, scan2Slice+t.MaxNodeGroup())
-	parity := int(st.Next() % 2)
+	parity := st.Next()
 	if scanSliced(len(t.NodeGroup(t.GroupOf(v.Rank))), n, pgas.ElemSize[T]()) {
 		scanSlices(v, st, buf, op, form)
 		return
@@ -378,7 +378,7 @@ func scanChain[T any](v *team.View, st *coll.State, acc []T, op coll.Op[T], grou
 	n, es := len(acc), pgas.ElemSize[T]()
 	segs := chainSegments(t, n, es)
 	cst := coll.GetState(v, coll.Alg{"core.scan2chain", op.Name, form, pgas.TypeName[T]()}, 2+2*maxChainSegs)
-	parity := int(cst.Next() % 2)
+	parity := cst.Next()
 	box := coll.NewBox[T](cst, "", n, 1)
 	var ex []T // reduction over every preceding node's total; nil at the head
 	first, next := group[0], group[len(group)-1]+1

@@ -105,7 +105,7 @@ func ScatterTwoLevel[T any](v *team.View, root int, send, recv []T) {
 	n := len(recv)
 	tree := leadersTree(t, n*pgas.ElemSize[T]())
 	st := twoLevelState[T](v, "sc2", tree, sc2Slots+4)
-	parity := int(st.Next() % 2)
+	parity := st.Next()
 	// Besides the stage's boxes: the root's node block at its leader, written
 	// by a root that does not lead its node, and a member's block landing
 	// region, written by its leader.
@@ -209,7 +209,7 @@ func GatherTwoLevel[T any](v *team.View, root int, send, recv []T) {
 		stageSlots = 3 * coll.Rounds(t.NumNodeGroups())
 	}
 	st := twoLevelState[T](v, "ga2", tree, ga2Slots+stageSlots)
-	parity := int(st.Next() % 2)
+	parity := st.Next()
 	maxGroup := t.MaxNodeGroup()
 	// Besides the stage's boxes: a leader's pack assembly area, written by its
 	// intranode set, and the root's landing area for its own node's pack.

@@ -6,10 +6,10 @@ import (
 	"unicode"
 )
 
-// FuzzParseDirective: any comment text parses without panicking; only a
-// caflint:allow prefix followed by a blank yields categories (a bare
-// caflint:allow yields none, anything else nil); and no category is empty,
-// holds whitespace or holds the "--" that starts the justification.
+// FuzzParseDirective: any comment text parses without panicking; only the
+// directive prefix followed by a blank yields categories (a bare prefix
+// yields none, anything else nil); and no category is empty, holds
+// whitespace or holds the "--" that starts the justification.
 func FuzzParseDirective(f *testing.F) {
 	for _, s := range []string{
 		"//caflint:allow wallclock",

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -106,7 +107,7 @@ func runLayers(pass *Pass) error {
 			if !guarded {
 				continue
 			}
-			if !contains(allowed, path) {
+			if !slices.Contains(allowed, path) {
 				pass.Reportf(imp.Pos(), "layers",
 					"layering violation: %s must not import %s (allowed: %s; see internal/lint/layers.go for the enforced DAG)",
 					pass.Path, path, strings.Join(allowed, ", "))
@@ -121,15 +122,6 @@ func upwardImport(path string) bool {
 	for _, up := range []string{"/caf", "/cmd/", "/examples/"} {
 		full := modulePath + up
 		if path == full || strings.HasPrefix(path, full) {
-			return true
-		}
-	}
-	return false
-}
-
-func contains(list []string, s string) bool {
-	for _, v := range list {
-		if v == s {
 			return true
 		}
 	}

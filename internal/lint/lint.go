@@ -2,8 +2,9 @@
 // the invariants this runtime's claims rest on: determinism (bitwise
 // conformance across kinds × algorithms, byte-identical clustersim
 // replays), layering (the backend-agnostic core/coll middle layer over the
-// pgas Transport seam), and liveness (predicate loops around condition
-// waits in the native backend).
+// pgas Transport seam), liveness (predicate loops around condition waits
+// in the native backend), and the architecture seams inside packages (the
+// protocol vocabulary, the backend files, route as the one charge).
 //
 // The suite deliberately depends only on the standard library (go/ast,
 // go/types): golang.org/x/tools is not vendored, so the framework here is
@@ -22,9 +23,12 @@
 // Placement decides scope: a trailing comment suppresses its own line, a
 // comment alone on a line suppresses the next line, and a comment above
 // the package clause suppresses the whole file (used by the native
-// backend's wall-clock side). Categories are listed per analyzer:
-// wallclock and globalrand (simdet), layers, stat (statcheck), condloop,
-// and maporder.
+// backend's wall-clock side). The categories are a closed set, listed per
+// analyzer: wallclock and globalrand (simdet), layers, stat (statcheck),
+// condloop, and maporder. A directive naming any other word suppresses
+// nothing and is itself a finding, so a typo or a stale category cannot
+// hide. seams has no category: an architecture seam moves only in its
+// table (see Seams).
 package lint
 
 import (
@@ -32,6 +36,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -78,8 +83,11 @@ func (p *Pass) isTestFile(pos token.Pos) bool {
 
 // Suite returns the full analyzer suite in a fixed order.
 func Suite() []*Analyzer {
-	return []*Analyzer{Simdet, Layers, Statcheck, Condloop, Maporder}
+	return []*Analyzer{Simdet, Layers, Statcheck, Condloop, Maporder, Seams}
 }
+
+// categories is the closed set of words a directive may name.
+var categories = []string{"wallclock", "globalrand", "layers", "stat", "condloop", "maporder"}
 
 // Package is a loaded, type-checked package as the runner consumes it —
 // built either by the in-process Loader (tests, fixtures) or by
@@ -110,8 +118,7 @@ func (f Finding) String() string {
 // //caflint:allow directives, and returns the survivors sorted by
 // position.
 func Run(pkg *Package, analyzers []*Analyzer) ([]Finding, error) {
-	sup := scanDirectives(pkg)
-	var out []Finding
+	sup, out := scanDirectives(pkg)
 	for _, a := range analyzers {
 		pass := &Pass{
 			Analyzer: a,
@@ -164,11 +171,13 @@ func (s *suppressor) allows(pos token.Position, category string) bool {
 
 const directivePrefix = "caflint:allow"
 
-// scanDirectives collects every //caflint:allow comment in pkg. A
+// scanDirectives collects every //caflint:allow comment in pkg, and a
+// finding for each word one names outside the closed category set. A
 // directive before the package clause is file-wide; a directive trailing
 // code applies to its own line; a directive alone on a line applies to
 // the following line.
-func scanDirectives(pkg *Package) *suppressor {
+func scanDirectives(pkg *Package) (*suppressor, []Finding) {
+	var bad []Finding
 	s := &suppressor{
 		file: map[string]map[string]bool{},
 		line: map[string]map[int]map[string]bool{},
@@ -182,7 +191,16 @@ func scanDirectives(pkg *Package) *suppressor {
 		src := pkg.Src[name]
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				cats := parseDirective(c.Text)
+				var cats []string
+				for _, cat := range parseDirective(c.Text) {
+					if slices.Contains(categories, cat) {
+						cats = append(cats, cat)
+					} else {
+						bad = append(bad, Finding{Pos: pkg.Fset.Position(c.Pos()), Analyzer: "directive", Category: "directive",
+							Message: fmt.Sprintf("//caflint:allow names %q, which is not a category: a directive allows only %s",
+								cat, strings.Join(categories, ", "))})
+					}
+				}
 				if len(cats) == 0 {
 					continue
 				}
@@ -218,7 +236,7 @@ func scanDirectives(pkg *Package) *suppressor {
 			}
 		}
 	}
-	return s
+	return s, bad
 }
 
 // parseDirective extracts the category list from a //caflint:allow

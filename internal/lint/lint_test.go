@@ -53,7 +53,7 @@ func TestDeterministicPkg(t *testing.T) {
 }
 
 func TestSuiteIsComplete(t *testing.T) {
-	want := []string{"simdet", "layers", "statcheck", "condloop", "maporder"}
+	want := []string{"simdet", "layers", "statcheck", "condloop", "maporder", "seams"}
 	var got []string
 	for _, a := range Suite() {
 		got = append(got, a.Name)

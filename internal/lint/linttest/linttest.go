@@ -3,7 +3,8 @@
 // contract as golang.org/x/tools/go/analysis/analysistest (which this
 // module deliberately does not depend on).
 //
-// A fixture line produces an expectation per quoted regexp:
+// A fixture line produces an expectation per quoted regexp of a // want or
+// /* want */ comment (the block form shares a line with a directive):
 //
 //	time.Now() // want `wall-clock call`
 //
@@ -14,7 +15,6 @@ package linttest
 
 import (
 	"fmt"
-	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -22,12 +22,13 @@ import (
 	"cafteams/internal/lint"
 )
 
-// Run loads each fixture package (an import path under testdata/src),
-// applies the analyzer, and reports mismatches against the fixtures'
+// Run loads each package (an import path under root: testdata/src for
+// fixtures, or a module's root, whose code carries no want comments, so any
+// finding fails), applies the analyzer, and reports mismatches against the
 // want comments as test errors.
-func Run(t *testing.T, testdata string, a *lint.Analyzer, paths ...string) {
+func Run(t *testing.T, root string, a *lint.Analyzer, paths ...string) {
 	t.Helper()
-	loader := lint.NewLoader(filepath.Join(testdata, "src"))
+	loader := lint.NewLoader(root)
 	for _, path := range paths {
 		pkg, err := loader.Load(path)
 		if err != nil {
@@ -91,7 +92,7 @@ func collectWants(pkg *lint.Package) (wantSet, error) {
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				body := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
+				body := strings.TrimSpace(strings.TrimSuffix(strings.TrimPrefix(strings.TrimPrefix(c.Text, "//"), "/*"), "*/"))
 				if !wantRe.MatchString(body) {
 					continue
 				}

@@ -14,18 +14,19 @@ import (
 )
 
 // Loader parses and type-checks packages rooted at a directory, mapping
-// import paths to subdirectories (testdata/src for fixtures, the module
-// root for self-checks). Imports that do not resolve under the root fall
-// back to the standard library's source importer, so fixtures can use
-// real "time", "math/rand" and "sync" — the packages the analyzers
-// resolve by path.
+// import paths to subdirectories (testdata/src for fixtures; for
+// self-checks a module root, less the module path). Imports that do not
+// resolve under the root fall back to the standard library's source
+// importer, so fixtures can use real "time", "math/rand" and "sync" — the
+// packages the analyzers resolve by path.
 //
 // The loader exists because this module deliberately has no
 // golang.org/x/tools dependency: it is the small, single-module subset
 // of go/packages the lint suite needs. Production runs do not use it —
 // cmd/caflint type-checks from go vet's export-data config instead.
 type Loader struct {
-	Root string // directory that import paths are relative to
+	Root   string // directory that import paths are relative to
+	module string // the module path, when Root holds a go.mod
 
 	fset    *token.FileSet
 	std     types.ImporterFrom
@@ -33,21 +34,27 @@ type Loader struct {
 	loading map[string]bool
 }
 
-// NewLoader returns a Loader resolving import paths under root.
+// NewLoader returns a Loader resolving import paths under root; a module
+// root's packages load as a build sees them, without their _test.go files.
 func NewLoader(root string) *Loader {
 	fset := token.NewFileSet()
-	return &Loader{
+	l := &Loader{
 		Root:    root,
 		fset:    fset,
 		std:     importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
 		pkgs:    map[string]*Package{},
 		loading: map[string]bool{},
 	}
+	mod, _ := os.ReadFile(filepath.Join(root, "go.mod"))
+	if _, rest, ok := strings.Cut("\n"+string(mod), "\nmodule "); ok {
+		l.module, _, _ = strings.Cut(strings.TrimSpace(rest), "\n")
+	}
+	return l
 }
 
 // Load parses and type-checks the package at import path (a directory
-// under Root). In-package _test.go files are included; files belonging
-// to an external _test package are skipped.
+// under Root). In-package _test.go files are included (not in a module);
+// files belonging to an external _test package are skipped.
 func (l *Loader) Load(path string) (*Package, error) {
 	if p, ok := l.pkgs[path]; ok {
 		return p, nil
@@ -58,14 +65,14 @@ func (l *Loader) Load(path string) (*Package, error) {
 	l.loading[path] = true
 	defer delete(l.loading, path)
 
-	dir := filepath.Join(l.Root, filepath.FromSlash(path))
+	dir := l.dir(path)
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("load %s: %w", path, err)
 	}
 	var names []string
 	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
+		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") && (l.module == "" || !strings.HasSuffix(e.Name(), "_test.go")) {
 			names = append(names, e.Name())
 		}
 	}
@@ -124,7 +131,7 @@ type loaderImporter Loader
 
 func (li *loaderImporter) Import(path string) (*types.Package, error) {
 	l := (*Loader)(li)
-	if dirExists(filepath.Join(l.Root, filepath.FromSlash(path))) {
+	if dirExists(l.dir(path)) {
 		p, err := l.Load(path)
 		if err != nil {
 			return nil, err
@@ -132,6 +139,12 @@ func (li *loaderImporter) Import(path string) (*types.Package, error) {
 		return p.Types, nil
 	}
 	return l.std.Import(path)
+}
+
+// dir is the directory of import path.
+func (l *Loader) dir(path string) string {
+	rel, _ := strings.CutPrefix(path, l.module+"/")
+	return filepath.Join(l.Root, filepath.FromSlash(rel))
 }
 
 func dirExists(dir string) bool {

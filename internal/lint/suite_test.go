@@ -8,7 +8,7 @@ import (
 )
 
 func TestSimdet(t *testing.T) {
-	linttest.Run(t, "testdata", lint.Simdet,
+	linttest.Run(t, "testdata/src", lint.Simdet,
 		"cafteams/internal/sim",  // wall-clock + global-rand positives, both directive scopes
 		"cafteams/internal/pgas", // file-wide directive above the package clause
 		"cafteams/cmd/demo",      // cmd/* is in the deterministic set
@@ -17,23 +17,33 @@ func TestSimdet(t *testing.T) {
 }
 
 func TestLayers(t *testing.T) {
-	linttest.Run(t, "testdata", lint.Layers,
+	linttest.Run(t, "testdata/src", lint.Layers,
 		"cafteams/internal/core", // sim + upward imports forbidden, pgas allowed
 		"cafteams/caf",           // sim forbidden outside _test.go, exempt inside
 	)
 }
 
+func TestSeams(t *testing.T) {
+	linttest.Run(t, "testdata/src", lint.SeamsFixture, "seamfix")
+}
+
 func TestStatcheck(t *testing.T) {
-	linttest.Run(t, "testdata", lint.Statcheck, "cafteams/statfix")
+	linttest.Run(t, "testdata/src", lint.Statcheck, "cafteams/statfix")
 }
 
 func TestCondloop(t *testing.T) {
-	linttest.Run(t, "testdata", lint.Condloop, "condfix")
+	linttest.Run(t, "testdata/src", lint.Condloop, "condfix")
 }
 
 func TestMaporder(t *testing.T) {
-	linttest.Run(t, "testdata", lint.Maporder,
+	linttest.Run(t, "testdata/src", lint.Maporder,
 		"cafteams/internal/coll",
 		"plain", // outside the deterministic set: no findings
 	)
+}
+
+// TestSeamsSelfCheck runs the seam table over the module's coll, core and
+// pgas, so tier-1 holds the seams as well as caflint's sweep.
+func TestSeamsSelfCheck(t *testing.T) {
+	linttest.Run(t, "../..", lint.Seams, "cafteams/internal/coll", "cafteams/internal/core", "cafteams/internal/pgas")
 }

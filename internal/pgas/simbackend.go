@@ -343,7 +343,7 @@ func sendOverhead(m *machine.Model, via Via) Time {
 // resolved path, injected at now (the issuer's clock after its sendOverhead
 // sleep, or the arrival of the request a response answers). It occupies the
 // path's serializing resources and returns the delivery time; it never blocks
-// (TestSimHelpersDoNotBlock).
+// (caflint's seams table).
 func route(s *simTransport, src, dst, n int, via Via, now sim.Time) sim.Time {
 	m := s.w.model
 	switch {

@@ -23,7 +23,7 @@ const (
 // A backend's state is its transport: each implementation holds its world's
 // per-rank state and a back-pointer to the World, World.tr is the world's
 // only backend handle, and no file outside the backend's own names its type
-// (TestBackendSeamIsClosed). Two implementations exist:
+// (caflint's seams table, internal/lint/seams.go). Two implementations exist:
 //
 //   - simTransport (simbackend.go): images are deterministic simulated
 //     processes on a discrete-event kernel; every operation is charged
@@ -61,11 +61,11 @@ const (
 //     interface or the backend's wait primitive, never in what the method
 //     calls on the way (the sim's route and deliver* helpers). A block hidden
 //     in a helper is one more frame under every one of 4096 parked images
-//     (TestSimHelpersDoNotBlock, bench.TestStackBudget).
+//     (caflint's seams table, bench.TestStackBudget, TestPutChainFrames).
 //   - A modeled message is charged by the sim's route and nowhere else: a put,
 //     a notify, and each leg of a Get or remote atomic round trip occupy NIC,
 //     progress engine or memory bus there, and are lost at one gate (dropped),
-//     so a NIC or link fault reaches every inter-node leg (same test).
+//     so a NIC or link fault reaches every inter-node leg (the same table).
 type Transport interface {
 	// Name identifies the backend: "sim" or "native".
 	Name() string
