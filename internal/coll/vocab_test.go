@@ -3,6 +3,8 @@ package coll
 import (
 	"testing"
 
+	"cafteams/internal/lint"
+	"cafteams/internal/lint/linttest"
 	"cafteams/internal/pgas"
 	"cafteams/internal/sim"
 	"cafteams/internal/team"
@@ -189,4 +191,24 @@ func TestFixedBox(t *testing.T) {
 			}()
 		}
 	})
+}
+
+// TestProtocolVocabularyIsClosed: outside coll.go no file of internal/coll or
+// internal/core touches a state's flags or expectation counters, and none
+// reads the episode number. Box, the waits Arrivals/Gate/Inject and the sends
+// Notify/Stamp (Publish, Relay) are the only way to those. The rows are
+// caflint's vocabulary seam (internal/lint/seams.go).
+func TestProtocolVocabularyIsClosed(t *testing.T) {
+	t.Parallel()
+	linttest.Run(t, "../..", lint.SeamsOf("vocabulary"), "cafteams/internal/coll", "cafteams/internal/core")
+}
+
+// TestCoreNetworkSendsAreClosed: internal/core writes two inter-node sends of
+// its own, scanChain (ScanTwoLevel's leaders' chain) and ScatterTwoLevel's
+// done wave; every other message of a two-level body that may cross the
+// network is a coll body's among the node leaders. The rows are caflint's
+// core-sends seam.
+func TestCoreNetworkSendsAreClosed(t *testing.T) {
+	t.Parallel()
+	linttest.Run(t, "../..", lint.SeamsOf("core-sends"), "cafteams/internal/core")
 }

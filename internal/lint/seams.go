@@ -24,39 +24,59 @@ import (
 // of one ("simWait*", "T.*"), or a method call's arguments ("sim.Env.Spawn()":
 // a spawned process's body); a row without places allows no use. No
 // directive allows seams: a seam moves only in this table.
+//
+// A row's name is its seam's: vocabulary (coll's protocol vocabulary),
+// core-sends (core's own inter-node sends), backend (the pgas Transport seam)
+// and helpers (route as the one charge; sim helpers do not block). SeamsOf
+// runs one seam, so a package's test holds its seams in tier-1.
 var Seams = seamsOver(seamTable)
 
-type seam struct{ pkg, objects, places, why string }
+// SeamsOf is Seams over the rows of one named seam.
+func SeamsOf(name string) *Analyzer {
+	var rows []seam
+	for _, row := range seamTable {
+		if row.name == name {
+			rows = append(rows, row)
+		}
+	}
+	if len(rows) == 0 {
+		panic("lint: no seam " + name)
+	}
+	return seamsOver(rows)
+}
+
+type seam struct{ name, pkg, objects, places, why string }
 
 const flagCalls = "pgas.Flags pgas.NewFlags pgas.Image.WaitFlagGE pgas.Image.NotifyAdd pgas.Image.NotifySet pgas.Image.SetLocal"
 
 var seamTable = []seam{
 	// Outside coll.go only the protocol vocabulary (Box, Arrivals, Gate, Inject,
 	// Notify, Stamp, Publish, Relay) touches flags; Next returns a parity.
-	{"cafteams/internal/coll", flagCalls + " State.flags State.expect member.expect", "coll.go", "a flag touched outside the protocol vocabulary"},
-	{"cafteams/internal/coll", "member.ep", "coll.go", "the episode number outside coll.go"},
-	{"cafteams/internal/core", flagCalls, "", "a flag touched outside the protocol vocabulary"},
+	{"vocabulary", "cafteams/internal/coll", flagCalls + " State.flags State.expect member.expect", "coll.go", "a flag touched outside the protocol vocabulary"},
+	{"vocabulary", "cafteams/internal/coll", "member.ep", "coll.go", "the episode number outside coll.go"},
+	{"vocabulary", "cafteams/internal/core", flagCalls, "", "a flag touched outside the protocol vocabulary"},
 	// core's own inter-node sends: the scan's chain and the scatter's done
 	// wave; any other is a coll body's among the node leaders.
-	{"cafteams/internal/core", "pgas.ViaAuto pgas.ViaConduit", "scanChain ScatterTwoLevel=1", "an inter-node send of core's own"},
+	{"core-sends", "cafteams/internal/core", "pgas.ViaAuto pgas.ViaConduit", "scanChain ScatterTwoLevel=1", "an inter-node send of core's own"},
 	// A backend's state is its transport, in its file with its clock and kernel;
 	// World's one backend handle is its Transport, which holds its own *World.
-	{"cafteams/internal/pgas", "simTransport", "simbackend.go", "backend state outside its file"},
-	{"cafteams/internal/pgas", "nativeTransport", "nativebackend.go", "backend state outside its file"},
-	{"cafteams/internal/pgas", "time", "nativebackend.go", "the wall clock outside the native backend"},
-	{"cafteams/internal/pgas", "sim cluster", "simbackend.go IsKillUnwind", "the simulator outside the sim backend"},
-	{"cafteams/internal/pgas", "Transport", "World=1 newWorld simbackend.go nativebackend.go", "a backend handle beside World's Transport"},
-	{"cafteams/internal/pgas", "World", "!transport.go", "a Transport method takes a *World"},
-	{"cafteams/internal/pgas", "Image.resolveVia", "!simbackend.go", "the sim transport resolves a resolved path"},
+	{"backend", "cafteams/internal/pgas", "simTransport", "simbackend.go", "backend state outside its file"},
+	{"backend", "cafteams/internal/pgas", "nativeTransport", "nativebackend.go", "backend state outside its file"},
+	{"backend", "cafteams/internal/pgas", "time", "nativebackend.go", "the wall clock outside the native backend"},
+	{"backend", "cafteams/internal/pgas", "sim cluster", "simbackend.go IsKillUnwind", "the simulator outside the sim backend"},
+	{"backend", "cafteams/internal/pgas", "Transport", "World=1 newWorld simbackend.go nativebackend.go", "a backend handle beside World's Transport"},
+	{"backend", "cafteams/internal/pgas", "World", "!transport.go", "a Transport method takes a *World"},
+	// Paths arrive resolved (transport.go): the sim transport resolves none.
+	{"helpers", "cafteams/internal/pgas", "Image.resolveVia", "!simbackend.go", "the sim transport resolves a resolved path"},
 	// Helpers compute, transport methods block: a block in route or deliver* is
 	// a frame under every parked image (bench.TestStackBudget); a spawned
 	// body (the heartbeat stampers) blocks on its own stack.
-	{"cafteams/internal/pgas", "sim.Proc.Sleep sim.Cond.Wait simWait* simTransport.*", "simTransport.* simWait* sim.Env.Spawn()", "a helper blocks"},
-	{"cafteams/internal/pgas", "route sendOverhead dispatch deliverAt deliverFlagOp dropped wake getDelivery", "simbackend.go", "a put-path helper is not a plain function"},
+	{"helpers", "cafteams/internal/pgas", "sim.Proc.Sleep sim.Cond.Wait simWait* simTransport.*", "simTransport.* simWait* sim.Env.Spawn()", "a helper blocks"},
+	{"helpers", "cafteams/internal/pgas", "route sendOverhead dispatch deliverAt deliverFlagOp dropped wake getDelivery", "simbackend.go", "a put-path helper is not a plain function"},
 	// A message is charged in route (AtomicShm is a read-modify-write, not a
 	// message) and lost at one gate, so every leg meets NIC and link faults.
-	{"cafteams/internal/pgas", "sim.Resource.Occupy", "route=4 simTransport.atomicRoundTrip=1", "a message charged outside route"},
-	{"cafteams/internal/pgas", "rand.Rand.Float64", "dropped=1", "the drop stream drawn outside its gate"},
+	{"helpers", "cafteams/internal/pgas", "sim.Resource.Occupy", "route=4 simTransport.atomicRoundTrip=1", "a message charged outside route"},
+	{"helpers", "cafteams/internal/pgas", "rand.Rand.Float64", "dropped=1", "the drop stream drawn outside its gate"},
 }
 
 func seamsOver(table []seam) *Analyzer {

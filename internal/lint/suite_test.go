@@ -41,9 +41,3 @@ func TestMaporder(t *testing.T) {
 		"plain", // outside the deterministic set: no findings
 	)
 }
-
-// TestSeamsSelfCheck runs the seam table over the module's coll, core and
-// pgas, so tier-1 holds the seams as well as caflint's sweep.
-func TestSeamsSelfCheck(t *testing.T) {
-	linttest.Run(t, "../..", lint.Seams, "cafteams/internal/coll", "cafteams/internal/core", "cafteams/internal/pgas")
-}
