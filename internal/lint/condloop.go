@@ -19,9 +19,10 @@ import (
 // The simulator's own sim.Cond takes the predicate as an argument and
 // re-checks it internally, so it is safe by construction and not flagged.
 var Condloop = &Analyzer{
-	Name: "condloop",
-	Doc:  "require sync.Cond.Wait to be wrapped in a predicate re-check loop",
-	Run:  runCondloop,
+	Name:       "condloop",
+	Doc:        "require sync.Cond.Wait to be wrapped in a predicate re-check loop",
+	Categories: []string{"condloop"},
+	Run:        runCondloop,
 }
 
 func runCondloop(pass *Pass) error {

@@ -24,9 +24,10 @@ import (
 // _test.go files are exempt: conformance tests deliberately drive the
 // sim clock and cross layers.
 var Layers = &Analyzer{
-	Name: "layers",
-	Doc:  "enforce the backend-agnostic import DAG over the Transport seam",
-	Run:  runLayers,
+	Name:       "layers",
+	Doc:        "enforce the backend-agnostic import DAG over the Transport seam",
+	Categories: []string{"layers"},
+	Run:        runLayers,
 }
 
 // layerAllow maps a guarded package to the complete set of intra-module

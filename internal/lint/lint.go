@@ -23,12 +23,12 @@
 // Placement decides scope: a trailing comment suppresses its own line, a
 // comment alone on a line suppresses the next line, and a comment above
 // the package clause suppresses the whole file (used by the native
-// backend's wall-clock side). The categories are a closed set, listed per
-// analyzer: wallclock and globalrand (simdet), layers, stat (statcheck),
-// condloop, and maporder. A directive naming any other word suppresses
-// nothing and is itself a finding, so a typo or a stale category cannot
-// hide. seams has no category: an architecture seam moves only in its
-// table (see Seams).
+// backend's wall-clock side). The categories are a closed set, each
+// analyzer's Categories: wallclock and globalrand (simdet), layers, stat
+// (statcheck), condloop, and maporder. A directive naming any other word
+// suppresses nothing and is itself a finding, so a typo or a stale
+// category cannot hide. seams has no category: an architecture seam moves
+// only in its table (see Seams).
 package lint
 
 import (
@@ -47,7 +47,11 @@ import (
 type Analyzer struct {
 	Name string
 	Doc  string
-	Run  func(*Pass) error
+	// Categories are the words a //caflint:allow directive may name to
+	// suppress this analyzer's findings, and the only ones it may report
+	// under. No directive suppresses an analyzer without Categories.
+	Categories []string
+	Run        func(*Pass) error
 }
 
 // Diagnostic is one finding. Category is the token a //caflint:allow
@@ -86,8 +90,15 @@ func Suite() []*Analyzer {
 	return []*Analyzer{Simdet, Layers, Statcheck, Condloop, Maporder, Seams}
 }
 
-// categories is the closed set of words a directive may name.
-var categories = []string{"wallclock", "globalrand", "layers", "stat", "condloop", "maporder"}
+// categories is the closed set of words a directive may name: the suite's
+// analyzers' Categories.
+func categories() []string {
+	var cats []string
+	for _, a := range Suite() {
+		cats = append(cats, a.Categories...)
+	}
+	return cats
+}
 
 // Package is a loaded, type-checked package as the runner consumes it —
 // built either by the in-process Loader (tests, fixtures) or by
@@ -133,7 +144,9 @@ func Run(pkg *Package, analyzers []*Analyzer) ([]Finding, error) {
 		}
 		for _, d := range pass.diags {
 			pos := pkg.Fset.Position(d.Pos)
-			if sup.allows(pos, d.Category) {
+			if cats := a.Categories; len(cats) > 0 && !slices.Contains(cats, d.Category) {
+				return nil, fmt.Errorf("%s: category %q is not one of its Categories %v", a.Name, d.Category, cats)
+			} else if len(cats) > 0 && sup.allows(pos, d.Category) {
 				continue
 			}
 			out = append(out, Finding{Pos: pos, Analyzer: a.Name,
@@ -178,6 +191,7 @@ const directivePrefix = "caflint:allow"
 // the following line.
 func scanDirectives(pkg *Package) (*suppressor, []Finding) {
 	var bad []Finding
+	allowed := categories()
 	s := &suppressor{
 		file: map[string]map[string]bool{},
 		line: map[string]map[int]map[string]bool{},
@@ -193,12 +207,12 @@ func scanDirectives(pkg *Package) (*suppressor, []Finding) {
 			for _, c := range cg.List {
 				var cats []string
 				for _, cat := range parseDirective(c.Text) {
-					if slices.Contains(categories, cat) {
+					if slices.Contains(allowed, cat) {
 						cats = append(cats, cat)
 					} else {
 						bad = append(bad, Finding{Pos: pkg.Fset.Position(c.Pos()), Analyzer: "directive", Category: "directive",
 							Message: fmt.Sprintf("//caflint:allow names %q, which is not a category: a directive allows only %s",
-								cat, strings.Join(categories, ", "))})
+								cat, strings.Join(allowed, ", "))})
 					}
 				}
 				if len(cats) == 0 {

@@ -65,3 +65,19 @@ func TestSuiteIsComplete(t *testing.T) {
 		t.Errorf("Suite() = %v, want %v", got, want)
 	}
 }
+
+// TestCategoryIsDeclared: an analyzer with Categories reports only under
+// them, so the directive grammar, which is built from them, cannot drift.
+func TestCategoryIsDeclared(t *testing.T) {
+	pkg, err := NewLoader("testdata/src").Load("plain")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := &Analyzer{Name: "stray", Categories: []string{"stray"}, Run: func(p *Pass) error {
+		p.Reportf(p.Files[0].Package, "strayed", "a finding under an undeclared category")
+		return nil
+	}}
+	if _, err := Run(pkg, []*Analyzer{a}); err == nil {
+		t.Error("Run accepted a finding under a category its analyzer does not declare")
+	}
+}

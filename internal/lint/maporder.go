@@ -24,9 +24,10 @@ import (
 // A genuinely order-independent site documents itself with
 // //caflint:allow maporder.
 var Maporder = &Analyzer{
-	Name: "maporder",
-	Doc:  "flag order-observable map iteration in deterministic packages",
-	Run:  runMaporder,
+	Name:       "maporder",
+	Doc:        "flag order-observable map iteration in deterministic packages",
+	Categories: []string{"maporder"},
+	Run:        runMaporder,
 }
 
 // scheduleishMethods are method names whose call inside a map-range body

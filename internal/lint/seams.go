@@ -58,10 +58,11 @@ var seamTable = []seam{
 	// core's own inter-node sends: the scan's chain and the scatter's done
 	// wave; any other is a coll body's among the node leaders.
 	{"core-sends", "cafteams/internal/core", "pgas.ViaAuto pgas.ViaConduit", "scanChain ScatterTwoLevel=1", "an inter-node send of core's own"},
-	// A backend's state is its transport, in its file with its clock and kernel;
-	// World's one backend handle is its Transport, which holds its own *World.
-	{"backend", "cafteams/internal/pgas", "simTransport", "simbackend.go", "backend state outside its file"},
-	{"backend", "cafteams/internal/pgas", "nativeTransport", "nativebackend.go", "backend state outside its file"},
+	// A backend's state is its transport and the types its file declares, in
+	// that file with its clock and kernel; World's one backend handle is its
+	// Transport, which holds its own *World.
+	{"backend", "cafteams/internal/pgas", "simTransport simImage delivery", "simbackend.go", "backend state outside its file"},
+	{"backend", "cafteams/internal/pgas", "nativeTransport nativeCell", "nativebackend.go", "backend state outside its file"},
 	{"backend", "cafteams/internal/pgas", "time", "nativebackend.go", "the wall clock outside the native backend"},
 	{"backend", "cafteams/internal/pgas", "sim cluster", "simbackend.go IsKillUnwind", "the simulator outside the sim backend"},
 	{"backend", "cafteams/internal/pgas", "Transport", "World=1 newWorld simbackend.go nativebackend.go", "a backend handle beside World's Transport"},
@@ -74,9 +75,10 @@ var seamTable = []seam{
 	{"helpers", "cafteams/internal/pgas", "sim.Proc.Sleep sim.Cond.Wait simWait* simTransport.*", "simTransport.* simWait* sim.Env.Spawn()", "a helper blocks"},
 	{"helpers", "cafteams/internal/pgas", "route sendOverhead dispatch deliverAt deliverFlagOp dropped wake getDelivery", "simbackend.go", "a put-path helper is not a plain function"},
 	// A message is charged in route (AtomicShm is a read-modify-write, not a
-	// message) and lost at one gate, so every leg meets NIC and link faults.
+	// message) and lost at one gate, dropped (Launch seeds the drop stream),
+	// so every leg meets NIC and link faults.
 	{"helpers", "cafteams/internal/pgas", "sim.Resource.Occupy", "route=4 simTransport.atomicRoundTrip=1", "a message charged outside route"},
-	{"helpers", "cafteams/internal/pgas", "rand.Rand.Float64", "dropped=1", "the drop stream drawn outside its gate"},
+	{"helpers", "cafteams/internal/pgas", "simTransport.drops", "simTransport.Launch dropped=1", "the drop stream drawn outside its gate"},
 }
 
 func seamsOver(table []seam) *Analyzer {

@@ -18,7 +18,8 @@ var Simdet = &Analyzer{
 	Name: "simdet",
 	Doc: "forbid wall-clock (time.Now/Since/Sleep/...) and global math/rand " +
 		"use in deterministic packages",
-	Run: runSimdet,
+	Categories: []string{"wallclock", "globalrand"},
+	Run:        runSimdet,
 }
 
 // deterministicPkgs lists the packages whose behavior must be a pure

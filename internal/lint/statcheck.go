@@ -15,9 +15,10 @@ import (
 // Flagged forms: a bare call statement, go/defer of such a call, and
 // assignments that discard every Stat result into blank identifiers.
 var Statcheck = &Analyzer{
-	Name: "statcheck",
-	Doc:  "require the Stat result of failed-image-aware calls to be used",
-	Run:  runStatcheck,
+	Name:       "statcheck",
+	Doc:        "require the Stat result of failed-image-aware calls to be used",
+	Categories: []string{"stat"},
+	Run:        runStatcheck,
 }
 
 // isStatType reports whether t is (or aliases) a named type Stat declared
