@@ -67,6 +67,9 @@ var seamTable = []seam{
 	{"backend", "cafteams/internal/pgas", "sim cluster", "simbackend.go IsKillUnwind", "the simulator outside the sim backend"},
 	{"backend", "cafteams/internal/pgas", "Transport", "World=1 newWorld simbackend.go nativebackend.go", "a backend handle beside World's Transport"},
 	{"backend", "cafteams/internal/pgas", "World", "!transport.go", "a Transport method takes a *World"},
+	// Immediate decides whether a payload is copied at issue or at delivery,
+	// once in each typed put front end; a Get copies after the read on both.
+	{"backend", "cafteams/internal/pgas", "Transport.Immediate", "Put=1 PutThenNotify=1", "the copy fork outside the typed put front end"},
 	// Paths arrive resolved (transport.go): the sim transport resolves none.
 	{"helpers", "cafteams/internal/pgas", "Image.resolveVia", "!simbackend.go", "the sim transport resolves a resolved path"},
 	// Helpers compute, transport methods block: a block in route or deliver* is

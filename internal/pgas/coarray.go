@@ -240,19 +240,15 @@ func Get[T any](im *Image, c *Coarray[T], target, off int, dst []T) {
 	src := c.slab(target)
 	nbytes := len(dst) * c.elemSize
 	im.w.stats.Message(trace.OpGet, im.SameNode(target) && target != im.rank, target == im.rank, nbytes)
-	if tr := im.w.tr; tr.Immediate() {
-		tr.Get(im, target, nbytes, nil)
-		copy(dst, src[off:])
-		return
-	}
-	im.w.tr.Get(im, target, nbytes, func() { copy(dst, src[off:]) })
+	im.w.tr.Get(im, target, nbytes)
+	copy(dst, src[off:])
 }
 
 // PutThenNotify performs a Put followed by a flag notification to the same
 // target, guaranteeing the flag lands after the data (ordered delivery on
 // one conduit path per image pair — the standard put+flag idiom the
 // hierarchy-aware collectives use). On an Immediate transport that is
-// literally Put, the inline copy, then NotifyAdd.
+// literally Put, the inline copy, then Notify.
 func PutThenNotify[T any](im *Image, c *Coarray[T], target, off int, src []T, f *Flags, idx int, delta int64, via Via) {
 	if off < 0 || off+len(src) > c.n {
 		c.outside("put", off, len(src))
@@ -266,7 +262,7 @@ func PutThenNotify[T any](im *Image, c *Coarray[T], target, off int, src []T, f 
 	if tr.Immediate() {
 		tr.Put(im, target, nbytes, via, nil)
 		copy(dst[off:], src)
-		tr.NotifyAdd(im, f, target, idx, delta, via)
+		tr.Notify(im, f, target, idx, delta, flagAdd, via)
 		return
 	}
 	tr.PutThenNotify(im, target, nbytes, via, c.stage(dst, off, src).run, f, idx, delta)

@@ -502,6 +502,7 @@ func (w *World) Failures() []ImageFailure {
 // happened to complete before the announcement uses it to join the
 // survivors' recovery instead of racing ahead.
 func (im *Image) AwaitFailedImages(min int) []int {
-	im.w.tr.AwaitFailed(im, min)
-	return im.w.faults.failedSnapshot()
+	fc := im.w.faults
+	im.w.tr.Await(im, "await failed images", func() bool { return fc.failedCount() >= int64(min) }, false)
+	return fc.failedSnapshot()
 }

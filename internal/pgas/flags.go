@@ -155,7 +155,7 @@ func (f *Flags) compareAndSwap(owner, idx int, expected, desired int64) int64 {
 // charged injection overhead only; delivery happens asynchronously.
 func (im *Image) NotifyAdd(f *Flags, target, idx int, delta int64, via Via) {
 	im.w.stats.Message(trace.OpNotify, im.SameNode(target) && target != im.rank, target == im.rank, 8)
-	im.w.tr.NotifyAdd(im, f, target, idx, delta, im.resolveVia(target, via))
+	im.w.tr.Notify(im, f, target, idx, delta, flagAdd, im.resolveVia(target, via))
 }
 
 // NotifySet raises flag idx on image target to val if it is below val
@@ -167,7 +167,7 @@ func (im *Image) NotifyAdd(f *Flags, target, idx int, delta int64, via Via) {
 // SetLocal for an unconditional local store.
 func (im *Image) NotifySet(f *Flags, target, idx int, val int64, via Via) {
 	im.w.stats.Message(trace.OpNotify, im.SameNode(target) && target != im.rank, target == im.rank, 8)
-	im.w.tr.NotifySet(im, f, target, idx, val, im.resolveVia(target, via))
+	im.w.tr.Notify(im, f, target, idx, val, flagMax, im.resolveVia(target, via))
 }
 
 // SetLocal sets this image's own flag without modeling cost (a plain local

@@ -25,8 +25,7 @@ var putChainLocals = map[string]int64{
 	"deliverFlagOp":                 0x30,
 	"(*simTransport).Put":           0x50,
 	"(*simTransport).PutThenNotify": 0x80,
-	"(*simTransport).NotifyAdd":     0x68,
-	"(*simTransport).NotifySet":     0x68,
+	"(*simTransport).Notify":        0x68,
 	"(*simTransport).WaitFlagGE":    0x20,
 	"(*simTransport).Quiet":         0x20,
 }

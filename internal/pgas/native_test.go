@@ -138,7 +138,7 @@ func TestNativeEventsAndQuiet(t *testing.T) {
 	})
 }
 
-// TestNativeProgressEngine: a split-phase operation driven by WaitAsync
+// TestNativeProgressEngine: a split-phase operation driven by Await
 // completes on the native backend.
 func TestNativeProgressEngine(t *testing.T) {
 	w := newNativeTestWorld(t, 1, 4)

@@ -31,7 +31,7 @@ import (
 //
 // The memory model leans entirely on the flag discipline the algorithms
 // already follow: a payload write is published by the atomic flag increment
-// that follows it (PutThenNotify / NotifyAdd), and the consumer's atomic
+// that follows it (PutThenNotify / Notify), and the consumer's atomic
 // threshold check in WaitFlagGE acquires it before touching the payload.
 // That is the same release/acquire chain a real one-sided runtime provides,
 // and it is what makes the Go race detector meaningful over this backend.
@@ -270,27 +270,25 @@ func (t *nativeTransport) wake(rank int) {
 	c.mu.Unlock()
 }
 
-// Put and Get are the kill check: the typed front end lands the payload
-// itself right after the call and passes no commit (see Transport.Immediate).
+// Put and Get are the kill check: the typed front end copies the payload
+// itself right after the call (see Transport.Immediate), and Put gets no commit.
 func (*nativeTransport) Put(im *Image, target, nbytes int, via Via, _ func()) { nativeCheck(im) }
 
-func (*nativeTransport) Get(im *Image, target, nbytes int, _ func()) { nativeCheck(im) }
+func (*nativeTransport) Get(im *Image, target, nbytes int) { nativeCheck(im) }
 
 // PutThenNotify is not how a put+flag reaches an Immediate transport: the
-// front end calls Put, copies, then NotifyAdd — program order is delivery order.
+// front end calls Put, copies, then Notify — program order is delivery order.
 func (*nativeTransport) PutThenNotify(*Image, int, int, Via, func(), *Flags, int, int64) {
 	panic("pgas: native puts land in the typed front end (Transport.Immediate)")
 }
 
-func (t *nativeTransport) NotifyAdd(im *Image, f *Flags, target, idx int, delta int64, via Via) {
+func (t *nativeTransport) Notify(im *Image, f *Flags, target, idx int, val int64, op uint8, via Via) {
 	nativeCheck(im)
-	f.add(target, idx, delta)
-	t.wake(target)
-}
-
-func (t *nativeTransport) NotifySet(im *Image, f *Flags, target, idx int, val int64, via Via) {
-	nativeCheck(im)
-	f.storeMax(target, idx, val)
+	if op == flagAdd {
+		f.add(target, idx, val)
+	} else {
+		f.storeMax(target, idx, val)
+	}
 	t.wake(target)
 }
 
@@ -320,20 +318,10 @@ func (t *nativeTransport) WaitFlagGE(im *Image, f *Flags, owner, idx int, min in
 		waitDesc{f: f, owner: owner, idx: idx, min: min}, true)
 }
 
-func (t *nativeTransport) WaitAsync(im *Image, ready func() bool) {
+func (t *nativeTransport) Await(im *Image, why string, ready func() bool, raise bool) {
 	nativeCheck(im)
 	if !ready() {
-		nativeWait(t, im, im.rank, ready, waitDesc{why: "async progress"}, true)
-	}
-}
-
-// AwaitFailed is a wait on the announced-failure count that does not raise.
-func (t *nativeTransport) AwaitFailed(im *Image, min int) {
-	fc := t.w.faults
-	pred := func() bool { return fc.failedCount() >= int64(min) }
-	nativeCheck(im)
-	if !pred() {
-		nativeWait(t, im, im.rank, pred, waitDesc{why: "await failed images"}, false)
+		nativeWait(t, im, im.rank, ready, waitDesc{why: why}, raise)
 	}
 }
 

@@ -278,7 +278,7 @@ func (im *Image) awaitAsyncActivity() {
 			return false
 		}
 	}
-	im.w.tr.WaitAsync(im, im.asyncReady)
+	im.w.tr.Await(im, "async progress", im.asyncReady, true)
 }
 
 // progressQuantum is how often Image.Compute polls the progress engine while

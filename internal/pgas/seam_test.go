@@ -12,7 +12,8 @@ import (
 // (simTransport, simImage, delivery) are named only there, and those of
 // nativebackend.go (nativeTransport, nativeCell) only there; only
 // nativebackend.go uses time (the wall clock is the native backend's); World's
-// one backend field is its Transport, and no Transport method takes a *World.
+// one backend field is its Transport, and no Transport method takes a *World;
+// Transport.Immediate is asked once each in the typed Put and PutThenNotify.
 // The rows are caflint's backend seam (internal/lint/seams.go).
 func TestBackendSeamIsClosed(t *testing.T) {
 	t.Parallel()

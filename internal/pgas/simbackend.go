@@ -319,16 +319,6 @@ func simWait(s *simTransport, im *Image, c *sim.Cond) {
 	panic(fc.failError(op, timedOut))
 }
 
-// simWaitPred is simWait on the image's own row with an arbitrary predicate
-// (the wGeneric kind): async progress, and a round trip lost on the wire.
-func simWaitPred(s *simTransport, im *Image, why string, pred func() bool) {
-	si := &s.img[im.rank]
-	si.wKind = wGeneric
-	si.wd.why = why
-	si.wPred = pred
-	simWait(s, im, &s.rowCond[im.rank])
-}
-
 // sendOverhead is the sender's CPU overhead (LogGP o) over a resolved path:
 // what the issuing transport method sleeps before it asks route.
 func sendOverhead(m *machine.Model, via Via) Time {
@@ -395,19 +385,18 @@ func dropped(s *simTransport, src, dst int) bool {
 	return p > 0 && s.drops.Float64() < p
 }
 
-// Delivery kinds for pooled delivery records.
+// Delivery kinds for pooled delivery records beside a Notify's flagAdd and
+// flagMax (flag update + wake target).
 const (
-	dNop uint8 = iota // lost message: drains for Quiet, mutates nothing
-	dFn               // run fn (staged put commits, atomic applies)
-	dAdd              // flags add + wake target
-	dSet              // flags monotone set (storeMax) + wake target
+	dNop uint8 = flagMax + 1 + iota // lost message: drains for Quiet, mutates nothing
+	dFn                             // run fn (staged put commits, atomic applies)
 )
 
 // delivery is one in-flight one-sided operation: what to do at the modeled
 // delivery time, plus the issuing image for Quiet accounting. Records are
 // pooled on their transport's free list and carry a once-built run closure, so the
-// steady-state put/notify path schedules without allocating. The typed
-// dAdd/dSet kinds exist because flag notifications dominate collective
+// steady-state put/notify path schedules without allocating. The flag kinds
+// (flagAdd, flagMax) exist because flag notifications dominate collective
 // traffic — they deliver without any caller-built closure at all.
 type delivery struct {
 	t    *simTransport // the owner, set once at creation
@@ -444,10 +433,10 @@ func (d *delivery) execute() {
 	switch d.kind {
 	case dFn:
 		d.fn()
-	case dAdd:
+	case flagAdd:
 		d.f.add(d.tgt, d.idx, d.val)
 		wake(s, d.tgt)
-	case dSet:
+	case flagMax:
 		d.f.storeMax(d.tgt, d.idx, d.val)
 		wake(s, d.tgt)
 	}
@@ -481,7 +470,7 @@ func deliverAt(s *simTransport, im *Image, t sim.Time, fn func(), lost bool) {
 	dispatch(im, t, d, lost)
 }
 
-// deliverFlagOp schedules a pooled flag mutation (dAdd or dSet) on f's
+// deliverFlagOp schedules a pooled flag mutation (flagAdd or flagMax) on f's
 // target row — the zero-alloc path under every notify.
 func deliverFlagOp(s *simTransport, im *Image, t sim.Time, kind uint8, f *Flags, target, idx int, val int64, lost bool) {
 	d := getDelivery(s, im, kind)
@@ -507,7 +496,7 @@ func (s *simTransport) Put(im *Image, target, nbytes int, via Via, commit func()
 	deliverAt(s, im, deliver, commit, dropped(s, im.node, dst))
 }
 
-func (s *simTransport) Get(im *Image, target, nbytes int, commit func()) {
+func (s *simTransport) Get(im *Image, target, nbytes int) {
 	proc := s.img[im.rank].proc
 	switch dst := s.w.topo.NodeOf(target); {
 	case target == im.rank:
@@ -520,7 +509,6 @@ func (s *simTransport) Get(im *Image, target, nbytes int, commit func()) {
 		// Remote get: a bare request out, the payload back.
 		s.roundTrip(im, dst, 0, nbytes, "get", nil)
 	}
-	commit()
 }
 
 func (s *simTransport) PutThenNotify(im *Image, target, nbytes int, via Via, commit func(), f *Flags, idx int, delta int64) {
@@ -539,23 +527,15 @@ func (s *simTransport) PutThenNotify(im *Image, target, nbytes int, via Via, com
 	// rests on.
 	lost := dropped(s, im.node, dst)
 	deliverAt(s, im, deliverData, commit, lost)
-	deliverFlagOp(s, im, deliverFlag, dAdd, f, target, idx, delta, lost)
+	deliverFlagOp(s, im, deliverFlag, flagAdd, f, target, idx, delta, lost)
 }
 
-func (s *simTransport) NotifyAdd(im *Image, f *Flags, target, idx int, delta int64, via Via) {
+func (s *simTransport) Notify(im *Image, f *Flags, target, idx int, val int64, op uint8, via Via) {
 	proc := s.img[im.rank].proc
 	proc.Sleep(sendOverhead(s.w.model, via))
 	dst := s.w.topo.NodeOf(target)
 	deliver := route(s, im.node, dst, 8, via, proc.Now())
-	deliverFlagOp(s, im, deliver, dAdd, f, target, idx, delta, dropped(s, im.node, dst))
-}
-
-func (s *simTransport) NotifySet(im *Image, f *Flags, target, idx int, val int64, via Via) {
-	proc := s.img[im.rank].proc
-	proc.Sleep(sendOverhead(s.w.model, via))
-	dst := s.w.topo.NodeOf(target)
-	deliver := route(s, im.node, dst, 8, via, proc.Now())
-	deliverFlagOp(s, im, deliver, dSet, f, target, idx, val, dropped(s, im.node, dst))
+	deliverFlagOp(s, im, deliver, op, f, target, idx, val, dropped(s, im.node, dst))
 }
 
 // roundTrip is a blocking operation on another node as two routed legs: after
@@ -578,7 +558,7 @@ func (s *simTransport) roundTrip(im *Image, dst, reqBytes, respBytes int, why st
 		lost = dropped(s, dst, im.node)
 	}
 	if lost {
-		simWaitPred(s, im, why, func() bool { return false })
+		s.Await(im, why, func() bool { return false }, true)
 	}
 	proc.Sleep(back - proc.Now())
 }
@@ -637,17 +617,19 @@ func (s *simTransport) WaitFlagGE(im *Image, f *Flags, owner, idx int, min int64
 	simWait(s, im, &s.rowCond[owner])
 }
 
-func (s *simTransport) WaitAsync(im *Image, ready func() bool) {
-	simWaitPred(s, im, "async progress", ready)
-}
-
-// AwaitFailed parks im on its own row until min images are announced failed;
-// the announcement's WakeAll re-checks it. It never raises.
-func (s *simTransport) AwaitFailed(im *Image, min int) {
-	fc := s.w.faults
+// Await parks im on its own row until ready holds: with raise, a simWait of
+// the wGeneric kind (async progress, and a round trip lost on the wire);
+// without, a plain wait, re-checked by every wake of the row and by WakeAll.
+func (s *simTransport) Await(im *Image, why string, ready func() bool, raise bool) {
 	si := &s.img[im.rank]
-	si.wd.why = "await failed images"
-	s.rowCond[im.rank].Wait(si.proc, si.wd.why, func() bool { return fc.failedCount() >= int64(min) })
+	si.wd.why = why
+	if !raise {
+		s.rowCond[im.rank].Wait(si.proc, why, ready)
+		return
+	}
+	si.wKind = wGeneric
+	si.wPred = ready
+	simWait(s, im, &s.rowCond[im.rank])
 }
 
 func (s *simTransport) WakeRank(rank int) {

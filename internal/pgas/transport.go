@@ -43,14 +43,15 @@ const (
 //     Flags.load/add/storeMax), on both backends, so a flag arrival
 //     establishes a happens-before edge from the sender's preceding payload
 //     writes to any waiter that observes it.
-//   - Put/PutThenNotify commit functions run exactly once; PutThenNotify's
-//     flag increment never becomes visible before its payload commit
-//     (ordered delivery per image pair — the put+flag idiom).
-//   - Wait* methods return only when their predicate/threshold holds; any
-//     mutation of an image's flag rows eventually wakes that image's
-//     waiters (WakeRank is the explicit hook for local stores). A wake-up
-//     may be skipped when nobody waits, never lost: the native backend
-//     counts registered waiters per rank, and a waiter re-checks its
+//   - Put/PutThenNotify commit functions run at most once: none for a
+//     message lost on the wire. PutThenNotify's flag increment never becomes
+//     visible before its payload commit (ordered delivery per image pair —
+//     the put+flag idiom).
+//   - WaitFlagGE and Await return only when their threshold or predicate
+//     holds; any mutation of an image's flag rows eventually wakes that
+//     image's waiters (WakeRank is the explicit hook for local stores). A
+//     wake-up may be skipped when nobody waits, never lost: the native
+//     backend counts registered waiters per rank, and a waiter re-checks its
 //     predicate after registering.
 //   - A killed image unwinds at its next transport call whether or not
 //     that call would have had to wait; failure announcements and
@@ -90,9 +91,9 @@ type Transport interface {
 	// resolved: ViaShm or ViaConduit); commit lands the payload. The caller
 	// may proceed before delivery; Quiet drains it.
 	Put(im *Image, target, nbytes int, via Via, commit func())
-	// Get performs a blocking one-sided read of nbytes from target; commit
-	// copies the payload and runs before Get returns.
-	Get(im *Image, target, nbytes int, commit func())
+	// Get performs a blocking one-sided read of nbytes from target: it
+	// returns once the payload may be read, and the caller copies it.
+	Get(im *Image, target, nbytes int)
 	// PutThenNotify issues a Put followed by a flag increment on the same
 	// target, with the flag guaranteed to land after the payload.
 	PutThenNotify(im *Image, target, nbytes int, via Via, commit func(), f *Flags, idx int, delta int64)
@@ -100,11 +101,10 @@ type Transport interface {
 	// delivered (CAF "sync memory" / GASNet quiet).
 	Quiet(im *Image)
 
-	// NotifyAdd atomically adds delta to flag idx on image target,
-	// non-blocking. NotifySet raises the flag to val if below (monotonic
-	// max). Both wake target's waiters on delivery.
-	NotifyAdd(im *Image, f *Flags, target, idx int, delta int64, via Via)
-	NotifySet(im *Image, f *Flags, target, idx int, val int64, via Via)
+	// Notify updates flag idx on image target by op, non-blocking: flagAdd
+	// atomically adds val, flagMax raises the flag to val if below
+	// (monotonic max). It wakes target's waiters on delivery.
+	Notify(im *Image, f *Flags, target, idx int, val int64, op uint8, via Via)
 	// FetchOp / CompareAndSwap are blocking remote read-modify-writes on a
 	// flag cell, returning the previous value.
 	FetchOp(im *Image, f *Flags, target, idx int, op AtomicOp, operand int64) int64
@@ -112,13 +112,13 @@ type Transport interface {
 
 	// WaitFlagGE blocks im until flag idx on image owner reaches min.
 	WaitFlagGE(im *Image, f *Flags, owner, idx int, min int64)
-	// WaitAsync blocks im until ready() reports the progress engine can
-	// advance; ready is re-evaluated whenever a flag lands on im's rows.
-	WaitAsync(im *Image, ready func() bool)
-	// AwaitFailed blocks im until at least min images have been announced
-	// failed. Unlike the other waits it never raises: failure announcements
-	// are what it waits for.
-	AwaitFailed(im *Image, min int)
+	// Await blocks im until ready() holds; ready is re-evaluated whenever a
+	// flag lands on im's rows or WakeAll runs. With raise it unwinds on a
+	// failure announcement or WaitTimeout like WaitFlagGE (the progress
+	// engine's wait); without, it never raises, for a wait on the failure
+	// announcements themselves (AwaitFailedImages). why names the wait in
+	// deadlock reports and failure errors.
+	Await(im *Image, why string, ready func() bool, raise bool)
 	// WakeRank wakes rank's flag waiters and progress engine after a local
 	// (un-routed) flag mutation such as SetLocal.
 	WakeRank(rank int)
@@ -139,7 +139,14 @@ type Transport interface {
 	// Immediate reports whether one-sided operations complete inside the
 	// call (shared memory). The typed front end (coarray.go) then lands
 	// payloads itself, straight from the caller's buffer, and passes a nil
-	// commit: Put and Get are the admission check only, and a put+flag is
-	// Put, the inline copy, then NotifyAdd.
+	// commit: Put is the admission check only, and a put+flag is Put, the
+	// inline copy, then Notify.
 	Immediate() bool
 }
+
+// The flag updates a Notify carries. The sim backend's delivery records take
+// them as their kind.
+const (
+	flagAdd uint8 = iota // add val
+	flagMax              // raise to val if below (monotonic max)
+)
