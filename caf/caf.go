@@ -381,17 +381,18 @@ type Team struct{ v *team.View }
 // FormTeam splits the current team into subteams by number (CAF "form
 // team (number, team)"). Every image of the current team must call it.
 // Images passing the same number join the same subteam, ordered by current
-// team rank.
+// team rank. The numbers and indices travel in one two-level allgather
+// (allgather/2level) over the current team; each image then splits locally.
 func (im *Image) FormTeam(number int64) *Team {
 	im.guardTeam("form team")
-	return &Team{v: im.view().Form(number, -1)}
+	return &Team{v: core.Form(im.view(), number, -1)}
 }
 
 // FormTeamIndexed is FormTeam with an explicit NEW_INDEX (1-based rank
 // request within the new team).
 func (im *Image) FormTeamIndexed(number int64, newIndex int) *Team {
 	im.guardTeam("form team")
-	return &Team{v: im.view().Form(number, newIndex-1)}
+	return &Team{v: core.Form(im.view(), number, newIndex-1)}
 }
 
 // TeamNumber returns the team number of this image's team t (CAF team_id
@@ -414,10 +415,11 @@ func (im *Image) ChangeTeam(t *Team, body func()) {
 }
 
 // GridTeams forms row and column teams of a p×q process grid over the
-// current team (rank = row*q + col), the decomposition the HPL port uses.
+// current team (rank = row*q + col), the decomposition the HPL port uses:
+// two FormTeam exchanges, one two-level allgather each.
 func (im *Image) GridTeams(p, q int) (row, col *Team, err error) {
 	im.guardTeam("form team")
-	rv, cv, err := im.view().Grid(p, q)
+	rv, cv, err := core.Grid(im.view(), p, q)
 	if err != nil {
 		return nil, nil, err
 	}

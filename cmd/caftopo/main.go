@@ -15,6 +15,7 @@ import (
 	"io"
 	"os"
 
+	"cafteams/internal/core"
 	"cafteams/internal/machine"
 	"cafteams/internal/pgas"
 	"cafteams/internal/sim"
@@ -55,7 +56,7 @@ func describe(out io.Writer, spec string, k int) error {
 	}
 	w.Run(func(im *pgas.Image) {
 		v := team.Initial(w, im)
-		sub := v.Form(int64(im.Rank()%k)+1, -1)
+		sub := core.Form(v, int64(im.Rank()%k)+1, -1)
 		// The first member of each team describes it.
 		if sub.ThisImage() == 0 {
 			t := sub.T

@@ -110,6 +110,17 @@ func TestSubgroupBarriersEnforceSynchronization(t *testing.T) {
 	}
 }
 
+// splitByParity splits v's team into its even and odd global ranks: coll
+// cannot exchange the (number, index) pairs through core.Form, so every image
+// computes them by the same rule.
+func splitByParity(v *team.View) *team.View {
+	pairs := make([]int64, 0, 2*v.NumImages())
+	for r := range v.NumImages() {
+		pairs = append(pairs, int64(v.T.GlobalRank(r)%2)+1, -1)
+	}
+	return v.Split(pairs)
+}
+
 func TestBarrierOnSubteams(t *testing.T) {
 	for name, fn := range barriers {
 		t.Run(name, func(t *testing.T) {
@@ -118,7 +129,7 @@ func TestBarrierOnSubteams(t *testing.T) {
 			// never be blocked by even images.
 			w.Run(func(im *pgas.Image) {
 				v := team.Initial(w, im)
-				sub := v.Form(int64(im.Rank()%2)+1, -1)
+				sub := splitByParity(v)
 				if im.Rank()%2 == 0 {
 					// Even team delays massively; odd team must finish
 					// its barriers long before.
@@ -233,7 +244,7 @@ func TestAllreduceOnSubteams(t *testing.T) {
 	w := newWorld(t, "16(2)")
 	w.Run(func(im *pgas.Image) {
 		v := team.Initial(w, im)
-		sub := v.Form(int64(im.Rank()%2)+1, -1)
+		sub := splitByParity(v)
 		buf := []float64{float64(im.Rank())}
 		AllreduceRD(sub, buf, Sum)
 		// Sum of global ranks with my parity: 0+2+...+14=56, 1+3+...+15=64.

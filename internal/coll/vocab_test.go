@@ -196,11 +196,12 @@ func TestFixedBox(t *testing.T) {
 // TestProtocolVocabularyIsClosed: outside coll.go no file of internal/coll or
 // internal/core touches a state's flags or expectation counters, and none
 // reads the episode number. Box, the waits Arrivals/Gate/Inject and the sends
-// Notify/Stamp (Publish, Relay) are the only way to those. The rows are
-// caflint's vocabulary seam (internal/lint/seams.go).
+// Notify/Stamp (Publish, Relay) are the only way to those. internal/team
+// touches no flag at all: FORM TEAM exchanges through core.Form's allgather.
+// The rows are caflint's vocabulary seam (internal/lint/seams.go).
 func TestProtocolVocabularyIsClosed(t *testing.T) {
 	t.Parallel()
-	linttest.Run(t, "../..", lint.SeamsOf("vocabulary"), "cafteams/internal/coll", "cafteams/internal/core")
+	linttest.Run(t, "../..", lint.SeamsOf("vocabulary"), "cafteams/internal/coll", "cafteams/internal/core", "cafteams/internal/team")
 }
 
 // TestCoreNetworkSendsAreClosed: internal/core writes two inter-node sends of

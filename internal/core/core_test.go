@@ -46,7 +46,7 @@ func TestTDLBOnSubteams(t *testing.T) {
 	w := newWorld(t, "32(4)")
 	w.Run(func(im *pgas.Image) {
 		v := team.Initial(w, im)
-		sub := v.Form(int64(im.Rank()%2)+1, -1)
+		sub := Form(v, int64(im.Rank()%2)+1, -1)
 		if im.Rank()%2 == 0 {
 			im.Sleep(300 * sim.Microsecond)
 		}
@@ -362,7 +362,7 @@ func TestTwoLevelCollectivesOnGridTeams(t *testing.T) {
 	w := newWorld(t, "16(2)")
 	w.Run(func(im *pgas.Image) {
 		v := team.Initial(w, im)
-		row, col, err := v.Grid(4, 4)
+		row, col, err := Grid(v, 4, 4)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -59,7 +59,7 @@ func TestOverlappingTeamCollectivesStress(t *testing.T) {
 			w.Run(func(im *pgas.Image) {
 				v := team.Initial(w, im)
 				mine := im.Rank() % k
-				sub := v.Form(int64(mine)+1, -1)
+				sub := Form(v, int64(mine)+1, -1)
 				sz := sub.NumImages()
 				for _, st := range progs[mine] {
 					im.Sleep(sim.Time(st.skew[im.Rank()]))
@@ -109,7 +109,7 @@ func TestTeamIndependenceTiming(t *testing.T) {
 	w.Run(func(im *pgas.Image) {
 		v := team.Initial(w, im)
 		mine := im.Rank() % 2
-		sub := v.Form(int64(mine)+1, -1)
+		sub := Form(v, int64(mine)+1, -1)
 		if mine == 0 {
 			im.Sleep(10 * sim.Millisecond)
 		}

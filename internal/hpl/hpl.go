@@ -112,7 +112,7 @@ func runImage(w *pgas.World, im *pgas.Image, cfg Config) imageState {
 	st := imageState{residual: math.NaN(), maxDiff: math.NaN()}
 	pol := core.Policy{Level: cfg.Level}
 	v := team.Initial(w, im)
-	rowTeam, colTeam, err := v.Grid(cfg.P, cfg.Q)
+	rowTeam, colTeam, err := core.Grid(v, cfg.P, cfg.Q)
 	if err != nil {
 		st.err = err
 		return st

@@ -25,10 +25,11 @@ import (
 // a spawned process's body); a row without places allows no use. No
 // directive allows seams: a seam moves only in this table.
 //
-// A row's name is its seam's: vocabulary (coll's protocol vocabulary),
-// core-sends (core's own inter-node sends), backend (the pgas Transport seam)
-// and helpers (route as the one charge; sim helpers do not block). SeamsOf
-// runs one seam, so a package's test holds its seams in tier-1.
+// A row's name is its seam's: vocabulary (coll's protocol vocabulary, the
+// runtime's one flag protocol), core-sends (core's own inter-node sends),
+// backend (the pgas Transport seam) and helpers (route as the one charge; sim
+// helpers do not block). SeamsOf runs one seam, so a package's test holds its
+// seams in tier-1.
 var Seams = seamsOver(seamTable)
 
 // SeamsOf is Seams over the rows of one named seam.
@@ -55,6 +56,8 @@ var seamTable = []seam{
 	{"vocabulary", "cafteams/internal/coll", flagCalls + " State.flags State.expect member.expect", "coll.go", "a flag touched outside the protocol vocabulary"},
 	{"vocabulary", "cafteams/internal/coll", "member.ep", "coll.go", "the episode number outside coll.go"},
 	{"vocabulary", "cafteams/internal/core", flagCalls, "", "a flag touched outside the protocol vocabulary"},
+	// FORM TEAM's exchange is core.Form's allgather: team splits locally.
+	{"vocabulary", "cafteams/internal/team", flagCalls, "", "a flag touched outside the protocol vocabulary"},
 	// core's own inter-node sends: the scan's chain and the scatter's done
 	// wave; any other is a coll body's among the node leaders.
 	{"core-sends", "cafteams/internal/core", "pgas.ViaAuto pgas.ViaConduit", "scanChain ScatterTwoLevel=1", "an inter-node send of core's own"},

@@ -10,6 +10,11 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"cafteams/internal/machine"
+	"cafteams/internal/sim"
+	"cafteams/internal/topology"
+	"cafteams/internal/trace"
 )
 
 // catchFailed runs f and returns the *FailedImageError it panicked with
@@ -380,6 +385,52 @@ func TestSimNICDegradeSlowsTraffic(t *testing.T) {
 			case !lost && (err != nil || end != healthy):
 				t.Errorf("%s with link %v dropping (crossed: %v): %d ns (%v), healthy %d", op.name, link, crosses, end, err, healthy)
 			}
+		}
+	}
+}
+
+// TestLinkDelayKeepsPairOrder: delivery stays ordered per image pair across
+// the end of a link delay's window. Image 0 puts region 0 with its notify at
+// 5 µs, inside a 100 µs delay on link 0->1 that ends at 10 µs, and region 1 at
+// 15 µs, after it; when image 1's count reaches 1, region 0 must have landed.
+// On gasnet-ibv (no receive-side NIC occupancy) the second message would
+// otherwise overtake the first; on gasnet-rdma the receiver NIC admits in call
+// order and hides it.
+func TestLinkDelayKeepsPairOrder(t *testing.T) {
+	for _, c := range []machine.Conduit{machine.ConduitGASNetIBV, machine.ConduitGASNetRDMA} {
+		topo, err := topology.ParseSpec("2(2)")
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := NewWorld(sim.NewEnv(), machine.PaperCluster().WithConduit(c), topo, trace.New())
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = w.InjectFaults(&FaultPlan{Events: []FaultEvent{
+			{Kind: FaultLinkDelay, Node: 0, Node2: 1, Duration: 10 * Microsecond, Delay: 100 * Microsecond}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var at Time
+		var landed [2]bool
+		w.Run(func(im *Image) {
+			co := NewCoarray[float64](w, "order", 2)
+			fl := NewFlags(w, "order", 1)
+			if im.Rank() == 0 {
+				for region, send := range []Time{5 * Microsecond, 15 * Microsecond} {
+					im.Sleep(send - im.Now())
+					PutThenNotify(im, co, 1, region, []float64{1}, fl, 0, 1, ViaConduit)
+				}
+				return
+			}
+			im.WaitFlagGE(fl, 1, 0, 1)
+			at = im.Now()
+			for region := range landed {
+				landed[region] = co.slab(1)[region] == 1
+			}
+		})
+		if !landed[0] {
+			t.Errorf("%s: count 1 at %d ns with regions landed %v: the put sent after the delay overtook the one sent in it", c, at, landed)
 		}
 	}
 }

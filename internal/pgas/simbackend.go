@@ -57,6 +57,10 @@ type simTransport struct {
 	linkDelay map[[2]int]Time    // extra latency src node -> dst node
 	linkDrop  map[[2]int]float64 // drop probability src node -> dst node
 	drops     *rand.Rand         // the plan's seeded drop-probability stream
+	// linkArrive is the latest wire arrival per node pair (src*len(nic)+dst),
+	// made only for a plan with a link delay: so no message overtakes one sent
+	// during a delay, and delivery stays ordered per image pair.
+	linkArrive []Time
 }
 
 // Wait kinds for simImage's reusable wait record.
@@ -199,6 +203,9 @@ func (s *simTransport) Launch(body func(*Image)) {
 		s.linkDelay = make(map[[2]int]Time)
 		s.linkDrop = make(map[[2]int]float64)
 		s.drops = rand.New(rand.NewSource(fc.plan.Seed))
+		if slices.ContainsFunc(fc.plan.Events, func(ev FaultEvent) bool { return ev.Kind == FaultLinkDelay }) {
+			s.linkArrive = make([]Time, len(s.nic)*len(s.nic))
+		}
 		for _, ev := range fc.plan.Events {
 			scheduleFaultEvent(s, ev)
 		}
@@ -363,6 +370,11 @@ func route(s *simTransport, src, dst, n int, via Via, now sim.Time) sim.Time {
 		}
 		start := s.nic[src].Occupy(now, sdur)
 		arrive := start + sdur + wire
+		if s.linkArrive != nil {
+			last := &s.linkArrive[src*len(s.nic)+dst]
+			arrive = max(arrive, *last)
+			*last = arrive
+		}
 		if m.RecvG == 0 {
 			return arrive
 		}

@@ -1,40 +1,26 @@
 package team
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"cafteams/internal/pgas"
 )
 
-// formExchange is the shared rendezvous for one formation episode: each
-// member deposits its requested team number and optional new index before
-// synchronizing.
-type formExchange struct {
-	number []int64
-	newIdx []int
-}
-
 // formEpochs tracks, per member, how many form-team episodes the member has
-// completed on a given team; members of the same episode rendezvous under
-// the same epoch.
+// completed on a given team; the episode number keys that episode's teams.
 type formEpochs struct{ count []int64 }
 
-// Form performs the CAF "form team (number, team_var)" statement: a
-// collective over this team that splits it into sibling subteams, one per
-// distinct number. newIndex requests this image's rank within the new team
-// (0-based); pass -1 to keep the parent-team relative order (the standard's
-// default). Form returns this image's view of its new team.
-//
-// The exchange is implemented the way a runtime without a-priori knowledge
-// must do it: every member ships its (number, newIndex) pair to the team's
-// first member and waits for the combined result — a linear gather plus a
-// linear release, 2(n−1) small messages, matching the cost of a
-// communicator-split style implementation.
-func (v *View) Form(number int64, newIndex int) *View {
-	if number <= 0 {
-		panic(fmt.Sprintf("team: form with non-positive team number %d", number))
-	}
+// Split is the local half of the CAF "form team (number, team_var)"
+// statement (core.Form exchanges the pairs): pairs holds every member's
+// (number, newIndex) in team rank order, two int64 per member, the same on
+// every member. Split returns this image's view of its new team: the members
+// that passed its number, those that requested an index (0-based) first in
+// index order, then the rest in parent-team order (the standard's default,
+// newIndex -1). The siblings of one episode each share one Team object.
+func (v *View) Split(pairs []int64) *View {
 	t := v.T
 	w := t.w
 	n := t.Size()
@@ -45,54 +31,22 @@ func (v *View) Form(number int64, newIndex int) *View {
 	ep.count[v.Rank]++
 	episode := ep.count[v.Rank]
 
-	exKey := fmt.Sprintf("team:formex:%d:%d", t.id, episode)
-	ex := pgas.LookupOrCreate(w, exKey, func() interface{} {
-		return &formExchange{number: make([]int64, n), newIdx: make([]int, n)}
-	}).(*formExchange)
-	ex.number[v.Rank] = number
-	ex.newIdx[v.Rank] = newIndex
-
-	// Linear gather at member 0, then linear release: flag slot 0 counts
-	// arrivals at the root, slot 1 carries the release stamp. Carry
-	// semantics (monotone counters) mean no resets between episodes.
-	fl := pgas.NewFlags(w, fmt.Sprintf("team:form:%d", t.id), 2)
-	rootGlobal := t.GlobalRank(0)
-	if v.Rank == 0 {
-		v.Img.WaitFlagGE(fl, rootGlobal, 0, (episode)*int64(n-1))
-		for r := 1; r < n; r++ {
-			v.Img.NotifySet(fl, t.GlobalRank(r), 1, episode, pgas.ViaAuto)
-		}
-	} else {
-		v.Img.NotifyAdd(fl, rootGlobal, 0, 1, pgas.ViaAuto)
-		v.Img.WaitFlagGE(fl, v.Img.Rank(), 1, episode)
-	}
-
-	// Everyone now sees the full exchange; compute the member list of the
-	// subteam this image joins, deterministically.
-	type entry struct {
-		parentRank int
-		newIdx     int
-	}
-	var mine []entry
-	for r := 0; r < n; r++ {
-		if ex.number[r] == number {
-			mine = append(mine, entry{parentRank: r, newIdx: ex.newIdx[r]})
+	number := pairs[2*v.Rank]
+	var members []int // parent ranks, in parent order
+	for r := range n {
+		if pairs[2*r] == number {
+			members = append(members, r)
 		}
 	}
-	sort.Slice(mine, func(i, j int) bool {
-		a, b := mine[i], mine[j]
-		ai, bi := a.newIdx, b.newIdx
-		if ai >= 0 && bi >= 0 && ai != bi {
-			return ai < bi
+	index := func(r int) int64 { // an explicit index sorts before the default
+		if i := pairs[2*r+1]; i >= 0 {
+			return i
 		}
-		if (ai >= 0) != (bi >= 0) {
-			return ai >= 0 // explicit indices come first
-		}
-		return a.parentRank < b.parentRank
-	})
-	members := make([]int, len(mine))
-	for i, e := range mine {
-		members[i] = t.GlobalRank(e.parentRank)
+		return math.MaxInt64
+	}
+	slices.SortStableFunc(members, func(a, b int) int { return cmp.Compare(index(a), index(b)) })
+	for i, r := range members {
+		members[i] = t.GlobalRank(r)
 	}
 
 	teamKey := fmt.Sprintf("team:formed:%d:%d:%d", t.id, episode, number)
@@ -112,8 +66,8 @@ type shrinkEpochs struct{ count []int64 }
 // every image the world has announced as failed — the Fortran 2018 "form
 // team excluding failed images" / MPI ULFM MPIX_Comm_shrink operation.
 //
-// Unlike Form it deliberately avoids a gather through a root (the root
-// might be the dead image): the member list is computed locally from the
+// Unlike core.Form it deliberately exchanges nothing (an exchange would
+// wait on the dead image): the member list is computed locally from the
 // world's announced-failed set, which every survivor observes identically
 // once the failure that triggered recovery has been announced. The first
 // survivor to arrive fixes the epoch's snapshot; if yet another image fails
@@ -170,26 +124,4 @@ func (v *View) FormSurvivors() *View {
 type shrunkTeam struct {
 	t     *Team
 	epoch int64
-}
-
-// FormByNode splits the team into one subteam per physical node — a
-// convenience built on Form using the node index as the team number. The
-// runtime's hierarchy awareness makes this the natural "intranode team".
-func (v *View) FormByNode() *View {
-	node := v.T.w.Topology().NodeOf(v.Img.Rank())
-	return v.Form(int64(node)+1, -1)
-}
-
-// Grid splits the team into row and column teams of a P×Q process grid in
-// row-major order (rank = row*q + col), the decomposition the HPL port
-// uses. It returns this image's row team and column team views.
-func (v *View) Grid(p, q int) (row, col *View, err error) {
-	if p*q != v.T.Size() {
-		return nil, nil, fmt.Errorf("team: grid %dx%d does not match team size %d", p, q, v.T.Size())
-	}
-	r := v.Rank / q
-	c := v.Rank % q
-	row = v.Form(int64(r)+1, c)
-	col = v.Form(int64(c)+1, r) // a second formation episode
-	return row, col, nil
 }

@@ -1,5 +1,6 @@
 // Package team implements Fortran-2015-style teams for the simulated PGAS
-// runtime: the initial team, collective team formation (form team),
+// runtime: the initial team, the local half of team formation (form team:
+// core.Form exchanges the numbers and indices, Split divides the team),
 // team-relative image intrinsics (this_image, num_images, image_index), and
 // sibling/parent navigation (get_team, team_id).
 //

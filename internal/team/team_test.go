@@ -1,4 +1,4 @@
-package team
+package team_test
 
 import (
 	"fmt"
@@ -6,9 +6,11 @@ import (
 	"testing"
 	"testing/quick"
 
+	"cafteams/internal/core"
 	"cafteams/internal/machine"
 	"cafteams/internal/pgas"
 	"cafteams/internal/sim"
+	"cafteams/internal/team"
 	"cafteams/internal/topology"
 	"cafteams/internal/trace"
 )
@@ -29,7 +31,7 @@ func newWorld(t testing.TB, spec string) *pgas.World {
 func TestInitialTeamContainsAllImages(t *testing.T) {
 	w := newWorld(t, "8(2)")
 	w.Run(func(im *pgas.Image) {
-		v := Initial(w, im)
+		v := team.Initial(w, im)
 		if v.NumImages() != 8 {
 			t.Errorf("initial team size = %d, want 8", v.NumImages())
 		}
@@ -47,9 +49,9 @@ func TestInitialTeamContainsAllImages(t *testing.T) {
 
 func TestInitialTeamShared(t *testing.T) {
 	w := newWorld(t, "4(2)")
-	teams := make([]*Team, 4)
+	teams := make([]*team.Team, 4)
 	w.Run(func(im *pgas.Image) {
-		teams[im.Rank()] = Initial(w, im).T
+		teams[im.Rank()] = team.Initial(w, im).T
 	})
 	for _, tm := range teams {
 		if tm != teams[0] {
@@ -61,8 +63,8 @@ func TestInitialTeamShared(t *testing.T) {
 func TestFormSplitsEvenOdd(t *testing.T) {
 	w := newWorld(t, "8(2)")
 	w.Run(func(im *pgas.Image) {
-		v := Initial(w, im)
-		sub := v.Form(int64(im.Rank()%2)+1, -1)
+		v := team.Initial(w, im)
+		sub := core.Form(v, int64(im.Rank()%2)+1, -1)
 		if sub.NumImages() != 4 {
 			t.Errorf("subteam size = %d, want 4", sub.NumImages())
 		}
@@ -87,9 +89,9 @@ func TestFormSplitsEvenOdd(t *testing.T) {
 func TestFormWithNewIndexReorders(t *testing.T) {
 	w := newWorld(t, "4(2)")
 	w.Run(func(im *pgas.Image) {
-		v := Initial(w, im)
+		v := team.Initial(w, im)
 		// Reverse order within the single new team.
-		sub := v.Form(1, v.NumImages()-1-im.Rank())
+		sub := core.Form(v, 1, v.NumImages()-1-im.Rank())
 		if got, want := sub.ThisImage(), 3-im.Rank(); got != want {
 			t.Errorf("image %d: rank %d, want %d", im.Rank(), got, want)
 		}
@@ -98,10 +100,10 @@ func TestFormWithNewIndexReorders(t *testing.T) {
 
 func TestFormSiblingsShareObject(t *testing.T) {
 	w := newWorld(t, "8(2)")
-	teams := make([]*Team, 8)
+	teams := make([]*team.Team, 8)
 	w.Run(func(im *pgas.Image) {
-		v := Initial(w, im)
-		teams[im.Rank()] = v.Form(int64(im.Rank()%2)+1, -1).T
+		v := team.Initial(w, im)
+		teams[im.Rank()] = core.Form(v, int64(im.Rank()%2)+1, -1).T
 	})
 	for r := 2; r < 8; r += 2 {
 		if teams[r] != teams[0] {
@@ -119,7 +121,7 @@ func TestFormSiblingsShareObject(t *testing.T) {
 func TestHierarchyIntranodeSetsAndLeaders(t *testing.T) {
 	w := newWorld(t, "16(2)") // 8 per node
 	w.Run(func(im *pgas.Image) {
-		v := Initial(w, im)
+		v := team.Initial(w, im)
 		tm := v.T
 		if tm.NumNodeGroups() != 2 {
 			t.Fatalf("node groups = %d, want 2", tm.NumNodeGroups())
@@ -143,10 +145,10 @@ func TestHierarchyIntranodeSetsAndLeaders(t *testing.T) {
 func TestHierarchyOfSubteamRecomputed(t *testing.T) {
 	w := newWorld(t, "16(2)")
 	w.Run(func(im *pgas.Image) {
-		v := Initial(w, im)
+		v := team.Initial(w, im)
 		// Split into odd/even global ranks: each subteam has 4 images
 		// per node.
-		sub := v.Form(int64(im.Rank()%2)+1, -1)
+		sub := core.Form(v, int64(im.Rank()%2)+1, -1)
 		tm := sub.T
 		if tm.NumNodeGroups() != 2 {
 			t.Fatalf("subteam node groups = %d, want 2", tm.NumNodeGroups())
@@ -166,7 +168,7 @@ func TestHierarchyOfSubteamRecomputed(t *testing.T) {
 func TestFlatHierarchyOneImagePerNode(t *testing.T) {
 	w := newWorld(t, "4(4)")
 	w.Run(func(im *pgas.Image) {
-		tm := Initial(w, im).T
+		tm := team.Initial(w, im).T
 		if tm.NumNodeGroups() != 4 {
 			t.Fatalf("node groups = %d, want 4", tm.NumNodeGroups())
 		}
@@ -184,7 +186,7 @@ func TestFlatHierarchyOneImagePerNode(t *testing.T) {
 func TestSocketGroups(t *testing.T) {
 	w := newWorld(t, "16(2)") // dual socket, 4 cores each
 	w.Run(func(im *pgas.Image) {
-		tm := Initial(w, im).T
+		tm := team.Initial(w, im).T
 		sg := tm.SocketGroups(0)
 		if len(sg) != 2 {
 			t.Fatalf("socket groups on node 0 = %d, want 2", len(sg))
@@ -202,8 +204,8 @@ func TestSocketGroups(t *testing.T) {
 func TestGridRowColTeams(t *testing.T) {
 	w := newWorld(t, "16(2)")
 	w.Run(func(im *pgas.Image) {
-		v := Initial(w, im)
-		row, col, err := v.Grid(4, 4)
+		v := team.Initial(w, im)
+		row, col, err := core.Grid(v, 4, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,12 +236,12 @@ func TestGridRowColTeams(t *testing.T) {
 func TestGridSizeMismatch(t *testing.T) {
 	w := newWorld(t, "8(2)")
 	w.Run(func(im *pgas.Image) {
-		v := Initial(w, im)
-		if _, _, err := v.Grid(3, 3); err == nil {
+		v := team.Initial(w, im)
+		if _, _, err := core.Grid(v, 3, 3); err == nil {
 			t.Error("grid 3x3 on 8 images accepted")
 		}
 		// Recover: everyone still forms a consistent team afterwards.
-		sub := v.Form(1, -1)
+		sub := core.Form(v, 1, -1)
 		if sub.NumImages() != 8 {
 			t.Errorf("recovery form size = %d", sub.NumImages())
 		}
@@ -249,9 +251,9 @@ func TestGridSizeMismatch(t *testing.T) {
 func TestNestedForm(t *testing.T) {
 	w := newWorld(t, "16(2)")
 	w.Run(func(im *pgas.Image) {
-		v := Initial(w, im)
-		half := v.Form(int64(im.Rank()/8)+1, -1)       // two halves (one per node)
-		quarter := half.Form(int64(im.Rank()%2)+1, -1) // split each half by parity
+		v := team.Initial(w, im)
+		half := core.Form(v, int64(im.Rank()/8)+1, -1)       // two halves (one per node)
+		quarter := core.Form(half, int64(im.Rank()%2)+1, -1) // split each half by parity
 		if quarter.NumImages() != 4 {
 			t.Errorf("quarter size = %d, want 4", quarter.NumImages())
 		}
@@ -267,8 +269,8 @@ func TestNestedForm(t *testing.T) {
 func TestFormByNode(t *testing.T) {
 	w := newWorld(t, "16(4)")
 	w.Run(func(im *pgas.Image) {
-		v := Initial(w, im)
-		nodeTeam := v.FormByNode()
+		v := team.Initial(w, im)
+		nodeTeam := core.FormByNode(v)
 		if nodeTeam.NumImages() != 4 {
 			t.Errorf("node team size = %d, want 4", nodeTeam.NumImages())
 		}
@@ -286,8 +288,8 @@ func TestFormByNode(t *testing.T) {
 func TestRankOfNonMember(t *testing.T) {
 	w := newWorld(t, "4(2)")
 	w.Run(func(im *pgas.Image) {
-		v := Initial(w, im)
-		sub := v.Form(int64(im.Rank()%2)+1, -1)
+		v := team.Initial(w, im)
+		sub := core.Form(v, int64(im.Rank()%2)+1, -1)
 		other := (im.Rank() + 1) % 4
 		if sub.T.RankOf(other) != -1 {
 			t.Errorf("non-member %d has rank %d in the other team", other, sub.T.RankOf(other))
@@ -299,8 +301,8 @@ func TestFormChargesTime(t *testing.T) {
 	w := newWorld(t, "16(2)")
 	var maxEnd sim.Time
 	w.Run(func(im *pgas.Image) {
-		v := Initial(w, im)
-		_ = v.Form(1, -1)
+		v := team.Initial(w, im)
+		_ = core.Form(v, 1, -1)
 		if im.Now() > maxEnd {
 			maxEnd = im.Now()
 		}
@@ -310,13 +312,36 @@ func TestFormChargesTime(t *testing.T) {
 	}
 }
 
+// TestFormIsOneAllgather: FORM TEAM's messages are those of one
+// AllgatherTwoLevel of two int64 per image on the parent team, and nothing
+// else — every member's (number, index) pair, charged as data.
+func TestFormIsOneAllgather(t *testing.T) {
+	for _, spec := range []string{"64(8)", "13(4)"} {
+		count := func(body func(v *team.View)) trace.Snapshot {
+			w := newWorld(t, spec)
+			w.Run(func(im *pgas.Image) { body(team.Initial(w, im)) })
+			return w.Stats().Snapshot()
+		}
+		form := count(func(v *team.View) { core.Form(v, int64(v.Rank%3)+1, -1) })
+		gather := count(func(v *team.View) {
+			core.AllgatherTwoLevel(v, []int64{1, 2}, make([]int64, 2*v.NumImages()))
+		})
+		if form.IntraMsgs != gather.IntraMsgs || form.InterMsgs != gather.InterMsgs ||
+			form.IntraBytes != gather.IntraBytes || form.InterBytes != gather.InterBytes {
+			t.Errorf("%s: form sent intra %d msgs/%d B, inter %d msgs/%d B; one allgather sends %d/%d, %d/%d", spec,
+				form.IntraMsgs, form.IntraBytes, form.InterMsgs, form.InterBytes,
+				gather.IntraMsgs, gather.IntraBytes, gather.InterMsgs, gather.InterBytes)
+		}
+	}
+}
+
 func TestFormDeterministicIDs(t *testing.T) {
 	run := func() string {
 		w := newWorld(t, "8(2)")
 		var desc string
 		w.Run(func(im *pgas.Image) {
-			v := Initial(w, im)
-			sub := v.Form(int64(im.Rank()%2)+1, -1)
+			v := team.Initial(w, im)
+			sub := core.Form(v, int64(im.Rank()%2)+1, -1)
 			if im.Rank() == 0 {
 				desc = fmt.Sprintf("%d:%d:%s", v.T.ID(), sub.T.ID(), sub.T.String())
 			}
@@ -337,15 +362,15 @@ func TestFormRejectsBadNumber(t *testing.T) {
 		}
 	}()
 	w.Run(func(im *pgas.Image) {
-		Initial(w, im).Form(0, -1)
+		core.Form(team.Initial(w, im), 0, -1)
 	})
 }
 
 func TestSingletonTeams(t *testing.T) {
 	w := newWorld(t, "4(2)")
 	w.Run(func(im *pgas.Image) {
-		v := Initial(w, im)
-		solo := v.Form(int64(im.Rank())+1, -1)
+		v := team.Initial(w, im)
+		solo := core.Form(v, int64(im.Rank())+1, -1)
 		if solo.NumImages() != 1 {
 			t.Errorf("solo team size = %d", solo.NumImages())
 		}
@@ -382,11 +407,11 @@ func TestFormPartitionProperty(t *testing.T) {
 		for i := range assign {
 			assign[i] = int64(rng.Intn(colors)) + 1
 		}
-		subs := make([]*Team, n)
+		subs := make([]*team.Team, n)
 		ok := true
 		w.Run(func(im *pgas.Image) {
-			v := Initial(w, im)
-			sub := v.Form(assign[im.Rank()], -1)
+			v := team.Initial(w, im)
+			sub := core.Form(v, assign[im.Rank()], -1)
 			subs[im.Rank()] = sub.T
 			// Hierarchy invariants.
 			tm := sub.T
@@ -447,11 +472,11 @@ func TestFormPartitionProperty(t *testing.T) {
 func TestRankChain(t *testing.T) {
 	w := newWorld(t, "6(3)")
 	w.Run(func(im *pgas.Image) {
-		v := Initial(w, im)
+		v := team.Initial(w, im)
 		if tm := v.T; !tm.Contiguous() || fmt.Sprint(tm.Nodes(), tm.Leaders()) != "[0 1 2] [0 2 4]" {
 			t.Errorf("block placement: nodes %v, leaders %v, contiguous %v", tm.Nodes(), tm.Leaders(), tm.Contiguous())
 		}
-		rev := v.Form(1, v.NumImages()-1-im.Rank())
+		rev := core.Form(v, 1, v.NumImages()-1-im.Rank())
 		if tm := rev.T; !tm.Contiguous() || fmt.Sprint(tm.Nodes(), tm.Leaders()) != "[2 1 0] [0 2 4]" {
 			t.Errorf("reversed ranks: nodes %v, leaders %v, contiguous %v", tm.Nodes(), tm.Leaders(), tm.Contiguous())
 		}
@@ -468,7 +493,7 @@ func TestRankChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	wc.Run(func(im *pgas.Image) {
-		if tm := Initial(wc, im).T; tm.Contiguous() || fmt.Sprint(tm.NodeGroup(0), tm.NodeGroup(1), tm.NodeGroup(2)) != "[0 3] [1 4] [2 5]" {
+		if tm := team.Initial(wc, im).T; tm.Contiguous() || fmt.Sprint(tm.NodeGroup(0), tm.NodeGroup(1), tm.NodeGroup(2)) != "[0 3] [1 4] [2 5]" {
 			t.Errorf("cyclic placement: groups %v %v %v, contiguous %v", tm.NodeGroup(0), tm.NodeGroup(1), tm.NodeGroup(2), tm.Contiguous())
 		}
 	})
