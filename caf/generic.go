@@ -165,12 +165,14 @@ type CoarrayT[T any] struct {
 // with two element types yields two distinct coarrays.
 func NewCoarrayT[T any](im *Image, name string, n int) *CoarrayT[T] {
 	v := im.view()
-	key := fmt.Sprintf("caf:%d:%s:%s", v.T.ID(), pgas.TypeName[T](), name)
-	return &CoarrayT[T]{
-		co: pgas.NewTeamCoarray[T](im.w, key, n, v.T.Members()),
-		v:  v,
-	}
+	co := v.T.Registry().LookupOrCreate(coarrayKey[T]{name}, func() any {
+		return pgas.NewTeamCoarray[T](im.w, fmt.Sprintf("caf:%d:%s:%s", v.T.ID(), pgas.TypeName[T](), name), n, v.T.Members())
+	}).(*pgas.Coarray[T])
+	return &CoarrayT[T]{co: co, v: v}
 }
+
+// coarrayKey keys a named coarray of T in its team's registry.
+type coarrayKey[T any] struct{ name string }
 
 // Local returns this image's own slab.
 func (c *CoarrayT[T]) Local(im *Image) []T { return pgas.Local(c.co, im.img) }

@@ -125,7 +125,7 @@ func AllgatherBruck[T any](v *team.View, mine, out []T) {
 	sz, n := v.NumImages(), len(mine)
 	st := GetState(v, Alg{"ag.bruck", tag[T]()}, Rounds(sz))
 	st.Next()
-	ranks := TeamRanks(v)
+	ranks := v.T.Ranks()
 	SubgroupAllgatherBruck(st, 0, NewBox[T](st, "", n, sz-1), ranks, v.Rank,
 		func(i int) []int { return ranks[i : i+1] }, 1, out, n, n, nil)
 }

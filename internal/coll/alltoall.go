@@ -72,7 +72,7 @@ func AlltoallPairwise[T any](v *team.View, send, recv []T) {
 	me.MemWork(es * n)
 	st := GetState(v, Alg{"a2a.pw", tag[T]()}, sz-1)
 	st.Next()
-	SubgroupAlltoallPairwise(st, 0, NewBox[T](st, "", n, sz-1), TeamRanks(v), v.Rank, 1,
+	SubgroupAlltoallPairwise(st, 0, NewBox[T](st, "", n, sz-1), v.T.Ranks(), v.Rank, 1,
 		func(i int) []T { return send[i*n : i*n+n] },
 		func(i int, run []T) {
 			copy(recv[i*n:i*n+n], run)

@@ -54,7 +54,7 @@ func BarrierDissemination(v *team.View) {
 	}
 	st := GetState(v, Alg{"bar.diss"}, Rounds(n))
 	st.Next()
-	SubgroupDissemination(st, 0, TeamRanks(v), v.Rank)
+	SubgroupDissemination(st, 0, v.T.Ranks(), v.Rank)
 }
 
 // BarrierLinear is the centralized linear barrier the paper contrasts with
@@ -66,7 +66,7 @@ func BarrierLinear(v *team.View) {
 	}
 	st := GetState(v, Alg{"bar.lin"}, 2)
 	st.Next()
-	SubgroupLinear(st, 0, TeamRanks(v), v.Rank)
+	SubgroupLinear(st, 0, v.T.Ranks(), v.Rank)
 }
 
 // BarrierTree is a binomial-tree barrier: gather up the tree (each internal

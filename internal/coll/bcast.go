@@ -112,7 +112,7 @@ func SubgroupBcastBinomial[T any](v *team.View, group []int, myIdx, rootIdx int,
 // whole team (the baseline for co_broadcast). root is a team rank.
 func BcastBinomial[T any](v *team.View, root int, buf []T) {
 	v.Img.World().Stats().Count(trace.OpBroadcast)
-	SubgroupBcastBinomial(v, TeamRanks(v), v.Rank, root, buf, Alg{"bc.flat"}, 1, 1, nil, nil)
+	SubgroupBcastBinomial(v, v.T.Ranks(), v.Rank, root, buf, Alg{"bc.flat"}, 1, 1, nil, nil)
 }
 
 // BcastLinear has the root put the payload to every member directly —
@@ -122,7 +122,7 @@ func BcastBinomial[T any](v *team.View, root int, buf []T) {
 func BcastLinear[T any](v *team.View, root int, buf []T) {
 	v.Img.World().Stats().Count(trace.OpBroadcast)
 	if v.NumImages() > 1 {
-		ranks := TeamRanks(v)
+		ranks := v.T.Ranks()
 		scatterFlat(v, root, Alg{"bc.lin", tag[T]()}, false, func(int) []int { return ranks[:1] }, buf, buf)
 	}
 }
@@ -140,7 +140,7 @@ func BcastScatterAllgather[T any](v *team.View, root int, buf []T) {
 		return
 	}
 	if n < sz {
-		SubgroupBcastBinomial(v, TeamRanks(v), v.Rank, root, buf, Alg{"bc.sagfallback"}, 1, 1, nil, nil)
+		SubgroupBcastBinomial(v, v.T.Ranks(), v.Rank, root, buf, Alg{"bc.sagfallback"}, 1, 1, nil, nil)
 		return
 	}
 	steps := sz - 1

@@ -99,13 +99,9 @@ func MaxOp[T Number]() Op[T] { return opsFor[T]().max }
 // MinOp returns the element-wise minimum operation over T (co_min).
 func MinOp[T Number]() Op[T] { return opsFor[T]().min }
 
-// Predefined float64 reduction operations (the CAF co_sum, co_max, co_min
-// intrinsics at the default element type).
-var (
-	Sum = SumOp[float64]()
-	Max = MaxOp[float64]()
-	Min = MinOp[float64]()
-)
+// Sum is the predefined float64 summation (the CAF co_sum intrinsic at the
+// default element type).
+var Sum = SumOp[float64]()
 
 // tag names T for state and scratch keys: a float64 and an int64 collective
 // on the same team must not share flag arrays or landing regions.
@@ -121,7 +117,7 @@ func tag[T any]() string { return pgas.TypeName[T]() }
 type State struct {
 	flags *pgas.Flags
 	v     *team.View
-	name  string  // the state's world-registry key; scratch names extend it
+	sh    *sharedState
 	m     *member // this image's entry of the team-shared member table
 	bufs  []buffer
 }
@@ -135,9 +131,11 @@ type buffer struct {
 	x             interface{} // *landing[T], or *[]T for a temporary
 }
 
-// sharedState is the team-shared part of a State, one per instance in the
-// world registry.
+// sharedState is the team-shared part of a State, one per instance in its
+// team's registry.
 type sharedState struct {
+	alg     Alg
+	name    string // of the flags; scratch names extend it
 	flags   *pgas.Flags
 	members []member
 }
@@ -165,20 +163,19 @@ type Alg = team.AlgName
 
 // GetState returns the calling image's handle on the state of one algorithm
 // instance on its team, with slots flag slots per member. The per-view cache
-// makes repeat calls (one per episode, per image) one short scan, free of key
-// formatting and registry traffic; the flags and the member table stay
-// team-shared through the world registry.
+// makes repeat calls (one per episode, per image) one short scan, free of
+// registry traffic; the flags and the member table are the team's, keyed by
+// alg in its registry.
 func GetState(v *team.View, alg Alg, slots int) *State {
-	memo := team.MemoKey{Kind: "coll:state", Alg: alg}
-	if x := v.Cached(memo); x != nil {
+	if x := v.Cached(alg); x != nil {
 		return x.(*State)
 	}
-	w := v.Img.World()
-	key := "coll:" + alg.String() + ":team" + strconv.FormatInt(v.T.ID(), 10)
-	sh := pgas.LookupOrCreate(w, key, func() interface{} {
-		return &sharedState{flags: pgas.NewFlags(w, key, slots), members: make([]member, v.T.Size())}
+	t := v.T
+	sh := t.Registry().LookupOrCreate(alg, func() any {
+		name := "coll:" + alg.String() + ":team" + strconv.FormatInt(t.ID(), 10)
+		return &sharedState{alg, name, pgas.NewTeamFlags(v.Img.World(), name, slots), make([]member, t.Size())}
 	}).(*sharedState)
-	return v.Cache(memo, &State{flags: sh.flags, v: v, name: key, m: &sh.members[v.Rank]}).(*State)
+	return v.Cache(alg, &State{flags: sh.flags, v: v, sh: sh, m: &sh.members[v.Rank]}).(*State)
 }
 
 // Next claims the caller's next episode of the state and returns its parity
@@ -329,7 +326,7 @@ func bucket(n int) int {
 }
 
 // Box is one role's landing area for the running episode of a state: the
-// episode's parity half of the role's scratch coarray — regions regions of Cap
+// episode's parity half of the role's scratch coarray — regions regions of cap_
 // elements each, at least the elems asked for — on every member of the team.
 // Consecutive episodes use opposite halves, which is what lets a sender run
 // one episode ahead of a slow receiver; a Box owns that arithmetic, so an
@@ -342,10 +339,19 @@ type Box[T any] struct {
 }
 
 // landing is what NewBox memoises per role and size class: the scratch
-// coarray, halves × regions regions of cap_ elements.
+// coarray, halves × regions regions of cap_ elements, which the team's
+// registry holds under its boxKey.
 type landing[T any] struct {
 	st                    *State
 	co                    *pgas.Coarray[T]
+	cap_, regions, halves int
+}
+
+// boxKey keys a box's coarray in its team's registry; T tells element types
+// apart.
+type boxKey[T any] struct {
+	alg                   Alg
+	role                  string
 	cap_, regions, halves int
 }
 
@@ -375,8 +381,7 @@ func NewFixedBox[T any](st *State, role string, elems, regions int) Box[T] {
 func newBox[T any](st *State, role string, elems, regions, halves int) Box[T] {
 	cap_, first := bucket(elems), int(st.m.ep%int64(halves))*regions
 	// A repeat call (one per episode, per image) finds the landing among the
-	// few buffers this image asked for before: no name formatting, no
-	// registry lock.
+	// few buffers this image asked for before: no registry lock.
 	for i := range st.bufs {
 		if b := &st.bufs[i]; b.role == role && b.cap_ == cap_ && b.regions == regions {
 			if l, ok := b.x.(*landing[T]); ok && l.halves == halves {
@@ -384,19 +389,19 @@ func newBox[T any](st *State, role string, elems, regions, halves int) Box[T] {
 			}
 		}
 	}
-	kind := ":r" // the coarray's regions: both halves, or the one fixed half
-	if halves == 1 {
-		kind = ":f"
-	}
-	name := st.name + ":" + role + ":cap" + strconv.Itoa(cap_) + kind + strconv.Itoa(halves*regions)
-	co := pgas.NewTeamCoarray[T](st.v.Img.World(), name, halves*regions*cap_, st.v.T.Members())
+	t := st.v.T
+	co := t.Registry().LookupOrCreate(boxKey[T]{st.sh.alg, role, cap_, regions, halves}, func() any {
+		kind := ":r" // the coarray's regions: both halves, or the one fixed half
+		if halves == 1 {
+			kind = ":f"
+		}
+		name := st.sh.name + ":" + role + ":cap" + strconv.Itoa(cap_) + kind + strconv.Itoa(halves*regions)
+		return pgas.NewTeamCoarray[T](st.v.Img.World(), name, halves*regions*cap_, t.Members())
+	}).(*pgas.Coarray[T])
 	l := &landing[T]{st, co, cap_, regions, halves}
 	st.bufs = append(st.bufs, buffer{role, cap_, regions, l})
 	return Box[T]{l, first}
 }
-
-// Cap returns the element capacity of one region.
-func (b Box[T]) Cap() int { return b.cap_ }
 
 // Region returns the caller's own copy of the box from region i on, to the end
 // of the half (so a packed range may span regions): the first touch of a role

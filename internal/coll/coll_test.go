@@ -232,10 +232,10 @@ func TestAllreduceMaxMin(t *testing.T) {
 	expectMin := func(n, k int) float64 { return float64(k) }
 	for name, fn := range reducers {
 		t.Run(name+"/max", func(t *testing.T) {
-			checkAllreduce(t, "12(3)", name, fn, 9, Max, expectMax)
+			checkAllreduce(t, "12(3)", name, fn, 9, MaxOp[float64](), expectMax)
 		})
 		t.Run(name+"/min", func(t *testing.T) {
-			checkAllreduce(t, "12(3)", name, fn, 9, Min, expectMin)
+			checkAllreduce(t, "12(3)", name, fn, 9, MinOp[float64](), expectMin)
 		})
 	}
 }
@@ -340,7 +340,7 @@ func TestMixedCollectiveSequence(t *testing.T) {
 		}
 		BcastBinomial(v, 2, buf)
 		BarrierTree(v)
-		AllreduceTree(v, buf, Max)
+		AllreduceTree(v, buf, MaxOp[float64]())
 		if buf[0] != want {
 			t.Errorf("max of identical = %v, want %v", buf[0], want)
 		}

@@ -36,7 +36,7 @@ func GatherLinear[T any](v *team.View, root int, send, recv []T) {
 	}
 	st := GetState(v, Alg{"ga.lin", tag[T]()}, 4)
 	st.Next()
-	ranks := TeamRanks(v)
+	ranks := v.T.Ranks()
 	SubgroupGatherLinear(st, 0, ranks, v.Rank, root, func(i int) []int { return ranks[i : i+1] }, 1, send, recv, len(send))
 }
 
@@ -89,7 +89,7 @@ func GatherBinomial[T any](v *team.View, root int, send, recv []T) {
 	sz := v.NumImages()
 	st := GetState(v, Alg{"ga.binom", tag[T]()}, 3*Rounds(sz))
 	st.Next()
-	ranks := TeamRanks(v)
+	ranks := v.T.Ranks()
 	SubgroupGatherBinomial(st, 0, ranks, v.Rank, root, func(i int) []int { return ranks[i : i+1] }, 1, send, recv, len(send))
 }
 

@@ -2,7 +2,6 @@ package coll
 
 import (
 	"math/bits"
-	"strconv"
 
 	"cafteams/internal/pgas"
 	"cafteams/internal/team"
@@ -68,7 +67,7 @@ func SubgroupAllreduceRD[T any](v *team.View, group []int, myIdx int, buf []T, o
 // friends.
 func AllreduceRD[T any](v *team.View, buf []T, op Op[T]) {
 	v.Img.World().Stats().Count(trace.OpReduce)
-	SubgroupAllreduceRD(v, TeamRanks(v), v.Rank, buf, op, Alg{"red.flat"})
+	SubgroupAllreduceRD(v, v.T.Ranks(), v.Rank, buf, op, Alg{"red.flat"})
 }
 
 // AllreduceLinear gathers every vector at the team's first member, combines
@@ -158,7 +157,7 @@ func AllreduceRing[T any](v *team.View, buf []T, op Op[T]) {
 		return
 	}
 	if n < sz {
-		SubgroupAllreduceRD(v, TeamRanks(v), v.Rank, buf, op, Alg{"red.ringfallback"})
+		SubgroupAllreduceRD(v, v.T.Ranks(), v.Rank, buf, op, Alg{"red.ringfallback"})
 		return
 	}
 	st := GetState(v, Alg{"red.ring", op.Name, tag[T]()}, 2*(sz-1))
@@ -176,22 +175,4 @@ func AllreduceRing[T any](v *team.View, buf []T, op Op[T]) {
 	// All-gather: circulate the finished pieces, shifted by one.
 	shifted := func(i int) []T { return piece((i + 1) % sz) }
 	ring(st, sz-1, box, r, sz, next, shifted, func(i, at int) { box.Take(at, shifted(i)) })
-}
-
-// TeamRanks returns [0..size): the whole team as a subgroup. The slice is
-// built once per team and shared by every member; callers must not modify
-// it.
-func TeamRanks(v *team.View) []int {
-	memo := team.MemoKey{Kind: "coll:ranks"}
-	if x := v.Cached(memo); x != nil {
-		return x.([]int)
-	}
-	key := "coll:ranks:team" + strconv.FormatInt(v.T.ID(), 10)
-	return v.Cache(memo, pgas.LookupOrCreate(v.Img.World(), key, func() interface{} {
-		out := make([]int, v.T.Size())
-		for i := range out {
-			out[i] = i
-		}
-		return out
-	})).([]int)
 }

@@ -67,7 +67,7 @@ func SubgroupReduceToRoot[T any](v *team.View, group []int, myIdx, rootIdx int, 
 // root is a team rank.
 func ReduceToRoot[T any](v *team.View, root int, buf []T, op Op[T]) {
 	v.Img.World().Stats().Count(trace.OpReduce)
-	SubgroupReduceToRoot(v, TeamRanks(v), v.Rank, root, buf, op, Alg{"redto.flat", op.Name})
+	SubgroupReduceToRoot(v, v.T.Ranks(), v.Rank, root, buf, op, Alg{"redto.flat", op.Name})
 }
 
 // ReduceToRootLinear gathers every member's vector at the root directly and
@@ -80,7 +80,7 @@ func ReduceToRootLinear[T any](v *team.View, root int, buf []T, op Op[T]) {
 	}
 	st := GetState(v, Alg{"redto.lin", op.Name, tag[T]()}, 4)
 	st.Next()
-	collectLinear(st, 0, TeamRanks(v), v.Rank, root, len(buf), buf, func(_ int, in []T) {
+	collectLinear(st, 0, v.T.Ranks(), v.Rank, root, len(buf), buf, func(_ int, in []T) {
 		op.Combine(buf, in)
 		v.Img.MemWork(2 * pgas.ElemSize[T]() * len(buf))
 	})

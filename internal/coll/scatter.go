@@ -31,7 +31,7 @@ func ScatterOwn[T any](v *team.View, root int, send, recv []T) bool {
 // is significant only at the root and must hold NumImages()*len(recv) there.
 func ScatterLinear[T any](v *team.View, root int, send, recv []T) {
 	if ScatterOwn(v, root, send, recv) {
-		ranks := TeamRanks(v)
+		ranks := v.T.Ranks()
 		scatterFlat(v, root, Alg{"sc.lin", tag[T]()}, false, func(i int) []int { return ranks[i : i+1] }, send, recv)
 	}
 }
@@ -40,7 +40,7 @@ func ScatterLinear[T any](v *team.View, root int, send, recv []T) {
 // tree: SubgroupScatterBinomial over the whole team.
 func ScatterBinomial[T any](v *team.View, root int, send, recv []T) {
 	if ScatterOwn(v, root, send, recv) {
-		ranks := TeamRanks(v)
+		ranks := v.T.Ranks()
 		scatterFlat(v, root, Alg{"sc.binom", tag[T]()}, true, func(i int) []int { return ranks[i : i+1] }, send, recv)
 	}
 }
@@ -52,7 +52,7 @@ func ScatterBinomial[T any](v *team.View, root int, send, recv []T) {
 func scatterFlat[T any](v *team.View, root int, alg Alg, tree bool, block func(i int) []int, send, recv []T) {
 	st := GetState(v, alg, 5)
 	st.Next()
-	ranks := TeamRanks(v)
+	ranks := v.T.Ranks()
 	first := 0
 	if v.Rank == root {
 		st.Inject(4)

@@ -72,7 +72,7 @@ func TestPublishOrder(t *testing.T) {
 			st.Next()
 			ep := st.m.ep
 			if v.Rank == root {
-				st.Publish(0, TeamRanks(v), c.first, pgas.ViaConduit)
+				st.Publish(0, v.T.Ranks(), c.first, pgas.ViaConduit)
 				if st.flags.Peek(root, 0) != ep {
 					t.Errorf("%s: the root did not stamp itself", c.name)
 				}
@@ -106,8 +106,8 @@ func TestBox(t *testing.T) {
 		for parity := st.Next(); st.m.ep <= 2; parity = st.Next() {
 			ep := st.m.ep
 			box := NewBox[float64](st, "t", elems, regions)
-			if box.Cap() != cap_ {
-				t.Fatalf("capacity %d, want the size class %d", box.Cap(), cap_)
+			if box.cap_ != cap_ {
+				t.Fatalf("capacity %d, want the size class %d", box.cap_, cap_)
 			}
 			slab := pgas.Local(box.co, im)
 			for i := 0; i < regions; i++ {
@@ -198,7 +198,9 @@ func TestFixedBox(t *testing.T) {
 // reads the episode number. Box, the waits Arrivals/Gate/Inject and the sends
 // Notify/Stamp (Publish, Relay) are the only way to those. internal/team
 // touches no flag at all: FORM TEAM exchanges through core.Form's allgather.
-// The rows are caflint's vocabulary seam (internal/lint/seams.go).
+// Neither coll nor core names the world's registry or its named flags,
+// coarrays and events: collective state is its team's. The rows are caflint's
+// vocabulary seam (internal/lint/seams.go).
 func TestProtocolVocabularyIsClosed(t *testing.T) {
 	t.Parallel()
 	linttest.Run(t, "../..", lint.SeamsOf("vocabulary"), "cafteams/internal/coll", "cafteams/internal/core", "cafteams/internal/team")
@@ -206,9 +208,9 @@ func TestProtocolVocabularyIsClosed(t *testing.T) {
 
 // TestCoreNetworkSendsAreClosed: internal/core writes two inter-node sends of
 // its own, scanChain (ScanTwoLevel's leaders' chain) and ScatterTwoLevel's
-// done wave; every other message of a two-level body that may cross the
-// network is a coll body's among the node leaders. The rows are caflint's
-// core-sends seam.
+// done wave, the one path named inside a State.Publish call; every other
+// message of a two-level body that may cross the network is a coll body's
+// among the node leaders. The rows are caflint's core-sends seam.
 func TestCoreNetworkSendsAreClosed(t *testing.T) {
 	t.Parallel()
 	linttest.Run(t, "../..", lint.SeamsOf("core-sends"), "cafteams/internal/core")

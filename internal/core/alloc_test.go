@@ -39,6 +39,7 @@ func steadyStateAllocs(t *testing.T, sc confScenario, k Kind, pol Policy) float6
 		v := team.Initial(w, im)
 		n := v.NumImages()
 		vec, all, all2 := make([]float64, elems), make([]float64, n*elems), make([]float64, n*elems)
+		maxOp := coll.MaxOp[float64]()
 		episode := func() {
 			switch k {
 			case KindBarrier:
@@ -58,7 +59,7 @@ func steadyStateAllocs(t *testing.T, sc confScenario, k Kind, pol Policy) float6
 			case KindAlltoall:
 				PolicyAlltoall(pol, v, all, all2)
 			case KindScan:
-				PolicyScan(pol, v, vec, coll.Max, false)
+				PolicyScan(pol, v, vec, maxOp, false)
 			}
 		}
 		for i := 0; i < warm; i++ {

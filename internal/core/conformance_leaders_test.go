@@ -122,11 +122,11 @@ var (
 	allgatherCells   = []leaderCell{{KindAllgather, "2level"}, {KindAllgather, "bruck"}}
 )
 
-// ranState reports whether some image of w created the algorithm state named
-// alg on the initial team: which form of a stage ran.
-func ranState(w *pgas.World, alg string) bool {
+// ranState reports whether some image of w created the state of algorithm
+// instance alg on the initial team: which form of a stage ran.
+func ranState(w *pgas.World, alg coll.Alg) bool {
 	found := true
-	pgas.LookupOrCreate(w, "coll:"+alg+":team1", func() interface{} { found = false; return nil })
+	team.Initial(w, w.Image(0)).T.Registry().LookupOrCreate(alg, func() any { found = false; return nil })
 	return found
 }
 
@@ -155,7 +155,7 @@ func TestManyLeadersTakeTheLogDepthStage(t *testing.T) {
 		}
 		contiguous := tm.Contiguous()
 		wantExchange := contiguous && leaders >= logDepthLeaders
-		if exchange, flat := ranState(w, "core.scan2lead.incl.xscan.sum.float64"), ranState(w, "scan.rd.sum.incl.float64"); exchange != wantExchange || flat == contiguous {
+		if exchange, flat := ranState(w, coll.Alg{"core.scan2lead", "incl", "xscan", "sum", "float64"}), ranState(w, coll.Alg{"scan.rd", "sum", "incl", "float64"}); exchange != wantExchange || flat == contiguous {
 			t.Errorf("%s (rank-contiguous %v, %d leaders): scan/2level ran the exchange stage %v, the flat fallback %v", sc, contiguous, leaders, exchange, flat)
 		}
 
@@ -185,7 +185,7 @@ func TestManyLeadersTakeTheLogDepthStage(t *testing.T) {
 			rooted.rootOf = func(ep, n int) int { return ep * (n/4 + 1) % n }
 			w = rooted.world(t)
 			end := w.Run(func(im *pgas.Image) { runConfEpisodes(t, rooted, c.k, "2level", false, team.Initial(w, im)) })
-			if tree, linear := ranState(w, c.state+".tree.float64"), ranState(w, c.state+".float64"); tree != wantTree || linear == wantTree {
+			if tree, linear := ranState(w, coll.Alg{c.state, "tree", "float64"}), ranState(w, coll.Alg{c.state, "float64"}); tree != wantTree || linear == wantTree {
 				t.Errorf("%s (%d leaders): %s/2level ran the tree %v, the linear stage %v", sc, leaders, c.k, tree, linear)
 			}
 			if tm.MaxNodeGroup() > 1 {

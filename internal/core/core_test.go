@@ -215,12 +215,12 @@ func TestAllreduceTwoLevelMaxMin(t *testing.T) {
 	w.Run(func(im *pgas.Image) {
 		v := team.Initial(w, im)
 		buf := []float64{float64(im.Rank())}
-		AllreduceTwoLevel(v, buf, coll.Max)
+		AllreduceTwoLevel(v, buf, coll.MaxOp[float64]())
 		if buf[0] != float64(n-1) {
 			t.Errorf("max = %v, want %v", buf[0], float64(n-1))
 		}
 		buf[0] = float64(im.Rank())
-		AllreduceTwoLevel(v, buf, coll.Min)
+		AllreduceTwoLevel(v, buf, coll.MinOp[float64]())
 		if buf[0] != 0 {
 			t.Errorf("min = %v, want 0", buf[0])
 		}

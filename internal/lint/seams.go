@@ -11,10 +11,10 @@ import (
 	"strings"
 )
 
-// Seams holds the architecture seams, one row of seamTable each: in the
-// row's package, a non-test file names (types.Info.Uses) a row's object only
-// in one of its places, and a place with "=n" holds exactly n uses. A row
-// naming an object or a "!file" that does not exist is itself a finding.
+// Seams holds the architecture seams, one row of seamTable each: in each of
+// the row's packages, a non-test file names (types.Info.Uses) a row's object
+// only in one of its places, and a place with "=n" holds exactly n uses. A
+// row naming an object or a "!file" that does not exist is itself a finding.
 //
 // An object is a package-level name, qualified by an import's name for
 // another package's ("route", "sim.Proc.Sleep"), then a member ("member.ep")
@@ -26,10 +26,10 @@ import (
 // directive allows seams: a seam moves only in this table.
 //
 // A row's name is its seam's: vocabulary (coll's protocol vocabulary, the
-// runtime's one flag protocol), core-sends (core's own inter-node sends),
-// backend (the pgas Transport seam) and helpers (route as the one charge; sim
-// helpers do not block). SeamsOf runs one seam, so a package's test holds its
-// seams in tier-1.
+// runtime's one flag protocol, over state its team holds), core-sends (core's
+// own inter-node sends), backend (the pgas Transport seam) and helpers (route
+// as the one charge; sim helpers do not block). SeamsOf runs one seam, so a
+// package's test holds its seams in tier-1.
 var Seams = seamsOver(seamTable)
 
 // SeamsOf is Seams over the rows of one named seam.
@@ -48,19 +48,21 @@ func SeamsOf(name string) *Analyzer {
 
 type seam struct{ name, pkg, objects, places, why string }
 
-const flagCalls = "pgas.Flags pgas.NewFlags pgas.Image.WaitFlagGE pgas.Image.NotifyAdd pgas.Image.NotifySet pgas.Image.SetLocal"
+const flagCalls = "pgas.Flags pgas.NewFlags pgas.NewTeamFlags pgas.Image.WaitFlagGE pgas.Image.NotifyAdd pgas.Image.NotifySet pgas.Image.SetLocal"
 
 var seamTable = []seam{
 	// Outside coll.go only the protocol vocabulary (Box, Arrivals, Gate, Inject,
 	// Notify, Stamp, Publish, Relay) touches flags; Next returns a parity.
 	{"vocabulary", "cafteams/internal/coll", flagCalls + " State.flags State.expect member.expect", "coll.go", "a flag touched outside the protocol vocabulary"},
 	{"vocabulary", "cafteams/internal/coll", "member.ep", "coll.go", "the episode number outside coll.go"},
-	{"vocabulary", "cafteams/internal/core", flagCalls, "", "a flag touched outside the protocol vocabulary"},
 	// FORM TEAM's exchange is core.Form's allgather: team splits locally.
-	{"vocabulary", "cafteams/internal/team", flagCalls, "", "a flag touched outside the protocol vocabulary"},
+	{"vocabulary", "cafteams/internal/core cafteams/internal/team", flagCalls, "", "a flag touched outside the protocol vocabulary"},
+	// Collective state is its team's (GetState, NewBox): none lives in the
+	// world, which would outlive the team.
+	{"vocabulary", "cafteams/internal/coll cafteams/internal/core", "pgas.LookupOrCreate pgas.NewFlags pgas.NewCoarray pgas.NewEvents", "", "a world object in collective code"},
 	// core's own inter-node sends: the scan's chain and the scatter's done
 	// wave; any other is a coll body's among the node leaders.
-	{"core-sends", "cafteams/internal/core", "pgas.ViaAuto pgas.ViaConduit", "scanChain ScatterTwoLevel=1", "an inter-node send of core's own"},
+	{"core-sends", "cafteams/internal/core", "pgas.ViaAuto pgas.ViaConduit", "scanChain coll.State.Publish()=1", "an inter-node send of core's own"},
 	// A backend's state is its transport and the types its file declares, in
 	// that file with its clock and kernel; World's one backend handle is its
 	// Transport, which holds its own *World.
@@ -90,7 +92,7 @@ var seamTable = []seam{
 func seamsOver(table []seam) *Analyzer {
 	return &Analyzer{Name: "seams", Doc: "hold each architecture seam's objects to the places its row allows", Run: func(pass *Pass) error {
 		for _, row := range table {
-			if row.pkg == pass.Path {
+			if slices.Contains(strings.Fields(row.pkg), pass.Path) {
 				checkSeam(pass, row)
 			}
 		}

@@ -83,7 +83,7 @@ type Events struct {
 
 // NewEvents allocates a symmetric event array with n events per image.
 func NewEvents(w *World, name string, n int) *Events {
-	return w.lookupOrCreate("events:"+name, func() interface{} {
+	return w.reg.LookupOrCreate("events:"+name, func() any {
 		ev := &Events{f: NewFlags(w, "events:"+name, n)}
 		ev.consumed = make([][]int64, w.NumImages())
 		for i := range ev.consumed {

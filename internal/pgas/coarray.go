@@ -118,45 +118,35 @@ func TypeName[T any]() string {
 }
 
 // NewCoarray collectively allocates a coarray of n elements per image across
-// the whole world.
+// the whole world, registered in the world by name and element type: two
+// coarrays that share a name but differ in T are distinct allocations, not a
+// type-assertion crash on second use.
 func NewCoarray[T any](w *World, name string, n int) *Coarray[T] {
-	return newCoarrayOn[T](w, name, n, nil)
+	return w.reg.LookupOrCreate("coarray:"+TypeName[T]()+":"+name, func() any {
+		return NewTeamCoarray[T](w, name, n, nil)
+	}).(*Coarray[T])
 }
 
-// NewTeamCoarray collectively allocates a coarray whose slabs exist only on
-// the given member images (global ranks) — the paper's "declare and allocate
-// coarrays within a change team block ... allocated only in the images
-// operating on it". members is only read while the coarray is created, so
-// callers may pass a shared slice.
+// NewTeamCoarray makes a coarray whose slabs exist only on the given member
+// images (distinct global ranks; nil means every image) — the paper's
+// "declare and allocate coarrays within a change team block ... allocated
+// only in the images operating on it". It registers nothing: the caller
+// creates it once in its team's registry, where every member attaches to it
+// and which it leaves with the team. members is only read here, so callers
+// may pass a shared slice.
 func NewTeamCoarray[T any](w *World, name string, n int, members []int) *Coarray[T] {
-	return newCoarrayOn[T](w, name, n, members)
-}
-
-func newCoarrayOn[T any](w *World, name string, n int, members []int) *Coarray[T] {
 	if n <= 0 {
 		panic(fmt.Sprintf("pgas: coarray %q with %d elements", name, n))
 	}
-	// The registry key includes the element type: two coarrays that share a
-	// name but differ in T are distinct allocations, not a type-assertion
-	// crash on second use.
-	return w.lookupOrCreate("coarray:"+TypeName[T]()+":"+name, func() interface{} {
-		c := &Coarray[T]{w: w, name: name, n: n, elemSize: sizeOf[T]()}
-		c.slabs = make([]atomic.Pointer[[]T], w.NumImages())
-		if members != nil {
-			set := make([]uint64, (w.NumImages()+63)/64)
-			owners := 0
-			for _, m := range members {
-				if set[m/64]>>(m%64)&1 == 0 {
-					set[m/64] |= 1 << (m % 64)
-					owners++
-				}
-			}
-			if owners < w.NumImages() {
-				c.members = set
-			}
+	c := &Coarray[T]{w: w, name: name, n: n, elemSize: sizeOf[T]()}
+	c.slabs = make([]atomic.Pointer[[]T], w.NumImages())
+	if members != nil && len(members) < w.NumImages() {
+		c.members = make([]uint64, (w.NumImages()+63)/64)
+		for _, m := range members {
+			c.members[m/64] |= 1 << (m % 64)
 		}
-		return c
-	}).(*Coarray[T])
+	}
+	return c
 }
 
 // Name returns the allocation name.

@@ -37,18 +37,20 @@ type Flags struct {
 
 // NewFlags allocates a flags array with slots slots per image. Like a
 // coarray allocation this is logically collective; the first image to reach
-// it creates the shared object (World.lookupOrCreate guarantees exactly one
-// creation per key even when native goroutines race to it). Flags are
-// always int64, so unlike coarrays the name alone keys the allocation (no
-// element-type component).
+// it creates the shared object in the world's registry, once per name even
+// when native goroutines race to it. Flags are always int64, so unlike
+// coarrays the name alone keys the allocation.
 func NewFlags(w *World, name string, slots int) *Flags {
+	return w.reg.LookupOrCreate("flags:"+name, func() any { return NewTeamFlags(w, name, slots) }).(*Flags)
+}
+
+// NewTeamFlags makes a flags array that, like NewTeamCoarray's coarrays,
+// registers nothing: the caller creates it once in its team's registry.
+func NewTeamFlags(w *World, name string, slots int) *Flags {
 	if slots <= 0 {
 		panic(fmt.Sprintf("pgas: flags %q with %d slots", name, slots))
 	}
-	return w.lookupOrCreate("flags:"+name, func() interface{} {
-		return &Flags{w: w, name: name, slots: slots,
-			rows: make([]atomic.Pointer[[]int64], w.NumImages())}
-	}).(*Flags)
+	return &Flags{w: w, name: name, slots: slots, rows: make([]atomic.Pointer[[]int64], w.NumImages())}
 }
 
 // Slots returns the per-image slot count.

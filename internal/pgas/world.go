@@ -92,23 +92,14 @@ type World struct {
 	// fault.go).
 	faults *faultCtx
 
-	// registry holds world-wide named objects (teams, flags, coarrays,
-	// collective scratch state). Creation is once-per-key: on the native
-	// backend many images race to the first use of an allocation, and all
-	// of them must attach to the single shared object. Entries carry their
-	// own sync.Once so mk functions may nest LookupOrCreate calls for
-	// *other* keys (team builds allocate flags) without self-deadlock.
-	regMu    sync.Mutex
-	registry map[string]*regEntry
+	// reg holds the world's named objects: the initial team, the team id
+	// counter, and named world coarrays, flags and events. A team's own
+	// objects live in its team's registry, and go with the team.
+	reg Registry
 
 	// label prefixes image names in process listings and deadlock reports,
 	// so co-scheduled jobs' images tell apart. Empty for single-job worlds.
 	label string
-}
-
-type regEntry struct {
-	once sync.Once
-	v    interface{}
 }
 
 // newWorld builds the backend-agnostic part of a world.
@@ -117,11 +108,10 @@ func newWorld(tr Transport, model *machine.Model, topo *topology.Topology, stats
 		stats = trace.New()
 	}
 	w := &World{
-		tr:       tr,
-		model:    model,
-		topo:     topo,
-		stats:    stats,
-		registry: make(map[string]*regEntry),
+		tr:    tr,
+		model: model,
+		topo:  topo,
+		stats: stats,
 	}
 	// One slab for all images: a world's set-up cost is its allocations.
 	images := make([]Image, topo.NumImages())
@@ -192,25 +182,49 @@ func (w *World) Run(body func(img *Image)) Time {
 	return w.tr.Drive()
 }
 
-// lookupOrCreate returns the named world object, creating it with mk on
-// first use. Exactly one caller's mk runs per key; every other image
-// attaches to the object it produced. mk may call lookupOrCreate for other
-// keys (but not its own).
-func (w *World) lookupOrCreate(key string, mk func() interface{}) interface{} {
-	w.regMu.Lock()
-	e, ok := w.registry[key]
+// Registry creates shared objects once per key: the first image to reach an
+// allocation creates the object, and every other image attaches to it (on the
+// native backend many images race to that first use). Keys are comparable
+// values, and keys of distinct types never collide, so a package keys its
+// objects by a type of its own. The zero Registry is empty and ready to use.
+type Registry struct {
+	mu sync.Mutex
+	m  map[any]*regEntry
+}
+
+type regEntry struct {
+	once sync.Once
+	v    any
+}
+
+// LookupOrCreate returns key's object, creating it with mk on first use.
+// Exactly one caller's mk runs per key. Each entry has its own sync.Once, so
+// mk may look up other keys (NewEvents makes flags), but not its own.
+func (r *Registry) LookupOrCreate(key any, mk func() any) any {
+	r.mu.Lock()
+	e, ok := r.m[key]
 	if !ok {
+		if r.m == nil {
+			r.m = make(map[any]*regEntry)
+		}
 		e = &regEntry{}
-		w.registry[key] = e
+		r.m[key] = e
 	}
-	w.regMu.Unlock()
+	r.mu.Unlock()
 	e.once.Do(func() { e.v = mk() })
 	return e.v
 }
 
-// LookupOrCreate exposes the world-wide named-object registry to the layers
-// above (teams, collective scratch state). The first image to reach a
-// collective allocation creates the shared object; later arrivals attach.
-func LookupOrCreate(w *World, key string, mk func() interface{}) interface{} {
-	return w.lookupOrCreate(key, mk)
+// Delete drops key's entry once every image that needs its object holds it:
+// a later lookup of key would create another.
+func (r *Registry) Delete(key any) {
+	r.mu.Lock()
+	delete(r.m, key)
+	r.mu.Unlock()
+}
+
+// LookupOrCreate looks key up in the world's registry, which holds what lives
+// as long as the world: the initial team and named world objects.
+func LookupOrCreate(w *World, key string, mk func() any) any {
+	return w.reg.LookupOrCreate(key, mk)
 }

@@ -5,13 +5,44 @@ import (
 	"fmt"
 	"math"
 	"slices"
-
-	"cafteams/internal/pgas"
+	"sync/atomic"
 )
 
-// formEpochs tracks, per member, how many form-team episodes the member has
-// completed on a given team; the episode number keys that episode's teams.
-type formEpochs struct{ count []int64 }
+// formKey keys a team's formation state in its registry: with episode 0, how
+// many episodes each member has begun; else the team numbered number that
+// the episode formed. Split and FormSurvivors count their episodes apart.
+type formKey struct {
+	survivors       bool
+	episode, number int64
+}
+
+// formed is a team one episode formed. It stays in its parent's registry
+// until the last of its members has attached, and then lives in its members'
+// views alone.
+type formed struct {
+	t        *Team
+	epoch    int64 // FormSurvivors: the failure epoch of its member list
+	attached atomic.Int64
+}
+
+// form returns this image's view of the team numbered number that its next
+// episode of the kind forms on v's team, which mk builds for the first member
+// to arrive.
+func (v *View) form(survivors bool, number int64, mk func() *formed) (*View, *formed) {
+	reg := &v.T.reg
+	count := reg.LookupOrCreate(formKey{survivors: survivors}, func() any { return make([]int64, v.T.Size()) }).([]int64)
+	count[v.Rank]++
+	key := formKey{survivors, count[v.Rank], number}
+	f := reg.LookupOrCreate(key, func() any { return mk() }).(*formed)
+	rank, ok := f.t.rankOf[v.Img.Rank()]
+	if !ok { // only a survivor team leaves a caller out
+		panic(fmt.Sprintf("team: failed image %d called FormSurvivors", v.Img.Rank()))
+	}
+	if f.attached.Add(1) == int64(f.t.Size()) {
+		reg.Delete(key)
+	}
+	return &View{T: f.t, Rank: rank, Img: v.Img}, f
+}
 
 // Split is the local half of the CAF "form team (number, team_var)"
 // statement (core.Form exchanges the pairs): pairs holds every member's
@@ -22,15 +53,7 @@ type formEpochs struct{ count []int64 }
 // newIndex -1). The siblings of one episode each share one Team object.
 func (v *View) Split(pairs []int64) *View {
 	t := v.T
-	w := t.w
 	n := t.Size()
-
-	ep := pgas.LookupOrCreate(w, fmt.Sprintf("team:formepochs:%d", t.id), func() interface{} {
-		return &formEpochs{count: make([]int64, n)}
-	}).(*formEpochs)
-	ep.count[v.Rank]++
-	episode := ep.count[v.Rank]
-
 	number := pairs[2*v.Rank]
 	var members []int // parent ranks, in parent order
 	for r := range n {
@@ -49,17 +72,11 @@ func (v *View) Split(pairs []int64) *View {
 		members[i] = t.GlobalRank(r)
 	}
 
-	teamKey := fmt.Sprintf("team:formed:%d:%d:%d", t.id, episode, number)
-	nt := pgas.LookupOrCreate(w, teamKey, func() interface{} {
-		return build(w, nextTeamID(w), number, t, members)
-	}).(*Team)
-	return &View{T: nt, Rank: nt.rankOf[v.Img.Rank()], Img: v.Img}
+	nv, _ := v.form(false, number, func() *formed {
+		return &formed{t: build(t.w, nextTeamID(t.w), number, t, members)}
+	})
+	return nv
 }
-
-// shrinkEpochs counts, per member, how many survivor-formation episodes the
-// member has completed on a given team, so repeated shrinks rendezvous
-// correctly (ULFM allows a shrunken communicator to shrink again).
-type shrinkEpochs struct{ count []int64 }
 
 // FormSurvivors is the failed-image form of form team: it returns this
 // image's view of a new team containing the current team's members minus
@@ -72,56 +89,31 @@ type shrinkEpochs struct{ count []int64 }
 // once the failure that triggered recovery has been announced. The first
 // survivor to arrive fixes the epoch's snapshot; if yet another image fails
 // while survivors trickle in, later collectives on the shrunken team raise
-// STAT_FAILED_IMAGE again and the team can be shrunk again. The fresh team
-// id means fresh collective flag and scratch state, so a collective aborted
-// mid-episode on the old team cannot pollute its re-run on the new one.
+// STAT_FAILED_IMAGE again and the team can be shrunk again. A fresh team
+// has fresh collective flags and scratch (they are its own), so a collective
+// aborted mid-episode on the old team cannot pollute its re-run on the new
+// one.
 //
 // Calling FormSurvivors from an image that is itself announced failed
 // panics: a failed image has no place in the survivor team.
 func (v *View) FormSurvivors() *View {
 	t := v.T
 	w := t.w
-
-	ep := pgas.LookupOrCreate(w, fmt.Sprintf("team:shrinkepochs:%d", t.id), func() interface{} {
-		return &shrinkEpochs{count: make([]int64, t.Size())}
-	}).(*shrinkEpochs)
-	ep.count[v.Rank]++
-	episode := ep.count[v.Rank]
-
-	teamKey := fmt.Sprintf("team:shrunk:%d:%d", t.id, episode)
-	sh := pgas.LookupOrCreate(w, teamKey, func() interface{} {
+	nv, f := v.form(true, t.number, func() *formed {
 		// Epoch before set: the snapshot then covers at least every
 		// announcement up to the epoch each survivor acknowledges below.
-		epoch := w.FailureEpoch()
-		failed := make(map[int]bool)
-		for _, g := range w.FailedImages() {
-			failed[g] = true
-		}
-		var members []int
-		for _, g := range t.members {
-			if !failed[g] {
-				members = append(members, g)
-			}
-		}
-		return &shrunkTeam{t: build(w, nextTeamID(w), t.number, t, members), epoch: epoch}
-	}).(*shrunkTeam)
-	nt := sh.t
-	rank, ok := nt.rankOf[v.Img.Rank()]
-	if !ok {
-		panic(fmt.Sprintf("team: failed image %d called FormSurvivors", v.Img.Rank()))
-	}
+		epoch, failed := w.FailureEpoch(), w.FailedImages() // ascending
+		members := slices.DeleteFunc(slices.Clone(t.members), func(g int) bool {
+			_, dead := slices.BinarySearch(failed, g)
+			return dead
+		})
+		return &formed{t: build(w, nextTeamID(w), t.number, t, members), epoch: epoch}
+	})
 	// The new team excludes every failure announced up to the snapshot
 	// epoch; acknowledge them so collectives on it are not interrupted on
 	// their account. Failures announced after the snapshot stay
 	// unacknowledged — they may be members of the new team, and the next
 	// collective on it will raise STAT_FAILED_IMAGE for another shrink.
-	v.Img.AckFailuresUpTo(sh.epoch)
-	return &View{T: nt, Rank: rank, Img: v.Img}
-}
-
-// shrunkTeam pairs a survivor team with the failure epoch its member list
-// was computed at.
-type shrunkTeam struct {
-	t     *Team
-	epoch int64
+	v.Img.AckFailuresUpTo(f.epoch)
+	return nv
 }

@@ -26,13 +26,17 @@ import (
 
 // Team is the shared, immutable description of one team. All member images
 // hold the same *Team; per-image state (the image's rank within the team)
-// lives in View.
+// lives in View. The team owns what is scoped to it — collective state and
+// scratch, team coarrays, formation counters — in its registry, so a team the
+// program drops is collected with all of it.
 type Team struct {
 	w       *pgas.World
+	reg     pgas.Registry
 	id      int64 // unique within the world
 	number  int64 // the team_number used at formation (1 for initial team)
 	parent  *Team
 	members []int       // global ranks in team order
+	ranks   []int       // [0..size), the parent's prefix
 	rankOf  map[int]int // global rank -> team rank
 
 	// Node-level hierarchy (2-level methodology), in one order: a group
@@ -65,14 +69,14 @@ type View struct {
 }
 
 type memoEntry struct {
-	key MemoKey
+	key AlgName
 	val interface{}
 }
 
 // AlgName names one algorithm instance in parts: the algorithm, then
 // whatever tells instances apart — the reduction, the path, the element type.
-// It is comparable, so it keys view-cached lookups as it is; the parts are
-// joined into the world-registry name (String) only when a lookup misses.
+// It is comparable, so it keys lookups as it is; the parts are joined (String)
+// only to name the objects a lookup that misses creates.
 type AlgName [5]string
 
 // used is the number of parts up to the last non-empty one.
@@ -99,21 +103,12 @@ func (a AlgName) With(parts ...string) AlgName {
 // String joins the parts with dots.
 func (a AlgName) String() string { return strings.Join(a[:a.used()], ".") }
 
-// MemoKey keys one view-cached lookup: a kind tag and, for per-algorithm
-// objects, the algorithm instance. It is a comparable struct so lookups build
-// no strings and box no keys.
-type MemoKey struct {
-	Kind string
-	Alg  AlgName
-}
-
 // Cached returns the view-cached value for key, nil when there is none yet.
 // The collective layers use the cache to skip per-episode registry lookups
-// (and their formatted string keys) on the hot path: the view is one image's
-// private handle, so no locking is needed on either backend. What a miss
-// stores (Cache) is typically an object the world registry shares team-wide,
-// or a buffer private to this image.
-func (v *View) Cached(key MemoKey) interface{} {
+// on the hot path: the view is one image's private handle, so no locking is
+// needed on either backend. What a miss stores (Cache) is typically an
+// image's handle on an object the team's registry shares team-wide.
+func (v *View) Cached(key AlgName) interface{} {
 	for i := range v.memo {
 		if v.memo[i].key == key {
 			return v.memo[i].val
@@ -124,10 +119,14 @@ func (v *View) Cached(key MemoKey) interface{} {
 
 // Cache stores x as the view-cached value for key, which Cached just missed,
 // and returns it.
-func (v *View) Cache(key MemoKey, x interface{}) interface{} {
+func (v *View) Cache(key AlgName, x interface{}) interface{} {
 	v.memo = append(v.memo, memoEntry{key, x})
 	return x
 }
+
+// Registry returns the team's registry: what it holds lives as long as the
+// team.
+func (t *Team) Registry() *pgas.Registry { return &t.reg }
 
 // idCounter lives in the world registry so ids are unique per world. The
 // increment is atomic: on the native backend sibling subteams can be built
@@ -151,6 +150,10 @@ func build(w *pgas.World, id, number int64, parent *Team, members []int) *Team {
 	}
 	for r, g := range t.members {
 		t.rankOf[g] = r
+	}
+	t.ranks = t.members // the initial team's members are [0..size)
+	if parent != nil {
+		t.ranks = parent.ranks[:len(members)]
 	}
 	topo := w.Topology()
 	t.groupOf = make([]int, len(t.members))
@@ -222,6 +225,10 @@ func (t *Team) Size() int { return len(t.members) }
 // Members returns the global ranks of the members in team order. The caller
 // must not modify the returned slice.
 func (t *Team) Members() []int { return t.members }
+
+// Ranks returns [0..size): the whole team as a subgroup of team ranks. The
+// caller must not modify the returned slice.
+func (t *Team) Ranks() []int { return t.ranks }
 
 // GlobalRank maps a team rank to the image's global (initial-team) rank —
 // the CAF image_index intrinsic.
