@@ -151,7 +151,7 @@ func AlltoallBruck[T any](v *team.View, send, recv []T) {
 		st.Gate(ackSlot, 1)
 		box.Put(dst, off[k], pack, k, pgas.ViaConduit)
 		st.Arrivals(k, 1)
-		landed := box.Region(off[k])
+		landed := box.Landed(off[k], 0, len(pack)) // the partner ships as many blocks
 		i := 0
 		for j := 1; j < sz; j++ {
 			if j>>k&1 == 1 {

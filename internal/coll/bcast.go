@@ -170,7 +170,7 @@ func BcastScatterAllgather[T any](v *team.View, root int, buf []T) {
 	for k := binomialFanout(rel, sz) - 1; k >= 0; k-- {
 		child := rel + 1<<k
 		lo, hi := child*n/sz, min(child+1<<k, sz)*n/sz
-		vec.PutAt(member(child), 0, lo, vec.Region(0)[lo:hi], steps, pgas.ViaConduit)
+		vec.PutAt(member(child), 0, lo, vec.Landed(0, lo, hi-lo), steps, pgas.ViaConduit)
 	}
 	ring(st, 0, ringBox, rel, sz, member(rel+1), piece, func(c, at int) { ringBox.Take(at, piece(c)) })
 }

@@ -333,6 +333,10 @@ func bucket(n int) int {
 // algorithm names regions of the running episode and cannot reach the other
 // parity's (a NewFixedBox has one half, which every episode uses). A two-word
 // value: making one allocates nothing.
+//
+// The scratch is a write-at-issue coarray (pgas.NewGuardedCoarray): on the sim
+// a Put's payload is in the target's region from its issue, as over RDMA, and
+// only its flag waits for the modeled delivery.
 type Box[T any] struct {
 	*landing[T]
 	first int // the half's first region of the coarray
@@ -396,7 +400,7 @@ func newBox[T any](st *State, role string, elems, regions, halves int) Box[T] {
 			kind = ":f"
 		}
 		name := st.sh.name + ":" + role + ":cap" + strconv.Itoa(cap_) + kind + strconv.Itoa(halves*regions)
-		return pgas.NewTeamCoarray[T](st.v.Img.World(), name, halves*regions*cap_, t.Members())
+		return pgas.NewGuardedCoarray[T](st.v.Img.World(), name, halves*regions*cap_, t.Members())
 	}).(*pgas.Coarray[T])
 	l := &landing[T]{st, co, cap_, regions, halves}
 	st.bufs = append(st.bufs, buffer{role, cap_, regions, l})
@@ -405,7 +409,9 @@ func newBox[T any](st *State, role string, elems, regions, halves int) Box[T] {
 
 // Region returns the caller's own copy of the box from region i on, to the end
 // of the half (so a packed range may span regions): the first touch of a role
-// materialises its slab here.
+// materialises its slab here. It is unchecked — the caller's writes to its own
+// box, and packing around pieces that land later — so a read of what a Put
+// landed goes through Landed or Take.
 func (b Box[T]) Region(i int) []T {
 	if i < 0 {
 		b.outside(i, 0, 0)
@@ -414,13 +420,25 @@ func (b Box[T]) Region(i int) []T {
 	return pgas.Local(b.co, b.st.v.Img)[lo:hi:hi]
 }
 
+// Landed returns the n elements from offset off of the caller's region i, to
+// read what Puts landed there. It is checked: on the sim, which writes a put's
+// payload at issue, it panics if a put in flight lands on the range later than
+// the caller's clock (a read before arrival).
+func (b Box[T]) Landed(i, off, n int) []T {
+	at := (b.first+i)*b.cap_ + off
+	if i < 0 || off < 0 || at+n > (b.first+b.regions)*b.cap_ {
+		b.outside(i, off, n)
+	}
+	return pgas.Landed(b.co, b.st.v.Img, at, n)
+}
+
 // Take copies the head of region i out into dst and charges the copy.
 func (b Box[T]) Take(i int, dst []T) { b.TakeAt(i, 0, dst) }
 
 // TakeAt is Take from element offset off of region i: the receiving end of a
 // PutAt, such as one segment of a payload that travels in pieces.
 func (b Box[T]) TakeAt(i, off int, dst []T) {
-	copy(dst, b.Region(i)[off:off+len(dst)])
+	copy(dst, b.Landed(i, off, len(dst)))
 	b.st.v.Img.MemWork(pgas.ElemSize[T]() * len(dst))
 }
 

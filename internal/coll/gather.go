@@ -74,7 +74,7 @@ func collectLinear[T any](st *State, base int, group []int, myIdx, rootIdx, slot
 	st.Arrivals(arriveSlot, len(group)-1)
 	for i, r := range group {
 		if i != rootIdx {
-			consume(i, box.Region(i)[:slot])
+			consume(i, box.Landed(i, 0, slot))
 			st.Notify(r, creditSlot, pgas.ViaConduit)
 		}
 	}

@@ -47,14 +47,14 @@ func SubgroupAllreduceRD[T any](v *team.View, group []int, myIdx int, buf []T, o
 	}
 	if myIdx < extras {
 		st.Arrivals(slotExtra, 1)
-		op.Combine(buf, NewBox[T](st, "fold", n, 1).Region(0)[:n])
+		op.Combine(buf, NewBox[T](st, "fold", n, 1).Landed(0, 0, n))
 		me.MemWork(2 * es * n)
 	}
 	box := NewBox[T](st, "", n, nr)
 	for k := 0; 1<<k < p2; k++ {
 		box.Put(group[myIdx^1<<k], k, buf, k, pgas.ViaConduit)
 		st.Arrivals(k, 1)
-		op.Combine(buf, box.Region(k)[:n])
+		op.Combine(buf, box.Landed(k, 0, n))
 		me.MemWork(2 * es * n)
 	}
 	if myIdx < extras {
@@ -91,7 +91,7 @@ func AllreduceLinear[T any](v *team.View, buf []T, op Op[T]) {
 	if v.Rank == 0 {
 		st.Arrivals(0, sz-1)
 		for r := 1; r < sz; r++ {
-			op.Combine(buf, inbox.Region(r)[:n])
+			op.Combine(buf, inbox.Landed(r, 0, n))
 			me.MemWork(2 * es * n)
 		}
 		for r := 1; r < sz; r++ {
@@ -128,7 +128,7 @@ func AllreduceTree[T any](v *team.View, buf []T, op Op[T]) {
 	// Gather: the edge-k child arrives on slot k, deepest first.
 	for k := nkids - 1; k >= 0; k-- {
 		st.Arrivals(k, 1)
-		op.Combine(buf, in.Region(k)[:n])
+		op.Combine(buf, in.Landed(k, 0, n))
 		me.MemWork(2 * es * n)
 	}
 	if r != 0 {
@@ -169,7 +169,7 @@ func AllreduceRing[T any](v *team.View, buf []T, op Op[T]) {
 	// own, which leaves piece (r+1) mod sz complete at r.
 	ring(st, 0, box, r, sz, next, piece, func(i, at int) {
 		p := piece(i)
-		op.Combine(p, box.Region(at)[:len(p)])
+		op.Combine(p, box.Landed(at, 0, len(p)))
 		me.MemWork(2 * es * len(p))
 	})
 	// All-gather: circulate the finished pieces, shifted by one.

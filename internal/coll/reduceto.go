@@ -49,7 +49,7 @@ func SubgroupReduceToRoot[T any](v *team.View, group []int, myIdx, rootIdx int, 
 	// set bit. Deepest subtree first.
 	for k := binomialFanout(rel, g) - 1; k >= 0; k-- {
 		st.Arrivals(k, 1)
-		op.Combine(buf, box.Region(k)[:n])
+		op.Combine(buf, box.Landed(k, 0, n))
 		me.MemWork(2 * es * n)
 		// Credit the child: its parity landing region here is free.
 		st.Notify(group[(myIdx+1<<k)%g], nr+2*k+parity, pgas.ViaConduit)

@@ -48,7 +48,7 @@ func ScanLinear[T any](v *team.View, buf []T, op Op[T], exclusive bool) {
 		fwd = buf
 	} else {
 		st.Arrivals(0, 1)
-		in := box.Region(0)[:n] // prefix over [0, r)
+		in := box.Landed(0, 0, n) // prefix over [0, r)
 		if exclusive {
 			if r < sz-1 {
 				fwd = Temp[T](st, "fwd", n)
@@ -115,7 +115,7 @@ func ScanRD[T any](v *team.View, buf []T, op Op[T], exclusive bool) {
 		}
 		if r-1<<k >= 0 {
 			st.Arrivals(k, 1)
-			op.Combine(acc, box.Region(k)[:n])
+			op.Combine(acc, box.Landed(k, 0, n))
 			me.MemWork(2 * es * n)
 			st.Notify(r-1<<k, ackSlot, pgas.ViaConduit)
 		}
@@ -184,7 +184,7 @@ func SubgroupExscan[T any](v *team.View, group []int, myIdx int, total, ex []T, 
 		}
 		box.Put(group[partner], k, total, k, pgas.ViaConduit)
 		st.Arrivals(k, 1)
-		in := box.Region(k)[:n]
+		in := box.Landed(k, 0, n)
 		if partner < myIdx {
 			if have {
 				op.Combine(ex, in)

@@ -82,7 +82,7 @@ func SubgroupScatterLinear[T any](st *State, base int, group []int, myIdx, rootI
 	if myIdx != rootIdx {
 		st.Arrivals(paySlot, 1)
 		if forwarded != nil {
-			forwarded(box.Region(0)[:len(block(myIdx))*n])
+			forwarded(box.Landed(0, 0, len(block(myIdx))*n))
 		}
 		box.Take(0, recv)
 		st.Notify(group[rootIdx], ackSlot, pgas.ViaConduit)
@@ -163,7 +163,7 @@ func SubgroupScatterBinomial[T any](st *State, base int, group []int, myIdx, roo
 	} else {
 		st.Arrivals(paySlot, 1)
 		box, cnt := subtreeBox[T](st, rel, g, maxBlock*n)
-		tree = box.Region(0)[:span(rel, rel+cnt)]
+		tree = box.Landed(0, 0, span(rel, rel+cnt))
 		box.Take(0, recv)
 	}
 	// Forward subtree halves, deepest child first.

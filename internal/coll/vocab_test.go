@@ -95,13 +95,16 @@ func TestPublishOrder(t *testing.T) {
 // coarray of 2*regions*cap elements) —
 // region i of parity p starts at element (p*regions+i)*cap of the coarray, for
 // Region and for Put alike — and nothing reaches the other half: the two
-// parities never alias, and a put that would leave the half panics.
+// parities never alias, and a put that would leave the half panics. Each image
+// fills its own half before the peer's marks may land (the handshake on slot
+// 1): a put's payload is in the region from its issue, as over RDMA, so a fill
+// after it would race the marks.
 func TestBox(t *testing.T) {
 	const elems, regions, cap_ = 5, 3, 16
 	w := newWorld(t, "2(2)")
 	w.Run(func(im *pgas.Image) {
 		v := team.Initial(w, im)
-		st := GetState(v, Alg{"test.box"}, 1)
+		st := GetState(v, Alg{"test.box"}, 2)
 		peer := 1 - v.Rank
 		for parity := st.Next(); st.m.ep <= 2; parity = st.Next() {
 			ep := st.m.ep
@@ -119,6 +122,8 @@ func TestBox(t *testing.T) {
 			for i := range box.Region(0) {
 				box.Region(0)[i] = float64(ep)
 			}
+			im.NotifyAdd(st.flags, peer, 1, 1, pgas.ViaConduit)
+			im.WaitFlagGE(st.flags, im.Rank(), 1, ep)
 			// Mark the peer's regions: the head of region i and, with PutAt,
 			// its element 3.
 			for i := 0; i < regions; i++ {

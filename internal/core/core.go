@@ -274,7 +274,7 @@ func combineSlices[T any](v *team.View, st *coll.State, buf []T, op coll.Op[T], 
 	for k := 1; k < g; k++ {
 		i := (me - k + g) % g
 		st.Arrivals(s.slices+s.first+i, 1)
-		op.Combine(mine, in.Region(s.first + i)[:len(mine)])
+		op.Combine(mine, in.Landed(s.first+i, 0, len(mine)))
 		v.Img.MemWork(2 * pgas.ElemSize[T]() * len(mine))
 	}
 	var out coll.Box[T]

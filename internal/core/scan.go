@@ -174,7 +174,7 @@ func scanTwoLevelLead[T any](v *team.View, st *coll.State, inbox, resBox coll.Bo
 	if gsz > 1 {
 		st.Arrivals(scan2InboxSlot+parity, gsz-1)
 		for j := 1; j < gsz; j++ {
-			op.Combine(acc, inbox.Region(j)[:n])
+			op.Combine(acc, inbox.Landed(j, 0, n))
 			me.MemWork(2 * es * n)
 		}
 	}
@@ -189,7 +189,7 @@ func scanTwoLevelLead[T any](v *team.View, st *coll.State, inbox, resBox coll.Bo
 	fold := func(j int) {
 		switch {
 		case j > 0:
-			op.Combine(run, inbox.Region(j)[:n])
+			op.Combine(run, inbox.Landed(j, 0, n))
 			me.MemWork(2 * es * n)
 		case ex == nil:
 			copy(run, buf)
@@ -270,7 +270,7 @@ func scanSlices[T any](v *team.View, st *coll.State, buf []T, op coll.Op[T], for
 		if i == pos {
 			return mine
 		}
-		return in.Region(i)[:k]
+		return in.Landed(i, 0, k)
 	}
 	// Slice pos of the node total: the leader's straight into its total
 	// region, a member's staged and shipped to it.
@@ -291,7 +291,7 @@ func scanSlices[T any](v *team.View, st *coll.State, buf []T, op coll.Op[T], for
 	var ex []T // slice pos of the node's exclusive prefix; nil on the head node
 	if v.Rank == leader {
 		st.Arrivals(scan2Total, g-1)
-		if whole := scanLeaders(v, st, tot.Region(0)[:n], op, group, form); whole != nil {
+		if whole := scanLeaders(v, st, tot.Landed(0, 0, n), op, group, form); whole != nil {
 			for j := 1; j < g; j++ {
 				sl, _ := sliceOf(whole, j, g)
 				pre.Put(group[j], 0, sl, scan2Prefix, pgas.ViaShm)
@@ -302,7 +302,7 @@ func scanSlices[T any](v *team.View, st *coll.State, buf []T, op coll.Op[T], for
 		tot.PutAt(leader, 0, off, total, scan2Total, pgas.ViaShm)
 		if !head {
 			st.Arrivals(scan2Prefix, 1)
-			ex = pre.Region(0)[:k]
+			ex = pre.Landed(0, 0, k)
 		}
 	}
 	// The fold: run = ex ⊕ v(0) ⊕ … ⊕ v(i) on slice pos, delivered as it grows

@@ -257,7 +257,7 @@ func GatherTwoLevel[T any](v *team.View, root int, send, recv []T) {
 			own = packs.Region(0)
 		} else {
 			st.Arrivals(ga2PackSlot+parity, 1)
-			own = lands.Region(0)
+			own = lands.Landed(0, 0, len(group)*n)
 		}
 		for i, r := range group {
 			if r != root {

@@ -27,8 +27,9 @@ import (
 //
 // A row's name is its seam's: vocabulary (coll's protocol vocabulary, the
 // runtime's one flag protocol, over state its team holds), core-sends (core's
-// own inter-node sends), backend (the pgas Transport seam) and helpers (route
-// as the one charge; sim helpers do not block). SeamsOf runs one seam, so a
+// own inter-node sends), backend (the pgas Transport seam), helpers (route
+// as the one charge; sim helpers do not block) and landing (only coll's boxes
+// are written at issue, under the guard). SeamsOf runs one seam, so a
 // package's test holds its seams in tier-1.
 var Seams = seamsOver(seamTable)
 
@@ -87,6 +88,11 @@ var seamTable = []seam{
 	// so every leg meets NIC and link faults.
 	{"helpers", "cafteams/internal/pgas", "sim.Resource.Occupy", "route=4 simTransport.atomicRoundTrip=1", "a message charged outside route"},
 	{"helpers", "cafteams/internal/pgas", "simTransport.drops", "simTransport.Launch dropped=1", "the drop stream drawn outside its gate"},
+	// Only a collective's box, whose reads are checked (Box.Landed), is written
+	// at issue; the guard's put records are its helpers' alone.
+	{"landing", "cafteams/internal/coll", "pgas.NewGuardedCoarray", "newBox=1", "a write-at-issue coarray outside coll's boxes"},
+	{"landing", "cafteams/caf cafteams/internal/core cafteams/internal/team cafteams/internal/hpl cafteams/internal/bench cafteams/cmd/caftopo cafteams/cmd/hplbench cafteams/examples/hpl", "pgas.NewGuardedCoarray", "", "a write-at-issue coarray outside coll's boxes"},
+	{"landing", "cafteams/internal/pgas", "inflight.flights", "inflight.*", "a put record touched outside the guard's helpers"},
 }
 
 func seamsOver(table []seam) *Analyzer {

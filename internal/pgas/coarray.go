@@ -2,6 +2,7 @@ package pgas
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 	"unsafe"
 
@@ -11,7 +12,9 @@ import (
 // Coarray is a symmetric shared data entity: every image in scope owns a
 // local slab of n elements, remotely addressable by (image, offset) — the
 // CAF "A(i)[k]" access pattern. Remote access goes through Put/Get below;
-// local access through Local is a plain slice.
+// local access through Local is a plain, unchecked slice. A read of what a
+// put landed may go through Landed instead, which on a write-at-issue coarray
+// (NewGuardedCoarray) refuses data that has not arrived yet.
 //
 // Slabs materialise on first touch: a coarray declares n elements on every
 // owning image, but an image's slab is only allocated (zeroed) by the first
@@ -41,6 +44,9 @@ type Coarray[T any] struct {
 	// serialized by the single-scheduler kernel, so a plain LIFO slice is
 	// safe and deterministic.
 	stageFree []*putStage[T]
+	// inflight is the read-before-arrival guard of a write-at-issue coarray
+	// (NewGuardedCoarray), nil on any other.
+	inflight *inflight
 }
 
 // putStage is one staged one-sided write: the injection-buffer copy plus a
@@ -149,6 +155,18 @@ func NewTeamCoarray[T any](w *World, name string, n int, members []int) *Coarray
 	return c
 }
 
+// NewGuardedCoarray is NewTeamCoarray for a collective's landing area, which
+// the sim writes once: PutThenNotify copies the payload into the target's slab
+// at issue, as an RDMA conduit would, instead of staging it until delivery.
+// Its guard stands in for the late copy: a Landed read of a range that a put
+// in flight lands on panics (a read before arrival), and so does a put to it
+// (an overwrite before arrival). Put and Local are unguarded.
+func NewGuardedCoarray[T any](w *World, name string, n int, members []int) *Coarray[T] {
+	c := NewTeamCoarray[T](w, name, n, members)
+	c.inflight = &inflight{images: w.NumImages()}
+	return c
+}
+
 // Name returns the allocation name.
 func (c *Coarray[T]) Name() string { return c.name }
 
@@ -190,6 +208,21 @@ func (c *Coarray[T]) outside(op string, off, n int) {
 // Local returns this image's own slab for direct computation. No transfer
 // cost is charged; local compute is charged separately via Image.Compute.
 func Local[T any](c *Coarray[T], im *Image) []T { return c.slab(im.rank) }
+
+// Landed returns im's own elements [off, off+n) of c, to read what puts
+// landed there. On a write-at-issue coarray (NewGuardedCoarray) it panics if a
+// put in flight lands on the range after im's clock: a read before arrival,
+// which reading the stale bytes would not show.
+func Landed[T any](c *Coarray[T], im *Image, off, n int) []T {
+	if off < 0 || n < 0 || off+n > c.n {
+		c.outside("read", off, n)
+	}
+	s := c.slab(im.rank)
+	if g := c.inflight; g != nil && g.holds(im.rank) {
+		g.check(c.name, im.rank, off, n, im.w.tr.Now())
+	}
+	return s[off : off+n : off+n]
+}
 
 // Put copies src into target's slab at offset off — the CAF assignment
 // "A(off:off+len)[target] = src". It is one-sided and non-blocking: the
@@ -238,7 +271,10 @@ func Get[T any](im *Image, c *Coarray[T], target, off int, dst []T) {
 // target, guaranteeing the flag lands after the data (ordered delivery on
 // one conduit path per image pair — the standard put+flag idiom the
 // hierarchy-aware collectives use). On an Immediate transport that is
-// literally Put, the inline copy, then Notify.
+// literally Put, the inline copy, then Notify. On the sim, a write-at-issue
+// coarray (NewGuardedCoarray) gets the payload copied into the target's slab
+// here, once, and its guard records the range until the data leg lands; any
+// other is staged until delivery, like Put.
 func PutThenNotify[T any](im *Image, c *Coarray[T], target, off int, src []T, f *Flags, idx int, delta int64, via Via) {
 	if off < 0 || off+len(src) > c.n {
 		c.outside("put", off, len(src))
@@ -255,5 +291,105 @@ func PutThenNotify[T any](im *Image, c *Coarray[T], target, off int, src []T, f 
 		tr.Notify(im, f, target, idx, delta, flagAdd, via)
 		return
 	}
-	tr.PutThenNotify(im, target, nbytes, via, c.stage(dst, off, src).run, f, idx, delta)
+	if c.inflight == nil {
+		tr.PutThenNotify(im, target, nbytes, via, c.stage(dst, off, src).run, f, idx, delta)
+		return
+	}
+	c.inflight.record(c.name, target, off, len(src), tr.Now())
+	copy(dst[off:], src)
+	c.inflight.land(target, off, len(src), tr.PutThenNotify(im, target, nbytes, via, nil, f, idx, delta))
+}
+
+// inflight is a write-at-issue coarray's guard, the oracle that staging a
+// payload until delivery used to be: per target image, the puts whose payload
+// the sim has written into the target's slab, each as the elements [lo, hi)
+// and the time its data leg lands. Walking a target's list drops what has
+// landed, so it holds no more than the puts in flight to it and reuses its
+// backing array. Only the sim records (an Immediate transport lands a put
+// inside the call), in scheduler context, so no lock is needed.
+type inflight struct {
+	images  int
+	flights [][]flight // per target rank; nil until the first put
+}
+
+type flight struct {
+	lo, hi int
+	at     Time
+}
+
+// overlaps reports whether f shares an element with [off, off+n).
+func (f flight) overlaps(off, n int) bool { return f.lo < off+n && off < f.hi && n > 0 }
+
+const (
+	issued Time = math.MaxInt64 - 1 // recorded; the transport has not routed it yet
+	never  Time = math.MaxInt64     // lost on the wire
+)
+
+// record enters a put of target's [off, off+n) before its payload is copied,
+// panicking on an overwrite before arrival. A lost put's record is superseded
+// by a later put to its range, so retries do not panic. An empty put lands
+// nothing and is not entered.
+//
+//go:noinline
+func (g *inflight) record(name string, target, off, n int, now Time) {
+	if g.flights == nil {
+		g.flights = make([][]flight, g.images)
+	}
+	if n == 0 {
+		return
+	}
+	live := g.flights[target][:0]
+	for _, f := range g.flights[target] {
+		switch {
+		case f.at <= now: // landed
+		case !f.overlaps(off, n):
+			live = append(live, f)
+		case f.at != never:
+			early(name, "overwrite", target, off, n, f.at, now)
+		}
+	}
+	g.flights[target] = append(live, flight{off, off + n, issued})
+}
+
+// land stamps the record entered for target's [off, off+n) with the time its
+// data leg lands (never, if it was lost): the one issued record of that range,
+// as record refuses overlaps.
+//
+//go:noinline
+func (g *inflight) land(target, off, n int, at Time) {
+	for i, f := range g.flights[target] {
+		if f.lo == off && f.hi == off+n && f.at == issued {
+			g.flights[target][i].at = at
+			return
+		}
+	}
+}
+
+// holds reports whether target's list has records: a read needs no clock
+// otherwise, and on native it never has.
+func (g *inflight) holds(target int) bool { return g.flights != nil && len(g.flights[target]) > 0 }
+
+// check panics on a read before arrival of target's [off, off+n), and drops
+// target's landed records.
+func (g *inflight) check(name string, target, off, n int, now Time) {
+	live := g.flights[target][:0]
+	for _, f := range g.flights[target] {
+		if f.at > now {
+			if f.overlaps(off, n) {
+				early(name, "read", target, off, n, f.at, now)
+			}
+			live = append(live, f)
+		}
+	}
+	g.flights[target] = live
+}
+
+func early(name, op string, target, off, n int, at, now Time) {
+	when := fmt.Sprintf("lands at %d ns", at)
+	if at == issued {
+		when = "is being issued"
+	} else if at == never {
+		when = "never lands (lost on the wire)"
+	}
+	panic(fmt.Sprintf("pgas: %s before arrival: %q [%d:%d) on image %d at %d ns, where a put %s", op, name, off, off+n, target, now, when))
 }

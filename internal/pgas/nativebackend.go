@@ -278,7 +278,7 @@ func (*nativeTransport) Get(im *Image, target, nbytes int) { nativeCheck(im) }
 
 // PutThenNotify is not how a put+flag reaches an Immediate transport: the
 // front end calls Put, copies, then Notify — program order is delivery order.
-func (*nativeTransport) PutThenNotify(*Image, int, int, Via, func(), *Flags, int, int64) {
+func (*nativeTransport) PutThenNotify(*Image, int, int, Via, func(), *Flags, int, int64) Time {
 	panic("pgas: native puts land in the typed front end (Transport.Immediate)")
 }
 

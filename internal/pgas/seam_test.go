@@ -32,3 +32,14 @@ func TestSimHelpersDoNotBlock(t *testing.T) {
 	t.Parallel()
 	linttest.Run(t, "../..", lint.SeamsOf("helpers"), "cafteams/internal/pgas")
 }
+
+// TestWriteAtIssueIsTheBoxes: the sim writes a put's payload at issue only into
+// a collective's box — NewGuardedCoarray's one caller is coll's newBox, and no
+// other package that builds on pgas calls it — and the guard's put records are
+// touched only in the guard's own methods. The rows are caflint's landing seam.
+func TestWriteAtIssueIsTheBoxes(t *testing.T) {
+	t.Parallel()
+	linttest.Run(t, "../..", lint.SeamsOf("landing"), "cafteams/internal/pgas", "cafteams/internal/coll", "cafteams/caf",
+		"cafteams/internal/core", "cafteams/internal/team", "cafteams/internal/hpl", "cafteams/internal/bench",
+		"cafteams/cmd/caftopo", "cafteams/cmd/hplbench", "cafteams/examples/hpl")
+}

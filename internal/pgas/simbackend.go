@@ -401,7 +401,7 @@ func dropped(s *simTransport, src, dst int) bool {
 // flagMax (flag update + wake target).
 const (
 	dNop uint8 = flagMax + 1 + iota // lost message: drains for Quiet, mutates nothing
-	dFn                             // run fn (staged put commits, atomic applies)
+	dFn                             // run fn (staged put commits, atomic applies), if any
 )
 
 // delivery is one in-flight one-sided operation: what to do at the modeled
@@ -444,7 +444,9 @@ func (d *delivery) execute() {
 	s := d.t
 	switch d.kind {
 	case dFn:
-		d.fn()
+		if d.fn != nil { // nil: a payload written at issue, landing now
+			d.fn()
+		}
 	case flagAdd:
 		d.f.add(d.tgt, d.idx, d.val)
 		wake(s, d.tgt)
@@ -523,7 +525,7 @@ func (s *simTransport) Get(im *Image, target, nbytes int) {
 	}
 }
 
-func (s *simTransport) PutThenNotify(im *Image, target, nbytes int, via Via, commit func(), f *Flags, idx int, delta int64) {
+func (s *simTransport) PutThenNotify(im *Image, target, nbytes int, via Via, commit func(), f *Flags, idx int, delta int64) Time {
 	proc := s.img[im.rank].proc
 	o := sendOverhead(s.w.model, via)
 	dst := s.w.topo.NodeOf(target)
@@ -540,6 +542,10 @@ func (s *simTransport) PutThenNotify(im *Image, target, nbytes int, via Via, com
 	lost := dropped(s, im.node, dst)
 	deliverAt(s, im, deliverData, commit, lost)
 	deliverFlagOp(s, im, deliverFlag, flagAdd, f, target, idx, delta, lost)
+	if lost {
+		return never
+	}
+	return deliverData
 }
 
 func (s *simTransport) Notify(im *Image, f *Flags, target, idx int, val int64, op uint8, via Via) {

@@ -46,7 +46,9 @@ const (
 //   - Put/PutThenNotify commit functions run at most once: none for a
 //     message lost on the wire. PutThenNotify's flag increment never becomes
 //     visible before its payload commit (ordered delivery per image pair —
-//     the put+flag idiom).
+//     the put+flag idiom). A payload written at issue (nil commit, a
+//     write-at-issue coarray) is visible at once; its coarray's guard stands
+//     in for the late commit, refusing reads before the returned landing time.
 //   - WaitFlagGE and Await return only when their threshold or predicate
 //     holds; any mutation of an image's flag rows eventually wakes that
 //     image's waiters (WakeRank is the explicit hook for local stores). A
@@ -95,8 +97,11 @@ type Transport interface {
 	// returns once the payload may be read, and the caller copies it.
 	Get(im *Image, target, nbytes int)
 	// PutThenNotify issues a Put followed by a flag increment on the same
-	// target, with the flag guaranteed to land after the payload.
-	PutThenNotify(im *Image, target, nbytes int, via Via, commit func(), f *Flags, idx int, delta int64)
+	// target, with the flag guaranteed to land after the payload, and returns
+	// when the payload lands (never: a pair lost on the wire). A nil commit
+	// means the caller wrote the payload at issue (a write-at-issue coarray):
+	// the data leg is charged and delivered as ever, and lands nothing.
+	PutThenNotify(im *Image, target, nbytes int, via Via, commit func(), f *Flags, idx int, delta int64) Time
 	// Quiet blocks until every one-sided operation issued by im has been
 	// delivered (CAF "sync memory" / GASNet quiet).
 	Quiet(im *Image)
